@@ -4,28 +4,20 @@ The epoch-sharded audit chains epochs serially because epoch k+1's
 initial state is epoch k's §4.5 migrated state.  The redo-only state
 precompute (``state_precompute_pipeline``) materializes every epoch's
 initial state without re-executing anything, which unlocks auditing all
-epochs concurrently (``epoch_workers``): each epoch's grouped
-re-execution finishes independently in a thread pool, with re-exec CPU
-offloaded to worker processes when cores are available.
+epochs concurrently (``epoch_workers``): whole epochs run as work
+units on one persistent shared process pool.
 
 This benchmark serves one wiki workload with epoch draining (a >= 4
 epoch bundle), audits it serially and with increasing epoch worker
-counts — through **both** concurrent drivers: the process-level driver
-(whole epochs as work units on one persistent shared process pool, the
-default) and the older thread driver (per-epoch re-exec offload) —
-checks every concurrent audit's produced bodies are bitwise identical
-to the serial chain's, and reports wall-clock.
+counts, checks every concurrent audit's produced bodies are bitwise
+identical to the serial chain's, and reports wall-clock.
 
 The recorded baseline carries ``cpu_count``: on a single-core host the
-thread driver's expected outcome is wall-clock *parity* (the precompute
-replaces — rather than duplicates — the chained audits' redo work, so
-it adds only thread overhead), while the process driver *pays* for its
-core-independence serially (each worker rebuilds its epoch's stores
-from the pickled payload, so with no cores to hide it behind the redo
-runs twice).  The speedups — and the process driver's win over the
-thread driver — materialize with cores, where whole epochs execute
-simultaneously in the persistent pool's worker processes with no GIL
-in the way of any phase.
+pool *pays* for its core-independence serially (each worker rebuilds
+its epoch's stores from the pickled payload, so with no cores to hide
+it behind the redo runs twice).  The speedup materializes with cores,
+where whole epochs execute simultaneously in the pool's worker
+processes with no GIL in the way of any phase.
 
 Run standalone to (re)generate the committed baseline::
 
@@ -88,17 +80,10 @@ def measure_epoch_scaling(
         epoch_workers_list = [1] + [workers_n for workers_n
                                     in epoch_workers_list
                                     if workers_n != 1]
-    plan = []
     for epoch_workers in epoch_workers_list:
-        if epoch_workers == 1:
-            plan.append((1, "serial"))
-        else:
-            # Both concurrent drivers at each worker count: the
-            # process-level shared pool (default) and the thread pool
-            # it replaced — the row pair is the PR-5 comparison.
-            plan.append((epoch_workers, "process"))
-            plan.append((epoch_workers, "thread"))
-    for epoch_workers, driver in plan:
+        # The row tag names the regression gate's metric
+        # (``epoch_workers<N>_process_speedup``).
+        driver = "serial" if epoch_workers == 1 else "process"
         best = None
         for _ in range(max(1, repeats)):
             audit = ssco_audit(
@@ -109,7 +94,6 @@ def measure_epoch_scaling(
                 epoch_cuts=execution.epoch_marks,
                 workers=workers,
                 epoch_workers=epoch_workers,
-                epoch_processes=(driver != "thread"),
             )
             assert audit.accepted, (audit.reason, audit.detail)
             if best is None or audit.phases["total"] < best.phases["total"]:
@@ -153,9 +137,8 @@ def run(scale: float, epoch_size: int, epoch_workers_list, workers: int,
         "cpu_count": os.cpu_count(),
         "available_cpus": available_cpus(),
         "note": "speedup_total requires multiple cores; on a single-core "
-                "host the thread driver's expected result is parity and "
-                "the process driver pays its duplicated redo serially "
-                "(see module docstring)",
+                "host the pool's workers pay their duplicated redo "
+                "serially (see module docstring)",
         "rows": rows,
     }
 
@@ -165,9 +148,7 @@ def run(scale: float, epoch_size: int, epoch_workers_list, workers: int,
 
 def test_epoch_parallel(capsys):
     """Concurrent epoch audits are verdict- and output-identical to the
-    serial chain, wall-clock improves when cores are available, and the
-    process-level driver is at least as fast as the thread driver it
-    replaced.
+    serial chain, and wall-clock improves when cores are available.
 
     Scale/repeats are sized so each audit runs long enough (hundreds of
     ms) that pool startup and scheduler noise cannot flip the
@@ -180,28 +161,20 @@ def test_epoch_parallel(capsys):
                                  epoch_workers_list=(1, 2), repeats=3)
     serial = rows[0]
     process = next(r for r in rows if r["driver"] == "process")
-    thread = next(r for r in rows if r["driver"] == "thread")
     if available_cpus() >= 2:
-        # With real cores the concurrent drivers must win wall-clock,
-        # and the persistent shared pool must not lose to the thread
-        # driver it replaced (10% scheduler-noise slack).
+        # With real cores the concurrent audit must win wall-clock.
         assert process["total_seconds"] < serial["total_seconds"], rows
-        assert process["total_seconds"] <= 1.1 * thread["total_seconds"], \
-            rows
     else:
         # Single-core host: demand bounded overhead, not speedup (the
-        # process driver re-runs the versioned redo in its workers, so
-        # its serial-hardware bound is looser than the thread driver's).
+        # workers re-run the versioned redo the prepass already did).
         assert process["total_seconds"] < 3.0 * serial["total_seconds"], \
-            rows
-        assert thread["total_seconds"] < 2.0 * serial["total_seconds"], \
             rows
     with capsys.disabled():
         print()
         print("=== epoch parallel (audit wall-clock) ===")
         for row in rows:
             print(f"  epoch_workers={row['epoch_workers']} "
-                  f"[{row.get('driver', 'serial')}]: "
+                  f"[{row['driver']}]: "
                   f"{row['total_seconds']:.3f}s "
                   f"(speedup {row['speedup_total']:.2f}x, "
                   f"{row['epochs']} epochs)")
@@ -235,7 +208,7 @@ def main(argv=None) -> int:
           f"{result['available_cpus']} cpu(s))")
     for row in result["rows"]:
         print(f"  epoch_workers={row['epoch_workers']} "
-              f"[{row.get('driver', 'serial')}]: "
+              f"[{row['driver']}]: "
               f"{row['total_seconds']:.3f}s total "
               f"(speedup {row['speedup_total']:.2f}x, reexec "
               f"{row['reexec_seconds']:.3f}s)")

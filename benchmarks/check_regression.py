@@ -113,18 +113,15 @@ def metrics_streaming_session(data) -> list[Metric]:
 
 
 def metrics_epoch_parallel(data) -> list[Metric]:
-    """``bench_epoch_parallel``: per-driver epoch-parallel speedup over
-    the run's serial chain (normalized throughput)."""
+    """``bench_epoch_parallel``: epoch-parallel speedup over the run's
+    serial chain (normalized throughput)."""
     out: list[Metric] = []
     for row in data.get("rows", []):
         epoch_workers = row.get("epoch_workers")
         if epoch_workers in (None, 1):
             continue
-        # Rows written before the process-level driver carry no
-        # "driver" tag; they measured the thread driver.
-        driver = row.get("driver", "thread")
         out.append(Metric(
-            f"epoch_workers{epoch_workers}_{driver}_speedup",
+            f"epoch_workers{epoch_workers}_{row['driver']}_speedup",
             row["speedup_total"],
             needs_cores=2, floor=1.0,
         ))

@@ -35,9 +35,8 @@ Commands:
 
 Every auditing subcommand is driven by one validated
 :class:`~repro.core.config.AuditConfig`: flags layer over an optional
-``--config audit.json`` file, which layers over the defaults.  The
-canonical scaling flag is ``--workers N`` (the old ``--parallel`` and
-the audit subcommand's ``--concurrency`` remain as deprecated aliases);
+``--config audit.json`` file, which layers over the defaults.
+``--workers N`` fans group re-execution out over worker processes,
 ``--epoch-size N`` makes the server drain every N requests
 (``demo``/``record``) and the auditor shard at the resulting quiescent
 cuts, ``--epoch-cuts "i,j,k"`` pins explicit cut positions,
@@ -112,22 +111,6 @@ _LINT_APPS = {
 #: Workload-style names accepted as aliases by ``repro lint``.
 _LINT_ALIASES = {"wiki": "miniwiki", "forum": "miniforum",
                  "hotcrp": "minicrp", "cart": "minicart"}
-
-
-class _DeprecatedAlias(argparse.Action):
-    """A flag kept for compatibility that warns and forwards its value."""
-
-    def __init__(self, *args, preferred: str = "--workers", **kwargs):
-        self.preferred = preferred
-        super().__init__(*args, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(
-            f"warning: {option_string} is deprecated; use "
-            f"{self.preferred} instead",
-            file=sys.stderr,
-        )
-        setattr(namespace, self.dest, values)
 
 
 def _build(args):
@@ -847,9 +830,6 @@ def main(argv=None) -> int:
         p.add_argument("--workers", type=int, default=None, metavar="N",
                        help="fan group re-execution out over N worker "
                             "processes (1 = serial)")
-        p.add_argument("--parallel", dest="workers", type=int, metavar="N",
-                       action=_DeprecatedAlias,
-                       help="deprecated alias for --workers")
         p.add_argument("--epoch-workers", type=int, default=None,
                        metavar="N",
                        help="audit epoch shards concurrently, N at a "
@@ -863,11 +843,6 @@ def main(argv=None) -> int:
                             "the speculative state precompute may run "
                             "ahead of the slowest unfinished epoch "
                             "audit (0 = 2 * epoch-workers)")
-        p.add_argument("--epoch-threads", action="store_true",
-                       default=None,
-                       help="keep the thread-based epoch driver "
-                            "instead of process-level epoch execution "
-                            "(results are identical; for comparison)")
         p.add_argument("--backend", choices=available_backends(),
                        default=None,
                        help="registered re-execution backend "
@@ -950,9 +925,6 @@ def main(argv=None) -> int:
                                          "live stream")
     common(audit)
     audit_knobs(audit)
-    audit.add_argument("--concurrency", dest="workers", type=int,
-                       metavar="N", action=_DeprecatedAlias,
-                       help="deprecated alias for --workers")
     audit.add_argument("bundle", nargs="?", default=None)
     audit.add_argument("--baseline", action="store_true",
                        help="also run the simple re-execution baseline")

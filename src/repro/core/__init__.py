@@ -13,14 +13,15 @@ Public entry points:
 * :mod:`repro.core.pipeline` — the phased audit engine
   (:class:`~repro.core.pipeline.AuditPipeline` of composable
   :class:`~repro.core.pipeline.AuditPhase` objects) every entry point
-  above is built on, plus the epoch-sharded driver.
+  above is built on.
 * :mod:`repro.core.partition` — quiescent-cut epoch partitioning of
   audit inputs.
 * :mod:`repro.core.auditor` — the service API: a long-lived
   :class:`~repro.core.auditor.Auditor` bound to a validated
   :class:`~repro.core.config.AuditConfig`, with incremental epoch
   :class:`~repro.core.auditor.AuditSession` feeding (the paper's
-  continuous deployment, §4.1).
+  continuous deployment, §4.1) — the one epoch driver, which
+  :func:`~repro.core.auditor.sharded_audit` applies within a bundle.
 * :mod:`repro.core.reexec` — the re-execution engines behind the
   pipeline's :class:`~repro.core.pipeline.ReExecPhase`, pluggable via
   :func:`~repro.core.reexec.register_reexec_backend`.
@@ -32,17 +33,19 @@ from repro.core.pipeline import (
     AuditPipeline,
     AuditPhase,
     default_pipeline,
-    precompute_epoch_states,
-    run_audit,
-    sharded_audit,
     state_precompute_pipeline,
 )
-from repro.core.auditor import AuditSession, Auditor, EpochResult
+from repro.core.auditor import (
+    AuditSession,
+    Auditor,
+    EpochResult,
+    run_audit,
+    sharded_audit,
+)
 from repro.core.epochpool import EpochPool
 from repro.core.config import AuditConfig
 from repro.core.partition import Shard, find_epoch_cuts, partition_audit_inputs
 from repro.core.reexec import (
-    DEFAULT_BACKEND,
     available_backends,
     default_backend,
     register_reexec_backend,
@@ -61,7 +64,6 @@ __all__ = [
     "AuditResult",
     "AuditSession",
     "Auditor",
-    "DEFAULT_BACKEND",
     "EpochPool",
     "EpochResult",
     "Shard",
@@ -72,7 +74,6 @@ __all__ = [
     "find_epoch_cuts",
     "ooo_audit",
     "partition_audit_inputs",
-    "precompute_epoch_states",
     "register_reexec_backend",
     "group_profile",
     "run_audit",

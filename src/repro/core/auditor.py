@@ -10,39 +10,48 @@ around a long-lived service object:
   :class:`~repro.core.config.AuditConfig`.  :meth:`Auditor.audit` is the
   one-shot entry point (exactly ``ssco_audit``); :meth:`Auditor.session`
   opens an **incremental epoch session**.
-* :class:`AuditSession` consumes one epoch at a time:
-  :meth:`~AuditSession.feed_epoch` audits a (trace slice, reports slice)
-  pair against the state migrated out of the previous epoch and returns
-  a per-epoch :class:`EpochResult`; :meth:`~AuditSession.close` returns
-  the merged :class:`~repro.core.pipeline.AuditResult`.  Feeding the
-  epochs of a bundle one by one produces verdicts, produced bodies, and
-  deterministic stats identical to the one-shot
-  :func:`~repro.core.pipeline.sharded_audit` over the same cuts — the
-  session *is* the sharded audit, unrolled over time.
+* :class:`AuditSession` is the one epoch driver.  It consumes one epoch
+  at a time: :meth:`~AuditSession.feed_epoch` audits a (trace slice,
+  reports slice) pair against the state migrated out of the previous
+  epoch and returns a per-epoch :class:`EpochResult`;
+  :meth:`~AuditSession.close` returns the merged
+  :class:`~repro.core.pipeline.AuditResult`.
+* :func:`sharded_audit` is the session applied *within* one recorded
+  bundle: it cuts the inputs at quiescent points
+  (:mod:`repro.core.partition`) and feeds the shards through
+  :meth:`Auditor.audit_epochs`.  :func:`run_audit` picks between it and
+  a single pipeline pass; ``ssco_audit`` is the kwargs wrapper over
+  :func:`run_audit`.
 * With ``session(pipelined=True)``, :meth:`~AuditSession.feed_epoch_async`
   returns a :class:`PendingEpoch` immediately and audits in a background
   thread: the caller ingests (reads, parses) epoch N+1 while epoch N
   re-executes — and with ``config.workers > 1`` the re-execution itself
   runs in the existing process pool, so ingest genuinely overlaps audit
   CPU.  Epochs still audit strictly in feed order (state chains).
-* With ``config.epoch_workers > 1`` the chain itself is unrolled: at
-  feed time only the cheap, serial part runs — the cross-epoch checks
+* With ``config.epoch_workers > 1`` (or a fleet) the chain is unrolled:
+  at feed time only the cheap, serial part runs — the cross-epoch checks
   and the redo-only **state precompute**
   (:func:`~repro.core.pipeline.state_precompute_pipeline`), which
   migrates the next epoch's initial state without re-executing anything
-  — and the heavy remainder (grouped re-execution, output comparison)
-  is dispatched to a pool of ``epoch_workers`` threads.  Several epochs
-  audit concurrently; results are merged strictly in feed order, so the
-  per-epoch results and the merged outcome are bit-identical to the
-  serial session (epochs after the first rejection come back *skipped*
-  and their speculative audits are discarded).
+  — and the epoch's full audit is dispatched as one work unit to the
+  run's shared :class:`~repro.core.epochpool.EpochPool` (or to the
+  fleet's remote workers).  Several epochs audit concurrently; results
+  are merged strictly in feed order, so the per-epoch results and the
+  merged outcome are bit-identical to the serial session (epochs after
+  the first rejection come back *skipped* and their speculative audits
+  are discarded).
 
 Soundness across epochs: the session chains each epoch's §4.5 migrated
 state into the next (acceptance is inductive, as for contiguous audit
 epochs), and threads the ``uniqid()``-uniqueness plausibility check's
 state across feeds so the §4.6 whole-stream check is preserved.  After a
 rejected epoch the chain is broken and every further feed returns a
-*skipped* result carrying the original verdict.
+*skipped* result carrying the original verdict.  In concurrent mode the
+prepass state an epoch audits against is speculative: it is derived from
+the earlier epochs' logs by the same verifier code the full audit runs,
+and it is only *certified* at the in-order merge
+(:meth:`AuditSession._merge_next_entry`), which reaches epoch *k*'s
+outcome only after every earlier epoch's full audit accepted those logs.
 
 The streaming front end lives in :mod:`repro.io`:
 ``BundleReader.epochs(follow=True)`` tails a live JSONL bundle and
@@ -54,26 +63,23 @@ from __future__ import annotations
 import threading
 import time as _time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Iterable
 
 from repro.common.errors import AuditReject, RejectReason
 from repro.core.config import AuditConfig
 from repro.core.epochpool import EpochPool, epoch_worker_options
 from repro.core.nondet import validate_nondet_reports
-from repro.core.partition import make_shard_summary
+from repro.core.partition import make_shard_summary, partition_audit_inputs
 from repro.core.pipeline import (
     AuditContext,
+    AuditOptions,
     AuditPipeline,
     AuditResult,
-    _merge_shard_result,
     default_pipeline,
-    finish_precomputed_audit,
     resolve_prepass_depth,
-    run_audit,
     state_precompute_pipeline,
 )
-from repro.core.reexec import available_cpus, fork_inherits_context
 from repro.server.app import Application, InitialState
 from repro.server.reports import Reports
 from repro.trace.trace import Trace, check_balanced
@@ -173,10 +179,12 @@ class AuditSession:
         self._process_pool: EpochPool | None = None
         if epoch_workers > 1:
             # Concurrent epoch mode: the cheap redo-only prepass chains
-            # state serially at submit time; the heavy audits run in
-            # this pool and are merged back strictly in feed order.
-            # (The pipelined single worker thread is superseded — the
-            # epoch pool already decouples feeding from auditing.)
+            # state serially at submit time; each epoch's full audit is
+            # a work unit on the pool below, and these threads only
+            # submit units and wait, so results can be merged back
+            # strictly in feed order.  (The pipelined single worker
+            # thread is superseded — the epoch pool already decouples
+            # feeding from auditing.)
             self._epoch_pool = ThreadPoolExecutor(
                 max_workers=epoch_workers,
                 thread_name_prefix="audit-epoch",
@@ -184,9 +192,9 @@ class AuditSession:
             if fleet:
                 # Remote epochs: the coordinator implements the same
                 # run_epoch/close/serial_fallbacks contract as
-                # EpochPool, so the merge discipline below is shared.
-                # Imported lazily — the core layer only depends on the
-                # fleet package when a fleet is actually requested.
+                # EpochPool.  Imported lazily — the core layer only
+                # depends on the fleet package when a fleet is
+                # actually requested.
                 from repro.fleet.coordinator import FleetCoordinator
 
                 self._process_pool = FleetCoordinator(
@@ -196,21 +204,10 @@ class AuditSession:
                     redundancy=config.fleet_redundancy,
                     heartbeat_timeout=config.net_idle_timeout,
                 )
-                self._offload = False
-            elif config.epoch_processes:
-                # Process-level epochs: one persistent pool shared by
-                # every epoch of this session; the threads above only
-                # submit work units and merge results.
-                self._process_pool = EpochPool(epoch_workers)
-                self._offload = False
             else:
-                # Thread driver: offload each epoch's serial re-exec to
-                # a worker process only where fork lets it inherit the
-                # built stores; a spawn pool would re-run the redo the
-                # precompute just did.
-                self._offload = (config.workers == 1
-                                 and available_cpus() > 1
-                                 and fork_inherits_context())
+                # One persistent process pool shared by every epoch of
+                # this session.
+                self._process_pool = EpochPool(epoch_workers)
             #: Backpressure: submit_epoch blocks once this many primed
             #: epochs are in flight (speculative prepass depth) —
             #: fleet-wide, since dispatches only happen from this
@@ -379,7 +376,6 @@ class AuditSession:
         options.epoch_cuts = None
         options.epoch_workers = 1
         options.migrate = True  # the chain always needs the next state
-        options.offload_reexec = self._offload
         epoch_state = self._prepass_state
         actx = AuditContext(self._auditor.app, trace, reports,
                             epoch_state, options)
@@ -393,18 +389,13 @@ class AuditSession:
             self._prepass_failed = True
             return ("rejected", pre, requests, events)
         self._prepass_state = pre.next_initial
-        if self._process_pool is not None:
-            # Whole-epoch work unit on the shared persistent process
-            # pool; the primed context's stores are released here (the
-            # worker rebuilds its own from the pickled slices) — only
-            # the migrated chain state extracted above is kept.
-            worker_options = epoch_worker_options(options)
-            future = self._epoch_pool.submit(
-                self._process_pool.run_epoch, self._auditor.app, trace,
-                reports, epoch_state, worker_options)
-        else:
-            future = self._epoch_pool.submit(finish_precomputed_audit,
-                                             actx)
+        # Whole-epoch work unit; the primed context's stores are
+        # released here (the worker rebuilds its own from the pickled
+        # slices) — only the migrated chain state extracted above is
+        # kept.
+        future = self._epoch_pool.submit(
+            self._process_pool.run_epoch, self._auditor.app, trace,
+            reports, epoch_state, epoch_worker_options(options))
         return ("audit", (future, pre.next_initial), requests, events)
 
     def _resolve(self, index: int,
@@ -684,8 +675,9 @@ class AuditSession:
         the config asks for ``migrate`` — the final chained state in
         ``next_initial``.  ``phases["total"]`` is the summed per-epoch
         audit time, *not* wall-clock since the session opened (a follow
-        session spends most of its life waiting for epochs).
-        Idempotent.
+        session spends most of its life waiting for epochs;
+        :func:`sharded_audit`, which has the whole bundle in hand,
+        overwrites it with its call's wall-clock).  Idempotent.
         """
         if self._final is not None:
             return self._final
@@ -702,10 +694,7 @@ class AuditSession:
         merged = self._merged
         if self._process_pool is not None:
             # The workers re-time their own phases, so the parent-side
-            # prepass is extra work the per-epoch results do not carry;
-            # surface it like the one-shot driver does.  (The thread
-            # driver's prepass timers already live inside each epoch's
-            # result — no separate entry there.)
+            # prepass is extra work the per-epoch results do not carry.
             merged.phases["state_precompute"] = self._precompute_seconds
         merged.accepted = self._failure is None
         if self._failure is not None:
@@ -821,3 +810,107 @@ class Auditor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Auditor app={self.app.name!r} "
                 f"{self.config.describe()}>")
+
+
+#: Numeric stats that sum across epochs; list-valued ones concatenate.
+_SUMMED_STATS = (
+    "graph_nodes", "graph_edges", "db_queries_issued", "dedup_hits",
+    "dedup_misses", "versioned_db_bytes", "versioned_db_versions",
+    "redo_statements", "groups", "grouped_requests", "fallback_requests",
+    "divergences", "steps", "multi_steps",
+)
+
+
+def _merge_shard_result(merged: AuditResult, result: AuditResult) -> None:
+    for key, seconds in result.phases.items():
+        if key != "total":
+            merged.phases[key] = merged.phases.get(key, 0.0) + seconds
+    for key in _SUMMED_STATS:
+        if key in result.stats:
+            merged.stats[key] = (
+                merged.stats.get(key, 0) + result.stats[key]
+            )
+    if "group_alphas" in result.stats:
+        merged.stats.setdefault("group_alphas", []).extend(
+            result.stats["group_alphas"]
+        )
+    merged.produced.update(result.produced)
+
+
+# -- one-shot entry points ----------------------------------------------------
+
+
+def run_audit(
+    app: Application,
+    trace: Trace,
+    reports: Reports,
+    initial_state: InitialState,
+    options: AuditOptions | None = None,
+    pipeline: AuditPipeline | None = None,
+) -> AuditResult:
+    """Audit one bundle: sharded when the options ask for it, otherwise
+    a single pass of the (default or caller-supplied) pipeline."""
+    options = options or AuditOptions()
+    if options.epoch_size > 0 or options.epoch_cuts:
+        return sharded_audit(app, trace, reports, initial_state, options,
+                             pipeline=pipeline)
+    actx = AuditContext(app, trace, reports, initial_state, options)
+    return (pipeline or default_pipeline(options)).run(actx)
+
+
+def sharded_audit(
+    app: Application,
+    trace: Trace,
+    reports: Reports,
+    initial_state: InitialState,
+    options: AuditOptions | None = None,
+    pipeline: AuditPipeline | None = None,
+) -> AuditResult:
+    """Audit the bundle as a chain of epoch shards (§4.1, §4.5).
+
+    The trace is cut at quiescent points (every ``epoch_size`` requests,
+    or at the explicit ``epoch_cuts``) and the shards are fed through
+    :meth:`Auditor.audit_epochs`: each shard is audited against the
+    state migrated out of the previous one, so accepting shard *k*
+    certifies exactly the state shard *k+1* starts from.  The merged
+    result carries the union of produced bodies, summed phase timers
+    and stats, and per-shard summaries under ``stats["shards"]``;
+    ``phases["total"]`` is this call's wall-clock.
+
+    ``options.epoch_workers > 1`` (or ``fleet_listen``) audits the
+    shards concurrently, bit-identical to the serial chain (see
+    :class:`AuditSession`).  When no usable cut exists the bundle is
+    audited as one shard by one plain pipeline pass and no pool is
+    created.  Partitioning itself never rejects; only the phase checks
+    do.
+
+    A caller-supplied ``pipeline`` is run for every shard; it must
+    include a :class:`~repro.core.pipeline.MigratePhase` (the stock
+    pipelines do), because shard chaining consumes each shard's
+    migrated state, and it always uses the serial chain.
+    """
+    options = options or AuditOptions()
+    total_start = _time.perf_counter()
+    try:
+        # Whole-bundle pre-checks: an unbalanced trace or implausible
+        # nondet reports (§4.6) reject before anything is cut or
+        # audited, as a result with no shard summaries.
+        check_balanced(trace)
+        validate_nondet_reports(reports)
+        shards = partition_audit_inputs(
+            trace, reports, options.epoch_size, options.epoch_cuts
+        )
+    except AuditReject as reject:
+        merged = AuditResult(accepted=False, reason=reject.reason,
+                             detail=reject.detail)
+    else:
+        # The cuts are spent; the session takes its epochs as given.
+        options = replace(options, epoch_size=0, epoch_cuts=None)
+        if len(shards) == 1:
+            # No chain to unroll: stay in-process.
+            options = replace(options, epoch_workers=1, fleet_listen=None)
+        merged = Auditor(
+            app, AuditConfig.from_options(options), pipeline
+        ).audit_epochs(shards, initial_state)
+    merged.phases["total"] = _time.perf_counter() - total_start
+    return merged

@@ -65,16 +65,12 @@ class AuditConfig:
     migrate: bool = False
     #: Worker processes for group re-execution; 1 means serial.
     workers: int = 1
-    #: Audit epoch shards concurrently in a pool of this size (a
-    #: redo-only state precompute materializes every epoch's initial
-    #: state first); 1 keeps the serial epoch chain.  Results are
-    #: bit-identical to the serial chain either way.
+    #: Audit epoch shards concurrently, this many at a time, as whole-
+    #: epoch work units on one persistent process pool shared across
+    #: the run (a redo-only state precompute materializes each epoch's
+    #: initial state first); 1 keeps the serial epoch chain.  Results
+    #: are bit-identical to the serial chain either way.
     epoch_workers: int = 1
-    #: Run whole epochs in worker *processes* on one persistent pool
-    #: shared across the run (the default); False keeps the older
-    #: thread-based epoch driver.  Only consulted when
-    #: ``epoch_workers > 1``; results are bit-identical either way.
-    epoch_processes: bool = True
     #: Bound on in-flight *primed* epochs: how far the speculative
     #: redo-only prepass may run ahead of the slowest unfinished epoch
     #: audit (backpressure for follow/connect sessions).  0 means the
@@ -156,7 +152,7 @@ class AuditConfig:
     def validate(self) -> AuditConfig:
         """Raise :class:`ValueError` on any nonsensical knob value."""
         for flag in ("strict", "dedup", "collapse", "strict_registers",
-                     "migrate", "epoch_processes", "plan_hints"):
+                     "migrate", "plan_hints"):
             if not isinstance(getattr(self, flag), bool):
                 raise ValueError(
                     f"{flag} must be a bool, got "
@@ -280,7 +276,6 @@ class AuditConfig:
             migrate=self.migrate,
             workers=self.workers,
             epoch_workers=self.epoch_workers,
-            epoch_processes=self.epoch_processes,
             prepass_depth=self.prepass_depth,
             epoch_size=self.epoch_size,
             epoch_cuts=self.epoch_cuts,
@@ -305,7 +300,6 @@ class AuditConfig:
             migrate=options.migrate,
             workers=max(1, options.workers),
             epoch_workers=max(1, options.epoch_workers),
-            epoch_processes=options.epoch_processes,
             prepass_depth=max(0, options.prepass_depth),
             epoch_size=options.epoch_size,
             epoch_cuts=tuple(cuts) if cuts is not None else None,
@@ -370,8 +364,6 @@ class AuditConfig:
         Layering: defaults, then the ``--config`` file (when given),
         then every flag the user supplied explicitly (the CLI registers
         the knobs with ``default=None`` so "not given" is detectable).
-        ``args.workers`` must already be alias-resolved by the CLI
-        (``--parallel`` / audit's ``--concurrency`` fold into it).
         """
         config = cls()
         if getattr(args, "config", None):
@@ -392,8 +384,6 @@ class AuditConfig:
             changes["dedup"] = False
         if getattr(args, "plan_hints", None):
             changes["plan_hints"] = True
-        if getattr(args, "epoch_threads", None):
-            changes["epoch_processes"] = False
         if getattr(args, "no_collapse", None):
             changes["collapse"] = False
         cuts = getattr(args, "epoch_cuts", None)
@@ -406,8 +396,6 @@ class AuditConfig:
         parts = [f"backend={self.backend}", f"workers={self.workers}"]
         if self.epoch_workers > 1:
             parts.append(f"epoch_workers={self.epoch_workers}")
-            if not self.epoch_processes:
-                parts.append("epoch-threads")
         if self.prepass_depth:
             parts.append(f"prepass_depth={self.prepass_depth}")
         if self.epoch_cuts:

@@ -1,14 +1,8 @@
 """Process-level epoch execution: one persistent pool per audit run.
 
-The concurrent epoch drivers (``sharded_audit`` with ``epoch_workers >
-1`` and the :class:`~repro.core.auditor.AuditSession` epoch-workers
-mode) historically finished each primed epoch on a *thread*, moving the
-re-execution CPU off the GIL by routing every epoch's chunks through a
-freshly created one-worker process pool (``offload_reexec``).  That
-design pays pool creation per epoch audit and keeps every phase except
-re-execution itself GIL-bound.
-
-This module promotes the epoch to the unit of process-level work:
+With ``epoch_workers > 1`` the epoch driver
+(:class:`~repro.core.auditor.AuditSession`, and through it
+``sharded_audit``) makes the epoch the unit of process-level work:
 
 * an **epoch work unit** is the pickled tuple ``(app, trace slice,
   reports slice, initial state, options)`` — exactly the prepass
@@ -72,8 +66,7 @@ def pools_created_total() -> int:
 # The work-unit encoding and the inline executor live in
 # repro.core.epochwork so the process pool, the serial fallback, and
 # the distributed fleet all run byte-identical payloads through one
-# entry point.  The private aliases keep historical imports working.
-_run_epoch_inline = run_epoch_inline
+# entry point.
 
 
 def _run_epoch_payload(payload: bytes):
@@ -91,7 +84,7 @@ def _run_epoch_payload(payload: bytes):
 class EpochPool:
     """One persistent process pool shared by all epochs of a run.
 
-    Thread-safe: the concurrent drivers call :meth:`run_epoch` from
+    Thread-safe: the epoch driver calls :meth:`run_epoch` from
     several epoch threads at once.  The underlying executor is created
     lazily on first use (under the re-exec module's pool lock, so epoch
     workers are never forked mid-way through another driver's chunk

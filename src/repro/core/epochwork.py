@@ -61,8 +61,8 @@ def epoch_worker_options(options):
     only to be thrown away.  MigratePhase never rejects and emits no
     stats (it still appears as a zero-cost phase timer), so disabling
     it cannot change verdicts, bodies, or deterministic stats.  The
-    fleet knobs are cleared for the same reason ``epoch_processes``
-    is: a worker must never recursively open its own fleet.
+    fleet knobs are cleared for the same reason ``epoch_workers`` is:
+    a worker must never recursively open its own pool or fleet.
     """
     return replace(
         options,
@@ -70,9 +70,7 @@ def epoch_worker_options(options):
         epoch_cuts=None,
         epoch_workers=1,
         migrate=False,
-        offload_reexec=False,
         inline_reexec=True,
-        epoch_processes=False,
         prepass_depth=0,
         fleet_listen=None,
         fleet_min_workers=0,

@@ -20,55 +20,37 @@ explicit instead of hard-coding it in one monolithic function:
   instrumentation in a ``finally`` block so rejected audits still carry
   their stats.
 
-Scaling entry points layered on the pipeline:
+Two more things live here because they are built from the same phases:
 
 * ``AuditOptions.workers > 1`` makes :class:`ReExecPhase` fan group
   chunks out over a process pool (see :mod:`repro.core.reexec`);
-* :func:`sharded_audit` splits the inputs into epoch shards along
-  quiescent trace cuts (see :mod:`repro.core.partition`) and audits them
-  as a chain, each shard's migrated state seeding the next — the paper's
-  contiguous-epoch scheme (§4.1, §4.5) applied *within* one recorded
-  bundle;
-* ``AuditOptions.epoch_workers > 1`` audits the epoch shards
-  *concurrently*: a redo-only **state precompute** pass
-  (:func:`state_precompute_pipeline` — trace check, ProcessOpReports,
-  kv.Build/db.Build, §4.5 migration; no re-execution, no output
-  comparison) walks the chain once to materialize every epoch's initial
-  state, then a thread pool finishes each epoch's audit (grouped
-  re-execution + output comparison) independently.  Results merge in
-  epoch order, so verdicts, produced bodies, and per-shard stats are
-  bit-identical to the serial chain.  Soundness: epoch *k*'s prepass
-  state is derived from epochs ``0..k-1``'s logs by the same verifier
-  code the full audit runs, and the merged verdict only ACCEPTS once
-  every earlier epoch's *full* audit certified those logs; the first
-  rejection discards everything after it, exactly like the chain.
+* the redo-only **state precompute** (:func:`state_precompute_pipeline`
+  — trace check, ProcessOpReports, kv.Build/db.Build, §4.5 migration;
+  no re-execution, no output comparison) and :func:`iter_epoch_prepass`,
+  which walks an epoch chain with it.  The epoch driver
+  (:class:`~repro.core.auditor.AuditSession`) uses the prepass to
+  materialize the next epoch's initial state before the current one has
+  finished auditing; the forensic timeline uses it as a bundle index.
 
-:func:`repro.core.verifier.ssco_audit` remains the compatibility
-wrapper: same signature, same :class:`AuditResult` shape, implemented as
-``default_pipeline().run(...)``.
+The epoch chain itself — :func:`~repro.core.auditor.sharded_audit`,
+:func:`~repro.core.auditor.run_audit` and the session they drive — is in
+:mod:`repro.core.auditor`.
 """
 
 from __future__ import annotations
 
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
 
 from repro.common.errors import AuditReject, RejectReason
 from repro.core.nondet import validate_nondet_reports
 from repro.core.ooo import _compare_externals, _compare_outputs
-from repro.core.partition import (
-    Shard,
-    make_shard_summary,
-    partition_audit_inputs,
-)
+from repro.core.partition import Shard
 from repro.core.process_reports import process_op_reports
 from repro.core.reexec import (
     DEFAULT_MAX_GROUP,
-    available_cpus,
     default_backend,
-    fork_inherits_context,
     get_reexec_backend,
     reexec_groups,
 )
@@ -107,25 +89,14 @@ class AuditOptions:
     #: mode divergence is a verdict, not a perf problem); produced
     #: bodies and verdicts are unchanged either way.
     plan_hints: bool = False
-    #: Audit epoch shards concurrently in a thread pool of this size,
-    #: after a redo-only state precompute unlocks the chain; <= 1 keeps
-    #: the serial epoch chain.  Only consulted by :func:`sharded_audit`.
+    #: Audit epoch shards concurrently, this many at a time, as whole-
+    #: epoch work units on one persistent process pool shared across
+    #: the run (see :mod:`repro.core.epochpool`); <= 1 keeps the serial
+    #: epoch chain.  Only consulted by the epoch driver.
     epoch_workers: int = 1
-    #: Route re-execution through the worker pool even when ``workers ==
-    #: 1`` (same chunk plan, one worker process): the thread-based epoch
-    #: driver sets this to move each epoch's re-exec CPU off the GIL.
-    #: Never changes produced bodies, verdicts, or deterministic stats.
-    offload_reexec: bool = False
-    #: Run whole epochs in worker *processes* on one persistent pool
-    #: shared across the run (see :mod:`repro.core.epochpool`); False
-    #: keeps the thread-based epoch driver (per-epoch re-exec offload).
-    #: Only consulted when ``epoch_workers > 1``.  Either way the
-    #: results are bit-identical to the serial chain.
-    epoch_processes: bool = True
     #: Bound on in-flight *primed* epochs — how far the speculative
     #: redo-only prepass may run ahead of the slowest unfinished epoch
-    #: audit (backpressure in follow/connect sessions and the one-shot
-    #: driver alike).  0 means the default ``2 * epoch_workers``.
+    #: audit.  0 means the default ``2 * epoch_workers``.
     prepass_depth: int = 0
     #: Execute the ``workers``-shaped chunk plan serially in-process,
     #: never creating a re-exec pool.  Set inside process-level epoch
@@ -133,7 +104,7 @@ class AuditOptions:
     inline_reexec: bool = False
     #: Fleet: listen for remote workers on ``HOST:PORT`` and fan epoch
     #: work units out to them (see :mod:`repro.fleet`); ``None`` keeps
-    #: every epoch on this host.  Only consulted by the epoch drivers;
+    #: every epoch on this host.  Only consulted by the epoch driver;
     #: results are bit-identical to the single-host run either way.
     fleet_listen: str | None = None
     #: Fleet: wait for this many registered workers before the first
@@ -269,7 +240,6 @@ class ReExecPhase(AuditPhase):
             max_group_size=options.max_group_size,
             workers=options.workers,
             backend=options.backend,
-            offload=options.offload_reexec,
             inline=options.inline_reexec,
             plan_hints=options.plan_hints,
         )
@@ -359,10 +329,10 @@ def state_precompute_pipeline() -> AuditPipeline:
     With ``migrate=True`` this computes exactly the §4.5 migrated state
     the full audit would emit: kv.Build/db.Build (Figure 12 lines 5-6)
     replay the logged writes without re-executing any request, and
-    re-execution itself never mutates the versioned stores.  Walking a
-    shard chain with it therefore materializes every epoch's initial
-    state up front (:func:`precompute_epoch_states`), which is what
-    unlocks auditing the epochs concurrently.
+    re-execution itself never mutates the versioned stores.  Running it
+    over an epoch therefore yields the next epoch's initial state
+    without waiting for the epoch's audit, which is what unlocks
+    auditing epochs concurrently.
     """
     return AuditPipeline([
         TraceCheckPhase(),
@@ -370,25 +340,6 @@ def state_precompute_pipeline() -> AuditPipeline:
         BuildStoresPhase(),
         MigratePhase(),
     ])
-
-
-def run_state_precompute(
-    app: Application,
-    trace: Trace,
-    reports: Reports,
-    initial_state: InitialState,
-    options: AuditOptions | None = None,
-) -> AuditContext:
-    """Run the redo-only prepass over one epoch slice.
-
-    Returns the *primed* :class:`AuditContext`: graph, OpMap, and
-    versioned stores built, ``result.next_initial`` populated when the
-    options migrate.  :func:`finish_precomputed_audit` completes the
-    audit of a primed context later (possibly on another thread).
-    """
-    actx = AuditContext(app, trace, reports, initial_state, options)
-    state_precompute_pipeline().run(actx)
-    return actx
 
 
 def iter_epoch_prepass(
@@ -400,11 +351,10 @@ def iter_epoch_prepass(
     """Walk the shard chain with the redo-only prepass, one shard at a
     time, yielding ``(shard, primed AuditContext)`` pairs.
 
-    This is the reuse seam shared by :func:`precompute_epoch_states`
-    and the forensic timeline (:mod:`repro.forensics.timeline`): each
-    yielded context holds its shard's graph, OpMap, and built versioned
-    stores, with ``result.next_initial`` chaining the §4.5 migrated
-    state into the next shard.  Unlike the list-returning wrapper, a
+    Each yielded context holds its shard's graph, OpMap, and built
+    versioned stores, with ``result.next_initial`` chaining the §4.5
+    migrated state into the next shard (the forensic timeline,
+    :mod:`repro.forensics.timeline`, keeps them as its index).  A
     rejecting shard is still *yielded* (so callers can inspect the
     partial chain and the rejecting epoch's verdict) and iteration
     stops after it.  Non-final shards always migrate; the final shard
@@ -418,8 +368,9 @@ def iter_epoch_prepass(
             options, epoch_size=0, epoch_cuts=None, epoch_workers=1,
             migrate=options.migrate or not is_last,
         )
-        actx = run_state_precompute(app, shard.trace, shard.reports,
-                                    state, shard_options)
+        actx = AuditContext(app, shard.trace, shard.reports, state,
+                            shard_options)
+        state_precompute_pipeline().run(actx)
         yield shard, actx
         if not actx.result.accepted:
             return
@@ -427,67 +378,16 @@ def iter_epoch_prepass(
             state = actx.result.next_initial
 
 
-def precompute_epoch_states(
-    app: Application,
-    shards: Sequence[Shard],
-    initial_state: InitialState,
-    options: AuditOptions | None = None,
-) -> list[AuditContext] | None:
-    """Walk the shard chain once with the redo-only prepass.
-
-    Returns one primed context per shard — shard *k*'s context holds
-    the chain state migrated out of shards ``0..k-1`` — or ``None`` if
-    any prepass rejects, in which case the caller falls back to the
-    serial chain (whose full per-epoch audit reproduces the same
-    verdict: the prepass phases are a prefix of the full pipeline).
-    Non-final shards always migrate; the final shard migrates only when
-    the caller's options ask for it.
-
-    Note every returned context holds its shard's built versioned
-    stores, so this materializes O(bundle) state at once; the internal
-    concurrent drivers prime lazily with a bounded window instead —
-    prefer them for large bundles.
-    """
-    contexts: list[AuditContext] = []
-    for _shard, actx in iter_epoch_prepass(app, shards, initial_state,
-                                           options):
-        if not actx.result.accepted:
-            return None
-        contexts.append(actx)
-    return contexts
-
-
-def finish_precomputed_audit(actx: AuditContext) -> AuditResult:
-    """Complete a prepassed epoch's audit: grouped re-execution and
-    output comparison over the already-built stores.
-
-    Phase timers and stats accumulate on top of the prepass's (the
-    pipeline adds into existing timer keys, and ``phases["total"]`` is
-    restored to cover both passes), so the result is shaped exactly
-    like one full pipeline pass over the same slice.
-    """
-    prepass_total = actx.result.phases.get("total", 0.0)
-    result = AuditPipeline([ReExecPhase(), OutputComparePhase()]).run(actx)
-    result.phases["total"] += prepass_total
-    return result
-
-
-def run_audit(
-    app: Application,
-    trace: Trace,
-    reports: Reports,
-    initial_state: InitialState,
-    options: AuditOptions | None = None,
-    pipeline: AuditPipeline | None = None,
-) -> AuditResult:
-    """Audit one bundle: sharded when the options ask for it, otherwise
-    a single pass of the (default or caller-supplied) pipeline."""
-    options = options or AuditOptions()
-    if options.epoch_size > 0 or options.epoch_cuts:
-        return sharded_audit(app, trace, reports, initial_state, options,
-                             pipeline=pipeline)
-    actx = AuditContext(app, trace, reports, initial_state, options)
-    return (pipeline or default_pipeline(options)).run(actx)
+def resolve_prepass_depth(options: AuditOptions) -> int:
+    """The effective bound on in-flight primed epochs: the explicit
+    ``prepass_depth`` knob, or ``2 * epoch_workers`` when unset — a
+    window deep enough to keep every worker busy while the next epochs
+    prime, shallow enough that a stream cannot hold more than a bounded
+    number of speculative work units (follow sessions: the prepass must
+    not run unboundedly ahead of the auditor)."""
+    if options.prepass_depth > 0:
+        return options.prepass_depth
+    return 2 * max(1, options.epoch_workers)
 
 
 # -- instrumentation harvest ---------------------------------------------------
@@ -537,320 +437,3 @@ def _final_registers(reports: Reports) -> dict[str, object]:
             if record.optype is OpType.REGISTER_WRITE:
                 final[obj_name] = record.opcontents[0]
     return final
-
-
-# -- epoch-sharded audit -------------------------------------------------------
-
-#: Numeric stats that sum across shards; list-valued ones concatenate.
-_SUMMED_STATS = (
-    "graph_nodes", "graph_edges", "db_queries_issued", "dedup_hits",
-    "dedup_misses", "versioned_db_bytes", "versioned_db_versions",
-    "redo_statements", "groups", "grouped_requests", "fallback_requests",
-    "divergences", "steps", "multi_steps",
-)
-
-
-def resolve_prepass_depth(options: AuditOptions) -> int:
-    """The effective bound on in-flight primed epochs: the explicit
-    ``prepass_depth`` knob, or ``2 * epoch_workers`` when unset — a
-    window deep enough to keep every worker busy while the next epochs
-    prime, shallow enough that a stream cannot hold more than a bounded
-    number of speculative work units (follow sessions: the prepass must
-    not run unboundedly ahead of the auditor)."""
-    if options.prepass_depth > 0:
-        return options.prepass_depth
-    return 2 * max(1, options.epoch_workers)
-
-
-def sharded_audit(
-    app: Application,
-    trace: Trace,
-    reports: Reports,
-    initial_state: InitialState,
-    options: AuditOptions | None = None,
-    pipeline: AuditPipeline | None = None,
-) -> AuditResult:
-    """Audit the bundle as a chain of epoch shards (§4.1, §4.5).
-
-    The trace is cut at quiescent points (every ``epoch_size`` requests,
-    or at the explicit ``epoch_cuts``); each shard is audited by its own
-    pipeline pass with ``migrate=True``, and the migrated state seeds
-    the next shard — so accepting shard *k* certifies exactly the state
-    shard *k+1* starts from.  The merged result carries the union of
-    produced bodies, summed phase timers and stats, and per-shard
-    summaries under ``stats["shards"]``.
-
-    When no usable cut exists this degrades to the ordinary single-pass
-    audit.  Partitioning itself never rejects; only the phase checks do.
-
-    With ``options.epoch_workers > 1`` (and the stock pipeline) the
-    chain is unrolled: a redo-only prepass precomputes every shard's
-    initial state, then the shards' audits finish concurrently in a
-    thread pool (each shard's re-execution may itself use worker
-    processes).  Results merge in epoch order, stopping at the first
-    rejection, so the outcome is bit-identical to the serial chain.
-
-    A caller-supplied ``pipeline`` is run for every shard; it must
-    include a :class:`MigratePhase` (the stock pipelines do), because
-    shard chaining consumes each non-final shard's migrated state.
-    Custom pipelines always use the serial chain — the concurrent
-    driver would have to guess which of their phases the prepass may
-    stand in for.
-    """
-    options = options or AuditOptions()
-    merged = AuditResult(accepted=False)
-    total_start = _time.perf_counter()
-    try:
-        # Global pre-checks: balance is per-definition global, and the
-        # §4.6 plausibility checks include cross-request invariants
-        # (uniqid uniqueness) a per-shard pass would miss.
-        check_balanced(trace)
-        validate_nondet_reports(reports)
-        shards = partition_audit_inputs(
-            trace, reports, options.epoch_size, options.epoch_cuts
-        )
-    except AuditReject as reject:
-        merged.reason = reject.reason
-        merged.detail = reject.detail
-        merged.phases["total"] = _time.perf_counter() - total_start
-        return merged
-
-    merged.stats["shard_count"] = len(shards)
-    shard_summaries: list[dict[str, object]] = []
-    if ((options.epoch_workers > 1 or options.fleet_listen)
-            and len(shards) > 1 and pipeline is None):
-        _sharded_audit_concurrent(app, shards, initial_state, options,
-                                  merged, shard_summaries)
-    else:
-        ok, state = _audit_shard_chain(app, shards, len(shards),
-                                       initial_state, options, pipeline,
-                                       merged, shard_summaries)
-        if ok:
-            merged.accepted = True
-            merged.next_initial = state if options.migrate else None
-    merged.stats["shards"] = shard_summaries
-    merged.phases["total"] = _time.perf_counter() - total_start
-    return merged
-
-
-def _audit_shard_chain(
-    app: Application,
-    shards: Sequence[Shard],
-    total_shards: int,
-    state: InitialState,
-    options: AuditOptions,
-    pipeline: AuditPipeline | None,
-    merged: AuditResult,
-    shard_summaries: list[dict[str, object]],
-):
-    """The serial chain over (a tail of) the shard list.
-
-    Audits each shard fully against ``state``, chaining migrated state,
-    merging results and appending summaries.  Returns ``(True,
-    final_state)`` when every shard accepted, ``(False, None)`` after
-    recording the first rejection.  Non-final shards (relative to
-    ``total_shards``) must migrate: their compacted state is the next
-    shard's trusted initial state; the final shard migrates only when
-    the caller asked for it.
-    """
-    for shard in shards:
-        is_last = shard.index == total_shards - 1
-        shard_options = replace(
-            options, epoch_size=0, epoch_cuts=None, epoch_workers=1,
-            migrate=options.migrate or not is_last,
-        )
-        actx = AuditContext(app, shard.trace, shard.reports, state,
-                            shard_options)
-        result = (pipeline or default_pipeline(shard_options)).run(actx)
-        _merge_shard_result(merged, result)
-        shard_summaries.append(make_shard_summary(
-            shard.index, shard.request_count, len(shard.trace), result
-        ))
-        if not result.accepted:
-            merged.accepted = False
-            merged.reason = result.reason
-            merged.detail = result.detail
-            merged.produced = {}
-            return False, None
-        if not is_last and result.next_initial is None:
-            raise ValueError(
-                "sharded_audit needs a MigratePhase in the pipeline to "
-                "chain shard state"
-            )
-        state = result.next_initial
-    return True, state
-
-
-def _sharded_audit_concurrent(
-    app: Application,
-    shards: Sequence[Shard],
-    initial_state: InitialState,
-    options: AuditOptions,
-    merged: AuditResult,
-    shard_summaries: list[dict[str, object]],
-) -> None:
-    """Audit the shards concurrently against precomputed initial states.
-
-    The redo-only prepass walks the chain in order; each primed shard
-    becomes a whole-epoch work unit on **one persistent process pool**
-    shared across the run (:class:`~repro.core.epochpool.EpochPool` —
-    the driver threads only submit payloads and merge results), and
-    completed audits are merged back in epoch order.  With
-    ``epoch_processes=False`` the thread-based driver is kept: the
-    primed context finishes on a thread, its re-exec offloaded to a
-    per-epoch worker process where fork makes that free.  In-flight
-    primed shards are windowed to ``prepass_depth`` (default ``2 *
-    epoch_workers``) so peak memory stays bounded by the window, not
-    the bundle (the serial chain holds one shard's versioned stores at
-    a time; this holds at most a window's worth).
-
-    Soundness: shard *k*'s initial state comes from the prepass over
-    shards ``0..k-1``'s logs — the same deterministic kv.Build/db.Build
-    + §4.5 migration the chained audit performs — and the merge only
-    ever reaches shard *k*'s outcome after every earlier shard's *full*
-    audit accepted, i.e. after the logs the prepass replayed were
-    themselves certified.  The first rejection stops priming and
-    discards every later shard's outcome, exactly like the serial
-    chain.  If the prepass itself rejects a shard, the remaining tail
-    is audited by the serial chain (the prepass phases are a prefix of
-    the full pipeline, so the verdict is identical).
-    """
-    prepass_options = options
-    epoch_pool = None
-    driver_width = options.epoch_workers
-    if options.fleet_listen:
-        # Fleet mode: the "pool" is a coordinator fanning work units
-        # out to remote workers over repro.net; it implements the same
-        # run_epoch/close/serial_fallbacks contract as EpochPool, so
-        # the merge/backpressure/REJECT-drain discipline below is
-        # shared verbatim.  The driver is widened so every remote
-        # worker can hold an epoch even when epoch_workers was left 1.
-        from repro.core.epochpool import epoch_worker_options
-        from repro.fleet.coordinator import FleetCoordinator
-
-        driver_width = max(options.epoch_workers,
-                           options.fleet_min_workers, 2)
-        epoch_pool = FleetCoordinator(
-            options.fleet_listen,
-            min_workers=options.fleet_min_workers,
-            task_timeout=options.fleet_task_timeout,
-            redundancy=options.fleet_redundancy,
-        )
-    elif options.epoch_processes:
-        from repro.core.epochpool import EpochPool, epoch_worker_options
-
-        epoch_pool = EpochPool(options.epoch_workers)
-    elif (options.workers == 1 and available_cpus() > 1
-            and fork_inherits_context()):
-        # Thread driver: each epoch's re-exec runs serially inside its
-        # thread; move it into a worker process so epochs overlap on
-        # real cores.  The chunk plan is unchanged, so results stay
-        # bit-identical.  Only worthwhile on fork platforms, where the
-        # worker inherits the built stores instead of re-running redo.
-        prepass_options = replace(options, offload_reexec=True)
-    pool = ThreadPoolExecutor(
-        max_workers=min(driver_width, len(shards)),
-        thread_name_prefix="epoch-audit",
-    )
-    window = resolve_prepass_depth(
-        options if driver_width == options.epoch_workers
-        else replace(options, epoch_workers=driver_width))
-    inflight: list = []  # (shard, future) in epoch order
-    precompute_seconds = 0.0
-    state = initial_state  # the prepass chain
-    final_state = None
-    failed = False
-
-    def merge_oldest() -> None:
-        nonlocal failed
-        shard, future = inflight.pop(0)
-        result = future.result()
-        _merge_shard_result(merged, result)
-        shard_summaries.append(make_shard_summary(
-            shard.index, shard.request_count, len(shard.trace), result
-        ))
-        if not result.accepted:
-            merged.accepted = False
-            merged.reason = result.reason
-            merged.detail = result.detail
-            merged.produced = {}
-            failed = True
-
-    try:
-        for position, shard in enumerate(shards):
-            is_last = shard.index == len(shards) - 1
-            shard_options = replace(
-                prepass_options, epoch_size=0, epoch_cuts=None,
-                epoch_workers=1, migrate=options.migrate or not is_last,
-            )
-            epoch_state = state  # the state this epoch audits against
-            prepass_start = _time.perf_counter()
-            actx = run_state_precompute(app, shard.trace, shard.reports,
-                                        state, shard_options)
-            precompute_seconds += _time.perf_counter() - prepass_start
-            if not actx.result.accepted:
-                # Settle what's in flight, then let the serial chain
-                # finish the tail from this shard (it reproduces the
-                # prepass's verdict on it).
-                while inflight and not failed:
-                    merge_oldest()
-                if not failed:
-                    ok, tail_state = _audit_shard_chain(
-                        app, shards[position:], len(shards), state,
-                        options, None, merged, shard_summaries,
-                    )
-                    if ok:  # pragma: no cover - a prepass reject means
-                        # the tail's first full audit rejects too; kept
-                        # for robustness.
-                        merged.accepted = True
-                        merged.next_initial = (
-                            tail_state if options.migrate else None
-                        )
-                return
-            if is_last:
-                final_state = (
-                    actx.result.next_initial if options.migrate else None
-                )
-            else:
-                state = actx.result.next_initial
-            if epoch_pool is not None:
-                # The primed context's stores are only needed for the
-                # chain state extracted above; the worker rebuilds its
-                # own from the (much smaller) pickled slice payload.
-                worker_options = epoch_worker_options(options)
-                future = pool.submit(
-                    epoch_pool.run_epoch, app, shard.trace,
-                    shard.reports, epoch_state, worker_options)
-            else:
-                future = pool.submit(finish_precomputed_audit, actx)
-            inflight.append((shard, future))
-            if len(inflight) >= window:
-                merge_oldest()  # backpressure: bound primed contexts
-                if failed:
-                    return
-        while inflight and not failed:
-            merge_oldest()
-        if not failed:
-            merged.accepted = True
-            merged.next_initial = final_state
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-        if epoch_pool is not None:
-            epoch_pool.close()
-        merged.phases["state_precompute"] = precompute_seconds
-
-
-def _merge_shard_result(merged: AuditResult, result: AuditResult) -> None:
-    for key, seconds in result.phases.items():
-        if key != "total":
-            merged.phases[key] = merged.phases.get(key, 0.0) + seconds
-    for key in _SUMMED_STATS:
-        if key in result.stats:
-            merged.stats[key] = (
-                merged.stats.get(key, 0) + result.stats[key]
-            )
-    if "group_alphas" in result.stats:
-        merged.stats.setdefault("group_alphas", []).extend(
-            result.stats["group_alphas"]
-        )
-    merged.produced.update(result.produced)

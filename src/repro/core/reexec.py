@@ -23,8 +23,8 @@ taken before the error, so such groups diverge on honest executions.
 Groups larger than ``max_group_size`` are chunked, mirroring acc-PHP's
 3,000-request group cap (§4.7).
 
-Parallel driver (``workers > 1``, or ``offload=True``): group chunks
-are embarrassingly parallel — each chunk only *reads* the versioned
+Parallel driver (``workers > 1``): group chunks are embarrassingly
+parallel — each chunk only *reads* the versioned
 stores, logs, and OpMap and only *writes* its own produced bodies and
 counters — so :func:`reexec_groups` can fan the chunk plan out over a
 ``ProcessPoolExecutor``.  On fork-capable platforms workers inherit the
@@ -35,7 +35,7 @@ externals, and :class:`ReExecStats` in submission order and surfaces
 the *first* failure in that order.
 
 The driver is safe to run concurrently from several threads of one
-process (pipelined audit sessions, the concurrent epoch driver): each
+process (pipelined audit sessions): each
 pool receives its state explicitly through its initializer arguments —
 for fork pools these are handed over in-memory, never pickled — and
 pool creation plus chunk submission (the moments worker processes are
@@ -138,13 +138,6 @@ def default_backend() -> str:
     backend" error on first use.
     """
     return os.environ.get("REPRO_BACKEND", _FALLBACK_BACKEND)
-
-
-#: Deprecated alias: the env var as read at import time.  Kept for
-#: callers that imported the old constant; new code should call
-#: :func:`default_backend` (or pass ``backend=None``) so late changes to
-#: ``REPRO_BACKEND`` are honored.
-DEFAULT_BACKEND = os.environ.get("REPRO_BACKEND", _FALLBACK_BACKEND)
 
 
 @dataclass
@@ -466,7 +459,6 @@ def reexec_groups(
     max_group_size: int = DEFAULT_MAX_GROUP,
     workers: int = 1,
     backend: str | None = None,
-    offload: bool = False,
     inline: bool = False,
     plan_hints: bool = False,
 ) -> dict[str, str]:
@@ -478,24 +470,18 @@ def reexec_groups(
     (``None`` resolves :func:`default_backend` at call time);
     ``plan_hints`` lets the chunk plan consult the static analyzer's
     divergence hazards (see :func:`plan_chunks`; non-strict mode only).
-    ``offload=True`` routes the chunks through the worker pool even when
-    ``workers == 1`` — the chunk *plan* stays the serial one, so
-    produced bodies, verdicts, and deterministic stats are unchanged;
-    only the re-execution CPU moves to a worker process (the concurrent
-    epoch driver uses this to run epochs off the GIL).  ``inline=True``
-    is the converse: keep the (possibly parallel-shaped, ``workers``-
-    sized) chunk plan but execute it serially in this process, never
-    creating a pool — the process-level epoch driver sets it inside its
-    worker processes, where epoch parallelism already owns the cores
-    and chunk-plan parity with the serial chain is what matters.
+    ``inline=True`` keeps the (possibly parallel-shaped, ``workers``-
+    sized) chunk plan but executes it serially in this process, never
+    creating a pool — the epoch driver sets it inside its worker
+    processes, where epoch parallelism already owns the cores and
+    chunk-plan parity with the serial chain is what matters.
     Raises :class:`AuditReject` on any failed check.
     """
     backend = backend if backend is not None else default_backend()
     requests = trace.requests()
     chunks = plan_chunks(reports, requests, max_group_size, workers,
                          app=app, plan_hints=plan_hints, strict=strict)
-    if chunks and not inline and (
-            (workers > 1 and len(chunks) > 1) or offload):
+    if not inline and workers > 1 and len(chunks) > 1:
         return _reexec_parallel(
             app, requests, reports, ctx, chunks, strict, dedup, collapse,
             workers, backend,
@@ -629,7 +615,7 @@ _WORKER = None
 #: Serializes pool creation and chunk submission in the parent.  Worker
 #: processes are forked/spawned lazily at submit time; without the lock,
 #: two drivers running on different threads of one process (pipelined
-#: sessions, concurrent epochs) could fork mid-way through each other's
+#: sessions, the epoch pool) could fork mid-way through each other's
 #: setup.  Each pool's state travels explicitly via ``initargs`` — there
 #: is no shared handoff global left to race on.
 _POOL_LOCK = threading.Lock()
@@ -641,15 +627,6 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def fork_inherits_context() -> bool:
-    """True when worker pools can inherit the parent's simulation
-    context via fork (no pickling, no per-worker redo).  Callers use
-    this to decide whether offloading serial re-exec to a worker
-    process is free — on spawn platforms it would re-run the versioned
-    redo per pool, which defeats the state precompute."""
-    return _use_fork()
 
 
 def _use_fork() -> bool:

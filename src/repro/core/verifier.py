@@ -11,7 +11,7 @@ Pipeline::
 
 The phases are first-class objects since the :mod:`repro.core.pipeline`
 refactor; :func:`ssco_audit` is the stable entry point, now a thin
-wrapper over :func:`repro.core.pipeline.run_audit`.  The phase timers
+wrapper over :func:`repro.core.auditor.run_audit`.  The phase timers
 feed the Figure 9 decomposition; the per-group (n, α, ℓ) triples feed
 Figure 11; the dedup counters feed §5.2.
 
@@ -29,11 +29,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 # Re-exported for compatibility: AuditResult historically lived here.
+from repro.core.auditor import run_audit
 from repro.core.pipeline import (  # noqa: F401
     AuditOptions,
     AuditResult,
     _final_registers,
-    run_audit,
 )
 from repro.core.reexec import DEFAULT_MAX_GROUP, default_backend
 from repro.server.app import Application, InitialState
@@ -58,7 +58,6 @@ def ssco_audit(
     backend: str | None = None,
     plan_hints: bool = False,
     epoch_workers: int = 1,
-    epoch_processes: bool = True,
     prepass_depth: int = 0,
     fleet_listen: str | None = None,
     fleet_min_workers: int = 0,
@@ -101,17 +100,14 @@ def ssco_audit(
             report during chunk planning (non-strict audits only);
             never changes produced bodies or verdicts.
         epoch_workers: audit the epoch shards concurrently, this many
-            at a time (<= 1 keeps the serial chain).  A redo-only
-            state precompute materializes each shard's initial state
-            first; verdicts, produced bodies, and per-shard stats are
+            at a time, on one persistent process pool shared across
+            the run (<= 1 keeps the serial chain; see
+            :mod:`repro.core.epochpool`).  A redo-only state
+            precompute materializes each shard's initial state first;
+            verdicts, produced bodies, and per-shard stats are
             bit-identical to the serial chain (see
-            :func:`repro.core.pipeline.sharded_audit`).  Only
+            :func:`repro.core.auditor.sharded_audit`).  Only
             meaningful together with ``epoch_size``/``epoch_cuts``.
-        epoch_processes: run whole epochs in worker *processes* on one
-            persistent pool shared across the run (the default; see
-            :mod:`repro.core.epochpool`).  ``False`` keeps the older
-            thread-based epoch driver.  Results are bit-identical
-            either way.
         prepass_depth: bound on in-flight primed epochs — how far the
             speculative prepass may run ahead of the slowest
             unfinished epoch audit (0 means ``2 * epoch_workers``).
@@ -143,7 +139,6 @@ def ssco_audit(
         backend=backend if backend is not None else default_backend(),
         plan_hints=plan_hints,
         epoch_workers=epoch_workers,
-        epoch_processes=epoch_processes,
         prepass_depth=prepass_depth,
         fleet_listen=fleet_listen,
         fleet_min_workers=fleet_min_workers,

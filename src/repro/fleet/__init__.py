@@ -16,8 +16,8 @@ seams built for exactly this moment:
 
 :class:`~repro.fleet.coordinator.FleetCoordinator` implements the
 :class:`~repro.core.epochpool.EpochPool` executor contract
-(``run_epoch`` / ``close`` / ``serial_fallbacks``), so the existing
-concurrent drivers — ``sharded_audit`` and ``AuditSession`` — inherit
+(``run_epoch`` / ``close`` / ``serial_fallbacks``), so the epoch
+driver — ``AuditSession``, and ``sharded_audit`` through it — keeps
 strict feed-order merging, ``prepass_depth`` backpressure, and
 REJECT-drain semantics unchanged; only *where* an epoch executes
 moves.  :class:`~repro.fleet.worker.FleetWorker` is the daemon side:

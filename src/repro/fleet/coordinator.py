@@ -91,7 +91,7 @@ class _RemoteWorker:
 class FleetCoordinator:
     """Listen for fleet workers and fan epoch work units out to them.
 
-    Thread-safe: the concurrent drivers call :meth:`run_epoch` from
+    Thread-safe: the epoch driver calls :meth:`run_epoch` from
     several epoch threads at once; each call checks out one idle
     worker (or runs inline as the last resort).
     """

@@ -1,12 +1,13 @@
 """Concurrent auditing: epoch-level parallelism and driver thread-safety.
 
-Covers the concurrent epoch driver (redo-only state precompute +
+Covers the epoch driver (``AuditSession``: redo-only state precompute +
 ``epoch_workers`` pool) and the re-exec process-pool driver's behaviour
 under concurrency and worker loss:
 
-* serial-vs-``epoch_workers`` equivalence (verdicts, produced bodies,
-  deterministic stats, per-shard summaries) on accept *and* reject
-  bundles, both one-shot (``sharded_audit``) and through sessions;
+* the entry-point × ``epoch_workers`` × bundle matrix: one-shot
+  ``ssco_audit(epoch_cuts=...)`` and ``Auditor.audit_epochs`` against a
+  hand-chained reference (verdicts, produced bodies, deterministic
+  stats, per-shard summaries) on accept *and* reject bundles;
 * the state-precompute pass itself: redo-only migrated states match the
   chained full audits' migrated states exactly;
 * two pipelined sessions auditing simultaneously in one process with
@@ -20,18 +21,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+import time
 
 import pytest
 
 from repro.common.errors import RejectReason
-from repro.core import (
-    AuditConfig,
-    Auditor,
-    precompute_epoch_states,
-    ssco_audit,
-)
+from repro.core import AuditConfig, Auditor, ssco_audit
 from repro.core.partition import partition_audit_inputs
-from repro.core.pipeline import AuditOptions, run_audit
+from repro.core.pipeline import AuditResult, iter_epoch_prepass
 from repro.core.reexec import (
     _BACKENDS,
     PlainInterpBackend,
@@ -87,24 +84,118 @@ def _assert_equivalent(serial, concurrent):
     assert concurrent_shards == serial_shards
 
 
-# -- one-shot: sharded_audit with epoch_workers -------------------------------
+# -- the matrix: entry point x epoch_workers x bundle --------------------------
 
 
-@pytest.mark.parametrize("epoch_processes", [True, False])
-def test_epoch_workers_matches_serial_accept(counter_app,
-                                             epoch_processes):
+def _tamper_epoch_response(execution, which):
+    """The trace with one response body forged in the first/last epoch."""
+    events = execution.trace.events
+    if which == "first":
+        pool = events[:execution.epoch_marks[0]]
+    else:
+        pool = events[execution.epoch_marks[-1]:]
+    victim = next(e.rid for e in pool if e.is_response and e.payload.body)
+    return tamper_response(execution.trace, victim, "forged!")
+
+
+def _truncate_op_log(reports):
+    """Reports with one op-log entry dropped: ProcessOpReports — and so
+    the redo-only prepass — rejects."""
+    tampered = reports.deep_copy()
+    obj = next(o for o, log in tampered.op_logs.items() if len(log) > 2)
+    tampered.op_logs[obj] = tampered.op_logs[obj][:-1]
+    return tampered
+
+
+def _matrix_bundle(execution, bundle):
+    trace, reports = execution.trace, execution.reports
+    if bundle == "tampered-first-epoch":
+        trace = _tamper_epoch_response(execution, "first")
+    elif bundle == "tampered-last-epoch":
+        trace = _tamper_epoch_response(execution, "last")
+    elif bundle == "prepass-rejecting":
+        reports = _truncate_op_log(reports)
+    return trace, reports
+
+
+def _reference_chain(app, shards, initial_state):
+    """The epoch chain written out by hand: one plain single-pass audit
+    per shard, each against the previous shard's migrated state — no
+    session, no pool — merged the way the drivers promise to."""
+    merged = AuditResult(accepted=True)
+    merged.stats["shard_count"] = len(shards)
+    merged.stats["shards"] = []
+    state = initial_state
+    for shard in shards:
+        result = ssco_audit(app, shard.trace, shard.reports, state,
+                            migrate=True)
+        for key in _DET_STATS:
+            if key not in result.stats:
+                continue
+            if key == "group_alphas":
+                merged.stats.setdefault(key, []).extend(result.stats[key])
+            else:
+                merged.stats[key] = (merged.stats.get(key, 0)
+                                     + result.stats[key])
+        merged.stats["shards"].append({
+            "shard": shard.index, "requests": shard.request_count,
+            "events": len(shard.trace), "accepted": result.accepted,
+            "groups": result.stats.get("groups", 0),
+        })
+        if not result.accepted:
+            merged.accepted = False
+            merged.reason, merged.detail = result.reason, result.detail
+            merged.produced = {}
+            return merged
+        merged.produced.update(result.produced)
+        state = result.next_initial
+    merged.next_initial = state
+    return merged
+
+
+@pytest.mark.parametrize("bundle", [
+    "honest", "tampered-first-epoch", "tampered-last-epoch",
+    "prepass-rejecting",
+])
+@pytest.mark.parametrize("epoch_workers", [1, 2])
+@pytest.mark.parametrize("entry", ["ssco_audit", "audit_epochs"])
+def test_epoch_driver_matrix(counter_app, entry, epoch_workers, bundle):
+    """Both entry points are the same driver: over the same cuts they
+    return the hand-chained reference's verdict, bodies, deterministic
+    stats and shard summaries, serial or concurrent, on honest and
+    tampered bundles."""
     execution = _epoch_execution(counter_app)
-    serial = ssco_audit(counter_app, execution.trace, execution.reports,
-                        execution.initial_state,
-                        epoch_cuts=execution.epoch_marks)
-    concurrent = ssco_audit(counter_app, execution.trace,
-                            execution.reports, execution.initial_state,
-                            epoch_cuts=execution.epoch_marks,
-                            epoch_workers=4,
-                            epoch_processes=epoch_processes)
-    assert serial.accepted and serial.stats["shard_count"] > 1
-    _assert_equivalent(serial, concurrent)
-    assert "state_precompute" in concurrent.phases
+    trace, reports = _matrix_bundle(execution, bundle)
+    shards = partition_audit_inputs(trace, reports,
+                                    cuts=execution.epoch_marks)
+    reference = _reference_chain(counter_app, shards,
+                                 execution.initial_state)
+    assert reference.accepted == (bundle == "honest")
+    for migrate in (False, True):
+        started = time.perf_counter()
+        if entry == "ssco_audit":
+            result = ssco_audit(counter_app, trace, reports,
+                                execution.initial_state,
+                                epoch_cuts=execution.epoch_marks,
+                                epoch_workers=epoch_workers,
+                                migrate=migrate)
+        else:
+            result = Auditor(counter_app, AuditConfig(
+                epoch_workers=epoch_workers, migrate=migrate,
+            )).audit_epochs(shards, execution.initial_state)
+        wall = time.perf_counter() - started
+        _assert_equivalent(reference, result)
+        if migrate and reference.accepted:
+            assert state_to_json(result.next_initial) == \
+                state_to_json(reference.next_initial)
+        else:
+            assert result.next_initial is None
+        assert ("state_precompute" in result.phases) == (epoch_workers > 1)
+        if entry == "ssco_audit":
+            # The one-shot stamps its own wall-clock; a session's total
+            # is summed per-epoch audit time, which concurrent epochs
+            # can push past the wall-clock.
+            assert 0.0 < result.phases["total"] <= wall
 
 
 @pytest.mark.parametrize("victim_epoch", ["first", "last"])
@@ -113,13 +204,7 @@ def test_epoch_workers_matches_serial_reject(counter_app, victim_epoch):
     per-shard accounting — whether the rejection lands in the first
     epoch (everything after it discarded) or the last."""
     execution = _epoch_execution(counter_app)
-    events = execution.trace.events
-    if victim_epoch == "first":
-        pool = events[:execution.epoch_marks[0]]
-    else:
-        pool = events[execution.epoch_marks[-1]:]
-    victim = next(e.rid for e in pool if e.is_response and e.payload.body)
-    tampered = tamper_response(execution.trace, victim, "forged!")
+    tampered = _tamper_epoch_response(execution, victim_epoch)
     serial = ssco_audit(counter_app, tampered, execution.reports,
                         execution.initial_state,
                         epoch_cuts=execution.epoch_marks)
@@ -153,11 +238,12 @@ def test_state_precompute_matches_chained_migration(counter_app):
     execution = _epoch_execution(counter_app)
     shards = partition_audit_inputs(execution.trace, execution.reports,
                                     cuts=execution.epoch_marks)
-    contexts = precompute_epoch_states(counter_app, shards,
-                                       execution.initial_state)
-    assert contexts is not None and len(contexts) == len(shards)
+    primed = list(iter_epoch_prepass(counter_app, shards,
+                                     execution.initial_state))
+    assert len(primed) == len(shards)
     state = execution.initial_state
-    for index, (shard, actx) in enumerate(zip(shards, contexts)):
+    for index, (shard, actx) in enumerate(primed):
+        assert actx.result.accepted
         assert state_to_json(actx.initial_state) == state_to_json(state)
         full = ssco_audit(counter_app, shard.trace, shard.reports, state,
                           migrate=True)
@@ -170,16 +256,17 @@ def test_state_precompute_matches_chained_migration(counter_app):
 
 def test_prepass_reject_falls_back_to_serial_chain(counter_app):
     """When the redo-only prepass itself rejects (here: a truncated op
-    log caught by ProcessOpReports), the concurrent driver defers to
-    the serial chain and the verdict is still identical."""
+    log caught by ProcessOpReports), its result already is the epoch's
+    verdict, and it is identical to the serial chain's."""
     execution = _epoch_execution(counter_app)
-    tampered = execution.reports.deep_copy()
-    obj = next(o for o, log in tampered.op_logs.items() if len(log) > 2)
-    tampered.op_logs[obj] = tampered.op_logs[obj][:-1]
+    tampered = _truncate_op_log(execution.reports)
     shards = partition_audit_inputs(execution.trace, tampered,
                                     cuts=execution.epoch_marks)
-    assert precompute_epoch_states(
-        counter_app, shards, execution.initial_state) is None
+    primed = list(iter_epoch_prepass(counter_app, shards,
+                                     execution.initial_state))
+    # The walk stops at the rejecting shard, which is still yielded.
+    assert not primed[-1][1].result.accepted
+    assert all(actx.result.accepted for _, actx in primed[:-1])
     serial = ssco_audit(counter_app, execution.trace, tampered,
                         execution.initial_state,
                         epoch_cuts=execution.epoch_marks)
@@ -203,40 +290,7 @@ def test_epoch_workers_unsharded_is_single_pass(counter_app, honest_run):
     assert inert.stats["groups"] == plain.stats["groups"]
 
 
-def test_offload_reexec_is_invisible(counter_app, honest_run):
-    """offload_reexec routes chunks through a one-worker pool without
-    changing the chunk plan: bodies and deterministic stats match the
-    in-process serial driver exactly."""
-    serial = ssco_audit(counter_app, honest_run.trace, honest_run.reports,
-                        honest_run.initial_state)
-    offloaded = run_audit(
-        counter_app, honest_run.trace, honest_run.reports,
-        honest_run.initial_state, AuditOptions(offload_reexec=True),
-    )
-    assert serial.accepted and offloaded.accepted
-    assert offloaded.produced == serial.produced
-    for key in ("groups", "grouped_requests", "fallback_requests",
-                "steps", "multi_steps", "dedup_hits", "dedup_misses",
-                "db_queries_issued", "group_alphas"):
-        assert offloaded.stats.get(key) == serial.stats.get(key), key
-
-
 # -- sessions: epoch_workers mode ---------------------------------------------
-
-
-@pytest.mark.parametrize("epoch_processes", [True, False])
-def test_session_epoch_workers_matches_serial(counter_app,
-                                              epoch_processes):
-    execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
-    serial = Auditor(counter_app, AuditConfig()).audit_epochs(
-        shards, execution.initial_state)
-    concurrent = Auditor(counter_app, AuditConfig(
-        epoch_workers=3, epoch_processes=epoch_processes,
-    )).audit_epochs(shards, execution.initial_state)
-    assert serial.accepted
-    _assert_equivalent(serial, concurrent)
 
 
 @pytest.mark.parametrize("pipelined", [False, True])
@@ -292,8 +346,8 @@ def test_session_epoch_workers_chains_certified_state(counter_app):
 
 
 def test_session_epoch_workers_with_reexec_workers(counter_app):
-    """epoch_workers combines with per-epoch process-pool re-execution:
-    several epoch threads drive _reexec_parallel concurrently."""
+    """epoch_workers combines with ``workers > 1``: each epoch worker
+    runs the ``workers``-shaped chunk plan inline, so bodies match."""
     execution = _epoch_execution(counter_app)
     shards = partition_audit_inputs(execution.trace, execution.reports,
                                     cuts=execution.epoch_marks)
@@ -346,15 +400,16 @@ def test_feed_epoch_async_on_epoch_workers_session(counter_app):
     assert session.epochs == results
 
 
-@pytest.mark.parametrize("driver", ["process", "thread"])
+@pytest.mark.parametrize("executor", ["process", "fleet"])
 def test_crashed_epoch_audit_never_reports_accepted(counter_app,
-                                                    monkeypatch, driver):
+                                                    monkeypatch, executor):
     """A non-AuditReject crash inside a concurrent epoch audit is
     latched: close() raises it, and *every* later close()/result()/
     property access re-raises instead of falling through to ACCEPTED
-    over unaudited epochs — whichever epoch driver ran the audit."""
-    import repro.core.auditor as auditor_mod
+    over unaudited epochs — whichever executor (the local pool or a
+    fleet coordinator) ran the epoch."""
     import repro.core.epochpool as epochpool_mod
+    import repro.fleet.coordinator as coordinator_mod
 
     execution = _epoch_execution(counter_app)
     shards = partition_audit_inputs(execution.trace, execution.reports,
@@ -363,13 +418,23 @@ def test_crashed_epoch_audit_never_reports_accepted(counter_app,
     def _boom(*args, **kwargs):
         raise RuntimeError("kaboom")
 
-    if driver == "process":
+    if executor == "process":
         monkeypatch.setattr(epochpool_mod.EpochPool, "run_epoch", _boom)
+        config = AuditConfig(epoch_workers=2)
     else:
-        monkeypatch.setattr(auditor_mod, "finish_precomputed_audit",
-                            _boom)
-    auditor = Auditor(counter_app, AuditConfig(
-        epoch_workers=2, epoch_processes=(driver == "process")))
+        class _CrashingCoordinator:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            run_epoch = staticmethod(_boom)
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(coordinator_mod, "FleetCoordinator",
+                            _CrashingCoordinator)
+        config = AuditConfig(fleet_listen="127.0.0.1:0")
+    auditor = Auditor(counter_app, config)
     session = auditor.session(execution.initial_state)
     for shard in shards:
         session.submit_epoch(shard.trace, shard.reports)

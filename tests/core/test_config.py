@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.config import AuditConfig, parse_epoch_cuts
 from repro.core.pipeline import AuditOptions
-from repro.core.reexec import (
-    DEFAULT_BACKEND,
-    DEFAULT_MAX_GROUP,
-    default_backend,
-)
+from repro.core.reexec import DEFAULT_MAX_GROUP, default_backend
 from repro.trace.trace import Trace
 
 
@@ -25,7 +22,7 @@ def test_defaults_match_ssco_audit():
     assert config.epoch_size == 0
     assert config.epoch_cuts is None
     assert config.max_group_size == DEFAULT_MAX_GROUP
-    assert config.backend == DEFAULT_BACKEND
+    assert config.backend == default_backend()
     assert not config.plan_hints
 
 
@@ -244,36 +241,68 @@ def test_describe_mentions_endpoints():
     assert "listen=h:0" in AuditConfig(listen="h:0").describe()
 
 
-# -- process-level epoch execution knobs (PR-5) -------------------------------
+# -- process-level epoch execution knobs --------------------------------------
 
 
 @pytest.mark.parametrize("kwargs,fragment", [
     (dict(prepass_depth=-1), "prepass_depth"),
     (dict(prepass_depth=2.5), "prepass_depth"),
     (dict(prepass_depth="4"), "prepass_depth"),
+    # The removed thread-driver selector is an unknown keyword now,
+    # whatever its value.
     (dict(epoch_processes="yes"), "epoch_processes"),
     (dict(epoch_processes=1), "epoch_processes"),
 ])
 def test_epoch_process_knob_validation(kwargs, fragment):
-    with pytest.raises(ValueError, match=fragment):
+    expected = TypeError if "epoch_processes" in kwargs else ValueError
+    with pytest.raises(expected, match=fragment):
         AuditConfig(**kwargs)
+
+
+def test_removed_epoch_processes_key_fails_loudly(counter_app, honest_run):
+    """The other two ways of asking for the removed thread driver — a
+    saved config and the one-shot kwarg — name the key as well."""
+    from repro.core import ssco_audit
+
+    with pytest.raises(ValueError, match="epoch_processes"):
+        AuditConfig.from_json({"epoch_processes": True})
+    with pytest.raises(TypeError, match="epoch_processes"):
+        ssco_audit(counter_app, honest_run.trace, honest_run.reports,
+                   honest_run.initial_state, epoch_processes=False)
 
 
 def test_epoch_process_knob_defaults_and_roundtrip():
     config = AuditConfig()
-    assert config.epoch_processes is True
     assert config.prepass_depth == 0
-    tuned = AuditConfig(epoch_workers=4, epoch_processes=False,
-                        prepass_depth=6)
+    tuned = AuditConfig(epoch_workers=4, prepass_depth=6)
     options = tuned.to_options()
-    assert options.epoch_processes is False
     assert options.prepass_depth == 6
     assert AuditConfig.from_options(options) == tuned
     round_trip = AuditConfig.from_json(tuned.to_json())
     assert round_trip == tuned
     assert "prepass_depth=6" in tuned.describe()
-    assert "epoch-threads" in tuned.describe()
-    assert "epoch-threads" not in AuditConfig(epoch_workers=4).describe()
+
+
+def test_every_field_reaches_options_or_is_deployment():
+    """A knob cannot be left half-removed (or half-added): every
+    AuditConfig field is either a transport/deployment setting or is
+    handed to the pipeline by to_options(), and the pipeline's options
+    carry nothing else a config could have set."""
+    deployment = {
+        f.name for f in dataclasses.fields(AuditConfig)
+        if f.name in ("connect", "listen")
+        or f.name.startswith(("net_", "batch_"))
+    }
+    audit_knobs = {f.name for f in dataclasses.fields(AuditConfig)} \
+        - deployment
+    for name in sorted(audit_knobs):
+        config = AuditConfig()
+        marker = object()
+        object.__setattr__(config, name, marker)  # past validation
+        assert getattr(config.to_options(), name) is marker, name
+    internal = {"inline_reexec"}  # set only inside epoch workers
+    assert {f.name for f in dataclasses.fields(AuditOptions)} \
+        == audit_knobs | internal
 
 
 def test_prepass_depth_resolution():
@@ -286,15 +315,12 @@ def test_prepass_depth_resolution():
 
 
 def test_epoch_process_knobs_layer_through_from_args(tmp_path):
-    config = AuditConfig.from_args(
-        _namespace(prepass_depth=4, epoch_threads=True))
+    config = AuditConfig.from_args(_namespace(prepass_depth=4))
     assert config.prepass_depth == 4
-    assert config.epoch_processes is False
     path = str(tmp_path / "audit.json")
-    AuditConfig(prepass_depth=8, epoch_processes=False).save(path)
+    AuditConfig(prepass_depth=8).save(path)
     layered = AuditConfig.from_args(_namespace(config=path))
     assert layered.prepass_depth == 8
-    assert layered.epoch_processes is False
     # An explicit flag wins over the file.
     layered = AuditConfig.from_args(_namespace(config=path,
                                                prepass_depth=2))

@@ -27,7 +27,6 @@ from repro.core.partition import partition_audit_inputs
 from repro.core.reexec import (
     _BACKENDS,
     PlainInterpBackend,
-    fork_inherits_context,
     register_reexec_backend,
 )
 from repro.server import Executor, RandomScheduler
@@ -65,6 +64,20 @@ def test_sharded_audit_creates_one_pool_for_all_epochs(counter_app):
     assert concurrent.produced == serial.produced
     assert concurrent.stats["shard_count"] >= 3
     assert epochpool.pools_created_total() - before == 1
+
+
+def test_uncuttable_bundle_creates_no_pool(counter_app, honest_run):
+    """No quiescent cut, no chain to unroll: the sharded entry point
+    audits the one shard in-process however many epoch workers were
+    asked for."""
+    before = epochpool.pools_created_total()
+    audit = ssco_audit(counter_app, honest_run.trace, honest_run.reports,
+                       honest_run.initial_state, epoch_cuts=[1],
+                       epoch_workers=4)
+    assert audit.accepted, (audit.reason, audit.detail)
+    assert audit.stats["shard_count"] == 1
+    assert "state_precompute" not in audit.phases
+    assert epochpool.pools_created_total() == before
 
 
 def test_session_pool_identity_stable_across_epochs(counter_app):
@@ -175,7 +188,7 @@ def test_killed_epoch_worker_recreates_pool_and_matches_serial(
             reference.stats["fallback_requests"]
         # Infrastructure failure handled: the epochs re-ran serially.
         assert pool.serial_fallbacks >= 1
-        if fork_inherits_context():
+        if multiprocessing.get_start_method() == "fork":
             # Fork platforms see the kamikaze exit as BrokenProcessPool,
             # so the shared pool was retired and recreated at least once
             # (under forced spawn the backend is simply unregistered in

@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.errors import AuditReject, RejectReason
 from repro.core import ssco_audit
+from repro.core import run_audit
 from repro.core.pipeline import (
     AuditContext,
     AuditOptions,
@@ -13,7 +14,6 @@ from repro.core.pipeline import (
     AuditPipeline,
     AuditResult,
     default_pipeline,
-    run_audit,
 )
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource

@@ -72,7 +72,53 @@ def test_worker_options_never_recurse_into_a_nested_fleet():
     assert unit.fleet_min_workers == 0
     assert unit.fleet_redundancy == 1
     assert unit.epoch_workers == 1
-    assert unit.epoch_processes is False
+
+
+def test_one_shot_and_session_build_the_same_coordinator(
+        counter_app, monkeypatch):
+    """There is one FleetCoordinator construction site: the one-shot
+    ``ssco_audit(fleet_listen=...)`` and ``Auditor.audit_epochs`` hand
+    it identical arguments (the one-shot used to omit
+    ``heartbeat_timeout``)."""
+    import repro.fleet.coordinator as coordinator_mod
+    from repro.core import Auditor, ssco_audit
+    from repro.core.epochwork import run_epoch_inline
+    from repro.core.partition import partition_audit_inputs
+    from repro.server import Executor
+    from tests.conftest import counter_requests
+
+    built = []
+
+    class RecordingCoordinator:
+        serial_fallbacks = 0
+
+        def __init__(self, *args, **kwargs):
+            built.append((args, kwargs))
+
+        run_epoch = staticmethod(run_epoch_inline)
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(coordinator_mod, "FleetCoordinator",
+                        RecordingCoordinator)
+    execution = Executor(counter_app, epoch_size=8).serve(
+        counter_requests(24))
+    assert execution.epoch_marks
+    knobs = dict(fleet_listen="127.0.0.1:0", fleet_min_workers=2,
+                 fleet_task_timeout=9.0, fleet_redundancy=2)
+    one_shot = ssco_audit(counter_app, execution.trace, execution.reports,
+                          execution.initial_state,
+                          epoch_cuts=execution.epoch_marks, **knobs)
+    session = Auditor(counter_app, AuditConfig(**knobs)).audit_epochs(
+        partition_audit_inputs(execution.trace, execution.reports,
+                               cuts=execution.epoch_marks),
+        execution.initial_state)
+    assert one_shot.accepted and session.accepted
+    assert len(built) == 2
+    assert built[0] == built[1]
+    assert built[0][1]["heartbeat_timeout"] == \
+        AuditConfig().net_idle_timeout
 
 
 # -- CLI ----------------------------------------------------------------------

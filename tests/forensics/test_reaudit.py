@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import RejectReason
-from repro.core.pipeline import AuditOptions, run_audit
+from repro.core import AuditOptions, run_audit
 from repro.forensics import UnknownRequest, reaudit_request
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource

@@ -37,7 +37,7 @@ def _transport(overhead, cores=4):
 
 
 def test_equal_results_pass():
-    doc = _epoch_parallel({(2, "process"): 1.8, (2, "thread"): 1.5})
+    doc = _epoch_parallel({(2, "process"): 1.8, (4, "process"): 2.5})
     assert check_regression.compare(doc, doc, tolerance=0.2) == []
 
 
@@ -88,18 +88,6 @@ def test_metrics_only_in_baseline_are_skipped():
     base = _epoch_parallel({(2, "process"): 1.8, (4, "process"): 2.5})
     ci = _epoch_parallel({(2, "process"): 1.8})
     assert check_regression.compare(ci, base, tolerance=0.2) == []
-
-
-def test_pre_driver_rows_read_as_thread():
-    """Baselines written before the process-level driver carry no
-    "driver" tag; they measured the thread driver."""
-    legacy = {"benchmark": "epoch_parallel", "cpu_count": 4, "rows": [
-        {"epoch_workers": 1, "speedup_total": 1.0},
-        {"epoch_workers": 2, "speedup_total": 1.5},
-    ]}
-    metrics = {m.name for m in
-               check_regression.metrics_epoch_parallel(legacy)}
-    assert metrics == {"epoch_workers2_thread_speedup"}
 
 
 def test_benchmark_kind_mismatch_raises():

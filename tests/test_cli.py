@@ -53,7 +53,7 @@ def test_unknown_workload_rejected():
 
 def test_demo_parallel_and_epochs(capsys):
     code = main(["demo", "--workload", "forum", "--scale", "0.005",
-                 "--parallel", "2", "--epoch-size", "20"])
+                 "--workers", "2", "--epoch-size", "20"])
     assert code == 0
     out = capsys.readouterr().out
     assert "ACCEPTED" in out
@@ -67,23 +67,11 @@ def test_record_jsonl_then_sharded_parallel_audit(tmp_path, capsys):
                  "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "wiki",
                  "--scale", "0.005", "--epoch-size", "20",
-                 "--parallel", "2"]) == 0
+                 "--workers", "2"]) == 0
     out = capsys.readouterr().out
     assert "[jsonl]" in out
     assert "ACCEPTED" in out
     assert "shard(s)" in out
-
-
-def test_audit_concurrency_flag_drives_workers(tmp_path, capsys):
-    """--concurrency on the audit subcommand is no longer ignored: it
-    sets the worker-process count (same as --parallel)."""
-    bundle = str(tmp_path / "bundle.json")
-    main(["record", "--workload", "forum", "--scale", "0.005",
-          "--out", bundle])
-    assert main(["audit", bundle, "--workload", "forum",
-                 "--scale", "0.005", "--concurrency", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "workers=2" in out
 
 
 def test_audit_knob_passthrough(tmp_path, capsys):
@@ -115,7 +103,7 @@ def test_audit_rejects_tampered_jsonl_bundle(tmp_path, capsys):
         fh.writelines(lines)
     code = main(["audit", bundle, "--workload", "wiki",
                  "--scale", "0.005", "--epoch-size", "20",
-                 "--parallel", "2"])
+                 "--workers", "2"])
     assert code == 1
     assert "REJECTED" in capsys.readouterr().out
 
@@ -134,22 +122,18 @@ def test_audit_workers_flag_is_canonical(tmp_path, capsys):
     assert "deprecated" not in captured.err
 
 
-def test_parallel_and_concurrency_aliases_warn(tmp_path, capsys):
+def test_removed_worker_aliases_are_rejected(tmp_path, capsys):
+    """--workers is the one spelling: the old --parallel alias and
+    audit's --concurrency alias are usage errors now."""
     bundle = str(tmp_path / "bundle.json")
     main(["record", "--workload", "forum", "--scale", "0.005",
           "--out", bundle])
-    capsys.readouterr()
-    assert main(["audit", bundle, "--workload", "forum",
-                 "--scale", "0.005", "--parallel", "2"]) == 0
-    captured = capsys.readouterr()
-    assert "workers=2" in captured.out
-    assert "--parallel is deprecated" in captured.err
-    assert "--workers" in captured.err
-    assert main(["audit", bundle, "--workload", "forum",
-                 "--scale", "0.005", "--concurrency", "2"]) == 0
-    captured = capsys.readouterr()
-    assert "workers=2" in captured.out
-    assert "--concurrency is deprecated" in captured.err
+    for flag in ("--parallel", "--concurrency"):
+        with pytest.raises(SystemExit) as usage:
+            main(["audit", bundle, "--workload", "forum",
+                  "--scale", "0.005", flag, "2"])
+        assert usage.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_audit_backend_flag(tmp_path, capsys):
@@ -292,24 +276,30 @@ def test_demo_accepts_workers_flag(capsys):
 
 
 def test_audit_prepass_depth_and_epoch_threads(tmp_path, capsys):
-    """The PR-5 knobs parse, validate at the boundary, and reach the
-    config (visible in the banner's describe() line)."""
+    """--prepass-depth parses, validates at the boundary, and reaches
+    the config (visible in the banner's describe() line); the removed
+    thread driver's --epoch-threads is a usage error."""
     bundle = str(tmp_path / "bundle.jsonl")
     assert main(["record", "--workload", "forum", "--scale", "0.005",
                  "--epoch-size", "20", "--format", "jsonl",
                  "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "forum",
                  "--scale", "0.005", "--epoch-size", "20",
-                 "--epoch-workers", "2", "--prepass-depth", "3",
-                 "--epoch-threads"]) == 0
+                 "--epoch-workers", "2", "--prepass-depth", "3"]) == 0
     out = capsys.readouterr().out
     assert "epoch_workers=2" in out
     assert "prepass_depth=3" in out
-    assert "epoch-threads" in out
     assert "ACCEPTED" in out
     with pytest.raises(SystemExit):
         main(["audit", bundle, "--workload", "forum",
               "--scale", "0.005", "--prepass-depth", "-1"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as usage:
+        main(["audit", bundle, "--workload", "forum",
+              "--scale", "0.005", "--epoch-workers", "2",
+              "--epoch-threads"])
+    assert usage.value.code == 2
+    assert "--epoch-threads" in capsys.readouterr().err
 
 
 # -- the lint subcommand ------------------------------------------------------

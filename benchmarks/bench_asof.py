@@ -37,7 +37,7 @@ import sys
 import time as _time
 
 from repro.bench.harness import run_audit_phase, run_online_phase
-from repro.core.pipeline import AuditOptions
+from repro.core.config import AuditConfig
 from repro.forensics import Timeline, query_asof, reaudit_request
 from repro.workloads import wiki_workload
 
@@ -60,7 +60,7 @@ def run(scale: float = 0.02, seed: int = 1, epoch_size: int = 30,
     timeline = Timeline.from_inputs(
         workload.app, execution.trace, execution.reports,
         execution.initial_state, cuts=execution.epoch_marks,
-        options=AuditOptions(),
+        config=AuditConfig(),
     )
     timeline_seconds = _time.perf_counter() - started
     assert timeline.prepass_rejected is None

@@ -46,7 +46,6 @@ See ``examples/quickstart.py``, ``examples/continuous_audit.py``, and
 
 from repro.core import (
     AuditConfig,
-    AuditOptions,
     AuditPipeline,
     AuditResult,
     AuditSession,
@@ -76,7 +75,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Application",
     "AuditConfig",
-    "AuditOptions",
     "AuditPipeline",
     "AuditResult",
     "AuditSession",

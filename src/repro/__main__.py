@@ -65,7 +65,7 @@ from repro.bench import figure9_decomposition, render_table
 from repro.bench.harness import run_audit_phase
 from repro.core import Auditor, simple_audit
 from repro.core.config import AuditConfig, parse_epoch_cuts
-from repro.core.partition import partition_audit_inputs
+from repro.core.partition import partition_audit_inputs, validate_cuts
 from repro.core.reexec import available_backends
 from repro.forensics import (
     AsOfError,
@@ -274,10 +274,13 @@ def cmd_audit(args) -> int:
     if args.follow:
         return _audit_follow(args, workload, config)
     trace, reports, initial, epoch_marks = load_audit_bundle_ex(args.bundle)
-    if (config.epoch_cuts is None and (config.epoch_size or 0) > 0
-            and epoch_marks):
-        # The recorded quiescent marks are the natural cut positions.
-        config = config.replace(epoch_cuts=tuple(epoch_marks))
+    if config.epoch_cuts is None and config.epoch_size > 0:
+        # The recorded quiescent marks are the natural cut positions —
+        # but they come from the untrusted bundle: keep only genuine
+        # quiescent points, sorted and deduplicated.
+        marks = validate_cuts(trace, epoch_marks)
+        if marks:
+            config = config.replace(epoch_cuts=tuple(marks))
     if not args.json:
         print(f"auditing {len(trace.request_ids())} requests against "
               f"{workload.label} ({config.describe()}) ...")
@@ -565,7 +568,7 @@ def _load_timeline(args, workload, config) -> Timeline | None:
     the error and returns ``None`` when the bundle cannot be primed."""
     try:
         return Timeline.from_bundle(args.bundle, workload.app,
-                                    options=config.to_options())
+                                    config=config)
     except (OSError, ValueError) as exc:
         print(f"error: cannot load bundle {args.bundle}: {exc}",
               file=sys.stderr)
@@ -742,7 +745,7 @@ def _drive_stream_session(reader, workload, config: AuditConfig,
 
     Feeding is asynchronous: with ``epoch_workers > 1`` the session
     audits several epochs concurrently while this loop keeps ingesting
-    (bounded by the session's prepass-depth backpressure); verdicts are
+    (bounded by the session's prepass backpressure); verdicts are
     printed in epoch order as they settle.  On a synchronous session
     every handle resolves immediately, so the loop degenerates to the
     strict feed-print alternation.
@@ -784,6 +787,55 @@ def _drive_stream_session(reader, workload, config: AuditConfig,
     return 1
 
 
+def audit_knobs(p) -> None:
+    """Register the :class:`AuditConfig` knob flags (and ``--config``,
+    the file they layer over) on a subcommand parser."""
+    # Every knob defaults to None so AuditConfig.from_args can tell
+    # "not given" from "given the default" (--config layering).
+    p.add_argument("--strict", dest="strict", action="store_true",
+                   default=None,
+                   help="reject on in-group control-flow divergence "
+                        "(default)")
+    p.add_argument("--no-strict", dest="strict", action="store_false",
+                   help="demote diverged groups to per-request "
+                        "re-execution instead of rejecting")
+    p.add_argument("--plan-hints", dest="plan_hints",
+                   action="store_true", default=None,
+                   help="consult the static analyzer's divergence "
+                        "hazards during chunk planning (non-strict "
+                        "audits only; see `repro lint`)")
+    p.add_argument("--no-dedup", action="store_true", default=None,
+                   help="disable read-query deduplication")
+    p.add_argument("--no-collapse", action="store_true", default=None,
+                   help="disable multivalue collapse")
+    p.add_argument("--strict-registers", action="store_true",
+                   default=None,
+                   help="reject register reads with no logged write")
+    p.add_argument("--max-group-size", type=int, default=None,
+                   help="chunk re-execution groups beyond this size")
+    p.add_argument("--workers", type=int, default=None, metavar="N",
+                   help="fan group re-execution out over N worker "
+                        "processes (1 = serial)")
+    p.add_argument("--epoch-workers", type=int, default=None,
+                   metavar="N",
+                   help="audit epoch shards concurrently, N at a "
+                        "time, on a shared persistent process pool "
+                        "after a redo-only state precompute "
+                        "(1 = serial epoch chain; pair with "
+                        "--epoch-size/--epoch-cuts)")
+    p.add_argument("--backend", choices=available_backends(),
+                   default=None,
+                   help="registered re-execution backend "
+                        "(default: accinterp)")
+    p.add_argument("--epoch-cuts", type=parse_epoch_cuts, default=None,
+                   metavar="I,J,K",
+                   help="explicit cut positions (event indexes); "
+                        "overrides --epoch-size")
+    p.add_argument("--config", default=None, metavar="AUDIT.JSON",
+                   help="audit config file (flags override its "
+                        "fields; see AuditConfig.to_json)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -802,58 +854,6 @@ def main(argv=None) -> int:
                        help="serve: drain every N requests and record an "
                             "epoch mark; audit: shard at quiescent cuts "
                             "(0 disables)")
-
-    def audit_knobs(p):
-        # Every knob defaults to None so AuditConfig.from_args can tell
-        # "not given" from "given the default" (--config layering).
-        p.add_argument("--strict", dest="strict", action="store_true",
-                       default=None,
-                       help="reject on in-group control-flow divergence "
-                            "(default)")
-        p.add_argument("--no-strict", dest="strict", action="store_false",
-                       help="demote diverged groups to per-request "
-                            "re-execution instead of rejecting")
-        p.add_argument("--plan-hints", dest="plan_hints",
-                       action="store_true", default=None,
-                       help="consult the static analyzer's divergence "
-                            "hazards during chunk planning (non-strict "
-                            "audits only; see `repro lint`)")
-        p.add_argument("--no-dedup", action="store_true", default=None,
-                       help="disable read-query deduplication")
-        p.add_argument("--no-collapse", action="store_true", default=None,
-                       help="disable multivalue collapse")
-        p.add_argument("--strict-registers", action="store_true",
-                       default=None,
-                       help="reject register reads with no logged write")
-        p.add_argument("--max-group-size", type=int, default=None,
-                       help="chunk re-execution groups beyond this size")
-        p.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="fan group re-execution out over N worker "
-                            "processes (1 = serial)")
-        p.add_argument("--epoch-workers", type=int, default=None,
-                       metavar="N",
-                       help="audit epoch shards concurrently, N at a "
-                            "time, on a shared persistent process pool "
-                            "after a redo-only state precompute "
-                            "(1 = serial epoch chain; pair with "
-                            "--epoch-size/--epoch-cuts)")
-        p.add_argument("--prepass-depth", type=int, default=None,
-                       metavar="N",
-                       help="bound on in-flight primed epochs: how far "
-                            "the speculative state precompute may run "
-                            "ahead of the slowest unfinished epoch "
-                            "audit (0 = 2 * epoch-workers)")
-        p.add_argument("--backend", choices=available_backends(),
-                       default=None,
-                       help="registered re-execution backend "
-                            "(default: accinterp)")
-        p.add_argument("--epoch-cuts", type=parse_epoch_cuts, default=None,
-                       metavar="I,J,K",
-                       help="explicit cut positions (event indexes); "
-                            "overrides --epoch-size")
-        p.add_argument("--config", default=None, metavar="AUDIT.JSON",
-                       help="audit config file (flags override its "
-                            "fields; see AuditConfig.to_json)")
 
     demo = sub.add_parser("demo", help="serve + audit, print stats")
     common(demo)

@@ -10,7 +10,7 @@ from repro.core.auditor import Auditor
 from repro.core.config import AuditConfig
 from repro.core.ooo import OooResult, simple_audit
 from repro.core.reexec import DEFAULT_MAX_GROUP, default_backend
-from repro.core.verifier import AuditResult
+from repro.core.pipeline import AuditResult
 from repro.server.executor import ExecutionResult, Executor
 from repro.server.nondet import NondetSource
 from repro.server.scheduler import RandomScheduler

@@ -29,9 +29,9 @@ Public entry points:
 
 from repro.core.pipeline import (
     AuditContext,
-    AuditOptions,
     AuditPipeline,
     AuditPhase,
+    AuditResult,
     default_pipeline,
     state_precompute_pipeline,
 )
@@ -51,14 +51,13 @@ from repro.core.reexec import (
     register_reexec_backend,
 )
 from repro.core.profile import group_profile, summarize_triples
-from repro.core.verifier import AuditResult, ssco_audit
+from repro.core.verifier import ssco_audit
 from repro.core.ooo import ooo_audit, simple_audit
 from repro.core.timeprec import create_time_precedence_graph
 
 __all__ = [
     "AuditConfig",
     "AuditContext",
-    "AuditOptions",
     "AuditPhase",
     "AuditPipeline",
     "AuditResult",

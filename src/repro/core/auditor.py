@@ -20,14 +20,8 @@ around a long-lived service object:
   bundle: it cuts the inputs at quiescent points
   (:mod:`repro.core.partition`) and feeds the shards through
   :meth:`Auditor.audit_epochs`.  :func:`run_audit` picks between it and
-  a single pipeline pass; ``ssco_audit`` is the kwargs wrapper over
-  :func:`run_audit`.
-* With ``session(pipelined=True)``, :meth:`~AuditSession.feed_epoch_async`
-  returns a :class:`PendingEpoch` immediately and audits in a background
-  thread: the caller ingests (reads, parses) epoch N+1 while epoch N
-  re-executes — and with ``config.workers > 1`` the re-execution itself
-  runs in the existing process pool, so ingest genuinely overlaps audit
-  CPU.  Epochs still audit strictly in feed order (state chains).
+  a single pipeline pass; ``ssco_audit`` is the kwargs shorthand for
+  :meth:`Auditor.audit`.
 * With ``config.epoch_workers > 1`` (or a fleet) the chain is unrolled:
   at feed time only the cheap, serial part runs — the cross-epoch checks
   and the redo-only **state precompute**
@@ -62,22 +56,20 @@ from __future__ import annotations
 
 import threading
 import time as _time
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from concurrent.futures import CancelledError, ThreadPoolExecutor
+from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from repro.common.errors import AuditReject, RejectReason
 from repro.core.config import AuditConfig
-from repro.core.epochpool import EpochPool, epoch_worker_options
+from repro.core.epochpool import EpochPool, epoch_worker_config
 from repro.core.nondet import validate_nondet_reports
 from repro.core.partition import make_shard_summary, partition_audit_inputs
 from repro.core.pipeline import (
     AuditContext,
-    AuditOptions,
     AuditPipeline,
     AuditResult,
     default_pipeline,
-    resolve_prepass_depth,
     state_precompute_pipeline,
 )
 from repro.server.app import Application, InitialState
@@ -112,56 +104,47 @@ class EpochResult:
 
 
 class PendingEpoch:
-    """Handle for an epoch fed asynchronously; :meth:`result` blocks.
+    """Handle for a submitted epoch; :meth:`result` blocks.
 
-    In ``epoch_workers`` mode the handle resolves through the session's
-    in-order merge (a ``resolver``/``done_fn`` pair) instead of a bare
-    future, so the result a caller sees is always the *normalized* one
-    — e.g. *skipped* when an earlier epoch's concurrent audit rejected.
+    The handle resolves through the session's in-order merge, so the
+    result a caller sees is always the *normalized* one — e.g.
+    *skipped* when an earlier epoch's concurrent audit rejected.  On a
+    serial session it is resolved from the start.
     """
 
-    def __init__(self, index: int,
-                 future: "Future[EpochResult]" | None = None,
-                 resolver=None, done_fn=None):
+    def __init__(self, index: int, resolver, done_fn):
         self.index = index
-        self._future = future
         self._resolver = resolver
         self._done_fn = done_fn
 
     def result(self, timeout: float | None = None) -> EpochResult:
-        if self._resolver is not None:
-            return self._resolver(timeout)
-        return self._future.result(timeout)
+        return self._resolver(timeout)
 
     def done(self) -> bool:
-        if self._done_fn is not None:
-            return self._done_fn()
-        return self._future.done()
+        return self._done_fn()
 
 
 class AuditSession:
     """One continuous audit: epochs in, per-epoch verdicts out.
 
-    Sessions are created by :meth:`Auditor.session` and consumed either
-    synchronously (:meth:`feed_epoch`) or pipelined
-    (:meth:`feed_epoch_async`).  The session owns the chain state: the
-    initial state it was opened with, then each accepted epoch's
-    migrated state.  Use as a context manager to guarantee
-    :meth:`close`.
+    Sessions are created by :meth:`Auditor.session` and consumed
+    through :meth:`feed_epoch` (blocks for the epoch's result) or
+    :meth:`submit_epoch` (returns a :class:`PendingEpoch`).  The
+    session owns the chain state: the initial state it was opened with,
+    then each accepted epoch's migrated state.  Use as a context manager
+    to guarantee :meth:`close`.
     """
 
-    def __init__(
-        self,
-        auditor: Auditor,
-        initial_state: InitialState,
-        pipelined: bool = False,
-    ):
+    def __init__(self, auditor: Auditor, initial_state: InitialState):
         self._auditor = auditor
         self._state = initial_state
-        self._pipelined = pipelined
-        self._pool: ThreadPoolExecutor | None = None
         self._epoch_pool: ThreadPoolExecutor | None = None
         config = auditor.config
+        #: What every epoch runs under: the session takes its epochs as
+        #: given (no further cuts) and the chain always needs the next
+        #: state.
+        self._epoch_config = config.replace(
+            epoch_size=0, epoch_cuts=None, migrate=True)
         # Concurrent epoch mode needs the stock phase structure (the
         # prepass stands in for specific phases); custom pipelines keep
         # the serial chain.
@@ -182,9 +165,7 @@ class AuditSession:
             # state serially at submit time; each epoch's full audit is
             # a work unit on the pool below, and these threads only
             # submit units and wait, so results can be merged back
-            # strictly in feed order.  (The pipelined single worker
-            # thread is superseded — the epoch pool already decouples
-            # feeding from auditing.)
+            # strictly in feed order.
             self._epoch_pool = ThreadPoolExecutor(
                 max_workers=epoch_workers,
                 thread_name_prefix="audit-epoch",
@@ -208,13 +189,14 @@ class AuditSession:
                 # One persistent process pool shared by every epoch of
                 # this session.
                 self._process_pool = EpochPool(epoch_workers)
+            self._worker_config = epoch_worker_config(self._epoch_config)
             #: Backpressure: submit_epoch blocks once this many primed
-            #: epochs are in flight (speculative prepass depth) —
-            #: fleet-wide, since dispatches only happen from this
+            #: epochs are in flight — deep enough to keep every worker
+            #: busy while the next epochs prime, shallow enough that a
+            #: stream cannot pin unbounded speculative work units.
+            #: Fleet-wide, since dispatches only happen from this
             #: bounded set of in-flight epochs.
-            depth_options = config.to_options()
-            depth_options.epoch_workers = epoch_workers
-            self._prepass_depth = resolve_prepass_depth(depth_options)
+            self._prepass_depth = 2 * epoch_workers
             self._precompute_seconds = 0.0
             #: Feed-order merge queue: ("skipped"|"precheck"|"rejected"|
             #: "audit", payload, requests, events) per fed epoch.
@@ -225,16 +207,10 @@ class AuditSession:
             self._prepass_state = initial_state
             self._prepass_failed = False
             self._merge_lock = threading.RLock()
-        elif pipelined:
-            # One thread: epochs must audit in feed order (state chains).
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="audit-session"
-            )
         self._seen_uniq: set = set()
         self._epochs: list[EpochResult] = []
         self._summaries: list[dict[str, object]] = []
         self._merged = AuditResult(accepted=False)
-        self._pending: list["Future[EpochResult]"] = []
         self._audit_seconds = 0.0
         self._failure: EpochResult | None = None
         self._fed = 0
@@ -257,54 +233,23 @@ class AuditSession:
         """
         return self.submit_epoch(trace, reports).result()
 
-    def feed_epoch_async(self, trace: Trace,
-                         reports: Reports) -> PendingEpoch:
-        """Queue the next epoch and return immediately.
-
-        Requires a ``pipelined=True`` session or an ``epoch_workers``
-        session (which is natively asynchronous).  Epochs audit in feed
-        order on the session's worker thread (concurrently, merged back
-        in feed order, with ``epoch_workers``); the caller is free to
-        ingest the next epoch meanwhile.
-        """
-        if not self._pipelined and self._epoch_pool is None:
-            raise RuntimeError(
-                "feed_epoch_async requires a pipelined session: "
-                "auditor.session(state, pipelined=True) "
-                "(or an epoch_workers > 1 config)"
-            )
-        return self.submit_epoch(trace, reports)
-
     def submit_epoch(self, trace: Trace, reports: Reports) -> PendingEpoch:
-        """Common feed path: synchronous sessions run inline, pipelined
-        sessions enqueue on the worker thread, ``epoch_workers``
-        sessions prepass inline and dispatch to the epoch pool."""
+        """Feed the next epoch and return its handle: serial sessions
+        audit inline (the handle is already resolved), ``epoch_workers``
+        sessions prepass inline and dispatch to the epoch pool, so the
+        caller is free to ingest the next epoch meanwhile."""
         if self._closed:
             raise RuntimeError("audit session is closed")
         index = self._fed
         self._fed += 1
         if self._epoch_pool is not None:
             return self._submit_epoch_concurrent(index, trace, reports)
-        if self._pool is not None:
-            # Prune completed, exception-free futures so a long follow
-            # session does not pin every finished epoch's future for
-            # the stream's lifetime; futures that crashed are kept so
-            # close()/_drain can still re-raise them.
-            self._pending = [
-                f for f in self._pending
-                if not f.done() or f.exception() is not None
-            ]
-            future = self._pool.submit(self._audit_epoch, index, trace,
-                                       reports)
-            # Remembered so close()/_drain can re-raise an unexpected
-            # worker exception even if the caller drops the handle —
-            # a session must never report ACCEPTED over an epoch whose
-            # audit crashed.
-            self._pending.append(future)
-        else:
-            future: Future[EpochResult] = Future()
-            future.set_result(self._audit_epoch(index, trace, reports))
-        return PendingEpoch(index, future)
+        try:
+            epoch = self._audit_epoch(index, trace, reports)
+        except Exception as crash:
+            self._crash = crash  # close() must not report over it
+            raise
+        return PendingEpoch(index, lambda timeout=None: epoch, lambda: True)
 
     # -- the concurrent (epoch_workers) feed path -------------------------
 
@@ -321,9 +266,9 @@ class AuditSession:
         when a rejection is discovered after later epochs were fed.
 
         Backpressure: before priming another epoch, the speculative
-        prepass is held back until fewer than ``prepass_depth`` primed
-        epochs are in flight — a follow/connect session feeding faster
-        than the pool audits blocks here instead of accumulating
+        prepass is held back until fewer than ``2 * epoch_workers``
+        primed epochs are in flight — a follow/connect session feeding
+        faster than the pool audits blocks here instead of accumulating
         unbounded speculative state.
         """
         requests = len(trace.request_ids())
@@ -371,14 +316,9 @@ class AuditSession:
         except AuditReject as reject:
             self._prepass_failed = True
             return ("precheck", reject, requests, events)
-        options = self._auditor.config.to_options()
-        options.epoch_size = 0
-        options.epoch_cuts = None
-        options.epoch_workers = 1
-        options.migrate = True  # the chain always needs the next state
         epoch_state = self._prepass_state
         actx = AuditContext(self._auditor.app, trace, reports,
-                            epoch_state, options)
+                            epoch_state, self._epoch_config)
         prepass_start = _time.perf_counter()
         pre = state_precompute_pipeline().run(actx)
         self._precompute_seconds += _time.perf_counter() - prepass_start
@@ -395,7 +335,7 @@ class AuditSession:
         # kept.
         future = self._epoch_pool.submit(
             self._process_pool.run_epoch, self._auditor.app, trace,
-            reports, epoch_state, epoch_worker_options(options))
+            reports, epoch_state, self._worker_config)
         return ("audit", (future, pre.next_initial), requests, events)
 
     def _resolve(self, index: int,
@@ -551,7 +491,6 @@ class AuditSession:
             self._epochs.append(epoch)
             return epoch
 
-        config = self._auditor.config
         # The §4.6 plausibility pre-check with whole-stream state: the
         # per-epoch pipeline re-checks internally, but only this shared
         # set catches a uniqid duplicated *across* epochs (sharded_audit
@@ -568,13 +507,9 @@ class AuditSession:
             self._record(epoch, None)
             return epoch
 
-        options = config.to_options()
-        options.epoch_size = 0
-        options.epoch_cuts = None
-        options.migrate = True  # the chain always needs the next state
         actx = AuditContext(self._auditor.app, trace, reports,
-                            self._state, options)
-        pipeline = self._auditor.pipeline or default_pipeline(options)
+                            self._state, self._epoch_config)
+        pipeline = self._auditor.pipeline or default_pipeline()
         result = pipeline.run(actx)
         epoch = EpochResult(
             index=index,
@@ -650,20 +585,14 @@ class AuditSession:
         # drain can still deliver the real verdict.
 
     def _drain_inner(self) -> None:
-        if self._closed:
+        if self._closed or self._epoch_pool is None:
             return
-        if self._epoch_pool is not None:
-            while True:
-                with self._merge_lock:
-                    total = len(self._entries)
-                    if self._merged_upto >= total:
-                        return
-                self._resolve(total - 1)
-        if self._pool is None:
-            return
-        pending, self._pending = self._pending, []
-        for future in pending:
-            future.result()
+        while True:
+            with self._merge_lock:
+                total = len(self._entries)
+                if self._merged_upto >= total:
+                    return
+            self._resolve(total - 1)
 
     def close(self) -> AuditResult:
         """Finish the session and return the merged result.
@@ -684,8 +613,6 @@ class AuditSession:
         try:
             self._drain()
         finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
             if self._epoch_pool is not None:
                 self._epoch_pool.shutdown(wait=True)
             if self._process_pool is not None:
@@ -759,23 +686,18 @@ class Auditor:
         """Audit one complete bundle under this auditor's config."""
         self.config.validate_for_trace(trace)
         return run_audit(self.app, trace, reports, initial_state,
-                         self.config.to_options(), pipeline=self.pipeline)
+                         self.config, pipeline=self.pipeline)
 
-    def session(
-        self,
-        initial_state: InitialState,
-        pipelined: bool = False,
-    ) -> AuditSession:
+    def session(self, initial_state: InitialState) -> AuditSession:
         """Open an incremental epoch session starting from
         ``initial_state`` (the verifier's trusted state at stream start,
         §4.1)."""
-        return AuditSession(self, initial_state, pipelined=pipelined)
+        return AuditSession(self, initial_state)
 
     def audit_epochs(
         self,
         epochs: Iterable,
         initial_state: InitialState,
-        pipelined: bool = False,
     ) -> AuditResult:
         """Feed every epoch slice of ``epochs`` through a session.
 
@@ -789,21 +711,20 @@ class Auditor:
         With ``config.epoch_workers > 1`` the epochs audit concurrently
         (only the redo-only state prepass runs between submissions) and
         are merged back in feed order; the session itself bounds
-        in-flight primed epochs to ``config.prepass_depth`` (default
-        ``2 * epoch_workers``), so a long stream never holds more than
-        a bounded number of speculative work units in memory.  Returns
-        the merged result.
+        in-flight primed epochs to ``2 * epoch_workers``, so a long
+        stream never holds more than a bounded number of speculative
+        work units in memory.  Returns the merged result.
         """
-        with self.session(initial_state, pipelined=pipelined) as session:
+        with self.session(initial_state) as session:
             for item in epochs:
                 if isinstance(item, tuple):
                     trace, reports = item
                 else:
                     trace, reports = item.trace, item.reports
-                # Enqueues on pipelined/epoch_workers sessions (the
-                # iterable keeps ingesting while earlier epochs audit,
-                # subject to the session's prepass-depth backpressure);
-                # inline on synchronous ones.
+                # Enqueues on epoch_workers sessions (the iterable
+                # keeps ingesting while earlier epochs audit, subject
+                # to the session's prepass backpressure); inline on
+                # serial ones.
                 session.submit_epoch(trace, reports)
             return session.close()
 
@@ -845,17 +766,17 @@ def run_audit(
     trace: Trace,
     reports: Reports,
     initial_state: InitialState,
-    options: AuditOptions | None = None,
+    config: AuditConfig | None = None,
     pipeline: AuditPipeline | None = None,
 ) -> AuditResult:
-    """Audit one bundle: sharded when the options ask for it, otherwise
+    """Audit one bundle: sharded when the config asks for it, otherwise
     a single pass of the (default or caller-supplied) pipeline."""
-    options = options or AuditOptions()
-    if options.epoch_size > 0 or options.epoch_cuts:
-        return sharded_audit(app, trace, reports, initial_state, options,
+    config = config or AuditConfig()
+    if config.epoch_size > 0 or config.epoch_cuts:
+        return sharded_audit(app, trace, reports, initial_state, config,
                              pipeline=pipeline)
-    actx = AuditContext(app, trace, reports, initial_state, options)
-    return (pipeline or default_pipeline(options)).run(actx)
+    actx = AuditContext(app, trace, reports, initial_state, config)
+    return (pipeline or default_pipeline()).run(actx)
 
 
 def sharded_audit(
@@ -863,7 +784,7 @@ def sharded_audit(
     trace: Trace,
     reports: Reports,
     initial_state: InitialState,
-    options: AuditOptions | None = None,
+    config: AuditConfig | None = None,
     pipeline: AuditPipeline | None = None,
 ) -> AuditResult:
     """Audit the bundle as a chain of epoch shards (§4.1, §4.5).
@@ -877,7 +798,7 @@ def sharded_audit(
     and stats, and per-shard summaries under ``stats["shards"]``;
     ``phases["total"]`` is this call's wall-clock.
 
-    ``options.epoch_workers > 1`` (or ``fleet_listen``) audits the
+    ``config.epoch_workers > 1`` (or ``fleet_listen``) audits the
     shards concurrently, bit-identical to the serial chain (see
     :class:`AuditSession`).  When no usable cut exists the bundle is
     audited as one shard by one plain pipeline pass and no pool is
@@ -889,7 +810,7 @@ def sharded_audit(
     pipelines do), because shard chaining consumes each shard's
     migrated state, and it always uses the serial chain.
     """
-    options = options or AuditOptions()
+    config = config or AuditConfig()
     total_start = _time.perf_counter()
     try:
         # Whole-bundle pre-checks: an unbalanced trace or implausible
@@ -898,19 +819,16 @@ def sharded_audit(
         check_balanced(trace)
         validate_nondet_reports(reports)
         shards = partition_audit_inputs(
-            trace, reports, options.epoch_size, options.epoch_cuts
+            trace, reports, config.epoch_size, config.epoch_cuts
         )
     except AuditReject as reject:
         merged = AuditResult(accepted=False, reason=reject.reason,
                              detail=reject.detail)
     else:
-        # The cuts are spent; the session takes its epochs as given.
-        options = replace(options, epoch_size=0, epoch_cuts=None)
         if len(shards) == 1:
             # No chain to unroll: stay in-process.
-            options = replace(options, epoch_workers=1, fleet_listen=None)
-        merged = Auditor(
-            app, AuditConfig.from_options(options), pipeline
-        ).audit_epochs(shards, initial_state)
+            config = config.replace(epoch_workers=1, fleet_listen=None)
+        merged = Auditor(app, config, pipeline).audit_epochs(
+            shards, initial_state)
     merged.phases["total"] = _time.perf_counter() - total_start
     return merged

@@ -1,14 +1,10 @@
 """The unified, validated audit configuration.
 
-Before this module, the audit's knobs were threaded three separate ways:
-``ssco_audit``'s twelve keyword arguments, the internal
-:class:`~repro.core.pipeline.AuditOptions` dataclass, and the CLI's flag
-set — with no validation anywhere (a negative worker count silently
-meant "serial", an out-of-range epoch cut was silently dropped deep in
-the partitioner).  :class:`AuditConfig` is the one place all of them
-meet:
+:class:`AuditConfig` is the one knob set, from the CLI to the worker
+process: the phase engine, the epoch driver, the epoch work unit and
+the forensic timeline all take it directly.
 
-* every knob, documented, with the same defaults as ``ssco_audit``;
+* every knob, documented once, on the field;
 * **hard validation** at construction: nonsensical values (negative
   ``workers``/``epoch_size``, unsorted ``epoch_cuts``, an unregistered
   ``backend``) raise :class:`ValueError` with a message naming the field
@@ -20,11 +16,8 @@ meet:
 * **CLI binding**: :meth:`from_args` builds a config from an argparse
   namespace, layering explicit flags over an optional ``--config`` file.
 
-:class:`AuditConfig` is the public face; the pipeline keeps consuming
-the lenient :class:`~repro.core.pipeline.AuditOptions` internally
-(:meth:`to_options` converts).  ``ssco_audit`` remains the
-signature-compatible kwargs wrapper for one-shot use;
-:class:`~repro.core.auditor.Auditor` takes an :class:`AuditConfig`.
+``ssco_audit(app, trace, reports, state, **knobs)`` builds one from its
+keywords; :class:`~repro.core.auditor.Auditor` takes one.
 """
 
 from __future__ import annotations
@@ -32,8 +25,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from typing import Any
 
-from repro.core.pipeline import AuditOptions
 from repro.core.reexec import (
     DEFAULT_MAX_GROUP,
     default_backend,
@@ -56,7 +49,8 @@ class AuditConfig:
     dedup: bool = True
     #: Multivalue collapse (§4.3) — ablation hook.
     collapse: bool = True
-    #: Reject register reads with no logged write and no initial value.
+    #: Reject register reads with no logged write and no initial value
+    #: (the paper's literal SimOp).
     strict_registers: bool = False
     #: Chunk re-execution groups beyond this size (§4.7).
     max_group_size: int = DEFAULT_MAX_GROUP
@@ -64,19 +58,22 @@ class AuditConfig:
     #: trusted initial state (§4.5 migration).
     migrate: bool = False
     #: Worker processes for group re-execution; 1 means serial.
+    #: Parallel audits produce bit-identical bodies, and identical
+    #: verdicts on honest executions; the parallel planner subdivides
+    #: large groups, which in *strict* mode can narrow the window in
+    #: which a bogus grouping's internal divergence is observed (see
+    #: :mod:`repro.core.reexec`).
     workers: int = 1
     #: Audit epoch shards concurrently, this many at a time, as whole-
     #: epoch work units on one persistent process pool shared across
     #: the run (a redo-only state precompute materializes each epoch's
     #: initial state first); 1 keeps the serial epoch chain.  Results
-    #: are bit-identical to the serial chain either way.
+    #: are bit-identical to the serial chain either way.  Only
+    #: meaningful together with ``epoch_size``/``epoch_cuts`` or an
+    #: epoch session.
     epoch_workers: int = 1
-    #: Bound on in-flight *primed* epochs: how far the speculative
-    #: redo-only prepass may run ahead of the slowest unfinished epoch
-    #: audit (backpressure for follow/connect sessions).  0 means the
-    #: default ``2 * epoch_workers``.
-    prepass_depth: int = 0
     #: Shard the audit at quiescent cuts every ~N requests; 0 disables.
+    #: Shards chain through migrated state.
     epoch_size: int = 0
     #: Explicit cut positions (event indexes, e.g. the executor's epoch
     #: marks); overrides ``epoch_size`` when set.  Must be positive and
@@ -166,11 +163,6 @@ class AuditConfig:
             raise ValueError(
                 f"epoch_workers must be an integer >= 1, got "
                 f"{self.epoch_workers!r}"
-            )
-        if not _is_int(self.prepass_depth) or self.prepass_depth < 0:
-            raise ValueError(
-                f"prepass_depth must be an integer >= 0 (0 means "
-                f"2 * epoch_workers), got {self.prepass_depth!r}"
             )
         if not _is_int(self.epoch_size) or self.epoch_size < 0:
             raise ValueError(
@@ -265,51 +257,10 @@ class AuditConfig:
 
     # -- conversions ------------------------------------------------------
 
-    def to_options(self) -> AuditOptions:
-        """The pipeline-internal knob set this config denotes."""
-        return AuditOptions(
-            strict=self.strict,
-            dedup=self.dedup,
-            collapse=self.collapse,
-            strict_registers=self.strict_registers,
-            max_group_size=self.max_group_size,
-            migrate=self.migrate,
-            workers=self.workers,
-            epoch_workers=self.epoch_workers,
-            prepass_depth=self.prepass_depth,
-            epoch_size=self.epoch_size,
-            epoch_cuts=self.epoch_cuts,
-            backend=self.backend,
-            plan_hints=self.plan_hints,
-            fleet_listen=self.fleet_listen,
-            fleet_min_workers=self.fleet_min_workers,
-            fleet_task_timeout=self.fleet_task_timeout,
-            fleet_redundancy=self.fleet_redundancy,
-        )
-
-    @classmethod
-    def from_options(cls, options: AuditOptions) -> AuditConfig:
-        """Validated config from a (lenient) options object."""
-        cuts = options.epoch_cuts
-        return cls(
-            strict=options.strict,
-            dedup=options.dedup,
-            collapse=options.collapse,
-            strict_registers=options.strict_registers,
-            max_group_size=options.max_group_size,
-            migrate=options.migrate,
-            workers=max(1, options.workers),
-            epoch_workers=max(1, options.epoch_workers),
-            prepass_depth=max(0, options.prepass_depth),
-            epoch_size=options.epoch_size,
-            epoch_cuts=tuple(cuts) if cuts is not None else None,
-            backend=options.backend,
-            plan_hints=options.plan_hints,
-            fleet_listen=options.fleet_listen,
-            fleet_min_workers=max(0, options.fleet_min_workers),
-            fleet_task_timeout=options.fleet_task_timeout,
-            fleet_redundancy=max(1, options.fleet_redundancy),
-        )
+    def to_options(self) -> AuditConfig:
+        # Shim for benchmarks/e2e/auditor_child.py (frozen under
+        # BENCHMARK.json), which calls default_pipeline(config.to_options()).
+        return self
 
     def replace(self, **changes) -> AuditConfig:
         """A copy with the given fields changed (re-validated)."""
@@ -317,7 +268,7 @@ class AuditConfig:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json(self) -> dict[str, object]:
+    def to_json(self) -> dict[str, Any]:
         """A plain-JSON dict (epoch_cuts as a list)."""
         data = dataclasses.asdict(self)
         if data["epoch_cuts"] is not None:
@@ -325,7 +276,7 @@ class AuditConfig:
         return data
 
     @classmethod
-    def from_json(cls, data: dict[str, object]) -> AuditConfig:
+    def from_json(cls, data: dict[str, Any]) -> AuditConfig:
         """Validated config from :meth:`to_json` output; unknown keys
         raise :class:`ValueError` (typos must not silently no-op)."""
         if not isinstance(data, dict):
@@ -368,27 +319,15 @@ class AuditConfig:
         config = cls()
         if getattr(args, "config", None):
             config = cls.load(args.config)
-        changes: dict[str, object] = {}
-        for field in ("strict", "strict_registers", "max_group_size",
-                      "workers", "epoch_workers", "prepass_depth",
-                      "epoch_size", "backend", "migrate", "connect",
-                      "listen", "net_connect_timeout",
-                      "net_idle_timeout", "net_retries",
-                      "batch_records", "batch_bytes",
-                      "fleet_listen", "fleet_min_workers",
-                      "fleet_task_timeout", "fleet_redundancy"):
-            value = getattr(args, field, None)
+        changes: dict[str, Any] = {}
+        for field in dataclasses.fields(cls):
+            value = getattr(args, field.name, None)
             if value is not None:
-                changes[field] = value
+                changes[field.name] = value
         if getattr(args, "no_dedup", None):
             changes["dedup"] = False
-        if getattr(args, "plan_hints", None):
-            changes["plan_hints"] = True
         if getattr(args, "no_collapse", None):
             changes["collapse"] = False
-        cuts = getattr(args, "epoch_cuts", None)
-        if cuts is not None:
-            changes["epoch_cuts"] = tuple(cuts)
         return config.replace(**changes) if changes else config
 
     def describe(self) -> str:
@@ -396,8 +335,6 @@ class AuditConfig:
         parts = [f"backend={self.backend}", f"workers={self.workers}"]
         if self.epoch_workers > 1:
             parts.append(f"epoch_workers={self.epoch_workers}")
-        if self.prepass_depth:
-            parts.append(f"prepass_depth={self.prepass_depth}")
         if self.epoch_cuts:
             parts.append(f"epoch_cuts={list(self.epoch_cuts)}")
         elif self.epoch_size:
@@ -427,10 +364,10 @@ class AuditConfig:
                 parts.append(f"fleet_redundancy={self.fleet_redundancy}")
         if self.listen:
             parts.append(f"listen={self.listen}")
-            if self.batch_records != 64:
-                parts.append(f"batch_records={self.batch_records}")
-            if self.batch_bytes != 256 * 1024:
-                parts.append(f"batch_bytes={self.batch_bytes}")
+            for name in ("batch_records", "batch_bytes"):
+                # The class attribute is the field's default.
+                if getattr(self, name) != getattr(AuditConfig, name):
+                    parts.append(f"{name}={getattr(self, name)}")
         return " ".join(parts)
 
 

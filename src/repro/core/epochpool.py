@@ -5,7 +5,7 @@ With ``epoch_workers > 1`` the epoch driver
 ``sharded_audit``) makes the epoch the unit of process-level work:
 
 * an **epoch work unit** is the pickled tuple ``(app, trace slice,
-  reports slice, initial state, options)`` — exactly the prepass
+  reports slice, initial state, config)`` — exactly the prepass
   artifacts the redo-only state precompute materializes per epoch
   (``docs/epoch_workers.md`` documents the payload format);
 * :class:`EpochPool` owns **one persistent**
@@ -14,9 +14,9 @@ With ``epoch_workers > 1`` the epoch driver
   carries everything the epoch's full pipeline pass needs, so the pool
   outlives any individual epoch and is created exactly once per run;
 * the worker runs the stock pipeline over the slice with the *same
-  chunk plan* the serial chain would use (``inline_reexec`` executes
-  the plan serially in-process — epoch-level parallelism already owns
-  the cores, so no nested re-exec pools are created) and ships back a
+  chunk plan* the serial chain would use (executed serially
+  in-process — epoch-level parallelism already owns the cores, so no
+  nested re-exec pools are created) and ships back a
   plain :class:`~repro.core.pipeline.AuditResult`.  Verdicts, produced
   bodies, and deterministic stats are therefore bit-identical to the
   serial chain's per-epoch passes.
@@ -44,13 +44,13 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.epochwork import (
     encode_work_unit,
-    epoch_worker_options,
+    epoch_worker_config,
     run_epoch_inline,
     run_work_unit,
 )
 from repro.core.reexec import _POOL_LOCK
 
-__all__ = ["EpochPool", "epoch_worker_options", "pools_created_total"]
+__all__ = ["EpochPool", "epoch_worker_config", "pools_created_total"]
 
 #: Pools ever created in this process — test instrumentation: the
 #: lifecycle tests assert one audit run creates exactly one pool (plus
@@ -154,7 +154,7 @@ class EpochPool:
 
     # -- the epoch work unit ----------------------------------------------
 
-    def run_epoch(self, app, trace, reports, initial_state, options):
+    def run_epoch(self, app, trace, reports, initial_state, config):
         """Audit one epoch slice on the shared pool; blocks for the
         result.  Returns the epoch's :class:`AuditResult`; never raises
         on infrastructure failure (worker loss, unpicklable payload) —
@@ -162,14 +162,14 @@ class EpochPool:
         """
         try:
             payload = encode_work_unit(app, trace, reports, initial_state,
-                                       options)
+                                       config)
         except (pickle.PickleError, TypeError, AttributeError):
             return self._run_inline(app, trace, reports, initial_state,
-                                    options)
+                                    config)
         pool, generation = self._ensure_pool()
         if pool is None:
             return self._run_inline(app, trace, reports, initial_state,
-                                    options)
+                                    config)
         try:
             with _POOL_LOCK:
                 # Workers are forked/spawned lazily at submit time;
@@ -184,19 +184,19 @@ class EpochPool:
             # epochs' futures fail over through this same path.
             self._retire(generation)
             return self._run_inline(app, trace, reports, initial_state,
-                                    options)
+                                    config)
         except Exception:
             # The worker could not run the payload at all (e.g. a
             # backend registered only in the parent, under spawn).  The
             # serial re-run reproduces any genuine deterministic crash,
             # so real bugs still surface — from the fallback.
             return self._run_inline(app, trace, reports, initial_state,
-                                    options)
+                                    config)
 
-    def _run_inline(self, app, trace, reports, initial_state, options):
+    def _run_inline(self, app, trace, reports, initial_state, config):
         self.serial_fallbacks += 1
         return run_epoch_inline(app, trace, reports, initial_state,
-                                options)
+                                config)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<EpochPool workers={self.max_workers} "

@@ -1,7 +1,7 @@
 """The epoch work unit: one encoding shared by every epoch driver.
 
 An **epoch work unit** is the pickled tuple ``(app, trace slice,
-reports slice, initial state, options)`` — exactly the prepass
+reports slice, initial state, config)`` — exactly the prepass
 artifacts the redo-only state precompute materializes per epoch
 (``docs/epoch_workers.md`` documents the payload format).  Its
 **outcome** is a plain :class:`~repro.core.pipeline.AuditResult`: a
@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import base64
 import pickle
-from dataclasses import replace
 from typing import Any
 
 __all__ = [
-    "epoch_worker_options",
+    "epoch_worker_config",
     "run_epoch_inline",
     "encode_work_unit",
     "decode_work_unit",
@@ -49,48 +48,49 @@ __all__ = [
 ]
 
 
-def epoch_worker_options(options):
+def epoch_worker_config(config):
     """The knob set one epoch work unit runs under.
 
-    The serial chain's per-shard options with no further sharding and
+    The serial chain's per-shard config with no further sharding and
     the same ``workers`` count — the chunk *plan* must match the serial
-    chain's bit for bit.  ``inline_reexec`` executes that plan serially
-    inside the worker process instead of fanning out a nested pool.
-    ``migrate`` is off: the chain state is produced by the parent's
-    redo-only prepass, so a worker-side §4.5 compaction would be built
-    only to be thrown away.  MigratePhase never rejects and emits no
-    stats (it still appears as a zero-cost phase timer), so disabling
-    it cannot change verdicts, bodies, or deterministic stats.  The
-    fleet knobs are cleared for the same reason ``epoch_workers`` is:
-    a worker must never recursively open its own pool or fleet.
+    chain's bit for bit (:func:`run_epoch_inline` executes that plan
+    serially inside the worker process instead of fanning out a nested
+    pool).  ``migrate`` is off: the chain state is produced by the
+    parent's redo-only prepass, so a worker-side §4.5 compaction would
+    be built only to be thrown away.  MigratePhase never rejects and
+    emits no stats (it still appears as a zero-cost phase timer), so
+    disabling it cannot change verdicts, bodies, or deterministic
+    stats.  The fleet knobs are cleared for the same reason
+    ``epoch_workers`` is: a worker must never recursively open its own
+    pool or fleet.
     """
-    return replace(
-        options,
+    return config.replace(
         epoch_size=0,
         epoch_cuts=None,
         epoch_workers=1,
         migrate=False,
-        inline_reexec=True,
-        prepass_depth=0,
         fleet_listen=None,
         fleet_min_workers=0,
         fleet_redundancy=1,
     )
 
 
-def run_epoch_inline(app, trace, reports, initial_state, options):
+def run_epoch_inline(app, trace, reports, initial_state, config):
     """One full pipeline pass over an epoch slice, in this process.
 
     The worker-side entry points (process pool and fleet daemon) and
     the serial fallback all run through here, so the paths cannot
-    diverge.  ``next_initial`` is dropped: the drivers chain state
-    through the redo-only prepass, and a migrated store has no
-    business crossing the process boundary.
+    diverge.  The ``workers``-shaped chunk plan is executed serially
+    in-process, never through a nested re-exec pool: epoch-level
+    parallelism already owns the cores.  ``next_initial`` is dropped:
+    the drivers chain state through the redo-only prepass, and a
+    migrated store has no business crossing the process boundary.
     """
     from repro.core.pipeline import AuditContext, default_pipeline
 
-    actx = AuditContext(app, trace, reports, initial_state, options)
-    result = default_pipeline(options).run(actx)
+    actx = AuditContext(app, trace, reports, initial_state, config)
+    actx.reexec_inline = True
+    result = default_pipeline().run(actx)
     result.next_initial = None
     return result
 
@@ -98,11 +98,11 @@ def run_epoch_inline(app, trace, reports, initial_state, options):
 # -- pickle payload ------------------------------------------------------------
 
 
-def encode_work_unit(app, trace, reports, initial_state, options) -> bytes:
+def encode_work_unit(app, trace, reports, initial_state, config) -> bytes:
     """Pickle one epoch work unit.  Raises the pickle family of errors
     for unpicklable inputs — the caller decides whether that degrades
     to an inline run (it always should)."""
-    return pickle.dumps((app, trace, reports, initial_state, options))
+    return pickle.dumps((app, trace, reports, initial_state, config))
 
 
 def decode_work_unit(payload: bytes):
@@ -114,8 +114,8 @@ def run_work_unit(payload: bytes):
     """Executor entry point: decode one epoch work unit and audit it.
     Raises only on genuine crashes (a rejection is a result, never an
     exception — the pipeline converts :class:`AuditReject`)."""
-    app, trace, reports, initial_state, options = decode_work_unit(payload)
-    return run_epoch_inline(app, trace, reports, initial_state, options)
+    app, trace, reports, initial_state, config = decode_work_unit(payload)
+    return run_epoch_inline(app, trace, reports, initial_state, config)
 
 
 # -- fleet wire payloads (JSON frame bodies over repro.net) --------------------

@@ -110,9 +110,14 @@ def find_epoch_cuts(trace: Trace, epoch_size: int) -> list[int]:
 
 
 def validate_cuts(trace: Trace, cuts: Sequence[int]) -> list[int]:
-    """Keep only cuts that are genuine quiescent points, sorted, deduped."""
-    quiescent = set(quiescent_points(trace))
-    return sorted({cut for cut in cuts if cut in quiescent})
+    """Keep only cuts that are genuine quiescent points, sorted, deduped.
+
+    ``cuts`` may come from an untrusted bundle (recorded epoch marks):
+    anything that is not a plain integer naming a quiescent point —
+    reversed, repeated, zero, out of range, the wrong type — is dropped.
+    """
+    wanted = {cut for cut in cuts if type(cut) is int}
+    return [point for point in quiescent_points(trace) if point in wanted]
 
 
 def partition_trace(trace: Trace, cuts: Sequence[int]) -> list[Trace]:

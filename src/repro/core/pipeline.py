@@ -6,8 +6,9 @@ re-execution, output comparison — and this module makes that structure
 explicit instead of hard-coding it in one monolithic function:
 
 * :class:`AuditContext` carries everything the phases share: the four
-  inputs (app, trace, reports, initial state), the :class:`AuditOptions`
-  knobs, and the artifacts phases produce for each other (graph, OpMap,
+  inputs (app, trace, reports, initial state), the
+  :class:`~repro.core.config.AuditConfig` knobs, and the artifacts
+  phases produce for each other (graph, OpMap,
   :class:`~repro.core.simulate.SimContext`, produced bodies) plus the
   :class:`AuditResult` under construction.
 * :class:`AuditPhase` is one composable step; the stock phases
@@ -22,7 +23,7 @@ explicit instead of hard-coding it in one monolithic function:
 
 Two more things live here because they are built from the same phases:
 
-* ``AuditOptions.workers > 1`` makes :class:`ReExecPhase` fan group
+* ``AuditConfig.workers > 1`` makes :class:`ReExecPhase` fan group
   chunks out over a process pool (see :mod:`repro.core.reexec`);
 * the redo-only **state precompute** (:func:`state_precompute_pipeline`
   — trace check, ProcessOpReports, kv.Build/db.Build, §4.5 migration;
@@ -40,83 +41,21 @@ The epoch chain itself — :func:`~repro.core.auditor.sharded_audit`,
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from repro.common.errors import AuditReject, RejectReason
+from repro.core.config import AuditConfig
 from repro.core.nondet import validate_nondet_reports
 from repro.core.ooo import _compare_externals, _compare_outputs
 from repro.core.partition import Shard
 from repro.core.process_reports import process_op_reports
-from repro.core.reexec import (
-    DEFAULT_MAX_GROUP,
-    default_backend,
-    get_reexec_backend,
-    reexec_groups,
-)
+from repro.core.reexec import reexec_groups
 from repro.core.simulate import SimContext
 from repro.objects.base import OpType
 from repro.server.app import Application, InitialState
 from repro.server.reports import Reports
 from repro.trace.trace import Trace, check_balanced
-
-
-@dataclass
-class AuditOptions:
-    """The audit's knob set (every ``ssco_audit`` keyword in one place)."""
-
-    strict: bool = True
-    dedup: bool = True
-    collapse: bool = True
-    strict_registers: bool = False
-    max_group_size: int = DEFAULT_MAX_GROUP
-    migrate: bool = False
-    #: Worker processes for group re-execution; <= 1 means serial.
-    workers: int = 1
-    #: Shard the audit at quiescent cuts every ~N requests; 0 disables.
-    epoch_size: int = 0
-    #: Explicit cut positions (event indexes, e.g. the executor's epoch
-    #: marks); overrides ``epoch_size`` when set.
-    epoch_cuts: Sequence[int] | None = None
-    #: Registered re-execution backend that runs each group chunk (see
-    #: :func:`repro.core.reexec.register_reexec_backend`).  Resolved
-    #: from ``REPRO_BACKEND`` at construction time, not import time.
-    backend: str = field(default_factory=default_backend)
-    #: Consult the static analyzer's divergence-hazard report when
-    #: planning re-exec chunks: groups whose script is a known hazard
-    #: are pre-demoted to singletons instead of being grouped, demoted
-    #: at run time, and replayed.  Non-strict audits only (in strict
-    #: mode divergence is a verdict, not a perf problem); produced
-    #: bodies and verdicts are unchanged either way.
-    plan_hints: bool = False
-    #: Audit epoch shards concurrently, this many at a time, as whole-
-    #: epoch work units on one persistent process pool shared across
-    #: the run (see :mod:`repro.core.epochpool`); <= 1 keeps the serial
-    #: epoch chain.  Only consulted by the epoch driver.
-    epoch_workers: int = 1
-    #: Bound on in-flight *primed* epochs — how far the speculative
-    #: redo-only prepass may run ahead of the slowest unfinished epoch
-    #: audit.  0 means the default ``2 * epoch_workers``.
-    prepass_depth: int = 0
-    #: Execute the ``workers``-shaped chunk plan serially in-process,
-    #: never creating a re-exec pool.  Set inside process-level epoch
-    #: workers; chunk plans (and therefore all results) are unchanged.
-    inline_reexec: bool = False
-    #: Fleet: listen for remote workers on ``HOST:PORT`` and fan epoch
-    #: work units out to them (see :mod:`repro.fleet`); ``None`` keeps
-    #: every epoch on this host.  Only consulted by the epoch driver;
-    #: results are bit-identical to the single-host run either way.
-    fleet_listen: str | None = None
-    #: Fleet: wait for this many registered workers before the first
-    #: dispatch (0 dispatches to whoever has joined).
-    fleet_min_workers: int = 0
-    #: Fleet: overall per-epoch deadline on one worker; a straggler is
-    #: dropped and its epoch re-dispatched.  ``None`` relies on
-    #: heartbeat-miss detection alone.
-    fleet_task_timeout: float | None = None
-    #: Fleet: dispatch each epoch to this many workers and cross-check
-    #: the verdicts (1 disables).
-    fleet_redundancy: int = 1
 
 
 @dataclass
@@ -150,19 +89,19 @@ class AuditContext:
         trace: Trace,
         reports: Reports,
         initial_state: InitialState,
-        options: AuditOptions | None = None,
+        config: AuditConfig | None = None,
     ):
         self.app = app
         self.trace = trace
         self.reports = reports
         self.initial_state = initial_state
-        self.options = options or AuditOptions()
-        # Fail at the boundary, not five frames deep in reexec_groups:
-        # AuditOptions is deliberately lenient (internal plumbing), so a
-        # bad backend name entering via ssco_audit kwargs or a
-        # hand-built options object is caught here, with the registered
-        # names in the message.
-        get_reexec_backend(self.options.backend)
+        self.config = config or AuditConfig()
+        #: Execute the ``workers``-shaped chunk plan serially
+        #: in-process, never creating a re-exec pool.  Set by
+        #: :func:`~repro.core.epochwork.run_epoch_inline` (epoch-level
+        #: parallelism already owns the cores); chunk plans, and
+        #: therefore all results, are unchanged.
+        self.reexec_inline = False
         # Artifacts the phases hand to each other.
         self.graph = None
         self.opmap = None
@@ -220,7 +159,7 @@ class BuildStoresPhase(AuditPhase):
     def run(self, actx: AuditContext) -> None:
         actx.sim = SimContext(
             actx.app, actx.reports, actx.opmap, actx.initial_state,
-            actx.options.strict_registers,
+            actx.config.strict_registers,
         )
         actx.sim.build_versioned_stores()
 
@@ -232,16 +171,16 @@ class ReExecPhase(AuditPhase):
     name = "reexec"
 
     def run(self, actx: AuditContext) -> None:
-        options = actx.options
+        config = actx.config
         actx.produced = reexec_groups(
             actx.app, actx.trace, actx.reports, actx.sim,
-            strict=options.strict, dedup=options.dedup,
-            collapse=options.collapse,
-            max_group_size=options.max_group_size,
-            workers=options.workers,
-            backend=options.backend,
-            inline=options.inline_reexec,
-            plan_hints=options.plan_hints,
+            strict=config.strict, dedup=config.dedup,
+            collapse=config.collapse,
+            max_group_size=config.max_group_size,
+            workers=config.workers,
+            backend=config.backend,
+            inline=actx.reexec_inline,
+            plan_hints=config.plan_hints,
         )
         actx.result.phases["db_query"] = actx.sim.db_query_seconds
 
@@ -264,7 +203,7 @@ class MigratePhase(AuditPhase):
     name = "migrate"
 
     def run(self, actx: AuditContext) -> None:
-        if not actx.options.migrate:
+        if not actx.config.migrate:
             return
         ctx = actx.sim
         app = actx.app
@@ -310,8 +249,9 @@ class AuditPipeline:
         return result
 
 
-def default_pipeline(options: AuditOptions | None = None) -> AuditPipeline:
-    """The stock Figure 12 phase sequence."""
+def default_pipeline(_ignored: object = None) -> AuditPipeline:
+    """The stock Figure 12 phase sequence.  (The positional parameter
+    is unused; benchmarks/e2e/auditor_child.py still passes one.)"""
     return AuditPipeline([
         TraceCheckPhase(),
         ProcessReportsPhase(),
@@ -346,7 +286,7 @@ def iter_epoch_prepass(
     app: Application,
     shards: Sequence[Shard],
     initial_state: InitialState,
-    options: AuditOptions | None = None,
+    config: AuditConfig | None = None,
 ):
     """Walk the shard chain with the redo-only prepass, one shard at a
     time, yielding ``(shard, primed AuditContext)`` pairs.
@@ -358,36 +298,24 @@ def iter_epoch_prepass(
     rejecting shard is still *yielded* (so callers can inspect the
     partial chain and the rejecting epoch's verdict) and iteration
     stops after it.  Non-final shards always migrate; the final shard
-    migrates only when the caller's options ask for it.
+    migrates only when the caller's config asks for it.
     """
-    options = options or AuditOptions()
+    config = config or AuditConfig()
     state = initial_state
     for shard in shards:
         is_last = shard.index == len(shards) - 1
-        shard_options = replace(
-            options, epoch_size=0, epoch_cuts=None, epoch_workers=1,
-            migrate=options.migrate or not is_last,
+        shard_config = config.replace(
+            epoch_size=0, epoch_cuts=None, epoch_workers=1,
+            migrate=config.migrate or not is_last,
         )
         actx = AuditContext(app, shard.trace, shard.reports, state,
-                            shard_options)
+                            shard_config)
         state_precompute_pipeline().run(actx)
         yield shard, actx
         if not actx.result.accepted:
             return
         if not is_last:
             state = actx.result.next_initial
-
-
-def resolve_prepass_depth(options: AuditOptions) -> int:
-    """The effective bound on in-flight primed epochs: the explicit
-    ``prepass_depth`` knob, or ``2 * epoch_workers`` when unset — a
-    window deep enough to keep every worker busy while the next epochs
-    prime, shallow enough that a stream cannot hold more than a bounded
-    number of speculative work units (follow sessions: the prepass must
-    not run unboundedly ahead of the auditor)."""
-    if options.prepass_depth > 0:
-        return options.prepass_depth
-    return 2 * max(1, options.epoch_workers)
 
 
 # -- instrumentation harvest ---------------------------------------------------

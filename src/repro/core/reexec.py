@@ -35,7 +35,7 @@ externals, and :class:`ReExecStats` in submission order and surfaces
 the *first* failure in that order.
 
 The driver is safe to run concurrently from several threads of one
-process (pipelined audit sessions): each
+process (two auditors, or an auditor beside the epoch pool): each
 pool receives its state explicitly through its initializer arguments —
 for fork pools these are handed over in-memory, never pickled — and
 pool creation plus chunk submission (the moments worker processes are
@@ -614,8 +614,8 @@ _WORKER = None
 
 #: Serializes pool creation and chunk submission in the parent.  Worker
 #: processes are forked/spawned lazily at submit time; without the lock,
-#: two drivers running on different threads of one process (pipelined
-#: sessions, the epoch pool) could fork mid-way through each other's
+#: two drivers running on different threads of one process (two
+#: auditors, the epoch pool) could fork mid-way through each other's
 #: setup.  Each pool's state travels explicitly via ``initargs`` — there
 #: is no shared handoff global left to race on.
 _POOL_LOCK = threading.Lock()

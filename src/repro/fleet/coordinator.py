@@ -6,7 +6,7 @@ drivers: ``run_epoch`` blocks for one epoch's
 :class:`~repro.core.pipeline.AuditResult`, ``close`` tears the fleet
 down, and ``serial_fallbacks`` counts epochs that ran locally.
 Because the drivers already merge results strictly in feed order,
-bound speculation with ``prepass_depth``, and drain in-flight epochs
+bound the speculative prepass, and drain in-flight epochs
 after a REJECT, the coordinator inherits the whole single-host merge
 discipline for free — it only changes *where* an epoch executes.
 
@@ -261,7 +261,7 @@ class FleetCoordinator:
 
     # -- the EpochPool contract -------------------------------------------
 
-    def run_epoch(self, app, trace, reports, initial_state, options):
+    def run_epoch(self, app, trace, reports, initial_state, config):
         """Audit one epoch slice somewhere in the fleet; blocks for the
         result.  Never raises on infrastructure failure — dead and
         straggling workers re-dispatch, and the coordinator itself is
@@ -271,10 +271,10 @@ class FleetCoordinator:
                 raise RuntimeError("fleet coordinator is closed")
         try:
             payload = encode_work_unit(app, trace, reports, initial_state,
-                                       options)
+                                       config)
         except (pickle.PickleError, TypeError, AttributeError):
             return self._run_inline(app, trace, reports, initial_state,
-                                    options)
+                                    config)
         self._await_min_workers()
         epoch = next(self._epoch_ids)
         if self.redundancy > 1:
@@ -283,14 +283,14 @@ class FleetCoordinator:
             result = self._run_remote(epoch, payload)
         if result is None:
             return self._run_inline(app, trace, reports, initial_state,
-                                    options)
+                                    config)
         self.remote_epochs += 1
         return result
 
-    def _run_inline(self, app, trace, reports, initial_state, options):
+    def _run_inline(self, app, trace, reports, initial_state, config):
         self.serial_fallbacks += 1
         return run_epoch_inline(app, trace, reports, initial_state,
-                                options)
+                                config)
 
     def _run_remote(self, epoch: int, payload: bytes):
         """Dispatch with re-dispatch-on-loss; ``None`` means "run it

@@ -106,7 +106,7 @@ def _replay_epoch(
     result: ReauditResult,
 ) -> None:
     actx = timeline.context(epoch)
-    options = timeline.options
+    config = timeline.config
     plan = timeline.chunk_plan(epoch)  # raises the stored plan error
     selected = [chunk for chunk in plan
                 if any(r in scope_rids for r in chunk)]
@@ -117,8 +117,8 @@ def _replay_epoch(
     produced: dict[str, str] = {}
     _run_chunks_serial(
         actx.app, selected, actx.trace.requests(), actx.reports,
-        actx.sim, options.strict, options.dedup, options.collapse,
-        backend or options.backend, produced, stats,
+        actx.sim, config.strict, config.dedup, config.collapse,
+        backend or config.backend, produced, stats,
     )
     result.chunks_replayed += len(selected)
     for chunk in selected:

@@ -34,11 +34,8 @@ from collections.abc import Sequence
 
 from repro.common.errors import AuditReject
 from repro.core.partition import Shard, partition_audit_inputs
-from repro.core.pipeline import (
-    AuditContext,
-    AuditOptions,
-    iter_epoch_prepass,
-)
+from repro.core.config import AuditConfig
+from repro.core.pipeline import AuditContext, iter_epoch_prepass
 from repro.core.reexec import plan_chunks
 from repro.io import load_audit_bundle_ex
 from repro.server.app import Application, InitialState
@@ -88,13 +85,13 @@ class Timeline:
     def __init__(
         self,
         app: Application,
-        options: AuditOptions,
+        config: AuditConfig,
         shards: Sequence[Shard],
         contexts: Sequence[AuditContext],
         prepass_rejected: tuple[int, object, str] | None,
     ):
         self.app = app
-        self.options = options
+        self.config = config
         #: Epoch shards the prepass accepted (index == epoch number).
         self.shards = list(shards)
         self.contexts = list(contexts)
@@ -125,43 +122,43 @@ class Timeline:
         reports: Reports,
         initial_state: InitialState,
         cuts: Sequence[int] | None = None,
-        options: AuditOptions | None = None,
+        config: AuditConfig | None = None,
     ) -> Timeline:
         """Build a timeline from in-memory audit inputs."""
-        options = options or AuditOptions()
+        config = config or AuditConfig()
         shards = partition_audit_inputs(
-            trace, reports, options.epoch_size, cuts
+            trace, reports, config.epoch_size, cuts
         )
         accepted: list[Shard] = []
         contexts: list[AuditContext] = []
         rejected = None
         for shard, actx in iter_epoch_prepass(app, shards, initial_state,
-                                              options):
+                                              config):
             if not actx.result.accepted:
                 rejected = (shard.index, actx.result.reason,
                             actx.result.detail)
                 break
             accepted.append(shard)
             contexts.append(actx)
-        return cls(app, options, accepted, contexts, rejected)
+        return cls(app, config, accepted, contexts, rejected)
 
     @classmethod
     def from_bundle(
         cls,
         path: str,
         app: Application,
-        options: AuditOptions | None = None,
+        config: AuditConfig | None = None,
     ) -> Timeline:
         """Build a timeline from a saved bundle (any format).
 
         The bundle's recorded epoch marks are the cut positions unless
-        the options carry explicit ``epoch_cuts``.
+        the config carries explicit ``epoch_cuts``.
         """
         trace, reports, initial_state, marks = load_audit_bundle_ex(path)
-        options = options or AuditOptions()
-        cuts = options.epoch_cuts if options.epoch_cuts else marks
+        config = config or AuditConfig()
+        cuts = config.epoch_cuts if config.epoch_cuts else marks
         return cls.from_inputs(app, trace, reports, initial_state,
-                               cuts=cuts, options=options)
+                               cuts=cuts, config=config)
 
     # -- index construction ------------------------------------------------
 
@@ -200,10 +197,10 @@ class Timeline:
         try:
             plan = plan_chunks(
                 reports, trace.requests(),
-                max_group_size=self.options.max_group_size,
+                max_group_size=self.config.max_group_size,
                 workers=1, app=self.app,
-                plan_hints=self.options.plan_hints,
-                strict=self.options.strict,
+                plan_hints=self.config.plan_hints,
+                strict=self.config.strict,
             )
         except AuditReject as reject:
             self.chunk_plans[epoch] = None

@@ -5,9 +5,8 @@ and exposes the *exact* iterator contract of the file-based
 :class:`~repro.io.BundleReader`: :meth:`read_initial_state` /
 :attr:`initial_state` and :meth:`epochs` yielding
 :class:`~repro.io.EpochSlice` objects — so an
-:class:`~repro.core.auditor.AuditSession` (including ``epoch_workers``
-and ``pipelined`` modes) audits a network stream with zero changes to
-:mod:`repro.core`:
+:class:`~repro.core.auditor.AuditSession` (serial or ``epoch_workers``)
+audits a network stream with zero changes to :mod:`repro.core`:
 
 .. code-block:: python
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.core import Auditor
 from repro.core.config import AuditConfig
+from repro.core.partition import validate_cuts
 from repro.io import load_audit_bundle_ex, record_kind
 from repro.net.protocol import (
     RECORD,
@@ -504,8 +505,11 @@ def _stock_audit_fn(app, config):
     ``audit_fn``); returns (accepted, reason)."""
     def run(trace, reports, initial, marks):
         cfg = config
-        if marks and cfg.epoch_cuts is None:
-            cfg = cfg.replace(epoch_cuts=tuple(marks))
+        if cfg.epoch_cuts is None:
+            # Like `repro audit`: the bundle's marks are untrusted hints.
+            marks = validate_cuts(trace, marks)
+            if marks:
+                cfg = cfg.replace(epoch_cuts=tuple(marks))
         result = Auditor(app, cfg).audit(trace, reports, initial)
         reason = None
         if not result.accepted:

@@ -74,14 +74,12 @@ def _assert_equivalent(one_shot, merged):
     assert _shard_summary(merged.stats) == _shard_summary(one_shot.stats)
 
 
-def _session_audit(app, execution, trace=None, config=None,
-                   pipelined=False):
+def _session_audit(app, execution, trace=None, config=None):
     trace = trace if trace is not None else execution.trace
     shards = partition_audit_inputs(trace, execution.reports,
                                     cuts=execution.epoch_marks)
     auditor = Auditor(app, config or AuditConfig())
-    return auditor.audit_epochs(shards, execution.initial_state,
-                                pipelined=pipelined)
+    return auditor.audit_epochs(shards, execution.initial_state)
 
 
 def test_session_matches_one_shot_honest(counter_app):
@@ -92,15 +90,6 @@ def test_session_matches_one_shot_honest(counter_app):
     assert one_shot.accepted
     assert one_shot.stats["shard_count"] > 1
     merged = _session_audit(counter_app, execution)
-    _assert_equivalent(one_shot, merged)
-
-
-def test_pipelined_session_matches_one_shot(counter_app):
-    execution = _epoch_execution(counter_app)
-    one_shot = ssco_audit(counter_app, execution.trace, execution.reports,
-                          execution.initial_state,
-                          epoch_cuts=execution.epoch_marks)
-    merged = _session_audit(counter_app, execution, pipelined=True)
     _assert_equivalent(one_shot, merged)
 
 
@@ -219,27 +208,28 @@ def test_session_chains_migrated_state(counter_app):
     assert session.close() is merged
 
 
-def test_feed_epoch_async_requires_pipelined_session(counter_app,
-                                                     honest_run):
+def test_closed_session_refuses_feeds(counter_app, honest_run):
     session = Auditor(counter_app).session(honest_run.initial_state)
-    with pytest.raises(RuntimeError, match="pipelined"):
-        session.feed_epoch_async(honest_run.trace, honest_run.reports)
     session.close()
     with pytest.raises(RuntimeError, match="closed"):
         session.feed_epoch(honest_run.trace, honest_run.reports)
+    with pytest.raises(RuntimeError, match="closed"):
+        session.submit_epoch(honest_run.trace, honest_run.reports)
 
 
-def test_pipelined_feed_overlaps_ingest(counter_app):
+def test_submit_epoch_handles_resolve_in_feed_order(counter_app):
+    """On a serial session submit_epoch audits inline: every handle is
+    resolved when it is returned, in feed order."""
     execution = _epoch_execution(counter_app)
     shards = partition_audit_inputs(execution.trace, execution.reports,
                                     cuts=execution.epoch_marks)
     auditor = Auditor(counter_app)
-    with auditor.session(execution.initial_state,
-                         pipelined=True) as session:
-        pending = [session.feed_epoch_async(s.trace, s.reports)
+    with auditor.session(execution.initial_state) as session:
+        pending = [session.submit_epoch(s.trace, s.reports)
                    for s in shards]
-        results = [p.result() for p in pending]
         assert all(p.done() for p in pending)
+        results = [p.result() for p in pending]
+    assert [p.index for p in pending] == list(range(len(shards)))
     assert [r.index for r in results] == list(range(len(shards)))
     assert all(r.accepted for r in results)
     assert session.epochs == results
@@ -522,17 +512,21 @@ def test_epoch_result_shape(counter_app):
     assert isinstance(session, AuditSession)
 
 
-def test_pipelined_session_surfaces_worker_crash_at_close(counter_app,
-                                                          honest_run):
-    """An unexpected exception inside a worker-thread audit must never
-    be swallowed: a session whose epoch crashed cannot report ACCEPTED,
-    even if the caller dropped the PendingEpoch handle."""
+def test_serial_session_latches_crash_until_close(counter_app, honest_run):
+    """An unexpected exception inside an epoch's audit must never be
+    swallowed: a session whose epoch crashed cannot report ACCEPTED,
+    even if the caller caught the feed-time exception and carried on.
+    (The epoch_workers / fleet variants of the same latch are
+    test_concurrent_audit::test_crashed_epoch_audit_never_reports_accepted.)"""
     stripped = AuditPipeline(default_pipeline().phases[:-1])
     auditor = Auditor(counter_app, pipeline=stripped)
-    session = auditor.session(honest_run.initial_state, pipelined=True)
-    session.submit_epoch(honest_run.trace, honest_run.reports)  # dropped
+    session = auditor.session(honest_run.initial_state)
+    with pytest.raises(ValueError, match="MigratePhase"):
+        session.submit_epoch(honest_run.trace, honest_run.reports)
     with pytest.raises(ValueError, match="MigratePhase"):
         session.close()
+    with pytest.raises(ValueError, match="MigratePhase"):
+        _ = session.rejected
 
 
 def test_session_total_excludes_ingest_wait(counter_app):

@@ -10,8 +10,8 @@ under concurrency and worker loss:
   stats, per-shard summaries) on accept *and* reject bundles;
 * the state-precompute pass itself: redo-only migrated states match the
   chained full audits' migrated states exactly;
-* two pipelined sessions auditing simultaneously in one process with
-  ``workers > 1`` (the pool-creation / initializer handoff race);
+* two threads each driving ``audit_epochs(..., workers=2)`` in one
+  process (the pool-creation / initializer handoff race);
 * a killed-worker chunk (``BrokenProcessPool``) falling back to serial
   re-execution instead of escaping ``ssco_audit``.
 """
@@ -293,8 +293,8 @@ def test_epoch_workers_unsharded_is_single_pass(counter_app, honest_run):
 # -- sessions: epoch_workers mode ---------------------------------------------
 
 
-@pytest.mark.parametrize("pipelined", [False, True])
-def test_session_epoch_workers_reject_and_skip(counter_app, pipelined):
+@pytest.mark.parametrize("blocking", [False, True])
+def test_session_epoch_workers_reject_and_skip(counter_app, blocking):
     """Per-epoch results after a rejection are normalized to the serial
     session's *skipped* results, even though the concurrent session may
     have speculatively audited (or still be auditing) those epochs."""
@@ -314,11 +314,14 @@ def test_session_epoch_workers_reject_and_skip(counter_app, pipelined):
     serial_merged = session.close()
 
     auditor = Auditor(counter_app, AuditConfig(epoch_workers=3))
-    with auditor.session(execution.initial_state,
-                         pipelined=pipelined) as session:
-        pending = [session.submit_epoch(s.trace, s.reports)
-                   for s in shards]
-        epochs = [p.result() for p in pending]
+    with auditor.session(execution.initial_state) as session:
+        if blocking:
+            epochs = [session.feed_epoch(s.trace, s.reports)
+                      for s in shards]
+        else:
+            pending = [session.submit_epoch(s.trace, s.reports)
+                       for s in shards]
+            epochs = [p.result() for p in pending]
     merged = session.close()
 
     _assert_equivalent(serial_merged, merged)
@@ -360,6 +363,28 @@ def test_session_epoch_workers_with_reexec_workers(counter_app):
     assert concurrent.produced == serial.produced
 
 
+def test_epoch_worker_chunk_plan_follows_workers(counter_app):
+    """The work unit keeps ``workers``: an epoch worker plans its
+    chunks exactly as the serial chain's ``workers=3`` pass does (it
+    only *executes* the plan inline), so the group counts and the
+    per-group alphas match — not just the bodies."""
+    # Epochs big enough that the workers=3 planner subdivides groups.
+    execution = _epoch_execution(counter_app, n=360, epoch_size=120)
+    shards = partition_audit_inputs(execution.trace, execution.reports,
+                                    cuts=execution.epoch_marks)
+    plain = Auditor(counter_app, AuditConfig()).audit_epochs(
+        shards, execution.initial_state)
+    serial = Auditor(counter_app, AuditConfig(workers=3)).audit_epochs(
+        shards, execution.initial_state)
+    assert serial.stats["groups"] > plain.stats["groups"]
+    concurrent = Auditor(
+        counter_app, AuditConfig(epoch_workers=2, workers=3)
+    ).audit_epochs(shards, execution.initial_state)
+    _assert_equivalent(serial, concurrent)
+    assert concurrent.stats["groups"] == serial.stats["groups"]
+    assert concurrent.stats["group_alphas"] == serial.stats["group_alphas"]
+
+
 def test_epoch_workers_windowed_backpressure(counter_app):
     """More epochs than the 2*epoch_workers submission window: the
     windowed drivers (one-shot and audit_epochs) still merge in order
@@ -383,15 +408,15 @@ def test_epoch_workers_windowed_backpressure(counter_app):
     _assert_equivalent(session_serial, session_concurrent)
 
 
-def test_feed_epoch_async_on_epoch_workers_session(counter_app):
-    """An epoch_workers session is natively asynchronous: async feeding
-    works without the pipelined flag, and handles resolve in order."""
+def test_submit_epoch_on_epoch_workers_session(counter_app):
+    """An epoch_workers session is natively asynchronous: submit_epoch
+    returns before the epoch is audited, and handles resolve in order."""
     execution = _epoch_execution(counter_app)
     shards = partition_audit_inputs(execution.trace, execution.reports,
                                     cuts=execution.epoch_marks)
     auditor = Auditor(counter_app, AuditConfig(epoch_workers=2))
     with auditor.session(execution.initial_state) as session:
-        pending = [session.feed_epoch_async(s.trace, s.reports)
+        pending = [session.submit_epoch(s.trace, s.reports)
                    for s in shards]
         results = [p.result() for p in pending]
         assert all(p.done() for p in pending)
@@ -468,11 +493,11 @@ def test_custom_pipeline_keeps_serial_session(counter_app):
 # -- two sessions auditing simultaneously in one process ----------------------
 
 
-def test_two_pipelined_sessions_audit_concurrently(counter_app):
-    """Two pipelined sessions with workers > 1 in one process: their
-    per-epoch process pools are created and initialized concurrently on
-    different threads, which must not cross wires (each pool's state is
-    bound explicitly; creation is serialized by the module lock)."""
+def test_two_threads_audit_epochs_concurrently(counter_app):
+    """Two threads each driving audit_epochs with workers > 1 in one
+    process: their per-epoch re-exec pools are created and initialized
+    concurrently, which must not cross wires (each pool's state is
+    bound explicitly; creation is serialized by reexec._POOL_LOCK)."""
     runs = [_epoch_execution(counter_app, seed=7),
             _epoch_execution(counter_app, seed=23)]
     references = [
@@ -492,7 +517,7 @@ def test_two_pipelined_sessions_audit_concurrently(counter_app):
                 cuts=execution.epoch_marks)
             auditor = Auditor(counter_app, AuditConfig(workers=2))
             results[slot] = auditor.audit_epochs(
-                shards, execution.initial_state, pipelined=True)
+                shards, execution.initial_state)
         except BaseException as exc:  # surfaced in the main thread
             errors.append((slot, exc))
 
@@ -576,7 +601,6 @@ def test_epoch_workers_validation():
     with pytest.raises(ValueError, match="epoch_workers"):
         AuditConfig(epoch_workers=-2)
     config = AuditConfig(epoch_workers=4)
-    assert config.to_options().epoch_workers == 4
     assert "epoch_workers=4" in config.describe()
     assert "epoch_workers" not in AuditConfig().describe()
     round_trip = AuditConfig.from_json(config.to_json())

@@ -9,7 +9,6 @@ import json
 import pytest
 
 from repro.core.config import AuditConfig, parse_epoch_cuts
-from repro.core.pipeline import AuditOptions
 from repro.core.reexec import DEFAULT_MAX_GROUP, default_backend
 from repro.trace.trace import Trace
 
@@ -107,19 +106,12 @@ def test_save_load_file(tmp_path):
 
 
 def test_to_options_and_back():
+    """The one leftover of the old two-type split: the frozen e2e
+    benchmark still calls ``config.to_options()``, which hands back the
+    config itself."""
     config = AuditConfig(strict=False, dedup=False, workers=2,
                          epoch_cuts=(7,), backend="interp")
-    options = config.to_options()
-    assert isinstance(options, AuditOptions)
-    assert options.workers == 2 and options.backend == "interp"
-    assert AuditConfig.from_options(options) == config
-
-
-def test_from_options_clamps_lenient_workers():
-    # AuditOptions tolerates workers=0 ("serial"); the validated config
-    # normalizes it instead of raising.
-    options = AuditOptions(workers=0)
-    assert AuditConfig.from_options(options).workers == 1
+    assert config.to_options() is config
 
 
 def _namespace(**kwargs):
@@ -245,17 +237,15 @@ def test_describe_mentions_endpoints():
 
 
 @pytest.mark.parametrize("kwargs,fragment", [
+    # Removed knobs are unknown keywords now, whatever their value.
     (dict(prepass_depth=-1), "prepass_depth"),
     (dict(prepass_depth=2.5), "prepass_depth"),
-    (dict(prepass_depth="4"), "prepass_depth"),
-    # The removed thread-driver selector is an unknown keyword now,
-    # whatever its value.
+    (dict(prepass_depth=2), "prepass_depth"),
     (dict(epoch_processes="yes"), "epoch_processes"),
     (dict(epoch_processes=1), "epoch_processes"),
 ])
 def test_epoch_process_knob_validation(kwargs, fragment):
-    expected = TypeError if "epoch_processes" in kwargs else ValueError
-    with pytest.raises(expected, match=fragment):
+    with pytest.raises(TypeError, match=fragment):
         AuditConfig(**kwargs)
 
 
@@ -271,60 +261,61 @@ def test_removed_epoch_processes_key_fails_loudly(counter_app, honest_run):
                    honest_run.initial_state, epoch_processes=False)
 
 
+def test_removed_knobs_fail_naming_the_key(counter_app, honest_run):
+    """prepass_depth, the pipelined session mode, AuditOptions and the
+    lenient ssco_audit kwargs are gone; every way of asking for them
+    names the offending key."""
+    from repro.core import Auditor, ssco_audit
+
+    with pytest.raises(ValueError, match="prepass_depth"):
+        AuditConfig.from_json({"prepass_depth": 2})
+    auditor = Auditor(counter_app)
+    with pytest.raises(TypeError, match="pipelined"):
+        auditor.session(honest_run.initial_state, pipelined=True)
+    with pytest.raises(TypeError, match="pipelined"):
+        auditor.audit_epochs([], honest_run.initial_state, pipelined=True)
+    with pytest.raises(ImportError, match="AuditOptions"):
+        from repro import AuditOptions  # noqa: F401
+    with pytest.raises(ValueError, match="workers"):
+        ssco_audit(counter_app, honest_run.trace, honest_run.reports,
+                   honest_run.initial_state, workers=0)
+
+
 def test_epoch_process_knob_defaults_and_roundtrip():
     config = AuditConfig()
-    assert config.prepass_depth == 0
-    tuned = AuditConfig(epoch_workers=4, prepass_depth=6)
-    options = tuned.to_options()
-    assert options.prepass_depth == 6
-    assert AuditConfig.from_options(options) == tuned
+    assert config.epoch_workers == 1
+    tuned = AuditConfig(epoch_workers=4)
     round_trip = AuditConfig.from_json(tuned.to_json())
     assert round_trip == tuned
-    assert "prepass_depth=6" in tuned.describe()
-
-
-def test_every_field_reaches_options_or_is_deployment():
-    """A knob cannot be left half-removed (or half-added): every
-    AuditConfig field is either a transport/deployment setting or is
-    handed to the pipeline by to_options(), and the pipeline's options
-    carry nothing else a config could have set."""
-    deployment = {
-        f.name for f in dataclasses.fields(AuditConfig)
-        if f.name in ("connect", "listen")
-        or f.name.startswith(("net_", "batch_"))
-    }
-    audit_knobs = {f.name for f in dataclasses.fields(AuditConfig)} \
-        - deployment
-    for name in sorted(audit_knobs):
-        config = AuditConfig()
-        marker = object()
-        object.__setattr__(config, name, marker)  # past validation
-        assert getattr(config.to_options(), name) is marker, name
-    internal = {"inline_reexec"}  # set only inside epoch workers
-    assert {f.name for f in dataclasses.fields(AuditOptions)} \
-        == audit_knobs | internal
-
-
-def test_prepass_depth_resolution():
-    from repro.core.pipeline import resolve_prepass_depth
-
-    assert resolve_prepass_depth(
-        AuditConfig(epoch_workers=3).to_options()) == 6
-    assert resolve_prepass_depth(
-        AuditConfig(epoch_workers=3, prepass_depth=2).to_options()) == 2
+    assert "epoch_workers=4" in tuned.describe()
+    assert len(dataclasses.fields(AuditConfig)) == 23
 
 
 def test_epoch_process_knobs_layer_through_from_args(tmp_path):
-    config = AuditConfig.from_args(_namespace(prepass_depth=4))
-    assert config.prepass_depth == 4
+    config = AuditConfig.from_args(_namespace(epoch_workers=4))
+    assert config.epoch_workers == 4
     path = str(tmp_path / "audit.json")
-    AuditConfig(prepass_depth=8).save(path)
+    AuditConfig(epoch_workers=8).save(path)
     layered = AuditConfig.from_args(_namespace(config=path))
-    assert layered.prepass_depth == 8
+    assert layered.epoch_workers == 8
     # An explicit flag wins over the file.
     layered = AuditConfig.from_args(_namespace(config=path,
-                                               prepass_depth=2))
-    assert layered.prepass_depth == 2
+                                               epoch_workers=2))
+    assert layered.epoch_workers == 2
+
+
+def test_every_cli_knob_flag_is_a_config_field():
+    """The CLI cannot grow a knob the config does not have: every flag
+    ``audit_knobs`` registers lands on an AuditConfig field (or is one
+    of the two negated spellings from_args translates)."""
+    from repro.__main__ import audit_knobs
+
+    parser = argparse.ArgumentParser(add_help=False)
+    audit_knobs(parser)
+    dests = {action.dest for action in parser._actions}
+    dests.remove("config")  # the file the knobs layer over, not a knob
+    fields = {f.name for f in dataclasses.fields(AuditConfig)}
+    assert dests - fields == {"no_dedup", "no_collapse"}
 
 
 # -- wire-batching knobs (RECORD_BATCH) ---------------------------------------

@@ -8,8 +8,8 @@ Covers the PR-5 driver invariants:
 * a worker killed mid-epoch (``BrokenProcessPool``) recreates the
   shared pool for the remaining epochs while the lost epoch re-runs
   serially — verdicts still match the serial chain;
-* ``prepass_depth`` bounds how far the speculative prepass runs ahead
-  of the auditor in a follow-style (async-fed) session.
+* the speculative prepass runs at most ``2 * epoch_workers`` primed
+  epochs ahead of the auditor in a follow-style (async-fed) session.
 """
 
 from __future__ import annotations
@@ -204,14 +204,15 @@ def test_killed_epoch_worker_recreates_pool_and_matches_serial(
 def test_prepass_depth_bounds_inflight_primed_epochs(counter_app,
                                                      monkeypatch):
     """A follow-style session feeding faster than the pool audits: the
-    speculative prepass stalls once ``prepass_depth`` primed epochs are
-    in flight, instead of priming the whole stream ahead of the
+    speculative prepass stalls once ``2 * epoch_workers`` primed epochs
+    are in flight, instead of priming the whole stream ahead of the
     auditor."""
     execution = _epoch_execution(counter_app, n=80, epoch_size=8)
     shards = partition_audit_inputs(execution.trace, execution.reports,
                                     cuts=execution.epoch_marks)
-    assert len(shards) >= 5
-    depth = 2
+    epoch_workers = 2
+    depth = 2 * epoch_workers
+    assert len(shards) > depth + 1
     gate = threading.Event()
     original = EpochPool.run_epoch
 
@@ -223,10 +224,9 @@ def test_prepass_depth_bounds_inflight_primed_epochs(counter_app,
     serial = Auditor(counter_app, AuditConfig()).audit_epochs(
         shards, execution.initial_state)
 
-    auditor = Auditor(counter_app, AuditConfig(epoch_workers=2,
-                                               prepass_depth=depth))
+    auditor = Auditor(counter_app,
+                      AuditConfig(epoch_workers=epoch_workers))
     session = auditor.session(execution.initial_state)
-    assert session._prepass_depth == depth
 
     def _feed():
         for shard in shards:

@@ -6,10 +6,9 @@ import pytest
 
 from repro.common.errors import AuditReject, RejectReason
 from repro.core import ssco_audit
-from repro.core import run_audit
+from repro.core import AuditConfig, run_audit
 from repro.core.pipeline import (
     AuditContext,
-    AuditOptions,
     AuditPhase,
     AuditPipeline,
     AuditResult,
@@ -143,10 +142,15 @@ def test_migrate_phase_only_runs_when_asked(counter_app, run):
     assert migrated.next_initial.kv == final.kv
 
 
-def test_options_carry_the_full_knob_set():
-    options = AuditOptions(strict=False, dedup=False, collapse=False,
-                           strict_registers=True, max_group_size=7,
-                           migrate=True, workers=3, epoch_size=10)
-    assert (options.strict, options.dedup, options.collapse) == (
-        False, False, False)
-    assert options.workers == 3 and options.epoch_size == 10
+def test_options_carry_the_full_knob_set(counter_app, run):
+    """The context hands the phases the caller's AuditConfig itself —
+    no copy, no second type."""
+    config = AuditConfig(strict=False, dedup=False, collapse=False,
+                         strict_registers=True, max_group_size=7,
+                         migrate=True, workers=3, epoch_size=10)
+    actx = AuditContext(counter_app, run.trace, run.reports,
+                        run.initial_state, config)
+    assert actx.config is config
+    assert not actx.reexec_inline
+    assert AuditContext(counter_app, run.trace, run.reports,
+                        run.initial_state).config == AuditConfig()

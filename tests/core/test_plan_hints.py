@@ -79,7 +79,6 @@ def test_audit_equivalence_with_and_without_hints():
 
 def test_config_carries_plan_hints():
     config = AuditConfig(plan_hints=True, strict=False)
-    assert config.to_options().plan_hints is True
     assert AuditConfig.from_json(config.to_json()).plan_hints is True
     assert "plan-hints" in config.describe()
     assert AuditConfig().plan_hints is False

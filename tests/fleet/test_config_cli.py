@@ -10,8 +10,7 @@ import pytest
 
 from repro.__main__ import _fleet_endpoint, main
 from repro.core.config import AuditConfig
-from repro.core.epochwork import epoch_worker_options
-from repro.core.pipeline import AuditOptions
+from repro.core.epochwork import epoch_worker_config
 
 
 # -- AuditConfig --------------------------------------------------------------
@@ -41,18 +40,16 @@ def test_validation_rejects_nonsense(kwargs, fragment):
 
 
 def test_fleet_knobs_flow_through_options():
+    """The fleet knobs ride the one config type: they survive the JSON
+    round trip and reach the session that builds the coordinator."""
     config = AuditConfig(fleet_listen="0.0.0.0:8700", fleet_min_workers=3,
                          fleet_task_timeout=45.0, fleet_redundancy=2)
-    options = config.to_options()
-    assert options.fleet_listen == "0.0.0.0:8700"
-    assert options.fleet_min_workers == 3
-    assert options.fleet_task_timeout == 45.0
-    assert options.fleet_redundancy == 2
-    back = AuditConfig.from_options(options)
-    assert back.fleet_listen == config.fleet_listen
-    assert back.fleet_min_workers == config.fleet_min_workers
-    assert back.fleet_task_timeout == config.fleet_task_timeout
-    assert back.fleet_redundancy == config.fleet_redundancy
+    back = AuditConfig.from_json(config.to_json())
+    assert back == config
+    assert back.fleet_listen == "0.0.0.0:8700"
+    assert back.fleet_min_workers == 3
+    assert back.fleet_task_timeout == 45.0
+    assert back.fleet_redundancy == 2
 
 
 def test_describe_mentions_fleet():
@@ -64,10 +61,10 @@ def test_describe_mentions_fleet():
 
 
 def test_worker_options_never_recurse_into_a_nested_fleet():
-    options = AuditOptions(fleet_listen="0.0.0.0:8700",
-                           fleet_min_workers=2, fleet_redundancy=2,
-                           epoch_workers=4)
-    unit = epoch_worker_options(options)
+    config = AuditConfig(fleet_listen="0.0.0.0:8700",
+                         fleet_min_workers=2, fleet_redundancy=2,
+                         epoch_workers=4)
+    unit = epoch_worker_config(config)
     assert unit.fleet_listen is None
     assert unit.fleet_min_workers == 0
     assert unit.fleet_redundancy == 1

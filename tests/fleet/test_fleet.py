@@ -21,10 +21,9 @@ import threading
 
 from repro.common.clock import Deadline
 from repro.core import AuditConfig, Auditor, ssco_audit
-from repro.core.epochpool import epoch_worker_options
+from repro.core.epochpool import epoch_worker_config
 from repro.core.epochwork import run_epoch_inline
 from repro.core.partition import partition_audit_inputs
-from repro.core.pipeline import AuditOptions
 from repro.core.reexec import (
     _BACKENDS,
     PlainInterpBackend,
@@ -213,10 +212,10 @@ def test_dead_worker_redispatches_to_live_worker(counter_app):
     coordinator discards it and re-dispatches the same epoch to the
     next live worker — the verdict is unaffected."""
     execution = _epoch_execution(counter_app, n=16, min_marks=1)
-    options = epoch_worker_options(AuditOptions())
+    config = epoch_worker_config(AuditConfig())
     reference = run_epoch_inline(counter_app, execution.trace,
                                  execution.reports,
-                                 execution.initial_state, options)
+                                 execution.initial_state, config)
     with FleetCoordinator("127.0.0.1:0", min_workers=2,
                           join_timeout=30) as coord:
 
@@ -245,7 +244,7 @@ def test_dead_worker_redispatches_to_live_worker(counter_app):
         with _fleet_workers(coord.endpoint, 1):
             result = coord.run_epoch(counter_app, execution.trace,
                                      execution.reports,
-                                     execution.initial_state, options)
+                                     execution.initial_state, config)
             assert coord.redispatches == 1
             assert coord.remote_epochs == 1
             assert coord.serial_fallbacks == 0
@@ -278,17 +277,16 @@ def test_worker_crash_is_not_a_verdict_and_worker_survives(counter_app):
     execution = _epoch_execution(counter_app, n=16, min_marks=1)
     register_reexec_backend("fleet-crashy", _CrashOnWorkerThread)
     try:
-        options = epoch_worker_options(
-            AuditOptions(backend="fleet-crashy"))
+        config = epoch_worker_config(AuditConfig(backend="fleet-crashy"))
         reference = run_epoch_inline(counter_app, execution.trace,
                                      execution.reports,
-                                     execution.initial_state, options)
+                                     execution.initial_state, config)
         with FleetCoordinator("127.0.0.1:0", min_workers=1,
                               join_timeout=30) as coord:
             with _fleet_workers(coord.endpoint, 1) as workers:
                 result = coord.run_epoch(counter_app, execution.trace,
                                          execution.reports,
-                                         execution.initial_state, options)
+                                         execution.initial_state, config)
                 assert coord.worker_failures == 1
                 assert coord.serial_fallbacks == 1
                 assert coord.remote_epochs == 0
@@ -306,14 +304,14 @@ def test_no_workers_falls_back_to_local_serial(counter_app):
     """An empty fleet: the coordinator itself is the last-resort worker
     (the ``EpochPool`` degradation path), bit-identical results."""
     execution = _epoch_execution(counter_app, n=16, min_marks=1)
-    options = epoch_worker_options(AuditOptions())
+    config = epoch_worker_config(AuditConfig())
     reference = run_epoch_inline(counter_app, execution.trace,
                                  execution.reports,
-                                 execution.initial_state, options)
+                                 execution.initial_state, config)
     with FleetCoordinator("127.0.0.1:0") as coord:
         result = coord.run_epoch(counter_app, execution.trace,
                                  execution.reports,
-                                 execution.initial_state, options)
+                                 execution.initial_state, config)
         assert coord.serial_fallbacks == 1
         assert coord.remote_epochs == 0
     assert result.accepted
@@ -326,10 +324,10 @@ def test_no_workers_falls_back_to_local_serial(counter_app):
 
 def test_redundant_dispatch_cross_checks_verdicts(counter_app):
     execution = _epoch_execution(counter_app, n=16, min_marks=1)
-    options = epoch_worker_options(AuditOptions())
+    config = epoch_worker_config(AuditConfig())
     reference = run_epoch_inline(counter_app, execution.trace,
                                  execution.reports,
-                                 execution.initial_state, options)
+                                 execution.initial_state, config)
     with FleetCoordinator("127.0.0.1:0", min_workers=2, redundancy=2,
                           join_timeout=30) as coord:
         with _fleet_workers(coord.endpoint, 2) as workers:
@@ -340,7 +338,7 @@ def test_redundant_dispatch_cross_checks_verdicts(counter_app):
                 parked.sleep(0.01)
             result = coord.run_epoch(counter_app, execution.trace,
                                      execution.reports,
-                                     execution.initial_state, options)
+                                     execution.initial_state, config)
             assert coord.cross_checks == 1
             assert coord.cross_check_mismatches == 0
             assert coord.remote_epochs == 1

@@ -16,8 +16,10 @@ from repro.core.epochwork import (
     encode_result_frame,
     encode_work_frame,
     encode_work_unit,
+    epoch_worker_config,
 )
-from repro.core.pipeline import AuditOptions, AuditResult
+from repro.core.config import AuditConfig
+from repro.core.pipeline import AuditResult
 from repro.net.protocol import (
     FLAG_BATCH,
     FLAG_FLEET,
@@ -112,9 +114,18 @@ def test_error_body_without_detail_still_decodes():
 
 
 def test_work_unit_roundtrips_through_pickle_codec():
+    """What crosses the process / host boundary is the validated
+    AuditConfig itself: sharding, fleet and migrate cleared, ``workers``
+    preserved (the chunk plan must follow it bit for bit)."""
+    cfg = AuditConfig(strict=False, workers=3, epoch_workers=2,
+                      epoch_cuts=(10, 20), migrate=True,
+                      fleet_listen="0.0.0.0:8700", fleet_min_workers=2,
+                      fleet_redundancy=2, backend="interp")
     unit = encode_work_unit("app", "trace", "reports", "state",
-                            AuditOptions())
-    app, trace, reports, state, options = decode_work_unit(unit)
+                            epoch_worker_config(cfg))
+    app, trace, reports, state, config = decode_work_unit(unit)
     assert (app, trace, reports, state) == ("app", "trace", "reports",
                                             "state")
-    assert options == AuditOptions()
+    assert isinstance(config, AuditConfig)
+    assert config == AuditConfig(strict=False, workers=3, backend="interp")
+    assert config.validate() is config

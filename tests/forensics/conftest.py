@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pipeline import AuditOptions
+from repro.core.config import AuditConfig
 from repro.forensics import Timeline
 from repro.server import Application, Executor
 from repro.trace.events import Request
@@ -58,8 +58,8 @@ def serve(app, requests, epoch_size: int = 0):
     ).serve(requests)
 
 
-def make_timeline(app, run, **options) -> Timeline:
+def make_timeline(app, run, **knobs) -> Timeline:
     return Timeline.from_inputs(
         app, run.trace, run.reports, run.initial_state,
-        cuts=run.epoch_marks, options=AuditOptions(**options),
+        cuts=run.epoch_marks, config=AuditConfig(**knobs),
     )

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import RejectReason
-from repro.core import AuditOptions, run_audit
+from repro.core import AuditConfig, run_audit
 from repro.forensics import UnknownRequest, reaudit_request
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
@@ -30,7 +30,7 @@ def epoch_run(counter_app):
 def full_audit(app, run):
     return run_audit(
         app, run.trace, run.reports, run.initial_state,
-        AuditOptions(epoch_cuts=run.epoch_marks),
+        AuditConfig(epoch_cuts=run.epoch_marks),
     )
 
 

@@ -67,6 +67,22 @@ def test_campaign_all_rejected_and_replayable(cart_app):
             == [o.channel for o in b.outcomes])
 
 
+def test_stock_audit_treats_bundle_marks_as_hints(cart_app):
+    """Like `repro audit`: forged epoch marks give the stock audit's
+    verdict, not a config ValueError miscounted as a load rejection."""
+    from repro.core.config import AuditConfig
+    from repro.io import load_audit_bundle_ex
+    from repro.scenarios.fuzz import _stock_audit_fn
+
+    trace, reports, initial, marks = load_audit_bundle_ex(FIXTURE)
+    assert len(marks) >= 2
+    audit = _stock_audit_fn(cart_app, AuditConfig())
+    honest = audit(trace, reports, initial, marks)
+    assert honest == (True, None)
+    forged = list(reversed(marks)) + [marks[0], 0, len(trace) + 7]
+    assert audit(trace, reports, initial, forged) == honest
+
+
 def test_unknown_operator_rejected(cart_app):
     with pytest.raises(ValueError, match="unknown tamper operator"):
         fuzz_bundle(FIXTURE, cart_app, mutations=1,

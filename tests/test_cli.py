@@ -2,9 +2,32 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.__main__ import main
+
+
+def _forge_first_body(bundle: str, fmt: str) -> None:
+    """Tamper the first non-empty response body of a recorded bundle."""
+    def forge(events) -> None:
+        for entry in events:
+            if "response" in entry and entry["response"]["body"]:
+                entry["response"]["body"] = "forged!"
+                return
+
+    with open(bundle) as fh:
+        if fmt == "json":
+            data = json.load(fh)
+            forge(data["trace"]["events"])
+            lines = [json.dumps(data)]
+        else:
+            records = [json.loads(line) for line in fh]
+            forge(r["event"] for r in records if r.get("kind") == "event")
+            lines = [json.dumps(r) + "\n" for r in records]
+    with open(bundle, "w") as fh:
+        fh.writelines(lines)
 
 
 def test_demo_accepts(capsys):
@@ -27,19 +50,10 @@ def test_record_then_audit(tmp_path, capsys):
 
 
 def test_audit_rejects_tampered_bundle(tmp_path, capsys):
-    import json
-
     bundle = str(tmp_path / "bundle.json")
     main(["record", "--workload", "wiki", "--scale", "0.005",
           "--out", bundle])
-    with open(bundle) as fh:
-        data = json.load(fh)
-    for entry in data["trace"]["events"]:
-        if "response" in entry and entry["response"]["body"]:
-            entry["response"]["body"] = "forged!"
-            break
-    with open(bundle, "w") as fh:
-        json.dump(data, fh)
+    _forge_first_body(bundle, "json")
     code = main(["audit", bundle, "--workload", "wiki",
                  "--scale", "0.005"])
     assert code == 1
@@ -85,22 +99,10 @@ def test_audit_knob_passthrough(tmp_path, capsys):
 
 
 def test_audit_rejects_tampered_jsonl_bundle(tmp_path, capsys):
-    import json
-
     bundle = str(tmp_path / "bundle.jsonl")
     main(["record", "--workload", "wiki", "--scale", "0.005",
           "--epoch-size", "20", "--format", "jsonl", "--out", bundle])
-    with open(bundle) as fh:
-        lines = fh.readlines()
-    for index, line in enumerate(lines):
-        record = json.loads(line)
-        if record.get("kind") == "event" and "response" in record["event"]:
-            if record["event"]["response"]["body"]:
-                record["event"]["response"]["body"] = "forged!"
-                lines[index] = json.dumps(record) + "\n"
-                break
-    with open(bundle, "w") as fh:
-        fh.writelines(lines)
+    _forge_first_body(bundle, "jsonl")
     code = main(["audit", bundle, "--workload", "wiki",
                  "--scale", "0.005", "--epoch-size", "20",
                  "--workers", "2"])
@@ -276,30 +278,116 @@ def test_demo_accepts_workers_flag(capsys):
 
 
 def test_audit_prepass_depth_and_epoch_threads(tmp_path, capsys):
-    """--prepass-depth parses, validates at the boundary, and reaches
-    the config (visible in the banner's describe() line); the removed
-    thread driver's --epoch-threads is a usage error."""
+    """--epoch-workers reaches the config (visible in the banner's
+    describe() line); the removed --prepass-depth and --epoch-threads
+    flags are usage errors naming the flag."""
     bundle = str(tmp_path / "bundle.jsonl")
     assert main(["record", "--workload", "forum", "--scale", "0.005",
                  "--epoch-size", "20", "--format", "jsonl",
                  "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "forum",
                  "--scale", "0.005", "--epoch-size", "20",
-                 "--epoch-workers", "2", "--prepass-depth", "3"]) == 0
+                 "--epoch-workers", "2"]) == 0
     out = capsys.readouterr().out
     assert "epoch_workers=2" in out
-    assert "prepass_depth=3" in out
     assert "ACCEPTED" in out
-    with pytest.raises(SystemExit):
-        main(["audit", bundle, "--workload", "forum",
-              "--scale", "0.005", "--prepass-depth", "-1"])
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as usage:
-        main(["audit", bundle, "--workload", "forum",
-              "--scale", "0.005", "--epoch-workers", "2",
-              "--epoch-threads"])
-    assert usage.value.code == 2
-    assert "--epoch-threads" in capsys.readouterr().err
+    for removed in (["--prepass-depth", "2"], ["--epoch-threads"]):
+        with pytest.raises(SystemExit) as usage:
+            main(["audit", bundle, "--workload", "forum",
+                  "--scale", "0.005", "--epoch-workers", "2", *removed])
+        assert usage.value.code == 2
+        assert removed[0] in capsys.readouterr().err
+
+
+# -- untrusted epoch marks -----------------------------------------------------
+
+
+def _read_marks(bundle: str, fmt: str) -> list:
+    with open(bundle) as fh:
+        if fmt == "json":
+            return json.load(fh)["epoch_marks"]
+        return [record["events"] for record in map(json.loads, fh)
+                if record.get("kind") == "epoch_mark"]
+
+
+def _write_marks(bundle: str, fmt: str, marks: list) -> None:
+    """Replace the bundle's recorded epoch marks with ``marks``."""
+    if fmt == "json":
+        with open(bundle) as fh:
+            data = json.load(fh)
+        data["epoch_marks"] = marks
+        with open(bundle, "w") as fh:
+            json.dump(data, fh)
+        return
+    with open(bundle) as fh:
+        records = [json.loads(line) for line in fh]
+    first = next(i for i, r in enumerate(records)
+                 if r.get("kind") == "epoch_mark")
+    kept = [r for r in records if r.get("kind") != "epoch_mark"]
+    kept[first:first] = [{"kind": "epoch_mark", "events": mark}
+                         for mark in marks]
+    with open(bundle, "w") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in kept)
+
+
+@pytest.mark.parametrize("fmt", ["json", "jsonl"])
+@pytest.mark.parametrize("forged", [False, True])
+def test_audit_treats_bundle_epoch_marks_as_hints(tmp_path, capsys, fmt,
+                                                  forged):
+    """The bundle's epoch marks are untrusted: reversed, duplicated,
+    zero, out-of-range and non-quiescent marks give a verdict (the one
+    the honest marks' surviving subset gives), never a traceback."""
+    from repro.core import AuditConfig, Auditor
+    from repro.core.partition import validate_cuts
+    from repro.io import load_audit_bundle_ex
+    from repro.workloads import forum_workload
+
+    bundle = str(tmp_path / f"bundle.{fmt}")
+    assert main(["record", "--workload", "forum", "--scale", "0.005",
+                 "--epoch-size", "20", "--format", fmt,
+                 "--out", bundle]) == 0
+    if forged:
+        _forge_first_body(bundle, fmt)
+    honest = _read_marks(bundle, fmt)
+    assert len(honest) >= 2
+    audit = ["audit", bundle, "--workload", "forum", "--scale", "0.005",
+             "--json"]
+    app = forum_workload(scale=0.005, seed=1).app
+
+    def run(extra):
+        capsys.readouterr()
+        code = main(audit + extra)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        return code, payload["verdict"], payload["reason"], [
+            {k: e[k] for k in ("shard", "requests", "events", "accepted",
+                               "groups")}
+            for e in payload["epochs"]]
+
+    def bodies(cuts):
+        trace, reports, initial, _ = load_audit_bundle_ex(bundle)
+        return Auditor(app, AuditConfig(epoch_cuts=tuple(cuts))).audit(
+            trace, reports, initial).produced
+
+    honest_bodies = bodies(honest)
+    assert bool(honest_bodies) != forged
+    hostile = {
+        "reversed": (honest[::-1], honest),
+        "duplicated": (honest + honest, honest),
+        "zero": ([0] + honest, honest),
+        "out-of-range": (honest + [10 ** 9], honest),
+        "non-quiescent": ([honest[0] + 1] + honest[1:], honest[1:]),
+    }
+    for name, (marks, surviving) in hostile.items():
+        _write_marks(bundle, fmt, honest)
+        reference = run(["--epoch-cuts", ",".join(map(str, surviving))])
+        assert reference[0] == (1 if forged else 0)
+        _write_marks(bundle, fmt, marks)
+        assert run(["--epoch-size", "20"]) == reference, name
+        trace, _, _, loaded = load_audit_bundle_ex(bundle)
+        assert validate_cuts(trace, loaded) == surviving, name
+        assert bodies(validate_cuts(trace, loaded)) == honest_bodies, name
 
 
 # -- the lint subcommand ------------------------------------------------------
@@ -371,7 +459,7 @@ def test_follow_with_epoch_workers(tmp_path, capsys):
                  "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "forum",
                  "--scale", "0.005", "--follow", "--epoch-workers", "2",
-                 "--prepass-depth", "2", "--follow-timeout", "2"]) == 0
+                 "--follow-timeout", "2"]) == 0
     out = capsys.readouterr().out
     epochs = [line for line in out.splitlines()
               if line.startswith("epoch ")]

@@ -826,7 +826,7 @@ def audit_knobs(p) -> None:
     p.add_argument("--backend", choices=available_backends(),
                    default=None,
                    help="registered re-execution backend "
-                        "(default: accinterp)")
+                        "(default: hybrid)")
     p.add_argument("--epoch-cuts", type=parse_epoch_cuts, default=None,
                    metavar="I,J,K",
                    help="explicit cut positions (event indexes); "

@@ -70,8 +70,26 @@ from repro.lang.builtins import (
     PURE_BUILTINS,
     STATE_BUILTINS,
 )
-from repro.lang.interp import Interpreter, freeze_value, thaw_value
-from repro.lang.values import PhpArray, arith, to_str, truthy
+from repro.lang.interp import (
+    _MAX_CALL_DEPTH,
+    REQUEST_INPUTS,
+    Interpreter,
+    _BreakSignal,
+    _ContinueSignal,
+    _Env,
+    _ReturnSignal,
+    freeze_value,
+    thaw_value,
+)
+from repro.lang.values import (
+    PhpArray,
+    binop,
+    compound,
+    to_int,
+    to_str,
+    truthy,
+    unop,
+)
 from repro.multivalue.multivalue import (
     MultiValue,
     components,
@@ -120,39 +138,6 @@ class GroupRunOutput:
     multi_steps: int  # instructions that produced a multivalue
 
 
-class _BreakSignal(Exception):
-    pass
-
-
-class _ContinueSignal(Exception):
-    pass
-
-
-class _ReturnSignal(Exception):
-    def __init__(self, value: object):
-        self.value = value
-
-
-class _Env:
-    __slots__ = ("vars", "globals", "global_names")
-
-    def __init__(self, global_vars: dict[str, object] | None = None):
-        self.vars: dict[str, object] = {}
-        self.globals = global_vars if global_vars is not None else self.vars
-        self.global_names: set = set()
-
-    def lookup(self, name: str) -> object:
-        if name in self.global_names:
-            return self.globals.get(name)
-        return self.vars.get(name)
-
-    def store(self, name: str, value: object) -> None:
-        if name in self.global_names:
-            self.globals[name] = value
-        else:
-            self.vars[name] = value
-
-
 class _GroupState:
     __slots__ = ("requests", "size", "output", "in_tx", "steps",
                  "multi_steps", "funcs", "depth")
@@ -166,17 +151,6 @@ class _GroupState:
         self.multi_steps = 0
         self.funcs = funcs
         self.depth = 0
-
-
-_MAX_CALL_DEPTH = 100
-
-# A weblang frame costs ~a dozen Python frames (the yield-from chain), so
-# the default CPython recursion limit trips long before _MAX_CALL_DEPTH.
-# Raise the floor once; the weblang limit is what callers actually hit.
-import sys as _sys
-
-if _sys.getrecursionlimit() < 20000:
-    _sys.setrecursionlimit(20000)
 
 
 def project(value: object, slot: int, copy_arrays: bool = False) -> object:
@@ -230,6 +204,14 @@ class AccInterpreter:
         if self.collapse_enabled:
             return make_multi(values)
         return MultiValue(values)
+
+    def _merge_read(self, values: list[object], state: _GroupState) -> object:
+        """Merge what the slots read (inputs, object reads); a result
+        that stays a multivalue counts as a multivalent step."""
+        merged = self._merge(values)
+        if isinstance(merged, MultiValue):
+            state.multi_steps += 1
+        return merged
 
     # -- entry point --------------------------------------------------------
 
@@ -289,7 +271,8 @@ class AccInterpreter:
             value = yield from self._eval_copy(stmt.expr, env, state)
             if stmt.op:
                 current = env.lookup(stmt.name)
-                value = self._compound(stmt.op, current, value, state)
+                value = self._binop_multi(compound(stmt.op), current, value,
+                                          state)
             env.store(stmt.name, value)
             return
         if kind is ExprStmt:
@@ -353,11 +336,6 @@ class AccInterpreter:
         if kind is Continue:
             raise _ContinueSignal()
         raise WeblangError(f"unknown statement {kind.__name__}")
-
-    def _compound(self, op: str, current: object, value: object,
-                  state: _GroupState) -> object:
-        return self._binop_multi(op if op != "." else ".", current, value,
-                                 state)
 
     def _exec_foreach(self, stmt: Foreach, env: _Env, state: _GroupState):
         subject = yield from self._eval(stmt.subject, env, state)
@@ -511,7 +489,8 @@ class AccInterpreter:
             container.append(value)
         else:
             if op:
-                value = self._compound(op, container.get(last), value, state)
+                value = self._binop_multi(compound(op), container.get(last),
+                                          value, state)
             container.set(last, value)
 
     # -- expressions -----------------------------------------------------------
@@ -542,18 +521,11 @@ class AccInterpreter:
             return (yield from self._eval_call(node, env, state))
         if kind is UnOp:
             value = yield from self._eval(node.operand, env, state)
+            apply = unop(node.op)
             if isinstance(value, MultiValue):
                 state.multi_steps += 1
-                if node.op == "!":
-                    return self._merge(
-                        [not truthy(c) for c in value.values]
-                    )
-                return self._merge(
-                    [arith("-", 0, c) for c in value.values]
-                )
-            if node.op == "!":
-                return not truthy(value)
-            return arith("-", 0, value)
+                return self._merge([apply(c) for c in value.values])
+            return apply(value)
         if kind is Ternary:
             cond = yield from self._eval(node.cond, env, state)
             if self._uniform_truth(cond, f"ternary#{node.nid}"):
@@ -579,21 +551,20 @@ class AccInterpreter:
             return self._uniform_truth(right, f"logic#{node.nid}")
         left = yield from self._eval(node.left, env, state)
         right = yield from self._eval(node.right, env, state)
-        return self._binop_multi(op, left, right, state)
+        return self._binop_multi(binop(op), left, right, state)
 
-    def _binop_multi(self, op: str, left: object, right: object,
+    def _binop_multi(self, apply, left: object, right: object,
                      state: _GroupState) -> object:
+        """``apply`` (an operator-table entry, looked up once per step)
+        over the operands: once if both are univalues, once per slot —
+        with scalar expansion — otherwise."""
         if isinstance(left, MultiValue) or isinstance(right, MultiValue):
             state.multi_steps += 1
-            lefts = components(left, state.size)
-            rights = components(right, state.size)
-            return self._merge(
-                [
-                    Interpreter._binop_value(op, lefts[slot], rights[slot])
-                    for slot in range(state.size)
-                ]
-            )
-        return Interpreter._binop_value(op, left, right)
+            return self._merge(list(map(
+                apply, components(left, state.size),
+                components(right, state.size),
+            )))
+        return apply(left, right)
 
     def _eval_index(self, node: Index, env: _Env, state: _GroupState):
         base = yield from self._eval(node.base, env, state)
@@ -618,8 +589,6 @@ class AccInterpreter:
         if isinstance(base, PhpArray):
             return base.get(index)
         if isinstance(base, str):
-            from repro.lang.values import to_int
-
             position = to_int(index)
             if 0 <= position < len(base):
                 return base[position]
@@ -667,7 +636,7 @@ class AccInterpreter:
         for arg in node.args:
             value = yield from self._eval_copy(arg, env, state)
             args.append(value)
-        if name in ("param", "post_param", "cookie"):
+        if name in REQUEST_INPUTS:
             return self._request_input(name, args, state)
         if name in STATE_BUILTINS:
             return (yield from self._state_call(name, args, state))
@@ -736,17 +705,11 @@ class AccInterpreter:
             raise MultivalueFallback(f"{which}() with multivalue arguments")
         key = to_str(args[0])
         default = args[1] if len(args) == 2 else None
-        attr = {"param": "get", "post_param": "post", "cookie": "cookies"}[
-            which
-        ]
         values = [
-            getattr(request, attr).get(key, default)
+            getattr(request, REQUEST_INPUTS[which]).get(key, default)
             for request in state.requests
         ]
-        result = self._merge(values)
-        if isinstance(result, MultiValue):
-            state.multi_steps += 1
-        return result
+        return self._merge_read(values, state)
 
     def _call_user(self, func: FuncDecl, args: list[object], env: _Env,
                    state: _GroupState):
@@ -779,14 +742,9 @@ class AccInterpreter:
                 [self.db_name] * size,
                 [(sql,) for sql in sqls],
             )
-            converted = [
-                Interpreter._convert_db_result(name, result)
-                for result in results
-            ]
-            merged = self._merge(converted)
-            if isinstance(merged, MultiValue):
-                state.multi_steps += 1
-            return merged
+            return self._merge_read(
+                [Interpreter._convert_db_result(name, result)
+                 for result in results], state)
         if name == "db_begin":
             if state.in_tx:
                 raise WeblangError("nested transactions are not allowed")
@@ -822,10 +780,8 @@ class AccInterpreter:
             results = yield GroupStateOpIntent(
                 "kv_get", [self.kv_name] * size, [(key,) for key in keys]
             )
-            merged = self._merge([thaw_value(result) for result in results])
-            if isinstance(merged, MultiValue):
-                state.multi_steps += 1
-            return merged
+            return self._merge_read(
+                [thaw_value(result) for result in results], state)
         if name == "kv_set":
             keys = [to_str(project(args[0], slot)) for slot in range(size)]
             values = [
@@ -845,10 +801,8 @@ class AccInterpreter:
             results = yield GroupStateOpIntent(
                 "register_read", registers, [()] * size
             )
-            merged = self._merge([thaw_value(result) for result in results])
-            if isinstance(merged, MultiValue):
-                state.multi_steps += 1
-            return merged
+            return self._merge_read(
+                [thaw_value(result) for result in results], state)
         if name == "reg_write":
             registers = [
                 f"reg:g:{to_str(project(args[0], slot))}"
@@ -866,10 +820,8 @@ class AccInterpreter:
             results = yield GroupStateOpIntent(
                 "register_read", registers, [()] * size
             )
-            merged = self._merge([thaw_value(result) for result in results])
-            if isinstance(merged, MultiValue):
-                state.multi_steps += 1
-            return merged
+            return self._merge_read(
+                [thaw_value(result) for result in results], state)
         if name == "session_put":
             registers = self._session_registers(state)
             values = [

@@ -79,8 +79,9 @@ class AuditConfig:
     #: marks); overrides ``epoch_size`` when set.  Must be positive and
     #: strictly increasing.
     epoch_cuts: tuple[int, ...] | None = None
-    #: Registered re-execution backend (``"accinterp"``, ``"interp"``,
-    #: or anything added via ``register_reexec_backend``).  The default
+    #: Registered re-execution backend (``"hybrid"``, ``"accinterp"``,
+    #: ``"compinterp"``, ``"interp"``, or anything added via
+    #: ``register_reexec_backend``).  The default (``"hybrid"``)
     #: reads ``REPRO_BACKEND`` when the config is *constructed*, not
     #: when the module was imported.
     backend: str = dataclasses.field(default_factory=default_backend)

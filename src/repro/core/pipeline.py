@@ -68,7 +68,7 @@ class AuditResult:
     #: Phase wall-clock seconds: proc_op_reports, db_redo, reexec,
     #: db_query (subset of reexec), output_compare, total.
     phases: dict[str, float] = field(default_factory=dict)
-    #: groups, grouped_requests, fallback_requests, dedup hits/misses,
+    #: groups, grouped / singleton / fallback_requests, dedup hits/misses,
     #: steps, multi_steps, db_queries_issued, versioned sizes ...
     stats: dict[str, object] = field(default_factory=dict)
     produced: dict[str, str] = field(default_factory=dict)
@@ -342,17 +342,7 @@ def _collect_stats(actx: AuditContext) -> None:
         result.stats["redo_statements"] = vdb.redo_statements
     stats = getattr(ctx, "reexec_stats", None)
     if stats is not None:
-        result.stats.update(
-            {
-                "groups": stats.groups,
-                "grouped_requests": stats.grouped_requests,
-                "fallback_requests": stats.fallback_requests,
-                "divergences": stats.divergences,
-                "steps": stats.steps,
-                "multi_steps": stats.multi_steps,
-                "group_alphas": stats.group_alphas,
-            }
-        )
+        result.stats.update(vars(stats))  # every ReExecStats field
 
 
 def _final_registers(reports: Reports) -> dict[str, object]:

@@ -60,9 +60,9 @@ registered component (:func:`register_reexec_backend`), selected by
 name through ``AuditConfig.backend`` / ``ssco_audit(backend=...)``.
 Four backends ship:
 
-* ``"accinterp"`` (default) — the SIMD-on-demand grouped interpreter
+* ``"accinterp"`` — the SIMD-on-demand grouped interpreter
   (:class:`~repro.accel.accinterp.AccInterpreter`), the paper's
-  acceleration;
+  acceleration, for every chunk whatever its size;
 * ``"interp"`` — a reference backend that re-executes every request of
   the chunk individually through the plain :mod:`repro.lang.interp`
   interpreter.  Same simulate-and-check, same produced bodies and
@@ -75,10 +75,12 @@ Four backends ship:
   same per-request discipline as ``"interp"``, but each script's AST is
   compiled to closure chains once per process and cached, so repeated
   re-execution pays no per-node dispatch;
-* ``"hybrid"`` — ``accinterp`` for genuine groups, ``compinterp`` for
-  the per-request paths (singleton groups and demotions), so the
-  workload's grouped fraction gets SIMD and its ungrouped fraction gets
-  compiled dispatch.
+* ``"hybrid"`` (default) — chunks routed by size: ``accinterp`` for
+  genuine groups (two requests or more — so strict-mode divergence is
+  observed exactly as under ``accinterp``), ``compinterp`` for what
+  runs per request anyway (singleton chunks, counted as
+  ``singleton_requests``, and demotions, counted as
+  ``fallback_requests``).
 
 Backends only replace the *re-execution engine*; chunk planning, the
 process-pool fan-out, and result merging are shared.  A backend name is
@@ -122,8 +124,9 @@ from repro.trace.trace import Trace
 #: acc-PHP's group size cap (§4.7).
 DEFAULT_MAX_GROUP = 3000
 
-#: The stock re-execution backend (the paper's accelerated interpreter).
-_FALLBACK_BACKEND = "accinterp"
+#: The stock re-execution backend: the paper's accelerated interpreter
+#: for groups, compiled per-request execution where there is no group.
+_FALLBACK_BACKEND = "hybrid"
 
 
 def default_backend() -> str:
@@ -143,7 +146,11 @@ def default_backend() -> str:
 @dataclass
 class ReExecStats:
     groups: int = 0
+    #: Every re-executed request is booked in exactly one of these three:
+    #: ran in a group; routed to the per-request engine as a chunk of one;
+    #: re-run per request (group demoted, or a backend without groups).
     grouped_requests: int = 0
+    singleton_requests: int = 0
     fallback_requests: int = 0
     divergences: int = 0
     steps: int = 0
@@ -262,6 +269,7 @@ class PlainInterpBackend(ReexecBackend):
 
     def __init__(self, app: Application, collapse: bool = True):
         del app, collapse  # per-request execution needs no shared engine
+        self.interp = None  # execute_one's own: the plain interpreter
 
     def run_chunk(self, app, rids, requests, reports, ctx, strict, dedup,
                   produced, stats) -> None:
@@ -272,10 +280,20 @@ class PlainInterpBackend(ReexecBackend):
                 RejectReason.GROUP_DIVERGED,
                 f"group mixes scripts {sorted(scripts)}",
             )
-        _fallback(app, rids, requests, ctx, produced, stats)
+        _fallback(app, rids, requests, ctx, produced, stats,
+                  interp=self.interp)
 
 
-class CompInterpBackend(ReexecBackend):
+def _compiled_engine(app: Application) -> CompInterpreter:
+    return CompInterpreter(
+        db_name=app.db_name,
+        kv_name=app.kv_name,
+        session_cookie=app.session_cookie,
+        record_flow=False,
+    )
+
+
+class CompInterpBackend(PlainInterpBackend):
     """Per-request re-execution through the compiling engine
     (:mod:`repro.lang.compile`).
 
@@ -290,68 +308,35 @@ class CompInterpBackend(ReexecBackend):
 
     def __init__(self, app: Application, collapse: bool = True):
         del collapse  # per-request execution has no SIMD to collapse
-        self.interp = CompInterpreter(
-            db_name=app.db_name,
-            kv_name=app.kv_name,
-            session_cookie=app.session_cookie,
-            record_flow=False,
-        )
-
-    def run_chunk(self, app, rids, requests, reports, ctx, strict, dedup,
-                  produced, stats) -> None:
-        stats.groups += 1
-        scripts = {requests[rid].script for rid in rids}
-        if len(scripts) > 1 and strict:
-            raise AuditReject(
-                RejectReason.GROUP_DIVERGED,
-                f"group mixes scripts {sorted(scripts)}",
-            )
-        ctx.dedup = None
-        for rid in rids:
-            ctx.produced_externals.pop(rid, None)
-            produced[rid] = execute_one(app, requests[rid], ctx,
-                                        interp=self.interp)
-            stats.fallback_requests += 1
+        self.interp = _compiled_engine(app)
 
 
-class HybridBackend(ReexecBackend):
-    """SIMD-on-demand for real groups, the compiling engine for
-    everything that runs per request anyway.
+class HybridBackend(AccInterpBackend):
+    """The default: SIMD-on-demand for real groups, the compiling engine
+    for everything that runs per request anyway.
 
-    Singleton groups gain nothing from SIMD batching (every step is a
-    multi-step of width one), and demoted groups re-execute per request
-    by definition — both paths go through the compiled closure chains
-    instead of the tree-walking interpreter, while genuine groups keep
-    the accelerated interpreter.  Produced bodies and verdicts match
-    ``accinterp`` on honest executions; accounting differs only where
-    the engines do (singletons count as ``fallback_requests``)."""
+    A chunk of one gains nothing from SIMD batching (``docs/backends.md``
+    has the measured crossover) and a demoted group re-executes per
+    request by definition: both run compiled, while every chunk of two
+    or more keeps the accelerated interpreter and with it the
+    observation of in-group divergence.  Bodies and verdicts match
+    ``accinterp``; a routed singleton is booked as ``singleton_requests``
+    (nothing was retried), a demoted request as ``fallback_requests``,
+    and neither adds to ``steps``."""
 
     name = "hybrid"
 
     def __init__(self, app: Application, collapse: bool = True):
-        self.acc = AccInterpreter(
-            db_name=app.db_name,
-            kv_name=app.kv_name,
-            session_cookie=app.session_cookie,
-            collapse_enabled=collapse,
-        )
-        self.comp = CompInterpreter(
-            db_name=app.db_name,
-            kv_name=app.kv_name,
-            session_cookie=app.session_cookie,
-            record_flow=False,
-        )
+        super().__init__(app, collapse)
+        self.comp = _compiled_engine(app)
 
     def run_chunk(self, app, rids, requests, reports, ctx, strict, dedup,
                   produced, stats) -> None:
         if len(rids) == 1:
             stats.groups += 1
             ctx.dedup = None
-            rid = rids[0]
-            ctx.produced_externals.pop(rid, None)
-            produced[rid] = execute_one(app, requests[rid], ctx,
-                                        interp=self.comp)
-            stats.fallback_requests += 1
+            _execute(app, rids[0], requests, ctx, produced, self.comp)
+            stats.singleton_requests += 1
             return
         _run_chunk(app, self.acc, rids, requests, reports, ctx, strict,
                    dedup, produced, stats, interp=self.comp)
@@ -401,7 +386,7 @@ def plan_chunks(
     mode — under ``strict`` a real divergence is a *verdict* (REJECT),
     and pre-demotion would skip the group-wide check that produces it.
     Produced bodies and verdicts are unchanged either way (equivalence-
-    tested); only the grouped/fallback accounting moves.
+    tested); only the grouped/singleton/fallback accounting moves.
     """
     groups: list[list[str]] = []
     grouped_total = 0
@@ -811,13 +796,8 @@ def _reexec_parallel(
 
 
 def _merge_stats(into: ReExecStats, delta: ReExecStats) -> None:
-    into.groups += delta.groups
-    into.grouped_requests += delta.grouped_requests
-    into.fallback_requests += delta.fallback_requests
-    into.divergences += delta.divergences
-    into.steps += delta.steps
-    into.multi_steps += delta.multi_steps
-    into.group_alphas.extend(delta.group_alphas)
+    for name, value in vars(delta).items():  # counters add, lists extend
+        setattr(into, name, getattr(into, name) + value)
 
 
 def _in_error_group(reports: Reports, rid: str) -> bool:
@@ -852,6 +832,14 @@ def _fallback(
     passes its compiled-program runner)."""
     ctx.dedup = None
     for rid in rids:
-        ctx.produced_externals.pop(rid, None)  # discard partial progress
-        produced[rid] = execute_one(app, requests[rid], ctx, interp=interp)
+        _execute(app, rid, requests, ctx, produced, interp)
         stats.fallback_requests += 1
+
+
+def _execute(app: Application, rid: str, requests, ctx: SimContext,
+             produced: dict[str, str], interp) -> None:
+    """One request on the per-request engine ``interp``, start to end."""
+    # A rid can run more than once (listed in several groups, or demoted
+    # mid-group); its regenerated externals must not accumulate.
+    ctx.produced_externals.pop(rid, None)
+    produced[rid] = execute_one(app, requests[rid], ctx, interp=interp)

@@ -87,6 +87,7 @@ from repro.lang.builtins import (
 )
 from repro.lang.interp import (
     _MAX_CALL_DEPTH,
+    REQUEST_INPUTS,
     ExternalIntent,
     Interpreter,
     NondetIntent,
@@ -101,18 +102,14 @@ from repro.lang.interp import (
 )
 from repro.lang.values import (
     PhpArray,
-    arith,
-    compare,
-    loose_eq,
-    strict_eq,
+    binop,
+    compound,
     to_int,
     to_str,
     truthy,
+    unop,
 )
 from repro.trace.events import Request
-
-#: The request-input built-ins (resolved before everything else).
-_REQUEST_INPUTS = {"param": "get", "post_param": "post", "cookie": "cookies"}
 
 
 class _State:
@@ -149,31 +146,6 @@ class _CompiledFunc:
         self.pure = pure
         self.use_env = use_env
         self.run: Callable | None = None
-
-
-def _binop_combine(op: str) -> Callable[[object, object], object]:
-    """The value function of a non-short-circuit binary operator —
-    mirrors :meth:`Interpreter._binop_value` exactly (unknown operators
-    fall through to :func:`arith`, which raises)."""
-    if op == ".":
-        return lambda left, right: to_str(left) + to_str(right)
-    if op == "==":
-        return loose_eq
-    if op == "!=":
-        return lambda left, right: not loose_eq(left, right)
-    if op == "===":
-        return strict_eq
-    if op == "!==":
-        return lambda left, right: not strict_eq(left, right)
-    if op in ("<", "<=", ">", ">="):
-        return lambda left, right, _op=op: compare(_op, left, right)
-    return lambda left, right, _op=op: arith(_op, left, right)
-
-
-def _apply_compound(op: str, current: object, value: object) -> object:
-    if op == ".":
-        return to_str(current) + to_str(value)
-    return arith(op, current, value)
 
 
 class _Compiler:
@@ -315,6 +287,7 @@ class _Compiler:
         pure, fn = self._compile_expr_copy(stmt.expr)
         name = stmt.name
         op = stmt.op
+        apply = compound(op)  # unused for a plain ``=``
         use_env = self.use_env
         if pure:
             if not op:
@@ -336,15 +309,14 @@ class _Compiler:
                 def run(env, state):
                     state.steps += 1
                     value = fn(env, state)
-                    env.store(name,
-                              _apply_compound(op, env.lookup(name), value))
+                    env.store(name, apply(env.lookup(name), value))
 
             else:
 
                 def run(env, state):
                     state.steps += 1
                     value = fn(env, state)
-                    env[name] = _apply_compound(op, env.get(name), value)
+                    env[name] = apply(env.get(name), value)
 
             return True, run
 
@@ -353,7 +325,7 @@ class _Compiler:
             value = yield from fn(env, state)
             if op:
                 current = env.lookup(name) if use_env else env.get(name)
-                value = _apply_compound(op, current, value)
+                value = apply(current, value)
             if use_env:
                 env.store(name, value)
             else:
@@ -571,6 +543,7 @@ class _Compiler:
     ) -> tuple[bool, Callable]:
         name = stmt.name
         op = stmt.op
+        apply = compound(op)  # unused for a plain ``=``
         use_env = self.use_env
         walk = [
             (self._compile_expr(p) if p is not None else None)
@@ -632,8 +605,7 @@ class _Compiler:
                 else:
                     key = last_fn(env, state)
                     if op:
-                        value = _apply_compound(op, container.get(key),
-                                                value)
+                        value = apply(container.get(key), value)
                     container.set(key, value)
 
             return True, run
@@ -659,7 +631,7 @@ class _Compiler:
                 key = (last_fn(env, state) if last_pure
                        else (yield from last_fn(env, state)))
                 if op:
-                    value = _apply_compound(op, container.get(key), value)
+                    value = apply(container.get(key), value)
                 container.set(key, value)
 
         return False, run_gen
@@ -774,7 +746,7 @@ class _Compiler:
             return self._compile_logic(node)
         left_pure, left_fn, left_const = self._compile_expr(node.left)
         right_pure, right_fn, right_const = self._compile_expr(node.right)
-        combine = _binop_combine(op)
+        combine = binop(op)
         if left_const is not None and right_const is not None:
             try:
                 folded = combine(left_const[0], right_const[0])
@@ -840,63 +812,27 @@ class _Compiler:
         return False, run_gen, None
 
     def _compile_unop(self, node: UnOp) -> tuple[bool, Callable, tuple | None]:
-        op = node.op
+        apply = unop(node.op)
         pure, fn, const = self._compile_expr(node.operand)
-        if op == "!":
-            if const is not None:
-                return self._const(not truthy(const[0]), const[1] + 1)
-            if pure:
-
-                def run(env, state):
-                    state.steps += 1
-                    return not truthy(fn(env, state))
-
-                return True, run, None
-
-            def run_gen(env, state):
-                state.steps += 1
-                value = yield from fn(env, state)
-                return not truthy(value)
-
-            return False, run_gen, None
-        if op == "-":
-            if const is not None:
-                try:
-                    folded = arith("-", 0, const[0])
-                except WeblangError:
-                    pass
-                else:
-                    return self._const(folded, const[1] + 1)
-            if pure:
-
-                def run(env, state):
-                    state.steps += 1
-                    return arith("-", 0, fn(env, state))
-
-                return True, run, None
-
-            def run_gen(env, state):
-                state.steps += 1
-                value = yield from fn(env, state)
-                return arith("-", 0, value)
-
-            return False, run_gen, None
-
-        # Unknown unary operator: the interpreter evaluates the operand,
-        # then raises.
+        if const is not None:
+            try:
+                folded = apply(const[0])
+            except WeblangError:
+                pass  # fold would raise: keep it a runtime error
+            else:
+                return self._const(folded, const[1] + 1)
         if pure:
 
             def run(env, state):
                 state.steps += 1
-                fn(env, state)
-                raise WeblangError(f"unknown unary operator {op!r}")
+                return apply(fn(env, state))
 
             return True, run, None
 
         def run_gen(env, state):
             state.steps += 1
-            yield from fn(env, state)
-            raise WeblangError(f"unknown unary operator {op!r}")
+            value = yield from fn(env, state)
+            return apply(value)
 
         return False, run_gen, None
 
@@ -1047,7 +983,7 @@ class _Compiler:
     def _compile_call(self, node: Call) -> tuple[bool, Callable, None]:
         name = node.name
         args_pure, args_fn = self._compile_args(node.args)
-        if name in _REQUEST_INPUTS:
+        if name in REQUEST_INPUTS:
             return self._compile_request_input(name, args_pure, args_fn)
         if name in STATE_BUILTINS:
             return self._compile_state_call(name, args_pure, args_fn)
@@ -1104,7 +1040,7 @@ class _Compiler:
     def _compile_request_input(
         self, name: str, args_pure: bool, args_fn: Callable
     ) -> tuple[bool, Callable, None]:
-        attr = _REQUEST_INPUTS[name]
+        attr = REQUEST_INPUTS[name]
 
         def finish(args, state):
             if len(args) not in (1, 2):

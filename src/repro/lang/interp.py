@@ -57,12 +57,12 @@ from repro.lang.builtins import (
 )
 from repro.lang.values import (
     PhpArray,
-    arith,
-    compare,
-    loose_eq,
-    strict_eq,
+    binop,
+    compound,
+    to_int,
     to_str,
     truthy,
+    unop,
 )
 from repro.trace.events import Request
 
@@ -167,6 +167,10 @@ class _RunState:
 
 _MAX_CALL_DEPTH = 100
 
+#: The request-input built-ins (resolved before every other call) and the
+#: :class:`Request` attribute each one reads.
+REQUEST_INPUTS = {"param": "get", "post_param": "post", "cookie": "cookies"}
+
 # A weblang frame costs ~a dozen Python frames (the yield-from chain), so
 # the default CPython recursion limit trips long before _MAX_CALL_DEPTH.
 # Raise the floor once; the weblang limit is what callers actually hit.
@@ -240,7 +244,7 @@ class Interpreter:
             value = yield from self._eval_copy(stmt.expr, env, state)
             if stmt.op:
                 current = env.lookup(stmt.name)
-                value = self._apply_compound(stmt.op, current, value)
+                value = compound(stmt.op)(current, value)
             env.store(stmt.name, value)
             return
         if kind is ExprStmt:
@@ -322,11 +326,6 @@ class Interpreter:
             raise _ContinueSignal()
         raise WeblangError(f"unknown statement {kind.__name__}")
 
-    def _apply_compound(self, op: str, current: object, value: object):
-        if op == ".":
-            return to_str(current) + to_str(value)
-        return arith(op, current, value)
-
     def _exec_index_assign(
         self, stmt: IndexAssign, env: _Env, state: _RunState
     ):
@@ -359,8 +358,7 @@ class Interpreter:
         else:
             key = yield from self._eval(last, env, state)
             if stmt.op:
-                value = self._apply_compound(stmt.op, container.get(key),
-                                             value)
+                value = compound(stmt.op)(container.get(key), value)
             container.set(key, value)
 
     # -- expressions -----------------------------------------------------------
@@ -379,8 +377,6 @@ class Interpreter:
             if not isinstance(base, PhpArray):
                 if isinstance(base, str):
                     index = yield from self._eval(node.index, env, state)
-                    from repro.lang.values import to_int
-
                     position = to_int(index)
                     if 0 <= position < len(base):
                         return base[position]
@@ -392,11 +388,7 @@ class Interpreter:
             return (yield from self._eval_call(node, env, state))
         if kind is UnOp:
             value = yield from self._eval(node.operand, env, state)
-            if node.op == "!":
-                return not truthy(value)
-            if node.op == "-":
-                return arith("-", 0, value)
-            raise WeblangError(f"unknown unary operator {node.op!r}")
+            return unop(node.op)(value)
         if kind is Ternary:
             cond = yield from self._eval(node.cond, env, state)
             taken = truthy(cond)
@@ -439,23 +431,7 @@ class Interpreter:
             return truthy(right)
         left = yield from self._eval(node.left, env, state)
         right = yield from self._eval(node.right, env, state)
-        return self._binop_value(op, left, right)
-
-    @staticmethod
-    def _binop_value(op: str, left: object, right: object) -> object:
-        if op == ".":
-            return to_str(left) + to_str(right)
-        if op == "==":
-            return loose_eq(left, right)
-        if op == "!=":
-            return not loose_eq(left, right)
-        if op == "===":
-            return strict_eq(left, right)
-        if op == "!==":
-            return not strict_eq(left, right)
-        if op in ("<", "<=", ">", ">="):
-            return compare(op, left, right)
-        return arith(op, left, right)
+        return binop(op)(left, right)
 
     # -- calls -------------------------------------------------------------
 
@@ -465,7 +441,7 @@ class Interpreter:
         for arg in node.args:
             value = yield from self._eval_copy(arg, env, state)
             args.append(value)
-        if name in ("param", "post_param", "cookie"):
+        if name in REQUEST_INPUTS:
             return self._request_input(name, args, state)
         if name in STATE_BUILTINS:
             return (yield from self._state_call(name, args, state))
@@ -497,13 +473,7 @@ class Interpreter:
             raise WeblangError(f"{which}() expects 1 or 2 arguments")
         key = to_str(args[0])
         default = args[1] if len(args) == 2 else None
-        source = {
-            "param": state.request.get,
-            "post_param": state.request.post,
-            "cookie": state.request.cookies,
-        }[which]
-        value = source.get(key, default)
-        return value
+        return getattr(state.request, REQUEST_INPUTS[which]).get(key, default)
 
     def _call_user(self, func: FuncDecl, args: list[object], env: _Env,
                    state: _RunState):
@@ -563,7 +533,7 @@ class Interpreter:
         if name == "kv_set":
             self._check_args(name, args, 2)
             key = to_str(args[0])
-            value = self._storable(args[1])
+            value = freeze_value(args[1])
             yield StateOpIntent("kv_set", self.kv_name, (key, value))
             return None
         if name == "reg_read":
@@ -574,7 +544,7 @@ class Interpreter:
         if name == "reg_write":
             self._check_args(name, args, 2)
             register = f"reg:g:{to_str(args[0])}"
-            value = self._storable(args[1])
+            value = freeze_value(args[1])
             yield StateOpIntent("register_write", register, (value,))
             return None
         if name == "session_get":
@@ -585,7 +555,7 @@ class Interpreter:
         if name == "session_put":
             self._check_args(name, args, 1)
             register = self._session_register(state)
-            value = self._storable(args[0])
+            value = freeze_value(args[0])
             yield StateOpIntent("register_write", register, (value,))
             return None
         raise WeblangError(f"unknown state builtin {name}")  # pragma: no cover
@@ -604,12 +574,6 @@ class Interpreter:
                 "session_get/session_put without a session cookie"
             )
         return f"reg:sess:{cookie}"
-
-    @staticmethod
-    def _storable(value: object) -> object:
-        """Values stored into shared objects must be immutable snapshots;
-        arrays are frozen to (kind, items) tuples and revived on read."""
-        return freeze_value(value)
 
     @staticmethod
     def _convert_db_result(name: str, result: object) -> object:

@@ -16,7 +16,9 @@ multivalue expansion sound in the accelerated interpreter.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import operator
+from collections.abc import Callable, Iterator
+from functools import partial
 
 from repro.common.errors import WeblangError
 
@@ -57,19 +59,20 @@ class PhpArray:
     @staticmethod
     def _norm_key(key: object) -> Key:
         """PHP normalizes bool/float/numeric-string keys to int."""
-        if isinstance(key, bool):
-            return int(key)
-        if isinstance(key, int):
+        if type(key) is int:  # exact: True is an int too, and becomes 1
             return key
-        if isinstance(key, float):
-            return int(key)
         if isinstance(key, str):
-            # Canonical integer strings become int keys, as in PHP.
+            # Canonical integer strings become int keys, as in PHP
+            # (ASCII digits only: "²".isdigit() is true too).
             body = key[1:] if key.startswith("-") else key
-            if body and all(ch in "0123456789" for ch in body):
+            if body.isdigit() and body.isascii():
                 as_int = int(key)
                 if str(as_int) == key:
                     return as_int
+            return key
+        if isinstance(key, (bool, float)):
+            return int(key)
+        if isinstance(key, int):
             return key
         if key is None:
             return ""
@@ -147,10 +150,13 @@ class PhpArray:
 
 def truthy(value: object) -> bool:
     """PHP truthiness: "", "0", 0, 0.0, null, [] are false."""
+    kind = type(value)
+    if kind is bool or kind is int:
+        return value != 0
+    if kind is str:
+        return value != "" and value != "0"
     if value is None:
         return False
-    if isinstance(value, bool):
-        return value
     if isinstance(value, int):
         return value != 0
     if isinstance(value, float):
@@ -164,6 +170,10 @@ def truthy(value: object) -> bool:
 
 def to_str(value: object) -> str:
     """String conversion, used by echo and the ``.`` operator."""
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -182,6 +192,8 @@ def to_str(value: object) -> str:
 
 
 def to_int(value: object) -> int:
+    if type(value) is int:
+        return value
     if value is None:
         return 0
     if isinstance(value, bool):
@@ -320,11 +332,7 @@ def loose_eq(left: object, right: object) -> bool:
 
 def strict_eq(left: object, right: object) -> bool:
     """The ``===`` operator: same type and same value (no juggling)."""
-    if type(left) is not type(right):
-        return False
-    if isinstance(left, PhpArray):
-        return left == right
-    return left == right
+    return type(left) is type(right) and left == right
 
 
 def compare(op: str, left: object, right: object) -> bool:
@@ -337,13 +345,108 @@ def compare(op: str, left: object, right: object) -> bool:
         pair = (left, right)
     else:
         pair = (to_float(left), to_float(right))
-    lval, rval = pair
-    if op == "<":
-        return lval < rval
-    if op == "<=":
-        return lval <= rval
-    if op == ">":
-        return lval > rval
-    if op == ">=":
-        return lval >= rval
-    raise WeblangError(f"unknown comparison {op!r}")
+    test = _ORDERINGS.get(op)
+    if test is None:
+        raise WeblangError(f"unknown comparison {op!r}")
+    return test(*pair)
+
+
+_ORDERINGS = {"<": operator.lt, "<=": operator.le,
+              ">": operator.gt, ">=": operator.ge}
+
+
+# --------------------------------------------------------------------------
+# The operator table
+# --------------------------------------------------------------------------
+#
+# Every engine takes its operators from here, so "which operator" is
+# decided once per AST node (interp), per compiled node (compile) or per
+# multivalent step (accinterp), not once per evaluation.  Each entry tests
+# the exact types that dominate real programs (``type(x) is int``: a bool
+# never passes for a number) and falls through to the coercing functions
+# above, which stay the semantic reference.
+
+
+def _numbers(op: str, plain: Callable) -> Callable[[object, object], object]:
+    """``plain`` on two exact ints/floats, :func:`arith` otherwise."""
+    def apply(left: object, right: object) -> object:
+        lkind, rkind = type(left), type(right)
+        if (lkind is int or lkind is float) and (rkind is int
+                                                 or rkind is float):
+            return plain(left, right)
+        return arith(op, left, right)
+
+    return apply
+
+
+def _same_type(plain: Callable, general: Callable
+               ) -> Callable[[object, object], bool]:
+    """``plain`` on two ints, two floats or two strs; ``general``
+    (which juggles types) otherwise."""
+    def apply(left: object, right: object) -> bool:
+        kind = type(left)
+        if kind is type(right) and (kind is int or kind is str
+                                    or kind is float):
+            return plain(left, right)
+        return general(left, right)
+
+    return apply
+
+
+def _concat(left: object, right: object) -> str:
+    if type(left) is str and type(right) is str:
+        return left + right
+    return to_str(left) + to_str(right)
+
+
+def _mod(left: object, right: object) -> object:
+    if type(left) is int and type(right) is int and right:
+        return left % right
+    return arith("%", left, right)
+
+
+#: operator -> two-argument value function (``&&`` / ``||`` short-circuit
+#: and live in the engines).
+BINOPS: dict[str, Callable[[object, object], object]] = {
+    ".": _concat,
+    "+": _numbers("+", operator.add),
+    "-": _numbers("-", operator.sub),
+    "*": _numbers("*", operator.mul),
+    "/": partial(arith, "/"),
+    "%": _mod,
+    "==": _same_type(operator.eq, loose_eq),
+    "!=": _same_type(operator.ne, lambda a, b: not loose_eq(a, b)),
+    "===": strict_eq,
+    "!==": lambda a, b: not strict_eq(a, b),
+    **{op: _same_type(test, partial(compare, op))
+       for op, test in _ORDERINGS.items()},
+}
+
+#: The two unary operators.
+UNOPS: dict[str, Callable[[object], object]] = {
+    "!": lambda value: not truthy(value),
+    "-": partial(arith, "-", 0),
+}
+
+
+def binop(op: str) -> Callable[[object, object], object]:
+    """The value function of binary operator ``op``.  One the table
+    lacks resolves to :func:`arith`, which coerces its operands and then
+    raises — what every engine did with it before there was a table."""
+    return BINOPS.get(op) or partial(arith, op)
+
+
+def unop(op: str) -> Callable[[object], object]:
+    """The value function of unary ``op``; an unknown one raises when
+    applied (the operand has been evaluated by then)."""
+    def unknown(_value: object) -> object:
+        raise WeblangError(f"unknown unary operator {op!r}")
+
+    return UNOPS.get(op, unknown)
+
+
+def compound(op: str) -> Callable[[object, object], object]:
+    """The value function of ``$x op= value`` (current value on the
+    left): concatenation or arithmetic, nothing else."""
+    return BINOPS[op] if op in (".", "+", "-", "*", "/", "%") \
+        else partial(arith, op)

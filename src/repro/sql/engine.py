@@ -12,9 +12,11 @@ trusting a report — strictly stronger, and documented in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
+from functools import lru_cache
 
 from repro.common.errors import SqlError
 from repro.sql.ast import (
@@ -86,7 +88,15 @@ class Table:
         )
 
 
-def _like_to_regex(pattern: str) -> re.Pattern[str]:
+#: The caches below are keyed by strings and expressions that come out of
+#: the audited bundle (LIKE patterns are request parameters); like the
+#: parser's statement cache they hold at most this many entries, so a
+#: hostile bundle cannot grow the auditor without limit.
+_CACHE_LIMIT = 65536
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _like_pattern(pattern: str) -> re.Pattern[str]:
     out = []
     for ch in pattern:
         if ch == "%":
@@ -98,90 +108,172 @@ def _like_to_regex(pattern: str) -> re.Pattern[str]:
     return re.compile("^" + "".join(out) + "$", re.IGNORECASE | re.DOTALL)
 
 
-_LIKE_CACHE: dict[str, "re.Pattern[str]"] = {}
+# -- expressions ---------------------------------------------------------------
 
 
-def eval_expr(expr: Expr, row: Row | None) -> object:
-    """Evaluate a (non-aggregate) expression against one row."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, ColumnRef):
-        if row is None or expr.name not in row:
-            raise SqlError(f"unknown column {expr.name!r}")
-        return row[expr.name]
-    if isinstance(expr, BinaryOp):
-        left = eval_expr(expr.left, row)
-        right = eval_expr(expr.right, row)
-        if left is None or right is None:
-            return None
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            if right == 0:
-                return None
-            if isinstance(left, int) and isinstance(right, int):
-                return left // right
-            return left / right
-        if expr.op == "%":
-            if right == 0:
-                return None
-            return left % right
-        raise SqlError(f"unknown operator {expr.op!r}")
-    if isinstance(expr, Comparison):
-        left = eval_expr(expr.left, row)
-        right = eval_expr(expr.right, row)
-        if expr.op == "LIKE":
-            if left is None or right is None:
-                return False
-            pattern = _LIKE_CACHE.get(right)
-            if pattern is None:
-                pattern = _like_to_regex(str(right))
-                _LIKE_CACHE[right] = pattern
-            return pattern.match(str(left)) is not None
-        if left is None or right is None:
-            # SQL three-valued logic collapsed to False for comparisons
-            # with NULL, matching what the apps need.
-            return False
-        if expr.op == "=":
-            return left == right
-        if expr.op == "!=":
-            return left != right
+def _sql_div(left, right):
+    if right == 0:
+        return None
+    if isinstance(left, int) and isinstance(right, int):
+        return left // right
+    return left / right
+
+
+def _like(value, pattern):
+    return _like_pattern(str(pattern)).match(str(value)) is not None
+
+
+def _ordering(test):
+    def apply(left, right):
         try:
-            if expr.op == "<":
-                return left < right
-            if expr.op == "<=":
-                return left <= right
-            if expr.op == ">":
-                return left > right
-            if expr.op == ">=":
-                return left >= right
+            return test(left, right)
         except TypeError as exc:
             raise SqlError(
                 f"cannot compare {type(left).__name__} with "
                 f"{type(right).__name__}"
             ) from exc
-        raise SqlError(f"unknown comparison {expr.op!r}")
+
+    return apply
+
+
+#: operator -> function of two non-NULL operands.
+_ARITHMETIC = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _sql_div,
+    "%": lambda left, right: None if right == 0 else left % right,
+}
+_COMPARISONS = {
+    "=": operator.eq, "!=": operator.ne, "LIKE": _like,
+    "<": _ordering(operator.lt), "<=": _ordering(operator.le),
+    ">": _ordering(operator.gt), ">=": _ordering(operator.ge),
+}
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _column(name: str) -> Callable[[Row | None], object]:
+    """One closure per column name, shared by every statement naming it."""
+    def column(row):
+        try:
+            return row[name]
+        except (KeyError, TypeError):  # TypeError: no row (INSERT values)
+            raise SqlError(f"unknown column {name!r}") from None
+
+    return column
+
+
+def _raiser(message: str) -> Callable[..., object]:
+    def fail(*_args):
+        raise SqlError(message)
+
+    return fail
+
+
+def _compile(expr: Expr) -> Callable[[Row | None], object]:
+    """``expr`` as a closure over one row: which node, which operator
+    and which column are decided here, once, instead of per row.
+    :func:`eval_expr` states the semantics."""
+    if isinstance(expr, Literal):
+        value = expr.value
+        return lambda row: value
+    if isinstance(expr, ColumnRef):
+        return _column(expr.name)
+    if isinstance(expr, (BinaryOp, Comparison)):
+        if isinstance(expr, BinaryOp):
+            on_null = None
+            apply = _ARITHMETIC.get(expr.op) or _raiser(
+                f"unknown operator {expr.op!r}")
+        else:
+            on_null = False  # a comparison with NULL is false
+            apply = _COMPARISONS.get(expr.op) or _raiser(
+                f"unknown comparison {expr.op!r}")
+        left = _compile(expr.left)
+        if isinstance(expr.right, Literal):
+            # ``<expr> OP constant``, the usual WHERE: one call per row
+            # fewer, and one closure per cached statement fewer.
+            constant = expr.right.value
+
+            def binary_constant(row):
+                lhs = left(row)
+                if lhs is None or constant is None:
+                    return on_null
+                return apply(lhs, constant)
+
+            return binary_constant
+        right = _compile(expr.right)
+
+        def binary(row):
+            lhs, rhs = left(row), right(row)
+            if lhs is None or rhs is None:
+                return on_null
+            return apply(lhs, rhs)
+
+        return binary
     if isinstance(expr, BoolOp):
-        if expr.op == "AND":
-            return all(bool(eval_expr(op, row)) for op in expr.operands)
-        return any(bool(eval_expr(op, row)) for op in expr.operands)
+        operands = [_compile(operand) for operand in expr.operands]
+        # AND is settled by its first false operand, OR by its first true.
+        settles = expr.op != "AND"
+
+        def connective(row):
+            for operand in operands:
+                if (not operand(row)) is not settles:
+                    return settles
+            return not settles
+
+        return connective
     if isinstance(expr, NotOp):
-        return not bool(eval_expr(expr.operand, row))
+        operand = _compile(expr.operand)
+        return lambda row: not operand(row)
     if isinstance(expr, IsNull):
-        value = eval_expr(expr.operand, row)
-        return (value is not None) if expr.negated else (value is None)
+        operand, wanted = _compile(expr.operand), not expr.negated
+        return lambda row: (operand(row) is None) is wanted
     if isinstance(expr, InList):
-        value = eval_expr(expr.operand, row)
-        members = [eval_expr(item, row) for item in expr.items]
-        found = value in members
-        return (not found) if expr.negated else found
+        operand = _compile(expr.operand)
+        items = [_compile(item) for item in expr.items]
+        negated = expr.negated
+
+        def member(row):
+            value = operand(row)
+            return (value in [item(row) for item in items]) != negated
+
+        return member
     if isinstance(expr, Aggregate):
-        raise SqlError("aggregate used outside SELECT projection")
-    raise SqlError(f"unknown expression node {type(expr).__name__}")
+        return _raiser("aggregate used outside SELECT projection")
+    return _raiser(f"unknown expression node {type(expr).__name__}")
+
+
+#: id(expr) -> (expr, closure).  The entry holds the expression, so its
+#: id cannot be recycled for another one while the entry is live.
+_COMPILED: dict[int, tuple[Expr, Callable[[Row | None], object]]] = {}
+
+
+def compile_expr(expr: Expr) -> Callable[[Row | None], object]:
+    """The compiled form of ``expr``, built once per parsed expression
+    (``parse_sql`` memoises the parse, so: once per statement text)."""
+    if isinstance(expr, (ColumnRef, Literal)):
+        return _compile(expr)  # a leaf: nothing a cache entry would save
+    entry = _COMPILED.get(id(expr))
+    if entry is None:
+        entry = (expr, _compile(expr))
+        if len(_COMPILED) < _CACHE_LIMIT:
+            _COMPILED[id(expr)] = entry
+    return entry[1]
+
+
+def compile_where(where: Expr | None) -> Callable[[Row], object] | None:
+    return None if where is None else compile_expr(where)
+
+
+def eval_expr(expr: Expr, row: Row | None) -> object:
+    """Evaluate a (non-aggregate) expression against one row, once.
+
+    The semantics, which :func:`compile_expr` shares: arithmetic with a
+    NULL operand (or a zero divisor) is NULL; a comparison with NULL is
+    false — SQL's three-valued logic collapsed, which is what the apps
+    need; ordering two values Python cannot order, or naming a column
+    the row lacks (any column, when ``row`` is ``None``: INSERT values),
+    is a :class:`SqlError`; LIKE is case-insensitive with ``%`` / ``_``;
+    AND / OR / NOT take Python truthiness and short-circuit.
+    """
+    return _compile(expr)(row)
 
 
 def _coerce(value: object, type_name: str, column: str) -> object:
@@ -262,14 +354,11 @@ def project_rows(
                     eval_expr(item.expr, matched[0]) if matched else None
                 )
         return [out]
-    result = []
-    for row in matched:
-        out = {}
-        for index, item in enumerate(items):
-            name = item.alias or _item_name(item, index)
-            out[name] = eval_expr(item.expr, row)
-        result.append(out)
-    return result
+    columns = [
+        (item.alias or _item_name(item, index), compile_expr(item.expr))
+        for index, item in enumerate(items)
+    ]
+    return [{name: value(row) for name, value in columns} for row in matched]
 
 
 def _item_name(item: SelectItem, index: int) -> str:
@@ -302,6 +391,36 @@ def _eval_aggregate(agg: Aggregate, matched: list[Row]) -> object:
     if agg.func == "AVG":
         return sum(values) / len(values)
     raise SqlError(f"unknown aggregate {agg.func}")
+
+
+def insert_rows(table, stmt: Insert) -> Iterator[tuple[Row, int | None]]:
+    """The rows ``stmt`` adds to ``table`` (a live :class:`Table` or the
+    versioned store's), one at a time, each with its auto-increment id
+    (``None`` without such a column); advances the table's counter."""
+    for values in stmt.values:
+        columns = stmt.columns or tuple(table.columns)
+        if len(columns) != len(values):
+            raise SqlError(
+                f"INSERT into {table.name}: {len(columns)} columns but "
+                f"{len(values)} values"
+            )
+        row: Row = {col: None for col in table.columns}
+        for col, expr in zip(columns, values):
+            if col not in table.types:
+                raise SqlError(
+                    f"unknown column {col!r} in table {table.name!r}"
+                )
+            row[col] = _coerce(eval_expr(expr, None), table.types[col], col)
+        ident = None
+        if table.auto_column:
+            ident = row[table.auto_column]
+            if ident is None:
+                table.auto_counter += 1
+                ident = row[table.auto_column] = table.auto_counter
+            else:
+                assert isinstance(ident, int)
+                table.auto_counter = max(table.auto_counter, ident)
+        yield row, ident
 
 
 class Engine:
@@ -356,10 +475,9 @@ class Engine:
 
     def select(self, stmt: Select) -> StmtResult:
         table = self._table(stmt.table)
+        where = compile_where(stmt.where)
         matched = [
-            row
-            for row in table.rows
-            if stmt.where is None or bool(eval_expr(stmt.where, row))
+            row for row in table.rows if where is None or where(row)
         ]
         matched = apply_order_limit(
             matched, stmt.order_by, stmt.limit, stmt.offset
@@ -369,42 +487,22 @@ class Engine:
     def insert(self, stmt: Insert) -> StmtResult:
         table = self._table(stmt.table)
         last_id: int | None = None
-        for values in stmt.values:
-            columns = stmt.columns or tuple(table.columns)
-            if len(columns) != len(values):
-                raise SqlError(
-                    f"INSERT into {table.name}: {len(columns)} columns but "
-                    f"{len(values)} values"
-                )
-            row: Row = {col: None for col in table.columns}
-            for col, expr in zip(columns, values):
-                if col not in table.types:
-                    raise SqlError(
-                        f"unknown column {col!r} in table {table.name!r}"
-                    )
-                row[col] = _coerce(
-                    eval_expr(expr, None), table.types[col], col
-                )
-            if table.auto_column and row[table.auto_column] is None:
-                table.auto_counter += 1
-                row[table.auto_column] = table.auto_counter
-                last_id = table.auto_counter
-            elif table.auto_column:
-                current = row[table.auto_column]
-                assert isinstance(current, int)
-                table.auto_counter = max(table.auto_counter, current)
-                last_id = current
+        for row, last_id in insert_rows(table, stmt):
             table.rows.append(row)
         return StmtResult(affected=len(stmt.values), last_insert_id=last_id)
 
     def update(self, stmt: Update) -> StmtResult:
         table = self._table(stmt.table)
         affected = 0
+        where = compile_where(stmt.where)
+        assignments = [
+            (col, compile_expr(expr)) for col, expr in stmt.assignments
+        ]
         for row in table.rows:
-            if stmt.where is None or bool(eval_expr(stmt.where, row)):
+            if where is None or where(row):
                 new_values = {
-                    col: _coerce(eval_expr(expr, row), table.types[col], col)
-                    for col, expr in stmt.assignments
+                    col: _coerce(value(row), table.types[col], col)
+                    for col, value in assignments
                 }
                 row.update(new_values)
                 affected += 1
@@ -413,10 +511,10 @@ class Engine:
     def delete(self, stmt: Delete) -> StmtResult:
         table = self._table(stmt.table)
         before = len(table.rows)
+        where = compile_where(stmt.where)
         table.rows = [
-            row
-            for row in table.rows
-            if not (stmt.where is None or bool(eval_expr(stmt.where, row)))
+            row for row in table.rows
+            if not (where is None or where(row))
         ]
         return StmtResult(affected=before - len(table.rows))
 

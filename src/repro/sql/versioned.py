@@ -37,6 +37,7 @@ from repro.objects.base import OpRecord, OpType
 from repro.sql.ast import (
     CreateTable,
     Delete,
+    Expr,
     Insert,
     Select,
     Statement,
@@ -49,7 +50,9 @@ from repro.sql.engine import (
     StmtResult,
     _coerce,
     apply_order_limit,
-    eval_expr,
+    compile_expr,
+    compile_where,
+    insert_rows,
     project_rows,
 )
 from repro.sql.parser import parse_sql
@@ -222,31 +225,7 @@ class VersionedDB:
         if table.name not in undo.saved_counters:
             undo.saved_counters[table.name] = table.auto_counter
         last_id: int | None = None
-        for values in stmt.values:
-            columns = stmt.columns or tuple(table.columns)
-            if len(columns) != len(values):
-                raise SqlError(
-                    f"INSERT into {table.name}: {len(columns)} columns but "
-                    f"{len(values)} values"
-                )
-            row_values: Row = {col: None for col in table.columns}
-            for col, expr in zip(columns, values):
-                if col not in table.types:
-                    raise SqlError(
-                        f"unknown column {col!r} in table {table.name!r}"
-                    )
-                row_values[col] = _coerce(
-                    eval_expr(expr, None), table.types[col], col
-                )
-            if table.auto_column and row_values[table.auto_column] is None:
-                table.auto_counter += 1
-                row_values[table.auto_column] = table.auto_counter
-                last_id = table.auto_counter
-            elif table.auto_column:
-                current = row_values[table.auto_column]
-                assert isinstance(current, int)
-                table.auto_counter = max(table.auto_counter, current)
-                last_id = current
+        for row_values, last_id in insert_rows(table, stmt):
             logical = table.new_row()
             version = _Version(ts, TS_INF, row_values)
             logical.add(version)
@@ -259,22 +238,18 @@ class VersionedDB:
     ) -> StmtResult:
         table = self._vtable(stmt.table)
         affected = 0
-        for logical in table.rows.values():
-            version = logical.live_at(ts)
-            if version is None:
-                continue
-            if stmt.where is not None and not bool(
-                eval_expr(stmt.where, version.values)
-            ):
-                continue
+        assignments = [
+            (col, compile_expr(expr)) for col, expr in stmt.assignments
+        ]
+        for logical, version in self._scan(table, stmt.where, ts):
             new_values = dict(version.values)
-            for col, expr in stmt.assignments:
+            for col, value in assignments:
                 if col not in table.types:
                     raise SqlError(
                         f"unknown column {col!r} in table {table.name!r}"
                     )
                 new_values[col] = _coerce(
-                    eval_expr(expr, version.values), table.types[col], col
+                    value(version.values), table.types[col], col
                 )
             undo.terminated.append((logical, version, version.end_ts))
             version.end_ts = ts
@@ -290,14 +265,7 @@ class VersionedDB:
     ) -> StmtResult:
         table = self._vtable(stmt.table)
         affected = 0
-        for logical in table.rows.values():
-            version = logical.live_at(ts)
-            if version is None:
-                continue
-            if stmt.where is not None and not bool(
-                eval_expr(stmt.where, version.values)
-            ):
-                continue
+        for logical, version in self._scan(table, stmt.where, ts):
             undo.terminated.append((logical, version, version.end_ts))
             version.end_ts = ts
             affected += 1
@@ -334,20 +302,27 @@ class VersionedDB:
         return self.do_select(stmt, ts)
 
     def do_select(self, stmt: Select, ts: int) -> StmtResult:
-        table = self._vtable(stmt.table)
-        matched: list[Row] = []
-        for logical in table.rows.values():
-            version = logical.live_at(ts)
-            if version is None:
-                continue
-            if stmt.where is None or bool(
-                eval_expr(stmt.where, version.values)
-            ):
-                matched.append(version.values)
+        matched = [
+            version.values for _, version in
+            self._scan(self._vtable(stmt.table), stmt.where, ts)
+        ]
         matched = apply_order_limit(
             matched, stmt.order_by, stmt.limit, stmt.offset
         )
         return StmtResult(rows=project_rows(stmt.items, matched))
+
+    @staticmethod
+    def _scan(table: _VTable, where: Expr | None, ts: int
+              ) -> list[tuple[_LogicalRow, _Version]]:
+        """Every row of ``table`` with a version live at ``ts`` that
+        ``where`` accepts — the one row loop under reads and redo."""
+        accepts = compile_where(where)
+        return [
+            (logical, version)
+            for logical in table.rows.values()
+            if (version := logical.live_at(ts)) is not None
+            and (accepts is None or accepts(version.values))
+        ]
 
     def select_versions(
         self, stmt: Select | str, ts: int
@@ -368,22 +343,14 @@ class VersionedDB:
                     f"select_versions expects SELECT, got {stmt!r}"
                 )
             stmt = parsed
-        table = self._vtable(stmt.table)
-        matched: list[Row] = []
-        starts: dict[int, int] = {}
-        for logical in table.rows.values():
-            version = logical.live_at(ts)
-            if version is None:
-                continue
-            if stmt.where is None or bool(
-                eval_expr(stmt.where, version.values)
-            ):
-                matched.append(version.values)
-                # Version value dicts are distinct objects, so identity
-                # survives apply_order_limit's reordering.
-                starts[id(version.values)] = version.start_ts
+        versions = self._scan(self._vtable(stmt.table), stmt.where, ts)
+        # Version value dicts are distinct objects, so identity survives
+        # apply_order_limit's reordering.
+        starts = {id(version.values): version.start_ts
+                  for _, version in versions}
         matched = apply_order_limit(
-            matched, stmt.order_by, stmt.limit, stmt.offset
+            [version.values for _, version in versions],
+            stmt.order_by, stmt.limit, stmt.offset,
         )
         return [(dict(row), starts[id(row)]) for row in matched]
 

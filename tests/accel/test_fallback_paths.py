@@ -79,7 +79,11 @@ echo "q=", 10 / $d;
     assert result.accepted, (result.reason, result.detail)
     assert result.produced == baseline.produced
     assert result.produced["r2"] == "500 Internal Server Error"
-    assert result.stats["fallback_requests"] >= 1
+    # r2 sits alone in its error group: the default backend routes that
+    # chunk of one straight to the per-request engine (a singleton),
+    # ``accinterp`` tries it grouped first and demotes it (a fallback).
+    assert result.stats["singleton_requests"] + \
+        result.stats["fallback_requests"] >= 1
 
 
 def test_strict_divergence_reject_vs_resilient_accept():

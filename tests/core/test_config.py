@@ -33,8 +33,8 @@ def test_backend_default_resolves_env_at_construction(monkeypatch):
     assert default_backend() == "interp"
     assert AuditConfig().backend == "interp"
     monkeypatch.delenv("REPRO_BACKEND")
-    assert default_backend() == "accinterp"
-    assert AuditConfig().backend == "accinterp"
+    assert default_backend() == "hybrid"
+    assert AuditConfig().backend == "hybrid"
 
 
 @pytest.mark.parametrize("kwargs,fragment", [

@@ -108,9 +108,11 @@ def test_phase_timers_are_populated(counter_app, honest_run):
 def test_stats_are_populated(counter_app, honest_run):
     result = ssco_audit(counter_app, honest_run.trace, honest_run.reports,
                         honest_run.initial_state)
+    # Every re-executed request is booked exactly once.
     assert result.stats["grouped_requests"] + result.stats[
+        "singleton_requests"] + result.stats[
         "fallback_requests"
-    ] >= len(honest_run.trace.request_ids())
+    ] == len(honest_run.trace.request_ids())
     assert result.stats["graph_nodes"] > 0
     assert result.stats["steps"] > 0
     assert isinstance(result.stats["group_alphas"], list)

@@ -273,7 +273,21 @@ def cmd_audit(args) -> int:
         )
     if args.follow:
         return _audit_follow(args, workload, config)
-    trace, reports, initial, epoch_marks = load_audit_bundle_ex(args.bundle)
+    try:
+        trace, reports, initial, epoch_marks = load_audit_bundle_ex(
+            args.bundle)
+    except (ValueError, KeyError, TypeError) as exc:
+        # The bundle is the executor's word: one that does not decode is
+        # evidence that does not verify, not a fault of this program.
+        detail = f"{type(exc).__name__}: {exc}"
+        if args.json:
+            print(json.dumps({
+                "verdict": "REJECTED", "accepted": False,
+                "reason": "malformed_bundle", "detail": detail,
+            }, indent=2, sort_keys=True))
+        else:
+            print(f"REJECTED: malformed_bundle: {detail}")
+        return 1
     if config.epoch_cuts is None and config.epoch_size > 0:
         # The recorded quiescent marks are the natural cut positions —
         # but they come from the untrusted bundle: keep only genuine

@@ -53,30 +53,32 @@ class Graph:
         return sum(len(out) for out in self.adj.values())
 
     def has_cycle(self) -> bool:
-        """Three-color DFS, iterative."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: dict[Node, int] = {node: WHITE for node in self.adj}
-        for start in self.adj:
-            if color[start] != WHITE:
+        """Three-color DFS, iterative: absent from ``color`` is white,
+        on the current path gray, finished black."""
+        GRAY, BLACK = 1, 2
+        adj = self.adj
+        color: dict[Node, int] = {}
+        for start in adj:
+            if start in color:
                 continue
-            # Stack holds (node, iterator over successors).
-            stack: list[tuple[Node, int]] = [(start, 0)]
             color[start] = GRAY
-            while stack:
-                node, index = stack[-1]
-                successors = self.adj[node]
-                if index < len(successors):
-                    stack[-1] = (node, index + 1)
-                    nxt = successors[index]
-                    state = color.get(nxt, WHITE)
+            # ``path[i]``'s unvisited successors are what is left of
+            # ``pending[i]``.
+            path = [start]
+            pending = [iter(adj[start])]
+            while path:
+                for nxt in pending[-1]:
+                    state = color.get(nxt)
+                    if state is None:
+                        color[nxt] = GRAY
+                        path.append(nxt)
+                        pending.append(iter(adj[nxt]))
+                        break
                     if state == GRAY:
                         return True
-                    if state == WHITE:
-                        color[nxt] = GRAY
-                        stack.append((nxt, 0))
                 else:
-                    color[node] = BLACK
-                    stack.pop()
+                    color[path.pop()] = BLACK
+                    pending.pop()
         return False
 
     def topo_sort(self) -> list[Node] | None:

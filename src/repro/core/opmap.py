@@ -17,16 +17,17 @@ class OpMap:
     tamper tests a stable surface."""
 
     def __init__(self) -> None:
-        self._map: dict[tuple[str, int], Entry] = {}
+        #: (rid, opnum) -> entry; CheckLogs fills it directly.
+        self.entries: dict[tuple[str, int], Entry] = {}
 
     def insert(self, rid: str, opnum: int, obj: str, seq: int) -> None:
-        self._map[(rid, opnum)] = (obj, seq)
+        self.entries[(rid, opnum)] = (obj, seq)
 
     def get(self, rid: str, opnum: int) -> Entry | None:
-        return self._map.get((rid, opnum))
+        return self.entries.get((rid, opnum))
 
     def __contains__(self, key: tuple[str, int]) -> bool:
-        return key in self._map
+        return key in self.entries
 
     def __len__(self) -> int:
-        return len(self._map)
+        return len(self.entries)

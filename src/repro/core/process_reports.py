@@ -32,12 +32,19 @@ def split_nodes(gtr: TimePrecedenceGraph) -> Graph:
     node (rid, 0) and a departure node (rid, ∞); GTr's edges become
     (r1, ∞) -> (r2, 0)."""
     graph = Graph()
+    adj = graph.adj
+    departures: dict[str, list] = {}  # rid -> out-edges of (rid, ∞)
     for rid in gtr.nodes:
-        graph.add_node((rid, 0))
-        graph.add_node((rid, OPNUM_INF))
+        adj[(rid, 0)] = []
+        departures[rid] = adj[(rid, OPNUM_INF)] = []
     for child, parents in gtr.parents.items():
+        arrival = (child, 0)
         for parent in parents:
-            graph.add_edge((parent, OPNUM_INF), (child, 0))
+            departure = departures.get(parent)
+            if departure is None:  # unbalanced trace: response, no request
+                graph.add_edge((parent, OPNUM_INF), arrival)
+            else:
+                departure.append(arrival)
     return graph
 
 
@@ -45,87 +52,108 @@ def add_program_edges(
     graph: Graph, trace: Trace, op_counts: dict[str, int]
 ) -> None:
     """AddProgramEdges (Figure 5, lines 21-26): chain each request's
-    alleged operations between its arrival and departure nodes."""
+    alleged operations between its arrival and departure nodes.
+
+    Allocates one node per claimed operation: inside the audit it runs
+    after :func:`check_logs` has tied the claims to log records that
+    exist."""
+    adj = graph.adj
     for rid in trace.request_ids():
-        count = op_counts.get(rid, 0)
-        if count < 0:
-            raise AuditReject(
-                RejectReason.LOG_BAD_OPNUM, f"negative op count for {rid}"
-            )
-        previous = (rid, 0)
-        for opnum in range(1, count + 1):
+        out = adj.setdefault((rid, 0), [])
+        for opnum in range(1, op_counts.get(rid, 0) + 1):
             node = (rid, opnum)
-            graph.add_edge(previous, node)
-            previous = node
-        graph.add_edge(previous, (rid, OPNUM_INF))
+            out.append(node)
+            out = adj.setdefault(node, [])
+        departure = (rid, OPNUM_INF)
+        out.append(departure)
+        if departure not in adj:
+            adj[departure] = []
 
 
 def check_logs(trace: Trace, reports: Reports) -> OpMap:
-    """CheckLogs (Figure 5, lines 28-42): validate log entries against the
-    trace and the op counts; build the OpMap; ensure the logs cover exactly
-    the claimed operations."""
-    trace_rids = set(trace.request_ids())
+    """CheckLogs (Figure 5, lines 28-42): validate the op counts and the
+    log entries against the trace; build the OpMap; ensure the logs cover
+    exactly the claimed operations."""
+    rids = trace.request_ids()
     op_counts = reports.op_counts
+    claimed = 0
+    for rid in rids:
+        count = op_counts.get(rid, 0)
+        if type(count) is not int or count < 0:
+            raise AuditReject(
+                RejectReason.LOG_BAD_OPNUM,
+                f"op count for {rid} is {count!r}",
+            )
+        claimed += count
+    trace_rids = set(rids)
     opmap = OpMap()
+    entries = opmap.entries
     for obj_name in sorted(reports.op_logs):
-        log = reports.op_logs[obj_name]
-        for position, record in enumerate(log):
-            seq = position + 1
-            if record.rid not in trace_rids:
+        for seq, record in enumerate(reports.op_logs[obj_name], 1):
+            rid, opnum = record.rid, record.opnum
+            if rid not in trace_rids:
                 raise AuditReject(
                     RejectReason.LOG_UNKNOWN_RID,
                     f"log {obj_name}[{seq}] names unknown request "
-                    f"{record.rid!r}",
+                    f"{rid!r}",
                 )
-            if record.opnum <= 0:
+            if type(opnum) is not int or opnum <= 0:
                 raise AuditReject(
                     RejectReason.LOG_BAD_OPNUM,
-                    f"log {obj_name}[{seq}] has opnum {record.opnum}",
+                    f"log {obj_name}[{seq}] has opnum {opnum!r}",
                 )
-            if record.opnum > op_counts.get(record.rid, 0):
+            if opnum > op_counts.get(rid, 0):
                 raise AuditReject(
                     RejectReason.LOG_BAD_OPNUM,
-                    f"log {obj_name}[{seq}] opnum {record.opnum} exceeds "
-                    f"M({record.rid}) = {op_counts.get(record.rid, 0)}",
+                    f"log {obj_name}[{seq}] opnum {opnum} exceeds "
+                    f"M({rid}) = {op_counts.get(rid, 0)}",
                 )
-            if (record.rid, record.opnum) in opmap:
+            entry = (obj_name, seq)
+            if entries.setdefault((rid, opnum), entry) is not entry:
                 raise AuditReject(
                     RejectReason.LOG_DUPLICATE_OP,
-                    f"operation ({record.rid}, {record.opnum}) appears in "
+                    f"operation ({rid}, {opnum}) appears in "
                     "two log positions",
                 )
-            opmap.insert(record.rid, record.opnum, obj_name, seq)
-    for rid in trace_rids:
-        for opnum in range(1, op_counts.get(rid, 0) + 1):
-            if (rid, opnum) not in opmap:
-                raise AuditReject(
-                    RejectReason.LOG_MISSING_OP,
-                    f"operation ({rid}, {opnum}) is claimed by M but "
-                    "appears in no log",
-                )
+    # Every entry is a distinct claimed operation, so the logs cover the
+    # claims exactly when there are as many entries as claims.  (This
+    # also keeps a forged count from costing more than the records the
+    # bundle actually carries.)
+    if len(entries) != claimed:
+        for rid in trace_rids:
+            for opnum in range(1, op_counts.get(rid, 0) + 1):
+                if (rid, opnum) not in entries:
+                    raise AuditReject(
+                        RejectReason.LOG_MISSING_OP,
+                        f"operation ({rid}, {opnum}) is claimed by M but "
+                        "appears in no log",
+                    )
     return opmap
 
 
 def add_state_edges(graph: Graph, reports: Reports) -> None:
     """AddStateEdges (Figure 5, lines 44-54): adjacent log entries from
     different requests are ordered; same-request entries must have
-    non-decreasing opnums (program order already covers their edge)."""
+    non-decreasing opnums (program order already covers their edge).
+
+    ``graph`` must hold the program chains of the operations the logs
+    name, which is what :func:`check_logs` passing guarantees."""
+    adj = graph.adj
     for obj_name in sorted(reports.op_logs):
-        log = reports.op_logs[obj_name]
-        for position in range(1, len(log)):
-            previous = log[position - 1]
-            current = log[position]
+        records = iter(reports.op_logs[obj_name])
+        previous = next(records, None)
+        for seq, current in enumerate(records, 2):
             if previous.rid != current.rid:
-                graph.add_edge(
-                    (previous.rid, previous.opnum),
-                    (current.rid, current.opnum),
+                adj[(previous.rid, previous.opnum)].append(
+                    (current.rid, current.opnum)
                 )
             elif previous.opnum > current.opnum:
                 raise AuditReject(
                     RejectReason.LOG_OPNUM_NOT_INCREASING,
-                    f"log {obj_name}[{position + 1}]: opnum regressed for "
+                    f"log {obj_name}[{seq}]: opnum regressed for "
                     f"request {current.rid}",
                 )
+            previous = current
 
 
 def process_op_reports(
@@ -133,12 +161,14 @@ def process_op_reports(
 ) -> tuple[Graph, OpMap]:
     """ProcessOpReports (Figure 5, lines 2-12).
 
-    Returns (G, OpMap) or raises :class:`AuditReject`.
+    Returns (G, OpMap) or raises :class:`AuditReject`.  CheckLogs runs
+    before the graph is built rather than between its edge passes: it
+    needs no graph, and the graph is then sized by log records that are
+    there, not by counts the executor merely claims.
     """
-    gtr = create_time_precedence_graph(trace)
-    graph = split_nodes(gtr)
-    add_program_edges(graph, trace, reports.op_counts)
     opmap = check_logs(trace, reports)
+    graph = split_nodes(create_time_precedence_graph(trace))
+    add_program_edges(graph, trace, reports.op_counts)
     add_state_edges(graph, reports)
     if graph.has_cycle():
         raise AuditReject(

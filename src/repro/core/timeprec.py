@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.trace.events import EventKind
 from repro.trace.trace import Trace
 
 
@@ -51,16 +52,16 @@ def create_time_precedence_graph(trace: Trace) -> TimePrecedenceGraph:
     parents from the frontier and joins it.
     """
     gtr = TimePrecedenceGraph()
+    nodes, parents = gtr.nodes, gtr.parents
+    request = EventKind.REQUEST
     frontier: set[str] = set()
     for event in trace:
-        if event.is_request:
-            rid = event.rid
-            gtr.nodes.append(rid)
-            gtr.parents[rid] = list(frontier)
+        rid = event.rid
+        if event.kind is request:
+            nodes.append(rid)
+            parents[rid] = list(frontier)
         else:
-            rid = event.rid
-            for parent in gtr.parents.get(rid, ()):
-                frontier.discard(parent)
+            frontier.difference_update(parents.get(rid, ()))
             frontier.add(rid)
     return gtr
 

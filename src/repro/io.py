@@ -74,6 +74,11 @@ from repro.trace.trace import Trace
 
 FORMAT_VERSION = 1
 
+# Bound once: enum member access goes through the metaclass, and the
+# event decoder would pay it per record.
+_REQUEST, _RESPONSE, _EXTERNAL = (
+    EventKind.REQUEST, EventKind.RESPONSE, EventKind.EXTERNAL)
+
 
 # -- value encoding -------------------------------------------------------------
 #
@@ -94,13 +99,25 @@ def _enc(value: object) -> object:
 
 
 def _dec(value: object) -> object:
-    if isinstance(value, dict):
-        if set(value) == {"t"}:
-            return tuple(_dec(item) for item in value["t"])
-        if set(value) == {"l"}:
-            return [_dec(item) for item in value["l"]]
-        if set(value) == {"d"}:
-            return {k: _dec(v) for k, v in value["d"].items()}
+    """Inverse of :func:`_enc`: a tagged container is a dict whose one
+    key is ``t``, ``l`` or ``d``.  Most containers hold only scalars and
+    are copied without a call per item."""
+    if type(value) is not dict or len(value) != 1:
+        return value
+    if "t" in value:
+        inner = value["t"]
+        for item in inner:
+            if type(item) is dict:
+                return tuple([_dec(item) for item in inner])
+        return tuple(inner)
+    if "d" in value:
+        inner = value["d"]
+        for item in inner.values():
+            if type(item) is dict:
+                return {key: _dec(item) for key, item in inner.items()}
+        return dict(inner)
+    if "l" in value:
+        return [_dec(item) for item in value["l"]]
     return value
 
 
@@ -135,27 +152,34 @@ def _event_to_json(event: Event) -> dict:
 
 
 def _event_from_json(entry: dict) -> Event:
-    kind = EventKind(entry["kind"])
+    kind = entry["kind"]
     time = entry.get("time", 0.0)
-    if kind is EventKind.REQUEST:
+    if kind == "REQUEST":
         raw = entry["request"]
-        return Event.request(
-            Request(raw["rid"], raw["script"], _dec(raw["get"]),
+        rid = raw["rid"]
+        return Event(
+            _REQUEST, rid,
+            Request(rid, raw["script"], _dec(raw["get"]),
                     _dec(raw["post"]), _dec(raw["cookies"])),
             time,
         )
-    if kind is EventKind.RESPONSE:
+    if kind == "RESPONSE":
         raw = entry["response"]
-        return Event.response(
-            Response(raw["rid"], raw["body"], raw["status"],
-                     raw["abort_info"]),
+        rid = raw["rid"]
+        return Event(
+            _RESPONSE, rid,
+            Response(rid, raw["body"], raw["status"], raw["abort_info"]),
             time,
         )
-    raw = entry["external"]
-    return Event.external(
-        ExternalRequest(raw["rid"], raw["service"], _dec(raw["content"])),
-        time,
-    )
+    if kind == "EXTERNAL":
+        raw = entry["external"]
+        rid = raw["rid"]
+        return Event(
+            _EXTERNAL, rid,
+            ExternalRequest(rid, raw["service"], _dec(raw["content"])),
+            time,
+        )
+    raise ValueError(f"{kind!r} is not a valid EventKind")
 
 
 def trace_to_json(trace: Trace) -> dict:
@@ -207,32 +231,60 @@ def reports_to_json(reports: Reports) -> dict:
     }
 
 
+# The three decoders below are where report scalars become objects, for
+# the blob and for the record stream alike; a count or an opnum that is
+# not an integer stops here, so no consumer of ``Reports`` meets one.
+
+#: Wire spelling -> member: a dict probe per record where the enum's
+#: by-value constructor is two calls.
+_OP_TYPES = {optype.value: optype for optype in OpType}
+
+
+def _extend_op_log(log: list[OpRecord], raw: list) -> None:
+    append = log.append
+    for rec in raw:
+        opnum = rec["opnum"]
+        if type(opnum) is not int:
+            raise ValueError(
+                f"op-log record of {rec['rid']!r} has opnum {opnum!r}, "
+                "not an integer"
+            )
+        try:
+            optype = _OP_TYPES[rec["optype"]]
+        except (KeyError, TypeError):
+            optype = OpType(rec["optype"])  # its ValueError says which
+        append(OpRecord(rec["rid"], opnum, optype, _dec(rec["opcontents"])))
+
+
+def _checked_op_counts(counts: dict) -> dict[str, int]:
+    for rid, count in counts.items():
+        if type(count) is not int:
+            raise ValueError(
+                f"op count of {rid!r} is {count!r}, not an integer"
+            )
+    return counts
+
+
+def _nondet_records(raw: list) -> list[NondetRecord]:
+    return [
+        NondetRecord(rec["func"], _dec(rec["args"]), _dec(rec["value"]))
+        for rec in raw
+    ]
+
+
 def reports_from_json(data: dict) -> Reports:
     _check_version(data)
-    return Reports(
+    reports = Reports(
         groups={tag: list(rids) for tag, rids in data["groups"].items()},
-        op_logs={
-            obj: [
-                OpRecord(
-                    rec["rid"],
-                    rec["opnum"],
-                    OpType(rec["optype"]),
-                    _dec(rec["opcontents"]),
-                )
-                for rec in log
-            ]
-            for obj, log in data["op_logs"].items()
-        },
-        op_counts=dict(data["op_counts"]),
+        op_counts=dict(_checked_op_counts(data["op_counts"])),
         nondet={
-            rid: [
-                NondetRecord(rec["func"], _dec(rec["args"]),
-                             _dec(rec["value"]))
-                for rec in records
-            ]
+            rid: _nondet_records(records)
             for rid, records in data["nondet"].items()
         },
     )
+    for obj, log in data["op_logs"].items():
+        _extend_op_log(reports.op_logs.setdefault(obj, []), log)
+    return reports
 
 
 # -- initial state ---------------------------------------------------------------
@@ -294,6 +346,10 @@ SEGMENTED_LAYOUT = "segmented"
 
 #: Op-log records per JSONL line (bounds the working set of a consumer).
 _JSONL_LOG_CHUNK = 1000
+
+#: ``json.loads`` for one record line, minus its per-call keyword
+#: dispatch (this is the decoder ``loads`` ends up calling).
+_parse_record = json.JSONDecoder().decode
 
 
 # -- record builders ------------------------------------------------------------
@@ -498,38 +554,6 @@ class BundleWriter:
         self.close()
 
 
-def dispatch_meta_record(kind: str, record: dict,
-                         reports: Reports) -> InitialState | None:
-    """Accumulate one non-event record into ``reports``; a ``state``
-    record instead returns the decoded initial state.  Shared by the
-    file reader and :class:`repro.net.client.RemoteBundleReader` — the
-    wire transport carries the very same record dicts."""
-    if kind == "state":
-        return state_from_json(record["state"])
-    if kind == "group":
-        reports.groups.setdefault(record["tag"], []).extend(
-            record["rids"]
-        )
-    elif kind == "op_log":
-        log = reports.op_logs.setdefault(record["obj"], [])
-        for rec in record["records"]:
-            log.append(OpRecord(
-                rec["rid"], rec["opnum"], OpType(rec["optype"]),
-                _dec(rec["opcontents"]),
-            ))
-    elif kind == "op_counts":
-        reports.op_counts.update(record["counts"])
-    elif kind == "nondet":
-        reports.nondet.setdefault(record["rid"], []).extend(
-            NondetRecord(rec["func"], _dec(rec["args"]),
-                         _dec(rec["value"]))
-            for rec in record["records"]
-        )
-    else:
-        raise ValueError(f"unknown bundle record kind {kind!r}")
-    return None
-
-
 @dataclass
 class EpochSlice:
     """One epoch's worth of audit inputs, as yielded by
@@ -577,17 +601,35 @@ class EpochAccumulator:
         return slice_
 
     def feed(self, record: dict) -> EpochSlice | None:
-        """Consume one record; returns the finished slice when the
-        record is an ``epoch_mark`` closing a non-empty epoch."""
+        """Consume one record — decoding it, once, into the objects the
+        audit takes; returns the finished slice when the record is an
+        ``epoch_mark`` closing a non-empty epoch."""
         kind = record["kind"]
         if kind == "event":
-            self.trace.append(_event_from_json(record["event"]))
-            return None
-        if kind == "epoch_mark":
-            return self._cut() if len(self.trace) else None
-        state = dispatch_meta_record(kind, record, self.reports)
-        if state is not None:
-            self.initial_state = state
+            self.trace.events.append(_event_from_json(record["event"]))
+        elif kind == "op_log":
+            _extend_op_log(
+                self.reports.op_logs.setdefault(record["obj"], []),
+                record["records"],
+            )
+        elif kind == "nondet":
+            self.reports.nondet.setdefault(record["rid"], []).extend(
+                _nondet_records(record["records"])
+            )
+        elif kind == "group":
+            self.reports.groups.setdefault(record["tag"], []).extend(
+                record["rids"]
+            )
+        elif kind == "op_counts":
+            self.reports.op_counts.update(
+                _checked_op_counts(record["counts"])
+            )
+        elif kind == "epoch_mark":
+            return self._cut() if self.trace.events else None
+        elif kind == "state":
+            self.initial_state = state_from_json(record["state"])
+        else:
+            raise ValueError(f"unknown bundle record kind {kind!r}")
         return None
 
     def flush(self) -> EpochSlice | None:
@@ -763,7 +805,7 @@ class BundleReader:
                     # truncated JSON raises ValueError.
                     line, self._partial = self._partial, ""
                     if line.strip():
-                        record = json.loads(line)
+                        record = _parse_record(line)
                         if record.get("kind") == "end":
                             self._ended = True
                             return
@@ -773,9 +815,9 @@ class BundleReader:
             if self._partial:
                 line, self._partial = self._partial + line, ""
             deadline.restart()
-            if not line.strip():
+            if line.isspace():
                 continue
-            record = json.loads(line)
+            record = _parse_record(line)
             if record.get("kind") == "end":
                 self._ended = True
                 return
@@ -796,29 +838,23 @@ class BundleReader:
     ):
         """Consume the remaining stream into
         ``(trace, reports, initial_state, epoch_marks)``."""
-        trace = Trace()
-        reports = Reports()
+        # One accumulator that is never cut: the marks are collected,
+        # every other record is decoded exactly as :meth:`epochs` would.
+        accumulator = EpochAccumulator()
         epoch_marks: list[int] = []
         for record in self._records(follow, poll_interval, idle_timeout):
-            kind = record["kind"]
-            if kind == "event":
-                trace.append(_event_from_json(record["event"]))
-            elif kind == "epoch_mark":
+            if record["kind"] == "epoch_mark":
                 epoch_marks.append(int(record["events"]))
             else:
-                self._dispatch_meta(kind, record, reports)
+                accumulator.feed(record)
+        if accumulator.initial_state is not None:
+            self._initial_state = accumulator.initial_state
         if self._initial_state is None:
             raise ValueError(
                 f"bundle {self.path} has no initial state record"
             )
-        return trace, reports, self._initial_state, epoch_marks
-
-    def _dispatch_meta(self, kind: str, record: dict,
-                       reports: Reports) -> None:
-        """Non-event record kinds, accumulated into ``reports``."""
-        state = dispatch_meta_record(kind, record, reports)
-        if state is not None:
-            self._initial_state = state
+        return (accumulator.trace, accumulator.reports,
+                self._initial_state, epoch_marks)
 
     # -- incremental epoch streaming --------------------------------------
 

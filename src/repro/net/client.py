@@ -47,7 +47,7 @@ from repro.io import (
     JSONL_FORMAT,
     EpochAccumulator,
     EpochSlice,
-    dispatch_meta_record,
+    state_from_json,
 )
 from repro.net.protocol import (
     ERROR,
@@ -65,7 +65,6 @@ from repro.net.protocol import (
     parse_endpoint,
 )
 from repro.server.app import InitialState
-from repro.server.reports import Reports
 
 #: "argument not given" marker (an explicit ``idle_timeout=None`` means
 #: "wait forever", like the file reader's follow mode).
@@ -308,9 +307,7 @@ class RemoteBundleReader:
         for record in self._records(timeout):
             consumed.append(record)
             if record is not RESYNC and record["kind"] == "state":
-                self._initial_state = dispatch_meta_record(
-                    "state", record, Reports()
-                )
+                self._initial_state = state_from_json(record["state"])
                 break
         self._pushback = consumed + self._pushback
         if self._initial_state is None:

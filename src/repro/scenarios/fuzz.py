@@ -3,10 +3,11 @@
 Soundness as a soak test: take an honestly recorded bundle, apply
 randomized tamper operators — drop/duplicate/reorder trace records,
 flip response bodies, rewrite the reports (op logs, op counts, nondet
-values, group membership), splice whole epoch runs, truncate the file
-mid-record, and corrupt/truncate frames on the wire encoding — then
-run the *stock* loader + audit and assert the mutation is rejected
-through one of three channels:
+values, group membership), forge report scalars (an op count or an
+opnum turned huge, negative or non-integer), splice whole epoch runs,
+truncate the file mid-record, and corrupt/truncate frames on the wire
+encoding — then run the *stock* loader + audit and assert the mutation
+is rejected through one of three channels:
 
 * ``audit``  — the audit runs and REJECTs;
 * ``load``   — the stock bundle loader refuses the file (torn JSON,
@@ -62,6 +63,8 @@ FILE_OPERATORS = (
     "tamper_state",
     "splice_epochs",
     "truncate_tail",
+    "forge_op_count",
+    "forge_opnum",
 )
 WIRE_OPERATORS = ("wire_corrupt", "wire_truncate")
 ALL_OPERATORS = FILE_OPERATORS + WIRE_OPERATORS
@@ -299,26 +302,22 @@ def _choose_reorder_pair(cat: _Catalog, rng: random.Random):
     ]
 
 
-def _choose_flip_op_log(cat: _Catalog, rng: random.Random):
+def _rewrite_op_log_entry(cat: _Catalog, rng: random.Random, rewrite):
+    """One op-log line with ``rewrite(entry)`` applied to one record."""
     if not cat.op_logs:
         return None
     index = rng.choice(cat.op_logs)
     record = cat.parse(index)
     if not record["records"]:
         return None
-    entry = rng.choice(record["records"])
-    contents = entry.get("opcontents")
-    if isinstance(contents, str):
-        entry["opcontents"] = contents + "~tampered"
-    elif rng.random() < 0.5:
-        entry["opnum"] = entry["opnum"] + 1000
-    else:
-        entry["rid"] = "zz999999"
+    rewrite(rng.choice(record["records"]))
     return [{"op": "replace_line", "line": index,
              "text": _encode(record)}]
 
 
-def _choose_tamper_op_count(cat: _Catalog, rng: random.Random):
+def _rewrite_op_count(cat: _Catalog, rng: random.Random, rewrite):
+    """One op-counts line with one request's count put through
+    ``rewrite``."""
     if not cat.op_counts:
         return None
     index = rng.choice(cat.op_counts)
@@ -327,9 +326,46 @@ def _choose_tamper_op_count(cat: _Catalog, rng: random.Random):
     if not counts:
         return None
     rid = rng.choice(sorted(counts))
-    counts[rid] = counts[rid] + 1
+    counts[rid] = rewrite(counts[rid])
     return [{"op": "replace_line", "line": index,
              "text": _encode(record)}]
+
+
+def _choose_flip_op_log(cat: _Catalog, rng: random.Random):
+    def flip(entry):
+        contents = entry.get("opcontents")
+        if isinstance(contents, str):
+            entry["opcontents"] = contents + "~tampered"
+        elif rng.random() < 0.5:
+            entry["opnum"] = entry["opnum"] + 1000
+        else:
+            entry["rid"] = "zz999999"
+
+    return _rewrite_op_log_entry(cat, rng, flip)
+
+
+def _choose_tamper_op_count(cat: _Catalog, rng: random.Random):
+    return _rewrite_op_count(cat, rng, lambda count: count + 1)
+
+
+def _forged_scalar(value: int, rng: random.Random) -> object:
+    """What a report scalar must never be allowed to cost or crash: a
+    huge one (the audit may not allocate by it), a negative one, and
+    three that are not integers at all."""
+    return rng.choice(
+        (value + 3_000_000, -value - 1, str(value), value + 0.5, None))
+
+
+def _choose_forge_op_count(cat: _Catalog, rng: random.Random):
+    return _rewrite_op_count(
+        cat, rng, lambda count: _forged_scalar(count, rng))
+
+
+def _choose_forge_opnum(cat: _Catalog, rng: random.Random):
+    def forge(entry):
+        entry["opnum"] = _forged_scalar(entry["opnum"], rng)
+
+    return _rewrite_op_log_entry(cat, rng, forge)
 
 
 def _choose_flip_nondet(cat: _Catalog, rng: random.Random):
@@ -450,6 +486,8 @@ _FILE_CHOOSERS = {
     "tamper_state": _choose_tamper_state,
     "splice_epochs": _choose_splice_epochs,
     "truncate_tail": _choose_truncate_tail,
+    "forge_op_count": _choose_forge_op_count,
+    "forge_opnum": _choose_forge_opnum,
 }
 
 
@@ -631,6 +669,9 @@ def fuzz_bundle(
 def _one_mutation(index, rng, catalog, donor, chosen_ops,
                   edits_per_mutation, audit_fn, workdir):
     """Pick an applicable operator, build its edits, test them."""
+    # Extra edits stay inside the campaign's operators, so a restricted
+    # campaign replays the same whatever families exist beside it.
+    file_pool = tuple(op for op in chosen_ops if op in FILE_OPERATORS)
     for _attempt in range(16):
         operator = chosen_ops[rng.randrange(len(chosen_ops))]
         if operator in WIRE_OPERATORS:
@@ -642,7 +683,7 @@ def _one_mutation(index, rng, catalog, donor, chosen_ops,
             outcome.index = index
             return outcome
         edits = _file_edits(catalog, donor, rng, operator,
-                            edits_per_mutation)
+                            edits_per_mutation, file_pool)
         if edits is None:
             continue
         data = apply_edits(catalog.lines, edits)
@@ -656,10 +697,10 @@ def _one_mutation(index, rng, catalog, donor, chosen_ops,
     )
 
 
-def _file_edits(catalog, donor, rng, operator, edits_per_mutation):
+def _file_edits(catalog, donor, rng, operator, edits_per_mutation, pool):
     """1..N edits: the named operator first, then optional extra draws
-    from the same family pool (multi-edit mutations give the shrinker
-    real work when one slips through)."""
+    from ``pool``, the campaign's file operators (multi-edit mutations
+    give the shrinker real work when one slips through)."""
     if operator == "splice_epochs":
         return _choose_splice_epochs(catalog, rng, donor)
     chooser = _FILE_CHOOSERS[operator]
@@ -672,7 +713,7 @@ def _file_edits(catalog, donor, rng, operator, edits_per_mutation):
     if operator == "truncate_tail":
         extra_budget = 0
     for _ in range(extra_budget):
-        name = FILE_OPERATORS[rng.randrange(len(FILE_OPERATORS))]
+        name = pool[rng.randrange(len(pool))]
         if name in ("truncate_tail", "splice_epochs"):
             continue
         more = _FILE_CHOOSERS[name](catalog, rng)

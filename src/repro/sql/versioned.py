@@ -29,15 +29,20 @@ keeps only the latest state (§5.1).
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.common.errors import AuditReject, RejectReason, SqlError
 from repro.objects.base import OpRecord, OpType
 from repro.sql.ast import (
+    BoolOp,
+    ColumnRef,
+    Comparison,
     CreateTable,
     Delete,
     Expr,
+    Literal,
     Insert,
     Select,
     Statement,
@@ -93,6 +98,52 @@ class _LogicalRow:
         self.starts.append(version.start_ts)
 
 
+def _leading_equality(where: Expr | None) -> tuple[str, object] | None:
+    """``(column, constant)`` when ``where`` is, or its top-level AND
+    starts with, ``column = constant`` (constant not NULL).  Only the
+    *leading* conjunct qualifies: AND stops at its first false operand,
+    so a row that fails it is rejected before any later operand — one
+    that might raise :class:`SqlError` on that row — is looked at."""
+    if isinstance(where, BoolOp) and where.op == "AND":
+        where = where.operands[0]
+    if (isinstance(where, Comparison) and where.op == "="
+            and isinstance(where.left, ColumnRef)
+            and isinstance(where.right, Literal)
+            and where.right.value is not None):
+        return where.left.name, where.right.value
+    return None
+
+
+_row_id = operator.attrgetter("row_id")
+
+#: One column's equality index: value -> the logical rows any of whose
+#: versions ever held it, in ``row_id`` order.
+_EqIndex = dict[object, list[_LogicalRow]]
+
+
+def _index_version(index: _EqIndex, logical: _LogicalRow, values: Row,
+                   column: str) -> bool:
+    """File ``logical`` under the value ``values`` holds for ``column``;
+    False when it has none that a dict can key (column absent, value
+    unhashable)."""
+    try:
+        value = values[column]
+        bucket = index.get(value)
+    except (KeyError, TypeError):
+        return False
+    if bucket is None:
+        if value is not None:  # ``column = NULL`` is never probed
+            index[value] = [logical]
+    elif bucket[-1].row_id < logical.row_id:
+        bucket.append(logical)
+    elif bucket[-1] is not logical:
+        # An older row moved into this bucket (UPDATE of the column).
+        at = bisect.bisect_left(bucket, logical.row_id, key=_row_id)
+        if at == len(bucket) or bucket[at] is not logical:
+            bucket.insert(at, logical)
+    return True
+
+
 @dataclass
 class _VTable:
     name: str
@@ -103,12 +154,54 @@ class _VTable:
     rows: dict[int, _LogicalRow] = field(default_factory=dict)
     next_row_id: int = 0
     write_ts: list[int] = field(default_factory=list)  # sorted (append-only)
+    #: column -> its equality index, built on the first probe of that
+    #: column; ``None`` marks a column that cannot be indexed (see
+    #: :func:`_index_version`) and keeps the full walk, with whatever
+    #: the predicate raises there.
+    eq_index: dict[str, _EqIndex | None] = field(default_factory=dict)
 
     def new_row(self) -> _LogicalRow:
         self.next_row_id += 1
         row = _LogicalRow(self.next_row_id)
         self.rows[self.next_row_id] = row
         return row
+
+    def add_version(self, logical: _LogicalRow, version: _Version) -> None:
+        """Append ``version`` to ``logical`` — the one way versions
+        enter a table, so the one place its indexes are kept."""
+        logical.add(version)
+        for column, index in self.eq_index.items():
+            if index is not None and not _index_version(
+                    index, logical, version.values, column):
+                self.eq_index[column] = None
+
+    def candidates(self, where: Expr | None) -> Iterable[_LogicalRow]:
+        """The logical rows a scan for ``where`` must look at, in
+        ``row_id`` order: all of them, or — when ``where`` leads with
+        ``column = constant`` — the index's superset of the rows with a
+        version the predicate can accept.  Python ``==`` and ``hash``
+        agree on the scalars SQL values are (``1``, ``1.0`` and ``True``
+        share a bucket, ``'1'`` has its own), as ``operator.eq`` under
+        the compiled predicate does."""
+        probe = _leading_equality(where)
+        if probe is None:
+            return self.rows.values()
+        column, constant = probe
+        if column not in self.eq_index:
+            self.eq_index[column] = self._build_index(column)
+        index = self.eq_index[column]
+        if index is None:
+            return self.rows.values()
+        return index.get(constant, ())
+
+    def _build_index(self, column: str) -> _EqIndex | None:
+        index: _EqIndex = {}
+        for logical in self.rows.values():
+            for version in logical.versions:
+                if not _index_version(index, logical, version.values,
+                                      column):
+                    return None
+        return index
 
     def note_write(self, ts: int) -> None:
         if not self.write_ts or self.write_ts[-1] != ts:
@@ -120,9 +213,9 @@ class _TxUndo:
     """Undo information for one (possibly aborting) transaction."""
 
     created: list[_Version] = field(default_factory=list)
-    terminated: list[tuple[_LogicalRow, _Version, int]] = field(
+    terminated: list[tuple[_VTable, _LogicalRow, _Version, int]] = field(
         default_factory=list
-    )  # (row, version, previous end_ts)
+    )  # (table, row, version, previous end_ts)
     saved_counters: dict[str, int] = field(default_factory=dict)
 
 
@@ -149,8 +242,9 @@ class VersionedDB:
                 table.auto_counter,
             )
             for values in table.rows:
-                row = vtable.new_row()
-                row.add(_Version(0, TS_INF, dict(values)))
+                vtable.add_version(
+                    vtable.new_row(), _Version(0, TS_INF, dict(values))
+                )
             self.tables[name] = vtable
 
     def build(self, log: Sequence[OpRecord]) -> None:
@@ -226,9 +320,8 @@ class VersionedDB:
             undo.saved_counters[table.name] = table.auto_counter
         last_id: int | None = None
         for row_values, last_id in insert_rows(table, stmt):
-            logical = table.new_row()
             version = _Version(ts, TS_INF, row_values)
-            logical.add(version)
+            table.add_version(table.new_row(), version)
             undo.created.append(version)
         table.note_write(ts)
         return StmtResult(affected=len(stmt.values), last_insert_id=last_id)
@@ -251,10 +344,11 @@ class VersionedDB:
                 new_values[col] = _coerce(
                     value(version.values), table.types[col], col
                 )
-            undo.terminated.append((logical, version, version.end_ts))
+            undo.terminated.append(
+                (table, logical, version, version.end_ts))
             version.end_ts = ts
             replacement = _Version(ts, TS_INF, new_values)
-            logical.add(replacement)
+            table.add_version(logical, replacement)
             undo.created.append(replacement)
             affected += 1
         table.note_write(ts)
@@ -266,7 +360,8 @@ class VersionedDB:
         table = self._vtable(stmt.table)
         affected = 0
         for logical, version in self._scan(table, stmt.where, ts):
-            undo.terminated.append((logical, version, version.end_ts))
+            undo.terminated.append(
+                (table, logical, version, version.end_ts))
             version.end_ts = ts
             affected += 1
         table.note_write(ts)
@@ -282,13 +377,14 @@ class VersionedDB:
         created_ids = {id(version) for version in undo.created}
         for version in undo.created:
             version.end_ts = min(version.end_ts, ts_abort)
-        for logical, version, old_end in undo.terminated:
+        for table, logical, version, old_end in undo.terminated:
             if id(version) in created_ids:
                 # Created and then overwritten/deleted by the same tx:
                 # already capped above; nothing to re-instate.
                 continue
-            clone = _Version(ts_abort, old_end, dict(version.values))
-            logical.add(clone)
+            table.add_version(
+                logical, _Version(ts_abort, old_end, dict(version.values))
+            )
         for name, counter in undo.saved_counters.items():
             self.tables[name].auto_counter = counter
 
@@ -315,11 +411,13 @@ class VersionedDB:
     def _scan(table: _VTable, where: Expr | None, ts: int
               ) -> list[tuple[_LogicalRow, _Version]]:
         """Every row of ``table`` with a version live at ``ts`` that
-        ``where`` accepts — the one row loop under reads and redo."""
+        ``where`` accepts — the one row loop under reads and redo.  The
+        table's equality index may narrow which rows are looked at; the
+        liveness test and the whole predicate still decide."""
         accepts = compile_where(where)
         return [
             (logical, version)
-            for logical in table.rows.values()
+            for logical in table.candidates(where)
             if (version := logical.live_at(ts)) is not None
             and (accepts is None or accepts(version.values))
         ]

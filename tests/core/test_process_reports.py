@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import AuditReject, RejectReason
-from repro.core.graph import OPNUM_INF
+from repro.core.graph import OPNUM_INF, Graph
 from repro.core.process_reports import (
     add_program_edges,
     add_state_edges,
@@ -140,8 +140,6 @@ def test_state_edges_reject_opnum_regression():
         op_counts={"r1": 2},
         nondet={},
     )
-    from repro.core.graph import Graph
-
     with pytest.raises(AuditReject) as exc:
         add_state_edges(Graph(), reports)
     assert exc.value.reason is RejectReason.LOG_OPNUM_NOT_INCREASING
@@ -199,3 +197,168 @@ def test_empty_reports_with_no_op_requests():
                       op_counts={"r1": 0, "r2": 0}, nondet={})
     graph, opmap = process_op_reports(_trace_two_sequential(), reports)
     assert len(opmap) == 0
+
+
+# -- the graph, against Figure 5 written out edge by edge ----------------------
+#
+# ``figure5`` is ProcessOpReports as the paper lists it — every edge
+# through ``Graph.add_edge``, CheckLogs between the two edge passes —
+# kept here as the reference the production passes must agree with:
+# same nodes in the same order, same edges, and for a defective bundle
+# the same reason (the first one Figure 5's order of checks meets).
+
+
+def figure5(trace, reports):
+    graph = Graph()
+    gtr = create_time_precedence_graph(trace)
+    for rid in gtr.nodes:
+        graph.add_node((rid, 0))
+        graph.add_node((rid, OPNUM_INF))
+    for child, parents in gtr.parents.items():
+        for parent in parents:
+            graph.add_edge((parent, OPNUM_INF), (child, 0))
+    counts = reports.op_counts
+    for rid in trace.request_ids():
+        if counts.get(rid, 0) < 0:
+            raise AuditReject(RejectReason.LOG_BAD_OPNUM)
+        previous = (rid, 0)
+        for opnum in range(1, counts.get(rid, 0) + 1):
+            graph.add_edge(previous, (rid, opnum))
+            previous = (rid, opnum)
+        graph.add_edge(previous, (rid, OPNUM_INF))
+    rids = set(trace.request_ids())
+    seen = set()
+    for obj in sorted(reports.op_logs):
+        for record in reports.op_logs[obj]:
+            if record.rid not in rids:
+                raise AuditReject(RejectReason.LOG_UNKNOWN_RID)
+            if not 0 < record.opnum <= counts.get(record.rid, 0):
+                raise AuditReject(RejectReason.LOG_BAD_OPNUM)
+            if (record.rid, record.opnum) in seen:
+                raise AuditReject(RejectReason.LOG_DUPLICATE_OP)
+            seen.add((record.rid, record.opnum))
+    for rid in rids:
+        for opnum in range(1, counts.get(rid, 0) + 1):
+            if (rid, opnum) not in seen:
+                raise AuditReject(RejectReason.LOG_MISSING_OP)
+    for obj in sorted(reports.op_logs):
+        log = reports.op_logs[obj]
+        for previous, current in zip(log, log[1:]):
+            if previous.rid != current.rid:
+                graph.add_edge((previous.rid, previous.opnum),
+                               (current.rid, current.opnum))
+            elif previous.opnum > current.opnum:
+                raise AuditReject(RejectReason.LOG_OPNUM_NOT_INCREASING)
+    if graph.topo_sort() is None:
+        raise AuditReject(RejectReason.ORDERING_CYCLE)
+    return graph
+
+
+def _verdict(build, trace, reports):
+    try:
+        return build(trace, reports)
+    except AuditReject as reject:
+        return reject.reason
+
+
+def test_graph_equals_figure5(honest_run):
+    trace, reports = honest_run.trace, honest_run.reports
+    graph, opmap = process_op_reports(trace, reports)
+    reference = figure5(trace, reports)
+    assert list(graph.adj) == list(reference.adj)
+    # A request's parents come out of a set, so the edges of one node
+    # are compared as a multiset.
+    assert ({node: sorted(out) for node, out in graph.adj.items()}
+            == {node: sorted(out) for node, out in reference.adj.items()})
+    assert graph.edge_count() == reference.edge_count() > len(opmap) > 0
+    assert {key: (obj, seq) for obj, log in reports.op_logs.items()
+            for seq, record in enumerate(log, 1)
+            for key in [(record.rid, record.opnum)]} == opmap.entries
+
+
+def _defects(reports):
+    """Single defects by name; each edits ``reports`` in place."""
+    obj = max(reports.op_logs, key=lambda name: len(reports.op_logs[name]))
+    log = reports.op_logs[obj]
+    first = log[0]
+    other = next(r for r in log if r.rid != first.rid)
+
+    def rewrite(position, **fields):
+        record = log[position]
+        log[position] = OpRecord(
+            fields.get("rid", record.rid), fields.get("opnum", record.opnum),
+            record.optype, record.opcontents)
+
+    return {
+        "negative_count": lambda: reports.op_counts.update({other.rid: -2}),
+        "unknown_rid": lambda: rewrite(0, rid="ghost"),
+        "zero_opnum": lambda: rewrite(1, opnum=0),
+        "beyond_m": lambda: rewrite(2, opnum=10_000),
+        "duplicate": lambda: log.append(first),
+        "missing": lambda: reports.op_counts.update(
+            {first.rid: reports.op_counts[first.rid] + 1}),
+        "cycle": lambda: log.reverse(),
+    }
+
+
+@pytest.mark.parametrize("names", [
+    (name,) for name in ("negative_count", "unknown_rid", "zero_opnum",
+                         "beyond_m", "duplicate", "missing", "cycle")
+] + [
+    ("missing", "negative_count"), ("unknown_rid", "negative_count"),
+    ("duplicate", "unknown_rid"), ("missing", "duplicate"),
+    ("cycle", "missing"), ("cycle", "beyond_m"), ("zero_opnum", "missing"),
+    ("cycle", "duplicate", "negative_count"),
+])
+def test_same_reason_wins_as_in_figure5(honest_run, names):
+    reports = honest_run.reports.deep_copy()
+    defects = _defects(reports)
+    for name in names:
+        defects[name]()
+    expected = _verdict(figure5, honest_run.trace, reports)
+    assert isinstance(expected, RejectReason), names
+    assert _verdict(process_op_reports, honest_run.trace,
+                    reports) is expected, names
+
+
+# -- report scalars the executor made up ---------------------------------------
+
+
+def test_forged_op_count_is_rejected_before_anything_is_allocated(
+        counter_app, honest_run):
+    """An op count is the executor's claim: a forged 3,000,000 must cost
+    what the log records that exist cost, not three million nodes."""
+    import resource
+    import time
+
+    from repro.core import Auditor
+
+    reports = honest_run.reports.deep_copy()
+    rid = honest_run.trace.request_ids()[0]
+    reports.op_counts[rid] += 3_000_000
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    started = time.process_time()
+    result = Auditor(counter_app).audit(
+        honest_run.trace, reports, honest_run.initial_state)
+    cpu = time.process_time() - started
+    grown_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kib
+    assert not result.accepted
+    assert result.reason is RejectReason.LOG_MISSING_OP
+    assert cpu < 0.5, f"{cpu:.2f} CPU-s"
+    assert grown_kib < 50 * 1024, f"{grown_kib / 1024:.0f} MiB"
+
+
+@pytest.mark.parametrize("forged", ["3", 2.5, None, [1], True])
+def test_non_integer_scalars_in_reports_are_a_verdict(forged):
+    """``Reports`` built in process never pass through the decoder's
+    type check; CheckLogs must still answer with a verdict."""
+    counts = _reports(op_counts={"r1": forged, "r2": 1})
+    with pytest.raises(AuditReject) as exc:
+        process_op_reports(_trace_two_sequential(), counts)
+    assert exc.value.reason is RejectReason.LOG_BAD_OPNUM
+    opnums = _reports()
+    opnums.op_logs["reg:g:A"][1] = OpRecord(
+        "r2", forged, OpType.REGISTER_READ, ())
+    with pytest.raises(AuditReject) as exc:
+        process_op_reports(_trace_two_sequential(), opnums)
+    assert exc.value.reason is RejectReason.LOG_BAD_OPNUM

@@ -124,3 +124,65 @@ def test_resolve_point_specs(counter_app, honest_run):
         resolve_point(timeline, "no-such-request")
     with pytest.raises(AsOfError, match="empty"):
         resolve_point(timeline, "  ")
+
+
+# -- the versioned store's equality index changes no answer ---------------------
+
+
+def _sql_answers(workload, epoch_size):
+    """Every SELECT the application itself issued, asked again of the
+    timeline: ``select_versions`` (full rows with start timestamps) at
+    the reading transaction's own timestamp, and ``query --as-of`` at a
+    sample of request points and at every epoch's end."""
+    from repro.objects.base import OpType
+    from repro.sql.versioned import MAXQ
+
+    run = Executor(workload.app, max_concurrency=4,
+                   epoch_size=epoch_size).serve(workload.requests)
+    timeline = make_timeline(workload.app, run)
+    db_name = workload.app.db_name
+    answers = []
+    for epoch in range(timeline.epoch_count):
+        vdb = timeline.context(epoch).sim.vdb[db_name]
+        log = timeline.shard(epoch).reports.op_logs.get(db_name, [])
+        selects = []
+        for seq, record in enumerate(log, 1):
+            if record.optype is not OpType.DB_OP:
+                continue
+            for q, sql in enumerate(record.opcontents[0], 1):
+                if sql.upper().startswith("SELECT"):
+                    selects.append(sql)
+                    answers.append(
+                        (epoch, sql, vdb.select_versions(
+                            sql, seq * MAXQ + q)))
+        rids = [rid for rid, entry in sorted(timeline.entries.items())
+                if entry.epoch == epoch]
+        for sql in selects[::7]:
+            for spec in (*rids[::9], str(epoch)):
+                result = query_asof(timeline, spec, sql)
+                answers.append((spec, sql, result.rows, result.producers))
+    return answers
+
+
+@pytest.mark.parametrize("name", ["wiki", "forum", "hotcrp", "cart"])
+def test_sql_answers_equal_the_full_walk(monkeypatch, name):
+    from repro import workloads
+    from repro.sql.versioned import _VTable
+
+    workload = getattr(workloads, f"{name}_workload")(scale=0.004, seed=3)
+    probed = []
+    candidates = _VTable.candidates
+
+    def spying(self, where):
+        out = candidates(self, where)
+        probed.append(not isinstance(out, type({}.values())))
+        return out
+
+    monkeypatch.setattr(_VTable, "candidates", spying)
+    indexed = _sql_answers(workload, epoch_size=25)
+    assert any(probed), "no scan of this workload used the index"
+    monkeypatch.setattr(_VTable, "candidates",
+                        lambda self, where: self.rows.values())
+    walked = _sql_answers(workload, epoch_size=25)
+    assert len(indexed) > 100
+    assert indexed == walked

@@ -67,6 +67,67 @@ def test_campaign_all_rejected_and_replayable(cart_app):
             == [o.channel for o in b.outcomes])
 
 
+#: The operators as they stood before the forged-scalar family, and the
+#: verdict channels of ``--mutations 500 --seed 0`` over them on the
+#: fixture.  Extra edits are drawn from a campaign's own operators, so
+#: this campaign replays mutation for mutation whatever families are
+#: added beside it: a change that moves one of its mutations to another
+#: channel (or to ACCEPT) moves these numbers.
+BASELINE_OPERATORS = (
+    "flip_response", "drop_event", "duplicate_event", "reorder_pair",
+    "flip_op_log", "tamper_op_count", "flip_nondet", "tamper_state",
+    "splice_epochs", "truncate_tail", "wire_corrupt", "wire_truncate",
+)
+BASELINE_CHANNELS = {"audit": 394, "load": 45, "wire": 61}
+#: CPU seconds one mutation may take, load and audit together.  The
+#: honest fixture audits in a few hundredths; a forged report scalar the
+#: audit allocates by would take several seconds.
+CPU_BUDGET = 1.0
+
+
+def _timed_campaign(app, operators):
+    import time
+
+    spent = []
+    mark = [time.process_time()]
+
+    def progress(outcome):
+        now = time.process_time()
+        spent.append((now - mark[0], outcome.operator, outcome.index))
+        mark[0] = now
+
+    report = fuzz_bundle(FIXTURE, app, mutations=500, seed=0,
+                         operators=operators, shrink=False,
+                         progress=progress)
+    assert max(spent)[0] < CPU_BUDGET, max(spent)
+    return report
+
+
+def test_acceptance_campaign_baseline_channels_unchanged(cart_app):
+    report = _timed_campaign(cart_app, BASELINE_OPERATORS)
+    assert report.rejected == 500, [o.to_json() for o in report.accepted]
+    assert report.to_json()["channels"] == BASELINE_CHANNELS
+
+
+def test_acceptance_campaign_with_forged_scalars(cart_app):
+    """The deterministic acceptance campaign over every operator: all
+    500 rejected, each inside the CPU budget; what the new family adds
+    lands on ``load`` (not an integer) or ``audit`` (huge, negative)."""
+    assert set(ALL_OPERATORS) - set(BASELINE_OPERATORS) == {
+        "forge_op_count", "forge_opnum"}
+    report = _timed_campaign(cart_app, None)
+    assert report.rejected == 500, [o.to_json() for o in report.accepted]
+    forged = [o for o in report.outcomes if o.operator.startswith("forge_")]
+    assert {o.operator for o in forged} == {"forge_op_count", "forge_opnum"}
+    assert {o.channel for o in forged} == {"load", "audit"}
+    assert any("not an integer" in o.reason for o in forged)
+    assert any(o.reason.startswith("log_missing_op") for o in forged)
+    wire = [o for o in report.outcomes if o.operator in WIRE_OPERATORS]
+    assert report.to_json()["channels"]["wire"] == len(wire) > 0
+    assert all(o.channel != "wire" for o in report.outcomes
+               if o.operator in FILE_OPERATORS)
+
+
 def test_stock_audit_treats_bundle_marks_as_hints(cart_app):
     """Like `repro audit`: forged epoch marks give the stock audit's
     verdict, not a config ValueError miscounted as a load rejection."""

@@ -382,3 +382,149 @@ def test_writes_match_the_reference():
     final = vdb.do_query("SELECT * FROM t", (len(writes) + 1) * MAXQ).rows
     assert _typed(final) == _typed(model)
     assert _typed(vdb.latest_engine().tables["t"].rows) == _typed(model)
+
+
+# -- the equality index --------------------------------------------------------
+#
+# ``VersionedDB._scan`` takes its candidates from a per-column equality
+# index when the WHERE leads with ``column = constant``.  The reference
+# is the same store with the index taken away — every scan walks every
+# logical row, as it did before there was one — and both must return
+# the same rows, in the same order, or raise the same ``SqlError``.
+
+MIXED = (1, 1.0, True, "1", 0, None, "x", 2.5)
+PROBES = (
+    # The shape the index serves, one constant of each kind ...
+    "m = 1", "m = 1.0", "m = '1'", "m = NULL", "m = 0", "m = 2.5",
+    "a = 1", "a = 1.0", "a = '1'", "b = 1", "s = '1'", "s = 1",
+    "a = 2 AND s LIKE 'n%'", "a = 1 AND b > 0.5 AND s IS NOT NULL",
+    # ... leading an AND whose later operand raises on some rows ...
+    "a = 1 AND s < 5", "m = 'x' AND m < 3",
+    # ... and the shapes that must keep the full walk.
+    "s < 5 AND a = 1", "a = 1 OR s = 'n3'", "NOT a = 1", "1 = a",
+    "zz = 1", "zz = 1 AND a = 1", "a = 1 AND zz = 1", "a != 1", None,
+)
+
+
+def _index_engine() -> Engine:
+    """A table whose ``m`` column holds every kind of scalar at once
+    (no INSERT would coerce them in; an initial state can carry them)."""
+    engine = Engine()
+    engine.tables["t"] = engine_mod.Table(
+        "t", ["id", "a", "b", "s", "m"],
+        {"id": "INT", "a": "INT", "b": "FLOAT", "s": "TEXT", "m": "TEXT"},
+        "id", "id", len(MIXED),
+        [{"id": index + 1, "a": index % 3, "b": float(index % 2),
+          "s": f"n{index}", "m": value}
+         for index, value in enumerate(MIXED)],
+    )
+    engine.tables["empty"] = engine_mod.Table(
+        "empty", ["id", "a"], {"id": "INT", "a": "INT"}, "id", "id", 0, [])
+    return engine
+
+
+def _random_transaction(rng: random.Random) -> tuple[tuple[str, ...], bool]:
+    queries = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(5)
+        a, key = rng.randrange(4), rng.randrange(1, 14)
+        if kind == 0:
+            queries.append(
+                f"INSERT INTO t (a, b, s, m) VALUES ({a}, {a}.0, "
+                f"'{a}', '{a}')")
+        elif kind == 1:  # the probed column changes bucket
+            queries.append(f"UPDATE t SET a = {a}, m = {a} WHERE a = "
+                           f"{rng.randrange(4)}")
+        elif kind == 2:  # ... or a row is rewritten without changing it
+            queries.append(f"UPDATE t SET s = 'u{key}' WHERE id = {key} "
+                           f"AND a = {a}")
+        elif kind == 3:
+            queries.append(f"DELETE FROM t WHERE id = {key}")
+        else:
+            queries.append(f"INSERT INTO empty (a) VALUES ({a})")
+    marker = rng.choice(("COMMIT", "COMMIT", "ROLLBACK", None))
+    if marker:
+        queries.append(marker)
+    return tuple(queries), rng.random() < 0.8
+
+
+def _without_index(vdb: VersionedDB) -> VersionedDB:
+    for table in vdb.tables.values():
+        table.candidates = lambda where, rows=table.rows: rows.values()
+    return vdb
+
+
+def _probe(vdb: VersionedDB, table: str, where: str | None, ts: int):
+    sql = f"SELECT * FROM {table}" + (f" WHERE {where}" if where else "")
+    rows = outcome(lambda: _typed(vdb.do_query(sql, ts).rows))
+    versions = outcome(lambda: [
+        (start, _typed([row])) for row, start in
+        vdb.select_versions(sql, ts)])
+    return rows, versions
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_indexed_scans_equal_the_full_walk(seed):
+    rng = random.Random(seed)
+    indexed, walked = VersionedDB(), VersionedDB()
+    indexed.load_initial(_index_engine())
+    walked.load_initial(_index_engine())
+    _without_index(walked)
+    serving = _index_engine()
+    last_ts = 0
+    for seq in range(1, 41):
+        queries, succeeded = _random_transaction(rng)
+        record = OpRecord(f"r{seq}", 1, OpType.DB_OP, (queries, succeeded))
+        indexed._redo_transaction(seq, record)
+        walked._redo_transaction(seq, record)
+        last_ts = (seq + 1) * MAXQ
+        if succeeded and queries[-1] != "ROLLBACK":
+            for sql in queries:
+                if sql != "COMMIT":
+                    serving.execute(parse_sql(sql))
+        # Probes between the writes: an index is built on the first
+        # probe of its column and maintained by every write after it.
+        for _ in range(6):
+            where = rng.choice(PROBES)
+            ts = rng.choice((0, rng.randrange(last_ts + 1), last_ts))
+            for table in ("t", "empty"):
+                assert (_probe(indexed, table, where, ts)
+                        == _probe(walked, table, where, ts)), (where, ts)
+    assert indexed.results == walked.results
+    assert indexed.version_count() == walked.version_count()
+    # Every probe once more, everywhere in time at once, and at the end
+    # against the engine the serving side runs (it has no index).
+    for where in PROBES:
+        for ts in (0, MAXQ, last_ts // 2, last_ts - 1, last_ts):
+            assert (_probe(indexed, "t", where, ts)
+                    == _probe(walked, "t", where, ts)), (where, ts)
+        sql = "SELECT * FROM t" + (f" WHERE {where}" if where else "")
+        assert (outcome(lambda: _typed(indexed.do_query(sql, last_ts).rows))
+                == outcome(lambda: _typed(
+                    serving.execute(parse_sql(sql)).rows))), where
+    used = {column for table in indexed.tables.values()
+            for column, index in table.eq_index.items() if index is not None}
+    assert used >= {"a", "b", "s", "m", "id"}
+    assert indexed.tables["t"].eq_index["zz"] is None
+    assert not any(table.eq_index for table in walked.tables.values())
+
+
+def test_index_buckets_follow_python_equality():
+    """``1``, ``1.0`` and ``True`` are one bucket, ``'1'`` another, and
+    NULL is in none: what ``operator.eq`` under the compiled predicate
+    says of the same values."""
+    vdb = VersionedDB()
+    vdb.load_initial(_index_engine())
+
+    def ids(where):
+        return [row["id"] for row in
+                vdb.do_query(f"SELECT id FROM t WHERE {where}", 0).rows]
+
+    assert ids("m = 1") == ids("m = 1.0") == [1, 2, 3]
+    assert ids("m = '1'") == [4]
+    assert ids("m = NULL") == []
+    index = vdb.tables["t"].eq_index["m"]
+    assert [row.row_id for row in index[1]] == [1, 2, 3]
+    assert None not in index and len(index) == 5
+    # A NULL constant matches nothing and is no reason to build one.
+    assert ids("b = NULL") == [] and "b" not in vdb.tables["t"].eq_index

@@ -299,6 +299,68 @@ def test_audit_prepass_depth_and_epoch_threads(tmp_path, capsys):
         assert removed[0] in capsys.readouterr().err
 
 
+# -- untrusted report scalars --------------------------------------------------
+
+
+def _forge_scalar(bundle: str, fmt: str, field: str, value) -> None:
+    """Replace one op count (``field="count"``) or one op-log record's
+    opnum (``field="opnum"``) in a recorded bundle."""
+    def forge(counts: dict, logs) -> bool:
+        if field == "count" and counts:
+            counts[sorted(counts)[0]] = value
+            return True
+        for log in logs:
+            if field == "opnum" and log:
+                log[0]["opnum"] = value
+                return True
+        return False
+
+    with open(bundle) as fh:
+        if fmt == "json":
+            data = json.load(fh)
+            reports = data["reports"]
+            assert forge(reports["op_counts"], reports["op_logs"].values())
+            lines = [json.dumps(data)]
+        else:
+            records = [json.loads(line) for line in fh]
+            assert any(
+                forge(r.get("counts", {}),
+                      [r["records"]] if r.get("kind") == "op_log" else [])
+                for r in records)
+            lines = [json.dumps(r) + "\n" for r in records]
+    with open(bundle, "w") as fh:
+        fh.writelines(lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "jsonl-epochs"])
+@pytest.mark.parametrize("field", ["count", "opnum"])
+@pytest.mark.parametrize("value", ["3", 2.5, None, [1]])
+def test_audit_rejects_non_integer_report_scalars(tmp_path, capsys, fmt,
+                                                  field, value):
+    """A count or an opnum that is not an integer is the executor's
+    malformed word: ``repro audit`` answers REJECTED (exit 1) and says
+    what it found — it does not die of a TypeError."""
+    bundle = str(tmp_path / "bundle")
+    assert main(["record", "--workload", "forum", "--scale", "0.005",
+                 "--epoch-size", "20", "--format", fmt,
+                 "--out", bundle]) == 0
+    _forge_scalar(bundle, fmt, field, value)
+    audit = ["audit", bundle, "--workload", "forum", "--scale", "0.005"]
+    capsys.readouterr()
+    assert main(audit) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    what = "op count" if field == "count" else "opnum"
+    assert captured.out.startswith("REJECTED: malformed_bundle: ValueError")
+    assert what in captured.out and repr(value) in captured.out
+    assert "not an integer" in captured.out
+    assert main(audit + ["--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "REJECTED" and not payload["accepted"]
+    assert payload["reason"] == "malformed_bundle"
+    assert repr(value) in payload["detail"]
+
+
 # -- untrusted epoch marks -----------------------------------------------------
 
 

@@ -1,0 +1,311 @@
+"""Record decode: every transport builds the same objects, once.
+
+The decoders of :mod:`repro.io` turn JSON records straight into the
+``Trace`` / ``Reports`` the audit takes.  These tests pin what they must
+keep doing while they are made cheap: the tagged value encoding
+round-trips whatever a request parameter or an op's contents can hold
+(including mappings whose keys are the tags themselves), the file
+reader, the whole-bundle loader, the legacy blob and the socket reader
+yield equal slices through one accumulator, and malformed records raise
+what they always raised.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import io as repro_io
+from repro.io import (
+    BundleReader,
+    BundleWriter,
+    EpochAccumulator,
+    load_audit_bundle_ex,
+    reports_from_json,
+    save_audit_bundle,
+    trace_from_json,
+)
+from repro.net import BundlePublisher, RemoteBundleReader
+from repro.objects.base import OpRecord, OpType
+from repro.server.app import InitialState
+from repro.server.reports import NondetRecord, Reports
+from repro.sql.engine import Engine
+from repro.trace.events import Event, ExternalRequest, Request, Response
+from repro.trace.trace import Trace
+
+# -- the value encoding --------------------------------------------------------
+
+TAGS = ("t", "l", "d")
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=False), st.text(max_size=6),
+)
+keys = st.one_of(st.sampled_from(TAGS), st.text(max_size=3))
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4),
+        st.dictionaries(keys, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def typed(value):
+    """``value`` with the type of every node spelled out: ``True == 1``
+    and ``(1,) != [1]`` must both be visible to ``==``."""
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, [typed(item) for item in value])
+    if isinstance(value, dict):
+        return ("dict", [(key, typed(item)) for key, item in value.items()])
+    return (type(value).__name__, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values)
+def test_tagged_values_round_trip(value):
+    wire = json.loads(json.dumps(repro_io._enc(value)))
+    assert typed(repro_io._dec(wire)) == typed(value)
+
+
+@pytest.mark.parametrize("value", [
+    {"t": "x"}, {"l": 1}, {"d": None}, {"t": [1, 2]}, {"d": {"d": {}}},
+    {"t": {"t": ("t",)}}, {"l": {"l": []}, "t": ()}, {"t": 1, "l": 2, "d": 3},
+    ({"t": ()},), [{"d": []}],
+])
+def test_mappings_keyed_by_the_tags_themselves(value):
+    wire = json.loads(json.dumps(repro_io._enc(value)))
+    assert typed(repro_io._dec(wire)) == typed(value)
+
+
+def test_untagged_dicts_pass_through():
+    """Not produced by ``_enc``, but what a decoder is handed is not the
+    decoder's to choose: only a one-key dict under a tag is a container."""
+    for raw in ({}, {"x": 1}, {"t": [1], "l": [2]}, {"T": [1]}):
+        assert repro_io._dec(raw) == raw
+
+
+# -- one accumulator under every reader ----------------------------------------
+
+
+def _random_value(rng: random.Random, depth: int = 3):
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice((None, True, 0, 1, -7, 2.5, "", "t", "x y"))
+    kind = rng.randrange(3)
+    items = [_random_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 0:
+        return tuple(items)
+    if kind == 1:
+        return items
+    return {rng.choice((*TAGS, "k")): item for item in items}
+
+
+def _random_epochs(seed: int, epochs: int = 3):
+    """Hand-built epoch slices that use everything the encoding has:
+    parameters named like the tags, containers nested in op contents
+    and nondet values, EXTERNAL events."""
+    rng = random.Random(seed)
+    out = []
+    serial = 0
+    for _ in range(epochs):
+        trace, reports = Trace(), Reports()
+        for _ in range(rng.randint(1, 5)):
+            serial += 1
+            rid = f"r{serial:03d}"
+            params = {name: _random_value(rng, 2)
+                      for name in rng.sample((*TAGS, "q", "page"), 3)}
+            trace.append(Event.request(Request(
+                rid, "s.php", get=params,
+                post={"d": {"t": [1, (2,)]}} if rng.random() < 0.5 else {},
+                cookies={"l": "sess"}), float(serial)))
+            for n in range(rng.randrange(3)):
+                trace.append(Event.external(ExternalRequest(
+                    rid, "email", (f"to{n}", _random_value(rng, 2))),
+                    serial + 0.25))
+            trace.append(Event.response(Response(
+                rid, rng.choice(("body", "", None)), 200,
+                None if rng.random() < 0.8 else "reset"), serial + 0.5))
+            count = rng.randrange(4)
+            for opnum in range(1, count + 1):
+                reports.op_logs.setdefault(
+                    rng.choice(("kv:apc", "db:main", "reg:t")), []
+                ).append(OpRecord(
+                    rid, opnum, rng.choice(list(OpType)),
+                    tuple(_random_value(rng) for _ in range(2))))
+            reports.op_counts[rid] = count
+            reports.groups.setdefault(rng.choice(TAGS), []).append(rid)
+            if rng.random() < 0.6:
+                reports.nondet[rid] = [
+                    NondetRecord("rand", (_random_value(rng, 2),),
+                                 _random_value(rng))
+                    for _ in range(rng.randint(1, 3))]
+        out.append((trace, reports))
+    return out
+
+
+def _state() -> InitialState:
+    return InitialState(Engine(), {"k": ("t", {"d": [1]})},
+                        {"reg:t": {"l": (1, 2)}})
+
+
+def _slices(epochs):
+    return [(s.index, typed_events(s.trace), s.reports) for s in epochs]
+
+
+def typed_events(trace: Trace):
+    return [(e.kind, e.rid, e.time, type(e.payload).__name__,
+             typed(vars(e.payload))) for e in trace]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_every_reader_yields_the_same_slices(tmp_path, monkeypatch, seed):
+    epochs = _random_epochs(seed)
+    expected = [(index, typed_events(trace), reports)
+                for index, (trace, reports) in enumerate(epochs)]
+    path = str(tmp_path / "bundle.jsonl")
+    with BundleWriter(path, segmented=True) as writer:
+        writer.write_state(_state())
+        for trace, reports in epochs:
+            writer.write_epoch(trace, reports)
+        writer.write_end()
+
+    fed: list[str] = []
+    feed = EpochAccumulator.feed
+
+    def counting_feed(self, record):
+        fed.append(record["kind"])
+        return feed(self, record)
+
+    monkeypatch.setattr(EpochAccumulator, "feed", counting_feed)
+
+    with BundleReader(path) as reader:
+        assert _slices(reader.epochs()) == expected
+        assert typed(reader.initial_state.kv) == typed(_state().kv)
+    from_file, fed[:] = list(fed), []
+
+    with BundlePublisher("127.0.0.1:0", heartbeat_interval=None) as publisher:
+        with open(path, "rb") as fh:
+            for line in fh:
+                kind = repro_io.record_kind(line)
+                if kind is not None:
+                    publisher.write_record_payload(line, kind=kind)
+        with RemoteBundleReader(publisher.endpoint,
+                                idle_timeout=20) as remote:
+            remote.read_initial_state()
+            assert _slices(remote.epochs()) == expected
+            assert typed(remote.initial_state.registers) == typed(
+                _state().registers)
+    # The same records through the same method: nothing is decoded
+    # beside the accumulator on either transport.
+    assert fed == from_file and set(fed) >= {
+        "state", "event", "op_log", "op_counts", "group", "epoch_mark"}
+    fed[:] = []
+
+    # The whole-bundle loader and the legacy blob decode to the
+    # concatenation of the slices.
+    blob = str(tmp_path / "bundle.json")
+    whole_trace = Trace([e for trace, _ in epochs for e in trace])
+    whole = Reports()
+    for _, reports in epochs:
+        for tag, rids in reports.groups.items():
+            whole.groups.setdefault(tag, []).extend(rids)
+        for obj, log in reports.op_logs.items():
+            whole.op_logs.setdefault(obj, []).extend(log)
+        whole.op_counts.update(reports.op_counts)
+        whole.nondet.update(reports.nondet)
+    save_audit_bundle(blob, whole_trace, whole, _state())
+    for source in (path, blob):
+        trace, reports, state, _ = load_audit_bundle_ex(source)
+        assert typed_events(trace) == typed_events(whole_trace)
+        assert reports == whole
+        assert [typed(r.opcontents) for log in reports.op_logs.values()
+                for r in log] == [typed(r.opcontents)
+                                  for log in whole.op_logs.values()
+                                  for r in log]
+        assert typed(state.kv) == typed(_state().kv)
+    assert fed and "epoch_mark" not in fed  # read_all collects the marks
+
+
+# -- malformed records ---------------------------------------------------------
+
+
+def _bundle_lines(tmp_path):
+    (trace, reports), = _random_epochs(1, epochs=1)
+    path = str(tmp_path / "honest.jsonl")
+    with BundleWriter(path, segmented=True) as writer:
+        writer.write_state(_state())
+        writer.write_epoch(trace, reports)
+        writer.write_end()
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
+def _with(records, kind, edit):
+    out = []
+    done = False
+    for record in records:
+        record = json.loads(json.dumps(record))
+        if not done and record.get("kind") == kind:
+            edit(record)
+            done = True
+        out.append(record)
+    assert done, kind
+    return out
+
+
+MALFORMED = {
+    "event kind": ("event", lambda r: r["event"].update(kind="PUSH")),
+    "event kind unhashable": (
+        "event", lambda r: r["event"].update(kind=["REQUEST"])),
+    "optype": ("op_log", lambda r: r["records"][0].update(optype="KvDrop")),
+    "optype unhashable": (
+        "op_log", lambda r: r["records"][0].update(optype=["KvGet"])),
+    "record kind": ("group", lambda r: r.update(kind="grupo")),
+    "opnum": ("op_log", lambda r: r["records"][0].update(opnum="1")),
+    "op count": ("op_counts", lambda r: r["counts"].update(
+        {next(iter(r["counts"])): 1.0})),
+}
+
+
+@pytest.mark.parametrize("what", sorted(MALFORMED))
+def test_malformed_records_raise_value_error(tmp_path, what):
+    kind, edit = MALFORMED[what]
+    records = _with(_bundle_lines(tmp_path), kind, edit)
+    path = str(tmp_path / "bad.jsonl")
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(record) + "\n" for record in records)
+    with BundleReader(path) as reader, pytest.raises(ValueError):
+        list(reader.epochs())
+    with pytest.raises(ValueError):
+        load_audit_bundle_ex(path)
+    accumulator = EpochAccumulator()
+    with pytest.raises(ValueError):
+        for record in records[1:-1]:
+            accumulator.feed(record)
+
+
+def test_malformed_blob_raises_value_error():
+    with pytest.raises(ValueError, match="EventKind"):
+        trace_from_json({"version": 1, "events": [
+            {"kind": "PUSH", "time": 0.0, "request": {}}]})
+    record = {"rid": "r1", "opnum": 1, "optype": "KvDrop", "opcontents": None}
+    blob = {"version": 1, "groups": {}, "op_logs": {"kv:apc": [record]},
+            "op_counts": {"r1": 1}, "nondet": {}}
+    with pytest.raises(ValueError, match="OpType"):
+        reports_from_json(blob)
+    record.update(optype="KvGet", opnum=None)
+    with pytest.raises(ValueError, match="opnum None"):
+        reports_from_json(blob)
+    record.update(opnum=1)
+    blob["op_counts"]["r1"] = "1"
+    with pytest.raises(ValueError, match="op count of 'r1' is '1'"):
+        reports_from_json(blob)
+    blob["op_counts"]["r1"] = 1
+    assert reports_from_json(blob).op_logs["kv:apc"] == [
+        OpRecord("r1", 1, OpType.KV_GET, None)]

@@ -1,15 +1,22 @@
 """E4 — Figure 10: per-instruction-category cost of unmodified execution
 vs accelerated univalent vs multivalent (fixed + marginal) execution.
 
-Paper's categories: Multiply, Concat, Isset, Jump, GetVal, ArraySet,
-Iteration, Microtime, Increment, NewArray.  Paper's findings, which we
-check as shape assertions:
+"Unmodified" is the plain interpreter the server runs; "accelerated" is
+the compiled engine (:mod:`repro.lang.compile`) running a group.
 
-* univalent acc execution costs more than unmodified execution (bookkeeping);
+Paper's categories: Multiply, Concat, Isset, Jump, GetVal, ArraySet,
+Iteration, Microtime, Increment, NewArray.  Paper's findings, checked as
+shape assertions where they carry over:
+
 * the *fixed* cost of multivalent execution is high;
 * the marginal per-request cost can exceed the unmodified baseline —
   "multivalent execution is worse than simply executing the instruction n
-  times", so the win must come from collapse ("on demand"), not "SIMD".
+  times", so the win must come from collapse ("on demand"), not "SIMD";
+* acc-PHP's univalent execution costs *more* than unmodified PHP (the
+  multivalue bookkeeping rides on the same interpreter loop).  Ours does
+  not: the grouped engine is compiled and the server's is a tree walker,
+  so a univalent instruction costs less than an unmodified one — the
+  bookkeeping is one type test per operand (``docs/backends.md``).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import time as _time
 
 from repro.bench import render_table
-from repro.accel import AccInterpreter, GroupNondetIntent
+from repro.lang.compile import CompInterpreter, GroupNondetIntent
 from repro.lang.interp import Interpreter, NondetIntent
 from repro.lang.parser import parse_program
 from repro.trace.events import Request
@@ -64,8 +71,7 @@ def _run_plain(program, request) -> None:
 
 
 def _run_acc(program, requests) -> None:
-    acc = AccInterpreter()
-    gen = acc.run_group(program, requests)
+    gen = CompInterpreter().run_group(program, requests)
     try:
         intent = next(gen)
         while True:
@@ -137,10 +143,12 @@ def test_figure10_instruction_costs(capsys):
     assert fixed_exceeds_marginal >= len(rows) // 2, (
         "the fixed multivalent cost should dominate (Figure 10)"
     )
-    overhead_count = sum(
-        1 for row in rows if row["univalent_norm"] > 0.8
+    compiled_wins = sum(
+        1 for row in rows if row["univalent_norm"] < 1.0
     )
-    assert overhead_count >= len(rows) // 2
+    assert compiled_wins >= len(rows) // 2, (
+        "a univalent compiled instruction should undercut the tree walker"
+    )
     with capsys.disabled():
         print()
         print("=== Figure 10 reproduction (per-op cost; normalized to"

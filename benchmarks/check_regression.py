@@ -1,7 +1,7 @@
 """CI perf-regression gate: compare bench-smoke output to the committed
 ``BENCH_*.json`` baselines.
 
-The four benchmarks the CI ``bench-smoke`` job runs emit JSON result
+The benchmarks the CI ``bench-smoke`` job runs emit JSON result
 files; historically those were only uploaded as artifacts, so a PR
 could silently halve the audit's parallel speedup.  This gate turns
 the committed baselines into an enforced bound::
@@ -144,20 +144,6 @@ def metrics_transport(data) -> list[Metric]:
     return out
 
 
-def metrics_backends(data) -> list[Metric]:
-    """``bench_backends``: the compiling backend's speedup over the
-    tree-walk engines on the same run's singleton-group workload.
-    Serial measurements — meaningful on any runner — with a parity
-    floor: compinterp regressing below the plain interpreter is a
-    structural loss no baseline can excuse."""
-    out: list[Metric] = []
-    for name in ("compinterp_speedup_vs_interp",
-                 "compinterp_speedup_vs_accinterp"):
-        if name in data:
-            out.append(Metric(name, data[name], floor=1.0))
-    return out
-
-
 def metrics_fleet(data) -> list[Metric]:
     """``bench_fleet``: the distributed fleet's steady-state speedup
     over the same run's serial epoch chain (submit→merge with workers
@@ -208,7 +194,6 @@ EXTRACTORS = {
     "streaming_session": metrics_streaming_session,
     "epoch_parallel": metrics_epoch_parallel,
     "transport": metrics_transport,
-    "backends": metrics_backends,
     "fleet": metrics_fleet,
     "asof": metrics_asof,
     "synth": metrics_synth,

@@ -59,7 +59,7 @@ state_written.wait()
 
 # 2. Audit the stream as it grows: one long-lived session, one verdict
 # per epoch, migrated state chained internally.
-auditor = Auditor(workload.app, AuditConfig(backend="accinterp"))
+auditor = Auditor(workload.app, AuditConfig())
 with BundleReader(bundle_path) as reader:
     initial = reader.read_initial_state(follow=True)
     with auditor.session(initial) as session:

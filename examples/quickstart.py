@@ -57,7 +57,7 @@ print(f"  op counts M:         {dict(result.reports.op_counts)}")
 # the incremental, epoch-by-epoch session it also offers).
 audit = ssco_audit(app, result.trace, result.reports,
                    result.initial_state)
-auditor = Auditor(app, AuditConfig(backend="accinterp"))
+auditor = Auditor(app, AuditConfig())
 service_audit = auditor.audit(result.trace, result.reports,
                               result.initial_state)
 assert service_audit.accepted == audit.accepted

@@ -12,7 +12,7 @@ The library implements both sides of the paper's protocol:
 * the **audit phase**: the SSCO verifier — consistent-ordering
   verification, versioned-store redo, SIMD-on-demand re-execution with
   simulate-and-check, and read-query deduplication (:mod:`repro.core`,
-  :mod:`repro.accel`, :mod:`repro.multivalue`).
+  :mod:`repro.lang.compile`, :mod:`repro.multivalue`).
 
 Quickstart::
 

@@ -276,18 +276,8 @@ def cmd_audit(args) -> int:
     try:
         trace, reports, initial, epoch_marks = load_audit_bundle_ex(
             args.bundle)
-    except (ValueError, KeyError, TypeError) as exc:
-        # The bundle is the executor's word: one that does not decode is
-        # evidence that does not verify, not a fault of this program.
-        detail = f"{type(exc).__name__}: {exc}"
-        if args.json:
-            print(json.dumps({
-                "verdict": "REJECTED", "accepted": False,
-                "reason": "malformed_bundle", "detail": detail,
-            }, indent=2, sort_keys=True))
-        else:
-            print(f"REJECTED: malformed_bundle: {detail}")
-        return 1
+    except _UNDECODABLE as exc:
+        return _reject_malformed(exc, args.json)
     if config.epoch_cuts is None and config.epoch_size > 0:
         # The recorded quiescent marks are the natural cut positions —
         # but they come from the untrusted bundle: keep only genuine
@@ -320,6 +310,24 @@ def cmd_audit(args) -> int:
         print(f"simple re-execution baseline: {verdict} in "
               f"{base.seconds * 1e3:.1f} ms")
     return 0 if audit.accepted else 1
+
+
+#: What decoding a record that is not what it claims to be raises.
+_UNDECODABLE = (ValueError, KeyError, TypeError)
+
+
+def _reject_malformed(exc: Exception, as_json: bool) -> int:
+    """The bundle is the executor's word: one that does not decode is
+    evidence that does not verify, not a fault of this program."""
+    detail = f"{type(exc).__name__}: {exc}"
+    if as_json:
+        print(json.dumps({
+            "verdict": "REJECTED", "accepted": False,
+            "reason": "malformed_bundle", "detail": detail,
+        }, indent=2, sort_keys=True))
+    else:
+        print(f"REJECTED: malformed_bundle: {detail}")
+    return 1
 
 
 def _audit_follow(args, workload, config: AuditConfig) -> int:
@@ -763,32 +771,50 @@ def _drive_stream_session(reader, workload, config: AuditConfig,
     printed in epoch order as they settle.  On a synchronous session
     every handle resolves immediately, so the loop degenerates to the
     strict feed-print alternation.
+
+    A record that does not decode mid-stream ends the audit as
+    ``malformed_bundle`` (exit 1) once the epochs before it have
+    settled; a frame the *wire* mangled stays a transport error.
     """
     def settle(epoch) -> bool:
         if as_json:
             return not epoch.accepted
         return _print_epoch_verdict(epoch)
 
+    def decode(step):
+        """One step of the reader: (what it read, why it could not)."""
+        try:
+            return step(), None
+        except ProtocolError:
+            raise
+        except _UNDECODABLE as exc:
+            return None, exc
+
     with reader:
-        initial = reader.read_initial_state(follow=True,
-                                            idle_timeout=timeout)
+        initial, malformed = decode(lambda: reader.read_initial_state(
+            follow=True, idle_timeout=timeout))
+        if malformed is not None:
+            return _reject_malformed(malformed, as_json)
         auditor = Auditor(workload.app, config)
         rejected = False
         with auditor.session(initial) as session:
             pending = []
-            for epoch_slice in reader.epochs(follow=True,
-                                             idle_timeout=timeout):
+            epochs = reader.epochs(follow=True, idle_timeout=timeout)
+            while not rejected:
+                epoch_slice, malformed = decode(lambda: next(epochs, None))
+                if epoch_slice is None:
+                    break
                 pending.append(session.submit_epoch(epoch_slice.trace,
                                                     epoch_slice.reports))
                 while pending and pending[0].done():
                     if settle(pending.pop(0).result()):
                         rejected = True
                         break
-                if rejected:
-                    break
             while pending and not rejected:
                 rejected = settle(pending.pop(0).result())
             audit = session.close()
+    if malformed is not None and audit.accepted:
+        return _reject_malformed(malformed, as_json)
     if as_json:
         print(json.dumps(_audit_summary(audit), indent=2, sort_keys=True))
         return 0 if audit.accepted else 1
@@ -839,8 +865,10 @@ def audit_knobs(p) -> None:
                         "--epoch-size/--epoch-cuts)")
     p.add_argument("--backend", choices=available_backends(),
                    default=None,
-                   help="registered re-execution backend "
-                        "(default: hybrid)")
+                   help="re-execution backend: hybrid (the compiled "
+                        "engine, default) or interp (the oracle); "
+                        "accinterp / compinterp are aliases of hybrid "
+                        "(compinterp: one request per chunk)")
     p.add_argument("--epoch-cuts", type=parse_epoch_cuts, default=None,
                    metavar="I,J,K",
                    help="explicit cut positions (event indexes); "

@@ -103,7 +103,7 @@ class DivergenceError(ReproError):
 
 
 class MultivalueFallback(ReproError):
-    """The accelerated interpreter hit a case it does not support in SIMD
+    """The compiled engine hit a case it does not support in SIMD
     mode (e.g. an unsupported mixed-type multivalue, Section 4.3) and asks
     the driver to retry the group's requests one at a time.
 

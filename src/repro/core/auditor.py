@@ -650,7 +650,7 @@ class Auditor:
 
     ``Auditor(app, config)`` binds the trusted program to a validated
     :class:`~repro.core.config.AuditConfig` (keyword knobs build one:
-    ``Auditor(app, workers=4, backend="accinterp")``).
+    ``Auditor(app, workers=4, backend="interp")``).
 
     * :meth:`audit` — one-shot, exactly ``ssco_audit``;
     * :meth:`session` — incremental epoch-by-epoch auditing;
@@ -737,8 +737,8 @@ class Auditor:
 _SUMMED_STATS = (
     "graph_nodes", "graph_edges", "db_queries_issued", "dedup_hits",
     "dedup_misses", "versioned_db_bytes", "versioned_db_versions",
-    "redo_statements", "groups", "grouped_requests", "singleton_requests",
-    "fallback_requests", "divergences", "steps", "multi_steps",
+    "redo_statements", "groups", "grouped_requests", "fallback_requests",
+    "divergences", "steps", "multi_steps",
 )
 
 

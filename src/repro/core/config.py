@@ -79,11 +79,12 @@ class AuditConfig:
     #: marks); overrides ``epoch_size`` when set.  Must be positive and
     #: strictly increasing.
     epoch_cuts: tuple[int, ...] | None = None
-    #: Registered re-execution backend (``"hybrid"``, ``"accinterp"``,
-    #: ``"compinterp"``, ``"interp"``, or anything added via
-    #: ``register_reexec_backend``).  The default (``"hybrid"``)
-    #: reads ``REPRO_BACKEND`` when the config is *constructed*, not
-    #: when the module was imported.
+    #: Registered re-execution backend: ``"hybrid"`` (the compiled
+    #: engine, the default), ``"interp"`` (the oracle), or anything added
+    #: via ``register_reexec_backend``; ``"accinterp"`` / ``"compinterp"``
+    #: are aliases of the compiled engine (``core/reexec.py``).  The
+    #: default reads ``REPRO_BACKEND`` when the config is *constructed*,
+    #: not when the module was imported.
     backend: str = dataclasses.field(default_factory=default_backend)
     #: Consult the static analyzer's divergence-hazard report
     #: (:func:`repro.lang.analysis.divergence_hazards`) during chunk

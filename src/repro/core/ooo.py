@@ -4,8 +4,8 @@
 interpreter, feeding object reads via simulate-and-check and
 non-determinism via the recorded reports.  It is used three ways:
 
-1. per-request fallback when a SIMD group diverges on an unsupported case
-   (OROCHI's retry, §4.3);
+1. per-request fallback when a group diverges or hits an unsupported SIMD
+   case (OROCHI's retry, §4.3);
 2. :func:`simple_audit` — the non-accelerated baseline audit that the
    evaluation compares against (§5.1);
 3. :func:`ooo_audit` — the literal OOOAudit of the correctness proofs: it
@@ -47,8 +47,8 @@ def execute_one(
     reproduces the executor's fixed 500 page (and the handler checks the
     log shows the matching rollback).  ``interp`` swaps in another
     engine with the :meth:`Interpreter.run` generator contract (the
-    ``compinterp`` backend passes its compiled-program runner); ``None``
-    means the plain interpreter.
+    compiled backend passes its own, for demotions); ``None`` means the
+    plain interpreter.
     """
     handler = OpHandler(ctx, request.rid)
     cursor = NondetCursor(

@@ -68,7 +68,7 @@ class AuditResult:
     #: Phase wall-clock seconds: proc_op_reports, db_redo, reexec,
     #: db_query (subset of reexec), output_compare, total.
     phases: dict[str, float] = field(default_factory=dict)
-    #: groups, grouped / singleton / fallback_requests, dedup hits/misses,
+    #: groups, grouped / fallback_requests, dedup hits/misses,
     #: steps, multi_steps, db_queries_issued, versioned sizes ...
     stats: dict[str, object] = field(default_factory=dict)
     produced: dict[str, str] = field(default_factory=dict)

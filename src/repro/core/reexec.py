@@ -1,7 +1,7 @@
 """ReExec2: grouped SIMD-on-demand re-execution (Figure 12, lines 29-53).
 
 Re-executes the trace in control-flow groups according to the (untrusted)
-groupings ``C``.  Each group runs once through the accelerated interpreter;
+groupings ``C``.  Each group runs once through the compiled engine;
 at every group state operation the driver loops over the group's requests
 ("for all rid in the group", line 43), applying CheckOp and — for reads —
 SimOp via each request's :class:`~repro.core.simulate.OpHandler`.
@@ -58,34 +58,29 @@ divergence of a bogus grouping is observed group-wide.
 Pluggable backends: the re-execution engine that runs one chunk is a
 registered component (:func:`register_reexec_backend`), selected by
 name through ``AuditConfig.backend`` / ``ssco_audit(backend=...)``.
-Four backends ship:
+Two ship:
 
-* ``"accinterp"`` — the SIMD-on-demand grouped interpreter
-  (:class:`~repro.accel.accinterp.AccInterpreter`), the paper's
-  acceleration, for every chunk whatever its size;
-* ``"interp"`` — a reference backend that re-executes every request of
-  the chunk individually through the plain :mod:`repro.lang.interp`
-  interpreter.  Same simulate-and-check, same produced bodies and
-  verdicts on honest executions; no SIMD batching (and therefore no
+* ``"hybrid"`` (default) — the compiled engine (:mod:`repro.lang.compile`):
+  each script's AST is compiled once per process into closure chains
+  that run a whole chunk in one pass, univalent until an operand is a
+  multivalue (the paper's SIMD-on-demand, §4.2-4.3).  **Every** chunk
+  runs this way, a chunk of one included, so in-group divergence is
+  observed whatever the group's size; a demoted group re-runs per
+  request on the same compiled code (``fallback_requests``);
+* ``"interp"`` — the oracle: every request of the chunk individually
+  through the plain :mod:`repro.lang.interp` interpreter, the one the
+  executor serves with.  Same simulate-and-check, same produced bodies
+  and verdicts on honest executions; no batching (and therefore no
   in-group divergence detection — a bogus grouping is still caught by
-  the per-request output checks).  It is the oracle the equivalence
-  tests compare against and the template for future engines (bytecode,
-  subinterpreters, remote workers);
-* ``"compinterp"`` — the compiling engine (:mod:`repro.lang.compile`):
-  same per-request discipline as ``"interp"``, but each script's AST is
-  compiled to closure chains once per process and cached, so repeated
-  re-execution pays no per-node dispatch;
-* ``"hybrid"`` (default) — chunks routed by size: ``accinterp`` for
-  genuine groups (two requests or more — so strict-mode divergence is
-  observed exactly as under ``accinterp``), ``compinterp`` for what
-  runs per request anyway (singleton chunks, counted as
-  ``singleton_requests``, and demotions, counted as
-  ``fallback_requests``).
+  the per-request output checks).  It is what the equivalence tests
+  compare against.
 
-Backends only replace the *re-execution engine*; chunk planning, the
-process-pool fan-out, and result merging are shared.  A backend name is
-what crosses the process boundary, so third-party backends registered
-at import time work with both pool start methods.
+``"accinterp"`` and ``"compinterp"`` are aliases kept for one caller
+(see :data:`_ALIASES`).  Backends only replace the *re-execution
+engine*; chunk planning, the process-pool fan-out, and result merging
+are shared.  A backend name is what crosses the process boundary, so
+third-party backends registered at import time work with both pool
+start methods.
 """
 
 from __future__ import annotations
@@ -105,14 +100,13 @@ from repro.common.errors import (
     RejectReason,
     WeblangError,
 )
-from repro.accel.accinterp import (
-    AccInterpreter,
+from repro.lang.analysis import divergence_hazards
+from repro.lang.compile import (
+    CompInterpreter,
     GroupExternalIntent,
     GroupNondetIntent,
     GroupStateOpIntent,
 )
-from repro.lang.analysis import divergence_hazards
-from repro.lang.compile import CompInterpreter
 from repro.trace.events import ExternalRequest
 from repro.core.dedup import QueryDedup
 from repro.core.ooo import execute_one
@@ -124,8 +118,7 @@ from repro.trace.trace import Trace
 #: acc-PHP's group size cap (§4.7).
 DEFAULT_MAX_GROUP = 3000
 
-#: The stock re-execution backend: the paper's accelerated interpreter
-#: for groups, compiled per-request execution where there is no group.
+#: The stock re-execution backend: the compiled engine.
 _FALLBACK_BACKEND = "hybrid"
 
 
@@ -146,11 +139,10 @@ def default_backend() -> str:
 @dataclass
 class ReExecStats:
     groups: int = 0
-    #: Every re-executed request is booked in exactly one of these three:
-    #: ran in a group; routed to the per-request engine as a chunk of one;
-    #: re-run per request (group demoted, or a backend without groups).
+    #: Every re-executed request is booked in exactly one of these two:
+    #: ran in a group (of any size, one included); re-run per request
+    #: (group demoted, or a backend without groups).
     grouped_requests: int = 0
-    singleton_requests: int = 0
     fallback_requests: int = 0
     divergences: int = 0
     steps: int = 0
@@ -235,31 +227,12 @@ def make_backend(name: str, app: Application, collapse: bool = True):
     return get_reexec_backend(name)(app, collapse=collapse)
 
 
-class AccInterpBackend(ReexecBackend):
-    """The paper's SIMD-on-demand grouped interpreter (§4.2-4.3)."""
-
-    name = "accinterp"
-
-    def __init__(self, app: Application, collapse: bool = True):
-        self.acc = AccInterpreter(
-            db_name=app.db_name,
-            kv_name=app.kv_name,
-            session_cookie=app.session_cookie,
-            collapse_enabled=collapse,
-        )
-
-    def run_chunk(self, app, rids, requests, reports, ctx, strict, dedup,
-                  produced, stats) -> None:
-        _run_chunk(app, self.acc, rids, requests, reports, ctx, strict,
-                   dedup, produced, stats)
-
-
 class PlainInterpBackend(ReexecBackend):
-    """Reference backend: per-request re-execution via the plain
-    interpreter (no SIMD batching, no query dedup).
+    """The oracle: per-request re-execution via the plain interpreter
+    (no SIMD batching, no query dedup).
 
     Every simulate-and-check and output check still runs per request, so
-    verdicts and produced bodies match the accelerated backend on honest
+    verdicts and produced bodies match the compiled engine on honest
     executions; requests are accounted as ``fallback_requests``.  The
     mixed-script strict check is kept — a grouping that mixes scripts is
     bogus regardless of engine.
@@ -284,68 +257,52 @@ class PlainInterpBackend(ReexecBackend):
                   interp=self.interp)
 
 
-def _compiled_engine(app: Application) -> CompInterpreter:
+def _compiled_engine(app: Application,
+                     collapse: bool = True) -> CompInterpreter:
     return CompInterpreter(
         db_name=app.db_name,
         kv_name=app.kv_name,
         session_cookie=app.session_cookie,
         record_flow=False,
+        collapse_enabled=collapse,
     )
 
 
-class CompInterpBackend(PlainInterpBackend):
-    """Per-request re-execution through the compiling engine
-    (:mod:`repro.lang.compile`).
-
-    Same per-request simulate-and-check discipline as the ``interp``
-    reference backend — and therefore bit-identical produced bodies,
-    verdicts, and stats accounting — but each script's AST is compiled
-    to closure chains once per process and reused across every chunk,
-    group, and epoch (the compile cache is keyed by program identity,
-    so pool workers compile on first use after unpickling the app)."""
-
-    name = "compinterp"
-
-    def __init__(self, app: Application, collapse: bool = True):
-        del collapse  # per-request execution has no SIMD to collapse
-        self.interp = _compiled_engine(app)
-
-
-class HybridBackend(AccInterpBackend):
-    """The default: SIMD-on-demand for real groups, the compiling engine
-    for everything that runs per request anyway.
-
-    A chunk of one gains nothing from SIMD batching (``docs/backends.md``
-    has the measured crossover) and a demoted group re-executes per
-    request by definition: both run compiled, while every chunk of two
-    or more keeps the accelerated interpreter and with it the
-    observation of in-group divergence.  Bodies and verdicts match
-    ``accinterp``; a routed singleton is booked as ``singleton_requests``
-    (nothing was retried), a demoted request as ``fallback_requests``,
-    and neither adds to ``steps``."""
+class CompiledBackend(ReexecBackend):
+    """The production engine: each chunk, whatever its size, in one pass
+    over the script's compiled closures (:mod:`repro.lang.compile`);
+    demotions re-run per request on the same compiled code."""
 
     name = "hybrid"
 
     def __init__(self, app: Application, collapse: bool = True):
-        super().__init__(app, collapse)
-        self.comp = _compiled_engine(app)
+        self.engine = _compiled_engine(app, collapse)
 
     def run_chunk(self, app, rids, requests, reports, ctx, strict, dedup,
                   produced, stats) -> None:
-        if len(rids) == 1:
-            stats.groups += 1
-            ctx.dedup = None
-            _execute(app, rids[0], requests, ctx, produced, self.comp)
-            stats.singleton_requests += 1
-            return
-        _run_chunk(app, self.acc, rids, requests, reports, ctx, strict,
-                   dedup, produced, stats, interp=self.comp)
+        _run_chunk(app, self.engine, rids, requests, reports, ctx, strict,
+                   dedup, produced, stats)
 
 
-register_reexec_backend(AccInterpBackend.name, AccInterpBackend)
+class _CompiledPerRequest(PlainInterpBackend):
+    """The compiled engine run one request per chunk — the path
+    demotions take, with the oracle's accounting."""
+
+    def __init__(self, app: Application, collapse: bool = True):
+        del collapse  # nothing to collapse in a group of one
+        self.interp = _compiled_engine(app)
+
+
 register_reexec_backend(PlainInterpBackend.name, PlainInterpBackend)
-register_reexec_backend(CompInterpBackend.name, CompInterpBackend)
-register_reexec_backend(HybridBackend.name, HybridBackend)
+register_reexec_backend(CompiledBackend.name, CompiledBackend)
+
+#: Names from when there were three engines and a router.  The frozen
+#: benchmarks/e2e/auditor_child.py (and its tier-1 smoke test) asks for
+#: every backend by its old name; ROADMAP has the plan to drop its
+#: per-backend metrics and then these.
+_ALIASES = {"accinterp": CompiledBackend, "compinterp": _CompiledPerRequest}
+for _alias, _factory in _ALIASES.items():
+    register_reexec_backend(_alias, _factory)
 
 
 #: Parallel planning: aim for this many chunks per worker (load
@@ -386,7 +343,8 @@ def plan_chunks(
     mode — under ``strict`` a real divergence is a *verdict* (REJECT),
     and pre-demotion would skip the group-wide check that produces it.
     Produced bodies and verdicts are unchanged either way (equivalence-
-    tested); only the grouped/singleton/fallback accounting moves.
+    tested); only the grouped/fallback accounting moves (a chunk of one
+    runs as a group of one).
     """
     groups: list[list[str]] = []
     grouped_total = 0
@@ -500,7 +458,7 @@ def _run_chunks_serial(
 
 def _run_chunk(
     app: Application,
-    acc: AccInterpreter,
+    engine: CompInterpreter,
     rids: list[str],
     requests,
     reports: Reports,
@@ -509,8 +467,9 @@ def _run_chunk(
     dedup: bool,
     produced: dict[str, str],
     stats: ReExecStats,
-    interp=None,
 ) -> None:
+    """One chunk in one grouped pass over ``engine``'s compiled code; a
+    chunk that cannot finish that way re-runs per request on it."""
     stats.groups += 1
     scripts = {requests[rid].script for rid in rids}
     if len(scripts) > 1:
@@ -521,7 +480,7 @@ def _run_chunk(
                 RejectReason.GROUP_DIVERGED,
                 f"group mixes scripts {sorted(scripts)}",
             )
-        _fallback(app, rids, requests, ctx, produced, stats, interp=interp)
+        _fallback(app, rids, requests, ctx, produced, stats, interp=engine)
         return
     program = app.script(next(iter(scripts)))
     group_requests = [requests[rid] for rid in rids]
@@ -536,7 +495,7 @@ def _run_chunk(
     vdb = ctx.vdb.get(app.db_name)
     ctx.dedup = QueryDedup(vdb) if (dedup and vdb is not None) else None
     try:
-        gen = acc.run_group(program, group_requests)
+        gen = engine.run_group(program, group_requests)
         intent = next(gen)
         while True:
             if isinstance(intent, GroupStateOpIntent):
@@ -578,14 +537,14 @@ def _run_chunk(
         stats.group_alphas.append((len(rids), alpha, output.steps))
     except DivergenceError as diverged:
         stats.divergences += 1
-        if strict and not _in_error_group(reports, rids[0]):
+        if strict and not _in_error_group(ctx, rids[0]):
             raise AuditReject(
                 RejectReason.GROUP_DIVERGED, diverged.detail
             ) from diverged
-        _fallback(app, rids, requests, ctx, produced, stats, interp=interp)
+        _fallback(app, rids, requests, ctx, produced, stats, interp=engine)
     except (MultivalueFallback, WeblangError):
         # Retry path (§4.3): not a verdict about the executor.
-        _fallback(app, rids, requests, ctx, produced, stats, interp=interp)
+        _fallback(app, rids, requests, ctx, produced, stats, interp=engine)
     finally:
         ctx.dedup = None
 
@@ -800,8 +759,9 @@ def _merge_stats(into: ReExecStats, delta: ReExecStats) -> None:
         setattr(into, name, getattr(into, name) + value)
 
 
-def _in_error_group(reports: Reports, rid: str) -> bool:
-    """Whether ``rid`` was grouped under an ``error:<script>`` tag.
+def _in_error_group(ctx: SimContext, rid: str) -> bool:
+    """Whether ``rid`` was grouped under an ``error:<script>`` tag (the
+    set of such rids is built on the first question of a pass).
 
     The executor groups every errored request of a script under one
     ``error:`` flow tag regardless of the path taken before the error,
@@ -811,10 +771,12 @@ def _in_error_group(reports: Reports, rid: str) -> bool:
     buys an attacker nothing: demotion re-executes per request with
     every output check intact.
     """
-    for tag, rids in reports.groups.items():
-        if tag.startswith("error:") and rid in rids:
-            return True
-    return False
+    if ctx.error_rids is None:
+        ctx.error_rids = frozenset(
+            member for tag, rids in ctx.reports.groups.items()
+            if tag.startswith("error:") for member in rids
+        )
+    return rid in ctx.error_rids
 
 
 def _fallback(
@@ -828,18 +790,13 @@ def _fallback(
 ) -> None:
     """Re-execute each request of the group individually (fresh handlers:
     partial group progress is discarded; checks are idempotent reads).
-    ``interp`` swaps in another per-request engine (the hybrid backend
-    passes its compiled-program runner)."""
+    ``interp`` is the per-request engine (``None``: the plain
+    interpreter; the compiled backend passes its own)."""
     ctx.dedup = None
     for rid in rids:
-        _execute(app, rid, requests, ctx, produced, interp)
+        # A rid can run more than once (listed in several groups, or
+        # demoted mid-group); its regenerated externals must not
+        # accumulate.
+        ctx.produced_externals.pop(rid, None)
+        produced[rid] = execute_one(app, requests[rid], ctx, interp=interp)
         stats.fallback_requests += 1
-
-
-def _execute(app: Application, rid: str, requests, ctx: SimContext,
-             produced: dict[str, str], interp) -> None:
-    """One request on the per-request engine ``interp``, start to end."""
-    # A rid can run more than once (listed in several groups, or demoted
-    # mid-group); its regenerated externals must not accumulate.
-    ctx.produced_externals.pop(rid, None)
-    produced[rid] = execute_one(app, requests[rid], ctx, interp=interp)

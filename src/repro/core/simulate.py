@@ -75,6 +75,9 @@ class SimContext:
         self.vdb: dict[str, VersionedDB] = {}
         #: Installed by the group driver for the duration of one group.
         self.dedup: QueryDedup | None = None
+        #: The rids grouped under an ``error:`` tag; the group driver
+        #: fills it in the first time a group diverges.
+        self.error_rids: frozenset | None = None
         #: rid -> outbound externals regenerated during re-execution
         #: (the §5.5 extension; compared against the trace's EXTERNAL
         #: events by the verifier).

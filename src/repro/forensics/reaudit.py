@@ -35,8 +35,8 @@ from repro.forensics.lineage import Lineage, request_lineage
 from repro.forensics.timeline import Timeline
 
 #: ReExecStats fields surfaced in :attr:`ReauditResult.stats`.
-_STAT_FIELDS = ("groups", "grouped_requests", "singleton_requests",
-                "fallback_requests", "divergences", "steps", "multi_steps")
+_STAT_FIELDS = ("groups", "grouped_requests", "fallback_requests",
+                "divergences", "steps", "multi_steps")
 
 
 @dataclass

@@ -18,8 +18,9 @@ features the paper's machinery exercises:
 * an incremental control-flow digest updated at every branch (§4.3).
 
 The plain interpreter here is the analog of unmodified PHP plus the
-server-side recording hooks; the SIMD-on-demand interpreter (acc-PHP) lives
-in :mod:`repro.accel`.
+server-side recording hooks; the SIMD-on-demand engine (acc-PHP) is the
+compiled one in :mod:`repro.lang.compile` (per-slot run time in
+:mod:`repro.lang.simd`).
 """
 
 from repro.lang.parser import parse_program

@@ -3,7 +3,7 @@
 Three built-in classes exist in weblang, mirroring OROCHI's treatment:
 
 * **pure** built-ins (this module): deterministic functions of their
-  arguments.  The accelerated interpreter may invoke them on multivalues by
+  arguments.  The compiled engine may invoke them on multivalues by
   *splitting* (§4.3): it calls the function once per component, deep-copying
   array arguments when the built-in is marked mutating, and merges results
   back into a multivalue.
@@ -18,8 +18,8 @@ Three built-in classes exist in weblang, mirroring OROCHI's treatment:
 Deviations from PHP, chosen for determinism and documented in DESIGN.md:
 ``sort``/``rsort`` return a new array instead of mutating by reference
 (weblang has no by-reference arguments); ``array_push`` is therefore the
-only mutating built-in and exists mainly to exercise the accelerated
-interpreter's deep-copy split path.
+only mutating built-in and exists mainly to exercise the compiled
+engine's deep-copy split path.
 """
 
 from __future__ import annotations

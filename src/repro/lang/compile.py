@@ -1,59 +1,77 @@
-"""The compiling weblang backend: AST → closure chains, once per program.
+"""The compiled weblang engine, univalent and multivalent (acc-PHP analog).
 
 The plain interpreter (:mod:`repro.lang.interp`) re-dispatches on node
 type at every step and builds a Python generator frame for every AST
-node it walks (the ``yield from`` chain).  At audit time the same few
-programs re-execute thousands of times, so that per-node tax is pure
-overhead.  This module compiles a :class:`~repro.lang.ast.Program` once
-into a tree of pre-bound Python closures:
+node it walks.  At audit time the same few programs re-execute thousands
+of times, so this module compiles a :class:`~repro.lang.ast.Program`
+once into a tree of pre-bound Python closures, and those closures run a
+whole control-flow group at a time (§3.1, §4.2-4.3):
+
+* instructions whose operands are identical across the group execute
+  once (**univalent** execution), at the cost of one closure call;
+* a closure whose operand *is* a :class:`~repro.multivalue.MultiValue`
+  executes componentwise (**multivalent**), with scalar expansion of
+  univalue operands and collapse of uniform results (Figure 2) — request
+  inputs, simulated object reads and recorded non-determinism are the
+  only sources of multivalues;
+* a branch, loop, ternary, left operand of ``&&``/``||`` or foreach
+  trip count that differs across the group is a **divergence** (the
+  grouping was wrong):
+  :class:`~repro.common.errors.DivergenceError`, which the driver turns
+  into a verdict (strict SSCO) or a per-request retry; cases SIMD
+  execution does not support raise
+  :class:`~repro.common.errors.MultivalueFallback` (always a retry).
+
+:meth:`CompiledProgram.run_group` is a generator: state operations yield
+:class:`GroupStateOpIntent` (per-request operands — §3.3's "for all rid
+in the group" loop lives in the driver), non-deterministic built-ins
+:class:`GroupNondetIntent`, outbound requests
+:class:`GroupExternalIntent`; it returns :class:`GroupRunOutput`.
+:meth:`CompiledProgram.run` is the same code run as a group of one
+behind an adapter with the :meth:`Interpreter.run` contract, so the
+executor's drivers and ``execute_one`` (demotions) drive it unchanged.
+
+How the closures are built:
 
 * **pure subtrees** — expressions and statements that can never perform
   a shared-object operation, a non-deterministic built-in, or an
   external call — compile to plain ``fn(env, state)`` closures: no
   generator frames at all, which is where most of the win comes from.
   Function-level purity comes from the static analyzer
-  (:func:`repro.lang.analysis.analysis_for`), whose call-graph effect
-  fixpoint handles mutual recursion precisely;
+  (:func:`repro.lang.analysis.analyze_program`);
 * **impure subtrees** compile to generator closures that ``yield`` the
-  same :class:`~repro.lang.interp.StateOpIntent` /
-  :class:`~repro.lang.interp.NondetIntent` /
-  :class:`~repro.lang.interp.ExternalIntent` objects as the plain
-  interpreter, so every existing driver (the executor, ``execute_one``,
-  the re-exec backends) drives compiled code unchanged;
-* **constant subtrees** (literal-only arithmetic/concat/comparison) fold
-  at compile time, preserving the exact instruction count the folded
-  nodes would have contributed;
-* names resolve at compile time: built-ins are pre-bound to their
-  closures, user functions to their compiled bodies, and scopes that
-  never execute a ``global`` declaration use a plain dict frame instead
-  of the :class:`~repro.lang.interp._Env` indirection.
+  group intents; both variants of a node share the helpers that do the
+  per-slot work (:mod:`repro.lang.simd`, with the run's state and the
+  intents);
+* **constant subtrees** fold at compile time, preserving the exact
+  instruction count the folded nodes would have contributed;
+* names resolve at compile time: built-ins are pre-bound, user functions
+  bound to their compiled bodies, and scopes that never execute a
+  ``global`` declaration use a plain dict frame instead of
+  :class:`~repro.lang.interp._Env`.
 
-**Bit-identity contract.**  Compiled execution must be observationally
-identical to :class:`~repro.lang.interp.Interpreter` — same produced
-bodies, same control-flow digests (same update sequence, nid for nid),
-same ``steps`` instruction counts, same intent sequences, and same
-error behaviour (a constant fold that would raise
-:class:`~repro.common.errors.WeblangError` is *not* folded, so the
-error still fires at run time, after the same side effects).  The
-differential fuzz tests and the ``interp``-vs-``compinterp`` backend
-equivalence tests enforce this.
+**Bit-identity contract.**  For every slot, execution is observationally
+identical to :class:`~repro.lang.interp.Interpreter` on that slot's
+request — same body, same ``steps``, same intent operands in the same
+order, same control-flow digest (a group of one records it), same error
+behaviour (a constant fold that would raise is *not* folded).  The
+differential fuzz tests enforce this.
 
 **Compile cache.**  :func:`compiled_for` memoizes per ``(program,
 dialect)`` keyed by object identity with a weakref guard, so every
-chunk/group re-execution in a run — and every chunk a pool worker
-process runs after unpickling the application once — reuses the same
-compiled code.  The cache is per-process by construction, which is
-exactly the compile-on-first-use worker-side behaviour the parallel
-drivers need: the compiled closures never travel through a pickle.
+chunk of a run — and every chunk a pool worker runs after unpickling the
+application once — reuses the same closures; they never travel through
+a pickle.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections.abc import Callable
+from functools import partial
 
 from repro.common.digest import FlowDigest
-from repro.common.errors import WeblangError
+from repro.common.errors import MultivalueFallback, WeblangError
 from repro.lang.ast import (
     ArrayLit,
     Assign,
@@ -64,7 +82,6 @@ from repro.lang.ast import (
     Echo,
     ExprStmt,
     Foreach,
-    FuncDecl,
     GlobalDecl,
     If,
     Index,
@@ -78,7 +95,7 @@ from repro.lang.ast import (
     Var,
     While,
 )
-from repro.lang.analysis import analysis_for
+from repro.lang.analysis import analyze_program
 from repro.lang.builtins import (
     EXTERNAL_BUILTINS,
     NONDET_BUILTINS,
@@ -97,39 +114,41 @@ from repro.lang.interp import (
     _ContinueSignal,
     _Env,
     _ReturnSignal,
-    freeze_value,
     thaw_value,
 )
-from repro.lang.values import (
-    PhpArray,
-    binop,
-    compound,
-    to_int,
-    to_str,
-    truthy,
-    unop,
+from repro.lang.simd import (
+    _APPEND,
+    GroupExternalIntent,
+    GroupNondetIntent,
+    GroupRunOutput,
+    GroupStateOpIntent,
+    _add_item,
+    _assign_cell,
+    _binop,
+    _call_builtin,
+    _copy_value,
+    _descend,
+    _expand,
+    _foreach_items,
+    _frozen,
+    _index,
+    _literal,
+    _merged_read,
+    _merged_replies,
+    _multi_binop,
+    _multi_text,
+    _no_key,
+    _render,
+    _rows,
+    _slots,
+    _State,
+    _strs,
+    _truth,
+    _unop,
 )
+from repro.lang.values import PhpArray, binop, compound, to_str, truthy, unop
+from repro.multivalue.multivalue import MultiValue
 from repro.trace.events import Request
-
-
-class _State:
-    """Per-request mutable state of a compiled run (the compiled analog
-    of :class:`repro.lang.interp._RunState`; ``funcs`` is gone — user
-    calls are resolved at compile time — and ``globals`` is the
-    top-level frame dict, which ``global``-using function frames link
-    back to)."""
-
-    __slots__ = ("request", "output", "digest", "in_tx", "steps", "depth",
-                 "globals")
-
-    def __init__(self, request: Request, digest: FlowDigest | None):
-        self.request = request
-        self.output: list[str] = []
-        self.digest = digest
-        self.in_tx = False
-        self.steps = 0
-        self.depth = 0
-        self.globals: dict[str, object] = {}
 
 
 class _CompiledFunc:
@@ -162,10 +181,14 @@ class _Compiler:
         self.use_env = False
         self.funcs: dict[str, _CompiledFunc] = {}
         #: Function-level effects come from the static analyzer — the
-        #: single source of truth for purity (repro.lang.analysis); the
-        #: report is cached per (program, dialect) like the compile cache.
-        self.analysis = analysis_for(program, db_name, kv_name,
-                                     session_cookie)
+        #: single source of truth for purity (repro.lang.analysis).  The
+        #: report is as large as the closures it helps build and only
+        #: needed while building them, so it is not the cached one.
+        self.analysis = analyze_program(program, db_name, kv_name,
+                                        session_cookie)
+        #: A variable read or a constant is the same closure wherever
+        #: it occurs: (name, use_env) / (type, repr, steps) -> result.
+        self.leaves: dict[tuple, tuple] = {}
 
     # -- driver -------------------------------------------------------------
 
@@ -189,6 +212,19 @@ class _Compiler:
         self.use_env = False  # top level: vars *are* globals
         body_pure, body_fn = self._compile_block(program.body)
         return CompiledProgram(program.name, body_pure, body_fn)
+
+    def _accessors(self, name: str) -> tuple[Callable, Callable]:
+        """``load(env)`` / ``store(env, value)`` of variable ``name`` in
+        the scope being compiled (statements off the hot path use them;
+        hot ones inline the frame access)."""
+        if self.use_env:
+            return (lambda env: env.lookup(name),
+                    lambda env, value: env.store(name, value))
+
+        def store(env, value):
+            env[name] = value
+
+        return (lambda env: env.get(name)), store
 
     # -- blocks and statements ------------------------------------------------
 
@@ -309,27 +345,31 @@ class _Compiler:
                 def run(env, state):
                     state.steps += 1
                     value = fn(env, state)
-                    env.store(name, apply(env.lookup(name), value))
+                    env.store(name, _binop(apply, env.lookup(name), value,
+                                           state))
 
             else:
 
                 def run(env, state):
                     state.steps += 1
                     value = fn(env, state)
-                    env[name] = apply(env.get(name), value)
+                    current = env.get(name)
+                    if type(current) is MultiValue \
+                            or type(value) is MultiValue:
+                        env[name] = _multi_binop(apply, current, value,
+                                                 state)
+                    else:
+                        env[name] = apply(current, value)
 
             return True, run
+        load, store = self._accessors(name)
 
         def run_gen(env, state):
             state.steps += 1
             value = yield from fn(env, state)
             if op:
-                current = env.lookup(name) if use_env else env.get(name)
-                value = apply(current, value)
-            if use_env:
-                env.store(name, value)
-            else:
-                env[name] = value
+                value = _binop(apply, load(env), value, state)
+            store(env, value)
 
         return False, run_gen
 
@@ -342,7 +382,9 @@ class _Compiler:
                 state.steps += 1
                 append = state.output.append
                 for fn in fns:
-                    append(to_str(fn(env, state)))
+                    value = fn(env, state)
+                    append(to_str(value) if type(value) is not MultiValue
+                           else _multi_text(value, state))
 
             return True, run
         items = [(pure, fn) for pure, fn, _ in compiled]
@@ -353,7 +395,8 @@ class _Compiler:
             for pure, fn in items:
                 value = (fn(env, state) if pure
                          else (yield from fn(env, state)))
-                append(to_str(value))
+                append(to_str(value) if type(value) is not MultiValue
+                       else _multi_text(value, state))
 
         return False, run_gen
 
@@ -365,6 +408,7 @@ class _Compiler:
         else_c = (self._compile_block(stmt.else_body)
                   if stmt.else_body is not None else None)
         nid64 = stmt.nid * 64
+        where = f"if#{stmt.nid}"
         all_pure = all(
             cond[0] and body[0] for cond, body in branches
         ) and (else_c is None or else_c[0])
@@ -377,7 +421,7 @@ class _Compiler:
                 taken = -1
                 body_fn = else_fn
                 for index, (cond_fn, branch_fn) in enumerate(plain):
-                    if truthy(cond_fn(env, state)):
+                    if _truth(cond_fn(env, state), where):
                         taken = index
                         body_fn = branch_fn
                         break
@@ -397,7 +441,7 @@ class _Compiler:
                 cond_pure, cond_fn, _ = cond
                 value = (cond_fn(env, state) if cond_pure
                          else (yield from cond_fn(env, state)))
-                if truthy(value):
+                if _truth(value, where):
                     taken = index
                     body = branch_body
                     break
@@ -417,12 +461,13 @@ class _Compiler:
         cond_pure, cond_fn, _ = self._compile_expr(stmt.cond)
         body_pure, body_fn = self._compile_block(stmt.body)
         nid = stmt.nid
+        where = f"while#{nid}"
         if cond_pure and body_pure:
 
             def run(env, state):
                 state.steps += 1
                 while True:
-                    if not truthy(cond_fn(env, state)):
+                    if not _truth(cond_fn(env, state), where):
                         break
                     digest = state.digest
                     if digest is not None:
@@ -444,7 +489,7 @@ class _Compiler:
             while True:
                 value = (cond_fn(env, state) if cond_pure
                          else (yield from cond_fn(env, state)))
-                if not truthy(value):
+                if not _truth(value, where):
                     break
                 digest = state.digest
                 if digest is not None:
@@ -467,34 +512,35 @@ class _Compiler:
     def _compile_foreach(self, stmt: Foreach) -> tuple[bool, Callable]:
         subj_pure, subj_fn, _ = self._compile_expr(stmt.subject)
         body_pure, body_fn = self._compile_block(stmt.body)
+        nid = stmt.nid
+        where = f"foreach#{nid}"
         key_var = stmt.key_var
         val_var = stmt.val_var
-        nid = stmt.nid
         use_env = self.use_env
 
-        def store(env, name, value):
+        def bind(env, state, key, value):
+            digest = state.digest
+            if digest is not None:
+                digest.update("loop", nid)
+            kind = type(value)
+            if kind is PhpArray or kind is MultiValue:
+                value = _copy_value(value)
             if use_env:
-                env.store(name, value)
+                if key_var is not None:
+                    env.store(key_var, key)
+                env.store(val_var, value)
             else:
-                env[name] = value
+                if key_var is not None:
+                    env[key_var] = key
+                env[val_var] = value
 
         if subj_pure and body_pure:
 
             def run(env, state):
                 state.steps += 1
                 subject = subj_fn(env, state)
-                if not isinstance(subject, PhpArray):
-                    raise WeblangError("foreach over a non-array")
-                for key, value in subject.items():
-                    digest = state.digest
-                    if digest is not None:
-                        digest.update("loop", nid)
-                    if key_var is not None:
-                        store(env, key_var, key)
-                    if isinstance(value, PhpArray):
-                        store(env, val_var, value.deep_copy())
-                    else:
-                        store(env, val_var, value)
+                for key, value in _foreach_items(subject, state, where):
+                    bind(env, state, key, value)
                     try:
                         body_fn(env, state)
                     except _BreakSignal:
@@ -511,18 +557,8 @@ class _Compiler:
             state.steps += 1
             subject = (subj_fn(env, state) if subj_pure
                        else (yield from subj_fn(env, state)))
-            if not isinstance(subject, PhpArray):
-                raise WeblangError("foreach over a non-array")
-            for key, value in subject.items():
-                digest = state.digest
-                if digest is not None:
-                    digest.update("loop", nid)
-                if key_var is not None:
-                    store(env, key_var, key)
-                if isinstance(value, PhpArray):
-                    store(env, val_var, value.deep_copy())
-                else:
-                    store(env, val_var, value)
+            for key, value in _foreach_items(subject, state, where):
+                bind(env, state, key, value)
                 try:
                     if body_pure:
                         body_fn(env, state)
@@ -541,10 +577,15 @@ class _Compiler:
     def _compile_index_assign(
         self, stmt: IndexAssign
     ) -> tuple[bool, Callable]:
+        """§4.3's container rules.  The path is walked the way the
+        interpreter walks it (root, then key by key, then the value,
+        then the last key), in ``container`` — the one shared array
+        until the root variable holds, or a key is, a multivalue; from
+        there on a list of each slot's own array."""
         name = stmt.name
-        op = stmt.op
-        apply = compound(op)  # unused for a plain ``=``
+        apply = compound(stmt.op) if stmt.op else None
         use_env = self.use_env
+        load, store = self._accessors(name)
         walk = [
             (self._compile_expr(p) if p is not None else None)
             for p in stmt.path[:-1]
@@ -557,82 +598,85 @@ class _Compiler:
             and all(p is None or p[0] for p in walk)
             and (last_c is None or last_c[0])
         )
+        not_array = f"cannot index non-array variable ${name}"
 
-        def root(env, state):
+        def root(env):
             container = env.lookup(name) if use_env else env.get(name)
             if container is None:
                 container = PhpArray()
-                if use_env:
-                    env.store(name, container)
-                else:
-                    env[name] = container
-            if not isinstance(container, PhpArray):
-                raise WeblangError(
-                    f"cannot index non-array variable ${name}"
-                )
+                store(env, container)
+            elif type(container) is MultiValue:
+                container = container.values
+                for slot_root in container:
+                    if not isinstance(slot_root, PhpArray):
+                        raise WeblangError(not_array)
+            elif not isinstance(container, PhpArray):
+                raise WeblangError(not_array)
             return container
 
-        def descend(container, key):
-            inner = container.get(key)
-            if inner is None:
-                inner = PhpArray()
-                container.set(key, inner)
-            if not isinstance(inner, PhpArray):
-                raise WeblangError("cannot index into a scalar")
-            return inner
+        def step(env, state, container, walked, key):
+            """``container`` ready for ``key``: expanded if it has to be."""
+            if type(key) is MultiValue and type(container) is not list:
+                expanded, container = _expand(load(env), walked, state)
+                store(env, expanded)
+            return container
+
+        def finish(env, state, container, walked, key, value):
+            if key is _APPEND and apply is not None:
+                raise WeblangError("compound assignment to append slot")
+            container = step(env, state, container, walked, key)
+            _assign_cell(container, key, value, apply, state)
+            if type(container) is list:
+                store(env, state.merge(list(load(env).values)))
 
         if all_pure:
-            walk_fns = [p[1] if p is not None else None for p in walk]
+            walk_fns = [p[1] if p is not None else _no_key for p in walk]
             last_fn = last_c[1] if last_c is not None else None
 
             def run(env, state):
                 state.steps += 1
-                container = root(env, state)
+                container = root(env)
+                walked = []
                 for path_fn in walk_fns:
-                    if path_fn is None:
-                        raise WeblangError(
-                            "'[]' only allowed as the last index"
-                        )
-                    container = descend(container,
-                                        path_fn(env, state))
+                    key = path_fn(env, state)
+                    container = _descend(
+                        step(env, state, container, walked, key), key,
+                        state)
+                    walked.append(key)
                 value = value_fn(env, state)
-                if last_fn is None:
-                    if op:
-                        raise WeblangError(
-                            "compound assignment to append slot"
-                        )
+                key = _APPEND if last_fn is None else last_fn(env, state)
+                if (apply is not None or type(container) is not PhpArray
+                        or type(key) is MultiValue
+                        or type(value) is MultiValue):
+                    finish(env, state, container, walked, key, value)
+                elif last_fn is None:  # all univalent
                     container.append(value)
                 else:
-                    key = last_fn(env, state)
-                    if op:
-                        value = apply(container.get(key), value)
                     container.set(key, value)
 
             return True, run
 
         def run_gen(env, state):
             state.steps += 1
-            container = root(env, state)
+            container = root(env)
+            walked = []
             for path_c in walk:
                 if path_c is None:
-                    raise WeblangError("'[]' only allowed as the last index")
+                    _no_key()
                 path_pure, path_fn, _ = path_c
                 key = (path_fn(env, state) if path_pure
                        else (yield from path_fn(env, state)))
-                container = descend(container, key)
+                container = _descend(
+                    step(env, state, container, walked, key), key, state)
+                walked.append(key)
             value = (value_fn(env, state) if value_pure
                      else (yield from value_fn(env, state)))
-            if last_c is None:
-                if op:
-                    raise WeblangError("compound assignment to append slot")
-                container.append(value)
-            else:
+            key = _APPEND
+            if last_c is not None:
                 last_pure, last_fn, _ = last_c
                 key = (last_fn(env, state) if last_pure
                        else (yield from last_fn(env, state)))
-                if op:
-                    value = apply(container.get(key), value)
-                container.set(key, value)
+            finish(env, state, container, walked, key, value)
 
         return False, run_gen
 
@@ -664,11 +708,15 @@ class _Compiler:
 
     def _const(self, value: object,
                steps: int) -> tuple[bool, Callable, tuple]:
-        def run(env, state):
-            state.steps += steps
-            return value
+        key = (type(value), repr(value), steps)  # 0.0 is not -0.0
+        if key not in self.leaves:
 
-        return True, run, (value, steps)
+            def run(env, state):
+                state.steps += steps
+                return value
+
+            self.leaves[key] = (True, run, (value, steps))
+        return self.leaves[key]
 
     def _compile_expr(self, node: Node) -> tuple[bool, Callable, tuple | None]:
         """Compile one expression.
@@ -684,19 +732,29 @@ class _Compiler:
             return self._const(node.value, 1)
         if kind is Var:
             name = node.name
+            key = (name, self.use_env)
+            if key in self.leaves:
+                return self.leaves[key]
             if self.use_env:
 
                 def run(env, state):
                     state.steps += 1
-                    return env.lookup(name)
+                    value = env.lookup(name)
+                    if type(value) is MultiValue:
+                        state.multi_steps += 1
+                    return value
 
             else:
 
                 def run(env, state):
                     state.steps += 1
-                    return env.get(name)
+                    value = env.get(name)
+                    if type(value) is MultiValue:
+                        state.multi_steps += 1
+                    return value
 
-            return True, run, None
+            self.leaves[key] = (True, run, None)
+            return self.leaves[key]
         if kind is BinOp:
             return self._compile_binop(node)
         if kind is Index:
@@ -718,7 +776,8 @@ class _Compiler:
 
     def _compile_expr_copy(self, node: Node) -> tuple[bool, Callable]:
         """The :meth:`Interpreter._eval_copy` rule: a Var/Index read
-        whose value is an array copies it into the new location."""
+        whose value is an array (or a multivalue, which may hold one per
+        slot) copies it into the new location."""
         pure, fn, _ = self._compile_expr(node)
         if type(node) not in (Var, Index):
             return pure, fn
@@ -726,16 +785,18 @@ class _Compiler:
 
             def run(env, state):
                 value = fn(env, state)
-                if isinstance(value, PhpArray):
-                    return value.deep_copy()
+                kind = type(value)
+                if kind is PhpArray or kind is MultiValue:
+                    return _copy_value(value)
                 return value
 
             return True, run
 
         def run_gen(env, state):
             value = yield from fn(env, state)
-            if isinstance(value, PhpArray):
-                return value.deep_copy()
+            kind = type(value)
+            if kind is PhpArray or kind is MultiValue:
+                return _copy_value(value)
             return value
 
         return False, run_gen
@@ -756,11 +817,28 @@ class _Compiler:
                 return self._const(
                     folded, 1 + left_const[1] + right_const[1]
                 )
+        if left_pure and right_const is not None:
+            # ``$x + 1``: the constant needs no call and no test, and
+            # its instruction count rides on this node's.
+            right, steps = right_const[0], right_const[1] + 1
+
+            def run(env, state):
+                state.steps += steps
+                left = left_fn(env, state)
+                if type(left) is MultiValue:
+                    return _multi_binop(combine, left, right, state)
+                return combine(left, right)
+
+            return True, run, None
         if left_pure and right_pure:
 
             def run(env, state):
                 state.steps += 1
-                return combine(left_fn(env, state), right_fn(env, state))
+                left = left_fn(env, state)
+                right = right_fn(env, state)
+                if type(left) is MultiValue or type(right) is MultiValue:
+                    return _multi_binop(combine, left, right, state)
+                return combine(left, right)
 
             return True, run, None
 
@@ -770,7 +848,7 @@ class _Compiler:
                     else (yield from left_fn(env, state)))
             right = (right_fn(env, state) if right_pure
                      else (yield from right_fn(env, state)))
-            return combine(left, right)
+            return _binop(combine, left, right, state)
 
         return False, run_gen, None
 
@@ -778,20 +856,22 @@ class _Compiler:
         left_pure, left_fn, _ = self._compile_expr(node.left)
         right_pure, right_fn, _ = self._compile_expr(node.right)
         nid2 = node.nid * 2
+        where = f"logic#{node.nid}"
         is_and = node.op == "&&"
-        short_value = False if is_and else True
+        # Only the left operand decides where control goes; the right
+        # one's truth is a value (``_unop``: per slot if it differs).
         if left_pure and right_pure:
 
             def run(env, state):
                 state.steps += 1
-                left = left_fn(env, state)
-                take_right = truthy(left) if is_and else not truthy(left)
+                # ``&&`` goes on when the left is true, ``||`` when not.
+                take_right = _truth(left_fn(env, state), where) is is_and
                 digest = state.digest
                 if digest is not None:
                     digest.update("sc", nid2 + int(take_right))
                 if not take_right:
-                    return short_value
-                return truthy(right_fn(env, state))
+                    return not is_and
+                return _unop(truthy, right_fn(env, state), state)
 
             return True, run, None
 
@@ -799,15 +879,15 @@ class _Compiler:
             state.steps += 1
             left = (left_fn(env, state) if left_pure
                     else (yield from left_fn(env, state)))
-            take_right = truthy(left) if is_and else not truthy(left)
+            take_right = _truth(left, where) is is_and
             digest = state.digest
             if digest is not None:
                 digest.update("sc", nid2 + int(take_right))
             if not take_right:
-                return short_value
+                return not is_and
             right = (right_fn(env, state) if right_pure
                      else (yield from right_fn(env, state)))
-            return truthy(right)
+            return _unop(truthy, right, state)
 
         return False, run_gen, None
 
@@ -825,14 +905,13 @@ class _Compiler:
 
             def run(env, state):
                 state.steps += 1
-                return apply(fn(env, state))
+                return _unop(apply, fn(env, state), state)
 
             return True, run, None
 
         def run_gen(env, state):
             state.steps += 1
-            value = yield from fn(env, state)
-            return apply(value)
+            return _unop(apply, (yield from fn(env, state)), state)
 
         return False, run_gen, None
 
@@ -841,11 +920,12 @@ class _Compiler:
         then_pure, then_fn, _ = self._compile_expr(node.then)
         other_pure, other_fn, _ = self._compile_expr(node.other)
         nid2 = node.nid * 2
+        where = f"ternary#{node.nid}"
         if cond_pure and then_pure and other_pure:
 
             def run(env, state):
                 state.steps += 1
-                taken = truthy(cond_fn(env, state))
+                taken = _truth(cond_fn(env, state), where)
                 digest = state.digest
                 if digest is not None:
                     digest.update("tern", nid2 + int(taken))
@@ -859,7 +939,7 @@ class _Compiler:
             state.steps += 1
             cond = (cond_fn(env, state) if cond_pure
                     else (yield from cond_fn(env, state)))
-            taken = truthy(cond)
+            taken = _truth(cond, where)
             digest = state.digest
             if digest is not None:
                 digest.update("tern", nid2 + int(taken))
@@ -876,19 +956,23 @@ class _Compiler:
     def _compile_index(self, node: Index) -> tuple[bool, Callable, None]:
         base_pure, base_fn, _ = self._compile_expr(node.base)
         index_pure, index_fn, _ = self._compile_expr(node.index)
+        indexable = (PhpArray, str, MultiValue)
         if base_pure and index_pure:
 
             def run(env, state):
                 state.steps += 1
                 base = base_fn(env, state)
-                if isinstance(base, PhpArray):
-                    return base.get(index_fn(env, state))
-                if isinstance(base, str):
-                    position = to_int(index_fn(env, state))
-                    if 0 <= position < len(base):
-                        return base[position]
-                    return ""
-                raise WeblangError("indexing a non-array value")
+                if type(base) is PhpArray:
+                    index = index_fn(env, state)
+                    if type(index) is not MultiValue:
+                        value = base.get(index)
+                        if type(value) is MultiValue:
+                            state.multi_steps += 1
+                        return value
+                    return _index(base, index, state)
+                if not isinstance(base, indexable):
+                    raise WeblangError("indexing a non-array value")
+                return _index(base, index_fn(env, state), state)
 
             return True, run, None
 
@@ -896,18 +980,11 @@ class _Compiler:
             state.steps += 1
             base = (base_fn(env, state) if base_pure
                     else (yield from base_fn(env, state)))
-            if isinstance(base, PhpArray):
-                index = (index_fn(env, state) if index_pure
-                         else (yield from index_fn(env, state)))
-                return base.get(index)
-            if isinstance(base, str):
-                index = (index_fn(env, state) if index_pure
-                         else (yield from index_fn(env, state)))
-                position = to_int(index)
-                if 0 <= position < len(base):
-                    return base[position]
-                return ""
-            raise WeblangError("indexing a non-array value")
+            if not isinstance(base, indexable):
+                raise WeblangError("indexing a non-array value")
+            index = (index_fn(env, state) if index_pure
+                     else (yield from index_fn(env, state)))
+            return _index(base, index, state)
 
         return False, run_gen, None
 
@@ -933,11 +1010,17 @@ class _Compiler:
                 array = PhpArray()
                 for key_fn, value_fn in pairs:
                     value = value_fn(env, state)
-                    if key_fn is None:
+                    key = (_APPEND if key_fn is None
+                           else key_fn(env, state))
+                    if (type(array) is not PhpArray
+                            or type(key) is MultiValue
+                            or type(value) is MultiValue):
+                        array = _add_item(array, key, value, state)
+                    elif key_fn is None:  # all univalent
                         array.append(value)
                     else:
-                        array.set(key_fn(env, state), value)
-                return array
+                        array.set(key, value)
+                return _literal(array, state)
 
             return True, run, None
 
@@ -947,14 +1030,13 @@ class _Compiler:
             for key_c, (value_pure, value_fn) in items:
                 value = (value_fn(env, state) if value_pure
                          else (yield from value_fn(env, state)))
-                if key_c is None:
-                    array.append(value)
-                else:
+                key = _APPEND
+                if key_c is not None:
                     key_pure, key_fn, _ = key_c
                     key = (key_fn(env, state) if key_pure
                            else (yield from key_fn(env, state)))
-                    array.set(key, value)
-            return array
+                array = _add_item(array, key, value, state)
+            return _literal(array, state)
 
         return False, run_gen, None
 
@@ -980,6 +1062,25 @@ class _Compiler:
 
         return False, run_gen
 
+    def _after_args(
+        self, args_pure: bool, args_fn: Callable, finish: Callable
+    ) -> tuple[bool, Callable, None]:
+        """A call that evaluates its arguments, then does plain work:
+        ``finish(args, state)``."""
+        if args_pure:
+
+            def run(env, state):
+                state.steps += 1
+                return finish(args_fn(env, state), state)
+
+            return True, run, None
+
+        def run_gen(env, state):
+            state.steps += 1
+            return finish((yield from args_fn(env, state)), state)
+
+        return False, run_gen, None
+
     def _compile_call(self, node: Call) -> tuple[bool, Callable, None]:
         name = node.name
         args_pure, args_fn = self._compile_args(node.args)
@@ -995,8 +1096,9 @@ class _Compiler:
                 state.steps += 1
                 args = (args_fn(env, state) if args_pure
                         else (yield from args_fn(env, state)))
-                result = yield NondetIntent(name, tuple(args))
-                return result
+                results = yield GroupNondetIntent(name, _rows(
+                    [_slots(arg, state) for arg in args], state))
+                return state.merge(list(results))
 
             return False, run_gen, None
         func = self.funcs.get(name)
@@ -1004,38 +1106,15 @@ class _Compiler:
             return self._compile_user_call(func, args_pure, args_fn)
         builtin = PURE_BUILTINS.get(name)
         if builtin is not None:
-            if args_pure:
-
-                def run(env, state):
-                    state.steps += 1
-                    return builtin(*args_fn(env, state))
-
-                return True, run, None
-
-            def run_gen(env, state):
-                state.steps += 1
-                args = yield from args_fn(env, state)
-                return builtin(*args)
-
-            return False, run_gen, None
+            return self._after_args(args_pure, args_fn,
+                                    partial(_call_builtin, builtin))
 
         # Undefined function: arguments evaluate first, like the
         # interpreter, then the call raises.
-        if args_pure:
-
-            def run(env, state):
-                state.steps += 1
-                args_fn(env, state)
-                raise WeblangError(f"call to undefined function {name}()")
-
-            return True, run, None
-
-        def run_gen(env, state):
-            state.steps += 1
-            yield from args_fn(env, state)
+        def undefined(args, state):
             raise WeblangError(f"call to undefined function {name}()")
 
-        return False, run_gen, None
+        return self._after_args(args_pure, args_fn, undefined)
 
     def _compile_request_input(
         self, name: str, args_pure: bool, args_fn: Callable
@@ -1045,24 +1124,17 @@ class _Compiler:
         def finish(args, state):
             if len(args) not in (1, 2):
                 raise WeblangError(f"{name}() expects 1 or 2 arguments")
+            for arg in args:
+                if type(arg) is MultiValue:
+                    raise MultivalueFallback(
+                        f"{name}() with multivalue arguments")
             key = to_str(args[0])
             default = args[1] if len(args) == 2 else None
-            return getattr(state.request, attr).get(key, default)
+            return _merged_read(
+                [getattr(request, attr).get(key, default)
+                 for request in state.requests], state)
 
-        if args_pure:
-
-            def run(env, state):
-                state.steps += 1
-                return finish(args_fn(env, state), state)
-
-            return True, run, None
-
-        def run_gen(env, state):
-            state.steps += 1
-            args = yield from args_fn(env, state)
-            return finish(args, state)
-
-        return False, run_gen, None
+        return self._after_args(args_pure, args_fn, finish)
 
     def _compile_user_call(
         self, func: _CompiledFunc, args_pure: bool, args_fn: Callable
@@ -1122,6 +1194,9 @@ class _Compiler:
     def _compile_state_call(
         self, name: str, args_pure: bool, args_fn: Callable
     ) -> tuple[bool, Callable, None]:
+        """The eleven state built-ins: each yields one
+        :class:`GroupStateOpIntent` carrying every slot's object name
+        and operands."""
         db_name = self.db_name
         kv_name = self.kv_name
         session_cookie = self.session_cookie
@@ -1134,143 +1209,89 @@ class _Compiler:
                     f"got {len(args)}"
                 )
 
-        def session_register(state):
-            cookie = state.request.cookies.get(session_cookie)
-            if cookie is None:
-                raise WeblangError(
-                    "session_get/session_put without a session cookie"
-                )
-            return f"reg:sess:{cookie}"
+        def session_registers(_args, state):
+            registers = []
+            for request in state.requests:
+                cookie = request.cookies.get(session_cookie)
+                if cookie is None:
+                    raise WeblangError(
+                        "session_get/session_put without a session cookie"
+                    )
+                registers.append(f"reg:sess:{cookie}")
+            return registers
+
+        def global_registers(args, state):
+            return [f"reg:g:{key}" for key in _strs(args[0], state)]
+
+        def the_kv(_args, state):
+            return [kv_name] * state.size
+
+        def nothing(_args, state):
+            return [()] * state.size
 
         if name in ("db_query", "db_exec"):
 
             def op(args, state):
                 check_args(args, 1)
-                sql = to_str(args[0])
-                result = yield StateOpIntent("db_statement", db_name,
-                                             (sql,))
-                return convert(name, result)
+                results = yield GroupStateOpIntent(
+                    "db_statement", [db_name] * state.size,
+                    [(sql,) for sql in _strs(args[0], state)])
+                return _merged_replies(partial(convert, name), results,
+                                       state)
 
-        elif name == "db_begin":
-
-            def op(args, state):
-                check_args(args, 0)
-                if state.in_tx:
-                    raise WeblangError(
-                        "nested transactions are not allowed"
-                    )
-                yield StateOpIntent("db_begin", db_name, ())
-                state.in_tx = True
-                return None
-
-        elif name == "db_commit":
+        elif name in ("db_begin", "db_commit", "db_rollback"):
+            opens = name == "db_begin"  # the other two close one
 
             def op(args, state):
                 check_args(args, 0)
-                if not state.in_tx:
-                    raise WeblangError("db_commit() without a transaction")
-                result = yield StateOpIntent("db_commit", db_name, ())
-                state.in_tx = False
-                return bool(result)
-
-        elif name == "db_rollback":
-
-            def op(args, state):
-                check_args(args, 0)
-                if not state.in_tx:
+                if state.in_tx is opens:
                     raise WeblangError(
-                        "db_rollback() without a transaction"
-                    )
-                yield StateOpIntent("db_rollback", db_name, ())
-                state.in_tx = False
-                return None
+                        "nested transactions are not allowed" if opens
+                        else f"{name}() without a transaction")
+                results = yield GroupStateOpIntent(
+                    name, [db_name] * state.size, [()] * state.size)
+                state.in_tx = opens
+                if name != "db_commit":
+                    return None
+                return state.merge([bool(result) for result in results])
 
-        elif name == "kv_get":
+        else:
+            # Register- and key-value operations: (arity, intent kind,
+            # per-slot object names, per-slot operands); a read's
+            # replies are thawed and merged, a write returns null.
+            arity, kind, objs_of, operands_of = {
+                "kv_get": (1, "kv_get", the_kv, lambda args, state: [
+                    (key,) for key in _strs(args[0], state)]),
+                "kv_set": (2, "kv_set", the_kv, lambda args, state: list(
+                    zip(_strs(args[0], state), _frozen(args[1], state)))),
+                "reg_read": (1, "register_read", global_registers, nothing),
+                "reg_write": (
+                    2, "register_write", global_registers,
+                    lambda args, state: _rows([_frozen(args[1], state)],
+                                              state)),
+                "session_get": (0, "register_read", session_registers,
+                                nothing),
+                "session_put": (
+                    1, "register_write", session_registers,
+                    lambda args, state: _rows([_frozen(args[0], state)],
+                                              state)),
+            }[name]
+            is_read = kind.endswith(("_get", "_read"))
 
             def op(args, state):
                 if state.in_tx:
+                    # §4.4: a transaction cannot enclose other object
+                    # operations.
                     raise WeblangError(
                         f"{name}() inside a DB transaction violates the "
                         "object model"
                     )
-                check_args(args, 1)
-                key = to_str(args[0])
-                result = yield StateOpIntent("kv_get", kv_name, (key,))
-                return thaw_value(result)
-
-        elif name == "kv_set":
-
-            def op(args, state):
-                if state.in_tx:
-                    raise WeblangError(
-                        f"{name}() inside a DB transaction violates the "
-                        "object model"
-                    )
-                check_args(args, 2)
-                key = to_str(args[0])
-                value = freeze_value(args[1])
-                yield StateOpIntent("kv_set", kv_name, (key, value))
-                return None
-
-        elif name == "reg_read":
-
-            def op(args, state):
-                if state.in_tx:
-                    raise WeblangError(
-                        f"{name}() inside a DB transaction violates the "
-                        "object model"
-                    )
-                check_args(args, 1)
-                register = f"reg:g:{to_str(args[0])}"
-                result = yield StateOpIntent("register_read", register, ())
-                return thaw_value(result)
-
-        elif name == "reg_write":
-
-            def op(args, state):
-                if state.in_tx:
-                    raise WeblangError(
-                        f"{name}() inside a DB transaction violates the "
-                        "object model"
-                    )
-                check_args(args, 2)
-                register = f"reg:g:{to_str(args[0])}"
-                value = freeze_value(args[1])
-                yield StateOpIntent("register_write", register, (value,))
-                return None
-
-        elif name == "session_get":
-
-            def op(args, state):
-                if state.in_tx:
-                    raise WeblangError(
-                        f"{name}() inside a DB transaction violates the "
-                        "object model"
-                    )
-                check_args(args, 0)
-                register = session_register(state)
-                result = yield StateOpIntent("register_read", register, ())
-                return thaw_value(result)
-
-        elif name == "session_put":
-
-            def op(args, state):
-                if state.in_tx:
-                    raise WeblangError(
-                        f"{name}() inside a DB transaction violates the "
-                        "object model"
-                    )
-                check_args(args, 1)
-                register = session_register(state)
-                value = freeze_value(args[0])
-                yield StateOpIntent("register_write", register, (value,))
-                return None
-
-        else:  # pragma: no cover - STATE_BUILTINS is a fixed set
-
-            def op(args, state):
-                raise WeblangError(f"unknown state builtin {name}")
-                yield  # unreachable; keeps this a generator
+                check_args(args, arity)
+                results = yield GroupStateOpIntent(
+                    kind, objs_of(args, state), operands_of(args, state))
+                if not is_read:
+                    return None
+                return _merged_replies(thaw_value, results, state)
 
         def run_gen(env, state):
             state.steps += 1
@@ -1294,10 +1315,11 @@ class _Compiler:
                     f"{name}() inside a DB transaction violates the "
                     "object model"
                 )
-            service = "email" if is_email else to_str(args[0])
+            services = (["email"] * state.size if is_email
+                        else _strs(args[0], state))
             payload = args if is_email else args[1:]
-            content = tuple(freeze_value(value) for value in payload)
-            yield ExternalIntent(service, content)
+            yield GroupExternalIntent(services, _rows(
+                [_frozen(value, state) for value in payload], state))
             return True
 
         return False, run_gen, None
@@ -1325,8 +1347,9 @@ def _scope_uses_global(stmts: list[Node]) -> bool:
 
 
 class CompiledProgram:
-    """One compiled script.  :meth:`run` has the exact generator
-    contract of :meth:`repro.lang.interp.Interpreter.run`."""
+    """One compiled script: :meth:`run_group` re-executes a control-flow
+    group, :meth:`run` one request with the exact generator contract of
+    :meth:`repro.lang.interp.Interpreter.run`."""
 
     __slots__ = ("name", "_body_pure", "_body_fn")
 
@@ -1335,11 +1358,20 @@ class CompiledProgram:
         self._body_pure = body_pure
         self._body_fn = body_fn
 
-    def run(self, request: Request, record_flow: bool = True):
+    def run_group(self, requests: list[Request], collapse: bool = True,
+                  record_flow: bool = False):
+        """Superposed execution of ``requests`` (all share control flow).
+
+        Generator: yields Group*Intents (the driver sends back one
+        result per slot), returns :class:`GroupRunOutput`.  Raises
+        :class:`DivergenceError` if control flow differs across the
+        group, :class:`MultivalueFallback` on unsupported SIMD cases and
+        :class:`WeblangError` when any member's execution errors.
+        """
         digest = FlowDigest() if record_flow else None
         if digest is not None:
             digest.update_str(self.name)
-        state = _State(request, digest)
+        state = _State(list(requests), digest, collapse)
         env = state.globals  # the top-level frame is the globals dict
         try:
             if self._body_pure:
@@ -1353,7 +1385,30 @@ class CompiledProgram:
         if state.in_tx:
             raise WeblangError("script ended with an open transaction")
         flow_tag = digest.hexdigest() if digest is not None else None
-        return RunOutput("".join(state.output), flow_tag, state.steps)
+        return GroupRunOutput(_render(state), state.steps,
+                              state.multi_steps, flow_tag)
+
+    def run(self, request: Request, record_flow: bool = True):
+        """``request`` as a group of one: each group intent becomes the
+        interpreter's per-request intent, each reply a one-slot list."""
+        group = self.run_group([request], record_flow=record_flow)
+        replies = None
+        try:
+            while True:
+                intent = group.send(replies)
+                kind = type(intent)
+                if kind is GroupStateOpIntent:
+                    reply = yield StateOpIntent(
+                        intent.kind, intent.objs[0], intent.args[0])
+                elif kind is GroupNondetIntent:
+                    reply = yield NondetIntent(intent.func, intent.args[0])
+                else:
+                    reply = yield ExternalIntent(
+                        intent.services[0], intent.contents[0])
+                replies = [reply]
+        except StopIteration as stop:
+            output = stop.value
+        return RunOutput(output.bodies[0], output.flow_tag, output.steps)
 
 
 def compile_program(
@@ -1418,8 +1473,9 @@ def cache_info() -> dict[str, int]:
 
 
 class CompInterpreter:
-    """Drop-in replacement for :class:`~repro.lang.interp.Interpreter`
-    that runs compiled programs (compiling on first use, cached)."""
+    """The engine for one dialect: compiles on first use (cached), runs
+    a group (:meth:`run_group`) or — a drop-in for
+    :class:`~repro.lang.interp.Interpreter` — one request (:meth:`run`)."""
 
     def __init__(
         self,
@@ -1427,13 +1483,21 @@ class CompInterpreter:
         kv_name: str = "kv:apc",
         session_cookie: str = "sess",
         record_flow: bool = True,
+        collapse_enabled: bool = True,
     ):
         self.db_name = db_name
         self.kv_name = kv_name
         self.session_cookie = session_cookie
         self.record_flow = record_flow
+        self.collapse_enabled = collapse_enabled
+
+    def _compiled(self, program: Program) -> CompiledProgram:
+        return compiled_for(program, self.db_name, self.kv_name,
+                            self.session_cookie)
 
     def run(self, program: Program, request: Request):
-        compiled = compiled_for(program, self.db_name, self.kv_name,
-                                self.session_cookie)
-        return compiled.run(request, self.record_flow)
+        return self._compiled(program).run(request, self.record_flow)
+
+    def run_group(self, program: Program, requests: list[Request]):
+        return self._compiled(program).run_group(requests,
+                                                 self.collapse_enabled)

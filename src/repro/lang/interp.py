@@ -230,7 +230,7 @@ class Interpreter:
     def _eval_copy(self, node: Node, env: _Env, state: _RunState):
         """Evaluate with PHP value-semantics: reading an array out of a
         variable or cell into a new storage location copies it.  The
-        accelerated interpreter applies the identical rule, which keeps the
+        compiled engine applies the identical rule, which keeps the
         two runtimes observationally equal (difference (ii), §A.6)."""
         value = yield from self._eval(node, env, state)
         if type(node) in (Var, Index) and isinstance(value, PhpArray):

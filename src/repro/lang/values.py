@@ -3,15 +3,15 @@
 Value universe: ``None``, ``bool``, ``int``, ``float``, ``str``, and
 :class:`PhpArray` (PHP's single ordered-map array type, serving as both
 list and dict).  Coercion rules follow PHP closely enough for web-app code
-while staying deterministic and identical between the plain and accelerated
-interpreters — that identity is what Lemma 8 / "difference (ii)" of the
+while staying deterministic and identical between the plain and compiled
+engines — that identity is what Lemma 8 / "difference (ii)" of the
 paper's proof requires of an implementation.
 
 Arrays follow PHP's value semantics: both interpreters copy an array when
 it flows out of a variable or cell into a new storage location (assignment,
 argument passing, return, foreach binding, array-literal cells).  Aliasing
 across variables is therefore impossible, which is also what makes per-slot
-multivalue expansion sound in the accelerated interpreter.
+multivalue expansion sound in the compiled engine.
 """
 
 from __future__ import annotations
@@ -359,9 +359,9 @@ _ORDERINGS = {"<": operator.lt, "<=": operator.le,
 # The operator table
 # --------------------------------------------------------------------------
 #
-# Every engine takes its operators from here, so "which operator" is
-# decided once per AST node (interp), per compiled node (compile) or per
-# multivalent step (accinterp), not once per evaluation.  Each entry tests
+# Both engines take their operators from here, so "which operator" is
+# decided once per AST node (interp) or per compiled node (compile, which
+# maps the entry over the slots of a multivalue), not once per evaluation.  Each entry tests
 # the exact types that dominate real programs (``type(x) is int``: a bool
 # never passes for a number) and falls through to the coercing functions
 # above, which stay the semantic reference.

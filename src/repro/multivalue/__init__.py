@@ -4,8 +4,11 @@ from repro.multivalue.multivalue import (
     MultiValue,
     collapse,
     components,
+    contains_multi,
     is_multi,
     make_multi,
+    project,
 )
 
-__all__ = ["MultiValue", "collapse", "components", "is_multi", "make_multi"]
+__all__ = ["MultiValue", "collapse", "components", "contains_multi",
+           "is_multi", "make_multi", "project"]

@@ -11,24 +11,23 @@ ints").  Invariants:
   component may be a :class:`~repro.lang.values.PhpArray` whose *cells*
   hold only plain values;
 * a MultiValue whose components are all equal must not exist: the
-  accelerated interpreter calls :func:`collapse` on everything it produces,
-  which turns such a vector back into a univalue — "this is crucial to
-  deduplication" (§4.3).
+  engine (:mod:`repro.lang.compile`) builds everything it produces with
+  :func:`make_multi`, which hands back a univalue instead — "this is
+  crucial to deduplication" (§4.3).
 
 ``collapse`` compares scalars with ``==`` (plus type compatibility) and
 arrays by value.  Collapsing distinct-but-equal arrays to a single shared
-array is safe because every mutation path in the accelerated interpreter
-either applies an identical (univalent) mutation to the shared array — the
-same thing that happened in each original execution — or first *expands*
-the array into per-request deep copies (scalar expansion of containers,
-§4.3).
+array is safe because every mutation path in the engine either applies
+an identical (univalent) mutation to the shared array — the same thing
+that happened in each original execution — or first *expands* the array
+into per-request deep copies (scalar expansion of containers, §4.3).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from repro.common.errors import WeblangError
+from repro.common.errors import MultivalueFallback, WeblangError
 from repro.lang.values import PhpArray
 
 
@@ -42,6 +41,16 @@ class MultiValue:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def __eq__(self, other: object) -> bool:
+        """Only reached when a comparison walks into an array *cell*
+        that holds a multivalue (operands are expanded before they are
+        compared): the answer may differ by slot, so retry per request."""
+        if other is self:
+            return True
+        raise MultivalueFallback("comparison through a multivalue cell")
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MultiValue({self.values!r})"
@@ -63,7 +72,7 @@ def _equal(a: object, b: object) -> bool:
     if a is b:
         return True
     ta, tb = type(a), type(b)
-    if ta is not tb:
+    if ta is not tb or ta is MultiValue:
         return False
     if ta is PhpArray:
         return _arrays_equal(a, b)  # type: ignore[arg-type]
@@ -94,8 +103,13 @@ def collapse(value: object) -> object:
 
 
 def make_multi(values: list[object]) -> object:
-    """Build a MultiValue from per-request values, collapsing if uniform."""
-    return collapse(MultiValue(values))
+    """Build a MultiValue from per-request values, collapsing if uniform
+    (the usual case builds nothing)."""
+    first = values[0]
+    for other in values:
+        if other is not first and not _equal(first, other):
+            return MultiValue(values)
+    return first
 
 
 def components(value: object, size: int) -> list[object]:
@@ -112,6 +126,36 @@ def components(value: object, size: int) -> list[object]:
             )
         return value.values
     return [value] * size
+
+
+def contains_multi(array: PhpArray) -> bool:
+    """Whether any cell of ``array``, at any depth, holds a MultiValue
+    ("a container's cells can hold multivalues", §4.3)."""
+    for cell in array.data.values():
+        kind = type(cell)
+        if kind is MultiValue or (kind is PhpArray and contains_multi(cell)):
+            return True
+    return False
+
+
+def project(value: object, slot: int, copy_arrays: bool = False) -> object:
+    """One slot's view of a value.
+
+    MultiValues yield their component; arrays containing multivalues are
+    rebuilt with projected cells.  ``copy_arrays`` forces fresh copies of
+    all arrays, guaranteeing the result shares no structure with other
+    slots (used before per-slot mutation).
+    """
+    if isinstance(value, MultiValue):
+        return project(value.values[slot], slot, copy_arrays)
+    if isinstance(value, PhpArray) and (copy_arrays
+                                        or contains_multi(value)):
+        out = PhpArray()
+        out._next_index = value._next_index
+        for key, cell in value.data.items():
+            out.data[key] = project(cell, slot, copy_arrays)
+        return out
+    return value
 
 
 def expand_array(value: object, size: int) -> MultiValue:
@@ -138,11 +182,6 @@ def expand_array(value: object, size: int) -> MultiValue:
     if not isinstance(value, PhpArray):
         raise WeblangError("expand_array() expects an array")
     return MultiValue([value] + [value.deep_copy() for _ in range(size - 1)])
-
-
-def map_unary(func: Callable[[object], object], value: MultiValue) -> object:
-    """Apply ``func`` componentwise; collapse the result."""
-    return make_multi([func(component) for component in value.values])
 
 
 def map_componentwise(

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import (
-    AccInterpreter,
+from repro.lang.compile import (
+    CompInterpreter as AccInterpreter,
     GroupNondetIntent,
     GroupStateOpIntent,
 )
@@ -148,6 +148,17 @@ def test_logical_divergence_detected():
     src = "$b = param('x') && true; echo $b ? 1 : 0;"
     with pytest.raises(DivergenceError):
         run_group(src, reqs({"x": 1}, {"x": 0}))
+
+
+def test_logical_right_operand_is_a_value_not_a_branch():
+    """Only the left operand of ``&&`` / ``||`` decides where control
+    goes (it alone is in the flow digest); a right operand whose truth
+    differs by slot yields per-slot booleans.  The tree-walking grouped
+    interpreter raised a false divergence here."""
+    values = "$b = true && param('x'); $c = false || param('x');"
+    assert_equiv(values + " echo $b, '|', $c;", reqs({"x": 1}, {"x": 0}))
+    with pytest.raises(DivergenceError):  # branching on them does diverge
+        run_group(values + " echo $b ? 1 : 0;", reqs({"x": 1}, {"x": 0}))
 
 
 def test_same_branch_no_divergence():

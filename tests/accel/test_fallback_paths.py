@@ -46,6 +46,26 @@ echo $holder['slot']['n'], $holder['slot']['deep'];
     assert result.produced == baseline.produced
 
 
+def test_comparison_through_a_multivalue_cell_falls_back():
+    """``==`` on arrays walks their cells; one that holds a multivalue
+    has no single answer, so the group retries per request instead of
+    comparing the multivalue object itself."""
+    sources = {
+        "s.php": """
+$mine = ['v' => intval(param('v')), 'c' => 1];
+echo ($mine == ['v' => 1, 'c' => 1]) ? 'same' : 'differs';
+""",
+    }
+    requests = [
+        Request(f"r{i}", "s.php", get={"v": str(i)}) for i in range(3)
+    ]
+    result, baseline = _roundtrip(sources, requests, strict=False)
+    assert result.accepted, (result.reason, result.detail)
+    assert result.produced == baseline.produced
+    assert sorted(set(result.produced.values())) == ["differs", "same"]
+    assert result.stats["fallback_requests"] == 2  # r0 and r2's group
+
+
 def test_param_with_multivalue_key_falls_back():
     sources = {
         "s.php": "echo param(param('which'), 'none');",
@@ -79,11 +99,9 @@ echo "q=", 10 / $d;
     assert result.accepted, (result.reason, result.detail)
     assert result.produced == baseline.produced
     assert result.produced["r2"] == "500 Internal Server Error"
-    # r2 sits alone in its error group: the default backend routes that
-    # chunk of one straight to the per-request engine (a singleton),
-    # ``accinterp`` tries it grouped first and demotes it (a fallback).
-    assert result.stats["singleton_requests"] + \
-        result.stats["fallback_requests"] >= 1
+    # r2 sits alone in its error group: the engine tries that chunk of
+    # one as a group first and demotes it when it errors (a fallback).
+    assert result.stats["fallback_requests"] >= 1
 
 
 def test_strict_divergence_reject_vs_resilient_accept():

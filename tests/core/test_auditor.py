@@ -291,8 +291,7 @@ def test_interp_backend_verdict_and_bodies_match(counter_app, honest_run):
     assert ref.produced == acc.produced
     # The reference backend runs per request: everything is fallback.
     assert ref.stats["fallback_requests"] == \
-        acc.stats["grouped_requests"] + acc.stats["singleton_requests"] \
-        + acc.stats["fallback_requests"]
+        acc.stats["grouped_requests"] + acc.stats["fallback_requests"]
 
 
 def test_interp_backend_still_rejects_tampering(counter_app, honest_run):

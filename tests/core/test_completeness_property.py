@@ -9,12 +9,22 @@ and the simple-re-execution baseline alike.
 
 from __future__ import annotations
 
+import functools
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.harness import run_online_phase
 from repro.core import ooo_audit, simple_audit, ssco_audit
 from repro.server import Application, Executor, RandomScheduler
 from repro.server.nondet import NondetSource
+from repro.workloads import (
+    cart_workload,
+    forum_workload,
+    hotcrp_workload,
+    wiki_workload,
+)
 from tests.conftest import COUNTER_SCHEMA, COUNTER_SRC, counter_requests
 
 
@@ -136,3 +146,47 @@ def test_migration_matches_server_final_state(counter_app):
         ), f"table {name} differs after migration"
     assert migrated.kv == final.kv
     assert migrated.registers == final.registers
+
+
+# -- honest schedules over the real applications -------------------------------
+
+_APP_WORKLOADS = {
+    "wiki": (wiki_workload, 0.004),
+    "forum": (forum_workload, 0.004),
+    "hotcrp": (hotcrp_workload, 0.008),
+    "cart": (cart_workload, 0.004),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("app_name", sorted(_APP_WORKLOADS))
+def test_honest_schedules_of_the_four_apps_are_accepted(app_name, seed):
+    """Whatever the (seeded) schedule, concurrency and request mix, an
+    honest execution is ACCEPTED by the compiled engine, strict or
+    not, with the oracle's bodies, and every request booked exactly
+    once.
+
+    Epochs are audited serially here.  The same matrix on the process
+    pool (``epoch_workers=2``) is what this test was written with; forty
+    back-to-back pooled audits of these apps inside one pytest process
+    segfault CPython 3.11.7's collector about one suite run in eight —
+    also at the commit before this test existed — so that leg waits for
+    the ROADMAP item that explains it."""
+    factory, scale = _APP_WORKLOADS[app_name]
+    workload = factory(scale=scale, seed=100 + seed)
+    run = run_online_phase(workload, seed=seed, concurrency=1 + 3 * seed,
+                           epoch_size=15)
+    assert run.epoch_marks  # at least two epochs, chained through migration
+    audit = functools.partial(
+        ssco_audit, workload.app, run.trace, run.reports,
+        run.initial_state, epoch_cuts=tuple(run.epoch_marks))
+    oracle = audit(backend="interp")
+    assert oracle.accepted, (oracle.reason, oracle.detail)
+    requests = len(run.trace.request_ids())
+    for strict in (True, False):
+        result = audit(backend="hybrid", strict=strict)
+        where = (app_name, seed, strict)
+        assert result.accepted, (where, result.reason, result.detail)
+        assert result.produced == oracle.produced, where
+        assert result.stats["grouped_requests"] + result.stats[
+            "fallback_requests"] == requests, where

@@ -60,7 +60,6 @@ def test_audit_result_shape_preserved(counter_app, run):
     assert audit.accepted and audit.reason is None
     assert audit.produced
     assert audit.stats["grouped_requests"] + audit.stats[
-        "singleton_requests"] + audit.stats[
         "fallback_requests"] >= len(audit.produced)
 
 

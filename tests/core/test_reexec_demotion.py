@@ -5,13 +5,12 @@ strict=False: the group demotes to per-request re-execution.  Unsupported
 SIMD cases (MultivalueFallback) and mixed-script groups follow the same
 split: implementation retry vs verdict.
 
-Divergence *observation* is a grouped-backend behavior: only the SIMD
-engine executes a group in lockstep and can see its requests branch
-apart (per-request backends catch a bogus grouping through the output
-checks instead — see the backend contract in core/reexec.py).  The
-tests that assert the divergence policy therefore pin
-``backend="accinterp"`` so the suite holds under a ``REPRO_BACKEND``
-override.
+Divergence *observation* is the compiled engine's: it executes a group
+in lockstep and sees its requests branch apart (the per-request
+``interp`` oracle catches a bogus grouping through the output checks
+instead — see the backend contract in core/reexec.py).  The tests that
+assert the divergence policy therefore pin ``backend="hybrid"`` so the
+suite holds under a ``REPRO_BACKEND`` override.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ import functools
 from repro.common.errors import RejectReason
 from repro.core import simple_audit, ssco_audit as _ssco_audit
 
-#: The divergence policy under test is the grouped engine's.
-ssco_audit = functools.partial(_ssco_audit, backend="accinterp")
+#: The divergence policy under test is the compiled engine's.
+ssco_audit = functools.partial(_ssco_audit, backend="hybrid")
 from repro.server import Application, Executor, RandomScheduler
 from repro.trace.events import Request
 
@@ -167,7 +166,7 @@ def test_divergent_error_group_demotes_even_in_strict_mode():
     ``error:<script>`` tag regardless of the branch taken before the
     error, so honest executions produce divergent error groups.  Strict
     mode must demote these (retry path), never reject — the fuzzer
-    caught accinterp falsely rejecting exactly this shape."""
+    caught the grouped engine falsely rejecting exactly this shape."""
     sources = {
         "boom.php": """
 $v = intval(param('v'));
@@ -194,3 +193,41 @@ nosuchfn($v);
                                run.initial_state, strict=True)
     assert not strict_result.accepted
     assert strict_result.reason is RejectReason.GROUP_DIVERGED
+
+
+def test_error_group_lookup_does_not_scan_every_group_per_divergence():
+    """A forged bundle that labels thousands of diverging pairs
+    ``error:*`` must not cost O(groups x requests): strict mode (which
+    asks "is this rid in an error group?" at every divergence) stays
+    within a small factor of non-strict (which never asks)."""
+    import time
+
+    pairs = 3000
+    requests = [
+        Request(f"r{index:05d}", "branch.php",
+                get={"v": "5" if index % 2 else "50"})
+        for index in range(2 * pairs)
+    ]
+    app, run = _serve(requests)
+    rids = sorted(request.rid for request in requests)
+    forged = run.reports.deep_copy()
+    forged.groups = {
+        f"error:{index:05d}": rids[2 * index:2 * index + 2]
+        for index in range(pairs)
+    }
+
+    def cpu_seconds(strict):
+        best = None
+        for _ in range(2):
+            start = time.process_time()
+            result = ssco_audit(app, run.trace, forged, run.initial_state,
+                                strict=strict)
+            spent = time.process_time() - start
+            best = spent if best is None else min(best, spent)
+            assert result.accepted, (result.reason, result.detail)
+            assert result.stats["divergences"] == pairs
+            assert result.stats["fallback_requests"] == 2 * pairs
+        return best
+
+    # The linear scan made strict 4-5x non-strict at this size.
+    assert cpu_seconds(strict=True) <= 2.0 * cpu_seconds(strict=False)

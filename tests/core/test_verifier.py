@@ -110,7 +110,6 @@ def test_stats_are_populated(counter_app, honest_run):
                         honest_run.initial_state)
     # Every re-executed request is booked exactly once.
     assert result.stats["grouped_requests"] + result.stats[
-        "singleton_requests"] + result.stats[
         "fallback_requests"
     ] == len(honest_run.trace.request_ids())
     assert result.stats["graph_nodes"] > 0

@@ -1,18 +1,23 @@
 """Differential fuzzing of the re-execution engines.
 
-Two layers, both seeded and deterministic:
+Three layers, all seeded and deterministic:
 
 * **engine lockstep** — ~200 randomized weblang programs driven through
-  the plain :class:`~repro.lang.interp.Interpreter` and the compiling
-  :class:`~repro.lang.compile.CompInterpreter` with identical canned
-  intent results; produced body, flow digest, instruction count
-  (``RunOutput.steps``), the full intent sequence, and error behaviour
-  must match exactly;
+  the plain :class:`~repro.lang.interp.Interpreter` and the compiled
+  engine's group-of-one :meth:`~repro.lang.compile.CompInterpreter.run`
+  with identical canned intent results; produced body, flow digest,
+  instruction count (``RunOutput.steps``), the full intent sequence,
+  and error behaviour must match exactly;
+* **group lockstep** — the same kind of programs run as a *group* of
+  1-5 requests with differing inputs and differing per-slot intent
+  results, against one ``Interpreter`` run per slot: when every slot
+  takes the same control flow the group must complete with each slot's
+  body, each slot's intent operands and the interpreter's ``steps``;
+  when they branch apart (or any slot errors) it must not complete;
 * **audit lockstep** — randomized applications recorded with the real
-  executor and audited with all three registered backends: ``interp``,
-  ``accinterp``, and ``compinterp`` must agree on the verdict and the
-  produced bodies, and the two per-request engines (``interp``,
-  ``compinterp``) must agree on every deterministic stat bit for bit.
+  executor and audited under every backend name: all must agree on the
+  verdict and the produced bodies, and the two per-request disciplines
+  (``interp``, ``compinterp``) on every deterministic stat bit for bit.
 
 The generator emits *textual* source and goes through the real parser,
 so fuzzing also covers the parse → AST → compile pipeline.
@@ -24,16 +29,30 @@ import random
 
 import pytest
 
-from repro.common.errors import WeblangError
+from repro.common.errors import (
+    DivergenceError,
+    MultivalueFallback,
+    WeblangError,
+)
 from repro.core import ssco_audit
-from repro.lang.compile import CompInterpreter
-from repro.lang.interp import Interpreter, NondetIntent, StateOpIntent
+from repro.lang.compile import (
+    CompInterpreter,
+    GroupNondetIntent,
+    GroupStateOpIntent,
+)
+from repro.lang.interp import (
+    ExternalIntent,
+    Interpreter,
+    NondetIntent,
+    StateOpIntent,
+)
 from repro.lang.parser import parse_program
 from repro.server import Application, Executor, RandomScheduler
 from repro.server.nondet import NondetSource
 from repro.trace.events import Request
 
 ENGINE_CASES = 200
+GROUP_CASES = 240
 AUDIT_CASES = 24
 
 #: Deterministic stats (no timers) that the two per-request engines
@@ -53,6 +72,11 @@ class ProgramGen:
     inputs, nondet built-ins, and key-value/register state ops.
     Programs may raise :class:`WeblangError` at runtime — that is a
     feature: both engines must fail identically.
+
+    ``typed`` keeps arrays and scalars in separate variables (``$xs`` /
+    ``$ys`` are always arrays, never indexed scalars), so most programs
+    run to completion and spend their time in the container rules —
+    what the group layer needs; the untyped corpus is unchanged.
     """
 
     PURE_CALLS = [
@@ -62,10 +86,13 @@ class ProgramGen:
         ("count", 1), ("max", 2), ("min", 2), ("substr", 2),
     ]
 
-    def __init__(self, rng: random.Random, state_ops: bool = True):
+    def __init__(self, rng: random.Random, state_ops: bool = True,
+                 typed: bool = False):
         self.rng = rng
         self.state_ops = state_ops
+        self.typed = typed
         self.vars = ["a", "b", "c"]
+        self.arrays = ["xs", "ys"]
         self.funcs = []
         self.loop_id = 0
 
@@ -107,6 +134,13 @@ class ProgramGen:
             return f"[{items}]"
         if pick == 6:
             name, arity = r.choice(self.PURE_CALLS)
+            if self.typed and name == "count":
+                return r.choice([
+                    f"count(${r.choice(self.arrays)})",
+                    f"implode('-', array_keys(${r.choice(self.arrays)}))",
+                    f"in_array({self.expr(depth + 1)}, "
+                    f"${r.choice(self.arrays)})",
+                ])
             args = ", ".join(self.expr(depth + 1) for _ in range(arity))
             return f"{name}({args})"
         if pick == 7:
@@ -116,7 +150,22 @@ class ProgramGen:
             name, arity = r.choice(self.funcs)
             args = ", ".join(self.expr(depth + 1) for _ in range(arity))
             return f"{name}({args})"
+        if self.typed:
+            return f"${r.choice(self.arrays)}[{self.key(depth)}]"
         return f"${r.choice(self.vars)}[{self.expr(depth + 1)}]"
+
+    def key(self, depth: int = 2) -> str:
+        """An array key (typed mode): mostly from a small pool, so reads
+        find what writes stored; sometimes per-request."""
+        r = self.rng
+        pick = r.randrange(6)
+        if pick <= 2:
+            return r.choice(["0", "1", "2", "'k'", "'m'"])
+        if pick == 3:
+            return "param('q', 0)"
+        if pick == 4:
+            return f"${r.choice(self.vars)}"
+        return self.expr(max(depth, 2))
 
     def nondet_expr(self) -> str:
         return self.rng.choice(
@@ -166,6 +215,8 @@ class ProgramGen:
             shape = r.choice([f"foreach ([{items}] as ${v})",
                               f"foreach ([{items}] as ${k} => ${v})"])
             return f"{shape} {{ {self.block(depth + 1, 2)} }}"
+        if pick == 7 and self.typed:
+            return self.array_stmt()
         if pick == 7:
             var = r.choice(self.vars)
             return f"${var}[{self.expr(2)}] = {self.expr()};"
@@ -185,12 +236,49 @@ class ProgramGen:
         var = r.choice(self.vars)
         return f"${var} = {self.expr()};"
 
+    def array_stmt(self) -> str:
+        """A statement on an array variable (typed mode): element,
+        nested-element and append stores, compound element stores,
+        whole-array copies, loops over the array — and a branch on the
+        request's own input, where a group's members part ways."""
+        r = self.rng
+        arr = r.choice(self.arrays)
+        pick = r.randrange(10)
+        if pick >= 8:
+            return (f"if (intval(param('q', 0)) > {r.randrange(10)}) "
+                    f"{{ ${arr}[] = 'hi'; }} else {{ echo 'lo'; }}")
+        if pick <= 1:
+            return f"${arr}[{self.key()}] = {self.expr()};"
+        if pick == 2:
+            return f"${arr}[] = {self.expr()};"
+        if pick == 3:
+            return f"${arr}['n'][{self.key()}] = {self.expr()};"
+        if pick == 4:
+            op = r.choice(["+=", ".="])
+            return f"${arr}[{self.key()}] {op} {self.expr(2)};"
+        if pick == 5:
+            other = r.choice(self.arrays)
+            return r.choice([
+                f"${arr} = ${other};",
+                f"${arr} = [{self.key()} => {self.expr(2)}, {self.expr(2)}];",
+                f"${arr}[{self.key()}] = ${other};",
+            ])
+        self.loop_id += 1
+        k, v = f"k{self.loop_id}", f"v{self.loop_id}"
+        body = r.choice([
+            f"echo ${k}, '=', is_array(${v}) ? 'A' : ${v}, ';';",
+            f"${r.choice(self.vars)} .= ${k};",
+            f"if (${k} === {self.key()}) {{ break; }} echo ${k};",
+        ])
+        return f"foreach (${arr} as ${k} => ${v}) {{ {body} }}"
+
     def func_decl(self) -> str:
         r = self.rng
         name = f"fn{len(self.funcs)}"
         arity = r.randrange(0, 3)
         params = [f"p{j}" for j in range(arity)]
         saved = self.vars
+        saved_arrays = self.arrays
         self.vars = params or ["p"]
         uses_global = r.random() < 0.3
         prefix = ""
@@ -198,18 +286,37 @@ class ProgramGen:
             target = r.choice(saved)
             self.vars = self.vars + [target]
             prefix = f"global ${target}; "
+        if self.typed:
+            # The caller's arrays are out of scope: a local one, or one
+            # of the caller's brought in by ``global``.
+            if r.random() < 0.5:
+                self.arrays = [r.choice(saved_arrays)]
+                prefix += f"global ${self.arrays[0]}; "
+            else:
+                self.arrays = ["loc"]
+                prefix += (f"$loc = [{self.literal()}, "
+                           f"'k' => param('q', {self.literal()})]; ")
         body = self.block(1, 3)
         ret = f" return {self.expr()};" if r.random() < 0.7 else ""
         self.vars = saved
+        self.arrays = saved_arrays
         # Register *after* generating the body: no recursion.
         self.funcs.append((name, arity))
         return (f"function {name}({', '.join('$' + p for p in params)})"
                 f" {{ {prefix}{body}{ret} }}")
 
     def program(self) -> str:
-        statements = [self.stmt(0)
-                      for _ in range(self.rng.randrange(3, 9))]
+        statements = []
+        if self.typed:
+            statements.append(
+                f"$xs = [{self.literal()}, 'k' => param('q', 1), "
+                f"'n' => [{self.literal()}]]; $ys = [];")
+        statements += [self.stmt(0)
+                       for _ in range(self.rng.randrange(3, 9))]
         statements.append(f"echo 'tail:', ${self.rng.choice(self.vars)};")
+        if self.typed:
+            statements.append(
+                "echo '|', implode(',', array_keys($xs)), '|', count($ys);")
         return " ".join(statements)
 
 
@@ -275,6 +382,105 @@ def test_engine_lockstep_fuzz():
                                  (ref_out.body, ref_out.steps),
                                  (got_out.body, got_out.steps)))
     assert not failures, failures[:3]
+
+
+def drive_group(program, requests, canned, nondets):
+    """Run ``requests`` as one group; slot ``i`` is answered from
+    ``canned[i]`` / ``nondets[i]`` exactly as :func:`drive` would answer
+    it.  Returns ``(GroupRunOutput | None, per-slot intent reprs,
+    exception | None)``."""
+    gen = CompInterpreter().run_group(program, requests)
+    canned = [list(results) for results in canned]
+    nondets = [list(values) for values in nondets]
+    intents = [[] for _ in requests]
+    try:
+        intent = next(gen)
+        while True:
+            replies = []
+            for slot in range(len(requests)):
+                if isinstance(intent, GroupNondetIntent):
+                    seen = NondetIntent(intent.func, intent.args[slot])
+                    reply = nondets[slot].pop(0) if nondets[slot] else 3
+                elif isinstance(intent, GroupStateOpIntent):
+                    seen = StateOpIntent(intent.kind, intent.objs[slot],
+                                         intent.args[slot])
+                    reply = canned[slot].pop(0) if canned[slot] else None
+                else:
+                    seen = ExternalIntent(intent.services[slot],
+                                          intent.contents[slot])
+                    reply = True
+                intents[slot].append(repr(seen))
+                replies.append(reply)
+            intent = gen.send(replies)
+    except StopIteration as stop:
+        return stop.value, intents, None
+    except (WeblangError, DivergenceError, MultivalueFallback) as exc:
+        return None, intents, exc
+
+
+def test_group_lockstep_fuzz():
+    """Random programs x groups of 1-5 differing requests: the group
+    run is each slot's ``Interpreter`` run, or it does not complete."""
+    failures = []
+    completed = multivalent = diverged = fell_back = 0
+    for seed in range(GROUP_CASES):
+        rng = random.Random(9000 + seed)
+        src = ProgramGen(rng, typed=True).program()
+        program = parse_program(src)
+        size = 1 + seed % 5
+        # A third of the groups get identical inputs and replies (the
+        # univalent extreme); the rest differ slot by slot.
+        uniform = seed % 3 == 0
+        requests, canned, nondets = [], [], []
+        shared = (canned_results(rng),
+                  [rng.randrange(100) for _ in range(32)])
+        for slot in range(size):
+            requests.append(Request(
+                f"r{seed}-{slot}", "fuzz.php",
+                get={"q": "4" if uniform else str(rng.randrange(10)),
+                     "n": "5"},
+                cookies={"sess": "s1" if uniform else f"s{slot}"},
+            ))
+            canned.append(shared[0] if uniform or rng.random() < 0.5
+                          else canned_results(rng))
+            nondets.append(shared[1] if uniform or rng.random() < 0.5
+                           else [rng.randrange(100) for _ in range(32)])
+        refs = [drive(Interpreter(record_flow=True), program, request,
+                      canned[slot], nondets[slot])
+                for slot, request in enumerate(requests)]
+        output, intents, error = drive_group(program, requests, canned,
+                                             nondets)
+        errored = any(ref[2] is not None for ref in refs)
+        same_flow = not errored and len(
+            {ref[0].flow_tag for ref in refs}) == 1
+        if not same_flow:
+            # Branching apart (or an application error) is never
+            # papered over: no output may come back.
+            if error is None:
+                failures.append((seed, src, "completed a group that "
+                                 "diverges or errors"))
+            diverged += 1
+            continue
+        if isinstance(error, MultivalueFallback):
+            fell_back += 1  # a retry, allowed where SIMD has no answer
+            continue
+        if error is not None:
+            failures.append((seed, src, repr(error)))
+            continue
+        completed += 1
+        multivalent += bool(output.multi_steps)
+        expected = ([ref[0].body for ref in refs], refs[0][0].steps,
+                    [ref[1] for ref in refs])
+        if (output.bodies, output.steps, intents) != expected:
+            failures.append((seed, src, expected[:2],
+                             (output.bodies, output.steps)))
+    assert not failures, failures[:3]
+    # The corpus must be worth its time: mostly groups that complete,
+    # a good share of them on multivalues, some that must not complete.
+    assert completed >= GROUP_CASES // 2, (completed, diverged, fell_back)
+    assert multivalent >= completed // 3, (completed, multivalent)
+    assert diverged >= 10
+    assert fell_back <= completed // 10, (completed, fell_back)
 
 
 def _fuzz_app(seed: int):

@@ -158,7 +158,10 @@ echo tick();
 def test_acc_interpreter_matches_on_these_semantics():
     """The same corner-case programs, run as groups of identical
     requests, must match the plain outputs exactly."""
-    from repro.accel import AccInterpreter, GroupNondetIntent
+    from repro.lang.compile import (
+        CompInterpreter as AccInterpreter,
+        GroupNondetIntent,
+    )
 
     programs = [
         "$a = ['n' => 1]; $a['n'] += 5; echo $a['n'];",

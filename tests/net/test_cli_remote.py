@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -63,6 +64,51 @@ def test_audit_connect_rejects_tampered_stream(capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "REJECTED" in out
+
+
+def _publish_malformed_third_epoch(publisher):
+    """Two honest epochs, then one whose op counts do not decode."""
+    workload = wiki_workload(scale=0.005)
+    execution = run_online_phase(workload, seed=1, epoch_size=20)
+    publisher.write_state(execution.initial_state)
+    shards = partition_audit_inputs(execution.trace, execution.reports,
+                                    cuts=execution.epoch_marks)
+    assert len(shards) >= 3
+    counts = shards[2].reports.op_counts
+    counts[sorted(counts)[0]] = "3"
+    for shard in shards:
+        publisher.write_epoch(shard.trace, shard.reports)
+    publisher.write_end()
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_audit_connect_rejects_a_malformed_record(capsys, as_json):
+    """What the wire delivered intact but does not decode is the
+    executor's malformed word (REJECTED, exit 1, after the epochs
+    before it) — neither a traceback nor a transport error (exit 2)."""
+    with BundlePublisher() as publisher:
+        thread = threading.Thread(target=_publish_malformed_third_epoch,
+                                  args=(publisher,))
+        thread.start()
+        code = main(["audit", "--connect", publisher.endpoint,
+                     "--workload", "wiki", "--scale", "0.005"]
+                    + (["--json"] if as_json else []))
+        thread.join(timeout=30)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if as_json:
+        payload = json.loads(captured.out)
+        assert payload["verdict"] == "REJECTED" and not payload["accepted"]
+        assert payload["reason"] == "malformed_bundle"
+        assert payload["detail"].startswith("ValueError: ")
+        assert set(payload) == {"verdict", "accepted", "reason", "detail"}
+        return
+    lines = captured.out.splitlines()
+    assert lines[-3].startswith("epoch 0: ACCEPTED")
+    assert lines[-2].startswith("epoch 1: ACCEPTED")
+    assert lines[-1].startswith("REJECTED: malformed_bundle: ValueError: ")
+    assert "'3'" in lines[-1]
 
 
 def test_audit_connect_unreachable(capsys):

@@ -112,33 +112,6 @@ def test_parallel_scaling_metrics_normalize_throughput():
     assert metrics["workers2_speedup_reexec"].value == pytest.approx(2.0)
 
 
-def _backends(vs_interp, vs_accinterp, cores=1):
-    return {"benchmark": "backends", "cpu_count": cores,
-            "compinterp_speedup_vs_interp": vs_interp,
-            "compinterp_speedup_vs_accinterp": vs_accinterp}
-
-
-def test_backend_speedups_gate_even_on_one_core():
-    """Backend speedups are serial measurements: a 1-core runner still
-    gates them (unlike parallel speedups, which need real cores)."""
-    base = _backends(2.0, 2.5)
-    assert check_regression.compare(base, base, tolerance=0.2) == []
-    slow = _backends(0.8, 2.5)
-    failures = check_regression.compare(slow, base, tolerance=0.2)
-    assert len(failures) == 1
-    assert "compinterp_speedup_vs_interp" in failures[0]
-
-
-def test_backend_speedup_parity_floor():
-    """A baseline recorded with a weak speedup cannot excuse compinterp
-    dropping below parity with the tree-walk engines."""
-    weak_base = _backends(1.05, 1.05)
-    below_parity = _backends(0.7, 0.7)
-    failures = check_regression.compare(below_parity, weak_base,
-                                        tolerance=0.2)
-    assert len(failures) == 2
-
-
 # -- the CLI -------------------------------------------------------------------
 
 

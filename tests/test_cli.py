@@ -361,6 +361,48 @@ def test_audit_rejects_non_integer_report_scalars(tmp_path, capsys, fmt,
     assert repr(value) in payload["detail"]
 
 
+def _forge_later_epoch_count(bundle: str) -> None:
+    """Make an op count of the bundle's *third* epoch a string."""
+    with open(bundle) as fh:
+        records = [json.loads(line) for line in fh]
+    third = [r for r in records if r.get("kind") == "op_counts"][2]
+    third["counts"][sorted(third["counts"])[0]] = "3"
+    with open(bundle, "w") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_audit_follow_rejects_a_malformed_record(tmp_path, capsys,
+                                                 as_json):
+    """A record that does not decode in the middle of a followed bundle
+    is a verdict, reported after the epochs before it settled — not a
+    traceback (a *torn* last line is still waited on, see test_io)."""
+    bundle = str(tmp_path / "bundle.jsonl")
+    assert main(["record", "--workload", "forum", "--scale", "0.005",
+                 "--epoch-size", "20", "--format", "jsonl-epochs",
+                 "--out", bundle]) == 0
+    _forge_later_epoch_count(bundle)
+    capsys.readouterr()
+    audit = ["audit", bundle, "--workload", "forum", "--scale", "0.005",
+             "--follow", "--follow-timeout", "0.2"]
+    assert main(audit + (["--json"] if as_json else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if as_json:
+        payload = json.loads(captured.out)
+        assert payload == {
+            "verdict": "REJECTED", "accepted": False,
+            "reason": "malformed_bundle", "detail": payload["detail"]}
+        assert payload["detail"].startswith("ValueError: ")
+        assert "'3'" in payload["detail"]
+        return
+    lines = captured.out.splitlines()
+    assert lines[-3].startswith("epoch 0: ACCEPTED")
+    assert lines[-2].startswith("epoch 1: ACCEPTED")
+    assert lines[-1].startswith("REJECTED: malformed_bundle: ValueError: ")
+    assert "'3'" in lines[-1] and "not an integer" in lines[-1]
+
+
 # -- untrusted epoch marks -----------------------------------------------------
 
 

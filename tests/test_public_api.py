@@ -35,7 +35,6 @@ echo 'Hello, ', param('name', 'world'), ' #', $n + 1;
 
 
 def test_subpackage_imports():
-    import repro.accel
     import repro.apps
     import repro.bench
     import repro.core

@@ -31,14 +31,22 @@ def _kind_base(kind: str) -> int:
     return base
 
 
+def branch_mix(kind: str, target: int) -> int:
+    """What :meth:`FlowDigest.update` xors into the digest for one branch
+    arm.  It depends on the arm alone, so the compiled engine binds it
+    per arm at compile time and does the xor-multiply-mask in line."""
+    return _kind_base(kind) + target
+
+
 class FlowDigest:
     """Running digest over (branch-kind, target) updates.
 
-    The per-update step is a single multiply-xor mix (the server pays this
-    on *every branch* of *every request*, so it is the recording library's
-    hottest path — Figure 8's "server CPU overhead" column).  Collision
-    behaviour only affects grouping quality, never audit correctness: the
-    tag is untrusted input either way (§3.1).
+    The per-update step is a single multiply-xor mix: the server pays it
+    on *every branch* of *every request* (Figure 8's "server CPU overhead"
+    column), which is why the engine it runs does the same step in line
+    (:func:`branch_mix`) and this class is the reference the oracle and
+    the tests use.  Collision behaviour only affects grouping quality,
+    never audit correctness: the tag is untrusted input either way (§3.1).
     """
 
     __slots__ = ("_value",)
@@ -54,7 +62,7 @@ class FlowDigest:
         node id plus taken arm).
         """
         self._value = (
-            (self._value ^ (_kind_base(kind) + target)) * _FNV_PRIME
+            (self._value ^ branch_mix(kind, target)) * _FNV_PRIME
         ) & _MASK
 
     def update_str(self, token: str) -> None:

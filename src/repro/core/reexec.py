@@ -68,12 +68,12 @@ Two ship:
   observed whatever the group's size; a demoted group re-runs per
   request on the same compiled code (``fallback_requests``);
 * ``"interp"`` — the oracle: every request of the chunk individually
-  through the plain :mod:`repro.lang.interp` interpreter, the one the
-  executor serves with.  Same simulate-and-check, same produced bodies
-  and verdicts on honest executions; no batching (and therefore no
-  in-group divergence detection — a bogus grouping is still caught by
-  the per-request output checks).  It is what the equivalence tests
-  compare against.
+  through the plain :mod:`repro.lang.interp` interpreter (the server,
+  too, runs the compiled engine).  Same simulate-and-check, same
+  produced bodies and verdicts on honest executions; no batching (and
+  therefore no in-group divergence detection — a bogus grouping is
+  still caught by the per-request output checks).  It is what the
+  equivalence tests compare against.
 
 ``"accinterp"`` and ``"compinterp"`` are aliases kept for one caller
 (see :data:`_ALIASES`).  Backends only replace the *re-execution

@@ -46,7 +46,7 @@ the auto-detecting :func:`load_audit_bundle`) remain as thin wrappers
 over the two objects.
 
 Weblang values inside op logs / registers / KV are already *frozen*
-(hashable tuples, see :func:`repro.lang.interp.freeze_value`); JSON
+(hashable tuples, see :func:`repro.lang.values.freeze_value`); JSON
 round-tripping preserves them exactly via a small tagged encoding
 (JSON has no tuples or int-keyed maps).
 """
@@ -88,13 +88,28 @@ _REQUEST, _RESPONSE, _EXTERNAL = (
 # scalar values and need no tagging.)
 
 
+#: The exact types :func:`_enc` hands to JSON as they are.
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
 def _enc(value: object) -> object:
+    """Tag the containers in ``value``.  Exact types are tested first,
+    and a tuple or dict that holds only plain scalars — most do — is
+    copied without a call per item."""
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, tuple):
-        return {"t": [_enc(item) for item in value]}
+        for item in value:
+            if type(item) not in _PLAIN:
+                return {"t": [_enc(item) for item in value]}
+        return {"t": list(value)}
     if isinstance(value, list):  # defensive: lists inside request params
         return {"l": [_enc(item) for item in value]}
     if isinstance(value, dict):
-        return {"d": {str(k): _enc(v) for k, v in value.items()}}
+        for key, item in value.items():
+            if type(key) is not str or type(item) not in _PLAIN:
+                return {"d": {str(k): _enc(v) for k, v in value.items()}}
+        return {"d": dict(value)}
     return value
 
 
@@ -125,30 +140,28 @@ def _dec(value: object) -> object:
 
 
 def _event_to_json(event: Event) -> dict:
-    entry: dict = {"kind": event.kind.value, "time": event.time}
+    kind = event.kind
     payload = event.payload
-    if event.is_request:
-        entry["request"] = {
+    if kind is _REQUEST:
+        return {"kind": "REQUEST", "time": event.time, "request": {
             "rid": payload.rid,
             "script": payload.script,
             "get": _enc(dict(payload.get)),
             "post": _enc(dict(payload.post)),
             "cookies": _enc(dict(payload.cookies)),
-        }
-    elif event.is_response:
-        entry["response"] = {
+        }}
+    if kind is _RESPONSE:
+        return {"kind": "RESPONSE", "time": event.time, "response": {
             "rid": payload.rid,
             "body": payload.body,
             "status": payload.status,
             "abort_info": payload.abort_info,
-        }
-    else:
-        entry["external"] = {
-            "rid": payload.rid,
-            "service": payload.service,
-            "content": _enc(payload.content),
-        }
-    return entry
+        }}
+    return {"kind": kind.value, "time": event.time, "external": {
+        "rid": payload.rid,
+        "service": payload.service,
+        "content": _enc(payload.content),
+    }}
 
 
 def _event_from_json(entry: dict) -> Event:
@@ -350,6 +363,10 @@ _JSONL_LOG_CHUNK = 1000
 #: ``json.loads`` for one record line, minus its per-call keyword
 #: dispatch (this is the decoder ``loads`` ends up calling).
 _parse_record = json.JSONDecoder().decode
+#: Likewise ``json.dumps`` for one record: the encoder it would use,
+#: minus the cycle check — the record builders copy every container
+#: they are given (``_enc``), so a cycle would not get as far as JSON.
+_encode_record = json.JSONEncoder(check_circular=False).encode
 
 
 # -- record builders ------------------------------------------------------------
@@ -476,7 +493,7 @@ class BundleWriter:
         self._emit(header)
 
     def _emit(self, record: dict) -> None:
-        self._fh.write(json.dumps(record) + "\n")
+        self._fh.write(_encode_record(record) + "\n")
         if self.autoflush:
             self._fh.flush()
 

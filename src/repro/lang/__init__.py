@@ -17,10 +17,11 @@ features the paper's machinery exercises:
   replay them (§4.6);
 * an incremental control-flow digest updated at every branch (§4.3).
 
-The plain interpreter here is the analog of unmodified PHP plus the
-server-side recording hooks; the SIMD-on-demand engine (acc-PHP) is the
-compiled one in :mod:`repro.lang.compile` (per-slot run time in
-:mod:`repro.lang.simd`).
+The engine — the analog of the PHP runtime, which the server runs with
+the recording hooks on and the verifier as its SIMD-on-demand build
+(acc-PHP) — is the compiled one in :mod:`repro.lang.compile` (per-slot
+run time in :mod:`repro.lang.simd`).  The plain interpreter here is the
+oracle both are checked against.
 """
 
 from repro.lang.parser import parse_program

@@ -2,10 +2,12 @@
 
 The plain interpreter (:mod:`repro.lang.interp`) re-dispatches on node
 type at every step and builds a Python generator frame for every AST
-node it walks.  At audit time the same few programs re-execute thousands
-of times, so this module compiles a :class:`~repro.lang.ast.Program`
-once into a tree of pre-bound Python closures, and those closures run a
-whole control-flow group at a time (§3.1, §4.2-4.3):
+node it walks.  The same few programs run thousands of times — served
+once per request, re-executed at audit time — so this module compiles a
+:class:`~repro.lang.ast.Program` once into a tree of pre-bound Python
+closures.  The server runs them one request at a time with the
+control-flow digest on (:meth:`CompiledProgram.run`); at audit time they
+run a whole control-flow group at a time (§3.1, §4.2-4.3):
 
 * instructions whose operands are identical across the group execute
   once (**univalent** execution), at the cost of one closure call;
@@ -45,6 +47,12 @@ How the closures are built:
   intents);
 * **constant subtrees** fold at compile time, preserving the exact
   instruction count the folded nodes would have contributed;
+* **branch sites** record control flow (§4.3) without a call: what
+  :meth:`FlowDigest.update(kind, target)
+  <repro.common.digest.FlowDigest.update>` would xor in is a constant
+  per arm (:func:`~repro.common.digest.branch_mix`), bound when the arm
+  is compiled and folded into ``state.flow`` — an int, ``None`` when not
+  recording — in line;
 * names resolve at compile time: built-ins are pre-bound, user functions
   bound to their compiled bodies, and scopes that never execute a
   ``global`` declaration use a plain dict frame instead of
@@ -70,7 +78,7 @@ import weakref
 from collections.abc import Callable
 from functools import partial
 
-from repro.common.digest import FlowDigest
+from repro.common.digest import _FNV_PRIME, _MASK, branch_mix, fnv1a
 from repro.common.errors import MultivalueFallback, WeblangError
 from repro.lang.ast import (
     ArrayLit,
@@ -114,7 +122,6 @@ from repro.lang.interp import (
     _ContinueSignal,
     _Env,
     _ReturnSignal,
-    thaw_value,
 )
 from repro.lang.simd import (
     _APPEND,
@@ -146,7 +153,15 @@ from repro.lang.simd import (
     _truth,
     _unop,
 )
-from repro.lang.values import PhpArray, binop, compound, to_str, truthy, unop
+from repro.lang.values import (
+    PhpArray,
+    binop,
+    compound,
+    thaw_value,
+    to_str,
+    truthy,
+    unop,
+)
 from repro.multivalue.multivalue import MultiValue
 from repro.trace.events import Request
 
@@ -401,33 +416,37 @@ class _Compiler:
         return False, run_gen
 
     def _compile_if(self, stmt: If) -> tuple[bool, Callable]:
+        # The digest target of arm ``index`` is nid * 64 + index + 1,
+        # of the else arm (or of taking none) nid * 64.
+        nid64 = stmt.nid * 64
         branches = [
-            (self._compile_expr(cond), self._compile_block(body))
-            for cond, body in stmt.branches
+            (self._compile_expr(cond), self._compile_block(body),
+             branch_mix("if", nid64 + index + 1))
+            for index, (cond, body) in enumerate(stmt.branches)
         ]
         else_c = (self._compile_block(stmt.else_body)
                   if stmt.else_body is not None else None)
-        nid64 = stmt.nid * 64
+        else_mix = branch_mix("if", nid64)
         where = f"if#{stmt.nid}"
         all_pure = all(
-            cond[0] and body[0] for cond, body in branches
+            cond[0] and body[0] for cond, body, _ in branches
         ) and (else_c is None or else_c[0])
         if all_pure:
-            plain = [(cond[1], body[1]) for cond, body in branches]
+            plain = [(cond[1], body[1], mix) for cond, body, mix in branches]
             else_fn = else_c[1] if else_c is not None else None
 
             def run(env, state):
                 state.steps += 1
-                taken = -1
                 body_fn = else_fn
-                for index, (cond_fn, branch_fn) in enumerate(plain):
+                mix = else_mix
+                for cond_fn, branch_fn, arm_mix in plain:
                     if _truth(cond_fn(env, state), where):
-                        taken = index
                         body_fn = branch_fn
+                        mix = arm_mix
                         break
-                digest = state.digest
-                if digest is not None:
-                    digest.update("if", nid64 + taken + 1)
+                flow = state.flow
+                if flow is not None:
+                    state.flow = ((flow ^ mix) * _FNV_PRIME) & _MASK
                 if body_fn is not None:
                     body_fn(env, state)
 
@@ -435,19 +454,19 @@ class _Compiler:
 
         def run_gen(env, state):
             state.steps += 1
-            taken = -1
             body = else_c
-            for index, (cond, branch_body) in enumerate(branches):
+            mix = else_mix
+            for cond, branch_body, arm_mix in branches:
                 cond_pure, cond_fn, _ = cond
                 value = (cond_fn(env, state) if cond_pure
                          else (yield from cond_fn(env, state)))
                 if _truth(value, where):
-                    taken = index
                     body = branch_body
+                    mix = arm_mix
                     break
-            digest = state.digest
-            if digest is not None:
-                digest.update("if", nid64 + taken + 1)
+            flow = state.flow
+            if flow is not None:
+                state.flow = ((flow ^ mix) * _FNV_PRIME) & _MASK
             if body is not None:
                 body_pure, body_fn = body
                 if body_pure:
@@ -460,8 +479,9 @@ class _Compiler:
     def _compile_while(self, stmt: While) -> tuple[bool, Callable]:
         cond_pure, cond_fn, _ = self._compile_expr(stmt.cond)
         body_pure, body_fn = self._compile_block(stmt.body)
-        nid = stmt.nid
-        where = f"while#{nid}"
+        enter = branch_mix("loop", stmt.nid)
+        leave = branch_mix("loopx", stmt.nid)
+        where = f"while#{stmt.nid}"
         if cond_pure and body_pure:
 
             def run(env, state):
@@ -469,18 +489,18 @@ class _Compiler:
                 while True:
                     if not _truth(cond_fn(env, state), where):
                         break
-                    digest = state.digest
-                    if digest is not None:
-                        digest.update("loop", nid)
+                    flow = state.flow
+                    if flow is not None:
+                        state.flow = ((flow ^ enter) * _FNV_PRIME) & _MASK
                     try:
                         body_fn(env, state)
                     except _BreakSignal:
                         break
                     except _ContinueSignal:
                         continue
-                digest = state.digest
-                if digest is not None:
-                    digest.update("loopx", nid)
+                flow = state.flow
+                if flow is not None:
+                    state.flow = ((flow ^ leave) * _FNV_PRIME) & _MASK
 
             return True, run
 
@@ -491,9 +511,9 @@ class _Compiler:
                          else (yield from cond_fn(env, state)))
                 if not _truth(value, where):
                     break
-                digest = state.digest
-                if digest is not None:
-                    digest.update("loop", nid)
+                flow = state.flow
+                if flow is not None:
+                    state.flow = ((flow ^ enter) * _FNV_PRIME) & _MASK
                 try:
                     if body_pure:
                         body_fn(env, state)
@@ -503,25 +523,26 @@ class _Compiler:
                     break
                 except _ContinueSignal:
                     continue
-            digest = state.digest
-            if digest is not None:
-                digest.update("loopx", nid)
+            flow = state.flow
+            if flow is not None:
+                state.flow = ((flow ^ leave) * _FNV_PRIME) & _MASK
 
         return False, run_gen
 
     def _compile_foreach(self, stmt: Foreach) -> tuple[bool, Callable]:
         subj_pure, subj_fn, _ = self._compile_expr(stmt.subject)
         body_pure, body_fn = self._compile_block(stmt.body)
-        nid = stmt.nid
-        where = f"foreach#{nid}"
+        enter = branch_mix("loop", stmt.nid)
+        leave = branch_mix("loopx", stmt.nid)
+        where = f"foreach#{stmt.nid}"
         key_var = stmt.key_var
         val_var = stmt.val_var
         use_env = self.use_env
 
         def bind(env, state, key, value):
-            digest = state.digest
-            if digest is not None:
-                digest.update("loop", nid)
+            flow = state.flow
+            if flow is not None:
+                state.flow = ((flow ^ enter) * _FNV_PRIME) & _MASK
             kind = type(value)
             if kind is PhpArray or kind is MultiValue:
                 value = _copy_value(value)
@@ -547,9 +568,9 @@ class _Compiler:
                         break
                     except _ContinueSignal:
                         continue
-                digest = state.digest
-                if digest is not None:
-                    digest.update("loopx", nid)
+                flow = state.flow
+                if flow is not None:
+                    state.flow = ((flow ^ leave) * _FNV_PRIME) & _MASK
 
             return True, run
 
@@ -568,9 +589,9 @@ class _Compiler:
                     break
                 except _ContinueSignal:
                     continue
-            digest = state.digest
-            if digest is not None:
-                digest.update("loopx", nid)
+            flow = state.flow
+            if flow is not None:
+                state.flow = ((flow ^ leave) * _FNV_PRIME) & _MASK
 
         return False, run_gen
 
@@ -855,7 +876,9 @@ class _Compiler:
     def _compile_logic(self, node: BinOp) -> tuple[bool, Callable, None]:
         left_pure, left_fn, _ = self._compile_expr(node.left)
         right_pure, right_fn, _ = self._compile_expr(node.right)
-        nid2 = node.nid * 2
+        # Digest target: nid * 2 + whether the right operand runs.
+        skip_mix = branch_mix("sc", node.nid * 2)
+        right_mix = branch_mix("sc", node.nid * 2 + 1)
         where = f"logic#{node.nid}"
         is_and = node.op == "&&"
         # Only the left operand decides where control goes; the right
@@ -866,9 +889,11 @@ class _Compiler:
                 state.steps += 1
                 # ``&&`` goes on when the left is true, ``||`` when not.
                 take_right = _truth(left_fn(env, state), where) is is_and
-                digest = state.digest
-                if digest is not None:
-                    digest.update("sc", nid2 + int(take_right))
+                flow = state.flow
+                if flow is not None:
+                    state.flow = ((flow ^ (right_mix if take_right
+                                           else skip_mix))
+                                  * _FNV_PRIME) & _MASK
                 if not take_right:
                     return not is_and
                 return _unop(truthy, right_fn(env, state), state)
@@ -880,9 +905,11 @@ class _Compiler:
             left = (left_fn(env, state) if left_pure
                     else (yield from left_fn(env, state)))
             take_right = _truth(left, where) is is_and
-            digest = state.digest
-            if digest is not None:
-                digest.update("sc", nid2 + int(take_right))
+            flow = state.flow
+            if flow is not None:
+                state.flow = ((flow ^ (right_mix if take_right
+                                       else skip_mix))
+                              * _FNV_PRIME) & _MASK
             if not take_right:
                 return not is_and
             right = (right_fn(env, state) if right_pure
@@ -919,16 +946,19 @@ class _Compiler:
         cond_pure, cond_fn, _ = self._compile_expr(node.cond)
         then_pure, then_fn, _ = self._compile_expr(node.then)
         other_pure, other_fn, _ = self._compile_expr(node.other)
-        nid2 = node.nid * 2
+        # Digest target: nid * 2 + whether the condition held.
+        other_mix = branch_mix("tern", node.nid * 2)
+        then_mix = branch_mix("tern", node.nid * 2 + 1)
         where = f"ternary#{node.nid}"
         if cond_pure and then_pure and other_pure:
 
             def run(env, state):
                 state.steps += 1
                 taken = _truth(cond_fn(env, state), where)
-                digest = state.digest
-                if digest is not None:
-                    digest.update("tern", nid2 + int(taken))
+                flow = state.flow
+                if flow is not None:
+                    state.flow = ((flow ^ (then_mix if taken else other_mix))
+                                  * _FNV_PRIME) & _MASK
                 if taken:
                     return then_fn(env, state)
                 return other_fn(env, state)
@@ -940,9 +970,10 @@ class _Compiler:
             cond = (cond_fn(env, state) if cond_pure
                     else (yield from cond_fn(env, state)))
             taken = _truth(cond, where)
-            digest = state.digest
-            if digest is not None:
-                digest.update("tern", nid2 + int(taken))
+            flow = state.flow
+            if flow is not None:
+                state.flow = ((flow ^ (then_mix if taken else other_mix))
+                              * _FNV_PRIME) & _MASK
             if taken:
                 if then_pure:
                     return then_fn(env, state)
@@ -1351,12 +1382,15 @@ class CompiledProgram:
     group, :meth:`run` one request with the exact generator contract of
     :meth:`repro.lang.interp.Interpreter.run`."""
 
-    __slots__ = ("name", "_body_pure", "_body_fn")
+    __slots__ = ("name", "_body_pure", "_body_fn", "_flow_seed")
 
     def __init__(self, name: str, body_pure: bool, body_fn: Callable):
         self.name = name
         self._body_pure = body_pure
         self._body_fn = body_fn
+        #: Where every run's control-flow digest starts: the script name
+        #: folded in (``FlowDigest().update_str(name)``).
+        self._flow_seed = fnv1a(name.encode())
 
     def run_group(self, requests: list[Request], collapse: bool = True,
                   record_flow: bool = False):
@@ -1368,10 +1402,8 @@ class CompiledProgram:
         group, :class:`MultivalueFallback` on unsupported SIMD cases and
         :class:`WeblangError` when any member's execution errors.
         """
-        digest = FlowDigest() if record_flow else None
-        if digest is not None:
-            digest.update_str(self.name)
-        state = _State(list(requests), digest, collapse)
+        state = _State(list(requests),
+                       self._flow_seed if record_flow else None, collapse)
         env = state.globals  # the top-level frame is the globals dict
         try:
             if self._body_pure:
@@ -1384,7 +1416,7 @@ class CompiledProgram:
             raise WeblangError("break/continue outside loop") from None
         if state.in_tx:
             raise WeblangError("script ended with an open transaction")
-        flow_tag = digest.hexdigest() if digest is not None else None
+        flow_tag = None if state.flow is None else f"{state.flow:016x}"
         return GroupRunOutput(_render(state), state.steps,
                               state.multi_steps, flow_tag)
 

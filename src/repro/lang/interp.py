@@ -1,4 +1,10 @@
-"""The plain weblang interpreter (analog of server-side PHP, §4.2-4.3).
+"""The plain weblang interpreter: the language's reference semantics.
+
+Nothing in production runs it — server and auditor both run the compiled
+engine (:mod:`repro.lang.compile`), which must match this module bit for
+bit.  It is the oracle: the ``interp`` backend, ``simple_audit``, the
+differential tests.  The generator contract below is the one the
+engine's per-request entry point honours, so every driver takes either.
 
 Execution is a *generator*: the interpreter walks the AST and, whenever the
 program performs a shared-object operation or a non-deterministic built-in,
@@ -59,6 +65,8 @@ from repro.lang.values import (
     PhpArray,
     binop,
     compound,
+    freeze_value,
+    thaw_value,
     to_int,
     to_str,
     truthy,
@@ -592,30 +600,3 @@ class Interpreter:
         out.set("affected", affected)
         out.set("insert_id", insert_id)
         return out
-
-
-def freeze_value(value: object) -> object:
-    """Deep-freeze a weblang value into hashable, comparable form.
-
-    Shared objects store frozen values so that operation-log entries are
-    value-comparable (CheckOp equality) and immune to later mutation by the
-    program.
-    """
-    if isinstance(value, PhpArray):
-        return (
-            "__phparray__",
-            tuple((key, freeze_value(item)) for key, item in value.items()),
-        )
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise WeblangError(f"cannot store {type(value).__name__} in an object")
-
-
-def thaw_value(value: object) -> object:
-    """Inverse of :func:`freeze_value`."""
-    if isinstance(value, tuple) and len(value) == 2 and value[0] == "__phparray__":
-        array = PhpArray()
-        for key, item in value[1]:
-            array.set(key, thaw_value(item))
-        return array
-    return value

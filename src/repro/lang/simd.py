@@ -21,14 +21,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.common.digest import FlowDigest
 from repro.common.errors import (
     DivergenceError,
     MultivalueFallback,
     WeblangError,
 )
-from repro.lang.interp import freeze_value
-from repro.lang.values import PhpArray, to_int, to_str, truthy
+from repro.lang.values import PhpArray, freeze_value, to_int, to_str, truthy
 from repro.multivalue.multivalue import (
     MultiValue,
     components,
@@ -86,10 +84,10 @@ class _State:
     top-level frame dict, which ``global``-using function frames link
     back to)."""
 
-    __slots__ = ("requests", "size", "merge", "output", "digest", "in_tx",
+    __slots__ = ("requests", "size", "merge", "output", "flow", "in_tx",
                  "steps", "multi_steps", "multi_cells", "depth", "globals")
 
-    def __init__(self, requests: list[Request], digest: FlowDigest | None,
+    def __init__(self, requests: list[Request], flow: int | None,
                  collapse: bool):
         self.requests = requests
         self.size = len(requests)
@@ -97,7 +95,11 @@ class _State:
         # even when uniform (benchmarks measure the cost).
         self.merge = make_multi if collapse else MultiValue
         self.output: list[object] = []  # str, or MultiValue of str
-        self.digest = digest
+        #: The running control-flow digest (§4.3), ``None`` when not
+        #: recording: the value a :class:`~repro.common.digest.FlowDigest`
+        #: fed the same branches would hold.  Branch closures fold their
+        #: arm's pre-mixed constant into it in line.
+        self.flow = flow
         self.in_tx = False
         self.steps = 0
         self.multi_steps = 0

@@ -143,6 +143,33 @@ class PhpArray:
         return f"PhpArray({{{inner}}})"
 
 
+def freeze_value(value: object) -> object:
+    """Deep-freeze a weblang value into hashable, comparable form.
+
+    Shared objects store frozen values so that operation-log entries are
+    value-comparable (CheckOp equality) and immune to later mutation by the
+    program.
+    """
+    if isinstance(value, PhpArray):
+        return (
+            "__phparray__",
+            tuple((key, freeze_value(item)) for key, item in value.items()),
+        )
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    raise WeblangError(f"cannot store {type(value).__name__} in an object")
+
+
+def thaw_value(value: object) -> object:
+    """Inverse of :func:`freeze_value`."""
+    if isinstance(value, tuple) and len(value) == 2 and value[0] == "__phparray__":
+        array = PhpArray()
+        for key, item in value[1]:
+            array.set(key, thaw_value(item))
+        return array
+    return value
+
+
 # --------------------------------------------------------------------------
 # Coercions
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lang.ast import Program
-from repro.lang.interp import freeze_value
+from repro.lang.values import freeze_value
 from repro.lang.parser import parse_program
 from repro.sql.engine import Engine
 

@@ -3,12 +3,20 @@
 Concurrency model (§3.2): each request runs in its own logical thread;
 threads interleave arbitrarily; shared-object operations are blocking and
 atomic.  The executor realizes this with cooperative scheduling at
-operation boundaries: each admitted request is a suspended interpreter
+operation boundaries: each admitted request is a suspended engine
 generator, and one *step* = (perform the request's pending object
 operation, resume it until its next operation or completion).  Because
 threads can only influence each other through object operations, every
 externally observable behaviour of the preemptive model corresponds to some
 cooperative schedule, and vice versa.
+
+The engine is the compiled one (:mod:`repro.lang.compile`), the runtime
+the auditor re-executes on — as in the paper, where the server runs the
+unmodified build of the runtime whose SIMD build is the verifier's — so
+recording overhead is measured against the speed the audit is.  The
+tree-walking :mod:`repro.lang.interp` is the oracle; the tests serve on
+it by replacing the one name this module imports
+(``tests/server/test_engine_differential.py``).
 
 Recording (the honest executor's side of the audit protocol):
 
@@ -20,7 +28,9 @@ Recording (the honest executor's side of the audit protocol):
   the true serialization order); DB ops are logged by the
   :class:`~repro.sql.database.Database` into per-connection sub-logs merged
   by the stitching step (§4.7).
-* **control-flow tags**: the plain interpreter's branch digest (§4.3).
+* **control-flow tags**: the branch digest (§4.3), kept by the engine's
+  own closures — each branch arm folds a constant into an int; the tag
+  is what :class:`~repro.common.digest.FlowDigest` computes.
 * **non-determinism**: values from :class:`NondetSource` recorded per
   request in call order (§4.6).
 
@@ -39,12 +49,8 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from repro.common.errors import WeblangError
-from repro.lang.interp import (
-    ExternalIntent,
-    Interpreter,
-    NondetIntent,
-    StateOpIntent,
-)
+from repro.lang.compile import CompInterpreter
+from repro.lang.interp import ExternalIntent, StateOpIntent
 from repro.objects.base import OpRecord, OpType
 from repro.objects.kvstore import KVStore
 from repro.objects.register import AtomicRegister
@@ -68,7 +74,6 @@ class ExecutionResult:
     reports: Reports
     initial_state: InitialState
     server_seconds: float = 0.0
-    recording_seconds: float = 0.0
     steps: int = 0
     final_state: InitialState | None = None
     #: Trace event indexes of the quiescent epoch cuts the executor
@@ -77,14 +82,17 @@ class ExecutionResult:
 
 
 class _Task:
-    __slots__ = ("rid", "request", "gen", "pending", "opnum", "started",
-                 "done")
+    __slots__ = ("rid", "request", "gen", "pending", "on_db", "opnum",
+                 "started", "done")
 
     def __init__(self, rid: str, request: Request, gen) -> None:
         self.rid = rid
         self.request = request
         self.gen = gen
         self.pending: object = None
+        #: Whether ``pending`` is a DB operation: the only kind that can
+        #: park a request (while another's transaction holds the DB).
+        self.on_db = False
         self.opnum = 0
         self.started = False
         self.done = False
@@ -146,20 +154,20 @@ class Executor:
 
         collector = Collector()
         reports = Reports()
-        interp = Interpreter(
+        record = self.record
+        interp = CompInterpreter(
             db_name=app.db_name,
             kv_name=app.kv_name,
             session_cookie=app.session_cookie,
-            record_flow=self.record,
+            record_flow=record,
         )
 
         queue: list[Request] = list(requests)
         queue_pos = 0
         inflight: dict[str, _Task] = {}
-        order: list[str] = []  # admission order, for FIFO fairness
+        order: list[str] = []  # the in-flight rids in admission order
         steps = 0
         started_at = _time.perf_counter()
-        recording_seconds = 0.0
         epoch_marks: list[int] = []
         epoch_index = 0
         completed_in_epoch = 0
@@ -183,28 +191,18 @@ class Executor:
                 order.append(request.rid)
                 collector.observe_request(request)
 
-        def ready_rids() -> list[str]:
-            ready = []
-            for rid in order:
-                task = inflight.get(rid)
-                if task is None:
-                    continue
-                if not task.started:
-                    ready.append(rid)
-                    continue
-                intent = task.pending
-                if (
-                    isinstance(intent, StateOpIntent)
-                    and intent.kind.startswith("db_")
-                    and db.would_block(rid)
-                ):
-                    continue  # parked until the DB object is released
-                ready.append(rid)
-            return ready
+        def ready_rids() -> Sequence[str]:
+            owner = db.owner
+            if owner is None:
+                # Requests park on the DB object only, and only while a
+                # transaction holds it: every in-flight request is ready.
+                return order
+            return [rid for rid in order
+                    if rid == owner or not inflight[rid].on_db]
 
         def finish(task: _Task, body: str | None,
                    abort_info: str | None = None) -> None:
-            nonlocal recording_seconds, completed_in_epoch
+            nonlocal completed_in_epoch
             completed_in_epoch += 1
             rid = task.rid
             task.done = True
@@ -216,16 +214,12 @@ class Executor:
                 )
             else:
                 collector.observe_response(Response(rid, body))
-            if self.record:
-                t0 = _time.perf_counter()
+            if record:
                 reports.op_counts[rid] = task.opnum
-                recording_seconds += _time.perf_counter() - t0
 
         def record_flow(rid: str, tag: str | None) -> None:
-            nonlocal recording_seconds
-            if not self.record or tag is None:
+            if not record or tag is None:
                 return
-            t0 = _time.perf_counter()
             if self.epoch_size:
                 # Per-epoch grouping: a control-flow group never spans
                 # an epoch cut, so sharded and unsharded audits see the
@@ -233,91 +227,69 @@ class Executor:
                 # it is always sound.
                 tag = f"e{epoch_index}:{tag}"
             reports.groups.setdefault(tag, []).append(rid)
-            recording_seconds += _time.perf_counter() - t0
 
-        def log_op(obj: str, record: OpRecord) -> None:
-            nonlocal recording_seconds
-            if not self.record:
-                return
-            t0 = _time.perf_counter()
-            reports.op_logs.setdefault(obj, []).append(record)
-            recording_seconds += _time.perf_counter() - t0
+        # One handler per state-op kind: perform the operation on the
+        # live object, assign its opnum and (register / KV operations)
+        # log it; DB operations are logged by the Database itself.
 
-        def perform(task: _Task, intent: StateOpIntent) -> object:
-            rid = task.rid
-            kind = intent.kind
-            if kind == "db_statement":
-                sql = intent.args[0]
-                if db.in_transaction(rid):
-                    return db.execute(rid, task.opnum, sql)
-                task.opnum += 1
-                return db.execute(rid, task.opnum, sql)
-            if kind == "db_begin":
-                task.opnum += 1
-                db.begin(rid, task.opnum)
-                return None
-            if kind == "db_commit":
-                return db.commit(rid)
-            if kind == "db_rollback":
-                db.rollback(rid)
-                return None
-            if kind == "kv_get":
-                task.opnum += 1
-                key = intent.args[0]
-                value = kv.get(key)
-                log_op(
-                    intent.obj,
-                    OpRecord(rid, task.opnum, OpType.KV_GET, (key,)),
-                )
-                return value
-            if kind == "kv_set":
-                task.opnum += 1
-                key, value = intent.args
-                kv.set(key, value)
-                log_op(
-                    intent.obj,
-                    OpRecord(rid, task.opnum, OpType.KV_SET, (key, value)),
-                )
-                return None
-            if kind == "register_read":
-                task.opnum += 1
-                register = registers.get(intent.obj)
-                if register is None:
-                    register = AtomicRegister(intent.obj)
-                    registers[intent.obj] = register
-                value = register.read()
-                log_op(
-                    intent.obj,
-                    OpRecord(rid, task.opnum, OpType.REGISTER_READ, ()),
-                )
-                return value
-            if kind == "register_write":
-                task.opnum += 1
-                register = registers.get(intent.obj)
-                if register is None:
-                    register = AtomicRegister(intent.obj)
-                    registers[intent.obj] = register
-                value = intent.args[0]
-                register.write(value)
-                log_op(
-                    intent.obj,
-                    OpRecord(
-                        rid, task.opnum, OpType.REGISTER_WRITE, (value,)
-                    ),
-                )
-                return None
-            raise WeblangError(f"unknown state op kind {kind}")
+        def db_statement(task: _Task, intent: StateOpIntent) -> object:
+            if not db.in_transaction(task.rid):
+                task.opnum += 1  # a transaction's statements share its opnum
+            return db.execute(task.rid, task.opnum, intent.args[0])
 
-        def handle_nondet(task: _Task, intent: NondetIntent) -> object:
-            nonlocal recording_seconds
-            value = self.nondet.call(intent.func, intent.args)
-            if self.record:
-                t0 = _time.perf_counter()
-                reports.nondet.setdefault(task.rid, []).append(
-                    NondetRecord(intent.func, intent.args, value)
-                )
-                recording_seconds += _time.perf_counter() - t0
-            return value
+        def db_begin(task: _Task, intent: StateOpIntent) -> None:
+            task.opnum += 1
+            db.begin(task.rid, task.opnum)
+
+        def db_commit(task: _Task, intent: StateOpIntent) -> bool:
+            return db.commit(task.rid)
+
+        def db_rollback(task: _Task, intent: StateOpIntent) -> None:
+            db.rollback(task.rid)
+
+        def log_op(task: _Task, obj: str, optype: OpType,
+                   contents: tuple) -> None:
+            """Number a register / KV operation and log it."""
+            task.opnum += 1
+            if record:
+                reports.op_logs.setdefault(obj, []).append(
+                    OpRecord(task.rid, task.opnum, optype, contents))
+
+        def kv_get(task: _Task, intent: StateOpIntent) -> object:
+            key = intent.args[0]
+            log_op(task, intent.obj, OpType.KV_GET, (key,))
+            return kv.get(key)
+
+        def kv_set(task: _Task, intent: StateOpIntent) -> None:
+            key, value = intent.args
+            log_op(task, intent.obj, OpType.KV_SET, (key, value))
+            kv.set(key, value)
+
+        def register(name: str) -> AtomicRegister:
+            found = registers.get(name)
+            if found is None:
+                found = registers[name] = AtomicRegister(name)
+            return found
+
+        def register_read(task: _Task, intent: StateOpIntent) -> object:
+            log_op(task, intent.obj, OpType.REGISTER_READ, ())
+            return register(intent.obj).read()
+
+        def register_write(task: _Task, intent: StateOpIntent) -> None:
+            value = intent.args[0]
+            log_op(task, intent.obj, OpType.REGISTER_WRITE, (value,))
+            register(intent.obj).write(value)
+
+        perform = {
+            "db_statement": db_statement,
+            "db_begin": db_begin,
+            "db_commit": db_commit,
+            "db_rollback": db_rollback,
+            "kv_get": kv_get,
+            "kv_set": kv_set,
+            "register_read": register_read,
+            "register_write": register_write,
+        }
 
         def step(task: _Task) -> None:
             nonlocal steps
@@ -325,25 +297,32 @@ class Executor:
             try:
                 if not task.started:
                     task.started = True
-                    task.pending = next(task.gen)
+                    pending = next(task.gen)
                 else:
                     intent = task.pending
-                    result = perform(task, intent)
-                    task.pending = task.gen.send(result)
+                    handler = perform.get(intent.kind)
+                    if handler is None:
+                        raise WeblangError(
+                            f"unknown state op kind {intent.kind}")
+                    pending = task.gen.send(handler(task, intent))
                 # Non-deterministic calls and outbound externals are not
                 # scheduling points: resolve them immediately (they touch
                 # no shared state).
-                while isinstance(task.pending, (NondetIntent,
-                                                ExternalIntent)):
-                    if isinstance(task.pending, ExternalIntent):
+                while type(pending) is not StateOpIntent:
+                    if type(pending) is ExternalIntent:
                         collector.observe_external(ExternalRequest(
-                            task.rid, task.pending.service,
-                            task.pending.content,
+                            task.rid, pending.service, pending.content,
                         ))
-                        task.pending = task.gen.send(True)
+                        pending = task.gen.send(True)
                     else:
-                        value = handle_nondet(task, task.pending)
-                        task.pending = task.gen.send(value)
+                        value = self.nondet.call(pending.func, pending.args)
+                        if record:
+                            reports.nondet.setdefault(task.rid, []).append(
+                                NondetRecord(pending.func, pending.args,
+                                             value))
+                        pending = task.gen.send(value)
+                task.pending = pending
+                task.on_db = pending.kind.startswith("db_")
             except StopIteration as stop:
                 output = stop.value
                 record_flow(task.rid, output.flow_tag)
@@ -385,12 +364,10 @@ class Executor:
 
         server_seconds = _time.perf_counter() - started_at
 
-        if self.record:
-            t0 = _time.perf_counter()
+        if record:
             db_log = db.stitch_log()
             if db_log:
                 reports.op_logs[app.db_name] = db_log
-            recording_seconds += _time.perf_counter() - t0
 
         final_state = InitialState(
             db.engine.deep_copy(),
@@ -402,7 +379,6 @@ class Executor:
             reports=reports,
             initial_state=initial_state,
             server_seconds=server_seconds,
-            recording_seconds=recording_seconds,
             steps=steps,
             final_state=final_state,
             epoch_marks=epoch_marks,

@@ -15,7 +15,10 @@ from collections.abc import Sequence
 
 
 class Scheduler:
-    """Interface: choose one of the ready request ids."""
+    """Interface: choose one of the ready request ids.
+
+    ``ready`` is in admission order and is the executor's to reuse: read
+    it during the call, copy it to keep it."""
 
     def pick(self, ready: Sequence[str]) -> str:
         raise NotImplementedError

@@ -51,7 +51,8 @@ class Database(StateObject):
         super().__init__(name)
         self.engine = engine or Engine()
         self._seq = 0
-        self._owner: str | None = None  # rid holding the object
+        #: The request whose open transaction holds the object, if any.
+        self.owner: str | None = None
         self._open_tx: _OpenTransaction | None = None
         self.sub_logs: dict[str, list[tuple[int, OpRecord]]] = {}
         self.abort_hook: AbortHook | None = None
@@ -75,7 +76,7 @@ class Database(StateObject):
 
     def would_block(self, rid: str) -> bool:
         """True if an operation from ``rid`` cannot be admitted now."""
-        return self._owner is not None and self._owner != rid
+        return self.owner is not None and self.owner != rid
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -136,7 +137,7 @@ class Database(StateObject):
             )
         if self._open_tx is not None:
             raise SqlError(f"request {rid} already holds a transaction")
-        self._owner = rid
+        self.owner = rid
         self._open_tx = _OpenTransaction(rid, opnum, self._next_seq())
 
     def commit(self, rid: str) -> bool:
@@ -173,11 +174,12 @@ class Database(StateObject):
         return self._open_tx
 
     def _rollback_engine(self, tx: _OpenTransaction) -> None:
-        for name, saved in tx.saved_tables.items():
-            self.engine.tables[name] = saved.clone()
+        # The snapshots are this transaction's own clones and the
+        # transaction is dropped with them: install them as they are.
+        self.engine.tables.update(tx.saved_tables)
 
     def _release(self) -> None:
-        self._owner = None
+        self.owner = None
         self._open_tx = None
 
     # -- log stitching (§4.7) ------------------------------------------------

@@ -5,7 +5,13 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.digest import FlowDigest, fnv1a
+from repro.common.digest import (
+    _FNV_PRIME,
+    _MASK,
+    FlowDigest,
+    branch_mix,
+    fnv1a,
+)
 from repro.common.errors import (
     AuditReject,
     DivergenceError,
@@ -78,6 +84,24 @@ def test_target_collision_resistance(x, y):
     a.update("if", x)
     b.update("if", y)
     assert a.value != b.value
+
+
+@given(st.text(max_size=12),
+       st.lists(st.tuples(st.sampled_from(["if", "loop", "loopx", "tern",
+                                           "sc"]),
+                          st.integers(min_value=0, max_value=10**6)),
+                max_size=30))
+def test_inline_fold_of_premixed_constants_is_the_digest(name, updates):
+    """What the compiled engine does instead of calling ``update``:
+    start from the script name's hash, fold ``branch_mix`` constants
+    into a plain int."""
+    digest = FlowDigest()
+    digest.update_str(name)
+    flow = fnv1a(name.encode())
+    for kind, target in updates:
+        digest.update(kind, target)
+        flow = ((flow ^ branch_mix(kind, target)) * _FNV_PRIME) & _MASK
+    assert f"{flow:016x}" == digest.hexdigest()
 
 
 def test_fnv1a_known_value():

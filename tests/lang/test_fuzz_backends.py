@@ -35,10 +35,12 @@ from repro.common.errors import (
     WeblangError,
 )
 from repro.core import ssco_audit
+from repro.lang import interp as interp_module
 from repro.lang.compile import (
     CompInterpreter,
     GroupNondetIntent,
     GroupStateOpIntent,
+    compiled_for,
 )
 from repro.lang.interp import (
     ExternalIntent,
@@ -384,12 +386,12 @@ def test_engine_lockstep_fuzz():
     assert not failures, failures[:3]
 
 
-def drive_group(program, requests, canned, nondets):
+def drive_group(program, requests, canned, nondets, record_flow=False):
     """Run ``requests`` as one group; slot ``i`` is answered from
     ``canned[i]`` / ``nondets[i]`` exactly as :func:`drive` would answer
     it.  Returns ``(GroupRunOutput | None, per-slot intent reprs,
     exception | None)``."""
-    gen = CompInterpreter().run_group(program, requests)
+    gen = compiled_for(program).run_group(requests, record_flow=record_flow)
     canned = [list(results) for results in canned]
     nondets = [list(values) for values in nondets]
     intents = [[] for _ in requests]
@@ -481,6 +483,78 @@ def test_group_lockstep_fuzz():
     assert multivalent >= completed // 3, (completed, multivalent)
     assert diverged >= 10
     assert fell_back <= completed // 10, (completed, fell_back)
+
+
+#: Every branch site of the language.  ``{q}`` is the request's input:
+#: read with ``param`` the compiler proves each site pure (plain
+#: closures), read with ``kv_get`` each condition or body holds a state
+#: operation (generator closures).
+BRANCH_KINDS_SRC = """
+$q = intval({q});
+if ($q == 0) {{ echo 'if'; }} elseif ($q == 1) {{ echo 'elseif'; }}
+else {{ echo 'else'; }}
+if ({q} > 3) {{ echo ' taken'; }}
+$i = 0;
+while ($i < intval({q}) + 2) {{
+  $i += 1;
+  if ($i == 2) {{ continue; }}
+  if ($i == 4) {{ break; }}
+  echo ' w', $i;
+}}
+while ({q} > 9) {{ echo 'never'; }}
+foreach ([1, 2, 3, 4] as $k => $v) {{
+  if ($v == intval({q})) {{ continue; }}
+  if ($v == 4 && $q > 2) {{ break; }}
+  echo ' f', $k;
+}}
+foreach ([] as $v) {{ echo 'never'; }}
+echo ' ', ({q} > 2 ? 'big' : 'small');
+echo ' ', (($q > 1 && {q} < 4) ? 'and' : 'nand');
+echo ' ', (($q > 4 || {q} == 1) ? 'or' : 'nor');
+"""
+
+
+class _SpyDigest(interp_module.FlowDigest):
+    """The reference digest, noting each branch it is told of."""
+
+    seen: set = set()
+
+    def update(self, kind, target):
+        # The taken arm is what every target ends in: nid * 64 + arm
+        # for ``if``, nid * 2 + arm for ternary and short circuit.
+        arm = {"if": target % 64, "tern": target % 2,
+               "sc": target % 2}.get(kind, 0)
+        _SpyDigest.seen.add((kind, arm))
+        super().update(kind, target)
+
+
+@pytest.mark.parametrize("read", ["param('q', 0)", "kv_get('q')"])
+def test_group_of_one_records_the_oracles_flow_tag(monkeypatch, read):
+    """The engine folds each arm's pre-mixed constant into an int; the
+    tag must be the one the oracle's ``FlowDigest`` computes, on runs
+    that between them take every arm of every branch kind."""
+    monkeypatch.setattr(interp_module, "FlowDigest", _SpyDigest)
+    _SpyDigest.seen = set()
+    program = parse_program(BRANCH_KINDS_SRC.format(q=read))
+    tags = set()
+    for q in range(6):
+        request = Request(f"r{q}", "branches.php", get={"q": str(q)})
+        canned = [str(q)] * 64  # what every kv_get('q') is answered
+        ref, ref_intents, ref_error = drive(
+            Interpreter(record_flow=True), program, request, canned, [])
+        got, (got_intents,), got_error = drive_group(
+            program, [request], [canned], [[]], record_flow=True)
+        assert ref_error is None and got_error is None
+        assert got_intents == ref_intents
+        assert bool(got_intents) == read.startswith("kv_get")
+        assert (got.bodies[0], got.steps) == (ref.body, ref.steps)
+        assert got.flow_tag == ref.flow_tag
+        tags.add(got.flow_tag)
+    assert len(tags) == 6  # six inputs, six paths
+    assert _SpyDigest.seen == {
+        ("if", 0), ("if", 1), ("if", 2), ("loop", 0), ("loopx", 0),
+        ("tern", 0), ("tern", 1), ("sc", 0), ("sc", 1),
+    }
 
 
 def _fuzz_app(seed: int):

@@ -177,6 +177,61 @@ echo $rows[0]['n'];
         assert read_pos < tx_pos
 
 
+def test_ready_lists_while_a_transaction_holds_the_db():
+    """What the scheduler is offered, step by step, pinned from the
+    executor that scanned every in-flight request on every step (PR 17):
+    all of them while nobody holds the DB; while ``tx`` holds it, ``tx``
+    itself, requests on other objects (``kv``), requests not started
+    yet (``rd2`` on arrival) — and not the started DB readers."""
+
+    class Recording(RoundRobinScheduler):
+        def __init__(self):
+            super().__init__()
+            self.offered = []
+
+        def pick(self, ready):
+            self.offered.append(list(ready))
+            return super().pick(ready)
+
+    app = Application.from_sources("txapp", {
+        "tx.php": """
+db_begin();
+db_exec("INSERT INTO t (v) VALUES (1)");
+db_exec("INSERT INTO t (v) VALUES (2)");
+echo db_commit() ? 'tx' : 'aborted';
+""",
+        "read.php": """
+$rows = db_query("SELECT COUNT(*) AS n FROM t");
+echo $rows[0]['n'];
+""",
+        "kv.php": "kv_set('k', 1); kv_set('k', 2); echo kv_get('k');",
+    }, db_setup="CREATE TABLE t (id INT PRIMARY KEY AUTOINCREMENT, v INT)")
+    requests = [Request("tx", "tx.php"), Request("rd", "read.php"),
+                Request("kv", "kv.php"), Request("rd2", "read.php")]
+    scheduler = Recording()
+    run = Executor(app, scheduler=scheduler, max_concurrency=3).serve(
+        requests)
+    assert scheduler.offered == [
+        ["tx", "rd", "kv"],  # nothing started
+        ["tx", "rd", "kv"],
+        ["tx", "rd", "kv"],
+        ["tx", "rd", "kv"],  # tx begins here: the DB is held
+        ["tx", "kv"],
+        ["tx", "kv"],
+        ["tx", "kv"],
+        ["tx", "kv"],
+        ["tx", "kv"],  # kv answers; rd2 is admitted
+        ["tx", "rd2"],  # tx commits and answers
+        ["rd", "rd2"],
+        ["rd2"],
+        ["rd2"],
+    ]
+    assert run.steps == 13
+    assert {rid: response.body
+            for rid, response in run.trace.responses().items()} == {
+        "tx": "tx", "kv": "2", "rd": "2", "rd2": "2"}
+
+
 def test_recording_off_produces_no_reports():
     app = _app()
     run = Executor(app, record=False).serve(counter_requests(6))

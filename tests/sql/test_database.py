@@ -76,6 +76,30 @@ def test_rollback_restores_auto_increment(db):
     assert result.last_insert_id == 2  # not 3
 
 
+def test_rolled_back_transactions_leave_only_committed_rows(db):
+    """Rollback installs the snapshot the transaction saved, not a copy
+    of it: the next transaction must snapshot afresh (rows, counter and
+    all), not find the table it is about to change already saved."""
+    db.abort_hook = lambda rid, queries: rid == "r2"
+    db.begin("r1", 1)
+    db.execute("r1", 1, "UPDATE t SET v = 50 WHERE id = 1")
+    db.execute("r1", 1, "INSERT INTO t (v) VALUES (51)")
+    db.rollback("r1")
+    db.begin("r2", 1)
+    db.execute("r2", 1, "DELETE FROM t WHERE id = 1")
+    db.execute("r2", 1, "INSERT INTO t (v) VALUES (52)")
+    assert db.commit("r2") is False  # aborted at the DB's discretion
+    db.begin("r3", 1)
+    db.execute("r3", 1, "UPDATE t SET v = v + 1 WHERE id = 1")
+    inserted = db.execute("r3", 1, "INSERT INTO t (v) VALUES (53)")
+    assert db.commit("r3") is True
+    assert inserted.last_insert_id == 2
+    assert db.execute("r4", 1, "SELECT id, v FROM t").rows == [
+        {"id": 1, "v": 2}, {"id": 2, "v": 53}]
+    assert [rec.opcontents[1] for rec in db.stitch_log()] == [
+        False, False, True, True]
+
+
 def test_lock_blocks_other_requests(db):
     db.begin("r1", 1)
     assert db.would_block("r2")

@@ -7,7 +7,9 @@ round-trips whatever a request parameter or an op's contents can hold
 (including mappings whose keys are the tags themselves), the file
 reader, the whole-bundle loader, the legacy blob and the socket reader
 yield equal slices through one accumulator, and malformed records raise
-what they always raised.
+what they always raised.  The write side is held to the same standard:
+the cheap ``_enc`` and the bound encoder produce what the plain ladder
+and ``json.dumps`` produce.
 """
 
 from __future__ import annotations
@@ -89,6 +91,72 @@ def test_untagged_dicts_pass_through():
     decoder's to choose: only a one-key dict under a tag is a container."""
     for raw in ({}, {"x": 1}, {"t": [1], "l": [2]}, {"T": [1]}):
         assert repro_io._dec(raw) == raw
+
+
+# -- the write side: same bytes, fewer calls -------------------------------------
+
+
+def reference_enc(value):
+    """``_enc`` as it was before it learned to skip the per-item call:
+    the plain ladder, kept here as the reference."""
+    if isinstance(value, tuple):
+        return {"t": [reference_enc(item) for item in value]}
+    if isinstance(value, list):
+        return {"l": [reference_enc(item) for item in value]}
+    if isinstance(value, dict):
+        return {"d": {str(k): reference_enc(v) for k, v in value.items()}}
+    return value
+
+
+class _Pair(tuple):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+class _Params(dict):
+    pass
+
+
+#: What the exact-type tests must not mistake for a plain scalar or
+#: container: subclasses, and keys that are not strings.
+odd_values = st.recursive(
+    st.one_of(scalars, st.text(max_size=3).map(_Name)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(inner, max_size=3).map(_Pair),
+        st.lists(inner, max_size=3),
+        st.dictionaries(
+            st.one_of(keys, st.integers(), st.booleans(), st.none()),
+            inner, max_size=3),
+        st.dictionaries(keys, inner, max_size=3).map(_Params),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(values, odd_values))
+def test_enc_matches_the_plain_ladder(value):
+    got, expected = repro_io._enc(value), reference_enc(value)
+    assert typed(got) == typed(expected)
+    assert json.dumps(got) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_records_are_encoded_as_json_dumps_would(seed):
+    records = [repro_io.state_record(_state())]
+    for trace, reports in _random_epochs(seed):
+        records += [repro_io.event_record(event) for event in trace]
+        records += list(repro_io.iter_report_records(reports))
+    records.append({"kind": "event", "text": "caf\u00e9 \u2028 \"q\" \\",
+                    "numbers": [1e300, -0.0, 2**70]})
+    assert {record["kind"] for record in records} == {
+        "state", "event", "group", "op_log", "op_counts", "nondet"}
+    for record in records:
+        assert repro_io._encode_record(record) == json.dumps(record)
 
 
 # -- one accumulator under every reader ----------------------------------------

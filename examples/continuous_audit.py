@@ -44,7 +44,7 @@ state_written = threading.Event()
 
 
 def server_thread():
-    with BundleWriter(bundle_path, segmented=True) as writer:
+    with BundleWriter(bundle_path) as writer:
         writer.write_state(execution.initial_state)
         state_written.set()
         for shard in shards:

@@ -5,16 +5,16 @@ Commands:
 * ``demo`` — serve a built-in workload, audit it, print the verdict and
   the acceleration stats;
 * ``record`` — serve a built-in workload and save the audit bundle
-  (trace + reports + initial state) to a file, as the legacy JSON blob,
-  the streaming JSONL format (``--format jsonl``), or the per-epoch
-  segmented JSONL layout (``--format jsonl-epochs``);
+  (initial state, then each epoch's events and reports; :mod:`repro.io`);
 * ``serve`` — serve a built-in workload and *publish* the audit stream
   over TCP (``--listen HOST:PORT``) for remote auditors, epoch by
   epoch, via :class:`~repro.net.publisher.BundlePublisher`;
-* ``audit`` — load a bundle (any format) and run the SSCO audit, tail
-  a live JSONL bundle epoch by epoch (``--follow``), or attach to a
-  remote ``serve`` publisher (``--connect HOST:PORT``) — both stream
-  through an incremental :class:`~repro.core.auditor.AuditSession`.
+* ``audit`` — run the SSCO audit over a bundle file, a file that is
+  still being written (``--follow``), or a remote ``serve`` publisher's
+  stream (``--connect HOST:PORT``).  All three are one loop: epoch
+  slices come off the reader one at a time into an incremental
+  :class:`~repro.core.auditor.AuditSession`, which carries only
+  migrated object state between epochs (§4.1, §4.5).
   With ``--fleet-listen [HOST:]PORT`` the session additionally fans
   each epoch out to registered ``repro worker`` daemons (composes
   with ``--connect``: one auditor, N worker hosts, one recorder);
@@ -37,12 +37,13 @@ Every auditing subcommand is driven by one validated
 :class:`~repro.core.config.AuditConfig`: flags layer over an optional
 ``--config audit.json`` file, which layers over the defaults.
 ``--workers N`` fans group re-execution out over worker processes,
-``--epoch-size N`` makes the server drain every N requests
-(``demo``/``record``) and the auditor shard at the resulting quiescent
-cuts, ``--epoch-cuts "i,j,k"`` pins explicit cut positions,
-``--epoch-workers N`` audits those epoch shards concurrently (a
-redo-only state precompute materializes each shard's initial state
-first), and ``--backend`` selects the registered re-execution engine.
+``--epoch-size N`` makes the server drain every N requests and mark
+the epoch; an audit follows the recorded epochs, and on a file
+``--epoch-size N`` / ``--epoch-cuts "i,j,k"`` re-cut it at other
+quiescent points first.  ``--epoch-workers N`` audits epochs
+concurrently (a redo-only state precompute materializes each epoch's
+initial state first), and ``--backend`` selects the registered
+re-execution engine.
 
 The built-in workloads are the paper's three applications: ``wiki``,
 ``forum``, ``hotcrp``.
@@ -65,7 +66,7 @@ from repro.bench import figure9_decomposition, render_table
 from repro.bench.harness import run_audit_phase
 from repro.core import Auditor, simple_audit
 from repro.core.config import AuditConfig, parse_epoch_cuts
-from repro.core.partition import partition_audit_inputs, validate_cuts
+from repro.core.partition import partition_audit_inputs
 from repro.core.reexec import available_backends
 from repro.forensics import (
     AsOfError,
@@ -79,8 +80,7 @@ from repro.io import (
     BundleReader,
     BundleWriter,
     _enc,
-    load_audit_bundle_ex,
-    save_audit_bundle,
+    save_audit_bundle_segmented,
 )
 from repro.net import (
     BundlePublisher,
@@ -185,13 +185,10 @@ def cmd_record(args) -> int:
     workload = _build(args)
     print(f"serving {len(workload.requests)} {workload.label} requests ...")
     execution = _serve(workload, args)
-    save_audit_bundle(args.out, execution.trace, execution.reports,
-                      execution.initial_state,
-                      epoch_marks=execution.epoch_marks,
-                      format=args.format)
-    epochs = len(execution.epoch_marks) + 1 if execution.epoch_marks else 1
-    print(f"wrote {args.out} [{args.format}] "
-          f"({len(execution.trace)} events, "
+    epochs = save_audit_bundle_segmented(
+        args.out, execution.trace, execution.reports,
+        execution.initial_state, execution.epoch_marks)
+    print(f"wrote {args.out} ({len(execution.trace)} events, "
           f"{execution.reports.op_count_total()} logged ops, "
           f"{epochs} epoch(s))")
     return 0
@@ -228,7 +225,7 @@ def cmd_serve(args) -> int:
                                             execution.reports,
                                             cuts=execution.epoch_marks)
             if args.out:
-                writer = BundleWriter(args.out, segmented=True)
+                writer = BundleWriter(args.out)
                 publisher.writer = writer
             print(f"publishing {len(shards)} epoch(s) on "
                   f"{publisher.endpoint} "
@@ -254,62 +251,71 @@ def cmd_serve(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    """Audit a bundle file, a file still being written, or a socket:
+    open the reader, then one loop for all three."""
     config = _config_from_args(args._parser, args)
     workload = _build(args)  # the program is the trusted input
+    usage = args._parser.error
     if config.connect:
         if args.bundle:
-            args._parser.error(
-                "give either a bundle file or --connect, not both"
-            )
+            usage("give either a bundle file or --connect, not both")
         if args.follow:
-            args._parser.error(
-                "--follow tails a bundle file; a --connect stream is "
-                "already live (its patience is --net-idle-timeout)"
-            )
-        return _audit_connect(args, workload, config)
-    if not args.bundle:
-        args._parser.error(
-            "audit needs a bundle file (or --connect HOST:PORT)"
-        )
-    if args.follow:
-        return _audit_follow(args, workload, config)
-    try:
-        trace, reports, initial, epoch_marks = load_audit_bundle_ex(
-            args.bundle)
-    except _UNDECODABLE as exc:
-        return _reject_malformed(exc, args.json)
-    if config.epoch_cuts is None and config.epoch_size > 0:
-        # The recorded quiescent marks are the natural cut positions —
-        # but they come from the untrusted bundle: keep only genuine
-        # quiescent points, sorted and deduplicated.
-        marks = validate_cuts(trace, epoch_marks)
-        if marks:
-            config = config.replace(epoch_cuts=tuple(marks))
-    if not args.json:
-        print(f"auditing {len(trace.request_ids())} requests against "
-              f"{workload.label} ({config.describe()}) ...")
-    audit = Auditor(workload.app, config).audit(trace, reports, initial)
-    if args.json:
-        payload = _audit_summary(audit)
+            usage("--follow tails a bundle file; a --connect stream is "
+                  "already live (its patience is --net-idle-timeout)")
         if args.baseline:
-            base = simple_audit(workload.app, trace, reports, initial)
-            payload["baseline"] = {"accepted": base.accepted,
-                                   "seconds": base.seconds}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if audit.accepted else 1
-    if audit.accepted:
-        shards = audit.stats.get("shard_count")
-        suffix = f" across {shards} shard(s)" if shards else ""
-        print(f"ACCEPTED in {audit.phases['total'] * 1e3:.1f} ms{suffix}")
+            usage("--baseline re-reads a bundle file; a --connect "
+                  "stream leaves none behind")
+    elif not args.bundle:
+        usage("audit needs a bundle file (or --connect HOST:PORT)")
+    follow = args.follow or bool(config.connect)
+    if follow and _recuts(config):
+        usage("--epoch-size / --epoch-cuts re-cut a finished bundle "
+              "file; a live stream (--follow, --connect) is audited at "
+              "the epochs it arrives in")
+    if config.connect:
+        # The verifier on its own machine, no shared filesystem.
+        banner = f"auditing live stream from {config.connect}"
+        timeout = config.net_idle_timeout
+        try:
+            reader = RemoteBundleReader(
+                config.connect,
+                connect_timeout=config.net_connect_timeout,
+                idle_timeout=timeout,
+                reconnect=config.net_retries,
+            )
+        except (ValueError, OSError) as exc:
+            print(f"error: cannot attach to publisher at "
+                  f"{config.connect}: {exc}", file=sys.stderr)
+            return 2
     else:
-        print(f"REJECTED: {audit.reason.value}"
-              + (f": {audit.detail}" if audit.detail else ""))
-    if args.baseline:
-        base = simple_audit(workload.app, trace, reports, initial)
-        verdict = "ACCEPTED" if base.accepted else "REJECTED"
-        print(f"simple re-execution baseline: {verdict} in "
-              f"{base.seconds * 1e3:.1f} ms")
-    return 0 if audit.accepted else 1
+        banner = f"{'following' if follow else 'auditing'} {args.bundle}"
+        timeout = args.follow_timeout
+        try:
+            # --follow waits out the startup race: the auditor may
+            # launch before the recorder has flushed the header.
+            reader = BundleReader.open(args.bundle, follow=follow,
+                                       idle_timeout=timeout)
+        except OSError as exc:
+            print(f"error: cannot read bundle {args.bundle}: {exc}",
+                  file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            return _reject_malformed(exc, args.json)
+    if not args.json:
+        print(f"{banner} against {workload.label} "
+              f"({config.describe()}) ...")
+    try:
+        return _drive_stream_session(
+            reader, workload, config, follow, timeout, as_json=args.json,
+            baseline=args.bundle if args.baseline else None)
+    except (TransportError, ProtocolError) as exc:
+        print(f"error: live stream failed: {exc}", file=sys.stderr)
+        return 2
+
+
+def _recuts(config: AuditConfig) -> bool:
+    """Does the config ask for epoch boundaries other than recorded?"""
+    return config.epoch_size > 0 or bool(config.epoch_cuts)
 
 
 #: What decoding a record that is not what it claims to be raises.
@@ -328,54 +334,6 @@ def _reject_malformed(exc: Exception, as_json: bool) -> int:
     else:
         print(f"REJECTED: malformed_bundle: {detail}")
     return 1
-
-
-def _audit_follow(args, workload, config: AuditConfig) -> int:
-    """Tail a (possibly still-growing) JSONL bundle epoch by epoch
-    through an incremental audit session — the paper's continuous
-    deployment: audit epoch N while the server records epoch N+1."""
-    timeout = args.follow_timeout
-    try:
-        # Waits out the startup race: the auditor may launch before the
-        # recording server has flushed the bundle's header line.
-        reader = BundleReader.open(args.bundle, follow=True,
-                                   idle_timeout=timeout)
-    except (OSError, ValueError) as exc:
-        print(f"error: --follow needs a streaming JSONL bundle: {exc}",
-              file=sys.stderr)
-        return 2
-    if not args.json:
-        print(f"following {args.bundle} against {workload.label} "
-              f"({config.describe()}) ...")
-    return _drive_stream_session(reader, workload, config, timeout,
-                                 as_json=args.json)
-
-
-def _audit_connect(args, workload, config: AuditConfig) -> int:
-    """Attach to a remote ``repro serve`` publisher and audit its live
-    stream — the paper's deployment with the verifier on its own
-    machine, no shared filesystem."""
-    try:
-        reader = RemoteBundleReader(
-            config.connect,
-            connect_timeout=config.net_connect_timeout,
-            idle_timeout=config.net_idle_timeout,
-            reconnect=config.net_retries,
-        )
-    except (TransportError, ProtocolError, ValueError, OSError) as exc:
-        print(f"error: cannot attach to publisher at {config.connect}: "
-              f"{exc}", file=sys.stderr)
-        return 2
-    if not args.json:
-        print(f"auditing live stream from {config.connect} against "
-              f"{workload.label} ({config.describe()}) ...")
-    try:
-        return _drive_stream_session(reader, workload, config,
-                                     config.net_idle_timeout,
-                                     as_json=args.json)
-    except (TransportError, ProtocolError) as exc:
-        print(f"error: live stream failed: {exc}", file=sys.stderr)
-        return 2
 
 
 def cmd_worker(args) -> int:
@@ -591,7 +549,7 @@ def _load_timeline(args, workload, config) -> Timeline | None:
     try:
         return Timeline.from_bundle(args.bundle, workload.app,
                                     config=config)
-    except (OSError, ValueError) as exc:
+    except (OSError, *_UNDECODABLE) as exc:
         print(f"error: cannot load bundle {args.bundle}: {exc}",
               file=sys.stderr)
         return None
@@ -723,21 +681,15 @@ def _audit_summary(audit) -> dict:
     """The machine-readable verdict payload of ``audit --json``.
 
     Stable schema: ``verdict``/``accepted``/``reason``/``detail``,
-    per-phase seconds, the summed counter stats, the per-epoch shard
+    per-phase seconds, the summed counter stats, the per-epoch
     summaries (``epochs``), and the first rejecting epoch's index
-    (``rejecting_epoch``, ``null`` on a monolithic or accepted audit).
+    (``rejecting_epoch``, ``null`` on an accepted audit).
     """
     stats = {name: value for name, value in audit.stats.items()
              if name not in ("shards", "group_alphas")}
-    epochs = audit.stats.get("shards")
-    rejecting = None
-    if epochs:
-        for shard in epochs:
-            if not shard.get("accepted", True):
-                rejecting = shard["shard"]
-                break
-    elif not audit.accepted:
-        rejecting = 0 if audit.stats.get("shard_count") else None
+    epochs = audit.stats["shards"]
+    rejecting = next((epoch["shard"] for epoch in epochs
+                      if not epoch["accepted"]), None)
     return {
         "verdict": "ACCEPTED" if audit.accepted else "REJECTED",
         "accepted": audit.accepted,
@@ -750,36 +702,34 @@ def _audit_summary(audit) -> dict:
     }
 
 
-def _print_epoch_verdict(epoch) -> bool:
-    """Print one epoch's line; returns True when it rejected."""
-    verdict = "ACCEPTED" if epoch.accepted else "REJECTED"
-    print(f"epoch {epoch.index}: {verdict} "
-          f"({epoch.requests} requests, "
-          f"{epoch.phases.get('total', 0.0) * 1e3:.1f} ms)")
-    return not epoch.accepted
-
-
 def _drive_stream_session(reader, workload, config: AuditConfig,
-                          timeout, as_json: bool = False) -> int:
-    """The live audit loop shared by ``--follow`` (file tail) and
-    ``--connect`` (socket): feed each arriving epoch slice into an
-    incremental audit session, print per-epoch verdicts, merge.
+                          follow: bool, timeout, as_json: bool = False,
+                          baseline: str | None = None) -> int:
+    """The audit loop under ``repro audit FILE``, ``--follow`` (file
+    tail) and ``--connect`` (socket): feed each epoch slice into an
+    incremental audit session, print per-epoch verdicts, merge.  The
+    slices are the reader's recorded epochs — or, when the config asks
+    for other boundaries, the partitioner's re-cut of the whole file.
 
     Feeding is asynchronous: with ``epoch_workers > 1`` the session
     audits several epochs concurrently while this loop keeps ingesting
-    (bounded by the session's prepass backpressure); verdicts are
-    printed in epoch order as they settle.  On a synchronous session
-    every handle resolves immediately, so the loop degenerates to the
-    strict feed-print alternation.
+    (bounded by the session's prepass backpressure); verdicts print in
+    epoch order as they settle.  On a synchronous session every handle
+    resolves at once and the loop is a strict feed-print alternation.
 
-    A record that does not decode mid-stream ends the audit as
-    ``malformed_bundle`` (exit 1) once the epochs before it have
-    settled; a frame the *wire* mangled stays a transport error.
+    A record that does not decode ends the audit as ``malformed_bundle``
+    (exit 1) once the epochs before it have settled; a frame the *wire*
+    mangled stays a transport error.  ``baseline`` names the file to
+    re-read for the simple re-execution baseline after the verdict.
     """
     def settle(epoch) -> bool:
-        if as_json:
-            return not epoch.accepted
-        return _print_epoch_verdict(epoch)
+        """Print one epoch's line; True when it rejected."""
+        if not as_json:
+            verdict = "ACCEPTED" if epoch.accepted else "REJECTED"
+            print(f"epoch {epoch.index}: {verdict} "
+                  f"({epoch.requests} requests, "
+                  f"{epoch.phases.get('total', 0.0) * 1e3:.1f} ms)")
+        return not epoch.accepted
 
     def decode(step):
         """One step of the reader: (what it read, why it could not)."""
@@ -790,16 +740,24 @@ def _drive_stream_session(reader, workload, config: AuditConfig,
         except _UNDECODABLE as exc:
             return None, exc
 
+    def source():
+        if _recuts(config):
+            trace, reports, initial, _ = reader.read_all()
+            return initial, iter(partition_audit_inputs(
+                trace, reports, config.epoch_size, config.epoch_cuts))
+        initial = reader.read_initial_state(follow=follow,
+                                            idle_timeout=timeout)
+        return initial, reader.epochs(follow=follow, idle_timeout=timeout)
+
     with reader:
-        initial, malformed = decode(lambda: reader.read_initial_state(
-            follow=True, idle_timeout=timeout))
+        opened, malformed = decode(source)
         if malformed is not None:
             return _reject_malformed(malformed, as_json)
+        initial, epochs = opened
         auditor = Auditor(workload.app, config)
         rejected = False
         with auditor.session(initial) as session:
             pending = []
-            epochs = reader.epochs(follow=True, idle_timeout=timeout)
             while not rejected:
                 epoch_slice, malformed = decode(lambda: next(epochs, None))
                 if epoch_slice is None:
@@ -815,16 +773,38 @@ def _drive_stream_session(reader, workload, config: AuditConfig,
             audit = session.close()
     if malformed is not None and audit.accepted:
         return _reject_malformed(malformed, as_json)
+    base = _baseline(workload, baseline) if baseline else None
     if as_json:
-        print(json.dumps(_audit_summary(audit), indent=2, sort_keys=True))
+        payload = _audit_summary(audit)
+        if base is not None:
+            payload["baseline"] = base
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if audit.accepted else 1
     if audit.accepted:
         print(f"ACCEPTED in {audit.phases['total'] * 1e3:.1f} ms "
               f"across {audit.stats['shard_count']} epoch(s)")
-        return 0
-    print(f"REJECTED: {audit.reason.value}"
-          + (f": {audit.detail}" if audit.detail else ""))
-    return 1
+    else:
+        print(f"REJECTED: {audit.reason.value}"
+              + (f": {audit.detail}" if audit.detail else ""))
+    if base is not None:
+        print(f"simple re-execution baseline: "
+              f"{'ACCEPTED' if base['accepted'] else 'REJECTED'} in "
+              f"{base['seconds'] * 1e3:.1f} ms")
+    return 0 if audit.accepted else 1
+
+
+def _baseline(workload, path: str) -> dict:
+    """``--baseline``: re-read the whole file and re-execute every
+    request on its own, in arrival order."""
+    try:
+        with BundleReader.open(path) as reader:
+            trace, reports, initial, _ = reader.read_all()
+    except _UNDECODABLE:
+        # Only past a REJECTED epoch: the audit stopped short of the
+        # record that does not decode, the baseline reads on into it.
+        return {"accepted": False, "seconds": 0.0}
+    base = simple_audit(workload.app, trace, reports, initial)
+    return {"accepted": base.accepted, "seconds": base.seconds}
 
 
 def audit_knobs(p) -> None:
@@ -871,8 +851,8 @@ def audit_knobs(p) -> None:
                         "(compinterp: one request per chunk)")
     p.add_argument("--epoch-cuts", type=parse_epoch_cuts, default=None,
                    metavar="I,J,K",
-                   help="explicit cut positions (event indexes); "
-                        "overrides --epoch-size")
+                   help="explicit cut positions (event indexes) to "
+                        "re-cut a bundle file at; overrides --epoch-size")
     p.add_argument("--config", default=None, metavar="AUDIT.JSON",
                    help="audit config file (flags override its "
                         "fields; see AuditConfig.to_json)")
@@ -894,8 +874,8 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--epoch-size", type=int, default=None,
                        help="serve: drain every N requests and record an "
-                            "epoch mark; audit: shard at quiescent cuts "
-                            "(0 disables)")
+                            "epoch mark; audit FILE: re-cut at quiescent "
+                            "points N requests apart (0 disables)")
 
     demo = sub.add_parser("demo", help="serve + audit, print stats")
     common(demo)
@@ -908,13 +888,8 @@ def main(argv=None) -> int:
     common(record)
     record.add_argument("--concurrency", type=int, default=8,
                         help="server's max in-flight requests")
-    record.add_argument("--out", default="audit_bundle.json")
-    record.add_argument("--format",
-                        choices=("json", "jsonl", "jsonl-epochs"),
-                        default="json",
-                        help="bundle encoding: legacy JSON blob, "
-                             "streaming JSONL, or per-epoch segmented "
-                             "JSONL (tailable with audit --follow)")
+    record.add_argument("--out", default="audit_bundle.jsonl",
+                        help="segmented JSONL bundle to write")
     record.set_defaults(func=cmd_record)
 
     serve = sub.add_parser(
@@ -969,14 +944,15 @@ def main(argv=None) -> int:
     audit_knobs(audit)
     audit.add_argument("bundle", nargs="?", default=None)
     audit.add_argument("--baseline", action="store_true",
-                       help="also run the simple re-execution baseline")
+                       help="also re-read the file and run the simple "
+                            "re-execution baseline")
     audit.add_argument("--json", action="store_true",
                        help="emit a machine-readable verdict summary "
                             "(verdict, per-epoch stats, rejecting "
                             "epoch) instead of text")
     audit.add_argument("--follow", action="store_true",
-                       help="tail a JSONL bundle epoch by epoch through "
-                            "an incremental audit session")
+                       help="the bundle file is still being written: "
+                            "wait for more epochs until its end record")
     audit.add_argument("--follow-timeout", type=float, default=3.0,
                        metavar="SECONDS",
                        help="--follow: give up after this long without "
@@ -1083,8 +1059,7 @@ def main(argv=None) -> int:
              "the stock audit must REJECT; accepted mutations are "
              "shrunk to a minimal reproducer (see docs/scenarios.md)",
     )
-    fuzz.add_argument("bundle", help="recorded bundle to attack "
-                                     "(JSONL formats)")
+    fuzz.add_argument("bundle", help="recorded bundle to attack")
     fuzz.add_argument("--workload", choices=sorted(_WORKLOADS),
                       default="cart",
                       help="the app the bundle was recorded against "
@@ -1125,8 +1100,7 @@ def main(argv=None) -> int:
     )
     common(query)
     audit_knobs(query)
-    query.add_argument("bundle", help="recorded audit bundle "
-                                      "(any format)")
+    query.add_argument("bundle", help="recorded audit bundle")
     query.add_argument("target",
                        help="a SELECT statement, `kv:<key>` (or a bare "
                             "KV key), or `reg:<name>`")
@@ -1147,8 +1121,7 @@ def main(argv=None) -> int:
     )
     common(explain)
     audit_knobs(explain)
-    explain.add_argument("bundle", help="recorded audit bundle "
-                                        "(any format)")
+    explain.add_argument("bundle", help="recorded audit bundle")
     explain.add_argument("request_id", help="the request to re-audit")
     explain.add_argument("--json", action="store_true",
                          help="emit the scoped verdict as JSON")

@@ -37,7 +37,7 @@ from repro.core.partition import Shard, partition_audit_inputs
 from repro.core.config import AuditConfig
 from repro.core.pipeline import AuditContext, iter_epoch_prepass
 from repro.core.reexec import plan_chunks
-from repro.io import load_audit_bundle_ex
+from repro.io import BundleReader
 from repro.server.app import Application, InitialState
 from repro.server.reports import Reports
 from repro.trace.trace import Trace
@@ -149,12 +149,13 @@ class Timeline:
         app: Application,
         config: AuditConfig | None = None,
     ) -> Timeline:
-        """Build a timeline from a saved bundle (any format).
+        """Build a timeline from a saved bundle.
 
         The bundle's recorded epoch marks are the cut positions unless
         the config carries explicit ``epoch_cuts``.
         """
-        trace, reports, initial_state, marks = load_audit_bundle_ex(path)
+        with BundleReader.open(path) as reader:
+            trace, reports, initial_state, marks = reader.read_all()
         config = config or AuditConfig()
         cuts = config.epoch_cuts if config.epoch_cuts else marks
         return cls.from_inputs(app, trace, reports, initial_state,

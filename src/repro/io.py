@@ -2,48 +2,26 @@
 
 In the paper's deployment the collector and the executor ship the trace
 and reports to the verifier, and the verifier keeps object state between
-audits (§4.1, §5.3).  This module gives those artifacts a stable JSON
-encoding:
+audits (§4.1, §5.3).  This module gives those artifacts their one
+on-disk encoding, the **segmented JSONL bundle**: one record per line —
+a header, the initial state, then each epoch as a self-contained run
+(its events, then its report records, op logs in bounded chunks), every
+run after the first opened by an ``epoch_mark`` at the executor's
+quiescent cut, and an ``end`` record closing a finished bundle.
 
-* :func:`trace_to_json` / :func:`trace_from_json`
-* :func:`reports_to_json` / :func:`reports_from_json`
-* :func:`state_to_json` / :func:`state_from_json`
-* :func:`save_audit_bundle` / :func:`load_audit_bundle` — one file with
-  all three.
-
-Two bundle encodings exist:
-
-* the legacy **JSON blob** (:func:`save_audit_bundle`): one JSON
-  document holding trace + reports + initial state;
-* the streaming **JSONL** format: one record per line — header, initial
-  state, trace events interleaved with ``epoch_mark`` records at the
-  executor's quiescent cuts, and the reports in bounded-size chunks.
-  Producers can append as they go and consumers never hold more than
-  one line in memory before dispatch; the epoch marks let the auditor
-  shard the bundle without rescanning the trace (see
-  :mod:`repro.core.partition`).
-
-The JSONL side is built from two streaming objects:
-
-* :class:`BundleWriter` appends records incrementally.  Its
-  **segmented** layout (``segmented=True``) writes each epoch as a
-  self-contained run — the epoch's events followed by the epoch's
-  report records, with the ``epoch_mark`` opening the next run — so a
-  consumer can audit epoch N the moment the mark (or the final ``end``
-  record) arrives.  The default layout reproduces the original
-  all-events-then-all-reports stream.
-* :class:`BundleReader` parses either layout.  :meth:`BundleReader.read_all`
-  loads the whole bundle; :meth:`BundleReader.epochs` *yields* epoch
-  slices ``(trace, reports)`` incrementally — record-by-record on
-  segmented bundles, via the quiescent-cut partitioner otherwise — and
-  with ``follow=True`` it tails a bundle that is still being written
-  (the paper's continuous deployment: audit epoch N while the server
-  records epoch N+1), feeding a live
-  :class:`~repro.core.auditor.AuditSession`.
-
-:func:`save_audit_bundle_jsonl` / :func:`load_audit_bundle_jsonl` (and
-the auto-detecting :func:`load_audit_bundle`) remain as thin wrappers
-over the two objects.
+* :class:`BundleWriter` appends records as a server produces them;
+  :func:`save_audit_bundle_segmented` writes a finished execution.
+* :class:`BundleReader` parses them.  :meth:`BundleReader.epochs`
+  yields one epoch slice ``(trace, reports)`` at a time — the road every
+  audit of a file takes, holding one epoch in memory — and with
+  ``follow=True`` tails a bundle that is still being written (audit
+  epoch N while the server records epoch N+1).
+  :meth:`BundleReader.read_all` loads the whole file for the consumers
+  that need it in one piece (the naive baseline, a re-cut at other
+  boundaries, forensics).
+* The record builders (:func:`event_record`, ...) and the
+  :class:`EpochAccumulator` are shared with :mod:`repro.net`, which
+  frames the same dicts over a socket: one encoding, two transports.
 
 Weblang values inside op logs / registers / KV are already *frozen*
 (hashable tuples, see :func:`repro.lang.values.freeze_value`); JSON
@@ -195,58 +173,12 @@ def _event_from_json(entry: dict) -> Event:
     raise ValueError(f"{kind!r} is not a valid EventKind")
 
 
-def trace_to_json(trace: Trace) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "events": [_event_to_json(event) for event in trace],
-    }
-
-
-def trace_from_json(data: dict) -> Trace:
-    _check_version(data)
-    trace = Trace()
-    for entry in data["events"]:
-        trace.append(_event_from_json(entry))
-    return trace
-
-
 # -- reports ------------------------------------------------------------------------
 
 
-def reports_to_json(reports: Reports) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "groups": {tag: list(rids) for tag, rids in reports.groups.items()},
-        "op_logs": {
-            obj: [
-                {
-                    "rid": rec.rid,
-                    "opnum": rec.opnum,
-                    "optype": rec.optype.value,
-                    "opcontents": _enc(rec.opcontents),
-                }
-                for rec in log
-            ]
-            for obj, log in reports.op_logs.items()
-        },
-        "op_counts": dict(reports.op_counts),
-        "nondet": {
-            rid: [
-                {
-                    "func": rec.func,
-                    "args": _enc(rec.args),
-                    "value": _enc(rec.value),
-                }
-                for rec in records
-            ]
-            for rid, records in reports.nondet.items()
-        },
-    }
-
-
-# The three decoders below are where report scalars become objects, for
-# the blob and for the record stream alike; a count or an opnum that is
-# not an integer stops here, so no consumer of ``Reports`` meets one.
+# The three decoders below are where report scalars become objects; a
+# count or an opnum that is not an integer stops here, so no consumer of
+# ``Reports`` meets one.
 
 #: Wire spelling -> member: a dict probe per record where the enum's
 #: by-value constructor is two calls.
@@ -285,21 +217,6 @@ def _nondet_records(raw: list) -> list[NondetRecord]:
     ]
 
 
-def reports_from_json(data: dict) -> Reports:
-    _check_version(data)
-    reports = Reports(
-        groups={tag: list(rids) for tag, rids in data["groups"].items()},
-        op_counts=dict(_checked_op_counts(data["op_counts"])),
-        nondet={
-            rid: _nondet_records(records)
-            for rid, records in data["nondet"].items()
-        },
-    )
-    for obj, log in data["op_logs"].items():
-        _extend_op_log(reports.op_logs.setdefault(obj, []), log)
-    return reports
-
-
 # -- initial state ---------------------------------------------------------------
 
 
@@ -328,7 +245,10 @@ def state_to_json(state: InitialState) -> dict:
 
 
 def state_from_json(data: dict) -> InitialState:
-    _check_version(data)
+    if data.get("version") != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported audit-bundle format version "
+            f"{data.get('version')!r} (expected {FORMAT_VERSION})")
     engine = Engine()
     for name, raw in data["tables"].items():
         engine.tables[name] = Table(
@@ -351,10 +271,10 @@ def state_from_json(data: dict) -> InitialState:
 # -- bundles ------------------------------------------------------------------------
 
 
-#: First-line marker of the streaming format.
+#: First-line marker of the bundle format.
 JSONL_FORMAT = "ssco-jsonl"
 
-#: Header value marking the per-epoch segmented record layout.
+#: Header value naming the per-epoch record layout (the only one).
 SEGMENTED_LAYOUT = "segmented"
 
 #: Op-log records per JSONL line (bounds the working set of a consumer).
@@ -390,6 +310,29 @@ def epoch_mark_record(position: int) -> dict:
 
 def end_record(position: int) -> dict:
     return {"kind": "end", "events": position}
+
+
+def ends_stream(record: object) -> bool:
+    """True for the writer's ``end`` record.  Every decoded line or
+    frame passes through here on its way to the accumulator, so one
+    that is not a record at all is refused here too."""
+    if type(record) is not dict:
+        raise ValueError(f"bundle record is a JSON "
+                         f"{type(record).__name__}, not an object")
+    if record.get("kind") != "end":
+        return False
+    _checked_position(record)
+    return True
+
+
+def _checked_position(record: dict) -> int:
+    """The event count an ``epoch_mark`` / ``end`` carries: a report
+    scalar like any other, so it must be what it claims to be."""
+    events = record.get("events")
+    if type(events) is not int or events < 0:
+        raise ValueError(f"{record['kind']} record has events "
+                         f"{events!r}, not a non-negative integer")
+    return events
 
 
 #: Every record dict above leads with its ``"kind"`` key, and
@@ -453,27 +396,19 @@ class BundleWriter:
     """Incremental writer of the streaming JSONL bundle.
 
     The writer is deliberately low-level — one method per record kind —
-    so a recording server can append as it goes.  Two layouts:
+    so a recording server can append as it goes.  The layout is per-epoch
+    runs (the epoch's events, then the epoch's report records), each
+    non-first run opened by its ``epoch_mark``; finished bundles end
+    with an ``end`` record so a tailing reader knows the stream is
+    complete.  :meth:`write_epoch` emits one whole run.
 
-    * default: the original stream (state, all events with interleaved
-      epoch marks, then all reports);
-    * ``segmented=True``: per-epoch runs (the epoch's events, then the
-      epoch's report records), each non-first run opened by its
-      ``epoch_mark``; finished bundles end with an ``end`` record so a
-      tailing reader knows the stream is complete.
-      :meth:`write_epoch` emits one whole run.
-
-    Both layouts are read by :class:`BundleReader` and the legacy
-    loaders (record kinds are identical; only their order differs).
     With ``autoflush`` (the default) every record is flushed, so a
     concurrently tailing reader never sees a torn line become
     permanent; batch savers turn it off and use ordinary buffering.
     """
 
-    def __init__(self, path: str, segmented: bool = False,
-                 autoflush: bool = True):
+    def __init__(self, path: str, autoflush: bool = True):
         self.path = path
-        self.segmented = segmented
         #: Flush after every record so a concurrently tailing reader
         #: sees it immediately (the live-writer default).  Batch savers
         #: pass ``autoflush=False`` and rely on ordinary buffering —
@@ -481,16 +416,10 @@ class BundleWriter:
         self.autoflush = autoflush
         #: Events written so far == the next event's trace index.
         self.position = 0
-        #: Epoch-mark positions written so far.
-        self.epoch_marks: list[int] = []
         self._fh = open(path, "w")
         self._closed = False
-        header: dict[str, object] = {
-            "format": JSONL_FORMAT, "version": FORMAT_VERSION,
-        }
-        if segmented:
-            header["layout"] = SEGMENTED_LAYOUT
-        self._emit(header)
+        self._emit({"format": JSONL_FORMAT, "version": FORMAT_VERSION,
+                    "layout": SEGMENTED_LAYOUT})
 
     def _emit(self, record: dict) -> None:
         self._fh.write(_encode_record(record) + "\n")
@@ -504,11 +433,9 @@ class BundleWriter:
         self._emit(event_record(event))
         self.position += 1
 
-    def write_epoch_mark(self, position: int | None = None) -> None:
-        """Record a quiescent cut; defaults to the current position."""
-        position = self.position if position is None else position
-        self._emit(epoch_mark_record(position))
-        self.epoch_marks.append(position)
+    def write_epoch_mark(self) -> None:
+        """Record a quiescent cut at the current position."""
+        self._emit(epoch_mark_record(self.position))
 
     def write_reports(self, reports: Reports) -> None:
         """All four report types, op logs chunked at a bounded size."""
@@ -516,9 +443,9 @@ class BundleWriter:
             self._emit(record)
 
     def write_epoch(self, trace: Trace, reports: Reports) -> None:
-        """One self-contained epoch run (segmented layout): the opening
-        mark (for every epoch after the first), the slice's events, then
-        the slice's reports."""
+        """One self-contained epoch run: the opening mark (for every
+        epoch after the first), the slice's events, then the slice's
+        reports."""
         if self.position > 0:
             self.write_epoch_mark()
         for event in trace:
@@ -538,8 +465,7 @@ class BundleWriter:
         ``--out`` mirror writes those same bytes as a bundle line —
         ``record_kind`` and every reader accept both JSON spellings.
         ``kind`` skips the prefix sniff when the caller already knows
-        it.  Position/epoch-mark bookkeeping matches the record-level
-        methods (the rare mark/end records are parsed for it).
+        it.  Position bookkeeping matches the record-level methods.
         """
         payload = payload.rstrip(b"\r\n")
         if kind is None:
@@ -554,10 +480,6 @@ class BundleWriter:
             self._fh.flush()
         if kind == "event":
             self.position += 1
-        elif kind == "epoch_mark":
-            events = json.loads(payload).get("events")
-            if isinstance(events, int):
-                self.epoch_marks.append(events)
 
     def close(self) -> None:
         if not self._closed:
@@ -597,30 +519,29 @@ class EpochAccumulator:
     """
 
     def __init__(self, index: int = 0):
-        self.index = index
-        self.trace = Trace()
-        self.reports = Reports()
         #: set when a ``state`` record passes through.
         self.initial_state: InitialState | None = None
+        self.reset(index)
 
     def reset(self, index: int) -> None:
-        """Discard the partial epoch being accumulated (the net
-        client's resume: the publisher replays it from the start)."""
+        """Start epoch ``index`` afresh, discarding any partial epoch
+        being accumulated (the net client's resume: the publisher
+        replays it from the start)."""
         self.index = index
         self.trace = Trace()
         self.reports = Reports()
 
     def _cut(self) -> EpochSlice:
         slice_ = EpochSlice(self.index, self.trace, self.reports)
-        self.index += 1
-        self.trace = Trace()
-        self.reports = Reports()
+        self.reset(self.index + 1)
         return slice_
 
     def feed(self, record: dict) -> EpochSlice | None:
         """Consume one record — decoding it, once, into the objects the
         audit takes; returns the finished slice when the record is an
-        ``epoch_mark`` closing a non-empty epoch."""
+        ``epoch_mark`` closing a non-empty epoch.  A record that is not
+        what its kind says raises :class:`ValueError` (or ``KeyError`` /
+        ``TypeError`` for a missing or mistyped field)."""
         kind = record["kind"]
         if kind == "event":
             self.trace.events.append(_event_from_json(record["event"]))
@@ -642,6 +563,7 @@ class EpochAccumulator:
                 _checked_op_counts(record["counts"])
             )
         elif kind == "epoch_mark":
+            _checked_position(record)
             return self._cut() if self.trace.events else None
         elif kind == "state":
             self.initial_state = state_from_json(record["state"])
@@ -671,7 +593,7 @@ class EpochIndex:
     #: Byte offset of each epoch run's first record.
     offsets: list[int] = field(default_factory=list)
     #: The ``events`` counter of each ``epoch_mark`` record, in order
-    #: (same values :func:`load_audit_bundle_ex` returns as marks).
+    #: (same values :meth:`BundleReader.read_all` returns as marks).
     marks: list[int] = field(default_factory=list)
     #: Byte offset of the ``state`` record, if present.
     state_offset: int | None = None
@@ -684,24 +606,48 @@ class EpochIndex:
         return len(self.offsets)
 
 
-class BundleReader:
-    """Streaming reader of the JSONL bundle format.
+def _bundle_header(first: str, path: str) -> dict:
+    """The header of a segmented v1 bundle from its first line — or a
+    :class:`ValueError` naming what the file holds instead."""
+    header = None
+    if first.endswith("\n"):
+        try:
+            header = json.loads(first)
+        except ValueError:
+            pass
+    if not isinstance(header, dict) or header.get("format") != JSONL_FORMAT:
+        if not first:
+            found = "is empty"
+        elif first.startswith("{") and '"trace"' in first[:64]:
+            found = "is a legacy one-blob JSON bundle"
+        else:
+            found = f"starts with {first[:40]!r}"
+    elif header.get("layout") != SEGMENTED_LAYOUT:
+        found = ("has the tail-reports layout (its header names no "
+                 f'"layout": "{SEGMENTED_LAYOUT}")')
+    elif header.get("version") != FORMAT_VERSION:
+        found = (f"has format version {header.get('version')!r} "
+                 f"(expected {FORMAT_VERSION})")
+    else:
+        return header
+    raise ValueError(f"not a segmented {JSONL_FORMAT} bundle: {path} {found}")
 
+
+class BundleReader:
+    """Streaming reader of the segmented JSONL bundle.
+
+    * :meth:`epochs` — an iterator of :class:`EpochSlice`, each emitted
+      as soon as its closing ``epoch_mark`` / ``end`` arrives;
     * :meth:`read_all` — the whole bundle at once:
       ``(trace, reports, initial_state, epoch_marks)``;
-    * :meth:`epochs` — an iterator of :class:`EpochSlice`, produced
-      incrementally on segmented bundles (each slice is emitted as soon
-      as its closing ``epoch_mark`` / ``end`` arrives) and via the
-      quiescent-cut partitioner on default-layout bundles (which hold
-      all reports at the tail, so epochs only become separable once the
-      file is complete);
     * ``follow=True`` tails a bundle that is still being written,
       sleeping ``poll_interval`` between attempts and giving up after
       ``idle_timeout`` seconds without new data (``None`` waits until
       the writer's ``end`` record).
 
-    The header is parsed eagerly, so constructing a reader on a
-    non-JSONL file raises :class:`ValueError` immediately.
+    The header is parsed eagerly, so constructing a reader on anything
+    but a segmented v1 bundle raises :class:`ValueError` immediately,
+    naming what the file holds instead.
     """
 
     def __init__(self, path: str):
@@ -716,26 +662,12 @@ class BundleReader:
         #: by :meth:`seek_epoch`; the accumulator numbers slices from it).
         self._epoch_base = 0
         self._epoch_index: EpochIndex | None = None
-        header = None
-        first = self._fh.readline()
-        if first.endswith("\n"):
-            try:
-                header = json.loads(first)
-            except ValueError:
-                header = None
-        if not isinstance(header, dict) or header.get(
-            "format"
-        ) != JSONL_FORMAT:
+        try:
+            # Bounded: a legacy blob is one line as long as the file.
+            self.header = _bundle_header(self._fh.readline(4096), path)
+        except ValueError:
             self._fh.close()
-            raise ValueError(f"not a {JSONL_FORMAT} bundle: {path}")
-        if header.get("version") != FORMAT_VERSION:
-            self._fh.close()
-            raise ValueError(
-                f"unsupported audit-bundle format version "
-                f"{header.get('version')!r} (expected {FORMAT_VERSION})"
-            )
-        self.header = header
-        self.segmented = header.get("layout") == SEGMENTED_LAYOUT
+            raise
 
     @classmethod
     def open(
@@ -823,7 +755,7 @@ class BundleReader:
                     line, self._partial = self._partial, ""
                     if line.strip():
                         record = _parse_record(line)
-                        if record.get("kind") == "end":
+                        if ends_stream(record):
                             self._ended = True
                             return
                         yield record
@@ -835,7 +767,7 @@ class BundleReader:
             if line.isspace():
                 continue
             record = _parse_record(line)
-            if record.get("kind") == "end":
+            if ends_stream(record):
                 self._ended = True
                 return
             yield record
@@ -847,21 +779,16 @@ class BundleReader:
 
     # -- whole-bundle loading ---------------------------------------------
 
-    def read_all(
-        self,
-        follow: bool = False,
-        poll_interval: float = 0.05,
-        idle_timeout: float | None = None,
-    ):
-        """Consume the remaining stream into
+    def read_all(self):
+        """Consume the rest of a finished file into
         ``(trace, reports, initial_state, epoch_marks)``."""
         # One accumulator that is never cut: the marks are collected,
         # every other record is decoded exactly as :meth:`epochs` would.
         accumulator = EpochAccumulator()
         epoch_marks: list[int] = []
-        for record in self._records(follow, poll_interval, idle_timeout):
+        for record in self._records():
             if record["kind"] == "epoch_mark":
-                epoch_marks.append(int(record["events"]))
+                epoch_marks.append(_checked_position(record))
             else:
                 accumulator.feed(record)
         if accumulator.initial_state is not None:
@@ -878,7 +805,7 @@ class BundleReader:
     @property
     def initial_state(self) -> InitialState:
         """The bundle's initial state (reads ahead to the state record,
-        which both layouts place before the first event)."""
+        which precedes the first event)."""
         return self.read_initial_state()
 
     def read_initial_state(
@@ -895,12 +822,9 @@ class BundleReader:
         for record in self._records(follow, poll_interval, idle_timeout):
             consumed.append(record)
             if record["kind"] == "state":
+                self._initial_state = state_from_json(record["state"])
                 break
         self._pushback = consumed + self._pushback
-        if self._initial_state is None:
-            for record in consumed:
-                if record["kind"] == "state":
-                    self._initial_state = state_from_json(record["state"])
         if self._initial_state is None:
             raise ValueError(
                 f"bundle {self.path} has no initial state record"
@@ -913,26 +837,10 @@ class BundleReader:
         poll_interval: float = 0.05,
         idle_timeout: float | None = None,
     ) -> Iterator[EpochSlice]:
-        """Yield the bundle's epochs as independently auditable slices.
-
-        Segmented bundles stream: each slice is yielded the moment its
-        run is closed by the next ``epoch_mark`` (or the stream's end),
-        which is what makes ``follow=True`` a live audit feed.  Default
-        -layout bundles are read fully, then cut at their recorded epoch
-        marks via :func:`~repro.core.partition.partition_audit_inputs`
-        (one slice covering everything when no usable mark exists).
-        """
-        if not self.segmented:
-            from repro.core.partition import partition_audit_inputs
-
-            trace, reports, _, marks = self.read_all(
-                follow, poll_interval, idle_timeout
-            )
-            for shard in partition_audit_inputs(trace, reports,
-                                                cuts=marks):
-                yield EpochSlice(shard.index, shard.trace, shard.reports)
-            return
-
+        """Yield the bundle's epochs as independently auditable slices,
+        each the moment its run is closed by the next ``epoch_mark`` (or
+        the stream's end) — which is what makes ``follow=True`` a live
+        audit feed."""
         accumulator = EpochAccumulator(self._epoch_base)
         for record in self._records(follow, poll_interval, idle_timeout):
             epoch_slice = accumulator.feed(record)
@@ -944,26 +852,16 @@ class BundleReader:
         if epoch_slice is not None:
             yield epoch_slice
 
-    # -- random access (segmented layout) ----------------------------------
+    # -- random access -----------------------------------------------------
 
     def epoch_index(self) -> EpochIndex:
         """Scan the file once (binary, kind-sniffing only) and cache a
-        byte-offset index of its epoch runs.
-
-        Works on any JSONL bundle, but only the segmented layout's
-        offsets are *seekable* — the default layout holds all reports
-        at the tail, so a mid-file offset does not start a
-        self-contained epoch.
-        """
+        byte-offset index of its epoch runs."""
         if self._epoch_index is not None:
             return self._epoch_index
         index = EpochIndex()
         with open(self.path, "rb") as raw:
-            header = raw.readline()
-            if not header.endswith(b"\n"):
-                self._epoch_index = index
-                return index
-            offset = len(header)
+            offset = len(raw.readline())  # the header: checked at open
             index.offsets.append(offset)
             while True:
                 line = raw.readline()
@@ -977,7 +875,7 @@ class BundleReader:
                     index.state_offset = offset
                 offset += len(line)
                 if kind == "epoch_mark":
-                    index.marks.append(int(json.loads(line)["events"]))
+                    index.marks.append(_checked_position(json.loads(line)))
                     index.offsets.append(offset)
         # A mark (or the state record alone) directly before end/EOF
         # leaves a trailing offset that starts no epoch; drop it.
@@ -988,18 +886,11 @@ class BundleReader:
 
     def seek_epoch(self, epoch: int) -> None:
         """Reposition the reader so the next :meth:`epochs` call starts
-        at epoch ``epoch`` — without replaying the stream before it.
-
-        Only the segmented layout supports this (each epoch run is
-        self-contained).  The initial state is read (and cached) first
-        via the index's state offset, so :attr:`initial_state` keeps
-        working after a forward seek.
+        at epoch ``epoch`` — without replaying the stream before it
+        (each epoch run is self-contained).  The initial state is read
+        (and cached) first via the index's state offset, so
+        :attr:`initial_state` keeps working after a forward seek.
         """
-        if not self.segmented:
-            raise ValueError(
-                "seek_epoch needs the segmented layout; this bundle "
-                "holds its reports at the tail"
-            )
         index = self.epoch_index()
         if not 0 <= epoch < index.epoch_count:
             raise ValueError(
@@ -1036,133 +927,24 @@ class BundleReader:
         self.close()
 
 
-def save_audit_bundle(
-    path: str,
-    trace: Trace,
-    reports: Reports,
-    initial_state: InitialState,
-    epoch_marks: Sequence[int] = (),
-    format: str = "json",
-) -> None:
-    """Write everything the verifier needs into one file.
-
-    ``format`` selects the legacy JSON blob (``"json"``), the streaming
-    JSONL encoding (``"jsonl"``), or the per-epoch segmented JSONL
-    layout (``"jsonl-epochs"``) whose epochs a :class:`BundleReader`
-    can stream to an audit session without waiting for the whole file.
-    """
-    if format == "jsonl":
-        save_audit_bundle_jsonl(path, trace, reports, initial_state,
-                                epoch_marks)
-        return
-    if format == "jsonl-epochs":
-        save_audit_bundle_segmented(path, trace, reports, initial_state,
-                                    epoch_marks)
-        return
-    if format != "json":
-        raise ValueError(f"unknown bundle format {format!r}")
-    bundle = {
-        "version": FORMAT_VERSION,
-        "trace": trace_to_json(trace),
-        "reports": reports_to_json(reports),
-        "initial_state": state_to_json(initial_state),
-    }
-    if epoch_marks:
-        bundle["epoch_marks"] = list(epoch_marks)
-    with open(path, "w") as fh:
-        json.dump(bundle, fh)
-
-
-def save_audit_bundle_jsonl(
-    path: str,
-    trace: Trace,
-    reports: Reports,
-    initial_state: InitialState,
-    epoch_marks: Sequence[int] = (),
-) -> None:
-    """Write the streaming bundle in the default layout: header, initial
-    state, trace events in order (with ``epoch_mark`` records at the
-    executor's quiescent cuts), then the reports in bounded chunks."""
-    marks = set(epoch_marks)
-    with BundleWriter(path, autoflush=False) as writer:
-        writer.write_state(initial_state)
-        for position, event in enumerate(trace):
-            if position in marks and position > 0:
-                writer.write_epoch_mark(position)
-            writer.write_event(event)
-        writer.write_reports(reports)
-
-
 def save_audit_bundle_segmented(
     path: str,
     trace: Trace,
     reports: Reports,
     initial_state: InitialState,
     epoch_marks: Sequence[int] = (),
-) -> None:
-    """Write the segmented streaming layout: each epoch's events are
-    followed by that epoch's report records, so a tailing reader can
-    hand finished epochs to an audit session immediately.
-
-    The epoch runs are produced by the quiescent-cut partitioner over
-    ``epoch_marks``; when the reports refuse to split the whole bundle
-    becomes one run (still a valid segmented bundle).
-    """
+) -> int:
+    """Write a finished execution as one bundle: each epoch's events
+    followed by that epoch's report records, cut at ``epoch_marks`` (the
+    executor's quiescent points) by the partitioner.  When the reports
+    refuse to split, the whole execution becomes one run — still a valid
+    bundle.  Returns the number of epochs written."""
     from repro.core.partition import partition_audit_inputs
 
-    with BundleWriter(path, segmented=True, autoflush=False) as writer:
+    shards = partition_audit_inputs(trace, reports, cuts=list(epoch_marks))
+    with BundleWriter(path, autoflush=False) as writer:
         writer.write_state(initial_state)
-        for shard in partition_audit_inputs(trace, reports,
-                                            cuts=list(epoch_marks)):
+        for shard in shards:
             writer.write_epoch(shard.trace, shard.reports)
         writer.write_end()
-
-
-def load_audit_bundle_jsonl(path: str):
-    """Returns (trace, reports, initial_state, epoch_marks)."""
-    with BundleReader(path) as reader:
-        return reader.read_all()
-
-
-def load_audit_bundle_ex(path: str):
-    """Load either bundle encoding; returns
-    (trace, reports, initial_state, epoch_marks).
-
-    Format sniffing reads a bounded prefix: the JSONL header is a short
-    first line, while the legacy blob is one huge line — so only the
-    prefix up to the first newline is ever parsed twice.
-    """
-    with open(path) as fh:
-        prefix = fh.read(256)
-    header = None
-    if "\n" in prefix:
-        try:
-            header = json.loads(prefix[:prefix.index("\n")])
-        except ValueError:
-            header = None
-    if isinstance(header, dict) and header.get("format") == JSONL_FORMAT:
-        return load_audit_bundle_jsonl(path)
-    with open(path) as fh:
-        bundle = json.load(fh)
-    _check_version(bundle)
-    return (
-        trace_from_json(bundle["trace"]),
-        reports_from_json(bundle["reports"]),
-        state_from_json(bundle["initial_state"]),
-        list(bundle.get("epoch_marks", [])),
-    )
-
-
-def load_audit_bundle(path: str):
-    """Returns (trace, reports, initial_state); auto-detects the format."""
-    trace, reports, initial_state, _ = load_audit_bundle_ex(path)
-    return trace, reports, initial_state
-
-
-def _check_version(data: dict) -> None:
-    version = data.get("version")
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported audit-bundle format version {version!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
+    return len(shards)

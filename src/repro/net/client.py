@@ -47,6 +47,7 @@ from repro.io import (
     JSONL_FORMAT,
     EpochAccumulator,
     EpochSlice,
+    ends_stream,
     state_from_json,
 )
 from repro.net.protocol import (
@@ -112,7 +113,6 @@ class RemoteBundleReader:
         self._reconnect = reconnect
         self._reconnect_delay = reconnect_delay
         self._rcvbuf = rcvbuf
-        self.segmented = True  # the wire layout is always per-epoch runs
         self.header: dict | None = None
         self._fsock: FrameSocket | None = None
         self._bytes_prev_connections = 0
@@ -265,8 +265,7 @@ class RemoteBundleReader:
                 )
             failures = 0
             for record in records:
-                if (isinstance(record, dict)
-                        and record.get("kind") == "end"):
+                if ends_stream(record):
                     self._ended = True
                     return
                 yield record

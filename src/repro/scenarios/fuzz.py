@@ -6,19 +6,20 @@ flip response bodies, rewrite the reports (op logs, op counts, nondet
 values, group membership), forge report scalars (an op count or an
 opnum turned huge, negative or non-integer), splice whole epoch runs,
 truncate the file mid-record, and corrupt/truncate frames on the wire
-encoding — then run the *stock* loader + audit and assert the mutation
-is rejected through one of three channels:
+encoding — then audit the mutated file the way ``repro audit`` does
+(:class:`~repro.io.BundleReader` epochs into an audit session) and
+assert the mutation is rejected through one of three channels:
 
 * ``audit``  — the audit runs and REJECTs;
-* ``load``   — the stock bundle loader refuses the file (torn JSON,
-  unknown record kinds, missing state, invalid cuts);
+* ``load``   — the reader refuses a record mid-stream (torn JSON, an
+  unknown record kind, missing state, a scalar that is not an integer);
 * ``wire``   — the framed transport refuses the bytes
   (:class:`ProtocolError` CRC/length corruption, truncated frame).
 
 A mutation that is ACCEPTed is a soundness bug: the fuzzer shrinks its
 edit list to a minimal reproducer (classic ddmin) and reports it.  The
-audit entry point is injectable (``audit_fn``) so the shrinker is
-testable against a deliberately buggy audit.
+audit entry point is injectable (``audit_fn``, bundle path in, verdict
+out) so the shrinker is testable against a deliberately buggy audit.
 
 Every mutation's randomness derives from ``(seed, index)`` only, so a
 failure report's ``(seed, index)`` pair replays exactly.
@@ -35,8 +36,7 @@ from dataclasses import dataclass, field
 
 from repro.core import Auditor
 from repro.core.config import AuditConfig
-from repro.core.partition import validate_cuts
-from repro.io import load_audit_bundle_ex, record_kind
+from repro.io import BundleReader, record_kind
 from repro.net.protocol import (
     RECORD,
     ProtocolError,
@@ -539,16 +539,14 @@ def _wire_outcome(cat: _Catalog, rng: random.Random,
 
 
 def _stock_audit_fn(app, config):
-    """The stock audit over loaded bundle inputs (the default
-    ``audit_fn``); returns (accepted, reason)."""
-    def run(trace, reports, initial, marks):
-        cfg = config
-        if cfg.epoch_cuts is None:
-            # Like `repro audit`: the bundle's marks are untrusted hints.
-            marks = validate_cuts(trace, marks)
-            if marks:
-                cfg = cfg.replace(epoch_cuts=tuple(marks))
-        result = Auditor(app, cfg).audit(trace, reports, initial)
+    """The stock audit of a bundle file (the default ``audit_fn``), the
+    road ``repro audit`` takes: the reader's epochs, one by one, into a
+    session.  Returns (accepted, reason); a record the reader refuses
+    propagates as the exception it raised."""
+    def run(path):
+        with BundleReader.open(path) as reader:
+            result = Auditor(app, config).audit_epochs(
+                reader.epochs(), reader.initial_state)
         reason = None
         if not result.accepted:
             reason = result.reason.value if result.reason else "rejected"
@@ -559,24 +557,17 @@ def _stock_audit_fn(app, config):
 
 
 def _test_mutation(data: bytes, audit_fn, workdir: str):
-    """Run the stock loader + audit over mutated bundle bytes."""
-    fd, path = tempfile.mkstemp(suffix=".jsonl", dir=workdir)
+    """Audit mutated bundle bytes; (rejected, channel, reason)."""
+    path = os.path.join(workdir, "mutated.jsonl")
+    with open(path, "wb") as fh:
+        fh.write(data)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        try:
-            trace, reports, initial, marks = load_audit_bundle_ex(path)
-        except (ValueError, KeyError, TypeError) as exc:
-            return True, CHANNEL_LOAD, f"{type(exc).__name__}: {exc}"
-        try:
-            accepted, reason = audit_fn(trace, reports, initial, marks)
-        except (ValueError, KeyError) as exc:
-            return True, CHANNEL_LOAD, f"{type(exc).__name__}: {exc}"
-        if accepted:
-            return False, None, None
-        return True, CHANNEL_AUDIT, reason
-    finally:
-        os.unlink(path)
+        accepted, reason = audit_fn(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        return True, CHANNEL_LOAD, f"{type(exc).__name__}: {exc}"
+    if accepted:
+        return False, None, None
+    return True, CHANNEL_AUDIT, reason
 
 
 def shrink_edits(edits: list[dict], accepts) -> list[dict]:
@@ -623,7 +614,8 @@ def fuzz_bundle(
     Each mutation derives its randomness from ``(seed, index)`` alone
     (replayable), applies 1..``edits_per_mutation`` edits from one
     randomly chosen operator family, and must be rejected by the stock
-    loader + audit (``audit_fn`` overrides the audit for testing).
+    audit of the mutated file (``audit_fn(path) -> (accepted, reason)``
+    overrides it for testing).
     ``splice_with`` names a donor bundle for cross-bundle epoch
     splicing (without it, splices swap epochs within the bundle).
     """

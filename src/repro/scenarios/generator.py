@@ -485,8 +485,7 @@ def synthesize(
     requests = 0
     groups = 0
     first_initial = None
-    with BundleWriter(out_path, segmented=True,
-                      autoflush=False) as writer:
+    with BundleWriter(out_path, autoflush=False) as writer:
         while not stream.exhausted:
             batch = stream.take(spec.epoch_size)
             if not batch:

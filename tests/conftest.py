@@ -78,6 +78,19 @@ def counter_app() -> Application:
     )
 
 
+def untimed(payload: dict, *dropped: str) -> dict:
+    """An ``audit --json`` payload with its timings (and the named
+    top-level keys) taken out — what must be equal between two roads."""
+    skipped = ("phases",) + dropped
+    kept = {key: value for key, value in payload.items()
+            if key not in skipped}
+    if kept.get("epochs"):
+        kept["epochs"] = [
+            {key: value for key, value in epoch.items()
+             if key != "reexec_seconds"} for epoch in kept["epochs"]]
+    return kept
+
+
 def counter_requests(n: int = 24):
     """A request mix covering all three scripts and sessions."""
     out = []

@@ -87,13 +87,12 @@ def test_cutoff_includes_own_writes(chain_app):
 
 
 def test_from_bundle_round_trip(tmp_path, counter_app):
-    from repro.io import save_audit_bundle
+    from repro.io import save_audit_bundle_segmented
 
     run = serve(counter_app, counter_requests(), epoch_size=8)
     path = tmp_path / "bundle.jsonl"
-    save_audit_bundle(str(path), run.trace, run.reports,
-                      run.initial_state, epoch_marks=run.epoch_marks,
-                      format="jsonl-epochs")
+    save_audit_bundle_segmented(str(path), run.trace, run.reports,
+                                run.initial_state, run.epoch_marks)
     timeline = Timeline.from_bundle(str(path), counter_app)
     reference = make_timeline(counter_app, run)
     assert timeline.epoch_count == reference.epoch_count

@@ -384,7 +384,7 @@ def test_preencoded_rejects_header_and_mirrors_to_writer(tmp_path):
     # one encode shared by file and wire, no re-serialization.
     mirror = str(tmp_path / "mirror.jsonl")
     payload = encode_json({"kind": "event", "event": {"n": 1}})
-    writer = BundleWriter(mirror, segmented=True)
+    writer = BundleWriter(mirror)
     try:
         with BundlePublisher(writer=writer) as publisher:
             publisher.write_record_payload(payload)

@@ -17,6 +17,7 @@ from repro.core.partition import partition_audit_inputs
 from repro.net import BundlePublisher
 from repro.server.faulty import tamper_response
 from repro.workloads import wiki_workload
+from tests.conftest import untimed
 
 
 def _publish_workload(publisher, scale=0.005, epoch_size=20,
@@ -109,6 +110,66 @@ def test_audit_connect_rejects_a_malformed_record(capsys, as_json):
     assert lines[-2].startswith("epoch 1: ACCEPTED")
     assert lines[-1].startswith("REJECTED: malformed_bundle: ValueError: ")
     assert "'3'" in lines[-1]
+
+
+def _replay(publisher, lines):
+    """Publish a bundle file's record lines as they are."""
+    from repro.io import record_kind
+
+    for line in lines[1:]:  # the publisher sends its own header
+        publisher.write_record_payload(line, kind=record_kind(line))
+
+
+def test_file_follow_and_connect_are_one_driver(tmp_path, capsys):
+    """The same recorded run through ``audit FILE``, ``audit FILE
+    --follow`` and ``audit --connect``: the same per-epoch lines and the
+    same ``--json`` payload, timings aside — and a forged ``events`` on
+    a mark is ``malformed_bundle`` on the socket as on the file."""
+    wiki = ["--workload", "wiki", "--scale", "0.005"]
+    bundle = str(tmp_path / "bundle.jsonl")
+    assert main(["record", *wiki, "--epoch-size", "20",
+                 "--out", bundle]) == 0
+    with open(bundle, "rb") as fh:
+        lines = fh.read().splitlines()
+
+    def audit(source, *extra):
+        capsys.readouterr()
+        if source != "--connect":
+            code = main(["audit", bundle, *wiki, *extra]
+                        + ([source] if source else []))
+        else:
+            with BundlePublisher(heartbeat_interval=None) as publisher:
+                _replay(publisher, lines)
+                code = main(["audit", "--connect", publisher.endpoint,
+                             *wiki, *extra])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return code, captured.out
+
+    roads = (None, "--follow", "--connect")
+    texts = [audit(road) for road in roads]
+    assert {code for code, _ in texts} == {0}
+    epoch_lines = [
+        [re.sub(r", [\d.]+ ms", "", line) for line in out.splitlines()
+         if line.startswith("epoch ")] for _, out in texts]
+    assert epoch_lines[0] == epoch_lines[1] == epoch_lines[2]
+    assert len(epoch_lines[0]) >= 3
+    payloads = [untimed(json.loads(audit(road, "--json")[1]))
+                for road in roads]
+    assert payloads[0] == payloads[1] == payloads[2]
+    assert payloads[0]["stats"]["shard_count"] == len(epoch_lines[0])
+
+    mark = next(i for i, line in enumerate(lines)
+                if line.startswith(b'{"kind": "epoch_mark"'))
+    lines[mark] = b'{"kind": "epoch_mark", "events": "abc"}'
+    with open(bundle, "wb") as fh:
+        fh.write(b"\n".join(lines) + b"\n")
+    verdicts = [audit(road, "--json") for road in roads]
+    assert {code for code, _ in verdicts} == {1}
+    forged = [json.loads(out) for _, out in verdicts]
+    assert forged[0] == forged[1] == forged[2]
+    assert forged[0]["reason"] == "malformed_bundle"
+    assert "events 'abc'" in forged[0]["detail"]
 
 
 def test_audit_connect_unreachable(capsys):

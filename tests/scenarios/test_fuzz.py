@@ -128,20 +128,33 @@ def test_acceptance_campaign_with_forged_scalars(cart_app):
                if o.operator in FILE_OPERATORS)
 
 
-def test_stock_audit_treats_bundle_marks_as_hints(cart_app):
-    """Like `repro audit`: forged epoch marks give the stock audit's
-    verdict, not a config ValueError miscounted as a load rejection."""
-    from repro.core.config import AuditConfig
-    from repro.io import load_audit_bundle_ex
-    from repro.scenarios.fuzz import _stock_audit_fn
+def test_campaign_through_the_cli_is_rejected(capsys):
+    """The campaign certifies the road that ships: 200 mutations, each
+    audited by ``repro audit FILE --json`` itself (the ``audit_fn`` seam
+    takes the mutated file's path).  Every one is REJECTED with exit 1
+    and a JSON verdict — none escapes as an exception."""
+    from repro.__main__ import main
 
-    trace, reports, initial, marks = load_audit_bundle_ex(FIXTURE)
-    assert len(marks) >= 2
-    audit = _stock_audit_fn(cart_app, AuditConfig())
-    honest = audit(trace, reports, initial, marks)
-    assert honest == (True, None)
-    forged = list(reversed(marks)) + [marks[0], 0, len(trace) + 7]
-    assert audit(trace, reports, initial, forged) == honest
+    def cli_audit(path):
+        try:
+            code = main(["audit", path, "--workload", "cart",
+                         "--scale", "0.05", "--json"])
+        except BaseException as escaped:  # SystemExit included
+            pytest.fail(f"repro audit raised {escaped!r}")
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["accepted"] is (code == 0)
+        assert code in (0, 1)
+        return payload["accepted"], payload["reason"]
+
+    report = fuzz_bundle(FIXTURE, None, mutations=200, seed=1,
+                         shrink=False, audit_fn=cli_audit)
+    assert report.rejected == 200, [o.to_json() for o in report.accepted]
+    by_channel = report.to_json()["channels"]
+    assert by_channel["load"] == 0 and by_channel["audit"] > 100
+    reasons = {o.reason for o in report.outcomes if o.channel == "audit"}
+    assert "malformed_bundle" in reasons and len(reasons) > 3
 
 
 def test_unknown_operator_rejected(cart_app):
@@ -165,7 +178,7 @@ def test_planted_accept_bug_is_shrunk(cart_app):
     # mutation becomes a soundness violation, and the shrinker must cut
     # each multi-edit mutation down to a single-edit reproducer (with
     # an always-accepting audit any single edit reproduces).
-    def broken_audit(trace, reports, initial, marks):
+    def broken_audit(path):
         return True, None
 
     report = fuzz_bundle(FIXTURE, cart_app, mutations=12, seed=3,
@@ -192,8 +205,8 @@ def test_planted_single_blindspot_bug(cart_app):
 
     stock = _stock_audit_fn(cart_app, AuditConfig())
 
-    def blind_to_flips(trace, reports, initial, marks):
-        accepted, reason = stock(trace, reports, initial, marks)
+    def blind_to_flips(path):
+        accepted, reason = stock(path)
         if not accepted and reason and "output" in reason.lower():
             return True, None  # swallow output mismatches
         return accepted, reason

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro.core import AuditConfig, Auditor
-from repro.io import load_audit_bundle_ex, record_kind
+from repro.io import BundleReader, record_kind
 from repro.scenarios import ScenarioSpec, TrafficStream, synthesize
 from repro.scenarios.generator import build_scenario_app
 
@@ -96,13 +96,12 @@ def test_synth_bundle_passes_stock_audit(tmp_path):
     spec = ScenarioSpec(**SPEC_KW, requests=150, seed=8)
     bundle = str(tmp_path / "bundle.jsonl")
     synthesize(spec, bundle)
-    trace, reports, initial, marks = load_audit_bundle_ex(bundle)
     app = build_scenario_app(spec.workload, spec.scale)
-    config = AuditConfig()
-    if marks:
-        config = config.replace(epoch_cuts=tuple(marks))
-    audit = Auditor(app, config).audit(trace, reports, initial)
+    with BundleReader.open(bundle) as reader:
+        audit = Auditor(app, AuditConfig()).audit_epochs(
+            reader.epochs(), reader.initial_state)
     assert audit.accepted, (audit.reason, audit.detail)
+    assert audit.stats["shard_count"] > 1
 
 
 @pytest.mark.parametrize("workload", ["wiki", "forum", "hotcrp"])

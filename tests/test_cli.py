@@ -3,31 +3,25 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
 from repro.__main__ import main
+from tests.conftest import untimed
 
 
-def _forge_first_body(bundle: str, fmt: str) -> None:
+def _forge_first_body(bundle: str) -> None:
     """Tamper the first non-empty response body of a recorded bundle."""
-    def forge(events) -> None:
-        for entry in events:
-            if "response" in entry and entry["response"]["body"]:
-                entry["response"]["body"] = "forged!"
-                return
-
     with open(bundle) as fh:
-        if fmt == "json":
-            data = json.load(fh)
-            forge(data["trace"]["events"])
-            lines = [json.dumps(data)]
-        else:
-            records = [json.loads(line) for line in fh]
-            forge(r["event"] for r in records if r.get("kind") == "event")
-            lines = [json.dumps(r) + "\n" for r in records]
+        records = [json.loads(line) for line in fh]
+    for record in records:
+        entry = record.get("event", {})
+        if "response" in entry and entry["response"]["body"]:
+            entry["response"]["body"] = "forged!"
+            break
     with open(bundle, "w") as fh:
-        fh.writelines(lines)
+        fh.writelines(json.dumps(r) + "\n" for r in records)
 
 
 def test_demo_accepts(capsys):
@@ -39,21 +33,53 @@ def test_demo_accepts(capsys):
 
 
 def test_record_then_audit(tmp_path, capsys):
-    bundle = str(tmp_path / "bundle.json")
+    bundle = str(tmp_path / "bundle.jsonl")
     assert main(["record", "--workload", "wiki", "--scale", "0.005",
                  "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "wiki",
                  "--scale", "0.005", "--baseline"]) == 0
     out = capsys.readouterr().out
     assert "ACCEPTED" in out
-    assert "baseline" in out
+    assert "simple re-execution baseline: ACCEPTED" in out
+
+
+@pytest.mark.parametrize("epoch_size", [None, 20])
+def test_record_audit_round_trip_reports_recorded_epochs(tmp_path, capsys,
+                                                         epoch_size):
+    """``record`` writes the one layout and ``audit`` follows its
+    epochs: ``shard_count`` is the number of epochs recorded, whether
+    or not the file is still being followed or a baseline is asked."""
+    bundle = str(tmp_path / "bundle.jsonl")
+    wiki = ["--workload", "wiki", "--scale", "0.005"]
+    drain = ["--epoch-size", str(epoch_size)] if epoch_size else []
+    assert main(["record", *wiki, *drain, "--out", bundle]) == 0
+    wrote = capsys.readouterr().out.splitlines()[-1]
+    recorded = int(wrote.split(" epoch(s)")[0].split()[-1])
+    assert recorded == 1 if epoch_size is None else recorded > 1
+    for extra in ([], ["--follow"], ["--baseline"],
+                  ["--follow", "--baseline"]):
+        assert main(["audit", bundle, *wiki, "--json", *extra]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stats"]["shard_count"] == recorded
+        assert len(payload["epochs"]) == recorded
+        assert ("baseline" in payload) == ("--baseline" in extra)
+        if "baseline" in payload:
+            assert payload["baseline"]["accepted"] is True
+
+
+def test_record_has_no_format_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as usage:
+        main(["record", "--workload", "wiki", "--scale", "0.005",
+              "--format", "json", "--out", str(tmp_path / "b")])
+    assert usage.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_audit_rejects_tampered_bundle(tmp_path, capsys):
-    bundle = str(tmp_path / "bundle.json")
+    bundle = str(tmp_path / "bundle.jsonl")
     main(["record", "--workload", "wiki", "--scale", "0.005",
           "--out", bundle])
-    _forge_first_body(bundle, "json")
+    _forge_first_body(bundle)
     code = main(["audit", bundle, "--workload", "wiki",
                  "--scale", "0.005"])
     assert code == 1
@@ -77,19 +103,17 @@ def test_demo_parallel_and_epochs(capsys):
 def test_record_jsonl_then_sharded_parallel_audit(tmp_path, capsys):
     bundle = str(tmp_path / "bundle.jsonl")
     assert main(["record", "--workload", "wiki", "--scale", "0.005",
-                 "--epoch-size", "20", "--format", "jsonl",
-                 "--out", bundle]) == 0
+                 "--epoch-size", "20", "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "wiki",
                  "--scale", "0.005", "--epoch-size", "20",
                  "--workers", "2"]) == 0
     out = capsys.readouterr().out
-    assert "[jsonl]" in out
     assert "ACCEPTED" in out
-    assert "shard(s)" in out
+    assert "epoch(s)" in out
 
 
 def test_audit_knob_passthrough(tmp_path, capsys):
-    bundle = str(tmp_path / "bundle.json")
+    bundle = str(tmp_path / "bundle.jsonl")
     main(["record", "--workload", "forum", "--scale", "0.005",
           "--out", bundle])
     assert main(["audit", bundle, "--workload", "forum",
@@ -101,8 +125,8 @@ def test_audit_knob_passthrough(tmp_path, capsys):
 def test_audit_rejects_tampered_jsonl_bundle(tmp_path, capsys):
     bundle = str(tmp_path / "bundle.jsonl")
     main(["record", "--workload", "wiki", "--scale", "0.005",
-          "--epoch-size", "20", "--format", "jsonl", "--out", bundle])
-    _forge_first_body(bundle, "jsonl")
+          "--epoch-size", "20", "--out", bundle])
+    _forge_first_body(bundle)
     code = main(["audit", bundle, "--workload", "wiki",
                  "--scale", "0.005", "--epoch-size", "20",
                  "--workers", "2"])
@@ -114,7 +138,7 @@ def test_audit_rejects_tampered_jsonl_bundle(tmp_path, capsys):
 
 
 def test_audit_workers_flag_is_canonical(tmp_path, capsys):
-    bundle = str(tmp_path / "bundle.json")
+    bundle = str(tmp_path / "bundle.jsonl")
     main(["record", "--workload", "forum", "--scale", "0.005",
           "--out", bundle])
     assert main(["audit", bundle, "--workload", "forum",
@@ -127,7 +151,7 @@ def test_audit_workers_flag_is_canonical(tmp_path, capsys):
 def test_removed_worker_aliases_are_rejected(tmp_path, capsys):
     """--workers is the one spelling: the old --parallel alias and
     audit's --concurrency alias are usage errors now."""
-    bundle = str(tmp_path / "bundle.json")
+    bundle = str(tmp_path / "bundle.jsonl")
     main(["record", "--workload", "forum", "--scale", "0.005",
           "--out", bundle])
     for flag in ("--parallel", "--concurrency"):
@@ -139,7 +163,7 @@ def test_removed_worker_aliases_are_rejected(tmp_path, capsys):
 
 
 def test_audit_backend_flag(tmp_path, capsys):
-    bundle = str(tmp_path / "bundle.json")
+    bundle = str(tmp_path / "bundle.jsonl")
     main(["record", "--workload", "forum", "--scale", "0.005",
           "--out", bundle])
     assert main(["audit", bundle, "--workload", "forum",
@@ -155,15 +179,14 @@ def test_audit_backend_flag(tmp_path, capsys):
 def test_audit_epoch_workers(tmp_path, capsys):
     bundle = str(tmp_path / "bundle.jsonl")
     assert main(["record", "--workload", "forum", "--scale", "0.005",
-                 "--epoch-size", "20", "--format", "jsonl",
-                 "--out", bundle]) == 0
+                 "--epoch-size", "20", "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "forum",
                  "--scale", "0.005", "--epoch-size", "20",
                  "--epoch-workers", "2"]) == 0
     out = capsys.readouterr().out
     assert "epoch_workers=2" in out
     assert "ACCEPTED" in out
-    assert "shard(s)" in out
+    assert "epoch(s)" in out
     # Nonsense worker counts are rejected at the boundary.
     with pytest.raises(SystemExit):
         main(["audit", bundle, "--workload", "forum",
@@ -173,7 +196,7 @@ def test_audit_epoch_workers(tmp_path, capsys):
 def test_audit_explicit_epoch_cuts(tmp_path, capsys):
     bundle = str(tmp_path / "bundle.jsonl")
     main(["record", "--workload", "wiki", "--scale", "0.005",
-          "--epoch-size", "20", "--format", "jsonl", "--out", bundle])
+          "--epoch-size", "20", "--out", bundle])
     # Replay the recorded marks as explicit --epoch-cuts.
     import json as _json
 
@@ -186,7 +209,7 @@ def test_audit_explicit_epoch_cuts(tmp_path, capsys):
                  "--scale", "0.005", "--epoch-cuts", cuts]) == 0
     out = capsys.readouterr().out
     assert f"epoch_cuts={marks}" in out
-    assert "shard(s)" in out
+    assert f"across {len(marks) + 1} epoch(s)" in out
     # Nonsense cuts are rejected at the boundary, before any auditing.
     with pytest.raises(SystemExit):
         main(["audit", bundle, "--workload", "wiki",
@@ -196,7 +219,7 @@ def test_audit_explicit_epoch_cuts(tmp_path, capsys):
 def test_audit_config_file_with_flag_override(tmp_path, capsys):
     import json as _json
 
-    bundle = str(tmp_path / "bundle.json")
+    bundle = str(tmp_path / "bundle.jsonl")
     config_path = str(tmp_path / "audit.json")
     main(["record", "--workload", "forum", "--scale", "0.005",
           "--out", bundle])
@@ -223,12 +246,10 @@ def test_audit_config_file_with_flag_override(tmp_path, capsys):
 def test_record_segmented_then_audit_follow(tmp_path, capsys):
     bundle = str(tmp_path / "bundle.jsonl")
     assert main(["record", "--workload", "wiki", "--scale", "0.005",
-                 "--epoch-size", "20", "--format", "jsonl-epochs",
-                 "--out", bundle]) == 0
+                 "--epoch-size", "20", "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "wiki",
                  "--scale", "0.005", "--follow"]) == 0
     out = capsys.readouterr().out
-    assert "[jsonl-epochs]" in out
     assert "epoch 0: ACCEPTED" in out
     assert "epoch(s)" in out
 
@@ -238,8 +259,7 @@ def test_audit_follow_rejects_tampered_epoch(tmp_path, capsys):
 
     bundle = str(tmp_path / "bundle.jsonl")
     main(["record", "--workload", "wiki", "--scale", "0.005",
-          "--epoch-size", "20", "--format", "jsonl-epochs",
-          "--out", bundle])
+          "--epoch-size", "20", "--out", bundle])
     with open(bundle) as fh:
         lines = fh.readlines()
     for index, line in enumerate(lines):
@@ -258,13 +278,120 @@ def test_audit_follow_rejects_tampered_epoch(tmp_path, capsys):
     assert "REJECTED: output_mismatch" in out
 
 
+#: Files that exist but are not segmented v1 bundles, and what the
+#: verdict says was found in their place.
+NOT_A_BUNDLE = {
+    "legacy blob": (json.dumps({"version": 1, "trace": {
+        "version": 1, "events": []}, "reports": {}, "initial_state": {}}),
+        "legacy one-blob JSON bundle"),
+    "tail-reports layout": (
+        '{"format": "ssco-jsonl", "version": 1}\n'
+        '{"kind": "epoch_mark", "events": 4}\n', "tail-reports layout"),
+    "foreign": ("id,name\n1,widget\n", "starts with 'id,name"),
+    "empty": ("", "is empty"),
+}
+FORUM = ["--workload", "forum", "--scale", "0.005"]
+
+
 def test_audit_follow_requires_jsonl(tmp_path, capsys):
-    bundle = str(tmp_path / "bundle.json")
-    main(["record", "--workload", "forum", "--scale", "0.005",
-          "--out", bundle])
-    assert main(["audit", bundle, "--workload", "forum",
-                 "--scale", "0.005", "--follow"]) == 2
-    assert "streaming JSONL" in capsys.readouterr().err
+    """Every audit of a file — followed or not, text or ``--json`` —
+    requires the one layout: anything else that exists is the
+    executor's malformed word (REJECTED, exit 1, naming what was
+    found), not a usage error and not a traceback."""
+    bundle = str(tmp_path / "bundle")
+    follow = ["--follow", "--follow-timeout", "0.05"]
+    for what, (content, found) in NOT_A_BUNDLE.items():
+        with open(bundle, "w") as fh:
+            fh.write(content)
+        for extra in ([], follow, ["--json"], follow + ["--json"]):
+            assert main(["audit", bundle, *FORUM, *extra]) == 1, what
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            if "--json" in extra:
+                payload = json.loads(captured.out)
+                assert payload["reason"] == "malformed_bundle"
+                assert found in payload["detail"], what
+            else:
+                assert captured.out.startswith(
+                    "REJECTED: malformed_bundle: ValueError: not a "
+                    "segmented ssco-jsonl bundle"), what
+                assert found in captured.out and bundle in captured.out
+
+
+def test_audit_unreadable_bundle_exits_2(tmp_path, capsys):
+    """A path that cannot be read is the operator's mistake: one line
+    on stderr and exit 2 on every road, never a traceback."""
+    missing = str(tmp_path / "missing.jsonl")
+    for extra in ([], ["--json"], ["--baseline"],
+                  ["--follow", "--follow-timeout", "0.05"]):
+        assert main(["audit", missing, *FORUM, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: cannot read bundle {missing}: ")
+        assert len(captured.err.splitlines()) == 1
+    assert main(["audit", str(tmp_path), *FORUM]) == 2  # a directory
+    assert "cannot read bundle" in capsys.readouterr().err
+
+
+def test_audit_flags_a_live_stream_cannot_honour_are_usage_errors(
+        tmp_path, capsys):
+    """--epoch-size / --epoch-cuts re-cut a finished file and --baseline
+    re-reads one: on a stream that is still arriving they are refused,
+    not silently ignored."""
+    bundle = str(tmp_path / "bundle.jsonl")
+    assert main(["record", *FORUM, "--epoch-size", "20",
+                 "--out", bundle]) == 0
+    capsys.readouterr()
+    config = tmp_path / "audit.json"
+    config.write_text('{"epoch_size": 20}')
+    refused = [
+        [bundle, "--follow", "--epoch-size", "20"],
+        [bundle, "--follow", "--epoch-cuts", "40,80"],
+        [bundle, "--follow", "--config", str(config)],
+        ["--connect", "127.0.0.1:1", "--epoch-size", "20"],
+        ["--connect", "127.0.0.1:1", "--epoch-cuts", "40"],
+        ["--connect", "127.0.0.1:1", "--baseline"],
+    ]
+    for argv in refused:
+        with pytest.raises(SystemExit) as usage:
+            main(["audit", *argv, *FORUM])
+        assert usage.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert ("--baseline" if "--baseline" in argv
+                else "--epoch-size / --epoch-cuts") in err, argv
+
+
+def test_audit_recut_and_baseline_are_honoured_on_a_file(tmp_path,
+                                                         capsys):
+    """On a file, --epoch-size / --epoch-cuts feed the one driver the
+    partitioner's slices instead of the recorded ones, and --baseline
+    runs after the verdict — with --follow too."""
+    bundle = str(tmp_path / "bundle.jsonl")
+    assert main(["record", *FORUM, "--epoch-size", "20",
+                 "--out", bundle]) == 0
+    audit = ["audit", bundle, *FORUM, "--json"]
+
+    def run(*extra):
+        capsys.readouterr()
+        assert main(audit + list(extra)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    recorded = run()
+    sizes = [e["requests"] for e in recorded["epochs"]]
+    assert len(sizes) >= 3
+    doubled = run("--epoch-size", "40")
+    assert 1 < len(doubled["epochs"]) < len(sizes)
+    assert sum(e["requests"] for e in doubled["epochs"]) == sum(sizes)
+    first = recorded["epochs"][0]["events"]
+    cut = run("--epoch-cuts", str(first))
+    assert [e["events"] for e in cut["epochs"]] == [
+        first, sum(e["events"] for e in recorded["epochs"]) - first]
+    for payload in (recorded, doubled, cut):
+        assert payload["stats"]["steps"] == recorded["stats"]["steps"]
+    followed = run("--follow", "--baseline")
+    assert followed["baseline"]["accepted"] is True
+    assert untimed(followed, "baseline") == untimed(recorded)
 
 
 def test_demo_accepts_workers_flag(capsys):
@@ -283,8 +410,7 @@ def test_audit_prepass_depth_and_epoch_threads(tmp_path, capsys):
     flags are usage errors naming the flag."""
     bundle = str(tmp_path / "bundle.jsonl")
     assert main(["record", "--workload", "forum", "--scale", "0.005",
-                 "--epoch-size", "20", "--format", "jsonl",
-                 "--out", bundle]) == 0
+                 "--epoch-size", "20", "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "forum",
                  "--scale", "0.005", "--epoch-size", "20",
                  "--epoch-workers", "2"]) == 0
@@ -302,63 +428,56 @@ def test_audit_prepass_depth_and_epoch_threads(tmp_path, capsys):
 # -- untrusted report scalars --------------------------------------------------
 
 
-def _forge_scalar(bundle: str, fmt: str, field: str, value) -> None:
+def _forge_scalar(bundle: str, field: str, value) -> None:
     """Replace one op count (``field="count"``) or one op-log record's
     opnum (``field="opnum"``) in a recorded bundle."""
-    def forge(counts: dict, logs) -> bool:
-        if field == "count" and counts:
+    def forge(record: dict) -> bool:
+        if field == "count" and record.get("counts"):
+            counts = record["counts"]
             counts[sorted(counts)[0]] = value
             return True
-        for log in logs:
-            if field == "opnum" and log:
-                log[0]["opnum"] = value
-                return True
+        if field == "opnum" and record.get("kind") == "op_log":
+            record["records"][0]["opnum"] = value
+            return True
         return False
 
     with open(bundle) as fh:
-        if fmt == "json":
-            data = json.load(fh)
-            reports = data["reports"]
-            assert forge(reports["op_counts"], reports["op_logs"].values())
-            lines = [json.dumps(data)]
-        else:
-            records = [json.loads(line) for line in fh]
-            assert any(
-                forge(r.get("counts", {}),
-                      [r["records"]] if r.get("kind") == "op_log" else [])
-                for r in records)
-            lines = [json.dumps(r) + "\n" for r in records]
+        records = [json.loads(line) for line in fh]
+    assert any(forge(record) for record in records)
     with open(bundle, "w") as fh:
-        fh.writelines(lines)
+        fh.writelines(json.dumps(r) + "\n" for r in records)
 
 
-@pytest.mark.parametrize("fmt", ["json", "jsonl-epochs"])
+@pytest.mark.parametrize("output", ["json", "text"])
 @pytest.mark.parametrize("field", ["count", "opnum"])
 @pytest.mark.parametrize("value", ["3", 2.5, None, [1]])
-def test_audit_rejects_non_integer_report_scalars(tmp_path, capsys, fmt,
-                                                  field, value):
+def test_audit_rejects_non_integer_report_scalars(tmp_path, capsys,
+                                                  output, field, value):
     """A count or an opnum that is not an integer is the executor's
     malformed word: ``repro audit`` answers REJECTED (exit 1) and says
-    what it found — it does not die of a TypeError."""
+    what it found, as text and as ``--json`` — it does not die of a
+    TypeError."""
     bundle = str(tmp_path / "bundle")
     assert main(["record", "--workload", "forum", "--scale", "0.005",
-                 "--epoch-size", "20", "--format", fmt,
-                 "--out", bundle]) == 0
-    _forge_scalar(bundle, fmt, field, value)
+                 "--epoch-size", "20", "--out", bundle]) == 0
+    _forge_scalar(bundle, field, value)
     audit = ["audit", bundle, "--workload", "forum", "--scale", "0.005"]
     capsys.readouterr()
-    assert main(audit) == 1
+    assert main(audit + ["--json"] * (output == "json")) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
+    if output == "json":
+        payload = json.loads(captured.out)
+        assert payload["verdict"] == "REJECTED" and not payload["accepted"]
+        assert payload["reason"] == "malformed_bundle"
+        assert repr(value) in payload["detail"]
+        return
     what = "op count" if field == "count" else "opnum"
-    assert captured.out.startswith("REJECTED: malformed_bundle: ValueError")
-    assert what in captured.out and repr(value) in captured.out
-    assert "not an integer" in captured.out
-    assert main(audit + ["--json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["verdict"] == "REJECTED" and not payload["accepted"]
-    assert payload["reason"] == "malformed_bundle"
-    assert repr(value) in payload["detail"]
+    banner, verdict = captured.out.splitlines()
+    assert banner.startswith(f"auditing {bundle} against ")
+    assert verdict.startswith("REJECTED: malformed_bundle: ValueError")
+    assert what in verdict and repr(value) in verdict
+    assert "not an integer" in verdict
 
 
 def _forge_later_epoch_count(bundle: str) -> None:
@@ -379,8 +498,7 @@ def test_audit_follow_rejects_a_malformed_record(tmp_path, capsys,
     traceback (a *torn* last line is still waited on, see test_io)."""
     bundle = str(tmp_path / "bundle.jsonl")
     assert main(["record", "--workload", "forum", "--scale", "0.005",
-                 "--epoch-size", "20", "--format", "jsonl-epochs",
-                 "--out", bundle]) == 0
+                 "--epoch-size", "20", "--out", bundle]) == 0
     _forge_later_epoch_count(bundle)
     capsys.readouterr()
     audit = ["audit", bundle, "--workload", "forum", "--scale", "0.005",
@@ -403,95 +521,130 @@ def test_audit_follow_rejects_a_malformed_record(tmp_path, capsys,
     assert "'3'" in lines[-1] and "not an integer" in lines[-1]
 
 
-# -- untrusted epoch marks -----------------------------------------------------
+# -- untrusted epoch marks: one verdict on every road ---------------------------
+
+FIXTURE = str(pathlib.Path(__file__).resolve().parent
+              / "data" / "cart_fixture.jsonl")
+CART = ["--workload", "cart", "--scale", "0.05"]
 
 
-def _read_marks(bundle: str, fmt: str) -> list:
-    with open(bundle) as fh:
-        if fmt == "json":
-            return json.load(fh)["epoch_marks"]
-        return [record["events"] for record in map(json.loads, fh)
-                if record.get("kind") == "epoch_mark"]
+def _fixture_lines() -> tuple[list[str], int, int]:
+    """The fixture's lines and the indexes of its two epoch marks."""
+    with open(FIXTURE) as fh:
+        lines = fh.read().splitlines()
+    first, second = (index for index, line in enumerate(lines)
+                     if line.startswith('{"kind": "epoch_mark"'))
+    return lines, first, second
 
 
-def _write_marks(bundle: str, fmt: str, marks: list) -> None:
-    """Replace the bundle's recorded epoch marks with ``marks``."""
-    if fmt == "json":
-        with open(bundle) as fh:
-            data = json.load(fh)
-        data["epoch_marks"] = marks
-        with open(bundle, "w") as fh:
-            json.dump(data, fh)
-        return
-    with open(bundle) as fh:
-        records = [json.loads(line) for line in fh]
-    first = next(i for i, r in enumerate(records)
-                 if r.get("kind") == "epoch_mark")
-    kept = [r for r in records if r.get("kind") != "epoch_mark"]
-    kept[first:first] = [{"kind": "epoch_mark", "events": mark}
-                         for mark in marks]
-    with open(bundle, "w") as fh:
-        fh.writelines(json.dumps(r) + "\n" for r in kept)
+def _moved(lines, index, by):
+    lines.insert(index + by, lines.pop(index))
 
 
-@pytest.mark.parametrize("fmt", ["json", "jsonl"])
-@pytest.mark.parametrize("forged", [False, True])
-def test_audit_treats_bundle_epoch_marks_as_hints(tmp_path, capsys, fmt,
-                                                  forged):
-    """The bundle's epoch marks are untrusted: reversed, duplicated,
-    zero, out-of-range and non-quiescent marks give a verdict (the one
-    the honest marks' surviving subset gives), never a traceback."""
-    from repro.core import AuditConfig, Auditor
-    from repro.core.partition import validate_cuts
-    from repro.io import load_audit_bundle_ex
-    from repro.workloads import forum_workload
+def _with_events(lines, index, value):
+    lines[index] = json.dumps({"kind": "epoch_mark", "events": value})
 
-    bundle = str(tmp_path / f"bundle.{fmt}")
-    assert main(["record", "--workload", "forum", "--scale", "0.005",
-                 "--epoch-size", "20", "--format", fmt,
-                 "--out", bundle]) == 0
-    if forged:
-        _forge_first_body(bundle, fmt)
-    honest = _read_marks(bundle, fmt)
-    assert len(honest) >= 2
-    audit = ["audit", bundle, "--workload", "forum", "--scale", "0.005",
-             "--json"]
-    app = forum_workload(scale=0.005, seed=1).app
 
-    def run(extra):
+def _after_three_events(lines, first):
+    third = [i for i, line in enumerate(lines)
+             if line.startswith('{"kind": "event"')][2]
+    lines.insert(third + 1, lines[first])
+
+
+def _swapped(lines, first, second):
+    lines[first], lines[second] = lines[second], lines[first]
+
+
+#: case -> (edit(lines, first mark, second mark), verdict, reason).  A
+#: mark that still falls between two epochs' records — or is missing or
+#: doubled, which merges two epochs or closes an empty one — leaves a
+#: bundle the audit ACCEPTs with the honest bodies; one that lands
+#: inside an epoch's events or reports tears that epoch and is REJECTED
+#: by the checks of whichever slice comes up short.
+MARK_CASES = {
+    "honest": (lambda lines, first, second: None, "ACCEPTED", None),
+    "first mark deleted": (
+        lambda lines, first, second: lines.pop(first), "ACCEPTED", None),
+    "first mark duplicated": (
+        lambda lines, first, second: lines.insert(first, lines[first]),
+        "ACCEPTED", None),
+    "first mark +1": (lambda lines, first, second: _moved(lines, first, 1),
+                      "REJECTED", "trace_unbalanced"),
+    "first mark -1": (lambda lines, first, second: _moved(lines, first, -1),
+                      "REJECTED", "nondet_missing"),
+    "first mark -3": (lambda lines, first, second: _moved(lines, first, -3),
+                      "REJECTED", "nondet_missing"),
+    "first mark +5": (lambda lines, first, second: _moved(lines, first, 5),
+                      "REJECTED", "trace_unbalanced"),
+    "first mark -40": (
+        lambda lines, first, second: _moved(lines, first, -40),
+        "REJECTED", "nondet_missing"),
+    "first mark +60": (
+        lambda lines, first, second: _moved(lines, first, 60),
+        "REJECTED", "trace_unbalanced"),
+    "extra mark after three events": (
+        lambda lines, first, second: _after_three_events(lines, first),
+        "REJECTED", "trace_unbalanced"),
+    "marks swapped": (_swapped, "ACCEPTED", None),
+    "middle epoch dropped": (
+        lambda lines, first, second: lines.__delitem__(
+            slice(first, second)), "REJECTED", "group_diverged"),
+    "events 'abc'": (
+        lambda lines, first, second: _with_events(lines, first, "abc"),
+        "REJECTED", "malformed_bundle"),
+    "events -5": (
+        lambda lines, first, second: _with_events(lines, first, -5),
+        "REJECTED", "malformed_bundle"),
+    "events 10**6": (
+        lambda lines, first, second: _with_events(lines, first, 10 ** 6),
+        "ACCEPTED", None),
+}
+
+
+def test_forged_epoch_marks_get_one_verdict_on_every_road(tmp_path,
+                                                          capsys):
+    """The bundle's epoch marks are the executor's word like the rest
+    of it.  Whatever is done to them, ``repro audit FILE`` and ``repro
+    audit FILE --follow`` answer alike — verdict, reason and the whole
+    ``--json`` payload, timings aside — neither with a traceback; and
+    where they ACCEPT, the re-executed bodies are the honest audit's."""
+    from repro.core import Auditor
+    from repro.io import BundleReader
+    from repro.scenarios import build_scenario_app
+
+    app = build_scenario_app("cart", 0.05)
+    bundle = str(tmp_path / "bundle.jsonl")
+
+    def cli(*extra):
         capsys.readouterr()
-        code = main(audit + extra)
+        code = main(["audit", bundle, *CART, "--json", *extra])
         captured = capsys.readouterr()
         assert captured.err == ""
         payload = json.loads(captured.out)
-        return code, payload["verdict"], payload["reason"], [
-            {k: e[k] for k in ("shard", "requests", "events", "accepted",
-                               "groups")}
-            for e in payload["epochs"]]
+        assert code == (0 if payload["accepted"] else 1)
+        return untimed(payload)
 
-    def bodies(cuts):
-        trace, reports, initial, _ = load_audit_bundle_ex(bundle)
-        return Auditor(app, AuditConfig(epoch_cuts=tuple(cuts))).audit(
-            trace, reports, initial).produced
+    def bodies():
+        with BundleReader.open(bundle) as reader:
+            return Auditor(app).audit_epochs(
+                reader.epochs(), reader.initial_state).produced
 
-    honest_bodies = bodies(honest)
-    assert bool(honest_bodies) != forged
-    hostile = {
-        "reversed": (honest[::-1], honest),
-        "duplicated": (honest + honest, honest),
-        "zero": ([0] + honest, honest),
-        "out-of-range": (honest + [10 ** 9], honest),
-        "non-quiescent": ([honest[0] + 1] + honest[1:], honest[1:]),
-    }
-    for name, (marks, surviving) in hostile.items():
-        _write_marks(bundle, fmt, honest)
-        reference = run(["--epoch-cuts", ",".join(map(str, surviving))])
-        assert reference[0] == (1 if forged else 0)
-        _write_marks(bundle, fmt, marks)
-        assert run(["--epoch-size", "20"]) == reference, name
-        trace, _, _, loaded = load_audit_bundle_ex(bundle)
-        assert validate_cuts(trace, loaded) == surviving, name
-        assert bodies(validate_cuts(trace, loaded)) == honest_bodies, name
+    honest_bodies = None
+    for case, (edit, verdict, reason) in MARK_CASES.items():
+        lines, first, second = _fixture_lines()
+        edit(lines, first, second)
+        with open(bundle, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        plain = cli()
+        assert (plain["verdict"], plain["reason"]) == (verdict, reason), (
+            case, plain["detail"])
+        assert cli("--follow", "--follow-timeout", "0.2") == plain, case
+        if case == "honest":
+            honest_bodies = bodies()
+            assert len(honest_bodies) > 100
+            assert len(plain["epochs"]) == 3
+        elif verdict == "ACCEPTED":
+            assert bodies() == honest_bodies, case
 
 
 # -- the lint subcommand ------------------------------------------------------
@@ -544,7 +697,7 @@ def test_lint_unknown_app_rejected():
 
 
 def test_audit_plan_hints_flag(tmp_path, capsys):
-    bundle = str(tmp_path / "bundle.json")
+    bundle = str(tmp_path / "bundle.jsonl")
     main(["record", "--workload", "hotcrp", "--scale", "0.02",
           "--out", bundle])
     assert main(["audit", bundle, "--workload", "hotcrp",
@@ -559,8 +712,7 @@ def test_follow_with_epoch_workers(tmp_path, capsys):
     per-epoch verdicts still print in epoch order."""
     bundle = str(tmp_path / "live.jsonl")
     assert main(["record", "--workload", "forum", "--scale", "0.005",
-                 "--epoch-size", "20", "--format", "jsonl-epochs",
-                 "--out", bundle]) == 0
+                 "--epoch-size", "20", "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "forum",
                  "--scale", "0.005", "--follow", "--epoch-workers", "2",
                  "--follow-timeout", "2"]) == 0

@@ -16,7 +16,7 @@ WIKI = ["--workload", "wiki", "--scale", "0.005", "--seed", "3"]
 def bundle(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("forensics") / "bundle.jsonl")
     assert main(["record", *WIKI, "--epoch-size", "25",
-                 "--format", "jsonl-epochs", "--out", path]) == 0
+                 "--out", path]) == 0
     return path
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.io import BundleReader, save_audit_bundle
+from repro.io import BundleReader, save_audit_bundle_segmented
 from repro.server import Executor
 
 from tests.conftest import counter_requests
@@ -16,9 +16,8 @@ def segmented_bundle(tmp_path, counter_app):
     run = Executor(counter_app, max_concurrency=1,
                    epoch_size=6).serve(counter_requests())
     path = str(tmp_path / "bundle.jsonl")
-    save_audit_bundle(path, run.trace, run.reports, run.initial_state,
-                      epoch_marks=run.epoch_marks,
-                      format="jsonl-epochs")
+    save_audit_bundle_segmented(path, run.trace, run.reports,
+                                run.initial_state, run.epoch_marks)
     return path, run
 
 
@@ -70,15 +69,15 @@ def test_seek_out_of_range(segmented_bundle):
             reader.seek_epoch(-1)
 
 
-def test_seek_rejects_default_layout(tmp_path, counter_app):
-    run = Executor(counter_app, max_concurrency=1,
-                   epoch_size=6).serve(counter_requests())
-    path = str(tmp_path / "flat.jsonl")
-    save_audit_bundle(path, run.trace, run.reports, run.initial_state,
-                      epoch_marks=run.epoch_marks, format="jsonl")
-    with BundleReader(path) as reader:
-        with pytest.raises(ValueError, match="segmented"):
-            reader.seek_epoch(0)
+def test_seek_rejects_default_layout(tmp_path):
+    """A file in the old default (tail-reports) layout has no
+    self-contained epoch runs to seek to: the reader refuses it at
+    open, before any seek."""
+    path = tmp_path / "flat.jsonl"
+    path.write_text('{"format": "ssco-jsonl", "version": 1}\n'
+                    '{"kind": "epoch_mark", "events": 12}\n')
+    with pytest.raises(ValueError, match="not a segmented"):
+        BundleReader(str(path))
 
 
 def test_torn_tail_scans_as_incomplete(segmented_bundle, tmp_path):

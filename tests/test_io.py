@@ -1,5 +1,6 @@
 """Serialization round-trips: the audit verdict must be identical whether
-the verifier runs on live objects or on a reloaded JSON bundle."""
+the verifier runs on live objects or on a bundle written to disk and
+read back."""
 
 from __future__ import annotations
 
@@ -9,32 +10,39 @@ import pytest
 
 from repro.core import ssco_audit
 from repro.io import (
-    load_audit_bundle,
-    reports_from_json,
-    reports_to_json,
-    save_audit_bundle,
+    BundleReader,
+    save_audit_bundle_segmented,
     state_from_json,
     state_to_json,
-    trace_from_json,
-    trace_to_json,
 )
 from repro.server import Application, Executor
 from repro.server.faulty import tamper_response
 from repro.trace.events import Request
 
 
-def test_trace_roundtrip(honest_run):
-    data = json.loads(json.dumps(trace_to_json(honest_run.trace)))
-    restored = trace_from_json(data)
+def roundtrip(tmp_path, trace, reports, initial_state, epoch_marks=()):
+    """(trace, reports, initial_state, marks) through a bundle file."""
+    path = str(tmp_path / "bundle.jsonl")
+    save_audit_bundle_segmented(path, trace, reports, initial_state,
+                                epoch_marks)
+    with BundleReader(path) as reader:
+        return reader.read_all()
+
+
+def test_trace_roundtrip(honest_run, tmp_path):
+    restored, _, _, _ = roundtrip(tmp_path, honest_run.trace,
+                                  honest_run.reports,
+                                  honest_run.initial_state)
     assert len(restored) == len(honest_run.trace)
     for a, b in zip(restored, honest_run.trace):
         assert a.kind == b.kind and a.rid == b.rid
         assert a.payload == b.payload
 
 
-def test_reports_roundtrip(honest_run):
-    data = json.loads(json.dumps(reports_to_json(honest_run.reports)))
-    restored = reports_from_json(data)
+def test_reports_roundtrip(honest_run, tmp_path):
+    _, restored, _, _ = roundtrip(tmp_path, honest_run.trace,
+                                  honest_run.reports,
+                                  honest_run.initial_state)
     assert restored.groups == honest_run.reports.groups
     assert restored.op_counts == honest_run.reports.op_counts
     assert restored.op_logs == honest_run.reports.op_logs
@@ -56,10 +64,9 @@ def test_state_roundtrip(honest_run):
 
 def test_audit_verdict_survives_roundtrip(counter_app, honest_run,
                                           tmp_path):
-    path = tmp_path / "bundle.json"
-    save_audit_bundle(str(path), honest_run.trace, honest_run.reports,
-                      honest_run.initial_state)
-    trace, reports, initial = load_audit_bundle(str(path))
+    trace, reports, initial, _ = roundtrip(
+        tmp_path, honest_run.trace, honest_run.reports,
+        honest_run.initial_state)
     live = ssco_audit(counter_app, honest_run.trace, honest_run.reports,
                       honest_run.initial_state)
     reloaded = ssco_audit(counter_app, trace, reports, initial)
@@ -69,14 +76,12 @@ def test_audit_verdict_survives_roundtrip(counter_app, honest_run,
 
 def test_tampered_bundle_still_rejected(counter_app, honest_run,
                                         tmp_path):
-    path = tmp_path / "bundle.json"
-    save_audit_bundle(
-        str(path),
+    trace, reports, initial, _ = roundtrip(
+        tmp_path,
         tamper_response(honest_run.trace, "r000", "forged"),
         honest_run.reports,
         honest_run.initial_state,
     )
-    trace, reports, initial = load_audit_bundle(str(path))
     assert not ssco_audit(counter_app, trace, reports, initial).accepted
 
 
@@ -85,16 +90,12 @@ def test_externals_roundtrip(tmp_path):
         "s.php": "send_email('a@b.c', 'subj', 'body'); echo 'ok';",
     })
     run = Executor(app).serve([Request("r1", "s.php")])
-    data = json.loads(json.dumps(trace_to_json(run.trace)))
-    restored = trace_from_json(data)
+    restored, reports, _, _ = roundtrip(tmp_path, run.trace, run.reports,
+                                        run.initial_state)
     externals = restored.externals()["r1"]
     assert externals[0].service == "email"
     assert externals[0].content == ("a@b.c", "subj", "body")
-    assert ssco_audit(app, restored,
-                      reports_from_json(
-                          json.loads(json.dumps(
-                              reports_to_json(run.reports)))),
-                      run.initial_state).accepted
+    assert ssco_audit(app, restored, reports, run.initial_state).accepted
 
 
 def test_frozen_array_values_roundtrip(tmp_path):
@@ -113,8 +114,8 @@ echo $s['n'];
         Request("r1", "s.php", cookies={"sess": "u"}),
         Request("r2", "s.php", cookies={"sess": "u"}),
     ])
-    data = json.loads(json.dumps(reports_to_json(run.reports)))
-    restored = reports_from_json(data)
+    _, restored, _, _ = roundtrip(tmp_path, run.trace, run.reports,
+                                  run.initial_state)
     log = restored.op_logs["reg:sess:u"]
     assert log == run.reports.op_logs["reg:sess:u"]
     # And the reloaded reports still audit.
@@ -122,18 +123,27 @@ echo $s['n'];
                       run.initial_state).accepted
 
 
-def test_version_check():
-    with pytest.raises(ValueError):
-        trace_from_json({"version": 99, "events": []})
-    with pytest.raises(ValueError):
-        reports_from_json({"version": None})
+def test_version_check(tmp_path):
+    with pytest.raises(ValueError, match="version 99"):
+        state_from_json({"version": 99, "tables": {}, "kv": {},
+                         "registers": {}})
+    path = tmp_path / "future.jsonl"
+    path.write_text('{"format": "ssco-jsonl", "version": null, '
+                    '"layout": "segmented"}\n')
+    with pytest.raises(ValueError, match="version None"):
+        BundleReader(str(path))
 
 
-def test_bundle_file_is_plain_json(counter_app, honest_run, tmp_path):
-    path = tmp_path / "bundle.json"
-    save_audit_bundle(str(path), honest_run.trace, honest_run.reports,
-                      honest_run.initial_state)
+def test_bundle_file_is_plain_json(honest_run, tmp_path):
+    """One JSON object per line: a header naming format, version and
+    layout, then records that each lead with their kind."""
+    path = str(tmp_path / "bundle.jsonl")
+    save_audit_bundle_segmented(path, honest_run.trace, honest_run.reports,
+                                honest_run.initial_state)
     with open(path) as fh:
-        bundle = json.load(fh)
-    assert bundle["version"] == 1
-    assert {"trace", "reports", "initial_state"} <= set(bundle)
+        header, *records = [json.loads(line) for line in fh]
+    assert header == {"format": "ssco-jsonl", "version": 1,
+                      "layout": "segmented"}
+    assert [r["kind"] for r in records[:1] + records[-1:]] == [
+        "state", "end"]
+    assert all(next(iter(record)) == "kind" for record in records)

@@ -5,9 +5,9 @@ The decoders of :mod:`repro.io` turn JSON records straight into the
 keep doing while they are made cheap: the tagged value encoding
 round-trips whatever a request parameter or an op's contents can hold
 (including mappings whose keys are the tags themselves), the file
-reader, the whole-bundle loader, the legacy blob and the socket reader
-yield equal slices through one accumulator, and malformed records raise
-what they always raised.  The write side is held to the same standard:
+reader, the whole-bundle loader and the socket reader yield equal
+slices through one accumulator, and malformed records raise what they
+always raised.  The write side is held to the same standard:
 the cheap ``_enc`` and the bound encoder produce what the plain ladder
 and ``json.dumps`` produce.
 """
@@ -26,10 +26,6 @@ from repro.io import (
     BundleReader,
     BundleWriter,
     EpochAccumulator,
-    load_audit_bundle_ex,
-    reports_from_json,
-    save_audit_bundle,
-    trace_from_json,
 )
 from repro.net import BundlePublisher, RemoteBundleReader
 from repro.objects.base import OpRecord, OpType
@@ -237,7 +233,7 @@ def test_every_reader_yields_the_same_slices(tmp_path, monkeypatch, seed):
     expected = [(index, typed_events(trace), reports)
                 for index, (trace, reports) in enumerate(epochs)]
     path = str(tmp_path / "bundle.jsonl")
-    with BundleWriter(path, segmented=True) as writer:
+    with BundleWriter(path) as writer:
         writer.write_state(_state())
         for trace, reports in epochs:
             writer.write_epoch(trace, reports)
@@ -275,9 +271,8 @@ def test_every_reader_yields_the_same_slices(tmp_path, monkeypatch, seed):
         "state", "event", "op_log", "op_counts", "group", "epoch_mark"}
     fed[:] = []
 
-    # The whole-bundle loader and the legacy blob decode to the
-    # concatenation of the slices.
-    blob = str(tmp_path / "bundle.json")
+    # The whole-bundle loader decodes to the concatenation of the
+    # slices.
     whole_trace = Trace([e for trace, _ in epochs for e in trace])
     whole = Reports()
     for _, reports in epochs:
@@ -287,16 +282,15 @@ def test_every_reader_yields_the_same_slices(tmp_path, monkeypatch, seed):
             whole.op_logs.setdefault(obj, []).extend(log)
         whole.op_counts.update(reports.op_counts)
         whole.nondet.update(reports.nondet)
-    save_audit_bundle(blob, whole_trace, whole, _state())
-    for source in (path, blob):
-        trace, reports, state, _ = load_audit_bundle_ex(source)
-        assert typed_events(trace) == typed_events(whole_trace)
-        assert reports == whole
-        assert [typed(r.opcontents) for log in reports.op_logs.values()
-                for r in log] == [typed(r.opcontents)
-                                  for log in whole.op_logs.values()
-                                  for r in log]
-        assert typed(state.kv) == typed(_state().kv)
+    with BundleReader(path) as reader:
+        trace, reports, state, _ = reader.read_all()
+    assert typed_events(trace) == typed_events(whole_trace)
+    assert reports == whole
+    assert [typed(r.opcontents) for log in reports.op_logs.values()
+            for r in log] == [typed(r.opcontents)
+                              for log in whole.op_logs.values()
+                              for r in log]
+    assert typed(state.kv) == typed(_state().kv)
     assert fed and "epoch_mark" not in fed  # read_all collects the marks
 
 
@@ -304,11 +298,11 @@ def test_every_reader_yields_the_same_slices(tmp_path, monkeypatch, seed):
 
 
 def _bundle_lines(tmp_path):
-    (trace, reports), = _random_epochs(1, epochs=1)
     path = str(tmp_path / "honest.jsonl")
-    with BundleWriter(path, segmented=True) as writer:
+    with BundleWriter(path) as writer:
         writer.write_state(_state())
-        writer.write_epoch(trace, reports)
+        for trace, reports in _random_epochs(1, epochs=2):
+            writer.write_epoch(trace, reports)
         writer.write_end()
     with open(path) as fh:
         return [json.loads(line) for line in fh]
@@ -327,53 +321,59 @@ def _with(records, kind, edit):
     return out
 
 
+#: What is wrong -> (record kind, the edit, what the ValueError says).
 MALFORMED = {
-    "event kind": ("event", lambda r: r["event"].update(kind="PUSH")),
+    "event kind": ("event", lambda r: r["event"].update(kind="PUSH"),
+                   "'PUSH' is not a valid EventKind"),
     "event kind unhashable": (
-        "event", lambda r: r["event"].update(kind=["REQUEST"])),
-    "optype": ("op_log", lambda r: r["records"][0].update(optype="KvDrop")),
+        "event", lambda r: r["event"].update(kind=["REQUEST"]),
+        "EventKind"),
+    "optype": ("op_log", lambda r: r["records"][0].update(optype="KvDrop"),
+               "'KvDrop' is not a valid OpType"),
     "optype unhashable": (
-        "op_log", lambda r: r["records"][0].update(optype=["KvGet"])),
-    "record kind": ("group", lambda r: r.update(kind="grupo")),
-    "opnum": ("op_log", lambda r: r["records"][0].update(opnum="1")),
+        "op_log", lambda r: r["records"][0].update(optype=["KvGet"]),
+        "OpType"),
+    "record kind": ("group", lambda r: r.update(kind="grupo"),
+                    "unknown bundle record kind 'grupo'"),
+    "opnum": ("op_log", lambda r: r["records"][0].update(opnum="1"),
+              "opnum '1', not an integer"),
+    "opnum null": ("op_log", lambda r: r["records"][0].update(opnum=None),
+                   "opnum None"),
     "op count": ("op_counts", lambda r: r["counts"].update(
-        {next(iter(r["counts"])): 1.0})),
+        {next(iter(r["counts"])): 1.0}), r"op count of '\w+' is 1.0"),
+    "mark events": ("epoch_mark", lambda r: r.update(events="abc"),
+                    "epoch_mark record has events 'abc'"),
+    "mark events negative": ("epoch_mark", lambda r: r.update(events=-5),
+                             "epoch_mark record has events -5"),
+    "mark events missing": ("epoch_mark", lambda r: r.pop("events"),
+                            "epoch_mark record has events None"),
+    "end events": ("end", lambda r: r.update(events=2.0),
+                   "end record has events 2.0"),
+    "not an object": ("group", lambda r: r.clear(),
+                      "is a JSON list, not an object"),
 }
 
 
 @pytest.mark.parametrize("what", sorted(MALFORMED))
 def test_malformed_records_raise_value_error(tmp_path, what):
-    kind, edit = MALFORMED[what]
+    """On every road a record travels — the file's epochs, the whole
+    file, the bare accumulator a socket feeds — and saying what it
+    found."""
+    kind, edit, says = MALFORMED[what]
     records = _with(_bundle_lines(tmp_path), kind, edit)
+    if what == "not an object":
+        records = [record or [1, 2] for record in records]
     path = str(tmp_path / "bad.jsonl")
     with open(path, "w") as fh:
         fh.writelines(json.dumps(record) + "\n" for record in records)
-    with BundleReader(path) as reader, pytest.raises(ValueError):
+    with BundleReader(path) as reader, pytest.raises(ValueError,
+                                                     match=says):
         list(reader.epochs())
-    with pytest.raises(ValueError):
-        load_audit_bundle_ex(path)
+    with BundleReader(path) as reader, pytest.raises(ValueError,
+                                                     match=says):
+        reader.read_all()
     accumulator = EpochAccumulator()
-    with pytest.raises(ValueError):
-        for record in records[1:-1]:
-            accumulator.feed(record)
-
-
-def test_malformed_blob_raises_value_error():
-    with pytest.raises(ValueError, match="EventKind"):
-        trace_from_json({"version": 1, "events": [
-            {"kind": "PUSH", "time": 0.0, "request": {}}]})
-    record = {"rid": "r1", "opnum": 1, "optype": "KvDrop", "opcontents": None}
-    blob = {"version": 1, "groups": {}, "op_logs": {"kv:apc": [record]},
-            "op_counts": {"r1": 1}, "nondet": {}}
-    with pytest.raises(ValueError, match="OpType"):
-        reports_from_json(blob)
-    record.update(optype="KvGet", opnum=None)
-    with pytest.raises(ValueError, match="opnum None"):
-        reports_from_json(blob)
-    record.update(opnum=1)
-    blob["op_counts"]["r1"] = "1"
-    with pytest.raises(ValueError, match="op count of 'r1' is '1'"):
-        reports_from_json(blob)
-    blob["op_counts"]["r1"] = 1
-    assert reports_from_json(blob).op_logs["kv:apc"] == [
-        OpRecord("r1", 1, OpType.KV_GET, None)]
+    with pytest.raises(ValueError, match=says):
+        for record in records[1:]:
+            if not repro_io.ends_stream(record):
+                accumulator.feed(record)

@@ -1,4 +1,5 @@
-"""The streaming epoch-segmented JSONL bundle format (repro.io)."""
+"""The epoch-segmented JSONL bundle (repro.io): the one layout, its
+writer, its streaming reader and what the reader refuses."""
 
 from __future__ import annotations
 
@@ -12,17 +13,10 @@ from repro.core.partition import partition_audit_inputs
 from repro.io import (
     BundleReader,
     BundleWriter,
-    load_audit_bundle,
-    load_audit_bundle_ex,
-    load_audit_bundle_jsonl,
-    reports_to_json,
-    save_audit_bundle,
-    save_audit_bundle_jsonl,
     save_audit_bundle_segmented,
     state_to_json,
-    trace_to_json,
 )
-from repro.core import ssco_audit
+from repro.core import Auditor, ssco_audit
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
 from tests.conftest import counter_requests
@@ -40,117 +34,101 @@ def epoch_run(counter_app):
     return executor.serve(counter_requests(24))
 
 
+def _saved(tmp_path, run) -> str:
+    path = str(tmp_path / "bundle.jsonl")
+    epochs = save_audit_bundle_segmented(path, run.trace, run.reports,
+                                         run.initial_state,
+                                         run.epoch_marks)
+    assert epochs == len(run.epoch_marks) + 1
+    return path
+
+
+def _read_all(path):
+    with BundleReader(path) as reader:
+        return reader.read_all()
+
+
 def _assert_equal_bundles(run, loaded):
     trace, reports, state, marks = loaded
-    assert trace_to_json(trace) == trace_to_json(run.trace)
-    assert reports_to_json(reports) == reports_to_json(run.reports)
+    assert trace.events == run.trace.events
+    assert reports == run.reports
     assert state_to_json(state) == state_to_json(run.initial_state)
     return marks
 
 
 def test_jsonl_roundtrip_preserves_everything(tmp_path, epoch_run):
-    path = str(tmp_path / "bundle.jsonl")
-    save_audit_bundle_jsonl(path, epoch_run.trace, epoch_run.reports,
-                            epoch_run.initial_state,
-                            epoch_run.epoch_marks)
     marks = _assert_equal_bundles(
-        epoch_run, load_audit_bundle_jsonl(path))
+        epoch_run, _read_all(_saved(tmp_path, epoch_run)))
     assert marks == epoch_run.epoch_marks
 
 
 def test_jsonl_is_line_oriented(tmp_path, epoch_run):
-    path = str(tmp_path / "bundle.jsonl")
-    save_audit_bundle_jsonl(path, epoch_run.trace, epoch_run.reports,
-                            epoch_run.initial_state,
-                            epoch_run.epoch_marks)
-    with open(path) as fh:
+    with open(_saved(tmp_path, epoch_run)) as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
     assert lines[0]["format"] == "ssco-jsonl"
-    kinds = {line.get("kind") for line in lines[1:]}
-    assert {"state", "event", "op_counts"} <= kinds
-    assert "epoch_mark" in kinds
+    assert lines[0]["layout"] == "segmented"
+    kinds = [line.get("kind") for line in lines[1:]]
+    assert {"state", "event", "op_counts", "epoch_mark"} <= set(kinds)
+    assert kinds[-1] == "end"
     # One record per event, in trace order.
     events = [line for line in lines if line.get("kind") == "event"]
     assert len(events) == len(epoch_run.trace)
 
 
-def test_save_audit_bundle_format_dispatch(tmp_path, epoch_run):
-    json_path = str(tmp_path / "bundle.json")
-    jsonl_path = str(tmp_path / "bundle.jsonl")
-    save_audit_bundle(json_path, epoch_run.trace, epoch_run.reports,
-                      epoch_run.initial_state,
-                      epoch_marks=epoch_run.epoch_marks)
-    save_audit_bundle(jsonl_path, epoch_run.trace, epoch_run.reports,
-                      epoch_run.initial_state,
-                      epoch_marks=epoch_run.epoch_marks, format="jsonl")
-    with pytest.raises(ValueError):
-        save_audit_bundle(json_path, epoch_run.trace, epoch_run.reports,
-                          epoch_run.initial_state, format="xml")
-    # Auto-detection loads both identically, with the epoch marks.
-    for path in (json_path, jsonl_path):
-        marks = _assert_equal_bundles(
-            epoch_run, load_audit_bundle_ex(path))
-        assert marks == epoch_run.epoch_marks
-        trace, reports, state = load_audit_bundle(path)
-        assert len(trace) == len(epoch_run.trace)
-
-
 def test_jsonl_bundle_audits_identically(tmp_path, counter_app,
                                          epoch_run):
-    path = str(tmp_path / "bundle.jsonl")
-    save_audit_bundle_jsonl(path, epoch_run.trace, epoch_run.reports,
-                            epoch_run.initial_state,
-                            epoch_run.epoch_marks)
-    trace, reports, state, marks = load_audit_bundle_ex(path)
     direct = ssco_audit(counter_app, epoch_run.trace, epoch_run.reports,
                         epoch_run.initial_state)
-    loaded = ssco_audit(counter_app, trace, reports, state,
-                        epoch_cuts=marks)
+    with BundleReader.open(_saved(tmp_path, epoch_run)) as reader:
+        loaded = Auditor(counter_app).audit_epochs(
+            reader.epochs(), reader.initial_state)
     assert direct.accepted and loaded.accepted, (
         loaded.reason, loaded.detail)
     assert loaded.produced == direct.produced
+    assert loaded.stats["shard_count"] == len(epoch_run.epoch_marks) + 1
+
+
+#: What is not a segmented v1 bundle, and what the reader says it found.
+FOREIGN = {
+    "future version": (
+        '{"format": "ssco-jsonl", "version": 99, "layout": "segmented"}\n',
+        "version 99"),
+    "foreign": ('{"something": "else"}\n', "starts with"),
+    "empty": ("", "is empty"),
+    "legacy blob": (
+        '{"version": 1, "trace": {"version": 1, "events": []}, "reports"',
+        "legacy one-blob JSON"),
+    "tail-reports layout": (
+        '{"format": "ssco-jsonl", "version": 1}\n{"kind": "state"}\n',
+        "tail-reports layout"),
+}
 
 
 def test_jsonl_rejects_bad_header(tmp_path):
     path = str(tmp_path / "bad.jsonl")
-    with open(path, "w") as fh:
-        fh.write('{"format": "ssco-jsonl", "version": 99}\n')
-    with pytest.raises(ValueError):
-        load_audit_bundle_jsonl(path)
-    with open(path, "w") as fh:
-        fh.write('{"something": "else"}\n')
-    with pytest.raises(ValueError):
-        load_audit_bundle_jsonl(path)
+    for what, (content, found) in FOREIGN.items():
+        with open(path, "w") as fh:
+            fh.write(content)
+        for follow in (False, True):
+            with pytest.raises(ValueError, match=found) as refused:
+                BundleReader.open(path, follow=follow, poll_interval=0.01,
+                                  idle_timeout=0.05)
+            assert path in str(refused.value), what
 
 
 def test_jsonl_requires_initial_state(tmp_path):
     path = str(tmp_path / "empty.jsonl")
     with open(path, "w") as fh:
-        fh.write('{"format": "ssco-jsonl", "version": 1}\n')
-    with pytest.raises(ValueError):
-        load_audit_bundle_jsonl(path)
+        fh.write('{"format": "ssco-jsonl", "version": 1, '
+                 '"layout": "segmented"}\n')
+    with pytest.raises(ValueError, match="no initial state"):
+        _read_all(path)
+    with BundleReader(path) as reader:
+        with pytest.raises(ValueError, match="no initial state"):
+            reader.initial_state
 
 
 # -- streaming reader/writer objects ------------------------------------------
-
-
-def test_segmented_bundle_roundtrips_vs_blob(tmp_path, epoch_run):
-    """Streaming-vs-blob: the segmented JSONL layout and the legacy one-
-    blob JSON load back to identical audit inputs."""
-    blob = str(tmp_path / "bundle.json")
-    segmented = str(tmp_path / "bundle.jsonl")
-    save_audit_bundle(blob, epoch_run.trace, epoch_run.reports,
-                      epoch_run.initial_state,
-                      epoch_marks=epoch_run.epoch_marks)
-    save_audit_bundle_segmented(segmented, epoch_run.trace,
-                                epoch_run.reports,
-                                epoch_run.initial_state,
-                                epoch_run.epoch_marks)
-    from_blob = load_audit_bundle_ex(blob)
-    from_stream = load_audit_bundle_ex(segmented)
-    assert trace_to_json(from_stream[0]) == trace_to_json(from_blob[0])
-    assert reports_to_json(from_stream[1]) == reports_to_json(from_blob[1])
-    assert state_to_json(from_stream[2]) == state_to_json(from_blob[2])
 
 
 def test_segmented_epochs_match_partitioner(tmp_path, epoch_run):
@@ -164,33 +142,15 @@ def test_segmented_epochs_match_partitioner(tmp_path, epoch_run):
                                     cuts=epoch_run.epoch_marks)
     assert len(shards) > 1
     with BundleReader(path) as reader:
-        assert reader.segmented
         state = reader.read_initial_state()
         assert state_to_json(state) == state_to_json(
             epoch_run.initial_state)
         slices = list(reader.epochs())
     assert [s.index for s in slices] == [s.index for s in shards]
     for epoch_slice, shard in zip(slices, shards):
-        assert trace_to_json(epoch_slice.trace) == \
-            trace_to_json(shard.trace)
-        assert reports_to_json(epoch_slice.reports) == \
-            reports_to_json(shard.reports)
+        assert epoch_slice.trace.events == shard.trace.events
+        assert epoch_slice.reports == shard.reports
         assert epoch_slice.request_count == shard.request_count
-
-
-def test_default_layout_epochs_use_partitioner(tmp_path, epoch_run):
-    path = str(tmp_path / "bundle.jsonl")
-    save_audit_bundle_jsonl(path, epoch_run.trace, epoch_run.reports,
-                            epoch_run.initial_state,
-                            epoch_run.epoch_marks)
-    with BundleReader(path) as reader:
-        assert not reader.segmented
-        slices = list(reader.epochs())
-    shards = partition_audit_inputs(epoch_run.trace, epoch_run.reports,
-                                    cuts=epoch_run.epoch_marks)
-    assert len(slices) == len(shards) > 1
-    total = sum(len(s.trace) for s in slices)
-    assert total == len(epoch_run.trace)
 
 
 def test_bundle_writer_reader_tail_live(tmp_path, epoch_run):
@@ -203,7 +163,7 @@ def test_bundle_writer_reader_tail_live(tmp_path, epoch_run):
     started = threading.Event()
 
     def write_slowly():
-        with BundleWriter(path, segmented=True) as writer:
+        with BundleWriter(path) as writer:
             writer.write_state(epoch_run.initial_state)
             started.set()
             for shard in shards:
@@ -221,8 +181,7 @@ def test_bundle_writer_reader_tail_live(tmp_path, epoch_run):
         writer_thread.join(timeout=10)
     assert len(slices) == len(shards)
     for epoch_slice, shard in zip(slices, shards):
-        assert trace_to_json(epoch_slice.trace) == \
-            trace_to_json(shard.trace)
+        assert epoch_slice.trace.events == shard.trace.events
 
 
 def test_follow_gives_up_after_idle_timeout(tmp_path, epoch_run):
@@ -231,7 +190,7 @@ def test_follow_gives_up_after_idle_timeout(tmp_path, epoch_run):
     path = str(tmp_path / "unfinished.jsonl")
     shards = partition_audit_inputs(epoch_run.trace, epoch_run.reports,
                                     cuts=epoch_run.epoch_marks)
-    writer = BundleWriter(path, segmented=True)
+    writer = BundleWriter(path)
     writer.write_state(epoch_run.initial_state)
     writer.write_epoch(shards[0].trace, shards[0].reports)
     writer.write_epoch_mark()  # closes epoch 0; epoch 1 never arrives
@@ -268,7 +227,7 @@ def test_follow_idle_timeout_measures_wall_clock(tmp_path, epoch_run):
     path = str(tmp_path / "unfinished.jsonl")
     shards = partition_audit_inputs(epoch_run.trace, epoch_run.reports,
                                     cuts=epoch_run.epoch_marks)
-    writer = BundleWriter(path, segmented=True)
+    writer = BundleWriter(path)
     writer.write_state(epoch_run.initial_state)
     writer.write_epoch(shards[0].trace, shards[0].reports)
     writer.write_epoch_mark()  # epoch 1 never arrives: pure polling
@@ -294,7 +253,7 @@ def test_follow_slow_consumer_gets_fresh_idle_budget(tmp_path,
     shards = partition_audit_inputs(epoch_run.trace, epoch_run.reports,
                                     cuts=epoch_run.epoch_marks)
     assert len(shards) >= 2
-    writer = BundleWriter(path, segmented=True)
+    writer = BundleWriter(path)
     writer.write_state(epoch_run.initial_state)
     writer.write_epoch(shards[0].trace, shards[0].reports)
     writer.write_epoch_mark()  # closes epoch 0
@@ -327,7 +286,7 @@ def test_reader_tolerates_torn_line_in_follow(tmp_path, epoch_run):
     path = str(tmp_path / "torn.jsonl")
     shards = partition_audit_inputs(epoch_run.trace, epoch_run.reports,
                                     cuts=epoch_run.epoch_marks)
-    with BundleWriter(path, segmented=True) as writer:
+    with BundleWriter(path) as writer:
         writer.write_state(epoch_run.initial_state)
         writer.write_epoch(shards[0].trace, shards[0].reports)
         writer.write_epoch_mark()
@@ -342,40 +301,25 @@ def test_reader_tolerates_torn_line_in_follow(tmp_path, epoch_run):
             reader.read_all()
 
 
-def test_save_audit_bundle_dispatches_segmented(tmp_path, epoch_run):
-    path = str(tmp_path / "bundle.jsonl")
-    save_audit_bundle(path, epoch_run.trace, epoch_run.reports,
-                      epoch_run.initial_state,
-                      epoch_marks=epoch_run.epoch_marks,
-                      format="jsonl-epochs")
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        kinds = [json.loads(line)["kind"] for line in fh if line.strip()]
-    assert header["layout"] == "segmented"
-    assert kinds[-1] == "end"
-    # Auto-detecting loaders read it like any other JSONL bundle.
-    trace, reports, state, _ = load_audit_bundle_ex(path)
-    assert trace_to_json(trace) == trace_to_json(epoch_run.trace)
-    assert reports_to_json(reports) == reports_to_json(epoch_run.reports)
-
-
 def test_final_record_without_trailing_newline_is_kept(tmp_path,
                                                        epoch_run):
     """A writer that dies between writing its last record and the
-    newline leaves complete JSON with no trailing '\\n'; the record
-    must load, not silently vanish."""
+    newline leaves complete JSON with no trailing '\\n'; the record —
+    a report record, or the ``end`` itself — must load, not silently
+    vanish."""
     path = str(tmp_path / "bundle.jsonl")
-    save_audit_bundle_jsonl(path, epoch_run.trace, epoch_run.reports,
-                            epoch_run.initial_state,
-                            epoch_run.epoch_marks)
-    with open(path) as fh:
-        content = fh.read()
-    assert content.endswith("\n")
-    with open(path, "w") as fh:
-        fh.write(content[:-1])  # drop only the final newline
-    trace, reports, state, marks = load_audit_bundle_jsonl(path)
-    assert trace_to_json(trace) == trace_to_json(epoch_run.trace)
-    assert reports_to_json(reports) == reports_to_json(epoch_run.reports)
+    for ended in (False, True):
+        with BundleWriter(path) as writer:
+            writer.write_state(epoch_run.initial_state)
+            writer.write_epoch(epoch_run.trace, epoch_run.reports)
+            if ended:
+                writer.write_end()
+        with open(path) as fh:
+            content = fh.read()
+        assert content.endswith("\n")
+        with open(path, "w") as fh:
+            fh.write(content[:-1])  # drop only the final newline
+        _assert_equal_bundles(epoch_run, _read_all(path))
 
 
 def test_reader_open_waits_for_late_header(tmp_path, epoch_run):
@@ -387,7 +331,7 @@ def test_reader_open_waits_for_late_header(tmp_path, epoch_run):
 
     def write_later():
         time.sleep(0.2)
-        with BundleWriter(path, segmented=True) as writer:
+        with BundleWriter(path) as writer:
             writer.write_state(epoch_run.initial_state)
             writer.write_epoch(shards[0].trace, shards[0].reports)
             writer.write_end()
@@ -409,7 +353,8 @@ def test_reader_open_fails_fast_on_wrong_complete_header(tmp_path):
     path = str(tmp_path / "foreign.jsonl")
     with open(path, "w") as fh:
         fh.write('{"something": "else"}\n')
-    with pytest.raises(ValueError, match="not a ssco-jsonl bundle"):
+    with pytest.raises(ValueError,
+                       match="not a segmented ssco-jsonl bundle"):
         BundleReader.open(path, follow=True, idle_timeout=10)
 
 
@@ -421,12 +366,7 @@ def test_reader_open_times_out_on_missing_file(tmp_path):
 
 
 def test_batch_savers_do_not_autoflush(tmp_path, epoch_run):
-    path = str(tmp_path / "bundle.jsonl")
-    save_audit_bundle_segmented(path, epoch_run.trace, epoch_run.reports,
-                                epoch_run.initial_state,
-                                epoch_run.epoch_marks)
     # Behavioral contract: the file still round-trips exactly.
-    trace, reports, state, _ = load_audit_bundle_ex(path)
-    assert trace_to_json(trace) == trace_to_json(epoch_run.trace)
+    _assert_equal_bundles(epoch_run, _read_all(_saved(tmp_path, epoch_run)))
     # And the live writer keeps flushing by default.
     assert BundleWriter(str(tmp_path / "live.jsonl")).autoflush

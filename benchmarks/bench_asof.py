@@ -37,7 +37,6 @@ import sys
 import time as _time
 
 from repro.bench.harness import run_audit_phase, run_online_phase
-from repro.core.config import AuditConfig
 from repro.forensics import Timeline, query_asof, reaudit_request
 from repro.workloads import wiki_workload
 
@@ -50,18 +49,14 @@ def run(scale: float = 0.02, seed: int = 1, epoch_size: int = 30,
     requests = len(workload.requests)
 
     started = _time.perf_counter()
-    full = run_audit_phase(workload, execution, run_baseline=False,
-                           epoch_cuts=execution.epoch_marks)
+    full = run_audit_phase(workload, execution, run_baseline=False)
     full_seconds = _time.perf_counter() - started
     assert full.audit.accepted, (full.audit.reason, full.audit.detail)
     full_steps = full.audit.stats["steps"]
 
     started = _time.perf_counter()
-    timeline = Timeline.from_inputs(
-        workload.app, execution.trace, execution.reports,
-        execution.initial_state, cuts=execution.epoch_marks,
-        config=AuditConfig(),
-    )
+    timeline = Timeline.from_epochs(workload.app, execution.epochs(),
+                                    execution.initial_state)
     timeline_seconds = _time.perf_counter() - started
     assert timeline.prepass_rejected is None
 

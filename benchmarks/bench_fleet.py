@@ -46,7 +46,6 @@ import time as _time
 
 from repro.common.clock import Deadline
 from repro.core import AuditConfig, Auditor
-from repro.core.partition import partition_audit_inputs
 from repro.core.reexec import available_cpus
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
@@ -127,8 +126,7 @@ def measure_fleet(workload, execution, fleet_workers: int,
                   repeats: int = 1):
     """Audit the bundle serially, then through a loopback fleet; the
     fleet's bodies must match the serial chain's bitwise."""
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     serial = best_serial_seconds = None
     for _ in range(max(1, repeats)):
         merged, elapsed = _timed_session(

@@ -18,8 +18,8 @@ metric is **normalized within its own run** (dimensionless):
 * speedups: a parallel configuration's throughput relative to the same
   run's serial configuration (``serial_seconds / parallel_seconds`` —
   normalized throughput; higher is better);
-* overheads: a streaming/socket path's cost relative to the same run's
-  one-shot/file path (lower is better).
+* overheads: a socket path's cost relative to the same run's file path
+  (lower is better).
 
 A metric regresses when the CI value is worse than the baseline value
 by more than ``--tolerance`` (relative).  Being *better* than the
@@ -102,16 +102,6 @@ def metrics_parallel_scaling(data) -> list[Metric]:
     return out
 
 
-def metrics_streaming_session(data) -> list[Metric]:
-    """``bench_streaming_session``: the incremental session's overhead
-    over the one-shot audit of the same bundle (lower is better)."""
-    out: list[Metric] = []
-    if "session_overhead" in data:
-        out.append(Metric("session_overhead", data["session_overhead"],
-                          higher_is_better=False))
-    return out
-
-
 def metrics_epoch_parallel(data) -> list[Metric]:
     """``bench_epoch_parallel``: epoch-parallel speedup over the run's
     serial chain (normalized throughput)."""
@@ -191,7 +181,6 @@ def metrics_synth(data) -> list[Metric]:
 
 EXTRACTORS = {
     "parallel_scaling": metrics_parallel_scaling,
-    "streaming_session": metrics_streaming_session,
     "epoch_parallel": metrics_epoch_parallel,
     "transport": metrics_transport,
     "fleet": metrics_fleet,

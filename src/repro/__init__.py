@@ -26,11 +26,17 @@ Quickstart::
                        result.initial_state)
     assert audit.accepted
 
-For continuous deployments, the service API audits epoch by epoch::
+The server cuts its execution into epochs (``Executor(app,
+epoch_size=500)`` drains and marks one every 500 requests) and the
+service API audits them one by one, carrying only migrated state
+between them::
 
     from repro import AuditConfig, Auditor
 
     auditor = Auditor(app, AuditConfig(workers=4))
+    assert auditor.audit_epochs(result.epochs(),
+                                result.initial_state).accepted
+    # ... or as they arrive, from a bundle that is still being written:
     with auditor.session(initial_state) as session:
         for epoch in reader.epochs(follow=True):   # repro.io.BundleReader
             session.feed_epoch(epoch.trace, epoch.reports)
@@ -55,7 +61,6 @@ from repro.core import (
     create_time_precedence_graph,
     ooo_audit,
     register_reexec_backend,
-    run_audit,
     simple_audit,
     ssco_audit,
 )
@@ -95,7 +100,6 @@ __all__ = [
     "create_time_precedence_graph",
     "ooo_audit",
     "register_reexec_backend",
-    "run_audit",
     "simple_audit",
     "ssco_audit",
     "__version__",

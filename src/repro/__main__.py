@@ -37,13 +37,12 @@ Every auditing subcommand is driven by one validated
 :class:`~repro.core.config.AuditConfig`: flags layer over an optional
 ``--config audit.json`` file, which layers over the defaults.
 ``--workers N`` fans group re-execution out over worker processes,
-``--epoch-size N`` makes the server drain every N requests and mark
-the epoch; an audit follows the recorded epochs, and on a file
-``--epoch-size N`` / ``--epoch-cuts "i,j,k"`` re-cut it at other
-quiescent points first.  ``--epoch-workers N`` audits epochs
-concurrently (a redo-only state precompute materializes each epoch's
-initial state first), and ``--backend`` selects the registered
-re-execution engine.
+``--epoch-workers N`` audits epochs concurrently (a redo-only state
+precompute materializes each epoch's initial state first), and
+``--backend`` selects the registered re-execution engine.  Epochs are
+cut once, by the recorder: ``--epoch-size N`` on ``demo`` / ``record``
+/ ``serve`` / ``synth`` makes the server drain every N requests and
+mark the epoch, and every audit follows the epochs it is handed.
 
 The built-in workloads are the paper's three applications: ``wiki``,
 ``forum``, ``hotcrp``.
@@ -65,8 +64,7 @@ from repro.apps import (
 from repro.bench import figure9_decomposition, render_table
 from repro.bench.harness import run_audit_phase
 from repro.core import Auditor, simple_audit
-from repro.core.config import AuditConfig, parse_epoch_cuts
-from repro.core.partition import partition_audit_inputs
+from repro.core.config import AuditConfig
 from repro.core.reexec import available_backends
 from repro.forensics import (
     AsOfError,
@@ -152,8 +150,6 @@ def cmd_demo(args) -> int:
     print(f"serving {len(workload.requests)} {workload.label} requests "
           f"(concurrency {args.concurrency}) ...")
     execution = _serve(workload, args)
-    if execution.epoch_marks and config.epoch_cuts is None:
-        config = config.replace(epoch_cuts=tuple(execution.epoch_marks))
     print(f"auditing ({config.describe()}) ...")
     run = run_audit_phase(workload, execution, config=config)
     audit = run.audit
@@ -169,12 +165,11 @@ def cmd_demo(args) -> int:
     print(f"groups={stats['groups']} alpha={alpha:.3f} "
           f"dedup={stats['dedup_hits']}/"
           f"{stats['dedup_hits'] + stats['dedup_misses']}")
-    if stats.get("shard_count"):
-        print(f"shards={stats['shard_count']}: " + " ".join(
-            f"[{s['shard']}] {s['requests']}req "
-            f"{s['reexec_seconds'] * 1e3:.1f}ms"
-            for s in stats["shards"]
-        ))
+    print(f"shards={stats['shard_count']}: " + " ".join(
+        f"[{s['shard']}] {s['requests']}req "
+        f"{s['reexec_seconds'] * 1e3:.1f}ms"
+        for s in stats["shards"]
+    ))
     rows = [{"phase": k, "seconds": v}
             for k, v in figure9_decomposition(run).items()]
     print(render_table(rows, ["phase", "seconds"]))
@@ -221,20 +216,18 @@ def cmd_serve(args) -> int:
             print(f"serving {len(workload.requests)} {workload.label} "
                   f"requests (concurrency {args.concurrency}) ...")
             execution = _serve(workload, args)
-            shards = partition_audit_inputs(execution.trace,
-                                            execution.reports,
-                                            cuts=execution.epoch_marks)
+            epochs = execution.epochs()
             if args.out:
                 writer = BundleWriter(args.out)
                 publisher.writer = writer
-            print(f"publishing {len(shards)} epoch(s) on "
+            print(f"publishing {len(epochs)} epoch(s) on "
                   f"{publisher.endpoint} "
                   f"({len(execution.trace)} events, "
                   f"{execution.reports.op_count_total()} logged ops)",
                   flush=True)
             publisher.write_state(execution.initial_state)
-            for shard in shards:
-                publisher.write_epoch(shard.trace, shard.reports)
+            for epoch in epochs:
+                publisher.write_epoch(epoch.trace, epoch.reports)
                 if args.epoch_delay:
                     time.sleep(args.epoch_delay)
             publisher.write_end()
@@ -268,10 +261,6 @@ def cmd_audit(args) -> int:
     elif not args.bundle:
         usage("audit needs a bundle file (or --connect HOST:PORT)")
     follow = args.follow or bool(config.connect)
-    if follow and _recuts(config):
-        usage("--epoch-size / --epoch-cuts re-cut a finished bundle "
-              "file; a live stream (--follow, --connect) is audited at "
-              "the epochs it arrives in")
     if config.connect:
         # The verifier on its own machine, no shared filesystem.
         banner = f"auditing live stream from {config.connect}"
@@ -311,11 +300,6 @@ def cmd_audit(args) -> int:
     except (TransportError, ProtocolError) as exc:
         print(f"error: live stream failed: {exc}", file=sys.stderr)
         return 2
-
-
-def _recuts(config: AuditConfig) -> bool:
-    """Does the config ask for epoch boundaries other than recorded?"""
-    return config.epoch_size > 0 or bool(config.epoch_cuts)
 
 
 #: What decoding a record that is not what it claims to be raises.
@@ -708,8 +692,7 @@ def _drive_stream_session(reader, workload, config: AuditConfig,
     """The audit loop under ``repro audit FILE``, ``--follow`` (file
     tail) and ``--connect`` (socket): feed each epoch slice into an
     incremental audit session, print per-epoch verdicts, merge.  The
-    slices are the reader's recorded epochs — or, when the config asks
-    for other boundaries, the partitioner's re-cut of the whole file.
+    slices are the reader's: the epochs the bundle was recorded in.
 
     Feeding is asynchronous: with ``epoch_workers > 1`` the session
     audits several epochs concurrently while this loop keeps ingesting
@@ -740,20 +723,12 @@ def _drive_stream_session(reader, workload, config: AuditConfig,
         except _UNDECODABLE as exc:
             return None, exc
 
-    def source():
-        if _recuts(config):
-            trace, reports, initial, _ = reader.read_all()
-            return initial, iter(partition_audit_inputs(
-                trace, reports, config.epoch_size, config.epoch_cuts))
-        initial = reader.read_initial_state(follow=follow,
-                                            idle_timeout=timeout)
-        return initial, reader.epochs(follow=follow, idle_timeout=timeout)
-
     with reader:
-        opened, malformed = decode(source)
+        initial, malformed = decode(lambda: reader.read_initial_state(
+            follow=follow, idle_timeout=timeout))
         if malformed is not None:
             return _reject_malformed(malformed, as_json)
-        initial, epochs = opened
+        epochs = reader.epochs(follow=follow, idle_timeout=timeout)
         auditor = Auditor(workload.app, config)
         rejected = False
         with auditor.session(initial) as session:
@@ -838,21 +813,16 @@ def audit_knobs(p) -> None:
                         "processes (1 = serial)")
     p.add_argument("--epoch-workers", type=int, default=None,
                    metavar="N",
-                   help="audit epoch shards concurrently, N at a "
-                        "time, on a shared persistent process pool "
-                        "after a redo-only state precompute "
-                        "(1 = serial epoch chain; pair with "
-                        "--epoch-size/--epoch-cuts)")
+                   help="audit epochs concurrently, N at a time, on "
+                        "a shared persistent process pool after a "
+                        "redo-only state precompute (1 = serial epoch "
+                        "chain)")
     p.add_argument("--backend", choices=available_backends(),
                    default=None,
                    help="re-execution backend: hybrid (the compiled "
                         "engine, default) or interp (the oracle); "
                         "accinterp / compinterp are aliases of hybrid "
                         "(compinterp: one request per chunk)")
-    p.add_argument("--epoch-cuts", type=parse_epoch_cuts, default=None,
-                   metavar="I,J,K",
-                   help="explicit cut positions (event indexes) to "
-                        "re-cut a bundle file at; overrides --epoch-size")
     p.add_argument("--config", default=None, metavar="AUDIT.JSON",
                    help="audit config file (flags override its "
                         "fields; see AuditConfig.to_json)")
@@ -872,22 +842,23 @@ def main(argv=None) -> int:
         p.add_argument("--scale", type=float, default=0.02,
                        help="workload scale (1.0 = the paper's full size)")
         p.add_argument("--seed", type=int, default=1)
+
+    def recording(p):
+        common(p)
+        p.add_argument("--concurrency", type=int, default=8,
+                       help="server's max in-flight requests")
         p.add_argument("--epoch-size", type=int, default=None,
-                       help="serve: drain every N requests and record an "
-                            "epoch mark; audit FILE: re-cut at quiescent "
-                            "points N requests apart (0 disables)")
+                       help="drain every N requests and record an epoch "
+                            "mark: the epochs the bundle is audited in "
+                            "(default: synth 500, the others one epoch)")
 
     demo = sub.add_parser("demo", help="serve + audit, print stats")
-    common(demo)
-    demo.add_argument("--concurrency", type=int, default=8,
-                      help="server's max in-flight requests")
+    recording(demo)
     audit_knobs(demo)
     demo.set_defaults(func=cmd_demo)
 
     record = sub.add_parser("record", help="serve and save a bundle")
-    common(record)
-    record.add_argument("--concurrency", type=int, default=8,
-                        help="server's max in-flight requests")
+    recording(record)
     record.add_argument("--out", default="audit_bundle.jsonl",
                         help="segmented JSONL bundle to write")
     record.set_defaults(func=cmd_record)
@@ -897,9 +868,7 @@ def main(argv=None) -> int:
         help="serve a workload and publish the live audit stream "
              "over TCP (audit it with: audit --connect HOST:PORT)",
     )
-    common(serve)
-    serve.add_argument("--concurrency", type=int, default=8,
-                       help="server's max in-flight requests")
+    recording(serve)
     serve.add_argument("--listen", default=None, metavar="HOST:PORT",
                        help="publish the framed audit stream here "
                             "(port 0 binds an ephemeral port; the bound "
@@ -1021,7 +990,7 @@ def main(argv=None) -> int:
              "self-audit profile and checkpoint/resume (see "
              "docs/scenarios.md)",
     )
-    common(synth)
+    recording(synth)
     synth.add_argument("--requests", type=int, default=10_000,
                        help="requests to synthesize this run "
                             "(default 10000; resume adds on top)")
@@ -1032,8 +1001,6 @@ def main(argv=None) -> int:
                        dest="max_sessions", metavar="N",
                        help="bound on concurrently active sessions "
                             "(the generator's working set; default 64)")
-    synth.add_argument("--concurrency", type=int, default=8,
-                       help="server's max in-flight requests")
     synth.add_argument("--out", default="synth_bundle.jsonl",
                        metavar="BUNDLE.JSONL",
                        help="segmented JSONL bundle to write")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from collections.abc import Sequence
 
 from repro.core.auditor import Auditor
 from repro.core.config import AuditConfig
@@ -99,16 +98,14 @@ def run_audit_phase(
     strict_registers: bool = False,
     max_group_size: int = DEFAULT_MAX_GROUP,
     workers: int = 1,
-    epoch_size: int = 0,
-    epoch_cuts: Sequence[int] | None = None,
     backend: str | None = None,
     config: AuditConfig | None = None,
 ) -> BenchRun:
     """Audit ``execution`` and package the outcome for the benchmarks.
 
     A validated :class:`AuditConfig` supersedes the individual keyword
-    knobs when given (the CLI path); either way the audit itself is the
-    one-shot :class:`Auditor` service call.
+    knobs when given (the CLI path); either way the audit is an epoch
+    session over the epochs the execution was recorded in.
     """
     if config is None:
         config = AuditConfig(
@@ -118,12 +115,10 @@ def run_audit_phase(
             strict_registers=strict_registers,
             max_group_size=max_group_size,
             workers=max(1, workers),
-            epoch_size=epoch_size,
-            epoch_cuts=tuple(epoch_cuts) if epoch_cuts else None,
             backend=backend if backend is not None else default_backend(),
         )
-    audit = Auditor(workload.app, config).audit(
-        execution.trace, execution.reports, execution.initial_state
+    audit = Auditor(workload.app, config).audit_epochs(
+        execution.epochs(), execution.initial_state
     )
     baseline = None
     if run_baseline:
@@ -133,16 +128,13 @@ def run_audit_phase(
             execution.reports,
             execution.initial_state,
         )
-    run = BenchRun(
+    return BenchRun(
         label=workload.label,
         execution=execution,
         legacy_seconds=0.0,
         audit=audit,
         baseline_audit=baseline,
     )
-    if "shards" in audit.stats:
-        run.extras["shards"] = audit.stats["shards"]
-    return run
 
 
 def run_workload_pipeline(
@@ -169,7 +161,6 @@ def run_workload_pipeline(
         workload, execution,
         dedup=dedup, collapse=collapse, run_baseline=run_baseline,
         workers=workers,
-        epoch_cuts=execution.epoch_marks or None,
     )
     run.legacy_seconds = legacy_seconds
     return run

@@ -14,14 +14,14 @@ Public entry points:
   (:class:`~repro.core.pipeline.AuditPipeline` of composable
   :class:`~repro.core.pipeline.AuditPhase` objects) every entry point
   above is built on.
-* :mod:`repro.core.partition` — quiescent-cut epoch partitioning of
-  audit inputs.
+* :mod:`repro.core.partition` — the recorder-side cut: an execution's
+  epoch marks turned into epoch slices (``ExecutionResult.epochs()``).
 * :mod:`repro.core.auditor` — the service API: a long-lived
   :class:`~repro.core.auditor.Auditor` bound to a validated
   :class:`~repro.core.config.AuditConfig`, with incremental epoch
   :class:`~repro.core.auditor.AuditSession` feeding (the paper's
-  continuous deployment, §4.1) — the one epoch driver, which
-  :func:`~repro.core.auditor.sharded_audit` applies within a bundle.
+  continuous deployment, §4.1) — the one epoch driver, over the epochs
+  the recorder cut.
 * :mod:`repro.core.reexec` — the re-execution engines behind the
   pipeline's :class:`~repro.core.pipeline.ReExecPhase`, pluggable via
   :func:`~repro.core.reexec.register_reexec_backend`.
@@ -39,12 +39,10 @@ from repro.core.auditor import (
     AuditSession,
     Auditor,
     EpochResult,
-    run_audit,
-    sharded_audit,
 )
 from repro.core.epochpool import EpochPool
 from repro.core.config import AuditConfig
-from repro.core.partition import Shard, find_epoch_cuts, partition_audit_inputs
+from repro.core.partition import partition_audit_inputs
 from repro.core.reexec import (
     available_backends,
     default_backend,
@@ -65,18 +63,14 @@ __all__ = [
     "Auditor",
     "EpochPool",
     "EpochResult",
-    "Shard",
     "available_backends",
     "create_time_precedence_graph",
     "default_backend",
     "default_pipeline",
-    "find_epoch_cuts",
     "ooo_audit",
     "partition_audit_inputs",
     "register_reexec_backend",
     "group_profile",
-    "run_audit",
-    "sharded_audit",
     "simple_audit",
     "ssco_audit",
     "summarize_triples",

@@ -1,27 +1,28 @@
 """The auditing service API: :class:`Auditor` and :class:`AuditSession`.
 
-The paper's deployment is *continuous* (§4.1): the verifier audits epoch
-N while the server records epoch N+1, and only migrated state crosses
-epoch boundaries.  ``ssco_audit`` — one function call over one complete
-bundle — cannot express that.  This module redesigns the audit phase
-around a long-lived service object:
+The paper's deployment is *continuous* (§4.1): the server cuts its
+execution into epochs at quiescent points, the verifier audits epoch N
+while the server records epoch N+1, and only migrated state crosses
+epoch boundaries.  This module is that verifier:
 
 * :class:`Auditor` binds the trusted program and a validated
-  :class:`~repro.core.config.AuditConfig`.  :meth:`Auditor.audit` is the
-  one-shot entry point (exactly ``ssco_audit``); :meth:`Auditor.session`
-  opens an **incremental epoch session**.
+  :class:`~repro.core.config.AuditConfig`.  :meth:`Auditor.audit` is one
+  pipeline pass over one epoch (``ssco_audit`` is its kwargs
+  shorthand); :meth:`Auditor.session` opens an **incremental epoch
+  session** and :meth:`Auditor.audit_epochs` drives one over any
+  iterable of epoch slices.  These are the only audit entry points.
 * :class:`AuditSession` is the one epoch driver.  It consumes one epoch
   at a time: :meth:`~AuditSession.feed_epoch` audits a (trace slice,
   reports slice) pair against the state migrated out of the previous
   epoch and returns a per-epoch :class:`EpochResult`;
   :meth:`~AuditSession.close` returns the merged
   :class:`~repro.core.pipeline.AuditResult`.
-* :func:`sharded_audit` is the session applied *within* one recorded
-  bundle: it cuts the inputs at quiescent points
-  (:mod:`repro.core.partition`) and feeds the shards through
-  :meth:`Auditor.audit_epochs`.  :func:`run_audit` picks between it and
-  a single pipeline pass; ``ssco_audit`` is the kwargs shorthand for
-  :meth:`Auditor.audit`.
+* The session takes its epochs as given.  Where an epoch ends is the
+  recorder's decision (``Executor(epoch_size=...)`` drains and marks
+  it); the slices come from ``ExecutionResult.epochs()`` in memory,
+  ``BundleReader.epochs()`` from a file and
+  ``RemoteBundleReader.epochs()`` from a socket, and nothing on this
+  side re-cuts them.
 * With ``config.epoch_workers > 1`` (or a fleet) the chain is unrolled:
   at feed time only the cheap, serial part runs — the cross-epoch checks
   and the redo-only **state precompute**
@@ -64,13 +65,12 @@ from repro.common.errors import AuditReject, RejectReason
 from repro.core.config import AuditConfig
 from repro.core.epochpool import EpochPool, epoch_worker_config
 from repro.core.nondet import validate_nondet_reports
-from repro.core.partition import make_shard_summary, partition_audit_inputs
 from repro.core.pipeline import (
     AuditContext,
     AuditPipeline,
     AuditResult,
     default_pipeline,
-    state_precompute_pipeline,
+    prepass_epoch,
 )
 from repro.server.app import Application, InitialState
 from repro.server.reports import Reports
@@ -140,11 +140,9 @@ class AuditSession:
         self._state = initial_state
         self._epoch_pool: ThreadPoolExecutor | None = None
         config = auditor.config
-        #: What every epoch runs under: the session takes its epochs as
-        #: given (no further cuts) and the chain always needs the next
-        #: state.
-        self._epoch_config = config.replace(
-            epoch_size=0, epoch_cuts=None, migrate=True)
+        #: What every epoch runs under: the chain always needs the
+        #: next state.
+        self._epoch_config = config.replace(migrate=True)
         # Concurrent epoch mode needs the stock phase structure (the
         # prepass stands in for specific phases); custom pipelines keep
         # the serial chain.
@@ -198,7 +196,7 @@ class AuditSession:
             #: bounded set of in-flight epochs.
             self._prepass_depth = 2 * epoch_workers
             self._precompute_seconds = 0.0
-            #: Feed-order merge queue: ("skipped"|"precheck"|"rejected"|
+            #: Feed-order merge queue: ("skipped"|"crashed"|"rejected"|
             #: "audit", payload, requests, events) per fed epoch.
             self._entries: list[tuple] = []
             self._merged_upto = 0
@@ -229,7 +227,7 @@ class AuditSession:
         The slice must be self-contained: a balanced trace segment cut
         at a quiescent point, with the reports restricted to its
         requests (exactly what ``BundleReader.epochs()`` or
-        :func:`repro.core.partition.partition_audit_inputs` yield).
+        ``ExecutionResult.epochs()`` yield).
         """
         return self.submit_epoch(trace, reports).result()
 
@@ -310,20 +308,13 @@ class AuditSession:
     def _prepass_epoch(self, trace: Trace, reports: Reports,
                        requests: int, events: int) -> tuple:
         """One epoch's serial half; returns its merge-queue entry."""
-        try:
-            check_balanced(trace)
-            validate_nondet_reports(reports, self._seen_uniq)
-        except AuditReject as reject:
-            self._prepass_failed = True
-            return ("precheck", reject, requests, events)
         epoch_state = self._prepass_state
-        actx = AuditContext(self._auditor.app, trace, reports,
-                            epoch_state, self._epoch_config)
         prepass_start = _time.perf_counter()
-        pre = state_precompute_pipeline().run(actx)
+        pre = prepass_epoch(self._auditor.app, trace, reports, epoch_state,
+                            self._epoch_config, self._seen_uniq).result
         self._precompute_seconds += _time.perf_counter() - prepass_start
         if not pre.accepted:
-            # The full audit would reject at the same phase with the
+            # The full audit would reject at the same check with the
             # same reason — the prepass *is* that prefix of it — so its
             # result already carries the epoch's verdict and stats.
             self._prepass_failed = True
@@ -417,14 +408,6 @@ class AuditSession:
             # Re-raise the feed-time crash (see _submit_epoch_concurrent)
             # so close()/_drain can never report ACCEPTED past it.
             raise payload
-        elif kind == "precheck":
-            epoch = EpochResult(
-                index=index, accepted=False, reason=payload.reason,
-                detail=payload.detail, requests=requests, events=events,
-            )
-            self._epochs.append(epoch)
-            self._failure = epoch
-            self._merged.produced = {}
         else:  # "rejected" (a prepass verdict) or "audit" (pool future)
             if kind == "audit":
                 future, next_state = payload
@@ -444,9 +427,7 @@ class AuditSession:
             )
             self._epochs.append(epoch)
             _merge_shard_result(self._merged, result)
-            self._summaries.append(
-                make_shard_summary(index, requests, events, result)
-            )
+            self._summaries.append(_epoch_summary(epoch))
             self._audit_seconds += result.phases.get("total", 0.0)
             if not epoch.accepted:
                 self._failure = epoch
@@ -493,8 +474,7 @@ class AuditSession:
 
         # The §4.6 plausibility pre-check with whole-stream state: the
         # per-epoch pipeline re-checks internally, but only this shared
-        # set catches a uniqid duplicated *across* epochs (sharded_audit
-        # sees the whole report set at once and needs no threading).
+        # set catches a uniqid duplicated *across* epochs.
         try:
             check_balanced(trace)
             validate_nondet_reports(reports, self._seen_uniq)
@@ -530,9 +510,7 @@ class AuditSession:
         self._epochs.append(epoch)
         if result is not None:
             _merge_shard_result(self._merged, result)
-            self._summaries.append(make_shard_summary(
-                epoch.index, epoch.requests, epoch.events, result
-            ))
+        self._summaries.append(_epoch_summary(epoch))
         if not epoch.accepted:
             self._failure = epoch
             self._merged.produced = {}
@@ -597,16 +575,14 @@ class AuditSession:
     def close(self) -> AuditResult:
         """Finish the session and return the merged result.
 
-        The merged result has the same shape as one-shot
-        ``ssco_audit(..., epoch_cuts=...)`` over the concatenated
-        stream: summed phase timers and stats, per-epoch summaries under
-        ``stats["shards"]``, the union of produced bodies, and — when
-        the config asks for ``migrate`` — the final chained state in
-        ``next_initial``.  ``phases["total"]`` is the summed per-epoch
-        audit time, *not* wall-clock since the session opened (a follow
-        session spends most of its life waiting for epochs;
-        :func:`sharded_audit`, which has the whole bundle in hand,
-        overwrites it with its call's wall-clock).  Idempotent.
+        The merged result has the shape of one pipeline pass over the
+        concatenated stream: summed phase timers and stats, per-epoch
+        summaries under ``stats["shards"]``, the union of produced
+        bodies, and — when the config asks for ``migrate`` — the final
+        chained state in ``next_initial``.  ``phases["total"]`` is the
+        summed per-epoch audit time, *not* wall-clock since the session
+        opened (a follow session spends most of its life waiting for
+        epochs).  Idempotent.
         """
         if self._final is not None:
             return self._final
@@ -652,10 +628,12 @@ class Auditor:
     :class:`~repro.core.config.AuditConfig` (keyword knobs build one:
     ``Auditor(app, workers=4, backend="interp")``).
 
-    * :meth:`audit` — one-shot, exactly ``ssco_audit``;
+    * :meth:`audit` — one pipeline pass over one epoch (``ssco_audit``
+      is the kwargs shorthand);
     * :meth:`session` — incremental epoch-by-epoch auditing;
     * :meth:`audit_epochs` — drive a session over any iterable of epoch
-      slices (e.g. ``BundleReader.epochs(follow=True)``).
+      slices (``execution.epochs()``,
+      ``BundleReader.epochs(follow=True)``, ...).
 
     A custom :class:`~repro.core.pipeline.AuditPipeline` may replace the
     stock phase sequence; sessions require it to keep a ``MigratePhase``
@@ -683,10 +661,11 @@ class Auditor:
         reports: Reports,
         initial_state: InitialState,
     ) -> AuditResult:
-        """Audit one complete bundle under this auditor's config."""
-        self.config.validate_for_trace(trace)
-        return run_audit(self.app, trace, reports, initial_state,
-                         self.config, pipeline=self.pipeline)
+        """Audit one epoch: a single pass of the (stock or
+        caller-supplied) pipeline over the inputs, whole."""
+        actx = AuditContext(self.app, trace, reports, initial_state,
+                            self.config)
+        return (self.pipeline or default_pipeline()).run(actx)
 
     def session(self, initial_state: InitialState) -> AuditSession:
         """Open an incremental epoch session starting from
@@ -702,12 +681,11 @@ class Auditor:
         """Feed every epoch slice of ``epochs`` through a session.
 
         Items may be ``(trace, reports)`` pairs or objects with
-        ``.trace`` / ``.reports`` attributes (``BundleReader``'s
-        :class:`~repro.io.EpochSlice`, the partitioner's
-        :class:`~repro.core.partition.Shard`).  The whole iterable is
-        consumed — epochs after a rejection come back as cheap *skipped*
-        results, so the merged outcome (verdict, stats, shard count) is
-        identical to the one-shot sharded audit over the same cuts.
+        ``.trace`` / ``.reports`` attributes
+        (:class:`~repro.server.reports.EpochSlice`).  The whole iterable
+        is consumed — epochs after a rejection come back as cheap
+        *skipped* results, so ``stats["shard_count"]`` is the number of
+        epochs fed whatever the verdict.
         With ``config.epoch_workers > 1`` the epochs audit concurrently
         (only the redo-only state prepass runs between submissions) and
         are merged back in feed order; the session itself bounds
@@ -742,6 +720,21 @@ _SUMMED_STATS = (
 )
 
 
+def _epoch_summary(epoch: EpochResult) -> dict[str, object]:
+    """One ``stats["shards"]`` entry.  Every epoch that was audited has
+    one — an epoch a cross-epoch check rejected too, with no groups and
+    no re-execution time — so the first entry that is not ``accepted``
+    names the rejecting epoch; skipped epochs have none."""
+    return {
+        "shard": epoch.index,
+        "requests": epoch.requests,
+        "events": epoch.events,
+        "accepted": epoch.accepted,
+        "reexec_seconds": epoch.phases.get("reexec", 0.0),
+        "groups": epoch.stats.get("groups", 0),
+    }
+
+
 def _merge_shard_result(merged: AuditResult, result: AuditResult) -> None:
     for key, seconds in result.phases.items():
         if key != "total":
@@ -756,79 +749,3 @@ def _merge_shard_result(merged: AuditResult, result: AuditResult) -> None:
             result.stats["group_alphas"]
         )
     merged.produced.update(result.produced)
-
-
-# -- one-shot entry points ----------------------------------------------------
-
-
-def run_audit(
-    app: Application,
-    trace: Trace,
-    reports: Reports,
-    initial_state: InitialState,
-    config: AuditConfig | None = None,
-    pipeline: AuditPipeline | None = None,
-) -> AuditResult:
-    """Audit one bundle: sharded when the config asks for it, otherwise
-    a single pass of the (default or caller-supplied) pipeline."""
-    config = config or AuditConfig()
-    if config.epoch_size > 0 or config.epoch_cuts:
-        return sharded_audit(app, trace, reports, initial_state, config,
-                             pipeline=pipeline)
-    actx = AuditContext(app, trace, reports, initial_state, config)
-    return (pipeline or default_pipeline()).run(actx)
-
-
-def sharded_audit(
-    app: Application,
-    trace: Trace,
-    reports: Reports,
-    initial_state: InitialState,
-    config: AuditConfig | None = None,
-    pipeline: AuditPipeline | None = None,
-) -> AuditResult:
-    """Audit the bundle as a chain of epoch shards (§4.1, §4.5).
-
-    The trace is cut at quiescent points (every ``epoch_size`` requests,
-    or at the explicit ``epoch_cuts``) and the shards are fed through
-    :meth:`Auditor.audit_epochs`: each shard is audited against the
-    state migrated out of the previous one, so accepting shard *k*
-    certifies exactly the state shard *k+1* starts from.  The merged
-    result carries the union of produced bodies, summed phase timers
-    and stats, and per-shard summaries under ``stats["shards"]``;
-    ``phases["total"]`` is this call's wall-clock.
-
-    ``config.epoch_workers > 1`` (or ``fleet_listen``) audits the
-    shards concurrently, bit-identical to the serial chain (see
-    :class:`AuditSession`).  When no usable cut exists the bundle is
-    audited as one shard by one plain pipeline pass and no pool is
-    created.  Partitioning itself never rejects; only the phase checks
-    do.
-
-    A caller-supplied ``pipeline`` is run for every shard; it must
-    include a :class:`~repro.core.pipeline.MigratePhase` (the stock
-    pipelines do), because shard chaining consumes each shard's
-    migrated state, and it always uses the serial chain.
-    """
-    config = config or AuditConfig()
-    total_start = _time.perf_counter()
-    try:
-        # Whole-bundle pre-checks: an unbalanced trace or implausible
-        # nondet reports (§4.6) reject before anything is cut or
-        # audited, as a result with no shard summaries.
-        check_balanced(trace)
-        validate_nondet_reports(reports)
-        shards = partition_audit_inputs(
-            trace, reports, config.epoch_size, config.epoch_cuts
-        )
-    except AuditReject as reject:
-        merged = AuditResult(accepted=False, reason=reject.reason,
-                             detail=reject.detail)
-    else:
-        if len(shards) == 1:
-            # No chain to unroll: stay in-process.
-            config = config.replace(epoch_workers=1, fleet_listen=None)
-        merged = Auditor(app, config, pipeline).audit_epochs(
-            shards, initial_state)
-    merged.phases["total"] = _time.perf_counter() - total_start
-    return merged

@@ -5,10 +5,10 @@ process: the phase engine, the epoch driver, the epoch work unit and
 the forensic timeline all take it directly.
 
 * every knob, documented once, on the field;
-* **hard validation** at construction: nonsensical values (negative
-  ``workers``/``epoch_size``, unsorted ``epoch_cuts``, an unregistered
-  ``backend``) raise :class:`ValueError` with a message naming the field
-  — at the API boundary, not five frames deep in the pipeline;
+* **hard validation** at construction: nonsensical values (a negative
+  ``workers``, a non-bool ``strict``, an unregistered ``backend``) raise
+  :class:`ValueError` with a message naming the field — at the API
+  boundary, not five frames deep in the pipeline;
 * **serialization**: :meth:`to_json` / :meth:`from_json` (plain dicts)
   and :meth:`save` / :meth:`load` (files), so a deployment's audit
   configuration is a reviewable artifact (the CLI's ``--config
@@ -17,7 +17,9 @@ the forensic timeline all take it directly.
   namespace, layering explicit flags over an optional ``--config`` file.
 
 ``ssco_audit(app, trace, reports, state, **knobs)`` builds one from its
-keywords; :class:`~repro.core.auditor.Auditor` takes one.
+keywords; :class:`~repro.core.auditor.Auditor` takes one.  There is no
+epoch-boundary knob: the recorder cuts epochs (``Executor(epoch_size=
+...)``) and an audit follows the epochs it is handed.
 """
 
 from __future__ import annotations
@@ -64,21 +66,13 @@ class AuditConfig:
     #: which a bogus grouping's internal divergence is observed (see
     #: :mod:`repro.core.reexec`).
     workers: int = 1
-    #: Audit epoch shards concurrently, this many at a time, as whole-
-    #: epoch work units on one persistent process pool shared across
-    #: the run (a redo-only state precompute materializes each epoch's
-    #: initial state first); 1 keeps the serial epoch chain.  Results
-    #: are bit-identical to the serial chain either way.  Only
-    #: meaningful together with ``epoch_size``/``epoch_cuts`` or an
-    #: epoch session.
+    #: Audit epochs concurrently, this many at a time, as whole-epoch
+    #: work units on one persistent process pool shared across the run
+    #: (a redo-only state precompute materializes each epoch's initial
+    #: state first); 1 keeps the serial epoch chain.  Results are
+    #: bit-identical to the serial chain either way.  Only an epoch
+    #: session (``Auditor.session`` / ``audit_epochs``) reads it.
     epoch_workers: int = 1
-    #: Shard the audit at quiescent cuts every ~N requests; 0 disables.
-    #: Shards chain through migrated state.
-    epoch_size: int = 0
-    #: Explicit cut positions (event indexes, e.g. the executor's epoch
-    #: marks); overrides ``epoch_size`` when set.  Must be positive and
-    #: strictly increasing.
-    epoch_cuts: tuple[int, ...] | None = None
     #: Registered re-execution backend: ``"hybrid"`` (the compiled
     #: engine, the default), ``"interp"`` (the oracle), or anything added
     #: via ``register_reexec_backend``; ``"accinterp"`` / ``"compinterp"``
@@ -139,11 +133,6 @@ class AuditConfig:
     fleet_redundancy: int = 1
 
     def __post_init__(self):
-        if self.epoch_cuts is not None and not isinstance(
-            self.epoch_cuts, tuple
-        ):
-            object.__setattr__(self, "epoch_cuts",
-                               tuple(self.epoch_cuts))
         self.validate()
 
     # -- validation -------------------------------------------------------
@@ -166,30 +155,11 @@ class AuditConfig:
                 f"epoch_workers must be an integer >= 1, got "
                 f"{self.epoch_workers!r}"
             )
-        if not _is_int(self.epoch_size) or self.epoch_size < 0:
-            raise ValueError(
-                f"epoch_size must be an integer >= 0 (0 disables "
-                f"sharding), got {self.epoch_size!r}"
-            )
         if not _is_int(self.max_group_size) or self.max_group_size < 1:
             raise ValueError(
                 f"max_group_size must be an integer >= 1, got "
                 f"{self.max_group_size!r}"
             )
-        if self.epoch_cuts is not None:
-            previous = 0
-            for cut in self.epoch_cuts:
-                if not _is_int(cut) or cut <= 0:
-                    raise ValueError(
-                        f"epoch_cuts entries must be positive event "
-                        f"indexes, got {cut!r}"
-                    )
-                if cut <= previous:
-                    raise ValueError(
-                        f"epoch_cuts must be strictly increasing, got "
-                        f"{list(self.epoch_cuts)}"
-                    )
-                previous = cut
         get_reexec_backend(self.backend)  # unknown name -> ValueError
         # Imported lazily: the core layer has no hard dependency on the
         # transport package unless a net knob is actually used.
@@ -244,19 +214,6 @@ class AuditConfig:
             )
         return self
 
-    def validate_for_trace(self, trace) -> AuditConfig:
-        """Also check trace-dependent bounds: every explicit cut must
-        fall inside the trace (cut ``i`` splits after event ``i-1``)."""
-        if self.epoch_cuts:
-            limit = len(trace)
-            for cut in self.epoch_cuts:
-                if cut >= limit:
-                    raise ValueError(
-                        f"epoch cut {cut} is out of range for a trace "
-                        f"of {limit} events"
-                    )
-        return self
-
     # -- conversions ------------------------------------------------------
 
     def to_options(self) -> AuditConfig:
@@ -271,11 +228,8 @@ class AuditConfig:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict[str, Any]:
-        """A plain-JSON dict (epoch_cuts as a list)."""
-        data = dataclasses.asdict(self)
-        if data["epoch_cuts"] is not None:
-            data["epoch_cuts"] = list(data["epoch_cuts"])
-        return data
+        """A plain-JSON dict."""
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> AuditConfig:
@@ -293,10 +247,7 @@ class AuditConfig:
                 f"unknown audit config keys: {', '.join(unknown)} "
                 f"(known: {', '.join(sorted(known))})"
             )
-        kwargs = dict(data)
-        if kwargs.get("epoch_cuts") is not None:
-            kwargs["epoch_cuts"] = tuple(kwargs["epoch_cuts"])
-        return cls(**kwargs)
+        return cls(**data)
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -337,10 +288,6 @@ class AuditConfig:
         parts = [f"backend={self.backend}", f"workers={self.workers}"]
         if self.epoch_workers > 1:
             parts.append(f"epoch_workers={self.epoch_workers}")
-        if self.epoch_cuts:
-            parts.append(f"epoch_cuts={list(self.epoch_cuts)}")
-        elif self.epoch_size:
-            parts.append(f"epoch_size={self.epoch_size}")
         if not self.strict:
             parts.append("no-strict")
         if not self.dedup:
@@ -375,19 +322,3 @@ class AuditConfig:
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def parse_epoch_cuts(text: str) -> tuple[int, ...]:
-    """Parse the CLI's ``--epoch-cuts "100,200,350"`` into a tuple.
-
-    Raises :class:`ValueError` on non-integers; ordering and positivity
-    are checked by :class:`AuditConfig` itself.
-    """
-    parts = [part.strip() for part in text.split(",") if part.strip()]
-    try:
-        return tuple(int(part) for part in parts)
-    except ValueError:
-        raise ValueError(
-            f"--epoch-cuts expects comma-separated event indexes, got "
-            f"{text!r}"
-        ) from None

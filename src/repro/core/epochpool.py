@@ -1,8 +1,8 @@
 """Process-level epoch execution: one persistent pool per audit run.
 
 With ``epoch_workers > 1`` the epoch driver
-(:class:`~repro.core.auditor.AuditSession`, and through it
-``sharded_audit``) makes the epoch the unit of process-level work:
+(:class:`~repro.core.auditor.AuditSession`) makes the epoch the unit of
+process-level work:
 
 * an **epoch work unit** is the pickled tuple ``(app, trace slice,
   reports slice, initial state, config)`` — exactly the prepass

@@ -51,8 +51,8 @@ __all__ = [
 def epoch_worker_config(config):
     """The knob set one epoch work unit runs under.
 
-    The serial chain's per-shard config with no further sharding and
-    the same ``workers`` count — the chunk *plan* must match the serial
+    The serial chain's per-epoch config with the same ``workers``
+    count — the chunk *plan* must match the serial
     chain's bit for bit (:func:`run_epoch_inline` executes that plan
     serially inside the worker process instead of fanning out a nested
     pool).  ``migrate`` is off: the chain state is produced by the
@@ -65,8 +65,6 @@ def epoch_worker_config(config):
     pool or fleet.
     """
     return config.replace(
-        epoch_size=0,
-        epoch_cuts=None,
         epoch_workers=1,
         migrate=False,
         fleet_listen=None,

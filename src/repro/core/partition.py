@@ -1,9 +1,15 @@
-"""Epoch/shard partitioning of audit inputs (§4.7, §5.2).
+"""The recorder-side epoch cut (§4.1, §4.7).
 
-The paper's deployment audits *epochs* independently: acc-PHP "audits
-epochs independently" and keeps only migrated state between them.  This
-module finds the places where one recorded epoch can be cut into several
-independently auditable **shards** and performs the cut.
+An epoch is something the *server* makes: it drains to a quiescent
+point and hands the verifier the period before it, and the verifier
+audits the periods it is handed, carrying only migrated state between
+them (§4.5).  The executor records where it drained
+(``ExecutionResult.epoch_marks``); this module turns those marks into
+:class:`~repro.server.reports.EpochSlice` objects —
+:func:`partition_audit_inputs`, called by
+:meth:`ExecutionResult.epochs() <repro.server.executor.ExecutionResult.epochs>`
+and :func:`repro.io.save_audit_bundle_segmented` — and nothing on the
+audit side calls it: an auditor never chooses an epoch boundary.
 
 A cut position is sound only at a *quiescent point* of the trace: an
 event index where every request that has arrived has also departed
@@ -15,58 +21,35 @@ every request after it — so
 * each object log splits into a contiguous prefix/suffix (an honest
   executor performs a request's operations strictly inside its
   arrival/departure window);
-* the precedence graph of the whole trace is the union of the per-shard
+* the precedence graph of the whole trace is the union of the per-epoch
   graphs plus forward-only cross edges, which cannot create new cycles.
 
-State still flows across the cut, so shards are chained: shard *k*'s
-initial state is shard *k-1*'s post-audit migrated state (§4.5).  The
-chain makes acceptance inductive — shard *k*'s initial state is only
-trusted because shard *k-1*'s logs were fully validated — which is the
-same argument the paper uses for contiguous audit epochs.
+State still flows across the cut, so epochs are chained: epoch *k*'s
+initial state is epoch *k-1*'s post-audit migrated state (§4.5).  The
+chain makes acceptance inductive — epoch *k*'s initial state is only
+trusted because epoch *k-1*'s logs were fully validated.
 
-Partitioning is **best-effort and never rejects**: when the untrusted
-reports do not split cleanly (a log interleaves requests across a cut, a
-report names an unknown request, ...) the partitioner raises
-:class:`PartitionError` and the caller falls back to a single shard,
-i.e. the ordinary unsharded audit.  Control-flow groups that span a cut
-are split; grouping is an untrusted hint, so splitting is always sound
-(it only reduces SIMD batching).
-
-The executor emits quiescent points on purpose when configured with an
-``epoch_size`` (it drains in-flight requests every N completions and
-records the cut in ``ExecutionResult.epoch_marks``); traces served
-without draining typically have no interior quiescent points and audit
-as one shard.
+Cutting **never rejects**: a mark that is not a quiescent point is
+dropped, and when the reports do not split cleanly (a log interleaves
+requests across a cut, a report names an unknown request, ...)
+:class:`PartitionError` is caught and the execution stays one epoch.
+An executor that never drains (``epoch_size=0``) has no marks and
+yields one epoch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-from repro.server.reports import Reports
+from repro.server.reports import EpochSlice, Reports
 from repro.trace.trace import Trace
 
 
 class PartitionError(ValueError):
-    """The inputs cannot be sharded at the requested cuts.
+    """The reports cannot be split at the requested cuts.
 
-    Never a verdict: callers fall back to auditing a single shard.
+    Never a verdict: the execution stays one epoch.
     """
-
-
-@dataclass
-class Shard:
-    """One independently auditable slice of a recorded epoch."""
-
-    index: int
-    trace: Trace
-    reports: Reports
-    rids: set[str] = field(default_factory=set)
-
-    @property
-    def request_count(self) -> int:
-        return len(self.rids)
 
 
 def quiescent_points(trace: Trace) -> list[int]:
@@ -86,27 +69,6 @@ def quiescent_points(trace: Trace) -> list[int]:
         if not in_flight and 0 < position + 1 < len(trace):
             points.append(position + 1)
     return points
-
-
-def find_epoch_cuts(trace: Trace, epoch_size: int) -> list[int]:
-    """Quiescent cuts spaced at least ``epoch_size`` requests apart.
-
-    Returns event indexes suitable for :func:`partition_audit_inputs`;
-    empty when the trace never quiesces (e.g. it was served without
-    epoch draining) or ``epoch_size <= 0``.
-    """
-    if epoch_size <= 0:
-        return []
-    candidates = set(quiescent_points(trace))
-    cuts: list[int] = []
-    completed_since_cut = 0
-    for position, event in enumerate(trace):
-        if event.is_response:
-            completed_since_cut += 1
-        if position + 1 in candidates and completed_since_cut >= epoch_size:
-            cuts.append(position + 1)
-            completed_since_cut = 0
-    return cuts
 
 
 def validate_cuts(trace: Trace, cuts: Sequence[int]) -> list[int]:
@@ -186,66 +148,26 @@ def partition_reports(
 
 
 def partition_audit_inputs(
-    trace: Trace,
-    reports: Reports,
-    epoch_size: int = 0,
-    cuts: Sequence[int] | None = None,
-) -> list[Shard]:
-    """Split (trace, reports) into independently auditable shards.
+    trace: Trace, reports: Reports, cuts: Sequence[int] = ()
+) -> list[EpochSlice]:
+    """Split (trace, reports) at ``cuts`` — event indexes, the
+    executor's epoch marks — into independently auditable slices.
 
-    ``cuts`` (event indexes, e.g. the executor's epoch marks) wins over
-    ``epoch_size``; invalid cut positions are dropped.  Returns a single
-    shard covering everything when no usable cut exists or the reports
+    Cuts that are not quiescent points are dropped.  Returns a single
+    slice covering everything when no usable cut exists or the reports
     refuse to split (:class:`PartitionError` is caught here — the caller
-    always receives a usable shard list).
+    always receives a usable list).
     """
-    if cuts is not None:
-        chosen = validate_cuts(trace, cuts)
-    else:
-        chosen = find_epoch_cuts(trace, epoch_size)
+    whole = [EpochSlice(0, trace, reports)]
+    chosen = validate_cuts(trace, cuts)
     if not chosen:
-        return [_whole_shard(trace, reports)]
-
+        return whole
     segments = partition_trace(trace, chosen)
-    shard_of: dict[str, int] = {}
-    for index, segment in enumerate(segments):
-        for rid in segment.request_ids():
-            shard_of[rid] = index
+    epoch_of = {rid: index for index, segment in enumerate(segments)
+                for rid in segment.request_ids()}
     try:
-        report_parts = partition_reports(reports, shard_of, len(segments))
+        parts = partition_reports(reports, epoch_of, len(segments))
     except PartitionError:
-        return [_whole_shard(trace, reports)]
-    return [
-        Shard(
-            index,
-            segment,
-            report_parts[index],
-            set(segment.request_ids()),
-        )
-        for index, segment in enumerate(segments)
-    ]
-
-
-def _whole_shard(trace: Trace, reports: Reports) -> Shard:
-    return Shard(0, trace, reports, set(trace.request_ids()))
-
-
-def make_shard_summary(
-    index: int, requests: int, events: int, result
-) -> dict[str, object]:
-    """One ``stats["shards"]`` entry for an audited shard/epoch.
-
-    Every driver that reports per-shard outcomes — the serial chain,
-    the concurrent epoch driver, and the incremental session — builds
-    its entries here, so the summaries stay bit-for-bit comparable
-    across them.  ``result`` is any object with ``accepted`` /
-    ``phases`` / ``stats`` (an ``AuditResult``).
-    """
-    return {
-        "shard": index,
-        "requests": requests,
-        "events": events,
-        "accepted": result.accepted,
-        "reexec_seconds": result.phases.get("reexec", 0.0),
-        "groups": result.stats.get("groups", 0),
-    }
+        return whole
+    return [EpochSlice(index, segment, parts[index])
+            for index, segment in enumerate(segments)]

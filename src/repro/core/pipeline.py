@@ -33,22 +33,20 @@ Two more things live here because they are built from the same phases:
   materialize the next epoch's initial state before the current one has
   finished auditing; the forensic timeline uses it as a bundle index.
 
-The epoch chain itself — :func:`~repro.core.auditor.sharded_audit`,
-:func:`~repro.core.auditor.run_audit` and the session they drive — is in
-:mod:`repro.core.auditor`.
+The epoch chain itself — :class:`~repro.core.auditor.AuditSession` — is
+in :mod:`repro.core.auditor`.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.common.errors import AuditReject, RejectReason
 from repro.core.config import AuditConfig
 from repro.core.nondet import validate_nondet_reports
 from repro.core.ooo import _compare_externals, _compare_outputs
-from repro.core.partition import Shard
 from repro.core.process_reports import process_op_reports
 from repro.core.reexec import reexec_groups
 from repro.core.simulate import SimContext
@@ -282,40 +280,65 @@ def state_precompute_pipeline() -> AuditPipeline:
     ])
 
 
+def prepass_epoch(
+    app: Application,
+    trace: Trace,
+    reports: Reports,
+    initial_state: InitialState,
+    config: AuditConfig,
+    seen_uniq: set[str],
+) -> AuditContext:
+    """The serial half of auditing one epoch of a chain: the cross-epoch
+    checks — balance, and the §4.6 plausibility check against the
+    ``uniqid()`` values of the whole stream so far (``seen_uniq``,
+    updated in place) — then the redo-only state precompute.
+
+    Returns the primed context: graph, OpMap and built versioned stores,
+    with ``result`` the prepass verdict and (``config.migrate``)
+    ``result.next_initial`` the next epoch's initial state.  A failed
+    cross-epoch check is a rejected result with no phases and no stats.
+    """
+    actx = AuditContext(app, trace, reports, initial_state, config)
+    try:
+        check_balanced(trace)
+        validate_nondet_reports(reports, seen_uniq)
+    except AuditReject as reject:
+        actx.result.reason = reject.reason
+        actx.result.detail = reject.detail
+    else:
+        state_precompute_pipeline().run(actx)
+    return actx
+
+
 def iter_epoch_prepass(
     app: Application,
-    shards: Sequence[Shard],
+    epochs: Iterable,
     initial_state: InitialState,
     config: AuditConfig | None = None,
 ):
-    """Walk the shard chain with the redo-only prepass, one shard at a
-    time, yielding ``(shard, primed AuditContext)`` pairs.
+    """Walk an epoch chain with :func:`prepass_epoch`, one epoch slice
+    at a time, yielding ``(slice, primed AuditContext)`` pairs (the
+    forensic timeline, :mod:`repro.forensics.timeline`, keeps them as
+    its index).
 
-    Each yielded context holds its shard's graph, OpMap, and built
-    versioned stores, with ``result.next_initial`` chaining the §4.5
-    migrated state into the next shard (the forensic timeline,
-    :mod:`repro.forensics.timeline`, keeps them as its index).  A
-    rejecting shard is still *yielded* (so callers can inspect the
+    This is what an ``epoch_workers`` session runs at feed time, minus
+    the dispatch, so the walk numbers and rejects epochs as an audit of
+    the same slices does wherever the prepass — every check but
+    re-execution and output comparison — can see the fault.  A
+    rejecting epoch is still *yielded* (so callers can inspect the
     partial chain and the rejecting epoch's verdict) and iteration
-    stops after it.  Non-final shards always migrate; the final shard
-    migrates only when the caller's config asks for it.
+    stops after it.
     """
-    config = config or AuditConfig()
+    config = (config or AuditConfig()).replace(migrate=True)
     state = initial_state
-    for shard in shards:
-        is_last = shard.index == len(shards) - 1
-        shard_config = config.replace(
-            epoch_size=0, epoch_cuts=None, epoch_workers=1,
-            migrate=config.migrate or not is_last,
-        )
-        actx = AuditContext(app, shard.trace, shard.reports, state,
-                            shard_config)
-        state_precompute_pipeline().run(actx)
-        yield shard, actx
+    seen_uniq: set[str] = set()
+    for epoch in epochs:
+        actx = prepass_epoch(app, epoch.trace, epoch.reports, state,
+                             config, seen_uniq)
+        yield epoch, actx
         if not actx.result.accepted:
             return
-        if not is_last:
-            state = actx.result.next_initial
+        state = actx.result.next_initial
 
 
 # -- instrumentation harvest ---------------------------------------------------

@@ -10,14 +10,17 @@ Pipeline::
     output comparison   (Figure 12 lines 55-57)
 
 The phases are first-class objects (:mod:`repro.core.pipeline`);
-:func:`ssco_audit` is the one-shot entry point.  The phase timers feed
-the Figure 9 decomposition; the per-group (n, α, ℓ) triples feed
+:func:`ssco_audit` is one pass of them over one epoch.  The phase timers
+feed the Figure 9 decomposition; the per-group (n, α, ℓ) triples feed
 Figure 11; the dedup counters feed §5.2.
 
-Every knob — and the scaling knobs ``workers``, ``epoch_size`` /
-``epoch_cuts`` and ``epoch_workers``, all default off, preserving the
-paper's serial audit — is documented once, on the fields of
-:class:`~repro.core.config.AuditConfig`.
+Every knob — the scaling knobs ``workers`` and ``epoch_workers``
+included, both default off, preserving the paper's serial audit — is
+documented once, on the fields of
+:class:`~repro.core.config.AuditConfig`.  An execution recorded in
+several epochs is audited through
+:meth:`Auditor.audit_epochs(execution.epochs(), ...)
+<repro.core.auditor.Auditor.audit_epochs>`.
 """
 
 from __future__ import annotations
@@ -47,8 +50,9 @@ def ssco_audit(
         **knobs: :class:`~repro.core.config.AuditConfig` fields; an
             unknown or invalid one raises naming the key.
 
-    One-shot shorthand for ``Auditor(app, **knobs).audit(trace, reports,
-    initial_state)``; for long-lived / incremental use, hold the
+    Shorthand for ``Auditor(app, **knobs).audit(trace, reports,
+    initial_state)`` — one pipeline pass over the inputs, whole; for
+    epoch-by-epoch or long-lived use, hold the
     :class:`~repro.core.auditor.Auditor`.
     """
     return Auditor(app, **knobs).audit(trace, reports, initial_state)

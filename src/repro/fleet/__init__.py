@@ -17,10 +17,9 @@ seams built for exactly this moment:
 :class:`~repro.fleet.coordinator.FleetCoordinator` implements the
 :class:`~repro.core.epochpool.EpochPool` executor contract
 (``run_epoch`` / ``close`` / ``serial_fallbacks``), so the epoch
-driver — ``AuditSession``, and ``sharded_audit`` through it — keeps
-strict feed-order merging, prepass backpressure, and
-REJECT-drain semantics unchanged; only *where* an epoch executes
-moves.  :class:`~repro.fleet.worker.FleetWorker` is the daemon side:
+driver — ``AuditSession`` — keeps strict feed-order merging, prepass
+backpressure, and REJECT-drain semantics unchanged; only *where* an
+epoch executes moves.  :class:`~repro.fleet.worker.FleetWorker` is the daemon side:
 ``repro worker --join HOST:PORT`` registers, pulls epochs, runs them
 through the stock pipeline with any registered backend, and streams
 verdicts back.

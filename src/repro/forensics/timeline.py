@@ -3,12 +3,13 @@
 :class:`Timeline` is the substrate every forensic operation shares.
 Building one runs the redo-only prepass
 (:func:`repro.core.pipeline.iter_epoch_prepass`) over the bundle's
-epoch shards — trace checks, ProcessOpReports, kv.Build/db.Build, §4.5
+recorded epochs — the slices ``repro audit`` audits, so both number
+epochs alike: trace checks, ProcessOpReports, kv.Build/db.Build, §4.5
 migration, **no re-execution** — and keeps each epoch's primed
 :class:`~repro.core.pipeline.AuditContext`.  On top of those contexts
 it indexes every request:
 
-* which **epoch** shard contains it;
+* which **epoch** contains it;
 * its **control-flow group** tags (the executor's grouping report);
 * which **chunk** of the deterministic re-exec plan
   (:func:`repro.core.reexec.plan_chunks`, the same plan the full audit
@@ -30,17 +31,15 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.common.errors import AuditReject
-from repro.core.partition import Shard, partition_audit_inputs
 from repro.core.config import AuditConfig
 from repro.core.pipeline import AuditContext, iter_epoch_prepass
 from repro.core.reexec import plan_chunks
 from repro.io import BundleReader
 from repro.server.app import Application, InitialState
-from repro.server.reports import Reports
-from repro.trace.trace import Trace
+from repro.server.reports import EpochSlice
 
 
 class UnknownRequest(KeyError):
@@ -52,7 +51,7 @@ class RequestEntry:
     """One request's place in the timeline."""
 
     rid: str
-    #: Epoch shard index containing the request.
+    #: Index of the epoch containing the request.
     epoch: int
     #: Control-flow group tags naming the request (usually one).
     groups: tuple[str, ...]
@@ -86,13 +85,13 @@ class Timeline:
         self,
         app: Application,
         config: AuditConfig,
-        shards: Sequence[Shard],
+        shards: Sequence[EpochSlice],
         contexts: Sequence[AuditContext],
         prepass_rejected: tuple[int, object, str] | None,
     ):
         self.app = app
         self.config = config
-        #: Epoch shards the prepass accepted (index == epoch number).
+        #: Epoch slices the prepass accepted (index == epoch number).
         self.shards = list(shards)
         self.contexts = list(contexts)
         #: ``(epoch, reason, detail)`` of the first rejecting prepass,
@@ -115,30 +114,26 @@ class Timeline:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_inputs(
+    def from_epochs(
         cls,
         app: Application,
-        trace: Trace,
-        reports: Reports,
+        epochs: Iterable[EpochSlice],
         initial_state: InitialState,
-        cuts: Sequence[int] | None = None,
         config: AuditConfig | None = None,
     ) -> Timeline:
-        """Build a timeline from in-memory audit inputs."""
+        """Build a timeline from epoch slices: ``execution.epochs()``
+        in memory, a reader's ``epochs()`` for a bundle."""
         config = config or AuditConfig()
-        shards = partition_audit_inputs(
-            trace, reports, config.epoch_size, cuts
-        )
-        accepted: list[Shard] = []
+        accepted: list[EpochSlice] = []
         contexts: list[AuditContext] = []
         rejected = None
-        for shard, actx in iter_epoch_prepass(app, shards, initial_state,
+        for epoch, actx in iter_epoch_prepass(app, epochs, initial_state,
                                               config):
             if not actx.result.accepted:
-                rejected = (shard.index, actx.result.reason,
+                rejected = (len(accepted), actx.result.reason,
                             actx.result.detail)
                 break
-            accepted.append(shard)
+            accepted.append(epoch)
             contexts.append(actx)
         return cls(app, config, accepted, contexts, rejected)
 
@@ -149,21 +144,15 @@ class Timeline:
         app: Application,
         config: AuditConfig | None = None,
     ) -> Timeline:
-        """Build a timeline from a saved bundle.
-
-        The bundle's recorded epoch marks are the cut positions unless
-        the config carries explicit ``epoch_cuts``.
-        """
+        """Build a timeline from a saved bundle, over the epochs
+        ``repro audit`` reads from it."""
         with BundleReader.open(path) as reader:
-            trace, reports, initial_state, marks = reader.read_all()
-        config = config or AuditConfig()
-        cuts = config.epoch_cuts if config.epoch_cuts else marks
-        return cls.from_inputs(app, trace, reports, initial_state,
-                               cuts=cuts, config=config)
+            return cls.from_epochs(app, reader.epochs(),
+                                   reader.initial_state, config)
 
     # -- index construction ------------------------------------------------
 
-    def _index_epoch(self, epoch: int, shard: Shard) -> None:
+    def _index_epoch(self, epoch: int, shard: EpochSlice) -> None:
         trace = shard.trace
         reports = shard.reports
         responses = trace.responses()
@@ -237,7 +226,7 @@ class Timeline:
         chained from every earlier epoch)."""
         return self.contexts[epoch]
 
-    def shard(self, epoch: int) -> Shard:
+    def shard(self, epoch: int) -> EpochSlice:
         return self.shards[epoch]
 
     def chunk_plan(self, epoch: int) -> list[list[str]]:

@@ -16,9 +16,8 @@ quiescent cut, and an ``end`` record closing a finished bundle.
   audit of a file takes, holding one epoch in memory — and with
   ``follow=True`` tails a bundle that is still being written (audit
   epoch N while the server records epoch N+1).
-  :meth:`BundleReader.read_all` loads the whole file for the consumers
-  that need it in one piece (the naive baseline, a re-cut at other
-  boundaries, forensics).
+  :meth:`BundleReader.read_all` loads the whole file for the one
+  consumer that needs it in one piece, the naive baseline.
 * The record builders (:func:`event_record`, ...) and the
   :class:`EpochAccumulator` are shared with :mod:`repro.net`, which
   frames the same dicts over a socket: one encoding, two transports.
@@ -39,7 +38,7 @@ from collections.abc import Iterator, Sequence
 from repro.common.clock import Deadline
 from repro.objects.base import OpRecord, OpType
 from repro.server.app import InitialState
-from repro.server.reports import NondetRecord, Reports
+from repro.server.reports import EpochSlice, NondetRecord, Reports
 from repro.sql.engine import Engine, Table
 from repro.trace.events import (
     Event,
@@ -493,21 +492,6 @@ class BundleWriter:
         self.close()
 
 
-@dataclass
-class EpochSlice:
-    """One epoch's worth of audit inputs, as yielded by
-    :meth:`BundleReader.epochs` (shape-compatible with
-    :class:`~repro.core.partition.Shard`)."""
-
-    index: int
-    trace: Trace
-    reports: Reports
-
-    @property
-    def request_count(self) -> int:
-        return len(self.trace.request_ids())
-
-
 class EpochAccumulator:
     """The segmented-stream state machine shared by the file reader and
     the net client: feed bundle records in order, get
@@ -814,16 +798,17 @@ class BundleReader:
         poll_interval: float = 0.05,
         idle_timeout: float | None = None,
     ) -> InitialState:
-        """Read up to the state record; later records are replayed to
-        the next consumer (:meth:`epochs` / :meth:`read_all`)."""
+        """Read up to the state record and decode it, once; any record
+        before it is replayed to the next consumer (:meth:`epochs` /
+        :meth:`read_all`), which starts after it."""
         if self._initial_state is not None:
             return self._initial_state
         consumed: list[dict] = []
         for record in self._records(follow, poll_interval, idle_timeout):
-            consumed.append(record)
             if record["kind"] == "state":
                 self._initial_state = state_from_json(record["state"])
                 break
+            consumed.append(record)
         self._pushback = consumed + self._pushback
         if self._initial_state is None:
             raise ValueError(
@@ -873,6 +858,10 @@ class BundleReader:
                     break
                 if kind == "state" and index.state_offset is None:
                     index.state_offset = offset
+                    if index.offsets[-1] == offset:
+                        # Not part of epoch 0's run: seek_epoch decodes
+                        # it from state_offset, the cursor starts past it.
+                        index.offsets[-1] = offset + len(line)
                 offset += len(line)
                 if kind == "epoch_mark":
                     index.marks.append(_checked_position(json.loads(line)))
@@ -941,10 +930,10 @@ def save_audit_bundle_segmented(
     bundle.  Returns the number of epochs written."""
     from repro.core.partition import partition_audit_inputs
 
-    shards = partition_audit_inputs(trace, reports, cuts=list(epoch_marks))
+    epochs = partition_audit_inputs(trace, reports, epoch_marks)
     with BundleWriter(path, autoflush=False) as writer:
         writer.write_state(initial_state)
-        for shard in shards:
-            writer.write_epoch(shard.trace, shard.reports)
+        for epoch in epochs:
+            writer.write_epoch(epoch.trace, epoch.reports)
         writer.write_end()
-    return len(shards)
+    return len(epochs)

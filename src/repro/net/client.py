@@ -4,7 +4,7 @@ The reader connects to a :class:`~repro.net.publisher.BundlePublisher`
 and exposes the *exact* iterator contract of the file-based
 :class:`~repro.io.BundleReader`: :meth:`read_initial_state` /
 :attr:`initial_state` and :meth:`epochs` yielding
-:class:`~repro.io.EpochSlice` objects — so an
+:class:`~repro.server.reports.EpochSlice` objects — so an
 :class:`~repro.core.auditor.AuditSession` (serial or ``epoch_workers``)
 audits a network stream with zero changes to :mod:`repro.core`:
 
@@ -46,7 +46,6 @@ from repro.io import (
     FORMAT_VERSION,
     JSONL_FORMAT,
     EpochAccumulator,
-    EpochSlice,
     ends_stream,
     state_from_json,
 )
@@ -66,6 +65,7 @@ from repro.net.protocol import (
     parse_endpoint,
 )
 from repro.server.app import InitialState
+from repro.server.reports import EpochSlice
 
 #: "argument not given" marker (an explicit ``idle_timeout=None`` means
 #: "wait forever", like the file reader's follow mode).
@@ -294,20 +294,20 @@ class RemoteBundleReader:
         poll_interval: float = 0.05,
         idle_timeout: object = _UNSET,
     ) -> InitialState:
-        """Read up to the state record; later records are replayed to
-        the next consumer (:meth:`epochs`).  ``follow`` and
-        ``poll_interval`` exist for BundleReader signature
-        compatibility — a socket stream always follows."""
+        """Read up to the state record and decode it, once; any record
+        before it is replayed to the next consumer (:meth:`epochs`).
+        ``follow`` and ``poll_interval`` exist for BundleReader
+        signature compatibility — a socket stream always follows."""
         if self._initial_state is not None:
             return self._initial_state
         timeout = (self._idle_timeout if idle_timeout is _UNSET
                    else idle_timeout)
         consumed: list[object] = []
         for record in self._records(timeout):
-            consumed.append(record)
             if record is not RESYNC and record["kind"] == "state":
                 self._initial_state = state_from_json(record["state"])
                 break
+            consumed.append(record)
         self._pushback = consumed + self._pushback
         if self._initial_state is None:
             raise ProtocolError(

@@ -47,7 +47,6 @@ Three properties matter for a live deployment:
 
 from __future__ import annotations
 
-import json
 import queue
 import socket
 import threading
@@ -213,7 +212,6 @@ class BundlePublisher:
 
         #: Mirrors BundleWriter's bookkeeping.
         self.position = 0
-        self.epoch_marks: list[int] = []
 
         self._lock = threading.Lock()
         self._subscribers: list[_Subscriber] = []
@@ -286,11 +284,10 @@ class BundlePublisher:
         self._publish(event_record(event))
         self.position += 1
 
-    def write_epoch_mark(self, position: int | None = None) -> None:
-        """Record a quiescent cut; seals the current epoch run."""
-        position = self.position if position is None else position
-        self._publish(epoch_mark_record(position))
-        self.epoch_marks.append(position)
+    def write_epoch_mark(self) -> None:
+        """Record a quiescent cut at the current position; seals the
+        current epoch run."""
+        self._publish(epoch_mark_record(self.position))
 
     def write_reports(self, reports: Reports) -> None:
         for record in iter_report_records(reports):
@@ -338,12 +335,6 @@ class BundlePublisher:
         self._publish_payload(kind, payload)
         if kind == "event":
             self.position += 1
-        elif kind in ("epoch_mark", "end"):
-            # Rare (one per epoch): parse only for the bookkeeping the
-            # record-level API keeps.
-            events = json.loads(payload).get("events")
-            if kind == "epoch_mark" and isinstance(events, int):
-                self.epoch_marks.append(events)
 
     # -- spool + broadcast ------------------------------------------------
 

@@ -56,7 +56,7 @@ from repro.objects.kvstore import KVStore
 from repro.objects.register import AtomicRegister
 from repro.server.app import Application, InitialState
 from repro.server.nondet import NondetSource
-from repro.server.reports import NondetRecord, Reports
+from repro.server.reports import EpochSlice, NondetRecord, Reports
 from repro.server.scheduler import FifoScheduler, Scheduler
 from repro.sql.database import Database
 from repro.trace.collector import Collector
@@ -77,8 +77,20 @@ class ExecutionResult:
     steps: int = 0
     final_state: InitialState | None = None
     #: Trace event indexes of the quiescent epoch cuts the executor
-    #: drained at (``epoch_size > 0``); audit-time shard boundaries.
+    #: drained at (``epoch_size > 0``): the epoch boundaries.
     epoch_marks: list[int] = field(default_factory=list)
+
+    def epochs(self) -> list[EpochSlice]:
+        """The execution as the epochs it was recorded in: trace and
+        reports cut at :attr:`epoch_marks`.  These are the slices
+        ``BundleReader.epochs()`` yields from the saved bundle; feed
+        them to ``Auditor.audit_epochs(execution.epochs(),
+        execution.initial_state)``."""
+        # Imported here: repro.core imports this package.
+        from repro.core.partition import partition_audit_inputs
+
+        return partition_audit_inputs(self.trace, self.reports,
+                                      self.epoch_marks)
 
 
 class _Task:
@@ -124,8 +136,8 @@ class Executor:
         #: used for continuous operation across audit epochs (§4.1).
         self.initial_state = initial_state
         #: Drain in-flight requests every N completions, creating a
-        #: quiescent point in the trace (an *epoch mark*) the audit can
-        #: shard at (§4.7).  0 disables draining.
+        #: quiescent point in the trace (an *epoch mark*): the end of
+        #: one audit epoch (§4.1, §4.7).  0 disables draining.
         self.epoch_size = max(0, epoch_size)
 
     # -- main loop ----------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.objects.base import OpRecord
+from repro.trace.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -85,3 +86,22 @@ class Reports:
         """Report bytes a non-accelerated record-replay baseline would need
         (§5.1): just the non-determinism records."""
         return self.size_bytes()["nondet"]
+
+
+@dataclass
+class EpochSlice:
+    """One epoch's worth of audit inputs: the trace between two of the
+    recorder's quiescent cuts and the reports of its requests.  The one
+    slice type — :meth:`ExecutionResult.epochs()
+    <repro.server.executor.ExecutionResult.epochs>` (memory),
+    :meth:`BundleReader.epochs() <repro.io.BundleReader.epochs>` (file)
+    and :meth:`RemoteBundleReader.epochs()
+    <repro.net.RemoteBundleReader.epochs>` (socket) all yield it."""
+
+    index: int
+    trace: Trace
+    reports: Reports
+
+    @property
+    def request_count(self) -> int:
+        return len(self.trace.request_ids())

@@ -1,10 +1,12 @@
 """The auditing service API (repro.core.auditor).
 
-The acceptance bar: an :class:`AuditSession` fed epoch by epoch — from
-the partitioner or from a ``BundleReader`` JSONL stream — must produce
-verdicts, produced bodies, and deterministic stats identical to the
-one-shot ``ssco_audit(..., epoch_cuts=...)`` over the same cuts, on
-honest and faulty executions, across all three paper workloads.
+The acceptance bar: an :class:`AuditSession` fed the recorded epochs
+one by one — ``execution.epochs()`` in memory, ``BundleReader.epochs()``
+from a JSONL stream — must reach the verdict, the produced bodies and
+the deterministic stats of one pipeline pass over the whole execution
+(``ssco_audit``), on honest and faulty executions, across all three
+paper workloads: where the recorder cut an epoch changes what the
+auditor holds in memory, never what it concludes.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from repro.server import Application, Executor, RandomScheduler
 from repro.server.faulty import tamper_response
 from repro.server.nondet import NondetSource
 from repro.trace.events import Request
-from tests.conftest import counter_requests
+from tests.conftest import audit_epochs, counter_requests
 
-#: Stats that must match exactly between one-shot and session audits
+#: Stats that must match exactly between two audits of the same epochs
 #: (timers excluded: wall-clock is not deterministic).
 _DET_STATS = (
     "shard_count", "graph_nodes", "graph_edges", "db_queries_issued",
@@ -41,6 +43,10 @@ _DET_STATS = (
     "fallback_requests", "divergences", "steps", "multi_steps",
     "group_alphas",
 )
+#: ... and between the epoch chain and one pass over everything: the
+#: chain counts its epochs and drops the ordering edges across a cut.
+_CUT_INVARIANT_STATS = tuple(
+    key for key in _DET_STATS if key not in ("shard_count", "graph_edges"))
 
 
 def _epoch_execution(app, n=24, epoch_size=8, seed=7):
@@ -74,23 +80,25 @@ def _assert_equivalent(one_shot, merged):
     assert _shard_summary(merged.stats) == _shard_summary(one_shot.stats)
 
 
-def _session_audit(app, execution, trace=None, config=None):
-    trace = trace if trace is not None else execution.trace
-    shards = partition_audit_inputs(trace, execution.reports,
-                                    cuts=execution.epoch_marks)
-    auditor = Auditor(app, config or AuditConfig())
-    return auditor.audit_epochs(shards, execution.initial_state)
+def _assert_same_outcome(one_pass, merged):
+    """The epoch chain against one pass over the whole execution."""
+    assert merged.accepted == one_pass.accepted, (
+        merged.reason, merged.detail)
+    assert merged.reason == one_pass.reason
+    assert merged.produced == one_pass.produced
+    if one_pass.accepted:  # a rejecting chain stops short of the rest
+        for key in _CUT_INVARIANT_STATS:
+            assert merged.stats.get(key) == one_pass.stats.get(key), key
 
 
 def test_session_matches_one_shot_honest(counter_app):
     execution = _epoch_execution(counter_app)
     one_shot = ssco_audit(counter_app, execution.trace, execution.reports,
-                          execution.initial_state,
-                          epoch_cuts=execution.epoch_marks)
-    assert one_shot.accepted
-    assert one_shot.stats["shard_count"] > 1
-    merged = _session_audit(counter_app, execution)
-    _assert_equivalent(one_shot, merged)
+                          execution.initial_state)
+    assert one_shot.accepted and "shard_count" not in one_shot.stats
+    merged = audit_epochs(counter_app, execution)
+    assert merged.stats["shard_count"] == len(execution.epoch_marks) + 1
+    _assert_same_outcome(one_shot, merged)
 
 
 def test_session_matches_one_shot_faulty(counter_app):
@@ -102,13 +110,13 @@ def test_session_matches_one_shot_faulty(counter_app):
                   if e.is_response and e.payload.body)
     tampered = tamper_response(execution.trace, victim, "forged!")
     one_shot = ssco_audit(counter_app, tampered, execution.reports,
-                          execution.initial_state,
-                          epoch_cuts=execution.epoch_marks)
+                          execution.initial_state)
     assert not one_shot.accepted
     assert one_shot.reason is RejectReason.OUTPUT_MISMATCH
-    merged = _session_audit(counter_app, execution, trace=tampered)
-    _assert_equivalent(one_shot, merged)
+    merged = audit_epochs(counter_app, execution, trace=tampered)
+    _assert_same_outcome(one_shot, merged)
     assert merged.produced == {}
+    assert [s["accepted"] for s in merged.stats["shards"]] == [True, False]
 
 
 @pytest.mark.parametrize("workload_name", ["wiki", "forum", "hotcrp"])
@@ -132,25 +140,23 @@ def test_session_equivalence_all_workloads(workload_name, faulty):
                       if e.is_response and e.payload.body)
         trace = tamper_response(trace, victim, "forged!")
     one_shot = ssco_audit(workload.app, trace, execution.reports,
-                          execution.initial_state,
-                          epoch_cuts=execution.epoch_marks)
+                          execution.initial_state)
     assert one_shot.accepted is (not faulty), (
         one_shot.reason, one_shot.detail)
-    merged = _session_audit(workload.app, execution, trace=trace)
-    _assert_equivalent(one_shot, merged)
+    merged = audit_epochs(workload.app, execution, trace=trace)
+    _assert_same_outcome(one_shot, merged)
 
 
 def test_session_from_bundle_reader_stream(tmp_path, counter_app):
     """The acceptance-criteria path: epochs streamed from a segmented
-    JSONL bundle into a session match the one-shot audit bit for bit."""
+    JSONL bundle into a session match the audit of the execution's own
+    epochs bit for bit."""
     execution = _epoch_execution(counter_app)
     path = str(tmp_path / "bundle.jsonl")
     save_audit_bundle_segmented(path, execution.trace, execution.reports,
                                 execution.initial_state,
                                 execution.epoch_marks)
-    one_shot = ssco_audit(counter_app, execution.trace, execution.reports,
-                          execution.initial_state,
-                          epoch_cuts=execution.epoch_marks)
+    one_shot = audit_epochs(counter_app, execution)
     with BundleReader(path) as reader:
         initial = reader.read_initial_state()
         merged = Auditor(counter_app, AuditConfig()).audit_epochs(
@@ -165,7 +171,7 @@ def test_epochs_after_rejection_are_skipped(counter_app):
                   if e.is_response and e.payload.body)
     tampered = tamper_response(execution.trace, victim, "forged!")
     shards = partition_audit_inputs(tampered, execution.reports,
-                                    cuts=execution.epoch_marks)
+                                    execution.epoch_marks)
     assert len(shards) > 2
     auditor = Auditor(counter_app)
     with auditor.session(execution.initial_state) as session:
@@ -184,8 +190,7 @@ def test_epochs_after_rejection_are_skipped(counter_app):
 
 def test_session_chains_migrated_state(counter_app):
     execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     auditor = Auditor(counter_app, AuditConfig(migrate=True))
     session = auditor.session(execution.initial_state)
     assert session.current_state is execution.initial_state
@@ -196,10 +201,10 @@ def test_session_chains_migrated_state(counter_app):
         session.feed_epoch(shard.trace, shard.reports)
     merged = session.close()
     assert merged.accepted
-    # migrate=True surfaces the final chained state, like one-shot.
+    # migrate=True surfaces the final chained state: the one a single
+    # pass over everything migrates.
     one_shot = ssco_audit(counter_app, execution.trace, execution.reports,
-                          execution.initial_state, migrate=True,
-                          epoch_cuts=execution.epoch_marks)
+                          execution.initial_state, migrate=True)
     assert merged.next_initial is not None
     from repro.io import state_to_json
     assert state_to_json(merged.next_initial) == \
@@ -221,8 +226,7 @@ def test_submit_epoch_handles_resolve_in_feed_order(counter_app):
     """On a serial session submit_epoch audits inline: every handle is
     resolved when it is returned, in feed order."""
     execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     auditor = Auditor(counter_app)
     with auditor.session(execution.initial_state) as session:
         pending = [session.submit_epoch(s.trace, s.reports)
@@ -265,15 +269,6 @@ def test_auditor_one_shot_matches_ssco_audit(counter_app, honest_run):
         assert service.stats.get(key) == direct.stats.get(key), key
 
 
-def test_auditor_one_shot_validates_cuts_against_trace(counter_app,
-                                                       honest_run):
-    auditor = Auditor(counter_app,
-                      AuditConfig(epoch_cuts=(10 ** 9,)))
-    with pytest.raises(ValueError, match="out of range"):
-        auditor.audit(honest_run.trace, honest_run.reports,
-                      honest_run.initial_state)
-
-
 # -- re-exec backends ---------------------------------------------------------
 
 
@@ -307,12 +302,11 @@ def test_interp_backend_still_rejects_tampering(counter_app, honest_run):
 def test_backend_selectable_through_session(counter_app):
     execution = _epoch_execution(counter_app)
     one_shot = ssco_audit(counter_app, execution.trace, execution.reports,
-                          execution.initial_state,
-                          epoch_cuts=execution.epoch_marks,
-                          backend="interp")
-    merged = _session_audit(counter_app, execution,
-                            config=AuditConfig(backend="interp"))
-    _assert_equivalent(one_shot, merged)
+                          execution.initial_state, backend="interp")
+    merged = audit_epochs(counter_app, execution, backend="interp")
+    _assert_same_outcome(one_shot, merged)
+    # The oracle takes one request at a time: nothing is grouped.
+    assert merged.stats["multi_steps"] == 0
 
 
 def test_compinterp_backend_bit_identical_to_interp(counter_app,
@@ -343,16 +337,10 @@ def test_compinterp_backend_still_rejects_tampering(counter_app,
 def test_compinterp_selectable_through_session_and_epochs(counter_app):
     execution = _epoch_execution(counter_app)
     one_shot = ssco_audit(counter_app, execution.trace, execution.reports,
-                          execution.initial_state,
-                          epoch_cuts=execution.epoch_marks,
-                          backend="compinterp")
-    merged = _session_audit(counter_app, execution,
-                            config=AuditConfig(backend="compinterp"))
-    _assert_equivalent(one_shot, merged)
-    reference = ssco_audit(counter_app, execution.trace, execution.reports,
-                           execution.initial_state,
-                           epoch_cuts=execution.epoch_marks,
-                           backend="interp")
+                          execution.initial_state, backend="compinterp")
+    merged = audit_epochs(counter_app, execution, backend="compinterp")
+    _assert_same_outcome(one_shot, merged)
+    reference = audit_epochs(counter_app, execution, backend="interp")
     _assert_equivalent(reference, merged)
 
 
@@ -476,7 +464,7 @@ def test_session_threads_uniqid_check_across_epochs():
     assert one_shot.reason is RejectReason.NONDET_IMPLAUSIBLE
 
     shards = partition_audit_inputs(execution.trace, reports,
-                                    cuts=execution.epoch_marks)
+                                    execution.epoch_marks)
     assert len(shards) >= 2
     # Each epoch alone is internally plausible: auditing epoch 1 against
     # epoch 0's migrated state ACCEPTS — the duplicate is only visible
@@ -498,8 +486,7 @@ def test_session_threads_uniqid_check_across_epochs():
 
 def test_epoch_result_shape(counter_app):
     execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     with Auditor(counter_app).session(execution.initial_state) as session:
         epoch = session.feed_epoch(shards[0].trace, shards[0].reports)
     assert isinstance(epoch, EpochResult)
@@ -535,8 +522,7 @@ def test_session_total_excludes_ingest_wait(counter_app):
     import time as _t
 
     execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     with Auditor(counter_app).session(execution.initial_state) as session:
         session.feed_epoch(shards[0].trace, shards[0].reports)
         _t.sleep(0.3)  # the "next epoch" is still being recorded

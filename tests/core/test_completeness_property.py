@@ -9,14 +9,13 @@ and the simple-re-execution baseline alike.
 
 from __future__ import annotations
 
-import functools
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import run_online_phase
-from repro.core import ooo_audit, simple_audit, ssco_audit
+from repro.core import Auditor, ooo_audit, simple_audit, ssco_audit
+from repro.io import BundleReader, save_audit_bundle_segmented
 from repro.server import Application, Executor, RandomScheduler
 from repro.server.nondet import NondetSource
 from repro.workloads import (
@@ -160,11 +159,13 @@ _APP_WORKLOADS = {
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("app_name", sorted(_APP_WORKLOADS))
-def test_honest_schedules_of_the_four_apps_are_accepted(app_name, seed):
+def test_honest_schedules_of_the_four_apps_are_accepted(app_name, seed,
+                                                        tmp_path):
     """Whatever the (seeded) schedule, concurrency and request mix, an
-    honest execution is ACCEPTED by the compiled engine, strict or
-    not, with the oracle's bodies, and every request booked exactly
-    once.
+    honest execution — audited in the epochs it was recorded in — is
+    ACCEPTED by the compiled engine, strict or not, with the oracle's
+    bodies, and every request booked exactly once; and the saved bundle
+    hands the auditor the very epochs ``execution.epochs()`` does.
 
     Epochs are audited serially here.  The same matrix on the process
     pool (``epoch_workers=2``) is what this test was written with; forty
@@ -177,9 +178,10 @@ def test_honest_schedules_of_the_four_apps_are_accepted(app_name, seed):
     run = run_online_phase(workload, seed=seed, concurrency=1 + 3 * seed,
                            epoch_size=15)
     assert run.epoch_marks  # at least two epochs, chained through migration
-    audit = functools.partial(
-        ssco_audit, workload.app, run.trace, run.reports,
-        run.initial_state, epoch_cuts=tuple(run.epoch_marks))
+    def audit(epochs=None, initial_state=run.initial_state, **knobs):
+        return Auditor(workload.app, **knobs).audit_epochs(
+            run.epochs() if epochs is None else epochs, initial_state)
+
     oracle = audit(backend="interp")
     assert oracle.accepted, (oracle.reason, oracle.detail)
     requests = len(run.trace.request_ids())
@@ -190,3 +192,15 @@ def test_honest_schedules_of_the_four_apps_are_accepted(app_name, seed):
         assert result.produced == oracle.produced, where
         assert result.stats["grouped_requests"] + result.stats[
             "fallback_requests"] == requests, where
+    # The bridge slices as the file does (``result``: non-strict hybrid).
+    bundle = str(tmp_path / "bundle.jsonl")
+    save_audit_bundle_segmented(bundle, run.trace, run.reports,
+                                run.initial_state, run.epoch_marks)
+    with BundleReader.open(bundle) as reader:
+        filed = audit(reader.epochs(), reader.initial_state, strict=False)
+    assert (filed.accepted, filed.produced) == (True, result.produced)
+    assert filed.stats["shard_count"] == len(run.epoch_marks) + 1
+    for stats in (filed.stats, result.stats):  # the one timing in them
+        for summary in stats["shards"]:
+            del summary["reexec_seconds"]
+    assert filed.stats == result.stats, (app_name, seed)

@@ -4,10 +4,11 @@ Covers the epoch driver (``AuditSession``: redo-only state precompute +
 ``epoch_workers`` pool) and the re-exec process-pool driver's behaviour
 under concurrency and worker loss:
 
-* the entry-point × ``epoch_workers`` × bundle matrix: one-shot
-  ``ssco_audit(epoch_cuts=...)`` and ``Auditor.audit_epochs`` against a
-  hand-chained reference (verdicts, produced bodies, deterministic
-  stats, per-shard summaries) on accept *and* reject bundles;
+* the feed × ``epoch_workers`` × bundle matrix: ``Auditor.audit_epochs``
+  over the recorded epochs against a hand-chained reference, and over
+  the execution whole — one epoch — against ``ssco_audit``'s one pass
+  (verdicts, produced bodies, deterministic stats, per-epoch summaries)
+  on accept *and* reject bundles;
 * the state-precompute pass itself: redo-only migrated states match the
   chained full audits' migrated states exactly;
 * two threads each driving ``audit_epochs(..., workers=2)`` in one
@@ -21,7 +22,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-import time
 
 import pytest
 
@@ -38,7 +38,7 @@ from repro.io import state_to_json
 from repro.server import Executor, RandomScheduler
 from repro.server.faulty import tamper_response
 from repro.server.nondet import NondetSource
-from tests.conftest import counter_requests
+from tests.conftest import audit_epochs, counter_requests
 
 #: Stats that must match exactly between serial and concurrent audits
 #: (timers excluded: wall-clock is not deterministic).
@@ -84,7 +84,7 @@ def _assert_equivalent(serial, concurrent):
     assert concurrent_shards == serial_shards
 
 
-# -- the matrix: entry point x epoch_workers x bundle --------------------------
+# -- the matrix: what is fed x epoch_workers x bundle ---------------------------
 
 
 def _tamper_epoch_response(execution, which):
@@ -160,30 +160,33 @@ def _reference_chain(app, shards, initial_state):
 @pytest.mark.parametrize("epoch_workers", [1, 2])
 @pytest.mark.parametrize("entry", ["ssco_audit", "audit_epochs"])
 def test_epoch_driver_matrix(counter_app, entry, epoch_workers, bundle):
-    """Both entry points are the same driver: over the same cuts they
-    return the hand-chained reference's verdict, bodies, deterministic
-    stats and shard summaries, serial or concurrent, on honest and
-    tampered bundles."""
+    """One driver, serial or concurrent, on honest and tampered bundles.
+    Fed the recorded epochs (``audit_epochs``) it returns the
+    hand-chained reference's verdict, bodies, deterministic stats and
+    epoch summaries; fed the execution whole (``ssco_audit``) — the one
+    epoch of a server that never drained, which an ``epoch_workers``
+    session ships to its pool like any other — it returns those of
+    ``ssco_audit``'s one pass."""
     execution = _epoch_execution(counter_app)
     trace, reports = _matrix_bundle(execution, bundle)
-    shards = partition_audit_inputs(trace, reports,
-                                    cuts=execution.epoch_marks)
+    if entry == "ssco_audit":
+        shards = partition_audit_inputs(trace, reports)
+        assert len(shards) == 1
+    else:
+        shards = partition_audit_inputs(trace, reports,
+                                        execution.epoch_marks)
     reference = _reference_chain(counter_app, shards,
                                  execution.initial_state)
     assert reference.accepted == (bundle == "honest")
+    if entry == "ssco_audit":
+        one_pass = ssco_audit(counter_app, trace, reports,
+                              execution.initial_state)
+        assert (reference.reason, reference.detail, reference.produced) \
+            == (one_pass.reason, one_pass.detail, one_pass.produced)
     for migrate in (False, True):
-        started = time.perf_counter()
-        if entry == "ssco_audit":
-            result = ssco_audit(counter_app, trace, reports,
-                                execution.initial_state,
-                                epoch_cuts=execution.epoch_marks,
-                                epoch_workers=epoch_workers,
-                                migrate=migrate)
-        else:
-            result = Auditor(counter_app, AuditConfig(
-                epoch_workers=epoch_workers, migrate=migrate,
-            )).audit_epochs(shards, execution.initial_state)
-        wall = time.perf_counter() - started
+        result = Auditor(counter_app, AuditConfig(
+            epoch_workers=epoch_workers, migrate=migrate,
+        )).audit_epochs(shards, execution.initial_state)
         _assert_equivalent(reference, result)
         if migrate and reference.accepted:
             assert state_to_json(result.next_initial) == \
@@ -191,11 +194,6 @@ def test_epoch_driver_matrix(counter_app, entry, epoch_workers, bundle):
         else:
             assert result.next_initial is None
         assert ("state_precompute" in result.phases) == (epoch_workers > 1)
-        if entry == "ssco_audit":
-            # The one-shot stamps its own wall-clock; a session's total
-            # is summed per-epoch audit time, which concurrent epochs
-            # can push past the wall-clock.
-            assert 0.0 < result.phases["total"] <= wall
 
 
 @pytest.mark.parametrize("victim_epoch", ["first", "last"])
@@ -205,13 +203,9 @@ def test_epoch_workers_matches_serial_reject(counter_app, victim_epoch):
     epoch (everything after it discarded) or the last."""
     execution = _epoch_execution(counter_app)
     tampered = _tamper_epoch_response(execution, victim_epoch)
-    serial = ssco_audit(counter_app, tampered, execution.reports,
-                        execution.initial_state,
-                        epoch_cuts=execution.epoch_marks)
-    concurrent = ssco_audit(counter_app, tampered, execution.reports,
-                            execution.initial_state,
-                            epoch_cuts=execution.epoch_marks,
-                            epoch_workers=4)
+    serial = audit_epochs(counter_app, execution, trace=tampered)
+    concurrent = audit_epochs(counter_app, execution, trace=tampered,
+                               epoch_workers=4)
     assert not serial.accepted
     assert serial.reason is RejectReason.OUTPUT_MISMATCH
     _assert_equivalent(serial, concurrent)
@@ -220,13 +214,9 @@ def test_epoch_workers_matches_serial_reject(counter_app, victim_epoch):
 
 def test_epoch_workers_migrated_state_matches_chain(counter_app):
     execution = _epoch_execution(counter_app)
-    serial = ssco_audit(counter_app, execution.trace, execution.reports,
-                        execution.initial_state, migrate=True,
-                        epoch_cuts=execution.epoch_marks)
-    concurrent = ssco_audit(counter_app, execution.trace,
-                            execution.reports, execution.initial_state,
-                            migrate=True, epoch_cuts=execution.epoch_marks,
-                            epoch_workers=3)
+    serial = audit_epochs(counter_app, execution, migrate=True)
+    concurrent = audit_epochs(counter_app, execution, migrate=True,
+                               epoch_workers=3)
     assert serial.accepted and concurrent.accepted
     assert state_to_json(concurrent.next_initial) == \
         state_to_json(serial.next_initial)
@@ -236,8 +226,7 @@ def test_state_precompute_matches_chained_migration(counter_app):
     """The tentpole invariant: the redo-only prepass materializes
     exactly the initial states the chained full audits migrate."""
     execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     primed = list(iter_epoch_prepass(counter_app, shards,
                                      execution.initial_state))
     assert len(primed) == len(shards)
@@ -248,9 +237,8 @@ def test_state_precompute_matches_chained_migration(counter_app):
         full = ssco_audit(counter_app, shard.trace, shard.reports, state,
                           migrate=True)
         assert full.accepted
-        if index < len(shards) - 1:
-            assert state_to_json(actx.result.next_initial) == \
-                state_to_json(full.next_initial)
+        assert state_to_json(actx.result.next_initial) == \
+            state_to_json(full.next_initial)
         state = full.next_initial
 
 
@@ -261,19 +249,15 @@ def test_prepass_reject_falls_back_to_serial_chain(counter_app):
     execution = _epoch_execution(counter_app)
     tampered = _truncate_op_log(execution.reports)
     shards = partition_audit_inputs(execution.trace, tampered,
-                                    cuts=execution.epoch_marks)
+                                    execution.epoch_marks)
     primed = list(iter_epoch_prepass(counter_app, shards,
                                      execution.initial_state))
     # The walk stops at the rejecting shard, which is still yielded.
     assert not primed[-1][1].result.accepted
     assert all(actx.result.accepted for _, actx in primed[:-1])
-    serial = ssco_audit(counter_app, execution.trace, tampered,
-                        execution.initial_state,
-                        epoch_cuts=execution.epoch_marks)
-    concurrent = ssco_audit(counter_app, execution.trace, tampered,
-                            execution.initial_state,
-                            epoch_cuts=execution.epoch_marks,
-                            epoch_workers=4)
+    serial = audit_epochs(counter_app, execution, reports=tampered)
+    concurrent = audit_epochs(counter_app, execution, reports=tampered,
+                               epoch_workers=4)
     assert not serial.accepted
     _assert_equivalent(serial, concurrent)
 
@@ -304,7 +288,7 @@ def test_session_epoch_workers_reject_and_skip(counter_app, blocking):
                   if e.is_response and e.payload.body)
     tampered = tamper_response(execution.trace, victim, "forged!")
     shards = partition_audit_inputs(tampered, execution.reports,
-                                    cuts=execution.epoch_marks)
+                                    execution.epoch_marks)
     assert len(shards) >= 3
 
     serial_auditor = Auditor(counter_app, AuditConfig())
@@ -336,8 +320,7 @@ def test_session_epoch_workers_reject_and_skip(counter_app, blocking):
 
 def test_session_epoch_workers_chains_certified_state(counter_app):
     execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     serial = Auditor(counter_app, AuditConfig(migrate=True)) \
         .audit_epochs(shards, execution.initial_state)
     concurrent = Auditor(
@@ -352,8 +335,7 @@ def test_session_epoch_workers_with_reexec_workers(counter_app):
     """epoch_workers combines with ``workers > 1``: each epoch worker
     runs the ``workers``-shaped chunk plan inline, so bodies match."""
     execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     serial = Auditor(counter_app, AuditConfig()).audit_epochs(
         shards, execution.initial_state)
     concurrent = Auditor(
@@ -370,8 +352,7 @@ def test_epoch_worker_chunk_plan_follows_workers(counter_app):
     per-group alphas match — not just the bodies."""
     # Epochs big enough that the workers=3 planner subdivides groups.
     execution = _epoch_execution(counter_app, n=360, epoch_size=120)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     plain = Auditor(counter_app, AuditConfig()).audit_epochs(
         shards, execution.initial_state)
     serial = Auditor(counter_app, AuditConfig(workers=3)).audit_epochs(
@@ -387,33 +368,20 @@ def test_epoch_worker_chunk_plan_follows_workers(counter_app):
 
 def test_epoch_workers_windowed_backpressure(counter_app):
     """More epochs than the 2*epoch_workers submission window: the
-    windowed drivers (one-shot and audit_epochs) still merge in order
-    and stay bit-identical to the serial chain."""
+    windowed driver still merges in order and stays bit-identical to
+    the serial chain."""
     execution = _epoch_execution(counter_app, n=120, epoch_size=8)
     assert len(execution.epoch_marks) + 1 > 2 * 2  # window is 4
-    serial = ssco_audit(counter_app, execution.trace, execution.reports,
-                        execution.initial_state,
-                        epoch_cuts=execution.epoch_marks)
-    concurrent = ssco_audit(counter_app, execution.trace,
-                            execution.reports, execution.initial_state,
-                            epoch_cuts=execution.epoch_marks,
-                            epoch_workers=2)
+    serial = audit_epochs(counter_app, execution)
+    concurrent = audit_epochs(counter_app, execution, epoch_workers=2)
     _assert_equivalent(serial, concurrent)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
-    session_serial = Auditor(counter_app, AuditConfig()).audit_epochs(
-        shards, execution.initial_state)
-    session_concurrent = Auditor(counter_app, AuditConfig(epoch_workers=2)) \
-        .audit_epochs(shards, execution.initial_state)
-    _assert_equivalent(session_serial, session_concurrent)
 
 
 def test_submit_epoch_on_epoch_workers_session(counter_app):
     """An epoch_workers session is natively asynchronous: submit_epoch
     returns before the epoch is audited, and handles resolve in order."""
     execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     auditor = Auditor(counter_app, AuditConfig(epoch_workers=2))
     with auditor.session(execution.initial_state) as session:
         pending = [session.submit_epoch(s.trace, s.reports)
@@ -437,8 +405,7 @@ def test_crashed_epoch_audit_never_reports_accepted(counter_app,
     import repro.fleet.coordinator as coordinator_mod
 
     execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
 
     def _boom(*args, **kwargs):
         raise RuntimeError("kaboom")
@@ -479,8 +446,7 @@ def test_custom_pipeline_keeps_serial_session(counter_app):
     from repro.core.pipeline import default_pipeline
 
     execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     auditor = Auditor(counter_app, AuditConfig(epoch_workers=4),
                       pipeline=default_pipeline())
     session = auditor.session(execution.initial_state)
@@ -500,11 +466,7 @@ def test_two_threads_audit_epochs_concurrently(counter_app):
     bound explicitly; creation is serialized by reexec._POOL_LOCK)."""
     runs = [_epoch_execution(counter_app, seed=7),
             _epoch_execution(counter_app, seed=23)]
-    references = [
-        ssco_audit(counter_app, ex.trace, ex.reports, ex.initial_state,
-                   epoch_cuts=ex.epoch_marks)
-        for ex in runs
-    ]
+    references = [audit_epochs(counter_app, ex) for ex in runs]
     assert all(r.accepted for r in references)
 
     results = [None, None]
@@ -512,12 +474,8 @@ def test_two_threads_audit_epochs_concurrently(counter_app):
 
     def _drive(slot, execution):
         try:
-            shards = partition_audit_inputs(
-                execution.trace, execution.reports,
-                cuts=execution.epoch_marks)
-            auditor = Auditor(counter_app, AuditConfig(workers=2))
-            results[slot] = auditor.audit_epochs(
-                shards, execution.initial_state)
+            results[slot] = audit_epochs(counter_app, execution,
+                                          workers=2)
         except BaseException as exc:  # surfaced in the main thread
             errors.append((slot, exc))
 

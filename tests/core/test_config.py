@@ -8,18 +8,15 @@ import json
 
 import pytest
 
-from repro.core.config import AuditConfig, parse_epoch_cuts
+from repro.core.config import AuditConfig
 from repro.core.reexec import DEFAULT_MAX_GROUP, default_backend
-from repro.trace.trace import Trace
 
 
 def test_defaults_match_ssco_audit():
     config = AuditConfig()
     assert config.strict and config.dedup and config.collapse
     assert not config.strict_registers and not config.migrate
-    assert config.workers == 1
-    assert config.epoch_size == 0
-    assert config.epoch_cuts is None
+    assert config.workers == 1 and config.epoch_workers == 1
     assert config.max_group_size == DEFAULT_MAX_GROUP
     assert config.backend == default_backend()
     assert not config.plan_hints
@@ -41,32 +38,22 @@ def test_backend_default_resolves_env_at_construction(monkeypatch):
     (dict(workers=0), "workers"),
     (dict(workers=-2), "workers"),
     (dict(workers=2.5), "workers"),
+    # No longer a knob (the recorder cuts epochs): an unknown keyword,
+    # refused by name whatever its value.
     (dict(epoch_size=-1), "epoch_size"),
     (dict(epoch_size="10"), "epoch_size"),
     (dict(max_group_size=0), "max_group_size"),
-    (dict(epoch_cuts=(0, 5)), "positive"),
-    (dict(epoch_cuts=(-3,)), "positive"),
-    (dict(epoch_cuts=(10, 10)), "strictly increasing"),
-    (dict(epoch_cuts=(30, 20)), "strictly increasing"),
+    (dict(net_idle_timeout=True), "positive"),
+    (dict(fleet_task_timeout=False), "positive"),
+    (dict(epoch_workers=0), "epoch_workers"),
+    (dict(epoch_workers="2"), "epoch_workers"),
     (dict(backend="no-such-engine"), "unknown re-exec backend"),
     (dict(strict="yes"), "strict"),
     (dict(dedup=1), "dedup"),
 ])
 def test_validation_rejects_nonsense(kwargs, fragment):
-    with pytest.raises(ValueError, match=fragment):
+    with pytest.raises((ValueError, TypeError), match=fragment):
         AuditConfig(**kwargs)
-
-
-def test_epoch_cuts_normalized_to_tuple():
-    config = AuditConfig(epoch_cuts=[10, 20, 30])
-    assert config.epoch_cuts == (10, 20, 30)
-
-
-def test_validate_for_trace_bounds():
-    trace = Trace()
-    config = AuditConfig(epoch_cuts=(2,))
-    with pytest.raises(ValueError, match="out of range"):
-        config.validate_for_trace(trace)
 
 
 def test_replace_revalidates():
@@ -81,10 +68,9 @@ def test_replace_revalidates():
 
 
 def test_json_roundtrip():
-    config = AuditConfig(strict=False, workers=3, epoch_cuts=(5, 9),
+    config = AuditConfig(strict=False, workers=3, epoch_workers=2,
                          backend="interp", max_group_size=100)
     data = config.to_json()
-    assert data["epoch_cuts"] == [5, 9]  # plain JSON, no tuples
     json.dumps(data)  # serializable as-is
     assert AuditConfig.from_json(data) == config
 
@@ -98,7 +84,7 @@ def test_from_json_rejects_unknown_keys():
 
 def test_save_load_file(tmp_path):
     path = str(tmp_path / "audit.json")
-    config = AuditConfig(workers=2, epoch_size=50)
+    config = AuditConfig(workers=2, max_group_size=50)
     config.save(path)
     assert AuditConfig.load(path) == config
     with open(path) as fh:
@@ -110,15 +96,14 @@ def test_to_options_and_back():
     benchmark still calls ``config.to_options()``, which hands back the
     config itself."""
     config = AuditConfig(strict=False, dedup=False, workers=2,
-                         epoch_cuts=(7,), backend="interp")
+                         backend="interp")
     assert config.to_options() is config
 
 
 def _namespace(**kwargs):
     defaults = dict(strict=None, no_dedup=None, no_collapse=None,
                     strict_registers=None, max_group_size=None,
-                    workers=None, epoch_size=None, epoch_cuts=None,
-                    backend=None, config=None)
+                    workers=None, backend=None, config=None)
     defaults.update(kwargs)
     return argparse.Namespace(**defaults)
 
@@ -129,10 +114,10 @@ def test_from_args_defaults():
 
 def test_from_args_flags_layer_over_config_file(tmp_path):
     path = str(tmp_path / "audit.json")
-    AuditConfig(workers=4, epoch_size=100, backend="interp").save(path)
+    AuditConfig(workers=4, max_group_size=100, backend="interp").save(path)
     # No flags: the file wins over the defaults.
     config = AuditConfig.from_args(_namespace(config=path))
-    assert (config.workers, config.epoch_size, config.backend) == \
+    assert (config.workers, config.max_group_size, config.backend) == \
         (4, 100, "interp")
     # Explicit flags win over the file; untouched fields keep its values.
     config = AuditConfig.from_args(
@@ -153,19 +138,12 @@ def test_from_args_validates(tmp_path):
         AuditConfig.from_args(_namespace(config=path))
 
 
-def test_parse_epoch_cuts():
-    assert parse_epoch_cuts("100,200, 350") == (100, 200, 350)
-    assert parse_epoch_cuts("42") == (42,)
-    with pytest.raises(ValueError, match="comma-separated"):
-        parse_epoch_cuts("10,abc")
-
-
 def test_describe_mentions_the_interesting_knobs():
-    text = AuditConfig(workers=3, epoch_cuts=(5,), strict=False,
+    text = AuditConfig(workers=3, epoch_workers=2, strict=False,
                        backend="interp").describe()
     assert "workers=3" in text
     assert "backend=interp" in text
-    assert "epoch_cuts=[5]" in text
+    assert "epoch_workers=2" in text
     assert "no-strict" in text
 
 
@@ -269,6 +247,18 @@ def test_removed_knobs_fail_naming_the_key(counter_app, honest_run):
 
     with pytest.raises(ValueError, match="prepass_depth"):
         AuditConfig.from_json({"prepass_depth": 2})
+    # The auditor no longer chooses epoch boundaries (the recorder
+    # does): the keys of the old --epoch-size / --epoch-cuts flags.
+    for flag, value in (("--epoch-size", 100), ("--epoch-cuts", [40, 80])):
+        key = flag.lstrip("-").replace("-", "_")
+        with pytest.raises(ValueError,
+                           match=f"unknown audit config keys: {key} "):
+            AuditConfig.from_json({key: value})
+        with pytest.raises(TypeError, match=key):
+            AuditConfig(**{key: value})
+        with pytest.raises(TypeError, match=key):
+            ssco_audit(counter_app, honest_run.trace, honest_run.reports,
+                       honest_run.initial_state, **{key: value})
     auditor = Auditor(counter_app)
     with pytest.raises(TypeError, match="pipelined"):
         auditor.session(honest_run.initial_state, pipelined=True)
@@ -288,7 +278,10 @@ def test_epoch_process_knob_defaults_and_roundtrip():
     round_trip = AuditConfig.from_json(tuned.to_json())
     assert round_trip == tuned
     assert "epoch_workers=4" in tuned.describe()
-    assert len(dataclasses.fields(AuditConfig)) == 23
+    fields = [f.name for f in dataclasses.fields(AuditConfig)]
+    assert len(fields) == 21
+    assert [name for name in fields if name.startswith("epoch_")] == [
+        "epoch_workers"]
 
 
 def test_epoch_process_knobs_layer_through_from_args(tmp_path):

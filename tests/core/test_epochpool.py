@@ -2,7 +2,7 @@
 
 Covers the PR-5 driver invariants:
 
-* one ``sharded_audit`` / ``AuditSession`` run creates exactly **one**
+* one ``audit_epochs`` / ``AuditSession`` run creates exactly **one**
   persistent process pool, reused by every epoch of the run;
 * two concurrent sessions get independent pools;
 * a worker killed mid-epoch (``BrokenProcessPool``) recreates the
@@ -23,7 +23,6 @@ import time
 from repro.core import AuditConfig, Auditor, ssco_audit
 from repro.core import epochpool
 from repro.core.epochpool import EpochPool
-from repro.core.partition import partition_audit_inputs
 from repro.core.reexec import (
     _BACKENDS,
     PlainInterpBackend,
@@ -31,7 +30,7 @@ from repro.core.reexec import (
 )
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
-from tests.conftest import counter_requests
+from tests.conftest import audit_epochs, counter_requests
 
 
 def _epoch_execution(app, n=40, epoch_size=8, seed=7):
@@ -50,16 +49,11 @@ def _epoch_execution(app, n=40, epoch_size=8, seed=7):
 # -- exactly one persistent pool per run --------------------------------------
 
 
-def test_sharded_audit_creates_one_pool_for_all_epochs(counter_app):
+def test_audit_epochs_creates_one_pool_for_all_epochs(counter_app):
     execution = _epoch_execution(counter_app)
-    serial = ssco_audit(counter_app, execution.trace, execution.reports,
-                        execution.initial_state,
-                        epoch_cuts=execution.epoch_marks)
+    serial = audit_epochs(counter_app, execution)
     before = epochpool.pools_created_total()
-    concurrent = ssco_audit(counter_app, execution.trace,
-                            execution.reports, execution.initial_state,
-                            epoch_cuts=execution.epoch_marks,
-                            epoch_workers=3)
+    concurrent = audit_epochs(counter_app, execution, epoch_workers=3)
     assert concurrent.accepted
     assert concurrent.produced == serial.produced
     assert concurrent.stats["shard_count"] >= 3
@@ -67,23 +61,28 @@ def test_sharded_audit_creates_one_pool_for_all_epochs(counter_app):
 
 
 def test_uncuttable_bundle_creates_no_pool(counter_app, honest_run):
-    """No quiescent cut, no chain to unroll: the sharded entry point
-    audits the one shard in-process however many epoch workers were
-    asked for."""
+    """No chain, no pool: one pass over an execution that was never
+    cut runs in-process however many epoch workers were asked for.  An
+    epoch session takes its epochs as given — it ships a lone epoch to
+    its pool like any other."""
     before = epochpool.pools_created_total()
     audit = ssco_audit(counter_app, honest_run.trace, honest_run.reports,
-                       honest_run.initial_state, epoch_cuts=[1],
-                       epoch_workers=4)
+                       honest_run.initial_state, epoch_workers=4)
     assert audit.accepted, (audit.reason, audit.detail)
-    assert audit.stats["shard_count"] == 1
+    assert "shard_count" not in audit.stats
     assert "state_precompute" not in audit.phases
     assert epochpool.pools_created_total() == before
+    assert len(honest_run.epochs()) == 1
+    chained = audit_epochs(counter_app, honest_run, epoch_workers=2)
+    assert chained.produced == audit.produced
+    assert chained.stats["shard_count"] == 1
+    assert "state_precompute" in chained.phases
+    assert epochpool.pools_created_total() == before + 1
 
 
 def test_session_pool_identity_stable_across_epochs(counter_app):
     execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     auditor = Auditor(counter_app, AuditConfig(epoch_workers=2))
     with auditor.session(execution.initial_state) as session:
         pool = session._process_pool
@@ -102,20 +101,14 @@ def test_session_pool_identity_stable_across_epochs(counter_app):
 def test_two_concurrent_sessions_get_independent_pools(counter_app):
     runs = [_epoch_execution(counter_app, seed=7),
             _epoch_execution(counter_app, seed=23)]
-    references = [
-        ssco_audit(counter_app, ex.trace, ex.reports, ex.initial_state,
-                   epoch_cuts=ex.epoch_marks)
-        for ex in runs
-    ]
+    references = [audit_epochs(counter_app, ex) for ex in runs]
     results = [None, None]
     pools = [None, None]
     errors = []
 
     def _drive(slot, execution):
         try:
-            shards = partition_audit_inputs(
-                execution.trace, execution.reports,
-                cuts=execution.epoch_marks)
+            shards = execution.epochs()
             auditor = Auditor(counter_app, AuditConfig(epoch_workers=2))
             with auditor.session(execution.initial_state) as session:
                 pools[slot] = session._process_pool
@@ -167,14 +160,9 @@ def test_killed_epoch_worker_recreates_pool_and_matches_serial(
     execution = _epoch_execution(counter_app)
     register_reexec_backend("kamikaze-pool", _KamikazePoolBackend)
     try:
-        reference = ssco_audit(counter_app, execution.trace,
-                               execution.reports,
-                               execution.initial_state,
-                               epoch_cuts=execution.epoch_marks,
-                               backend="interp")
-        shards = partition_audit_inputs(execution.trace,
-                                        execution.reports,
-                                        cuts=execution.epoch_marks)
+        reference = audit_epochs(counter_app, execution,
+                                  backend="interp")
+        shards = execution.epochs()
         auditor = Auditor(counter_app, AuditConfig(
             epoch_workers=2, backend="kamikaze-pool"))
         with auditor.session(execution.initial_state) as session:
@@ -208,8 +196,7 @@ def test_prepass_depth_bounds_inflight_primed_epochs(counter_app,
     are in flight, instead of priming the whole stream ahead of the
     auditor."""
     execution = _epoch_execution(counter_app, n=80, epoch_size=8)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     epoch_workers = 2
     depth = 2 * epoch_workers
     assert len(shards) > depth + 1

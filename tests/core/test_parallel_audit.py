@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ssco_audit
+from repro.core import Auditor, ssco_audit
 from repro.core.reexec import plan_chunks
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
@@ -99,9 +99,8 @@ def test_parallel_plus_sharded_identical_to_serial():
     assert execution.epoch_marks
     serial = ssco_audit(workload.app, execution.trace, execution.reports,
                         execution.initial_state)
-    combined = ssco_audit(workload.app, execution.trace,
-                          execution.reports, execution.initial_state,
-                          workers=2, epoch_cuts=execution.epoch_marks)
+    combined = Auditor(workload.app, workers=2).audit_epochs(
+        execution.epochs(), execution.initial_state)
     assert serial.accepted and combined.accepted, (
         combined.reason, combined.detail)
     assert combined.produced == serial.produced

@@ -1,4 +1,5 @@
-"""Epoch/shard partitioning (repro.core.partition) and the sharded audit."""
+"""The recorder-side epoch cut (repro.core.partition) and the audit of
+an execution in the epochs it was recorded in."""
 
 from __future__ import annotations
 
@@ -7,8 +8,6 @@ import pytest
 from repro.core import ssco_audit
 from repro.core.partition import (
     PartitionError,
-    Shard,
-    find_epoch_cuts,
     partition_audit_inputs,
     partition_reports,
     partition_trace,
@@ -17,10 +16,11 @@ from repro.core.partition import (
 )
 from repro.objects.base import OpRecord, OpType
 from repro.server import Executor, RandomScheduler, Reports
+from repro.server.reports import EpochSlice
 from repro.server.nondet import NondetSource
 from repro.trace.events import Event, Request, Response
 from repro.trace.trace import Trace
-from tests.conftest import counter_requests
+from tests.conftest import audit_epochs, counter_requests
 
 
 def _sequential_trace(n: int) -> Trace:
@@ -52,13 +52,6 @@ def test_quiescent_points_sequential():
 
 def test_quiescent_points_respect_overlap():
     assert quiescent_points(_overlapping_trace()) == [4]
-
-
-def test_find_epoch_cuts_spacing():
-    trace = _sequential_trace(10)
-    cuts = find_epoch_cuts(trace, epoch_size=3)
-    assert cuts == [6, 12, 18]
-    assert find_epoch_cuts(trace, epoch_size=0) == []
 
 
 def test_validate_cuts_drops_non_quiescent():
@@ -118,32 +111,36 @@ def test_partition_audit_inputs_falls_back_to_single_shard():
         OpRecord("r3", 1, OpType.KV_SET, ("k", 1)),
         OpRecord("r0", 1, OpType.KV_SET, ("k", 2)),
     ]})
-    shards = partition_audit_inputs(trace, reports, epoch_size=1)
+    shards = partition_audit_inputs(trace, reports, [2, 4, 6])
     assert len(shards) == 1
-    assert shards[0].rids == {"r0", "r1", "r2", "r3"}
+    assert shards[0].trace is trace and shards[0].reports is reports
 
 
 def test_partition_audit_inputs_no_cuts_single_shard():
     trace = _overlapping_trace()
-    shards = partition_audit_inputs(Trace(trace.events[:4]), Reports(),
-                                    epoch_size=1)
-    assert len(shards) == 1
+    never_quiesces = Trace(trace.events[:4])
+    for cuts in ((), [1, 2, 3], [0, 4, 99, "2", 2.0, None]):
+        shards = partition_audit_inputs(never_quiesces, Reports(), cuts)
+        assert len(shards) == 1 and shards[0].request_count == 2
 
 
 def test_partition_audit_inputs_shards_cover_everything():
     trace = _sequential_trace(6)
     reports = Reports(op_counts={f"r{i}": 0 for i in range(6)})
-    shards = partition_audit_inputs(trace, reports, epoch_size=2)
+    shards = partition_audit_inputs(trace, reports, [4, 8])
     assert len(shards) == 3
-    assert all(isinstance(s, Shard) for s in shards)
+    assert all(isinstance(s, EpochSlice) for s in shards)
+    assert [s.index for s in shards] == [0, 1, 2]
+    assert [s.request_count for s in shards] == [2, 2, 2]
     union = set()
     for shard in shards:
-        assert not (union & shard.rids)
-        union |= shard.rids
+        rids = set(shard.trace.request_ids())
+        assert not (union & rids)
+        union |= rids
     assert union == set(trace.request_ids())
 
 
-# -- end-to-end: sharded audit versus serial audit -----------------------------
+# -- end-to-end: the recorded epochs versus one pass over everything ------------
 
 
 @pytest.fixture
@@ -165,38 +162,33 @@ def test_executor_epoch_marks_are_quiescent(epoch_run):
 
 
 def test_executor_epoch_tags_do_not_span_cuts(epoch_run):
-    shards = partition_audit_inputs(epoch_run.trace, epoch_run.reports,
-                                    cuts=epoch_run.epoch_marks)
-    assert len(shards) > 1
+    shards = epoch_run.epochs()
+    assert len(shards) == len(epoch_run.epoch_marks) + 1
     for tag, rids in epoch_run.reports.groups.items():
         owners = {
             shard.index for shard in shards
-            for rid in rids if rid in shard.rids
+            for rid in rids if rid in shard.reports.op_counts
         }
         assert len(owners) == 1, (tag, owners)
 
 
-def test_sharded_audit_matches_serial(counter_app, epoch_run):
+def test_epoch_chain_matches_one_pass(counter_app, epoch_run):
     serial = ssco_audit(counter_app, epoch_run.trace, epoch_run.reports,
                         epoch_run.initial_state)
-    sharded = ssco_audit(counter_app, epoch_run.trace, epoch_run.reports,
-                         epoch_run.initial_state,
-                         epoch_cuts=epoch_run.epoch_marks)
+    sharded = audit_epochs(counter_app, epoch_run)
     assert serial.accepted and sharded.accepted, (
         serial.reason, serial.detail, sharded.reason, sharded.detail)
     assert sharded.produced == serial.produced
-    assert sharded.stats["shard_count"] > 1
+    assert sharded.stats["shard_count"] == len(epoch_run.epoch_marks) + 1
     assert len(sharded.stats["shards"]) == sharded.stats["shard_count"]
     assert sharded.stats["grouped_requests"] + sharded.stats[
         "fallback_requests"] == serial.stats["grouped_requests"] + \
         serial.stats["fallback_requests"]
 
 
-def test_sharded_audit_migration_matches_server_state(counter_app,
-                                                      epoch_run):
-    sharded = ssco_audit(counter_app, epoch_run.trace, epoch_run.reports,
-                         epoch_run.initial_state,
-                         epoch_cuts=epoch_run.epoch_marks, migrate=True)
+def test_epoch_chain_migration_matches_server_state(counter_app,
+                                                    epoch_run):
+    sharded = audit_epochs(counter_app, epoch_run, migrate=True)
     assert sharded.accepted
     final = epoch_run.final_state
     for name, table in sharded.next_initial.db_engine.tables.items():
@@ -205,7 +197,7 @@ def test_sharded_audit_migration_matches_server_state(counter_app,
     assert sharded.next_initial.registers == final.registers
 
 
-def test_sharded_audit_rejects_tampering_like_serial(counter_app,
+def test_epoch_chain_rejects_tampering_like_one_pass(counter_app,
                                                      epoch_run):
     tampered = Trace(list(epoch_run.trace.events))
     for position, event in enumerate(tampered.events):
@@ -217,17 +209,24 @@ def test_sharded_audit_rejects_tampering_like_serial(counter_app,
             break
     serial = ssco_audit(counter_app, tampered, epoch_run.reports,
                         epoch_run.initial_state)
-    sharded = ssco_audit(counter_app, tampered, epoch_run.reports,
-                         epoch_run.initial_state,
-                         epoch_cuts=epoch_run.epoch_marks)
+    sharded = audit_epochs(counter_app, epoch_run, trace=tampered)
     assert not serial.accepted and not sharded.accepted
     assert sharded.reason is serial.reason
     assert not sharded.produced
+    # Every recorded epoch is still counted; those past the first
+    # rejection come back skipped, with no summary.
+    assert sharded.stats["shard_count"] == len(epoch_run.epoch_marks) + 1
+    assert [s["accepted"] for s in sharded.stats["shards"]] == [False]
 
 
 def test_epoch_size_knob_on_ssco_audit(counter_app, epoch_run):
-    """epoch_size (without explicit cuts) recomputes quiescent cuts."""
+    """The audit side has no epoch_size: the recorder cut the epochs
+    (``Executor(epoch_size=8)`` above), and asking the auditor to is an
+    unknown keyword.  One pass over the whole execution stays legal —
+    it is one epoch, and holds everything in memory."""
+    with pytest.raises(TypeError, match="epoch_size"):
+        ssco_audit(counter_app, epoch_run.trace, epoch_run.reports,
+                   epoch_run.initial_state, epoch_size=8)
     audit = ssco_audit(counter_app, epoch_run.trace, epoch_run.reports,
-                       epoch_run.initial_state, epoch_size=8)
-    assert audit.accepted
-    assert audit.stats["shard_count"] > 1
+                       epoch_run.initial_state)
+    assert audit.accepted and "shard_count" not in audit.stats

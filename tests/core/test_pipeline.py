@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import AuditReject, RejectReason
-from repro.core import ssco_audit
-from repro.core import AuditConfig, run_audit
+from repro.core import AuditConfig, ssco_audit
 from repro.core.pipeline import (
     AuditContext,
     AuditPhase,
@@ -31,9 +30,9 @@ def run(counter_app):
 
 
 def test_pipeline_matches_wrapper(counter_app, run):
-    """run_audit through the default pipeline is what ssco_audit does."""
-    via_pipeline = run_audit(counter_app, run.trace, run.reports,
-                             run.initial_state)
+    """One run of the default pipeline is what ssco_audit does."""
+    via_pipeline = default_pipeline().run(AuditContext(
+        counter_app, run.trace, run.reports, run.initial_state))
     via_wrapper = ssco_audit(counter_app, run.trace, run.reports,
                              run.initial_state)
     assert via_pipeline.accepted and via_wrapper.accepted
@@ -147,7 +146,7 @@ def test_options_carry_the_full_knob_set(counter_app, run):
     no copy, no second type."""
     config = AuditConfig(strict=False, dedup=False, collapse=False,
                          strict_registers=True, max_group_size=7,
-                         migrate=True, workers=3, epoch_size=10)
+                         migrate=True, workers=3, epoch_workers=2)
     actx = AuditContext(counter_app, run.trace, run.reports,
                         run.initial_state, config)
     assert actx.config is config

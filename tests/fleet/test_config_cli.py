@@ -73,14 +73,12 @@ def test_worker_options_never_recurse_into_a_nested_fleet():
 
 def test_one_shot_and_session_build_the_same_coordinator(
         counter_app, monkeypatch):
-    """There is one FleetCoordinator construction site: the one-shot
-    ``ssco_audit(fleet_listen=...)`` and ``Auditor.audit_epochs`` hand
-    it identical arguments (the one-shot used to omit
-    ``heartbeat_timeout``)."""
+    """There is one FleetCoordinator construction site, the session:
+    ``Auditor.audit_epochs`` and a hand-fed ``Auditor.session`` hand it
+    identical arguments, ``heartbeat_timeout`` included."""
     import repro.fleet.coordinator as coordinator_mod
-    from repro.core import Auditor, ssco_audit
+    from repro.core import Auditor
     from repro.core.epochwork import run_epoch_inline
-    from repro.core.partition import partition_audit_inputs
     from repro.server import Executor
     from tests.conftest import counter_requests
 
@@ -104,13 +102,13 @@ def test_one_shot_and_session_build_the_same_coordinator(
     assert execution.epoch_marks
     knobs = dict(fleet_listen="127.0.0.1:0", fleet_min_workers=2,
                  fleet_task_timeout=9.0, fleet_redundancy=2)
-    one_shot = ssco_audit(counter_app, execution.trace, execution.reports,
-                          execution.initial_state,
-                          epoch_cuts=execution.epoch_marks, **knobs)
-    session = Auditor(counter_app, AuditConfig(**knobs)).audit_epochs(
-        partition_audit_inputs(execution.trace, execution.reports,
-                               cuts=execution.epoch_marks),
-        execution.initial_state)
+    auditor = Auditor(counter_app, AuditConfig(**knobs))
+    one_shot = auditor.audit_epochs(execution.epochs(),
+                                    execution.initial_state)
+    with auditor.session(execution.initial_state) as fed:
+        for epoch in execution.epochs():
+            fed.feed_epoch(epoch.trace, epoch.reports)
+    session = fed.close()
     assert one_shot.accepted and session.accepted
     assert len(built) == 2
     assert built[0] == built[1]

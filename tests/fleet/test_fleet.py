@@ -20,10 +20,9 @@ import sys
 import threading
 
 from repro.common.clock import Deadline
-from repro.core import AuditConfig, Auditor, ssco_audit
+from repro.core import AuditConfig, Auditor
 from repro.core.epochpool import epoch_worker_config
 from repro.core.epochwork import run_epoch_inline
-from repro.core.partition import partition_audit_inputs
 from repro.core.reexec import (
     _BACKENDS,
     PlainInterpBackend,
@@ -41,7 +40,7 @@ from repro.net.protocol import (
 from repro.objects.base import OpType
 from repro.server import Executor, RandomScheduler, faulty
 from repro.server.nondet import NondetSource
-from tests.conftest import counter_requests
+from tests.conftest import audit_epochs, counter_requests
 from tests.net.test_transport import _assert_equivalent
 
 
@@ -57,6 +56,7 @@ def _epoch_execution(app, n=40, epoch_size=8, seed=7, min_marks=2):
     assert len(execution.epoch_marks) >= min_marks, \
         "need enough quiescent cuts"
     return execution
+
 
 
 def _free_port() -> int:
@@ -103,16 +103,12 @@ def _fleet_workers(endpoint, count, prefix="fleet-test-worker"):
 
 def test_fleet_accept_matches_single_host(counter_app):
     execution = _epoch_execution(counter_app)
-    serial = ssco_audit(counter_app, execution.trace, execution.reports,
-                        execution.initial_state,
-                        epoch_cuts=execution.epoch_marks)
+    serial = audit_epochs(counter_app, execution)
     port = _free_port()
     with _fleet_workers(f"127.0.0.1:{port}", 2) as workers:
-        fleet = ssco_audit(counter_app, execution.trace,
-                           execution.reports, execution.initial_state,
-                           epoch_cuts=execution.epoch_marks,
-                           fleet_listen=f"127.0.0.1:{port}",
-                           fleet_min_workers=2)
+        fleet = audit_epochs(counter_app, execution,
+                              fleet_listen=f"127.0.0.1:{port}",
+                              fleet_min_workers=2)
     assert fleet.accepted, (fleet.reason, fleet.detail)
     _assert_equivalent(serial, fleet)
     # Every epoch actually went over the wire.
@@ -124,8 +120,7 @@ def test_fleet_session_uses_coordinator_pool(counter_app):
     """The incremental session path: ``AuditConfig.fleet_listen`` swaps
     the shared process pool for a coordinator; verdicts still match."""
     execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     serial = Auditor(counter_app, AuditConfig()).audit_epochs(
         shards, execution.initial_state)
     port = _free_port()
@@ -155,17 +150,13 @@ def test_fleet_tampered_report_rejects_identically(counter_app):
     execution = _epoch_execution(counter_app)
     trace = faulty.tamper_response(execution.trace, "r035",
                                    "<h1>defaced</h1>")
-    serial = ssco_audit(counter_app, trace, execution.reports,
-                        execution.initial_state,
-                        epoch_cuts=execution.epoch_marks)
+    serial = audit_epochs(counter_app, execution, trace=trace)
     assert not serial.accepted
     port = _free_port()
     with _fleet_workers(f"127.0.0.1:{port}", 2):
-        fleet = ssco_audit(counter_app, trace, execution.reports,
-                           execution.initial_state,
-                           epoch_cuts=execution.epoch_marks,
-                           fleet_listen=f"127.0.0.1:{port}",
-                           fleet_min_workers=2)
+        fleet = audit_epochs(counter_app, execution, trace=trace,
+                              fleet_listen=f"127.0.0.1:{port}",
+                              fleet_min_workers=2)
     assert not fleet.accepted
     _assert_equivalent(serial, fleet)
     # The rejecting run still carries real accounting from the epochs
@@ -189,17 +180,13 @@ def test_fleet_spliced_epoch_rejects_identically(counter_app):
              or log[i + 1].optype is OpType.KV_SET))
     reports = faulty.swap_log_entries(execution.reports, "kv:apc",
                                       position, position + 1)
-    serial = ssco_audit(counter_app, execution.trace, reports,
-                        execution.initial_state,
-                        epoch_cuts=execution.epoch_marks)
+    serial = audit_epochs(counter_app, execution, reports=reports)
     assert not serial.accepted
     port = _free_port()
     with _fleet_workers(f"127.0.0.1:{port}", 2):
-        fleet = ssco_audit(counter_app, execution.trace, reports,
-                           execution.initial_state,
-                           epoch_cuts=execution.epoch_marks,
-                           fleet_listen=f"127.0.0.1:{port}",
-                           fleet_min_workers=2)
+        fleet = audit_epochs(counter_app, execution, reports=reports,
+                              fleet_listen=f"127.0.0.1:{port}",
+                              fleet_min_workers=2)
     assert not fleet.accepted
     _assert_equivalent(serial, fleet)
 
@@ -394,10 +381,8 @@ def test_sigkilled_worker_mid_epoch_redispatches(counter_app):
     register_reexec_backend("fleet-kamikaze", _KamikazeLocal)
     proc = None
     try:
-        serial = ssco_audit(counter_app, execution.trace,
-                            execution.reports, execution.initial_state,
-                            epoch_cuts=execution.epoch_marks,
-                            backend="fleet-kamikaze")
+        serial = audit_epochs(counter_app, execution,
+                               backend="fleet-kamikaze")
         assert serial.accepted
         port = _free_port()
         endpoint = f"127.0.0.1:{port}"
@@ -429,13 +414,10 @@ def test_sigkilled_worker_mid_epoch_redispatches(counter_app):
 
         thread = threading.Thread(target=_run_survivor, daemon=True)
         thread.start()
-        fleet = ssco_audit(counter_app, execution.trace,
-                           execution.reports,
-                           execution.initial_state,
-                           epoch_cuts=execution.epoch_marks,
-                           fleet_listen=endpoint,
-                           fleet_min_workers=2,
-                           backend="fleet-kamikaze")
+        fleet = audit_epochs(counter_app, execution,
+                              fleet_listen=endpoint,
+                              fleet_min_workers=2,
+                              backend="fleet-kamikaze")
         thread.join(timeout=60)
         assert not thread.is_alive() and not survivor_errors, \
             survivor_errors

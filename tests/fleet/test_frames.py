@@ -115,10 +115,10 @@ def test_error_body_without_detail_still_decodes():
 
 def test_work_unit_roundtrips_through_pickle_codec():
     """What crosses the process / host boundary is the validated
-    AuditConfig itself: sharding, fleet and migrate cleared, ``workers``
-    preserved (the chunk plan must follow it bit for bit)."""
+    AuditConfig itself: epoch workers, fleet and migrate cleared,
+    ``workers`` preserved (the chunk plan must follow it bit for bit)."""
     cfg = AuditConfig(strict=False, workers=3, epoch_workers=2,
-                      epoch_cuts=(10, 20), migrate=True,
+                      migrate=True,
                       fleet_listen="0.0.0.0:8700", fleet_min_workers=2,
                       fleet_redundancy=2, backend="interp")
     unit = encode_work_unit("app", "trace", "reports", "state",

@@ -59,7 +59,5 @@ def serve(app, requests, epoch_size: int = 0):
 
 
 def make_timeline(app, run, **knobs) -> Timeline:
-    return Timeline.from_inputs(
-        app, run.trace, run.reports, run.initial_state,
-        cuts=run.epoch_marks, config=AuditConfig(**knobs),
-    )
+    return Timeline.from_epochs(app, run.epochs(), run.initial_state,
+                                AuditConfig(**knobs))

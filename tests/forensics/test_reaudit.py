@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import RejectReason
-from repro.core import AuditConfig, run_audit
+from repro.core import Auditor
 from repro.forensics import UnknownRequest, reaudit_request
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
@@ -28,10 +28,7 @@ def epoch_run(counter_app):
 
 
 def full_audit(app, run):
-    return run_audit(
-        app, run.trace, run.reports, run.initial_state,
-        AuditConfig(epoch_cuts=run.epoch_marks),
-    )
+    return Auditor(app).audit_epochs(run.epochs(), run.initial_state)
 
 
 def test_scoped_bodies_match_full_audit(counter_app, epoch_run):

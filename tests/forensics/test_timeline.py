@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.partition import partition_audit_inputs
 from repro.forensics import Timeline, UnknownRequest
 from repro.trace.trace import Trace
 
@@ -51,9 +52,10 @@ def test_prepass_rejection_truncates_index(counter_app):
     broken = Trace()
     for event in run.trace.events[:-1]:
         broken.append(event)
-    timeline = Timeline.from_inputs(
-        counter_app, broken, run.reports, run.initial_state,
-        cuts=run.epoch_marks,
+    timeline = Timeline.from_epochs(
+        counter_app,
+        partition_audit_inputs(broken, run.reports, run.epoch_marks),
+        run.initial_state,
     )
     assert timeline.prepass_rejected is not None
     rejected_epoch = timeline.prepass_rejected[0]

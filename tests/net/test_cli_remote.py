@@ -33,7 +33,7 @@ def _publish_workload(publisher, scale=0.005, epoch_size=20,
         trace = tamper_response(trace, rid, "forged!")
     publisher.write_state(execution.initial_state)
     for shard in partition_audit_inputs(trace, execution.reports,
-                                        cuts=execution.epoch_marks):
+                                        execution.epoch_marks):
         publisher.write_epoch(shard.trace, shard.reports)
     publisher.write_end()
 
@@ -72,8 +72,7 @@ def _publish_malformed_third_epoch(publisher):
     workload = wiki_workload(scale=0.005)
     execution = run_online_phase(workload, seed=1, epoch_size=20)
     publisher.write_state(execution.initial_state)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
+    shards = execution.epochs()
     assert len(shards) >= 3
     counts = shards[2].reports.op_counts
     counts[sorted(counts)[0]] = "3"

@@ -56,7 +56,7 @@ def epoch_execution(counter_app):
 def _shards(execution, trace=None):
     return partition_audit_inputs(trace or execution.trace,
                                   execution.reports,
-                                  cuts=execution.epoch_marks)
+                                  execution.epoch_marks)
 
 
 def _file_audit(app, execution, tmp_path, trace=None):

@@ -105,11 +105,10 @@ def test_record_jsonl_then_sharded_parallel_audit(tmp_path, capsys):
     assert main(["record", "--workload", "wiki", "--scale", "0.005",
                  "--epoch-size", "20", "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "wiki",
-                 "--scale", "0.005", "--epoch-size", "20",
-                 "--workers", "2"]) == 0
+                 "--scale", "0.005", "--workers", "2"]) == 0
     out = capsys.readouterr().out
     assert "ACCEPTED" in out
-    assert "epoch(s)" in out
+    assert "epoch 1: ACCEPTED" in out and "epoch(s)" in out
 
 
 def test_audit_knob_passthrough(tmp_path, capsys):
@@ -128,8 +127,7 @@ def test_audit_rejects_tampered_jsonl_bundle(tmp_path, capsys):
           "--epoch-size", "20", "--out", bundle])
     _forge_first_body(bundle)
     code = main(["audit", bundle, "--workload", "wiki",
-                 "--scale", "0.005", "--epoch-size", "20",
-                 "--workers", "2"])
+                 "--scale", "0.005", "--workers", "2"])
     assert code == 1
     assert "REJECTED" in capsys.readouterr().out
 
@@ -181,8 +179,7 @@ def test_audit_epoch_workers(tmp_path, capsys):
     assert main(["record", "--workload", "forum", "--scale", "0.005",
                  "--epoch-size", "20", "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "forum",
-                 "--scale", "0.005", "--epoch-size", "20",
-                 "--epoch-workers", "2"]) == 0
+                 "--scale", "0.005", "--epoch-workers", "2"]) == 0
     out = capsys.readouterr().out
     assert "epoch_workers=2" in out
     assert "ACCEPTED" in out
@@ -193,27 +190,63 @@ def test_audit_epoch_workers(tmp_path, capsys):
               "--scale", "0.005", "--epoch-workers", "0"])
 
 
-def test_audit_explicit_epoch_cuts(tmp_path, capsys):
-    bundle = str(tmp_path / "bundle.jsonl")
-    main(["record", "--workload", "wiki", "--scale", "0.005",
-          "--epoch-size", "20", "--out", bundle])
-    # Replay the recorded marks as explicit --epoch-cuts.
-    import json as _json
+#: The auditor's two epoch-boundary flags, gone with its right to choose
+#: boundaries: the recorder cuts epochs, once.
+STALE_EPOCH_FLAGS = (["--epoch-size", "20"], ["--epoch-cuts", "40,80"])
 
-    with open(bundle) as fh:
-        marks = [rec["events"] for rec in map(_json.loads, fh)
-                 if rec.get("kind") == "epoch_mark"]
-    assert marks
-    cuts = ",".join(str(mark) for mark in marks)
-    assert main(["audit", bundle, "--workload", "wiki",
-                 "--scale", "0.005", "--epoch-cuts", cuts]) == 0
-    out = capsys.readouterr().out
-    assert f"epoch_cuts={marks}" in out
-    assert f"across {len(marks) + 1} epoch(s)" in out
-    # Nonsense cuts are rejected at the boundary, before any auditing.
-    with pytest.raises(SystemExit):
-        main(["audit", bundle, "--workload", "wiki",
-              "--scale", "0.005", "--epoch-cuts", "30,20"])
+
+def test_stale_epoch_flags_are_usage_errors(tmp_path, capsys):
+    """``--epoch-size`` belongs to the subcommands that record; on
+    ``audit`` / ``query`` / ``explain`` it is an argparse error, like
+    ``--epoch-cuts`` everywhere — with ``--follow`` / ``--connect`` too,
+    and in ``--help``."""
+    bundle = str(tmp_path / "bundle.jsonl")
+    assert main(["record", *FORUM, "--epoch-size", "20",
+                 "--out", bundle]) == 0
+    capsys.readouterr()
+    commands = (["audit", bundle], ["audit", bundle, "--follow"],
+                ["audit", "--connect", "127.0.0.1:1"],
+                ["query", bundle, "kv:k", "--as-of", "0"],
+                ["explain", bundle, "f000001"])
+    for command in commands:
+        for stale in STALE_EPOCH_FLAGS:
+            with pytest.raises(SystemExit) as usage:
+                main([*command, *FORUM, *stale])
+            assert usage.value.code == 2, (command, stale)
+            err = capsys.readouterr().err
+            assert "unrecognized arguments" in err and stale[0] in err
+        with pytest.raises(SystemExit):
+            main([command[0], "--help"])
+        text = capsys.readouterr().out
+        assert "--epoch-workers" in text
+        assert "--epoch-size" not in text and "--epoch-cuts" not in text
+    for command in ("demo", "record", "serve", "synth"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert "--epoch-size" in text and "--epoch-cuts" not in text
+        assert "re-cut" not in text
+
+
+def test_stale_epoch_keys_in_a_config_file_are_usage_errors(tmp_path,
+                                                           capsys):
+    """A saved audit config that still carries one of the two keys is
+    refused by name (exit 2), not silently audited at the recorded
+    epochs."""
+    bundle = str(tmp_path / "bundle.jsonl")
+    assert main(["record", *FORUM, "--out", bundle]) == 0
+    config = tmp_path / "audit.json"
+    for flag, value in STALE_EPOCH_FLAGS:
+        key = flag.lstrip("-").replace("-", "_")
+        config.write_text(json.dumps({"workers": 2, key: value}))
+        for command in (["audit", bundle], ["audit", bundle, "--follow"],
+                        ["explain", bundle, "f000001"]):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as usage:
+                main([*command, *FORUM, "--config", str(config)])
+            assert usage.value.code == 2, (command, key)
+            assert f"unknown audit config keys: {key} " in \
+                capsys.readouterr().err
 
 
 def test_audit_config_file_with_flag_override(tmp_path, capsys):
@@ -335,38 +368,23 @@ def test_audit_unreadable_bundle_exits_2(tmp_path, capsys):
 
 
 def test_audit_flags_a_live_stream_cannot_honour_are_usage_errors(
-        tmp_path, capsys):
-    """--epoch-size / --epoch-cuts re-cut a finished file and --baseline
-    re-reads one: on a stream that is still arriving they are refused,
-    not silently ignored."""
-    bundle = str(tmp_path / "bundle.jsonl")
-    assert main(["record", *FORUM, "--epoch-size", "20",
-                 "--out", bundle]) == 0
-    capsys.readouterr()
-    config = tmp_path / "audit.json"
-    config.write_text('{"epoch_size": 20}')
-    refused = [
-        [bundle, "--follow", "--epoch-size", "20"],
-        [bundle, "--follow", "--epoch-cuts", "40,80"],
-        [bundle, "--follow", "--config", str(config)],
-        ["--connect", "127.0.0.1:1", "--epoch-size", "20"],
-        ["--connect", "127.0.0.1:1", "--epoch-cuts", "40"],
-        ["--connect", "127.0.0.1:1", "--baseline"],
-    ]
-    for argv in refused:
-        with pytest.raises(SystemExit) as usage:
-            main(["audit", *argv, *FORUM])
-        assert usage.value.code == 2, argv
-        err = capsys.readouterr().err
-        assert ("--baseline" if "--baseline" in argv
-                else "--epoch-size / --epoch-cuts") in err, argv
+        capsys):
+    """--baseline re-reads a bundle file: on a socket stream, which
+    leaves none behind, it is refused, not silently ignored.  (The other
+    two flags a stream could not honour, the auditor-side re-cut, are
+    gone from every audit: test_stale_epoch_flags_are_usage_errors.)"""
+    with pytest.raises(SystemExit) as usage:
+        main(["audit", "--connect", "127.0.0.1:1", "--baseline", *FORUM])
+    assert usage.value.code == 2
+    assert "--baseline" in capsys.readouterr().err
 
 
 def test_audit_recut_and_baseline_are_honoured_on_a_file(tmp_path,
                                                          capsys):
-    """On a file, --epoch-size / --epoch-cuts feed the one driver the
-    partitioner's slices instead of the recorded ones, and --baseline
-    runs after the verdict — with --follow too."""
+    """On a file --baseline runs after the verdict, with --follow too,
+    and changes nothing else in the payload.  (There is no re-cut to
+    honour: the epochs are the recorder's, see
+    test_stale_epoch_flags_are_usage_errors.)"""
     bundle = str(tmp_path / "bundle.jsonl")
     assert main(["record", *FORUM, "--epoch-size", "20",
                  "--out", bundle]) == 0
@@ -378,17 +396,7 @@ def test_audit_recut_and_baseline_are_honoured_on_a_file(tmp_path,
         return json.loads(capsys.readouterr().out)
 
     recorded = run()
-    sizes = [e["requests"] for e in recorded["epochs"]]
-    assert len(sizes) >= 3
-    doubled = run("--epoch-size", "40")
-    assert 1 < len(doubled["epochs"]) < len(sizes)
-    assert sum(e["requests"] for e in doubled["epochs"]) == sum(sizes)
-    first = recorded["epochs"][0]["events"]
-    cut = run("--epoch-cuts", str(first))
-    assert [e["events"] for e in cut["epochs"]] == [
-        first, sum(e["events"] for e in recorded["epochs"]) - first]
-    for payload in (recorded, doubled, cut):
-        assert payload["stats"]["steps"] == recorded["stats"]["steps"]
+    assert len(recorded["epochs"]) >= 3
     followed = run("--follow", "--baseline")
     assert followed["baseline"]["accepted"] is True
     assert untimed(followed, "baseline") == untimed(recorded)
@@ -412,8 +420,7 @@ def test_audit_prepass_depth_and_epoch_threads(tmp_path, capsys):
     assert main(["record", "--workload", "forum", "--scale", "0.005",
                  "--epoch-size", "20", "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "forum",
-                 "--scale", "0.005", "--epoch-size", "20",
-                 "--epoch-workers", "2"]) == 0
+                 "--scale", "0.005", "--epoch-workers", "2"]) == 0
     out = capsys.readouterr().out
     assert "epoch_workers=2" in out
     assert "ACCEPTED" in out
@@ -555,49 +562,71 @@ def _swapped(lines, first, second):
     lines[first], lines[second] = lines[second], lines[first]
 
 
-#: case -> (edit(lines, first mark, second mark), verdict, reason).  A
-#: mark that still falls between two epochs' records — or is missing or
-#: doubled, which merges two epochs or closes an empty one — leaves a
-#: bundle the audit ACCEPTs with the honest bodies; one that lands
-#: inside an epoch's events or reports tears that epoch and is REJECTED
-#: by the checks of whichever slice comes up short.
+def _after_300_events(lines, first):
+    event = [i for i, line in enumerate(lines)
+             if line.startswith('{"kind": "event"')][299]
+    lines.insert(event + 1, lines[first])
+
+
+#: What the forensic timeline makes of a case.  Its prepass is a prefix
+#: of the audit — every check but re-execution and output comparison —
+#: over the same slices, so it either sees what the audit sees ...
+AS_THE_AUDIT = "as the audit"
+#: ... or, where only re-execution can object (a nondet record or a
+#: group's requests cut off from their epoch), walks on; a tuple is the
+#: (epoch, reason) it stops at instead, later than the audit.
+UNSEEN = None
+
+#: case -> (edit(lines, first mark, second mark), verdict, reason,
+#: timeline).  A mark that still falls between two epochs' records — or
+#: is missing or doubled, which merges two epochs or closes an empty
+#: one — leaves a bundle the audit ACCEPTs with the honest bodies; one
+#: that lands inside an epoch's events or reports tears that epoch and
+#: is REJECTED by the checks of whichever slice comes up short.
 MARK_CASES = {
-    "honest": (lambda lines, first, second: None, "ACCEPTED", None),
+    "honest": (lambda lines, first, second: None, "ACCEPTED", None,
+               AS_THE_AUDIT),
     "first mark deleted": (
-        lambda lines, first, second: lines.pop(first), "ACCEPTED", None),
+        lambda lines, first, second: lines.pop(first), "ACCEPTED", None,
+        AS_THE_AUDIT),
     "first mark duplicated": (
         lambda lines, first, second: lines.insert(first, lines[first]),
-        "ACCEPTED", None),
+        "ACCEPTED", None, AS_THE_AUDIT),
     "first mark +1": (lambda lines, first, second: _moved(lines, first, 1),
-                      "REJECTED", "trace_unbalanced"),
+                      "REJECTED", "trace_unbalanced", AS_THE_AUDIT),
     "first mark -1": (lambda lines, first, second: _moved(lines, first, -1),
-                      "REJECTED", "nondet_missing"),
+                      "REJECTED", "nondet_missing", UNSEEN),
     "first mark -3": (lambda lines, first, second: _moved(lines, first, -3),
-                      "REJECTED", "nondet_missing"),
+                      "REJECTED", "nondet_missing", UNSEEN),
     "first mark +5": (lambda lines, first, second: _moved(lines, first, 5),
-                      "REJECTED", "trace_unbalanced"),
+                      "REJECTED", "trace_unbalanced", AS_THE_AUDIT),
+    # The op-log records pushed into epoch 1 name epoch 0's requests.
     "first mark -40": (
         lambda lines, first, second: _moved(lines, first, -40),
-        "REJECTED", "nondet_missing"),
+        "REJECTED", "nondet_missing", (1, "log_unknown_rid")),
     "first mark +60": (
         lambda lines, first, second: _moved(lines, first, 60),
-        "REJECTED", "trace_unbalanced"),
+        "REJECTED", "trace_unbalanced", AS_THE_AUDIT),
     "extra mark after three events": (
         lambda lines, first, second: _after_three_events(lines, first),
-        "REJECTED", "trace_unbalanced"),
-    "marks swapped": (_swapped, "ACCEPTED", None),
+        "REJECTED", "trace_unbalanced", AS_THE_AUDIT),
+    # Inside epoch 1: four epochs, the first certified, the second torn.
+    "extra mark after 300 events": (
+        lambda lines, first, second: _after_300_events(lines, first),
+        "REJECTED", "trace_unbalanced", AS_THE_AUDIT),
+    "marks swapped": (_swapped, "ACCEPTED", None, AS_THE_AUDIT),
     "middle epoch dropped": (
         lambda lines, first, second: lines.__delitem__(
-            slice(first, second)), "REJECTED", "group_diverged"),
+            slice(first, second)), "REJECTED", "group_diverged", UNSEEN),
     "events 'abc'": (
         lambda lines, first, second: _with_events(lines, first, "abc"),
-        "REJECTED", "malformed_bundle"),
+        "REJECTED", "malformed_bundle", AS_THE_AUDIT),
     "events -5": (
         lambda lines, first, second: _with_events(lines, first, -5),
-        "REJECTED", "malformed_bundle"),
+        "REJECTED", "malformed_bundle", AS_THE_AUDIT),
     "events 10**6": (
         lambda lines, first, second: _with_events(lines, first, 10 ** 6),
-        "ACCEPTED", None),
+        "ACCEPTED", None, AS_THE_AUDIT),
 }
 
 
@@ -606,9 +635,13 @@ def test_forged_epoch_marks_get_one_verdict_on_every_road(tmp_path,
     """The bundle's epoch marks are the executor's word like the rest
     of it.  Whatever is done to them, ``repro audit FILE`` and ``repro
     audit FILE --follow`` answer alike — verdict, reason and the whole
-    ``--json`` payload, timings aside — neither with a traceback; and
-    where they ACCEPT, the re-executed bodies are the honest audit's."""
+    ``--json`` payload, timings aside — neither with a traceback; where
+    they ACCEPT, the re-executed bodies are the honest audit's; and the
+    forensic road (``Timeline.from_bundle``, under ``repro query`` /
+    ``explain``) counts the epochs they count and stops at the epoch
+    they reject, so it answers about no request past it."""
     from repro.core import Auditor
+    from repro.forensics import Timeline
     from repro.io import BundleReader
     from repro.scenarios import build_scenario_app
 
@@ -629,8 +662,13 @@ def test_forged_epoch_marks_get_one_verdict_on_every_road(tmp_path,
             return Auditor(app).audit_epochs(
                 reader.epochs(), reader.initial_state).produced
 
+    def explain(rid):
+        capsys.readouterr()
+        code = main(["explain", bundle, *CART, rid])
+        return code, capsys.readouterr()
+
     honest_bodies = None
-    for case, (edit, verdict, reason) in MARK_CASES.items():
+    for case, (edit, verdict, reason, prepass) in MARK_CASES.items():
         lines, first, second = _fixture_lines()
         edit(lines, first, second)
         with open(bundle, "w") as fh:
@@ -645,6 +683,48 @@ def test_forged_epoch_marks_get_one_verdict_on_every_road(tmp_path,
             assert len(plain["epochs"]) == 3
         elif verdict == "ACCEPTED":
             assert bodies() == honest_bodies, case
+
+        # The third road.
+        if reason == "malformed_bundle":  # no reader gets past the mark
+            with pytest.raises(ValueError, match="events"):
+                Timeline.from_bundle(bundle, app)
+            code, said = explain("s00000001")
+            assert code == 2 and "cannot load bundle" in said.err, case
+            continue
+        with BundleReader.open(bundle) as reader:
+            slices = list(reader.epochs())
+        timeline = Timeline.from_bundle(bundle, app)
+        stopped = timeline.prepass_rejected
+        rejecting = plain["rejecting_epoch"]
+        assert (rejecting is None) == (verdict == "ACCEPTED"), case
+        if prepass == AS_THE_AUDIT:
+            walked = timeline.epoch_count + (stopped is not None)
+            assert walked == plain["stats"]["shard_count"], case
+            assert walked == len(plain["epochs"]), case
+            assert (stopped and (stopped[0], stopped[1].value)) == (
+                None if rejecting is None else (rejecting, reason)), case
+        else:
+            where = stopped and (stopped[0], stopped[1].value)
+            assert where == prepass and rejecting is not None, case
+            assert prepass is None or prepass[0] > rejecting, case
+            if prepass is None:
+                assert timeline.epoch_count == len(slices), case
+        if stopped is None:
+            assert set(timeline.entries) == {
+                rid for s in slices for rid in s.trace.request_ids()}, case
+            continue
+        if case == "extra mark after 300 events":
+            assert (len(slices), rejecting, stopped[0]) == (4, 1, 1)
+        # No scoped ACCEPTED at or past the epoch the prepass rejected;
+        # the epochs the audit certified stay open to questions.
+        for epoch, epoch_slice in enumerate(slices):
+            rid = epoch_slice.trace.request_ids()[0]
+            code, said = explain(rid)
+            if epoch < rejecting:
+                assert code == 0 and "ACCEPTED" in said.out, (case, rid)
+            elif epoch >= stopped[0]:
+                assert code == 2 and "ACCEPTED" not in said.out, (case, rid)
+                assert f"epoch {stopped[0]} prepass rejected" in said.err
 
 
 # -- the lint subcommand ------------------------------------------------------
@@ -749,7 +829,7 @@ def test_synth_writes_verified_bundle(tmp_path, capsys):
         assert _json.load(fh)["profile"] == "ssco-group-profile"
     # The synthesized bundle audits cleanly through the stock CLI.
     assert main(["audit", bundle, "--workload", "cart",
-                 "--scale", "0.05", "--epoch-size", "60"]) == 0
+                 "--scale", "0.05"]) == 0
 
 
 def test_synth_resume_roundtrip(tmp_path, capsys):

@@ -109,8 +109,7 @@ def test_explain_unknown_request_exits_2(bundle, capsys):
 
 
 def test_audit_json_verdict(bundle, capsys):
-    code = main(["audit", bundle, *WIKI, "--epoch-size", "25",
-                 "--json"])
+    code = main(["audit", bundle, *WIKI, "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "ACCEPTED"

@@ -261,7 +261,6 @@ def test_every_reader_yields_the_same_slices(tmp_path, monkeypatch, seed):
                     publisher.write_record_payload(line, kind=kind)
         with RemoteBundleReader(publisher.endpoint,
                                 idle_timeout=20) as remote:
-            remote.read_initial_state()
             assert _slices(remote.epochs()) == expected
             assert typed(remote.initial_state.registers) == typed(
                 _state().registers)
@@ -292,6 +291,67 @@ def test_every_reader_yields_the_same_slices(tmp_path, monkeypatch, seed):
                               for r in log]
     assert typed(state.kv) == typed(_state().kv)
     assert fed and "epoch_mark" not in fed  # read_all collects the marks
+
+
+def test_the_state_record_is_decoded_once(tmp_path, monkeypatch):
+    """Whichever way a reader is driven — ``read_initial_state()`` then
+    ``epochs()`` (the CLI's order, and the benchmark's), ``epochs()``
+    alone, ``seek_epoch()`` then ``epochs()`` — ``state_from_json`` runs
+    once, every slice still comes out, and the state is there to ask
+    for afterwards."""
+    from repro.net import client
+
+    epochs = _random_epochs(0)
+    path = str(tmp_path / "bundle.jsonl")
+    with BundleWriter(path) as writer:
+        writer.write_state(_state())
+        for trace, reports in epochs:
+            writer.write_epoch(trace, reports)
+        writer.write_end()
+    decoded = []
+
+    def counting(data):
+        decoded.append(data)
+        return state_from_json(data)
+
+    state_from_json = repro_io.state_from_json
+    monkeypatch.setattr(repro_io, "state_from_json", counting)
+    monkeypatch.setattr(client, "state_from_json", counting)
+
+    def drive(reader, first, start=0):
+        decoded.clear()
+        first(reader)
+        indexes = [s.index for s in reader.epochs()]
+        assert indexes == list(range(start, len(epochs))), first
+        assert typed(reader.initial_state.kv) == typed(_state().kv)
+        assert len(decoded) == 1, first
+
+    for first, start in (
+        (lambda reader: reader.read_initial_state(), 0),
+        (lambda reader: reader.initial_state, 0),
+        (lambda reader: None, 0),
+        (lambda reader: reader.seek_epoch(0), 0),
+        (lambda reader: reader.seek_epoch(2), 2),
+    ):
+        with BundleReader(path) as reader:
+            drive(reader, first, start)
+    with BundleReader(path) as reader:  # seeking back does not re-read it
+        drive(reader, lambda reader: reader.seek_epoch(1), 1)
+        reader.seek_epoch(0)
+        assert len(list(reader.epochs())) == len(epochs)
+        assert len(decoded) == 1
+
+    for first in (lambda reader: reader.read_initial_state(),
+                  lambda reader: None):
+        with BundlePublisher("127.0.0.1:0",
+                             heartbeat_interval=None) as publisher:
+            publisher.write_state(_state())
+            for trace, reports in epochs:
+                publisher.write_epoch(trace, reports)
+            publisher.write_end()
+            with RemoteBundleReader(publisher.endpoint,
+                                    idle_timeout=20) as remote:
+                drive(remote, first)
 
 
 # -- malformed records ---------------------------------------------------------

@@ -9,7 +9,6 @@ import threading
 
 import pytest
 
-from repro.core.partition import partition_audit_inputs
 from repro.io import (
     BundleReader,
     BundleWriter,
@@ -138,8 +137,7 @@ def test_segmented_epochs_match_partitioner(tmp_path, epoch_run):
     save_audit_bundle_segmented(path, epoch_run.trace, epoch_run.reports,
                                 epoch_run.initial_state,
                                 epoch_run.epoch_marks)
-    shards = partition_audit_inputs(epoch_run.trace, epoch_run.reports,
-                                    cuts=epoch_run.epoch_marks)
+    shards = epoch_run.epochs()
     assert len(shards) > 1
     with BundleReader(path) as reader:
         state = reader.read_initial_state()
@@ -158,8 +156,7 @@ def test_bundle_writer_reader_tail_live(tmp_path, epoch_run):
     reader hands each epoch over as soon as its run is closed, and the
     writer's end record terminates the stream."""
     path = str(tmp_path / "live.jsonl")
-    shards = partition_audit_inputs(epoch_run.trace, epoch_run.reports,
-                                    cuts=epoch_run.epoch_marks)
+    shards = epoch_run.epochs()
     started = threading.Event()
 
     def write_slowly():
@@ -188,8 +185,7 @@ def test_follow_gives_up_after_idle_timeout(tmp_path, epoch_run):
     """An unfinished bundle (no end record) stops a follow reader after
     idle_timeout seconds without new data."""
     path = str(tmp_path / "unfinished.jsonl")
-    shards = partition_audit_inputs(epoch_run.trace, epoch_run.reports,
-                                    cuts=epoch_run.epoch_marks)
+    shards = epoch_run.epochs()
     writer = BundleWriter(path)
     writer.write_state(epoch_run.initial_state)
     writer.write_epoch(shards[0].trace, shards[0].reports)
@@ -225,8 +221,7 @@ def test_follow_idle_timeout_measures_wall_clock(tmp_path, epoch_run):
     overshoot by the accumulated I/O time (20x here).  The deadline is
     now the real monotonic clock."""
     path = str(tmp_path / "unfinished.jsonl")
-    shards = partition_audit_inputs(epoch_run.trace, epoch_run.reports,
-                                    cuts=epoch_run.epoch_marks)
+    shards = epoch_run.epochs()
     writer = BundleWriter(path)
     writer.write_state(epoch_run.initial_state)
     writer.write_epoch(shards[0].trace, shards[0].reports)
@@ -250,8 +245,7 @@ def test_follow_slow_consumer_gets_fresh_idle_budget(tmp_path,
     as stream idleness: after a slow epoch, the reader polls a fresh
     ``idle_timeout`` instead of giving up on resume."""
     path = str(tmp_path / "live.jsonl")
-    shards = partition_audit_inputs(epoch_run.trace, epoch_run.reports,
-                                    cuts=epoch_run.epoch_marks)
+    shards = epoch_run.epochs()
     assert len(shards) >= 2
     writer = BundleWriter(path)
     writer.write_state(epoch_run.initial_state)
@@ -284,8 +278,7 @@ def test_reader_tolerates_torn_line_in_follow(tmp_path, epoch_run):
     """A half-written final line is invisible to a follow reader (it
     waits) and a hard error on a supposedly finished file."""
     path = str(tmp_path / "torn.jsonl")
-    shards = partition_audit_inputs(epoch_run.trace, epoch_run.reports,
-                                    cuts=epoch_run.epoch_marks)
+    shards = epoch_run.epochs()
     with BundleWriter(path) as writer:
         writer.write_state(epoch_run.initial_state)
         writer.write_epoch(shards[0].trace, shards[0].reports)
@@ -326,8 +319,7 @@ def test_reader_open_waits_for_late_header(tmp_path, epoch_run):
     """BundleReader.open(follow=True) tolerates the startup race: the
     auditor may be launched before the writer's header is flushed."""
     path = str(tmp_path / "late.jsonl")
-    shards = partition_audit_inputs(epoch_run.trace, epoch_run.reports,
-                                    cuts=epoch_run.epoch_marks)
+    shards = epoch_run.epochs()
 
     def write_later():
         time.sleep(0.2)

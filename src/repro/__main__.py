@@ -163,6 +163,7 @@ def cmd_demo(args) -> int:
           f" ms, speedup "
           f"{run.baseline_audit.seconds / audit.phases['total']:.2f}x)")
     print(f"groups={stats['groups']} alpha={alpha:.3f} "
+          f"classes={stats['multi_classes']}/{stats['multi_slots']} "
           f"dedup={stats['dedup_hits']}/"
           f"{stats['dedup_hits'] + stats['dedup_misses']}")
     print(f"shards={stats['shard_count']}: " + " ".join(

@@ -61,10 +61,9 @@ from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
-from repro.common.errors import AuditReject, RejectReason
+from repro.common.errors import RejectReason
 from repro.core.config import AuditConfig
 from repro.core.epochpool import EpochPool, epoch_worker_config
-from repro.core.nondet import validate_nondet_reports
 from repro.core.pipeline import (
     AuditContext,
     AuditPipeline,
@@ -74,7 +73,7 @@ from repro.core.pipeline import (
 )
 from repro.server.app import Application, InitialState
 from repro.server.reports import Reports
-from repro.trace.trace import Trace, check_balanced
+from repro.trace.trace import Trace
 
 
 @dataclass
@@ -472,23 +471,12 @@ class AuditSession:
             self._epochs.append(epoch)
             return epoch
 
-        # The §4.6 plausibility pre-check with whole-stream state: the
-        # per-epoch pipeline re-checks internally, but only this shared
-        # set catches a uniqid duplicated *across* epochs.
-        try:
-            check_balanced(trace)
-            validate_nondet_reports(reports, self._seen_uniq)
-        except AuditReject as reject:
-            epoch = EpochResult(
-                index=index, accepted=False, reason=reject.reason,
-                detail=reject.detail,
-                requests=len(trace.request_ids()), events=len(trace),
-            )
-            self._record(epoch, None)
-            return epoch
-
+        # The pipeline's trace check gets the whole stream's uniqid()
+        # values: only that shared set catches one duplicated *across*
+        # epochs.
         actx = AuditContext(self._auditor.app, trace, reports,
-                            self._state, self._epoch_config)
+                            self._state, self._epoch_config,
+                            self._seen_uniq)
         pipeline = self._auditor.pipeline or default_pipeline()
         result = pipeline.run(actx)
         epoch = EpochResult(
@@ -505,23 +493,20 @@ class AuditSession:
         self._record(epoch, result)
         return epoch
 
-    def _record(self, epoch: EpochResult,
-                result: AuditResult | None) -> None:
+    def _record(self, epoch: EpochResult, result: AuditResult) -> None:
         self._epochs.append(epoch)
-        if result is not None:
-            _merge_shard_result(self._merged, result)
+        _merge_shard_result(self._merged, result)
         self._summaries.append(_epoch_summary(epoch))
         if not epoch.accepted:
             self._failure = epoch
             self._merged.produced = {}
             return
-        if result is not None:
-            if result.next_initial is None:
-                raise ValueError(
-                    "audit session needs a MigratePhase in the pipeline "
-                    "to chain epoch state"
-                )
-            self._state = result.next_initial
+        if result.next_initial is None:
+            raise ValueError(
+                "audit session needs a MigratePhase in the pipeline "
+                "to chain epoch state"
+            )
+        self._state = result.next_initial
 
     # -- lifecycle --------------------------------------------------------
 
@@ -716,7 +701,7 @@ _SUMMED_STATS = (
     "graph_nodes", "graph_edges", "db_queries_issued", "dedup_hits",
     "dedup_misses", "versioned_db_bytes", "versioned_db_versions",
     "redo_statements", "groups", "grouped_requests", "fallback_requests",
-    "divergences", "steps", "multi_steps",
+    "divergences", "steps", "multi_steps", "multi_slots", "multi_classes",
 )
 
 

@@ -88,12 +88,17 @@ class AuditContext:
         reports: Reports,
         initial_state: InitialState,
         config: AuditConfig | None = None,
+        seen_uniq: set[str] | None = None,
     ):
         self.app = app
         self.trace = trace
         self.reports = reports
         self.initial_state = initial_state
         self.config = config or AuditConfig()
+        #: The ``uniqid()`` values of the whole stream so far, when this
+        #: is one epoch of a chain (updated in place by the trace
+        #: check); ``None`` for a one-epoch audit.
+        self.seen_uniq = seen_uniq
         #: Execute the ``workers``-shaped chunk plan serially
         #: in-process, never creating a re-exec pool.  Set by
         #: :func:`~repro.core.epochwork.run_epoch_inline` (epoch-level
@@ -127,13 +132,16 @@ class AuditPhase:
 
 
 class TraceCheckPhase(AuditPhase):
-    """Balanced-trace and non-determinism plausibility checks (§3, §4.6)."""
+    """Balanced-trace and non-determinism plausibility checks (§3,
+    §4.6) — the latter against the whole stream's ``uniqid()`` values
+    when the context carries them, which is what catches one duplicated
+    *across* epochs."""
 
     name = "trace_check"
 
     def run(self, actx: AuditContext) -> None:
         check_balanced(actx.trace)
-        validate_nondet_reports(actx.reports)
+        validate_nondet_reports(actx.reports, actx.seen_uniq)
 
 
 class ProcessReportsPhase(AuditPhase):
@@ -288,25 +296,18 @@ def prepass_epoch(
     config: AuditConfig,
     seen_uniq: set[str],
 ) -> AuditContext:
-    """The serial half of auditing one epoch of a chain: the cross-epoch
-    checks — balance, and the §4.6 plausibility check against the
-    ``uniqid()`` values of the whole stream so far (``seen_uniq``,
-    updated in place) — then the redo-only state precompute.
+    """The serial half of auditing one epoch of a chain: the redo-only
+    state precompute, whose trace check is the cross-epoch one — the
+    §4.6 plausibility check runs against the ``uniqid()`` values of the
+    whole stream so far (``seen_uniq``, updated in place).
 
     Returns the primed context: graph, OpMap and built versioned stores,
     with ``result`` the prepass verdict and (``config.migrate``)
-    ``result.next_initial`` the next epoch's initial state.  A failed
-    cross-epoch check is a rejected result with no phases and no stats.
+    ``result.next_initial`` the next epoch's initial state.
     """
-    actx = AuditContext(app, trace, reports, initial_state, config)
-    try:
-        check_balanced(trace)
-        validate_nondet_reports(reports, seen_uniq)
-    except AuditReject as reject:
-        actx.result.reason = reject.reason
-        actx.result.detail = reject.detail
-    else:
-        state_precompute_pipeline().run(actx)
+    actx = AuditContext(app, trace, reports, initial_state, config,
+                        seen_uniq)
+    state_precompute_pipeline().run(actx)
     return actx
 
 

@@ -147,6 +147,10 @@ class ReExecStats:
     divergences: int = 0
     steps: int = 0
     multi_steps: int = 0
+    #: Over the multivalent steps: the requests they stood for and the
+    #: classes of requests the engine computed a value for.
+    multi_slots: int = 0
+    multi_classes: int = 0
     group_alphas: list[tuple] = field(default_factory=list)
     #: (n_c, alpha_c, ell_c) per group, for Figure 11.
 
@@ -531,6 +535,8 @@ def _run_chunk(
         stats.grouped_requests += len(rids)
         stats.steps += output.steps
         stats.multi_steps += output.multi_steps
+        stats.multi_slots += output.multi_slots
+        stats.multi_classes += output.multi_classes
         alpha = (
             1.0 - output.multi_steps / output.steps if output.steps else 1.0
         )

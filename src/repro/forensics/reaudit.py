@@ -36,7 +36,8 @@ from repro.forensics.timeline import Timeline
 
 #: ReExecStats fields surfaced in :attr:`ReauditResult.stats`.
 _STAT_FIELDS = ("groups", "grouped_requests", "fallback_requests",
-                "divergences", "steps", "multi_steps")
+                "divergences", "steps", "multi_steps", "multi_slots",
+                "multi_classes")
 
 
 @dataclass

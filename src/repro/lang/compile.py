@@ -12,10 +12,12 @@ run a whole control-flow group at a time (§3.1, §4.2-4.3):
 * instructions whose operands are identical across the group execute
   once (**univalent** execution), at the cost of one closure call;
 * a closure whose operand *is* a :class:`~repro.multivalue.MultiValue`
-  executes componentwise (**multivalent**), with scalar expansion of
-  univalue operands and collapse of uniform results (Figure 2) — request
-  inputs, simulated object reads and recorded non-determinism are the
-  only sources of multivalues;
+  executes componentwise (**multivalent**) — once per class of requests
+  that agree on the operands, not once per request — with scalar
+  expansion of univalue operands and collapse of uniform results
+  (Figure 2); request inputs, simulated object reads and recorded
+  non-determinism are the only sources of multivalues, and where the
+  classes are made;
 * a branch, loop, ternary, left operand of ``&&``/``||`` or foreach
   trip count that differs across the group is a **divergence** (the
   grouping was wrong):
@@ -43,7 +45,7 @@ How the closures are built:
   (:func:`repro.lang.analysis.analyze_program`);
 * **impure subtrees** compile to generator closures that ``yield`` the
   group intents; both variants of a node share the helpers that do the
-  per-slot work (:mod:`repro.lang.simd`, with the run's state and the
+  per-class work (:mod:`repro.lang.simd`, with the run's state and the
   intents);
 * **constant subtrees** fold at compile time, preserving the exact
   instruction count the folded nodes would have contributed;
@@ -621,16 +623,18 @@ class _Compiler:
         )
         not_array = f"cannot index non-array variable ${name}"
 
-        def root(env):
+        def root(env, state):
             container = env.lookup(name) if use_env else env.get(name)
             if container is None:
                 container = PhpArray()
                 store(env, container)
             elif type(container) is MultiValue:
-                container = container.values
-                for slot_root in container:
-                    if not isinstance(slot_root, PhpArray):
+                for class_root in container.values:
+                    if not isinstance(class_root, PhpArray):
                         raise WeblangError(not_array)
+                # The stores below are per slot: a class's array splits.
+                expanded, container = _expand(container, (), state)
+                store(env, expanded)
             elif not isinstance(container, PhpArray):
                 raise WeblangError(not_array)
             return container
@@ -656,7 +660,7 @@ class _Compiler:
 
             def run(env, state):
                 state.steps += 1
-                container = root(env)
+                container = root(env, state)
                 walked = []
                 for path_fn in walk_fns:
                     key = path_fn(env, state)
@@ -679,7 +683,7 @@ class _Compiler:
 
         def run_gen(env, state):
             state.steps += 1
-            container = root(env)
+            container = root(env, state)
             walked = []
             for path_c in walk:
                 if path_c is None:
@@ -762,7 +766,7 @@ class _Compiler:
                     state.steps += 1
                     value = env.lookup(name)
                     if type(value) is MultiValue:
-                        state.multi_steps += 1
+                        state.multivalent(len(value.values))
                     return value
 
             else:
@@ -771,7 +775,7 @@ class _Compiler:
                     state.steps += 1
                     value = env.get(name)
                     if type(value) is MultiValue:
-                        state.multi_steps += 1
+                        state.multivalent(len(value.values))
                     return value
 
             self.leaves[key] = (True, run, None)
@@ -998,7 +1002,7 @@ class _Compiler:
                     if type(index) is not MultiValue:
                         value = base.get(index)
                         if type(value) is MultiValue:
-                            state.multi_steps += 1
+                            state.multivalent(len(value.values))
                         return value
                     return _index(base, index, state)
                 if not isinstance(base, indexable):
@@ -1418,7 +1422,9 @@ class CompiledProgram:
             raise WeblangError("script ended with an open transaction")
         flow_tag = None if state.flow is None else f"{state.flow:016x}"
         return GroupRunOutput(_render(state), state.steps,
-                              state.multi_steps, flow_tag)
+                              state.multi_steps, flow_tag,
+                              state.multi_steps * state.size,
+                              state.multi_classes)
 
     def run(self, request: Request, record_flow: bool = True):
         """``request`` as a group of one: each group intent becomes the

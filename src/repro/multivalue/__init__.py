@@ -2,13 +2,12 @@
 
 from repro.multivalue.multivalue import (
     MultiValue,
-    collapse,
-    components,
+    Partition,
     contains_multi,
-    is_multi,
     make_multi,
     project,
+    regroup,
 )
 
-__all__ = ["MultiValue", "collapse", "components", "contains_multi",
-           "is_multi", "make_multi", "project"]
+__all__ = ["MultiValue", "Partition", "contains_multi", "make_multi",
+           "project", "regroup"]

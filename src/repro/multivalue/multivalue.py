@@ -1,46 +1,116 @@
-"""The multivalue runtime type (Sections 3.1, 4.3).
+"""The multivalue runtime type (Sections 3.1, 4.3), collapsed by class.
 
-A :class:`MultiValue` holds one component per request in the control-flow
-group being re-executed ("a multivalue int can be thought of as a vector of
-ints").  Invariants:
+The paper's multivalue is a vector with one component per request of the
+control-flow group, and its collapse is all or nothing.  Here the
+requests of a group that agree on a value share it: a
+:class:`MultiValue` holds one value per **class** of requests
+(``values[c]``) and a :class:`Partition` that says which requests those
+are, so an operation on it runs once per class, not once per request.
+Invariants:
 
-* a MultiValue always has cardinality equal to the group size ("a collapse
-  is all or nothing: every multivalue has cardinality equal to the number
-  of requests being re-executed");
-* components are plain weblang values (never nested MultiValues) — a
-  component may be a :class:`~repro.lang.values.PhpArray` whose *cells*
-  hold only plain values;
-* a MultiValue whose components are all equal must not exist: the
-  engine (:mod:`repro.lang.compile`) builds everything it produces with
-  :func:`make_multi`, which hands back a univalue instead — "this is
-  crucial to deduplication" (§4.3).
+* a MultiValue stands for exactly one value per request of the group
+  (``len`` is the group size) and has at least two classes — when every
+  class holds an equal value it must not exist: :func:`make_multi` and
+  :func:`regroup` hand back the univalue instead, "this is crucial to
+  deduplication" (§4.3).  Only the collapse-off ablation builds uniform
+  ones, on the identity partition (a class per request: the paper's
+  vector, and the always-valid fallback);
+* class values are plain weblang values (never nested MultiValues) — a
+  class value may be a :class:`~repro.lang.values.PhpArray` whose *cells*
+  hold only plain values, and it is private to its class: no other class
+  and no other multivalue reaches the same array;
+* classes are numbered by their first slot, so two partitions that group
+  the slots alike are equal list for list;
+* partitions are shared **by identity** among multivalues derived from
+  one another: operands that came from the same read need one ``is``
+  test to be aligned.  Different partitions are joined
+  (:meth:`Partition.join`).
 
-``collapse`` compares scalars with ``==`` (plus type compatibility) and
-arrays by value.  Collapsing distinct-but-equal arrays to a single shared
-array is safe because every mutation path in the engine either applies
-an identical (univalent) mutation to the shared array — the same thing
-that happened in each original execution — or first *expands* the array
-into per-request deep copies (scalar expansion of containers, §4.3).
+**Soundness rule: a hash key pre-selects, ``_equal`` admits.**  Putting
+two requests that differ into one class would re-execute a server that
+answered one with the other's page into agreement.  A slot joins a class
+only when it holds the class's very object or a value :func:`_equal` to
+it — the comparison collapse uses, *stricter* than weblang ``==``: ``1``,
+``1.0``, ``True`` and ``"1"`` are four classes.  The dict key that finds
+the candidates (:func:`_preselect`) never decides.
+
+Sharing one array among the requests of a class is safe for the reason
+collapsing equal arrays to a univalue is: every mutation path in the
+engine either applies an identical mutation for the whole class — the
+same thing that happened in each original execution — or first *expands*
+the array into per-request deep copies (scalar expansion of containers,
+§4.3).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-
-from repro.common.errors import MultivalueFallback, WeblangError
+from repro.common.errors import MultivalueFallback
 from repro.lang.values import PhpArray
 
 
+class Partition:
+    """Which requests of a group share a class: ``classes[slot]`` is the
+    slot's class, ``firsts[c]`` the first slot of class ``c``."""
+
+    __slots__ = ("classes", "firsts", "_joins")
+
+    def __init__(self, classes: list[int], firsts: list[int]):
+        self.classes = classes
+        self.firsts = firsts
+        self._joins: dict[Partition, Partition] = {}
+
+    @classmethod
+    def identity(cls, size: int) -> Partition:
+        """A class per slot: the paper's vector."""
+        return cls(list(range(size)), list(range(size)))
+
+    def join(self, other: Partition) -> Partition:
+        """The coarsest partition that refines both — ``self`` or
+        ``other`` *itself* when it already does, so the values of that
+        operand need no re-indexing.  Cached per pair."""
+        if other is self:
+            return self
+        joined = self._joins.get(other)
+        if joined is None:
+            numbers: dict[tuple[int, int], int] = {}
+            classes: list[int] = []
+            firsts: list[int] = []
+            for slot, pair in enumerate(zip(self.classes, other.classes)):
+                number = numbers.get(pair)
+                if number is None:
+                    number = numbers[pair] = len(firsts)
+                    firsts.append(slot)
+                classes.append(number)
+            if len(firsts) == len(self.firsts):
+                joined = self
+            elif len(firsts) == len(other.firsts):
+                joined = other
+            else:
+                joined = Partition(classes, firsts)
+            self._joins[other] = joined
+        return joined
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Partition({self.classes!r})"
+
+
 class MultiValue:
-    """A vector of per-request values."""
+    """One value per class of requests."""
 
-    __slots__ = ("values",)
+    __slots__ = ("part", "values")
 
-    def __init__(self, values: list[object]):
+    def __init__(self, part: Partition, values: list[object]):
+        self.part = part
         self.values = values
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.part.classes)
+
+    def slots(self) -> list[object]:
+        """The value of each request, in slot order (requests of one
+        class get the same object)."""
+        values = self.values
+        return [values[number] for number in self.part.classes]
 
     def __eq__(self, other: object) -> bool:
         """Only reached when a comparison walks into an array *cell*
@@ -53,15 +123,11 @@ class MultiValue:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MultiValue({self.values!r})"
-
-
-def is_multi(value: object) -> bool:
-    return isinstance(value, MultiValue)
+        return f"MultiValue({self.slots()!r})"
 
 
 def _equal(a: object, b: object) -> bool:
-    """Component equality for collapsing.
+    """Equality for collapsing and for admission to a class.
 
     Deliberately *stricter* than weblang ``==`` (no type juggling): 1 and
     "1" must not collapse, because programs can observe their type.  int and
@@ -80,52 +146,86 @@ def _equal(a: object, b: object) -> bool:
 
 
 def _arrays_equal(a: PhpArray, b: PhpArray) -> bool:
-    if len(a) != len(b):
+    """Same keys in the same order, ``_equal`` cells."""
+    if list(a.data) != list(b.data):
         return False
-    items_a = a.items()
-    items_b = b.items()
-    for (ka, va), (kb, vb) in zip(items_a, items_b):
-        if ka != kb or not _equal(va, vb):
-            return False
-    return True
+    cells_a, cells_b = list(a.data.values()), list(b.data.values())
+    kinds = list(map(type, cells_a))
+    if kinds != list(map(type, cells_b)):
+        return False
+    if PhpArray not in kinds and MultiValue not in kinds:
+        return cells_a == cells_b  # scalars of pairwise equal type
+    return all(map(_equal, cells_a, cells_b))
 
 
-def collapse(value: object) -> object:
-    """Collapse a MultiValue with identical components to a univalue."""
-    if not isinstance(value, MultiValue):
-        return value
-    values = value.values
-    first = values[0]
-    for other in values[1:]:
-        if not _equal(first, other):
-            return value
-    return first
+#: Hashable, and ``==`` between two of one type is ``_equal``.
+_SCALARS = frozenset((str, bytes, int, float, bool, type(None)))
+
+
+def _preselect(value: object) -> object:
+    """A dict key that ``_equal`` values share.  It only finds the
+    classes worth comparing with (values that differ may share it too):
+    scalars by type and value, arrays by size and by what their first
+    cell, followed down, holds."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return kind, value
+    if kind is PhpArray:
+        for cell in value.data.values():  # type: ignore[attr-defined]
+            return kind, len(value.data), _preselect(cell)  # type: ignore
+    return kind
+
+
+def _group(values: list[object]) -> tuple[Partition, list[object]]:
+    """Classes of slots that hold the same object or ``_equal`` values,
+    and each class's value (its first slot's)."""
+    classes: list[int] = []
+    firsts: list[int] = []
+    held: list[object] = []
+    by_id: dict[int, int] = {}
+    by_key: dict[object, list[int]] = {}
+    for slot, value in enumerate(values):
+        number = by_id.get(id(value))
+        if number is None:
+            key = _preselect(value)
+            candidates = by_key.get(key)
+            if candidates is None:
+                candidates = by_key[key] = []
+            for number in candidates:
+                if _equal(held[number], value):
+                    break
+            else:
+                number = len(firsts)
+                firsts.append(slot)
+                held.append(value)
+                candidates.append(number)
+            by_id[id(value)] = number
+        classes.append(number)
+    return Partition(classes, firsts), held
 
 
 def make_multi(values: list[object]) -> object:
-    """Build a MultiValue from per-request values, collapsing if uniform
-    (the usual case builds nothing)."""
+    """What a group read, from per-request values: the univalue when all
+    agree (the usual case builds nothing), else a MultiValue over the
+    classes of requests that do."""
     first = values[0]
     for other in values:
         if other is not first and not _equal(first, other):
-            return MultiValue(values)
+            return MultiValue(*_group(values))
     return first
 
 
-def components(value: object, size: int) -> list[object]:
-    """Per-request view of a value: scalar expansion for univalues.
-
-    For univalue (shared) components the *same* object is returned for each
-    slot; callers that intend to mutate must use :func:`expand_array`.
-    """
-    if isinstance(value, MultiValue):
-        if len(value.values) != size:
-            raise WeblangError(
-                f"multivalue cardinality {len(value.values)} != group size "
-                f"{size}"
-            )
-        return value.values
-    return [value] * size
+def regroup(part: Partition, values: list[object]) -> object:
+    """The result of per-class work on ``part``: collapsed to a univalue
+    when every class got an equal value, else a MultiValue that shares
+    ``part`` with the operands it came from.  (The loop is
+    :func:`make_multi`'s, in line: both sit under every read and every
+    multivalent step.)"""
+    first = values[0]
+    for other in values:
+        if other is not first and not _equal(first, other):
+            return MultiValue(part, values)
+    return first
 
 
 def contains_multi(array: PhpArray) -> bool:
@@ -138,63 +238,41 @@ def contains_multi(array: PhpArray) -> bool:
     return False
 
 
+def cell_partition(array: PhpArray,
+                   part: Partition | None = None) -> Partition | None:
+    """The join of ``part`` with the partitions of every multivalue cell
+    of ``array``, at any depth (``None`` when there is none)."""
+    for cell in array.data.values():
+        kind = type(cell)
+        if kind is MultiValue:
+            part = cell.part if part is None else part.join(cell.part)
+        elif kind is PhpArray:
+            part = cell_partition(cell, part)
+    return part
+
+
 def project(value: object, slot: int, copy_arrays: bool = False) -> object:
     """One slot's view of a value.
 
-    MultiValues yield their component; arrays containing multivalues are
-    rebuilt with projected cells.  ``copy_arrays`` forces fresh copies of
-    all arrays, guaranteeing the result shares no structure with other
-    slots (used before per-slot mutation).
+    MultiValues yield the value of the slot's class; arrays containing
+    multivalues are rebuilt with projected cells.  ``copy_arrays`` forces
+    fresh copies of all arrays, guaranteeing the result shares no
+    structure with other slots (used before per-slot mutation).
     """
-    if isinstance(value, MultiValue):
-        return project(value.values[slot], slot, copy_arrays)
-    if isinstance(value, PhpArray) and (copy_arrays
-                                        or contains_multi(value)):
-        out = PhpArray()
-        out._next_index = value._next_index
-        for key, cell in value.data.items():
-            out.data[key] = project(cell, slot, copy_arrays)
-        return out
-    return value
-
-
-def expand_array(value: object, size: int) -> MultiValue:
-    """Scalar-expand a container into per-request deep copies (§4.3).
-
-    Used when "the objects were no longer equivalent" in the original
-    executions — e.g. a set with a multivalue key on a univalue array.
-    """
-    if isinstance(value, MultiValue):
-        out: list[object] = []
-        seen_ids = {}
-        for component in value.values:
-            if isinstance(component, PhpArray):
-                # The same array object may appear in several slots (it was
-                # broadcast); each slot needs its own copy exactly once.
-                if id(component) in seen_ids:
-                    out.append(component.deep_copy())
-                else:
-                    seen_ids[id(component)] = True
-                    out.append(component)
-            else:
-                out.append(component)
-        return MultiValue(out)
-    if not isinstance(value, PhpArray):
-        raise WeblangError("expand_array() expects an array")
-    return MultiValue([value] + [value.deep_copy() for _ in range(size - 1)])
-
-
-def map_componentwise(
-    func: Callable[..., object], size: int, args: Sequence[object]
-) -> object:
-    """Apply ``func`` componentwise over mixed multi/uni arguments.
-
-    Performs scalar expansion on univalue arguments, calls ``func`` once
-    per slot, and collapses the result — the core multivalent-execution
-    step of Figure 2.
-    """
-    expanded = [components(arg, size) for arg in args]
-    results = [
-        func(*(arg[slot] for arg in expanded)) for slot in range(size)
-    ]
-    return make_multi(results)
+    if type(value) is MultiValue:
+        value = value.values[value.part.classes[slot]]
+        if copy_arrays and type(value) is PhpArray:
+            return value.deep_copy()  # a class's array: plain cells
+        return value
+    if type(value) is not PhpArray or not (copy_arrays
+                                           or contains_multi(value)):
+        return value
+    out = PhpArray()
+    out._next_index = value._next_index
+    cells = out.data
+    for key, cell in value.data.items():
+        kind = type(cell)
+        if kind is MultiValue or kind is PhpArray:
+            cell = project(cell, slot, copy_arrays)
+        cells[key] = cell
+    return out

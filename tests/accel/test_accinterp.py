@@ -263,11 +263,68 @@ echo $holder[param('k')]['n'], $shared['n'];
     assert_equiv(src, reqs({"k": "a", "v": 7}, {"k": "b", "v": 8}))
 
 
+#: The slot-isolation and container-expansion cases above, with two of
+#: the slots starting in one class (they agree on ``k``, so the arrays
+#: built from it are one class's array) and parting ways on ``v`` — a
+#: per-slot write then has to split the class, not write through it.
+SHARED_CLASS_CASES = {
+    "multivalue key expands container": """
+$obj = ['a' => 0, 'b' => 0];
+$obj[param('k')] = param('v');
+echo $obj['a'], $obj['b'];
+""",
+    "nested set through expanded container": """
+$obj = [];
+$obj[param('k')]['deep'] = param('v');
+$obj['common']['c'] = 5;
+echo count($obj), $obj['common']['c'], $obj[param('k')]['deep'];
+""",
+    "array literal with multivalue key": """
+$a = [param('k') => 'v', 'fixed' => 1];
+$b = $a;
+$b[param('k')] = param('v');
+echo count($a), $a[param('k')], $b[param('k')], $a['fixed'];
+""",
+    "deep value isolation between slots": """
+$shared = ['n' => 0];
+$holder = [];
+$holder[param('k')] = $shared;
+$holder[param('k')]['n'] = param('v');
+echo $holder[param('k')]['n'], $shared['n'];
+""",
+    "a class's array written per slot, then read back per class": """
+$rows = [param('k') => ['hits' => 0]];
+$copy = $rows;
+$rows[param('k')]['hits'] += param('v');
+$rows[param('k')]['seen'][] = param('v');
+echo $rows[param('k')]['hits'], '/', $copy[param('k')]['hits'], '/',
+     implode(',', $rows[param('k')]['seen']), '/', count($copy);
+""",
+    "built-in keeps a broadcast array": """
+$base = ['x' => [1], 'y' => [2]];
+$mine = array_merge($base, [param('k') => [param('v')]]);
+$mine[param('k')][] = param('v');
+echo count($base['x']), count($mine[param('k')]), count($mine);
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_CLASS_CASES))
+def test_container_paths_with_two_slots_in_one_class(case):
+    requests = reqs({"k": "a", "v": 7}, {"k": "b", "v": 8},
+                    {"k": "a", "v": 9}, {"k": "a", "v": 7})
+    output = assert_equiv(SHARED_CLASS_CASES[case], requests)
+    assert output.multi_steps
+    # Fewer classes than slots were computed: the twin did start shared.
+    assert output.multi_classes < output.multi_slots
+
+
 def test_group_of_one():
     src = "echo param('x') + 1;"
     output = run_group(src, reqs({"x": 1}))
     assert output.bodies == ["2"]
     assert output.multi_steps == 0
+    assert (output.multi_slots, output.multi_classes) == (0, 0)
 
 
 def test_output_interleaving_univalent_multivalent():
@@ -345,6 +402,10 @@ echo ($larger % 2) ? "T" : "F";
     without = run_group(src, requests, collapse=False)
     assert with_collapse.bodies == without.bodies
     assert without.multi_steps > with_collapse.multi_steps
+    # Collapse off is the identity partition, never regrouped.
+    assert without.multi_classes == without.multi_slots \
+        == 2 * without.multi_steps
+    assert with_collapse.multi_slots == 2 * with_collapse.multi_steps
 
 
 # -- property-based equivalence ---------------------------------------------------

@@ -41,6 +41,7 @@ _DET_STATS = (
     "shard_count", "graph_nodes", "graph_edges", "db_queries_issued",
     "dedup_hits", "dedup_misses", "groups", "grouped_requests",
     "fallback_requests", "divergences", "steps", "multi_steps",
+    "multi_slots", "multi_classes",
     "group_alphas",
 )
 #: ... and between the epoch chain and one pass over everything: the
@@ -420,10 +421,10 @@ def _swap(value, old, new):
     return value
 
 
-def test_session_threads_uniqid_check_across_epochs():
-    """A uniqid duplicated *across* epochs is invisible to each epoch
-    alone; the session's threaded seen-set must still catch it, exactly
-    as the one-shot whole-report-set check does (§4.6)."""
+def _replayed_token_run():
+    """A lying server replays epoch 0's ``uniqid()`` token in epoch 1,
+    consistently: the nondet report and the KV op log both carry the
+    duplicate.  Returns (app, execution, forged reports)."""
     app = Application.from_sources("token", TOKEN_SRC)
     executor = Executor(
         app, scheduler=RandomScheduler(3), max_concurrency=2,
@@ -444,8 +445,6 @@ def test_session_threads_uniqid_check_across_epochs():
                    if r.func == "uniqid")
     value_b = next(r.value for r in reports.nondet[rid_b]
                    if r.func == "uniqid")
-    # A lying server replays epoch 0's token in epoch 1, consistently:
-    # the nondet report and the KV op log both carry the duplicate.
     reports.nondet[rid_b] = [
         type(r)(r.func, r.args, _swap(r.value, value_b, value_a))
         for r in reports.nondet[rid_b]
@@ -457,7 +456,14 @@ def test_session_threads_uniqid_check_across_epochs():
             if r.rid == rid_b else r
             for r in log
         ]
+    return app, execution, reports
 
+
+def test_session_threads_uniqid_check_across_epochs():
+    """A uniqid duplicated *across* epochs is invisible to each epoch
+    alone; the session's threaded seen-set must still catch it, exactly
+    as the one-shot whole-report-set check does (§4.6)."""
+    app, execution, reports = _replayed_token_run()
     one_shot = ssco_audit(app, execution.trace, reports,
                           execution.initial_state)
     assert not one_shot.accepted
@@ -482,6 +488,57 @@ def test_session_threads_uniqid_check_across_epochs():
     assert not results[1].accepted
     assert results[1].reason is RejectReason.NONDET_IMPLAUSIBLE
     assert "duplicate uniqid" in results[1].detail
+
+
+@pytest.mark.parametrize("epoch_workers", [1, 2])
+def test_trace_checks_run_once_per_epoch(monkeypatch, counter_app,
+                                         epoch_workers):
+    """Balance and nondet plausibility are checked once per epoch, by
+    the pipeline's trace check with the whole stream's ``uniqid()`` set
+    — not once by the session and again by the phase.  (On the pooled
+    road the count is this process's: the prepass; the worker's own
+    audit of the unit runs in another process.)  A cross-epoch
+    rejection found there keeps its ``stats["shards"]`` entry."""
+    from repro.core import auditor as auditor_module
+    from repro.core import pipeline as pipeline_module
+
+    calls = {"check_balanced": 0, "validate_nondet_reports": 0}
+
+    def counted(name):
+        plain = getattr(pipeline_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return plain(*args)
+
+        monkeypatch.setattr(pipeline_module, name, wrapper)
+        # Where the session's own copy of the check used to be called.
+        monkeypatch.setattr(auditor_module, name, wrapper, raising=False)
+
+    for name in calls:
+        counted(name)
+
+    honest = _epoch_execution(counter_app)
+    epochs = honest.epochs()
+    merged = Auditor(counter_app, epoch_workers=epoch_workers).audit_epochs(
+        epochs, honest.initial_state)
+    assert merged.accepted and len(epochs) >= 3
+    assert calls == {"check_balanced": len(epochs),
+                     "validate_nondet_reports": len(epochs)}
+
+    app, execution, reports = _replayed_token_run()
+    shards = partition_audit_inputs(execution.trace, reports,
+                                    execution.epoch_marks)
+    calls.update(check_balanced=0, validate_nondet_reports=0)
+    merged = Auditor(app, epoch_workers=epoch_workers).audit_epochs(
+        shards, execution.initial_state)
+    assert merged.reason is RejectReason.NONDET_IMPLAUSIBLE
+    assert "duplicate uniqid" in merged.detail
+    assert [(s["shard"], s["accepted"], s["groups"])
+            for s in merged.stats["shards"]][:2] == [
+        (0, True, merged.stats["shards"][0]["groups"]), (1, False, 0)]
+    # Epochs 0 and 1 were checked once each; later ones are skipped.
+    assert calls == {"check_balanced": 2, "validate_nondet_reports": 2}
 
 
 def test_epoch_result_shape(counter_app):

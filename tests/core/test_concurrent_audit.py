@@ -46,6 +46,7 @@ _DET_STATS = (
     "shard_count", "graph_nodes", "graph_edges", "db_queries_issued",
     "dedup_hits", "dedup_misses", "groups", "grouped_requests",
     "fallback_requests", "divergences", "steps", "multi_steps",
+    "multi_slots", "multi_classes",
     "group_alphas",
 )
 

@@ -112,7 +112,8 @@ def test_a_group_of_one_is_a_group_not_a_fallback():
                         backend="accinterp")
     assert pinned.produced == result.produced
     for key in ("groups", "grouped_requests", "fallback_requests",
-                "divergences", "steps", "multi_steps"):
+                "divergences", "steps", "multi_steps", "multi_slots",
+                "multi_classes"):
         assert pinned.stats[key] == result.stats[key], key
 
 

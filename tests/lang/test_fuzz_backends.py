@@ -9,11 +9,13 @@ Three layers, all seeded and deterministic:
   instruction count (``RunOutput.steps``), the full intent sequence,
   and error behaviour must match exactly;
 * **group lockstep** — the same kind of programs run as a *group* of
-  1-5 requests with differing inputs and differing per-slot intent
-  results, against one ``Interpreter`` run per slot: when every slot
-  takes the same control flow the group must complete with each slot's
-  body, each slot's intent operands and the interpreter's ``steps``;
-  when they branch apart (or any slot errors) it must not complete;
+  2-12 requests drawn with replacement from a few profiles of inputs
+  and per-slot intent results (so most multivalues have fewer classes
+  than the group has slots), against one ``Interpreter`` run per slot:
+  when every slot takes the same control flow the group must complete
+  with each slot's body, each slot's intent operands and the
+  interpreter's ``steps``; when they branch apart (or any slot errors)
+  it must not complete;
 * **audit lockstep** — randomized applications recorded with the real
   executor and audited under every backend name: all must agree on the
   verdict and the produced bodies, and the two per-request disciplines
@@ -25,6 +27,7 @@ so fuzzing also covers the parse → AST → compile pipeline.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -36,6 +39,7 @@ from repro.common.errors import (
 )
 from repro.core import ssco_audit
 from repro.lang import interp as interp_module
+from repro.lang import simd
 from repro.lang.compile import (
     CompInterpreter,
     GroupNondetIntent,
@@ -49,12 +53,14 @@ from repro.lang.interp import (
     StateOpIntent,
 )
 from repro.lang.parser import parse_program
+from repro.lang.values import PhpArray
+from repro.multivalue import MultiValue, Partition
 from repro.server import Application, Executor, RandomScheduler
 from repro.server.nondet import NondetSource
 from repro.trace.events import Request
 
 ENGINE_CASES = 200
-GROUP_CASES = 240
+GROUP_CASES = 320
 AUDIT_CASES = 24
 
 #: Deterministic stats (no timers) that the two per-request engines
@@ -63,6 +69,7 @@ _DET_STATS = (
     "shard_count", "graph_nodes", "graph_edges", "db_queries_issued",
     "dedup_hits", "dedup_misses", "groups", "grouped_requests",
     "fallback_requests", "divergences", "steps", "multi_steps",
+    "multi_slots", "multi_classes",
 )
 
 
@@ -157,13 +164,15 @@ class ProgramGen:
         return f"${r.choice(self.vars)}[{self.expr(depth + 1)}]"
 
     def key(self, depth: int = 2) -> str:
-        """An array key (typed mode): mostly from a small pool, so reads
-        find what writes stored; sometimes per-request."""
+        """An array key (typed mode): from a small pool, so reads find
+        what writes stored, or per-request — which makes the array one
+        per class of requests, and the next store to it a per-slot
+        write."""
         r = self.rng
-        pick = r.randrange(6)
+        pick = r.randrange(8)
         if pick <= 2:
             return r.choice(["0", "1", "2", "'k'", "'m'"])
-        if pick == 3:
+        if pick >= 6 or pick == 3:
             return "param('q', 0)"
         if pick == 4:
             return f"${r.choice(self.vars)}"
@@ -217,7 +226,7 @@ class ProgramGen:
             shape = r.choice([f"foreach ([{items}] as ${v})",
                               f"foreach ([{items}] as ${k} => ${v})"])
             return f"{shape} {{ {self.block(depth + 1, 2)} }}"
-        if pick == 7 and self.typed:
+        if pick in (7, 11) and self.typed:
             return self.array_stmt()
         if pick == 7:
             var = r.choice(self.vars)
@@ -310,9 +319,12 @@ class ProgramGen:
     def program(self) -> str:
         statements = []
         if self.typed:
+            # $ys starts empty, or as one array per class of requests.
+            ys = self.rng.choice(
+                ["[]", f"[param('q', 0) => [{self.literal()}]]"])
             statements.append(
                 f"$xs = [{self.literal()}, 'k' => param('q', 1), "
-                f"'n' => [{self.literal()}]]; $ys = [];")
+                f"'n' => [{self.literal()}]]; $ys = {ys};")
         statements += [self.stmt(0)
                        for _ in range(self.rng.randrange(3, 9))]
         statements.append(f"echo 'tail:', ${self.rng.choice(self.vars)};")
@@ -420,33 +432,63 @@ def drive_group(program, requests, canned, nondets, record_flow=False):
         return None, intents, exc
 
 
-def test_group_lockstep_fuzz():
-    """Random programs x groups of 1-5 differing requests: the group
-    run is each slot's ``Interpreter`` run, or it does not complete."""
+#: What an object may answer in the group corpus: the engine corpus's
+#: pool plus frozen arrays, which thaw into a class's own array.
+_GROUP_POOL = [
+    None, 0, 1, 7, "", "str", [1, 2], {"k": 3}, True, 2.5, 1.0, "1",
+    ("__phparray__", (("k", 3), (0, "x"))),
+    ("__phparray__", (("k", 3.0), (0, "x"))),
+    ("__phparray__", (("n", ("__phparray__", ((0, 1), (1, 2)))),)),
+]
+
+
+def test_group_lockstep_fuzz(monkeypatch):
+    """Random programs x groups of 2-12 requests drawn, with
+    replacement, from 1-4 profiles (inputs, replies, non-determinism):
+    the group run is each slot's ``Interpreter`` run, or it does not
+    complete.  Slots of one profile agree, so most multivalues have
+    fewer classes than the group has slots; their replies are the very
+    same objects for some slots and equal copies for others."""
+    joins = splits = 0
+    plain_join, plain_slots = Partition.join, simd._slots
+
+    def counting_join(self, other):
+        nonlocal joins
+        joins += other is not self
+        return plain_join(self, other)
+
+    def counting_slots(value, state, private=False):
+        nonlocal splits
+        # A per-slot write to a class's array: the class has to split.
+        splits += (private and type(value) is MultiValue
+                   and len(value.values) < state.size
+                   and any(type(held) is PhpArray for held in value.values))
+        return plain_slots(value, state, private)
+
+    monkeypatch.setattr(Partition, "join", counting_join)
+    monkeypatch.setattr(simd, "_slots", counting_slots)
     failures = []
-    completed = multivalent = diverged = fell_back = 0
+    completed = multivalent = shared = diverged = fell_back = 0
     for seed in range(GROUP_CASES):
         rng = random.Random(9000 + seed)
         src = ProgramGen(rng, typed=True).program()
         program = parse_program(src)
-        size = 1 + seed % 5
-        # A third of the groups get identical inputs and replies (the
-        # univalent extreme); the rest differ slot by slot.
-        uniform = seed % 3 == 0
+        # A sixth of the groups are of one profile (the univalent
+        # extreme); the rest mix two to four.
+        profiles = [
+            ({"q": str(rng.randrange(10)), "n": "5"}, f"s{index}",
+             [rng.choice(_GROUP_POOL) for _ in range(64)],
+             [rng.randrange(100) for _ in range(32)])
+            for index in range(1 if seed % 6 == 0 else rng.randrange(2, 5))
+        ]
         requests, canned, nondets = [], [], []
-        shared = (canned_results(rng),
-                  [rng.randrange(100) for _ in range(32)])
-        for slot in range(size):
-            requests.append(Request(
-                f"r{seed}-{slot}", "fuzz.php",
-                get={"q": "4" if uniform else str(rng.randrange(10)),
-                     "n": "5"},
-                cookies={"sess": "s1" if uniform else f"s{slot}"},
-            ))
-            canned.append(shared[0] if uniform or rng.random() < 0.5
-                          else canned_results(rng))
-            nondets.append(shared[1] if uniform or rng.random() < 0.5
-                           else [rng.randrange(100) for _ in range(32)])
+        for slot in range(rng.randrange(2, 13)):
+            get, cookie, replies, values = rng.choice(profiles)
+            requests.append(Request(f"r{seed}-{slot}", "fuzz.php",
+                                    get=dict(get), cookies={"sess": cookie}))
+            canned.append(replies if rng.random() < 0.5
+                          else copy.deepcopy(replies))
+            nondets.append(values)
         refs = [drive(Interpreter(record_flow=True), program, request,
                       canned[slot], nondets[slot])
                 for slot, request in enumerate(requests)]
@@ -471,16 +513,27 @@ def test_group_lockstep_fuzz():
             continue
         completed += 1
         multivalent += bool(output.multi_steps)
+        shared += output.multi_classes < output.multi_slots
         expected = ([ref[0].body for ref in refs], refs[0][0].steps,
                     [ref[1] for ref in refs])
         if (output.bodies, output.steps, intents) != expected:
             failures.append((seed, src, expected[:2],
                              (output.bodies, output.steps)))
+        if not (output.multi_slots == output.multi_steps * len(requests)
+                and output.multi_steps <= output.multi_classes
+                <= output.multi_slots):
+            failures.append((seed, src, "counters", output.multi_steps,
+                             output.multi_classes, output.multi_slots))
     assert not failures, failures[:3]
     # The corpus must be worth its time: mostly groups that complete,
-    # a good share of them on multivalues, some that must not complete.
+    # a good share of them on multivalues with fewer classes than slots
+    # (1 < k < n is where the class machinery runs), partitions of
+    # different reads joined, classes split by per-slot writes, and
+    # some groups that must not complete.
     assert completed >= GROUP_CASES // 2, (completed, diverged, fell_back)
     assert multivalent >= completed // 3, (completed, multivalent)
+    assert shared >= multivalent // 2, (multivalent, shared)
+    assert joins >= 200 and splits >= 30, (joins, splits)
     assert diverged >= 10
     assert fell_back <= completed // 10, (completed, fell_back)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -30,6 +31,11 @@ def test_demo_accepts(capsys):
     out = capsys.readouterr().out
     assert "ACCEPTED" in out
     assert "speedup" in out
+    # classes=<multi_classes>/<multi_slots> beside alpha=: what is left
+    # of the per-request SIMD work once requests that agree share it.
+    classes, slots = map(int, re.search(
+        r" alpha=\S+ classes=(\d+)/(\d+) ", out).groups())
+    assert 0 < classes < slots
 
 
 def test_record_then_audit(tmp_path, capsys):

@@ -9,9 +9,10 @@ benchmark measures what that hop costs (and buys):
 * **serial** — the single-host chained epoch audit of one recorded
   wiki bundle, driven through the incremental session (the reference
   verdict and bodies);
-* **fleet** — the same epochs submitted to a session whose pool is a
-  ``FleetCoordinator`` with real ``repro worker`` subprocesses joined
-  over loopback, dispatched concurrently and merged in feed order.
+* **fleet** — the same epochs submitted to a session handed a
+  ``FleetCoordinator`` as its pool, with real ``repro worker``
+  subprocesses joined over loopback, dispatched concurrently and
+  merged in feed order.
 
 Worker *enrollment* (interpreter start, retry-connect, registration)
 happens once per session and is deliberately excluded from the timed
@@ -39,7 +40,6 @@ import argparse
 import contextlib
 import json
 import os
-import socket
 import subprocess
 import sys
 import time as _time
@@ -47,6 +47,7 @@ import time as _time
 from repro.common.clock import Deadline
 from repro.core import AuditConfig, Auditor
 from repro.core.reexec import available_cpus
+from repro.fleet import FleetCoordinator
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
 from repro.workloads import wiki_workload
@@ -65,14 +66,6 @@ def serve_epochs(workload, epoch_size: int, seed: int = 1):
     execution = executor.serve(workload.requests)
     assert execution.epoch_marks, "epoch draining produced no cuts"
     return execution
-
-
-def _free_port() -> int:
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    sock.close()
-    return port
 
 
 @contextlib.contextmanager
@@ -105,14 +98,11 @@ def _worker_subprocesses(endpoint: str, count: int):
                 proc.wait(timeout=10)
 
 
-def _timed_session(app, config, shards, initial_state, parked=None):
-    """Submit every shard to one audit session and merge; returns
-    ``(merged, submit_to_merge_seconds)``.  ``parked(pool)`` runs
-    before the clock starts (fleet: wait for the crew to enroll)."""
-    auditor = Auditor(app, config)
-    with auditor.session(initial_state) as session:
-        if parked is not None:
-            parked(session._process_pool)
+def _timed_session(app, shards, initial_state, pool=None):
+    """Submit every shard to one audit session (on ``pool``, when
+    given) and merge; returns ``(merged, submit_to_merge_seconds)``."""
+    auditor = Auditor(app, AuditConfig())
+    with auditor.session(initial_state, pool) as session:
         started = _time.perf_counter()
         for shard in shards:
             session.submit_epoch(shard.trace, shard.reports)
@@ -130,8 +120,7 @@ def measure_fleet(workload, execution, fleet_workers: int,
     serial = best_serial_seconds = None
     for _ in range(max(1, repeats)):
         merged, elapsed = _timed_session(
-            workload.app, AuditConfig(), shards,
-            execution.initial_state)
+            workload.app, shards, execution.initial_state)
         if best_serial_seconds is None or elapsed < best_serial_seconds:
             serial, best_serial_seconds = merged, elapsed
 
@@ -139,25 +128,20 @@ def measure_fleet(workload, execution, fleet_workers: int,
     for _ in range(max(1, repeats)):
         # The coordinator dismisses its workers on close, so each
         # repeat gets a fresh crew (and pays enrollment again — that
-        # cost is reported, not timed).
-        endpoint = f"127.0.0.1:{_free_port()}"
-        config = AuditConfig(fleet_listen=endpoint,
-                             fleet_min_workers=fleet_workers)
-        with _worker_subprocesses(endpoint, fleet_workers):
+        # cost is reported, not timed: the clock starts with the crew
+        # parked idle).
+        with FleetCoordinator("127.0.0.1:0",
+                              min_workers=fleet_workers) as pool, \
+                _worker_subprocesses(pool.endpoint, fleet_workers):
             enrolling = _time.perf_counter()
-
-            def _parked(pool):
-                deadline = Deadline(60)
-                while (pool.workers_joined < fleet_workers
-                       or pool._idle.qsize() < fleet_workers):
-                    assert not deadline.expired(), \
-                        "workers never enrolled"
-                    deadline.sleep(0.01)
-
+            deadline = Deadline(60)
+            while pool._idle.qsize() < fleet_workers:
+                assert not deadline.expired(), "workers never enrolled"
+                deadline.sleep(0.01)
+            enrolled = _time.perf_counter() - enrolling
             merged, elapsed = _timed_session(
-                workload.app, config, shards, execution.initial_state,
-                parked=_parked)
-            enrolled = _time.perf_counter() - enrolling - elapsed
+                workload.app, shards, execution.initial_state, pool)
+            pool.close()  # dismiss the crew: the daemons exit 0
         if best_fleet_seconds is None or elapsed < best_fleet_seconds:
             fleet, best_fleet_seconds = merged, elapsed
             join_seconds = enrolled

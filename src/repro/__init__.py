@@ -64,7 +64,6 @@ from repro.core import (
     simple_audit,
     ssco_audit,
 )
-from repro.net import BundlePublisher, RemoteBundleReader
 from repro.server import (
     Application,
     ExecutionResult,
@@ -76,6 +75,17 @@ from repro.server import (
 from repro.trace import Collector, Request, Response, Trace
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # The transport's two names load on first use: an audit that reads
+    # a file imports no socket code (tests/core/test_layering.py).
+    if name in ("BundlePublisher", "RemoteBundleReader"):
+        import repro.net
+
+        return getattr(repro.net, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
 
 __all__ = [
     "Application",

@@ -35,7 +35,12 @@ Commands:
 
 Every auditing subcommand is driven by one validated
 :class:`~repro.core.config.AuditConfig`: flags layer over an optional
-``--config audit.json`` file, which layers over the defaults.
+``--config audit.json`` file, which layers over the defaults.  That is
+what an audit is *computed under*; where its evidence comes from and
+where its epochs run (``--listen``, ``--connect``, ``--fleet-listen``
+and their timeouts) are deployment settings, parsed here and passed
+straight to the publisher, the reader and the coordinator, whose
+constructor defaults are the only defaults.
 ``--workers N`` fans group re-execution out over worker processes,
 ``--epoch-workers N`` audits epochs concurrently (a redo-only state
 precompute materializes each epoch's initial state first), and
@@ -51,6 +56,7 @@ The built-in workloads are the paper's three applications: ``wiki``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -66,6 +72,7 @@ from repro.bench.harness import run_audit_phase
 from repro.core import Auditor, simple_audit
 from repro.core.config import AuditConfig
 from repro.core.reexec import available_backends
+from repro.fleet import FleetCoordinator, FleetWorker
 from repro.forensics import (
     AsOfError,
     Timeline,
@@ -85,6 +92,7 @@ from repro.net import (
     ProtocolError,
     RemoteBundleReader,
     TransportError,
+    parse_endpoint,
 )
 from repro.workloads import (
     cart_workload,
@@ -130,10 +138,56 @@ def _serve(workload, args):
     return executor.serve(workload.requests)
 
 
+def _endpoint(text: str, dial: bool = False) -> str:
+    """argparse ``type=``: a ``HOST:PORT`` to bind (port 0 binds an
+    ephemeral port) or, with ``dial``, to connect to."""
+    try:
+        _, port = parse_endpoint(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if dial and port < 1:
+        raise argparse.ArgumentTypeError(
+            f"needs a real port (1-65535), got {text!r}")
+    return text
+
+
+def _dial_endpoint(text: str) -> str:
+    return _endpoint(text, dial=True)
+
+
 def _fleet_endpoint(text: str) -> str:
     """``--fleet-listen`` accepts ``PORT`` or ``HOST:PORT``; a bare
     port listens on every interface (workers are remote hosts)."""
-    return text if ":" in text else f"0.0.0.0:{text}"
+    return _endpoint(text if ":" in text else f"0.0.0.0:{text}")
+
+
+def _seconds(text: str) -> float:
+    """argparse ``type=``: a positive number of seconds."""
+    value = float(text)  # a ValueError is argparse's "invalid value"
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text!r}")
+    return value
+
+
+def _at_least(minimum: int):
+    """argparse ``type=``: an integer no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {text!r}")
+        return value
+    return count
+
+
+def _given(args, **keywords) -> dict:
+    """Constructor keywords for the flags the user gave
+    (``keyword="flag_dest"``); a flag left out is left to the
+    constructor's default."""
+    return {keyword: getattr(args, dest)
+            for keyword, dest in keywords.items()
+            if getattr(args, dest) is not None}
 
 
 def _config_from_args(parser, args) -> AuditConfig:
@@ -192,22 +246,16 @@ def cmd_record(args) -> int:
 
 def cmd_serve(args) -> int:
     """Record a workload and publish the audit stream over TCP."""
-    config = _config_from_args(args._parser, args)
-    if not config.listen:
-        args._parser.error("serve requires --listen HOST:PORT "
-                           "(port 0 binds an ephemeral port)")
     workload = _build(args)
     # Bind before the (long) recording run: a taken or privileged port
     # fails in milliseconds with a clean error, auditors can attach
     # early, and the --out mirror is not yet truncated.
     try:
-        publisher = BundlePublisher(config.listen,
-                                    stall_timeout=config.net_idle_timeout,
-                                    spool_epochs=args.spool_epochs,
-                                    batch_records=config.batch_records,
-                                    batch_bytes=config.batch_bytes)
+        publisher = BundlePublisher(
+            args.listen, spool_epochs=args.spool_epochs,
+            **_given(args, stall_timeout="net_idle_timeout"))
     except OSError as exc:
-        print(f"error: cannot listen on {config.listen}: {exc}",
+        print(f"error: cannot listen on {args.listen}: {exc}",
               file=sys.stderr)
         return 2
     writer = None
@@ -250,7 +298,7 @@ def cmd_audit(args) -> int:
     config = _config_from_args(args._parser, args)
     workload = _build(args)  # the program is the trusted input
     usage = args._parser.error
-    if config.connect:
+    if args.connect:
         if args.bundle:
             usage("give either a bundle file or --connect, not both")
         if args.follow:
@@ -261,43 +309,60 @@ def cmd_audit(args) -> int:
                   "stream leaves none behind")
     elif not args.bundle:
         usage("audit needs a bundle file (or --connect HOST:PORT)")
-    follow = args.follow or bool(config.connect)
-    if config.connect:
+    if args.connect:
         # The verifier on its own machine, no shared filesystem.
-        banner = f"auditing live stream from {config.connect}"
-        timeout = config.net_idle_timeout
+        banner = f"auditing live stream from {args.connect}"
+        reading = {}  # the reader's own: it follows for its idle_timeout
         try:
-            reader = RemoteBundleReader(
-                config.connect,
-                connect_timeout=config.net_connect_timeout,
-                idle_timeout=timeout,
-                reconnect=config.net_retries,
-            )
-        except (ValueError, OSError) as exc:
+            reader = RemoteBundleReader(args.connect, **_given(
+                args, connect_timeout="net_connect_timeout",
+                idle_timeout="net_idle_timeout",
+                reconnect="net_retries"))
+        except (ValueError, OSError) as exc:  # no publisher, or not one
             print(f"error: cannot attach to publisher at "
-                  f"{config.connect}: {exc}", file=sys.stderr)
+                  f"{args.connect}: {exc}", file=sys.stderr)
             return 2
     else:
-        banner = f"{'following' if follow else 'auditing'} {args.bundle}"
-        timeout = args.follow_timeout
+        banner = (f"{'following' if args.follow else 'auditing'} "
+                  f"{args.bundle}")
+        reading = {"follow": args.follow,
+                   "idle_timeout": args.follow_timeout}
         try:
             # --follow waits out the startup race: the auditor may
             # launch before the recorder has flushed the header.
-            reader = BundleReader.open(args.bundle, follow=follow,
-                                       idle_timeout=timeout)
+            reader = BundleReader.open(args.bundle, **reading)
         except OSError as exc:
             print(f"error: cannot read bundle {args.bundle}: {exc}",
                   file=sys.stderr)
             return 2
         except ValueError as exc:
             return _reject_malformed(exc, args.json)
+    pool = contextlib.nullcontext()
+    if args.fleet_listen:
+        # Where the epochs run is the caller's to say: the session is
+        # handed the coordinator as its pool.
+        try:
+            pool = FleetCoordinator(
+                args.fleet_listen, width=config.epoch_workers,
+                **_given(args, min_workers="fleet_min_workers",
+                         task_timeout="fleet_task_timeout",
+                         redundancy="fleet_redundancy",
+                         heartbeat_timeout="net_idle_timeout"))
+        except OSError as exc:
+            reader.close()
+            print(f"error: cannot listen for workers on "
+                  f"{args.fleet_listen}: {exc}", file=sys.stderr)
+            return 2
+        banner += f" (workers join {pool.endpoint})"
     if not args.json:
         print(f"{banner} against {workload.label} "
               f"({config.describe()}) ...")
     try:
-        return _drive_stream_session(
-            reader, workload, config, follow, timeout, as_json=args.json,
-            baseline=args.bundle if args.baseline else None)
+        with pool as fleet:
+            return _drive_stream_session(
+                reader, workload, config, reading, pool=fleet,
+                as_json=args.json,
+                baseline=args.bundle if args.baseline else None)
     except (TransportError, ProtocolError) as exc:
         print(f"error: live stream failed: {exc}", file=sys.stderr)
         return 2
@@ -323,8 +388,6 @@ def _reject_malformed(exc: Exception, as_json: bool) -> int:
 
 def cmd_worker(args) -> int:
     """Join a fleet coordinator and execute dispatched epoch audits."""
-    from repro.fleet import FleetWorker
-
     try:
         worker = FleetWorker(args.join, name=args.name,
                              heartbeat_interval=args.heartbeat,
@@ -688,12 +751,14 @@ def _audit_summary(audit) -> dict:
 
 
 def _drive_stream_session(reader, workload, config: AuditConfig,
-                          follow: bool, timeout, as_json: bool = False,
+                          reading: dict, pool=None, as_json: bool = False,
                           baseline: str | None = None) -> int:
     """The audit loop under ``repro audit FILE``, ``--follow`` (file
     tail) and ``--connect`` (socket): feed each epoch slice into an
     incremental audit session, print per-epoch verdicts, merge.  The
-    slices are the reader's: the epochs the bundle was recorded in.
+    slices are the reader's: the epochs the bundle was recorded in,
+    read with its ``reading`` keywords (a file's ``follow`` /
+    ``idle_timeout``); ``pool`` is handed to the session.
 
     Feeding is asynchronous: with ``epoch_workers > 1`` the session
     audits several epochs concurrently while this loop keeps ingesting
@@ -725,14 +790,14 @@ def _drive_stream_session(reader, workload, config: AuditConfig,
             return None, exc
 
     with reader:
-        initial, malformed = decode(lambda: reader.read_initial_state(
-            follow=follow, idle_timeout=timeout))
+        initial, malformed = decode(
+            lambda: reader.read_initial_state(**reading))
         if malformed is not None:
             return _reject_malformed(malformed, as_json)
-        epochs = reader.epochs(follow=follow, idle_timeout=timeout)
+        epochs = reader.epochs(**reading)
         auditor = Auditor(workload.app, config)
         rejected = False
-        with auditor.session(initial) as session:
+        with auditor.session(initial, pool) as session:
             pending = []
             while not rejected:
                 epoch_slice, malformed = decode(lambda: next(epochs, None))
@@ -829,7 +894,7 @@ def audit_knobs(p) -> None:
                         "fields; see AuditConfig.to_json)")
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="SSCO/OROCHI reproduction: serve and audit web "
@@ -870,7 +935,8 @@ def main(argv=None) -> int:
              "over TCP (audit it with: audit --connect HOST:PORT)",
     )
     recording(serve)
-    serve.add_argument("--listen", default=None, metavar="HOST:PORT",
+    serve.add_argument("--listen", type=_endpoint, required=True,
+                       metavar="HOST:PORT",
                        help="publish the framed audit stream here "
                             "(port 0 binds an ephemeral port; the bound "
                             "address is printed)")
@@ -885,27 +951,15 @@ def main(argv=None) -> int:
                        metavar="SECONDS",
                        help="after the end record, wait this long for "
                             "an auditor to drain the stream")
-    serve.add_argument("--net-idle-timeout", type=float, default=None,
+    serve.add_argument("--net-idle-timeout", type=_seconds, default=None,
                        metavar="SECONDS",
                        help="drop a subscriber that lags this long "
-                            "(it can reconnect and resume)")
-    serve.add_argument("--batch-records", type=int, default=None,
-                       dest="batch_records", metavar="N",
-                       help="records per RECORD_BATCH wire frame "
-                            "(default 64; 1 disables batching)")
-    serve.add_argument("--batch-bytes", type=int, default=None,
-                       dest="batch_bytes", metavar="BYTES",
-                       help="flush the pending wire batch at this many "
-                            "payload bytes (default 262144)")
+                            "(it can reconnect and resume; default 30s)")
     serve.add_argument("--spool-epochs", type=int, default=None,
                        metavar="N",
                        help="keep only the newest N sealed epochs for "
                             "late-connect/resume replay (bounds "
                             "publisher memory; default: keep all)")
-    serve.add_argument("--config", default=None, metavar="AUDIT.JSON",
-                       help="audit config file for the transport knobs "
-                            "(listen, net_idle_timeout); flags override "
-                            "its fields")
     serve.set_defaults(func=cmd_serve)
 
     audit = sub.add_parser("audit", help="audit a saved bundle or a "
@@ -927,38 +981,39 @@ def main(argv=None) -> int:
                        metavar="SECONDS",
                        help="--follow: give up after this long without "
                             "new data (default 3s)")
-    audit.add_argument("--connect", default=None, metavar="HOST:PORT",
+    audit.add_argument("--connect", type=_dial_endpoint, default=None,
+                       metavar="HOST:PORT",
                        help="audit the live stream of a `repro serve` "
                             "publisher instead of a bundle file")
-    audit.add_argument("--net-connect-timeout", type=float, default=None,
-                       metavar="SECONDS",
+    audit.add_argument("--net-connect-timeout", type=_seconds,
+                       default=None, metavar="SECONDS",
                        help="--connect: bound on connect + handshake "
                             "(refused connections are retried until it "
                             "expires; default 5s)")
-    audit.add_argument("--net-idle-timeout", type=float, default=None,
+    audit.add_argument("--net-idle-timeout", type=_seconds, default=None,
                        metavar="SECONDS",
                        help="--connect: give up after this long without "
-                            "a frame (default 30s)")
-    audit.add_argument("--net-retries", type=int, default=None,
+                            "a frame; --fleet-listen: drop a worker "
+                            "silent this long (default 30s)")
+    audit.add_argument("--net-retries", type=_at_least(0), default=None,
                        metavar="N",
                        help="--connect: resume attempts after a "
                             "mid-stream disconnect (default 3)")
-    audit.add_argument("--fleet-listen", dest="fleet_listen",
-                       type=_fleet_endpoint, default=None,
-                       metavar="[HOST:]PORT",
+    audit.add_argument("--fleet-listen", type=_fleet_endpoint,
+                       default=None, metavar="[HOST:]PORT",
                        help="listen for `repro worker` daemons and fan "
                             "epoch audits out to them (bare port = all "
                             "interfaces; composes with --connect)")
-    audit.add_argument("--fleet-min-workers", dest="fleet_min_workers",
-                       type=int, default=None, metavar="N",
+    audit.add_argument("--fleet-min-workers", type=_at_least(0),
+                       default=None, metavar="N",
                        help="wait for N registered workers before "
-                            "dispatching the first epoch")
-    audit.add_argument("--fleet-task-timeout", dest="fleet_task_timeout",
-                       type=float, default=None, metavar="SECONDS",
+                            "dispatching the first epoch (default 0)")
+    audit.add_argument("--fleet-task-timeout", type=_seconds,
+                       default=None, metavar="SECONDS",
                        help="per-epoch straggler deadline on a worker; "
                             "past it the epoch is re-dispatched")
-    audit.add_argument("--fleet-redundancy", dest="fleet_redundancy",
-                       type=int, default=None, metavar="K",
+    audit.add_argument("--fleet-redundancy", type=_at_least(1),
+                       default=None, metavar="K",
                        help="dispatch each epoch to K workers and "
                             "cross-check their verdicts (default 1)")
     audit.set_defaults(func=cmd_audit)
@@ -1116,6 +1171,11 @@ def main(argv=None) -> int:
                              "start before the coordinator binds)")
     worker.set_defaults(func=cmd_worker)
 
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     args._parser = parser
     return args.func(args)

@@ -23,18 +23,21 @@ epoch boundaries.  This module is that verifier:
   ``BundleReader.epochs()`` from a file and
   ``RemoteBundleReader.epochs()`` from a socket, and nothing on this
   side re-cuts them.
-* With ``config.epoch_workers > 1`` (or a fleet) the chain is unrolled:
-  at feed time only the cheap, serial part runs — the cross-epoch checks
-  and the redo-only **state precompute**
+* With a **pool** — the one the session is handed (``session(state,
+  pool=...)``: anything with ``width``, ``run(payload: bytes)``,
+  ``serial_fallbacks`` and ``close()``), or the
+  :class:`~repro.core.epochpool.EpochPool` it opens for itself when
+  ``config.epoch_workers > 1`` — the chain is unrolled: at feed time
+  only the cheap, serial part runs — the cross-epoch checks and the
+  redo-only **state precompute**
   (:func:`~repro.core.pipeline.state_precompute_pipeline`), which
   migrates the next epoch's initial state without re-executing anything
-  — and the epoch's full audit is dispatched as one work unit to the
-  run's shared :class:`~repro.core.epochpool.EpochPool` (or to the
-  fleet's remote workers).  Several epochs audit concurrently; results
-  are merged strictly in feed order, so the per-epoch results and the
-  merged outcome are bit-identical to the serial session (epochs after
-  the first rejection come back *skipped* and their speculative audits
-  are discarded).
+  — and the epoch's full audit is encoded, there, as one work unit and
+  handed to the pool as bytes.  Several epochs audit concurrently;
+  results are merged strictly in feed order, so the per-epoch results
+  and the merged outcome are bit-identical to the serial session
+  (epochs after the first rejection come back *skipped* and their
+  speculative audits are discarded).
 
 Soundness across epochs: the session chains each epoch's §4.5 migrated
 state into the next (acceptance is inductive, as for contiguous audit
@@ -57,13 +60,19 @@ from __future__ import annotations
 
 import threading
 import time as _time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from repro.common.errors import RejectReason
 from repro.core.config import AuditConfig
-from repro.core.epochpool import EpochPool, epoch_worker_config
+from repro.core.epochpool import EpochPool
+from repro.core.epochwork import (
+    UNPICKLABLE,
+    encode_work_unit,
+    epoch_worker_config,
+    run_epoch_inline,
+)
 from repro.core.pipeline import (
     AuditContext,
     AuditPipeline,
@@ -134,66 +143,48 @@ class AuditSession:
     to guarantee :meth:`close`.
     """
 
-    def __init__(self, auditor: Auditor, initial_state: InitialState):
+    def __init__(self, auditor: Auditor, initial_state: InitialState,
+                 pool=None):
         self._auditor = auditor
         self._state = initial_state
-        self._epoch_pool: ThreadPoolExecutor | None = None
         config = auditor.config
         #: What every epoch runs under: the chain always needs the
         #: next state.
         self._epoch_config = config.replace(migrate=True)
         # Concurrent epoch mode needs the stock phase structure (the
-        # prepass stands in for specific phases); custom pipelines keep
-        # the serial chain.
-        epoch_workers = (
-            config.epoch_workers if auditor.pipeline is None else 1
-        )
-        fleet = (config.fleet_listen is not None
-                 and auditor.pipeline is None)
-        if fleet:
-            # Fleet mode implies concurrent epochs: widen the driver so
-            # every remote worker can hold an epoch even when
-            # epoch_workers was left at 1.
-            epoch_workers = max(epoch_workers,
-                                config.fleet_min_workers, 2)
-        self._process_pool: EpochPool | None = None
-        if epoch_workers > 1:
+        # prepass stands in for specific phases, and a worker runs the
+        # stock pipeline); custom pipelines keep the serial chain.
+        if auditor.pipeline is not None and pool is not None:
+            raise ValueError(
+                "a custom pipeline audits its epochs serially; it "
+                "cannot be handed a pool"
+            )
+        #: A pool the session opened is the session's to close; one it
+        #: was handed is its caller's.
+        self._owns_pool = (pool is None and auditor.pipeline is None
+                           and config.epoch_workers > 1)
+        if self._owns_pool:
+            # One persistent process pool shared by every epoch of
+            # this session.
+            pool = EpochPool(config.epoch_workers)
+        self._pool = pool
+        self._threads: ThreadPoolExecutor | None = None
+        if pool is not None:
             # Concurrent epoch mode: the cheap redo-only prepass chains
-            # state serially at submit time; each epoch's full audit is
-            # a work unit on the pool below, and these threads only
-            # submit units and wait, so results can be merged back
+            # state serially at submit time and encodes each epoch's
+            # full audit as a work unit; these threads only hand the
+            # bytes to the pool and wait, so results can be merged back
             # strictly in feed order.
-            self._epoch_pool = ThreadPoolExecutor(
-                max_workers=epoch_workers,
+            self._threads = ThreadPoolExecutor(
+                max_workers=pool.width,
                 thread_name_prefix="audit-epoch",
             )
-            if fleet:
-                # Remote epochs: the coordinator implements the same
-                # run_epoch/close/serial_fallbacks contract as
-                # EpochPool.  Imported lazily — the core layer only
-                # depends on the fleet package when a fleet is
-                # actually requested.
-                from repro.fleet.coordinator import FleetCoordinator
-
-                self._process_pool = FleetCoordinator(
-                    config.fleet_listen,
-                    min_workers=config.fleet_min_workers,
-                    task_timeout=config.fleet_task_timeout,
-                    redundancy=config.fleet_redundancy,
-                    heartbeat_timeout=config.net_idle_timeout,
-                )
-            else:
-                # One persistent process pool shared by every epoch of
-                # this session.
-                self._process_pool = EpochPool(epoch_workers)
             self._worker_config = epoch_worker_config(self._epoch_config)
             #: Backpressure: submit_epoch blocks once this many primed
             #: epochs are in flight — deep enough to keep every worker
             #: busy while the next epochs prime, shallow enough that a
             #: stream cannot pin unbounded speculative work units.
-            #: Fleet-wide, since dispatches only happen from this
-            #: bounded set of in-flight epochs.
-            self._prepass_depth = 2 * epoch_workers
+            self._prepass_depth = 2 * pool.width
             self._precompute_seconds = 0.0
             #: Feed-order merge queue: ("skipped"|"crashed"|"rejected"|
             #: "audit", payload, requests, events) per fed epoch.
@@ -232,14 +223,14 @@ class AuditSession:
 
     def submit_epoch(self, trace: Trace, reports: Reports) -> PendingEpoch:
         """Feed the next epoch and return its handle: serial sessions
-        audit inline (the handle is already resolved), ``epoch_workers``
-        sessions prepass inline and dispatch to the epoch pool, so the
-        caller is free to ingest the next epoch meanwhile."""
+        audit inline (the handle is already resolved), sessions with a
+        pool prepass inline and dispatch to it, so the caller is free
+        to ingest the next epoch meanwhile."""
         if self._closed:
             raise RuntimeError("audit session is closed")
         index = self._fed
         self._fed += 1
-        if self._epoch_pool is not None:
+        if self._pool is not None:
             return self._submit_epoch_concurrent(index, trace, reports)
         try:
             epoch = self._audit_epoch(index, trace, reports)
@@ -263,7 +254,7 @@ class AuditSession:
         when a rejection is discovered after later epochs were fed.
 
         Backpressure: before priming another epoch, the speculative
-        prepass is held back until fewer than ``2 * epoch_workers``
+        prepass is held back until fewer than ``2 * pool.width``
         primed epochs are in flight — a follow/connect session feeding
         faster than the pool audits blocks here instead of accumulating
         unbounded speculative state.
@@ -319,13 +310,22 @@ class AuditSession:
             self._prepass_failed = True
             return ("rejected", pre, requests, events)
         self._prepass_state = pre.next_initial
-        # Whole-epoch work unit; the primed context's stores are
-        # released here (the worker rebuilds its own from the pickled
-        # slices) — only the migrated chain state extracted above is
-        # kept.
-        future = self._epoch_pool.submit(
-            self._process_pool.run_epoch, self._auditor.app, trace,
-            reports, epoch_state, self._worker_config)
+        # Whole-epoch work unit, encoded here — by the one thread that
+        # builds and reads these objects — so the pool's threads only
+        # ever hold bytes.  The primed context's stores are released
+        # (the worker rebuilds its own from the pickled slices); only
+        # the migrated chain state extracted above is kept.
+        unit = (self._auditor.app, trace, reports, epoch_state,
+                self._worker_config)
+        try:
+            payload = encode_work_unit(*unit)
+        except UNPICKLABLE:
+            # Nothing a worker could be sent: audited here, now.
+            self._pool.serial_fallbacks += 1
+            future: Future = Future()
+            future.set_result(run_epoch_inline(*unit))
+        else:
+            future = self._threads.submit(self._pool.run, payload)
         return ("audit", (future, pre.next_initial), requests, events)
 
     def _resolve(self, index: int,
@@ -528,6 +528,17 @@ class AuditSession:
         self._drain()
         return self._failure is not None
 
+    def rejection_settled(self) -> bool:
+        """True once a rejection has been merged.  Never waits: it
+        merges the epochs whose audits have already finished and looks.
+        A feeder that stops on it reads no epoch it has no use for."""
+        if self._pool is not None:
+            while (self._failure is None
+                   and self._merged_upto < len(self._entries)
+                   and self._entry_done(self._merged_upto)):
+                self._resolve(self._merged_upto)
+        return self._failure is not None
+
     def _drain(self) -> None:
         """Wait for queued epochs to finish, re-raising any unexpected
         exception an epoch's audit hit (rejections are results, not
@@ -548,7 +559,7 @@ class AuditSession:
         # drain can still deliver the real verdict.
 
     def _drain_inner(self) -> None:
-        if self._closed or self._epoch_pool is None:
+        if self._closed or self._pool is None:
             return
         while True:
             with self._merge_lock:
@@ -562,9 +573,11 @@ class AuditSession:
 
         The merged result has the shape of one pipeline pass over the
         concatenated stream: summed phase timers and stats, per-epoch
-        summaries under ``stats["shards"]``, the union of produced
-        bodies, and — when the config asks for ``migrate`` — the final
-        chained state in ``next_initial``.  ``phases["total"]`` is the
+        summaries under ``stats["shards"]`` (``stats["shard_count"]``
+        of them: the epochs *audited*, not those fed after a
+        rejection), the union of produced bodies, and — when the config
+        asks for ``migrate`` — the final chained state in
+        ``next_initial``.  ``phases["total"]`` is the
         summed per-epoch audit time, *not* wall-clock since the session
         opened (a follow session spends most of its life waiting for
         epochs).  Idempotent.
@@ -574,13 +587,13 @@ class AuditSession:
         try:
             self._drain()
         finally:
-            if self._epoch_pool is not None:
-                self._epoch_pool.shutdown(wait=True)
-            if self._process_pool is not None:
-                self._process_pool.close()
+            if self._threads is not None:
+                self._threads.shutdown(wait=True)
+            if self._owns_pool:
+                self._pool.close()
             self._closed = True
         merged = self._merged
-        if self._process_pool is not None:
+        if self._pool is not None:
             # The workers re-time their own phases, so the parent-side
             # prepass is extra work the per-epoch results do not carry.
             merged.phases["state_precompute"] = self._precompute_seconds
@@ -590,7 +603,7 @@ class AuditSession:
             merged.detail = self._failure.detail
         elif self._auditor.config.migrate:
             merged.next_initial = self._state
-        merged.stats["shard_count"] = self._fed
+        merged.stats["shard_count"] = len(self._summaries)
         merged.stats["shards"] = self._summaries
         merged.phases["total"] = self._audit_seconds
         self._final = merged
@@ -652,43 +665,57 @@ class Auditor:
                             self.config)
         return (self.pipeline or default_pipeline()).run(actx)
 
-    def session(self, initial_state: InitialState) -> AuditSession:
+    def session(self, initial_state: InitialState,
+                pool=None) -> AuditSession:
         """Open an incremental epoch session starting from
         ``initial_state`` (the verifier's trusted state at stream start,
-        §4.1)."""
-        return AuditSession(self, initial_state)
+        §4.1).
+
+        ``pool`` is where the epochs' full audits run, concurrently:
+        ``pool.run(payload: bytes)`` blocks for one work unit's
+        :class:`~repro.core.pipeline.AuditResult`, ``pool.width`` is
+        how many it runs at once, ``pool.serial_fallbacks`` counts the
+        units that ran in this process instead.  It stays the caller's
+        to ``close()``.  Without one the session opens — and closes —
+        an :class:`~repro.core.epochpool.EpochPool` of
+        ``config.epoch_workers`` processes when that is more than one,
+        and is the serial chain otherwise."""
+        return AuditSession(self, initial_state, pool)
 
     def audit_epochs(
         self,
         epochs: Iterable,
         initial_state: InitialState,
+        pool=None,
     ) -> AuditResult:
-        """Feed every epoch slice of ``epochs`` through a session.
+        """Feed the epoch slices of ``epochs`` through a session
+        (``pool``: see :meth:`session`).
 
         Items may be ``(trace, reports)`` pairs or objects with
         ``.trace`` / ``.reports`` attributes
-        (:class:`~repro.server.reports.EpochSlice`).  The whole iterable
-        is consumed — epochs after a rejection come back as cheap
-        *skipped* results, so ``stats["shard_count"]`` is the number of
-        epochs fed whatever the verdict.
-        With ``config.epoch_workers > 1`` the epochs audit concurrently
-        (only the redo-only state prepass runs between submissions) and
-        are merged back in feed order; the session itself bounds
-        in-flight primed epochs to ``2 * epoch_workers``, so a long
-        stream never holds more than a bounded number of speculative
-        work units in memory.  Returns the merged result.
+        (:class:`~repro.server.reports.EpochSlice`).  Once a rejection
+        has settled the iterable is left where it is: nothing after a
+        rejected epoch is audited, so nothing after it is read.
+        With a pool the epochs audit concurrently (only the redo-only
+        state prepass runs between submissions) and are merged back in
+        feed order; the session itself bounds in-flight primed epochs
+        to ``2 * pool.width``, so a long stream never holds more than a
+        bounded number of speculative work units in memory.  Returns
+        the merged result.
         """
-        with self.session(initial_state) as session:
+        with self.session(initial_state, pool) as session:
             for item in epochs:
                 if isinstance(item, tuple):
                     trace, reports = item
                 else:
                     trace, reports = item.trace, item.reports
-                # Enqueues on epoch_workers sessions (the iterable
-                # keeps ingesting while earlier epochs audit, subject
-                # to the session's prepass backpressure); inline on
-                # serial ones.
+                # Enqueues on sessions with a pool (the iterable keeps
+                # ingesting while earlier epochs audit, subject to the
+                # session's prepass backpressure); inline on serial
+                # ones.
                 session.submit_epoch(trace, reports)
+                if session.rejection_settled():
+                    break
             return session.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

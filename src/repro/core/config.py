@@ -2,7 +2,11 @@
 
 :class:`AuditConfig` is the one knob set, from the CLI to the worker
 process: the phase engine, the epoch driver, the epoch work unit and
-the forensic timeline all take it directly.
+the forensic timeline all take it directly.  It holds what an audit is
+*computed under* and nothing else: where the evidence comes from (a
+file, a socket) and where epochs run (a process pool, a fleet) are
+deployment settings, given to the reader and to the pool the session
+is handed.
 
 * every knob, documented once, on the field;
 * **hard validation** at construction: nonsensical values (a negative
@@ -71,7 +75,8 @@ class AuditConfig:
     #: (a redo-only state precompute materializes each epoch's initial
     #: state first); 1 keeps the serial epoch chain.  Results are
     #: bit-identical to the serial chain either way.  Only an epoch
-    #: session (``Auditor.session`` / ``audit_epochs``) reads it.
+    #: session (``Auditor.session`` / ``audit_epochs``) reads it, and
+    #: only when it is not handed a pool of its own.
     epoch_workers: int = 1
     #: Registered re-execution backend: ``"hybrid"`` (the compiled
     #: engine, the default), ``"interp"`` (the oracle), or anything added
@@ -88,49 +93,6 @@ class AuditConfig:
     #: audits (strict treats divergence as a verdict); never changes
     #: produced bodies or verdicts.
     plan_hints: bool = False
-    #: Audit a live stream from a remote publisher at ``HOST:PORT``
-    #: (``repro audit --connect``) instead of a bundle file.
-    connect: str | None = None
-    #: Publish the recorded stream on ``HOST:PORT`` (``repro serve
-    #: --listen``); port 0 binds an ephemeral port.
-    listen: str | None = None
-    #: Transport: bound on connecting + handshaking with the publisher
-    #: (connection-refused is retried until it expires — the auditor
-    #: may start before the recorder).  ``None`` waits forever.
-    net_connect_timeout: float | None = 5.0
-    #: Transport: on the audit side, give up after this long without a
-    #: frame (the same role as the file reader's follow
-    #: ``idle_timeout``); on the serve side, drop a subscriber that
-    #: lags this long (it reconnects and resumes from the spool).
-    #: ``None`` waits / blocks indefinitely.
-    net_idle_timeout: float | None = 30.0
-    #: Transport: resume attempts after a mid-stream disconnect before
-    #: the audit fails (0 disables resume).
-    net_retries: int = 3
-    #: Transport (serve side): records per ``RECORD_BATCH`` wire frame;
-    #: 1 reproduces the unbatched (one RECORD per frame) wire exactly.
-    batch_records: int = 64
-    #: Transport (serve side): flush the pending batch once its JSON
-    #: payload reaches this many bytes, whatever the record count.
-    batch_bytes: int = 256 * 1024
-    #: Fleet: listen for ``repro worker`` daemons on ``HOST:PORT`` and
-    #: fan epoch work units out to them (``repro audit
-    #: --fleet-listen``); port 0 binds an ephemeral port.  ``None``
-    #: keeps every epoch on this host.  Composes with ``connect``: one
-    #: auditor can drive N worker hosts against one recorder.
-    fleet_listen: str | None = None
-    #: Fleet: wait for this many registered workers before dispatching
-    #: the first epoch (0 dispatches to whoever has joined; with no
-    #: workers at all, epochs run locally).
-    fleet_min_workers: int = 0
-    #: Fleet: overall per-epoch deadline on a worker; a straggler past
-    #: it is dropped and its epoch re-dispatched.  ``None`` relies on
-    #: heartbeat-miss detection alone.
-    fleet_task_timeout: float | None = None
-    #: Fleet: dispatch each epoch to this many workers and cross-check
-    #: their verdicts (1 disables; a disagreement re-runs the epoch
-    #: locally — the local chain arbitrates).
-    fleet_redundancy: int = 1
 
     def __post_init__(self):
         self.validate()
@@ -161,57 +123,6 @@ class AuditConfig:
                 f"{self.max_group_size!r}"
             )
         get_reexec_backend(self.backend)  # unknown name -> ValueError
-        # Imported lazily: the core layer has no hard dependency on the
-        # transport package unless a net knob is actually used.
-        for field, endpoint in (("connect", self.connect),
-                                ("listen", self.listen),
-                                ("fleet_listen", self.fleet_listen)):
-            if endpoint is None:
-                continue
-            from repro.net.protocol import parse_endpoint
-
-            try:
-                _, port = parse_endpoint(endpoint)
-            except ValueError as exc:
-                raise ValueError(f"{field}: {exc}") from None
-            if field == "connect" and port < 1:
-                raise ValueError(
-                    f"connect needs a real port (1-65535), got "
-                    f"{endpoint!r}"
-                )
-        for field in ("net_connect_timeout", "net_idle_timeout",
-                      "fleet_task_timeout"):
-            value = getattr(self, field)
-            if value is None:
-                continue
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, float))
-                    or value <= 0):
-                raise ValueError(
-                    f"{field} must be a positive number of seconds "
-                    f"(or None to wait forever), got {value!r}"
-                )
-        if not _is_int(self.net_retries) or self.net_retries < 0:
-            raise ValueError(
-                f"net_retries must be an integer >= 0, got "
-                f"{self.net_retries!r}"
-            )
-        for field in ("batch_records", "batch_bytes"):
-            value = getattr(self, field)
-            if not _is_int(value) or value < 1:
-                raise ValueError(
-                    f"{field} must be an integer >= 1, got {value!r}"
-                )
-        if not _is_int(self.fleet_min_workers) or self.fleet_min_workers < 0:
-            raise ValueError(
-                f"fleet_min_workers must be an integer >= 0, got "
-                f"{self.fleet_min_workers!r}"
-            )
-        if not _is_int(self.fleet_redundancy) or self.fleet_redundancy < 1:
-            raise ValueError(
-                f"fleet_redundancy must be an integer >= 1 (1 disables "
-                f"cross-checking), got {self.fleet_redundancy!r}"
-            )
         return self
 
     # -- conversions ------------------------------------------------------
@@ -300,23 +211,6 @@ class AuditConfig:
             parts.append("plan-hints")
         if self.max_group_size != DEFAULT_MAX_GROUP:
             parts.append(f"max_group={self.max_group_size}")
-        if self.connect:
-            parts.append(f"connect={self.connect}")
-        if self.fleet_listen:
-            parts.append(f"fleet_listen={self.fleet_listen}")
-            if self.fleet_min_workers:
-                parts.append(f"fleet_min_workers={self.fleet_min_workers}")
-            if self.fleet_task_timeout is not None:
-                parts.append(
-                    f"fleet_task_timeout={self.fleet_task_timeout}")
-            if self.fleet_redundancy > 1:
-                parts.append(f"fleet_redundancy={self.fleet_redundancy}")
-        if self.listen:
-            parts.append(f"listen={self.listen}")
-            for name in ("batch_records", "batch_bytes"):
-                # The class attribute is the field's default.
-                if getattr(self, name) != getattr(AuditConfig, name):
-                    parts.append(f"{name}={getattr(self, name)}")
         return " ".join(parts)
 
 

@@ -7,7 +7,9 @@ process-level work:
 * an **epoch work unit** is the pickled tuple ``(app, trace slice,
   reports slice, initial state, config)`` — exactly the prepass
   artifacts the redo-only state precompute materializes per epoch
-  (``docs/epoch_workers.md`` documents the payload format);
+  (``docs/epoch_workers.md`` documents the payload format) — encoded
+  by the thread that feeds the session, so the pool is handed
+  ``bytes`` (:mod:`repro.core.epochwork`);
 * :class:`EpochPool` owns **one persistent**
   :class:`~concurrent.futures.ProcessPoolExecutor` shared by *all*
   epochs of one audit run.  Workers are stateless: each work unit
@@ -24,33 +26,27 @@ process-level work:
 Failure policy (unchanged in spirit from the chunk-level driver):
 infrastructure failures are never verdicts.  A worker killed mid-epoch
 (``BrokenProcessPool``) breaks the shared executor, so
-:meth:`EpochPool.run_epoch` *recreates* the pool — generation-guarded,
+:meth:`EpochPool.run` *recreates* the pool — generation-guarded,
 exactly once per breakage, so concurrently failing epochs do not
 thrash — and re-runs its own epoch serially in the calling thread.
 Other epochs in flight on the broken pool observe the same
 ``BrokenProcessPool`` from their futures and take the same fallback:
 no epoch's work is ever lost, and later epochs submit to the fresh
-pool.  Unpicklable payloads and workers that cannot rebuild the
-backend (e.g. one registered only in the parent, under a spawn start
-method) degrade to the same serial re-run.
+pool.  Workers that cannot rebuild the backend (e.g. one registered
+only in the parent, under a spawn start method) degrade to the same
+serial re-run.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.core.epochwork import (
-    encode_work_unit,
-    epoch_worker_config,
-    run_epoch_inline,
-    run_work_unit,
-)
+from repro.core.epochwork import run_work_unit
 from repro.core.reexec import _POOL_LOCK
 
-__all__ = ["EpochPool", "epoch_worker_config", "pools_created_total"]
+__all__ = ["EpochPool", "pools_created_total"]
 
 #: Pools ever created in this process — test instrumentation: the
 #: lifecycle tests assert one audit run creates exactly one pool (plus
@@ -63,36 +59,22 @@ def pools_created_total() -> int:
     return _POOLS_CREATED
 
 
-# The work-unit encoding and the inline executor live in
-# repro.core.epochwork so the process pool, the serial fallback, and
-# the distributed fleet all run byte-identical payloads through one
-# entry point.
-
-
-def _run_epoch_payload(payload: bytes):
-    """Worker-process entry point: unpickle one epoch work unit and
-    audit it.  Raises only on genuine crashes (a rejection is a result,
-    never an exception — the pipeline converts :class:`AuditReject`).
-
-    Kept as a module-level function (not just an alias) so the name
-    submitted to the :class:`ProcessPoolExecutor` pickles by reference
-    from this module, matching what historical worker processes import.
-    """
-    return run_work_unit(payload)
-
-
 class EpochPool:
     """One persistent process pool shared by all epochs of a run.
 
-    Thread-safe: the epoch driver calls :meth:`run_epoch` from
-    several epoch threads at once.  The underlying executor is created
-    lazily on first use (under the re-exec module's pool lock, so epoch
-    workers are never forked mid-way through another driver's chunk
-    handoff) and replaced at most once per breakage.
+    What an :class:`~repro.core.auditor.AuditSession` asks of the pool
+    it is handed is all here: ``width`` (how many epochs it runs at
+    once), :meth:`run`, ``serial_fallbacks`` and :meth:`close`.
+
+    Thread-safe: the epoch driver calls :meth:`run` from several epoch
+    threads at once.  The underlying executor is created lazily on
+    first use (under the re-exec module's pool lock, so epoch workers
+    are never forked mid-way through another driver's chunk handoff)
+    and replaced at most once per breakage.
     """
 
-    def __init__(self, max_workers: int):
-        self.max_workers = max(1, max_workers)
+    def __init__(self, width: int):
+        self.width = max(1, width)
         self._lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = None
         self._generation = 0
@@ -117,7 +99,7 @@ class EpochPool:
                 try:
                     with _POOL_LOCK:
                         self._pool = ProcessPoolExecutor(
-                            max_workers=self.max_workers)
+                            max_workers=self.width)
                         # Bumped under the *global* lock: two pools
                         # creating executors concurrently must not
                         # lose an increment.
@@ -154,51 +136,39 @@ class EpochPool:
 
     # -- the epoch work unit ----------------------------------------------
 
-    def run_epoch(self, app, trace, reports, initial_state, config):
-        """Audit one epoch slice on the shared pool; blocks for the
-        result.  Returns the epoch's :class:`AuditResult`; never raises
-        on infrastructure failure (worker loss, unpicklable payload) —
-        those re-run the epoch serially in the calling thread.
+    def run(self, payload: bytes):
+        """Audit one encoded epoch work unit on the shared pool; blocks
+        for its :class:`AuditResult`.  Never raises on infrastructure
+        failure (no process support, worker loss) — those re-run the
+        unit serially in the calling thread.
         """
-        try:
-            payload = encode_work_unit(app, trace, reports, initial_state,
-                                       config)
-        except (pickle.PickleError, TypeError, AttributeError):
-            return self._run_inline(app, trace, reports, initial_state,
-                                    config)
         pool, generation = self._ensure_pool()
-        if pool is None:
-            return self._run_inline(app, trace, reports, initial_state,
-                                    config)
-        try:
-            with _POOL_LOCK:
-                # Workers are forked/spawned lazily at submit time;
-                # serialize that moment against the chunk-level pools'
-                # state handoffs (see repro.core.reexec).
-                future = pool.submit(_run_epoch_payload, payload)
-            return future.result()
-        except BrokenProcessPool:
-            # A worker died mid-epoch.  Recreate the shared pool for
-            # everyone else, then finish *this* epoch serially —
-            # infrastructure failures never become verdicts, and other
-            # epochs' futures fail over through this same path.
-            self._retire(generation)
-            return self._run_inline(app, trace, reports, initial_state,
-                                    config)
-        except Exception:
-            # The worker could not run the payload at all (e.g. a
-            # backend registered only in the parent, under spawn).  The
-            # serial re-run reproduces any genuine deterministic crash,
-            # so real bugs still surface — from the fallback.
-            return self._run_inline(app, trace, reports, initial_state,
-                                    config)
-
-    def _run_inline(self, app, trace, reports, initial_state, config):
+        if pool is not None:
+            try:
+                with _POOL_LOCK:
+                    # Workers are forked/spawned lazily at submit time;
+                    # serialize that moment against the chunk-level
+                    # pools' state handoffs (see repro.core.reexec).
+                    future = pool.submit(run_work_unit, payload)
+                return future.result()
+            except BrokenProcessPool:
+                # A worker died mid-epoch.  Recreate the shared pool
+                # for everyone else, then finish *this* epoch serially
+                # — infrastructure failures never become verdicts, and
+                # other epochs' futures fail over through this same
+                # path.
+                self._retire(generation)
+            except Exception:
+                # The worker could not run the payload at all (e.g. a
+                # backend registered only in the parent, under spawn).
+                # The serial re-run reproduces any genuine
+                # deterministic crash, so real bugs still surface —
+                # from the fallback.
+                pass
         self.serial_fallbacks += 1
-        return run_epoch_inline(app, trace, reports, initial_state,
-                                config)
+        return run_work_unit(payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<EpochPool workers={self.max_workers} "
+        return (f"<EpochPool width={self.width} "
                 f"created={self.pools_created} "
                 f"fallbacks={self.serial_fallbacks}>")

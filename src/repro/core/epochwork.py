@@ -1,4 +1,4 @@
-"""The epoch work unit: one encoding shared by every epoch driver.
+"""The epoch work unit: one encoding shared by every epoch executor.
 
 An **epoch work unit** is the pickled tuple ``(app, trace slice,
 reports slice, initial state, config)`` — exactly the prepass
@@ -11,21 +11,15 @@ accumulated before failing (the same partial-stats discipline as
 produced on another host merges bit-identically to one produced in a
 local worker process.
 
-Three executors consume this unit:
-
-* the serial fallback (:func:`run_epoch_inline`, in the calling
-  thread);
-* the persistent per-run :class:`~repro.core.epochpool.EpochPool`
-  (:func:`run_work_unit` in a pool worker process);
-* the distributed fleet (:mod:`repro.fleet`), which ships the same
-  pickled payload inside ``WORK`` frames and the same pickled
-  :class:`AuditResult` back inside ``RESULT`` frames
-  (:func:`encode_work_frame` / :func:`encode_result_frame` below —
-  base64 wraps the pickle because the frame payloads are JSON).
-
-Keeping the encode/decode here — instead of inside any one driver —
-is what guarantees the drivers cannot diverge: they run byte-identical
-payloads through one entry point.
+The feeding thread encodes the unit where the prepass builds it
+(:func:`encode_work_unit`), so an executor is handed bytes and only
+ever moves bytes.  Whoever runs them — a worker process of the per-run
+:class:`~repro.core.epochpool.EpochPool`, a fleet worker daemon that
+received them in a ``WORK`` frame (:func:`encode_work_frame` /
+:func:`encode_result_frame` below — base64 wraps the pickles because
+frame payloads are JSON), or the thread that found no worker to send
+them to — runs them through :func:`run_work_unit`, which is what
+guarantees the executors cannot diverge.
 """
 
 from __future__ import annotations
@@ -35,6 +29,7 @@ import pickle
 from typing import Any
 
 __all__ = [
+    "UNPICKLABLE",
     "epoch_worker_config",
     "run_epoch_inline",
     "encode_work_unit",
@@ -60,29 +55,22 @@ def epoch_worker_config(config):
     be built only to be thrown away.  MigratePhase never rejects and
     emits no stats (it still appears as a zero-cost phase timer), so
     disabling it cannot change verdicts, bodies, or deterministic
-    stats.  The fleet knobs are cleared for the same reason
-    ``epoch_workers`` is: a worker must never recursively open its own
-    pool or fleet.
+    stats.  ``epoch_workers`` is cleared so a session opened inside a
+    worker would never open a pool of its own.
     """
-    return config.replace(
-        epoch_workers=1,
-        migrate=False,
-        fleet_listen=None,
-        fleet_min_workers=0,
-        fleet_redundancy=1,
-    )
+    return config.replace(epoch_workers=1, migrate=False)
 
 
 def run_epoch_inline(app, trace, reports, initial_state, config):
     """One full pipeline pass over an epoch slice, in this process.
 
-    The worker-side entry points (process pool and fleet daemon) and
-    the serial fallback all run through here, so the paths cannot
-    diverge.  The ``workers``-shaped chunk plan is executed serially
-    in-process, never through a nested re-exec pool: epoch-level
-    parallelism already owns the cores.  ``next_initial`` is dropped:
-    the drivers chain state through the redo-only prepass, and a
-    migrated store has no business crossing the process boundary.
+    Every worker-side entry point, the inline fallback and the feeder's
+    own audit of a unit that will not pickle run through here, so the
+    paths cannot diverge.  The ``workers``-shaped chunk plan is executed
+    serially in-process, never through a nested re-exec pool:
+    epoch-level parallelism already owns the cores.  ``next_initial``
+    is dropped: the drivers chain state through the redo-only prepass,
+    and a migrated store has no business crossing the process boundary.
     """
     from repro.core.pipeline import AuditContext, default_pipeline
 
@@ -95,11 +83,15 @@ def run_epoch_inline(app, trace, reports, initial_state, config):
 
 # -- pickle payload ------------------------------------------------------------
 
+#: What :func:`encode_work_unit` raises for a unit that will not pickle
+#: (an app built around a lambda, say); the feeder audits such an epoch
+#: itself, through :func:`run_epoch_inline`.
+UNPICKLABLE = (pickle.PickleError, TypeError, AttributeError)
+
 
 def encode_work_unit(app, trace, reports, initial_state, config) -> bytes:
-    """Pickle one epoch work unit.  Raises the pickle family of errors
-    for unpicklable inputs — the caller decides whether that degrades
-    to an inline run (it always should)."""
+    """Pickle one epoch work unit; raises one of :data:`UNPICKLABLE`
+    for inputs that will not pickle."""
     return pickle.dumps((app, trace, reports, initial_state, config))
 
 
@@ -109,14 +101,15 @@ def decode_work_unit(payload: bytes):
 
 
 def run_work_unit(payload: bytes):
-    """Executor entry point: decode one epoch work unit and audit it.
-    Raises only on genuine crashes (a rejection is a result, never an
-    exception — the pipeline converts :class:`AuditReject`)."""
+    """Every executor's entry point, and its inline fallback: decode
+    one epoch work unit and audit it.  Raises only on genuine crashes
+    (a rejection is a result, never an exception — the pipeline
+    converts :class:`AuditReject`)."""
     app, trace, reports, initial_state, config = decode_work_unit(payload)
     return run_epoch_inline(app, trace, reports, initial_state, config)
 
 
-# -- fleet wire payloads (JSON frame bodies over repro.net) --------------------
+# -- fleet wire payloads (the JSON bodies of WORK / RESULT frames) -------------
 
 
 def encode_work_frame(epoch: int, payload: bytes) -> dict:

@@ -16,8 +16,10 @@ seams built for exactly this moment:
 
 :class:`~repro.fleet.coordinator.FleetCoordinator` implements the
 :class:`~repro.core.epochpool.EpochPool` executor contract
-(``run_epoch`` / ``close`` / ``serial_fallbacks``), so the epoch
-driver — ``AuditSession`` — keeps strict feed-order merging, prepass
+(``width`` / ``run(payload)`` / ``serial_fallbacks`` / ``close``) and
+is handed to the epoch driver by its caller (``Auditor.session(state,
+pool=coordinator)``; ``repro audit --fleet-listen`` does), so
+``AuditSession`` keeps strict feed-order merging, prepass
 backpressure, and REJECT-drain semantics unchanged; only *where* an
 epoch executes moves.  :class:`~repro.fleet.worker.FleetWorker` is the daemon side:
 ``repro worker --join HOST:PORT`` registers, pulls epochs, runs them

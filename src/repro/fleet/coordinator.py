@@ -1,12 +1,14 @@
 """The fleet coordinator: an ``EpochPool``-shaped pool of remote hosts.
 
-:class:`FleetCoordinator` is a drop-in for
-:class:`~repro.core.epochpool.EpochPool` in the concurrent epoch
-drivers: ``run_epoch`` blocks for one epoch's
-:class:`~repro.core.pipeline.AuditResult`, ``close`` tears the fleet
-down, and ``serial_fallbacks`` counts epochs that ran locally.
-Because the drivers already merge results strictly in feed order,
-bound the speculative prepass, and drain in-flight epochs
+:class:`FleetCoordinator` is what a caller hands an audit session
+instead of the :class:`~repro.core.epochpool.EpochPool` it would open
+for itself (``Auditor.session(state, pool=coordinator)``): ``run``
+blocks for one encoded epoch work unit's
+:class:`~repro.core.pipeline.AuditResult`, ``width`` is how many the
+session keeps in flight, ``close`` tears the fleet down, and
+``serial_fallbacks`` counts epochs that ran locally.
+Because the session already merges results strictly in feed order,
+bounds the speculative prepass, and drains in-flight epochs
 after a REJECT, the coordinator inherits the whole single-host merge
 discipline for free — it only changes *where* an epoch executes.
 
@@ -36,7 +38,6 @@ Dispatch contract (one driver thread per in-flight epoch):
 from __future__ import annotations
 
 import itertools
-import pickle
 import queue
 import socket
 import threading
@@ -45,8 +46,7 @@ from repro.common.clock import Deadline
 from repro.core.epochwork import (
     decode_result_frame,
     encode_work_frame,
-    encode_work_unit,
-    run_epoch_inline,
+    run_work_unit,
 )
 from repro.net.protocol import (
     FLAG_FLEET,
@@ -91,9 +91,21 @@ class _RemoteWorker:
 class FleetCoordinator:
     """Listen for fleet workers and fan epoch work units out to them.
 
-    Thread-safe: the epoch driver calls :meth:`run_epoch` from
-    several epoch threads at once; each call checks out one idle
-    worker (or runs inline as the last resort).
+    ``listen`` is ``HOST:PORT`` (port 0 binds an ephemeral port, see
+    :attr:`endpoint`).  ``min_workers``: wait for this many registered
+    workers before dispatching the first epoch (0 dispatches to whoever
+    has joined; with no workers at all, epochs run locally).
+    ``task_timeout``: overall per-epoch deadline on a worker, past
+    which the straggler is dropped and its epoch re-dispatched
+    (``None`` relies on heartbeat-miss detection alone).
+    ``redundancy``: dispatch each epoch to this many workers and
+    cross-check their verdicts (1 disables).  ``width``: epochs the
+    session keeps in flight — never fewer than two, nor than
+    ``min_workers``, so every worker the run waits for can hold one.
+
+    Thread-safe: the epoch driver calls :meth:`run` from several epoch
+    threads at once; each call checks out one idle worker (or runs
+    inline as the last resort).
     """
 
     def __init__(self, listen: str, *, min_workers: int = 0,
@@ -101,9 +113,11 @@ class FleetCoordinator:
                  redundancy: int = 1,
                  heartbeat_timeout: float | None = 30.0,
                  handshake_timeout: float = 10.0,
-                 join_timeout: float | None = 60.0):
+                 join_timeout: float | None = 60.0,
+                 width: int = 2):
         host, port = parse_endpoint(listen)
         self.min_workers = max(0, int(min_workers))
+        self.width = max(int(width), self.min_workers, 2)
         self.task_timeout = task_timeout
         self.redundancy = max(1, int(redundancy))
         self.heartbeat_timeout = heartbeat_timeout
@@ -259,22 +273,16 @@ class FleetCoordinator:
                 self._workers.remove(worker)
         worker.fsock.close()
 
-    # -- the EpochPool contract -------------------------------------------
+    # -- the pool contract (width / run / serial_fallbacks / close) -------
 
-    def run_epoch(self, app, trace, reports, initial_state, config):
-        """Audit one epoch slice somewhere in the fleet; blocks for the
-        result.  Never raises on infrastructure failure — dead and
-        straggling workers re-dispatch, and the coordinator itself is
-        the last-resort worker."""
+    def run(self, payload: bytes):
+        """Audit one encoded epoch work unit somewhere in the fleet;
+        blocks for the result.  Never raises on infrastructure failure
+        — dead and straggling workers re-dispatch, and the coordinator
+        itself is the last-resort worker."""
         with self._cond:
             if self._closed:
                 raise RuntimeError("fleet coordinator is closed")
-        try:
-            payload = encode_work_unit(app, trace, reports, initial_state,
-                                       config)
-        except (pickle.PickleError, TypeError, AttributeError):
-            return self._run_inline(app, trace, reports, initial_state,
-                                    config)
         self._await_min_workers()
         epoch = next(self._epoch_ids)
         if self.redundancy > 1:
@@ -282,15 +290,10 @@ class FleetCoordinator:
         else:
             result = self._run_remote(epoch, payload)
         if result is None:
-            return self._run_inline(app, trace, reports, initial_state,
-                                    config)
+            self.serial_fallbacks += 1
+            return run_work_unit(payload)
         self.remote_epochs += 1
         return result
-
-    def _run_inline(self, app, trace, reports, initial_state, config):
-        self.serial_fallbacks += 1
-        return run_epoch_inline(app, trace, reports, initial_state,
-                                config)
 
     def _run_remote(self, epoch: int, payload: bytes):
         """Dispatch with re-dispatch-on-loss; ``None`` means "run it

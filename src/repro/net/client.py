@@ -51,10 +51,8 @@ from repro.io import (
 )
 from repro.net.protocol import (
     ERROR,
-    FLAG_BATCH,
     HEARTBEAT,
     HELLO,
-    RECORD,
     RECORD_BATCH,
     SUBSCRIBE,
     FrameSocket,
@@ -158,9 +156,7 @@ class RemoteBundleReader:
                     raise
                 deadline.sleep(0.1)
         try:
-            # Advertise batch capability; a pre-batching publisher
-            # ignores the flag and streams plain RECORD frames.
-            fsock.send_preamble(FLAG_BATCH)
+            fsock.send_preamble()
             fsock.send_frame(SUBSCRIBE,
                              {"from_epoch": self._epochs_done})
             fsock.recv_preamble(deadline)
@@ -249,22 +245,16 @@ class RemoteBundleReader:
                     f"publisher error: "
                     f"{(payload or {}).get('error', 'unknown')}"
                 )
-            if kind == RECORD:
-                records = (payload,)
-            elif kind == RECORD_BATCH:
-                # Negotiated via FLAG_BATCH in our preamble: many
-                # records amortizing one frame header + CRC.
-                if not isinstance(payload, list):
-                    raise ProtocolError(
-                        "RECORD_BATCH payload is not a JSON array"
-                    )
-                records = payload
-            else:
+            if kind != RECORD_BATCH:
                 raise ProtocolError(
                     f"unexpected frame kind 0x{kind:02x} mid-stream"
                 )
+            if not isinstance(payload, list):
+                raise ProtocolError(
+                    "RECORD_BATCH payload is not a JSON array"
+                )
             failures = 0
-            for record in records:
+            for record in payload:
                 if ends_stream(record):
                     self._ended = True
                     return

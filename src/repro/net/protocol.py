@@ -21,18 +21,13 @@ any JSON is parsed.  Frame kinds:
 * ``SUBSCRIBE`` — client → server; ``{"from_epoch": N}`` asks for
   replay from epoch ``N`` (0 on first connect, the count of fully
   consumed epochs on a resume);
-* ``RECORD`` — server → client; one bundle record, identical to a
-  JSONL line's dict (``state`` / ``event`` / ``epoch_mark`` / report
-  kinds / ``end``);
 * ``RECORD_BATCH`` — server → client; a JSON *array* of bundle
-  records, in stream order — one frame header + CRC amortized over
-  many records.  Sent only to subscribers that advertised
-  :data:`FLAG_BATCH` in their preamble flags (see below); a
-  non-advertising subscriber receives the same records as individual
-  ``RECORD`` frames, so old and new peers interoperate in both
-  directions.  A peer that somehow receives the kind without
-  advertising it fails loud with "unknown frame kind" — never a
-  silent truncation;
+  records (each identical to a JSONL line's dict: ``state`` /
+  ``event`` / ``epoch_mark`` / report kinds / ``end``), in stream
+  order — one frame header + CRC amortized over many records, a batch
+  of one for a record that must not wait.  It is the only frame a
+  record travels in: kind ``0x03``, the one-record ``RECORD`` frame it
+  replaced, is retired and fails loud as "unknown frame kind";
 * ``ERROR`` — server → client; ``{"error": msg}``, e.g. a resume from
   an epoch the spool has already evicted;
 * ``WORKER_HELLO`` / ``WORKER_BYE`` — fleet worker ↔ coordinator;
@@ -46,13 +41,13 @@ any JSON is parsed.  Frame kinds:
   ``ok: false`` with an ``error`` string for a crash that is an
   infrastructure failure, never a verdict).
 
-The preamble's ``flags`` field is the capability negotiation: bit 0
-(:data:`FLAG_BATCH`) means "I accept ``RECORD_BATCH`` frames"; bit 1
+The preamble's ``flags`` field is the capability negotiation: bit 1
 (:data:`FLAG_FLEET`) means "I speak the fleet work-dispatch frames"
 (``WORK`` / ``RESULT`` / ``WORKER_HELLO`` / ``WORKER_BYE``, with
-``HEARTBEAT`` reused for worker liveness).  Flags a peer does not
-know are ignored, so capabilities extend the protocol without a
-version bump (the version field stays reserved for breaking changes
+``HEARTBEAT`` reused for worker liveness); bit 0, which once
+negotiated ``RECORD_BATCH``, is retired and not reused.  Flags a peer
+does not know are ignored, so capabilities extend the protocol without
+a version bump (the version field stays reserved for breaking changes
 to the frame format itself).
 
 A frame whose CRC does not match its payload, whose length field is
@@ -79,25 +74,24 @@ PREAMBLE = _PREAMBLE.pack(MAGIC, PROTOCOL_VERSION, 0)
 
 #: Preamble capability flags.  A peer sets a bit to say "I accept
 #: this"; unknown bits are ignored (that is what makes them
-#: capabilities and not a version bump).
-FLAG_BATCH = 0x0001  # accepts RECORD_BATCH frames
+#: capabilities and not a version bump).  Bit 0 (0x0001, the retired
+#: RECORD_BATCH negotiation) is not reused.
 FLAG_FLEET = 0x0002  # speaks the fleet work-dispatch frames
 
 _HEADER = struct.Struct("!BI")   # kind, payload length
 _TRAILER = struct.Struct("!I")   # crc32(kind byte + payload)
 
-#: Frame kinds.
+#: Frame kinds (0x03, the retired one-record RECORD, is not reused).
 HELLO = 0x01
 SUBSCRIBE = 0x02
-RECORD = 0x03
 ERROR = 0x04
 #: Server → client no-op: proves the stream is alive while the
 #: recorder has nothing to publish yet (e.g. an auditor that attached
 #: before a long recording run finished).  Receivers reset their idle
 #: deadline and otherwise ignore it.
 HEARTBEAT = 0x05
-#: Server → client; a JSON array of records in stream order.  Only
-#: sent to subscribers whose preamble advertised FLAG_BATCH.
+#: Server → client; a JSON array of records in stream order — the one
+#: frame bundle records travel in.
 RECORD_BATCH = 0x06
 #: Fleet dispatch (peers advertising FLAG_FLEET; see repro.fleet):
 #: coordinator → worker, one pickled epoch work unit.
@@ -110,7 +104,7 @@ WORKER_HELLO = 0x09
 #: Orderly departure, either direction; the peer stops dispatching.
 WORKER_BYE = 0x0A
 
-_KNOWN_KINDS = frozenset({HELLO, SUBSCRIBE, RECORD, ERROR, HEARTBEAT,
+_KNOWN_KINDS = frozenset({HELLO, SUBSCRIBE, ERROR, HEARTBEAT,
                           RECORD_BATCH, WORK, RESULT, WORKER_HELLO,
                           WORKER_BYE})
 
@@ -211,7 +205,7 @@ def encode_frame_payload(kind: int, payload: bytes) -> bytes:
     This is the batching fast path: the publisher JSON-encodes each
     record exactly once and splices the encodings into a
     ``RECORD_BATCH`` payload with ``b",".join`` — no re-serialization
-    per subscriber or per framing decision.
+    per subscriber.
     """
     crc = _frame_crc(kind, payload)
     return b"".join((

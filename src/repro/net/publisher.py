@@ -25,20 +25,18 @@ Three properties matter for a live deployment:
 * **backpressure** — each subscriber owns a bounded queue of
   ``max_lag`` encoded frames.  When a consumer lags, ``write_*`` blocks
   (``stall_timeout=None``) — backpressure reaches the recorder — or
-  drops the laggard after ``stall_timeout`` seconds; a dropped auditor
-  reconnects and resumes from the spool.  Publisher memory is therefore
-  bounded by ``spool + max_lag × subscribers``, never by the slowest
-  consumer.
+  drops the laggard after ``stall_timeout`` seconds (the default: 30);
+  a dropped auditor reconnects and resumes from the spool.  Publisher
+  memory is therefore bounded by ``spool + max_lag × subscribers``,
+  never by the slowest consumer.
 * **single writer** — like :class:`~repro.io.BundleWriter`, the
   ``write_*`` methods are meant for one recording thread; fan-out and
   per-subscriber sending happen on internal threads.
 * **batching** — records are JSON-encoded once on arrival and shipped
-  ``batch_records``/``batch_bytes`` at a time as ``RECORD_BATCH``
-  frames to subscribers that negotiated the capability (a legacy
-  subscriber transparently receives the same records as individual
-  ``RECORD`` frames).  An epoch seal always flushes, so batching never
-  delays an auditable slice; ``batch_records=1`` reproduces the
-  unbatched wire byte for byte.
+  :data:`BATCH_RECORDS` / :data:`BATCH_BYTES` at a time as
+  ``RECORD_BATCH`` frames, the one frame a record travels in.  An
+  epoch seal always flushes, so batching never delays an auditable
+  slice.
 * **zero re-encode replay** — :meth:`write_record_payload` publishes an
   already-encoded record line verbatim (its kind sniffed from the
   leading bytes), so replaying the recorder's persisted evidence bundle
@@ -67,20 +65,15 @@ from repro.io import (
 )
 from repro.net.protocol import (
     ERROR,
-    FLAG_BATCH,
     HEARTBEAT,
     HELLO,
-    RECORD,
-    RECORD_BATCH,
     SUBSCRIBE,
     FrameSocket,
     ProtocolError,
     TransportError,
     address_family,
-    decode_frame,
     encode_batch_frame,
     encode_frame,
-    encode_frame_payload,
     encode_json,
     parse_endpoint,
 )
@@ -93,30 +86,24 @@ from repro.trace.trace import Trace
 _DONE = None
 
 
-def _explode_frame(frame: bytes) -> list[bytes]:
-    """Re-frame a spooled ``RECORD_BATCH`` as individual ``RECORD``
-    frames for a subscriber that did not advertise the batch
-    capability.  The slow path: only replayed snapshots for legacy
-    peers pay the decode/re-encode."""
-    if frame[0] != RECORD_BATCH:
-        return [frame]
-    _, records, _ = decode_frame(frame)
-    return [encode_frame(RECORD, record) for record in records]
+#: Wire batching: pending records (JSON-encoded once, on arrival) ship
+#: as one ``RECORD_BATCH`` frame once there are this many of them, or
+#: this many payload bytes.  An epoch seal (mark/end) always flushes,
+#: so nothing an auditor could act on is ever delayed — auditable
+#: slices close on marks.
+BATCH_RECORDS = 64
+BATCH_BYTES = 256 * 1024
 
 
 class _Subscriber:
     """One attached auditor: a framed socket, a bounded frame queue,
     and the sender thread that drains it."""
 
-    def __init__(self, fsock: FrameSocket, max_lag: int,
-                 batched: bool, seq_floor: int):
+    def __init__(self, fsock: FrameSocket, max_lag: int, seq_floor: int):
         self.fsock = fsock
         self.queue: queue.Queue = queue.Queue(maxsize=max_lag)
         self.closed = False
         self.drained = threading.Event()
-        #: The peer advertised FLAG_BATCH: it may be sent RECORD_BATCH
-        #: frames; a legacy peer gets every record as its own frame.
-        self.batched = batched
         #: First flush sequence number this subscriber must receive
         #: from the live broadcast — everything before it was already
         #: delivered in the attach snapshot.
@@ -168,13 +155,11 @@ class BundlePublisher:
         writer: BundleWriter | None = None,
         spool_epochs: int | None = None,
         max_lag: int = 256,
-        stall_timeout: float | None = None,
+        stall_timeout: float | None = 30.0,
         handshake_timeout: float = 10.0,
         backlog: int = 16,
         sndbuf: int | None = None,
         heartbeat_interval: float | None = 5.0,
-        batch_records: int = 64,
-        batch_bytes: int = 256 * 1024,
     ):
         if spool_epochs is not None and spool_epochs < 1:
             raise ValueError(
@@ -183,28 +168,12 @@ class BundlePublisher:
             )
         if max_lag < 1:
             raise ValueError(f"max_lag must be >= 1, got {max_lag!r}")
-        if batch_records < 1:
-            raise ValueError(
-                f"batch_records must be >= 1, got {batch_records!r}"
-            )
-        if batch_bytes < 1:
-            raise ValueError(
-                f"batch_bytes must be >= 1, got {batch_bytes!r}"
-            )
         host, port = parse_endpoint(listen)
         self.writer = writer
         self._spool_epochs = spool_epochs
         self.max_lag = max_lag
         self.stall_timeout = stall_timeout
         self.handshake_timeout = handshake_timeout
-        #: Wire batching: records accumulate (JSON-encoded once) until
-        #: ``batch_records`` records or ``batch_bytes`` payload bytes,
-        #: then ship as one ``RECORD_BATCH`` frame.  An epoch seal
-        #: (mark/end) always flushes, so nothing an auditor could act
-        #: on is ever delayed — auditable slices close on marks.
-        #: ``batch_records=1`` reproduces the unbatched wire exactly.
-        self.batch_records = batch_records
-        self.batch_bytes = batch_bytes
         #: Cap on each subscriber socket's SO_SNDBUF: together with
         #: ``max_lag`` this bounds the bytes a lagging consumer can pin
         #: on the publisher (kernel buffer + queued frames).
@@ -228,12 +197,11 @@ class BundlePublisher:
         #: only serialization they ever get), plus their byte total.
         self._pending: list[bytes] = []
         self._pending_bytes = 0
-        #: Flushed entries not yet broadcast: (seq, frame, parts) where
-        #: ``parts`` is the per-record payload list for a batch frame
-        #: (None for a single-record frame).  The recorder thread
-        #: drains this at its next _publish, preserving per-subscriber
-        #: FIFO order even when an attach forced the flush.
-        self._unsent: list[tuple[int, bytes, list[bytes] | None]] = []
+        #: Flushed frames not yet broadcast, as (seq, frame).  The
+        #: recorder thread drains this at its next _publish, preserving
+        #: per-subscriber FIFO order even when an attach forced the
+        #: flush.
+        self._unsent: list[tuple[int, bytes]] = []
         self._seq = 0
         self._ended = False
         self._closing = False
@@ -354,12 +322,12 @@ class BundlePublisher:
                 raise RuntimeError("publisher stream already ended")
             if kind == "state":
                 # The state record is every snapshot's first frame, so
-                # it stays an immediate plain RECORD; flush first to
+                # it goes out at once, a batch of one; flush first to
                 # keep stream order.
                 self._flush_pending_locked()
-                frame = encode_frame_payload(RECORD, payload)
+                frame = encode_batch_frame((payload,))
                 self._state_frame = frame
-                self._unsent.append((self._seq, frame, None))
+                self._unsent.append((self._seq, frame))
                 self._seq += 1
             else:
                 self._pending.append(payload)
@@ -372,8 +340,8 @@ class BundlePublisher:
                 elif kind == "end":
                     seal = True
                 if (seal
-                        or len(self._pending) >= self.batch_records
-                        or self._pending_bytes >= self.batch_bytes):
+                        or len(self._pending) >= BATCH_RECORDS
+                        or self._pending_bytes >= BATCH_BYTES):
                     self._flush_pending_locked()
                 if seal:
                     self._seal_current_run()
@@ -391,60 +359,35 @@ class BundlePublisher:
                         final=kind == "end")
 
     def _flush_pending_locked(self) -> None:
-        """Frame the pending records (lock held): one ``RECORD`` for a
-        single record, one ``RECORD_BATCH`` for several — the payloads
-        were JSON-encoded on arrival and are spliced here, never
-        re-serialized.  The entry lands in ``_current`` (for snapshot
-        replay) and ``_unsent`` (for the live broadcast)."""
+        """Frame the pending records (lock held) as one
+        ``RECORD_BATCH`` — the payloads were JSON-encoded on arrival
+        and are spliced here, never re-serialized.  The frame lands in
+        ``_current`` (for snapshot replay) and ``_unsent`` (for the
+        live broadcast)."""
         if not self._pending:
             return
-        pending = self._pending
+        frame = encode_batch_frame(self._pending)
         self._pending = []
         self._pending_bytes = 0
-        if len(pending) == 1:
-            frame = encode_frame_payload(RECORD, pending[0])
-            parts: list[bytes] | None = None
-        else:
-            frame = encode_batch_frame(pending)
-            parts = pending
         self._current.append(frame)
-        self._unsent.append((self._seq, frame, parts))
+        self._unsent.append((self._seq, frame))
         self._seq += 1
 
     def _broadcast(
         self,
-        entries: list[tuple[int, bytes, list[bytes] | None]],
+        entries: list[tuple[int, bytes]],
         targets: list[_Subscriber],
         stall_timeout: float | None,
         final: bool = False,
     ) -> None:
-        """Offer flushed entries to every subscriber (off-lock).
-
-        Each frame is encoded exactly once per fan-out: batch-capable
-        subscribers share the ``RECORD_BATCH`` bytes; the per-record
-        explosion for legacy subscribers is built lazily, once, and
-        shared among them.  Entries below a subscriber's ``seq_floor``
-        were already delivered in its attach snapshot.
+        """Offer flushed frames to every subscriber (off-lock); each
+        was encoded once and the subscribers share its bytes.  Entries
+        below a subscriber's ``seq_floor`` were already delivered in
+        its attach snapshot.
         """
-        legacy: dict[int, list[bytes]] = {}
         for sub in targets:
-            ok = True
-            for pos, (seq, frame, parts) in enumerate(entries):
-                if seq < sub.seq_floor:
-                    continue
-                if parts is None or sub.batched:
-                    frames = (frame,)
-                else:
-                    if pos not in legacy:
-                        legacy[pos] = [encode_frame_payload(RECORD, p)
-                                       for p in parts]
-                    frames = legacy[pos]
-                for item in frames:
-                    if not sub.offer(item, stall_timeout):
-                        ok = False
-                        break
-                if not ok:
-                    break
+            ok = all(sub.offer(frame, stall_timeout)
+                     for seq, frame in entries if seq >= sub.seq_floor)
             if not ok:
                 self._drop(sub, lagging=True)
             elif final and not sub.offer(_DONE, stall_timeout):
@@ -525,7 +468,7 @@ class BundlePublisher:
         fsock = FrameSocket(conn)
         try:
             deadline = Deadline(self.handshake_timeout)
-            flags = fsock.recv_preamble(deadline)
+            fsock.recv_preamble(deadline)
             kind, payload = fsock.recv_frame(deadline)
             if kind != SUBSCRIBE or not isinstance(payload, dict):
                 raise ProtocolError("expected a SUBSCRIBE frame")
@@ -533,24 +476,17 @@ class BundlePublisher:
         except (ProtocolError, TransportError, TypeError, ValueError):
             fsock.close()  # not a valid auditor; say nothing
             return
-        batched = bool(flags & FLAG_BATCH)
-        sub, hello, snapshot, error = self._attach(from_epoch, fsock,
-                                                   batched)
+        sub, hello, snapshot, error = self._attach(from_epoch, fsock)
         # The handshake recv installed its deadline as the socket
         # timeout; the send loop must block as long as the backpressure
         # policy says, not ~handshake_timeout per sendall.
         fsock.settimeout(None)
         try:
-            fsock.send_preamble(FLAG_BATCH)
+            fsock.send_preamble()
             if error is not None:
                 fsock.send_frame(ERROR, {"error": error})
                 return
             fsock.send_frame(HELLO, hello)
-            if not batched:
-                exploded: list[bytes] = []
-                for frame in snapshot:
-                    exploded.extend(_explode_frame(frame))
-                snapshot = exploded
             fsock.send_frames(snapshot)
             done = False
             while not done:
@@ -587,8 +523,7 @@ class BundlePublisher:
                 self._drop(sub, lagging=False)
             fsock.close()
 
-    def _attach(self, from_epoch: int, fsock: FrameSocket,
-                batched: bool):
+    def _attach(self, from_epoch: int, fsock: FrameSocket):
         """Register a subscriber atomically with a replay snapshot.
 
         Flushes the pending batch first, so the snapshot contains every
@@ -615,11 +550,9 @@ class BundlePublisher:
                 "from_epoch": from_epoch,
                 "spool_start": self._first_epoch,
                 "ended": self._ended,
-                "batch": batched,
             }
             snapshot = self._snapshot(from_epoch)
-            sub = _Subscriber(fsock, self.max_lag, batched,
-                              seq_floor=self._seq)
+            sub = _Subscriber(fsock, self.max_lag, seq_floor=self._seq)
             self._subscribers.append(sub)
             self._ever_connected += 1
             if self._ended:

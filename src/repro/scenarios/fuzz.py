@@ -38,7 +38,7 @@ from repro.core import Auditor
 from repro.core.config import AuditConfig
 from repro.io import BundleReader, record_kind
 from repro.net.protocol import (
-    RECORD,
+    RECORD_BATCH,
     ProtocolError,
     TransportError,
     decode_frame,
@@ -492,8 +492,9 @@ _FILE_CHOOSERS = {
 
 
 # ---------------------------------------------------------------------------
-# Wire-path mutations: frame a record with the net protocol's encoding
-# and corrupt the frame; the stock decoder must refuse the bytes.
+# Wire-path mutations: frame a record the way the publisher does (a
+# RECORD_BATCH, here of one) and corrupt the frame; the stock decoder
+# must refuse the bytes.
 
 
 def _wire_outcome(cat: _Catalog, rng: random.Random,
@@ -501,7 +502,8 @@ def _wire_outcome(cat: _Catalog, rng: random.Random,
     if not cat.events:
         return None
     index = rng.choice(cat.events)
-    frame = encode_frame(RECORD, cat.parse(index))
+    batch = [cat.parse(index)]
+    frame = encode_frame(RECORD_BATCH, batch)
     if truncate:
         cut = rng.randrange(1, len(frame))
         mutated = frame[:cut]
@@ -524,7 +526,7 @@ def _wire_outcome(cat: _Catalog, rng: random.Random,
         # disconnect, never as a delivered record.
         return MutationOutcome(0, operator, [edit], True,
                                CHANNEL_WIRE, f"truncated: {exc}")
-    if consumed != len(frame) or payload != cat.parse(index):
+    if consumed != len(frame) or payload != batch:
         return MutationOutcome(0, operator, [edit], True,
                                CHANNEL_WIRE, "frame not delivered intact")
     # The flip round-tripped to the identical record (it landed in a

@@ -91,18 +91,20 @@ def untimed(payload: dict, *dropped: str) -> dict:
     return kept
 
 
-def audit_epochs(app, execution, trace=None, reports=None, **knobs):
+def audit_epochs(app, execution, trace=None, reports=None, pool=None,
+                 **knobs):
     """``execution`` — or a tampered copy of its trace or reports —
     audited in the epochs it was recorded in, through the one driver
-    (``knobs`` are :class:`~repro.core.config.AuditConfig` fields)."""
+    (``knobs`` are :class:`~repro.core.config.AuditConfig` fields;
+    ``pool`` is handed to the session)."""
     from repro.core import Auditor
     from repro.core.partition import partition_audit_inputs
 
     epochs = partition_audit_inputs(trace or execution.trace,
                                     reports or execution.reports,
                                     execution.epoch_marks)
-    return Auditor(app, **knobs).audit_epochs(epochs,
-                                              execution.initial_state)
+    return Auditor(app, **knobs).audit_epochs(
+        epochs, execution.initial_state, pool)
 
 
 def counter_requests(n: int = 24):

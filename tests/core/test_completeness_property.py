@@ -163,16 +163,11 @@ def test_honest_schedules_of_the_four_apps_are_accepted(app_name, seed,
                                                         tmp_path):
     """Whatever the (seeded) schedule, concurrency and request mix, an
     honest execution — audited in the epochs it was recorded in — is
-    ACCEPTED by the compiled engine, strict or not, with the oracle's
-    bodies, and every request booked exactly once; and the saved bundle
-    hands the auditor the very epochs ``execution.epochs()`` does.
-
-    Epochs are audited serially here.  The same matrix on the process
-    pool (``epoch_workers=2``) is what this test was written with; forty
-    back-to-back pooled audits of these apps inside one pytest process
-    segfault CPython 3.11.7's collector about one suite run in eight —
-    also at the commit before this test existed — so that leg waits for
-    the ROADMAP item that explains it."""
+    ACCEPTED by the compiled engine, strict or not, on the serial chain
+    and on the process pool (``epoch_workers=2``) alike, with the
+    oracle's bodies, and every request booked exactly once; and the
+    saved bundle hands the auditor the very epochs
+    ``execution.epochs()`` does."""
     factory, scale = _APP_WORKLOADS[app_name]
     workload = factory(scale=scale, seed=100 + seed)
     run = run_online_phase(workload, seed=seed, concurrency=1 + 3 * seed,
@@ -186,13 +181,16 @@ def test_honest_schedules_of_the_four_apps_are_accepted(app_name, seed,
     assert oracle.accepted, (oracle.reason, oracle.detail)
     requests = len(run.trace.request_ids())
     for strict in (True, False):
-        result = audit(backend="hybrid", strict=strict)
-        where = (app_name, seed, strict)
-        assert result.accepted, (where, result.reason, result.detail)
-        assert result.produced == oracle.produced, where
-        assert result.stats["grouped_requests"] + result.stats[
-            "fallback_requests"] == requests, where
-    # The bridge slices as the file does (``result``: non-strict hybrid).
+        for epoch_workers in (2, 1):
+            result = audit(backend="hybrid", strict=strict,
+                           epoch_workers=epoch_workers)
+            where = (app_name, seed, strict, epoch_workers)
+            assert result.accepted, (where, result.reason, result.detail)
+            assert result.produced == oracle.produced, where
+            assert result.stats["grouped_requests"] + result.stats[
+                "fallback_requests"] == requests, where
+    # The bridge slices as the file does (``result``: the non-strict
+    # hybrid audit on the serial chain).
     bundle = str(tmp_path / "bundle.jsonl")
     save_audit_bundle_segmented(bundle, run.trace, run.reports,
                                 run.initial_state, run.epoch_marks)

@@ -124,7 +124,6 @@ def _reference_chain(app, shards, initial_state):
     per shard, each against the previous shard's migrated state — no
     session, no pool — merged the way the drivers promise to."""
     merged = AuditResult(accepted=True)
-    merged.stats["shard_count"] = len(shards)
     merged.stats["shards"] = []
     state = initial_state
     for shard in shards:
@@ -143,6 +142,8 @@ def _reference_chain(app, shards, initial_state):
             "events": len(shard.trace), "accepted": result.accepted,
             "groups": result.stats.get("groups", 0),
         })
+        # The epochs audited: nothing past a rejection is.
+        merged.stats["shard_count"] = len(merged.stats["shards"])
         if not result.accepted:
             merged.accepted = False
             merged.reason, merged.detail = result.reason, result.detail
@@ -403,7 +404,6 @@ def test_crashed_epoch_audit_never_reports_accepted(counter_app,
     over unaudited epochs — whichever executor (the local pool or a
     fleet coordinator) ran the epoch."""
     import repro.core.epochpool as epochpool_mod
-    import repro.fleet.coordinator as coordinator_mod
 
     execution = _epoch_execution(counter_app)
     shards = execution.epochs()
@@ -411,24 +411,20 @@ def test_crashed_epoch_audit_never_reports_accepted(counter_app,
     def _boom(*args, **kwargs):
         raise RuntimeError("kaboom")
 
+    pool = None
     if executor == "process":
-        monkeypatch.setattr(epochpool_mod.EpochPool, "run_epoch", _boom)
+        monkeypatch.setattr(epochpool_mod.EpochPool, "run", _boom)
         config = AuditConfig(epoch_workers=2)
     else:
         class _CrashingCoordinator:
-            def __init__(self, *args, **kwargs):
-                pass
+            width = 2
+            serial_fallbacks = 0
+            run = staticmethod(_boom)
 
-            run_epoch = staticmethod(_boom)
-
-            def close(self):
-                pass
-
-        monkeypatch.setattr(coordinator_mod, "FleetCoordinator",
-                            _CrashingCoordinator)
-        config = AuditConfig(fleet_listen="127.0.0.1:0")
+        pool = _CrashingCoordinator()
+        config = AuditConfig()
     auditor = Auditor(counter_app, config)
-    session = auditor.session(execution.initial_state)
+    session = auditor.session(execution.initial_state, pool)
     for shard in shards:
         session.submit_epoch(shard.trace, shard.reports)
     with pytest.raises(RuntimeError, match="kaboom"):
@@ -451,10 +447,13 @@ def test_custom_pipeline_keeps_serial_session(counter_app):
     auditor = Auditor(counter_app, AuditConfig(epoch_workers=4),
                       pipeline=default_pipeline())
     session = auditor.session(execution.initial_state)
-    assert session._epoch_pool is None
+    assert session._pool is None
     merged = auditor.audit_epochs(shards, execution.initial_state)
     session.close()
     assert merged.accepted
+    # Handing it a pool it could not use is an error, not a no-op.
+    with pytest.raises(ValueError, match="custom pipeline"):
+        auditor.session(execution.initial_state, pool=object())
 
 
 # -- two sessions auditing simultaneously in one process ----------------------

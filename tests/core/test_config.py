@@ -43,8 +43,8 @@ def test_backend_default_resolves_env_at_construction(monkeypatch):
     (dict(epoch_size=-1), "epoch_size"),
     (dict(epoch_size="10"), "epoch_size"),
     (dict(max_group_size=0), "max_group_size"),
-    (dict(net_idle_timeout=True), "positive"),
-    (dict(fleet_task_timeout=False), "positive"),
+    (dict(max_group_size=True), "max_group_size"),
+    (dict(plan_hints=0), "plan_hints"),
     (dict(epoch_workers=0), "epoch_workers"),
     (dict(epoch_workers="2"), "epoch_workers"),
     (dict(backend="no-such-engine"), "unknown re-exec backend"),
@@ -147,15 +147,31 @@ def test_describe_mentions_the_interesting_knobs():
     assert "no-strict" in text
 
 
-# -- the live-transport knobs (repro.net) -------------------------------------
+# -- the live-transport settings are the CLI's, not the config's ------------
+
+#: The eleven fields AuditConfig lost: endpoints, timeouts, batch bounds
+#: and the fleet are deployment settings of `repro serve` / `audit`.
+_TRANSPORT_KEYS = (
+    "connect", "listen", "net_connect_timeout", "net_idle_timeout",
+    "net_retries", "batch_records", "batch_bytes", "fleet_listen",
+    "fleet_min_workers", "fleet_task_timeout", "fleet_redundancy",
+)
 
 
 def test_net_defaults():
+    """The transport's defaults are its constructors' (the CLI passes
+    only the flags it was given), what the config's used to be."""
+    import inspect
+
+    from repro.net import BundlePublisher, RemoteBundleReader
+
+    reader = inspect.signature(RemoteBundleReader).parameters
+    assert (reader["connect_timeout"].default, reader["idle_timeout"].default,
+            reader["reconnect"].default) == (5.0, 30.0, 3)
+    publisher = inspect.signature(BundlePublisher).parameters
+    assert publisher["stall_timeout"].default == 30.0
     config = AuditConfig()
-    assert config.connect is None and config.listen is None
-    assert config.net_connect_timeout == 5.0
-    assert config.net_idle_timeout == 30.0
-    assert config.net_retries == 3
+    assert not any(hasattr(config, key) for key in _TRANSPORT_KEYS)
 
 
 @pytest.mark.parametrize("kwargs,fragment", [
@@ -172,43 +188,46 @@ def test_net_defaults():
     (dict(net_retries=-1), "net_retries"),
     (dict(net_retries=1.5), "net_retries"),
 ])
-def test_net_validation_rejects_nonsense(kwargs, fragment):
-    with pytest.raises(ValueError, match=fragment):
-        AuditConfig(**kwargs)
+def test_net_validation_rejects_nonsense(kwargs, fragment, capsys):
+    """A bad endpoint, ``--connect`` port 0 or a non-positive timeout
+    is a usage error of the flag that carries it: exit 2, the flag
+    named."""
+    from repro.__main__ import main
+
+    (name, value), = kwargs.items()
+    flag = "--" + name.replace("_", "-")
+    command = "serve" if name == "listen" else "audit"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, f"{flag}={value}"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert fragment in err.replace("-", "_")
 
 
 def test_net_knobs_accept_sane_values():
-    config = AuditConfig(connect="127.0.0.1:9000", listen="0.0.0.0:0",
-                         net_connect_timeout=1.5, net_idle_timeout=None,
-                         net_retries=0)
-    assert config.connect == "127.0.0.1:9000"
-    assert config.listen == "0.0.0.0:0"  # port 0 = ephemeral, valid
-    assert config.net_idle_timeout is None  # wait forever
+    from repro.__main__ import build_parser
+
+    parse = build_parser().parse_args
+    args = parse(["audit", "--connect", "127.0.0.1:9000",
+                  "--net-connect-timeout", "1.5", "--net-retries", "0"])
+    assert args.connect == "127.0.0.1:9000"
+    assert (args.net_connect_timeout, args.net_retries) == (1.5, 0)
+    assert args.net_idle_timeout is None  # the reader's default, not ours
+    # Port 0 = ephemeral: valid to bind, not to dial.
+    assert parse(["serve", "--listen", "0.0.0.0:0"]).listen == "0.0.0.0:0"
 
 
 def test_net_json_roundtrip():
-    config = AuditConfig(connect="recorder:9000",
-                         net_connect_timeout=2.0,
-                         net_idle_timeout=None, net_retries=7)
-    data = config.to_json()
-    json.dumps(data)  # serializable as-is
-    assert AuditConfig.from_json(data) == config
-
-
-def test_net_fields_layer_through_from_args(tmp_path):
-    path = str(tmp_path / "audit.json")
-    AuditConfig(connect="filehost:9000", net_retries=9).save(path)
-    config = AuditConfig.from_args(_namespace(
-        config=path, connect="flaghost:9001", net_idle_timeout=12.0,
-    ))
-    assert config.connect == "flaghost:9001"  # flag beats the file
-    assert config.net_retries == 9            # file beats the default
-    assert config.net_idle_timeout == 12.0
-
-
-def test_describe_mentions_endpoints():
-    assert "connect=h:1" in AuditConfig(connect="h:1").describe()
-    assert "listen=h:0" in AuditConfig(listen="h:0").describe()
+    """A saved config that still names a transport key fails as any
+    unknown key does — by name, as a keyword too."""
+    for key in _TRANSPORT_KEYS:
+        with pytest.raises(ValueError,
+                           match=f"unknown audit config keys: {key} "):
+            AuditConfig.from_json({"workers": 2, key: None})
+        with pytest.raises(TypeError, match=key):
+            AuditConfig(**{key: None})
+    assert not set(AuditConfig().to_json()) & set(_TRANSPORT_KEYS)
 
 
 # -- process-level epoch execution knobs --------------------------------------
@@ -279,7 +298,9 @@ def test_epoch_process_knob_defaults_and_roundtrip():
     assert round_trip == tuned
     assert "epoch_workers=4" in tuned.describe()
     fields = [f.name for f in dataclasses.fields(AuditConfig)]
-    assert len(fields) == 21
+    assert fields == ["strict", "dedup", "collapse", "strict_registers",
+                      "max_group_size", "migrate", "workers",
+                      "epoch_workers", "backend", "plan_hints"]
     assert [name for name in fields if name.startswith("epoch_")] == [
         "epoch_workers"]
 
@@ -311,13 +332,14 @@ def test_every_cli_knob_flag_is_a_config_field():
     assert dests - fields == {"no_dedup", "no_collapse"}
 
 
-# -- wire-batching knobs (RECORD_BATCH) ---------------------------------------
+# -- wire batching: constants of the publisher ---------------------------------
 
 
 def test_batch_defaults():
-    config = AuditConfig()
-    assert config.batch_records == 64
-    assert config.batch_bytes == 256 * 1024
+    from repro.net import publisher
+
+    assert publisher.BATCH_RECORDS == 64
+    assert publisher.BATCH_BYTES == 256 * 1024
 
 
 @pytest.mark.parametrize("kwargs,fragment", [
@@ -329,34 +351,10 @@ def test_batch_defaults():
     (dict(batch_bytes="big"), "batch_bytes"),
 ])
 def test_batch_validation_rejects_nonsense(kwargs, fragment):
-    with pytest.raises(ValueError, match=fragment):
+    """Not a knob any more (no committed number compares batch sizes):
+    an unknown keyword, refused by name whatever its value."""
+    with pytest.raises(TypeError, match=fragment):
         AuditConfig(**kwargs)
-
-
-def test_batch_knobs_accept_sane_values_and_roundtrip():
-    config = AuditConfig(batch_records=1, batch_bytes=4096)
-    assert config.batch_records == 1  # 1 = unbatched wire
-    data = config.to_json()
-    json.dumps(data)
-    assert AuditConfig.from_json(data) == config
-
-
-def test_batch_knobs_layer_through_from_args(tmp_path):
-    path = str(tmp_path / "audit.json")
-    AuditConfig(batch_records=8).save(path)
-    config = AuditConfig.from_args(_namespace(
-        config=path, batch_bytes=1024,
-    ))
-    assert config.batch_records == 8   # file beats the default
-    assert config.batch_bytes == 1024  # flag beats the file
-
-
-def test_describe_mentions_batching_only_when_serving():
-    assert "batch_records" not in AuditConfig(batch_records=8).describe()
-    described = AuditConfig(listen="h:0", batch_records=8,
-                            batch_bytes=512).describe()
-    assert "batch_records=8" in described
-    assert "batch_bytes=512" in described
 
 
 def test_backend_error_names_registered_backends():

@@ -9,7 +9,10 @@ Covers the PR-5 driver invariants:
   shared pool for the remaining epochs while the lost epoch re-runs
   serially — verdicts still match the serial chain;
 * the speculative prepass runs at most ``2 * epoch_workers`` primed
-  epochs ahead of the auditor in a follow-style (async-fed) session.
+  epochs ahead of the auditor in a follow-style (async-fed) session;
+* a pool — the session's own or one it is handed — only ever receives
+  ``bytes``: the feeding thread encodes each unit, and audits a unit
+  that will not pickle itself.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import time
 from repro.core import AuditConfig, Auditor, ssco_audit
 from repro.core import epochpool
 from repro.core.epochpool import EpochPool
+from repro.core.epochwork import run_work_unit
 from repro.core.reexec import (
     _BACKENDS,
     PlainInterpBackend,
@@ -85,12 +89,12 @@ def test_session_pool_identity_stable_across_epochs(counter_app):
     shards = execution.epochs()
     auditor = Auditor(counter_app, AuditConfig(epoch_workers=2))
     with auditor.session(execution.initial_state) as session:
-        pool = session._process_pool
+        pool = session._pool
         assert isinstance(pool, EpochPool)
         for shard in shards:
             session.feed_epoch(shard.trace, shard.reports)
             # The very same pool object serves every epoch ...
-            assert session._process_pool is pool
+            assert session._pool is pool
     merged = session.close()
     assert merged.accepted
     # ... and it materialized exactly one executor over the whole run.
@@ -111,7 +115,7 @@ def test_two_concurrent_sessions_get_independent_pools(counter_app):
             shards = execution.epochs()
             auditor = Auditor(counter_app, AuditConfig(epoch_workers=2))
             with auditor.session(execution.initial_state) as session:
-                pools[slot] = session._process_pool
+                pools[slot] = session._pool
                 for shard in shards:
                     session.submit_epoch(shard.trace, shard.reports)
             results[slot] = session.close()
@@ -132,6 +136,62 @@ def test_two_concurrent_sessions_get_independent_pools(counter_app):
     for merged, reference in zip(results, references):
         assert merged.accepted, (merged.reason, merged.detail)
         assert merged.produced == reference.produced
+
+
+# -- the pool contract: bytes in, a result out ---------------------------------
+
+
+class _RecordingPool:
+    """The whole of what a session asks of the pool it is handed."""
+
+    width = 2
+
+    def __init__(self):
+        self.serial_fallbacks = 0
+        self.received = []
+        self.threads = set()
+
+    def run(self, payload):
+        self.received.append(payload)
+        self.threads.add(threading.current_thread().name)
+        return run_work_unit(payload)
+
+
+def test_a_pool_only_ever_receives_bytes(counter_app):
+    """The unit is encoded by the thread that feeds the session, where
+    the prepass builds it; what reaches the pool, on the session's own
+    threads, is ``bytes`` — never the live (app, trace, reports, state,
+    config) graph the feeder is still working on."""
+    execution = _epoch_execution(counter_app)
+    serial = audit_epochs(counter_app, execution)
+    pool = _RecordingPool()
+    handed = audit_epochs(counter_app, execution, pool=pool)
+    assert handed.accepted, (handed.reason, handed.detail)
+    assert handed.produced == serial.produced
+    assert len(pool.received) == handed.stats["shard_count"] >= 3
+    assert all(type(payload) is bytes for payload in pool.received)
+    assert all(name.startswith("audit-epoch") for name in pool.threads)
+    assert pool.serial_fallbacks == 0
+    assert not hasattr(pool, "close")  # handed in: never the session's
+
+
+def test_an_unpicklable_unit_is_audited_by_the_feeder(counter_app):
+    """An app that will not pickle gives the pool nothing to receive:
+    the feeder audits each such epoch itself and counts it."""
+    execution = _epoch_execution(counter_app, n=24)
+    serial = audit_epochs(counter_app, execution)
+    counter_app.unpicklable = lambda: None
+    try:
+        pool = _RecordingPool()
+        handed = audit_epochs(counter_app, execution, pool=pool)
+    finally:
+        del counter_app.unpicklable
+    assert handed.accepted, (handed.reason, handed.detail)
+    assert handed.produced == serial.produced
+    assert pool.received == []
+    # One epoch, one fallback.
+    assert pool.serial_fallbacks == handed.stats["shard_count"] == \
+        len(execution.epochs())
 
 
 # -- worker loss: recreate the shared pool, finish serially -------------------
@@ -166,7 +226,7 @@ def test_killed_epoch_worker_recreates_pool_and_matches_serial(
         auditor = Auditor(counter_app, AuditConfig(
             epoch_workers=2, backend="kamikaze-pool"))
         with auditor.session(execution.initial_state) as session:
-            pool = session._process_pool
+            pool = session._pool
             for shard in shards:
                 session.submit_epoch(shard.trace, shard.reports)
         merged = session.close()
@@ -201,13 +261,13 @@ def test_prepass_depth_bounds_inflight_primed_epochs(counter_app,
     depth = 2 * epoch_workers
     assert len(shards) > depth + 1
     gate = threading.Event()
-    original = EpochPool.run_epoch
+    original = EpochPool.run
 
-    def gated(self, *args, **kwargs):
+    def gated(self, payload):
         assert gate.wait(60), "gate never released"
-        return original(self, *args, **kwargs)
+        return original(self, payload)
 
-    monkeypatch.setattr(EpochPool, "run_epoch", gated)
+    monkeypatch.setattr(EpochPool, "run", gated)
     serial = Auditor(counter_app, AuditConfig()).audit_epochs(
         shards, execution.initial_state)
 

@@ -1,0 +1,50 @@
+"""``repro.core`` knows no sockets: the audit's configuration and its
+epoch driver import neither the transport (``repro.net``) nor the
+fleet (``repro.fleet``), lazily or otherwise — endpoints and timeouts
+are the CLI's, and a pool is handed in."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+_PROBE = """
+import sys
+
+import repro.core
+from repro.core import AuditConfig, Auditor, EpochPool
+
+AuditConfig()
+AuditConfig(epoch_workers=2, workers=2).describe()
+AuditConfig.from_json({"epoch_workers": 2, "backend": "interp"})
+try:
+    AuditConfig.from_json({"fleet_listen": "0.0.0.0:8700"})
+except ValueError:
+    pass
+Auditor.session, Auditor.audit_epochs, EpochPool(2).close()
+leaked = sorted(name for name in sys.modules
+                if name.startswith(("repro.net", "repro.fleet")))
+print(leaked)
+"""
+
+
+def test_core_imports_neither_the_transport_nor_the_fleet():
+    src = os.path.dirname(os.path.dirname(
+        __import__("repro").__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = subprocess.run([sys.executable, "-c", _PROBE], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
+
+
+def test_top_level_transport_names_still_resolve():
+    """``repro.BundlePublisher`` / ``repro.RemoteBundleReader`` load the
+    transport on first use instead of with the package."""
+    import repro
+    import repro.net
+
+    assert repro.BundlePublisher is repro.net.BundlePublisher
+    assert repro.RemoteBundleReader is repro.net.RemoteBundleReader
+    from repro import BundlePublisher  # noqa: F401

@@ -213,9 +213,9 @@ def test_epoch_chain_rejects_tampering_like_one_pass(counter_app,
     assert not serial.accepted and not sharded.accepted
     assert sharded.reason is serial.reason
     assert not sharded.produced
-    # Every recorded epoch is still counted; those past the first
-    # rejection come back skipped, with no summary.
-    assert sharded.stats["shard_count"] == len(epoch_run.epoch_marks) + 1
+    # The epochs audited are counted: the first rejected, and nothing
+    # after it was audited (or read).
+    assert sharded.stats["shard_count"] == 1
     assert [s["accepted"] for s in sharded.stats["shards"]] == [False]
 
 

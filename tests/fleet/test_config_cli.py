@@ -1,32 +1,39 @@
-"""The fleet configuration surface: ``AuditConfig`` knobs, option
-plumbing, and the ``repro worker`` / ``repro audit --fleet-listen``
-command line."""
+"""The fleet's command line: ``repro audit --fleet-listen`` (flags
+parsed by the CLI and handed straight to :class:`FleetCoordinator`,
+which the session receives as its pool) and ``repro worker``.  None of
+it is an ``AuditConfig`` field."""
 
 from __future__ import annotations
 
-import argparse
+import dataclasses
+import inspect
 
 import pytest
 
-from repro.__main__ import _fleet_endpoint, main
+from repro.__main__ import _fleet_endpoint, build_parser, main
 from repro.core.config import AuditConfig
-from repro.core.epochwork import epoch_worker_config
+from repro.core.epochwork import epoch_worker_config, run_work_unit
+from repro.fleet import FleetCoordinator
 
-
-# -- AuditConfig --------------------------------------------------------------
+_AUDIT = ["audit", "bundle.jsonl"]
 
 
 def test_fleet_defaults_are_off():
-    config = AuditConfig()
-    assert config.fleet_listen is None
-    assert config.fleet_min_workers == 0
-    assert config.fleet_task_timeout is None
-    assert config.fleet_redundancy == 1
+    """No flag, no fleet — and what a flag left out means is the
+    coordinator's own default, the only one there is."""
+    args = build_parser().parse_args(_AUDIT)
+    assert args.fleet_listen is None
+    assert (args.fleet_min_workers, args.fleet_task_timeout,
+            args.fleet_redundancy) == (None, None, None)
+    defaults = {name: parameter.default for name, parameter in
+                inspect.signature(FleetCoordinator).parameters.items()}
+    assert (defaults["min_workers"], defaults["task_timeout"],
+            defaults["redundancy"]) == (0, None, 1)
 
 
 @pytest.mark.parametrize("kwargs,fragment", [
     (dict(fleet_listen="no-port-here"), "fleet_listen"),
-    (dict(fleet_listen=8700), "fleet_listen"),
+    (dict(fleet_listen="host:70000"), "fleet_listen"),
     (dict(fleet_min_workers=-1), "fleet_min_workers"),
     (dict(fleet_min_workers=1.5), "fleet_min_workers"),
     (dict(fleet_task_timeout=0), "fleet_task_timeout"),
@@ -34,86 +41,77 @@ def test_fleet_defaults_are_off():
     (dict(fleet_redundancy=0), "fleet_redundancy"),
     (dict(fleet_redundancy="two"), "fleet_redundancy"),
 ])
-def test_validation_rejects_nonsense(kwargs, fragment):
-    with pytest.raises(ValueError, match=fragment):
+def test_validation_rejects_nonsense(kwargs, fragment, capsys):
+    """A bad value is a usage error at the flag (exit 2, the flag
+    named) — and no longer a config key at all."""
+    (name, value), = kwargs.items()
+    flag = "--" + name.replace("_", "-")
+    with pytest.raises(SystemExit) as excinfo:
+        main([*_AUDIT, f"{flag}={value}"])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    with pytest.raises(TypeError, match=fragment):
         AuditConfig(**kwargs)
 
 
-def test_fleet_knobs_flow_through_options():
-    """The fleet knobs ride the one config type: they survive the JSON
-    round trip and reach the session that builds the coordinator."""
-    config = AuditConfig(fleet_listen="0.0.0.0:8700", fleet_min_workers=3,
-                         fleet_task_timeout=45.0, fleet_redundancy=2)
-    back = AuditConfig.from_json(config.to_json())
-    assert back == config
-    assert back.fleet_listen == "0.0.0.0:8700"
-    assert back.fleet_min_workers == 3
-    assert back.fleet_task_timeout == 45.0
-    assert back.fleet_redundancy == 2
-
-
-def test_describe_mentions_fleet():
-    text = AuditConfig(fleet_listen="0.0.0.0:8700", fleet_min_workers=2,
-                       fleet_redundancy=2).describe()
-    assert "fleet_listen=0.0.0.0:8700" in text
-    assert "fleet_min_workers=2" in text
-    assert "fleet_redundancy=2" in text
-
-
-def test_worker_options_never_recurse_into_a_nested_fleet():
-    config = AuditConfig(fleet_listen="0.0.0.0:8700",
-                         fleet_min_workers=2, fleet_redundancy=2,
-                         epoch_workers=4)
-    unit = epoch_worker_config(config)
-    assert unit.fleet_listen is None
-    assert unit.fleet_min_workers == 0
-    assert unit.fleet_redundancy == 1
-    assert unit.epoch_workers == 1
-
-
-def test_one_shot_and_session_build_the_same_coordinator(
-        counter_app, monkeypatch):
-    """There is one FleetCoordinator construction site, the session:
-    ``Auditor.audit_epochs`` and a hand-fed ``Auditor.session`` hand it
-    identical arguments, ``heartbeat_timeout`` included."""
-    import repro.fleet.coordinator as coordinator_mod
-    from repro.core import Auditor
-    from repro.core.epochwork import run_epoch_inline
-    from repro.server import Executor
-    from tests.conftest import counter_requests
-
+def test_fleet_knobs_flow_through_options(tmp_path, monkeypatch, capsys):
+    """There is one FleetCoordinator construction site, the CLI: the
+    flags given become its keywords, the ones left out are left to its
+    defaults, and the session audits on the pool it is handed."""
+    bundle = str(tmp_path / "bundle.jsonl")
+    wiki = ["--workload", "wiki", "--scale", "0.005"]
+    assert main(["record", *wiki, "--epoch-size", "20",
+                 "--out", bundle]) == 0
     built = []
 
     class RecordingCoordinator:
         serial_fallbacks = 0
+        endpoint = "recording:0"
 
-        def __init__(self, *args, **kwargs):
-            built.append((args, kwargs))
+        def __init__(self, listen, **keywords):
+            built.append((listen, keywords))
+            self.width = keywords["width"]
+            self.payloads = []
 
-        run_epoch = staticmethod(run_epoch_inline)
+        def run(self, payload):
+            self.payloads.append(payload)
+            return run_work_unit(payload)
 
-        def close(self):
-            pass
+        def __enter__(self):
+            return self
 
-    monkeypatch.setattr(coordinator_mod, "FleetCoordinator",
+        def __exit__(self, *exc):
+            built.append("closed")
+
+    monkeypatch.setattr("repro.__main__.FleetCoordinator",
                         RecordingCoordinator)
-    execution = Executor(counter_app, epoch_size=8).serve(
-        counter_requests(24))
-    assert execution.epoch_marks
-    knobs = dict(fleet_listen="127.0.0.1:0", fleet_min_workers=2,
-                 fleet_task_timeout=9.0, fleet_redundancy=2)
-    auditor = Auditor(counter_app, AuditConfig(**knobs))
-    one_shot = auditor.audit_epochs(execution.epochs(),
-                                    execution.initial_state)
-    with auditor.session(execution.initial_state) as fed:
-        for epoch in execution.epochs():
-            fed.feed_epoch(epoch.trace, epoch.reports)
-    session = fed.close()
-    assert one_shot.accepted and session.accepted
-    assert len(built) == 2
-    assert built[0] == built[1]
-    assert built[0][1]["heartbeat_timeout"] == \
-        AuditConfig().net_idle_timeout
+    capsys.readouterr()
+    assert main(["audit", bundle, *wiki, "--fleet-listen", "8700",
+                 "--fleet-min-workers", "3", "--fleet-redundancy", "2",
+                 "--epoch-workers", "4"]) == 0
+    assert built == [
+        ("0.0.0.0:8700", dict(width=4, min_workers=3, redundancy=2)),
+        "closed",
+    ]
+    out = capsys.readouterr().out
+    assert "workers join recording:0" in out
+    assert "ACCEPTED in" in out
+    built.clear()
+    assert main(["audit", bundle, *wiki, "--fleet-listen", "h:1",
+                 "--fleet-task-timeout", "9",
+                 "--net-idle-timeout", "12.5"]) == 0
+    assert built[0] == ("h:1", dict(width=1, task_timeout=9.0,
+                                    heartbeat_timeout=12.5))
+
+
+def test_worker_options_never_recurse_into_a_nested_fleet():
+    """A work unit's config cannot ask for a pool or a fleet: the first
+    is cleared, the second is not something a config can say."""
+    unit = epoch_worker_config(AuditConfig(epoch_workers=4, migrate=True))
+    assert unit.epoch_workers == 1 and not unit.migrate
+    assert not [field.name for field in dataclasses.fields(unit)
+                if field.name.startswith(("fleet", "net", "connect",
+                                          "listen", "batch"))]
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -126,14 +124,31 @@ def test_fleet_listen_flag_expands_bare_ports():
 
 
 def test_from_args_picks_up_fleet_flags():
-    args = argparse.Namespace(fleet_listen="0.0.0.0:9000",
-                              fleet_min_workers=1)
-    config = AuditConfig.from_args(args)
-    assert config.fleet_listen == "0.0.0.0:9000"
-    assert config.fleet_min_workers == 1
-    # Unset flags keep their defaults so config-file layering works.
-    assert config.fleet_redundancy == 1
-    assert config.fleet_task_timeout is None
+    """The parser picks the fleet flags up; the audit config does not."""
+    args = build_parser().parse_args(
+        [*_AUDIT, "--fleet-listen", "9000", "--fleet-min-workers", "1"])
+    assert args.fleet_listen == "0.0.0.0:9000"
+    assert args.fleet_min_workers == 1
+    assert args.fleet_redundancy is None
+    assert AuditConfig.from_args(args) == AuditConfig()
+
+
+def test_fleet_port_in_use_fails_clean(tmp_path, capsys):
+    import socket
+
+    bundle = str(tmp_path / "bundle.jsonl")
+    wiki = ["--workload", "wiki", "--scale", "0.005"]
+    assert main(["record", *wiki, "--out", bundle]) == 0
+    blocker = socket.socket()
+    blocker.bind(("127.0.0.1", 0))
+    blocker.listen(1)
+    try:
+        code = main(["audit", bundle, *wiki, "--fleet-listen",
+                     f"127.0.0.1:{blocker.getsockname()[1]}"])
+    finally:
+        blocker.close()
+    assert code == 2
+    assert "cannot listen for workers" in capsys.readouterr().err
 
 
 def test_worker_command_requires_join(capsys):

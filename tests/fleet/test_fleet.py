@@ -21,8 +21,11 @@ import threading
 
 from repro.common.clock import Deadline
 from repro.core import AuditConfig, Auditor
-from repro.core.epochpool import epoch_worker_config
-from repro.core.epochwork import run_epoch_inline
+from repro.core.epochwork import (
+    encode_work_unit,
+    epoch_worker_config,
+    run_epoch_inline,
+)
 from repro.core.reexec import (
     _BACKENDS,
     PlainInterpBackend,
@@ -58,14 +61,13 @@ def _epoch_execution(app, n=40, epoch_size=8, seed=7, min_marks=2):
     return execution
 
 
-
-def _free_port() -> int:
-    import socket as _socket
-    sock = _socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    sock.close()
-    return port
+def _unit(app, execution, config=None):
+    """The execution as one encoded work unit, and what running it in
+    this process returns."""
+    unit = (app, execution.trace, execution.reports,
+            execution.initial_state,
+            epoch_worker_config(config or AuditConfig()))
+    return encode_work_unit(*unit), run_epoch_inline(*unit)
 
 
 @contextlib.contextmanager
@@ -104,11 +106,10 @@ def _fleet_workers(endpoint, count, prefix="fleet-test-worker"):
 def test_fleet_accept_matches_single_host(counter_app):
     execution = _epoch_execution(counter_app)
     serial = audit_epochs(counter_app, execution)
-    port = _free_port()
-    with _fleet_workers(f"127.0.0.1:{port}", 2) as workers:
-        fleet = audit_epochs(counter_app, execution,
-                              fleet_listen=f"127.0.0.1:{port}",
-                              fleet_min_workers=2)
+    with FleetCoordinator("127.0.0.1:0", min_workers=2) as coord, \
+            _fleet_workers(coord.endpoint, 2) as workers:
+        fleet = audit_epochs(counter_app, execution, pool=coord)
+        coord.close()  # dismiss the workers so their daemons exit
     assert fleet.accepted, (fleet.reason, fleet.detail)
     _assert_equivalent(serial, fleet)
     # Every epoch actually went over the wire.
@@ -117,22 +118,24 @@ def test_fleet_accept_matches_single_host(counter_app):
 
 
 def test_fleet_session_uses_coordinator_pool(counter_app):
-    """The incremental session path: ``AuditConfig.fleet_listen`` swaps
-    the shared process pool for a coordinator; verdicts still match."""
+    """The incremental session path: a coordinator handed in as
+    ``pool=`` stands where the session's own process pool would;
+    verdicts still match, and the coordinator stays the caller's to
+    close."""
     execution = _epoch_execution(counter_app)
     shards = execution.epochs()
     serial = Auditor(counter_app, AuditConfig()).audit_epochs(
         shards, execution.initial_state)
-    port = _free_port()
-    with _fleet_workers(f"127.0.0.1:{port}", 2):
-        auditor = Auditor(counter_app, AuditConfig(
-            fleet_listen=f"127.0.0.1:{port}", fleet_min_workers=2))
-        with auditor.session(execution.initial_state) as session:
-            pool = session._process_pool
-            assert isinstance(pool, FleetCoordinator)
+    with FleetCoordinator("127.0.0.1:0", min_workers=2) as pool, \
+            _fleet_workers(pool.endpoint, 2):
+        auditor = Auditor(counter_app, AuditConfig())
+        with auditor.session(execution.initial_state, pool) as session:
+            assert session._pool is pool
             for shard in shards:
                 session.submit_epoch(shard.trace, shard.reports)
         merged = session.close()
+        assert pool._live_workers() == 2  # not dismissed by the session
+        pool.close()
     assert merged.accepted, (merged.reason, merged.detail)
     assert merged.produced == serial.produced
     assert pool.remote_epochs == len(shards)
@@ -152,11 +155,11 @@ def test_fleet_tampered_report_rejects_identically(counter_app):
                                    "<h1>defaced</h1>")
     serial = audit_epochs(counter_app, execution, trace=trace)
     assert not serial.accepted
-    port = _free_port()
-    with _fleet_workers(f"127.0.0.1:{port}", 2):
+    with FleetCoordinator("127.0.0.1:0", min_workers=2) as coord, \
+            _fleet_workers(coord.endpoint, 2):
         fleet = audit_epochs(counter_app, execution, trace=trace,
-                              fleet_listen=f"127.0.0.1:{port}",
-                              fleet_min_workers=2)
+                             pool=coord)
+        coord.close()
     assert not fleet.accepted
     _assert_equivalent(serial, fleet)
     # The rejecting run still carries real accounting from the epochs
@@ -182,11 +185,11 @@ def test_fleet_spliced_epoch_rejects_identically(counter_app):
                                       position, position + 1)
     serial = audit_epochs(counter_app, execution, reports=reports)
     assert not serial.accepted
-    port = _free_port()
-    with _fleet_workers(f"127.0.0.1:{port}", 2):
+    with FleetCoordinator("127.0.0.1:0", min_workers=2) as coord, \
+            _fleet_workers(coord.endpoint, 2):
         fleet = audit_epochs(counter_app, execution, reports=reports,
-                              fleet_listen=f"127.0.0.1:{port}",
-                              fleet_min_workers=2)
+                             pool=coord)
+        coord.close()
     assert not fleet.accepted
     _assert_equivalent(serial, fleet)
 
@@ -199,10 +202,7 @@ def test_dead_worker_redispatches_to_live_worker(counter_app):
     coordinator discards it and re-dispatches the same epoch to the
     next live worker — the verdict is unaffected."""
     execution = _epoch_execution(counter_app, n=16, min_marks=1)
-    config = epoch_worker_config(AuditConfig())
-    reference = run_epoch_inline(counter_app, execution.trace,
-                                 execution.reports,
-                                 execution.initial_state, config)
+    payload, reference = _unit(counter_app, execution)
     with FleetCoordinator("127.0.0.1:0", min_workers=2,
                           join_timeout=30) as coord:
 
@@ -229,9 +229,7 @@ def test_dead_worker_redispatches_to_live_worker(counter_app):
             joined.sleep(0.01)
         assert coord.workers_joined == 1
         with _fleet_workers(coord.endpoint, 1):
-            result = coord.run_epoch(counter_app, execution.trace,
-                                     execution.reports,
-                                     execution.initial_state, config)
+            result = coord.run(payload)
             assert coord.redispatches == 1
             assert coord.remote_epochs == 1
             assert coord.serial_fallbacks == 0
@@ -264,16 +262,12 @@ def test_worker_crash_is_not_a_verdict_and_worker_survives(counter_app):
     execution = _epoch_execution(counter_app, n=16, min_marks=1)
     register_reexec_backend("fleet-crashy", _CrashOnWorkerThread)
     try:
-        config = epoch_worker_config(AuditConfig(backend="fleet-crashy"))
-        reference = run_epoch_inline(counter_app, execution.trace,
-                                     execution.reports,
-                                     execution.initial_state, config)
+        payload, reference = _unit(counter_app, execution,
+                                   AuditConfig(backend="fleet-crashy"))
         with FleetCoordinator("127.0.0.1:0", min_workers=1,
                               join_timeout=30) as coord:
             with _fleet_workers(coord.endpoint, 1) as workers:
-                result = coord.run_epoch(counter_app, execution.trace,
-                                         execution.reports,
-                                         execution.initial_state, config)
+                result = coord.run(payload)
                 assert coord.worker_failures == 1
                 assert coord.serial_fallbacks == 1
                 assert coord.remote_epochs == 0
@@ -291,14 +285,9 @@ def test_no_workers_falls_back_to_local_serial(counter_app):
     """An empty fleet: the coordinator itself is the last-resort worker
     (the ``EpochPool`` degradation path), bit-identical results."""
     execution = _epoch_execution(counter_app, n=16, min_marks=1)
-    config = epoch_worker_config(AuditConfig())
-    reference = run_epoch_inline(counter_app, execution.trace,
-                                 execution.reports,
-                                 execution.initial_state, config)
+    payload, reference = _unit(counter_app, execution)
     with FleetCoordinator("127.0.0.1:0") as coord:
-        result = coord.run_epoch(counter_app, execution.trace,
-                                 execution.reports,
-                                 execution.initial_state, config)
+        result = coord.run(payload)
         assert coord.serial_fallbacks == 1
         assert coord.remote_epochs == 0
     assert result.accepted
@@ -311,10 +300,7 @@ def test_no_workers_falls_back_to_local_serial(counter_app):
 
 def test_redundant_dispatch_cross_checks_verdicts(counter_app):
     execution = _epoch_execution(counter_app, n=16, min_marks=1)
-    config = epoch_worker_config(AuditConfig())
-    reference = run_epoch_inline(counter_app, execution.trace,
-                                 execution.reports,
-                                 execution.initial_state, config)
+    payload, reference = _unit(counter_app, execution)
     with FleetCoordinator("127.0.0.1:0", min_workers=2, redundancy=2,
                           join_timeout=30) as coord:
         with _fleet_workers(coord.endpoint, 2) as workers:
@@ -323,9 +309,7 @@ def test_redundant_dispatch_cross_checks_verdicts(counter_app):
             parked = Deadline(10)
             while coord._idle.qsize() < 2 and not parked.expired():
                 parked.sleep(0.01)
-            result = coord.run_epoch(counter_app, execution.trace,
-                                     execution.reports,
-                                     execution.initial_state, config)
+            result = coord.run(payload)
             assert coord.cross_checks == 1
             assert coord.cross_check_mismatches == 0
             assert coord.remote_epochs == 1
@@ -380,12 +364,12 @@ def test_sigkilled_worker_mid_epoch_redispatches(counter_app):
     execution = _epoch_execution(counter_app)
     register_reexec_backend("fleet-kamikaze", _KamikazeLocal)
     proc = None
+    coord = FleetCoordinator("127.0.0.1:0", min_workers=2)
     try:
         serial = audit_epochs(counter_app, execution,
                                backend="fleet-kamikaze")
         assert serial.accepted
-        port = _free_port()
-        endpoint = f"127.0.0.1:{port}"
+        endpoint = coord.endpoint
         src = os.path.dirname(os.path.dirname(
             __import__("repro").__file__))
         env = dict(os.environ)
@@ -397,7 +381,7 @@ def test_sigkilled_worker_mid_epoch_redispatches(counter_app):
             stderr=subprocess.DEVNULL, text=True)
         assert proc.stdout.readline().strip() == "ready"
 
-        # The kamikaze subprocess is already retry-connecting, so it
+        # The kamikaze subprocess is already connecting, so it
         # registers first and receives the first dispatched epoch; the
         # survivor joins a beat later and absorbs the re-dispatch.
         survivor = FleetWorker(endpoint, name="survivor",
@@ -414,10 +398,9 @@ def test_sigkilled_worker_mid_epoch_redispatches(counter_app):
 
         thread = threading.Thread(target=_run_survivor, daemon=True)
         thread.start()
-        fleet = audit_epochs(counter_app, execution,
-                              fleet_listen=endpoint,
-                              fleet_min_workers=2,
-                              backend="fleet-kamikaze")
+        fleet = audit_epochs(counter_app, execution, pool=coord,
+                             backend="fleet-kamikaze")
+        coord.close()
         thread.join(timeout=60)
         assert not thread.is_alive() and not survivor_errors, \
             survivor_errors
@@ -426,6 +409,7 @@ def test_sigkilled_worker_mid_epoch_redispatches(counter_app):
         assert proc.wait(timeout=30) == -signal.SIGKILL
         assert survivor.epochs_run == serial.stats["shard_count"]
     finally:
+        coord.close()
         _BACKENDS.pop("fleet-kamikaze", None)
         if proc is not None and proc.poll() is None:
             proc.kill()

@@ -21,7 +21,6 @@ from repro.core.epochwork import (
 from repro.core.config import AuditConfig
 from repro.core.pipeline import AuditResult
 from repro.net.protocol import (
-    FLAG_BATCH,
     FLAG_FLEET,
     RESULT,
     WORK,
@@ -33,8 +32,9 @@ from repro.net.protocol import (
 
 
 def test_flag_fleet_is_its_own_capability_bit():
+    # Bit 0 negotiated RECORD_BATCH once; it is retired, never reused.
     assert FLAG_FLEET != 0
-    assert FLAG_FLEET & FLAG_BATCH == 0
+    assert FLAG_FLEET & 0x0001 == 0
 
 
 def test_fleet_frame_kinds_are_distinct_and_known():
@@ -115,12 +115,10 @@ def test_error_body_without_detail_still_decodes():
 
 def test_work_unit_roundtrips_through_pickle_codec():
     """What crosses the process / host boundary is the validated
-    AuditConfig itself: epoch workers, fleet and migrate cleared,
-    ``workers`` preserved (the chunk plan must follow it bit for bit)."""
+    AuditConfig itself: epoch workers and migrate cleared, ``workers``
+    preserved (the chunk plan must follow it bit for bit)."""
     cfg = AuditConfig(strict=False, workers=3, epoch_workers=2,
-                      migrate=True,
-                      fleet_listen="0.0.0.0:8700", fleet_min_workers=2,
-                      fleet_redundancy=2, backend="interp")
+                      migrate=True, backend="interp")
     unit = encode_work_unit("app", "trace", "reports", "state",
                             epoch_worker_config(cfg))
     app, trace, reports, state, config = decode_work_unit(unit)

@@ -1,12 +1,11 @@
-"""The batched wire (RECORD_BATCH): frame format, FLAG_BATCH capability
-negotiation, legacy interop, and the bytes-per-event win.
+"""The batched wire (RECORD_BATCH, the one frame a record travels in):
+frame format, preamble flags, and the bytes-per-event win.
 
 The contract under test: batching changes *how many frames* carry the
-record stream, never the records themselves — a legacy subscriber that
-does not advertise FLAG_BATCH receives the identical stream as plain
-RECORD frames, ``batch_records=1`` reproduces the unbatched wire, and a
-malformed batch payload fails loud as a ProtocolError, never a silent
-truncation.
+record stream, never the records themselves — whatever the batch
+bounds (``publisher.BATCH_RECORDS`` / ``BATCH_BYTES``, module constants
+these tests patch) the auditor reads the same slices, and a malformed
+batch payload fails loud as a ProtocolError, never a silent truncation.
 """
 
 from __future__ import annotations
@@ -28,20 +27,16 @@ from repro.io import (
     save_audit_bundle_segmented,
 )
 from repro.net import BundlePublisher, ProtocolError, RemoteBundleReader
+from repro.net import publisher as publisher_mod
 from repro.net.protocol import (
-    FLAG_BATCH,
-    HEARTBEAT,
+    FLAG_FLEET,
     HELLO,
-    RECORD,
     RECORD_BATCH,
-    SUBSCRIBE,
     FrameSocket,
-    connect_endpoint,
     decode_frame,
     encode_batch_frame,
     encode_frame,
     encode_json,
-    parse_endpoint,
 )
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
@@ -100,9 +95,9 @@ def test_batch_frame_crc_covers_the_spliced_payload():
 def test_preamble_flags_roundtrip():
     left_sock, right_sock = socket.socketpair()
     with FrameSocket(left_sock) as left, FrameSocket(right_sock) as right:
-        left.send_preamble(FLAG_BATCH)
-        assert right.recv_preamble(Deadline(5.0)) & FLAG_BATCH
-        right.send_preamble()  # a legacy peer: no capability bits
+        left.send_preamble(FLAG_FLEET)
+        assert right.recv_preamble(Deadline(5.0)) & FLAG_FLEET
+        right.send_preamble()  # no capability bits
         assert left.recv_preamble(Deadline(5.0)) == 0
 
 
@@ -111,17 +106,17 @@ def test_unknown_flag_bits_survive_the_preamble():
     # knows) instead of breaking the handshake.
     left_sock, right_sock = socket.socketpair()
     with FrameSocket(left_sock) as left, FrameSocket(right_sock) as right:
-        left.send_preamble(FLAG_BATCH | 0x4000)
+        left.send_preamble(FLAG_FLEET | 0x4000)
         flags = right.recv_preamble(Deadline(5.0))
-        assert flags & FLAG_BATCH
+        assert flags & FLAG_FLEET
         assert flags & 0x4000
 
 
 def test_send_frames_is_byte_identical_to_sequential_sends():
     # Enough frames to exercise the _SENDMSG_FRAMES chunking and the
     # varying sizes that make partial-iov resumption plausible.
-    frames = [encode_frame(RECORD, {"kind": "event", "n": n,
-                                    "pad": "y" * (n * 13 % 97)})
+    frames = [encode_frame(RECORD_BATCH, [{"kind": "event", "n": n,
+                                           "pad": "y" * (n * 13 % 97)}])
               for n in range(50)]
     expected = b"".join(frames)
     left_sock, right_sock = socket.socketpair()
@@ -143,48 +138,16 @@ def test_send_frames_is_byte_identical_to_sequential_sends():
 
 
 def test_byte_counters_track_the_wire():
-    frame = encode_frame(RECORD, {"kind": "event", "n": 1})
+    frame = encode_frame(RECORD_BATCH, [{"kind": "event", "n": 1}])
     left_sock, right_sock = socket.socketpair()
     with FrameSocket(left_sock) as left, FrameSocket(right_sock) as right:
-        left.send_frame(RECORD, {"kind": "event", "n": 1})
+        left.send_frame(RECORD_BATCH, [{"kind": "event", "n": 1}])
         assert left.bytes_sent == len(frame)
-        assert right.recv_frame(Deadline(5.0))[0] == RECORD
+        assert right.recv_frame(Deadline(5.0))[0] == RECORD_BATCH
         assert right.bytes_received == len(frame)
 
 
-# -- capability negotiation + interop against a live publisher ----------------
-
-
-def _handshake(endpoint, flags, from_epoch=0):
-    """A hand-rolled subscriber (what an old auditor binary would do
-    when ``flags=0``): returns the connected FrameSocket past HELLO."""
-    host, port = parse_endpoint(endpoint)
-    fsock = connect_endpoint(host, port, 5.0)
-    try:
-        fsock.send_preamble(flags)
-        fsock.send_frame(SUBSCRIBE, {"from_epoch": from_epoch})
-        deadline = Deadline(10.0)
-        fsock.recv_preamble(deadline)
-        kind, hello = fsock.recv_frame(deadline)
-        assert kind == HELLO, (kind, hello)
-    except BaseException:
-        fsock.close()
-        raise
-    return fsock, hello
-
-
-def _drain_records(fsock):
-    """Collect (frame kind, record) pairs through the end record."""
-    out = []
-    while True:
-        kind, payload = fsock.recv_frame(Deadline(10.0))
-        if kind == HEARTBEAT:
-            continue
-        records = payload if kind == RECORD_BATCH else [payload]
-        for record in records:
-            out.append((kind, record))
-            if record.get("kind") == "end":
-                return out
+# -- batch bounds against a live publisher ------------------------------------
 
 
 def _publish_all(publisher, execution):
@@ -196,76 +159,21 @@ def _publish_all(publisher, execution):
     publisher.write_end()
 
 
-def test_legacy_subscriber_gets_the_same_records_unbatched(
-        epoch_execution):
-    with BundlePublisher(batch_records=8, batch_bytes=1 << 20) \
-            as publisher:
-        _publish_all(publisher, epoch_execution)
-        legacy_sock, legacy_hello = _handshake(publisher.endpoint, 0)
-        with legacy_sock:
-            legacy = _drain_records(legacy_sock)
-        batch_sock, batch_hello = _handshake(publisher.endpoint,
-                                             FLAG_BATCH)
-        with batch_sock:
-            batched = _drain_records(batch_sock)
-    assert legacy_hello["batch"] is False
-    assert batch_hello["batch"] is True
-    # The legacy wire is RECORD-only; the batched wire actually batched.
-    assert {kind for kind, _ in legacy} == {RECORD}
-    assert RECORD_BATCH in {kind for kind, _ in batched}
-    # Same records, same order — framing is the only difference.
-    assert [r for _, r in legacy] == [r for _, r in batched]
-
-
-def test_legacy_subscriber_interoperates_mid_stream(counter_app,
-                                                    epoch_execution):
-    """The live-broadcast explosion path (not just snapshot replay):
-    a flags=0 subscriber attached *before* publishing begins."""
-    shards = _shards(epoch_execution)
-    with BundlePublisher(batch_records=8, batch_bytes=1 << 20) \
-            as publisher:
-        fsock, hello = _handshake(publisher.endpoint, 0)
-        with fsock:
-            thread = threading.Thread(
-                target=_publish, args=(publisher, epoch_execution,
-                                       shards))
-            thread.start()
-            try:
-                live = _drain_records(fsock)
-            finally:
-                thread.join(timeout=30)
-        _publish_all_reference = _handshake(publisher.endpoint,
-                                            FLAG_BATCH)
-        reference_sock, _ = _publish_all_reference
-        with reference_sock:
-            replayed = _drain_records(reference_sock)
-    assert not thread.is_alive()
-    assert {kind for kind, _ in live} == {RECORD}
-    assert [r for _, r in live] == [r for _, r in replayed]
-
-
-def test_batch_records_1_reproduces_the_unbatched_wire(epoch_execution):
-    with BundlePublisher(batch_records=1) as publisher:
-        _publish_all(publisher, epoch_execution)
-        batch_sock, _ = _handshake(publisher.endpoint, FLAG_BATCH)
-        with batch_sock:
-            capable = _drain_records(batch_sock)
-        legacy_sock, _ = _handshake(publisher.endpoint, 0)
-        with legacy_sock:
-            legacy = _drain_records(legacy_sock)
-    # Even a batch-capable subscriber sees no RECORD_BATCH frames.
-    assert capable == legacy
-    assert {kind for kind, _ in capable} == {RECORD}
+def _batch_bounds(monkeypatch, records, payload_bytes=256 * 1024):
+    monkeypatch.setattr(publisher_mod, "BATCH_RECORDS", records)
+    monkeypatch.setattr(publisher_mod, "BATCH_BYTES", payload_bytes)
 
 
 def test_small_batches_audit_identically_to_the_file(counter_app,
                                                      epoch_execution,
-                                                     tmp_path):
+                                                     tmp_path,
+                                                     monkeypatch):
     """Tiny batch bounds force flushes that do not line up with epoch
     seals; the yielded slices and verdict must not care."""
     reference = _file_audit(counter_app, epoch_execution, tmp_path)
     shards = _shards(epoch_execution)
-    with BundlePublisher(batch_records=3, batch_bytes=512) as publisher:
+    _batch_bounds(monkeypatch, 3, 512)
+    with BundlePublisher() as publisher:
         thread = threading.Thread(
             target=_publish, args=(publisher, epoch_execution, shards))
         thread.start()
@@ -282,9 +190,11 @@ def test_small_batches_audit_identically_to_the_file(counter_app,
 
 
 def test_batching_reduces_wire_bytes_per_event(counter_app,
-                                               epoch_execution):
-    def measure(**knobs):
-        with BundlePublisher(**knobs) as publisher:
+                                               epoch_execution,
+                                               monkeypatch):
+    def measure(records):
+        _batch_bounds(monkeypatch, records)
+        with BundlePublisher() as publisher:
             _publish_all(publisher, epoch_execution)
             with RemoteBundleReader(publisher.endpoint,
                                     idle_timeout=20) as reader:
@@ -293,9 +203,9 @@ def test_batching_reduces_wire_bytes_per_event(counter_app,
                 )
                 assert result.accepted
                 return reader.wire_bytes_received
-    unbatched = measure(batch_records=1)
-    batched = measure(batch_records=64, batch_bytes=256 * 1024)
-    assert 0 < batched < unbatched
+    one_by_one = measure(1)
+    batched = measure(64)
+    assert 0 < batched < one_by_one
 
 
 # -- zero re-encode replay (write_record_payload) ------------------------------
@@ -324,13 +234,14 @@ def test_record_kind_sniffs_without_parsing():
 
 
 def test_preencoded_bundle_replay_audits_identically(
-        counter_app, epoch_execution, tmp_path):
+        counter_app, epoch_execution, tmp_path, monkeypatch):
     """Streaming the persisted bundle's raw lines through
     ``write_record_payload`` (never decoding them) must deliver the
     same audit as reading the bundle from disk."""
     reference = _file_audit(counter_app, epoch_execution, tmp_path)
     path = _save_bundle(epoch_execution, tmp_path)
-    with BundlePublisher(batch_records=8) as publisher:
+    _batch_bounds(monkeypatch, 8)
+    with BundlePublisher() as publisher:
 
         def publish():
             with open(path, "rb") as fh:
@@ -357,26 +268,6 @@ def test_preencoded_bundle_replay_audits_identically(
     ends = itertools.accumulate(
         epoch["events"] for epoch in remote.stats["shards"])
     assert list(ends)[:-1] == list(epoch_execution.epoch_marks)
-
-
-def test_preencoded_replay_reaches_legacy_subscribers(epoch_execution,
-                                                      tmp_path):
-    """Raw writer-spelled lines still explode cleanly into RECORD
-    frames for a subscriber without the batch capability."""
-    path = _save_bundle(epoch_execution, tmp_path)
-    with BundlePublisher(batch_records=8) as publisher:
-        with open(path, "rb") as fh:
-            for line in fh:
-                kind = record_kind(line)
-                if kind is not None:
-                    publisher.write_record_payload(line, kind=kind)
-        legacy_sock, hello = _handshake(publisher.endpoint, 0)
-        with legacy_sock:
-            legacy = _drain_records(legacy_sock)
-    assert hello["batch"] is False
-    assert {kind for kind, _ in legacy} == {RECORD}
-    assert sum(1 for _, r in legacy if r.get("kind") == "event") == \
-        len(epoch_execution.trace)
 
 
 def test_preencoded_rejects_header_and_mirrors_to_writer(tmp_path):
@@ -416,11 +307,11 @@ def test_non_array_batch_payload_is_a_protocol_error():
             fsock.recv_preamble(deadline)
             fsock.recv_frame(deadline)  # SUBSCRIBE
             fsock.settimeout(None)
-            fsock.send_preamble(FLAG_BATCH)
+            fsock.send_preamble()
             fsock.send_frame(HELLO, {
                 "format": JSONL_FORMAT, "version": FORMAT_VERSION,
                 "layout": SEGMENTED_LAYOUT, "from_epoch": 0,
-                "spool_start": 0, "ended": False, "batch": True,
+                "spool_start": 0, "ended": False,
             })
             fsock.send_frame(RECORD_BATCH, {"kind": "event"})
 

@@ -48,7 +48,7 @@ def test_audit_connect_accepts(capsys):
         thread.join(timeout=30)
     assert code == 0
     out = capsys.readouterr().out
-    assert f"connect={publisher.endpoint}" in out
+    assert f"live stream from {publisher.endpoint}" in out
     assert "epoch 0: ACCEPTED" in out
     assert "epoch(s)" in out
 
@@ -225,37 +225,41 @@ def test_serve_listen_port_in_use_fails_clean(capsys):
     assert "cannot listen" in capsys.readouterr().err
 
 
-def test_serve_takes_listen_from_config_file(tmp_path, capsys):
+def test_serve_has_no_config_file(tmp_path, capsys):
+    """``serve`` computes no audit, so it reads no audit config: its
+    listen address and patience are its own flags."""
+    config_path = str(tmp_path / "audit.json")
+    with open(config_path, "w") as fh:
+        fh.write("{}")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--workload", "wiki", "--scale", "0.005",
+              "--listen", "127.0.0.1:0", "--config", config_path])
+    assert excinfo.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_audit_config_file_naming_a_transport_key_is_refused(tmp_path,
+                                                             capsys):
+    """An ``audit.json`` written for the 21-field config fails as any
+    unknown key does: exit 2, the key named."""
     import json
 
     config_path = str(tmp_path / "audit.json")
     with open(config_path, "w") as fh:
-        json.dump({"listen": "127.0.0.1:0", "net_idle_timeout": 5.0},
-                  fh)
-    code = main(["serve", "--workload", "wiki", "--scale", "0.005",
-                 "--epoch-size", "20", "--config", config_path,
-                 "--linger", "0.2"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "listening on 127.0.0.1:" in out
-    assert "stream complete" in out
-
-
-def test_serve_accepts_batch_knobs(capsys):
-    code = main(["serve", "--workload", "wiki", "--scale", "0.005",
-                 "--epoch-size", "20", "--listen", "127.0.0.1:0",
-                 "--linger", "0.2", "--batch-records", "8",
-                 "--batch-bytes", "4096"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "listening on 127.0.0.1:" in out
-    assert "stream complete" in out
+        json.dump({"workers": 2, "net_idle_timeout": 5.0}, fh)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["audit", "bundle.jsonl", "--config", config_path])
+    assert excinfo.value.code == 2
+    assert ("unknown audit config keys: net_idle_timeout"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("flag, bad", [
     ("--batch-records", "0"), ("--batch-bytes", "-1"),
 ])
 def test_serve_rejects_bad_batch_knobs(capsys, flag, bad):
+    """The batch bounds are constants of the publisher, not flags:
+    whatever the value, naming one is a usage error."""
     with pytest.raises(SystemExit):
         main(["serve", "--workload", "wiki", "--scale", "0.005",
               "--listen", "127.0.0.1:0", flag, bad])

@@ -7,7 +7,7 @@ import pytest
 from repro.net.protocol import (
     HELLO,
     MAX_FRAME_PAYLOAD,
-    RECORD,
+    RECORD_BATCH,
     ProtocolError,
     TransportError,
     decode_frame,
@@ -38,10 +38,10 @@ def test_parse_endpoint_rejects(bad):
 
 
 def test_frame_roundtrip():
-    payload = {"kind": "event", "event": {"x": [1, 2, "three"]}}
-    frame = encode_frame(RECORD, payload)
+    payload = [{"kind": "event", "event": {"x": [1, 2, "three"]}}]
+    frame = encode_frame(RECORD_BATCH, payload)
     kind, decoded, consumed = decode_frame(frame)
-    assert kind == RECORD
+    assert kind == RECORD_BATCH
     assert decoded == payload
     assert consumed == len(frame)
 
@@ -54,29 +54,32 @@ def test_frame_roundtrip_with_trailing_bytes():
 
 
 def test_bad_crc_rejected():
-    frame = bytearray(encode_frame(RECORD, {"kind": "end", "events": 3}))
+    frame = bytearray(encode_frame(RECORD_BATCH,
+                                   [{"kind": "end", "events": 3}]))
     frame[7] ^= 0xFF  # flip a payload byte; CRC no longer matches
     with pytest.raises(ProtocolError, match="CRC"):
         decode_frame(bytes(frame))
 
 
 def test_corrupted_kind_rejected():
-    frame = bytearray(encode_frame(RECORD, {"kind": "end"}))
-    frame[0] = 0x7F  # unknown kind
-    with pytest.raises(ProtocolError, match="unknown frame kind"):
-        decode_frame(bytes(frame))
+    frame = bytearray(encode_frame(RECORD_BATCH, [{"kind": "end"}]))
+    # 0x03 is the retired one-record RECORD: as unknown as any other.
+    for kind in (0x7F, 0x03):
+        frame[0] = kind
+        with pytest.raises(ProtocolError, match="unknown frame kind"):
+            decode_frame(bytes(frame))
 
 
 def test_absurd_length_rejected():
     import struct
 
-    header = struct.pack("!BI", RECORD, MAX_FRAME_PAYLOAD + 1)
+    header = struct.pack("!BI", RECORD_BATCH, MAX_FRAME_PAYLOAD + 1)
     with pytest.raises(ProtocolError, match="exceeds"):
         decode_frame(header + b"\x00" * 64)
 
 
 def test_torn_frame_is_transport_error():
-    frame = encode_frame(RECORD, {"kind": "end", "events": 0})
+    frame = encode_frame(RECORD_BATCH, [{"kind": "end", "events": 0}])
     for cut in (0, 3, len(frame) - 1):
         with pytest.raises(TransportError, match="truncated"):
             decode_frame(frame[:cut])
@@ -98,7 +101,7 @@ def test_mid_frame_stall_is_truncation_not_idleness():
             reader.recv_frame(Deadline(0.05))
         # Quiet mid-frame: truncation, surfaced as TransportError (and
         # never as the IdleTimeout subclass).
-        frame = encode_frame(RECORD, {"kind": "end", "events": 0})
+        frame = encode_frame(RECORD_BATCH, [{"kind": "end", "events": 0}])
         left.sendall(frame[:len(frame) - 2])
         try:
             reader.recv_frame(Deadline(0.05))
@@ -118,8 +121,8 @@ def test_non_json_payload_rejected():
     import zlib
 
     payload = b"\xff\xfenot json"
-    crc = zlib.crc32(bytes([RECORD]) + payload) & 0xFFFFFFFF
-    frame = (struct.pack("!BI", RECORD, len(payload)) + payload
+    crc = zlib.crc32(bytes([RECORD_BATCH]) + payload) & 0xFFFFFFFF
+    frame = (struct.pack("!BI", RECORD_BATCH, len(payload)) + payload
              + struct.pack("!I", crc))
     with pytest.raises(ProtocolError, match="not JSON"):
         decode_frame(frame)

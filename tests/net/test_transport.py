@@ -397,7 +397,8 @@ def test_slow_consumer_backpressure_blocks_publisher(counter_app):
     epochs, delay = 8, 0.12
     # Small socket buffers: without them the loopback kernel would
     # sponge up the whole stream and no backpressure would be visible.
-    with BundlePublisher(max_lag=2, sndbuf=32768) as publisher:
+    with BundlePublisher(max_lag=2, stall_timeout=None,
+                         sndbuf=32768) as publisher:
         consumed = []
 
         def consume():

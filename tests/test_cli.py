@@ -636,6 +636,52 @@ MARK_CASES = {
 }
 
 
+@pytest.mark.parametrize("epoch_workers", [1, 2])
+@pytest.mark.parametrize("road", ["audit_epochs", "repro audit --json"])
+def test_shard_count_is_the_epochs_audited(tmp_path, capsys, road,
+                                           epoch_workers):
+    """A mark forged 300 events in makes four epochs of the fixture's
+    three, the second torn: two epochs are audited, the second rejects,
+    and ``shard_count`` says 2 on every road — not the epochs recorded,
+    nor however many the loop had fed (or read) by the time the
+    rejection settled."""
+    from repro.core import Auditor
+    from repro.io import BundleReader
+    from repro.scenarios import build_scenario_app
+
+    lines, first, _ = _fixture_lines()
+    _after_300_events(lines, first)
+    bundle = str(tmp_path / "bundle.jsonl")
+    with open(bundle, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    if road == "audit_epochs":
+        pulled = []
+        with BundleReader.open(bundle) as reader:
+            result = Auditor(
+                build_scenario_app("cart", 0.05),
+                epoch_workers=epoch_workers,
+            ).audit_epochs(
+                (pulled.append(epoch.index) or epoch
+                 for epoch in reader.epochs()), reader.initial_state)
+        stats, epochs = result.stats, result.stats["shards"]
+        assert (result.accepted, result.reason.value) == (
+            False, "trace_unbalanced")
+        # Nothing after a settled rejection is read; a pooled session
+        # may have primed more by the time its second epoch settled.
+        assert pulled == [0, 1] if epoch_workers == 1 else (
+            pulled[:2] == [0, 1] and len(pulled) <= 4)
+    else:
+        capsys.readouterr()
+        assert main(["audit", bundle, *CART, "--json",
+                     "--epoch-workers", str(epoch_workers)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        stats, epochs = payload["stats"], payload["epochs"]
+        assert (payload["reason"], payload["rejecting_epoch"]) == (
+            "trace_unbalanced", 1)
+    assert stats["shard_count"] == len(epochs) == 2
+    assert [epoch["accepted"] for epoch in epochs] == [True, False]
+
+
 def test_forged_epoch_marks_get_one_verdict_on_every_road(tmp_path,
                                                           capsys):
     """The bundle's epoch marks are the executor's word like the rest

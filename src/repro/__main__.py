@@ -11,10 +11,12 @@ Commands:
   epoch, via :class:`~repro.net.publisher.BundlePublisher`;
 * ``audit`` — run the SSCO audit over a bundle file, a file that is
   still being written (``--follow``), or a remote ``serve`` publisher's
-  stream (``--connect HOST:PORT``).  All three are one loop: epoch
-  slices come off the reader one at a time into an incremental
-  :class:`~repro.core.auditor.AuditSession`, which carries only
-  migrated object state between epochs (§4.1, §4.5).
+  stream (``--connect HOST:PORT``).  All three open a reader and
+  call the one epoch loop (:meth:`~repro.core.auditor.Auditor.
+  audit_stream`): epoch slices come off the reader one at a time into
+  an :class:`~repro.core.auditor.AuditSession`, which carries only
+  migrated object state between epochs (§4.1, §4.5); a record that
+  does not decode is its ``malformed_bundle`` verdict.
   With ``--fleet-listen [HOST:]PORT`` the session additionally fans
   each epoch out to registered ``repro worker`` daemons (composes
   with ``--connect``: one auditor, N worker hosts, one recorder);
@@ -69,7 +71,9 @@ from repro.apps import (
 )
 from repro.bench import figure9_decomposition, render_table
 from repro.bench.harness import run_audit_phase
+from repro.common.errors import MalformedBundle
 from repro.core import Auditor, simple_audit
+from repro.core.auditor import malformed_verdict
 from repro.core.config import AuditConfig
 from repro.core.reexec import available_backends
 from repro.fleet import FleetCoordinator, FleetWorker
@@ -161,12 +165,13 @@ def _fleet_endpoint(text: str) -> str:
     return _endpoint(text if ":" in text else f"0.0.0.0:{text}")
 
 
-def _seconds(text: str) -> float:
-    """argparse ``type=``: a positive number of seconds."""
+def _positive(text: str) -> float:
+    """argparse ``type=``: a number greater than zero (seconds, a
+    workload scale)."""
     value = float(text)  # a ValueError is argparse's "invalid value"
     if not value > 0:
         raise argparse.ArgumentTypeError(
-            f"must be a positive number of seconds, got {text!r}")
+            f"must be a positive number, got {text!r}")
     return value
 
 
@@ -294,7 +299,8 @@ def cmd_serve(args) -> int:
 
 def cmd_audit(args) -> int:
     """Audit a bundle file, a file still being written, or a socket:
-    open the reader, then one loop for all three."""
+    open the reader, hand it to the one epoch loop
+    (:meth:`Auditor.audit_stream`), print what it says."""
     config = _config_from_args(args._parser, args)
     workload = _build(args)  # the program is the trusted input
     usage = args._parser.error
@@ -335,8 +341,8 @@ def cmd_audit(args) -> int:
             print(f"error: cannot read bundle {args.bundle}: {exc}",
                   file=sys.stderr)
             return 2
-        except ValueError as exc:
-            return _reject_malformed(exc, args.json)
+        except MalformedBundle as exc:  # not a bundle: no epoch to read
+            return _print_verdict(malformed_verdict(exc), args.json)
     pool = contextlib.nullcontext()
     if args.fleet_listen:
         # Where the epochs run is the caller's to say: the session is
@@ -354,36 +360,27 @@ def cmd_audit(args) -> int:
                   f"{args.fleet_listen}: {exc}", file=sys.stderr)
             return 2
         banner += f" (workers join {pool.endpoint})"
+    on_epoch = None
     if not args.json:
         print(f"{banner} against {workload.label} "
               f"({config.describe()}) ...")
+
+        def on_epoch(epoch):
+            print(f"epoch {epoch.index}: "
+                  f"{'ACCEPTED' if epoch.accepted else 'REJECTED'} "
+                  f"({epoch.requests} requests, "
+                  f"{epoch.phases.get('total', 0.0) * 1e3:.1f} ms)")
+
     try:
-        with pool as fleet:
-            return _drive_stream_session(
-                reader, workload, config, reading, pool=fleet,
-                as_json=args.json,
-                baseline=args.bundle if args.baseline else None)
+        with pool as fleet, reader:
+            audit = Auditor(workload.app, config).audit_stream(
+                reader, fleet, on_epoch, **reading)
     except (TransportError, ProtocolError) as exc:
+        # A frame the *wire* mangled, not a record that does not decode.
         print(f"error: live stream failed: {exc}", file=sys.stderr)
         return 2
-
-
-#: What decoding a record that is not what it claims to be raises.
-_UNDECODABLE = (ValueError, KeyError, TypeError)
-
-
-def _reject_malformed(exc: Exception, as_json: bool) -> int:
-    """The bundle is the executor's word: one that does not decode is
-    evidence that does not verify, not a fault of this program."""
-    detail = f"{type(exc).__name__}: {exc}"
-    if as_json:
-        print(json.dumps({
-            "verdict": "REJECTED", "accepted": False,
-            "reason": "malformed_bundle", "detail": detail,
-        }, indent=2, sort_keys=True))
-    else:
-        print(f"REJECTED: malformed_bundle: {detail}")
-    return 1
+    base = _baseline(workload, args.bundle) if args.baseline else None
+    return _print_verdict(audit, args.json, base)
 
 
 def cmd_worker(args) -> int:
@@ -597,7 +594,7 @@ def _load_timeline(args, workload, config) -> Timeline | None:
     try:
         return Timeline.from_bundle(args.bundle, workload.app,
                                     config=config)
-    except (OSError, *_UNDECODABLE) as exc:
+    except (OSError, MalformedBundle) as exc:
         print(f"error: cannot load bundle {args.bundle}: {exc}",
               file=sys.stderr)
         return None
@@ -731,13 +728,17 @@ def _audit_summary(audit) -> dict:
     Stable schema: ``verdict``/``accepted``/``reason``/``detail``,
     per-phase seconds, the summed counter stats, the per-epoch
     summaries (``epochs``), and the first rejecting epoch's index
-    (``rejecting_epoch``, ``null`` on an accepted audit).
+    (``rejecting_epoch``, ``null`` on an accepted audit).  A
+    ``malformed_bundle`` verdict lists the epochs that settled before
+    the record that does not decode; its ``rejecting_epoch`` is their
+    count — the epoch that record belongs to.
     """
     stats = {name: value for name, value in audit.stats.items()
              if name not in ("shards", "group_alphas")}
     epochs = audit.stats["shards"]
-    rejecting = next((epoch["shard"] for epoch in epochs
-                      if not epoch["accepted"]), None)
+    rejecting = None if audit.accepted else next(
+        (epoch["shard"] for epoch in epochs if not epoch["accepted"]),
+        len(epochs))
     return {
         "verdict": "ACCEPTED" if audit.accepted else "REJECTED",
         "accepted": audit.accepted,
@@ -750,71 +751,9 @@ def _audit_summary(audit) -> dict:
     }
 
 
-def _drive_stream_session(reader, workload, config: AuditConfig,
-                          reading: dict, pool=None, as_json: bool = False,
-                          baseline: str | None = None) -> int:
-    """The audit loop under ``repro audit FILE``, ``--follow`` (file
-    tail) and ``--connect`` (socket): feed each epoch slice into an
-    incremental audit session, print per-epoch verdicts, merge.  The
-    slices are the reader's: the epochs the bundle was recorded in,
-    read with its ``reading`` keywords (a file's ``follow`` /
-    ``idle_timeout``); ``pool`` is handed to the session.
-
-    Feeding is asynchronous: with ``epoch_workers > 1`` the session
-    audits several epochs concurrently while this loop keeps ingesting
-    (bounded by the session's prepass backpressure); verdicts print in
-    epoch order as they settle.  On a synchronous session every handle
-    resolves at once and the loop is a strict feed-print alternation.
-
-    A record that does not decode ends the audit as ``malformed_bundle``
-    (exit 1) once the epochs before it have settled; a frame the *wire*
-    mangled stays a transport error.  ``baseline`` names the file to
-    re-read for the simple re-execution baseline after the verdict.
-    """
-    def settle(epoch) -> bool:
-        """Print one epoch's line; True when it rejected."""
-        if not as_json:
-            verdict = "ACCEPTED" if epoch.accepted else "REJECTED"
-            print(f"epoch {epoch.index}: {verdict} "
-                  f"({epoch.requests} requests, "
-                  f"{epoch.phases.get('total', 0.0) * 1e3:.1f} ms)")
-        return not epoch.accepted
-
-    def decode(step):
-        """One step of the reader: (what it read, why it could not)."""
-        try:
-            return step(), None
-        except ProtocolError:
-            raise
-        except _UNDECODABLE as exc:
-            return None, exc
-
-    with reader:
-        initial, malformed = decode(
-            lambda: reader.read_initial_state(**reading))
-        if malformed is not None:
-            return _reject_malformed(malformed, as_json)
-        epochs = reader.epochs(**reading)
-        auditor = Auditor(workload.app, config)
-        rejected = False
-        with auditor.session(initial, pool) as session:
-            pending = []
-            while not rejected:
-                epoch_slice, malformed = decode(lambda: next(epochs, None))
-                if epoch_slice is None:
-                    break
-                pending.append(session.submit_epoch(epoch_slice.trace,
-                                                    epoch_slice.reports))
-                while pending and pending[0].done():
-                    if settle(pending.pop(0).result()):
-                        rejected = True
-                        break
-            while pending and not rejected:
-                rejected = settle(pending.pop(0).result())
-            audit = session.close()
-    if malformed is not None and audit.accepted:
-        return _reject_malformed(malformed, as_json)
-    base = _baseline(workload, baseline) if baseline else None
+def _print_verdict(audit, as_json: bool, base: dict | None = None) -> int:
+    """The verdict of ``repro audit`` (and ``--baseline``'s, after it);
+    returns the exit code: 1 on REJECTED."""
     if as_json:
         payload = _audit_summary(audit)
         if base is not None:
@@ -840,9 +779,9 @@ def _baseline(workload, path: str) -> dict:
     try:
         with BundleReader.open(path) as reader:
             trace, reports, initial, _ = reader.read_all()
-    except _UNDECODABLE:
-        # Only past a REJECTED epoch: the audit stopped short of the
-        # record that does not decode, the baseline reads on into it.
+    except MalformedBundle:
+        # A record that does not decode: the audit said so, or stopped
+        # short of it at a REJECTED epoch and the baseline read on.
         return {"accepted": False, "seconds": 0.0}
     base = simple_audit(workload.app, trace, reports, initial)
     return {"accepted": base.accepted, "seconds": base.seconds}
@@ -905,15 +844,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--workload", choices=sorted(_WORKLOADS),
                        default="wiki")
-        p.add_argument("--scale", type=float, default=0.02,
+        p.add_argument("--scale", type=_positive, default=0.02,
                        help="workload scale (1.0 = the paper's full size)")
         p.add_argument("--seed", type=int, default=1)
 
     def recording(p):
         common(p)
-        p.add_argument("--concurrency", type=int, default=8,
+        p.add_argument("--concurrency", type=_at_least(1), default=8,
                        help="server's max in-flight requests")
-        p.add_argument("--epoch-size", type=int, default=None,
+        p.add_argument("--epoch-size", type=_at_least(0), default=None,
                        help="drain every N requests and record an epoch "
                             "mark: the epochs the bundle is audited in "
                             "(default: synth 500, the others one epoch)")
@@ -951,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="after the end record, wait this long for "
                             "an auditor to drain the stream")
-    serve.add_argument("--net-idle-timeout", type=_seconds, default=None,
+    serve.add_argument("--net-idle-timeout", type=_positive, default=None,
                        metavar="SECONDS",
                        help="drop a subscriber that lags this long "
                             "(it can reconnect and resume; default 30s)")
@@ -985,12 +924,12 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="HOST:PORT",
                        help="audit the live stream of a `repro serve` "
                             "publisher instead of a bundle file")
-    audit.add_argument("--net-connect-timeout", type=_seconds,
+    audit.add_argument("--net-connect-timeout", type=_positive,
                        default=None, metavar="SECONDS",
                        help="--connect: bound on connect + handshake "
                             "(refused connections are retried until it "
                             "expires; default 5s)")
-    audit.add_argument("--net-idle-timeout", type=_seconds, default=None,
+    audit.add_argument("--net-idle-timeout", type=_positive, default=None,
                        metavar="SECONDS",
                        help="--connect: give up after this long without "
                             "a frame; --fleet-listen: drop a worker "
@@ -1008,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, metavar="N",
                        help="wait for N registered workers before "
                             "dispatching the first epoch (default 0)")
-    audit.add_argument("--fleet-task-timeout", type=_seconds,
+    audit.add_argument("--fleet-task-timeout", type=_positive,
                        default=None, metavar="SECONDS",
                        help="per-epoch straggler deadline on a worker; "
                             "past it the epoch is re-dispatched")
@@ -1087,7 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default="cart",
                       help="the app the bundle was recorded against "
                            "(default: cart)")
-    fuzz.add_argument("--scale", type=float, default=0.05,
+    fuzz.add_argument("--scale", type=_positive, default=0.05,
                       help="the scale the bundle was recorded at "
                            "(default 0.05, the committed fixture's)")
     fuzz.add_argument("--seed", type=int, default=0,

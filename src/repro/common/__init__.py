@@ -7,6 +7,7 @@ rest of the library.
 from repro.common.errors import (
     AuditReject,
     DivergenceError,
+    MalformedBundle,
     RejectReason,
     ReproError,
     WeblangError,
@@ -18,6 +19,7 @@ __all__ = [
     "AuditReject",
     "DivergenceError",
     "FlowDigest",
+    "MalformedBundle",
     "RejectReason",
     "ReproError",
     "SqlError",

@@ -73,6 +73,10 @@ class RejectReason(enum.Enum):
     # External-request verification (the §5.5 extension).
     EXTERNAL_MISMATCH = "external_mismatch"
 
+    # The evidence itself (§3: the reports are the executor's untrusted
+    # word): a bundle record that does not decode.
+    MALFORMED_BUNDLE = "malformed_bundle"
+
 
 class AuditReject(ReproError):
     """The verifier's REJECT outcome.
@@ -87,6 +91,25 @@ class AuditReject(ReproError):
         self.detail = detail
         message = reason.value if not detail else f"{reason.value}: {detail}"
         super().__init__(message)
+
+
+class MalformedBundle(ValueError):
+    """A bundle record that is not what it claims to be.
+
+    :mod:`repro.io` raises this — and nothing else — for a file that is
+    not a bundle, a line that is not a record, a field that is missing
+    or mistyped, a second ``state`` record: whatever the executor wrote
+    that the decoder cannot turn into audit inputs.  The epoch loop
+    (:meth:`repro.core.auditor.Auditor.audit_epochs`) turns it into a
+    ``MALFORMED_BUNDLE`` verdict.  A frame the *wire* mangled is a
+    :class:`~repro.net.protocol.ProtocolError`, a transport fault.
+    """
+
+    @classmethod
+    def of(cls, fault: Exception) -> MalformedBundle:
+        """``fault`` is what decoding raised (``KeyError: 'rid'``,
+        ``TypeError: 'int' object is not iterable``, ...)."""
+        return cls(f"{type(fault).__name__}: {fault}")
 
 
 class DivergenceError(ReproError):

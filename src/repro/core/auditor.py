@@ -8,63 +8,54 @@ epoch boundaries.  This module is that verifier:
 * :class:`Auditor` binds the trusted program and a validated
   :class:`~repro.core.config.AuditConfig`.  :meth:`Auditor.audit` is one
   pipeline pass over one epoch (``ssco_audit`` is its kwargs
-  shorthand); :meth:`Auditor.session` opens an **incremental epoch
-  session** and :meth:`Auditor.audit_epochs` drives one over any
-  iterable of epoch slices.  These are the only audit entry points.
-* :class:`AuditSession` is the one epoch driver.  It consumes one epoch
-  at a time: :meth:`~AuditSession.feed_epoch` audits a (trace slice,
-  reports slice) pair against the state migrated out of the previous
-  epoch and returns a per-epoch :class:`EpochResult`;
-  :meth:`~AuditSession.close` returns the merged
-  :class:`~repro.core.pipeline.AuditResult`.
-* The session takes its epochs as given.  Where an epoch ends is the
-  recorder's decision (``Executor(epoch_size=...)`` drains and marks
-  it); the slices come from ``ExecutionResult.epochs()`` in memory,
-  ``BundleReader.epochs()`` from a file and
-  ``RemoteBundleReader.epochs()`` from a socket, and nothing on this
-  side re-cuts them.
-* With a **pool** — the one the session is handed (``session(state,
-  pool=...)``: anything with ``width``, ``run(payload: bytes)``,
-  ``serial_fallbacks`` and ``close()``), or the
-  :class:`~repro.core.epochpool.EpochPool` it opens for itself when
-  ``config.epoch_workers > 1`` — the chain is unrolled: at feed time
-  only the cheap, serial part runs — the cross-epoch checks and the
-  redo-only **state precompute**
-  (:func:`~repro.core.pipeline.state_precompute_pipeline`), which
-  migrates the next epoch's initial state without re-executing anything
-  — and the epoch's full audit is encoded, there, as one work unit and
-  handed to the pool as bytes.  Several epochs audit concurrently;
-  results are merged strictly in feed order, so the per-epoch results
-  and the merged outcome are bit-identical to the serial session
-  (epochs after the first rejection come back *skipped* and their
-  speculative audits are discarded).
+  shorthand).  :meth:`Auditor.audit_epochs` is **the epoch loop** — the
+  only one: it feeds any iterable of epoch slices through a session,
+  tells ``on_epoch`` what settled, and owns the end of the stream (a
+  settled rejection, or a record that does not decode: a
+  ``malformed_bundle`` verdict).  :meth:`Auditor.audit_stream` hands it
+  a reader's state record and epochs — what ``repro audit``,
+  ``--follow``, ``--connect`` and ``repro fuzz`` call.
+  :meth:`Auditor.session` opens a session to feed by hand.
+* :class:`AuditSession` is one feed-ordered queue of epochs.  It takes
+  them as given — where an epoch ends is the recorder's decision
+  (``Executor(epoch_size=...)``), and nothing on this side re-cuts the
+  slices ``ExecutionResult.epochs()``, ``BundleReader.epochs()`` or
+  ``RemoteBundleReader.epochs()`` yield.  Without a pool an entry is
+  resolved as it is fed, by the full pipeline.  With one — handed in
+  (``session(state, pool=...)``: anything with ``width``,
+  ``run(payload: bytes)``, ``serial_fallbacks`` and ``close()``), or
+  the :class:`~repro.core.epochpool.EpochPool` the session opens when
+  ``config.epoch_workers > 1`` — only the cheap, serial part runs at
+  feed time (the cross-epoch checks and the redo-only **state
+  precompute**, :func:`~repro.core.pipeline.state_precompute_pipeline`,
+  which migrates the next epoch's initial state without re-executing
+  anything) and the full audit travels to the pool as bytes.  Either
+  way entries are merged strictly in feed order, in one place, so
+  per-epoch results and the merged outcome are bit-identical.
 
 Soundness across epochs: the session chains each epoch's §4.5 migrated
-state into the next (acceptance is inductive, as for contiguous audit
-epochs), and threads the ``uniqid()``-uniqueness plausibility check's
-state across feeds so the §4.6 whole-stream check is preserved.  After a
-rejected epoch the chain is broken and every further feed returns a
-*skipped* result carrying the original verdict.  In concurrent mode the
-prepass state an epoch audits against is speculative: it is derived from
-the earlier epochs' logs by the same verifier code the full audit runs,
-and it is only *certified* at the in-order merge
-(:meth:`AuditSession._merge_next_entry`), which reaches epoch *k*'s
-outcome only after every earlier epoch's full audit accepted those logs.
-
-The streaming front end lives in :mod:`repro.io`:
-``BundleReader.epochs(follow=True)`` tails a live JSONL bundle and
-yields exactly the slices :meth:`~AuditSession.feed_epoch` consumes.
+state into the next (acceptance is inductive), and threads the
+``uniqid()`` plausibility check's state across feeds so the §4.6
+whole-stream check is preserved.  After a rejected epoch the chain is
+broken: every further epoch comes back *skipped*, carrying the original
+verdict, and a speculative audit of it is discarded.  With a pool the
+state an epoch audits against is speculative — derived from the earlier
+epochs' logs by the same verifier code the full audit runs — and only
+*certified* at the in-order merge
+(:meth:`AuditSession._merge_next_entry`), which reaches epoch *k* only
+after every earlier epoch's full audit accepted those logs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time as _time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
-from repro.common.errors import RejectReason
+from repro.common.errors import MalformedBundle, RejectReason
 from repro.core.config import AuditConfig
 from repro.core.epochpool import EpochPool
 from repro.core.epochwork import (
@@ -141,12 +132,29 @@ class AuditSession:
     session owns the chain state: the initial state it was opened with,
     then each accepted epoch's migrated state.  Use as a context manager
     to guarantee :meth:`close`.
+
+    A session is one feed-ordered queue.  Every fed epoch is an entry:
+    a future of its :class:`~repro.core.pipeline.AuditResult` and the
+    state it migrates.  Without a pool the entry is resolved on the
+    spot, by the full pipeline; with one, the redo-only prepass chains
+    the state and the full audit is dispatched.  Either way
+    :meth:`_merge_next_entry` is where an entry becomes an
+    :class:`EpochResult`, strictly in feed order.
     """
 
     def __init__(self, auditor: Auditor, initial_state: InitialState,
-                 pool=None):
+                 pool=None, on_epoch=None):
         self._auditor = auditor
+        #: The *certified* chain state, advanced only at merge time.
         self._state = initial_state
+        #: The chain state at the feeding end — what the next fed epoch
+        #: audits against.  With a pool it runs ahead of ``_state`` on
+        #: the prepass's word (speculative until the merge).
+        self._fed_state = initial_state
+        #: Set once an epoch rejected (or crashed) as it was fed: every
+        #: later feed is skipped without being looked at.
+        self._feed_broken = False
+        self._on_epoch = on_epoch
         config = auditor.config
         #: What every epoch runs under: the chain always needs the
         #: next state.
@@ -159,42 +167,40 @@ class AuditSession:
                 "a custom pipeline audits its epochs serially; it "
                 "cannot be handed a pool"
             )
-        #: A pool the session opened is the session's to close; one it
-        #: was handed is its caller's.
-        self._owns_pool = (pool is None and auditor.pipeline is None
-                           and config.epoch_workers > 1)
-        if self._owns_pool:
+        #: What close() releases.  A pool the session opened is the
+        #: session's to close; one it was handed is its caller's.
+        self._resources = contextlib.ExitStack()
+        if (pool is None and auditor.pipeline is None
+                and config.epoch_workers > 1):
             # One persistent process pool shared by every epoch of
             # this session.
             pool = EpochPool(config.epoch_workers)
+            self._resources.callback(pool.close)
         self._pool = pool
-        self._threads: ThreadPoolExecutor | None = None
-        if pool is not None:
-            # Concurrent epoch mode: the cheap redo-only prepass chains
-            # state serially at submit time and encodes each epoch's
-            # full audit as a work unit; these threads only hand the
-            # bytes to the pool and wait, so results can be merged back
-            # strictly in feed order.
-            self._threads = ThreadPoolExecutor(
-                max_workers=pool.width,
-                thread_name_prefix="audit-epoch",
-            )
+        if pool is None:
+            #: Backpressure: submit_epoch first settles the oldest
+            #: entries until fewer than this many are unmerged.  Here
+            #: every entry is resolved as it is fed, so the session
+            #: holds one result and one chain state at a time.
+            self._depth = 1
+        else:
+            # These threads only hand a work unit's bytes to the pool
+            # and wait, so results can be merged back in feed order.
+            self._threads = self._resources.enter_context(
+                ThreadPoolExecutor(max_workers=pool.width,
+                                   thread_name_prefix="audit-epoch"))
             self._worker_config = epoch_worker_config(self._epoch_config)
-            #: Backpressure: submit_epoch blocks once this many primed
-            #: epochs are in flight — deep enough to keep every worker
-            #: busy while the next epochs prime, shallow enough that a
-            #: stream cannot pin unbounded speculative work units.
-            self._prepass_depth = 2 * pool.width
-            self._precompute_seconds = 0.0
-            #: Feed-order merge queue: ("skipped"|"crashed"|"rejected"|
-            #: "audit", payload, requests, events) per fed epoch.
-            self._entries: list[tuple] = []
-            self._merged_upto = 0
-            #: Speculative chain state (redo-only); ``_state`` remains
-            #: the *certified* chain, advanced only at merge time.
-            self._prepass_state = initial_state
-            self._prepass_failed = False
-            self._merge_lock = threading.RLock()
+            # Deep enough to keep every worker busy while the next
+            # epochs prime, shallow enough that a stream cannot pin
+            # unbounded speculative work units.
+            self._depth = 2 * pool.width
+        #: The queue: (future of the epoch's AuditResult — ``None`` for
+        #: an epoch skipped at feed time —, the state it migrates,
+        #: requests, events) per fed epoch; merged entries keep only
+        #: the counts.
+        self._entries: list[tuple] = []
+        self._merged_upto = 0
+        self._merge_lock = threading.RLock()
         self._seen_uniq: set = set()
         self._epochs: list[EpochResult] = []
         self._summaries: list[dict[str, object]] = []
@@ -222,99 +228,114 @@ class AuditSession:
         return self.submit_epoch(trace, reports).result()
 
     def submit_epoch(self, trace: Trace, reports: Reports) -> PendingEpoch:
-        """Feed the next epoch and return its handle: serial sessions
-        audit inline (the handle is already resolved), sessions with a
-        pool prepass inline and dispatch to it, so the caller is free
-        to ingest the next epoch meanwhile."""
+        """Feed the next epoch and return its handle.
+
+        The parts that must run serially happen here, in the caller's
+        thread: without a pool that is the epoch's whole audit (the
+        handle is already resolved); with one, the cross-epoch checks
+        (balance, the §4.6 uniqid seen-set) and the redo-only prepass
+        that migrates the next epoch's initial state, after which the
+        caller is free to ingest the next epoch while the pool audits.
+        EpochResults are constructed at merge time, strictly in feed
+        order, so verdicts and stats are the same either way, even when
+        a rejection is discovered after later epochs were fed.
+
+        Backpressure: before starting another epoch, the oldest entries
+        are settled until fewer than ``2 * pool.width`` are in flight —
+        a follow/connect session feeding faster than the pool audits
+        blocks here instead of accumulating unbounded speculative state.
+        """
         if self._closed:
             raise RuntimeError("audit session is closed")
         index = self._fed
         self._fed += 1
-        if self._pool is not None:
-            return self._submit_epoch_concurrent(index, trace, reports)
-        try:
-            epoch = self._audit_epoch(index, trace, reports)
-        except Exception as crash:
-            self._crash = crash  # close() must not report over it
-            raise
-        return PendingEpoch(index, lambda timeout=None: epoch, lambda: True)
-
-    # -- the concurrent (epoch_workers) feed path -------------------------
-
-    def _submit_epoch_concurrent(self, index: int, trace: Trace,
-                                 reports: Reports) -> PendingEpoch:
-        """Feed-order half of the concurrent mode.
-
-        The parts that must run serially happen here, in the caller's
-        thread: the cross-epoch checks (balance, the §4.6 uniqid
-        seen-set) and the redo-only prepass that migrates the next
-        epoch's initial state.  The heavy remainder goes to the epoch
-        pool.  EpochResults are constructed at merge time, strictly in
-        feed order, so verdicts and stats match the serial session even
-        when a rejection is discovered after later epochs were fed.
-
-        Backpressure: before priming another epoch, the speculative
-        prepass is held back until fewer than ``2 * pool.width``
-        primed epochs are in flight — a follow/connect session feeding
-        faster than the pool audits blocks here instead of accumulating
-        unbounded speculative state.
-        """
         requests = len(trace.request_ids())
         events = len(trace)
         while True:
             with self._merge_lock:
-                if (self._prepass_failed or self._failure is not None
+                if (self._feed_broken or self._failure is not None
                         or len(self._entries) - self._merged_upto
-                        < self._prepass_depth):
+                        < self._depth):
                     break
                 oldest = self._merged_upto
             # Settle (and release) the oldest in-flight epoch before
-            # priming more; the wait happens outside the merge lock.
+            # starting more; the wait happens outside the merge lock.
             self._resolve(oldest)
+        crash = None
         with self._merge_lock:
-            if self._prepass_failed or self._failure is not None:
-                self._entries.append(("skipped", None, requests, events))
-            else:
+            future = next_state = None  # skipped, unless:
+            if not self._feed_broken and self._failure is None:
+                # (Chosen here, not kept as a bound method: the session
+                # must not be a reference cycle — back-to-back audits
+                # would each wait for the collector to free their
+                # epochs' results and chain state.)
+                start = (self._audit_here if self._pool is None
+                         else self._prepass_and_dispatch)
                 try:
-                    entry = self._prepass_epoch(trace, reports, requests,
-                                                events)
-                except BaseException as crash:
-                    # Keep the merge queue aligned with epoch indexes: a
-                    # crashed prepass still occupies its slot, and the
+                    future, next_state = start(trace, reports)
+                except BaseException as exc:
+                    # Keep the queue aligned with epoch indexes: a
+                    # crashed feed still occupies its slot, and the
                     # crash resurfaces at merge/close time too (a
                     # session must never report ACCEPTED over an epoch
                     # whose audit crashed).
-                    self._prepass_failed = True
-                    self._entries.append(("crashed", crash, requests,
-                                          events))
-                    raise
-                self._entries.append(entry)
+                    crash = exc
+                    future = Future()
+                    future.set_exception(crash)
+                if next_state is None:  # rejected here, or crashed
+                    self._feed_broken = True
+                else:
+                    self._fed_state = next_state
+            self._entries.append((future, next_state, requests, events))
+        if crash is not None:
+            raise crash
         return PendingEpoch(
             index,
             resolver=lambda timeout=None: self._resolve(index, timeout),
             done_fn=lambda: self._entry_done(index),
         )
 
-    def _prepass_epoch(self, trace: Trace, reports: Reports,
-                       requests: int, events: int) -> tuple:
-        """One epoch's serial half; returns its merge-queue entry."""
-        epoch_state = self._prepass_state
+    # -- how an entry is started: (future of its result, next state) ------
+
+    def _audit_here(self, trace: Trace, reports: Reports) -> tuple:
+        """No pool: the epoch's whole audit, here and now."""
+        # The pipeline's trace check gets the whole stream's uniqid()
+        # values: only that shared set catches one duplicated *across*
+        # epochs.
+        actx = AuditContext(self._auditor.app, trace, reports,
+                            self._fed_state, self._epoch_config,
+                            self._seen_uniq)
+        result = (self._auditor.pipeline or default_pipeline()).run(actx)
+        if result.accepted and result.next_initial is None:
+            raise ValueError(
+                "audit session needs a MigratePhase in the pipeline "
+                "to chain epoch state"
+            )
+        return _ready(result), result.next_initial
+
+    def _prepass_and_dispatch(self, trace: Trace,
+                              reports: Reports) -> tuple:
+        """A pool: the epoch's serial half here, the rest dispatched."""
+        epoch_state = self._fed_state
         prepass_start = _time.perf_counter()
         pre = prepass_epoch(self._auditor.app, trace, reports, epoch_state,
                             self._epoch_config, self._seen_uniq).result
-        self._precompute_seconds += _time.perf_counter() - prepass_start
+        # The workers re-time their own phases, so the parent-side
+        # prepass is extra work the per-epoch results do not carry.
+        phases = self._merged.phases
+        phases["state_precompute"] = (
+            phases.get("state_precompute", 0.0)
+            + _time.perf_counter() - prepass_start)
         if not pre.accepted:
             # The full audit would reject at the same check with the
             # same reason — the prepass *is* that prefix of it — so its
             # result already carries the epoch's verdict and stats.
-            self._prepass_failed = True
-            return ("rejected", pre, requests, events)
-        self._prepass_state = pre.next_initial
+            return _ready(pre), None
         # Whole-epoch work unit, encoded here — by the one thread that
         # builds and reads these objects — so the pool's threads only
         # ever hold bytes.  The primed context's stores are released
         # (the worker rebuilds its own from the pickled slices); only
-        # the migrated chain state extracted above is kept.
+        # the migrated chain state is kept.
         unit = (self._auditor.app, trace, reports, epoch_state,
                 self._worker_config)
         try:
@@ -322,11 +343,11 @@ class AuditSession:
         except UNPICKLABLE:
             # Nothing a worker could be sent: audited here, now.
             self._pool.serial_fallbacks += 1
-            future: Future = Future()
-            future.set_result(run_epoch_inline(*unit))
-        else:
-            future = self._threads.submit(self._pool.run, payload)
-        return ("audit", (future, pre.next_initial), requests, events)
+            return _ready(run_epoch_inline(*unit)), pre.next_initial
+        return (self._threads.submit(self._pool.run, payload),
+                pre.next_initial)
+
+    # -- the in-order merge -----------------------------------------------
 
     def _resolve(self, index: int,
                  timeout: float | None = None) -> EpochResult:
@@ -344,12 +365,11 @@ class AuditSession:
             with self._merge_lock:
                 if index < self._merged_upto:
                     return self._epochs[index]
-                kind, payload = self._entries[self._merged_upto][:2]
-                if (self._failure is not None or kind != "audit"
-                        or payload[0].done()):
+                future = self._entries[self._merged_upto][0]
+                if (self._failure is not None or future is None
+                        or future.done()):
                     self._merge_next_entry()
                     continue
-                future = payload[0]
             remaining = (None if deadline is None
                          else deadline - _time.monotonic())
             try:
@@ -368,32 +388,30 @@ class AuditSession:
         recorded failure, merging never waits — later audits are
         cancelled, not joined)."""
         with self._merge_lock:
-            if index < self._merged_upto:
+            if index < self._merged_upto or self._failure is not None:
                 return True
-            if self._failure is not None:
-                return True
-            for position in range(self._merged_upto, index + 1):
-                kind, payload = self._entries[position][:2]
-                if kind == "audit" and not payload[0].done():
-                    return False
-            return True
+            return all(
+                entry[0] is None or entry[0].done()
+                for entry in self._entries[self._merged_upto:index + 1]
+            )
 
     def _merge_next_entry(self) -> None:
-        """Merge the next queued epoch (lock held by the caller; any
-        pool future involved is already done)."""
+        """Turn the next queued entry into its :class:`EpochResult`
+        (lock held by the caller; the entry's future is done, or an
+        earlier epoch rejected).  The one place a result is merged, the
+        failure latched and the next state certified."""
         index = self._merged_upto
-        kind, payload, requests, events = self._entries[index]
+        future, next_state, requests, events = self._entries[index]
         if self._failure is not None:
-            # Everything after the first rejection mirrors the serial
-            # session's *skipped* results; a speculative audit that is
-            # already running is discarded unseen.
-            if kind == "audit":
-                future, _ = payload
+            # Nothing after the first rejection is audited: the chain's
+            # state is untrusted from there on.  A speculative audit
+            # that is already running is discarded unseen.
+            if future is not None:
                 future.cancel()
                 future.add_done_callback(
                     lambda f: f.cancelled() or f.exception()
                 )
-            self._epochs.append(EpochResult(
+            epoch = EpochResult(
                 index=index,
                 accepted=False,
                 reason=self._failure.reason,
@@ -402,17 +420,11 @@ class AuditSession:
                 requests=requests,
                 events=events,
                 skipped=True,
-            ))
-        elif kind == "crashed":
-            # Re-raise the feed-time crash (see _submit_epoch_concurrent)
-            # so close()/_drain can never report ACCEPTED past it.
-            raise payload
-        else:  # "rejected" (a prepass verdict) or "audit" (pool future)
-            if kind == "audit":
-                future, next_state = payload
-                result = future.result()
-            else:
-                result, next_state = payload, None
+            )
+        else:
+            # Re-raises a crash — at feed time or in the pool — so
+            # close()/_drain can never report ACCEPTED past it.
+            result = future.result()
             epoch = EpochResult(
                 index=index,
                 accepted=result.accepted,
@@ -424,89 +436,27 @@ class AuditSession:
                 stats=result.stats,
                 produced=result.produced,
             )
-            self._epochs.append(epoch)
             _merge_shard_result(self._merged, result)
             self._summaries.append(_epoch_summary(epoch))
+            # Time actually spent auditing — unlike wall-clock since
+            # session start, this excludes waiting for epochs to arrive
+            # (a follow session is mostly waiting).
             self._audit_seconds += result.phases.get("total", 0.0)
             if not epoch.accepted:
                 self._failure = epoch
                 self._merged.produced = {}
             else:
-                # Certify the prepass state: this epoch's full audit
-                # validated the very logs the prepass migrated.
+                # Certify the state: this epoch's full audit validated
+                # the very logs it was migrated from.
                 self._state = next_state
-        # Release the merged entry's payload (future + migrated-state
-        # snapshot): a long follow session must hold one chain state,
-        # not one per epoch.  ("crashed" entries never reach this line
-        # — they re-raise above and keep their exception.)
-        self._entries[index] = (kind, None, requests, events)
-        self._merged_upto += 1
-
-    # -- the per-epoch audit (single-threaded by construction) ------------
-
-    def _audit_epoch(self, index: int, trace: Trace,
-                     reports: Reports) -> EpochResult:
-        started = _time.perf_counter()
-        try:
-            return self._audit_epoch_inner(index, trace, reports)
-        finally:
-            # Time actually spent auditing — unlike wall-clock since
-            # session start, this excludes waiting for epochs to arrive
-            # (a follow session is mostly waiting).
-            self._audit_seconds += _time.perf_counter() - started
-
-    def _audit_epoch_inner(self, index: int, trace: Trace,
-                           reports: Reports) -> EpochResult:
-        if self._failure is not None:
-            epoch = EpochResult(
-                index=index,
-                accepted=False,
-                reason=self._failure.reason,
-                detail=f"skipped: epoch {self._failure.index} already "
-                       f"rejected ({self._failure.detail})",
-                requests=len(trace.request_ids()),
-                events=len(trace),
-                skipped=True,
-            )
-            self._epochs.append(epoch)
-            return epoch
-
-        # The pipeline's trace check gets the whole stream's uniqid()
-        # values: only that shared set catches one duplicated *across*
-        # epochs.
-        actx = AuditContext(self._auditor.app, trace, reports,
-                            self._state, self._epoch_config,
-                            self._seen_uniq)
-        pipeline = self._auditor.pipeline or default_pipeline()
-        result = pipeline.run(actx)
-        epoch = EpochResult(
-            index=index,
-            accepted=result.accepted,
-            reason=result.reason,
-            detail=result.detail,
-            requests=len(trace.request_ids()),
-            events=len(trace),
-            phases=result.phases,
-            stats=result.stats,
-            produced=result.produced,
-        )
-        self._record(epoch, result)
-        return epoch
-
-    def _record(self, epoch: EpochResult, result: AuditResult) -> None:
         self._epochs.append(epoch)
-        _merge_shard_result(self._merged, result)
-        self._summaries.append(_epoch_summary(epoch))
-        if not epoch.accepted:
-            self._failure = epoch
-            self._merged.produced = {}
-            return
-        if result.next_initial is None:
-            raise ValueError(
-                "audit session needs a MigratePhase in the pipeline "
-                "to chain epoch state"
-            )
-        self._state = result.next_initial
+        # Release the merged entry's future and migrated-state
+        # snapshot: a long follow session must hold one chain state,
+        # not one per epoch.
+        self._entries[index] = (None, None, requests, events)
+        self._merged_upto += 1
+        if self._on_epoch is not None and not epoch.skipped:
+            self._on_epoch(epoch)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -532,41 +482,34 @@ class AuditSession:
         """True once a rejection has been merged.  Never waits: it
         merges the epochs whose audits have already finished and looks.
         A feeder that stops on it reads no epoch it has no use for."""
-        if self._pool is not None:
-            while (self._failure is None
-                   and self._merged_upto < len(self._entries)
-                   and self._entry_done(self._merged_upto)):
-                self._resolve(self._merged_upto)
+        while (self._failure is None
+               and self._merged_upto < len(self._entries)
+               and self._entry_done(self._merged_upto)):
+            self._resolve(self._merged_upto)
         return self._failure is not None
 
     def _drain(self) -> None:
-        """Wait for queued epochs to finish, re-raising any unexpected
-        exception an epoch's audit hit (rejections are results, not
-        exceptions — only genuine crashes surface here).  A crash is
-        latched: every later drain/close re-raises it, so a crashed
-        session can never fall through to an ACCEPTED verdict.  In
-        ``epoch_workers`` mode this performs the in-order merge of
-        every fed epoch."""
+        """Merge every fed epoch, waiting for those still auditing and
+        re-raising any unexpected exception an epoch's audit hit
+        (rejections are results, not exceptions — only genuine crashes
+        surface here).  A crash is latched: every later drain/close
+        re-raises it, so a crashed session can never fall through to an
+        ACCEPTED verdict."""
         if self._crash is not None:
             raise self._crash
         try:
-            self._drain_inner()
+            while not self._closed:
+                with self._merge_lock:
+                    total = len(self._entries)
+                    if self._merged_upto >= total:
+                        break
+                self._resolve(total - 1)
         except Exception as crash:
             self._crash = crash
             raise
         # KeyboardInterrupt/SystemExit raised in the *waiting* thread
         # propagate un-latched: no epoch audit crashed, and a later
         # drain can still deliver the real verdict.
-
-    def _drain_inner(self) -> None:
-        if self._closed or self._pool is None:
-            return
-        while True:
-            with self._merge_lock:
-                total = len(self._entries)
-                if self._merged_upto >= total:
-                    return
-            self._resolve(total - 1)
 
     def close(self) -> AuditResult:
         """Finish the session and return the merged result.
@@ -587,16 +530,9 @@ class AuditSession:
         try:
             self._drain()
         finally:
-            if self._threads is not None:
-                self._threads.shutdown(wait=True)
-            if self._owns_pool:
-                self._pool.close()
+            self._resources.close()
             self._closed = True
         merged = self._merged
-        if self._pool is not None:
-            # The workers re-time their own phases, so the parent-side
-            # prepass is extra work the per-epoch results do not carry.
-            merged.phases["state_precompute"] = self._precompute_seconds
         merged.accepted = self._failure is None
         if self._failure is not None:
             merged.reason = self._failure.reason
@@ -629,9 +565,11 @@ class Auditor:
     * :meth:`audit` — one pipeline pass over one epoch (``ssco_audit``
       is the kwargs shorthand);
     * :meth:`session` — incremental epoch-by-epoch auditing;
-    * :meth:`audit_epochs` — drive a session over any iterable of epoch
-      slices (``execution.epochs()``,
-      ``BundleReader.epochs(follow=True)``, ...).
+    * :meth:`audit_epochs` — the epoch loop: a session driven over any
+      iterable of epoch slices (``execution.epochs()``,
+      ``BundleReader.epochs(follow=True)``, ...);
+    * :meth:`audit_stream` — that loop over what a reader reads, state
+      record included.
 
     A custom :class:`~repro.core.pipeline.AuditPipeline` may replace the
     stock phase sequence; sessions require it to keep a ``MigratePhase``
@@ -687,40 +625,91 @@ class Auditor:
         epochs: Iterable,
         initial_state: InitialState,
         pool=None,
+        on_epoch=None,
     ) -> AuditResult:
-        """Feed the epoch slices of ``epochs`` through a session
-        (``pool``: see :meth:`session`).
+        """The epoch loop: feed the slices of ``epochs`` through a
+        session (``pool``: see :meth:`session`) and return the merged
+        result.
 
         Items may be ``(trace, reports)`` pairs or objects with
         ``.trace`` / ``.reports`` attributes
-        (:class:`~repro.server.reports.EpochSlice`).  Once a rejection
-        has settled the iterable is left where it is: nothing after a
-        rejected epoch is audited, so nothing after it is read.
+        (:class:`~repro.server.reports.EpochSlice`).  ``on_epoch`` is
+        called with the :class:`EpochResult` of each epoch that was
+        audited, once, in feed order, as it settles — never for a
+        skipped one.
+
+        The loop owns the end of the stream.  Once a rejection has
+        settled the iterable is left where it is: nothing after a
+        rejected epoch is audited, so nothing after it is read.  When
+        the iterable raises :class:`~repro.common.errors.MalformedBundle`
+        — a reader met a record that does not decode — the epochs
+        before it settle and the result is ``REJECTED:
+        malformed_bundle``, unless one of them already rejected.
         With a pool the epochs audit concurrently (only the redo-only
         state prepass runs between submissions) and are merged back in
         feed order; the session itself bounds in-flight primed epochs
         to ``2 * pool.width``, so a long stream never holds more than a
-        bounded number of speculative work units in memory.  Returns
-        the merged result.
+        bounded number of speculative work units in memory.
         """
-        with self.session(initial_state, pool) as session:
-            for item in epochs:
-                if isinstance(item, tuple):
-                    trace, reports = item
-                else:
-                    trace, reports = item.trace, item.reports
-                # Enqueues on sessions with a pool (the iterable keeps
-                # ingesting while earlier epochs audit, subject to the
-                # session's prepass backpressure); inline on serial
-                # ones.
-                session.submit_epoch(trace, reports)
-                if session.rejection_settled():
-                    break
+        with AuditSession(self, initial_state, pool, on_epoch) as session:
+            try:
+                for item in epochs:
+                    if isinstance(item, tuple):
+                        trace, reports = item
+                    else:
+                        trace, reports = item.trace, item.reports
+                    session.submit_epoch(trace, reports)
+                    if session.rejection_settled():
+                        break
+            except MalformedBundle as exc:
+                result = session.close()  # the epochs before it settle
+                return (malformed_verdict(exc, result) if result.accepted
+                        else result)
             return session.close()
+
+    def audit_stream(self, reader, pool=None, on_epoch=None,
+                     **reading) -> AuditResult:
+        """Audit what ``reader`` reads — its state record, then its
+        epochs through :meth:`audit_epochs` — whatever it reads from: a
+        :class:`~repro.io.BundleReader` (``reading``: its ``follow`` /
+        ``idle_timeout``) or a :class:`~repro.net.RemoteBundleReader`.
+        The one road from a reader to a verdict: a state record that
+        does not decode is ``malformed_bundle`` like any other."""
+        try:
+            initial_state = reader.read_initial_state(**reading)
+        except MalformedBundle as exc:
+            return malformed_verdict(exc)
+        return self.audit_epochs(reader.epochs(**reading), initial_state,
+                                 pool, on_epoch)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Auditor app={self.app.name!r} "
                 f"{self.config.describe()}>")
+
+
+def _ready(result: AuditResult) -> Future:
+    """A queue entry whose verdict is already in."""
+    future: Future = Future()
+    future.set_result(result)
+    return future
+
+
+def malformed_verdict(exc: MalformedBundle,
+                      result: AuditResult | None = None) -> AuditResult:
+    """``REJECTED: malformed_bundle`` — over ``result``, the merged
+    outcome of the epochs that settled before the record that does not
+    decode, or over none (no epoch was read).  The evidence is the
+    executor's word (§3): one that does not decode does not verify."""
+    if result is None:
+        result = AuditResult(
+            accepted=False, phases={"total": 0.0},
+            stats={"shard_count": 0, "shards": []})
+    result.accepted = False
+    result.reason = RejectReason.MALFORMED_BUNDLE
+    result.detail = str(exc)
+    result.produced = {}
+    result.next_initial = None
+    return result
 
 
 #: Numeric stats that sum across epochs; list-valued ones concatenate.

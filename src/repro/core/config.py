@@ -89,9 +89,9 @@ class AuditConfig:
     #: (:func:`repro.lang.analysis.divergence_hazards`) during chunk
     #: planning: multi-request groups whose script is a known hazard are
     #: pre-demoted to singleton chunks instead of diverging at run time
-    #: and being replayed one by one.  Only consulted by non-strict
-    #: audits (strict treats divergence as a verdict); never changes
-    #: produced bodies or verdicts.
+    #: and being replayed one by one.  Non-strict audits only (strict
+    #: treats divergence as a verdict: asking for both is a
+    #: ``ValueError``); never changes produced bodies or verdicts.
     plan_hints: bool = False
 
     def __post_init__(self):
@@ -123,6 +123,11 @@ class AuditConfig:
                 f"{self.max_group_size!r}"
             )
         get_reexec_backend(self.backend)  # unknown name -> ValueError
+        if self.plan_hints and self.strict:
+            raise ValueError(
+                "plan_hints needs strict=False: a strict audit treats "
+                "divergence as a verdict and never consults the hints"
+            )
         return self
 
     # -- conversions ------------------------------------------------------

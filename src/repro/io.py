@@ -21,6 +21,11 @@ quiescent cut, and an ``end`` record closing a finished bundle.
 * The record builders (:func:`event_record`, ...) and the
   :class:`EpochAccumulator` are shared with :mod:`repro.net`, which
   frames the same dicts over a socket: one encoding, two transports.
+* A bundle is the executor's untrusted word.  Whatever in it does not
+  decode — a file that is not a bundle, a line that is not a record, a
+  missing or mistyped field, a second ``state`` record — raises one
+  type, :class:`~repro.common.errors.MalformedBundle` (a
+  ``ValueError``), from here and only from here.
 
 Weblang values inside op logs / registers / KV are already *frozen*
 (hashable tuples, see :func:`repro.lang.values.freeze_value`); JSON
@@ -36,6 +41,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterator, Sequence
 
 from repro.common.clock import Deadline
+from repro.common.errors import MalformedBundle
 from repro.objects.base import OpRecord, OpType
 from repro.server.app import InitialState
 from repro.server.reports import EpochSlice, NondetRecord, Reports
@@ -50,6 +56,12 @@ from repro.trace.events import (
 from repro.trace.trace import Trace
 
 FORMAT_VERSION = 1
+
+#: What turning an untrusted JSON value into audit inputs can raise: a
+#: field that is missing, mistyped, unhashable or out of range.  Caught
+#: here, where records are decoded, and nowhere else — callers see
+#: :class:`~repro.common.errors.MalformedBundle`.
+_DECODE_FAULTS = (ValueError, LookupError, TypeError, AttributeError)
 
 # Bound once: enum member access goes through the metaclass, and the
 # event decoder would pay it per record.
@@ -244,27 +256,30 @@ def state_to_json(state: InitialState) -> dict:
 
 
 def state_from_json(data: dict) -> InitialState:
-    if data.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported audit-bundle format version "
-            f"{data.get('version')!r} (expected {FORMAT_VERSION})")
-    engine = Engine()
-    for name, raw in data["tables"].items():
-        engine.tables[name] = Table(
-            name,
-            list(raw["columns"]),
-            dict(raw["types"]),
-            raw.get("primary_key"),
-            raw.get("auto_column"),
-            raw.get("auto_counter", 0),
-            [dict(row) for row in raw["rows"]],
+    try:
+        if data.get("version") != FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported audit-bundle format version "
+                f"{data.get('version')!r} (expected {FORMAT_VERSION})")
+        engine = Engine()
+        for name, raw in data["tables"].items():
+            engine.tables[name] = Table(
+                name,
+                list(raw["columns"]),
+                dict(raw["types"]),
+                raw.get("primary_key"),
+                raw.get("auto_column"),
+                raw.get("auto_counter", 0),
+                [dict(row) for row in raw["rows"]],
+            )
+        return InitialState(
+            engine,
+            {key: _dec(value) for key, value in data["kv"].items()},
+            {name: _dec(value)
+             for name, value in data["registers"].items()},
         )
-    return InitialState(
-        engine,
-        {key: _dec(value) for key, value in data["kv"].items()},
-        {name: _dec(value)
-         for name, value in data["registers"].items()},
-    )
+    except _DECODE_FAULTS as exc:
+        raise MalformedBundle.of(exc) from exc
 
 
 # -- bundles ------------------------------------------------------------------------
@@ -315,13 +330,16 @@ def ends_stream(record: object) -> bool:
     """True for the writer's ``end`` record.  Every decoded line or
     frame passes through here on its way to the accumulator, so one
     that is not a record at all is refused here too."""
-    if type(record) is not dict:
-        raise ValueError(f"bundle record is a JSON "
-                         f"{type(record).__name__}, not an object")
-    if record.get("kind") != "end":
-        return False
-    _checked_position(record)
-    return True
+    try:
+        if type(record) is not dict:
+            raise ValueError(f"bundle record is a JSON "
+                             f"{type(record).__name__}, not an object")
+        if record.get("kind") != "end":
+            return False
+        _checked_position(record)
+        return True
+    except ValueError as exc:
+        raise MalformedBundle.of(exc) from exc
 
 
 def _checked_position(record: dict) -> int:
@@ -503,7 +521,9 @@ class EpochAccumulator:
     """
 
     def __init__(self, index: int = 0):
-        #: set when a ``state`` record passes through.
+        #: Set when the ``state`` record passes through — the verifier's
+        #: trusted input (§4.1), so a stream has one: a later one is
+        #: refused, not taken in place of the first.
         self.initial_state: InitialState | None = None
         self.reset(index)
 
@@ -524,36 +544,44 @@ class EpochAccumulator:
         """Consume one record — decoding it, once, into the objects the
         audit takes; returns the finished slice when the record is an
         ``epoch_mark`` closing a non-empty epoch.  A record that is not
-        what its kind says raises :class:`ValueError` (or ``KeyError`` /
-        ``TypeError`` for a missing or mistyped field)."""
-        kind = record["kind"]
-        if kind == "event":
-            self.trace.events.append(_event_from_json(record["event"]))
-        elif kind == "op_log":
-            _extend_op_log(
-                self.reports.op_logs.setdefault(record["obj"], []),
-                record["records"],
-            )
-        elif kind == "nondet":
-            self.reports.nondet.setdefault(record["rid"], []).extend(
-                _nondet_records(record["records"])
-            )
-        elif kind == "group":
-            self.reports.groups.setdefault(record["tag"], []).extend(
-                record["rids"]
-            )
-        elif kind == "op_counts":
-            self.reports.op_counts.update(
-                _checked_op_counts(record["counts"])
-            )
-        elif kind == "epoch_mark":
-            _checked_position(record)
-            return self._cut() if self.trace.events else None
-        elif kind == "state":
-            self.initial_state = state_from_json(record["state"])
-        else:
-            raise ValueError(f"unknown bundle record kind {kind!r}")
-        return None
+        what its kind says — a missing or mistyped field, an unknown
+        kind, a second ``state`` — raises
+        :class:`~repro.common.errors.MalformedBundle`."""
+        try:
+            kind = record["kind"]
+            if kind == "event":
+                self.trace.events.append(_event_from_json(record["event"]))
+            elif kind == "op_log":
+                _extend_op_log(
+                    self.reports.op_logs.setdefault(record["obj"], []),
+                    record["records"],
+                )
+            elif kind == "nondet":
+                self.reports.nondet.setdefault(record["rid"], []).extend(
+                    _nondet_records(record["records"])
+                )
+            elif kind == "group":
+                self.reports.groups.setdefault(record["tag"], []).extend(
+                    record["rids"]
+                )
+            elif kind == "op_counts":
+                self.reports.op_counts.update(
+                    _checked_op_counts(record["counts"])
+                )
+            elif kind == "epoch_mark":
+                _checked_position(record)
+                return self._cut() if self.trace.events else None
+            elif kind == "state":
+                if self.initial_state is not None:
+                    raise ValueError("state record after the first")
+                self.initial_state = state_from_json(record["state"])
+            else:
+                raise ValueError(f"unknown bundle record kind {kind!r}")
+            return None
+        except MalformedBundle:
+            raise  # state_from_json's own
+        except _DECODE_FAULTS as exc:
+            raise MalformedBundle.of(exc) from exc
 
     def flush(self) -> EpochSlice | None:
         """The trailing slice at stream end — including a *torn* one
@@ -630,28 +658,32 @@ class BundleReader:
       the writer's ``end`` record).
 
     The header is parsed eagerly, so constructing a reader on anything
-    but a segmented v1 bundle raises :class:`ValueError` immediately,
-    naming what the file holds instead.
+    but a segmented v1 bundle raises
+    :class:`~repro.common.errors.MalformedBundle` (a ``ValueError``)
+    immediately, naming what the file holds instead — as does any later
+    read that meets a record it cannot decode.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._fh = open(path)
         self._partial = ""
-        self._pushback: list[dict] = []
-        self._initial_state: InitialState | None = None
+        #: Every record this reader reads is decoded here, whichever
+        #: method asked for it: the state record is met once, and the
+        #: slices are numbered from where :meth:`seek_epoch` left it.
+        self._accumulator = EpochAccumulator()
+        #: Epochs :meth:`read_initial_state` closed on its way to the
+        #: state record.
+        self._early: list[EpochSlice] = []
         self._ended = False
         self._closed = False
-        #: Epoch number of the next run the cursor will read (advanced
-        #: by :meth:`seek_epoch`; the accumulator numbers slices from it).
-        self._epoch_base = 0
         self._epoch_index: EpochIndex | None = None
         try:
             # Bounded: a legacy blob is one line as long as the file.
             self.header = _bundle_header(self._fh.readline(4096), path)
-        except ValueError:
+        except ValueError as exc:
             self._fh.close()
-            raise
+            raise MalformedBundle.of(exc) from exc
 
     @classmethod
     def open(
@@ -670,7 +702,7 @@ class BundleReader:
         constructor call would fail on the missing/torn header; this
         waits up to ``idle_timeout`` seconds for a complete first line.
         A header that is complete but wrong (a legacy blob, a foreign
-        file) still raises :class:`ValueError` immediately.
+        file) still raises immediately.
         """
         if not follow:
             return cls(path)
@@ -703,14 +735,12 @@ class BundleReader:
         poll_interval: float = 0.05,
         idle_timeout: float | None = None,
     ) -> Iterator[dict]:
-        """Parsed records, replaying any pushed-back prefix first.
+        """Parsed records, from where the last read stopped.
 
         In follow mode, EOF means "wait for the writer": poll until new
         complete lines appear, the writer's ``end`` record arrives, or
         ``idle_timeout`` seconds pass without progress.
         """
-        while self._pushback:
-            yield self._pushback.pop(0)
         if self._ended:
             return
         # The idle timeout is measured on the monotonic clock
@@ -727,62 +757,57 @@ class BundleReader:
                     return
                 deadline.sleep(poll_interval)
                 continue
-            if not line.endswith("\n"):
-                # A torn line: the writer is mid-record.  Stash it; the
-                # next readline continues from the same byte offset.
+            torn = not line.endswith("\n")
+            if torn:
+                # The writer is mid-record.  Stash it; the next readline
+                # continues from the same byte offset.
                 self._partial += line
-                if not follow:
-                    # Finished file whose last record lacks the trailing
-                    # newline (writer died between its two writes).  If
-                    # the JSON is complete it is a real record;
-                    # truncated JSON raises ValueError.
-                    line, self._partial = self._partial, ""
-                    if line.strip():
-                        record = _parse_record(line)
-                        if ends_stream(record):
-                            self._ended = True
-                            return
-                        yield record
-                    return
-                continue
-            if self._partial:
+                if follow:
+                    continue
+                # Finished file whose last record lacks the trailing
+                # newline (writer died between its two writes).  If the
+                # JSON is complete it is a real record; truncated JSON
+                # does not decode.
+                line, self._partial = self._partial, ""
+            elif self._partial:
                 line, self._partial = self._partial + line, ""
             deadline.restart()
-            if line.isspace():
-                continue
-            record = _parse_record(line)
-            if ends_stream(record):
-                self._ended = True
+            if not line.isspace():
+                try:
+                    record = _parse_record(line)
+                except ValueError as exc:
+                    raise MalformedBundle.of(exc) from exc
+                if ends_stream(record):
+                    self._ended = True
+                    return
+                yield record
+                # Re-armed after the consumer returns: time spent
+                # auditing an epoch between yields is not stream
+                # idleness (the deadline bounds consecutive empty
+                # polls).
+                deadline.restart()
+            if torn:
                 return
-            yield record
-            # Re-armed after the consumer returns: time spent auditing
-            # an epoch between yields is not stream idleness (the
-            # deadline bounds consecutive empty polls, like the old
-            # accumulator did).
-            deadline.restart()
 
     # -- whole-bundle loading ---------------------------------------------
 
     def read_all(self):
         """Consume the rest of a finished file into
         ``(trace, reports, initial_state, epoch_marks)``."""
-        # One accumulator that is never cut: the marks are collected,
-        # every other record is decoded exactly as :meth:`epochs` would.
-        accumulator = EpochAccumulator()
+        # The accumulator is never cut: the marks are collected, every
+        # other record is decoded exactly as :meth:`epochs` would.
+        accumulator = self._accumulator
         epoch_marks: list[int] = []
         for record in self._records():
-            if record["kind"] == "epoch_mark":
-                epoch_marks.append(_checked_position(record))
+            if record.get("kind") == "epoch_mark":
+                try:
+                    epoch_marks.append(_checked_position(record))
+                except ValueError as exc:
+                    raise MalformedBundle.of(exc) from exc
             else:
                 accumulator.feed(record)
-        if accumulator.initial_state is not None:
-            self._initial_state = accumulator.initial_state
-        if self._initial_state is None:
-            raise ValueError(
-                f"bundle {self.path} has no initial state record"
-            )
         return (accumulator.trace, accumulator.reports,
-                self._initial_state, epoch_marks)
+                self.initial_state, epoch_marks)
 
     # -- incremental epoch streaming --------------------------------------
 
@@ -798,23 +823,24 @@ class BundleReader:
         poll_interval: float = 0.05,
         idle_timeout: float | None = None,
     ) -> InitialState:
-        """Read up to the state record and decode it, once; any record
-        before it is replayed to the next consumer (:meth:`epochs` /
-        :meth:`read_all`), which starts after it."""
-        if self._initial_state is not None:
-            return self._initial_state
-        consumed: list[dict] = []
-        for record in self._records(follow, poll_interval, idle_timeout):
-            if record["kind"] == "state":
-                self._initial_state = state_from_json(record["state"])
-                break
-            consumed.append(record)
-        self._pushback = consumed + self._pushback
-        if self._initial_state is None:
-            raise ValueError(
+        """Read up to the state record and decode it, once; the next
+        consumer (:meth:`epochs` / :meth:`read_all`) starts after it.
+        (An epoch that closes before the state record — no writer puts
+        one there — is kept for :meth:`epochs`.)"""
+        accumulator = self._accumulator
+        if accumulator.initial_state is None:
+            for record in self._records(follow, poll_interval,
+                                        idle_timeout):
+                epoch_slice = accumulator.feed(record)
+                if epoch_slice is not None:
+                    self._early.append(epoch_slice)
+                if accumulator.initial_state is not None:
+                    break
+        if accumulator.initial_state is None:
+            raise MalformedBundle(
                 f"bundle {self.path} has no initial state record"
             )
-        return self._initial_state
+        return accumulator.initial_state
 
     def epochs(
         self,
@@ -826,11 +852,11 @@ class BundleReader:
         each the moment its run is closed by the next ``epoch_mark`` (or
         the stream's end) — which is what makes ``follow=True`` a live
         audit feed."""
-        accumulator = EpochAccumulator(self._epoch_base)
+        accumulator = self._accumulator
+        while self._early:
+            yield self._early.pop(0)
         for record in self._records(follow, poll_interval, idle_timeout):
             epoch_slice = accumulator.feed(record)
-            if accumulator.initial_state is not None:
-                self._initial_state = accumulator.initial_state
             if epoch_slice is not None:
                 yield epoch_slice
         epoch_slice = accumulator.flush()
@@ -886,11 +912,13 @@ class BundleReader:
                 f"epoch {epoch} out of range (bundle has "
                 f"{index.epoch_count} indexed epoch(s))"
             )
-        if self._initial_state is None and index.state_offset is not None:
+        accumulator = self._accumulator
+        if (accumulator.initial_state is None
+                and index.state_offset is not None):
             with open(self.path, "rb") as raw:
                 raw.seek(index.state_offset)
                 record = json.loads(raw.readline())
-            self._initial_state = state_from_json(record["state"])
+            accumulator.initial_state = state_from_json(record["state"])
         # Reopen at the epoch's byte offset: seeking a TextIOWrapper to
         # an arbitrary byte position is undefined, so wrap a freshly
         # positioned binary handle instead.
@@ -899,10 +927,10 @@ class BundleReader:
         old = self._fh
         self._fh = _stdio.TextIOWrapper(raw, encoding="utf-8")
         old.close()
-        self._pushback = []
         self._partial = ""
+        self._early = []
         self._ended = False
-        self._epoch_base = epoch
+        accumulator.reset(epoch)
 
     def close(self) -> None:
         if not self._closed:

@@ -33,7 +33,10 @@ iterator ends, exactly like the file reader's follow mode (``None``
 waits for the publisher's ``end`` record indefinitely).  Corrupt frames
 (bad CRC, absurd length) raise
 :class:`~repro.net.protocol.ProtocolError` — evidence-stream
-corruption is never silently skipped.
+corruption is never silently skipped.  A record the wire delivered
+intact but that does not decode raises what the file reader raises for
+it, :class:`~repro.common.errors.MalformedBundle`: both feed one
+:class:`~repro.io.EpochAccumulator`.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from repro.io import (
     JSONL_FORMAT,
     EpochAccumulator,
     ends_stream,
-    state_from_json,
 )
 from repro.net.protocol import (
     ERROR,
@@ -114,10 +116,11 @@ class RemoteBundleReader:
         self.header: dict | None = None
         self._fsock: FrameSocket | None = None
         self._bytes_prev_connections = 0
-        self._pushback: list[object] = []
-        self._initial_state: InitialState | None = None
         #: Epochs fully yielded — the resume position after a disconnect.
         self._epochs_done = 0
+        #: Where this connection's records are decoded, whichever
+        #: method asked for them (a reconnect starts a fresh one).
+        self._accumulator = EpochAccumulator()
         self._ended = False
         self._closed = False
         self._connect()
@@ -198,8 +201,6 @@ class RemoteBundleReader:
         reconnects.  Ends on the publisher's ``end`` record or after
         ``idle_timeout`` without data; raises :class:`TransportError`
         when the connection breaks and every resume attempt fails."""
-        while self._pushback:
-            yield self._pushback.pop(0)
         if self._ended or self._closed:
             return
         failures = 0
@@ -284,27 +285,40 @@ class RemoteBundleReader:
         poll_interval: float = 0.05,
         idle_timeout: object = _UNSET,
     ) -> InitialState:
-        """Read up to the state record and decode it, once; any record
-        before it is replayed to the next consumer (:meth:`epochs`).
+        """Read up to the state record and decode it, once; the next
+        consumer (:meth:`epochs`) starts after it.
         ``follow`` and ``poll_interval`` exist for BundleReader
         signature compatibility — a socket stream always follows."""
-        if self._initial_state is not None:
-            return self._initial_state
         timeout = (self._idle_timeout if idle_timeout is _UNSET
                    else idle_timeout)
-        consumed: list[object] = []
-        for record in self._records(timeout):
-            if record is not RESYNC and record["kind"] == "state":
-                self._initial_state = state_from_json(record["state"])
-                break
-            consumed.append(record)
-        self._pushback = consumed + self._pushback
-        if self._initial_state is None:
+        if self._accumulator.initial_state is None:
+            for record in self._records(timeout):
+                if self._feed(record) is not None:
+                    # A publisher sends the state record first, on
+                    # every connection.
+                    raise ProtocolError(
+                        f"stream from {self.endpoint} closes an epoch "
+                        f"before its state record"
+                    )
+                if self._accumulator.initial_state is not None:
+                    break
+        if self._accumulator.initial_state is None:
             raise ProtocolError(
                 f"stream from {self.endpoint} has no initial state "
                 f"record"
             )
-        return self._initial_state
+        return self._accumulator.initial_state
+
+    def _feed(self, record: object) -> EpochSlice | None:
+        """One item of :meth:`_records` into the accumulator."""
+        if record is RESYNC:
+            # A new connection: the publisher replays the state record,
+            # then the interrupted epoch from its start — the torn
+            # accumulators are dropped with the connection they came
+            # over.
+            self._accumulator = EpochAccumulator(self._epochs_done)
+            return None
+        return self._accumulator.feed(record)
 
     def epochs(
         self,
@@ -323,16 +337,8 @@ class RemoteBundleReader:
         """
         timeout = (self._idle_timeout if idle_timeout is _UNSET
                    else idle_timeout)
-        accumulator = EpochAccumulator(self._epochs_done)
         for record in self._records(timeout):
-            if record is RESYNC:
-                # The publisher is replaying the interrupted epoch from
-                # its start: drop the torn accumulators.
-                accumulator.reset(self._epochs_done)
-                continue
-            epoch_slice = accumulator.feed(record)
-            if accumulator.initial_state is not None:
-                self._initial_state = accumulator.initial_state
+            epoch_slice = self._feed(record)
             if epoch_slice is not None:
                 self._epochs_done += 1
                 yield epoch_slice
@@ -340,7 +346,7 @@ class RemoteBundleReader:
         # slice is yielded even when torn, exactly like the file reader
         # — the audit rejecting an unbalanced slice is the loud signal
         # that the stream stopped mid-epoch.
-        epoch_slice = accumulator.flush()
+        epoch_slice = self._accumulator.flush()
         if epoch_slice is not None:
             self._epochs_done += 1
             yield epoch_slice

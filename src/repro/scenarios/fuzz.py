@@ -34,6 +34,7 @@ import tempfile
 import time as _time
 from dataclasses import dataclass, field
 
+from repro.common.errors import MalformedBundle, RejectReason
 from repro.core import Auditor
 from repro.core.config import AuditConfig
 from repro.io import BundleReader, record_kind
@@ -542,13 +543,15 @@ def _wire_outcome(cat: _Catalog, rng: random.Random,
 
 def _stock_audit_fn(app, config):
     """The stock audit of a bundle file (the default ``audit_fn``), the
-    road ``repro audit`` takes: the reader's epochs, one by one, into a
-    session.  Returns (accepted, reason); a record the reader refuses
-    propagates as the exception it raised."""
+    road ``repro audit`` takes: a reader into the one epoch loop.
+    Returns (accepted, reason); a record the reader refused — the
+    loop's ``malformed_bundle`` verdict — is raised as the
+    :class:`MalformedBundle` it was, the fuzzer's ``load`` channel."""
     def run(path):
         with BundleReader.open(path) as reader:
-            result = Auditor(app, config).audit_epochs(
-                reader.epochs(), reader.initial_state)
+            result = Auditor(app, config).audit_stream(reader)
+        if result.reason is RejectReason.MALFORMED_BUNDLE:
+            raise MalformedBundle(result.detail)
         reason = None
         if not result.accepted:
             reason = result.reason.value if result.reason else "rejected"
@@ -565,8 +568,8 @@ def _test_mutation(data: bytes, audit_fn, workdir: str):
         fh.write(data)
     try:
         accepted, reason = audit_fn(path)
-    except (ValueError, KeyError, TypeError) as exc:
-        return True, CHANNEL_LOAD, f"{type(exc).__name__}: {exc}"
+    except MalformedBundle as exc:
+        return True, CHANNEL_LOAD, str(exc)
     if accepted:
         return False, None, None
     return True, CHANNEL_AUDIT, reason

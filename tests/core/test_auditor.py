@@ -189,6 +189,86 @@ def test_epochs_after_rejection_are_skipped(counter_app):
     assert session.rejected
 
 
+@pytest.mark.parametrize("epoch_workers", [1, 2])
+@pytest.mark.parametrize("forged", [False, True])
+def test_on_epoch_is_called_once_per_audited_epoch(counter_app, forged,
+                                                   epoch_workers):
+    """The one loop says what settled: ``audit_epochs`` calls
+    ``on_epoch`` once per *audited* epoch, in feed order, never for a
+    skipped one — on the serial chain and the pool alike, and on a
+    stream whose third epoch rejects.  The sequence is ``session.epochs``
+    of a session fed the whole stream, minus the skipped tail."""
+    execution = _epoch_execution(counter_app, n=48)
+    trace = execution.trace
+    if forged:
+        third = execution.epochs()[2].trace
+        victim = next(e.rid for e in third.events
+                      if e.is_response and e.payload.body)
+        trace = tamper_response(trace, victim, "forged!")
+    shards = partition_audit_inputs(trace, execution.reports,
+                                    execution.epoch_marks)
+    assert len(shards) >= 5
+    auditor = Auditor(counter_app, epoch_workers=epoch_workers)
+    calls = []
+    merged = auditor.audit_epochs(shards, execution.initial_state,
+                                  on_epoch=calls.append)
+    with auditor.session(execution.initial_state) as session:
+        for shard in shards:
+            session.submit_epoch(shard.trace, shard.reports)
+        fed = session.epochs
+    assert len(fed) == len(shards)
+    audited = [epoch for epoch in fed if not epoch.skipped]
+    assert len(audited) == (3 if forged else len(shards))
+    assert all(epoch.skipped for epoch in fed[len(audited):])
+
+    def told(epochs):
+        return [(e.index, e.accepted, e.reason, e.requests, e.produced)
+                for e in epochs]
+
+    assert told(calls) == told(audited)
+    assert [e.index for e in calls] == list(range(len(audited)))
+    assert merged.accepted is (not forged)
+    assert merged.stats["shard_count"] == len(calls)
+    if forged:
+        assert calls[-1].reason is RejectReason.OUTPUT_MISMATCH
+
+
+def test_a_record_that_does_not_decode_is_a_verdict(counter_app):
+    """``audit_epochs`` owns the end of the stream: when the iterable
+    raises ``MalformedBundle`` the epochs before it settle (and are
+    told to ``on_epoch``), and the result is ``malformed_bundle`` with
+    their stats — unless one of them had already rejected."""
+    from repro.common.errors import MalformedBundle
+
+    execution = _epoch_execution(counter_app, n=40)
+
+    def torn(shards):
+        yield from shards[:3]
+        raise MalformedBundle("KeyError: 'rid'")
+
+    for epoch_workers in (1, 2):
+        auditor = Auditor(counter_app, epoch_workers=epoch_workers)
+        calls = []
+        result = auditor.audit_epochs(torn(execution.epochs()),
+                                      execution.initial_state,
+                                      on_epoch=calls.append)
+        assert (result.accepted, result.reason, result.detail) == (
+            False, RejectReason.MALFORMED_BUNDLE, "KeyError: 'rid'")
+        assert [(e.index, e.accepted) for e in calls] == [
+            (0, True), (1, True), (2, True)]
+        assert result.stats["shard_count"] == 3
+        assert result.produced == {} and result.next_initial is None
+        # An earlier rejection stands: the malformed record came later.
+        victim = next(e.rid for e in execution.epochs()[1].trace.events
+                      if e.is_response and e.payload.body)
+        forged = partition_audit_inputs(
+            tamper_response(execution.trace, victim, "forged!"),
+            execution.reports, execution.epoch_marks)
+        result = auditor.audit_epochs(torn(forged), execution.initial_state)
+        assert result.reason is RejectReason.OUTPUT_MISMATCH
+        assert result.stats["shard_count"] == 2
+
+
 def test_session_chains_migrated_state(counter_app):
     execution = _epoch_execution(counter_app)
     shards = execution.epochs()

@@ -9,13 +9,15 @@ and the simple-re-execution baseline alike.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import run_online_phase
 from repro.core import Auditor, ooo_audit, simple_audit, ssco_audit
-from repro.io import BundleReader, save_audit_bundle_segmented
+from repro.io import BundleReader, BundleWriter, save_audit_bundle_segmented
 from repro.server import Application, Executor, RandomScheduler
 from repro.server.nondet import NondetSource
 from repro.workloads import (
@@ -202,3 +204,56 @@ def test_honest_schedules_of_the_four_apps_are_accepted(app_name, seed,
         for summary in stats["shards"]:
             del summary["reexec_seconds"]
     assert filed.stats == result.stats, (app_name, seed)
+
+
+@pytest.mark.parametrize("app_name", sorted(_APP_WORKLOADS))
+def test_honest_schedules_are_accepted_off_a_followed_file(app_name,
+                                                           tmp_path):
+    """The transport axis: one honest schedule per application written
+    record by record through a live :class:`BundleWriter`, tailed by
+    ``BundleReader`` (``follow=True``) while it is being written, and
+    audited through the entry point ``repro audit --follow`` uses
+    (``Auditor.audit_stream``) — ACCEPTED, epoch for epoch, with the
+    oracle's bodies."""
+    factory, scale = _APP_WORKLOADS[app_name]
+    workload = factory(scale=scale, seed=100)
+    run = run_online_phase(workload, seed=0, concurrency=4, epoch_size=15)
+    epochs = run.epochs()
+    assert len(epochs) > 1
+    oracle = Auditor(workload.app, backend="interp").audit_epochs(
+        epochs, run.initial_state)
+    assert oracle.accepted, (oracle.reason, oracle.detail)
+    bundle = str(tmp_path / "live.jsonl")
+    may_finish = threading.Event()
+
+    def record():
+        with BundleWriter(bundle) as writer:
+            writer.write_state(run.initial_state)
+            for epoch in epochs[:-1]:
+                writer.write_epoch(epoch.trace, epoch.reports)
+            # The last epoch is written only once the auditor has
+            # settled one: it is reading a file that is still growing.
+            assert may_finish.wait(60)
+            writer.write_epoch(epochs[-1].trace, epochs[-1].reports)
+            writer.write_end()
+
+    recorder = threading.Thread(target=record)
+    recorder.start()
+    settled = []
+
+    def on_epoch(epoch):
+        settled.append((epoch.index, epoch.accepted))
+        may_finish.set()
+
+    try:
+        with BundleReader.open(bundle, follow=True,
+                               idle_timeout=60) as reader:
+            result = Auditor(workload.app).audit_stream(
+                reader, on_epoch=on_epoch, follow=True, idle_timeout=60)
+    finally:
+        may_finish.set()
+        recorder.join(timeout=60)
+    assert not recorder.is_alive()
+    assert result.accepted, (app_name, result.reason, result.detail)
+    assert result.produced == oracle.produced
+    assert settled == [(index, True) for index in range(len(epochs))]

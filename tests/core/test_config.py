@@ -56,6 +56,20 @@ def test_validation_rejects_nonsense(kwargs, fragment):
         AuditConfig(**kwargs)
 
 
+def test_plan_hints_is_non_strict_only():
+    """The hints are consulted by non-strict chunk planning alone; a
+    config that asks for them under ``strict`` would carry a knob that
+    does nothing, so it does not exist."""
+    with pytest.raises(ValueError, match="plan_hints.*strict"):
+        AuditConfig(plan_hints=True)
+    with pytest.raises(ValueError, match="plan_hints.*strict"):
+        AuditConfig(plan_hints=True, strict=False).replace(strict=True)
+    with pytest.raises(ValueError, match="plan_hints.*strict"):
+        AuditConfig.from_json({"plan_hints": True})
+    hinted = AuditConfig(plan_hints=True, strict=False)
+    assert AuditConfig.from_json(hinted.to_json()) == hinted
+
+
 def test_replace_revalidates():
     config = AuditConfig(workers=2)
     assert config.replace(workers=4).workers == 4

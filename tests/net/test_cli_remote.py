@@ -102,7 +102,8 @@ def test_audit_connect_rejects_a_malformed_record(capsys, as_json):
         assert payload["verdict"] == "REJECTED" and not payload["accepted"]
         assert payload["reason"] == "malformed_bundle"
         assert payload["detail"].startswith("ValueError: ")
-        assert set(payload) == {"verdict", "accepted", "reason", "detail"}
+        assert [e["accepted"] for e in payload["epochs"]] == [True, True]
+        assert payload["rejecting_epoch"] == 2
         return
     lines = captured.out.splitlines()
     assert lines[-3].startswith("epoch 0: ACCEPTED")
@@ -169,6 +170,21 @@ def test_file_follow_and_connect_are_one_driver(tmp_path, capsys):
     assert forged[0] == forged[1] == forged[2]
     assert forged[0]["reason"] == "malformed_bundle"
     assert "events 'abc'" in forged[0]["detail"]
+
+    # A record no reader takes, inside the second epoch: the first
+    # epoch settles, then the same full-schema verdict on every road.
+    lines.insert(mark + 3, b'{"kind": "junk"}')
+    lines[mark] = b'{"kind": "epoch_mark", "events": 0}'
+    with open(bundle, "wb") as fh:
+        fh.write(b"\n".join(lines) + b"\n")
+    verdicts = [audit(road, "--json") for road in roads]
+    assert {code for code, _ in verdicts} == {1}
+    junk = [untimed(json.loads(out)) for _, out in verdicts]
+    assert junk[0] == junk[1] == junk[2]
+    assert (junk[0]["reason"], junk[0]["rejecting_epoch"]) == (
+        "malformed_bundle", 1)
+    assert [e["accepted"] for e in junk[0]["epochs"]] == [True]
+    assert "unknown bundle record kind 'junk'" in junk[0]["detail"]
 
 
 def test_audit_connect_unreachable(capsys):

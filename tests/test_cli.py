@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import re
 
@@ -521,11 +522,21 @@ def test_audit_follow_rejects_a_malformed_record(tmp_path, capsys,
     assert captured.err == ""
     if as_json:
         payload = json.loads(captured.out)
-        assert payload == {
-            "verdict": "REJECTED", "accepted": False,
-            "reason": "malformed_bundle", "detail": payload["detail"]}
+        # The full schema of any verdict: the two epochs that settled
+        # before the record, and the epoch it belongs to.
+        assert set(payload) == {
+            "verdict", "accepted", "reason", "detail", "phases", "stats",
+            "epochs", "rejecting_epoch"}
+        assert (payload["verdict"], payload["accepted"], payload["reason"]
+                ) == ("REJECTED", False, "malformed_bundle")
         assert payload["detail"].startswith("ValueError: ")
         assert "'3'" in payload["detail"]
+        assert [(e["shard"], e["accepted"]) for e in payload["epochs"]] == [
+            (0, True), (1, True)]
+        assert payload["rejecting_epoch"] == 2
+        assert payload["stats"]["shard_count"] == 2
+        assert payload["stats"]["grouped_requests"] == sum(
+            e["requests"] for e in payload["epochs"])
         return
     lines = captured.out.splitlines()
     assert lines[-3].startswith("epoch 0: ACCEPTED")
@@ -572,6 +583,22 @@ def _after_300_events(lines, first):
     event = [i for i, line in enumerate(lines)
              if line.startswith('{"kind": "event"')][299]
     lines.insert(event + 1, lines[first])
+
+
+def _second_state(lines, first, forged_first=False):
+    """A second ``state`` record, emptied, spliced into the second
+    epoch — or put first, with the honest one a few events after it."""
+    honest = next(i for i, line in enumerate(lines)
+                  if line.startswith('{"kind": "state"'))
+    record = json.loads(lines[honest])
+    for table in record["state"]["tables"].values():
+        table["rows"] = []
+    forged = json.dumps(record)
+    if forged_first:
+        lines.insert(honest + 4, lines[honest])
+        lines[honest] = forged
+    else:
+        lines.insert(first + 3, forged)
 
 
 #: What the forensic timeline makes of a case.  Its prepass is a prefix
@@ -633,6 +660,21 @@ MARK_CASES = {
     "events 10**6": (
         lambda lines, first, second: _with_events(lines, first, 10 ** 6),
         "ACCEPTED", None, AS_THE_AUDIT),
+    # Not marks, but the same kind of fault: a record no reader takes.
+    # (``epochs()`` used to keep the first state record and
+    # ``read_all()`` the last: ACCEPTED by the audit, REJECTED by
+    # ``--baseline`` — and the other way round with the forged one
+    # first.)
+    "second state record": (
+        lambda lines, first, second: _second_state(lines, first),
+        "REJECTED", "malformed_bundle", AS_THE_AUDIT),
+    "forged state record first": (
+        lambda lines, first, second: _second_state(lines, first, True),
+        "REJECTED", "malformed_bundle", AS_THE_AUDIT),
+    "junk record in the second epoch": (
+        lambda lines, first, second: lines.insert(
+            first + 3, '{"kind": "junk"}'),
+        "REJECTED", "malformed_bundle", AS_THE_AUDIT),
 }
 
 
@@ -687,11 +729,15 @@ def test_forged_epoch_marks_get_one_verdict_on_every_road(tmp_path,
     """The bundle's epoch marks are the executor's word like the rest
     of it.  Whatever is done to them, ``repro audit FILE`` and ``repro
     audit FILE --follow`` answer alike — verdict, reason and the whole
-    ``--json`` payload, timings aside — neither with a traceback; where
-    they ACCEPT, the re-executed bodies are the honest audit's; and the
-    forensic road (``Timeline.from_bundle``, under ``repro query`` /
-    ``explain``) counts the epochs they count and stops at the epoch
-    they reject, so it answers about no request past it."""
+    ``--json`` payload, timings aside — neither with a traceback, and
+    the library's entry point (``Auditor.audit_stream``) returns the
+    verdict they print; where they ACCEPT, the re-executed bodies are
+    the honest audit's; and the forensic road
+    (``Timeline.from_bundle``, under ``repro query`` / ``explain``)
+    counts the epochs they count and stops at the epoch they reject, so
+    it answers about no request past it.  A record no reader takes is
+    ``malformed_bundle`` on all of them, ``--baseline`` included."""
+    from repro.common.errors import MalformedBundle
     from repro.core import Auditor
     from repro.forensics import Timeline
     from repro.io import BundleReader
@@ -709,10 +755,9 @@ def test_forged_epoch_marks_get_one_verdict_on_every_road(tmp_path,
         assert code == (0 if payload["accepted"] else 1)
         return untimed(payload)
 
-    def bodies():
+    def library():
         with BundleReader.open(bundle) as reader:
-            return Auditor(app).audit_epochs(
-                reader.epochs(), reader.initial_state).produced
+            return Auditor(app).audit_stream(reader)
 
     def explain(rid):
         capsys.readouterr()
@@ -729,19 +774,31 @@ def test_forged_epoch_marks_get_one_verdict_on_every_road(tmp_path,
         assert (plain["verdict"], plain["reason"]) == (verdict, reason), (
             case, plain["detail"])
         assert cli("--follow", "--follow-timeout", "0.2") == plain, case
+        result = library()
+        assert (result.accepted, result.reason and result.reason.value,
+                result.detail, result.stats["shard_count"]) == (
+            plain["accepted"], reason, plain["detail"],
+            len(plain["epochs"])), case
         if case == "honest":
-            honest_bodies = bodies()
+            honest_bodies = result.produced
             assert len(honest_bodies) > 100
             assert len(plain["epochs"]) == 3
         elif verdict == "ACCEPTED":
-            assert bodies() == honest_bodies, case
+            assert result.produced == honest_bodies, case
 
         # The third road.
-        if reason == "malformed_bundle":  # no reader gets past the mark
-            with pytest.raises(ValueError, match="events"):
+        if reason == "malformed_bundle":  # no reader gets past the record
+            with pytest.raises(MalformedBundle) as refused:
                 Timeline.from_bundle(bundle, app)
+            assert str(refused.value) == plain["detail"], case
             code, said = explain("s00000001")
             assert code == 2 and "cannot load bundle" in said.err, case
+            # ... nor does the fourth: the baseline reads the whole file.
+            checked = cli("--baseline")
+            assert checked.pop("baseline") == {"accepted": False,
+                                               "seconds": 0.0}, case
+            assert checked == plain, case
+            assert plain["rejecting_epoch"] == len(plain["epochs"]), case
             continue
         with BundleReader.open(bundle) as reader:
             slices = list(reader.epochs())
@@ -837,6 +894,45 @@ def test_audit_plan_hints_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "plan-hints" in out
     assert "ACCEPTED" in out
+
+
+def test_plan_hints_without_no_strict_is_a_usage_error(tmp_path, capsys):
+    """A strict audit never consults the hints: asking for both used to
+    print ``plan-hints`` in the banner and ignore it."""
+    with pytest.raises(SystemExit) as usage:
+        main(["audit", str(tmp_path / "never-opened.jsonl"),
+              "--workload", "hotcrp", "--scale", "0.02", "--plan-hints"])
+    assert usage.value.code == 2
+    err = capsys.readouterr().err
+    assert "plan_hints" in err and "strict" in err
+
+
+@pytest.mark.parametrize("command", ["record", "demo", "serve", "synth"])
+@pytest.mark.parametrize("flag,value", [
+    ("--epoch-size", "-5"), ("--concurrency", "0"), ("--concurrency", "-3"),
+    ("--scale", "-1"), ("--scale", "0"), ("--scale", "nan"),
+])
+def test_recording_flags_out_of_range_are_usage_errors(tmp_path, capsys,
+                                                       command, flag, value):
+    """They were clamped in silence (one epoch, concurrency 1, twenty
+    requests) and a bundle was written; now exit 2, naming the flag,
+    before anything is served — on every subcommand that records, and
+    ``--scale`` wherever a workload is built."""
+    out = str(tmp_path / "bundle.jsonl")
+    argv = {"serve": ["--listen", "127.0.0.1:0"], "demo": []}.get(
+        command, ["--out", out])
+    with pytest.raises(SystemExit) as usage:
+        main([command, *argv, f"{flag}={value}"])
+    assert usage.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}" in captured.err and captured.out == ""
+    assert not os.path.exists(out)
+    if flag == "--scale":
+        for reader in (["audit", out], ["fuzz", out]):
+            with pytest.raises(SystemExit) as usage:
+                main([*reader, f"--scale={value}"])
+            assert usage.value.code == 2
+            assert "argument --scale" in capsys.readouterr().err
 
 
 def test_follow_with_epoch_workers(tmp_path, capsys):

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import io as repro_io
+from repro.common.errors import MalformedBundle
 from repro.io import (
     BundleReader,
     BundleWriter,
@@ -298,9 +299,8 @@ def test_the_state_record_is_decoded_once(tmp_path, monkeypatch):
     ``epochs()`` (the CLI's order, and the benchmark's), ``epochs()``
     alone, ``seek_epoch()`` then ``epochs()`` — ``state_from_json`` runs
     once, every slice still comes out, and the state is there to ask
-    for afterwards."""
-    from repro.net import client
-
+    for afterwards.  (Both readers decode it in the accumulator, which
+    calls :mod:`repro.io`'s.)"""
     epochs = _random_epochs(0)
     path = str(tmp_path / "bundle.jsonl")
     with BundleWriter(path) as writer:
@@ -316,7 +316,6 @@ def test_the_state_record_is_decoded_once(tmp_path, monkeypatch):
 
     state_from_json = repro_io.state_from_json
     monkeypatch.setattr(repro_io, "state_from_json", counting)
-    monkeypatch.setattr(client, "state_from_json", counting)
 
     def drive(reader, first, start=0):
         decoded.clear()
@@ -411,29 +410,55 @@ MALFORMED = {
                    "end record has events 2.0"),
     "not an object": ("group", lambda r: r.clear(),
                       "is a JSON list, not an object"),
+    # Fields that used to leak KeyError / TypeError / AttributeError.
+    "event without rid": ("event",
+                          lambda r: next(iter(
+                              v for v in r["event"].values()
+                              if isinstance(v, dict))).pop("rid"),
+                          "KeyError: 'rid'"),
+    "state columns": ("state", lambda r: r["state"].update(
+        tables={"t": {"columns": 5, "types": {}, "rows": []}}),
+        "TypeError: 'int' object is not iterable"),
+    "op counts a list": ("op_counts", lambda r: r.update(counts=[1]),
+                         "AttributeError"),
+    "group rids": ("group", lambda r: r.update(rids=7), "TypeError"),
+    "no kind": ("nondet", lambda r: r.pop("kind"), "KeyError: 'kind'"),
+    # The state record is the verifier's trusted input: there is one.
+    "second state": ("state", lambda r: None,
+                     "state record after the first"),
 }
 
 
 @pytest.mark.parametrize("what", sorted(MALFORMED))
 def test_malformed_records_raise_value_error(tmp_path, what):
-    """On every road a record travels — the file's epochs, the whole
-    file, the bare accumulator a socket feeds — and saying what it
-    found."""
+    """On every road a record travels — the file's epochs (with the
+    state asked for first, and not), the whole file, the bare
+    accumulator a socket feeds — one type, ``MalformedBundle`` (a
+    ``ValueError``), saying what it found."""
     kind, edit, says = MALFORMED[what]
     records = _with(_bundle_lines(tmp_path), kind, edit)
     if what == "not an object":
         records = [record or [1, 2] for record in records]
+    if what == "second state":  # an emptied copy, mid-file
+        forged = json.loads(json.dumps(records[1]))
+        forged["state"].update(kv={}, registers={})
+        records.insert(len(records) // 2, forged)
     path = str(tmp_path / "bad.jsonl")
     with open(path, "w") as fh:
         fh.writelines(json.dumps(record) + "\n" for record in records)
-    with BundleReader(path) as reader, pytest.raises(ValueError,
+    with BundleReader(path) as reader, pytest.raises(MalformedBundle,
                                                      match=says):
         list(reader.epochs())
-    with BundleReader(path) as reader, pytest.raises(ValueError,
+    with BundleReader(path) as reader, pytest.raises(MalformedBundle,
+                                                     match=says):
+        reader.read_initial_state()
+        list(reader.epochs())
+    with BundleReader(path) as reader, pytest.raises(MalformedBundle,
                                                      match=says):
         reader.read_all()
     accumulator = EpochAccumulator()
-    with pytest.raises(ValueError, match=says):
+    with pytest.raises(MalformedBundle, match=says):
         for record in records[1:]:
             if not repro_io.ends_stream(record):
                 accumulator.feed(record)
+    assert issubclass(MalformedBundle, ValueError)

@@ -49,6 +49,13 @@ How the closures are built:
   intents);
 * **constant subtrees** fold at compile time, preserving the exact
   instruction count the folded nodes would have contributed;
+* **leaf operands fuse** into the node above them: an operator, index
+  or ``$x op= <const>`` whose operand is a constant or a dict-frame
+  variable reads it in line, booking the step (and, for a multivalue,
+  the multivalent step) its own closure would have; two operands of
+  exactly the operator's type take its plain form
+  (:data:`~repro.lang.values.EXACT_OPS`) before the table entry, and a
+  condition that is a bool skips ``_truth``;
 * **branch sites** record control flow (§4.3) without a call: what
   :meth:`FlowDigest.update(kind, target)
   <repro.common.digest.FlowDigest.update>` would xor in is a constant
@@ -159,6 +166,7 @@ from repro.lang.values import (
     PhpArray,
     binop,
     compound,
+    exact_op,
     thaw_value,
     to_str,
     truthy,
@@ -242,6 +250,16 @@ class _Compiler:
             env[name] = value
 
         return (lambda env: env.get(name)), store
+
+    def _frame_var(self, node: Node) -> str | None:
+        """The name ``node`` reads when it is a variable read an operator
+        can take in line (``env.get(name)`` on a dict frame), else
+        ``None``.  The fused closure then books the read as the ``Var``
+        closure would: one step, plus a multivalent step when the value
+        is a multivalue."""
+        if type(node) is Var and not self.use_env:
+            return node.name
+        return None
 
     # -- blocks and statements ------------------------------------------------
 
@@ -337,11 +355,50 @@ class _Compiler:
         return True, run
 
     def _compile_assign(self, stmt: Assign) -> tuple[bool, Callable]:
-        pure, fn = self._compile_expr_copy(stmt.expr)
+        pure, fn, const = self._compile_expr_copy(stmt.expr)
         name = stmt.name
         op = stmt.op
         apply = compound(op)  # unused for a plain ``=``
         use_env = self.use_env
+        if pure and op and not use_env:
+            # The plain form is the table entry's, so only where the
+            # compound operator *is* the entry (``compound`` makes a
+            # hand-built ``==`` compound raise).
+            plain_op = op if apply is binop(op) else ""
+            if const is not None:
+                # ``$i += 1``: the constant needs no call, and its
+                # instruction count rides on this statement's.
+                value, steps = const[0], const[1] + 1
+                kind, fast = exact_op(plain_op, value)
+
+                def run(env, state):
+                    state.steps += steps
+                    current = env.get(name)
+                    if type(current) is kind:
+                        env[name] = fast(current, value)
+                    elif type(current) is MultiValue:
+                        env[name] = _multi_binop(apply, current, value,
+                                                 state)
+                    else:
+                        env[name] = apply(current, value)
+
+                return True, run
+
+            kind, fast = exact_op(plain_op)
+
+            def run(env, state):
+                state.steps += 1
+                value = fn(env, state)
+                current = env.get(name)
+                if type(current) is kind and type(value) is kind:
+                    env[name] = fast(current, value)
+                elif type(current) is MultiValue \
+                        or type(value) is MultiValue:
+                    env[name] = _multi_binop(apply, current, value, state)
+                else:
+                    env[name] = apply(current, value)
+
+            return True, run
         if pure:
             if not op:
                 if use_env:
@@ -357,26 +414,11 @@ class _Compiler:
                         env[name] = fn(env, state)
 
                 return True, run
-            if use_env:
 
-                def run(env, state):
-                    state.steps += 1
-                    value = fn(env, state)
-                    env.store(name, _binop(apply, env.lookup(name), value,
-                                           state))
-
-            else:
-
-                def run(env, state):
-                    state.steps += 1
-                    value = fn(env, state)
-                    current = env.get(name)
-                    if type(current) is MultiValue \
-                            or type(value) is MultiValue:
-                        env[name] = _multi_binop(apply, current, value,
-                                                 state)
-                    else:
-                        env[name] = apply(current, value)
+            def run(env, state):
+                state.steps += 1
+                value = fn(env, state)
+                env.store(name, _binop(apply, env.lookup(name), value, state))
 
             return True, run
         load, store = self._accessors(name)
@@ -442,7 +484,9 @@ class _Compiler:
                 body_fn = else_fn
                 mix = else_mix
                 for cond_fn, branch_fn, arm_mix in plain:
-                    if _truth(cond_fn(env, state), where):
+                    cond = cond_fn(env, state)
+                    if cond is True or (cond is not False
+                                        and _truth(cond, where)):
                         body_fn = branch_fn
                         mix = arm_mix
                         break
@@ -462,7 +506,8 @@ class _Compiler:
                 cond_pure, cond_fn, _ = cond
                 value = (cond_fn(env, state) if cond_pure
                          else (yield from cond_fn(env, state)))
-                if _truth(value, where):
+                if value is True or (value is not False
+                                     and _truth(value, where)):
                     body = branch_body
                     mix = arm_mix
                     break
@@ -489,7 +534,9 @@ class _Compiler:
             def run(env, state):
                 state.steps += 1
                 while True:
-                    if not _truth(cond_fn(env, state), where):
+                    cond = cond_fn(env, state)
+                    if cond is not True and (cond is False
+                                             or not _truth(cond, where)):
                         break
                     flow = state.flow
                     if flow is not None:
@@ -511,7 +558,8 @@ class _Compiler:
             while True:
                 value = (cond_fn(env, state) if cond_pure
                          else (yield from cond_fn(env, state)))
-                if not _truth(value, where):
+                if value is not True and (value is False
+                                          or not _truth(value, where)):
                     break
                 flow = state.flow
                 if flow is not None:
@@ -615,7 +663,7 @@ class _Compiler:
         ]
         last = stmt.path[-1]
         last_c = self._compile_expr(last) if last is not None else None
-        value_pure, value_fn = self._compile_expr_copy(stmt.expr)
+        value_pure, value_fn, _ = self._compile_expr_copy(stmt.expr)
         all_pure = (
             value_pure
             and all(p is None or p[0] for p in walk)
@@ -713,7 +761,7 @@ class _Compiler:
                 raise _ReturnSignal(None)
 
             return True, run
-        pure, fn = self._compile_expr_copy(stmt.expr)
+        pure, fn, _ = self._compile_expr_copy(stmt.expr)
         if pure:
 
             def run(env, state):
@@ -799,13 +847,16 @@ class _Compiler:
 
         return True, run, None
 
-    def _compile_expr_copy(self, node: Node) -> tuple[bool, Callable]:
-        """The :meth:`Interpreter._eval_copy` rule: a Var/Index read
-        whose value is an array (or a multivalue, which may hold one per
-        slot) copies it into the new location."""
-        pure, fn, _ = self._compile_expr(node)
+    def _compile_expr_copy(
+        self, node: Node
+    ) -> tuple[bool, Callable, tuple | None]:
+        """:meth:`_compile_expr` under the :meth:`Interpreter._eval_copy`
+        rule: a Var/Index read whose value is an array (or a multivalue,
+        which may hold one per slot) copies it into the new location."""
+        compiled = self._compile_expr(node)
         if type(node) not in (Var, Index):
-            return pure, fn
+            return compiled
+        pure, fn, _ = compiled
         if pure:
 
             def run(env, state):
@@ -815,7 +866,7 @@ class _Compiler:
                     return _copy_value(value)
                 return value
 
-            return True, run
+            return True, run, None
 
         def run_gen(env, state):
             value = yield from fn(env, state)
@@ -824,7 +875,7 @@ class _Compiler:
                 return _copy_value(value)
             return value
 
-        return False, run_gen
+        return False, run_gen, None
 
     def _compile_binop(self, node: BinOp) -> tuple[bool, Callable, tuple | None]:
         op = node.op
@@ -842,17 +893,58 @@ class _Compiler:
                 return self._const(
                     folded, 1 + left_const[1] + right_const[1]
                 )
+        # Fused operands: a constant or a frame variable is read in line,
+        # its instruction count riding on this node's, and two operands
+        # of the operator's exact type take its plain form (``kind`` is
+        # ``None`` where there is none, which no ``type()`` is).
+        left_var = self._frame_var(node.left)
         if left_pure and right_const is not None:
-            # ``$x + 1``: the constant needs no call and no test, and
-            # its instruction count rides on this node's.
             right, steps = right_const[0], right_const[1] + 1
+            kind, fast = exact_op(op, right)
+            if left_var is not None:  # ``$i * 3``
+                steps += 1
+
+                def run(env, state):
+                    state.steps += steps
+                    left = env.get(left_var)
+                    if type(left) is kind:
+                        return fast(left, right)
+                    if type(left) is MultiValue:
+                        state.multivalent(len(left.values))
+                        return _multi_binop(combine, left, right, state)
+                    return combine(left, right)
+
+                return True, run, None
 
             def run(env, state):
                 state.steps += steps
                 left = left_fn(env, state)
+                if type(left) is kind:
+                    return fast(left, right)
                 if type(left) is MultiValue:
                     return _multi_binop(combine, left, right, state)
                 return combine(left, right)
+
+            return True, run, None
+        kind, fast = exact_op(op)
+        right_var = self._frame_var(node.right)
+        if left_var is not None and right_var is not None:  # ``$i < $n``
+
+            def run(env, state):
+                state.steps += 3
+                left = env.get(left_var)
+                right = env.get(right_var)
+                left_kind, right_kind = type(left), type(right)
+                if left_kind is kind and right_kind is kind:
+                    return fast(left, right)
+                if left_kind is not MultiValue \
+                        and right_kind is not MultiValue:
+                    return combine(left, right)
+                if left_kind is MultiValue:
+                    state.multivalent(len(left.values))
+                if right_kind is MultiValue:
+                    state.multivalent(len(right.values))
+                return _multi_binop(combine, left, right, state)
 
             return True, run, None
         if left_pure and right_pure:
@@ -861,7 +953,10 @@ class _Compiler:
                 state.steps += 1
                 left = left_fn(env, state)
                 right = right_fn(env, state)
-                if type(left) is MultiValue or type(right) is MultiValue:
+                left_kind, right_kind = type(left), type(right)
+                if left_kind is kind and right_kind is kind:
+                    return fast(left, right)
+                if left_kind is MultiValue or right_kind is MultiValue:
                     return _multi_binop(combine, left, right, state)
                 return combine(left, right)
 
@@ -892,7 +987,9 @@ class _Compiler:
             def run(env, state):
                 state.steps += 1
                 # ``&&`` goes on when the left is true, ``||`` when not.
-                take_right = _truth(left_fn(env, state), where) is is_and
+                left = left_fn(env, state)
+                take_right = (left is True or (
+                    left is not False and _truth(left, where))) is is_and
                 flow = state.flow
                 if flow is not None:
                     state.flow = ((flow ^ (right_mix if take_right
@@ -908,7 +1005,8 @@ class _Compiler:
             state.steps += 1
             left = (left_fn(env, state) if left_pure
                     else (yield from left_fn(env, state)))
-            take_right = _truth(left, where) is is_and
+            take_right = (left is True or (
+                left is not False and _truth(left, where))) is is_and
             flow = state.flow
             if flow is not None:
                 state.flow = ((flow ^ (right_mix if take_right
@@ -958,7 +1056,9 @@ class _Compiler:
 
             def run(env, state):
                 state.steps += 1
-                taken = _truth(cond_fn(env, state), where)
+                cond = cond_fn(env, state)
+                taken = cond is True or (cond is not False
+                                         and _truth(cond, where))
                 flow = state.flow
                 if flow is not None:
                     state.flow = ((flow ^ (then_mix if taken else other_mix))
@@ -973,7 +1073,8 @@ class _Compiler:
             state.steps += 1
             cond = (cond_fn(env, state) if cond_pure
                     else (yield from cond_fn(env, state)))
-            taken = _truth(cond, where)
+            taken = cond is True or (cond is not False
+                                     and _truth(cond, where))
             flow = state.flow
             if flow is not None:
                 state.flow = ((flow ^ (then_mix if taken else other_mix))
@@ -990,8 +1091,49 @@ class _Compiler:
 
     def _compile_index(self, node: Index) -> tuple[bool, Callable, None]:
         base_pure, base_fn, _ = self._compile_expr(node.base)
-        index_pure, index_fn, _ = self._compile_expr(node.index)
+        index_pure, index_fn, index_const = self._compile_expr(node.index)
         indexable = (PhpArray, str, MultiValue)
+        base_var = self._frame_var(node.base)
+        if base_var is not None and index_const is not None:  # ``$r['id']``
+            key, steps = index_const[0], index_const[1] + 2
+            norm = PhpArray._norm_key(key)  # a scalar: never raises
+
+            def run(env, state):
+                state.steps += steps
+                base = env.get(base_var)
+                if type(base) is PhpArray:
+                    value = base.data.get(norm)
+                    if type(value) is MultiValue:
+                        state.multivalent(len(value.values))
+                    return value
+                if type(base) is MultiValue:
+                    state.multivalent(len(base.values))
+                elif not isinstance(base, indexable):
+                    raise WeblangError("indexing a non-array value")
+                return _index(base, key, state)
+
+            return True, run, None
+        index_var = self._frame_var(node.index)
+        if base_var is not None and index_var is not None:  # ``$xs[$i]``
+
+            def run(env, state):
+                state.steps += 3
+                base = env.get(base_var)
+                index = env.get(index_var)
+                if type(index) is MultiValue:
+                    state.multivalent(len(index.values))
+                elif type(base) is PhpArray:
+                    value = base.get(index)
+                    if type(value) is MultiValue:
+                        state.multivalent(len(value.values))
+                    return value
+                if type(base) is MultiValue:
+                    state.multivalent(len(base.values))
+                elif not isinstance(base, indexable):
+                    raise WeblangError("indexing a non-array value")
+                return _index(base, index, state)
+
+            return True, run, None
         if base_pure and index_pure:
 
             def run(env, state):
@@ -1062,7 +1204,7 @@ class _Compiler:
         def run_gen(env, state):
             state.steps += 1
             array = PhpArray()
-            for key_c, (value_pure, value_fn) in items:
+            for key_c, (value_pure, value_fn, _) in items:
                 value = (value_fn(env, state) if value_pure
                          else (yield from value_fn(env, state)))
                 key = _APPEND
@@ -1079,7 +1221,7 @@ class _Compiler:
 
     def _compile_args(self, nodes: list[Node]) -> tuple[bool, Callable]:
         """Evaluate a call's arguments (with copy semantics) to a list."""
-        compiled = [self._compile_expr_copy(arg) for arg in nodes]
+        compiled = [self._compile_expr_copy(arg)[:2] for arg in nodes]
         if all(pure for pure, _ in compiled):
             fns = [fn for _, fn in compiled]
 

@@ -16,9 +16,11 @@ multivalue expansion sound in the compiled engine.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Callable, Iterator
 from functools import partial
+from typing import Any
 
 from repro.common.errors import WeblangError
 
@@ -71,7 +73,7 @@ class PhpArray:
                     return as_int
             return key
         if isinstance(key, (bool, float)):
-            return int(key)
+            return to_int(key)
         if isinstance(key, int):
             return key
         if key is None:
@@ -208,9 +210,11 @@ def to_str(value: object) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e15:
+        if abs(value) < 1e15 and value == int(value):
             return str(int(value))
-        return repr(value)
+        if math.isfinite(value):
+            return repr(value)
+        return "NAN" if math.isnan(value) else "INF" if value > 0 else "-INF"
     if isinstance(value, str):
         return value
     if isinstance(value, PhpArray):
@@ -228,7 +232,7 @@ def to_int(value: object) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, float):
-        return int(value)
+        return int(value) if math.isfinite(value) else 0  # PHP 7+
     if isinstance(value, str):
         stripped = value.strip()
         sign = 1
@@ -312,10 +316,12 @@ def arith(op: str, left: object, right: object) -> object:
     if op == "/":
         if rnum == 0:
             raise WeblangError("division by zero")
-        result = lnum / rnum
         if isinstance(lnum, int) and isinstance(rnum, int) and lnum % rnum == 0:
             return lnum // rnum
-        return result
+        try:
+            return lnum / rnum
+        except OverflowError:  # an int operand, a quotient no float holds
+            return math.inf if (lnum < 0) == (rnum < 0) else -math.inf
     if op == "%":
         if to_int(rnum) == 0:
             raise WeblangError("modulo by zero")
@@ -432,13 +438,13 @@ def _mod(left: object, right: object) -> object:
     return arith("%", left, right)
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
 #: operator -> two-argument value function (``&&`` / ``||`` short-circuit
 #: and live in the engines).
 BINOPS: dict[str, Callable[[object, object], object]] = {
     ".": _concat,
-    "+": _numbers("+", operator.add),
-    "-": _numbers("-", operator.sub),
-    "*": _numbers("*", operator.mul),
+    **{op: _numbers(op, plain) for op, plain in _ARITH.items()},
     "/": partial(arith, "/"),
     "%": _mod,
     "==": _same_type(operator.eq, loose_eq),
@@ -448,6 +454,40 @@ BINOPS: dict[str, Callable[[object, object], object]] = {
     **{op: _same_type(test, partial(compare, op))
        for op, test in _ORDERINGS.items()},
 }
+
+#: operator -> ``(T, plain)``: on two operands of exactly type ``T``
+#: (``type(x) is T``, so a bool is never an int here), ``plain(l, r)`` is
+#: ``BINOPS[op](l, r)``, value and type — the plain operator each entry
+#: above already tries first, which the compiled engine applies in line.
+#: ``%`` holds for a non-zero divisor only (see :func:`exact_op`); ``/``
+#: has no plain form (``4 / 2`` is ``2``, ``3 / 2`` is ``1.5``).
+EXACT_OPS: dict[str, tuple[type, Callable[[object, object], object]]] = {
+    ".": (str, operator.add),
+    **{op: (int, plain) for op, plain in {
+        **_ARITH, **_ORDERINGS, "%": operator.mod,
+        "==": operator.eq, "!=": operator.ne,
+        "===": operator.eq, "!==": operator.ne,
+    }.items()},
+}
+
+
+_UNKNOWN = object()
+
+
+def exact_op(op: str, right: object = _UNKNOWN
+             ) -> tuple[type | None, Any]:
+    """``EXACT_OPS[op]``, or ``(None, None)`` where ``op`` has no plain
+    form — nor where the right operand, when it is known before the left
+    one is evaluated, is not of the entry's type; ``%`` has one only for
+    a known, non-zero int.  ``type(x) is None`` never holds, so a caller
+    tests the left operand's type without testing for ``None`` first."""
+    kind, plain = EXACT_OPS.get(op, (None, None))
+    if right is _UNKNOWN:
+        return (None, None) if op == "%" else (kind, plain)
+    if type(right) is not kind or (op == "%" and not right):
+        return None, None
+    return kind, plain
+
 
 #: The two unary operators.
 UNOPS: dict[str, Callable[[object], object]] = {

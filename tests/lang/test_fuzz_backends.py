@@ -73,6 +73,11 @@ _DET_STATS = (
 )
 
 
+#: A loop bound read from the request: a multivalue across a group whose
+#: members differ in ``q``.
+MIN_Q = "min(intval(param('q', 2)), 4)"
+
+
 class ProgramGen:
     """A seeded random weblang program generator.
 
@@ -108,15 +113,23 @@ class ProgramGen:
     # -- expressions ------------------------------------------------------
 
     def literal(self) -> str:
+        """Literals that probe the compiled engine's exact-type guards:
+        bools and null next to ints, ``0`` / ``-0`` divisors, ints past
+        64 bits once squared, numeric strings that juggle."""
         r = self.rng
-        pick = r.randrange(4)
+        pick = r.randrange(6)
         if pick == 0:
             return str(r.randrange(-9, 100))
         if pick == 1:
             return repr(r.choice(["", "x", "abc", "Hello World", "0",
-                                  "7", "a-b-c"]))
+                                  "7", " 7", "7.0", "a-b-c"]))
         if pick == 2:
             return str(r.choice([1.5, 2.25, 0.5]))
+        if pick == 3:
+            return r.choice(["true", "false", "null"])
+        if pick == 4:
+            return r.choice(["0", "-0", str(2 ** 62), str(-(2 ** 62) - 1),
+                             str(3 * 2 ** 61)])
         return r.choice(["0", "1"])
 
     def expr(self, depth: int = 0) -> str:
@@ -193,7 +206,9 @@ class ProgramGen:
         pick = r.randrange(12)
         if pick <= 2:
             var = r.choice(self.vars)
-            op = r.choice(["=", "=", "=", "+=", ".="])
+            op = r.choice(["=", "=", "=", "+=", ".=", "-=", "*=", "/="])
+            if op != "=" and r.random() < 0.5:  # ``$v op= <literal>``
+                return f"${var} {op} {self.literal()};"
             return f"${var} {op} {self.expr()};"
         if pick == 3:
             args = ", ".join(self.expr() for _ in range(r.randrange(1, 3)))
@@ -209,13 +224,19 @@ class ProgramGen:
         if pick == 5 and depth < 2:
             self.loop_id += 1
             i = f"i{self.loop_id}"
-            bound = r.randrange(1, 5)
+            bound = str(r.randrange(1, 5))
+            prelude = ""
+            if r.random() < 0.5:  # ``while ($i < $n)``: two variables
+                n = f"n{self.loop_id}"
+                prelude = (f"${n} = "
+                           f"{r.choice([bound, MIN_Q])}; ")
+                bound = f"${n}"
             body = self.block(depth + 1, 3)
             extra = ""
             if r.random() < 0.3:
                 extra = r.choice([f"if (${i} == 2) {{ continue; }} ",
                                   f"if (${i} == 3) {{ break; }} "])
-            return (f"${i} = 0; while (${i} < {bound})"
+            return (f"{prelude}${i} = 0; while (${i} < {bound})"
                     f" {{ ${i} += 1; {extra}{body} }}")
         if pick == 6 and depth < 2:
             self.loop_id += 1

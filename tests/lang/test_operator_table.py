@@ -12,10 +12,24 @@ of a grid chosen to hit each coercion rule, for every operator.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.errors import WeblangError
 from repro.lang import values
-from repro.lang.values import BINOPS, PhpArray, binop, compound, unop
+from repro.lang.compile import CompInterpreter
+from repro.lang.parser import parse_program
+from repro.lang.values import (
+    BINOPS,
+    EXACT_OPS,
+    PhpArray,
+    _concat,
+    binop,
+    compound,
+    exact_op,
+    unop,
+)
+from repro.trace.events import Request
 
 
 class FROZEN:
@@ -261,11 +275,11 @@ def grid() -> list[object]:
 
 
 def outcome(fn, *args):
-    """(type name, value) of a call, or of the error it raised (a
-    ``WeblangError``; ``OverflowError`` for ``to_str(inf)``, then as now)."""
+    """(type name, value) of a call, or of the ``WeblangError`` it
+    raised."""
     try:
         result = fn(*args)
-    except (WeblangError, OverflowError) as exc:
+    except WeblangError as exc:
         return (type(exc).__name__, str(exc))
     if isinstance(result, PhpArray):
         return ("PhpArray", result.items())
@@ -322,7 +336,10 @@ def test_unary_operators_agree_with_the_frozen_ladder():
 
 @pytest.mark.parametrize("name", ["truthy", "to_str", "to_int", "to_float"])
 def test_coercions_agree_with_the_frozen_copy(name):
-    for value in [*grid(), -0.0, 3.9, 1e300, float("inf"), "+", "-", "."]:
+    """Finite values only: the frozen ``to_str`` / ``to_int`` crashed on
+    ``INF`` / ``NAN`` (``OverflowError`` / ``ValueError``), which PHP
+    prints and casts to ``0`` (``tests/lang/test_values.py``)."""
+    for value in [*grid(), -0.0, 3.9, 1e300, "+", "-", "."]:
         assert outcome(getattr(values, name), value) == outcome(
             getattr(FROZEN, name), value), (name, value)
 
@@ -363,3 +380,55 @@ def test_array_round_trip_through_normalized_keys():
         ("007", "'007'"), (7, "7"), (1, "True"), ("²", "'²'"),
         ("", "None"), (3, "3.9"),
     ]
+
+
+# -- the exact-type fast table ------------------------------------------------
+
+#: Ints around the machine-word edges as well as hypothesis's own.
+INTS = st.integers() | st.sampled_from([0, -1, 2 ** 62, 2 ** 63, -(2 ** 63)])
+
+
+@given(st.sampled_from(sorted(op for op, (kind, _) in EXACT_OPS.items()
+                              if kind is int)), INTS, INTS)
+def test_exact_int_ops_are_the_table_entries(op, left, right):
+    """On two exact ints the plain operator the compiled engine applies
+    in line is the table entry, value and type."""
+    kind, plain = exact_op(op, right)
+    if op == "%" and right == 0:
+        assert (kind, plain) == (None, None)
+        return
+    assert kind is int
+    expected = BINOPS[op](left, right)
+    got = plain(left, right)
+    assert (type(got), got) == (type(expected), expected)
+
+
+@given(st.text(), st.text())
+def test_exact_concat_is_the_table_entry(left, right):
+    kind, plain = exact_op(".")
+    assert kind is str
+    assert plain(left, right) == _concat(left, right)
+
+
+def test_no_plain_form_where_the_table_decides_by_value():
+    assert exact_op("/") == exact_op("/", 2) == (None, None)
+    assert exact_op("%") == exact_op("%", 0) == exact_op("%", True) \
+        == (None, None)
+    assert exact_op("&&") == exact_op("**") == (None, None)
+    # A known right operand of another type: no plain form either.
+    assert exact_op("+", True) == exact_op("+", 1.5) == exact_op("+", "1") \
+        == exact_op(".", 1) == (None, None)
+
+
+@pytest.mark.parametrize("expr", [
+    "$x % 0", "$x % -0", "$x % $z", "($x + 1) % 0", "($x + 1) % $z",
+])
+def test_modulo_by_int_zero_still_raises_the_tables_error(expr):
+    """Every fused binop shape (variable or closure on the left,
+    constant or variable on the right) falls back to the entry."""
+    with pytest.raises(WeblangError) as expected:
+        BINOPS["%"](7, 0)
+    program = parse_program(f"$x = 7; $z = 0; echo {expr};")
+    with pytest.raises(WeblangError) as raised:
+        next(CompInterpreter().run(program, Request("r0", "mod.php")))
+    assert str(raised.value) == str(expected.value)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -125,6 +127,15 @@ def test_to_str_array_is_Array():
     assert to_str(PhpArray()) == "Array"
 
 
+@pytest.mark.parametrize("value,expected", [
+    (math.inf, "INF"), (-math.inf, "-INF"), (math.nan, "NAN"),
+    (1e15, "1000000000000000.0"), (1e300, "1e+300"), (-0.0, "0"),
+])
+def test_to_str_of_floats_no_int_holds(value, expected):
+    """PHP's spellings; ``int(inf)`` / ``int(nan)`` used to raise."""
+    assert to_str(value) == expected
+
+
 # -- numeric conversion ------------------------------------------------------------
 
 
@@ -134,6 +145,20 @@ def test_to_str_array_is_Array():
 ])
 def test_to_int(value, expected):
     assert to_int(value) == expected
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_to_int_of_non_finite_float_is_zero(value):
+    """As PHP 7+ casts them."""
+    assert to_int(value) == 0
+
+
+def test_non_finite_float_keys_normalize_to_zero():
+    array = PhpArray()
+    array.set(math.inf, "inf")
+    array.set(math.nan, "nan")
+    assert array.items() == [(0, "nan")]
+    assert array.get(-math.inf) == "nan"
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -158,6 +183,21 @@ def test_arith_division_inexact_is_float():
 def test_arith_string_coercion():
     assert arith("+", "2", "3") == 5
     assert arith("+", "2.5", 1) == 3.5
+
+
+@pytest.mark.parametrize("left,right,expected", [
+    (10 ** 400, 3, math.inf), (-(10 ** 400), 3, -math.inf),
+    (10 ** 400, -3, -math.inf), (-(10 ** 400), -3, math.inf),
+    (10 ** 400, 0.5, math.inf),
+])
+def test_int_division_that_overflows_a_float_is_signed_inf(left, right,
+                                                            expected):
+    assert arith("/", left, right) == expected
+
+
+def test_exact_division_of_huge_ints_stays_int():
+    assert arith("/", 10 ** 400, 10 ** 399) == 10
+    assert type(arith("/", 10 ** 400, 10 ** 399)) is int
 
 
 def test_division_by_zero_raises():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
 
+from repro.core import AuditConfig, Auditor
 from repro.objects.base import OpType
 from repro.server import (
     Application,
@@ -265,3 +267,29 @@ def test_report_sizes_accounting(honest_run):
     assert set(sizes) == {"groups", "op_logs", "op_counts", "nondet"}
     assert honest_run.reports.total_size_bytes() == sum(sizes.values())
     assert honest_run.reports.baseline_size_bytes() == sizes["nondet"]
+
+
+#: Squares a float past the largest double: ``$x`` ends ``INF``.
+OVERFLOW_SRC = {"grow.php": """
+$x = 99999999999.5; $i = 0;
+while ($i < 40) { $x = $x * $x; $i += 1; }
+echo $x;
+"""}
+
+
+@pytest.mark.parametrize("backend", ["interp", "hybrid"])
+def test_a_float_that_overflows_is_served_as_inf_and_audited(backend):
+    """``echo`` of an infinite float used to raise ``OverflowError`` out of
+    ``to_str``; the executor catches only ``WeblangError``, so one such
+    request ended every other request's serve.  It prints PHP's ``INF``
+    on the server and on either audit engine."""
+    app = Application.from_sources("grow", OVERFLOW_SRC)
+    requests = [Request(f"g{index}", "grow.php") for index in range(3)]
+    execution = Executor(app, record=True).serve(requests)
+    bodies = {response.body
+              for response in execution.trace.responses().values()}
+    assert bodies == {"INF"}
+    result = Auditor(app, AuditConfig(backend=backend)).audit_epochs(
+        execution.epochs(), execution.initial_state)
+    assert result.accepted
+    assert set(result.produced.values()) == {"INF"}

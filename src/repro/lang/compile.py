@@ -49,8 +49,8 @@ How the closures are built:
   intents);
 * **constant subtrees** fold at compile time, preserving the exact
   instruction count the folded nodes would have contributed;
-* **leaf operands fuse** into the node above them: an operator, index
-  or ``$x op= <const>`` whose operand is a constant or a dict-frame
+* **leaf operands fuse** into the node above them: an operator or
+  ``$x op= <const>`` whose operand is a constant or a dict-frame
   variable reads it in line, booking the step (and, for a multivalue,
   the multivalent step) its own closure would have; two operands of
   exactly the operator's type take its plain form
@@ -1091,49 +1091,8 @@ class _Compiler:
 
     def _compile_index(self, node: Index) -> tuple[bool, Callable, None]:
         base_pure, base_fn, _ = self._compile_expr(node.base)
-        index_pure, index_fn, index_const = self._compile_expr(node.index)
+        index_pure, index_fn, _ = self._compile_expr(node.index)
         indexable = (PhpArray, str, MultiValue)
-        base_var = self._frame_var(node.base)
-        if base_var is not None and index_const is not None:  # ``$r['id']``
-            key, steps = index_const[0], index_const[1] + 2
-            norm = PhpArray._norm_key(key)  # a scalar: never raises
-
-            def run(env, state):
-                state.steps += steps
-                base = env.get(base_var)
-                if type(base) is PhpArray:
-                    value = base.data.get(norm)
-                    if type(value) is MultiValue:
-                        state.multivalent(len(value.values))
-                    return value
-                if type(base) is MultiValue:
-                    state.multivalent(len(base.values))
-                elif not isinstance(base, indexable):
-                    raise WeblangError("indexing a non-array value")
-                return _index(base, key, state)
-
-            return True, run, None
-        index_var = self._frame_var(node.index)
-        if base_var is not None and index_var is not None:  # ``$xs[$i]``
-
-            def run(env, state):
-                state.steps += 3
-                base = env.get(base_var)
-                index = env.get(index_var)
-                if type(index) is MultiValue:
-                    state.multivalent(len(index.values))
-                elif type(base) is PhpArray:
-                    value = base.get(index)
-                    if type(value) is MultiValue:
-                        state.multivalent(len(value.values))
-                    return value
-                if type(base) is MultiValue:
-                    state.multivalent(len(base.values))
-                elif not isinstance(base, indexable):
-                    raise WeblangError("indexing a non-array value")
-                return _index(base, index, state)
-
-            return True, run, None
         if base_pure and index_pure:
 
             def run(env, state):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Iterator
+from fractions import Fraction
 from functools import partial
 from typing import Any
 
@@ -307,26 +308,41 @@ def arith(op: str, left: object, right: object) -> object:
         lnum = to_float(left) if _looks_float(left) else to_int(left)
     if rnum is None:
         rnum = to_float(right) if _looks_float(right) else to_int(right)
-    if op == "+":
-        return lnum + rnum
-    if op == "-":
-        return lnum - rnum
-    if op == "*":
-        return lnum * rnum
+    plain = _ARITH.get(op)
     if op == "/":
         if rnum == 0:
             raise WeblangError("division by zero")
         if isinstance(lnum, int) and isinstance(rnum, int) and lnum % rnum == 0:
             return lnum // rnum
-        try:
-            return lnum / rnum
-        except OverflowError:  # an int operand, a quotient no float holds
-            return math.inf if (lnum < 0) == (rnum < 0) else -math.inf
-    if op == "%":
+        plain = operator.truediv
+    elif op == "%":
         if to_int(rnum) == 0:
             raise WeblangError("modulo by zero")
         return to_int(lnum) % to_int(rnum)
-    raise WeblangError(f"unknown arithmetic operator {op!r}")
+    elif plain is None:
+        raise WeblangError(f"unknown arithmetic operator {op!r}")
+    try:
+        return plain(lnum, rnum)
+    except OverflowError:
+        return _past_float(plain, lnum, rnum)
+
+
+def _past_float(plain: Callable, left: int | float,
+                right: int | float) -> float:
+    """``plain(left, right)`` where Python raised ``OverflowError``: an
+    int no float holds met a float, or two ints' quotient is past the
+    largest float.  The result is worked exactly and rounded once, and
+    one no float holds is the signed ``INF``.  A float ``INF`` / ``NAN``
+    operand decides the result alone: the int lends it only its sign."""
+    if any(type(v) is float and not math.isfinite(v) for v in (left, right)):
+        left, right = (v if type(v) is float else 1.0 if v > 0 else -1.0
+                       for v in (left, right))
+        return plain(left, right)
+    exact = plain(Fraction(left), Fraction(right))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 def _looks_float(value: object) -> bool:
@@ -401,12 +417,16 @@ _ORDERINGS = {"<": operator.lt, "<=": operator.le,
 
 
 def _numbers(op: str, plain: Callable) -> Callable[[object, object], object]:
-    """``plain`` on two exact ints/floats, :func:`arith` otherwise."""
+    """``plain`` on two exact ints/floats, :func:`arith` otherwise —
+    and where ``plain`` overflows (an int no float holds met a float)."""
     def apply(left: object, right: object) -> object:
         lkind, rkind = type(left), type(right)
         if (lkind is int or lkind is float) and (rkind is int
                                                  or rkind is float):
-            return plain(left, right)
+            try:
+                return plain(left, right)
+            except OverflowError:
+                pass
         return arith(op, left, right)
 
     return apply

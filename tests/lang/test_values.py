@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import WeblangError
 from repro.lang.values import (
+    BINOPS,
     PhpArray,
     arith,
     compare,
@@ -185,14 +186,34 @@ def test_arith_string_coercion():
     assert arith("+", "2.5", 1) == 3.5
 
 
-@pytest.mark.parametrize("left,right,expected", [
-    (10 ** 400, 3, math.inf), (-(10 ** 400), 3, -math.inf),
-    (10 ** 400, -3, -math.inf), (-(10 ** 400), -3, math.inf),
-    (10 ** 400, 0.5, math.inf),
-])
-def test_int_division_that_overflows_a_float_is_signed_inf(left, right,
-                                                            expected):
-    assert arith("/", left, right) == expected
+BIG = 10 ** 400  # an int no float holds
+
+
+@pytest.mark.parametrize("op,left,right,expected", [
+    # A quotient of two ints past the largest float: the signed INF.
+    ("/", BIG, 3, math.inf), ("/", -BIG, 3, -math.inf),
+    ("/", BIG, -3, -math.inf), ("/", -BIG, -3, math.inf),
+    # An int no float holds against a float: exact, then rounded once.
+    ("/", BIG, 0.5, math.inf), ("/", BIG, 1e300, 1e100),
+    ("/", 1.5, BIG, 0.0), ("/", 0.0, BIG, 0.0), ("/", -1.5, BIG, -0.0),
+    ("+", BIG, 0.5, math.inf), ("-", 0.5, BIG, -math.inf),
+    ("*", BIG, 1e-300, 1e100), ("*", 0.0, BIG, 0.0), ("*", -2.0, BIG,
+                                                       -math.inf),
+    # A non-finite float decides: the int lends only its sign.
+    ("+", math.inf, -BIG, math.inf), ("-", -BIG, math.inf, -math.inf),
+    ("*", -BIG, math.inf, -math.inf), ("/", BIG, -math.inf, -0.0),
+    ("/", math.inf, -BIG, -math.inf), ("+", BIG, math.nan, math.nan),
+], ids=lambda value: {BIG: "BIG", -BIG: "-BIG"}.get(value))
+def test_arithmetic_past_the_largest_float(op, left, right, expected):
+    """Python raises ``OverflowError`` on these, which used to end the
+    whole serve; the table entry and :func:`arith` give the float."""
+    for got in (arith(op, left, right), BINOPS[op](left, right)):
+        assert type(got) is float
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert (got, math.copysign(1, got)) == (
+                expected, math.copysign(1, expected))
 
 
 def test_exact_division_of_huge_ints_stays_int():

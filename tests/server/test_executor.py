@@ -269,27 +269,40 @@ def test_report_sizes_accounting(honest_run):
     assert honest_run.reports.baseline_size_bytes() == sizes["nondet"]
 
 
-#: Squares a float past the largest double: ``$x`` ends ``INF``.
-OVERFLOW_SRC = {"grow.php": """
+#: script -> (source, body): a float squared past the largest double, and
+#: an int past a float's range (10 ** 480) met by floats.
+OVERFLOW_SCRIPTS = {
+    "grow.php": ("""
 $x = 99999999999.5; $i = 0;
 while ($i < 40) { $x = $x * $x; $i += 1; }
 echo $x;
-"""}
+""", "INF"),
+    "big.php": ("""
+$n = 1; $i = 0;
+while ($i < 16) { $n = $n * 1000000000000000000000000000000; $i += 1; }
+echo 1.5 / $n, ' ', $n * 0.5, ' ', $n / 3, ' ', -$n - 0.5;
+""", "0 INF INF -INF"),
+}
 
 
 @pytest.mark.parametrize("backend", ["interp", "hybrid"])
 def test_a_float_that_overflows_is_served_as_inf_and_audited(backend):
     """``echo`` of an infinite float used to raise ``OverflowError`` out of
-    ``to_str``; the executor catches only ``WeblangError``, so one such
-    request ended every other request's serve.  It prints PHP's ``INF``
-    on the server and on either audit engine."""
-    app = Application.from_sources("grow", OVERFLOW_SRC)
-    requests = [Request(f"g{index}", "grow.php") for index in range(3)]
+    ``to_str``, and so did arithmetic between a float and an int no float
+    holds; the executor catches only ``WeblangError``, so one such
+    request ended every other request's serve.  They print PHP's ``INF``
+    (or the float the exact result rounds to) on the server and on either
+    audit engine."""
+    app = Application.from_sources("grow", {
+        path: source for path, (source, _) in OVERFLOW_SCRIPTS.items()})
+    requests = [Request(f"{path}{index}", path)
+                for path in OVERFLOW_SCRIPTS for index in range(3)]
+    expected = {request.rid: OVERFLOW_SCRIPTS[request.script][1]
+                for request in requests}
     execution = Executor(app, record=True).serve(requests)
-    bodies = {response.body
-              for response in execution.trace.responses().values()}
-    assert bodies == {"INF"}
+    assert {rid: response.body for rid, response
+            in execution.trace.responses().items()} == expected
     result = Auditor(app, AuditConfig(backend=backend)).audit_epochs(
         execution.epochs(), execution.initial_state)
     assert result.accepted
-    assert set(result.produced.values()) == {"INF"}
+    assert result.produced == expected

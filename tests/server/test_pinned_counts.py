@@ -1,13 +1,12 @@
 """Exact counts an engine change must not move.
 
-Each of the four benchmark-shaped workloads (``benchmarks/e2e``: the
-three applications and the request-driven ``compute_singleton`` loop) is
-served and audited here at a small fixed scale and seed, the way the
-benchmark serves it (seeded random scheduler, concurrency 8, 50-request
-epochs).  The expected values were recorded on the engine *before* its
-operators were fused with their leaf operands (variable reads and
-constants taken in line, exact-int fast ops), and that change had to
-leave every one of them where it was: the instruction count, the
+Each of the four workloads of ``benchmarks/e2e`` (the three applications
+and the request-driven ``compute_singleton`` loop) is built and served
+by the benchmark's own ``e2e_workloads`` at its ``--smoke`` size and
+seed 1, then audited.  The expected values were recorded on the engine
+*before* its operators were fused with their leaf operands (variable
+reads and constants taken in line, exact-int fast ops), and that change
+had to leave every one of them where it was: the instruction count, the
 multivalent steps / slots / classes of the audit, the control-flow
 groups on both sides, the bodies the audit produced and the bundle's
 bytes.  A later change that moves one of them changes what the engine
@@ -18,82 +17,54 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core import AuditConfig, Auditor
 from repro.io import save_audit_bundle_segmented
-from repro.server import Application, Executor, NondetSource
-from repro.server.scheduler import RandomScheduler
-from repro.trace.events import Request
-from repro.workloads import cart_workload, hotcrp_workload, wiki_workload
-from repro.workloads.wiki import Workload
+
+sys.path.append(str(Path(__file__).resolve().parents[2]
+                    / "benchmarks" / "e2e"))
+import e2e_workloads  # noqa: E402
 
 SEED = 1
 
-#: The benchmark's ``compute_singleton`` script: every distinct ``n``
-#: takes its own control-flow path, so groups are of one to four.
-COMPUTE_SRC = {
-    "compute.php": """
-$n = intval(param('n'));
-$acc = 0; $i = 0;
-while ($i < $n) { $acc = ($acc + $i * 3 + 1) % 9973; $i += 1; }
-echo 'acc=', $acc, ' n=', $n;
-""",
-}
-
-
-def compute_workload(scale: float, seed: int) -> Workload:
-    app = Application.from_sources("compute_singleton", COMPUTE_SRC)
-    rng = random.Random(seed)
-    requests = [
-        Request(f"r{index:06d}", "compute.php",
-                get={"n": str(120 + rng.randrange(280))})
-        for index in range(max(20, int(1000 * scale)))
-    ]
-    return Workload(app, requests, "compute_singleton")
-
-
-#: workload -> (factory, scale, expected).  ``expected``: requests,
-#: server groups, audit groups, steps, multi_steps, multi_slots,
-#: multi_classes, produced-bodies SHA-256, bundle SHA-256.
+#: workload -> requests, server groups, audit groups, steps, multi_steps,
+#: multi_slots, multi_classes, produced-bodies SHA-256, bundle SHA-256.
 PINNED = {
-    "wiki_read": (wiki_workload, 0.01, (
+    "wiki_read": (
         200, 19, 19, 17102, 640, 10235, 2604,
         "47eb7dd4e543c898d0f81725e9fc85dfbfa636026aeac0edba57eaac4b91a962",
         "c968ae14c01842b1f057f6abb239d41071d2798ac5f938fece3036018f566eea",
-    )),
-    "hotcrp_query": (hotcrp_workload, 0.012, (
+    ),
+    "hotcrp_query": (
         55, 10, 10, 2623, 155, 1055, 469,
         "dda13eb79cab830860e5c1533b1e05b6360e5147ad7fdb4e678c5602d5b1f54f",
         "372643e76a94250522a4b3381ad539801d8a425b83821f04ebc2fbcf6bd13716",
-    )),
-    "cart_write": (cart_workload, 0.0066, (
+    ),
+    "cart_write": (
         198, 43, 43, 4224, 1271, 6433, 4206,
         "c2faf846234bf21278a98156a1311fae095eb149ac924e953e8e5fb02ab60129",
         "3c2ab0749f4a63af0233afb0d5c0529bf5bbfe9f71ea1614bf09d5ea40b65afa",
-    )),
-    "compute_singleton": (compute_workload, 0.06, (
+    ),
+    "compute_singleton": (
         60, 56, 56, 225787, 0, 0, 0,
         "74b55549dbdc981bc443b48e23a78af07ea4330296cc199d28d9a9e448ea36f4",
         "bb99e251834f23cde095a29588098eb02f3ef3500962fa6a28ee08c5e9222a96",
-    )),
+    ),
 }
+
+
+def test_every_benchmark_workload_is_pinned():
+    assert set(PINNED) == set(e2e_workloads.SPECS)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_serve_and_audit_counts_are_pinned(tmp_path, name):
-    factory, scale, expected = PINNED[name]
-    workload = factory(scale=scale, seed=SEED)
-    execution = Executor(
-        workload.app,
-        scheduler=RandomScheduler(SEED),
-        max_concurrency=8,
-        nondet=NondetSource(seed=SEED),
-        record=True,
-        epoch_size=50,
-    ).serve(workload.requests)
+    workload = e2e_workloads.build_workload(name, SEED, smoke=True)
+    execution = e2e_workloads.serve(workload, SEED, record=True, smoke=True)
     result = Auditor(workload.app, AuditConfig()).audit_epochs(
         execution.epochs(), execution.initial_state)
     assert result.accepted
@@ -114,4 +85,4 @@ def test_serve_and_audit_counts_are_pinned(tmp_path, name):
         stats["multi_classes"],
         hashlib.sha256(produced).hexdigest(),
         hashlib.sha256(path.read_bytes()).hexdigest(),
-    ) == expected
+    ) == PINNED[name]

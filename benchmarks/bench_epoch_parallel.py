@@ -39,7 +39,7 @@ import sys
 import time as _time
 
 from repro.core import Auditor
-from repro.core.reexec import available_cpus
+from repro.core.epochpool import available_cpus
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
 from repro.workloads import wiki_workload
@@ -64,7 +64,6 @@ def measure_epoch_scaling(
     workload,
     execution,
     epoch_workers_list=(1, 2, 4),
-    workers: int = 1,
     repeats: int = 1,
 ):
     """Audit the same bundle at each epoch-worker count; returns rows.
@@ -86,8 +85,7 @@ def measure_epoch_scaling(
         # (``epoch_workers<N>_process_speedup``).
         driver = "serial" if epoch_workers == 1 else "process"
         best = best_total = None
-        auditor = Auditor(workload.app, workers=workers,
-                          epoch_workers=epoch_workers)
+        auditor = Auditor(workload.app, epoch_workers=epoch_workers)
         for _ in range(max(1, repeats)):
             # Wall-clock of the call: a session's own ``total`` sums the
             # epochs' audit times, which concurrent epochs overlap.
@@ -119,12 +117,12 @@ def measure_epoch_scaling(
     return rows
 
 
-def run(scale: float, epoch_size: int, epoch_workers_list, workers: int,
+def run(scale: float, epoch_size: int, epoch_workers_list,
         seed: int = 1, repeats: int = 1):
     workload = wiki_workload(scale=scale)
     execution = serve_epochs(workload, epoch_size, seed=seed)
     rows = measure_epoch_scaling(workload, execution, epoch_workers_list,
-                                 workers=workers, repeats=repeats)
+                                 repeats=repeats)
     return {
         "benchmark": "epoch_parallel",
         "workload": "wiki",
@@ -132,7 +130,6 @@ def run(scale: float, epoch_size: int, epoch_workers_list, workers: int,
         "requests": len(workload.requests),
         "epoch_size": epoch_size,
         "epochs": len(execution.epoch_marks) + 1,
-        "workers": workers,
         "cpu_count": os.cpu_count(),
         "available_cpus": available_cpus(),
         "note": "speedup_total requires multiple cores; on a single-core "
@@ -189,8 +186,6 @@ def main(argv=None) -> int:
                         help="server drain interval (sets the cut count)")
     parser.add_argument("--epoch-workers", default="1,2,4",
                         help="comma-separated epoch worker counts")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="per-epoch re-execution worker processes")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=2,
                         help="audits per worker count (best time wins)")
@@ -199,7 +194,7 @@ def main(argv=None) -> int:
     epoch_workers_list = [int(part)
                           for part in args.epoch_workers.split(",")]
     result = run(args.scale, args.epoch_size, epoch_workers_list,
-                 args.workers, seed=args.seed, repeats=args.repeats)
+                 seed=args.seed, repeats=args.repeats)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")

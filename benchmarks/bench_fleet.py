@@ -46,7 +46,7 @@ import time as _time
 
 from repro.common.clock import Deadline
 from repro.core import AuditConfig, Auditor
-from repro.core.reexec import available_cpus
+from repro.core.epochpool import available_cpus
 from repro.fleet import FleetCoordinator
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource

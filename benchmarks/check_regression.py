@@ -7,7 +7,6 @@ could silently halve the audit's parallel speedup.  This gate turns
 the committed baselines into an enforced bound::
 
     python benchmarks/check_regression.py \\
-        bench_parallel_ci.json:BENCH_parallel.json \\
         bench_epoch_parallel_ci.json:BENCH_epoch_parallel.json \\
         --tolerance 0.35
 
@@ -70,36 +69,6 @@ class Metric:
     #: single-core-recorded baseline cannot make the gate vacuous on
     #: multi-core runners.  ``None`` disables it.
     floor: float | None = None
-
-
-def _rows_by(rows, *keys) -> dict[tuple, dict]:
-    return {tuple(row.get(key) for key in keys): row for row in rows}
-
-
-def metrics_parallel_scaling(data) -> list[Metric]:
-    """``bench_parallel_scaling``: per-worker-count normalized
-    throughput and re-exec speedup, relative to the run's serial row."""
-    rows = _rows_by(data.get("rows", []), "workers")
-    base = rows.get((1,))
-    out: list[Metric] = []
-    if base is None:
-        return out
-    for (workers,), row in sorted(rows.items()):
-        if workers == 1:
-            continue
-        out.append(Metric(
-            f"workers{workers}_speedup_total",
-            base["total_seconds"] / max(row["total_seconds"], 1e-12),
-            needs_cores=2, floor=1.0,
-        ))
-        out.append(Metric(
-            f"workers{workers}_speedup_reexec",
-            row.get("speedup_reexec",
-                    base["reexec_seconds"]
-                    / max(row["reexec_seconds"], 1e-12)),
-            needs_cores=2, floor=1.0,
-        ))
-    return out
 
 
 def metrics_epoch_parallel(data) -> list[Metric]:
@@ -180,7 +149,6 @@ def metrics_synth(data) -> list[Metric]:
 
 
 EXTRACTORS = {
-    "parallel_scaling": metrics_parallel_scaling,
     "epoch_parallel": metrics_epoch_parallel,
     "transport": metrics_transport,
     "fleet": metrics_fleet,

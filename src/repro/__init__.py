@@ -33,7 +33,7 @@ between them::
 
     from repro import AuditConfig, Auditor
 
-    auditor = Auditor(app, AuditConfig(workers=4))
+    auditor = Auditor(app, AuditConfig(epoch_workers=2))
     assert auditor.audit_epochs(result.epochs(),
                                 result.initial_state).accepted
     # ... or as they arrive, from a bundle that is still being written:

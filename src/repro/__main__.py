@@ -43,7 +43,6 @@ where its epochs run (``--listen``, ``--connect``, ``--fleet-listen``
 and their timeouts) are deployment settings, parsed here and passed
 straight to the publisher, the reader and the coordinator, whose
 constructor defaults are the only defaults.
-``--workers N`` fans group re-execution out over worker processes,
 ``--epoch-workers N`` audits epochs concurrently (a redo-only state
 precompute materializes each epoch's initial state first), and
 ``--backend`` selects the registered re-execution engine.  Epochs are
@@ -813,9 +812,6 @@ def audit_knobs(p) -> None:
                    help="reject register reads with no logged write")
     p.add_argument("--max-group-size", type=int, default=None,
                    help="chunk re-execution groups beyond this size")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="fan group re-execution out over N worker "
-                        "processes (1 = serial)")
     p.add_argument("--epoch-workers", type=int, default=None,
                    metavar="N",
                    help="audit epochs concurrently, N at a time, on "

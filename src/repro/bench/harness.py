@@ -97,7 +97,6 @@ def run_audit_phase(
     run_baseline: bool = True,
     strict_registers: bool = False,
     max_group_size: int = DEFAULT_MAX_GROUP,
-    workers: int = 1,
     backend: str | None = None,
     config: AuditConfig | None = None,
 ) -> BenchRun:
@@ -114,7 +113,6 @@ def run_audit_phase(
             collapse=collapse,
             strict_registers=strict_registers,
             max_group_size=max_group_size,
-            workers=max(1, workers),
             backend=backend if backend is not None else default_backend(),
         )
     audit = Auditor(workload.app, config).audit_epochs(
@@ -145,7 +143,6 @@ def run_workload_pipeline(
     collapse: bool = True,
     run_baseline: bool = True,
     measure_legacy: bool = True,
-    workers: int = 1,
     epoch_size: int = 0,
 ) -> BenchRun:
     """Full pipeline: legacy serve, recorded serve, audit, baseline audit."""
@@ -160,7 +157,6 @@ def run_workload_pipeline(
     run = run_audit_phase(
         workload, execution,
         dedup=dedup, collapse=collapse, run_baseline=run_baseline,
-        workers=workers,
     )
     run.legacy_seconds = legacy_seconds
     return run

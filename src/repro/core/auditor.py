@@ -560,7 +560,7 @@ class Auditor:
 
     ``Auditor(app, config)`` binds the trusted program to a validated
     :class:`~repro.core.config.AuditConfig` (keyword knobs build one:
-    ``Auditor(app, workers=4, backend="interp")``).
+    ``Auditor(app, epoch_workers=2, backend="interp")``).
 
     * :meth:`audit` — one pipeline pass over one epoch (``ssco_audit``
       is the kwargs shorthand);

@@ -10,9 +10,9 @@ is handed.
 
 * every knob, documented once, on the field;
 * **hard validation** at construction: nonsensical values (a negative
-  ``workers``, a non-bool ``strict``, an unregistered ``backend``) raise
-  :class:`ValueError` with a message naming the field — at the API
-  boundary, not five frames deep in the pipeline;
+  ``epoch_workers``, a non-bool ``strict``, an unregistered
+  ``backend``) raise :class:`ValueError` with a message naming the
+  field — at the API boundary, not five frames deep in the pipeline;
 * **serialization**: :meth:`to_json` / :meth:`from_json` (plain dicts)
   and :meth:`save` / :meth:`load` (files), so a deployment's audit
   configuration is a reviewable artifact (the CLI's ``--config
@@ -63,13 +63,6 @@ class AuditConfig:
     #: On accept, compact the versioned stores into the next epoch's
     #: trusted initial state (§4.5 migration).
     migrate: bool = False
-    #: Worker processes for group re-execution; 1 means serial.
-    #: Parallel audits produce bit-identical bodies, and identical
-    #: verdicts on honest executions; the parallel planner subdivides
-    #: large groups, which in *strict* mode can narrow the window in
-    #: which a bogus grouping's internal divergence is observed (see
-    #: :mod:`repro.core.reexec`).
-    workers: int = 1
     #: Audit epochs concurrently, this many at a time, as whole-epoch
     #: work units on one persistent process pool shared across the run
     #: (a redo-only state precompute materializes each epoch's initial
@@ -108,10 +101,6 @@ class AuditConfig:
                     f"{flag} must be a bool, got "
                     f"{getattr(self, flag)!r}"
                 )
-        if not _is_int(self.workers) or self.workers < 1:
-            raise ValueError(
-                f"workers must be an integer >= 1, got {self.workers!r}"
-            )
         if not _is_int(self.epoch_workers) or self.epoch_workers < 1:
             raise ValueError(
                 f"epoch_workers must be an integer >= 1, got "
@@ -139,6 +128,10 @@ class AuditConfig:
 
     def replace(self, **changes) -> AuditConfig:
         """A copy with the given fields changed (re-validated)."""
+        # Shim for benchmarks/e2e/auditor_child.py (frozen under
+        # BENCHMARK.json), which still asks for replace(workers=2), a
+        # field that is gone; goes with to_options().
+        changes.pop("workers", None)
         return dataclasses.replace(self, **changes)
 
     # -- serialization ----------------------------------------------------
@@ -201,7 +194,7 @@ class AuditConfig:
 
     def describe(self) -> str:
         """One-line human summary (CLI banners)."""
-        parts = [f"backend={self.backend}", f"workers={self.workers}"]
+        parts = [f"backend={self.backend}"]
         if self.epoch_workers > 1:
             parts.append(f"epoch_workers={self.epoch_workers}")
         if not self.strict:

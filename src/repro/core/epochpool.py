@@ -16,16 +16,13 @@ process-level work:
   carries everything the epoch's full pipeline pass needs, so the pool
   outlives any individual epoch and is created exactly once per run;
 * the worker runs the stock pipeline over the slice with the *same
-  chunk plan* the serial chain would use (executed serially
-  in-process — epoch-level parallelism already owns the cores, so no
-  nested re-exec pools are created) and ships back a
+  chunk plan* the serial chain would use and ships back a
   plain :class:`~repro.core.pipeline.AuditResult`.  Verdicts, produced
   bodies, and deterministic stats are therefore bit-identical to the
   serial chain's per-epoch passes.
 
-Failure policy (unchanged in spirit from the chunk-level driver):
-infrastructure failures are never verdicts.  A worker killed mid-epoch
-(``BrokenProcessPool``) breaks the shared executor, so
+Failure policy: infrastructure failures are never verdicts.  A worker
+killed mid-epoch (``BrokenProcessPool``) breaks the shared executor, so
 :meth:`EpochPool.run` *recreates* the pool — generation-guarded,
 exactly once per breakage, so concurrently failing epochs do not
 thrash — and re-runs its own epoch serially in the calling thread.
@@ -39,14 +36,21 @@ serial re-run.
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.epochwork import run_work_unit
-from repro.core.reexec import _POOL_LOCK
 
-__all__ = ["EpochPool", "pools_created_total"]
+__all__ = ["EpochPool", "available_cpus", "pools_created_total"]
+
+#: Serializes executor creation and submission across every
+#: :class:`EpochPool` of the process.  Worker processes are
+#: forked/spawned lazily at submit time; without the lock, two pools
+#: driven from different threads (two auditors) could fork mid-way
+#: through each other's setup.
+_POOL_LOCK = threading.Lock()
 
 #: Pools ever created in this process — test instrumentation: the
 #: lifecycle tests assert one audit run creates exactly one pool (plus
@@ -59,6 +63,14 @@ def pools_created_total() -> int:
     return _POOLS_CREATED
 
 
+def available_cpus() -> int:
+    """CPUs actually available to this process (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 class EpochPool:
     """One persistent process pool shared by all epochs of a run.
 
@@ -68,9 +80,9 @@ class EpochPool:
 
     Thread-safe: the epoch driver calls :meth:`run` from several epoch
     threads at once.  The underlying executor is created lazily on
-    first use (under the re-exec module's pool lock, so epoch workers
-    are never forked mid-way through another driver's chunk handoff)
-    and replaced at most once per breakage.
+    first use (under the process-wide pool lock, so epoch workers are
+    never forked mid-way through another pool's setup) and replaced at
+    most once per breakage.
     """
 
     def __init__(self, width: int):
@@ -147,8 +159,7 @@ class EpochPool:
             try:
                 with _POOL_LOCK:
                     # Workers are forked/spawned lazily at submit time;
-                    # serialize that moment against the chunk-level
-                    # pools' state handoffs (see repro.core.reexec).
+                    # serialize that moment against other pools.
                     future = pool.submit(run_work_unit, payload)
                 return future.result()
             except BrokenProcessPool:

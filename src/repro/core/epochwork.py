@@ -6,8 +6,7 @@ artifacts the redo-only state precompute materializes per epoch
 (``docs/epoch_workers.md`` documents the payload format).  Its
 **outcome** is a plain :class:`~repro.core.pipeline.AuditResult`: a
 rejection is a *result* carrying whatever stats the pipeline
-accumulated before failing (the same partial-stats discipline as
-``reexec._worker_run_chunk``), never an exception — so a verdict
+accumulated before failing, never an exception — so a verdict
 produced on another host merges bit-identically to one produced in a
 local worker process.
 
@@ -46,13 +45,10 @@ __all__ = [
 def epoch_worker_config(config):
     """The knob set one epoch work unit runs under.
 
-    The serial chain's per-epoch config with the same ``workers``
-    count — the chunk *plan* must match the serial
-    chain's bit for bit (:func:`run_epoch_inline` executes that plan
-    serially inside the worker process instead of fanning out a nested
-    pool).  ``migrate`` is off: the chain state is produced by the
-    parent's redo-only prepass, so a worker-side §4.5 compaction would
-    be built only to be thrown away.  MigratePhase never rejects and
+    The serial chain's per-epoch config, so the chunk plan matches the
+    serial chain's bit for bit.  ``migrate`` is off: the chain state is
+    produced by the parent's redo-only prepass, so a worker-side §4.5
+    compaction would be built only to be thrown away.  MigratePhase never rejects and
     emits no stats (it still appears as a zero-cost phase timer), so
     disabling it cannot change verdicts, bodies, or deterministic
     stats.  ``epoch_workers`` is cleared so a session opened inside a
@@ -66,17 +62,14 @@ def run_epoch_inline(app, trace, reports, initial_state, config):
 
     Every worker-side entry point, the inline fallback and the feeder's
     own audit of a unit that will not pickle run through here, so the
-    paths cannot diverge.  The ``workers``-shaped chunk plan is executed
-    serially in-process, never through a nested re-exec pool:
-    epoch-level parallelism already owns the cores.  ``next_initial``
-    is dropped: the drivers chain state through the redo-only prepass,
-    and a migrated store has no business crossing the process boundary.
+    paths cannot diverge.  ``next_initial`` is dropped: the drivers
+    chain state through the redo-only prepass, and a migrated store has
+    no business crossing the process boundary.
     """
     from repro.core.pipeline import AuditContext, default_pipeline
 
-    actx = AuditContext(app, trace, reports, initial_state, config)
-    actx.reexec_inline = True
-    result = default_pipeline().run(actx)
+    result = default_pipeline().run(
+        AuditContext(app, trace, reports, initial_state, config))
     result.next_initial = None
     return result
 

@@ -21,17 +21,14 @@ explicit instead of hard-coding it in one monolithic function:
   instrumentation in a ``finally`` block so rejected audits still carry
   their stats.
 
-Two more things live here because they are built from the same phases:
-
-* ``AuditConfig.workers > 1`` makes :class:`ReExecPhase` fan group
-  chunks out over a process pool (see :mod:`repro.core.reexec`);
-* the redo-only **state precompute** (:func:`state_precompute_pipeline`
-  — trace check, ProcessOpReports, kv.Build/db.Build, §4.5 migration;
-  no re-execution, no output comparison) and :func:`iter_epoch_prepass`,
-  which walks an epoch chain with it.  The epoch driver
-  (:class:`~repro.core.auditor.AuditSession`) uses the prepass to
-  materialize the next epoch's initial state before the current one has
-  finished auditing; the forensic timeline uses it as a bundle index.
+One more thing lives here because it is built from the same phases:
+the redo-only **state precompute** (:func:`state_precompute_pipeline` —
+trace check, ProcessOpReports, kv.Build/db.Build, §4.5 migration; no
+re-execution, no output comparison) and :func:`iter_epoch_prepass`,
+which walks an epoch chain with it.  The epoch driver
+(:class:`~repro.core.auditor.AuditSession`) uses the prepass to
+materialize the next epoch's initial state before the current one has
+finished auditing; the forensic timeline uses it as a bundle index.
 
 The epoch chain itself — :class:`~repro.core.auditor.AuditSession` — is
 in :mod:`repro.core.auditor`.
@@ -99,12 +96,6 @@ class AuditContext:
         #: is one epoch of a chain (updated in place by the trace
         #: check); ``None`` for a one-epoch audit.
         self.seen_uniq = seen_uniq
-        #: Execute the ``workers``-shaped chunk plan serially
-        #: in-process, never creating a re-exec pool.  Set by
-        #: :func:`~repro.core.epochwork.run_epoch_inline` (epoch-level
-        #: parallelism already owns the cores); chunk plans, and
-        #: therefore all results, are unchanged.
-        self.reexec_inline = False
         # Artifacts the phases hand to each other.
         self.graph = None
         self.opmap = None
@@ -172,7 +163,7 @@ class BuildStoresPhase(AuditPhase):
 
 class ReExecPhase(AuditPhase):
     """ReExec2 (Figure 12 lines 29-53): grouped SIMD-on-demand
-    re-execution, optionally fanned out over worker processes."""
+    re-execution."""
 
     name = "reexec"
 
@@ -183,9 +174,7 @@ class ReExecPhase(AuditPhase):
             strict=config.strict, dedup=config.dedup,
             collapse=config.collapse,
             max_group_size=config.max_group_size,
-            workers=config.workers,
             backend=config.backend,
-            inline=actx.reexec_inline,
             plan_hints=config.plan_hints,
         )
         actx.result.phases["db_query"] = actx.sim.db_query_seconds

@@ -23,38 +23,6 @@ taken before the error, so such groups diverge on honest executions.
 Groups larger than ``max_group_size`` are chunked, mirroring acc-PHP's
 3,000-request group cap (§4.7).
 
-Parallel driver (``workers > 1``): group chunks are embarrassingly
-parallel — each chunk only *reads* the versioned
-stores, logs, and OpMap and only *writes* its own produced bodies and
-counters — so :func:`reexec_groups` can fan the chunk plan out over a
-``ProcessPoolExecutor``.  On fork-capable platforms workers inherit the
-parent's already-built simulation context copy-on-write (no pickling,
-no per-worker redo); elsewhere each worker rebuilds it once from a
-pickled payload.  The parent merges produced bodies, regenerated
-externals, and :class:`ReExecStats` in submission order and surfaces
-the *first* failure in that order.
-
-The driver is safe to run concurrently from several threads of one
-process (two auditors, or an auditor beside the epoch pool): each
-pool receives its state explicitly through its initializer arguments —
-for fork pools these are handed over in-memory, never pickled — and
-pool creation plus chunk submission (the moments worker processes are
-actually forked/spawned) are serialized under a module lock, so two
-drivers can never interleave their handoffs.  A worker killed
-mid-chunk (``BrokenProcessPool``) is not a verdict: the driver re-runs
-the lost chunks serially in the parent — infrastructure failures never
-escape ``ssco_audit``.
-
-Parallel/serial equivalence: produced bodies are identical by
-construction (re-execution is idempotent per request and chunking is
-invisible to it), and verdicts agree on every honest execution.  The
-parallel planner *does* subdivide large single-script groups below
-``max_group_size`` to spread them across workers — chunk granularity
-was already an audit-configuration knob (§4.7's group cap), and every
-CheckOp/SimOp/output check still runs per request, so subdivision never
-weakens soundness; it only narrows the window in which a *strict-mode*
-divergence of a bogus grouping is observed group-wide.
-
 Pluggable backends: the re-execution engine that runs one chunk is a
 registered component (:func:`register_reexec_backend`), selected by
 name through ``AuditConfig.backend`` / ``ssco_audit(backend=...)``.
@@ -77,20 +45,14 @@ Two ship:
 
 ``"accinterp"`` and ``"compinterp"`` are aliases kept for one caller
 (see :data:`_ALIASES`).  Backends only replace the *re-execution
-engine*; chunk planning, the process-pool fan-out, and result merging
-are shared.  A backend name is what crosses the process boundary, so
-third-party backends registered at import time work with both pool
-start methods.
+engine*; chunk planning and the chunk loop are shared.  A backend name
+is what an epoch work unit carries across the process boundary, so
+third-party backends register at import time.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
-import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.common.errors import (
@@ -161,8 +123,7 @@ class ReExecStats:
 class ReexecBackend:
     """One re-execution engine: runs a single chunk of a group.
 
-    A backend is constructed per audit pass (and once per worker process
-    in parallel mode) via its registered factory —
+    A backend is constructed per audit pass via its registered factory —
     ``factory(app, collapse=...)`` — and then driven chunk by chunk.
     :meth:`run_chunk` must apply every per-request check (CheckOp /
     SimOp via :class:`~repro.core.simulate.OpHandler`, nondet cursors,
@@ -309,18 +270,10 @@ for _alias, _factory in _ALIASES.items():
     register_reexec_backend(_alias, _factory)
 
 
-#: Parallel planning: aim for this many chunks per worker (load
-#: balancing headroom) without dropping below this chunk size (SIMD
-#: batching is what makes grouped re-execution fast in the first place).
-_CHUNKS_PER_WORKER = 4
-_MIN_PARALLEL_CHUNK = 32
-
-
 def plan_chunks(
     reports: Reports,
     requests: dict[str, object],
     max_group_size: int = DEFAULT_MAX_GROUP,
-    workers: int = 1,
     app: Application | None = None,
     plan_hints: bool = False,
     strict: bool = True,
@@ -330,11 +283,7 @@ def plan_chunks(
     Groups are visited in sorted-tag order; duplicate rids within one
     group are dropped (re-execution is idempotent, but duplicate slots
     would double-consume nondet cursors); oversized groups are chunked
-    at ``max_group_size`` (§4.7).  With ``workers > 1``, single-script
-    groups are further subdivided toward ``workers *
-    _CHUNKS_PER_WORKER`` chunks overall so one dominant group does not
-    serialize the pool (mixed-script groups keep the serial chunking —
-    their group-wide strict check must see them whole).  Raises
+    at ``max_group_size`` (§4.7).  Raises
     :class:`AuditReject` when a grouping names a request outside the
     trace.
 
@@ -351,7 +300,6 @@ def plan_chunks(
     runs as a group of one).
     """
     groups: list[list[str]] = []
-    grouped_total = 0
     for tag in sorted(reports.groups):
         rids_raw = reports.groups[tag]
         seen = set()
@@ -367,31 +315,21 @@ def plan_chunks(
                     f"grouping names unknown request {rid!r}",
                 )
         groups.append(rids)
-        grouped_total += len(rids)
 
     hazards: frozenset = frozenset()
     if plan_hints and not strict and app is not None:
         hazards = divergence_hazards(app)
 
-    parallel_chunk = max_group_size
-    if workers > 1 and grouped_total:
-        target = workers * _CHUNKS_PER_WORKER
-        parallel_chunk = max(
-            _MIN_PARALLEL_CHUNK, -(-grouped_total // target)
-        )
     chunks: list[list[str]] = []
     for rids in groups:
-        chunk_size = max_group_size
         scripts = {requests[rid].script for rid in rids}
-        if len(scripts) == 1:
-            if len(rids) > 1 and next(iter(scripts)) in hazards:
-                # Hopeless group: pre-demote to singletons.
-                chunks.extend([rid] for rid in rids)
-                continue
-            if parallel_chunk < chunk_size:
-                chunk_size = parallel_chunk
-        for start in range(0, len(rids), chunk_size):
-            chunks.append(rids[start : start + chunk_size])
+        if (len(scripts) == 1 and len(rids) > 1
+                and next(iter(scripts)) in hazards):
+            # Hopeless group: pre-demote to singletons.
+            chunks.extend([rid] for rid in rids)
+            continue
+        for start in range(0, len(rids), max_group_size):
+            chunks.append(rids[start : start + max_group_size])
     return chunks
 
 
@@ -404,43 +342,30 @@ def reexec_groups(
     dedup: bool = True,
     collapse: bool = True,
     max_group_size: int = DEFAULT_MAX_GROUP,
-    workers: int = 1,
     backend: str | None = None,
-    inline: bool = False,
     plan_hints: bool = False,
 ) -> dict[str, str]:
     """Re-execute all groups; returns rid -> produced body.
 
-    ``workers > 1`` fans the chunk plan out over a process pool; the
-    serial path is preserved verbatim for ``workers <= 1``.  ``backend``
+    The chunks run one after another in this process.  ``backend``
     names the registered re-execution engine that runs each chunk
     (``None`` resolves :func:`default_backend` at call time);
     ``plan_hints`` lets the chunk plan consult the static analyzer's
     divergence hazards (see :func:`plan_chunks`; non-strict mode only).
-    ``inline=True`` keeps the (possibly parallel-shaped, ``workers``-
-    sized) chunk plan but executes it serially in this process, never
-    creating a pool — the epoch driver sets it inside its worker
-    processes, where epoch parallelism already owns the cores and
-    chunk-plan parity with the serial chain is what matters.
     Raises :class:`AuditReject` on any failed check.
     """
     backend = backend if backend is not None else default_backend()
     requests = trace.requests()
-    chunks = plan_chunks(reports, requests, max_group_size, workers,
+    chunks = plan_chunks(reports, requests, max_group_size,
                          app=app, plan_hints=plan_hints, strict=strict)
-    if not inline and workers > 1 and len(chunks) > 1:
-        return _reexec_parallel(
-            app, requests, reports, ctx, chunks, strict, dedup, collapse,
-            workers, backend,
-        )
     produced: dict[str, str] = {}
     stats = ctx.reexec_stats = ReExecStats()
-    _run_chunks_serial(app, chunks, requests, reports, ctx, strict,
-                       dedup, collapse, backend, produced, stats)
+    run_chunks(app, chunks, requests, reports, ctx, strict, dedup,
+               collapse, backend, produced, stats)
     return produced
 
 
-def _run_chunks_serial(
+def run_chunks(
     app: Application,
     chunks: list[list[str]],
     requests,
@@ -453,7 +378,8 @@ def _run_chunks_serial(
     produced: dict[str, str],
     stats: ReExecStats,
 ) -> None:
-    """The serial chunk loop (also the parallel driver's fallback)."""
+    """The chunk loop: each chunk, in order, on one backend instance
+    (also what the forensic re-audit replays a scope's chunks with)."""
     engine = make_backend(backend, app, collapse)
     for chunk in chunks:
         engine.run_chunk(app, chunk, requests, reports, ctx, strict,
@@ -553,216 +479,6 @@ def _run_chunk(
         _fallback(app, rids, requests, ctx, produced, stats, interp=engine)
     finally:
         ctx.dedup = None
-
-
-# -- parallel driver ---------------------------------------------------------
-
-#: Per-process simulation state, built once by the pool initializer.
-#: Worker processes are single-threaded, so this global is race-free
-#: *inside* a worker; the parent process never sets it.
-_WORKER = None
-
-#: Serializes pool creation and chunk submission in the parent.  Worker
-#: processes are forked/spawned lazily at submit time; without the lock,
-#: two drivers running on different threads of one process (two
-#: auditors, the epoch pool) could fork mid-way through each other's
-#: setup.  Each pool's state travels explicitly via ``initargs`` — there
-#: is no shared handoff global left to race on.
-_POOL_LOCK = threading.Lock()
-
-
-def available_cpus() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _use_fork() -> bool:
-    """Fork pools need the platform to support fork *and* the process
-    default to still be fork (tests/CI force spawn to cover the
-    pickled-payload path on fork-capable hosts)."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return False
-    return multiprocessing.get_start_method(allow_none=True) in (
-        None, "fork")
-
-
-class _WorkerState:
-    """Everything one worker process needs to run chunks."""
-
-    def __init__(self, app, requests, reports, ctx, strict, dedup,
-                 collapse, backend=None):
-        backend = backend if backend is not None else default_backend()
-        self.app = app
-        self.requests = requests
-        self.reports = reports
-        self.strict = strict
-        self.dedup = dedup
-        self.ctx = ctx
-        self.engine = make_backend(backend, app, collapse)
-
-
-def _worker_init_fork(state: tuple) -> None:
-    """Pool initializer on fork platforms: adopt the parent's live state.
-
-    The tuple arrives through ``initargs``, which fork-context children
-    receive in-memory (no pickling, no per-worker redo) — each pool
-    carries its own state, so concurrent pools cannot cross wires.
-    """
-    global _WORKER
-    _WORKER = _WorkerState(*state)
-
-
-def _worker_init_spawn(payload: bytes) -> None:
-    """Pool initializer elsewhere: rebuild the context from a pickle
-    (one versioned redo per worker, amortized over its chunks)."""
-    global _WORKER
-    (app, requests, reports, opmap, initial_state, strict_registers,
-     strict, dedup, collapse, backend) = pickle.loads(payload)
-    ctx = SimContext(app, reports, opmap, initial_state, strict_registers)
-    ctx.build_versioned_stores()
-    _WORKER = _WorkerState(app, requests, reports, ctx, strict, dedup,
-                           collapse, backend)
-
-
-def _worker_run_chunk(rids: list[str]) -> tuple[bool, object]:
-    """Run one chunk in the worker; returns (ok, outcome).
-
-    On success the outcome carries the chunk's produced bodies,
-    regenerated externals, stats, and counter deltas; on a failed check
-    it carries the reject (reason, detail) plus the partial stats and
-    counters the chunk accumulated before failing — exactly what the
-    serial driver would have folded into the context before raising —
-    so rejected parallel audits report the same stats as serial ones.
-    Exceptions never cross the process boundary raw, so the parent
-    controls failure ordering.
-    """
-    state = _WORKER
-    ctx = state.ctx
-    before = ctx.counter_snapshot()
-    stats = ReExecStats()
-    produced: dict[str, str] = {}
-    try:
-        state.engine.run_chunk(state.app, rids, state.requests,
-                               state.reports, ctx, state.strict,
-                               state.dedup, produced, stats)
-    except AuditReject as reject:
-        return False, (reject.reason.value, reject.detail, stats,
-                       ctx.counter_delta(before))
-    externals = {
-        rid: ctx.produced_externals.pop(rid)
-        for rid in rids
-        if rid in ctx.produced_externals
-    }
-    return True, (produced, externals, stats, ctx.counter_delta(before))
-
-
-def _make_pool(app, requests, reports, ctx, strict, dedup, collapse,
-               backend, workers) -> ProcessPoolExecutor:
-    """One process pool with its state bound explicitly via initargs."""
-    if _use_fork():
-        state = (app, requests, reports, ctx, strict, dedup, collapse,
-                 backend)
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_worker_init_fork,
-            initargs=(state,),
-        )
-    payload = pickle.dumps((
-        app, requests, reports, ctx.opmap, ctx.initial,
-        ctx.strict_registers, strict, dedup, collapse, backend,
-    ))
-    return ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init_spawn,
-        initargs=(payload,),
-    )
-
-
-def _reexec_parallel(
-    app: Application,
-    requests,
-    reports: Reports,
-    ctx: SimContext,
-    chunks: list[list[str]],
-    strict: bool,
-    dedup: bool,
-    collapse: bool,
-    workers: int,
-    backend: str | None = None,
-) -> dict[str, str]:
-    """Fan the chunk plan out over a process pool and merge the results.
-
-    Outcomes are merged in submission order, so the first failure the
-    parent raises is the same failure the serial driver would raise.
-    Infrastructure failures (no process support, a worker killed
-    mid-chunk) degrade to serial re-execution of the affected chunks —
-    they are never verdicts and never escape as exceptions.
-    """
-    backend = backend if backend is not None else default_backend()
-    produced: dict[str, str] = {}
-    stats = ctx.reexec_stats = ReExecStats()
-    workers = max(1, min(workers, len(chunks)))
-    pool = None
-    futures: list = []
-    with _POOL_LOCK:
-        # Creation *and* submission run under the lock: worker processes
-        # are forked/spawned lazily at submit time, and concurrent
-        # drivers in one process must not interleave those forks.
-        try:
-            pool = _make_pool(app, requests, reports, ctx, strict, dedup,
-                              collapse, backend, workers)
-            futures = [pool.submit(_worker_run_chunk, chunk)
-                       for chunk in chunks]
-        except (OSError, ValueError, TypeError, AttributeError,
-                pickle.PickleError, BrokenProcessPool):
-            # No process support (an unpicklable payload on a spawn
-            # platform, or workers dying during startup): stay serial —
-            # ssco_audit must never raise.
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-            pool = None
-    if pool is None:
-        _run_chunks_serial(app, chunks, requests, reports, ctx, strict,
-                           dedup, collapse, backend, produced, stats)
-        return produced
-    remaining: list[list[str]] = []
-    try:
-        for index, future in enumerate(futures):
-            try:
-                ok, outcome = future.result()
-            except BrokenProcessPool:
-                # A worker was killed mid-chunk; this chunk's result and
-                # everything after it are lost.  Re-execution is
-                # idempotent, so finish those chunks serially below.
-                remaining = chunks[index:]
-                break
-            if not ok:
-                reason_value, detail, chunk_stats, counters = outcome
-                # Fold in the failing chunk's partial accounting first —
-                # the serial driver mutates the context before raising.
-                _merge_stats(stats, chunk_stats)
-                ctx.add_counters(counters)
-                raise AuditReject(RejectReason(reason_value), detail)
-            chunk_produced, externals, chunk_stats, counters = outcome
-            produced.update(chunk_produced)
-            for rid, items in externals.items():
-                ctx.produced_externals[rid] = items
-            _merge_stats(stats, chunk_stats)
-            ctx.add_counters(counters)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-    if remaining:
-        _run_chunks_serial(app, remaining, requests, reports, ctx, strict,
-                           dedup, collapse, backend, produced, stats)
-    return produced
-
-
-def _merge_stats(into: ReExecStats, delta: ReExecStats) -> None:
-    for name, value in vars(delta).items():  # counters add, lists extend
-        setattr(into, name, getattr(into, name) + value)
 
 
 def _in_error_group(ctx: SimContext, rid: str) -> bool:

@@ -88,31 +88,6 @@ class SimContext:
         self.dedup_hits = 0
         self.dedup_misses = 0
 
-    # -- instrumentation transfer (parallel re-execution) ------------------
-    #
-    # Worker processes hold their own SimContext (rebuilt from the
-    # picklable inputs: app, reports, OpMap, initial state) and stream
-    # per-chunk counter deltas back to the parent context.
-
-    _COUNTERS = ("db_query_seconds", "db_queries_issued", "dedup_hits",
-                 "dedup_misses")
-
-    def counter_snapshot(self) -> dict[str, float]:
-        """Current instrumentation counters, for delta accounting."""
-        return {name: getattr(self, name) for name in self._COUNTERS}
-
-    def counter_delta(self, before: dict[str, float]) -> dict[str, float]:
-        """Counters accumulated since ``before`` (a prior snapshot)."""
-        return {
-            name: getattr(self, name) - before[name]
-            for name in self._COUNTERS
-        }
-
-    def add_counters(self, delta: dict[str, float]) -> None:
-        """Fold a worker's counter delta into this context."""
-        for name in self._COUNTERS:
-            setattr(self, name, getattr(self, name) + delta.get(name, 0))
-
     # -- construction of versioned stores (the "DB redo" phase) -----------
 
     def build_versioned_stores(self) -> None:

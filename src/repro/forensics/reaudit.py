@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import AuditReject, RejectReason
-from repro.core.reexec import ReExecStats, _run_chunks_serial
+from repro.core.reexec import ReExecStats, run_chunks
 from repro.forensics.lineage import Lineage, request_lineage
 from repro.forensics.timeline import Timeline
 
@@ -116,7 +116,7 @@ def _replay_epoch(
         selected.append([orphan])
 
     produced: dict[str, str] = {}
-    _run_chunks_serial(
+    run_chunks(
         actx.app, selected, actx.trace.requests(), actx.reports,
         actx.sim, config.strict, config.dedup, config.collapse,
         backend or config.backend, produced, stats,

@@ -188,7 +188,7 @@ class Timeline:
             plan = plan_chunks(
                 reports, trace.requests(),
                 max_group_size=self.config.max_group_size,
-                workers=1, app=self.app,
+                app=self.app,
                 plan_hints=self.config.plan_hints,
                 strict=self.config.strict,
             )

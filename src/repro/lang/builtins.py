@@ -25,6 +25,7 @@ engine's deep-copy split path.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Callable
 
 from repro.common.errors import WeblangError
@@ -398,25 +399,27 @@ def _abs(*args: object) -> object:
     return abs(to_int(value))
 
 
-def _floor(*args: object) -> int:
+# floor() / ceil() / round() of INF, -INF or NAN is that float, as in
+# PHP: no int holds it.
+
+
+def _floor(*args: object) -> object:
     _arity("floor", args, 1)
-    import math
+    value = to_float(args[0])
+    return int(math.floor(value)) if math.isfinite(value) else value
 
-    return int(math.floor(to_float(args[0])))
 
-
-def _ceil(*args: object) -> int:
+def _ceil(*args: object) -> object:
     _arity("ceil", args, 1)
-    import math
-
-    return int(math.ceil(to_float(args[0])))
+    value = to_float(args[0])
+    return int(math.ceil(value)) if math.isfinite(value) else value
 
 
 def _round(*args: object) -> object:
     _arity("round", args, 1, 2)
     decimals = to_int(args[1]) if len(args) == 2 else 0
     value = round(to_float(args[0]) + 0.0, decimals)
-    return int(value) if decimals <= 0 else value
+    return int(value) if decimals <= 0 and math.isfinite(value) else value
 
 
 def _intval(*args: object) -> int:

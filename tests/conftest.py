@@ -8,10 +8,10 @@ import os
 import pytest
 
 if os.environ.get("REPRO_FORCE_SPAWN"):
-    # CI's non-fork job: force the spawn start method so the pickled
-    # worker-initialization path (repro.core.reexec._worker_init_spawn)
-    # stays covered on fork-capable hosts too.  Guarded — the start
-    # method may only be set once per process.
+    # CI's non-fork job: force the spawn start method so the epoch
+    # pool's spawned workers (repro.core.epochwork.run_work_unit in a
+    # fresh interpreter) stay covered on fork-capable hosts too.
+    # Guarded — the start method may only be set once per process.
     try:
         multiprocessing.set_start_method("spawn", force=True)
     except RuntimeError:  # pragma: no cover - already fixed by the runner

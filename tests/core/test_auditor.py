@@ -331,11 +331,11 @@ def test_session_requires_migrate_phase(counter_app, honest_run):
 
 def test_auditor_rejects_config_plus_knobs(counter_app):
     with pytest.raises(ValueError, match="not both"):
-        Auditor(counter_app, AuditConfig(), workers=2)
+        Auditor(counter_app, AuditConfig(), epoch_workers=2)
     # Keyword knobs alone build (and validate) a config.
-    assert Auditor(counter_app, workers=2).config.workers == 2
+    assert Auditor(counter_app, epoch_workers=2).config.epoch_workers == 2
     with pytest.raises(ValueError):
-        Auditor(counter_app, workers=-1)
+        Auditor(counter_app, epoch_workers=-1)
 
 
 def test_auditor_one_shot_matches_ssco_audit(counter_app, honest_run):
@@ -426,13 +426,11 @@ def test_compinterp_selectable_through_session_and_epochs(counter_app):
 
 
 def test_compinterp_through_parallel_workers(counter_app, honest_run):
-    """Worker processes compile on first use after unpickling the app;
-    results stay bit-identical to the serial compiling audit."""
-    serial = ssco_audit(counter_app, honest_run.trace, honest_run.reports,
-                        honest_run.initial_state, backend="compinterp")
-    parallel = ssco_audit(counter_app, honest_run.trace,
-                          honest_run.reports, honest_run.initial_state,
-                          backend="compinterp", workers=2)
+    """Epoch-pool workers compile on first use after unpickling the
+    app; results stay bit-identical to the serial compiling audit."""
+    serial = audit_epochs(counter_app, honest_run, backend="compinterp")
+    parallel = audit_epochs(counter_app, honest_run, backend="compinterp",
+                            epoch_workers=2)
     assert parallel.accepted and serial.accepted
     assert parallel.produced == serial.produced
     for key in _DET_STATS:

@@ -1,8 +1,7 @@
 """Concurrent auditing: epoch-level parallelism and driver thread-safety.
 
 Covers the epoch driver (``AuditSession``: redo-only state precompute +
-``epoch_workers`` pool) and the re-exec process-pool driver's behaviour
-under concurrency and worker loss:
+``epoch_workers`` pool) under concurrency and worker loss:
 
 * the feed × ``epoch_workers`` × bundle matrix: ``Auditor.audit_epochs``
   over the recorded epochs against a hand-chained reference, and over
@@ -11,10 +10,10 @@ under concurrency and worker loss:
   on accept *and* reject bundles;
 * the state-precompute pass itself: redo-only migrated states match the
   chained full audits' migrated states exactly;
-* two threads each driving ``audit_epochs(..., workers=2)`` in one
-  process (the pool-creation / initializer handoff race);
-* a killed-worker chunk (``BrokenProcessPool``) falling back to serial
-  re-execution instead of escaping ``ssco_audit``.
+* two threads each driving ``audit_epochs(..., epoch_workers=2)`` in
+  one process (the pool-creation race);
+* a killed epoch worker (``BrokenProcessPool``) falling back to a
+  serial re-run of its epoch instead of escaping the audit.
 """
 
 from __future__ import annotations
@@ -334,37 +333,20 @@ def test_session_epoch_workers_chains_certified_state(counter_app):
 
 
 def test_session_epoch_workers_with_reexec_workers(counter_app):
-    """epoch_workers combines with ``workers > 1``: each epoch worker
-    runs the ``workers``-shaped chunk plan inline, so bodies match."""
-    execution = _epoch_execution(counter_app)
-    shards = execution.epochs()
-    serial = Auditor(counter_app, AuditConfig()).audit_epochs(
-        shards, execution.initial_state)
-    concurrent = Auditor(
-        counter_app, AuditConfig(epoch_workers=2, workers=2)
-    ).audit_epochs(shards, execution.initial_state)
-    assert concurrent.accepted
-    assert concurrent.produced == serial.produced
-
-
-def test_epoch_worker_chunk_plan_follows_workers(counter_app):
-    """The work unit keeps ``workers``: an epoch worker plans its
-    chunks exactly as the serial chain's ``workers=3`` pass does (it
-    only *executes* the plan inline), so the group counts and the
-    per-group alphas match — not just the bodies."""
-    # Epochs big enough that the workers=3 planner subdivides groups.
-    execution = _epoch_execution(counter_app, n=360, epoch_size=120)
+    """An epoch worker chunks its groups as the serial chain does: with
+    a small ``max_group_size`` the group counts and per-group alphas
+    match, not just the bodies."""
+    execution = _epoch_execution(counter_app, n=120, epoch_size=40)
     shards = execution.epochs()
     plain = Auditor(counter_app, AuditConfig()).audit_epochs(
         shards, execution.initial_state)
-    serial = Auditor(counter_app, AuditConfig(workers=3)).audit_epochs(
-        shards, execution.initial_state)
+    serial = Auditor(counter_app, AuditConfig(max_group_size=3)
+                     ).audit_epochs(shards, execution.initial_state)
     assert serial.stats["groups"] > plain.stats["groups"]
     concurrent = Auditor(
-        counter_app, AuditConfig(epoch_workers=2, workers=3)
+        counter_app, AuditConfig(epoch_workers=2, max_group_size=3)
     ).audit_epochs(shards, execution.initial_state)
     _assert_equivalent(serial, concurrent)
-    assert concurrent.stats["groups"] == serial.stats["groups"]
     assert concurrent.stats["group_alphas"] == serial.stats["group_alphas"]
 
 
@@ -460,10 +442,10 @@ def test_custom_pipeline_keeps_serial_session(counter_app):
 
 
 def test_two_threads_audit_epochs_concurrently(counter_app):
-    """Two threads each driving audit_epochs with workers > 1 in one
-    process: their per-epoch re-exec pools are created and initialized
-    concurrently, which must not cross wires (each pool's state is
-    bound explicitly; creation is serialized by reexec._POOL_LOCK)."""
+    """Two threads each driving audit_epochs with epoch_workers > 1 in
+    one process: their epoch pools are created and fed concurrently,
+    which must not cross wires (executor creation and submission are
+    serialized by epochpool._POOL_LOCK)."""
     runs = [_epoch_execution(counter_app, seed=7),
             _epoch_execution(counter_app, seed=23)]
     references = [audit_epochs(counter_app, ex) for ex in runs]
@@ -475,7 +457,7 @@ def test_two_threads_audit_epochs_concurrently(counter_app):
     def _drive(slot, execution):
         try:
             results[slot] = audit_epochs(counter_app, execution,
-                                          workers=2)
+                                          epoch_workers=2)
         except BaseException as exc:  # surfaced in the main thread
             errors.append((slot, exc))
 
@@ -495,8 +477,8 @@ def test_two_threads_audit_epochs_concurrently(counter_app):
 
 
 class _KamikazeBackend(PlainInterpBackend):
-    """Dies instantly inside pool workers; behaves like ``interp`` in
-    the parent process (the serial-fallback path)."""
+    """Dies instantly inside epoch-pool workers; behaves like ``interp``
+    in the parent process (the serial-fallback path)."""
 
     name = "kamikaze"
 
@@ -508,21 +490,19 @@ class _KamikazeBackend(PlainInterpBackend):
                           dedup, produced, stats)
 
 
-def test_killed_worker_falls_back_to_serial(counter_app, honest_run):
-    """A worker killed mid-chunk (BrokenProcessPool) must not escape
-    ssco_audit: the lost chunks re-run serially in the parent and the
-    audit completes with the same bodies the reference backend makes.
-    (Under a forced spawn start method the backend is unregistered in
-    the fresh workers, which breaks the pool during initialization —
+def test_killed_worker_falls_back_to_serial(counter_app):
+    """An epoch worker killed mid-epoch (BrokenProcessPool) must not
+    escape the audit: the lost epochs re-run serially in the parent and
+    the audit completes with the same bodies the reference backend
+    makes.  (Under a forced spawn start method the backend is
+    unregistered in the fresh workers, so the work unit fails there —
     the same fallback covers that, too.)"""
+    execution = _epoch_execution(counter_app)
     register_reexec_backend("kamikaze", _KamikazeBackend)
     try:
-        audit = ssco_audit(counter_app, honest_run.trace,
-                           honest_run.reports, honest_run.initial_state,
-                           workers=2, backend="kamikaze")
-        reference = ssco_audit(counter_app, honest_run.trace,
-                               honest_run.reports,
-                               honest_run.initial_state, backend="interp")
+        audit = audit_epochs(counter_app, execution, epoch_workers=2,
+                             backend="kamikaze")
+        reference = audit_epochs(counter_app, execution, backend="interp")
         assert audit.accepted, (audit.reason, audit.detail)
         assert reference.accepted
         assert audit.produced == reference.produced
@@ -532,18 +512,15 @@ def test_killed_worker_falls_back_to_serial(counter_app, honest_run):
         _BACKENDS.pop("kamikaze", None)
 
 
-def test_killed_worker_fallback_still_rejects_tampering(counter_app,
-                                                        honest_run):
+def test_killed_worker_fallback_still_rejects_tampering(counter_app):
     """The serial fallback is a full audit path: verdicts on tampered
     bundles are preserved, not silently accepted."""
-    victim = next(e.rid for e in honest_run.trace.events
-                  if e.is_response and e.payload.body)
-    tampered = tamper_response(honest_run.trace, victim, "forged!")
+    execution = _epoch_execution(counter_app)
+    tampered = _tamper_epoch_response(execution, "last")
     register_reexec_backend("kamikaze", _KamikazeBackend)
     try:
-        audit = ssco_audit(counter_app, tampered, honest_run.reports,
-                           honest_run.initial_state, workers=2,
-                           backend="kamikaze")
+        audit = audit_epochs(counter_app, execution, trace=tampered,
+                             epoch_workers=2, backend="kamikaze")
         assert not audit.accepted
         assert audit.reason is RejectReason.OUTPUT_MISMATCH
     finally:

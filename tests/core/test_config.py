@@ -16,7 +16,7 @@ def test_defaults_match_ssco_audit():
     config = AuditConfig()
     assert config.strict and config.dedup and config.collapse
     assert not config.strict_registers and not config.migrate
-    assert config.workers == 1 and config.epoch_workers == 1
+    assert config.epoch_workers == 1
     assert config.max_group_size == DEFAULT_MAX_GROUP
     assert config.backend == default_backend()
     assert not config.plan_hints
@@ -35,11 +35,12 @@ def test_backend_default_resolves_env_at_construction(monkeypatch):
 
 
 @pytest.mark.parametrize("kwargs,fragment", [
+    # No longer knobs (re-execution has one serial chunk loop; the
+    # recorder cuts epochs): unknown keywords, refused by name whatever
+    # their value.
     (dict(workers=0), "workers"),
     (dict(workers=-2), "workers"),
     (dict(workers=2.5), "workers"),
-    # No longer a knob (the recorder cuts epochs): an unknown keyword,
-    # refused by name whatever its value.
     (dict(epoch_size=-1), "epoch_size"),
     (dict(epoch_size="10"), "epoch_size"),
     (dict(max_group_size=0), "max_group_size"),
@@ -71,18 +72,18 @@ def test_plan_hints_is_non_strict_only():
 
 
 def test_replace_revalidates():
-    config = AuditConfig(workers=2)
-    assert config.replace(workers=4).workers == 4
+    config = AuditConfig(epoch_workers=2)
+    assert config.replace(epoch_workers=4).epoch_workers == 4
     with pytest.raises(ValueError):
-        config.replace(workers=-1)
+        config.replace(epoch_workers=-1)
     # The original is immutable and untouched.
-    assert config.workers == 2
+    assert config.epoch_workers == 2
     with pytest.raises(AttributeError):
-        config.workers = 8
+        config.epoch_workers = 8
 
 
 def test_json_roundtrip():
-    config = AuditConfig(strict=False, workers=3, epoch_workers=2,
+    config = AuditConfig(strict=False, epoch_workers=2,
                          backend="interp", max_group_size=100)
     data = config.to_json()
     json.dumps(data)  # serializable as-is
@@ -98,26 +99,43 @@ def test_from_json_rejects_unknown_keys():
 
 def test_save_load_file(tmp_path):
     path = str(tmp_path / "audit.json")
-    config = AuditConfig(workers=2, max_group_size=50)
+    config = AuditConfig(epoch_workers=2, max_group_size=50)
     config.save(path)
     assert AuditConfig.load(path) == config
     with open(path) as fh:
-        assert json.load(fh)["workers"] == 2
+        assert json.load(fh)["epoch_workers"] == 2
 
 
 def test_to_options_and_back():
     """The one leftover of the old two-type split: the frozen e2e
     benchmark still calls ``config.to_options()``, which hands back the
     config itself."""
-    config = AuditConfig(strict=False, dedup=False, workers=2,
+    config = AuditConfig(strict=False, dedup=False, epoch_workers=2,
                          backend="interp")
     assert config.to_options() is config
+
+
+def test_workers_knob_is_gone():
+    """Re-execution has one serial chunk loop: the group-pool knob is
+    refused by name everywhere a config is built."""
+    with pytest.raises(ValueError,
+                       match="unknown audit config keys: workers "):
+        AuditConfig.from_json({"workers": 2})
+    with pytest.raises(TypeError, match="workers"):
+        AuditConfig(workers=2)
+    assert "workers" not in {f.name for f in
+                             dataclasses.fields(AuditConfig)}
+    # The one exception exists for the frozen
+    # benchmarks/e2e/auditor_child.py, which still calls
+    # replace(workers=2): the keyword is dropped, and the shim goes
+    # with to_options().
+    assert AuditConfig().replace(workers=2) == AuditConfig()
 
 
 def _namespace(**kwargs):
     defaults = dict(strict=None, no_dedup=None, no_collapse=None,
                     strict_registers=None, max_group_size=None,
-                    workers=None, backend=None, config=None)
+                    epoch_workers=None, backend=None, config=None)
     defaults.update(kwargs)
     return argparse.Namespace(**defaults)
 
@@ -128,23 +146,24 @@ def test_from_args_defaults():
 
 def test_from_args_flags_layer_over_config_file(tmp_path):
     path = str(tmp_path / "audit.json")
-    AuditConfig(workers=4, max_group_size=100, backend="interp").save(path)
+    AuditConfig(epoch_workers=4, max_group_size=100,
+                backend="interp").save(path)
     # No flags: the file wins over the defaults.
     config = AuditConfig.from_args(_namespace(config=path))
-    assert (config.workers, config.max_group_size, config.backend) == \
-        (4, 100, "interp")
+    assert (config.epoch_workers, config.max_group_size,
+            config.backend) == (4, 100, "interp")
     # Explicit flags win over the file; untouched fields keep its values.
     config = AuditConfig.from_args(
-        _namespace(config=path, workers=2, no_dedup=True)
+        _namespace(config=path, epoch_workers=2, no_dedup=True)
     )
-    assert config.workers == 2
+    assert config.epoch_workers == 2
     assert config.backend == "interp"
     assert config.dedup is False
 
 
 def test_from_args_validates(tmp_path):
     with pytest.raises(ValueError):
-        AuditConfig.from_args(_namespace(workers=-1))
+        AuditConfig.from_args(_namespace(epoch_workers=-1))
     with pytest.raises(ValueError, match="unknown audit config keys"):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
@@ -153,9 +172,8 @@ def test_from_args_validates(tmp_path):
 
 
 def test_describe_mentions_the_interesting_knobs():
-    text = AuditConfig(workers=3, epoch_workers=2, strict=False,
+    text = AuditConfig(epoch_workers=2, strict=False,
                        backend="interp").describe()
-    assert "workers=3" in text
     assert "backend=interp" in text
     assert "epoch_workers=2" in text
     assert "no-strict" in text
@@ -238,7 +256,7 @@ def test_net_json_roundtrip():
     for key in _TRANSPORT_KEYS:
         with pytest.raises(ValueError,
                            match=f"unknown audit config keys: {key} "):
-            AuditConfig.from_json({"workers": 2, key: None})
+            AuditConfig.from_json({"epoch_workers": 2, key: None})
         with pytest.raises(TypeError, match=key):
             AuditConfig(**{key: None})
     assert not set(AuditConfig().to_json()) & set(_TRANSPORT_KEYS)
@@ -299,9 +317,9 @@ def test_removed_knobs_fail_naming_the_key(counter_app, honest_run):
         auditor.audit_epochs([], honest_run.initial_state, pipelined=True)
     with pytest.raises(ImportError, match="AuditOptions"):
         from repro import AuditOptions  # noqa: F401
-    with pytest.raises(ValueError, match="workers"):
+    with pytest.raises(ValueError, match="epoch_workers"):
         ssco_audit(counter_app, honest_run.trace, honest_run.reports,
-                   honest_run.initial_state, workers=0)
+                   honest_run.initial_state, epoch_workers=0)
 
 
 def test_epoch_process_knob_defaults_and_roundtrip():
@@ -313,8 +331,8 @@ def test_epoch_process_knob_defaults_and_roundtrip():
     assert "epoch_workers=4" in tuned.describe()
     fields = [f.name for f in dataclasses.fields(AuditConfig)]
     assert fields == ["strict", "dedup", "collapse", "strict_registers",
-                      "max_group_size", "migrate", "workers",
-                      "epoch_workers", "backend", "plan_hints"]
+                      "max_group_size", "migrate", "epoch_workers",
+                      "backend", "plan_hints"]
     assert [name for name in fields if name.startswith("epoch_")] == [
         "epoch_workers"]
 

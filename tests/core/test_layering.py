@@ -16,7 +16,7 @@ import repro.core
 from repro.core import AuditConfig, Auditor, EpochPool
 
 AuditConfig()
-AuditConfig(epoch_workers=2, workers=2).describe()
+AuditConfig(epoch_workers=2, max_group_size=50).describe()
 AuditConfig.from_json({"epoch_workers": 2, "backend": "interp"})
 try:
     AuditConfig.from_json({"fleet_listen": "0.0.0.0:8700"})

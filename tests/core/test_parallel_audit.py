@@ -1,8 +1,9 @@
-"""Parallel re-execution: verdicts and produced bodies identical to serial.
+"""Parallel auditing on the paper's applications: identical to serial.
 
-The acceptance contract of the parallel driver (core/reexec.py): for any
-workload, ``ssco_audit(..., workers>=2)`` and the serial audit return
-the same verdict and bitwise-identical produced bodies — including on
+Epoch-level parallelism (``epoch_workers``) is the one way an audit
+runs in parallel: whole epochs audited on a process pool.  For each
+application, ``epoch_workers=2`` and the serial epoch chain return the
+same verdict and bitwise-identical produced bodies — including on
 tampered (REJECTED) bundles.
 """
 
@@ -10,13 +11,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Auditor, ssco_audit
-from repro.core.reexec import plan_chunks
+from repro.core import Auditor
+from repro.core.epochpool import pools_created_total
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
 from repro.trace.events import Event, Response
 from repro.trace.trace import Trace
 from repro.workloads import forum_workload, hotcrp_workload, wiki_workload
+from tests.conftest import audit_epochs
 
 #: Seed-scale workloads (the CLI default --scale 0.02).
 _WORKLOADS = {
@@ -26,7 +28,7 @@ _WORKLOADS = {
 }
 
 
-def _serve(workload, epoch_size=0):
+def _serve(workload, epoch_size=50):
     executor = Executor(
         workload.app,
         scheduler=RandomScheduler(1),
@@ -40,22 +42,21 @@ def _serve(workload, epoch_size=0):
 @pytest.fixture(scope="module", params=sorted(_WORKLOADS))
 def workload_run(request):
     workload = _WORKLOADS[request.param]()
-    return request.param, workload, _serve(workload)
+    execution = _serve(workload)
+    assert execution.epoch_marks, "need several epochs"
+    return request.param, workload, execution
 
 
 def test_parallel_audit_identical_to_serial(workload_run):
     name, workload, execution = workload_run
-    serial = ssco_audit(workload.app, execution.trace, execution.reports,
-                        execution.initial_state)
-    parallel = ssco_audit(workload.app, execution.trace,
-                          execution.reports, execution.initial_state,
-                          workers=2)
+    serial = audit_epochs(workload.app, execution)
+    parallel = audit_epochs(workload.app, execution, epoch_workers=2)
     assert serial.accepted, (name, serial.reason, serial.detail)
     assert parallel.accepted, (name, parallel.reason, parallel.detail)
     assert parallel.produced == serial.produced
-    assert parallel.stats["grouped_requests"] + parallel.stats[
-        "fallback_requests"] == serial.stats["grouped_requests"] + \
-        serial.stats["fallback_requests"]
+    for key in ("groups", "grouped_requests", "fallback_requests",
+                "steps", "shard_count"):
+        assert parallel.stats[key] == serial.stats[key], (name, key)
 
 
 def test_parallel_audit_rejects_tampered_bundle(workload_run):
@@ -69,10 +70,9 @@ def test_parallel_audit_rejects_tampered_bundle(workload_run):
                 event.time,
             )
             break
-    serial = ssco_audit(workload.app, tampered, execution.reports,
-                        execution.initial_state)
-    parallel = ssco_audit(workload.app, tampered, execution.reports,
-                          execution.initial_state, workers=2)
+    serial = audit_epochs(workload.app, execution, trace=tampered)
+    parallel = audit_epochs(workload.app, execution, trace=tampered,
+                            epoch_workers=2)
     assert not serial.accepted and not parallel.accepted, name
     assert parallel.reason is serial.reason
     assert parallel.detail == serial.detail
@@ -85,47 +85,37 @@ def test_parallel_reject_reason_matches_on_report_tamper(workload_run):
     tampered = execution.reports.deep_copy()
     obj = next(obj for obj, log in tampered.op_logs.items() if log)
     tampered.op_logs[obj] = tampered.op_logs[obj][:-1]
-    serial = ssco_audit(workload.app, execution.trace, tampered,
-                        execution.initial_state)
-    parallel = ssco_audit(workload.app, execution.trace, tampered,
-                          execution.initial_state, workers=2)
+    serial = audit_epochs(workload.app, execution, reports=tampered)
+    parallel = audit_epochs(workload.app, execution, reports=tampered,
+                            epoch_workers=2)
     assert not serial.accepted and not parallel.accepted, name
     assert parallel.reason is serial.reason
 
 
 def test_parallel_plus_sharded_identical_to_serial():
+    """More epochs than the session keeps in flight, on one app."""
     workload = forum_workload(scale=0.02)
-    execution = _serve(workload, epoch_size=100)
-    assert execution.epoch_marks
-    serial = ssco_audit(workload.app, execution.trace, execution.reports,
-                        execution.initial_state)
-    combined = Auditor(workload.app, workers=2).audit_epochs(
+    execution = _serve(workload, epoch_size=25)
+    serial = Auditor(workload.app).audit_epochs(
+        execution.epochs(), execution.initial_state)
+    combined = Auditor(workload.app, epoch_workers=2).audit_epochs(
         execution.epochs(), execution.initial_state)
     assert serial.accepted and combined.accepted, (
         combined.reason, combined.detail)
     assert combined.produced == serial.produced
-    assert combined.stats["shard_count"] > 1
-
-
-def test_parallel_chunk_plan_subdivides_dominant_groups():
-    workload = wiki_workload(scale=0.02)
-    execution = _serve(workload)
-    requests = execution.trace.requests()
-    serial_plan = plan_chunks(execution.reports, requests)
-    parallel_plan = plan_chunks(execution.reports, requests, workers=4)
-    assert len(parallel_plan) >= len(serial_plan)
-    # Same requests, same multiset, same relative order within a group.
-    assert sorted(r for c in serial_plan for r in c) == sorted(
-        r for c in parallel_plan for r in c)
+    assert combined.stats["shard_count"] == serial.stats["shard_count"] > 4
 
 
 def test_workers_one_is_the_serial_path(workload_run):
+    """``epoch_workers=1`` (the default) is the serial chain: no pool,
+    no state precompute."""
     name, workload, execution = workload_run
-    one = ssco_audit(workload.app, execution.trace, execution.reports,
-                     execution.initial_state, workers=1)
-    serial = ssco_audit(workload.app, execution.trace, execution.reports,
-                        execution.initial_state)
-    assert one.accepted and serial.accepted
+    created = pools_created_total()
+    one = audit_epochs(workload.app, execution, epoch_workers=1)
+    serial = audit_epochs(workload.app, execution)
+    assert pools_created_total() == created
+    assert one.accepted and serial.accepted, name
+    assert "state_precompute" not in one.phases
     assert one.produced == serial.produced
     assert one.stats["groups"] == serial.stats["groups"]
     assert one.stats["steps"] == serial.stats["steps"]

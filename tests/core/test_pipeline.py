@@ -146,10 +146,9 @@ def test_options_carry_the_full_knob_set(counter_app, run):
     no copy, no second type."""
     config = AuditConfig(strict=False, dedup=False, collapse=False,
                          strict_registers=True, max_group_size=7,
-                         migrate=True, workers=3, epoch_workers=2)
+                         migrate=True, epoch_workers=2)
     actx = AuditContext(counter_app, run.trace, run.reports,
                         run.initial_state, config)
     assert actx.config is config
-    assert not actx.reexec_inline
     assert AuditContext(counter_app, run.trace, run.reports,
                         run.initial_state).config == AuditConfig()

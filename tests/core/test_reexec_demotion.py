@@ -24,6 +24,7 @@ from repro.core import simple_audit, ssco_audit as _ssco_audit
 ssco_audit = functools.partial(_ssco_audit, backend="hybrid")
 from repro.server import Application, Executor, RandomScheduler
 from repro.trace.events import Request
+from tests.conftest import audit_epochs
 
 BRANCHY_SRC = {
     "branch.php": """
@@ -125,9 +126,8 @@ def test_multivalue_fallback_retries_in_both_modes():
 
 
 def test_parallel_demotion_matches_serial():
-    """A divergence *inside a worker process* produces the same verdict
-    and bodies as the serial driver (multiple groups, so the pool
-    really engages)."""
+    """A divergence *inside an epoch worker process* produces the same
+    verdict and bodies as the serial driver."""
     app, run = _serve(
         [Request(f"r{i}", "branch.php", get={"v": str(i * 9)})
          for i in range(6)]
@@ -148,15 +148,15 @@ def test_parallel_demotion_matches_serial():
     tampered.groups["bogus"] = branch_rids
     serial = ssco_audit(app, run.trace, tampered, run.initial_state,
                         strict=False)
-    parallel = ssco_audit(app, run.trace, tampered, run.initial_state,
-                          strict=False, workers=2)
+    parallel = audit_epochs(app, run, reports=tampered, strict=False,
+                            epoch_workers=2, backend="hybrid")
     assert serial.accepted and parallel.accepted
     assert parallel.produced == serial.produced
     serial_strict = ssco_audit(app, run.trace, tampered,
                                run.initial_state, strict=True)
-    parallel_strict = ssco_audit(app, run.trace, tampered,
-                                 run.initial_state, strict=True,
-                                 workers=2)
+    parallel_strict = audit_epochs(app, run, reports=tampered,
+                                   strict=True, epoch_workers=2,
+                                   backend="hybrid")
     assert not serial_strict.accepted and not parallel_strict.accepted
     assert parallel_strict.reason is serial_strict.reason
 

@@ -115,9 +115,9 @@ def test_error_body_without_detail_still_decodes():
 
 def test_work_unit_roundtrips_through_pickle_codec():
     """What crosses the process / host boundary is the validated
-    AuditConfig itself: epoch workers and migrate cleared, ``workers``
+    AuditConfig itself: epoch workers and migrate cleared, the rest
     preserved (the chunk plan must follow it bit for bit)."""
-    cfg = AuditConfig(strict=False, workers=3, epoch_workers=2,
+    cfg = AuditConfig(strict=False, max_group_size=3, epoch_workers=2,
                       migrate=True, backend="interp")
     unit = encode_work_unit("app", "trace", "reports", "state",
                             epoch_worker_config(cfg))
@@ -125,5 +125,6 @@ def test_work_unit_roundtrips_through_pickle_codec():
     assert (app, trace, reports, state) == ("app", "trace", "reports",
                                             "state")
     assert isinstance(config, AuditConfig)
-    assert config == AuditConfig(strict=False, workers=3, backend="interp")
+    assert config == AuditConfig(strict=False, max_group_size=3,
+                                 backend="interp")
     assert config.validate() is config

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.common.errors import WeblangError
@@ -154,6 +156,20 @@ def test_rounding():
     assert call("round", 2.5) == 2  # banker's rounding, deterministic
     assert call("round", 2.567, 2) == 2.57
     assert call("abs", -5) == 5
+
+
+@pytest.mark.parametrize("name", ["floor", "ceil", "round"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_rounding_an_infinite_float_returns_it(name, value):
+    """No int holds INF: the float comes back unchanged, as in PHP."""
+    assert call(name, value) == value
+
+
+@pytest.mark.parametrize("name", ["floor", "ceil", "round"])
+def test_rounding_nan_returns_nan(name):
+    assert math.isnan(call(name, math.nan))
+    assert math.isnan(call("round", math.nan, 2))
+    assert call("round", math.inf, -1) == math.inf
 
 
 def test_conversions():

@@ -269,8 +269,9 @@ def test_report_sizes_accounting(honest_run):
     assert honest_run.reports.baseline_size_bytes() == sizes["nondet"]
 
 
-#: script -> (source, body): a float squared past the largest double, and
-#: an int past a float's range (10 ** 480) met by floats.
+#: script -> (source, body): a float squared past the largest double, an
+#: int past a float's range (10 ** 480) met by floats, and floor() /
+#: ceil() / round() of INF and NAN.
 OVERFLOW_SCRIPTS = {
     "grow.php": ("""
 $x = 99999999999.5; $i = 0;
@@ -282,6 +283,13 @@ $n = 1; $i = 0;
 while ($i < 16) { $n = $n * 1000000000000000000000000000000; $i += 1; }
 echo 1.5 / $n, ' ', $n * 0.5, ' ', $n / 3, ' ', -$n - 0.5;
 """, "0 INF INF -INF"),
+    "floor.php": ("""
+$x = 99999999999.5; $i = 0;
+while ($i < 40) { $x = $x * $x; $i += 1; }
+$n = $x - $x;
+echo floor($x), ' ', ceil(-$x), ' ', round($x), ' ', round($n, 2), ' ',
+     floor($n), ' ', floor(2.5);
+""", "INF -INF INF NAN NAN 2"),
 }
 
 
@@ -289,7 +297,8 @@ echo 1.5 / $n, ' ', $n * 0.5, ' ', $n / 3, ' ', -$n - 0.5;
 def test_a_float_that_overflows_is_served_as_inf_and_audited(backend):
     """``echo`` of an infinite float used to raise ``OverflowError`` out of
     ``to_str``, and so did arithmetic between a float and an int no float
-    holds; the executor catches only ``WeblangError``, so one such
+    holds, and so did ``floor()`` / ``ceil()`` / ``round()`` of INF or
+    NAN; the executor catches only ``WeblangError``, so one such
     request ended every other request's serve.  They print PHP's ``INF``
     (or the float the exact result rounds to) on the server and on either
     audit engine."""

@@ -99,19 +99,6 @@ def test_benchmark_kind_mismatch_raises():
                                  {"benchmark": "nope"}, tolerance=0.2)
 
 
-def test_parallel_scaling_metrics_normalize_throughput():
-    doc = {"benchmark": "parallel_scaling", "cpu_count": 4, "rows": [
-        {"workers": 1, "total_seconds": 2.0, "reexec_seconds": 1.6,
-         "speedup_reexec": 1.0},
-        {"workers": 2, "total_seconds": 1.0, "reexec_seconds": 0.8,
-         "speedup_reexec": 2.0},
-    ]}
-    metrics = {m.name: m for m in
-               check_regression.metrics_parallel_scaling(doc)}
-    assert metrics["workers2_speedup_total"].value == pytest.approx(2.0)
-    assert metrics["workers2_speedup_reexec"].value == pytest.approx(2.0)
-
-
 # -- the CLI -------------------------------------------------------------------
 
 

@@ -100,7 +100,7 @@ def test_unknown_workload_rejected():
 
 def test_demo_parallel_and_epochs(capsys):
     code = main(["demo", "--workload", "forum", "--scale", "0.005",
-                 "--workers", "2", "--epoch-size", "20"])
+                 "--epoch-workers", "2", "--epoch-size", "20"])
     assert code == 0
     out = capsys.readouterr().out
     assert "ACCEPTED" in out
@@ -112,7 +112,7 @@ def test_record_jsonl_then_sharded_parallel_audit(tmp_path, capsys):
     assert main(["record", "--workload", "wiki", "--scale", "0.005",
                  "--epoch-size", "20", "--out", bundle]) == 0
     assert main(["audit", bundle, "--workload", "wiki",
-                 "--scale", "0.005", "--workers", "2"]) == 0
+                 "--scale", "0.005", "--epoch-workers", "2"]) == 0
     out = capsys.readouterr().out
     assert "ACCEPTED" in out
     assert "epoch 1: ACCEPTED" in out and "epoch(s)" in out
@@ -134,7 +134,7 @@ def test_audit_rejects_tampered_jsonl_bundle(tmp_path, capsys):
           "--epoch-size", "20", "--out", bundle])
     _forge_first_body(bundle)
     code = main(["audit", bundle, "--workload", "wiki",
-                 "--scale", "0.005", "--workers", "2"])
+                 "--scale", "0.005", "--epoch-workers", "2"])
     assert code == 1
     assert "REJECTED" in capsys.readouterr().out
 
@@ -147,19 +147,20 @@ def test_audit_workers_flag_is_canonical(tmp_path, capsys):
     main(["record", "--workload", "forum", "--scale", "0.005",
           "--out", bundle])
     assert main(["audit", bundle, "--workload", "forum",
-                 "--scale", "0.005", "--workers", "2"]) == 0
+                 "--scale", "0.005", "--epoch-workers", "2"]) == 0
     captured = capsys.readouterr()
-    assert "workers=2" in captured.out
+    assert "epoch_workers=2" in captured.out
     assert "deprecated" not in captured.err
 
 
 def test_removed_worker_aliases_are_rejected(tmp_path, capsys):
-    """--workers is the one spelling: the old --parallel alias and
-    audit's --concurrency alias are usage errors now."""
+    """--epoch-workers is the one way to audit in parallel: the group
+    pool's --workers, its old --parallel alias and audit's
+    --concurrency alias are usage errors now."""
     bundle = str(tmp_path / "bundle.jsonl")
     main(["record", "--workload", "forum", "--scale", "0.005",
           "--out", bundle])
-    for flag in ("--parallel", "--concurrency"):
+    for flag in ("--parallel", "--concurrency", "--workers"):
         with pytest.raises(SystemExit) as usage:
             main(["audit", bundle, "--workload", "forum",
                   "--scale", "0.005", flag, "2"])
@@ -245,7 +246,7 @@ def test_stale_epoch_keys_in_a_config_file_are_usage_errors(tmp_path,
     config = tmp_path / "audit.json"
     for flag, value in STALE_EPOCH_FLAGS:
         key = flag.lstrip("-").replace("-", "_")
-        config.write_text(json.dumps({"workers": 2, key: value}))
+        config.write_text(json.dumps({"strict": True, key: value}))
         for command in (["audit", bundle], ["audit", bundle, "--follow"],
                         ["explain", bundle, "f000001"]):
             capsys.readouterr()
@@ -264,17 +265,17 @@ def test_audit_config_file_with_flag_override(tmp_path, capsys):
     main(["record", "--workload", "forum", "--scale", "0.005",
           "--out", bundle])
     with open(config_path, "w") as fh:
-        _json.dump({"workers": 2, "backend": "interp"}, fh)
+        _json.dump({"max_group_size": 50, "backend": "interp"}, fh)
     assert main(["audit", bundle, "--workload", "forum",
                  "--scale", "0.005", "--config", config_path]) == 0
     out = capsys.readouterr().out
-    assert "workers=2" in out and "backend=interp" in out
+    assert "max_group=50" in out and "backend=interp" in out
     # An explicit flag overrides the file.
     assert main(["audit", bundle, "--workload", "forum",
                  "--scale", "0.005", "--config", config_path,
-                 "--workers", "1"]) == 0
+                 "--max-group-size", "40"]) == 0
     out = capsys.readouterr().out
-    assert "workers=1" in out and "backend=interp" in out
+    assert "max_group=40" in out and "backend=interp" in out
     # Typos in the file are an immediate CLI error.
     with open(config_path, "w") as fh:
         _json.dump({"workerz": 2}, fh)
@@ -411,11 +412,11 @@ def test_audit_recut_and_baseline_are_honoured_on_a_file(tmp_path,
 
 def test_demo_accepts_workers_flag(capsys):
     code = main(["demo", "--workload", "forum", "--scale", "0.005",
-                 "--workers", "2", "--epoch-size", "20"])
+                 "--epoch-workers", "2", "--epoch-size", "20"])
     assert code == 0
     out = capsys.readouterr().out
     assert "ACCEPTED" in out
-    assert "workers=2" in out
+    assert "epoch_workers=2" in out
     assert "shards=" in out
 
 

@@ -14,7 +14,7 @@ identical to the serial chain's, and reports wall-clock.
 
 The recorded baseline carries ``cpu_count``: on a single-core host the
 pool *pays* for its core-independence serially (each worker rebuilds
-its epoch's stores from the pickled payload, so with no cores to hide
+its epoch's stores from the encoded work unit, so with no cores to hide
 it behind the redo runs twice).  The speedup materializes with cores,
 where whole epochs execute simultaneously in the pool's worker
 processes with no GIL in the way of any phase.

@@ -3,7 +3,7 @@ the serial epoch chain.
 
 The fleet coordinator (``repro.fleet``) fans whole epochs out to
 remote worker daemons over ``repro.net`` — the same work units the
-single-host process pool pickles, with a TCP hop in between.  This
+single-host process pool is handed, with a TCP hop in between.  This
 benchmark measures what that hop costs (and buys):
 
 * **serial** — the single-host chained epoch audit of one recorded
@@ -175,7 +175,7 @@ def run(scale: float, epoch_size: int, fleet_workers: int,
         "note": "fleet_speedup times submit->merge with workers "
                 "enrolled (enrollment is fleet_join_seconds, paid once "
                 "per session); it requires multiple cores — on a "
-                "single-core host the loopback fleet pays pickling, "
+                "single-core host the loopback fleet pays encoding, "
                 "the wire, and the workers' duplicated redo with no "
                 "cores to hide them behind",
     }

@@ -174,13 +174,14 @@ def _positive(text: str) -> float:
     return value
 
 
-def _at_least(minimum: int):
-    """argparse ``type=``: an integer no smaller than ``minimum``."""
-    def count(text: str) -> int:
-        value = int(text)
-        if value < minimum:
+def _at_least(minimum):
+    """argparse ``type=``: a number of ``minimum``'s type no smaller
+    than it (``0.0``: seconds, where 0 means none)."""
+    def count(text: str):
+        value = type(minimum)(text)  # ValueError: "invalid value"
+        if not value >= minimum:
             raise argparse.ArgumentTypeError(
-                f"must be an integer >= {minimum}, got {text!r}")
+                f"must be >= {minimum}, got {text!r}")
         return value
     return count
 
@@ -730,24 +731,13 @@ def _audit_summary(audit) -> dict:
     (``rejecting_epoch``, ``null`` on an accepted audit).  A
     ``malformed_bundle`` verdict lists the epochs that settled before
     the record that does not decode; its ``rejecting_epoch`` is their
-    count — the epoch that record belongs to.
+    count — the epoch that record belongs to.  (``AuditResult.to_json``
+    without ``produced`` and ``group_alphas``.)
     """
-    stats = {name: value for name, value in audit.stats.items()
-             if name not in ("shards", "group_alphas")}
-    epochs = audit.stats["shards"]
-    rejecting = None if audit.accepted else next(
-        (epoch["shard"] for epoch in epochs if not epoch["accepted"]),
-        len(epochs))
-    return {
-        "verdict": "ACCEPTED" if audit.accepted else "REJECTED",
-        "accepted": audit.accepted,
-        "reason": audit.reason.value if audit.reason else None,
-        "detail": audit.detail or "",
-        "phases": audit.phases,
-        "stats": stats,
-        "epochs": epochs,
-        "rejecting_epoch": rejecting,
-    }
+    payload = audit.to_json()
+    del payload["produced"]
+    payload["stats"].pop("group_alphas", None)
+    return payload
 
 
 def _print_verdict(audit, as_json: bool, base: dict | None = None) -> int:
@@ -810,9 +800,9 @@ def audit_knobs(p) -> None:
     p.add_argument("--strict-registers", action="store_true",
                    default=None,
                    help="reject register reads with no logged write")
-    p.add_argument("--max-group-size", type=int, default=None,
+    p.add_argument("--max-group-size", type=_at_least(1), default=None,
                    help="chunk re-execution groups beyond this size")
-    p.add_argument("--epoch-workers", type=int, default=None,
+    p.add_argument("--epoch-workers", type=_at_least(1), default=None,
                    metavar="N",
                    help="audit epochs concurrently, N at a time, on "
                         "a shared persistent process pool after a "
@@ -878,11 +868,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--out", default=None, metavar="BUNDLE.JSONL",
                        help="also mirror the stream to a segmented "
                             "JSONL bundle file")
-    serve.add_argument("--epoch-delay", type=float, default=0.0,
+    serve.add_argument("--epoch-delay", type=_at_least(0.0), default=0.0,
                        metavar="SECONDS",
                        help="pause between published epochs (stands in "
                             "for a live recorder mid-stream)")
-    serve.add_argument("--linger", type=float, default=30.0,
+    serve.add_argument("--linger", type=_at_least(0.0), default=30.0,
                        metavar="SECONDS",
                        help="after the end record, wait this long for "
                             "an auditor to drain the stream")
@@ -890,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="drop a subscriber that lags this long "
                             "(it can reconnect and resume; default 30s)")
-    serve.add_argument("--spool-epochs", type=int, default=None,
+    serve.add_argument("--spool-epochs", type=_at_least(1), default=None,
                        metavar="N",
                        help="keep only the newest N sealed epochs for "
                             "late-connect/resume replay (bounds "
@@ -912,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--follow", action="store_true",
                        help="the bundle file is still being written: "
                             "wait for more epochs until its end record")
-    audit.add_argument("--follow-timeout", type=float, default=3.0,
+    audit.add_argument("--follow-timeout", type=_positive, default=3.0,
                        metavar="SECONDS",
                        help="--follow: give up after this long without "
                             "new data (default 3s)")
@@ -982,13 +972,13 @@ def build_parser() -> argparse.ArgumentParser:
              "docs/scenarios.md)",
     )
     recording(synth)
-    synth.add_argument("--requests", type=int, default=10_000,
+    synth.add_argument("--requests", type=_at_least(1), default=10_000,
                        help="requests to synthesize this run "
                             "(default 10000; resume adds on top)")
-    synth.add_argument("--users", type=int, default=1_000_000,
+    synth.add_argument("--users", type=_at_least(1), default=1_000_000,
                        help="simulated user population sampled with a "
                             "Zipf-like skew (default 1e6)")
-    synth.add_argument("--max-sessions", type=int, default=64,
+    synth.add_argument("--max-sessions", type=_at_least(1), default=64,
                        dest="max_sessions", metavar="N",
                        help="bound on concurrently active sessions "
                             "(the generator's working set; default 64)")
@@ -1028,7 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seed", type=int, default=0,
                       help="campaign seed; every mutation derives from "
                            "(seed, index) and replays exactly")
-    fuzz.add_argument("--mutations", type=int, default=100,
+    fuzz.add_argument("--mutations", type=_at_least(1), default=100,
                       help="number of randomized mutations (default "
                            "100)")
     fuzz.add_argument("--operators", default=None, metavar="A,B,...",
@@ -1095,11 +1085,11 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--name", default=None,
                         help="worker name shown to the coordinator "
                              "(default: hostname-pid)")
-    worker.add_argument("--heartbeat", type=float, default=2.0,
+    worker.add_argument("--heartbeat", type=_positive, default=2.0,
                         metavar="SECONDS",
                         help="heartbeat interval while an epoch runs "
                              "(default 2s)")
-    worker.add_argument("--connect-timeout", type=float, default=30.0,
+    worker.add_argument("--connect-timeout", type=_positive, default=30.0,
                         dest="connect_timeout", metavar="SECONDS",
                         help="bound on joining; refused connections are "
                              "retried until it expires (workers may "

@@ -58,12 +58,7 @@ from collections.abc import Iterable
 from repro.common.errors import MalformedBundle, RejectReason
 from repro.core.config import AuditConfig
 from repro.core.epochpool import EpochPool
-from repro.core.epochwork import (
-    UNPICKLABLE,
-    encode_work_unit,
-    epoch_worker_config,
-    run_epoch_inline,
-)
+from repro.core.epochwork import encode_work_unit, epoch_worker_config
 from repro.core.pipeline import (
     AuditContext,
     AuditPipeline,
@@ -334,16 +329,10 @@ class AuditSession:
         # Whole-epoch work unit, encoded here — by the one thread that
         # builds and reads these objects — so the pool's threads only
         # ever hold bytes.  The primed context's stores are released
-        # (the worker rebuilds its own from the pickled slices); only
+        # (the worker rebuilds its own from the unit's records); only
         # the migrated chain state is kept.
-        unit = (self._auditor.app, trace, reports, epoch_state,
-                self._worker_config)
-        try:
-            payload = encode_work_unit(*unit)
-        except UNPICKLABLE:
-            # Nothing a worker could be sent: audited here, now.
-            self._pool.serial_fallbacks += 1
-            return _ready(run_epoch_inline(*unit)), pre.next_initial
+        payload = encode_work_unit(self._auditor.app, trace, reports,
+                                   epoch_state, self._worker_config)
         return (self._threads.submit(self._pool.run, payload),
                 pre.next_initial)
 

@@ -4,22 +4,20 @@ With ``epoch_workers > 1`` the epoch driver
 (:class:`~repro.core.auditor.AuditSession`) makes the epoch the unit of
 process-level work:
 
-* an **epoch work unit** is the pickled tuple ``(app, trace slice,
-  reports slice, initial state, config)`` — exactly the prepass
-  artifacts the redo-only state precompute materializes per epoch
-  (``docs/epoch_workers.md`` documents the payload format) — encoded
-  by the thread that feeds the session, so the pool is handed
-  ``bytes`` (:mod:`repro.core.epochwork`);
+* an **epoch work unit** is one epoch in the bundle's records (its
+  prepass-migrated state, trace and reports), the app's sources and
+  the config, encoded by the thread that feeds the session, so the
+  pool is handed ``bytes`` (:mod:`repro.core.epochwork`);
 * :class:`EpochPool` owns **one persistent**
   :class:`~concurrent.futures.ProcessPoolExecutor` shared by *all*
-  epochs of one audit run.  Workers are stateless: each work unit
-  carries everything the epoch's full pipeline pass needs, so the pool
-  outlives any individual epoch and is created exactly once per run;
-* the worker runs the stock pipeline over the slice with the *same
-  chunk plan* the serial chain would use and ships back a
-  plain :class:`~repro.core.pipeline.AuditResult`.  Verdicts, produced
-  bodies, and deterministic stats are therefore bit-identical to the
-  serial chain's per-epoch passes.
+  epochs of one audit run.  Each work unit carries everything the
+  epoch's full pipeline pass needs, so the pool outlives any
+  individual epoch and is created exactly once per run;
+* the worker runs the stock pipeline with the serial chain's chunk
+  plan and answers with the ``--json`` verdict object, which
+  :meth:`run` type-checks back into an
+  :class:`~repro.core.pipeline.AuditResult`: verdicts, bodies and
+  deterministic stats are bit-identical to the serial chain's.
 
 Failure policy: infrastructure failures are never verdicts.  A worker
 killed mid-epoch (``BrokenProcessPool``) breaks the shared executor, so
@@ -31,17 +29,19 @@ Other epochs in flight on the broken pool observe the same
 no epoch's work is ever lost, and later epochs submit to the fresh
 pool.  Workers that cannot rebuild the backend (e.g. one registered
 only in the parent, under a spawn start method) degrade to the same
-serial re-run.
+serial re-run, and so does an answer that does not decode.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.core.epochwork import run_work_unit
+from repro.core.epochwork import answer_work_unit, run_work_unit
+from repro.core.pipeline import AuditResult
 
 __all__ = ["EpochPool", "available_cpus", "pools_created_total"]
 
@@ -160,8 +160,8 @@ class EpochPool:
                 with _POOL_LOCK:
                     # Workers are forked/spawned lazily at submit time;
                     # serialize that moment against other pools.
-                    future = pool.submit(run_work_unit, payload)
-                return future.result()
+                    future = pool.submit(answer_work_unit, payload)
+                return AuditResult.from_json(json.loads(future.result()))
             except BrokenProcessPool:
                 # A worker died mid-epoch.  Recreate the shared pool
                 # for everyone else, then finish *this* epoch serially
@@ -171,10 +171,10 @@ class EpochPool:
                 self._retire(generation)
             except Exception:
                 # The worker could not run the payload at all (e.g. a
-                # backend registered only in the parent, under spawn).
-                # The serial re-run reproduces any genuine
-                # deterministic crash, so real bugs still surface —
-                # from the fallback.
+                # backend registered only in the parent, under spawn),
+                # or its answer is not a result.  The serial re-run
+                # reproduces any genuine deterministic crash, so real
+                # bugs still surface — from the fallback.
                 pass
         self.serial_fallbacks += 1
         return run_work_unit(payload)

@@ -99,15 +99,3 @@ class Graph:
         if len(order) != len(self.adj):
             return None
         return order
-
-    def reachable_from(self, start: Node) -> set:
-        """All nodes reachable from ``start`` (test helper)."""
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for nxt in self.adj.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen

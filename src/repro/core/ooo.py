@@ -135,10 +135,14 @@ def simple_audit(
     )
 
 
-def _compare_outputs(trace: Trace, produced: dict[str, str]) -> None:
-    """Figure 12, lines 55-57 (aborted responses carry no body to check)."""
-    for rid, response in trace.responses().items():
-        if response.abort_info is not None:
+def _compare_outputs(trace: Trace, produced: dict[str, str],
+                     rids: list[str] | None = None) -> None:
+    """Figure 12, lines 55-57 (aborted responses carry no body to check),
+    over ``rids`` when given (a forensic re-audit's scope)."""
+    responses = trace.responses()
+    for rid in responses if rids is None else rids:
+        response = responses.get(rid)
+        if response is None or response.abort_info is not None:
             continue
         body = produced.get(rid)
         if body is None or body != response.body:
@@ -148,12 +152,13 @@ def _compare_outputs(trace: Trace, produced: dict[str, str]) -> None:
             )
 
 
-def _compare_externals(trace: Trace, ctx: SimContext) -> None:
+def _compare_externals(trace: Trace, ctx: SimContext,
+                       rids: list[str] | None = None) -> None:
     """§5.5 extension: regenerated outbound externals must match the
-    trace's EXTERNAL events, per request and in order."""
+    trace's EXTERNAL events, per request (of ``rids``) and in order."""
     observed = trace.externals()
     produced = ctx.produced_externals
-    for rid in set(observed) | set(produced):
+    for rid in set(observed) | set(produced) if rids is None else rids:
         got = [(e.service, e.content) for e in produced.get(rid, [])]
         want = [(e.service, e.content) for e in observed.get(rid, [])]
         if got != want:

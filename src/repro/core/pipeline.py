@@ -74,6 +74,75 @@ class AuditResult:
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.accepted
 
+    def to_json(self) -> dict:
+        """The verdict object ``repro audit --json`` prints (``epochs``
+        are a session's ``stats["shards"]``) plus the produced bodies:
+        what a pool worker or a fleet host answers a work unit with."""
+        stats = dict(self.stats)
+        epochs = stats.pop("shards", [])
+        rejecting = None if self.accepted else next(
+            (epoch["shard"] for epoch in epochs if not epoch["accepted"]),
+            len(epochs))
+        return {
+            "verdict": "ACCEPTED" if self.accepted else "REJECTED",
+            "accepted": self.accepted,
+            "reason": self.reason.value if self.reason else None,
+            "detail": self.detail or "",
+            "phases": dict(self.phases),
+            "stats": stats,
+            "epochs": epochs,
+            "rejecting_epoch": rejecting,
+            "produced": dict(self.produced),
+        }
+
+    @classmethod
+    def from_json(cls, data: object) -> AuditResult:
+        """The result :meth:`to_json` describes, checked field by field:
+        it came from another process or host, so a missing or extra key,
+        a wrong type, an unknown reason or a verdict that contradicts
+        ``accepted`` is a :class:`ValueError`, never a verdict.
+        ``group_alphas`` come back as tuples."""
+        if type(data) is not dict or data.keys() != _RESULT_KEYS:
+            raise ValueError(f"a result has the keys {sorted(_RESULT_KEYS)}")
+        accepted, reason, epochs = (data["accepted"], data["reason"],
+                                    data["epochs"])
+        stats = _checked(data["stats"], _NUMBER, "group_alphas")
+        alphas = stats.pop("group_alphas", [])
+        if (type(accepted) is not bool or accepted != (reason is None)
+                or data["verdict"] != ("REJECTED", "ACCEPTED")[accepted]
+                or type(data["detail"]) is not str
+                or type(data["rejecting_epoch"]) not in (int, type(None))
+                or type(epochs) is not list or type(alphas) is not list
+                or not all(type(row) in (list, tuple) and len(row) == 3
+                           and all(type(n) in _NUMBER for n in row)
+                           for row in alphas)):
+            raise ValueError("result fields do not fit the verdict schema")
+        for epoch in epochs:
+            _checked(epoch, (*_NUMBER, bool))
+        if "group_alphas" in data["stats"]:
+            stats["group_alphas"] = [tuple(row) for row in alphas]
+        if "shard_count" in stats:
+            stats["shards"] = epochs
+        return cls(accepted, None if accepted else RejectReason(reason),
+                   data["detail"], _checked(data["phases"], _NUMBER),
+                   stats, _checked(data["produced"], (str,)))
+
+
+_NUMBER = (int, float)
+#: The keys of :meth:`AuditResult.to_json`.
+_RESULT_KEYS = frozenset(AuditResult(accepted=True).to_json())
+
+
+def _checked(value: object, types: tuple, *exempt: str) -> dict:
+    """A copy of ``value``, an object whose values (``exempt`` keys
+    aside) are all of ``types``; otherwise a :class:`ValueError`."""
+    if type(value) is not dict or any(
+            type(item) not in types
+            for key, item in value.items() if key not in exempt):
+        raise ValueError(f"a result field is not an object of "
+                         f"{'/'.join(t.__name__ for t in types)}")
+    return dict(value)
+
 
 class AuditContext:
     """Shared state threaded through the pipeline's phases."""

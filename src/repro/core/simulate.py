@@ -42,9 +42,6 @@ from repro.sql.engine import StmtResult
 from repro.sql.parser import parse_sql
 from repro.sql.versioned import MAXQ, VersionedDB
 
-#: Sentinel: reject reads of registers with no logged write (strict SSCO).
-STRICT_REGISTERS = object()
-
 _INTENT_OPTYPE = {
     "register_read": OpType.REGISTER_READ,
     "register_write": OpType.REGISTER_WRITE,

@@ -14,9 +14,9 @@ The phases are first-class objects (:mod:`repro.core.pipeline`);
 feed the Figure 9 decomposition; the per-group (n, α, ℓ) triples feed
 Figure 11; the dedup counters feed §5.2.
 
-Every knob — the scaling knobs ``workers`` and ``epoch_workers``
-included, both default off, preserving the paper's serial audit — is
-documented once, on the fields of
+Every knob — the one scaling knob, ``epoch_workers``, included, off by
+default, preserving the paper's serial audit — is documented once, on
+the fields of
 :class:`~repro.core.config.AuditConfig`.  An execution recorded in
 several epochs is audited through
 :meth:`Auditor.audit_epochs(execution.epochs(), ...)

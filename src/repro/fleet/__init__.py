@@ -6,9 +6,9 @@ scale that auditor is itself a fleet.  This package connects the two
 seams built for exactly this moment:
 
 * the **epoch work unit** already crosses process boundaries by value
-  (:mod:`repro.core.epochwork`: pickled payload in, pickled
-  :class:`~repro.core.pipeline.AuditResult` out — REJECTs included,
-  with the partial stats the pipeline accumulated);
+  (:mod:`repro.core.epochwork`: one epoch in the bundle's records in,
+  the ``repro audit --json`` verdict object out, type-checked — REJECTs
+  included, with the partial stats the pipeline accumulated);
 * the **wire** already does framing, capability negotiation, and
   heartbeats (:mod:`repro.net.protocol`; the fleet adds the ``WORK`` /
   ``RESULT`` / ``WORKER_HELLO`` / ``WORKER_BYE`` kinds behind

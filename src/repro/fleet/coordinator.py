@@ -19,9 +19,9 @@ Dispatch contract (one driver thread per in-flight epoch):
   (liveness, resetting the miss window) until the ``RESULT`` arrives;
 * **heartbeat miss** (no frame for ``heartbeat_timeout``), **task
   deadline** (``task_timeout`` exceeded overall), disconnect, or a
-  protocol violation drops the worker and **re-dispatches** the epoch
-  to the next idle worker — generalizing the killed-process serial
-  fallback of ``EpochPool``;
+  protocol violation (a ``RESULT`` for another epoch, or one
+  ``AuditResult.from_json`` refuses) drops the worker and
+  **re-dispatches** the epoch to the next idle worker;
 * a worker-side crash (``RESULT`` with ``ok: false``) is an
   infrastructure failure, never a verdict: the epoch re-runs locally
   (reproducing any genuine deterministic crash) and the worker —
@@ -59,6 +59,7 @@ from repro.net.protocol import (
     FrameSocket,
     ProtocolError,
     TransportError,
+    encode_frame_payload,
     parse_endpoint,
 )
 
@@ -376,20 +377,17 @@ class FleetCoordinator:
 
     @staticmethod
     def _results_agree(a, b) -> bool:
-        """Bit-level agreement on everything deterministic (phases are
-        wall-clock timings, so they are excluded)."""
-        return (a.accepted == b.accepted
-                and a.reason == b.reason
-                and a.detail == b.detail
-                and a.produced == b.produced
-                and a.stats == b.stats)
+        """Agreement on the whole verdict object but its phases, which
+        are wall-clock timings."""
+        return {**a.to_json(), "phases": 0} == {**b.to_json(), "phases": 0}
 
     def _dispatch(self, worker: _RemoteWorker, epoch: int, payload: bytes):
         """One WORK → (HEARTBEAT...) → RESULT round trip on a worker
         held exclusively by this thread."""
         task = Deadline(self.task_timeout)
         try:
-            worker.fsock.send_frame(WORK, encode_work_frame(epoch, payload))
+            worker.fsock.send_raw(encode_frame_payload(
+                WORK, encode_work_frame(epoch, payload)))
             while True:
                 step = self.heartbeat_timeout
                 remaining = task.remaining()

@@ -6,22 +6,19 @@ coordinator binds), registers with ``WORKER_HELLO`` behind the
 ``FLAG_FLEET`` capability bit, then serves ``WORK`` frames until the
 coordinator says ``WORKER_BYE`` or disconnects.
 
-Each work unit is the byte-identical pickled payload the local
+Each work unit is the byte-identical payload the local
 :class:`~repro.core.epochpool.EpochPool` would submit to a worker
-process, executed through the same single entry point
-(:func:`repro.core.epochwork.run_work_unit`): the stock pipeline, the
-serial chunk plan, any registered backend.  The worker needs no
-workload definition of its own — the application crosses the wire
-inside the payload.
+process, decoded and audited by the same code
+(:mod:`repro.core.epochwork`): the stock pipeline, the serial chunk
+plan, any registered backend.  The worker needs no workload definition
+of its own — the application's sources travel inside the payload.
 
 While an epoch runs, a background thread streams ``HEARTBEAT`` frames
-so the coordinator can tell "slow" from "dead".  A crash inside the
-pipeline is reported as ``RESULT ok: false`` — an infrastructure
-failure for the coordinator to re-run locally, never a verdict.  A
-pipeline REJECT is *not* a crash: it is a result whose pickled
-:class:`~repro.core.pipeline.AuditResult` carries the partial stats
-the pipeline accumulated before rejecting, so a fleet REJECT reports
-the same stats as a local one.
+so the coordinator can tell "slow" from "dead".  A crash — a unit that
+does not decode included — is reported as ``RESULT ok: false``, an
+infrastructure failure for the coordinator to re-run locally, never a
+verdict.  A pipeline REJECT is a result, with the partial stats the
+pipeline accumulated before rejecting.
 """
 
 from __future__ import annotations
@@ -32,9 +29,10 @@ import threading
 from repro.common.clock import Deadline
 from repro.core.epochwork import (
     decode_work_frame,
+    decode_work_unit,
     encode_error_frame,
     encode_result_frame,
-    run_work_unit,
+    run_epoch_inline,
 )
 from repro.net.protocol import (
     FLAG_FLEET,
@@ -146,13 +144,13 @@ class FleetWorker:
                 if kind != WORK:
                     return  # a peer this confused gets no more epochs
                 try:
-                    epoch, payload = decode_work_frame(obj)
+                    epoch, unit = decode_work_frame(obj)
                 except ValueError:
                     return
                 self._busy.set()
                 try:
                     try:
-                        result = run_work_unit(payload)
+                        result = run_epoch_inline(*decode_work_unit(unit))
                         body = encode_result_frame(epoch, result)
                     except Exception as exc:
                         # A crash, not a verdict: the coordinator

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.errors import AuditReject, RejectReason
+from repro.common.errors import AuditReject
+from repro.core.ooo import _compare_externals, _compare_outputs
 from repro.core.reexec import ReExecStats, run_chunks
 from repro.forensics.lineage import Lineage, request_lineage
 from repro.forensics.timeline import Timeline
@@ -126,30 +127,10 @@ def _replay_epoch(
         result.replayed.extend((epoch, r) for r in chunk)
     result.produced.update(produced)
 
-    responses = actx.trace.responses()
-    observed_externals = actx.trace.externals()
-    produced_externals = actx.sim.produced_externals
-    for r in sorted(scope_rids):
-        response = responses.get(r)
-        if r == result.rid and response is not None:
-            if response.abort_info is None:
-                result.expected_body = response.body
-        if response is not None and response.abort_info is None:
-            body = produced.get(r)
-            if body is None or body != response.body:
-                raise AuditReject(
-                    RejectReason.OUTPUT_MISMATCH,
-                    f"request {r}: produced output does not match "
-                    "the trace",
-                )
-        got = [(e.service, e.content)
-               for e in produced_externals.get(r, [])]
-        want = [(e.service, e.content)
-                for e in observed_externals.get(r, [])]
-        if got != want:
-            raise AuditReject(
-                RejectReason.EXTERNAL_MISMATCH,
-                f"request {r}: regenerated external requests do not "
-                f"match the trace ({len(got)} produced, {len(want)} "
-                "observed)",
-            )
+    response = actx.trace.responses().get(result.rid)
+    if response is not None and response.abort_info is None:
+        result.expected_body = response.body
+    # The full audit's comparisons, scoped to the lineage closure.
+    scope = sorted(scope_rids)
+    _compare_outputs(actx.trace, produced, scope)
+    _compare_externals(actx.trace, actx.sim, scope)

@@ -76,9 +76,9 @@ differential fuzz tests enforce this.
 
 **Compile cache.**  :func:`compiled_for` memoizes per ``(program,
 dialect)`` keyed by object identity with a weakref guard, so every
-chunk of a run — and every chunk a pool worker runs after unpickling the
-application once — reuses the same closures; they never travel through
-a pickle.
+chunk of a run — and every chunk a pool worker runs after parsing the
+application's sources once — reuses the same closures; they never
+leave the process.
 """
 
 from __future__ import annotations
@@ -1578,10 +1578,9 @@ def compiled_for(
     """The compiled form of ``program``, compiled on first use.
 
     Keyed by program identity plus dialect: every later call in this
-    process — including from pool worker processes after they unpickle
-    the application once — reuses the compiled closures.  Nothing is
-    stored on the program object itself, so programs still pickle
-    cleanly across spawn pools.
+    process — including from pool worker processes after they parse
+    the application's sources once — reuses the compiled closures.
+    Nothing is stored on the program object itself.
     """
     global _cache_misses
     key = (id(program), db_name, kv_name, session_cookie)

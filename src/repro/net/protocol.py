@@ -33,13 +33,13 @@ any JSON is parsed.  Frame kinds:
 * ``WORKER_HELLO`` / ``WORKER_BYE`` — fleet worker ↔ coordinator;
   registration (``{"name": ..., "pid": ...}``) and orderly departure
   (see :mod:`repro.fleet`);
-* ``WORK`` — coordinator → worker; one epoch work unit
-  (``{"epoch": N, "unit": base64(pickle)}`` — the byte-identical
-  payload ``core/epochpool.py`` submits to its process pool);
-* ``RESULT`` — worker → coordinator; the epoch's verdict
-  (``{"epoch": N, "ok": true, "result": base64(pickle)}``, or
+* ``WORK`` — coordinator → worker; ``{"epoch": N, "unit": {...}}``,
+  the byte-identical JSON work unit ``core/epochpool.py`` submits to
+  its process pool;
+* ``RESULT`` — worker → coordinator; the epoch's ``repro audit
+  --json`` verdict (``{"epoch": N, "ok": true, "result": {...}}``), or
   ``ok: false`` with an ``error`` string for a crash that is an
-  infrastructure failure, never a verdict).
+  infrastructure failure, never a verdict.
 
 The preamble's ``flags`` field is the capability negotiation: bit 1
 (:data:`FLAG_FLEET`) means "I speak the fleet work-dispatch frames"
@@ -94,9 +94,9 @@ HEARTBEAT = 0x05
 #: frame bundle records travel in.
 RECORD_BATCH = 0x06
 #: Fleet dispatch (peers advertising FLAG_FLEET; see repro.fleet):
-#: coordinator → worker, one pickled epoch work unit.
+#: coordinator → worker, one epoch work unit.
 WORK = 0x07
-#: Worker → coordinator, the epoch's pickled AuditResult (or a crash
+#: Worker → coordinator, the epoch's AuditResult.to_json() (or a crash
 #: report with ok=false — an infrastructure failure, never a verdict).
 RESULT = 0x08
 #: Worker → coordinator registration, sent right after the preamble.

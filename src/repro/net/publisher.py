@@ -575,11 +575,6 @@ class BundlePublisher:
             self._drop(sub, lagging=False)
         return len(subs)
 
-    @property
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subscribers)
-
     def wait_drained(self, timeout: float | None = None,
                      min_subscribers: int = 1) -> bool:
         """Block until at least ``min_subscribers`` auditors have

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lang.ast import Program
-from repro.lang.values import freeze_value
 from repro.lang.parser import parse_program
 from repro.sql.engine import Engine
 
@@ -30,28 +29,26 @@ class Application:
     name: str
     scripts: dict[str, Program]
     db_setup: str = ""
-    kv_initial: dict[str, object] = field(default_factory=dict)
     db_name: str = "db:main"
     kv_name: str = "kv:apc"
     session_cookie: str = "sess"
+    #: Script name -> the source text ``scripts`` was parsed from: the
+    #: form the program takes across a process or host boundary (the
+    #: epoch work unit, :mod:`repro.core.epochwork`).
+    sources: dict[str, str] = field(default_factory=dict)
 
     @staticmethod
     def from_sources(
         name: str,
         sources: dict[str, str],
         db_setup: str = "",
-        kv_initial: dict[str, object] | None = None,
     ) -> Application:
         """Compile script sources into an Application."""
         scripts = {
             script_name: parse_program(text, script_name)
             for script_name, text in sources.items()
         }
-        frozen_kv = {
-            key: freeze_value(value)
-            for key, value in (kv_initial or {}).items()
-        }
-        return Application(name, scripts, db_setup, frozen_kv)
+        return Application(name, scripts, db_setup, sources=dict(sources))
 
     def script(self, name: str) -> Program:
         program = self.scripts.get(name)

@@ -152,10 +152,8 @@ class Executor:
             kv.data.update(self.initial_state.kv)
             for name, value in self.initial_state.registers.items():
                 registers[name] = AtomicRegister(name, value)
-        else:
-            if app.db_setup:
-                db.setup(app.db_setup)
-            kv.data.update(app.kv_initial)
+        elif app.db_setup:
+            db.setup(app.db_setup)
         db.abort_hook = self.db_abort_hook
 
         initial_state = InitialState(

@@ -19,10 +19,6 @@ from repro.trace.events import Event, EventKind, Response
 from repro.trace.trace import Trace
 
 
-def copy_trace(trace: Trace) -> Trace:
-    return Trace(list(trace.events))
-
-
 def tamper_response(trace: Trace, rid: str, new_body: str) -> Trace:
     """Deliver a different response body for ``rid`` (the basic attack:
     spurious output with unchanged reports)."""

@@ -9,7 +9,7 @@ import pytest
 
 if os.environ.get("REPRO_FORCE_SPAWN"):
     # CI's non-fork job: force the spawn start method so the epoch
-    # pool's spawned workers (repro.core.epochwork.run_work_unit in a
+    # pool's spawned workers (repro.core.epochwork.answer_work_unit in a
     # fresh interpreter) stay covered on fork-capable hosts too.
     # Guarded — the start method may only be set once per process.
     try:

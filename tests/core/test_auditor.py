@@ -426,8 +426,8 @@ def test_compinterp_selectable_through_session_and_epochs(counter_app):
 
 
 def test_compinterp_through_parallel_workers(counter_app, honest_run):
-    """Epoch-pool workers compile on first use after unpickling the
-    app; results stay bit-identical to the serial compiling audit."""
+    """Epoch-pool workers compile on first use after parsing the app's
+    sources; results stay bit-identical to the serial compiling audit."""
     serial = audit_epochs(counter_app, honest_run, backend="compinterp")
     parallel = audit_epochs(counter_app, honest_run, backend="compinterp",
                             epoch_workers=2)

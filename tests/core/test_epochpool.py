@@ -11,12 +11,13 @@ Covers the PR-5 driver invariants:
 * the speculative prepass runs at most ``2 * epoch_workers`` primed
   epochs ahead of the auditor in a follow-style (async-fed) session;
 * a pool — the session's own or one it is handed — only ever receives
-  ``bytes``: the feeding thread encodes each unit, and audits a unit
-  that will not pickle itself.
+  ``bytes``, encoded by the feeding thread: one epoch in the bundle's
+  records, the app's sources and the config.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import threading
@@ -26,7 +27,7 @@ import time
 from repro.core import AuditConfig, Auditor, ssco_audit
 from repro.core import epochpool
 from repro.core.epochpool import EpochPool
-from repro.core.epochwork import run_work_unit
+from repro.core.epochwork import epoch_worker_config, run_work_unit
 from repro.core.reexec import (
     _BACKENDS,
     PlainInterpBackend,
@@ -175,23 +176,31 @@ def test_a_pool_only_ever_receives_bytes(counter_app):
     assert not hasattr(pool, "close")  # handed in: never the session's
 
 
-def test_an_unpicklable_unit_is_audited_by_the_feeder(counter_app):
-    """An app that will not pickle gives the pool nothing to receive:
-    the feeder audits each such epoch itself and counts it."""
+def test_a_unit_is_one_epoch_of_the_bundle_format(counter_app):
+    """What the pool receives is JSON: the app's sources, the config,
+    and the epoch as the records a one-epoch bundle holds — a state
+    record, the events, the reports — with no ``epoch_mark`` or
+    ``end``.  The decoded unit audits like the epoch it came from."""
     execution = _epoch_execution(counter_app, n=24)
     serial = audit_epochs(counter_app, execution)
-    counter_app.unpicklable = lambda: None
-    try:
-        pool = _RecordingPool()
-        handed = audit_epochs(counter_app, execution, pool=pool)
-    finally:
-        del counter_app.unpicklable
+    pool = _RecordingPool()
+    handed = audit_epochs(counter_app, execution, pool=pool)
     assert handed.accepted, (handed.reason, handed.detail)
     assert handed.produced == serial.produced
-    assert pool.received == []
-    # One epoch, one fallback.
-    assert pool.serial_fallbacks == handed.stats["shard_count"] == \
-        len(execution.epochs())
+    for stats in (handed.stats, serial.stats):
+        del stats["shards"]  # per-epoch timings
+    assert handed.stats == serial.stats
+    for payload, epoch in zip(pool.received, execution.epochs()):
+        unit = json.loads(payload)
+        assert unit["app"] == {"name": counter_app.name,
+                               "sources": counter_app.sources,
+                               "db_setup": counter_app.db_setup}
+        assert AuditConfig.from_json(unit["config"]) == \
+            epoch_worker_config(AuditConfig().replace(migrate=True))
+        kinds = [record["kind"] for record in unit["records"]]
+        assert kinds[0] == "state" and kinds.count("state") == 1
+        assert kinds.count("event") == len(epoch.trace)
+        assert not {"epoch_mark", "end"} & set(kinds)
 
 
 # -- worker loss: recreate the shared pool, finish serially -------------------

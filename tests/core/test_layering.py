@@ -1,10 +1,12 @@
 """``repro.core`` knows no sockets: the audit's configuration and its
 epoch driver import neither the transport (``repro.net``) nor the
 fleet (``repro.fleet``), lazily or otherwise — endpoints and timeouts
-are the CLI's, and a pool is handed in."""
+are the CLI's, and a pool is handed in.  And no module of the package
+imports ``pickle``."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -37,6 +39,33 @@ def test_core_imports_neither_the_transport_nor_the_fleet():
                            capture_output=True, text=True, timeout=120)
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "[]"
+
+
+def test_no_module_imports_pickle():
+    """What crosses a process or host boundary is the bundle's records
+    and the ``--json`` verdict, decoded field by field: no module of the
+    package can turn received bytes into code."""
+    package = os.path.dirname(__import__("repro").__file__)
+    importers = []
+    for folder, _dirs, files in os.walk(package):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(module.split(".")[0] in ("pickle", "_pickle",
+                                                "cPickle")
+                       for module in modules):
+                    importers.append(os.path.relpath(path, package))
+    assert importers == []
 
 
 def test_top_level_transport_names_still_resolve():

@@ -12,12 +12,16 @@ workers hand the epoch back for a local run and stay in the pool.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import threading
+
+import pytest
 
 from repro.common.clock import Deadline
 from repro.core import AuditConfig, Auditor
@@ -26,6 +30,7 @@ from repro.core.epochwork import (
     epoch_worker_config,
     run_epoch_inline,
 )
+from repro.core.pipeline import AuditResult
 from repro.core.reexec import (
     _BACKENDS,
     PlainInterpBackend,
@@ -34,6 +39,7 @@ from repro.core.reexec import (
 from repro.fleet import FleetCoordinator, FleetWorker
 from repro.net.protocol import (
     FLAG_FLEET,
+    RESULT,
     WORK,
     WORKER_HELLO,
     ProtocolError,
@@ -148,8 +154,8 @@ def test_fleet_session_uses_coordinator_pool(counter_app):
 def test_fleet_tampered_report_rejects_identically(counter_app):
     """A flipped response body in a late epoch: the fleet REJECT must be
     bit-identical to the serial chain's — reason, detail, and the
-    rejecting epoch's *partial* stats (shipped inside the pickled
-    result, never zeroed by the wire)."""
+    rejecting epoch's *partial* stats (shipped inside the result's
+    verdict object, never zeroed by the wire)."""
     execution = _epoch_execution(counter_app)
     trace = faulty.tamper_response(execution.trace, "r035",
                                    "<h1>defaced</h1>")
@@ -238,6 +244,101 @@ def test_dead_worker_redispatches_to_live_worker(counter_app):
     assert result.accepted
     assert result.produced == reference.produced
     assert result.stats == reference.stats
+
+
+# -- hostile workers: an answer is data, type-checked, never executed ---------
+
+
+class _Planted:
+    """Unpickling this calls ``open(path, "w")``: the file appears if
+    anyone ever runs ``pickle.loads`` on a worker's answer."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def _pickled_answer(epoch, sentinel):
+    # The RESULT body a worker sent before answers were JSON.
+    return {"epoch": epoch, "ok": True, "result": base64.b64encode(
+        pickle.dumps(_Planted(sentinel))).decode("ascii")}
+
+
+def _json_answer(epoch, sentinel, **changes):
+    result = AuditResult(accepted=True, phases={"total": 0.0},
+                         stats={"groups": 1}).to_json()
+    return {"epoch": epoch, "ok": True, "result": {**result, **changes}}
+
+
+_HOSTILE_ANSWERS = {
+    "pickle": _pickled_answer,
+    "accepted_yes": lambda epoch, sentinel: _json_answer(
+        epoch, sentinel, accepted="yes"),
+    "stats_list": lambda epoch, sentinel: _json_answer(
+        epoch, sentinel, stats=[]),
+    "unknown_reason": lambda epoch, sentinel: _json_answer(
+        epoch, sentinel, verdict="REJECTED", accepted=False,
+        reason="no_such_reason"),
+    "other_epoch": lambda epoch, sentinel: _json_answer(epoch + 1,
+                                                        sentinel),
+}
+
+
+def _hostile_worker(coord, answer):
+    """Join, take one WORK, answer it with ``answer(epoch)``, then wait
+    for the coordinator to hang up."""
+    fsock = connect_endpoint(coord.host, coord.port, timeout=5)
+    try:
+        fsock.send_preamble(FLAG_FLEET)
+        fsock.send_frame(WORKER_HELLO, {"name": "hostile"})
+        deadline = Deadline(10)
+        fsock.recv_preamble(deadline)
+        fsock.recv_frame(deadline)  # HELLO
+        kind, obj = fsock.recv_frame(Deadline(30))
+        assert kind == WORK
+        fsock.send_frame(RESULT, answer(obj["epoch"]))
+        with contextlib.suppress(TransportError, ProtocolError):
+            while True:
+                fsock.recv_frame(Deadline(30))
+    finally:
+        fsock.close()
+
+
+@pytest.mark.parametrize("hostile", sorted(_HOSTILE_ANSWERS))
+def test_hostile_worker_is_dropped_and_its_epoch_redispatched(
+        counter_app, tmp_path, hostile):
+    """A worker that answers WORK with a pickle, a result of the wrong
+    types, or a result for another epoch is a lost worker: it is
+    dropped, its epoch goes to the honest worker, and the audit equals
+    the serial chain's — verdict, bodies and stats.  Nothing it sent is
+    ever executed."""
+    execution = _epoch_execution(counter_app)
+    serial = audit_epochs(counter_app, execution)
+    sentinel = str(tmp_path / "planted")
+    answer = _HOSTILE_ANSWERS[hostile]
+    with FleetCoordinator("127.0.0.1:0", min_workers=2,
+                          join_timeout=30) as coord:
+        liar = threading.Thread(
+            target=_hostile_worker,
+            args=(coord, lambda epoch: answer(epoch, sentinel)),
+            daemon=True)
+        liar.start()
+        # The liar joins first, so it is checked out first.
+        joined = Deadline(10)
+        while coord.workers_joined < 1 and not joined.expired():
+            joined.sleep(0.01)
+        assert coord.workers_joined == 1
+        with _fleet_workers(coord.endpoint, 1) as workers:
+            fleet = audit_epochs(counter_app, execution, pool=coord)
+            coord.close()
+        liar.join(timeout=30)
+    assert not os.path.exists(sentinel)
+    _assert_equivalent(serial, fleet)
+    assert coord.redispatches == 1
+    assert coord.remote_epochs == fleet.stats["shard_count"]
+    assert workers[0].epochs_run == fleet.stats["shard_count"]
 
 
 class _CrashOnWorkerThread(PlainInterpBackend):

@@ -936,6 +936,38 @@ def test_recording_flags_out_of_range_are_usage_errors(tmp_path, capsys,
             assert "argument --scale" in capsys.readouterr().err
 
 
+_SERVE = ["serve", "--listen", "127.0.0.1:0"]
+_WORKER = ["worker", "--join", "127.0.0.1:9"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_SERVE, "--spool-epochs", "0"],
+    [*_SERVE, "--epoch-delay", "-1"],
+    [*_SERVE, "--linger", "-1"],
+    [*_SERVE, "--linger", "nan"],
+    ["audit", "b.jsonl", "--follow-timeout", "-1"],
+    ["audit", "b.jsonl", "--follow-timeout", "0"],
+    ["audit", "b.jsonl", "--max-group-size", "0"],
+    ["audit", "b.jsonl", "--epoch-workers", "-2"],
+    [*_WORKER, "--heartbeat", "-1"],
+    [*_WORKER, "--connect-timeout", "-1"],
+    ["synth", "--requests", "-5"],
+    ["synth", "--users", "0"],
+    ["synth", "--max-sessions", "0"],
+    ["fuzz", "b.jsonl", "--mutations", "0"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_numeric_flags_out_of_range_are_usage_errors(argv, capsys):
+    """A count or a number of seconds out of range is exit 2 naming the
+    flag — not a ValueError traceback (``--spool-epochs 0``), a crash in
+    ``time.sleep`` after the whole recording (``--epoch-delay -1``), or
+    a negative taken in silence."""
+    with pytest.raises(SystemExit) as usage:
+        main(argv)
+    assert usage.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {argv[-2]}" in captured.err and captured.out == ""
+
+
 def test_follow_with_epoch_workers(tmp_path, capsys):
     """--follow drives the session asynchronously under epoch_workers:
     per-epoch verdicts still print in epoch order."""

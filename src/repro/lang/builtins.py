@@ -258,10 +258,13 @@ def _md5(*args: object) -> str:
 
 def _number_format(*args: object) -> str:
     _arity("number_format", args, 1, 2)
-    decimals = to_int(args[1]) if len(args) == 2 else 0
+    # Negative decimals count as none, as in PHP up to 8.2.
+    decimals = max(0, to_int(args[1])) if len(args) == 2 else 0
     value = to_float(args[0])
-    formatted = f"{value:,.{decimals}f}"
-    return formatted
+    try:
+        return f"{value:,.{decimals}f}"
+    except ValueError as exc:  # a precision the formatter refuses
+        raise WeblangError(f"number_format(): {exc}") from None
 
 
 # -- arrays ------------------------------------------------------------------

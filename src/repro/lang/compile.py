@@ -56,6 +56,11 @@ How the closures are built:
   exactly the operator's type take its plain form
   (:data:`~repro.lang.values.EXACT_OPS`) before the table entry, and a
   condition that is a bool skips ``_truth``;
+* **pure regions** — a pure block, and a pure ``while`` with its body —
+  are one generated Python function each (:mod:`repro.lang.regions`):
+  a statement is a call to its closure or, in a dict frame, an
+  exact-int / str assignment or loop condition run as a Python
+  expression behind a type guard that falls back to the closure;
 * **branch sites** record control flow (§4.3) without a call: what
   :meth:`FlowDigest.update(kind, target)
   <repro.common.digest.FlowDigest.update>` would xor in is a constant
@@ -112,6 +117,7 @@ from repro.lang.ast import (
     Var,
     While,
 )
+from repro.lang import regions
 from repro.lang.analysis import analyze_program
 from repro.lang.builtins import (
     EXTERNAL_BUILTINS,
@@ -263,18 +269,15 @@ class _Compiler:
 
     # -- blocks and statements ------------------------------------------------
 
-    def _compile_block(self, stmts: list[Node]) -> tuple[bool, Callable]:
-        compiled = [self._compile_stmt(stmt) for stmt in stmts]
+    def _compile_block(
+        self, stmts: list[Node],
+        compiled: list[tuple[bool, Callable]] | None = None,
+    ) -> tuple[bool, Callable]:
+        if compiled is None:
+            compiled = [self._compile_stmt(stmt) for stmt in stmts]
         if all(pure for pure, _ in compiled):
-            fns = [fn for _, fn in compiled]
-            if len(fns) == 1:
-                return True, fns[0]
-
-            def run(env, state, _fns=fns):
-                for fn in _fns:
-                    fn(env, state)
-
-            return True, run
+            return True, regions.block(stmts, [fn for _, fn in compiled],
+                                       not self.use_env)
 
         def run_gen(env, state, _items=compiled):
             for pure, fn in _items:
@@ -525,33 +528,15 @@ class _Compiler:
 
     def _compile_while(self, stmt: While) -> tuple[bool, Callable]:
         cond_pure, cond_fn, _ = self._compile_expr(stmt.cond)
-        body_pure, body_fn = self._compile_block(stmt.body)
+        compiled = [self._compile_stmt(node) for node in stmt.body]
         enter = branch_mix("loop", stmt.nid)
         leave = branch_mix("loopx", stmt.nid)
         where = f"while#{stmt.nid}"
-        if cond_pure and body_pure:
-
-            def run(env, state):
-                state.steps += 1
-                while True:
-                    cond = cond_fn(env, state)
-                    if cond is not True and (cond is False
-                                             or not _truth(cond, where)):
-                        break
-                    flow = state.flow
-                    if flow is not None:
-                        state.flow = ((flow ^ enter) * _FNV_PRIME) & _MASK
-                    try:
-                        body_fn(env, state)
-                    except _BreakSignal:
-                        break
-                    except _ContinueSignal:
-                        continue
-                flow = state.flow
-                if flow is not None:
-                    state.flow = ((flow ^ leave) * _FNV_PRIME) & _MASK
-
-            return True, run
+        if cond_pure and all(pure for pure, _ in compiled):
+            return True, regions.loop(stmt, cond_fn,
+                                      [fn for _, fn in compiled], enter,
+                                      leave, where, not self.use_env)
+        body_pure, body_fn = self._compile_block(stmt.body, compiled)
 
         def run_gen(env, state):
             state.steps += 1

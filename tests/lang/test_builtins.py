@@ -8,7 +8,11 @@ import pytest
 
 from repro.common.errors import WeblangError
 from repro.lang.builtins import PURE_BUILTINS
+from repro.lang.compile import CompInterpreter
+from repro.lang.interp import Interpreter
+from repro.lang.parser import parse_program
 from repro.lang.values import PhpArray
+from repro.trace.events import Request
 
 
 def call(name, *args):
@@ -82,6 +86,31 @@ def test_md5_deterministic():
 def test_number_format():
     assert call("number_format", 1234567.891, 2) == "1,234,567.89"
     assert call("number_format", 1234) == "1,234"
+
+
+def _run(engine, source):
+    """The body ``source`` echoes on ``engine``, or its error's text."""
+    run = engine.run(parse_program(source), Request("r1", "nf.php"))
+    try:
+        next(run)
+    except StopIteration as stop:
+        return stop.value.body
+    except WeblangError as exc:
+        return f"error: {exc}"
+    raise AssertionError("a pure script yielded an intent")
+
+
+@pytest.mark.parametrize("engine", [Interpreter, CompInterpreter])
+def test_number_format_decimals_out_of_range(engine):
+    """Negative decimals count as none (PHP up to 8.2); a count the
+    formatter refuses is a ``WeblangError``, never a ``ValueError``,
+    which would end the serve of every request beside this one."""
+    assert _run(engine(), "echo number_format(1234.4, -1), '|', "
+                "number_format(1.25, -3), '|', number_format(7, 1);") \
+        == "1,234|1|7.0"
+    for decimals in ("2147483648", "9223372036854775807"):
+        assert _run(engine(), f"echo number_format(1.5, {decimals});") \
+            .startswith("error: number_format(): ")
 
 
 # -- arrays -----------------------------------------------------------------

@@ -81,7 +81,8 @@ MIN_Q = "min(intval(param('q', 2)), 4)"
 class ProgramGen:
     """A seeded random weblang program generator.
 
-    Emits source text: bounded loops (counter idiom), non-recursive
+    Emits source text: bounded loops (counter idiom, some carrying an
+    accumulator whose type flips every trip), non-recursive
     helper functions, arithmetic/string/array expressions, request
     inputs, nondet built-ins, and key-value/register state ops.
     Programs may raise :class:`WeblangError` at runtime — that is a
@@ -232,6 +233,8 @@ class ProgramGen:
                            f"{r.choice([bound, MIN_Q])}; ")
                 bound = f"${n}"
             body = self.block(depth + 1, 3)
+            if r.random() < 0.4:
+                body = f"{self.accumulator(i)} {body}"
             extra = ""
             if r.random() < 0.3:
                 extra = r.choice([f"if (${i} == 2) {{ continue; }} ",
@@ -267,6 +270,16 @@ class ProgramGen:
             return self.func_decl()
         var = r.choice(self.vars)
         return f"${var} = {self.expr()};"
+
+    def accumulator(self, counter: str) -> str:
+        """``compute_singleton``'s idiom, which runs in line in a
+        generated region, with the accumulator's type flipped right
+        after it: every trip takes the in-line path and the closure."""
+        r = self.rng
+        acc = f"${r.choice(self.vars)}"
+        flip = r.choice([f"{acc} = {acc} / 2;", f"{acc} .= '';"])
+        return (f"{acc} = ({acc} + ${counter} * {r.randrange(1, 10)} + 1)"
+                f" % {r.choice([7, 9973, 2 ** 31 - 1])}; {flip}")
 
     def array_stmt(self) -> str:
         """A statement on an array variable (typed mode): element,

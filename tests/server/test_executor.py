@@ -14,6 +14,7 @@ from repro.server import (
     RoundRobinScheduler,
     ScriptedScheduler,
 )
+from repro.server.executor import ERROR_BODY
 from repro.server.nondet import NondetSource
 from repro.trace.events import Request
 from repro.trace.trace import check_balanced
@@ -315,3 +316,27 @@ def test_a_float_that_overflows_is_served_as_inf_and_audited(backend):
         execution.epochs(), execution.initial_state)
     assert result.accepted
     assert result.produced == expected
+
+
+@pytest.mark.parametrize("backend", ["interp", "hybrid"])
+def test_number_format_decimals_never_end_the_serve(backend):
+    """``number_format(1.5, -1)`` and a decimals of 2**31 raised
+    ``ValueError`` out of the formatter, which the executor does not
+    catch: one such request ended every request's serve.  Negative
+    decimals now count as none, and a refused count is the request's
+    own 500 page, served and audited alike."""
+    app = Application.from_sources("nf", {
+        "nf.php": "echo number_format(1.5, intval(param('d')));"})
+    decimals = {"neg": "-1", "two": "2", "huge": str(2 ** 31)}
+    requests = [Request(f"{name}{index}", "nf.php", get={"d": value})
+                for name, value in decimals.items() for index in range(2)]
+    execution = Executor(app, record=True).serve(requests)
+    bodies = {rid: response.body for rid, response
+              in execution.trace.responses().items()}
+    assert bodies == {"neg0": "2", "neg1": "2", "two0": "1.50",
+                      "two1": "1.50", "huge0": ERROR_BODY,
+                      "huge1": ERROR_BODY}
+    result = Auditor(app, AuditConfig(backend=backend)).audit_epochs(
+        execution.epochs(), execution.initial_state)
+    assert result.accepted
+    assert result.produced == bodies

@@ -4,8 +4,9 @@ An epoch session chains epochs serially because epoch k+1's
 initial state is epoch k's §4.5 migrated state.  The redo-only state
 precompute (``state_precompute_pipeline``) materializes every epoch's
 initial state without re-executing anything, which unlocks auditing all
-epochs concurrently (``epoch_workers``): whole epochs run as work
-units on one persistent shared process pool.
+epochs concurrently (``--epoch-workers N``): whole epochs run as work
+units on N local fleet workers (``repro.fleet.local_fleet``).  Their
+enrollment is paid once per worker count, outside the timed region.
 
 This benchmark serves one wiki workload with epoch draining (a >= 4
 epoch bundle), audits it serially and with increasing epoch worker
@@ -13,11 +14,11 @@ counts, checks every concurrent audit's produced bodies are bitwise
 identical to the serial chain's, and reports wall-clock.
 
 The recorded baseline carries ``cpu_count``: on a single-core host the
-pool *pays* for its core-independence serially (each worker rebuilds
-its epoch's stores from the encoded work unit, so with no cores to hide
-it behind the redo runs twice).  The speedup materializes with cores,
-where whole epochs execute simultaneously in the pool's worker
-processes with no GIL in the way of any phase.
+workers *pay* for their core-independence serially (each rebuilds its
+epoch's stores from the encoded work unit, so with no cores to hide it
+behind the redo runs twice).  The speedup materializes with cores,
+where whole epochs execute simultaneously in the worker processes with
+no GIL in the way of any phase.
 
 Run standalone to (re)generate the committed baseline::
 
@@ -33,16 +34,25 @@ or through pytest::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time as _time
 
 from repro.core import Auditor
-from repro.core.epochpool import available_cpus
+from repro.fleet import local_fleet
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
 from repro.workloads import wiki_workload
+
+
+def available_cpus() -> int:
+    """CPUs actually available to this process (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def serve_epochs(workload, epoch_size: int, seed: int = 1):
@@ -85,17 +95,20 @@ def measure_epoch_scaling(
         # (``epoch_workers<N>_process_speedup``).
         driver = "serial" if epoch_workers == 1 else "process"
         best = best_total = None
-        auditor = Auditor(workload.app, epoch_workers=epoch_workers)
-        for _ in range(max(1, repeats)):
-            # Wall-clock of the call: a session's own ``total`` sums the
-            # epochs' audit times, which concurrent epochs overlap.
-            started = _time.perf_counter()
-            audit = auditor.audit_epochs(execution.epochs(),
-                                         execution.initial_state)
-            total = _time.perf_counter() - started
-            assert audit.accepted, (audit.reason, audit.detail)
-            if best is None or total < best_total:
-                best, best_total = audit, total
+        auditor = Auditor(workload.app)
+        with (local_fleet(epoch_workers) if epoch_workers > 1
+              else contextlib.nullcontext()) as pool:
+            for _ in range(max(1, repeats)):
+                # Wall-clock of the call: a session's own ``total`` sums
+                # the epochs' audit times, which concurrent epochs
+                # overlap.
+                started = _time.perf_counter()
+                audit = auditor.audit_epochs(execution.epochs(),
+                                             execution.initial_state, pool)
+                total = _time.perf_counter() - started
+                assert audit.accepted, (audit.reason, audit.detail)
+                if best is None or total < best_total:
+                    best, best_total = audit, total
         if serial_produced is None:
             serial_produced = best.produced
             serial_total = best_total
@@ -133,7 +146,7 @@ def run(scale: float, epoch_size: int, epoch_workers_list,
         "cpu_count": os.cpu_count(),
         "available_cpus": available_cpus(),
         "note": "speedup_total requires multiple cores; on a single-core "
-                "host the pool's workers pay their duplicated redo "
+                "host the fleet's workers pay their duplicated redo "
                 "serially (see module docstring)",
         "rows": rows,
     }

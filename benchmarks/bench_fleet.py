@@ -9,10 +9,10 @@ benchmark measures what that hop costs (and buys):
 * **serial** — the single-host chained epoch audit of one recorded
   wiki bundle, driven through the incremental session (the reference
   verdict and bodies);
-* **fleet** — the same epochs submitted to a session handed a
-  ``FleetCoordinator`` as its pool, with real ``repro worker``
-  subprocesses joined over loopback, dispatched concurrently and
-  merged in feed order.
+* **fleet** — the same epochs submitted to a session handed
+  ``local_fleet(N)``: a ``FleetCoordinator`` with N real ``repro
+  worker`` subprocesses joined over loopback, dispatched concurrently
+  and merged in feed order.
 
 Worker *enrollment* (interpreter start, retry-connect, registration)
 happens once per session and is deliberately excluded from the timed
@@ -37,17 +37,14 @@ or through pytest::
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
-import subprocess
 import sys
 import time as _time
 
-from repro.common.clock import Deadline
+from bench_epoch_parallel import available_cpus
 from repro.core import AuditConfig, Auditor
-from repro.core.epochpool import available_cpus
-from repro.fleet import FleetCoordinator
+from repro.fleet import local_fleet
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
 from repro.workloads import wiki_workload
@@ -66,36 +63,6 @@ def serve_epochs(workload, epoch_size: int, seed: int = 1):
     execution = executor.serve(workload.requests)
     assert execution.epoch_marks, "epoch draining produced no cuts"
     return execution
-
-
-@contextlib.contextmanager
-def _worker_subprocesses(endpoint: str, count: int):
-    """``count`` real ``repro worker`` daemons (own interpreters, the
-    deployment artifact) retry-joining ``endpoint``; they exit when the
-    coordinator dismisses them and must do so cleanly."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(
-        __import__("repro").__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--join",
-             endpoint, "--name", f"bench-worker-{i}"],
-            env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
-        for i in range(count)
-    ]
-    try:
-        yield procs
-        for proc in procs:
-            assert proc.wait(timeout=60) == 0, (
-                f"worker exited {proc.returncode}")
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
 
 
 def _timed_session(app, shards, initial_state, pool=None):
@@ -126,22 +93,17 @@ def measure_fleet(workload, execution, fleet_workers: int,
 
     fleet = best_fleet_seconds = join_seconds = None
     for _ in range(max(1, repeats)):
-        # The coordinator dismisses its workers on close, so each
-        # repeat gets a fresh crew (and pays enrollment again — that
-        # cost is reported, not timed: the clock starts with the crew
-        # parked idle).
-        with FleetCoordinator("127.0.0.1:0",
-                              min_workers=fleet_workers) as pool, \
-                _worker_subprocesses(pool.endpoint, fleet_workers):
-            enrolling = _time.perf_counter()
-            deadline = Deadline(60)
-            while pool._idle.qsize() < fleet_workers:
-                assert not deadline.expired(), "workers never enrolled"
-                deadline.sleep(0.01)
+        # The fleet dismisses its workers on exit, so each repeat gets
+        # a fresh crew (and pays enrollment again — that cost is
+        # reported, not timed: local_fleet yields with the crew joined).
+        enrolling = _time.perf_counter()
+        with local_fleet(fleet_workers) as pool:
             enrolled = _time.perf_counter() - enrolling
+            assert pool.workers_joined == fleet_workers, \
+                "workers never enrolled"
             merged, elapsed = _timed_session(
                 workload.app, shards, execution.initial_state, pool)
-            pool.close()  # dismiss the crew: the daemons exit 0
+        assert pool.serial_fallbacks == 0, "an epoch ran locally"
         if best_fleet_seconds is None or elapsed < best_fleet_seconds:
             fleet, best_fleet_seconds = merged, elapsed
             join_seconds = enrolled

@@ -32,10 +32,15 @@ service API audits them one by one, carrying only migrated state
 between them::
 
     from repro import AuditConfig, Auditor
+    from repro.fleet import local_fleet
 
-    auditor = Auditor(app, AuditConfig(epoch_workers=2))
+    auditor = Auditor(app, AuditConfig())
     assert auditor.audit_epochs(result.epochs(),
                                 result.initial_state).accepted
+    # ... with the epochs audited two at a time, by worker processes:
+    with local_fleet(2) as pool:
+        assert auditor.audit_epochs(result.epochs(), result.initial_state,
+                                    pool=pool).accepted
     # ... or as they arrive, from a bundle that is still being written:
     with auditor.session(initial_state) as session:
         for epoch in reader.epochs(follow=True):   # repro.io.BundleReader

@@ -39,16 +39,18 @@ Every auditing subcommand is driven by one validated
 :class:`~repro.core.config.AuditConfig`: flags layer over an optional
 ``--config audit.json`` file, which layers over the defaults.  That is
 what an audit is *computed under*; where its evidence comes from and
-where its epochs run (``--listen``, ``--connect``, ``--fleet-listen``
-and their timeouts) are deployment settings, parsed here and passed
-straight to the publisher, the reader and the coordinator, whose
-constructor defaults are the only defaults.
-``--epoch-workers N`` audits epochs concurrently (a redo-only state
-precompute materializes each epoch's initial state first), and
-``--backend`` selects the registered re-execution engine.  Epochs are
-cut once, by the recorder: ``--epoch-size N`` on ``demo`` / ``record``
-/ ``serve`` / ``synth`` makes the server drain every N requests and
-mark the epoch, and every audit follows the epochs it is handed.
+where its epochs run (``--listen``, ``--connect``, ``--fleet-listen``,
+``--epoch-workers`` and their timeouts) are deployment settings, parsed
+here and passed straight to the publisher, the reader and the
+coordinator, whose constructor defaults are the only defaults.
+``--epoch-workers N`` (``demo``, ``audit``) audits epochs concurrently
+on N local ``repro worker`` processes (:func:`~repro.fleet.local_fleet`;
+a redo-only state precompute materializes each epoch's initial state
+first), and ``--backend`` selects the registered re-execution engine.
+Epochs are cut once, by the recorder: ``--epoch-size N`` on ``demo`` /
+``record`` / ``serve`` / ``synth`` makes the server drain every N
+requests and mark the epoch, and every audit follows the epochs it is
+handed.
 
 The built-in workloads are the paper's three applications: ``wiki``,
 ``forum``, ``hotcrp``.
@@ -75,7 +77,7 @@ from repro.core import Auditor, simple_audit
 from repro.core.auditor import malformed_verdict
 from repro.core.config import AuditConfig
 from repro.core.reexec import available_backends
-from repro.fleet import FleetCoordinator, FleetWorker
+from repro.fleet import FleetCoordinator, FleetWorker, local_fleet
 from repro.forensics import (
     AsOfError,
     Timeline,
@@ -203,14 +205,32 @@ def _config_from_args(parser, args) -> AuditConfig:
         parser.error(str(exc))
 
 
+def _describe(config: AuditConfig, args) -> str:
+    """The banner's knobs: the config's, then where epochs run."""
+    workers = args.epoch_workers
+    return config.describe() + (
+        f" epoch_workers={workers}" if workers > 1 else "")
+
+
+def _epoch_pool(workers: int, coordinator=None):
+    """Where the epochs run: ``workers`` local fleet workers when that
+    is more than one (joining ``coordinator``, when there is one), the
+    coordinator's remote workers alone, or this process."""
+    if workers > 1:
+        return local_fleet(workers, coordinator)
+    return coordinator or contextlib.nullcontext()
+
+
 def cmd_demo(args) -> int:
     config = _config_from_args(args._parser, args)
     workload = _build(args)
     print(f"serving {len(workload.requests)} {workload.label} requests "
           f"(concurrency {args.concurrency}) ...")
     execution = _serve(workload, args)
-    print(f"auditing ({config.describe()}) ...")
-    run = run_audit_phase(workload, execution, config=config)
+    print(f"auditing ({_describe(config, args)}) ...")
+    with _epoch_pool(args.epoch_workers) as pool:
+        run = run_audit_phase(workload, execution, config=config,
+                              pool=pool)
     audit = run.audit
     if not audit.accepted:
         print(f"REJECTED: {audit.reason.value}: {audit.detail}")
@@ -343,13 +363,13 @@ def cmd_audit(args) -> int:
             return 2
         except MalformedBundle as exc:  # not a bundle: no epoch to read
             return _print_verdict(malformed_verdict(exc), args.json)
-    pool = contextlib.nullcontext()
+    coordinator = None
     if args.fleet_listen:
         # Where the epochs run is the caller's to say: the session is
         # handed the coordinator as its pool.
         try:
-            pool = FleetCoordinator(
-                args.fleet_listen, width=config.epoch_workers,
+            coordinator = FleetCoordinator(
+                args.fleet_listen, width=args.epoch_workers,
                 **_given(args, min_workers="fleet_min_workers",
                          task_timeout="fleet_task_timeout",
                          redundancy="fleet_redundancy",
@@ -359,11 +379,11 @@ def cmd_audit(args) -> int:
             print(f"error: cannot listen for workers on "
                   f"{args.fleet_listen}: {exc}", file=sys.stderr)
             return 2
-        banner += f" (workers join {pool.endpoint})"
+        banner += f" (workers join {coordinator.endpoint})"
     on_epoch = None
     if not args.json:
         print(f"{banner} against {workload.label} "
-              f"({config.describe()}) ...")
+              f"({_describe(config, args)}) ...")
 
         def on_epoch(epoch):
             print(f"epoch {epoch.index}: "
@@ -372,9 +392,9 @@ def cmd_audit(args) -> int:
                   f"{epoch.phases.get('total', 0.0) * 1e3:.1f} ms)")
 
     try:
-        with pool as fleet, reader:
+        with _epoch_pool(args.epoch_workers, coordinator) as pool, reader:
             audit = Auditor(workload.app, config).audit_stream(
-                reader, fleet, on_epoch, **reading)
+                reader, pool, on_epoch, **reading)
     except (TransportError, ProtocolError) as exc:
         # A frame the *wire* mangled, not a record that does not decode.
         print(f"error: live stream failed: {exc}", file=sys.stderr)
@@ -802,12 +822,6 @@ def audit_knobs(p) -> None:
                    help="reject register reads with no logged write")
     p.add_argument("--max-group-size", type=_at_least(1), default=None,
                    help="chunk re-execution groups beyond this size")
-    p.add_argument("--epoch-workers", type=_at_least(1), default=None,
-                   metavar="N",
-                   help="audit epochs concurrently, N at a time, on "
-                        "a shared persistent process pool after a "
-                        "redo-only state precompute (1 = serial epoch "
-                        "chain)")
     p.add_argument("--backend", choices=available_backends(),
                    default=None,
                    help="re-execution backend: hybrid (the compiled "
@@ -843,9 +857,21 @@ def build_parser() -> argparse.ArgumentParser:
                             "mark: the epochs the bundle is audited in "
                             "(default: synth 500, the others one epoch)")
 
+    def epoch_workers(p):
+        # Where an audit's epochs run, not what it is computed under:
+        # not an audit knob, so `query` / `explain` refuse it.
+        p.add_argument("--epoch-workers", type=_at_least(1), default=1,
+                       metavar="N",
+                       help="audit epochs concurrently on N local `repro "
+                            "worker` processes after a redo-only state "
+                            "precompute (1 = the serial epoch chain; "
+                            "with --fleet-listen they join the "
+                            "coordinator beside remote workers)")
+
     demo = sub.add_parser("demo", help="serve + audit, print stats")
     recording(demo)
     audit_knobs(demo)
+    epoch_workers(demo)
     demo.set_defaults(func=cmd_demo)
 
     record = sub.add_parser("record", help="serve and save a bundle")
@@ -891,6 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "live stream")
     common(audit)
     audit_knobs(audit)
+    epoch_workers(audit)
     audit.add_argument("bundle", nargs="?", default=None)
     audit.add_argument("--baseline", action="store_true",
                        help="also re-read the file and run the simple "

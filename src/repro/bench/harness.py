@@ -99,12 +99,14 @@ def run_audit_phase(
     max_group_size: int = DEFAULT_MAX_GROUP,
     backend: str | None = None,
     config: AuditConfig | None = None,
+    pool=None,
 ) -> BenchRun:
     """Audit ``execution`` and package the outcome for the benchmarks.
 
     A validated :class:`AuditConfig` supersedes the individual keyword
     knobs when given (the CLI path); either way the audit is an epoch
-    session over the epochs the execution was recorded in.
+    session over the epochs the execution was recorded in, on ``pool``
+    when given.
     """
     if config is None:
         config = AuditConfig(
@@ -116,7 +118,7 @@ def run_audit_phase(
             backend=backend if backend is not None else default_backend(),
         )
     audit = Auditor(workload.app, config).audit_epochs(
-        execution.epochs(), execution.initial_state
+        execution.epochs(), execution.initial_state, pool
     )
     baseline = None
     if run_baseline:

@@ -40,7 +40,6 @@ from repro.core.auditor import (
     Auditor,
     EpochResult,
 )
-from repro.core.epochpool import EpochPool
 from repro.core.config import AuditConfig
 from repro.core.partition import partition_audit_inputs
 from repro.core.reexec import (
@@ -61,7 +60,6 @@ __all__ = [
     "AuditResult",
     "AuditSession",
     "Auditor",
-    "EpochPool",
     "EpochResult",
     "available_backends",
     "create_time_precedence_graph",

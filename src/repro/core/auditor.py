@@ -22,11 +22,10 @@ epoch boundaries.  This module is that verifier:
   slices ``ExecutionResult.epochs()``, ``BundleReader.epochs()`` or
   ``RemoteBundleReader.epochs()`` yield.  Without a pool an entry is
   resolved as it is fed, by the full pipeline.  With one — handed in
-  (``session(state, pool=...)``: anything with ``width``,
-  ``run(payload: bytes)``, ``serial_fallbacks`` and ``close()``), or
-  the :class:`~repro.core.epochpool.EpochPool` the session opens when
-  ``config.epoch_workers > 1`` — only the cheap, serial part runs at
-  feed time (the cross-epoch checks and the redo-only **state
+  by the caller (``session(state, pool=...)``: anything with
+  ``width``, ``run(payload: bytes)`` and ``serial_fallbacks``, such as
+  a :class:`~repro.fleet.FleetCoordinator`) — only the cheap, serial
+  part runs at feed time (the cross-epoch checks and the redo-only **state
   precompute**, :func:`~repro.core.pipeline.state_precompute_pipeline`,
   which migrates the next epoch's initial state without re-executing
   anything) and the full audit travels to the pool as bytes.  Either
@@ -48,7 +47,6 @@ after every earlier epoch's full audit accepted those logs.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time as _time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
@@ -57,7 +55,6 @@ from collections.abc import Iterable
 
 from repro.common.errors import MalformedBundle, RejectReason
 from repro.core.config import AuditConfig
-from repro.core.epochpool import EpochPool
 from repro.core.epochwork import encode_work_unit, epoch_worker_config
 from repro.core.pipeline import (
     AuditContext,
@@ -162,16 +159,10 @@ class AuditSession:
                 "a custom pipeline audits its epochs serially; it "
                 "cannot be handed a pool"
             )
-        #: What close() releases.  A pool the session opened is the
-        #: session's to close; one it was handed is its caller's.
-        self._resources = contextlib.ExitStack()
-        if (pool is None and auditor.pipeline is None
-                and config.epoch_workers > 1):
-            # One persistent process pool shared by every epoch of
-            # this session.
-            pool = EpochPool(config.epoch_workers)
-            self._resources.callback(pool.close)
         self._pool = pool
+        #: What close() releases: the epoch threads, never the pool,
+        #: which stays its caller's.
+        self._threads = None
         if pool is None:
             #: Backpressure: submit_epoch first settles the oldest
             #: entries until fewer than this many are unmerged.  Here
@@ -181,9 +172,8 @@ class AuditSession:
         else:
             # These threads only hand a work unit's bytes to the pool
             # and wait, so results can be merged back in feed order.
-            self._threads = self._resources.enter_context(
-                ThreadPoolExecutor(max_workers=pool.width,
-                                   thread_name_prefix="audit-epoch"))
+            self._threads = ThreadPoolExecutor(
+                max_workers=pool.width, thread_name_prefix="audit-epoch")
             self._worker_config = epoch_worker_config(self._epoch_config)
             # Deep enough to keep every worker busy while the next
             # epochs prime, shallow enough that a stream cannot pin
@@ -519,7 +509,8 @@ class AuditSession:
         try:
             self._drain()
         finally:
-            self._resources.close()
+            if self._threads is not None:
+                self._threads.shutdown()
             self._closed = True
         merged = self._merged
         merged.accepted = self._failure is None
@@ -549,7 +540,7 @@ class Auditor:
 
     ``Auditor(app, config)`` binds the trusted program to a validated
     :class:`~repro.core.config.AuditConfig` (keyword knobs build one:
-    ``Auditor(app, epoch_workers=2, backend="interp")``).
+    ``Auditor(app, strict=False, backend="interp")``).
 
     * :meth:`audit` — one pipeline pass over one epoch (``ssco_audit``
       is the kwargs shorthand);
@@ -602,11 +593,11 @@ class Auditor:
         ``pool.run(payload: bytes)`` blocks for one work unit's
         :class:`~repro.core.pipeline.AuditResult`, ``pool.width`` is
         how many it runs at once, ``pool.serial_fallbacks`` counts the
-        units that ran in this process instead.  It stays the caller's
-        to ``close()``.  Without one the session opens — and closes —
-        an :class:`~repro.core.epochpool.EpochPool` of
-        ``config.epoch_workers`` processes when that is more than one,
-        and is the serial chain otherwise."""
+        units that ran in this process instead — e.g. a
+        :class:`~repro.fleet.FleetCoordinator`, or
+        :func:`~repro.fleet.local_fleet`'s N local workers.  It stays
+        the caller's to close.  Without one the session is the serial
+        chain."""
         return AuditSession(self, initial_state, pool)
 
     def audit_epochs(

@@ -4,13 +4,13 @@
 process: the phase engine, the epoch driver, the epoch work unit and
 the forensic timeline all take it directly.  It holds what an audit is
 *computed under* and nothing else: where the evidence comes from (a
-file, a socket) and where epochs run (a process pool, a fleet) are
-deployment settings, given to the reader and to the pool the session
-is handed.
+file, a socket) and where epochs run (local or remote fleet workers)
+are deployment settings, given to the reader and to the pool the
+session is handed.
 
 * every knob, documented once, on the field;
-* **hard validation** at construction: nonsensical values (a negative
-  ``epoch_workers``, a non-bool ``strict``, an unregistered
+* **hard validation** at construction: nonsensical values (a
+  ``max_group_size`` below 1, a non-bool ``strict``, an unregistered
   ``backend``) raise :class:`ValueError` with a message naming the
   field — at the API boundary, not five frames deep in the pipeline;
 * **serialization**: :meth:`to_json` / :meth:`from_json` (plain dicts)
@@ -63,14 +63,6 @@ class AuditConfig:
     #: On accept, compact the versioned stores into the next epoch's
     #: trusted initial state (§4.5 migration).
     migrate: bool = False
-    #: Audit epochs concurrently, this many at a time, as whole-epoch
-    #: work units on one persistent process pool shared across the run
-    #: (a redo-only state precompute materializes each epoch's initial
-    #: state first); 1 keeps the serial epoch chain.  Results are
-    #: bit-identical to the serial chain either way.  Only an epoch
-    #: session (``Auditor.session`` / ``audit_epochs``) reads it, and
-    #: only when it is not handed a pool of its own.
-    epoch_workers: int = 1
     #: Registered re-execution backend: ``"hybrid"`` (the compiled
     #: engine, the default), ``"interp"`` (the oracle), or anything added
     #: via ``register_reexec_backend``; ``"accinterp"`` / ``"compinterp"``
@@ -101,11 +93,6 @@ class AuditConfig:
                     f"{flag} must be a bool, got "
                     f"{getattr(self, flag)!r}"
                 )
-        if not _is_int(self.epoch_workers) or self.epoch_workers < 1:
-            raise ValueError(
-                f"epoch_workers must be an integer >= 1, got "
-                f"{self.epoch_workers!r}"
-            )
         if not _is_int(self.max_group_size) or self.max_group_size < 1:
             raise ValueError(
                 f"max_group_size must be an integer >= 1, got "
@@ -129,9 +116,11 @@ class AuditConfig:
     def replace(self, **changes) -> AuditConfig:
         """A copy with the given fields changed (re-validated)."""
         # Shim for benchmarks/e2e/auditor_child.py (frozen under
-        # BENCHMARK.json), which still asks for replace(workers=2), a
-        # field that is gone; goes with to_options().
+        # BENCHMARK.json), which still asks for replace(workers=2) and
+        # replace(epoch_workers=2): both fields are gone, so both
+        # keywords are dropped; goes with to_options().
         changes.pop("workers", None)
+        changes.pop("epoch_workers", None)
         return dataclasses.replace(self, **changes)
 
     # -- serialization ----------------------------------------------------
@@ -195,8 +184,6 @@ class AuditConfig:
     def describe(self) -> str:
         """One-line human summary (CLI banners)."""
         parts = [f"backend={self.backend}"]
-        if self.epoch_workers > 1:
-            parts.append(f"epoch_workers={self.epoch_workers}")
         if not self.strict:
             parts.append("no-strict")
         if not self.dedup:

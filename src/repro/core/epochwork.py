@@ -16,13 +16,12 @@ verdict object plus the produced bodies, read back by the type-checking
 process or host sends back is data, never code.  A rejection is a
 result carrying the stats the pipeline accumulated before failing.
 
-The feeding thread encodes the unit (:func:`encode_work_unit`), so an
-executor only ever moves bytes.  A process of the
-:class:`~repro.core.epochpool.EpochPool` (:func:`answer_work_unit`), a
-fleet worker that received them in a ``WORK`` frame, and the thread
-that found no worker (:func:`run_work_unit`) all decode them with
-:func:`decode_work_unit` and audit them with :func:`run_epoch_inline`,
-so the executors cannot diverge.
+The feeding thread encodes the unit (:func:`encode_work_unit`), so a
+pool only ever moves bytes.  A fleet worker that received them in a
+``WORK`` frame and the coordinator thread that found no worker
+(:func:`run_work_unit`) both decode them with :func:`decode_work_unit`
+and audit them with :func:`run_epoch_inline`, so the two cannot
+diverge.
 """
 
 from __future__ import annotations
@@ -46,9 +45,8 @@ def epoch_worker_config(config):
     """The knob set one epoch work unit runs under: the serial chain's
     per-epoch config (so the chunk plan matches bit for bit) without
     ``migrate`` — the parent's redo-only prepass chains the state, and
-    MigratePhase never rejects nor emits stats — and with
-    ``epoch_workers`` cleared, so a worker never opens a pool."""
-    return config.replace(epoch_workers=1, migrate=False)
+    MigratePhase never rejects nor emits stats."""
+    return config.replace(migrate=False)
 
 
 def run_epoch_inline(app, trace, reports, initial_state, config):
@@ -123,12 +121,6 @@ def run_work_unit(payload: bytes):
     """Decode one encoded unit and audit it here (a pool's fallback).
     Raises only on genuine crashes: a rejection is a result."""
     return run_epoch_inline(*decode_work_unit(json.loads(payload)))
-
-
-def answer_work_unit(payload: bytes) -> bytes:
-    """A pool worker process's entry point: the encoded
-    :meth:`~repro.core.pipeline.AuditResult.to_json` of the unit."""
-    return json.dumps(run_work_unit(payload).to_json()).encode()
 
 
 # -- fleet wire payloads (the JSON bodies of WORK / RESULT frames) -------------

@@ -77,7 +77,7 @@ class AuditResult:
     def to_json(self) -> dict:
         """The verdict object ``repro audit --json`` prints (``epochs``
         are a session's ``stats["shards"]``) plus the produced bodies:
-        what a pool worker or a fleet host answers a work unit with."""
+        what a fleet worker answers a work unit with."""
         stats = dict(self.stats)
         epochs = stats.pop("shards", [])
         rejecting = None if self.accepted else next(
@@ -380,7 +380,7 @@ def iter_epoch_prepass(
     forensic timeline, :mod:`repro.forensics.timeline`, keeps them as
     its index).
 
-    This is what an ``epoch_workers`` session runs at feed time, minus
+    This is what a session handed a pool runs at feed time, minus
     the dispatch, so the walk numbers and rejects epochs as an audit of
     the same slices does wherever the prepass — every check but
     re-execution and output comparison — can see the fault.  A

@@ -14,13 +14,14 @@ The phases are first-class objects (:mod:`repro.core.pipeline`);
 feed the Figure 9 decomposition; the per-group (n, α, ℓ) triples feed
 Figure 11; the dedup counters feed §5.2.
 
-Every knob — the one scaling knob, ``epoch_workers``, included, off by
-default, preserving the paper's serial audit — is documented once, on
-the fields of
-:class:`~repro.core.config.AuditConfig`.  An execution recorded in
-several epochs is audited through
+Every knob is documented once, on the fields of
+:class:`~repro.core.config.AuditConfig`; none of them is about
+parallelism, so the audit is the paper's serial one.  An execution
+recorded in several epochs is audited through
 :meth:`Auditor.audit_epochs(execution.epochs(), ...)
-<repro.core.auditor.Auditor.audit_epochs>`.
+<repro.core.auditor.Auditor.audit_epochs>`, which runs the epochs on a
+pool only when handed one (``pool=``, e.g.
+:func:`repro.fleet.local_fleet`).
 """
 
 from __future__ import annotations

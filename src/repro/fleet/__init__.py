@@ -1,4 +1,4 @@
-"""repro.fleet: one coordinator fanning epochs out to remote workers.
+"""repro.fleet: one coordinator fanning epochs out to workers.
 
 The paper's deployment model is an auditor re-executing a busy
 server's trace far from the machine that recorded it; at production
@@ -14,27 +14,28 @@ seams built for exactly this moment:
   ``RESULT`` / ``WORKER_HELLO`` / ``WORKER_BYE`` kinds behind
   ``FLAG_FLEET``).
 
-:class:`~repro.fleet.coordinator.FleetCoordinator` implements the
-:class:`~repro.core.epochpool.EpochPool` executor contract
-(``width`` / ``run(payload)`` / ``serial_fallbacks`` / ``close``) and
-is handed to the epoch driver by its caller (``Auditor.session(state,
-pool=coordinator)``; ``repro audit --fleet-listen`` does), so
-``AuditSession`` keeps strict feed-order merging, prepass
-backpressure, and REJECT-drain semantics unchanged; only *where* an
-epoch executes moves.  :class:`~repro.fleet.worker.FleetWorker` is the daemon side:
-``repro worker --join HOST:PORT`` registers, pulls epochs, runs them
-through the stock pipeline with any registered backend, and streams
-verdicts back.
+:class:`~repro.fleet.coordinator.FleetCoordinator` is the one pool an
+audit session is handed (``width`` / ``run(payload)`` /
+``serial_fallbacks`` / ``close``; ``Auditor.session(state,
+pool=coordinator)``), so ``AuditSession`` keeps strict feed-order
+merging, prepass backpressure, and REJECT-drain semantics unchanged;
+only *where* an epoch executes moves.
+:class:`~repro.fleet.worker.FleetWorker` is the daemon side: ``repro
+worker --join HOST:PORT`` registers, pulls epochs, runs them through the
+stock pipeline, and streams verdicts back.  :func:`local_fleet` starts
+N such workers on this host (``--epoch-workers N``); remote hosts join
+``--fleet-listen``; both can serve one coordinator.
 
-Failure policy (``docs/fleet.md`` has the full matrix): heartbeat
-miss, task deadline, disconnect, or a worker-side crash re-dispatches
-the epoch to the next idle worker, and local serial execution is the
-fleet's last-resort worker — infrastructure failures are never
-verdicts, and the final merged verdict is bit-identical to a
-single-host run.
+Failure policy (``docs/fleet.md`` has the full matrix): a heartbeat
+miss, task deadline or disconnect re-dispatches the epoch to the next
+idle worker; a worker-side crash, or no live worker at all, runs it in
+the coordinator's process, the fleet's last-resort worker.
+Infrastructure failures are never verdicts, and the final merged
+verdict is bit-identical to the serial chain's.
 """
 
 from repro.fleet.coordinator import FleetCoordinator
+from repro.fleet.local import local_fleet
 from repro.fleet.worker import FleetWorker
 
-__all__ = ["FleetCoordinator", "FleetWorker"]
+__all__ = ["FleetCoordinator", "FleetWorker", "local_fleet"]

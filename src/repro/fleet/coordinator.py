@@ -1,9 +1,9 @@
-"""The fleet coordinator: an ``EpochPool``-shaped pool of remote hosts.
+"""The fleet coordinator: the one pool epochs run on elsewhere.
 
 :class:`FleetCoordinator` is what a caller hands an audit session
-instead of the :class:`~repro.core.epochpool.EpochPool` it would open
-for itself (``Auditor.session(state, pool=coordinator)``): ``run``
-blocks for one encoded epoch work unit's
+(``Auditor.session(state, pool=coordinator)``) — serving workers on
+this host (:func:`~repro.fleet.local.local_fleet`), on others, or both:
+``run`` blocks for one encoded epoch work unit's
 :class:`~repro.core.pipeline.AuditResult`, ``width`` is how many the
 session keeps in flight, ``close`` tears the fleet down, and
 ``serial_fallbacks`` counts epochs that ran locally.
@@ -27,8 +27,7 @@ Dispatch contract (one driver thread per in-flight epoch):
   (reproducing any genuine deterministic crash) and the worker —
   which is alive and honest about its failure — returns to the pool;
 * with no live workers (none joined, or all dead), the coordinator
-  itself is the last-resort worker: the epoch runs serially inline,
-  exactly the ``EpochPool`` degradation path;
+  itself is the last-resort worker: the epoch runs serially inline;
 * ``redundancy >= 2`` dispatches each epoch to that many workers and
   cross-checks the verdicts (accepted/reason/detail/bodies/stats); a
   disagreement is treated like an infrastructure failure — the local
@@ -132,7 +131,7 @@ class FleetCoordinator:
         self._epoch_ids = itertools.count()
 
         #: Epochs that ran serially in the coordinator process (the
-        #: last-resort worker) — same meaning as ``EpochPool``'s.
+        #: last-resort worker).
         self.serial_fallbacks = 0
         #: Epochs whose verdict came back over the wire.
         self.remote_epochs = 0

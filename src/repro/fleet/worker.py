@@ -6,11 +6,10 @@ coordinator binds), registers with ``WORKER_HELLO`` behind the
 ``FLAG_FLEET`` capability bit, then serves ``WORK`` frames until the
 coordinator says ``WORKER_BYE`` or disconnects.
 
-Each work unit is the byte-identical payload the local
-:class:`~repro.core.epochpool.EpochPool` would submit to a worker
-process, decoded and audited by the same code
-(:mod:`repro.core.epochwork`): the stock pipeline, the serial chunk
-plan, any registered backend.  The worker needs no workload definition
+Each work unit is the payload an audit session encodes for its pool,
+decoded and audited by the same code the coordinator's own fallback
+runs (:mod:`repro.core.epochwork`): the stock pipeline, the serial
+chunk plan, any backend registered in the worker's process.  The worker needs no workload definition
 of its own — the application's sources travel inside the payload.
 
 While an epoch runs, a background thread streams ``HEARTBEAT`` frames

@@ -5,7 +5,7 @@ and exposes the *exact* iterator contract of the file-based
 :class:`~repro.io.BundleReader`: :meth:`read_initial_state` /
 :attr:`initial_state` and :meth:`epochs` yielding
 :class:`~repro.server.reports.EpochSlice` objects — so an
-:class:`~repro.core.auditor.AuditSession` (serial or ``epoch_workers``)
+:class:`~repro.core.auditor.AuditSession` (serial or handed a pool)
 audits a network stream with zero changes to :mod:`repro.core`:
 
 .. code-block:: python

@@ -34,8 +34,8 @@ any JSON is parsed.  Frame kinds:
   registration (``{"name": ..., "pid": ...}``) and orderly departure
   (see :mod:`repro.fleet`);
 * ``WORK`` — coordinator → worker; ``{"epoch": N, "unit": {...}}``,
-  the byte-identical JSON work unit ``core/epochpool.py`` submits to
-  its process pool;
+  the JSON work unit an audit session hands its pool
+  (:mod:`repro.core.epochwork`);
 * ``RESULT`` — worker → coordinator; the epoch's ``repro audit
   --json`` verdict (``{"epoch": N, "ok": true, "result": {...}}``), or
   ``ok: false`` with an ``error`` string for a crash that is an

@@ -2,20 +2,11 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import signal
+import threading
 
 import pytest
-
-if os.environ.get("REPRO_FORCE_SPAWN"):
-    # CI's non-fork job: force the spawn start method so the epoch
-    # pool's spawned workers (repro.core.epochwork.answer_work_unit in a
-    # fresh interpreter) stay covered on fork-capable hosts too.
-    # Guarded — the start method may only be set once per process.
-    try:
-        multiprocessing.set_start_method("spawn", force=True)
-    except RuntimeError:  # pragma: no cover - already fixed by the runner
-        pass
 
 from repro.server import Application, Executor, RandomScheduler
 from repro.server.nondet import NondetSource
@@ -105,6 +96,46 @@ def audit_epochs(app, execution, trace=None, reports=None, pool=None,
                                     execution.epoch_marks)
     return Auditor(app, **knobs).audit_epochs(
         epochs, execution.initial_state, pool)
+
+
+@pytest.fixture(scope="module")
+def local_pool():
+    """Two local fleet workers shared by a test module: the pool
+    ``--epoch-workers 2`` builds.  Its counters add up across the
+    module's tests, so compare differences."""
+    from repro.fleet import local_fleet
+
+    with local_fleet(2) as pool:
+        yield pool
+
+
+def sigkill_workers_mid_epoch(monkeypatch, victims: int = 1) -> list:
+    """SIGKILL the first ``victims`` fleet workers dispatched to, each
+    right after its first ``WORK`` frame is on the wire; returns their
+    names as they die.  A worker's default name ends in its pid."""
+    from repro.fleet.coordinator import FleetCoordinator
+
+    original = FleetCoordinator._dispatch
+    killed: list = []
+    lock = threading.Lock()
+
+    def dispatch(self, worker, epoch, payload):
+        with lock:
+            doomed = len(killed) < victims and worker.name not in killed
+            if doomed:
+                killed.append(worker.name)
+        if doomed:
+            send = worker.fsock.send_raw
+
+            def send_then_die(frame):
+                send(frame)
+                os.kill(int(worker.name.rsplit("-", 1)[1]), signal.SIGKILL)
+
+            worker.fsock.send_raw = send_then_die
+        return original(self, worker, epoch, payload)
+
+    monkeypatch.setattr(FleetCoordinator, "_dispatch", dispatch)
+    return killed
 
 
 def counter_requests(n: int = 24):

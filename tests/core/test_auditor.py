@@ -191,8 +191,8 @@ def test_epochs_after_rejection_are_skipped(counter_app):
 
 @pytest.mark.parametrize("epoch_workers", [1, 2])
 @pytest.mark.parametrize("forged", [False, True])
-def test_on_epoch_is_called_once_per_audited_epoch(counter_app, forged,
-                                                   epoch_workers):
+def test_on_epoch_is_called_once_per_audited_epoch(counter_app, local_pool,
+                                                   forged, epoch_workers):
     """The one loop says what settled: ``audit_epochs`` calls
     ``on_epoch`` once per *audited* epoch, in feed order, never for a
     skipped one — on the serial chain and the pool alike, and on a
@@ -208,11 +208,12 @@ def test_on_epoch_is_called_once_per_audited_epoch(counter_app, forged,
     shards = partition_audit_inputs(trace, execution.reports,
                                     execution.epoch_marks)
     assert len(shards) >= 5
-    auditor = Auditor(counter_app, epoch_workers=epoch_workers)
+    auditor = Auditor(counter_app)
+    pool = local_pool if epoch_workers > 1 else None
     calls = []
-    merged = auditor.audit_epochs(shards, execution.initial_state,
+    merged = auditor.audit_epochs(shards, execution.initial_state, pool,
                                   on_epoch=calls.append)
-    with auditor.session(execution.initial_state) as session:
+    with auditor.session(execution.initial_state, pool) as session:
         for shard in shards:
             session.submit_epoch(shard.trace, shard.reports)
         fed = session.epochs
@@ -233,7 +234,8 @@ def test_on_epoch_is_called_once_per_audited_epoch(counter_app, forged,
         assert calls[-1].reason is RejectReason.OUTPUT_MISMATCH
 
 
-def test_a_record_that_does_not_decode_is_a_verdict(counter_app):
+def test_a_record_that_does_not_decode_is_a_verdict(counter_app,
+                                                    local_pool):
     """``audit_epochs`` owns the end of the stream: when the iterable
     raises ``MalformedBundle`` the epochs before it settle (and are
     told to ``on_epoch``), and the result is ``malformed_bundle`` with
@@ -246,11 +248,11 @@ def test_a_record_that_does_not_decode_is_a_verdict(counter_app):
         yield from shards[:3]
         raise MalformedBundle("KeyError: 'rid'")
 
-    for epoch_workers in (1, 2):
-        auditor = Auditor(counter_app, epoch_workers=epoch_workers)
+    auditor = Auditor(counter_app)
+    for pool in (None, local_pool):
         calls = []
         result = auditor.audit_epochs(torn(execution.epochs()),
-                                      execution.initial_state,
+                                      execution.initial_state, pool,
                                       on_epoch=calls.append)
         assert (result.accepted, result.reason, result.detail) == (
             False, RejectReason.MALFORMED_BUNDLE, "KeyError: 'rid'")
@@ -264,7 +266,8 @@ def test_a_record_that_does_not_decode_is_a_verdict(counter_app):
         forged = partition_audit_inputs(
             tamper_response(execution.trace, victim, "forged!"),
             execution.reports, execution.epoch_marks)
-        result = auditor.audit_epochs(torn(forged), execution.initial_state)
+        result = auditor.audit_epochs(torn(forged), execution.initial_state,
+                                      pool)
         assert result.reason is RejectReason.OUTPUT_MISMATCH
         assert result.stats["shard_count"] == 2
 
@@ -331,11 +334,11 @@ def test_session_requires_migrate_phase(counter_app, honest_run):
 
 def test_auditor_rejects_config_plus_knobs(counter_app):
     with pytest.raises(ValueError, match="not both"):
-        Auditor(counter_app, AuditConfig(), epoch_workers=2)
+        Auditor(counter_app, AuditConfig(), max_group_size=2)
     # Keyword knobs alone build (and validate) a config.
-    assert Auditor(counter_app, epoch_workers=2).config.epoch_workers == 2
+    assert Auditor(counter_app, max_group_size=2).config.max_group_size == 2
     with pytest.raises(ValueError):
-        Auditor(counter_app, epoch_workers=-1)
+        Auditor(counter_app, max_group_size=-1)
 
 
 def test_auditor_one_shot_matches_ssco_audit(counter_app, honest_run):
@@ -425,12 +428,13 @@ def test_compinterp_selectable_through_session_and_epochs(counter_app):
     _assert_equivalent(reference, merged)
 
 
-def test_compinterp_through_parallel_workers(counter_app, honest_run):
-    """Epoch-pool workers compile on first use after parsing the app's
+def test_compinterp_through_parallel_workers(counter_app, honest_run,
+                                            local_pool):
+    """Fleet workers compile on first use after parsing the app's
     sources; results stay bit-identical to the serial compiling audit."""
     serial = audit_epochs(counter_app, honest_run, backend="compinterp")
     parallel = audit_epochs(counter_app, honest_run, backend="compinterp",
-                            epoch_workers=2)
+                            pool=local_pool)
     assert parallel.accepted and serial.accepted
     assert parallel.produced == serial.produced
     for key in _DET_STATS:
@@ -570,7 +574,7 @@ def test_session_threads_uniqid_check_across_epochs():
 
 @pytest.mark.parametrize("epoch_workers", [1, 2])
 def test_trace_checks_run_once_per_epoch(monkeypatch, counter_app,
-                                         epoch_workers):
+                                         local_pool, epoch_workers):
     """Balance and nondet plausibility are checked once per epoch, by
     the pipeline's trace check with the whole stream's ``uniqid()`` set
     — not once by the session and again by the phase.  (On the pooled
@@ -596,10 +600,11 @@ def test_trace_checks_run_once_per_epoch(monkeypatch, counter_app,
     for name in calls:
         counted(name)
 
+    pool = local_pool if epoch_workers > 1 else None
     honest = _epoch_execution(counter_app)
     epochs = honest.epochs()
-    merged = Auditor(counter_app, epoch_workers=epoch_workers).audit_epochs(
-        epochs, honest.initial_state)
+    merged = Auditor(counter_app).audit_epochs(
+        epochs, honest.initial_state, pool)
     assert merged.accepted and len(epochs) >= 3
     assert calls == {"check_balanced": len(epochs),
                      "validate_nondet_reports": len(epochs)}
@@ -608,8 +613,8 @@ def test_trace_checks_run_once_per_epoch(monkeypatch, counter_app,
     shards = partition_audit_inputs(execution.trace, reports,
                                     execution.epoch_marks)
     calls.update(check_balanced=0, validate_nondet_reports=0)
-    merged = Auditor(app, epoch_workers=epoch_workers).audit_epochs(
-        shards, execution.initial_state)
+    merged = Auditor(app).audit_epochs(
+        shards, execution.initial_state, pool)
     assert merged.reason is RejectReason.NONDET_IMPLAUSIBLE
     assert "duplicate uniqid" in merged.detail
     assert [(s["shard"], s["accepted"], s["groups"])
@@ -638,7 +643,7 @@ def test_serial_session_latches_crash_until_close(counter_app, honest_run):
     """An unexpected exception inside an epoch's audit must never be
     swallowed: a session whose epoch crashed cannot report ACCEPTED,
     even if the caller caught the feed-time exception and carried on.
-    (The epoch_workers / fleet variants of the same latch are
+    (The pooled variants of the same latch are
     test_concurrent_audit::test_crashed_epoch_audit_never_reports_accepted.)"""
     stripped = AuditPipeline(default_pipeline().phases[:-1])
     auditor = Auditor(counter_app, pipeline=stripped)

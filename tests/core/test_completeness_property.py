@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.bench.harness import run_online_phase
 from repro.core import Auditor, ooo_audit, simple_audit, ssco_audit
 from repro.io import BundleReader, BundleWriter, save_audit_bundle_segmented
+from repro.net import BundlePublisher, RemoteBundleReader
 from repro.server import Application, Executor, RandomScheduler
 from repro.server.nondet import NondetSource
 from repro.workloads import (
@@ -26,7 +27,12 @@ from repro.workloads import (
     hotcrp_workload,
     wiki_workload,
 )
-from tests.conftest import COUNTER_SCHEMA, COUNTER_SRC, counter_requests
+from tests.conftest import (
+    COUNTER_SCHEMA,
+    COUNTER_SRC,
+    counter_requests,
+    untimed,
+)
 
 
 def _app() -> Application:
@@ -162,48 +168,67 @@ _APP_WORKLOADS = {
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("app_name", sorted(_APP_WORKLOADS))
 def test_honest_schedules_of_the_four_apps_are_accepted(app_name, seed,
-                                                        tmp_path):
+                                                        tmp_path,
+                                                        local_pool):
     """Whatever the (seeded) schedule, concurrency and request mix, an
     honest execution — audited in the epochs it was recorded in — is
-    ACCEPTED by the compiled engine, strict or not, on the serial chain
-    and on the process pool (``epoch_workers=2``) alike, with the
-    oracle's bodies, and every request booked exactly once; and the
-    saved bundle hands the auditor the very epochs
-    ``execution.epochs()`` does."""
+    ACCEPTED by the compiled engine, strict or not, with the oracle's
+    bodies, and every request booked exactly once.  Two local fleet
+    workers (``--epoch-workers 2``), the saved bundle, and the bundle
+    published over a socket give the serial chain's verdict, epochs,
+    stats and bodies: every transport hands the auditor the very
+    epochs ``execution.epochs()`` does."""
     factory, scale = _APP_WORKLOADS[app_name]
     workload = factory(scale=scale, seed=100 + seed)
     run = run_online_phase(workload, seed=seed, concurrency=1 + 3 * seed,
                            epoch_size=15)
     assert run.epoch_marks  # at least two epochs, chained through migration
-    def audit(epochs=None, initial_state=run.initial_state, **knobs):
+    def audit(epochs=None, initial_state=run.initial_state, pool=None,
+              **knobs):
         return Auditor(workload.app, **knobs).audit_epochs(
-            run.epochs() if epochs is None else epochs, initial_state)
+            run.epochs() if epochs is None else epochs, initial_state,
+            pool)
 
     oracle = audit(backend="interp")
     assert oracle.accepted, (oracle.reason, oracle.detail)
     requests = len(run.trace.request_ids())
     for strict in (True, False):
-        for epoch_workers in (2, 1):
-            result = audit(backend="hybrid", strict=strict,
-                           epoch_workers=epoch_workers)
-            where = (app_name, seed, strict, epoch_workers)
-            assert result.accepted, (where, result.reason, result.detail)
-            assert result.produced == oracle.produced, where
-            assert result.stats["grouped_requests"] + result.stats[
-                "fallback_requests"] == requests, where
-    # The bridge slices as the file does (``result``: the non-strict
-    # hybrid audit on the serial chain).
+        result = audit(backend="hybrid", strict=strict)
+        where = (app_name, seed, strict)
+        assert result.accepted, (where, result.reason, result.detail)
+        assert result.produced == oracle.produced, where
+        assert result.stats["grouped_requests"] + result.stats[
+            "fallback_requests"] == requests, where
+        pooled = audit(backend="hybrid", strict=strict, pool=local_pool)
+        assert untimed(pooled.to_json()) == untimed(result.to_json()), where
+    # The bridge slices as the file and the socket do (``result``: the
+    # non-strict hybrid audit on the serial chain).
     bundle = str(tmp_path / "bundle.jsonl")
     save_audit_bundle_segmented(bundle, run.trace, run.reports,
                                 run.initial_state, run.epoch_marks)
     with BundleReader.open(bundle) as reader:
         filed = audit(reader.epochs(), reader.initial_state, strict=False)
-    assert (filed.accepted, filed.produced) == (True, result.produced)
     assert filed.stats["shard_count"] == len(run.epoch_marks) + 1
-    for stats in (filed.stats, result.stats):  # the one timing in them
-        for summary in stats["shards"]:
-            del summary["reexec_seconds"]
-    assert filed.stats == result.stats, (app_name, seed)
+
+    def publish():
+        publisher.write_state(run.initial_state)
+        for epoch in run.epochs():
+            publisher.write_epoch(epoch.trace, epoch.reports)
+        publisher.write_end()
+
+    with BundlePublisher() as publisher:
+        recorder = threading.Thread(target=publish)
+        recorder.start()
+        try:
+            with RemoteBundleReader(publisher.endpoint,
+                                    idle_timeout=20) as reader:
+                streamed = Auditor(workload.app, strict=False) \
+                    .audit_stream(reader)
+        finally:
+            recorder.join(timeout=30)
+    for transported in (filed, streamed):
+        assert untimed(transported.to_json()) == untimed(
+            result.to_json()), (app_name, seed)
 
 
 @pytest.mark.parametrize("app_name", sorted(_APP_WORKLOADS))

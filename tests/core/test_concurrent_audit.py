@@ -1,7 +1,8 @@
 """Concurrent auditing: epoch-level parallelism and driver thread-safety.
 
 Covers the epoch driver (``AuditSession``: redo-only state precompute +
-``epoch_workers`` pool) under concurrency and worker loss:
+the pool it is handed, two ``local_fleet`` workers here) under
+concurrency and worker loss:
 
 * the feed × ``epoch_workers`` × bundle matrix: ``Auditor.audit_epochs``
   over the recorded epochs against a hand-chained reference, and over
@@ -10,16 +11,13 @@ Covers the epoch driver (``AuditSession``: redo-only state precompute +
   on accept *and* reject bundles;
 * the state-precompute pass itself: redo-only migrated states match the
   chained full audits' migrated states exactly;
-* two threads each driving ``audit_epochs(..., epoch_workers=2)`` in
-  one process (the pool-creation race);
-* a killed epoch worker (``BrokenProcessPool``) falling back to a
-  serial re-run of its epoch instead of escaping the audit.
+* two threads each driving ``audit_epochs`` on one shared pool;
+* SIGKILLed epoch workers falling back to a serial re-run of their
+  epochs instead of escaping the audit.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import threading
 
 import pytest
@@ -28,16 +26,16 @@ from repro.common.errors import RejectReason
 from repro.core import AuditConfig, Auditor, ssco_audit
 from repro.core.partition import partition_audit_inputs
 from repro.core.pipeline import AuditResult, iter_epoch_prepass
-from repro.core.reexec import (
-    _BACKENDS,
-    PlainInterpBackend,
-    register_reexec_backend,
-)
+from repro.fleet import local_fleet
 from repro.io import state_to_json
 from repro.server import Executor, RandomScheduler
 from repro.server.faulty import tamper_response
 from repro.server.nondet import NondetSource
-from tests.conftest import audit_epochs, counter_requests
+from tests.conftest import (
+    audit_epochs,
+    counter_requests,
+    sigkill_workers_mid_epoch,
+)
 
 #: Stats that must match exactly between serial and concurrent audits
 #: (timers excluded: wall-clock is not deterministic).
@@ -160,14 +158,15 @@ def _reference_chain(app, shards, initial_state):
 ])
 @pytest.mark.parametrize("epoch_workers", [1, 2])
 @pytest.mark.parametrize("entry", ["ssco_audit", "audit_epochs"])
-def test_epoch_driver_matrix(counter_app, entry, epoch_workers, bundle):
-    """One driver, serial or concurrent, on honest and tampered bundles.
-    Fed the recorded epochs (``audit_epochs``) it returns the
+def test_epoch_driver_matrix(counter_app, local_pool, entry, epoch_workers,
+                             bundle):
+    """One driver, serial or on two workers, on honest and tampered
+    bundles.  Fed the recorded epochs (``audit_epochs``) it returns the
     hand-chained reference's verdict, bodies, deterministic stats and
     epoch summaries; fed the execution whole (``ssco_audit``) — the one
-    epoch of a server that never drained, which an ``epoch_workers``
-    session ships to its pool like any other — it returns those of
-    ``ssco_audit``'s one pass."""
+    epoch of a server that never drained, which a session ships to its
+    pool like any other — it returns those of ``ssco_audit``'s one
+    pass."""
     execution = _epoch_execution(counter_app)
     trace, reports = _matrix_bundle(execution, bundle)
     if entry == "ssco_audit":
@@ -184,10 +183,10 @@ def test_epoch_driver_matrix(counter_app, entry, epoch_workers, bundle):
                               execution.initial_state)
         assert (reference.reason, reference.detail, reference.produced) \
             == (one_pass.reason, one_pass.detail, one_pass.produced)
+    pool = local_pool if epoch_workers > 1 else None
     for migrate in (False, True):
-        result = Auditor(counter_app, AuditConfig(
-            epoch_workers=epoch_workers, migrate=migrate,
-        )).audit_epochs(shards, execution.initial_state)
+        result = Auditor(counter_app, AuditConfig(migrate=migrate)) \
+            .audit_epochs(shards, execution.initial_state, pool)
         _assert_equivalent(reference, result)
         if migrate and reference.accepted:
             assert state_to_json(result.next_initial) == \
@@ -198,7 +197,8 @@ def test_epoch_driver_matrix(counter_app, entry, epoch_workers, bundle):
 
 
 @pytest.mark.parametrize("victim_epoch", ["first", "last"])
-def test_epoch_workers_matches_serial_reject(counter_app, victim_epoch):
+def test_epoch_workers_matches_serial_reject(counter_app, local_pool,
+                                             victim_epoch):
     """A tampered epoch rejects with the identical verdict, detail, and
     per-shard accounting — whether the rejection lands in the first
     epoch (everything after it discarded) or the last."""
@@ -206,18 +206,19 @@ def test_epoch_workers_matches_serial_reject(counter_app, victim_epoch):
     tampered = _tamper_epoch_response(execution, victim_epoch)
     serial = audit_epochs(counter_app, execution, trace=tampered)
     concurrent = audit_epochs(counter_app, execution, trace=tampered,
-                               epoch_workers=4)
+                               pool=local_pool)
     assert not serial.accepted
     assert serial.reason is RejectReason.OUTPUT_MISMATCH
     _assert_equivalent(serial, concurrent)
     assert concurrent.produced == {}
 
 
-def test_epoch_workers_migrated_state_matches_chain(counter_app):
+def test_epoch_workers_migrated_state_matches_chain(counter_app,
+                                                   local_pool):
     execution = _epoch_execution(counter_app)
     serial = audit_epochs(counter_app, execution, migrate=True)
     concurrent = audit_epochs(counter_app, execution, migrate=True,
-                               epoch_workers=3)
+                               pool=local_pool)
     assert serial.accepted and concurrent.accepted
     assert state_to_json(concurrent.next_initial) == \
         state_to_json(serial.next_initial)
@@ -243,7 +244,8 @@ def test_state_precompute_matches_chained_migration(counter_app):
         state = full.next_initial
 
 
-def test_prepass_reject_falls_back_to_serial_chain(counter_app):
+def test_prepass_reject_falls_back_to_serial_chain(counter_app,
+                                                   local_pool):
     """When the redo-only prepass itself rejects (here: a truncated op
     log caught by ProcessOpReports), its result already is the epoch's
     verdict, and it is identical to the serial chain's."""
@@ -258,28 +260,29 @@ def test_prepass_reject_falls_back_to_serial_chain(counter_app):
     assert all(actx.result.accepted for _, actx in primed[:-1])
     serial = audit_epochs(counter_app, execution, reports=tampered)
     concurrent = audit_epochs(counter_app, execution, reports=tampered,
-                               epoch_workers=4)
+                               pool=local_pool)
     assert not serial.accepted
     _assert_equivalent(serial, concurrent)
 
 
-def test_epoch_workers_unsharded_is_single_pass(counter_app, honest_run):
-    """Without cuts there is no chain to unroll; epoch_workers is inert
-    and the ordinary single-pass audit runs."""
+def test_epoch_workers_unsharded_is_single_pass(counter_app, honest_run,
+                                                local_pool):
+    """Without cuts there is no chain to unroll: the one epoch audited
+    on a pool is the ordinary single-pass audit."""
     plain = ssco_audit(counter_app, honest_run.trace, honest_run.reports,
                        honest_run.initial_state)
-    inert = ssco_audit(counter_app, honest_run.trace, honest_run.reports,
-                       honest_run.initial_state, epoch_workers=8)
-    assert plain.accepted and inert.accepted
-    assert inert.produced == plain.produced
-    assert inert.stats["groups"] == plain.stats["groups"]
+    pooled = audit_epochs(counter_app, honest_run, pool=local_pool)
+    assert plain.accepted and pooled.accepted
+    assert pooled.produced == plain.produced
+    assert pooled.stats["groups"] == plain.stats["groups"]
 
 
-# -- sessions: epoch_workers mode ---------------------------------------------
+# -- sessions handed a pool ------------------------------------------------------
 
 
 @pytest.mark.parametrize("blocking", [False, True])
-def test_session_epoch_workers_reject_and_skip(counter_app, blocking):
+def test_session_epoch_workers_reject_and_skip(counter_app, local_pool,
+                                               blocking):
     """Per-epoch results after a rejection are normalized to the serial
     session's *skipped* results, even though the concurrent session may
     have speculatively audited (or still be auditing) those epochs."""
@@ -298,8 +301,8 @@ def test_session_epoch_workers_reject_and_skip(counter_app, blocking):
                          for s in shards]
     serial_merged = session.close()
 
-    auditor = Auditor(counter_app, AuditConfig(epoch_workers=3))
-    with auditor.session(execution.initial_state) as session:
+    auditor = Auditor(counter_app, AuditConfig())
+    with auditor.session(execution.initial_state, local_pool) as session:
         if blocking:
             epochs = [session.feed_epoch(s.trace, s.reports)
                       for s in shards]
@@ -319,20 +322,21 @@ def test_session_epoch_workers_reject_and_skip(counter_app, blocking):
     assert session.epochs == epochs
 
 
-def test_session_epoch_workers_chains_certified_state(counter_app):
+def test_session_epoch_workers_chains_certified_state(counter_app,
+                                                      local_pool):
     execution = _epoch_execution(counter_app)
     shards = execution.epochs()
-    serial = Auditor(counter_app, AuditConfig(migrate=True)) \
-        .audit_epochs(shards, execution.initial_state)
-    concurrent = Auditor(
-        counter_app, AuditConfig(migrate=True, epoch_workers=2)
-    ).audit_epochs(shards, execution.initial_state)
+    auditor = Auditor(counter_app, AuditConfig(migrate=True))
+    serial = auditor.audit_epochs(shards, execution.initial_state)
+    concurrent = auditor.audit_epochs(shards, execution.initial_state,
+                                      local_pool)
     assert concurrent.accepted
     assert state_to_json(concurrent.next_initial) == \
         state_to_json(serial.next_initial)
 
 
-def test_session_epoch_workers_with_reexec_workers(counter_app):
+def test_session_epoch_workers_with_reexec_workers(counter_app,
+                                                   local_pool):
     """An epoch worker chunks its groups as the serial chain does: with
     a small ``max_group_size`` the group counts and per-group alphas
     match, not just the bodies."""
@@ -343,31 +347,31 @@ def test_session_epoch_workers_with_reexec_workers(counter_app):
     serial = Auditor(counter_app, AuditConfig(max_group_size=3)
                      ).audit_epochs(shards, execution.initial_state)
     assert serial.stats["groups"] > plain.stats["groups"]
-    concurrent = Auditor(
-        counter_app, AuditConfig(epoch_workers=2, max_group_size=3)
-    ).audit_epochs(shards, execution.initial_state)
+    concurrent = Auditor(counter_app, AuditConfig(max_group_size=3)
+                         ).audit_epochs(shards, execution.initial_state,
+                                        local_pool)
     _assert_equivalent(serial, concurrent)
     assert concurrent.stats["group_alphas"] == serial.stats["group_alphas"]
 
 
-def test_epoch_workers_windowed_backpressure(counter_app):
-    """More epochs than the 2*epoch_workers submission window: the
-    windowed driver still merges in order and stays bit-identical to
-    the serial chain."""
+def test_epoch_workers_windowed_backpressure(counter_app, local_pool):
+    """More epochs than the 2 * width submission window: the windowed
+    driver still merges in order and stays bit-identical to the serial
+    chain."""
     execution = _epoch_execution(counter_app, n=120, epoch_size=8)
-    assert len(execution.epoch_marks) + 1 > 2 * 2  # window is 4
+    assert len(execution.epoch_marks) + 1 > 2 * local_pool.width
     serial = audit_epochs(counter_app, execution)
-    concurrent = audit_epochs(counter_app, execution, epoch_workers=2)
+    concurrent = audit_epochs(counter_app, execution, pool=local_pool)
     _assert_equivalent(serial, concurrent)
 
 
-def test_submit_epoch_on_epoch_workers_session(counter_app):
-    """An epoch_workers session is natively asynchronous: submit_epoch
+def test_submit_epoch_on_epoch_workers_session(counter_app, local_pool):
+    """A session handed a pool is natively asynchronous: submit_epoch
     returns before the epoch is audited, and handles resolve in order."""
     execution = _epoch_execution(counter_app)
     shards = execution.epochs()
-    auditor = Auditor(counter_app, AuditConfig(epoch_workers=2))
-    with auditor.session(execution.initial_state) as session:
+    auditor = Auditor(counter_app, AuditConfig())
+    with auditor.session(execution.initial_state, local_pool) as session:
         pending = [session.submit_epoch(s.trace, s.reports)
                    for s in shards]
         results = [p.result() for p in pending]
@@ -379,24 +383,22 @@ def test_submit_epoch_on_epoch_workers_session(counter_app):
 
 @pytest.mark.parametrize("executor", ["process", "fleet"])
 def test_crashed_epoch_audit_never_reports_accepted(counter_app,
+                                                    local_pool,
                                                     monkeypatch, executor):
     """A non-AuditReject crash inside a concurrent epoch audit is
     latched: close() raises it, and *every* later close()/result()/
     property access re-raises instead of falling through to ACCEPTED
-    over unaudited epochs — whichever executor (the local pool or a
-    fleet coordinator) ran the epoch."""
-    import repro.core.epochpool as epochpool_mod
-
+    over unaudited epochs — whichever pool (local worker processes or
+    any other object with the pool's shape) ran the epoch."""
     execution = _epoch_execution(counter_app)
     shards = execution.epochs()
 
     def _boom(*args, **kwargs):
         raise RuntimeError("kaboom")
 
-    pool = None
     if executor == "process":
-        monkeypatch.setattr(epochpool_mod.EpochPool, "run", _boom)
-        config = AuditConfig(epoch_workers=2)
+        monkeypatch.setattr(local_pool, "run", _boom)
+        pool = local_pool
     else:
         class _CrashingCoordinator:
             width = 2
@@ -404,8 +406,7 @@ def test_crashed_epoch_audit_never_reports_accepted(counter_app,
             run = staticmethod(_boom)
 
         pool = _CrashingCoordinator()
-        config = AuditConfig()
-    auditor = Auditor(counter_app, config)
+    auditor = Auditor(counter_app, AuditConfig())
     session = auditor.session(execution.initial_state, pool)
     for shard in shards:
         session.submit_epoch(shard.trace, shard.reports)
@@ -420,13 +421,13 @@ def test_crashed_epoch_audit_never_reports_accepted(counter_app,
 
 
 def test_custom_pipeline_keeps_serial_session(counter_app):
-    """A custom pipeline opts the session out of concurrent mode (the
-    prepass only stands in for the stock phases)."""
+    """A custom pipeline keeps the session serial (the prepass only
+    stands in for the stock phases)."""
     from repro.core.pipeline import default_pipeline
 
     execution = _epoch_execution(counter_app)
     shards = execution.epochs()
-    auditor = Auditor(counter_app, AuditConfig(epoch_workers=4),
+    auditor = Auditor(counter_app, AuditConfig(),
                       pipeline=default_pipeline())
     session = auditor.session(execution.initial_state)
     assert session._pool is None
@@ -441,11 +442,10 @@ def test_custom_pipeline_keeps_serial_session(counter_app):
 # -- two sessions auditing simultaneously in one process ----------------------
 
 
-def test_two_threads_audit_epochs_concurrently(counter_app):
-    """Two threads each driving audit_epochs with epoch_workers > 1 in
-    one process: their epoch pools are created and fed concurrently,
-    which must not cross wires (executor creation and submission are
-    serialized by epochpool._POOL_LOCK)."""
+def test_two_threads_audit_epochs_concurrently(counter_app, local_pool):
+    """Two threads each driving audit_epochs on the same pool in one
+    process: the coordinator checks its workers out to both sessions'
+    epochs at once, which must not cross wires."""
     runs = [_epoch_execution(counter_app, seed=7),
             _epoch_execution(counter_app, seed=23)]
     references = [audit_epochs(counter_app, ex) for ex in runs]
@@ -457,7 +457,7 @@ def test_two_threads_audit_epochs_concurrently(counter_app):
     def _drive(slot, execution):
         try:
             results[slot] = audit_epochs(counter_app, execution,
-                                          epoch_workers=2)
+                                          pool=local_pool)
         except BaseException as exc:  # surfaced in the main thread
             errors.append((slot, exc))
 
@@ -473,70 +473,54 @@ def test_two_threads_audit_epochs_concurrently(counter_app):
         assert merged.produced == reference.produced
 
 
-# -- killed workers: BrokenProcessPool fallback -------------------------------
+# -- killed workers: the serial fallback ---------------------------------------
 
 
-class _KamikazeBackend(PlainInterpBackend):
-    """Dies instantly inside epoch-pool workers; behaves like ``interp``
-    in the parent process (the serial-fallback path)."""
-
-    name = "kamikaze"
-
-    def run_chunk(self, app, rids, requests, reports, ctx, strict, dedup,
-                  produced, stats):
-        if multiprocessing.current_process().name != "MainProcess":
-            os._exit(1)
-        super().run_chunk(app, rids, requests, reports, ctx, strict,
-                          dedup, produced, stats)
-
-
-def test_killed_worker_falls_back_to_serial(counter_app):
-    """An epoch worker killed mid-epoch (BrokenProcessPool) must not
-    escape the audit: the lost epochs re-run serially in the parent and
-    the audit completes with the same bodies the reference backend
-    makes.  (Under a forced spawn start method the backend is
-    unregistered in the fresh workers, so the work unit fails there —
-    the same fallback covers that, too.)"""
+def test_killed_worker_falls_back_to_serial(counter_app, monkeypatch):
+    """Both epoch workers SIGKILLed mid-epoch must not escape the audit:
+    with no live worker left, every epoch re-runs serially in this
+    process and the audit completes with the serial chain's bodies and
+    stats."""
     execution = _epoch_execution(counter_app)
-    register_reexec_backend("kamikaze", _KamikazeBackend)
-    try:
-        audit = audit_epochs(counter_app, execution, epoch_workers=2,
-                             backend="kamikaze")
-        reference = audit_epochs(counter_app, execution, backend="interp")
-        assert audit.accepted, (audit.reason, audit.detail)
-        assert reference.accepted
-        assert audit.produced == reference.produced
-        assert audit.stats["fallback_requests"] == \
-            reference.stats["fallback_requests"]
-    finally:
-        _BACKENDS.pop("kamikaze", None)
+    reference = audit_epochs(counter_app, execution)
+    with local_fleet(2) as pool:
+        killed = sigkill_workers_mid_epoch(monkeypatch, victims=2)
+        audit = audit_epochs(counter_app, execution, pool=pool)
+    assert len(killed) == 2 and pool.redispatches == 2
+    assert audit.accepted, (audit.reason, audit.detail)
+    assert reference.accepted
+    _assert_equivalent(reference, audit)
+    assert pool.remote_epochs == 0
+    assert pool.serial_fallbacks == audit.stats["shard_count"]
 
 
-def test_killed_worker_fallback_still_rejects_tampering(counter_app):
+def test_killed_worker_fallback_still_rejects_tampering(counter_app,
+                                                        monkeypatch):
     """The serial fallback is a full audit path: verdicts on tampered
     bundles are preserved, not silently accepted."""
     execution = _epoch_execution(counter_app)
     tampered = _tamper_epoch_response(execution, "last")
-    register_reexec_backend("kamikaze", _KamikazeBackend)
-    try:
+    with local_fleet(2) as pool:
+        sigkill_workers_mid_epoch(monkeypatch, victims=2)
         audit = audit_epochs(counter_app, execution, trace=tampered,
-                             epoch_workers=2, backend="kamikaze")
-        assert not audit.accepted
-        assert audit.reason is RejectReason.OUTPUT_MISMATCH
-    finally:
-        _BACKENDS.pop("kamikaze", None)
+                             pool=pool)
+    assert pool.serial_fallbacks >= 1
+    assert not audit.accepted
+    assert audit.reason is RejectReason.OUTPUT_MISMATCH
 
 
 # -- config / validation ------------------------------------------------------
 
 
-def test_epoch_workers_validation():
-    with pytest.raises(ValueError, match="epoch_workers"):
-        AuditConfig(epoch_workers=0)
-    with pytest.raises(ValueError, match="epoch_workers"):
-        AuditConfig(epoch_workers=-2)
-    config = AuditConfig(epoch_workers=4)
-    assert "epoch_workers=4" in config.describe()
+def test_epoch_workers_validation(capsys):
+    """How many epochs run at once is the pool's width — a deployment
+    flag (``--epoch-workers``, validated by the CLI), never a knob."""
+    from repro.__main__ import main
+
+    with pytest.raises(TypeError, match="epoch_workers"):
+        AuditConfig(epoch_workers=4)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["audit", "b.jsonl", "--epoch-workers", "0"])
+    assert excinfo.value.code == 2
+    assert "--epoch-workers" in capsys.readouterr().err
     assert "epoch_workers" not in AuditConfig().describe()
-    round_trip = AuditConfig.from_json(config.to_json())
-    assert round_trip.epoch_workers == 4

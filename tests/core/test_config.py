@@ -16,7 +16,6 @@ def test_defaults_match_ssco_audit():
     config = AuditConfig()
     assert config.strict and config.dedup and config.collapse
     assert not config.strict_registers and not config.migrate
-    assert config.epoch_workers == 1
     assert config.max_group_size == DEFAULT_MAX_GROUP
     assert config.backend == default_backend()
     assert not config.plan_hints
@@ -46,6 +45,7 @@ def test_backend_default_resolves_env_at_construction(monkeypatch):
     (dict(max_group_size=0), "max_group_size"),
     (dict(max_group_size=True), "max_group_size"),
     (dict(plan_hints=0), "plan_hints"),
+    # Where epochs run is a deployment flag, not a knob: unknown too.
     (dict(epoch_workers=0), "epoch_workers"),
     (dict(epoch_workers="2"), "epoch_workers"),
     (dict(backend="no-such-engine"), "unknown re-exec backend"),
@@ -72,18 +72,18 @@ def test_plan_hints_is_non_strict_only():
 
 
 def test_replace_revalidates():
-    config = AuditConfig(epoch_workers=2)
-    assert config.replace(epoch_workers=4).epoch_workers == 4
+    config = AuditConfig(max_group_size=2)
+    assert config.replace(max_group_size=4).max_group_size == 4
     with pytest.raises(ValueError):
-        config.replace(epoch_workers=-1)
+        config.replace(max_group_size=-1)
     # The original is immutable and untouched.
-    assert config.epoch_workers == 2
+    assert config.max_group_size == 2
     with pytest.raises(AttributeError):
-        config.epoch_workers = 8
+        config.max_group_size = 8
 
 
 def test_json_roundtrip():
-    config = AuditConfig(strict=False, epoch_workers=2,
+    config = AuditConfig(strict=False, migrate=True,
                          backend="interp", max_group_size=100)
     data = config.to_json()
     json.dumps(data)  # serializable as-is
@@ -99,19 +99,18 @@ def test_from_json_rejects_unknown_keys():
 
 def test_save_load_file(tmp_path):
     path = str(tmp_path / "audit.json")
-    config = AuditConfig(epoch_workers=2, max_group_size=50)
+    config = AuditConfig(migrate=True, max_group_size=50)
     config.save(path)
     assert AuditConfig.load(path) == config
     with open(path) as fh:
-        assert json.load(fh)["epoch_workers"] == 2
+        assert json.load(fh)["max_group_size"] == 50
 
 
 def test_to_options_and_back():
     """The one leftover of the old two-type split: the frozen e2e
     benchmark still calls ``config.to_options()``, which hands back the
     config itself."""
-    config = AuditConfig(strict=False, dedup=False, epoch_workers=2,
-                         backend="interp")
+    config = AuditConfig(strict=False, dedup=False, backend="interp")
     assert config.to_options() is config
 
 
@@ -132,10 +131,59 @@ def test_workers_knob_is_gone():
     assert AuditConfig().replace(workers=2) == AuditConfig()
 
 
+def test_epoch_workers_knob_is_gone():
+    """Where epochs run is a deployment setting (``--epoch-workers N``
+    starts N local fleet workers): the knob is refused by name wherever
+    a config is built."""
+    with pytest.raises(ValueError,
+                       match="unknown audit config keys: epoch_workers "):
+        AuditConfig.from_json({"epoch_workers": 2})
+    with pytest.raises(TypeError, match="epoch_workers"):
+        AuditConfig(epoch_workers=2)
+    assert "epoch_workers" not in {f.name for f in
+                                   dataclasses.fields(AuditConfig)}
+    # The frozen benchmarks/e2e/auditor_child.py still calls
+    # replace(epoch_workers=2): dropped by the same shim as workers.
+    assert AuditConfig().replace(epoch_workers=2) == AuditConfig()
+
+
+def test_config_file_naming_epoch_workers_is_refused(tmp_path, capsys):
+    """A ``--config`` file written when ``epoch_workers`` was a field
+    exits 2 naming it, on every command that reads one."""
+    from repro.__main__ import main
+
+    path = str(tmp_path / "audit.json")
+    with open(path, "w") as fh:
+        json.dump({"epoch_workers": 2}, fh)
+    with pytest.raises(ValueError, match="epoch_workers"):
+        AuditConfig.from_args(_namespace(config=path))
+    for command in (["audit", "b.jsonl"], ["demo"],
+                    ["query", "b.jsonl", "kv:x", "--as-of", "0"],
+                    ["explain", "b.jsonl", "r1"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--config", path])
+        assert excinfo.value.code == 2
+        assert ("unknown audit config keys: epoch_workers"
+                in capsys.readouterr().err)
+
+
+def test_query_and_explain_refuse_epoch_workers(capsys):
+    """``query`` / ``explain`` audit nothing on a pool: the flag they
+    used to accept and ignore is a usage error naming it."""
+    from repro.__main__ import main
+
+    for command in (["query", "b.jsonl", "kv:x", "--as-of", "0"],
+                    ["explain", "b.jsonl", "r1"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--epoch-workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--epoch-workers" in capsys.readouterr().err
+
+
 def _namespace(**kwargs):
     defaults = dict(strict=None, no_dedup=None, no_collapse=None,
                     strict_registers=None, max_group_size=None,
-                    epoch_workers=None, backend=None, config=None)
+                    backend=None, config=None)
     defaults.update(kwargs)
     return argparse.Namespace(**defaults)
 
@@ -146,24 +194,24 @@ def test_from_args_defaults():
 
 def test_from_args_flags_layer_over_config_file(tmp_path):
     path = str(tmp_path / "audit.json")
-    AuditConfig(epoch_workers=4, max_group_size=100,
+    AuditConfig(strict=False, max_group_size=100,
                 backend="interp").save(path)
     # No flags: the file wins over the defaults.
     config = AuditConfig.from_args(_namespace(config=path))
-    assert (config.epoch_workers, config.max_group_size,
-            config.backend) == (4, 100, "interp")
+    assert (config.strict, config.max_group_size,
+            config.backend) == (False, 100, "interp")
     # Explicit flags win over the file; untouched fields keep its values.
     config = AuditConfig.from_args(
-        _namespace(config=path, epoch_workers=2, no_dedup=True)
+        _namespace(config=path, max_group_size=2, no_dedup=True)
     )
-    assert config.epoch_workers == 2
+    assert config.max_group_size == 2
     assert config.backend == "interp"
     assert config.dedup is False
 
 
 def test_from_args_validates(tmp_path):
     with pytest.raises(ValueError):
-        AuditConfig.from_args(_namespace(epoch_workers=-1))
+        AuditConfig.from_args(_namespace(max_group_size=-1))
     with pytest.raises(ValueError, match="unknown audit config keys"):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
@@ -172,10 +220,10 @@ def test_from_args_validates(tmp_path):
 
 
 def test_describe_mentions_the_interesting_knobs():
-    text = AuditConfig(epoch_workers=2, strict=False,
+    text = AuditConfig(max_group_size=2, strict=False,
                        backend="interp").describe()
     assert "backend=interp" in text
-    assert "epoch_workers=2" in text
+    assert "max_group=2" in text
     assert "no-strict" in text
 
 
@@ -256,7 +304,7 @@ def test_net_json_roundtrip():
     for key in _TRANSPORT_KEYS:
         with pytest.raises(ValueError,
                            match=f"unknown audit config keys: {key} "):
-            AuditConfig.from_json({"epoch_workers": 2, key: None})
+            AuditConfig.from_json({"max_group_size": 2, key: None})
         with pytest.raises(TypeError, match=key):
             AuditConfig(**{key: None})
     assert not set(AuditConfig().to_json()) & set(_TRANSPORT_KEYS)
@@ -317,37 +365,36 @@ def test_removed_knobs_fail_naming_the_key(counter_app, honest_run):
         auditor.audit_epochs([], honest_run.initial_state, pipelined=True)
     with pytest.raises(ImportError, match="AuditOptions"):
         from repro import AuditOptions  # noqa: F401
-    with pytest.raises(ValueError, match="epoch_workers"):
+    with pytest.raises(TypeError, match="epoch_workers"):
         ssco_audit(counter_app, honest_run.trace, honest_run.reports,
-                   honest_run.initial_state, epoch_workers=0)
+                   honest_run.initial_state, epoch_workers=2)
 
 
 def test_epoch_process_knob_defaults_and_roundtrip():
-    config = AuditConfig()
-    assert config.epoch_workers == 1
-    tuned = AuditConfig(epoch_workers=4)
-    round_trip = AuditConfig.from_json(tuned.to_json())
-    assert round_trip == tuned
-    assert "epoch_workers=4" in tuned.describe()
+    """Eight fields, none of them about where or how many epochs run."""
+    tuned = AuditConfig(max_group_size=4)
+    assert AuditConfig.from_json(tuned.to_json()) == tuned
     fields = [f.name for f in dataclasses.fields(AuditConfig)]
     assert fields == ["strict", "dedup", "collapse", "strict_registers",
-                      "max_group_size", "migrate", "epoch_workers",
-                      "backend", "plan_hints"]
-    assert [name for name in fields if name.startswith("epoch_")] == [
-        "epoch_workers"]
+                      "max_group_size", "migrate", "backend",
+                      "plan_hints"]
+    assert [name for name in fields if name.startswith("epoch_")] == []
 
 
 def test_epoch_process_knobs_layer_through_from_args(tmp_path):
-    config = AuditConfig.from_args(_namespace(epoch_workers=4))
-    assert config.epoch_workers == 4
+    """``repro audit``'s namespace carries ``--epoch-workers``, a
+    deployment flag: the config built from it does not, and the file
+    layering underneath is untouched."""
+    from repro.__main__ import build_parser
+
+    args = build_parser().parse_args(["audit", "--epoch-workers", "4"])
+    assert args.epoch_workers == 4
+    assert AuditConfig.from_args(args) == AuditConfig()
     path = str(tmp_path / "audit.json")
-    AuditConfig(epoch_workers=8).save(path)
-    layered = AuditConfig.from_args(_namespace(config=path))
-    assert layered.epoch_workers == 8
-    # An explicit flag wins over the file.
-    layered = AuditConfig.from_args(_namespace(config=path,
-                                               epoch_workers=2))
-    assert layered.epoch_workers == 2
+    AuditConfig(max_group_size=8).save(path)
+    args = build_parser().parse_args(
+        ["audit", "--epoch-workers", "2", "--config", path])
+    assert AuditConfig.from_args(args) == AuditConfig(max_group_size=8)
 
 
 def test_every_cli_knob_flag_is_a_config_field():

@@ -1,41 +1,36 @@
-"""Shared persistent epoch-pool lifecycle (process-level epoch execution).
+"""The one local pool: ``local_fleet`` workers (``--epoch-workers N``).
 
-Covers the PR-5 driver invariants:
+Covers the driver invariants a session's pool must keep:
 
-* one ``audit_epochs`` / ``AuditSession`` run creates exactly **one**
-  persistent process pool, reused by every epoch of the run;
+* one ``local_fleet(n)`` run starts exactly ``n`` workers, which every
+  epoch of the run shares;
 * two concurrent sessions get independent pools;
-* a worker killed mid-epoch (``BrokenProcessPool``) recreates the
-  shared pool for the remaining epochs while the lost epoch re-runs
-  serially — verdicts still match the serial chain;
-* the speculative prepass runs at most ``2 * epoch_workers`` primed
-  epochs ahead of the auditor in a follow-style (async-fed) session;
-* a pool — the session's own or one it is handed — only ever receives
-  ``bytes``, encoded by the feeding thread: one epoch in the bundle's
-  records, the app's sources and the config.
+* a worker SIGKILLed mid-epoch loses nothing: its epoch is
+  re-dispatched to a live worker and the verdict matches the serial
+  chain;
+* the speculative prepass runs at most ``2 * width`` primed epochs
+  ahead of the auditor in a follow-style (async-fed) session;
+* a pool — whatever it is — only ever receives ``bytes``, encoded by
+  the feeding thread: one epoch in the bundle's records, the app's
+  sources and the config.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import threading
 import time
 
-
 from repro.core import AuditConfig, Auditor, ssco_audit
-from repro.core import epochpool
-from repro.core.epochpool import EpochPool
 from repro.core.epochwork import epoch_worker_config, run_work_unit
-from repro.core.reexec import (
-    _BACKENDS,
-    PlainInterpBackend,
-    register_reexec_backend,
-)
+from repro.fleet import local_fleet
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
-from tests.conftest import audit_epochs, counter_requests
+from tests.conftest import (
+    audit_epochs,
+    counter_requests,
+    sigkill_workers_mid_epoch,
+)
 
 
 def _epoch_execution(app, n=40, epoch_size=8, seed=7):
@@ -51,56 +46,58 @@ def _epoch_execution(app, n=40, epoch_size=8, seed=7):
     return execution
 
 
-# -- exactly one persistent pool per run --------------------------------------
+# -- one local_fleet run: exactly n workers ------------------------------------
 
 
 def test_audit_epochs_creates_one_pool_for_all_epochs(counter_app):
     execution = _epoch_execution(counter_app)
     serial = audit_epochs(counter_app, execution)
-    before = epochpool.pools_created_total()
-    concurrent = audit_epochs(counter_app, execution, epoch_workers=3)
+    with local_fleet(3) as pool:
+        concurrent = audit_epochs(counter_app, execution, pool=pool)
+        assert pool.workers_joined == 3
     assert concurrent.accepted
     assert concurrent.produced == serial.produced
     assert concurrent.stats["shard_count"] >= 3
-    assert epochpool.pools_created_total() - before == 1
+    assert pool.remote_epochs == concurrent.stats["shard_count"]
+    assert pool.serial_fallbacks == 0
 
 
-def test_uncuttable_bundle_creates_no_pool(counter_app, honest_run):
-    """No chain, no pool: one pass over an execution that was never
-    cut runs in-process however many epoch workers were asked for.  An
-    epoch session takes its epochs as given — it ships a lone epoch to
-    its pool like any other."""
-    before = epochpool.pools_created_total()
+def test_uncuttable_bundle_creates_no_pool(counter_app, honest_run,
+                                           local_pool):
+    """No session, no pool: one pass over an execution that was never
+    cut runs in-process.  An epoch session takes its epochs as given —
+    it ships a lone epoch to the pool it is handed like any other."""
+    shipped = local_pool.remote_epochs
     audit = ssco_audit(counter_app, honest_run.trace, honest_run.reports,
-                       honest_run.initial_state, epoch_workers=4)
+                       honest_run.initial_state)
     assert audit.accepted, (audit.reason, audit.detail)
     assert "shard_count" not in audit.stats
     assert "state_precompute" not in audit.phases
-    assert epochpool.pools_created_total() == before
+    assert local_pool.remote_epochs == shipped
     assert len(honest_run.epochs()) == 1
-    chained = audit_epochs(counter_app, honest_run, epoch_workers=2)
+    chained = audit_epochs(counter_app, honest_run, pool=local_pool)
     assert chained.produced == audit.produced
     assert chained.stats["shard_count"] == 1
     assert "state_precompute" in chained.phases
-    assert epochpool.pools_created_total() == before + 1
+    assert local_pool.remote_epochs == shipped + 1
 
 
-def test_session_pool_identity_stable_across_epochs(counter_app):
+def test_session_pool_identity_stable_across_epochs(counter_app,
+                                                    local_pool):
     execution = _epoch_execution(counter_app)
     shards = execution.epochs()
-    auditor = Auditor(counter_app, AuditConfig(epoch_workers=2))
-    with auditor.session(execution.initial_state) as session:
-        pool = session._pool
-        assert isinstance(pool, EpochPool)
+    fallbacks = local_pool.serial_fallbacks
+    auditor = Auditor(counter_app, AuditConfig())
+    with auditor.session(execution.initial_state, local_pool) as session:
         for shard in shards:
             session.feed_epoch(shard.trace, shard.reports)
             # The very same pool object serves every epoch ...
-            assert session._pool is pool
+            assert session._pool is local_pool
     merged = session.close()
     assert merged.accepted
-    # ... and it materialized exactly one executor over the whole run.
-    assert pool.pools_created == 1
-    assert pool.serial_fallbacks == 0
+    # ... with the workers it started with, and none fell back.
+    assert local_pool.workers_joined == 2
+    assert local_pool.serial_fallbacks == fallbacks
 
 
 def test_two_concurrent_sessions_get_independent_pools(counter_app):
@@ -114,12 +111,14 @@ def test_two_concurrent_sessions_get_independent_pools(counter_app):
     def _drive(slot, execution):
         try:
             shards = execution.epochs()
-            auditor = Auditor(counter_app, AuditConfig(epoch_workers=2))
-            with auditor.session(execution.initial_state) as session:
-                pools[slot] = session._pool
-                for shard in shards:
-                    session.submit_epoch(shard.trace, shard.reports)
-            results[slot] = session.close()
+            auditor = Auditor(counter_app, AuditConfig())
+            with local_fleet(2) as pool:
+                pools[slot] = pool
+                with auditor.session(execution.initial_state,
+                                     pool) as session:
+                    for shard in shards:
+                        session.submit_epoch(shard.trace, shard.reports)
+                results[slot] = session.close()
         except BaseException as exc:  # surfaced in the main thread
             errors.append((slot, exc))
 
@@ -131,9 +130,10 @@ def test_two_concurrent_sessions_get_independent_pools(counter_app):
         thread.join()
     assert not errors, errors
     assert pools[0] is not None and pools[1] is not None
-    assert pools[0] is not pools[1]
+    assert pools[0].endpoint != pools[1].endpoint
     for pool in pools:
-        assert pool.pools_created == 1
+        assert pool.workers_joined == 2
+        assert pool.serial_fallbacks == 0
     for merged, reference in zip(results, references):
         assert merged.accepted, (merged.reason, merged.detail)
         assert merged.produced == reference.produced
@@ -203,86 +203,59 @@ def test_a_unit_is_one_epoch_of_the_bundle_format(counter_app):
         assert not {"epoch_mark", "end"} & set(kinds)
 
 
-# -- worker loss: recreate the shared pool, finish serially -------------------
-
-
-class _KamikazePoolBackend(PlainInterpBackend):
-    """Dies instantly inside pool worker processes; behaves like
-    ``interp`` in the parent (the serial-fallback path)."""
-
-    name = "kamikaze-pool"
-
-    def run_chunk(self, app, rids, requests, reports, ctx, strict, dedup,
-                  produced, stats):
-        if multiprocessing.current_process().name != "MainProcess":
-            os._exit(1)
-        super().run_chunk(app, rids, requests, reports, ctx, strict,
-                          dedup, produced, stats)
+# -- worker loss: re-dispatch to a live worker ------------------------------
 
 
 def test_killed_epoch_worker_recreates_pool_and_matches_serial(
-        counter_app):
-    """Every epoch's worker dies mid-audit: each falls back to a serial
-    in-thread re-run, the shared pool is recreated for the epochs still
-    to come, and the merged verdict/bodies match the serial chain's
-    reference backend exactly."""
+        counter_app, monkeypatch):
+    """One worker is SIGKILLed right after it is handed its first epoch:
+    the coordinator drops it, the epoch goes to the survivor, and the
+    merged verdict, bodies and stats are the serial chain's."""
     execution = _epoch_execution(counter_app)
-    register_reexec_backend("kamikaze-pool", _KamikazePoolBackend)
-    try:
-        reference = audit_epochs(counter_app, execution,
-                                  backend="interp")
-        shards = execution.epochs()
-        auditor = Auditor(counter_app, AuditConfig(
-            epoch_workers=2, backend="kamikaze-pool"))
-        with auditor.session(execution.initial_state) as session:
-            pool = session._pool
-            for shard in shards:
-                session.submit_epoch(shard.trace, shard.reports)
-        merged = session.close()
-        assert merged.accepted, (merged.reason, merged.detail)
-        assert merged.produced == reference.produced
-        assert merged.stats["fallback_requests"] == \
-            reference.stats["fallback_requests"]
-        # Infrastructure failure handled: the epochs re-ran serially.
-        assert pool.serial_fallbacks >= 1
-        if multiprocessing.get_start_method() == "fork":
-            # Fork platforms see the kamikaze exit as BrokenProcessPool,
-            # so the shared pool was retired and recreated at least once
-            # (under forced spawn the backend is simply unregistered in
-            # the fresh workers — same fallback, healthy pool).
-            assert pool.pools_created >= 2
-    finally:
-        _BACKENDS.pop("kamikaze-pool", None)
+    reference = audit_epochs(counter_app, execution)
+    with local_fleet(2) as pool:
+        killed = sigkill_workers_mid_epoch(monkeypatch)
+        merged = audit_epochs(counter_app, execution, pool=pool)
+        assert pool._live_workers() == 1
+    assert len(killed) == 1
+    assert merged.accepted, (merged.reason, merged.detail)
+    assert merged.produced == reference.produced
+    for stats in (merged.stats, reference.stats):
+        del stats["shards"]  # per-epoch timings
+    assert merged.stats == reference.stats
+    # Infrastructure failure handled: the lost epoch ran elsewhere.
+    assert pool.redispatches == 1
+    assert pool.serial_fallbacks == 0
+    assert pool.remote_epochs == merged.stats["shard_count"]
 
 
 # -- prepass backpressure ------------------------------------------------------
 
 
 def test_prepass_depth_bounds_inflight_primed_epochs(counter_app,
-                                                     monkeypatch):
+                                                     local_pool):
     """A follow-style session feeding faster than the pool audits: the
-    speculative prepass stalls once ``2 * epoch_workers`` primed epochs
-    are in flight, instead of priming the whole stream ahead of the
+    speculative prepass stalls once ``2 * width`` primed epochs are in
+    flight, instead of priming the whole stream ahead of the
     auditor."""
     execution = _epoch_execution(counter_app, n=80, epoch_size=8)
     shards = execution.epochs()
-    epoch_workers = 2
-    depth = 2 * epoch_workers
+    depth = 2 * local_pool.width
     assert len(shards) > depth + 1
     gate = threading.Event()
-    original = EpochPool.run
 
-    def gated(self, payload):
-        assert gate.wait(60), "gate never released"
-        return original(self, payload)
+    class _GatedPool:
+        width = local_pool.width
+        serial_fallbacks = 0
 
-    monkeypatch.setattr(EpochPool, "run", gated)
+        def run(self, payload):
+            assert gate.wait(60), "gate never released"
+            return local_pool.run(payload)
+
     serial = Auditor(counter_app, AuditConfig()).audit_epochs(
         shards, execution.initial_state)
-
-    auditor = Auditor(counter_app,
-                      AuditConfig(epoch_workers=epoch_workers))
-    session = auditor.session(execution.initial_state)
+    session = Auditor(counter_app, AuditConfig()).session(
+        execution.initial_state, _GatedPool())
 
     def _feed():
         for shard in shards:

@@ -2,7 +2,7 @@
 epoch driver import neither the transport (``repro.net``) nor the
 fleet (``repro.fleet``), lazily or otherwise — endpoints and timeouts
 are the CLI's, and a pool is handed in.  And no module of the package
-imports ``pickle``."""
+imports ``pickle``, nor forks worker processes of its own."""
 
 from __future__ import annotations
 
@@ -15,16 +15,16 @@ _PROBE = """
 import sys
 
 import repro.core
-from repro.core import AuditConfig, Auditor, EpochPool
+from repro.core import AuditConfig, Auditor
 
 AuditConfig()
-AuditConfig(epoch_workers=2, max_group_size=50).describe()
-AuditConfig.from_json({"epoch_workers": 2, "backend": "interp"})
+AuditConfig(strict=False, max_group_size=50).describe()
+AuditConfig.from_json({"migrate": True, "backend": "interp"})
 try:
     AuditConfig.from_json({"fleet_listen": "0.0.0.0:8700"})
 except ValueError:
     pass
-Auditor.session, Auditor.audit_epochs, EpochPool(2).close()
+Auditor.session, Auditor.audit_epochs
 leaked = sorted(name for name in sys.modules
                 if name.startswith(("repro.net", "repro.fleet")))
 print(leaked)
@@ -41,10 +41,10 @@ def test_core_imports_neither_the_transport_nor_the_fleet():
     assert probe.stdout.strip() == "[]"
 
 
-def test_no_module_imports_pickle():
-    """What crosses a process or host boundary is the bundle's records
-    and the ``--json`` verdict, decoded field by field: no module of the
-    package can turn received bytes into code."""
+def _importers(refused) -> list[str]:
+    """Modules of the package with an import that ``refused`` (called
+    with the dotted name, and each name a ``from`` import takes) is
+    true of."""
     package = os.path.dirname(__import__("repro").__file__)
     importers = []
     for folder, _dirs, files in os.walk(package):
@@ -56,16 +56,34 @@ def test_no_module_imports_pickle():
                 tree = ast.parse(fh.read(), path)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
-                    modules = [alias.name for alias in node.names]
+                    names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
-                    modules = [node.module or ""]
+                    module = node.module or ""
+                    names = [module] + [f"{module}.{alias.name}"
+                                        for alias in node.names]
                 else:
                     continue
-                if any(module.split(".")[0] in ("pickle", "_pickle",
-                                                "cPickle")
-                       for module in modules):
+                if any(refused(name) for name in names):
                     importers.append(os.path.relpath(path, package))
-    assert importers == []
+    return importers
+
+
+def test_no_module_imports_pickle():
+    """What crosses a process or host boundary is the bundle's records
+    and the ``--json`` verdict, decoded field by field: no module of the
+    package can turn received bytes into code."""
+    assert _importers(lambda name: name.split(".")[0] in (
+        "pickle", "_pickle", "cPickle")) == []
+
+
+def test_no_module_forks_workers():
+    """An epoch runs elsewhere only on a fleet worker — a fresh
+    ``repro worker`` interpreter handed bytes over a socket — so nothing
+    in the package forks or spawns a process pool."""
+    assert _importers(lambda name: name.split(".")[0] == "multiprocessing"
+                      or name.startswith("concurrent.futures.process")
+                      or name == "concurrent.futures.ProcessPoolExecutor"
+                      ) == []
 
 
 def test_top_level_transport_names_still_resolve():

@@ -1,10 +1,10 @@
 """Parallel auditing on the paper's applications: identical to serial.
 
-Epoch-level parallelism (``epoch_workers``) is the one way an audit
-runs in parallel: whole epochs audited on a process pool.  For each
-application, ``epoch_workers=2`` and the serial epoch chain return the
-same verdict and bitwise-identical produced bodies — including on
-tampered (REJECTED) bundles.
+Epoch-level parallelism is the one way an audit runs in parallel: whole
+epochs audited by fleet workers — here the two local ones
+``--epoch-workers 2`` starts.  For each application, they and the
+serial epoch chain return the same verdict and bitwise-identical
+produced bodies — including on tampered (REJECTED) bundles.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Auditor
-from repro.core.epochpool import pools_created_total
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
 from repro.trace.events import Event, Response
@@ -47,10 +46,10 @@ def workload_run(request):
     return request.param, workload, execution
 
 
-def test_parallel_audit_identical_to_serial(workload_run):
+def test_parallel_audit_identical_to_serial(workload_run, local_pool):
     name, workload, execution = workload_run
     serial = audit_epochs(workload.app, execution)
-    parallel = audit_epochs(workload.app, execution, epoch_workers=2)
+    parallel = audit_epochs(workload.app, execution, pool=local_pool)
     assert serial.accepted, (name, serial.reason, serial.detail)
     assert parallel.accepted, (name, parallel.reason, parallel.detail)
     assert parallel.produced == serial.produced
@@ -59,7 +58,7 @@ def test_parallel_audit_identical_to_serial(workload_run):
         assert parallel.stats[key] == serial.stats[key], (name, key)
 
 
-def test_parallel_audit_rejects_tampered_bundle(workload_run):
+def test_parallel_audit_rejects_tampered_bundle(workload_run, local_pool):
     name, workload, execution = workload_run
     tampered = Trace(list(execution.trace.events))
     for position, event in enumerate(tampered.events):
@@ -72,14 +71,15 @@ def test_parallel_audit_rejects_tampered_bundle(workload_run):
             break
     serial = audit_epochs(workload.app, execution, trace=tampered)
     parallel = audit_epochs(workload.app, execution, trace=tampered,
-                            epoch_workers=2)
+                            pool=local_pool)
     assert not serial.accepted and not parallel.accepted, name
     assert parallel.reason is serial.reason
     assert parallel.detail == serial.detail
     assert not parallel.produced
 
 
-def test_parallel_reject_reason_matches_on_report_tamper(workload_run):
+def test_parallel_reject_reason_matches_on_report_tamper(workload_run,
+                                                         local_pool):
     """A log tamper (not just an output tamper) rejects identically."""
     name, workload, execution = workload_run
     tampered = execution.reports.deep_copy()
@@ -87,19 +87,19 @@ def test_parallel_reject_reason_matches_on_report_tamper(workload_run):
     tampered.op_logs[obj] = tampered.op_logs[obj][:-1]
     serial = audit_epochs(workload.app, execution, reports=tampered)
     parallel = audit_epochs(workload.app, execution, reports=tampered,
-                            epoch_workers=2)
+                            pool=local_pool)
     assert not serial.accepted and not parallel.accepted, name
     assert parallel.reason is serial.reason
 
 
-def test_parallel_plus_sharded_identical_to_serial():
+def test_parallel_plus_sharded_identical_to_serial(local_pool):
     """More epochs than the session keeps in flight, on one app."""
     workload = forum_workload(scale=0.02)
     execution = _serve(workload, epoch_size=25)
     serial = Auditor(workload.app).audit_epochs(
         execution.epochs(), execution.initial_state)
-    combined = Auditor(workload.app, epoch_workers=2).audit_epochs(
-        execution.epochs(), execution.initial_state)
+    combined = Auditor(workload.app).audit_epochs(
+        execution.epochs(), execution.initial_state, local_pool)
     assert serial.accepted and combined.accepted, (
         combined.reason, combined.detail)
     assert combined.produced == serial.produced
@@ -107,13 +107,16 @@ def test_parallel_plus_sharded_identical_to_serial():
 
 
 def test_workers_one_is_the_serial_path(workload_run):
-    """``epoch_workers=1`` (the default) is the serial chain: no pool,
+    """``--epoch-workers 1`` (the default) is the serial chain: no pool,
     no state precompute."""
+    from repro.__main__ import _epoch_pool, build_parser
+
     name, workload, execution = workload_run
-    created = pools_created_total()
-    one = audit_epochs(workload.app, execution, epoch_workers=1)
+    args = build_parser().parse_args(["audit", "--epoch-workers", "1"])
+    with _epoch_pool(args.epoch_workers) as pool:
+        assert pool is None
+        one = audit_epochs(workload.app, execution, pool=pool)
     serial = audit_epochs(workload.app, execution)
-    assert pools_created_total() == created
     assert one.accepted and serial.accepted, name
     assert "state_precompute" not in one.phases
     assert one.produced == serial.produced

@@ -146,7 +146,7 @@ def test_options_carry_the_full_knob_set(counter_app, run):
     no copy, no second type."""
     config = AuditConfig(strict=False, dedup=False, collapse=False,
                          strict_registers=True, max_group_size=7,
-                         migrate=True, epoch_workers=2)
+                         migrate=True)
     actx = AuditContext(counter_app, run.trace, run.reports,
                         run.initial_state, config)
     assert actx.config is config

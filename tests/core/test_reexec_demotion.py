@@ -125,7 +125,7 @@ def test_multivalue_fallback_retries_in_both_modes():
         assert result.stats["divergences"] == 0
 
 
-def test_parallel_demotion_matches_serial():
+def test_parallel_demotion_matches_serial(local_pool):
     """A divergence *inside an epoch worker process* produces the same
     verdict and bodies as the serial driver."""
     app, run = _serve(
@@ -149,13 +149,13 @@ def test_parallel_demotion_matches_serial():
     serial = ssco_audit(app, run.trace, tampered, run.initial_state,
                         strict=False)
     parallel = audit_epochs(app, run, reports=tampered, strict=False,
-                            epoch_workers=2, backend="hybrid")
+                            pool=local_pool, backend="hybrid")
     assert serial.accepted and parallel.accepted
     assert parallel.produced == serial.produced
     serial_strict = ssco_audit(app, run.trace, tampered,
                                run.initial_state, strict=True)
     parallel_strict = audit_epochs(app, run, reports=tampered,
-                                   strict=True, epoch_workers=2,
+                                   strict=True, pool=local_pool,
                                    backend="hybrid")
     assert not serial_strict.accepted and not parallel_strict.accepted
     assert parallel_strict.reason is serial_strict.reason

@@ -5,6 +5,7 @@ it is an ``AuditConfig`` field."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import inspect
 
@@ -83,14 +84,25 @@ def test_fleet_knobs_flow_through_options(tmp_path, monkeypatch, capsys):
         def __exit__(self, *exc):
             built.append("closed")
 
+    @contextlib.contextmanager
+    def recording_local_fleet(n, coordinator):
+        # --epoch-workers N starts N local workers on the same
+        # coordinator, which it closes on the way out.
+        built.append(("local_fleet", n, type(coordinator).__name__))
+        with coordinator:
+            yield coordinator
+
     monkeypatch.setattr("repro.__main__.FleetCoordinator",
                         RecordingCoordinator)
+    monkeypatch.setattr("repro.__main__.local_fleet",
+                        recording_local_fleet)
     capsys.readouterr()
     assert main(["audit", bundle, *wiki, "--fleet-listen", "8700",
                  "--fleet-min-workers", "3", "--fleet-redundancy", "2",
                  "--epoch-workers", "4"]) == 0
     assert built == [
         ("0.0.0.0:8700", dict(width=4, min_workers=3, redundancy=2)),
+        ("local_fleet", 4, "RecordingCoordinator"),
         "closed",
     ]
     out = capsys.readouterr().out
@@ -105,13 +117,13 @@ def test_fleet_knobs_flow_through_options(tmp_path, monkeypatch, capsys):
 
 
 def test_worker_options_never_recurse_into_a_nested_fleet():
-    """A work unit's config cannot ask for a pool or a fleet: the first
-    is cleared, the second is not something a config can say."""
-    unit = epoch_worker_config(AuditConfig(epoch_workers=4, migrate=True))
-    assert unit.epoch_workers == 1 and not unit.migrate
+    """A work unit's config cannot ask for a pool or a fleet: neither is
+    something a config can say."""
+    unit = epoch_worker_config(AuditConfig(migrate=True))
+    assert unit == AuditConfig()
     assert not [field.name for field in dataclasses.fields(unit)
                 if field.name.startswith(("fleet", "net", "connect",
-                                          "listen", "batch"))]
+                                          "listen", "batch", "epoch"))]
 
 
 # -- CLI ----------------------------------------------------------------------

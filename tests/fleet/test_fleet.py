@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import json
 import os
 import pickle
 import signal
+import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -36,7 +39,7 @@ from repro.core.reexec import (
     PlainInterpBackend,
     register_reexec_backend,
 )
-from repro.fleet import FleetCoordinator, FleetWorker
+from repro.fleet import FleetCoordinator, FleetWorker, local_fleet
 from repro.net.protocol import (
     FLAG_FLEET,
     RESULT,
@@ -49,7 +52,12 @@ from repro.net.protocol import (
 from repro.objects.base import OpType
 from repro.server import Executor, RandomScheduler, faulty
 from repro.server.nondet import NondetSource
-from tests.conftest import audit_epochs, counter_requests
+from tests.conftest import (
+    audit_epochs,
+    counter_requests,
+    sigkill_workers_mid_epoch,
+    untimed,
+)
 from tests.net.test_transport import _assert_equivalent
 
 
@@ -383,8 +391,8 @@ def test_worker_crash_is_not_a_verdict_and_worker_survives(counter_app):
 
 
 def test_no_workers_falls_back_to_local_serial(counter_app):
-    """An empty fleet: the coordinator itself is the last-resort worker
-    (the ``EpochPool`` degradation path), bit-identical results."""
+    """An empty fleet: the coordinator itself is the last-resort
+    worker, bit-identical results."""
     execution = _epoch_execution(counter_app, n=16, min_marks=1)
     payload, reference = _unit(counter_app, execution)
     with FleetCoordinator("127.0.0.1:0") as coord:
@@ -515,3 +523,89 @@ def test_sigkilled_worker_mid_epoch_redispatches(counter_app):
         if proc is not None and proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+
+
+# -- local_fleet: the workers --epoch-workers N starts -------------------------
+
+
+_WIKI = ["--workload", "wiki", "--scale", "0.005"]
+
+
+def _record(tmp_path, epoch_size=10):
+    from repro.__main__ import main
+
+    bundle = str(tmp_path / "bundle.jsonl")
+    assert main(["record", *_WIKI, "--epoch-size", str(epoch_size),
+                 "--out", bundle]) == 0
+    return bundle
+
+
+def _audit_json(capsys, *argv):
+    from repro.__main__ import main
+
+    capsys.readouterr()
+    assert main(["audit", *argv, *_WIKI, "--json"]) == 0
+    return untimed(json.loads(capsys.readouterr().out))
+
+
+def test_workers_that_cannot_start_leave_a_serial_audit(counter_app,
+                                                        monkeypatch):
+    """Local workers whose launcher exits 1 never join: entering the
+    fleet does not wait out any join timeout, and every epoch runs in
+    this process with the serial chain's verdict and stats."""
+    monkeypatch.setattr(
+        "repro.fleet.local.worker_command",
+        lambda endpoint: [sys.executable, "-c", "raise SystemExit(1)"])
+    execution = _epoch_execution(counter_app)
+    serial = audit_epochs(counter_app, execution)
+    started = time.monotonic()
+    with local_fleet(2) as pool:
+        fallen = audit_epochs(counter_app, execution, pool=pool)
+    assert time.monotonic() - started < 5.0
+    assert pool.workers_joined == 0
+    assert pool.serial_fallbacks == serial.stats["shard_count"]
+    _assert_equivalent(serial, fallen)
+
+
+def test_sigkilled_local_worker_gives_the_serial_payload(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    """``repro audit --epoch-workers 2`` with one worker SIGKILLed right
+    after it is handed an epoch prints the serial ``--json`` payload."""
+    bundle = _record(tmp_path)
+    serial = _audit_json(capsys, bundle)
+    assert serial["verdict"] == "ACCEPTED" and len(serial["epochs"]) > 2
+    killed = sigkill_workers_mid_epoch(monkeypatch)
+    assert _audit_json(capsys, bundle, "--epoch-workers", "2") == serial
+    assert len(killed) == 1
+
+
+def test_local_and_remote_workers_share_one_coordinator(tmp_path,
+                                                        monkeypatch,
+                                                        capsys):
+    """``--fleet-listen`` + ``--epoch-workers 2`` + one external worker:
+    one coordinator, three workers, the serial payload — and both kinds
+    of worker audit at least one epoch."""
+    bundle = _record(tmp_path)
+    serial = _audit_json(capsys, bundle)
+    coordinators = []
+
+    class Recorded(FleetCoordinator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            coordinators.append(self)
+
+    monkeypatch.setattr("repro.__main__.FleetCoordinator", Recorded)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        endpoint = "127.0.0.1:%d" % probe.getsockname()[1]
+    with _fleet_workers(endpoint, 1, prefix="external") as (external,):
+        payload = _audit_json(capsys, bundle, "--fleet-listen", endpoint,
+                              "--fleet-min-workers", "3",
+                              "--epoch-workers", "2")
+    assert payload == serial
+    coordinator, = coordinators
+    assert coordinator.workers_joined == 3
+    assert coordinator.serial_fallbacks == 0
+    assert coordinator.remote_epochs == len(serial["epochs"])
+    assert 1 <= external.epochs_run < coordinator.remote_epochs

@@ -156,10 +156,10 @@ def test_work_unit_roundtrips_through_the_bundle_codec(counter_app,
                                                        honest_run):
     """What crosses the process / host boundary is one epoch in the
     bundle's records, the app as its sources and the validated
-    AuditConfig: epoch workers and migrate cleared, the rest preserved
-    (the chunk plan must follow it bit for bit)."""
-    cfg = AuditConfig(strict=False, max_group_size=3, epoch_workers=2,
-                      migrate=True, backend="interp")
+    AuditConfig: migrate cleared, the rest preserved (the chunk plan
+    must follow it bit for bit)."""
+    cfg = AuditConfig(strict=False, max_group_size=3, migrate=True,
+                      backend="interp")
     unit = encode_work_unit(counter_app, honest_run.trace,
                             honest_run.reports, honest_run.initial_state,
                             epoch_worker_config(cfg))

@@ -262,7 +262,7 @@ def test_audit_config_file_naming_a_transport_key_is_refused(tmp_path,
 
     config_path = str(tmp_path / "audit.json")
     with open(config_path, "w") as fh:
-        json.dump({"epoch_workers": 2, "net_idle_timeout": 5.0}, fh)
+        json.dump({"max_group_size": 2, "net_idle_timeout": 5.0}, fh)
     with pytest.raises(SystemExit) as excinfo:
         main(["audit", "bundle.jsonl", "--config", config_path])
     assert excinfo.value.code == 2

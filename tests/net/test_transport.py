@@ -270,9 +270,10 @@ def test_stalled_publisher_yields_torn_slice_like_file(
 
 
 def test_epoch_workers_session_over_socket(counter_app,
-                                           epoch_execution, tmp_path):
-    """The concurrent-epoch session mode needs zero changes to run
-    over the network: same slices in, bit-identical result out."""
+                                           epoch_execution, tmp_path,
+                                           local_pool):
+    """A session handed a pool needs zero changes to run over the
+    network: same slices in, bit-identical result out."""
     reference = _file_audit(counter_app, epoch_execution, tmp_path)
     shards = _shards(epoch_execution)
     with BundlePublisher() as publisher:
@@ -282,9 +283,8 @@ def test_epoch_workers_session_over_socket(counter_app,
         try:
             with RemoteBundleReader(publisher.endpoint,
                                     idle_timeout=20) as reader:
-                remote = Auditor(
-                    counter_app, AuditConfig(epoch_workers=2)
-                ).audit_epochs(reader.epochs(), reader.initial_state)
+                remote = Auditor(counter_app, AuditConfig()).audit_epochs(
+                    reader.epochs(), reader.initial_state, local_pool)
         finally:
             thread.join(timeout=30)
     _assert_equivalent(reference, remote)

@@ -226,7 +226,8 @@ def test_stale_epoch_flags_are_usage_errors(tmp_path, capsys):
         with pytest.raises(SystemExit):
             main([command[0], "--help"])
         text = capsys.readouterr().out
-        assert "--epoch-workers" in text
+        # Where epochs run: a flag of the one command that audits them.
+        assert ("--epoch-workers" in text) == (command[0] == "audit")
         assert "--epoch-size" not in text and "--epoch-cuts" not in text
     for command in ("demo", "record", "serve", "synth"):
         with pytest.raises(SystemExit):
@@ -421,8 +422,8 @@ def test_demo_accepts_workers_flag(capsys):
 
 
 def test_audit_prepass_depth_and_epoch_threads(tmp_path, capsys):
-    """--epoch-workers reaches the config (visible in the banner's
-    describe() line); the removed --prepass-depth and --epoch-threads
+    """--epoch-workers reaches the banner beside the config's
+    describe() line; the removed --prepass-depth and --epoch-threads
     flags are usage errors naming the flag."""
     bundle = str(tmp_path / "bundle.jsonl")
     assert main(["record", "--workload", "forum", "--scale", "0.005",
@@ -681,8 +682,8 @@ MARK_CASES = {
 
 @pytest.mark.parametrize("epoch_workers", [1, 2])
 @pytest.mark.parametrize("road", ["audit_epochs", "repro audit --json"])
-def test_shard_count_is_the_epochs_audited(tmp_path, capsys, road,
-                                           epoch_workers):
+def test_shard_count_is_the_epochs_audited(tmp_path, capsys, local_pool,
+                                           road, epoch_workers):
     """A mark forged 300 events in makes four epochs of the fixture's
     three, the second torn: two epochs are audited, the second rejects,
     and ``shard_count`` says 2 on every road — not the epochs recorded,
@@ -700,12 +701,10 @@ def test_shard_count_is_the_epochs_audited(tmp_path, capsys, road,
     if road == "audit_epochs":
         pulled = []
         with BundleReader.open(bundle) as reader:
-            result = Auditor(
-                build_scenario_app("cart", 0.05),
-                epoch_workers=epoch_workers,
-            ).audit_epochs(
+            result = Auditor(build_scenario_app("cart", 0.05)).audit_epochs(
                 (pulled.append(epoch.index) or epoch
-                 for epoch in reader.epochs()), reader.initial_state)
+                 for epoch in reader.epochs()), reader.initial_state,
+                local_pool if epoch_workers > 1 else None)
         stats, epochs = result.stats, result.stats["shards"]
         assert (result.accepted, result.reason.value) == (
             False, "trace_unbalanced")
@@ -969,7 +968,7 @@ def test_numeric_flags_out_of_range_are_usage_errors(argv, capsys):
 
 
 def test_follow_with_epoch_workers(tmp_path, capsys):
-    """--follow drives the session asynchronously under epoch_workers:
+    """--follow drives the session asynchronously on local workers:
     per-epoch verdicts still print in epoch order."""
     bundle = str(tmp_path / "live.jsonl")
     assert main(["record", "--workload", "forum", "--scale", "0.005",

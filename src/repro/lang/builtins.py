@@ -92,6 +92,11 @@ _STATE_EFFECTS: dict = {
 }
 
 
+def _stored(value: object) -> object:
+    """``value`` taken out of an array: an array lands by copy."""
+    return value.copy() if type(value) is PhpArray else value
+
+
 def _arity(name: str, args: tuple, low: int, high: int | None = None) -> None:
     high = low if high is None else high
     if not (low <= len(args) <= high):
@@ -312,6 +317,7 @@ def _array_merge(*args: object) -> PhpArray:
     for arg in args:
         array = _need_array("array_merge", arg)
         for key, value in array.items():
+            value = _stored(value)
             if isinstance(key, int):
                 out.append(value)
             else:
@@ -381,7 +387,7 @@ def _max(*args: object) -> object:
     )
     if not values:
         raise WeblangError("max() of empty array")
-    return max(values, key=_sort_key)
+    return _stored(max(values, key=_sort_key))
 
 
 def _min(*args: object) -> object:
@@ -391,7 +397,7 @@ def _min(*args: object) -> object:
     )
     if not values:
         raise WeblangError("min() of empty array")
-    return min(values, key=_sort_key)
+    return _stored(min(values, key=_sort_key))
 
 
 def _abs(*args: object) -> object:

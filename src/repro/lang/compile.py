@@ -160,6 +160,7 @@ from repro.lang.simd import (
     _multi_binop,
     _multi_text,
     _no_key,
+    _release,
     _render,
     _rows,
     _slots,
@@ -672,17 +673,17 @@ class _Compiler:
                 raise WeblangError(not_array)
             return container
 
-        def step(env, state, container, walked, key):
+        def step(env, state, container, walked, held, key):
             """``container`` ready for ``key``: expanded if it has to be."""
             if type(key) is MultiValue and type(container) is not list:
-                expanded, container = _expand(load(env), walked, state)
+                expanded, container = _expand(load(env), walked, state, held)
                 store(env, expanded)
             return container
 
-        def finish(env, state, container, walked, key, value):
+        def finish(env, state, container, walked, held, key, value):
             if key is _APPEND and apply is not None:
                 raise WeblangError("compound assignment to append slot")
-            container = step(env, state, container, walked, key)
+            container = step(env, state, container, walked, held, key)
             _assign_cell(container, key, value, apply, state)
             if type(container) is list:
                 store(env, state.merge(list(load(env).values)))
@@ -694,30 +695,31 @@ class _Compiler:
             def run(env, state):
                 state.steps += 1
                 container = root(env, state)
-                walked = []
+                walked, held = [], []
                 for path_fn in walk_fns:
                     key = path_fn(env, state)
                     container = _descend(
-                        step(env, state, container, walked, key), key,
-                        state)
+                        step(env, state, container, walked, held, key),
+                        key, state, held)
                     walked.append(key)
                 value = value_fn(env, state)
                 key = _APPEND if last_fn is None else last_fn(env, state)
                 if (apply is not None or type(container) is not PhpArray
                         or type(key) is MultiValue
                         or type(value) is MultiValue):
-                    finish(env, state, container, walked, key, value)
+                    finish(env, state, container, walked, held, key, value)
                 elif last_fn is None:  # all univalent
                     container.append(value)
                 else:
                     container.set(key, value)
+                _release(held)
 
             return True, run
 
         def run_gen(env, state):
             state.steps += 1
             container = root(env, state)
-            walked = []
+            walked, held = [], []
             for path_c in walk:
                 if path_c is None:
                     _no_key()
@@ -725,7 +727,8 @@ class _Compiler:
                 key = (path_fn(env, state) if path_pure
                        else (yield from path_fn(env, state)))
                 container = _descend(
-                    step(env, state, container, walked, key), key, state)
+                    step(env, state, container, walked, held, key), key,
+                    state, held)
                 walked.append(key)
             value = (value_fn(env, state) if value_pure
                      else (yield from value_fn(env, state)))
@@ -734,7 +737,8 @@ class _Compiler:
                 last_pure, last_fn, _ = last_c
                 key = (last_fn(env, state) if last_pure
                        else (yield from last_fn(env, state)))
-            finish(env, state, container, walked, key, value)
+            finish(env, state, container, walked, held, key, value)
+            _release(held)
 
         return False, run_gen
 

@@ -242,7 +242,7 @@ class Interpreter:
         two runtimes observationally equal (difference (ii), §A.6)."""
         value = yield from self._eval(node, env, state)
         if type(node) in (Var, Index) and isinstance(value, PhpArray):
-            return value.deep_copy()
+            return value.copy()
         return value
 
     def _exec_stmt(self, stmt: Node, env: _Env, state: _RunState):
@@ -304,7 +304,7 @@ class Interpreter:
                 if stmt.key_var is not None:
                     env.store(stmt.key_var, key)
                 if isinstance(value, PhpArray):
-                    env.store(stmt.val_var, value.deep_copy())
+                    env.store(stmt.val_var, value.copy())
                 else:
                     env.store(stmt.val_var, value)
                 try:
@@ -345,15 +345,15 @@ class Interpreter:
             raise WeblangError(
                 f"cannot index non-array variable ${stmt.name}"
             )
-        # Walk to the innermost container, creating arrays along the way.
+        # Walk to the innermost container, creating arrays along the way,
+        # through the write accessor (held open until the store is done).
+        held = []
         for path_expr in stmt.path[:-1]:
             if path_expr is None:
                 raise WeblangError("'[]' only allowed as the last index")
             key = yield from self._eval(path_expr, env, state)
-            inner = container.get(key)
-            if inner is None:
-                inner = PhpArray()
-                container.set(key, inner)
+            inner = container.descend(key)
+            held.append(container)
             if not isinstance(inner, PhpArray):
                 raise WeblangError("cannot index into a scalar")
             container = inner
@@ -368,6 +368,8 @@ class Interpreter:
             if stmt.op:
                 value = compound(stmt.op)(container.get(key), value)
             container.set(key, value)
+        for array in held:
+            array.release()
 
     # -- expressions -----------------------------------------------------------
 
@@ -590,10 +592,7 @@ class Interpreter:
         if name == "db_query":
             if rows is None:
                 raise WeblangError("db_query() expects a SELECT")
-            out = PhpArray()
-            for row in rows:
-                out.append(PhpArray.from_dict(dict(row)))
-            return out
+            return PhpArray.from_records(rows)
         affected = getattr(result, "affected", 0)
         insert_id = getattr(result, "last_insert_id", None)
         out = PhpArray()

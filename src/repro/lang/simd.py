@@ -203,11 +203,11 @@ def _align(operands: Sequence[object], state: _State, private: bool = False,
                     for number, first in enumerate(firsts):  # keeps the array
                         if (own_firsts[classes[first]] != first
                                 and type(column[number]) is PhpArray):
-                            column[number] = column[number].deep_copy()
+                            column[number] = column[number].copy()
         elif cells and kind is PhpArray and contains_multi(operand):
             column = [project(operand, first, private) for first in firsts]
         elif private and kind is PhpArray:
-            column = [operand.deep_copy() for _ in firsts]
+            column = [operand.copy() for _ in firsts]
         else:
             column = [operand] * len(firsts)
         columns.append(column)
@@ -253,13 +253,14 @@ def _rows(columns: list[list[object]], state: _State) -> list[tuple]:
 
 
 def _copy_value(value: object) -> object:
-    """The value-semantics copy of an array leaving a variable or cell."""
+    """The value-semantics copy of an array leaving a variable or cell:
+    a copy-on-write handle (:meth:`PhpArray.copy`), one per class."""
     if type(value) is MultiValue:
         return MultiValue(value.part, [
-            held.deep_copy() if isinstance(held, PhpArray) else held
+            held.copy() if isinstance(held, PhpArray) else held
             for held in value.values
         ])
-    return value.deep_copy()
+    return value.copy()
 
 
 def _merged_read(values: list[object], state: _State) -> object:
@@ -409,36 +410,45 @@ def _foreach_items(subject: object, state: _State, where: str):
 
 
 def _descend_one(container: PhpArray, key: object) -> PhpArray:
-    inner = container.get(key)
-    if inner is None:
-        inner = PhpArray()
-        container.set(key, inner)
-    elif type(inner) is MultiValue:
+    inner = container.descend(key)
+    if type(inner) is MultiValue:
         # A univalue path ran into a cell holding per-class arrays.
         raise MultivalueFallback("nested assignment through a multivalue cell")
-    elif not isinstance(inner, PhpArray):
+    if not isinstance(inner, PhpArray):
         raise WeblangError("cannot index into a scalar")
     return inner
 
 
-def _descend(container: object, key: object, state: _State) -> object:
+def _descend(container: object, key: object, state: _State,
+             held: list) -> object:
     """One level down an index-assignment path: in the one shared
-    container, or — once the root expanded (a list) — in every slot's."""
+    container, or — once the root expanded (a list) — in every slot's;
+    what it descended from goes on ``held``, for :func:`_release`."""
     if type(container) is list:
+        held.extend(container)
         return list(map(_descend_one, container, _slots(key, state)))
+    held.append(container)
     return _descend_one(container, key)
 
 
-def _expand(root: object, walked: list[object],
-            state: _State) -> tuple[MultiValue, list[PhpArray]]:
+def _release(held: list[PhpArray]) -> None:
+    """The index assignment is done: release what it descended from."""
+    for container in held:
+        container.release()
+
+
+def _expand(root: object, walked: Sequence[object], state: _State,
+            held: list | None = None) -> tuple[MultiValue, list[PhpArray]]:
     """§4.3 expansion: the containers are no longer equivalent across
     the group.  Returns private per-slot copies of ``root`` (on the
     identity partition) and, in each, the container at the end of the
-    (univalue) path walked so far."""
+    (univalue) path walked so far, descended as :func:`_descend` does."""
     roots = _slots(root, state, private=True)
     containers = roots
     for key in walked:
-        containers = [container.get(key) for container in containers]
+        if held is not None:
+            held.extend(containers)
+        containers = [container.descend(key) for container in containers]
     return MultiValue(_identity(state), roots), containers
 
 

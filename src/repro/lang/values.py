@@ -12,6 +12,12 @@ it flows out of a variable or cell into a new storage location (assignment,
 argument passing, return, foreach binding, array-literal cells).  Aliasing
 across variables is therefore impossible, which is also what makes per-slot
 multivalue expansion sound in the compiled engine.
+
+The copy is PHP's own, copy-on-write: :meth:`PhpArray.copy` is an O(1)
+handle on the same dict, and the first ``set`` / ``append`` / ``remove``
+through a handle that shares it gives it a dict of its own, whose nested
+arrays are handles in turn.  A write below the top goes down through the
+write accessor :meth:`PhpArray.descend`, never through ``get``.
 """
 
 from __future__ import annotations
@@ -21,11 +27,15 @@ import operator
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import partial
+from sys import getrefcount
 from typing import Any
 
 from repro.common.errors import WeblangError
 
 Key = int | str
+
+#: What a canonical integer string starts with.
+_INT_STARTS = frozenset("-0123456789")
 
 
 class PhpArray:
@@ -35,20 +45,47 @@ class PhpArray:
     the largest integer key ever inserted (PHP semantics).
     """
 
-    __slots__ = ("data", "_next_index")
+    __slots__ = ("data", "_next_index", "_shared", "_pins")
 
     def __init__(self) -> None:
         self.data: dict[Key, object] = {}
         self._next_index = 0
+        self._shared = False  # ``data`` may be another handle's too
+        self._pins = 0  # open :meth:`descend` calls (see :meth:`copy`)
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def from_list(items: list[object]) -> PhpArray:
+        """``items`` at keys 0, 1, ...; an array among them lands by copy."""
         array = PhpArray()
-        for item in items:
-            array.append(item)
+        array.data = {
+            index: item.copy() if type(item) is PhpArray else item
+            for index, item in enumerate(items)
+        }
+        array._next_index = len(array.data)
         return array
+
+    @staticmethod
+    def from_records(records: list[dict[str, object]]) -> PhpArray:
+        """``from_list([from_dict(r) for r in records])``, turning the names
+        a query's rows share into keys once, not once per cell."""
+        out = PhpArray()
+        names: tuple[str, ...] = ()
+        keys: list[Key] = []
+        top = 0
+        for index, record in enumerate(records):
+            shape = tuple(record)
+            if shape != names:
+                names, keys, top = shape, list(map(PhpArray._norm_key, shape)), 0
+                for key in keys:
+                    if type(key) is int and key >= top:
+                        top = key + 1
+            array = out.data[index] = PhpArray()
+            array.data = dict(zip(keys, record.values()))
+            array._next_index = top
+        out._next_index = len(out.data)
+        return out
 
     @staticmethod
     def from_dict(mapping: dict[Key, object]) -> PhpArray:
@@ -65,6 +102,8 @@ class PhpArray:
         if type(key) is int:  # exact: True is an int too, and becomes 1
             return key
         if isinstance(key, str):
+            if key[:1] not in _INT_STARTS:  # most keys: no integer
+                return key
             # Canonical integer strings become int keys, as in PHP
             # (ASCII digits only: "²".isdigit() is true too).
             body = key[1:] if key.startswith("-") else key
@@ -81,15 +120,48 @@ class PhpArray:
             return ""
         raise WeblangError(f"illegal array key {key!r}")
 
+    def _separate(self) -> None:
+        """Give this handle a dict of its own, unless the ``data`` slot and
+        the argument are the only references left to it (PHP's refcount)."""
+        if getrefcount(self.data) > 2:
+            self.data = {
+                key: value.copy() if type(value) is PhpArray else value
+                for key, value in self.data.items()
+            }
+        self._shared = False
+
     def set(self, key: object, value: object) -> None:
         norm = self._norm_key(key)
+        if self._shared:
+            self._separate()
         self.data[norm] = value
         if isinstance(norm, int) and norm >= self._next_index:
             self._next_index = norm + 1
 
     def append(self, value: object) -> None:
+        if self._shared:
+            self._separate()
         self.data[self._next_index] = value
         self._next_index += 1
+
+    def descend(self, key: object) -> object:
+        """The write accessor of a path ``$a[k1][k2]... = v``: the cell at
+        ``key`` in this array's own dict (null becomes an empty array).
+        Until :meth:`release`, a copy of this array is made in full: a
+        handle would share the dict the caller writes below."""
+        norm = self._norm_key(key)
+        if self._shared:
+            self._separate()
+        self._pins += 1
+        inner = self.data.get(norm)
+        if inner is None:
+            inner = PhpArray()
+            self.set(norm, inner)
+        return inner
+
+    def release(self) -> None:
+        """Close one :meth:`descend`: the write below it is done."""
+        self._pins -= 1
 
     def get(self, key: object) -> object:
         return self.data.get(self._norm_key(key))
@@ -98,6 +170,8 @@ class PhpArray:
         return self._norm_key(key) in self.data
 
     def remove(self, key: object) -> None:
+        if self._shared:
+            self._separate()
         self.data.pop(self._norm_key(key), None)
 
     # -- views -------------------------------------------------------------
@@ -118,9 +192,14 @@ class PhpArray:
         return iter(self.data)
 
     def copy(self) -> PhpArray:
+        """The value-semantics copy: an O(1) handle on the same dict (module
+        docstring), or in full while a :meth:`descend` is open."""
+        if self._pins:
+            return self.deep_copy()
         twin = PhpArray()
-        twin.data = dict(self.data)
+        twin.data = self.data
         twin._next_index = self._next_index
+        twin._shared = self._shared = True
         return twin
 
     def deep_copy(self) -> PhpArray:

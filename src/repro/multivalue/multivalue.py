@@ -255,18 +255,19 @@ def project(value: object, slot: int, copy_arrays: bool = False) -> object:
     """One slot's view of a value.
 
     MultiValues yield the value of the slot's class; arrays containing
-    multivalues are rebuilt with projected cells.  ``copy_arrays`` forces
-    fresh copies of all arrays, guaranteeing the result shares no
-    structure with other slots (used before per-slot mutation).
+    multivalues are rebuilt with projected cells.  ``copy_arrays`` makes
+    every array in the result a copy (copy-on-write), so nothing written
+    through it shows in other slots (used before per-slot mutation).
     """
     if type(value) is MultiValue:
         value = value.values[value.part.classes[slot]]
         if copy_arrays and type(value) is PhpArray:
-            return value.deep_copy()  # a class's array: plain cells
+            return value.copy()  # a class's array: plain cells
         return value
-    if type(value) is not PhpArray or not (copy_arrays
-                                           or contains_multi(value)):
+    if type(value) is not PhpArray:
         return value
+    if not contains_multi(value):
+        return value.copy() if copy_arrays else value
     out = PhpArray()
     out._next_index = value._next_index
     cells = out.data

@@ -12,6 +12,7 @@ trusting a report — strictly stronger, and documented in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import bisect
 import operator
 import re
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ from repro.sql.ast import (
     Statement,
     Update,
 )
+from repro.sql.eqindex import EqualityIndex
 
 Row = dict[str, object]
 
@@ -75,9 +77,20 @@ class Table:
     auto_column: str | None = None
     auto_counter: int = 0
     rows: list[Row] = field(default_factory=list)
+    #: Each row's id, ascending (parallel to ``rows``), never reused:
+    #: what the equality index files.
+    ids: list[int] = field(init=False, compare=False, repr=False)
+    last_id: int = field(init=False, compare=False, repr=False)
+    eq_index: EqualityIndex = field(
+        init=False, compare=False, repr=False, default_factory=EqualityIndex)
+
+    def __post_init__(self) -> None:
+        self.ids = list(range(1, len(self.rows) + 1))
+        self.last_id = len(self.rows)
 
     def clone(self) -> Table:
-        return Table(
+        """Rows of its own, the same ids, an index built afresh."""
+        twin = Table(
             self.name,
             list(self.columns),
             dict(self.types),
@@ -86,6 +99,29 @@ class Table:
             self.auto_counter,
             [dict(row) for row in self.rows],
         )
+        twin.ids, twin.last_id = list(self.ids), self.last_id
+        return twin
+
+    def add(self, row: Row) -> None:
+        self.last_id += 1
+        self.rows.append(row)
+        self.ids.append(self.last_id)
+        self.eq_index.note(self.last_id, row)
+
+    def candidates(self, where: Expr | None) -> list[int] | None:
+        """Positions in ``rows`` a scan for ``where`` must look at: the
+        index's bucket less deleted rows (dropped from it), or ``None``."""
+        bucket = self.eq_index.probe(where, lambda: zip(self.ids, self.rows))
+        if bucket is None:
+            return None
+        ids, positions = self.ids, []
+        for row_id in bucket:
+            at = bisect.bisect_left(ids, row_id)
+            if at < len(ids) and ids[at] == row_id:
+                positions.append(at)
+        if len(positions) < len(bucket):
+            bucket[:] = [ids[at] for at in positions]
+        return positions
 
 
 #: The caches below are keyed by strings and expressions that come out of
@@ -240,22 +276,28 @@ def _compile(expr: Expr) -> Callable[[Row | None], object]:
     return _raiser(f"unknown expression node {type(expr).__name__}")
 
 
-#: id(expr) -> (expr, closure).  The entry holds the expression, so its
-#: id cannot be recycled for another one while the entry is live.
-_COMPILED: dict[int, tuple[Expr, Callable[[Row | None], object]]] = {}
+#: id(node) -> (node, what was built for it): compiled expressions and
+#: SELECT projections.  The entry holds the node, so its id cannot be
+#: recycled for another one while the entry is live.
+_COMPILED: dict[int, tuple[object, Callable]] = {}
+
+
+def _cached(node: object, build: Callable[[], Callable]) -> Callable:
+    """``build()``, once per parsed node (per statement text: the parse
+    is memoised)."""
+    entry = _COMPILED.get(id(node))
+    if entry is None:
+        entry = (node, build())
+        if len(_COMPILED) < _CACHE_LIMIT:
+            _COMPILED[id(node)] = entry
+    return entry[1]
 
 
 def compile_expr(expr: Expr) -> Callable[[Row | None], object]:
-    """The compiled form of ``expr``, built once per parsed expression
-    (``parse_sql`` memoises the parse, so: once per statement text)."""
+    """The compiled form of ``expr``, built once per parsed expression."""
     if isinstance(expr, (ColumnRef, Literal)):
         return _compile(expr)  # a leaf: nothing a cache entry would save
-    entry = _COMPILED.get(id(expr))
-    if entry is None:
-        entry = (expr, _compile(expr))
-        if len(_COMPILED) < _CACHE_LIMIT:
-            _COMPILED[id(expr)] = entry
-    return entry[1]
+    return _cached(expr, lambda: _compile(expr))
 
 
 def compile_where(where: Expr | None) -> Callable[[Row], object] | None:
@@ -340,25 +382,33 @@ def project_rows(
     items: tuple[SelectItem, ...], matched: list[Row]
 ) -> list[Row]:
     """Apply the SELECT projection (including aggregates) to matched rows."""
+    return _cached(items, lambda: _projection(items))(matched)
+
+
+def _projection(items: tuple[SelectItem, ...]
+                ) -> Callable[[list[Row]], list[Row]]:
+    """The SELECT list ``items`` as one function of the matched rows."""
     if not items:  # SELECT *
-        return [dict(row) for row in matched]
-    has_aggregate = any(isinstance(item.expr, Aggregate) for item in items)
-    if has_aggregate:
-        out: Row = {}
-        for index, item in enumerate(items):
-            name = item.alias or _item_name(item, index)
-            if isinstance(item.expr, Aggregate):
-                out[name] = _eval_aggregate(item.expr, matched)
-            else:
-                out[name] = (
-                    eval_expr(item.expr, matched[0]) if matched else None
-                )
-        return [out]
-    columns = [
-        (item.alias or _item_name(item, index), compile_expr(item.expr))
-        for index, item in enumerate(items)
-    ]
-    return [{name: value(row) for name, value in columns} for row in matched]
+        return lambda matched: [dict(row) for row in matched]
+    names = [item.alias or _item_name(item, index)
+             for index, item in enumerate(items)]
+    if any(isinstance(item.expr, Aggregate) for item in items):
+
+        def aggregate(matched: list[Row]) -> list[Row]:
+            out: Row = {}
+            for name, item in zip(names, items):
+                if isinstance(item.expr, Aggregate):
+                    out[name] = _eval_aggregate(item.expr, matched)
+                else:
+                    out[name] = (eval_expr(item.expr, matched[0])
+                                 if matched else None)
+            return [out]
+
+        return aggregate
+    columns = [(name, compile_expr(item.expr))
+               for name, item in zip(names, items)]
+    return lambda matched: [{name: value(row) for name, value in columns}
+                            for row in matched]
 
 
 def _item_name(item: SelectItem, index: int) -> str:
@@ -423,6 +473,18 @@ def insert_rows(table, stmt: Insert) -> Iterator[tuple[Row, int | None]]:
         yield row, ident
 
 
+def _scan(table: Table, where: Expr | None) -> list[int]:
+    """Positions in ``table.rows`` of the rows ``where`` accepts."""
+    accepts = compile_where(where)
+    rows = table.rows
+    positions = table.candidates(where)
+    if positions is None:
+        positions = range(len(rows))
+    if accepts is None:
+        return list(positions)
+    return [at for at in positions if accepts(rows[at])]
+
+
 class Engine:
     """Executes parsed statements against in-memory tables."""
 
@@ -476,9 +538,11 @@ class Engine:
     def select(self, stmt: Select) -> StmtResult:
         table = self._table(stmt.table)
         where = compile_where(stmt.where)
-        matched = [
-            row for row in table.rows if where is None or where(row)
-        ]
+        positions = table.candidates(stmt.where)
+        rows = table.rows
+        if positions is not None:
+            rows = [rows[at] for at in positions]
+        matched = [row for row in rows if where is None or where(row)]
         matched = apply_order_limit(
             matched, stmt.order_by, stmt.limit, stmt.offset
         )
@@ -488,35 +552,36 @@ class Engine:
         table = self._table(stmt.table)
         last_id: int | None = None
         for row, last_id in insert_rows(table, stmt):
-            table.rows.append(row)
+            table.add(row)
         return StmtResult(affected=len(stmt.values), last_insert_id=last_id)
 
     def update(self, stmt: Update) -> StmtResult:
         table = self._table(stmt.table)
         affected = 0
-        where = compile_where(stmt.where)
         assignments = [
             (col, compile_expr(expr)) for col, expr in stmt.assignments
         ]
-        for row in table.rows:
-            if where is None or where(row):
-                new_values = {
-                    col: _coerce(value(row), table.types[col], col)
-                    for col, value in assignments
-                }
-                row.update(new_values)
-                affected += 1
+        for at in _scan(table, stmt.where):
+            row = table.rows[at]
+            new_values = {
+                col: _coerce(value(row), table.types[col], col)
+                for col, value in assignments
+            }
+            row.update(new_values)
+            table.eq_index.note(table.ids[at], row)
+            affected += 1
         return StmtResult(affected=affected)
 
     def delete(self, stmt: Delete) -> StmtResult:
         table = self._table(stmt.table)
-        before = len(table.rows)
-        where = compile_where(stmt.where)
-        table.rows = [
-            row for row in table.rows
-            if not (where is None or where(row))
-        ]
-        return StmtResult(affected=before - len(table.rows))
+        doomed = _scan(table, stmt.where)
+        if doomed:
+            gone = set(doomed)
+            table.rows = [row for at, row in enumerate(table.rows)
+                          if at not in gone]
+            table.ids = [row_id for at, row_id in enumerate(table.ids)
+                         if at not in gone]
+        return StmtResult(affected=len(doomed))
 
     # -- snapshot / restore (transaction rollback, baselines) ---------------
 

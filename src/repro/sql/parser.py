@@ -155,10 +155,15 @@ class _Parser:
         if self.accept_punct("*"):
             items = ()
         else:
+            start = self.peek().pos
             out: list[SelectItem] = [self.parse_select_item()]
             while self.accept_punct(","):
                 out.append(self.parse_select_item())
-            items = tuple(out)
+            # One tuple per list text (so one cached projection).
+            text = self.text[start:self.peek().pos]
+            items = _SELECT_LISTS.get(text) or tuple(out)
+            if len(_SELECT_LISTS) < _PARSE_CACHE_LIMIT:
+                _SELECT_LISTS.setdefault(text, items)
         self.expect_kw("FROM")
         table = self.expect_ident()
         where = self.parse_where()
@@ -387,6 +392,10 @@ class _Parser:
 
 _PARSE_CACHE: dict[str, Statement] = {}
 _PARSE_CACHE_LIMIT = 65536
+
+#: SELECT-list text -> its items: statements that differ only past
+#: FROM share them, and ``engine.project_rows``'s one projection.
+_SELECT_LISTS: dict[str, tuple[SelectItem, ...]] = {}
 
 
 def parse_sql(text: str) -> Statement:

@@ -29,20 +29,15 @@ keeps only the latest state (§5.1).
 from __future__ import annotations
 
 import bisect
-import operator
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
 from repro.common.errors import AuditReject, RejectReason, SqlError
 from repro.objects.base import OpRecord, OpType
 from repro.sql.ast import (
-    BoolOp,
-    ColumnRef,
-    Comparison,
     CreateTable,
     Delete,
     Expr,
-    Literal,
     Insert,
     Select,
     Statement,
@@ -60,6 +55,7 @@ from repro.sql.engine import (
     insert_rows,
     project_rows,
 )
+from repro.sql.eqindex import EqualityIndex
 from repro.sql.parser import parse_sql
 
 #: Maximum queries allowed in one transaction (paper: 10000, §A.7).
@@ -76,11 +72,14 @@ class _Version:
     values: Row
 
 
-@dataclass
+@dataclass(eq=False)
 class _LogicalRow:
     row_id: int
     versions: list[_Version] = field(default_factory=list)
     starts: list[int] = field(default_factory=list)  # parallel to versions
+
+    def __lt__(self, other: _LogicalRow) -> bool:  # the index's order
+        return self.row_id < other.row_id
 
     def live_at(self, ts: int) -> _Version | None:
         pos = bisect.bisect_right(self.starts, ts) - 1
@@ -98,52 +97,6 @@ class _LogicalRow:
         self.starts.append(version.start_ts)
 
 
-def _leading_equality(where: Expr | None) -> tuple[str, object] | None:
-    """``(column, constant)`` when ``where`` is, or its top-level AND
-    starts with, ``column = constant`` (constant not NULL).  Only the
-    *leading* conjunct qualifies: AND stops at its first false operand,
-    so a row that fails it is rejected before any later operand — one
-    that might raise :class:`SqlError` on that row — is looked at."""
-    if isinstance(where, BoolOp) and where.op == "AND":
-        where = where.operands[0]
-    if (isinstance(where, Comparison) and where.op == "="
-            and isinstance(where.left, ColumnRef)
-            and isinstance(where.right, Literal)
-            and where.right.value is not None):
-        return where.left.name, where.right.value
-    return None
-
-
-_row_id = operator.attrgetter("row_id")
-
-#: One column's equality index: value -> the logical rows any of whose
-#: versions ever held it, in ``row_id`` order.
-_EqIndex = dict[object, list[_LogicalRow]]
-
-
-def _index_version(index: _EqIndex, logical: _LogicalRow, values: Row,
-                   column: str) -> bool:
-    """File ``logical`` under the value ``values`` holds for ``column``;
-    False when it has none that a dict can key (column absent, value
-    unhashable)."""
-    try:
-        value = values[column]
-        bucket = index.get(value)
-    except (KeyError, TypeError):
-        return False
-    if bucket is None:
-        if value is not None:  # ``column = NULL`` is never probed
-            index[value] = [logical]
-    elif bucket[-1].row_id < logical.row_id:
-        bucket.append(logical)
-    elif bucket[-1] is not logical:
-        # An older row moved into this bucket (UPDATE of the column).
-        at = bisect.bisect_left(bucket, logical.row_id, key=_row_id)
-        if at == len(bucket) or bucket[at] is not logical:
-            bucket.insert(at, logical)
-    return True
-
-
 @dataclass
 class _VTable:
     name: str
@@ -154,11 +107,8 @@ class _VTable:
     rows: dict[int, _LogicalRow] = field(default_factory=dict)
     next_row_id: int = 0
     write_ts: list[int] = field(default_factory=list)  # sorted (append-only)
-    #: column -> its equality index, built on the first probe of that
-    #: column; ``None`` marks a column that cannot be indexed (see
-    #: :func:`_index_version`) and keeps the full walk, with whatever
-    #: the predicate raises there.
-    eq_index: dict[str, _EqIndex | None] = field(default_factory=dict)
+    #: Every logical row under each value its versions held.
+    eq_index: EqualityIndex = field(default_factory=EqualityIndex)
 
     def new_row(self) -> _LogicalRow:
         self.next_row_id += 1
@@ -170,38 +120,15 @@ class _VTable:
         """Append ``version`` to ``logical`` — the one way versions
         enter a table, so the one place its indexes are kept."""
         logical.add(version)
-        for column, index in self.eq_index.items():
-            if index is not None and not _index_version(
-                    index, logical, version.values, column):
-                self.eq_index[column] = None
+        self.eq_index.note(logical, version.values)
 
     def candidates(self, where: Expr | None) -> Iterable[_LogicalRow]:
         """The logical rows a scan for ``where`` must look at, in
-        ``row_id`` order: all of them, or — when ``where`` leads with
-        ``column = constant`` — the index's superset of the rows with a
-        version the predicate can accept.  Python ``==`` and ``hash``
-        agree on the scalars SQL values are (``1``, ``1.0`` and ``True``
-        share a bucket, ``'1'`` has its own), as ``operator.eq`` under
-        the compiled predicate does."""
-        probe = _leading_equality(where)
-        if probe is None:
-            return self.rows.values()
-        column, constant = probe
-        if column not in self.eq_index:
-            self.eq_index[column] = self._build_index(column)
-        index = self.eq_index[column]
-        if index is None:
-            return self.rows.values()
-        return index.get(constant, ())
-
-    def _build_index(self, column: str) -> _EqIndex | None:
-        index: _EqIndex = {}
-        for logical in self.rows.values():
-            for version in logical.versions:
-                if not _index_version(index, logical, version.values,
-                                      column):
-                    return None
-        return index
+        ``row_id`` order: all of them, or the equality index's bucket."""
+        bucket = self.eq_index.probe(where, lambda: (
+            (logical, version.values) for logical in self.rows.values()
+            for version in logical.versions))
+        return self.rows.values() if bucket is None else bucket
 
     def note_write(self, ts: int) -> None:
         if not self.write_ts or self.write_ts[-1] != ts:

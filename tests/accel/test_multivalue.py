@@ -337,10 +337,12 @@ def _nested_arrays():
 
 
 def _scribble(array):
-    """Write through ``array`` at every depth."""
-    for cell in array.values():
-        if isinstance(cell, PhpArray):
-            _scribble(cell)
+    """Write through ``array`` at every depth, the way the engines do:
+    down through the write accessor, never through ``get``."""
+    for key in array.keys():
+        if isinstance(array.get(key), PhpArray):
+            _scribble(array.descend(key))
+            array.release()
     array.append("scribbled")
 
 

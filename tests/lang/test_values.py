@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import WeblangError
@@ -21,6 +21,7 @@ from repro.lang.values import (
     to_str,
     truthy,
 )
+from repro.multivalue.multivalue import MultiValue, Partition
 
 
 # -- PhpArray ----------------------------------------------------------------
@@ -71,6 +72,156 @@ def test_deep_copy_isolates_nested():
     twin = outer.deep_copy()
     twin.get("in").append(3)
     assert len(inner) == 2
+
+
+def test_from_records_is_from_dict_per_record():
+    """Column names become keys as ``set`` makes them — ``"12"`` an int
+    key that moves the next index — once per shape of record."""
+    records = [{"12": "a", "-3": "b", "x": 1, "03": 2},
+               {"12": "c", "-3": "d", "x": 3, "03": 4},
+               {"x": 5, "12": 6}, {}]
+    built = PhpArray.from_records(records)
+    assert built.get(0).keys() == [12, -3, "x", "03"]
+    for index, record in enumerate(records):
+        row, twin = built.get(index), PhpArray.from_dict(record)
+        assert row.items() == twin.items()
+        row.append("next")  # and the next index agrees
+        twin.append("next")
+        assert row.keys() == twin.keys()
+    built.append("after")
+    assert built.keys() == [0, 1, 2, 3, 4]
+
+
+def test_copy_is_a_handle_until_a_write():
+    inner = PhpArray.from_list([1, 2])
+    outer = PhpArray.from_dict({"in": inner, "n": 1})
+    twin = outer.copy()
+    assert twin.data is outer.data  # O(1): nothing is copied yet
+    twin.descend("in").append(3)
+    twin.release()
+    assert twin.data is not outer.data
+    assert outer.get("in").values() == [1, 2]
+    assert twin.get("in").values() == [1, 2, 3]
+
+
+# -- copy-on-write against eager copies ------------------------------------------
+#
+# Two worlds run the same operations: in one, copies are copy-on-write
+# handles and writes at depth go down through ``descend``; in the
+# other, every copy is a ``deep_copy`` (what both engines did before).
+# Each handle must read the same in both, after every operation: a
+# write through one handle never shows through another, the source of
+# a copy included.
+
+_KEYS = st.sampled_from([0, 1, "a"])
+_SCALARS = st.one_of(st.integers(-3, 3), st.sampled_from(["x", ""]))
+_SPECS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.tuples(st.just("array"), st.lists(st.tuples(_KEYS, inner),
+                                             max_size=3)),
+        # A multivalue cell: per-class values, arrays among them.
+        st.tuples(st.just("multi"), st.lists(inner, min_size=2,
+                                             max_size=2)),
+    ),
+    max_leaves=6,
+)
+_PARTITION = Partition.identity(2)
+
+
+def _build(spec):
+    """A fresh value from ``spec``: each world gets its own objects."""
+    if not isinstance(spec, tuple):
+        return spec
+    kind, items = spec
+    if kind == "multi":
+        return MultiValue(_PARTITION, [_build(item) for item in items])
+    array = PhpArray()
+    for key, item in items:
+        array.set(key, _build(item))
+    return array
+
+
+def _snap(value):
+    if isinstance(value, PhpArray):
+        return tuple((key, _snap(cell)) for key, cell in value.items())
+    if isinstance(value, MultiValue):
+        return ("multi", tuple(_snap(held) for held in value.values))
+    return value
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("copy"), st.integers(0, 99)),
+    # Store a copy of one handle into a cell of another: nested sharing.
+    st.tuples(st.just("store"), st.integers(0, 99), st.lists(_KEYS, max_size=2),
+              _KEYS, st.integers(0, 99)),
+    st.tuples(st.just("set"), st.integers(0, 99), st.lists(_KEYS, max_size=2),
+              _KEYS, _SPECS),
+    st.tuples(st.just("append"), st.integers(0, 99),
+              st.lists(_KEYS, max_size=2), _SPECS),
+    st.tuples(st.just("remove"), st.integers(0, 99),
+              st.lists(_KEYS, max_size=2), _KEYS),
+    # Copy an array the path went through, between the walk and its
+    # store (``$a['x']['y'] = $a['x']``-like: the value is read later).
+    st.tuples(st.just("copy_midway"), st.integers(0, 99),
+              st.lists(_KEYS, min_size=1, max_size=2), _KEYS,
+              st.integers(0, 99)),
+)
+
+
+def _apply(op, handles, cow):
+    kind, which = op[0], op[1] % len(handles)
+    if kind == "copy":
+        source = handles[which]
+        handles.append(source.copy() if cow else source.deep_copy())
+        return
+    container, path, held = handles[which], op[2], []
+    for key in path:  # the engines' walk: a null cell becomes an array
+        cell = container.get(key)
+        if not (cell is None or isinstance(cell, PhpArray)):
+            break  # a scalar or a multivalue: the engines stop here too
+        held.append(container)
+        if cow:
+            container = container.descend(key)
+        else:
+            if cell is None:
+                cell = PhpArray()
+                container.set(key, cell)
+            container = cell
+    else:
+        if kind == "copy_midway":
+            if held:
+                source = held[op[4] % len(held)]
+                handles.append(source.copy() if cow else source.deep_copy())
+            container.set(op[3], "late")
+        elif kind == "store":
+            other = handles[op[4] % len(handles)]
+            container.set(op[3], other.copy() if cow else other.deep_copy())
+        elif kind == "set":
+            container.set(op[3], _build(op[4]))
+        elif kind == "append":
+            container.append(_build(op[3]))
+        else:
+            container.remove(op[3])
+    if cow:
+        for array in held:
+            array.release()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPECS.filter(lambda spec: isinstance(spec, tuple)
+                     and spec[0] == "array"),
+       st.lists(_OPS, max_size=25))
+def test_no_write_through_one_handle_shows_through_another(spec, ops):
+    cow, eager = [_build(spec)], [_build(spec)]
+    for op in ops:
+        _apply(op, cow, True)
+        _apply(op, eager, False)
+        assert [_snap(h) for h in cow] == [_snap(h) for h in eager], op
+    # ... and the next appended key agrees, so ``_next_index`` does too.
+    for handle in cow + eager:
+        handle.append("end")
+    assert [_snap(h) for h in cow] == [_snap(h) for h in eager]
 
 
 def test_equality_by_value():

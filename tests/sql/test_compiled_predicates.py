@@ -251,6 +251,31 @@ def test_predicate_cache_is_bounded(monkeypatch):
     assert len(engine_mod._COMPILED) == 16
 
 
+def test_one_projection_per_select_list(monkeypatch):
+    """Statements that differ only past FROM share their SELECT list,
+    and so one cached projection — not one per statement text (the
+    audit's peak memory grew by a MiB with one per text)."""
+    monkeypatch.setattr(engine_mod, "_COMPILED", {})
+    engine = Engine()
+    for stmt in parse_script(
+            "CREATE TABLE t (id INT, a INT); INSERT INTO t (id, a) "
+            "VALUES (1, 10), (2, 20), (3, 30)"):
+        engine.execute(stmt)
+    texts = [f"SELECT a, id AS k FROM t WHERE id = {n}" for n in range(40)]
+    rows = [engine.execute(parse_sql(text)).rows for text in texts]
+    assert rows[2] == [{"a": 20, "k": 2}] and rows[9] == []
+    assert len({id(parse_sql(text).items) for text in texts}) == 1
+    projections = [entry for entry in engine_mod._COMPILED.values()
+                   if isinstance(entry[0], tuple)]
+    assert len(projections) == 1
+    # Lists are shared by their text, never by ``==``: ``Literal(1)``
+    # and ``Literal(1.0)`` are equal dataclasses.
+    for text, kind in (("1", int), ("1.0", float), ("1", int)):
+        rows = engine.execute(parse_sql(
+            f"SELECT {text} AS x FROM t WHERE id = 1")).rows
+        assert type(rows[0]["x"]) is kind
+
+
 def test_like_cache_is_bounded():
     """LIKE patterns come straight from request parameters in the
     audited trace; the pattern cache must not grow with them."""

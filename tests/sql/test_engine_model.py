@@ -2,16 +2,22 @@
 
 Random sequences of INSERT/UPDATE/DELETE/SELECT are applied both to the
 engine and to a list-of-dicts model with hand-rolled predicate logic; all
-observable results must agree.
+observable results must agree.  Statements that lead with ``column =
+constant`` run through the engine's equality index, so they come with
+constants of every kind, with writes that move rows between its buckets,
+and inside transactions that roll back.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sql import engine as engine_mod
+from repro.sql.database import Database
 from repro.sql.engine import Engine
 from repro.sql.parser import parse_script, parse_sql
 
@@ -53,6 +59,16 @@ class Model:
         ]
         return before - len(self.rows)
 
+    def where_eq(self, column: str, constant: object,
+                 vmin: int | None = None) -> list[dict]:
+        """``column = constant [AND v > vmin]``: Python ``==``, as the
+        engine's ``=`` is; NULL equals nothing."""
+        return [
+            row for row in self.rows
+            if constant is not None and row[column] == constant
+            and (vmin is None or (row["v"] is not None and row["v"] > vmin))
+        ]
+
     def select_all(self) -> list[dict]:
         return [dict(row) for row in self.rows]
 
@@ -67,6 +83,21 @@ class Model:
         return len(self.rows)
 
 
+def _constant(rng: random.Random, column: str,
+              model: Model) -> tuple[str, object]:
+    """``id = K`` / ``s = 'x'`` constants of every kind — an int, a float
+    equal to one, a string an INT column never equals, and NULL — as
+    SQL and as the value the model compares with; ids mostly live."""
+    if column == "id":
+        value = rng.choice([row["id"] for row in model.rows]
+                           + [rng.randint(0, 12)])
+        return rng.choice([(str(value), value), (f"{value}.0", float(value)),
+                           (f"'{value}'", str(value)), ("NULL", None)])
+    text = rng.choice(["x", "y", "z", "o'k"])
+    return rng.choice([("'" + text.replace("'", "''") + "'", text),
+                       ("1", 1), ("NULL", None)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
@@ -74,16 +105,19 @@ class Model:
 )
 def test_engine_matches_model(seed, n_ops):
     rng = random.Random(seed)
-    engine = Engine()
-    for stmt in parse_script(SETUP):
-        engine.execute(stmt)
+    db = Database("db")
+    db.setup(SETUP)
     model = Model()
+    saved: tuple[list[dict], int] | None = None  # the open transaction's
 
     def q(sql):
-        return engine.execute(parse_sql(sql))
+        return db.execute("r", 1, sql)
 
+    # Build both indexes now, so every write below has to keep them.
+    assert q("SELECT * FROM t WHERE id = 1").rows == []
+    assert q("SELECT * FROM t WHERE s = 'x'").rows == []
     for _ in range(n_ops):
-        choice = rng.randrange(6)
+        choice = rng.choices(range(11), (3, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1))[0]
         if choice == 0:
             v = rng.randint(-5, 15)
             s = rng.choice(["x", "y", "o'k"])
@@ -105,12 +139,57 @@ def test_engine_matches_model(seed, n_ops):
             assert result.affected == model.delete(vmax)
         elif choice == 4:
             assert q("SELECT * FROM t").rows == model.select_all()
-        else:
+        elif choice == 5:
             vmin = rng.randint(-5, 15)
             assert (
                 q(f"SELECT id, s FROM t WHERE v > {vmin}").rows
                 == model.select_where(vmin)
             )
+        elif choice == 6:  # indexed SELECTs
+            column = rng.choice(["id", "s"])
+            sql_constant, constant = _constant(rng, column, model)
+            vmin = rng.choice([None, rng.randint(-5, 15)])
+            tail = "" if vmin is None else f" AND v > {vmin}"
+            assert (q(f"SELECT * FROM t WHERE {column} = {sql_constant}"
+                      f"{tail}").rows
+                    == model.where_eq(column, constant, vmin))
+        elif choice == 7:  # a row moves between ``s`` buckets
+            sql_constant, constant = _constant(rng, "id", model)
+            new = rng.choice(["x", "y", "z"])
+            hit = model.where_eq("id", constant)
+            result = q(f"UPDATE t SET s = '{new}' WHERE id = {sql_constant}")
+            for row in hit:
+                row["s"] = new
+            assert result.affected == len(hit)
+        elif choice == 8:  # indexed DELETEs
+            column = rng.choice(["id", "s"])
+            sql_constant, constant = _constant(rng, column, model)
+            vmin = rng.randint(-5, 15) if column == "s" else None
+            tail = "" if vmin is None else f" AND v > {vmin}"
+            hit = model.where_eq(column, constant, vmin)
+            result = q(f"DELETE FROM t WHERE {column} = {sql_constant}{tail}")
+            model.rows = [row for row in model.rows if row not in hit]
+            assert result.affected == len(hit)
+        elif choice == 9 and saved is None:
+            db.begin("r", 1)
+            saved = copy.deepcopy(model.rows), model.auto
+        elif choice == 10 and saved is not None:
+            if rng.random() < 0.5:
+                db.rollback("r")
+                model.rows, model.auto = saved
+            else:
+                assert db.commit("r")
+            saved = None
+    if saved is not None:
+        db.rollback("r")
+        model.rows, model.auto = saved
+    assert not db.in_transaction("r")
+    for ident in range(1, model.auto + 2):  # the indexes, after it all
+        assert (q(f"SELECT * FROM t WHERE id = {ident}").rows
+                == model.where_eq("id", ident))
+    for text in ("x", "y", "z"):
+        assert (q(f"SELECT * FROM t WHERE s = '{text}'").rows
+                == model.where_eq("s", text))
     assert q("SELECT COUNT(*) AS n FROM t").rows == [{"n": model.count()}]
     ordered = q("SELECT id FROM t ORDER BY v DESC, id").rows
     expected = sorted(
@@ -130,3 +209,36 @@ def test_engine_matches_model(seed, n_ops):
         reverse=True,
     )
     assert [r["id"] for r in ordered] == [r["id"] for r in expected]
+
+
+def test_an_indexed_select_looks_at_fewer_rows_than_the_table_holds(
+        monkeypatch):
+    engine = Engine()
+    for stmt in parse_script(SETUP):
+        engine.execute(stmt)
+    for index in range(40):
+        engine.execute(parse_sql(
+            f"INSERT INTO t (v, s) VALUES ({index % 4}, 'x')"))
+    engine.execute(parse_sql("UPDATE t SET s = 'y' WHERE id = 7"))
+    engine.execute(parse_sql("DELETE FROM t WHERE id = 9"))
+    looked_at = []
+
+    def counting(where):
+        accepts = compile_where(where)
+        return None if accepts is None else (
+            lambda row: looked_at.append(row["id"]) or accepts(row))
+
+    compile_where = engine_mod.compile_where
+    monkeypatch.setattr(engine_mod, "compile_where", counting)
+    rows = engine.execute(parse_sql(
+        "SELECT id FROM t WHERE s = 'y' AND v > 0")).rows
+    assert rows == [{"id": 7}]
+    assert looked_at == [7]
+    looked_at.clear()
+    assert engine.execute(parse_sql(
+        "SELECT id FROM t WHERE id = 9")).rows == []
+    assert looked_at == []  # deleted: skipped before the predicate
+    looked_at.clear()
+    assert len(engine.execute(parse_sql(
+        "SELECT id FROM t WHERE v > 2")).rows) == 10
+    assert len(looked_at) == 39  # no leading equality: every row

@@ -244,7 +244,8 @@ def cmd_demo(args) -> int:
     print(f"groups={stats['groups']} alpha={alpha:.3f} "
           f"classes={stats['multi_classes']}/{stats['multi_slots']} "
           f"dedup={stats['dedup_hits']}/"
-          f"{stats['dedup_hits'] + stats['dedup_misses']}")
+          f"{stats['dedup_hits'] + stats['dedup_misses']} "
+          f"work_ratio={stats['work_ratio']:.3f}")
     print(f"shards={stats['shard_count']}: " + " ".join(
         f"[{s['shard']}] {s['requests']}req "
         f"{s['reexec_seconds'] * 1e3:.1f}ms"
@@ -771,7 +772,8 @@ def _print_verdict(audit, as_json: bool, base: dict | None = None) -> int:
         return 0 if audit.accepted else 1
     if audit.accepted:
         print(f"ACCEPTED in {audit.phases['total'] * 1e3:.1f} ms "
-              f"across {audit.stats['shard_count']} epoch(s)")
+              f"across {audit.stats['shard_count']} epoch(s), "
+              f"work ratio {audit.stats['work_ratio']:.3f}")
     else:
         print(f"REJECTED: {audit.reason.value}"
               + (f": {audit.detail}" if audit.detail else ""))

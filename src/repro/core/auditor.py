@@ -53,6 +53,7 @@ from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
+from repro.common.collector import collector_scope
 from repro.common.errors import MalformedBundle, RejectReason
 from repro.core.config import AuditConfig
 from repro.core.epochwork import encode_work_unit, epoch_worker_config
@@ -63,6 +64,7 @@ from repro.core.pipeline import (
     default_pipeline,
     prepass_epoch,
 )
+from repro.core.profile import work_ratio
 from repro.server.app import Application, InitialState
 from repro.server.reports import Reports
 from repro.trace.trace import Trace
@@ -520,6 +522,8 @@ class AuditSession:
         elif self._auditor.config.migrate:
             merged.next_initial = self._state
         merged.stats["shard_count"] = len(self._summaries)
+        merged.stats["work_ratio"] = work_ratio(
+            merged.stats.get("group_alphas", []))
         merged.stats["shards"] = self._summaries
         merged.phases["total"] = self._audit_seconds
         self._final = merged
@@ -600,6 +604,7 @@ class Auditor:
         chain."""
         return AuditSession(self, initial_state, pool)
 
+    @collector_scope()
     def audit_epochs(
         self,
         epochs: Iterable,
@@ -683,7 +688,7 @@ def malformed_verdict(exc: MalformedBundle,
     if result is None:
         result = AuditResult(
             accepted=False, phases={"total": 0.0},
-            stats={"shard_count": 0, "shards": []})
+            stats={"shard_count": 0, "shards": [], "work_ratio": 1.0})
     result.accepted = False
     result.reason = RejectReason.MALFORMED_BUNDLE
     result.detail = str(exc)

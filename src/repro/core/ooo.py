@@ -19,6 +19,7 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field
 
+from repro.common.collector import collector_scope
 from repro.common.errors import AuditReject, RejectReason, WeblangError
 from repro.core.graph import OPNUM_INF
 from repro.core.process_reports import process_op_reports
@@ -99,6 +100,7 @@ class OooResult:
     seconds: float = 0.0
 
 
+@collector_scope()
 def simple_audit(
     app: Application,
     trace: Trace,

@@ -40,6 +40,7 @@ import time as _time
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
+from repro.common.collector import collector_scope
 from repro.common.errors import AuditReject, RejectReason
 from repro.core.config import AuditConfig
 from repro.core.nondet import validate_nondet_reports
@@ -288,6 +289,7 @@ class AuditPipeline:
     def __init__(self, phases: Sequence[AuditPhase]):
         self.phases: list[AuditPhase] = list(phases)
 
+    @collector_scope()
     def run(self, actx: AuditContext) -> AuditResult:
         """Run every phase; never raises :class:`AuditReject`."""
         result = actx.result

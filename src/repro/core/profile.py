@@ -44,6 +44,14 @@ def group_profile(stats: Mapping, meta: Mapping | None = None) -> dict:
     return profile
 
 
+def work_ratio(triples) -> float:
+    """The paper's cost model over (n, α, ℓ) triples: Σ n·ℓ over Σ ℓ·(α +
+    (1−α)·n), a multivalent step charged once per request; 1.0 if none."""
+    alone = sum(n * ell for n, _, ell in triples)
+    audit = sum(ell * (alpha + (1 - alpha) * n) for n, alpha, ell in triples)
+    return alone / audit if audit else 1.0
+
+
 def summarize_triples(triples: list[list]) -> dict:
     """Aggregate moments a scheduler can use without the full list."""
     if not triples:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import io as _stdio
 import json
+from json.scanner import make_scanner
 from dataclasses import dataclass, field
 from collections.abc import Iterator, Sequence
 
@@ -294,13 +295,26 @@ SEGMENTED_LAYOUT = "segmented"
 #: Op-log records per JSONL line (bounds the working set of a consumer).
 _JSONL_LOG_CHUNK = 1000
 
-#: ``json.loads`` for one record line, minus its per-call keyword
-#: dispatch (this is the decoder ``loads`` ends up calling).
-_parse_record = json.JSONDecoder().decode
-#: Likewise ``json.dumps`` for one record: the encoder it would use,
-#: minus the cycle check — the record builders copy every container
-#: they are given (``_enc``), so a cycle would not get as far as JSON.
+#: The decoder ``json.loads`` ends up calling, and its C scanner.
+_DECODER = json.JSONDecoder()
+_scan = make_scanner(_DECODER)
+#: ``json.dumps`` for one record: the encoder it would use, minus the
+#: cycle check — the record builders copy every container they are
+#: given (``_enc``), so a cycle would not get as far as JSON.
 _encode_record = json.JSONEncoder(check_circular=False).encode
+
+
+def _parse_record(line: str):
+    """``json.loads`` of one record line: the scanner alone when a value
+    spans the line but for its newline, else (leading whitespace, CRLF,
+    trailing junk, a torn value) the full decoder, failing as it does."""
+    try:
+        record, end = _scan(line, 0)
+        if end == len(line) or (end == len(line) - 1 and line[end] == "\n"):
+            return record
+    except (StopIteration, ValueError):
+        pass
+    return _DECODER.decode(line)
 
 
 # -- record builders ------------------------------------------------------------

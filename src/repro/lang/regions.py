@@ -22,6 +22,14 @@ errors stay the closures'.  A statement that does not qualify — and
 every statement of a ``use_env`` scope, whose variables live behind
 :class:`~repro.lang.interp._Env` — is a call to its closure.
 
+A ``while`` loads every variable its condition or an in-line statement
+reads or writes, and ``steps`` and ``flow``, into Python locals at
+entry; it writes back what changed before each call (a closure or
+``_truth``) and at exit, and reloads after a call or a ``break`` /
+``continue`` signal, so a call, and whoever catches what it raises,
+finds the frame, ``steps`` and the flow digest as the closures alone
+would leave them.  A block works on the frame directly.
+
 No program text reaches the generated source: variable names,
 constants and closures are arguments of a factory whose parameters the
 generator names, so one source (one ``compile``) serves every region of
@@ -56,33 +64,41 @@ _TESTS = frozenset({"<", "<=", ">", ">=", "==", "!="})
 #: How deep an operator may stand and still run in line.
 _DEPTH = 32
 
+#: A loop's local of a variable not in the frame: never written back.
+_ABSENT = object()
+
 #: The module a generated function runs in: no builtins beyond these.
 _HELPERS: dict[str, object] = {
     "__builtins__": {}, "type": type, "int": int, "str": str,
     "_truth": _truth, "_BreakSignal": _BreakSignal,
     "_ContinueSignal": _ContinueSignal, "_PRIME": _FNV_PRIME,
-    "_MASK": _MASK,
+    "_MASK": _MASK, "_ABSENT": _ABSENT,
 }
 
 _LOOP = """\
-        state.steps += 1
+{load}
+        steps += 1
         while True:
 {cond}
-            if cond is not True and (cond is False
-                                     or not _truth(cond, {where})):
-                break
-            flow = state.flow
+            if cond is not True:
+                if cond is False:
+                    break
+{sync}
+                if not _truth(cond, {where}):
+                    break
             if flow is not None:
-                state.flow = ((flow ^ {enter}) * _PRIME) & _MASK
+                flow = ((flow ^ {enter}) * _PRIME) & _MASK
             try:
 {body}
             except _BreakSignal:
+{reload}
                 break
             except _ContinueSignal:
+{reload}
                 continue
-        flow = state.flow
         if flow is not None:
-            state.flow = ((flow ^ {leave}) * _PRIME) & _MASK"""
+            flow = ((flow ^ {leave}) * _PRIME) & _MASK
+{sync_exit}"""
 
 #: A read's local and the type its guard tests, by variable name.
 _Reads = dict[str, tuple[str, type]]
@@ -103,6 +119,9 @@ class _Region:
         self.fast = fast  # a dict frame: statements may run in line
         self.args: list[object] = []
         self.names: dict[str, str] = {}
+        #: A loop's locals by variable, and what in-line statements wrote.
+        self.locals: dict[str, str] = {}
+        self.dirty: set[str] = set()
 
     def bind(self, value: object) -> str:
         self.args.append(value)
@@ -129,8 +148,9 @@ class _Region:
         if isinstance(node, Var) and want is not None:
             # No operator here turns one type into another, so every
             # operand of an expression that qualifies has the same type.
-            return reads.setdefault(node.name,
-                                    (f"v{len(reads)}", want))[0], 1
+            if node.name not in reads:
+                reads[node.name] = (self._local(node.name, len(reads)), want)
+            return reads[node.name][0], 1
         if not isinstance(node, BinOp) or depth > _DEPTH:
             return None
         operands, plain = EXACT_OPS.get(node.op, (None, None))
@@ -146,31 +166,57 @@ class _Region:
             return None
         return f"({left[0]} {infix} {right[0]})", 1 + left[1] + right[1]
 
+    def _inline(self, node: Node, reads: _Reads) -> tuple[str, int] | None:
+        """:meth:`_expr` of a statement's root, binding nothing when it
+        does not qualify."""
+        mark, known = len(self.args), dict(self.locals)
+        inline = self._expr(node, None, reads) if self.fast else None
+        if inline is None:
+            del self.args[mark:]
+            self.locals = known
+        return inline
+
     def _line(self, depth: int, node: Node, slow: str, target: str | None,
               book: int) -> list[str]:
         """``node``'s value stored in variable ``target`` (in ``cond``
         where ``None``) — in line behind the guard on its reads, booking
         ``book`` steps more than its nodes, where it qualifies — else
-        the line ``slow``."""
+        the call ``slow``."""
         pad = "    " * depth
-        mark = len(self.args)
         reads: _Reads = {}
-        inline = self._expr(node, None, reads) if self.fast else None
+        inline = self._inline(node, reads)
         if inline is None:
-            del self.args[mark:]
-            return [pad + slow]
-        lines = [f"{pad}{local} = env.get({self._name(var)})"
-                 for var, (local, _) in reads.items()]
-        store = "cond" if target is None else f"env[{self._name(target)}]"
-        fast = [f"state.steps += {inline[1] + book}",
+            return self._call(pad, slow, arm=False)
+        lines = self._fresh(pad, reads)
+        store = "cond" if target is None else self._store(target)
+        fast = [f"{self._steps} += {inline[1] + book}",
                 f"{store} = {inline[0]}"]
+        slow_lines = self._call(pad + "    ", slow, arm=True) if reads else []
+        self.dirty.update(("steps", store))
         if not reads:
-            return [pad + line for line in fast]
+            return [*lines, *(pad + line for line in fast)]
         guard = " and ".join(f"type({local}) is {kind.__name__}"
                              for local, kind in reads.values())
         return [*lines, f"{pad}if {guard}:",
                 *(f"{pad}    {line}" for line in fast),
-                f"{pad}else:", f"{pad}    {slow}"]
+                f"{pad}else:", *slow_lines]
+
+    # -- a block's statements work on the frame and ``state`` directly
+
+    _steps = "state.steps"
+
+    def _local(self, var: str, index: int) -> str:
+        return f"v{index}"
+
+    def _fresh(self, pad: str, reads: _Reads) -> list[str]:
+        return [f"{pad}{local} = env.get({self._name(var)})"
+                for var, (local, _) in reads.items()]
+
+    def _store(self, target: str) -> str:
+        return f"env[{self._name(target)}]"
+
+    def _call(self, pad: str, call: str, arm: bool) -> list[str]:
+        return [pad + call]
 
     def _name(self, var: str) -> str:
         if var not in self.names:
@@ -181,15 +227,71 @@ class _Region:
         """One statement of a region: ``$x = e`` / ``$x op= e`` in line
         where it qualifies, else a call to its closure ``fn``."""
         call = f"{self.bind(fn)}(env, state)"
-        if not isinstance(stmt, Assign) or (
-                stmt.op and compound(stmt.op) is not binop(stmt.op)):
-            return ["    " * depth + call]
-        if not stmt.op:  # the statement's step, then its expression's
-            return self._line(depth, stmt.expr, call, stmt.name, 1)
-        # ``$x op= e`` is ``$x = $x op e`` but for the steps of the
-        # operator and the read of ``$x``: the statement books one.
-        return self._line(depth, BinOp(stmt.op, Var(stmt.name), stmt.expr),
-                          call, stmt.name, -1)
+        form = _form(stmt)
+        if form is None:
+            return self._call("    " * depth, call, arm=False)
+        node, target, book = form
+        return self._line(depth, node, call, target, book)
+
+
+class _Loop(_Region):
+    """A ``while``, whose in-line statements work on Python locals (module
+    docstring): a call writes back the locals written since the last
+    sync (``dirty``) before it and reloads them all after."""
+
+    _steps = "steps"
+
+    def __init__(self, fast: bool, forms: list[tuple[Node, str | None]]):
+        super().__init__(fast)
+        self.written = {"steps", "flow"}
+        for node, target in forms:  # a dry run: which locals there are
+            if self._inline(node, {}) is not None and target is not None:
+                self.written.add(self._local(target, 0))
+        self.args.clear()
+        self.dirty = set(self.written)  # what a trip may have left
+
+    def _local(self, var: str, index: int) -> str:
+        return self.locals.setdefault(var, f"x{len(self.locals)}")
+
+    def _fresh(self, pad: str, reads: _Reads) -> list[str]:
+        return []
+
+    def _store(self, target: str) -> str:
+        return self._local(target, 0)
+
+    def _call(self, pad: str, call: str, arm: bool) -> list[str]:
+        lines = [*self.sync(pad, self.dirty), pad + call, *self.reload(pad)]
+        if not arm:  # else the in-line arm may leave what was dirty
+            self.dirty = set()
+        return lines
+
+    def reload(self, pad: str) -> list[str]:
+        """Lines loading every local from the frame and ``state``."""
+        return [*(f"{pad}{local} = get({self._name(var)}, _ABSENT)"
+                  for var, local in self.locals.items()),
+                f"{pad}steps = state.steps", f"{pad}flow = state.flow"]
+
+    def sync(self, pad: str, slots: set[str]) -> list[str]:
+        """Lines writing the locals ``slots`` back."""
+        lines = [f"{pad}state.{slot} = {slot}"
+                 for slot in ("steps", "flow") if slot in slots]
+        return lines + [f"{pad}if {local} is not _ABSENT:\n"
+                        f"{pad}    env[{self._name(var)}] = {local}"
+                        for var, local in self.locals.items()
+                        if local in slots]
+
+
+def _form(stmt: Node) -> tuple[Node, str, int] | None:
+    """An assignment's expression, target and the steps it books beyond
+    the expression's nodes, where it may run in line."""
+    if not isinstance(stmt, Assign) or (
+            stmt.op and compound(stmt.op) is not binop(stmt.op)):
+        return None
+    if not stmt.op:  # the statement's step, then its expression's
+        return stmt.expr, stmt.name, 1
+    # ``$x op= e`` is ``$x = $x op e`` but for the steps of the operator
+    # and the read of ``$x``: the statement books one.
+    return BinOp(stmt.op, Var(stmt.name), stmt.expr), stmt.name, -1
 
 
 def _divisor(node: Node) -> bool:
@@ -215,13 +317,27 @@ def loop(stmt: While, cond_fn: Callable, fns: list[Callable], enter: int,
     condition's closure, ``fns`` its body's) as its closure would: the
     flow digest folds ``enter`` per trip and ``leave`` after the last,
     ``break`` / ``continue`` arrive as signals, and ``_truth`` decides a
-    condition that is not a bool."""
-    region = _Region(fast)
+    condition that is not a bool.
+
+    A call — a closure or ``_truth`` — finds the frame and ``state`` as
+    the closures alone would have left them, and whatever it raises
+    leaves them as the call did: a signal reloads the locals, and an
+    error goes out with nothing written after the call."""
+    forms: list[tuple[Node, str | None]] = [(stmt.cond, None)]
+    forms += [form[:2] for node in stmt.body
+              if (form := _form(node)) is not None]
+    region = _Loop(fast, forms)
     cond = region._line(3, stmt.cond,
                         f"cond = {region.bind(cond_fn)}(env, state)", None, 0)
+    sync = region.sync(" " * 16, region.dirty)
+    region.dirty.add("flow")
     body = [line for node, fn in zip(stmt.body, fns)
             for line in region.statement(4, node, fn)]
+    load = ["        get = env.get"] if region.locals else []
     return region.build(_LOOP.format(
-        cond="\n".join(cond), body="\n".join(body) or "                pass",
+        load="\n".join(load + region.reload(" " * 8)), cond="\n".join(cond),
+        sync="\n".join(sync), body="\n".join(body) or " " * 16 + "pass",
+        reload="\n".join(region.reload(" " * 16)),
+        sync_exit="\n".join(region.sync(" " * 8, region.written)),
         where=region.bind(where), enter=region.bind(enter),
         leave=region.bind(leave)))

@@ -48,6 +48,7 @@ import time as _time
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
+from repro.common.collector import collector_scope
 from repro.common.errors import WeblangError
 from repro.lang.compile import CompInterpreter
 from repro.lang.interp import ExternalIntent, StateOpIntent
@@ -142,6 +143,7 @@ class Executor:
 
     # -- main loop ----------------------------------------------------------
 
+    @collector_scope()
     def serve(self, requests: Sequence[Request]) -> ExecutionResult:
         app = self.app
         db = Database(app.db_name)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import threading
@@ -60,6 +61,18 @@ COUNTER_SCHEMA = (
     " body TEXT);"
     "INSERT INTO docs (title, body) VALUES ('front', 'welcome')"
 )
+
+
+@pytest.fixture(autouse=True)
+def collector_policy_restored():
+    """Fails a test that leaves the cyclic collector's threshold or
+    freeze count other than it found them (a
+    :func:`repro.common.collector.collector_scope` still open, or one
+    that restores wrongly)."""
+    before = gc.get_threshold(), gc.get_freeze_count()
+    yield
+    assert (gc.get_threshold(), gc.get_freeze_count()) == before, \
+        "the test left the collector's policy changed"
 
 
 @pytest.fixture

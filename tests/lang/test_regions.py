@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,7 @@ from repro.lang.compile import (
 )
 from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
+from repro.lang.simd import _State
 from repro.trace.events import Request
 
 sys.path.append(str(Path(__file__).resolve().parents[2]
@@ -116,16 +118,28 @@ def _programs(draw) -> str:
                          "if ($i == 1) { $i = strval($i); } ",
                          "if ($i == 2) { continue; } ",
                          "if ($i == 3) { break; } "]),
+        # The loop-locals hazards: a closure writes a loop variable and
+        # continues; ``break`` right after an in-line write; a call
+        # that writes loop variables through ``global``; a nested loop;
+        # an error partway through a trip, after an in-line write.
+        st.sampled_from(["if ($i == 2) { $a = $a + 5; $i += 1; continue; } ",
+                         "$a += 2; if ($i == 3) { break; } ",
+                         "$a = $a * 3; break; ",
+                         "g(); ",
+                         "$b = 0; while ($b < $i) { $b += 1; $a += $b; } ",
+                         "$a += 1; if ($i == 2) { $c = $a % 0; } "]),
     ))
     body = (f"$a = 1; $b = 0; $c = 2; $s = 'x'; $i = 0; $n = {trips}; "
             f"{draw(block)} "
             f"while ($i < {bound}) {{ $i += 1; {flip}{draw(block)} }} "
             f"{draw(block)} " + " ".join(_dump(var) for var in DUMPED))
     scope = draw(st.sampled_from(["top", "function", "global"]))
+    # At top level ``g`` writes the loop's own variables.
+    helper = "function g() { global $a, $i; $a += 3; $i = $i + 1; } "
     if scope == "top":
-        return body
+        return helper + body
     declare = "global $c; " if scope == "global" else ""
-    return f"function f() {{ {declare}{body} }} f();"
+    return f"{helper}function f() {{ {declare}{body} }} f();"
 
 
 def _run(engine, program, request):
@@ -174,6 +188,22 @@ def _closures_only(program):
          "$i += 1; } echo $s;", qs=[0, 0, 0])
 @example(source="$i = intval(param('q')); while ($i < 3) { $i += 1; } "
          "echo $i;", qs=[0, 1, 0])
+# The loop-locals hazards, as above.
+@example(source="$i = 0; $a = 0; while ($i < 6) { $i += 1; if ($i == 2) "
+         "{ $i += 2; $a = $a + 100; continue; } $a += 1; } echo $i, ' ', $a;",
+         qs=[0, 0, 0])
+@example(source="$i = 0; $a = 1; while ($i < 6) { $i += 1; $a = $a * 3; "
+         "if ($i == 3) { $a = $a + 1; break; } } echo $i, ' ', $a; "
+         "while ($a < 1000) { $a = $a * 2; break; } echo ' ', $a;",
+         qs=[0, 0, 0])
+@example(source="function g() { global $i, $a; $i = $i + 2; $a = $a . 'g'; }"
+         " $i = 0; $a = 'x'; while ($i < 7) { $i += 1; $a .= 'y'; g(); } "
+         "echo $i, ' ', $a;", qs=[0, 0, 0])
+@example(source="$i = 0; $a = 0; while ($i < 4) { $i += 1; $b = 0; "
+         "while ($b < $i) { $b += 1; $a = $a + $b * $i; } } echo $a, $b;",
+         qs=[0, 0, 0])
+@example(source="$i = 0; $a = 0; while ($i < 5) { $i += 1; $a = $a + 1; "
+         "if ($i == 3) { $a = $a % 0; } } echo $a;", qs=[0, 0, 0])
 def test_regions_agree_with_the_oracle(source, qs):
     """Request by request, the engine and the oracle agree on the body
     (the dump says each variable's type and value), ``steps``, the flow
@@ -204,6 +234,29 @@ def test_regions_agree_with_the_oracle(source, qs):
         closures.multi_steps, closures.multi_slots, closures.multi_classes)
 
 
+def test_an_error_leaves_the_frame_steps_and_flow_as_the_closures_do():
+    """A ``WeblangError`` raised inside a call leaves a generated loop
+    with the frame, ``steps`` and the flow digest exactly as the
+    closures alone leave them: what ran in line before the call is in
+    the frame, and nothing is written back after it."""
+    program = parse_program(
+        "$i = 0; $a = 5; $s = 'x'; while ($i < 9) { $i += 1; $a = $a * 2;"
+        " $s .= 'y'; if ($i == 4) { $a = $a + 1; $b = $a % 0; } $a += 3; }")
+
+    def crash(compiled):
+        state = _State([Request("r", "error.php")], compiled._flow_seed,
+                       True)
+        with pytest.raises(WeblangError):
+            compiled._body_fn(state.globals, state)
+        return state.globals, state.steps, state.flow
+
+    expected = crash(_closures_only(program))
+    # Three whole trips (5 -> 13 -> 29 -> 61), then the fourth's in-line
+    # doubling and the closure's + 1 before it fails.
+    assert expected[0] == {"i": 4, "a": 61 * 2 + 1, "s": "xyyyy"}
+    assert crash(compile_program(program)) == expected
+
+
 def test_a_long_operator_chain_compiles_and_runs_alike():
     """Python's parser refuses 200 nested parentheses: a chain of 300
     operators must still compile (its deep part runs on closures)."""
@@ -220,12 +273,15 @@ def test_a_long_operator_chain_compiles_and_runs_alike():
 
 def _profiled_calls(program, n: int) -> tuple[list[str], str]:
     """Where each Python frame of one compiled run of ``compute.php``
-    came from, and the body."""
+    came from (``C`` for a call of a built-in such as ``dict.get``), and
+    the body."""
     files: list[str] = []
 
     def profile(frame, event, _arg):
         if event == "call":
             files.append(frame.f_code.co_filename)
+        elif event == "c_call":
+            files.append("C")
 
     run = CompInterpreter().run(program,
                                 Request("r", "compute.php", get={"n": str(n)}))
@@ -239,17 +295,27 @@ def _profiled_calls(program, n: int) -> tuple[list[str], str]:
     return files, body
 
 
-def test_the_benchmark_loop_is_one_generated_function():
+def test_the_benchmark_loop_is_one_generated_function(monkeypatch):
     """``compute_singleton``'s loop runs as one generated function whose
-    trips make no Python call at all: 40 more trips, no more frames."""
+    trips make no call at all — no Python frame, no ``dict.get``: 40
+    more trips, no more calls — and whose ``while`` reads no variable
+    from the frame: they live in Python locals."""
     app = e2e_workloads.compute_workload(0.02, 1).app
+    sources: list[str] = []
+    factory = regions._factory
+    monkeypatch.setattr(regions, "_factory",
+                        lambda source: sources.append(source)
+                        or factory(source))
     program = app.scripts["compute.php"]
+    compiled_for(program)
     short, _ = _profiled_calls(program, 40)
     long, body = _profiled_calls(program, 80)
     assert body == _run(Interpreter(), program,
                         Request("r", "compute.php", get={"n": "80"}))[0]
     assert len(long) == len(short)
     assert short.count("<weblang region>") == 2  # the script, the loop
+    (loop,) = [source for source in sources if "while True:" in source]
+    assert "env.get" not in loop[loop.index("while True:"):]
 
 
 #: Program text a generated source must never hold, as constants and as

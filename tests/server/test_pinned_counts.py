@@ -56,9 +56,19 @@ PINNED = {
     ),
 }
 
+#: workload -> the audit's ``work_ratio`` (the paper's cost model over
+#: its groups' (n, α, ℓ): Σ n·ℓ / Σ ℓ·(α + (1−α)·n)), to six places.  A
+#: change to grouping, dedup or collapse moves it.
+WORK_RATIO = {
+    "wiki_read": 6.428213,
+    "hotcrp_query": 3.964235,
+    "cart_write": 1.855316,
+    "compute_singleton": 1.065008,
+}
+
 
 def test_every_benchmark_workload_is_pinned():
-    assert set(PINNED) == set(e2e_workloads.SPECS)
+    assert set(PINNED) == set(WORK_RATIO) == set(e2e_workloads.SPECS)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -86,3 +96,4 @@ def test_serve_and_audit_counts_are_pinned(tmp_path, name):
         hashlib.sha256(produced).hexdigest(),
         hashlib.sha256(path.read_bytes()).hexdigest(),
     ) == PINNED[name]
+    assert round(stats["work_ratio"], 6) == WORK_RATIO[name]

@@ -462,3 +462,51 @@ def test_malformed_records_raise_value_error(tmp_path, what):
             if not repro_io.ends_stream(record):
                 accumulator.feed(record)
     assert issubclass(MalformedBundle, ValueError)
+
+
+# -- the record line parser ----------------------------------------------------
+
+RECORD = '{"kind": "epoch_mark", "events": 3, "t": ["l", [1.5, null]]}'
+
+
+@pytest.mark.parametrize("line", [
+    RECORD + "\n",
+    RECORD,  # a finished file's last record, without its newline
+    # leading whitespace
+    "  " + RECORD + "\n", "\t" + RECORD + "\n", "\n",
+    # CRLF, and whitespace before the newline
+    RECORD + "\r\n", RECORD + " \n", RECORD + "\n\n",
+    # trailing junk
+    RECORD + "x\n", RECORD + "{}\n", RECORD + "\n}",
+    # torn lines
+    RECORD[:25], RECORD[:-1] + "\n", '{"kind": "epo', "",
+])
+def test_a_record_line_decodes_or_fails_as_json_loads_does(line):
+    """The scanner's shortcut decodes what ``json.loads`` decodes, to the
+    same value, and fails where it fails, with the same message."""
+    try:
+        expected = json.loads(line)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as raised:
+            repro_io._parse_record(line)
+        assert str(raised.value) == str(exc)
+    else:
+        assert repro_io._parse_record(line) == expected
+
+
+def test_a_torn_last_record_is_a_malformed_bundle(tmp_path):
+    """A file that ends mid-record does not decode on any road, and says
+    what ``json`` said."""
+    records = _bundle_lines(tmp_path)
+    path = str(tmp_path / "torn.jsonl")
+    torn = json.dumps(records[-2])[:-7]
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(record) + "\n" for record in records[:-2])
+        fh.write(torn)
+    try:
+        json.loads(torn)
+    except ValueError as exc:
+        says = str(exc)
+    with BundleReader(path) as reader, pytest.raises(MalformedBundle) as raised:
+        list(reader.epochs())
+    assert says in str(raised.value)

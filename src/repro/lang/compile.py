@@ -55,7 +55,16 @@ How the closures are built:
   the multivalent step) its own closure would have; two operands of
   exactly the operator's type take its plain form
   (:data:`~repro.lang.values.EXACT_OPS`) before the table entry, and a
-  condition that is a bool skips ``_truth``;
+  condition that is a bool skips ``_truth``.  So do a pure built-in
+  call of one to three arguments (a generated function,
+  :func:`regions.call`), the copy-read of a dict-frame variable, and
+  ``$v[<int / str constant>]`` on one: each is one closure that books
+  what its closure tree booked and hands a multivalue to that tree's
+  helper;
+* **array literals** with int / str constant keys (or ``[]``) place
+  their values at keys normalised at compile time; one whose values
+  are constants or such literals too is built once, and evaluates to a
+  copy-on-write handle on that array;
 * **pure regions** — a pure block, and a pure ``while`` with its body —
   are one generated Python function each (:mod:`repro.lang.regions`):
   a statement is a call to its closure or, in a dict frame, an
@@ -219,8 +228,10 @@ class _Compiler:
         self.analysis = analyze_program(program, db_name, kv_name,
                                         session_cookie)
         #: A variable read or a constant is the same closure wherever
-        #: it occurs: (name, use_env) / (type, repr, steps) -> result.
+        #: it occurs: (name, use_env or "copy") / (type, repr, steps).
         self.leaves: dict[tuple, tuple] = {}
+        #: A constant array literal's closure -> (its array, steps).
+        self.literals: dict[Callable, tuple[PhpArray, int]] = {}
 
     # -- driver -------------------------------------------------------------
 
@@ -694,7 +705,9 @@ class _Compiler:
 
             def run(env, state):
                 state.steps += 1
-                container = root(env, state)
+                container = None if use_env else env.get(name)
+                if type(container) is not PhpArray:
+                    container = root(env, state)
                 walked, held = [], []
                 for path_fn in walk_fns:
                     key = path_fn(env, state)
@@ -712,7 +725,8 @@ class _Compiler:
                     container.append(value)
                 else:
                     container.set(key, value)
-                _release(held)
+                if held:  # not ``$a[k] = e`` / ``$a[] = e``
+                    _release(held)
 
             return True, run
 
@@ -842,6 +856,16 @@ class _Compiler:
         """:meth:`_compile_expr` under the :meth:`Interpreter._eval_copy`
         rule: a Var/Index read whose value is an array (or a multivalue,
         which may hold one per slot) copies it into the new location."""
+        var = self._frame_var(node)
+        if var is not None:  # one function: read, book, copy
+            if (var, "copy") not in self.leaves:
+                self.leaves[var, "copy"] = (True, regions.copy_read(var),
+                                            None)
+            return self.leaves[var, "copy"]
+        if type(node) is Index:
+            fused = self._const_index(node, copy=True)
+            if fused is not None:
+                return fused
         compiled = self._compile_expr(node)
         if type(node) not in (Var, Index):
             return compiled
@@ -1078,7 +1102,41 @@ class _Compiler:
 
         return False, run_gen, None
 
+    def _const_index(self, node: Index,
+                     copy: bool) -> tuple[bool, Callable, None] | None:
+        """``$v['k']`` / ``$v[1]`` on a dict frame, one closure: the key
+        normalised once, the steps of the ``Index``, ``Var`` and key
+        closures booked in one add; ``None`` for any other shape.  A base
+        that is not one univalue array goes to ``_index``, as before."""
+        var = self._frame_var(node.base)
+        const = self._compile_expr(node.index)[2] if var is not None else None
+        if const is None or type(const[0]) not in (int, str):
+            return None
+        key, steps = const[0], const[1] + 2
+        norm = PhpArray._norm_key(key)
+
+        def run(env, state):
+            state.steps += steps
+            base = env.get(var)
+            if type(base) is PhpArray:
+                value = base.data.get(norm)
+                if type(value) is MultiValue:
+                    state.multivalent(len(value.values))
+            else:
+                if type(base) is MultiValue:
+                    state.multivalent(len(base.values))
+                value = _index(base, key, state)
+            if copy and (type(value) is PhpArray
+                         or type(value) is MultiValue):
+                return _copy_value(value)
+            return value
+
+        return True, run, None
+
     def _compile_index(self, node: Index) -> tuple[bool, Callable, None]:
+        fused = self._const_index(node, copy=False)
+        if fused is not None:
+            return fused
         base_pure, base_fn, _ = self._compile_expr(node.base)
         index_pure, index_fn, _ = self._compile_expr(node.index)
         indexable = (PhpArray, str, MultiValue)
@@ -1124,6 +1182,46 @@ class _Compiler:
         all_pure = all(
             (key is None or key[0]) and value[0] for key, value in items
         )
+        keys: list = [_const_key(key) for key, _ in items]
+        if all_pure and None not in keys:
+            # Every key a constant or ``[]``: where each value lands is
+            # known now, and no value can make the array a list.
+            norms, top = [], 0
+            for key in keys:
+                norm = top if key is _APPEND else key[0]
+                if type(norm) is int and norm >= top:
+                    top = norm + 1
+                norms.append(norm)
+            steps = 1 + sum(key[1] for key in keys if key is not _APPEND)
+            held: list = [value[2] or self.literals.get(value[1])
+                          for _, value in items]
+            if None not in held:  # constant: one array, built now
+                array = PhpArray.from_data(
+                    dict(zip(norms, [value for value, _ in held])), top)
+                steps += sum(held_steps for _, held_steps in held)
+
+                def run(env, state):
+                    state.steps += steps
+                    return array.copy()  # a copy-on-write handle
+
+                self.literals[run] = (array, steps)
+                return True, run, None
+            cells = list(zip(norms, [value[1] for _, value in items]))
+
+            def run(env, state):
+                state.steps += steps
+                data = {}
+                for norm, value_fn in cells:
+                    value = value_fn(env, state)
+                    if type(value) is MultiValue:
+                        state.multi_cells = True
+                    data[norm] = value
+                return PhpArray.from_data(data, top)
+
+            return True, run, None
+        # Any other literal: its constant keys go in normalised.
+        items = [(self._const(*const) if type(const) is tuple else key, value)
+                 for (key, value), const in zip(items, keys)]
         if all_pure:
             pairs = [
                 (key[1] if key is not None else None, value[1])
@@ -1167,11 +1265,11 @@ class _Compiler:
 
     # -- calls ------------------------------------------------------------
 
-    def _compile_args(self, nodes: list[Node]) -> tuple[bool, Callable]:
-        """Evaluate a call's arguments (with copy semantics) to a list."""
-        compiled = [self._compile_expr_copy(arg)[:2] for arg in nodes]
-        if all(pure for pure, _ in compiled):
-            fns = [fn for _, fn in compiled]
+    def _compile_args(self, compiled: list[tuple]) -> tuple[bool, Callable]:
+        """Evaluate a call's arguments — ``compiled`` by
+        :meth:`_compile_expr_copy` — to a list."""
+        if all(pure for pure, _, _ in compiled):
+            fns = [fn for _, fn, _ in compiled]
 
             def run(env, state):
                 return [fn(env, state) for fn in fns]
@@ -1180,7 +1278,7 @@ class _Compiler:
 
         def run_gen(env, state):
             values = []
-            for pure, fn in compiled:
+            for pure, fn, _ in compiled:
                 values.append(fn(env, state) if pure
                               else (yield from fn(env, state)))
             return values
@@ -1208,7 +1306,8 @@ class _Compiler:
 
     def _compile_call(self, node: Call) -> tuple[bool, Callable, None]:
         name = node.name
-        args_pure, args_fn = self._compile_args(node.args)
+        compiled = [self._compile_expr_copy(arg) for arg in node.args]
+        args_pure, args_fn = self._compile_args(compiled)
         if name in REQUEST_INPUTS:
             return self._compile_request_input(name, args_pure, args_fn)
         if name in STATE_BUILTINS:
@@ -1230,6 +1329,10 @@ class _Compiler:
         if func is not None:
             return self._compile_user_call(func, args_pure, args_fn)
         builtin = PURE_BUILTINS.get(name)
+        if builtin is not None and args_pure and 1 <= len(compiled) <= 3:
+            return True, regions.call(builtin, [
+                (fn, self._frame_var(arg), const)
+                for arg, (_, fn, const) in zip(node.args, compiled)]), None
         if builtin is not None:
             return self._after_args(args_pure, args_fn,
                                     partial(_call_builtin, builtin))
@@ -1448,6 +1551,17 @@ class _Compiler:
             return True
 
         return False, run_gen, None
+
+
+def _const_key(key: tuple | None) -> tuple | object | None:
+    """A compiled literal key's ``(normalised value, steps)`` when it is
+    an int / str constant, ``_APPEND`` for ``[]``, else ``None``."""
+    if key is None:
+        return _APPEND
+    const = key[2]
+    if const is None or type(const[0]) not in (int, str):
+        return None
+    return PhpArray._norm_key(const[0]), const[1]
 
 
 def _scope_uses_global(stmts: list[Node]) -> bool:

@@ -30,6 +30,11 @@ entry; it writes back what changed before each call (a closure or
 finds the frame, ``steps`` and the flow digest as the closures alone
 would leave them.  A block works on the frame directly.
 
+A pure built-in call of one to three arguments, and a copy-read, are
+generated functions too (:func:`call`, :func:`copy_read`): a constant
+argument is bound, a dict-frame variable is read in line as its closure
+reads it, and any other argument is a call to its closure.
+
 No program text reaches the generated source: variable names,
 constants and closures are arguments of a factory whose parameters the
 generator names, so one source (one ``compile``) serves every region of
@@ -45,8 +50,9 @@ from functools import lru_cache
 from repro.common.digest import _FNV_PRIME, _MASK
 from repro.lang.ast import Assign, BinOp, Lit, Node, Var, While
 from repro.lang.interp import _BreakSignal, _ContinueSignal
-from repro.lang.simd import _truth
-from repro.lang.values import EXACT_OPS, binop, compound
+from repro.lang.simd import _call_builtin, _copy_value, _truth
+from repro.lang.values import EXACT_OPS, PhpArray, binop, compound
+from repro.multivalue.multivalue import MultiValue
 
 #: Plain form -> Python infix operator, for the operators a region
 #: evaluates in line.
@@ -72,7 +78,9 @@ _HELPERS: dict[str, object] = {
     "__builtins__": {}, "type": type, "int": int, "str": str,
     "_truth": _truth, "_BreakSignal": _BreakSignal,
     "_ContinueSignal": _ContinueSignal, "_PRIME": _FNV_PRIME,
-    "_MASK": _MASK, "_ABSENT": _ABSENT,
+    "_MASK": _MASK, "_ABSENT": _ABSENT, "len": len, "PhpArray": PhpArray,
+    "MultiValue": MultiValue, "_copy_value": _copy_value,
+    "_call_builtin": _call_builtin,
 }
 
 _LOOP = """\
@@ -104,12 +112,21 @@ _LOOP = """\
 _Reads = dict[str, tuple[str, type]]
 
 
-@lru_cache(maxsize=1024)
-def _factory(source: str) -> Callable[..., Callable]:
+def _made(source: str, filename: str) -> Callable[..., Callable]:
     """``make(b0, b1, ...)`` of one generated source."""
     namespace = dict(_HELPERS)
-    exec(compile(source, "<weblang region>", "exec"), namespace)
+    exec(compile(source, filename, "exec"), namespace)
     return namespace["make"]  # type: ignore[return-value]
+
+
+@lru_cache(maxsize=1024)
+def _factory(source: str) -> Callable[..., Callable]:
+    return _made(source, "<weblang region>")
+
+
+@lru_cache(maxsize=1024)
+def _expression_factory(source: str) -> Callable[..., Callable]:
+    return _made(source, "<weblang expression>")
 
 
 class _Region:
@@ -127,11 +144,11 @@ class _Region:
         self.args.append(value)
         return f"b{len(self.args) - 1}"
 
-    def build(self, body: str) -> Callable:
+    def build(self, body: str, factory: Callable | None = None) -> Callable:
         params = ", ".join(f"b{index}" for index in range(len(self.args)))
         source = (f"def make({params}):\n    def run(env, state):\n"
                   f"{body}\n    return run\n")
-        return _factory(source)(*self.args)
+        return (factory or _factory)(source)(*self.args)
 
     def _expr(self, node: Node, want: type | None, reads: _Reads,
               depth: int = 0) -> tuple[str, int] | None:
@@ -341,3 +358,57 @@ def loop(stmt: While, cond_fn: Callable, fns: list[Callable], enter: int,
         sync_exit="\n".join(region.sync(" " * 8, region.written)),
         where=region.bind(where), enter=region.bind(enter),
         leave=region.bind(leave)))
+
+
+def _operand(region: _Region, index: int, operand: tuple
+             ) -> tuple[str, list[str], int]:
+    """What holds ``operand`` — ``(closure, dict-frame variable or None,
+    (value, steps) or None)`` — once ``lines`` ran, the lines, and the
+    steps left to book: a constant is bound, a variable read, booked and
+    copied as its copy-read closure would, else its closure called."""
+    fn, var, const = operand
+    if const is not None:
+        return region.bind(const[0]), [], const[1]
+    arg = f"a{index}"
+    if var is None:
+        return arg, [f"{arg} = {region.bind(fn)}(env, state)"], 0
+    return arg, [f"{arg} = env.get({region.bind(var)})",
+                 f"if type({arg}) is PhpArray:", f"    {arg} = {arg}.copy()",
+                 f"elif type({arg}) is MultiValue:",
+                 f"    state.multivalent(len({arg}.values))",
+                 f"    {arg} = _copy_value({arg})"], 1
+
+
+def _built(region: _Region, steps: int, lines: list[str]) -> Callable:
+    """The generated function: ``steps`` booked, then ``lines``."""
+    lines.insert(0, f"state.steps += {region.bind(steps)}")
+    return region.build("\n".join(" " * 8 + line for line in lines),
+                        _expression_factory)
+
+
+def call(builtin: Callable, operands: list[tuple]) -> Callable:
+    """One function calling the pure built-in ``builtin`` as the closures
+    of the call and of its arguments would, arguments evaluated in order
+    (:func:`_operand`); one that is a multivalue — or an array, once a
+    cell holds one — sends the call to ``_call_builtin``."""
+    region = _Region(True)
+    evaluated = [_operand(region, index, operand)
+                 for index, operand in enumerate(operands)]
+    fn, args = region.bind(builtin), ", ".join(arg for arg, _, _ in evaluated)
+    held = [arg for arg, lines, _ in evaluated if lines]  # not constants
+    body = [line for _, lines, _ in evaluated for line in lines]
+    if held:
+        multi = " or ".join(f"type({arg}) is MultiValue" for arg in held)
+        array = " or ".join(f"type({arg}) is PhpArray" for arg in held)
+        body += [f"if {multi} or state.multi_cells and ({array}):",
+                 f"    return _call_builtin({fn}, [{args}], state)"]
+    body.append(f"return {fn}({args})")
+    return _built(region, 1 + sum(steps for _, _, steps in evaluated), body)
+
+
+def copy_read(var: str) -> Callable:
+    """The copy-read of dict-frame variable ``var``, as :func:`call`
+    reads an argument."""
+    region = _Region(True)
+    arg, lines, steps = _operand(region, 0, (None, var, None))
+    return _built(region, steps, [*lines, f"return {arg}"])

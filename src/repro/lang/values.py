@@ -88,6 +88,14 @@ class PhpArray:
         return out
 
     @staticmethod
+    def from_data(data: dict[Key, object], next_index: int) -> PhpArray:
+        """The array on ``data`` (normalised keys, no other array's)."""
+        array = PhpArray()
+        array.data = data
+        array._next_index = next_index
+        return array
+
+    @staticmethod
     def from_dict(mapping: dict[Key, object]) -> PhpArray:
         array = PhpArray()
         for key, value in mapping.items():

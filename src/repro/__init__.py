@@ -62,10 +62,8 @@ from repro.core import (
     AuditSession,
     Auditor,
     EpochResult,
-    available_backends,
     create_time_precedence_graph,
     ooo_audit,
-    register_reexec_backend,
     simple_audit,
     ssco_audit,
 )
@@ -111,10 +109,8 @@ __all__ = [
     "Request",
     "Response",
     "Trace",
-    "available_backends",
     "create_time_precedence_graph",
     "ooo_audit",
-    "register_reexec_backend",
     "simple_audit",
     "ssco_audit",
     "__version__",

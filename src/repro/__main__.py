@@ -46,7 +46,7 @@ coordinator, whose constructor defaults are the only defaults.
 ``--epoch-workers N`` (``demo``, ``audit``) audits epochs concurrently
 on N local ``repro worker`` processes (:func:`~repro.fleet.local_fleet`;
 a redo-only state precompute materializes each epoch's initial state
-first), and ``--backend`` selects the registered re-execution engine.
+first), and ``--backend`` selects the re-execution engine.
 Epochs are cut once, by the recorder: ``--epoch-size N`` on ``demo`` /
 ``record`` / ``serve`` / ``synth`` makes the server drain every N
 requests and mark the epoch, and every audit follows the epochs it is
@@ -76,7 +76,7 @@ from repro.common.errors import MalformedBundle
 from repro.core import Auditor, simple_audit
 from repro.core.auditor import malformed_verdict
 from repro.core.config import AuditConfig
-from repro.core.reexec import available_backends
+from repro.core.reexec import BACKENDS
 from repro.fleet import FleetCoordinator, FleetWorker, local_fleet
 from repro.forensics import (
     AsOfError,
@@ -810,11 +810,6 @@ def audit_knobs(p) -> None:
     p.add_argument("--no-strict", dest="strict", action="store_false",
                    help="demote diverged groups to per-request "
                         "re-execution instead of rejecting")
-    p.add_argument("--plan-hints", dest="plan_hints",
-                   action="store_true", default=None,
-                   help="consult the static analyzer's divergence "
-                        "hazards during chunk planning (non-strict "
-                        "audits only; see `repro lint`)")
     p.add_argument("--no-dedup", action="store_true", default=None,
                    help="disable read-query deduplication")
     p.add_argument("--no-collapse", action="store_true", default=None,
@@ -824,7 +819,7 @@ def audit_knobs(p) -> None:
                    help="reject register reads with no logged write")
     p.add_argument("--max-group-size", type=_at_least(1), default=None,
                    help="chunk re-execution groups beyond this size")
-    p.add_argument("--backend", choices=available_backends(),
+    p.add_argument("--backend", choices=sorted(BACKENDS),
                    default=None,
                    help="re-execution backend: hybrid (the compiled "
                         "engine, default) or interp (the oracle); "

@@ -22,9 +22,10 @@ Public entry points:
   :class:`~repro.core.auditor.AuditSession` feeding (the paper's
   continuous deployment, §4.1) — the one epoch driver, over the epochs
   the recorder cut.
-* :mod:`repro.core.reexec` — the re-execution engines behind the
-  pipeline's :class:`~repro.core.pipeline.ReExecPhase`, pluggable via
-  :func:`~repro.core.reexec.register_reexec_backend`.
+* :mod:`repro.core.reexec` — the chunk plan and chunk loop behind the
+  pipeline's :class:`~repro.core.pipeline.ReExecPhase`; its
+  :data:`~repro.core.reexec.BACKENDS` table holds the four backend
+  names and how each runs a chunk.
 """
 
 from repro.core.pipeline import (
@@ -42,11 +43,7 @@ from repro.core.auditor import (
 )
 from repro.core.config import AuditConfig
 from repro.core.partition import partition_audit_inputs
-from repro.core.reexec import (
-    available_backends,
-    default_backend,
-    register_reexec_backend,
-)
+from repro.core.reexec import default_backend
 from repro.core.profile import group_profile, summarize_triples
 from repro.core.verifier import ssco_audit
 from repro.core.ooo import ooo_audit, simple_audit
@@ -61,13 +58,11 @@ __all__ = [
     "AuditSession",
     "Auditor",
     "EpochResult",
-    "available_backends",
     "create_time_precedence_graph",
     "default_backend",
     "default_pipeline",
     "ooo_audit",
     "partition_audit_inputs",
-    "register_reexec_backend",
     "group_profile",
     "simple_audit",
     "ssco_audit",

@@ -10,7 +10,7 @@ session is handed.
 
 * every knob, documented once, on the field;
 * **hard validation** at construction: nonsensical values (a
-  ``max_group_size`` below 1, a non-bool ``strict``, an unregistered
+  ``max_group_size`` below 1, a non-bool ``strict``, an unknown
   ``backend``) raise :class:`ValueError` with a message naming the
   field — at the API boundary, not five frames deep in the pipeline;
 * **serialization**: :meth:`to_json` / :meth:`from_json` (plain dicts)
@@ -33,11 +33,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.reexec import (
-    DEFAULT_MAX_GROUP,
-    default_backend,
-    get_reexec_backend,
-)
+from repro.core.reexec import DEFAULT_MAX_GROUP, chunk_mode, default_backend
 
 
 @dataclass(frozen=True)
@@ -63,21 +59,13 @@ class AuditConfig:
     #: On accept, compact the versioned stores into the next epoch's
     #: trusted initial state (§4.5 migration).
     migrate: bool = False
-    #: Registered re-execution backend: ``"hybrid"`` (the compiled
-    #: engine, the default), ``"interp"`` (the oracle), or anything added
-    #: via ``register_reexec_backend``; ``"accinterp"`` / ``"compinterp"``
-    #: are aliases of the compiled engine (``core/reexec.py``).  The
+    #: Re-execution backend, one of the names in
+    #: :data:`repro.core.reexec.BACKENDS`: ``"hybrid"`` (the compiled
+    #: engine, the default), ``"interp"`` (the oracle), or the aliases
+    #: ``"accinterp"`` / ``"compinterp"`` of the compiled engine.  The
     #: default reads ``REPRO_BACKEND`` when the config is *constructed*,
     #: not when the module was imported.
     backend: str = dataclasses.field(default_factory=default_backend)
-    #: Consult the static analyzer's divergence-hazard report
-    #: (:func:`repro.lang.analysis.divergence_hazards`) during chunk
-    #: planning: multi-request groups whose script is a known hazard are
-    #: pre-demoted to singleton chunks instead of diverging at run time
-    #: and being replayed one by one.  Non-strict audits only (strict
-    #: treats divergence as a verdict: asking for both is a
-    #: ``ValueError``); never changes produced bodies or verdicts.
-    plan_hints: bool = False
 
     def __post_init__(self):
         self.validate()
@@ -87,7 +75,7 @@ class AuditConfig:
     def validate(self) -> AuditConfig:
         """Raise :class:`ValueError` on any nonsensical knob value."""
         for flag in ("strict", "dedup", "collapse", "strict_registers",
-                     "migrate", "plan_hints"):
+                     "migrate"):
             if not isinstance(getattr(self, flag), bool):
                 raise ValueError(
                     f"{flag} must be a bool, got "
@@ -98,12 +86,7 @@ class AuditConfig:
                 f"max_group_size must be an integer >= 1, got "
                 f"{self.max_group_size!r}"
             )
-        get_reexec_backend(self.backend)  # unknown name -> ValueError
-        if self.plan_hints and self.strict:
-            raise ValueError(
-                "plan_hints needs strict=False: a strict audit treats "
-                "divergence as a verdict and never consults the hints"
-            )
+        chunk_mode(self.backend)  # unknown name -> ValueError
         return self
 
     # -- conversions ------------------------------------------------------
@@ -192,8 +175,6 @@ class AuditConfig:
             parts.append("no-collapse")
         if self.strict_registers:
             parts.append("strict-registers")
-        if self.plan_hints:
-            parts.append("plan-hints")
         if self.max_group_size != DEFAULT_MAX_GROUP:
             parts.append(f"max_group={self.max_group_size}")
         return " ".join(parts)

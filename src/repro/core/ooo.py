@@ -1,17 +1,22 @@
 """Out-of-order re-execution (Figure 13; Appendix A.4).
 
-:func:`execute_one` re-executes a single request through the *plain*
-interpreter, feeding object reads via simulate-and-check and
-non-determinism via the recorded reports.  It is used three ways:
+:func:`execute_one` re-executes a single request on the engine it is
+handed (the plain interpreter unless told otherwise), feeding object
+reads via simulate-and-check and non-determinism via the recorded
+reports.  It is the one per-request driver:
 
-1. per-request fallback when a group diverges or hits an unsupported SIMD
-   case (OROCHI's retry, §4.3);
+1. per-request fallback, on the compiled engine, when a group diverges
+   or hits an unsupported SIMD case (OROCHI's retry, §4.3), and every
+   chunk of the ``interp`` / ``compinterp`` backends;
 2. :func:`simple_audit` — the non-accelerated baseline audit that the
    evaluation compares against (§5.1);
-3. :func:`ooo_audit` — the literal OOOAudit of the correctness proofs: it
-   follows an explicit op schedule, interleaving requests operation by
-   operation; the equivalence tests (Lemma 8) check it agrees with the
-   grouped audit.
+3. :func:`repro.core.patch.patch_audit`'s replay against patched code,
+   with a lenient operation handler.
+
+:func:`ooo_audit` is the literal OOOAudit of the correctness proofs: it
+follows an explicit op schedule, interleaving requests operation by
+operation; the equivalence tests (Lemma 8) check it agrees with the
+grouped audit.
 """
 
 from __future__ import annotations
@@ -40,18 +45,19 @@ from repro.trace.trace import Trace, check_balanced
 
 def execute_one(
     app: Application, request: Request, ctx: SimContext,
-    interp=None,
+    interp=None, handler=OpHandler,
 ) -> str:
     """Re-execute one request to completion against the logs.
 
     Returns the produced body.  A deterministic application error
     reproduces the executor's fixed 500 page (and the handler checks the
-    log shows the matching rollback).  ``interp`` swaps in another
-    engine with the :meth:`Interpreter.run` generator contract (the
-    compiled backend passes its own, for demotions); ``None`` means the
-    plain interpreter.
+    log shows the matching rollback).  ``interp`` is the engine, any
+    with the :meth:`Interpreter.run` generator contract (the chunk loop
+    passes the compiled engine); ``None`` means the plain interpreter.
+    ``handler`` is the :class:`OpHandler` class that checks and feeds
+    the request's operations (the patch replay passes a lenient one).
     """
-    handler = OpHandler(ctx, request.rid)
+    handler = handler(ctx, request.rid)
     cursor = NondetCursor(
         request.rid, ctx.reports.nondet.get(request.rid, [])
     )

@@ -29,19 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.errors import AuditReject, RejectReason, WeblangError
+from repro.common.errors import AuditReject, RejectReason
 from repro.core.ooo import execute_one
 from repro.core.process_reports import process_op_reports
-from repro.core.simulate import NondetCursor, OpHandler, SimContext
-from repro.lang.interp import (
-    ExternalIntent,
-    Interpreter,
-    NondetIntent,
-    StateOpIntent,
-)
+from repro.core.simulate import OpHandler, SimContext
 from repro.objects.base import OpType
 from repro.server.app import Application, InitialState
-from repro.server.executor import ERROR_BODY
 from repro.server.reports import Reports
 from repro.trace.trace import Trace, check_balanced
 
@@ -177,13 +170,10 @@ def patch_audit(
     patched_ctx = SimContext(patched, reports, opmap, initial_state)
     patched_ctx.build_versioned_stores()
     for rid in trace.request_ids():
-        request = requests[rid]
         try:
-            body = _execute_patched(patched, request, patched_ctx, reports)
-        except _Incomparable:
-            result.incomparable.append(rid)
-            continue
-        except AuditReject:
+            body = execute_one(patched, requests[rid], patched_ctx,
+                               handler=_LenientOpHandler)
+        except (_Incomparable, AuditReject):
             result.incomparable.append(rid)
             continue
         if body == originals[rid]:
@@ -191,39 +181,3 @@ def patch_audit(
         else:
             result.changed[rid] = (originals[rid], body)
     return result
-
-
-def _execute_patched(
-    app: Application,
-    request,
-    ctx: SimContext,
-    reports: Reports,
-) -> str:
-    handler = _LenientOpHandler(ctx, request.rid)
-    cursor = NondetCursor(
-        request.rid, reports.nondet.get(request.rid, [])
-    )
-    interp = Interpreter(
-        db_name=app.db_name,
-        kv_name=app.kv_name,
-        session_cookie=app.session_cookie,
-        record_flow=False,
-    )
-    gen = interp.run(app.script(request.script), request)
-    try:
-        intent = next(gen)
-        while True:
-            if isinstance(intent, StateOpIntent):
-                result = handler.handle(intent.kind, intent.obj,
-                                        intent.args)
-            elif isinstance(intent, NondetIntent):
-                result = cursor.next(intent.func, intent.args)
-            elif isinstance(intent, ExternalIntent):
-                result = True
-            else:  # pragma: no cover
-                raise _Incomparable()
-            intent = gen.send(result)
-    except StopIteration as stop:
-        return stop.value.body
-    except WeblangError:
-        return ERROR_BODY

@@ -245,7 +245,6 @@ class ReExecPhase(AuditPhase):
             collapse=config.collapse,
             max_group_size=config.max_group_size,
             backend=config.backend,
-            plan_hints=config.plan_hints,
         )
         actx.result.phases["db_query"] = actx.sim.db_query_seconds
 

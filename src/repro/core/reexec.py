@@ -23,10 +23,8 @@ taken before the error, so such groups diverge on honest executions.
 Groups larger than ``max_group_size`` are chunked, mirroring acc-PHP's
 3,000-request group cap (§4.7).
 
-Pluggable backends: the re-execution engine that runs one chunk is a
-registered component (:func:`register_reexec_backend`), selected by
-name through ``AuditConfig.backend`` / ``ssco_audit(backend=...)``.
-Two ship:
+Engines: the name ``AuditConfig.backend`` carries picks, from the one
+table :data:`BACKENDS`, how :func:`run_chunks` runs each chunk:
 
 * ``"hybrid"`` (default) — the compiled engine (:mod:`repro.lang.compile`):
   each script's AST is compiled once per process into closure chains
@@ -43,11 +41,10 @@ Two ship:
   still caught by the per-request output checks).  It is what the
   equivalence tests compare against.
 
-``"accinterp"`` and ``"compinterp"`` are aliases kept for one caller
-(see :data:`_ALIASES`).  Backends only replace the *re-execution
-engine*; chunk planning and the chunk loop are shared.  A backend name
-is what an epoch work unit carries across the process boundary, so
-third-party backends register at import time.
+``"accinterp"`` (grouped) and ``"compinterp"`` (one request at a time,
+the path demotions take) name the compiled engine too, for the callers
+listed beside the table.  Every per-request run, on either engine, goes
+through :func:`repro.core.ooo.execute_one`.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ from repro.common.errors import (
     RejectReason,
     WeblangError,
 )
-from repro.lang.analysis import divergence_hazards
 from repro.lang.compile import (
     CompInterpreter,
     GroupExternalIntent,
@@ -92,7 +88,7 @@ def default_backend() -> str:
     this module is imported are honored.  Every seam that used to bake
     the default in (function defaults, ``AuditConfig`` fields, worker
     initializers) now passes ``backend=None`` and resolves it here.  An
-    unknown name fails with the registry's clean "unknown re-exec
+    unknown name fails with :func:`chunk_mode`'s "unknown re-exec
     backend" error on first use.
     """
     return os.environ.get("REPRO_BACKEND", _FALLBACK_BACKEND)
@@ -117,166 +113,36 @@ class ReExecStats:
     #: (n_c, alpha_c, ell_c) per group, for Figure 11.
 
 
-# -- backend registry --------------------------------------------------------
+#: How each name ``AuditConfig.backend`` may carry runs a chunk:
+#: ``(grouped, compiled)`` — as one group on the compiled engine, or one
+#: request at a time on the compiled engine or on the oracle.
+#: ``accinterp`` / ``compinterp`` are names from when there were three
+#: engines and a router; the frozen ``benchmarks/e2e/auditor_child.py``
+#: and CI's ``REPRO_BACKEND=compinterp`` step still ask for them.
+BACKENDS: dict[str, tuple[bool, bool]] = {
+    "hybrid": (True, True),
+    "interp": (False, False),
+    "accinterp": (True, True),
+    "compinterp": (False, True),
+}
 
 
-class ReexecBackend:
-    """One re-execution engine: runs a single chunk of a group.
-
-    A backend is constructed per audit pass via its registered factory —
-    ``factory(app, collapse=...)`` — and then driven chunk by chunk.
-    :meth:`run_chunk` must apply every per-request check (CheckOp /
-    SimOp via :class:`~repro.core.simulate.OpHandler`, nondet cursors,
-    regenerated externals) and fill ``produced`` / ``stats``; it raises
-    :class:`AuditReject` to fail the audit.
-    """
-
-    #: Registry key; set by subclasses.
-    name = "?"
-
-    def run_chunk(
-        self,
-        app: Application,
-        rids: list[str],
-        requests,
-        reports: Reports,
-        ctx: SimContext,
-        strict: bool,
-        dedup: bool,
-        produced: dict[str, str],
-        stats: ReExecStats,
-    ) -> None:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-#: name -> factory(app, collapse=...) -> ReexecBackend.
-_BACKENDS: dict[str, object] = {}
-
-
-def register_reexec_backend(name: str, factory) -> None:
-    """Register (or replace) a re-execution backend under ``name``.
-
-    ``factory(app, collapse=...)`` must return an object with the
-    :class:`ReexecBackend` interface.  The name becomes selectable via
-    ``AuditConfig.backend``, ``ssco_audit(backend=...)``, and the CLI's
-    ``--backend``; it must be importable-at-registration in worker
-    processes too (register at module import time, not conditionally).
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string: {name!r}")
-    _BACKENDS[name] = factory
-
-
-def available_backends() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(_BACKENDS)
-
-
-def get_reexec_backend(name: str):
-    """The factory registered under ``name``; raises :class:`ValueError`
-    (naming the available backends) for unknown names."""
+def chunk_mode(backend: str) -> tuple[bool, bool]:
+    """``(grouped, compiled)`` for ``backend``; raises
+    :class:`ValueError` naming the known backends for any other name."""
     try:
-        return _BACKENDS[name]
+        return BACKENDS[backend]
     except KeyError:
         raise ValueError(
-            f"unknown re-exec backend {name!r} "
-            f"(available: {', '.join(available_backends())})"
+            f"unknown re-exec backend {backend!r} "
+            f"(available: {', '.join(sorted(BACKENDS))})"
         ) from None
-
-
-def make_backend(name: str, app: Application, collapse: bool = True):
-    """Instantiate the named backend for one audit pass."""
-    return get_reexec_backend(name)(app, collapse=collapse)
-
-
-class PlainInterpBackend(ReexecBackend):
-    """The oracle: per-request re-execution via the plain interpreter
-    (no SIMD batching, no query dedup).
-
-    Every simulate-and-check and output check still runs per request, so
-    verdicts and produced bodies match the compiled engine on honest
-    executions; requests are accounted as ``fallback_requests``.  The
-    mixed-script strict check is kept — a grouping that mixes scripts is
-    bogus regardless of engine.
-    """
-
-    name = "interp"
-
-    def __init__(self, app: Application, collapse: bool = True):
-        del app, collapse  # per-request execution needs no shared engine
-        self.interp = None  # execute_one's own: the plain interpreter
-
-    def run_chunk(self, app, rids, requests, reports, ctx, strict, dedup,
-                  produced, stats) -> None:
-        stats.groups += 1
-        scripts = {requests[rid].script for rid in rids}
-        if len(scripts) > 1 and strict:
-            raise AuditReject(
-                RejectReason.GROUP_DIVERGED,
-                f"group mixes scripts {sorted(scripts)}",
-            )
-        _fallback(app, rids, requests, ctx, produced, stats,
-                  interp=self.interp)
-
-
-def _compiled_engine(app: Application,
-                     collapse: bool = True) -> CompInterpreter:
-    return CompInterpreter(
-        db_name=app.db_name,
-        kv_name=app.kv_name,
-        session_cookie=app.session_cookie,
-        record_flow=False,
-        collapse_enabled=collapse,
-    )
-
-
-class CompiledBackend(ReexecBackend):
-    """The production engine: each chunk, whatever its size, in one pass
-    over the script's compiled closures (:mod:`repro.lang.compile`);
-    demotions re-run per request on the same compiled code."""
-
-    name = "hybrid"
-
-    def __init__(self, app: Application, collapse: bool = True):
-        self.engine = _compiled_engine(app, collapse)
-
-    def run_chunk(self, app, rids, requests, reports, ctx, strict, dedup,
-                  produced, stats) -> None:
-        _run_chunk(app, self.engine, rids, requests, reports, ctx, strict,
-                   dedup, produced, stats)
-
-
-class _CompiledPerRequest(PlainInterpBackend):
-    """The compiled engine run one request per chunk — the path
-    demotions take, with the oracle's accounting."""
-
-    def __init__(self, app: Application, collapse: bool = True):
-        del collapse  # nothing to collapse in a group of one
-        self.interp = _compiled_engine(app)
-
-
-register_reexec_backend(PlainInterpBackend.name, PlainInterpBackend)
-register_reexec_backend(CompiledBackend.name, CompiledBackend)
-
-#: Names from when there were three engines and a router.  The frozen
-#: benchmarks/e2e/auditor_child.py (and its tier-1 smoke test) asks for
-#: every backend by its old name; ROADMAP has the plan to drop its
-#: per-backend metrics and then these.
-_ALIASES = {"accinterp": CompiledBackend, "compinterp": _CompiledPerRequest}
-for _alias, _factory in _ALIASES.items():
-    register_reexec_backend(_alias, _factory)
 
 
 def plan_chunks(
     reports: Reports,
     requests: dict[str, object],
     max_group_size: int = DEFAULT_MAX_GROUP,
-    app: Application | None = None,
-    plan_hints: bool = False,
-    strict: bool = True,
 ) -> list[list[str]]:
     """The deterministic chunk plan the drivers execute.
 
@@ -286,48 +152,16 @@ def plan_chunks(
     at ``max_group_size`` (§4.7).  Raises
     :class:`AuditReject` when a grouping names a request outside the
     trace.
-
-    With ``plan_hints`` enabled (and ``app`` provided), groups of
-    scripts the static analyzer flags as divergence hazards
-    (:func:`repro.lang.analysis.divergence_hazards`) are pre-demoted to
-    singleton chunks: grouped SIMD re-execution of such scripts tends to
-    diverge and restart per request anyway, so planning the demotion
-    avoids the doomed group pass.  The hint only applies in non-strict
-    mode — under ``strict`` a real divergence is a *verdict* (REJECT),
-    and pre-demotion would skip the group-wide check that produces it.
-    Produced bodies and verdicts are unchanged either way (equivalence-
-    tested); only the grouped/fallback accounting moves (a chunk of one
-    runs as a group of one).
     """
-    groups: list[list[str]] = []
+    chunks: list[list[str]] = []
     for tag in sorted(reports.groups):
-        rids_raw = reports.groups[tag]
-        seen = set()
-        rids: list[str] = []
-        for rid in rids_raw:
-            if rid not in seen:
-                seen.add(rid)
-                rids.append(rid)
+        rids = list(dict.fromkeys(reports.groups[tag]))
         for rid in rids:
             if rid not in requests:
                 raise AuditReject(
                     RejectReason.GROUP_UNKNOWN_RID,
                     f"grouping names unknown request {rid!r}",
                 )
-        groups.append(rids)
-
-    hazards: frozenset = frozenset()
-    if plan_hints and not strict and app is not None:
-        hazards = divergence_hazards(app)
-
-    chunks: list[list[str]] = []
-    for rids in groups:
-        scripts = {requests[rid].script for rid in rids}
-        if (len(scripts) == 1 and len(rids) > 1
-                and next(iter(scripts)) in hazards):
-            # Hopeless group: pre-demote to singletons.
-            chunks.extend([rid] for rid in rids)
-            continue
         for start in range(0, len(rids), max_group_size):
             chunks.append(rids[start : start + max_group_size])
     return chunks
@@ -343,21 +177,17 @@ def reexec_groups(
     collapse: bool = True,
     max_group_size: int = DEFAULT_MAX_GROUP,
     backend: str | None = None,
-    plan_hints: bool = False,
 ) -> dict[str, str]:
     """Re-execute all groups; returns rid -> produced body.
 
     The chunks run one after another in this process.  ``backend``
-    names the registered re-execution engine that runs each chunk
-    (``None`` resolves :func:`default_backend` at call time);
-    ``plan_hints`` lets the chunk plan consult the static analyzer's
-    divergence hazards (see :func:`plan_chunks`; non-strict mode only).
-    Raises :class:`AuditReject` on any failed check.
+    names the :data:`BACKENDS` entry that runs each chunk (``None``
+    resolves :func:`default_backend` at call time).  Raises
+    :class:`AuditReject` on any failed check.
     """
     backend = backend if backend is not None else default_backend()
     requests = trace.requests()
-    chunks = plan_chunks(reports, requests, max_group_size,
-                         app=app, plan_hints=plan_hints, strict=strict)
+    chunks = plan_chunks(reports, requests, max_group_size)
     produced: dict[str, str] = {}
     stats = ctx.reexec_stats = ReExecStats()
     run_chunks(app, chunks, requests, reports, ctx, strict, dedup,
@@ -378,17 +208,27 @@ def run_chunks(
     produced: dict[str, str],
     stats: ReExecStats,
 ) -> None:
-    """The chunk loop: each chunk, in order, on one backend instance
+    """The chunk loop: each chunk, in order, the way ``backend`` says
     (also what the forensic re-audit replays a scope's chunks with)."""
-    engine = make_backend(backend, app, collapse)
+    grouped, compiled = chunk_mode(backend)
+    engine = None  # execute_one's own: the plain interpreter
+    if compiled:
+        engine = CompInterpreter(
+            db_name=app.db_name,
+            kv_name=app.kv_name,
+            session_cookie=app.session_cookie,
+            record_flow=False,
+            collapse_enabled=collapse,
+        )
     for chunk in chunks:
-        engine.run_chunk(app, chunk, requests, reports, ctx, strict,
-                         dedup, produced, stats)
+        _run_chunk(app, engine, grouped, chunk, requests, reports, ctx,
+                   strict, dedup, produced, stats)
 
 
 def _run_chunk(
     app: Application,
-    engine: CompInterpreter,
+    engine: CompInterpreter | None,
+    grouped: bool,
     rids: list[str],
     requests,
     reports: Reports,
@@ -398,19 +238,21 @@ def _run_chunk(
     produced: dict[str, str],
     stats: ReExecStats,
 ) -> None:
-    """One chunk in one grouped pass over ``engine``'s compiled code; a
-    chunk that cannot finish that way re-runs per request on it."""
+    """One chunk: ``grouped``, in one pass over ``engine``'s compiled
+    code, re-run per request on it if it cannot finish that way;
+    otherwise one request at a time on ``engine`` (``None``: the
+    oracle)."""
     stats.groups += 1
     scripts = {requests[rid].script for rid in rids}
-    if len(scripts) > 1:
+    if len(scripts) > 1 and strict:
         # Control flow includes the script identity; mixed groups can only
-        # come from a bogus grouping report.
-        if strict:
-            raise AuditReject(
-                RejectReason.GROUP_DIVERGED,
-                f"group mixes scripts {sorted(scripts)}",
-            )
-        _fallback(app, rids, requests, ctx, produced, stats, interp=engine)
+        # come from a bogus grouping report, whatever the engine.
+        raise AuditReject(
+            RejectReason.GROUP_DIVERGED,
+            f"group mixes scripts {sorted(scripts)}",
+        )
+    if len(scripts) > 1 or not grouped:
+        _fallback(app, rids, requests, ctx, produced, stats, engine)
         return
     program = app.script(next(iter(scripts)))
     group_requests = [requests[rid] for rid in rids]
@@ -473,10 +315,10 @@ def _run_chunk(
             raise AuditReject(
                 RejectReason.GROUP_DIVERGED, diverged.detail
             ) from diverged
-        _fallback(app, rids, requests, ctx, produced, stats, interp=engine)
+        _fallback(app, rids, requests, ctx, produced, stats, engine)
     except (MultivalueFallback, WeblangError):
         # Retry path (§4.3): not a verdict about the executor.
-        _fallback(app, rids, requests, ctx, produced, stats, interp=engine)
+        _fallback(app, rids, requests, ctx, produced, stats, engine)
     finally:
         ctx.dedup = None
 
@@ -508,17 +350,16 @@ def _fallback(
     ctx: SimContext,
     produced: dict[str, str],
     stats: ReExecStats,
-    interp=None,
+    engine: CompInterpreter | None,
 ) -> None:
-    """Re-execute each request of the group individually (fresh handlers:
-    partial group progress is discarded; checks are idempotent reads).
-    ``interp`` is the per-request engine (``None``: the plain
-    interpreter; the compiled backend passes its own)."""
+    """Re-execute each request of the group individually on ``engine``
+    (``None``: the oracle), with fresh handlers: partial group progress
+    is discarded; checks are idempotent reads."""
     ctx.dedup = None
     for rid in rids:
         # A rid can run more than once (listed in several groups, or
         # demoted mid-group); its regenerated externals must not
         # accumulate.
         ctx.produced_externals.pop(rid, None)
-        produced[rid] = execute_one(app, requests[rid], ctx, interp=interp)
+        produced[rid] = execute_one(app, requests[rid], ctx, interp=engine)
         stats.fallback_requests += 1

@@ -9,8 +9,9 @@ coordinator says ``WORKER_BYE`` or disconnects.
 Each work unit is the payload an audit session encodes for its pool,
 decoded and audited by the same code the coordinator's own fallback
 runs (:mod:`repro.core.epochwork`): the stock pipeline, the serial
-chunk plan, any backend registered in the worker's process.  The worker needs no workload definition
-of its own — the application's sources travel inside the payload.
+chunk plan, the backend the unit's config names.  The worker needs no
+workload definition of its own — the application's sources travel
+inside the payload.
 
 While an epoch runs, a background thread streams ``HEARTBEAT`` frames
 so the coordinator can tell "slow" from "dead".  A crash — a unit that

@@ -15,8 +15,8 @@ forensic surface:
   closure — which earlier requests produced the state it read,
   transitively;
 * :mod:`~repro.forensics.reaudit` replays exactly one request's
-  control-flow group plus its lineage closure through the pluggable
-  re-exec backends and returns a scoped ACCEPT/REJECT with the
+  control-flow group plus its lineage closure through the audit's
+  chunk loop and returns a scoped ACCEPT/REJECT with the
   produced body.
 
 Surfaced on the CLI as ``repro query --as-of <epoch|req-id>`` and

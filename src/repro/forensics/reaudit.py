@@ -1,9 +1,10 @@
 """Targeted single-request re-audit.
 
 Replays exactly one request's control-flow chunk plus the chunks of
-its read-lineage closure through the regular pluggable re-exec
-backends, against the per-epoch stores the prepass already primed, and
-returns a **scoped** ACCEPT/REJECT with the produced body.
+its read-lineage closure through the audit's own chunk loop
+(:func:`repro.core.reexec.run_chunks`), against the per-epoch stores
+the prepass already primed, and returns a **scoped** ACCEPT/REJECT
+with the produced body.
 
 Scope and soundness
 -------------------

@@ -185,13 +185,8 @@ class Timeline:
                 entry.ops[obj] = (min(lo, seq), max(hi, seq))
                 entry._counts[obj] = entry._counts.get(obj, 0) + 1
         try:
-            plan = plan_chunks(
-                reports, trace.requests(),
-                max_group_size=self.config.max_group_size,
-                app=self.app,
-                plan_hints=self.config.plan_hints,
-                strict=self.config.strict,
-            )
+            plan = plan_chunks(reports, trace.requests(),
+                               self.config.max_group_size)
         except AuditReject as reject:
             self.chunk_plans[epoch] = None
             self.plan_errors[epoch] = reject

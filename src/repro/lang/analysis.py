@@ -105,7 +105,6 @@ __all__ = [
     "analysis_for",
     "analyze_app",
     "analyze_program",
-    "divergence_hazards",
     "iter_children",
     "sql_key_footprint",
 ]
@@ -1024,13 +1023,3 @@ def analyze_app(app: Application) -> dict[str, EffectReport]:
         for name in sorted(app.scripts)
     }
 
-
-def divergence_hazards(app: Application) -> frozenset:
-    """Script names whose grouped re-execution risks divergence — the
-    hint :func:`repro.core.reexec.plan_chunks` consults when
-    ``plan_hints`` is enabled."""
-    return frozenset(
-        name
-        for name, report in analyze_app(app).items()
-        if report.divergence_hazard
-    )

@@ -16,17 +16,10 @@ import copy
 import pytest
 
 from repro.common.errors import RejectReason
-from repro.core import (
-    Auditor,
-    AuditConfig,
-    available_backends,
-    register_reexec_backend,
-    ssco_audit,
-)
+from repro.core import Auditor, AuditConfig, ssco_audit
 from repro.core.auditor import AuditSession, EpochResult
 from repro.core.partition import partition_audit_inputs
 from repro.core.pipeline import AuditPipeline, default_pipeline
-from repro.core.reexec import _BACKENDS, PlainInterpBackend
 from repro.io import BundleReader, save_audit_bundle_segmented
 from repro.objects.base import OpRecord
 from repro.server import Application, Executor, RandomScheduler
@@ -356,11 +349,6 @@ def test_auditor_one_shot_matches_ssco_audit(counter_app, honest_run):
 # -- re-exec backends ---------------------------------------------------------
 
 
-def test_shipped_backends_registered():
-    assert {"accinterp", "interp", "compinterp"} <= \
-        set(available_backends())
-
-
 def test_interp_backend_verdict_and_bodies_match(counter_app, honest_run):
     acc = ssco_audit(counter_app, honest_run.trace, honest_run.reports,
                      honest_run.initial_state)
@@ -456,31 +444,6 @@ def test_unknown_backend_fails_at_the_boundary(counter_app, honest_run):
     with pytest.raises(ValueError, match="unknown re-exec backend"):
         ssco_audit(counter_app, honest_run.trace, honest_run.reports,
                    honest_run.initial_state, backend="no-such-engine")
-
-
-def test_register_custom_backend(counter_app, honest_run):
-    class EchoBackend(PlainInterpBackend):
-        name = "test-echo"
-
-    register_reexec_backend("test-echo", EchoBackend)
-    try:
-        assert "test-echo" in available_backends()
-        config = AuditConfig(backend="test-echo")  # validates
-        audit = Auditor(counter_app, config).audit(
-            honest_run.trace, honest_run.reports, honest_run.initial_state
-        )
-        assert audit.accepted
-    finally:
-        _BACKENDS.pop("test-echo", None)
-    with pytest.raises(ValueError, match="unknown re-exec backend"):
-        AuditConfig(backend="test-echo")
-
-
-def test_register_backend_rejects_bad_names():
-    with pytest.raises(ValueError):
-        register_reexec_backend("", PlainInterpBackend)
-    with pytest.raises(ValueError):
-        register_reexec_backend(None, PlainInterpBackend)
 
 
 # -- the cross-epoch uniqid check ---------------------------------------------

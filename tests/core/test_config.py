@@ -18,7 +18,6 @@ def test_defaults_match_ssco_audit():
     assert not config.strict_registers and not config.migrate
     assert config.max_group_size == DEFAULT_MAX_GROUP
     assert config.backend == default_backend()
-    assert not config.plan_hints
 
 
 def test_backend_default_resolves_env_at_construction(monkeypatch):
@@ -44,7 +43,6 @@ def test_backend_default_resolves_env_at_construction(monkeypatch):
     (dict(epoch_size="10"), "epoch_size"),
     (dict(max_group_size=0), "max_group_size"),
     (dict(max_group_size=True), "max_group_size"),
-    (dict(plan_hints=0), "plan_hints"),
     # Where epochs run is a deployment flag, not a knob: unknown too.
     (dict(epoch_workers=0), "epoch_workers"),
     (dict(epoch_workers="2"), "epoch_workers"),
@@ -57,18 +55,11 @@ def test_validation_rejects_nonsense(kwargs, fragment):
         AuditConfig(**kwargs)
 
 
-def test_plan_hints_is_non_strict_only():
-    """The hints are consulted by non-strict chunk planning alone; a
-    config that asks for them under ``strict`` would carry a knob that
-    does nothing, so it does not exist."""
-    with pytest.raises(ValueError, match="plan_hints.*strict"):
-        AuditConfig(plan_hints=True)
-    with pytest.raises(ValueError, match="plan_hints.*strict"):
-        AuditConfig(plan_hints=True, strict=False).replace(strict=True)
-    with pytest.raises(ValueError, match="plan_hints.*strict"):
-        AuditConfig.from_json({"plan_hints": True})
-    hinted = AuditConfig(plan_hints=True, strict=False)
-    assert AuditConfig.from_json(hinted.to_json()) == hinted
+def test_a_saved_config_naming_the_retired_planner_switch_is_refused():
+    """The chunk plan has no hints any more: a saved config that still
+    turns them off is an unknown key like any other."""
+    with pytest.raises(ValueError, match="unknown audit config keys"):
+        AuditConfig.from_json({"plan_hints": False})
 
 
 def test_replace_revalidates():
@@ -371,13 +362,12 @@ def test_removed_knobs_fail_naming_the_key(counter_app, honest_run):
 
 
 def test_epoch_process_knob_defaults_and_roundtrip():
-    """Eight fields, none of them about where or how many epochs run."""
+    """Seven fields, none of them about where or how many epochs run."""
     tuned = AuditConfig(max_group_size=4)
     assert AuditConfig.from_json(tuned.to_json()) == tuned
     fields = [f.name for f in dataclasses.fields(AuditConfig)]
     assert fields == ["strict", "dedup", "collapse", "strict_registers",
-                      "max_group_size", "migrate", "backend",
-                      "plan_hints"]
+                      "max_group_size", "migrate", "backend"]
     assert [name for name in fields if name.startswith("epoch_")] == []
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.common.errors import RejectReason
 from repro.core import AuditConfig, simple_audit, ssco_audit
-from repro.core.reexec import CompiledBackend, default_backend, make_backend
+from repro.core.reexec import default_backend
 from repro.lang.compile import CompInterpreter
 from repro.scenarios import fuzz_bundle
 from repro.scenarios.generator import build_scenario_app
@@ -58,10 +58,17 @@ def _one_bogus_group(reports):
 def test_the_default_is_hybrid():
     assert default_backend() == "hybrid"
     assert AuditConfig().backend == "hybrid"
-    app, _ = _serve([1])
-    assert type(make_backend(default_backend(), app)) is CompiledBackend
-    # The pre-PR-17 names of the engine still resolve to it.
-    assert type(make_backend("accinterp", app)) is CompiledBackend
+    app, run = _serve([5, 50, 7])
+    # The compiled engine runs every chunk as a group, under its old
+    # name too; the per-request names book every request as a fallback.
+    for knobs, grouped in (({}, 3), ({"backend": "accinterp"}, 3),
+                           ({"backend": "interp"}, 0),
+                           ({"backend": "compinterp"}, 0)):
+        result = ssco_audit(app, run.trace, run.reports, run.initial_state,
+                            **knobs)
+        assert result.accepted, (knobs, result.reason, result.detail)
+        assert result.stats["grouped_requests"] == grouped, knobs
+        assert result.stats["fallback_requests"] == 3 - grouped, knobs
 
 
 def test_bogus_group_is_rejected_as_diverged_in_strict_mode():

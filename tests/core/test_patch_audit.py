@@ -140,3 +140,19 @@ def test_price_change_patch(epoch):
                          run.initial_state)
     assert set(result.changed) == {"v1", "v2", "b1"}
     assert result.unchanged == ["b2"]  # "no such item" path unaffected
+
+
+def test_dropped_operation_patch_is_incomparable(epoch):
+    """A patch that no longer issues a logged write ends its replay with
+    fewer operations than the log holds: incomparable, not unchanged."""
+    app, run = epoch
+    src = dict(ORIGINAL_SRC)
+    src["buy.php"] = src["buy.php"].replace(
+        'kv_set("last_buy", $item);', "")
+    patched = Application.from_sources("shop-p5", src, db_setup=SCHEMA)
+    result = patch_audit(app, patched, run.trace, run.reports,
+                         run.initial_state)
+    assert result.accepted_original
+    assert result.incomparable == ["b1"]
+    assert "b1" not in result.unchanged and "b1" not in result.changed
+    assert sorted(result.unchanged) == ["b2", "v1", "v2"]

@@ -26,6 +26,7 @@ import time
 
 import pytest
 
+import repro.core.reexec
 from repro.common.clock import Deadline
 from repro.core import AuditConfig, Auditor
 from repro.core.epochwork import (
@@ -34,11 +35,6 @@ from repro.core.epochwork import (
     run_epoch_inline,
 )
 from repro.core.pipeline import AuditResult
-from repro.core.reexec import (
-    _BACKENDS,
-    PlainInterpBackend,
-    register_reexec_backend,
-)
 from repro.fleet import FleetCoordinator, FleetWorker, local_fleet
 from repro.net.protocol import (
     FLAG_FLEET,
@@ -349,45 +345,38 @@ def test_hostile_worker_is_dropped_and_its_epoch_redispatched(
     assert workers[0].epochs_run == fleet.stats["shard_count"]
 
 
-class _CrashOnWorkerThread(PlainInterpBackend):
-    """Crashes (a RuntimeError, not a verdict) only when re-executing
-    inside an in-process fleet worker thread; behaves like ``interp``
-    everywhere else (the coordinator's local re-run)."""
-
-    name = "fleet-crashy"
-
-    def run_chunk(self, app, rids, requests, reports, ctx, strict, dedup,
-                  produced, stats):
-        if threading.current_thread().name.startswith("fleet-test-worker"):
-            raise RuntimeError("injected worker crash")
-        super().run_chunk(app, rids, requests, reports, ctx, strict,
-                          dedup, produced, stats)
-
-
-def test_worker_crash_is_not_a_verdict_and_worker_survives(counter_app):
+def test_worker_crash_is_not_a_verdict_and_worker_survives(counter_app,
+                                                           monkeypatch):
     """``RESULT ok: false``: the epoch re-runs locally (the last-resort
     worker) with the identical verdict, and the crashed-but-honest
     worker stays in the pool."""
     execution = _epoch_execution(counter_app, n=16, min_marks=1)
-    register_reexec_backend("fleet-crashy", _CrashOnWorkerThread)
-    try:
-        payload, reference = _unit(counter_app, execution,
-                                   AuditConfig(backend="fleet-crashy"))
-        with FleetCoordinator("127.0.0.1:0", min_workers=1,
-                              join_timeout=30) as coord:
-            with _fleet_workers(coord.endpoint, 1) as workers:
-                result = coord.run(payload)
-                assert coord.worker_failures == 1
-                assert coord.serial_fallbacks == 1
-                assert coord.remote_epochs == 0
-                assert coord._live_workers() == 1  # still in the pool
-                coord.close()  # dismiss the worker so its daemon exits
-        assert workers[0].epochs_failed == 1
-        assert result.accepted
-        assert result.produced == reference.produced
-        assert result.stats == reference.stats
-    finally:
-        _BACKENDS.pop("fleet-crashy", None)
+    payload, reference = _unit(counter_app, execution,
+                               AuditConfig(backend="interp"))
+    run_chunks = repro.core.reexec.run_chunks
+
+    def crash_on_worker_thread(*args):
+        # A RuntimeError, not a verdict, and only inside an in-process
+        # fleet worker thread; the coordinator's local re-run is honest.
+        if threading.current_thread().name.startswith("fleet-test-worker"):
+            raise RuntimeError("injected worker crash")
+        run_chunks(*args)
+
+    monkeypatch.setattr(repro.core.reexec, "run_chunks",
+                        crash_on_worker_thread)
+    with FleetCoordinator("127.0.0.1:0", min_workers=1,
+                          join_timeout=30) as coord:
+        with _fleet_workers(coord.endpoint, 1) as workers:
+            result = coord.run(payload)
+            assert coord.worker_failures == 1
+            assert coord.serial_fallbacks == 1
+            assert coord.remote_epochs == 0
+            assert coord._live_workers() == 1  # still in the pool
+            coord.close()  # dismiss the worker so its daemon exits
+    assert workers[0].epochs_failed == 1
+    assert result.accepted
+    assert result.produced == reference.produced
+    assert result.stats == reference.stats
 
 
 def test_no_workers_falls_back_to_local_serial(counter_app):
@@ -437,17 +426,14 @@ def test_redundant_dispatch_cross_checks_verdicts(counter_app):
 _KAMIKAZE_WORKER = """
 import os, signal, sys
 
-from repro.core.reexec import PlainInterpBackend, register_reexec_backend
+import repro.core.reexec
 
 
-class Kamikaze(PlainInterpBackend):
-    name = "fleet-kamikaze"
-
-    def run_chunk(self, *args, **kwargs):
-        os.kill(os.getpid(), signal.SIGKILL)
+def kamikaze(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
-register_reexec_backend("fleet-kamikaze", Kamikaze)
+repro.core.reexec.run_chunks = kamikaze
 
 from repro.fleet import FleetWorker
 
@@ -457,26 +443,16 @@ FleetWorker(sys.argv[1], name="kamikaze",
 """
 
 
-class _KamikazeLocal(PlainInterpBackend):
-    """The test process's view of the kamikaze backend: plain interp
-    semantics (no SIGKILL), so re-dispatched and locally-run epochs
-    produce the reference verdict."""
-
-    name = "fleet-kamikaze"
-
-
 def test_sigkilled_worker_mid_epoch_redispatches(counter_app):
     """One real ``repro``-stack subprocess worker SIGKILLs itself inside
     its first epoch; the coordinator re-dispatches to the surviving
     in-process worker and the final audit is bit-identical to the
     serial chain (stats included)."""
     execution = _epoch_execution(counter_app)
-    register_reexec_backend("fleet-kamikaze", _KamikazeLocal)
     proc = None
     coord = FleetCoordinator("127.0.0.1:0", min_workers=2)
     try:
-        serial = audit_epochs(counter_app, execution,
-                               backend="fleet-kamikaze")
+        serial = audit_epochs(counter_app, execution, backend="interp")
         assert serial.accepted
         endpoint = coord.endpoint
         src = os.path.dirname(os.path.dirname(
@@ -508,7 +484,7 @@ def test_sigkilled_worker_mid_epoch_redispatches(counter_app):
         thread = threading.Thread(target=_run_survivor, daemon=True)
         thread.start()
         fleet = audit_epochs(counter_app, execution, pool=coord,
-                             backend="fleet-kamikaze")
+                             backend="interp")
         coord.close()
         thread.join(timeout=60)
         assert not thread.is_alive() and not survivor_errors, \
@@ -519,7 +495,6 @@ def test_sigkilled_worker_mid_epoch_redispatches(counter_app):
         assert survivor.epochs_run == serial.stats["shard_count"]
     finally:
         coord.close()
-        _BACKENDS.pop("fleet-kamikaze", None)
         if proc is not None and proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)

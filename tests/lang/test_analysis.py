@@ -15,7 +15,6 @@ from repro.lang.analysis import (
     analyze_app,
     analyze_program,
     clear_cache,
-    divergence_hazards,
     sql_key_footprint,
 )
 from repro.lang.ast import If
@@ -239,10 +238,13 @@ def test_analyze_app_covers_every_script():
                for report in reports.values())
 
 
-def test_divergence_hazards_flags_only_minicrp_submit():
-    assert divergence_hazards(build_miniwiki(pages=2)) == frozenset()
-    hazards = divergence_hazards(build_minicrp())
-    assert hazards == frozenset({"crp_submit.php"})
+def test_divergence_hazard_flags_only_minicrp_submit():
+    def hazards(app):
+        return {script for script, report in analyze_app(app).items()
+                if report.divergence_hazard}
+
+    assert hazards(build_miniwiki(pages=2)) == set()
+    assert hazards(build_minicrp()) == {"crp_submit.php"}
 
 
 # -- caching ------------------------------------------------------------------

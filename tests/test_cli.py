@@ -9,7 +9,8 @@ import re
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
+from repro.core.reexec import BACKENDS
 from tests.conftest import untimed
 
 
@@ -180,6 +181,26 @@ def test_audit_backend_flag(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["audit", bundle, "--workload", "forum",
               "--scale", "0.005", "--backend", "bogus"])
+
+
+def test_backend_flag_takes_exactly_the_backend_table():
+    parser = build_parser()
+    assert sorted(BACKENDS) == ["accinterp", "compinterp", "hybrid",
+                                "interp"]
+    for name in BACKENDS:
+        assert parser.parse_args(
+            ["audit", "bundle.jsonl", "--backend", name]).backend == name
+
+
+def test_retired_planner_switch_is_an_unknown_flag(tmp_path, capsys):
+    """The chunk plan takes no hints: the old switch is a usage error
+    before the bundle is opened."""
+    with pytest.raises(SystemExit) as usage:
+        main(["audit", str(tmp_path / "never-opened.jsonl"),
+              "--workload", "hotcrp", "--scale", "0.02", "--no-strict",
+              "--plan-hints"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --plan-hints" in capsys.readouterr().err
 
 
 def test_audit_epoch_workers(tmp_path, capsys):
@@ -883,28 +904,6 @@ def test_lint_json_schema(capsys):
 def test_lint_unknown_app_rejected():
     with pytest.raises(SystemExit):
         main(["lint", "nope"])
-
-
-def test_audit_plan_hints_flag(tmp_path, capsys):
-    bundle = str(tmp_path / "bundle.jsonl")
-    main(["record", "--workload", "hotcrp", "--scale", "0.02",
-          "--out", bundle])
-    assert main(["audit", bundle, "--workload", "hotcrp",
-                 "--scale", "0.02", "--no-strict", "--plan-hints"]) == 0
-    out = capsys.readouterr().out
-    assert "plan-hints" in out
-    assert "ACCEPTED" in out
-
-
-def test_plan_hints_without_no_strict_is_a_usage_error(tmp_path, capsys):
-    """A strict audit never consults the hints: asking for both used to
-    print ``plan-hints`` in the banner and ignore it."""
-    with pytest.raises(SystemExit) as usage:
-        main(["audit", str(tmp_path / "never-opened.jsonl"),
-              "--workload", "hotcrp", "--scale", "0.02", "--plan-hints"])
-    assert usage.value.code == 2
-    err = capsys.readouterr().err
-    assert "plan_hints" in err and "strict" in err
 
 
 @pytest.mark.parametrize("command", ["record", "demo", "serve", "synth"])

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time as _time
 
 from repro.bench import render_table
-from repro.lang.compile import CompInterpreter, GroupNondetIntent
+from repro.lang.compile import CompInterpreter
 from repro.lang.interp import Interpreter, NondetIntent
 from repro.lang.parser import parse_program
 from repro.trace.events import Request
@@ -59,30 +59,29 @@ CATEGORIES = {
 }
 
 
-def _run_plain(program, request) -> None:
-    gen = Interpreter(record_flow=False).run(program, request)
+def _finish(gen, size: int) -> None:
+    """Run ``gen`` over ``size`` slots to its end.  A non-deterministic
+    call gets a distinct value per slot, which keeps a group's result
+    multivalent."""
     try:
         intent = next(gen)
         while True:
-            value = 1.5 if isinstance(intent, NondetIntent) else None
+            if isinstance(intent, NondetIntent):
+                value = [1.5 + slot for slot in range(size)]
+            else:  # pragma: no cover - no state ops in these snippets
+                value = [None] * size
             intent = gen.send(value)
     except StopIteration:
         pass
+
+
+def _run_plain(program, request) -> None:
+    _finish(Interpreter(record_flow=False).run(program, request), 1)
 
 
 def _run_acc(program, requests) -> None:
-    gen = CompInterpreter().run_group(program, requests)
-    try:
-        intent = next(gen)
-        while True:
-            if isinstance(intent, GroupNondetIntent):
-                # Distinct per-slot values keep the result multivalent.
-                value = [1.5 + slot for slot in range(len(requests))]
-            else:  # pragma: no cover - no state ops in these snippets
-                value = [None] * len(requests)
-            intent = gen.send(value)
-    except StopIteration:
-        pass
+    _finish(CompInterpreter(record_flow=False).run_group(program, requests),
+            len(requests))
 
 
 def _requests(n: int, identical: bool) -> list[Request]:

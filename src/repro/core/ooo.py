@@ -1,9 +1,12 @@
 """Out-of-order re-execution (Figure 13; Appendix A.4).
 
-:func:`execute_one` re-executes a single request on the engine it is
-handed (the plain interpreter unless told otherwise), feeding object
-reads via simulate-and-check and non-determinism via the recorded
-reports.  It is the one per-request driver:
+:func:`drive` is the audit's one loop that answers a run's intents,
+once per slot, feeding object reads via simulate-and-check and
+non-determinism via the recorded reports; the chunk loop
+(:mod:`repro.core.reexec`) drives each group through it.
+:func:`execute_one` re-executes a single request — a group of one — on
+the engine it is handed (the plain interpreter unless told otherwise).
+It is the one per-request driver:
 
 1. per-request fallback, on the compiled engine, when a group diverges
    or hits an unsupported SIMD case (OROCHI's retry, §4.3), and every
@@ -33,6 +36,7 @@ from repro.lang.interp import (
     ExternalIntent,
     Interpreter,
     NondetIntent,
+    RunOutput,
     StateOpIntent,
 )
 from repro.trace.events import ExternalRequest
@@ -41,6 +45,42 @@ from repro.server.executor import ERROR_BODY
 from repro.server.reports import Reports
 from repro.trace.events import Request
 from repro.trace.trace import Trace, check_balanced
+
+
+def drive(gen, rids: list[str], handlers: list[OpHandler],
+          cursors: list[NondetCursor], ctx: SimContext) -> RunOutput:
+    """Run the engine generator ``gen`` over ``rids`` to its end and
+    return its :class:`~repro.lang.interp.RunOutput`, answering each
+    intent once per slot ("for all rid in the group", Figure 12 line
+    43): slot ``i``'s state operation through ``handlers[i]``, its
+    non-deterministic call from ``cursors[i]``, its outbound request as
+    ``rids[i]``'s regenerated external.  What the run raises propagates.
+    """
+    try:
+        intent = next(gen)
+        while True:
+            kind = type(intent)
+            if kind is StateOpIntent:
+                replies = [handler.handle(intent.kind, obj, args)
+                           for handler, obj, args
+                           in zip(handlers, intent.objs, intent.args)]
+            elif kind is NondetIntent:
+                replies = [cursor.next(intent.func, args)
+                           for cursor, args in zip(cursors, intent.args)]
+            elif kind is ExternalIntent:
+                for rid, service, content in zip(rids, intent.services,
+                                                 intent.contents):
+                    ctx.produced_externals.setdefault(rid, []).append(
+                        ExternalRequest(rid, service, content))
+                replies = [True] * len(rids)
+            else:
+                raise AuditReject(
+                    RejectReason.UNEXPECTED_EVENT,
+                    f"unknown intent {intent!r}",
+                )
+            intent = gen.send(replies)
+    except StopIteration as stop:
+        return stop.value
 
 
 def execute_one(
@@ -57,10 +97,9 @@ def execute_one(
     ``handler`` is the :class:`OpHandler` class that checks and feeds
     the request's operations (the patch replay passes a lenient one).
     """
-    handler = handler(ctx, request.rid)
-    cursor = NondetCursor(
-        request.rid, ctx.reports.nondet.get(request.rid, [])
-    )
+    rid = request.rid
+    handler = handler(ctx, rid)
+    cursor = NondetCursor(rid, ctx.reports.nondet.get(rid, []))
     if interp is None:
         interp = Interpreter(
             db_name=app.db_name,
@@ -68,33 +107,14 @@ def execute_one(
             session_cookie=app.session_cookie,
             record_flow=False,
         )
-    program = app.script(request.script)
-    gen = interp.run(program, request)
+    gen = interp.run(app.script(request.script), request)
     try:
-        intent = next(gen)
-        while True:
-            if isinstance(intent, StateOpIntent):
-                result = handler.handle(intent.kind, intent.obj, intent.args)
-            elif isinstance(intent, NondetIntent):
-                result = cursor.next(intent.func, intent.args)
-            elif isinstance(intent, ExternalIntent):
-                ctx.produced_externals.setdefault(request.rid, []).append(
-                    ExternalRequest(request.rid, intent.service,
-                                    intent.content)
-                )
-                result = True
-            else:  # pragma: no cover - interpreter yields only intents
-                raise AuditReject(
-                    RejectReason.UNEXPECTED_EVENT,
-                    f"unknown intent {intent!r}",
-                )
-            intent = gen.send(result)
-    except StopIteration as stop:
-        handler.finish()
-        return stop.value.body
+        output = drive(gen, [rid], [handler], [cursor], ctx)
     except WeblangError:
         handler.finish_error()
         return ERROR_BODY
+    handler.finish()
+    return output.bodies[0]
 
 
 @dataclass
@@ -269,16 +289,16 @@ def _run_schedule(
                 if isinstance(intent, ExternalIntent):
                     ctx.produced_externals.setdefault(
                         task.rid, []
-                    ).append(ExternalRequest(task.rid, intent.service,
-                                             intent.content))
-                    intent = task.gen.send(True)
+                    ).append(ExternalRequest(task.rid, intent.services[0],
+                                             intent.contents[0]))
+                    intent = task.gen.send([True])
                 else:
-                    value = task.cursor.next(intent.func, intent.args)
-                    intent = task.gen.send(value)
+                    value = task.cursor.next(intent.func, intent.args[0])
+                    intent = task.gen.send([value])
             task.pending = intent
         except StopIteration as stop:
             task.done = True
-            task.body = stop.value.body
+            task.body = stop.value.bodies[0]
         except WeblangError:
             task.done = True
             task.errored = True
@@ -339,9 +359,9 @@ def _run_schedule(
             intent = task.pending
             task.pending = None
             result = task.handler.handle(
-                intent.kind, intent.obj, intent.args
+                intent.kind, intent.objs[0], intent.args[0]
             )
-            advance(task, result)
+            advance(task, [result])
             if task.handler.opnum > start_opnum and task.handler.tx is None:
                 break
             if task.done:

@@ -2,9 +2,10 @@
 
 Re-executes the trace in control-flow groups according to the (untrusted)
 groupings ``C``.  Each group runs once through the compiled engine;
-at every group state operation the driver loops over the group's requests
-("for all rid in the group", line 43), applying CheckOp and — for reads —
-SimOp via each request's :class:`~repro.core.simulate.OpHandler`.
+at every state operation the group yields, :func:`repro.core.ooo.drive`
+loops over the group's requests ("for all rid in the group", line 43),
+applying CheckOp and — for reads — SimOp via each request's
+:class:`~repro.core.simulate.OpHandler`.
 
 Divergence policy:
 
@@ -44,7 +45,7 @@ table :data:`BACKENDS`, how :func:`run_chunks` runs each chunk:
 ``"accinterp"`` (grouped) and ``"compinterp"`` (one request at a time,
 the path demotions take) name the compiled engine too, for the callers
 listed beside the table.  Every per-request run, on either engine, goes
-through :func:`repro.core.ooo.execute_one`.
+through :func:`repro.core.ooo.execute_one`: a group of one, same loop.
 """
 
 from __future__ import annotations
@@ -59,15 +60,9 @@ from repro.common.errors import (
     RejectReason,
     WeblangError,
 )
-from repro.lang.compile import (
-    CompInterpreter,
-    GroupExternalIntent,
-    GroupNondetIntent,
-    GroupStateOpIntent,
-)
-from repro.trace.events import ExternalRequest
+from repro.lang.compile import CompInterpreter
 from repro.core.dedup import QueryDedup
-from repro.core.ooo import execute_one
+from repro.core.ooo import drive, execute_one
 from repro.core.simulate import NondetCursor, OpHandler, SimContext
 from repro.server.app import Application
 from repro.server.reports import Reports
@@ -260,55 +255,14 @@ def _run_chunk(
         # A rid listed in several groups re-executes idempotently; its
         # regenerated externals must not accumulate across runs.
         ctx.produced_externals.pop(rid, None)
-    handlers = {rid: OpHandler(ctx, rid) for rid in rids}
-    cursors = {
-        rid: NondetCursor(rid, reports.nondet.get(rid, [])) for rid in rids
-    }
+    handlers = [OpHandler(ctx, rid) for rid in rids]
+    cursors = [NondetCursor(rid, reports.nondet.get(rid, []))
+               for rid in rids]
     vdb = ctx.vdb.get(app.db_name)
     ctx.dedup = QueryDedup(vdb) if (dedup and vdb is not None) else None
     try:
-        gen = engine.run_group(program, group_requests)
-        intent = next(gen)
-        while True:
-            if isinstance(intent, GroupStateOpIntent):
-                results = [
-                    handlers[rid].handle(
-                        intent.kind, intent.objs[slot], intent.args[slot]
-                    )
-                    for slot, rid in enumerate(rids)
-                ]
-            elif isinstance(intent, GroupNondetIntent):
-                results = [
-                    cursors[rid].next(intent.func, intent.args[slot])
-                    for slot, rid in enumerate(rids)
-                ]
-            elif isinstance(intent, GroupExternalIntent):
-                for slot, rid in enumerate(rids):
-                    ctx.produced_externals.setdefault(rid, []).append(
-                        ExternalRequest(rid, intent.services[slot],
-                                        intent.contents[slot])
-                    )
-                results = [True] * len(rids)
-            else:  # pragma: no cover
-                raise AuditReject(
-                    RejectReason.UNEXPECTED_EVENT,
-                    f"unknown group intent {intent!r}",
-                )
-            intent = gen.send(results)
-    except StopIteration as stop:
-        output = stop.value
-        for slot, rid in enumerate(rids):
-            handlers[rid].finish()
-            produced[rid] = output.bodies[slot]
-        stats.grouped_requests += len(rids)
-        stats.steps += output.steps
-        stats.multi_steps += output.multi_steps
-        stats.multi_slots += output.multi_slots
-        stats.multi_classes += output.multi_classes
-        alpha = (
-            1.0 - output.multi_steps / output.steps if output.steps else 1.0
-        )
-        stats.group_alphas.append((len(rids), alpha, output.steps))
+        output = drive(engine.run_group(program, group_requests), rids,
+                       handlers, cursors, ctx)
     except DivergenceError as diverged:
         stats.divergences += 1
         if strict and not _in_error_group(ctx, rids[0]):
@@ -319,6 +273,19 @@ def _run_chunk(
     except (MultivalueFallback, WeblangError):
         # Retry path (§4.3): not a verdict about the executor.
         _fallback(app, rids, requests, ctx, produced, stats, engine)
+    else:
+        for rid, handler, body in zip(rids, handlers, output.bodies):
+            handler.finish()
+            produced[rid] = body
+        stats.grouped_requests += len(rids)
+        stats.steps += output.steps
+        stats.multi_steps += output.multi_steps
+        stats.multi_slots += output.multi_slots
+        stats.multi_classes += output.multi_classes
+        alpha = (
+            1.0 - output.multi_steps / output.steps if output.steps else 1.0
+        )
+        stats.group_alphas.append((len(rids), alpha, output.steps))
     finally:
         ctx.dedup = None
 

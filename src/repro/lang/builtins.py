@@ -8,12 +8,12 @@ Three built-in classes exist in weblang, mirroring OROCHI's treatment:
   array arguments when the built-in is marked mutating, and merges results
   back into a multivalue.
 * **non-deterministic** built-ins (``time``, ``rand``, ``uniqid``,
-  ``getpid``, ``microtime``): the interpreter yields a
-  :class:`~repro.lang.interp.NondetIntent`; online, the executor evaluates
-  and records the value (§4.6); at audit, the verifier feeds the recorded
-  value and checks plausibility.
-* **state-operation** built-ins (``db_query`` etc.): the interpreter yields
-  a :class:`~repro.lang.interp.StateOpIntent`.
+  ``getpid``, ``microtime``): the engine yields a
+  :class:`~repro.lang.interp.NondetIntent` (one slot's arguments per
+  request); online, the executor evaluates and records the value (§4.6);
+  at audit, the verifier feeds the recorded value and checks plausibility.
+* **state-operation** built-ins (``db_query`` etc.): the engine yields a
+  :class:`~repro.lang.interp.StateOpIntent`, per-slot object and operands.
 
 Deviations from PHP, chosen for determinism and documented in DESIGN.md:
 ``sort``/``rsort`` return a new array instead of mutating by reference

@@ -5,9 +5,9 @@ type at every step and builds a Python generator frame for every AST
 node it walks.  The same few programs run thousands of times — served
 once per request, re-executed at audit time — so this module compiles a
 :class:`~repro.lang.ast.Program` once into a tree of pre-bound Python
-closures.  The server runs them one request at a time with the
-control-flow digest on (:meth:`CompiledProgram.run`); at audit time they
-run a whole control-flow group at a time (§3.1, §4.2-4.3):
+closures.  The server runs them one request at a time — a group of
+one — with the control-flow digest on; at audit time they run a whole
+control-flow group at a time (§3.1, §4.2-4.3):
 
 * instructions whose operands are identical across the group execute
   once (**univalent** execution), at the cost of one closure call;
@@ -26,14 +26,13 @@ run a whole control-flow group at a time (§3.1, §4.2-4.3):
   execution does not support raise
   :class:`~repro.common.errors.MultivalueFallback` (always a retry).
 
-:meth:`CompiledProgram.run_group` is a generator: state operations yield
-:class:`GroupStateOpIntent` (per-request operands — §3.3's "for all rid
-in the group" loop lives in the driver), non-deterministic built-ins
-:class:`GroupNondetIntent`, outbound requests
-:class:`GroupExternalIntent`; it returns :class:`GroupRunOutput`.
-:meth:`CompiledProgram.run` is the same code run as a group of one
-behind an adapter with the :meth:`Interpreter.run` contract, so the
-executor's drivers and ``execute_one`` (demotions) drive it unchanged.
+:meth:`CompiledProgram.run_group` is a generator that speaks the
+oracle's intents (:mod:`repro.lang.interp`) with one operand per slot:
+state operations yield :class:`StateOpIntent` (§3.3's "for all rid in
+the group" loop lives in the driver, :func:`repro.core.ooo.drive`),
+non-deterministic built-ins :class:`NondetIntent`, outbound requests
+:class:`ExternalIntent`; it returns :class:`RunOutput`.  A request
+served or re-run alone is a group of one (:meth:`CompInterpreter.run`).
 
 How the closures are built:
 
@@ -44,9 +43,8 @@ How the closures are built:
   Function-level purity comes from the static analyzer
   (:func:`repro.lang.analysis.analyze_program`);
 * **impure subtrees** compile to generator closures that ``yield`` the
-  group intents; both variants of a node share the helpers that do the
-  per-class work (:mod:`repro.lang.simd`, with the run's state and the
-  intents);
+  intents; both variants of a node share the helpers that do the
+  per-class work (:mod:`repro.lang.simd`, with the run's state);
 * **constant subtrees** fold at compile time, preserving the exact
   instruction count the folded nodes would have contributed;
 * **leaf operands fuse** into the node above them: an operator or
@@ -149,10 +147,6 @@ from repro.lang.interp import (
 )
 from repro.lang.simd import (
     _APPEND,
-    GroupExternalIntent,
-    GroupNondetIntent,
-    GroupRunOutput,
-    GroupStateOpIntent,
     _add_item,
     _assign_cell,
     _binop,
@@ -1320,7 +1314,7 @@ class _Compiler:
                 state.steps += 1
                 args = (args_fn(env, state) if args_pure
                         else (yield from args_fn(env, state)))
-                results = yield GroupNondetIntent(name, _rows(
+                results = yield NondetIntent(name, _rows(
                     [_slots(arg, state) for arg in args], state))
                 return state.merge(list(results))
 
@@ -1423,7 +1417,7 @@ class _Compiler:
         self, name: str, args_pure: bool, args_fn: Callable
     ) -> tuple[bool, Callable, None]:
         """The eleven state built-ins: each yields one
-        :class:`GroupStateOpIntent` carrying every slot's object name
+        :class:`StateOpIntent` carrying every slot's object name
         and operands."""
         db_name = self.db_name
         kv_name = self.kv_name
@@ -1461,7 +1455,7 @@ class _Compiler:
 
             def op(args, state):
                 check_args(args, 1)
-                results = yield GroupStateOpIntent(
+                results = yield StateOpIntent(
                     "db_statement", [db_name] * state.size,
                     [(sql,) for sql in _strs(args[0], state)])
                 return _merged_replies(partial(convert, name), results,
@@ -1476,7 +1470,7 @@ class _Compiler:
                     raise WeblangError(
                         "nested transactions are not allowed" if opens
                         else f"{name}() without a transaction")
-                results = yield GroupStateOpIntent(
+                results = yield StateOpIntent(
                     name, [db_name] * state.size, [()] * state.size)
                 state.in_tx = opens
                 if name != "db_commit":
@@ -1515,7 +1509,7 @@ class _Compiler:
                         "object model"
                     )
                 check_args(args, arity)
-                results = yield GroupStateOpIntent(
+                results = yield StateOpIntent(
                     kind, objs_of(args, state), operands_of(args, state))
                 if not is_read:
                     return None
@@ -1546,7 +1540,7 @@ class _Compiler:
             services = (["email"] * state.size if is_email
                         else _strs(args[0], state))
             payload = args if is_email else args[1:]
-            yield GroupExternalIntent(services, _rows(
+            yield ExternalIntent(services, _rows(
                 [_frozen(value, state) for value in payload], state))
             return True
 
@@ -1586,9 +1580,8 @@ def _scope_uses_global(stmts: list[Node]) -> bool:
 
 
 class CompiledProgram:
-    """One compiled script: :meth:`run_group` re-executes a control-flow
-    group, :meth:`run` one request with the exact generator contract of
-    :meth:`repro.lang.interp.Interpreter.run`."""
+    """One compiled script: :meth:`run_group` executes a control-flow
+    group, a request alone as a group of one."""
 
     __slots__ = ("name", "_body_pure", "_body_fn", "_flow_seed")
 
@@ -1604,8 +1597,9 @@ class CompiledProgram:
                   record_flow: bool = False):
         """Superposed execution of ``requests`` (all share control flow).
 
-        Generator: yields Group*Intents (the driver sends back one
-        result per slot), returns :class:`GroupRunOutput`.  Raises
+        Generator: yields the intents of :mod:`repro.lang.interp` with
+        one operand per slot (the driver sends back one result per
+        slot), returns :class:`RunOutput`.  Raises
         :class:`DivergenceError` if control flow differs across the
         group, :class:`MultivalueFallback` on unsupported SIMD cases and
         :class:`WeblangError` when any member's execution errors.
@@ -1625,32 +1619,9 @@ class CompiledProgram:
         if state.in_tx:
             raise WeblangError("script ended with an open transaction")
         flow_tag = None if state.flow is None else f"{state.flow:016x}"
-        return GroupRunOutput(_render(state), state.steps,
-                              state.multi_steps, flow_tag,
-                              state.multi_steps * state.size,
-                              state.multi_classes)
-
-    def run(self, request: Request, record_flow: bool = True):
-        """``request`` as a group of one: each group intent becomes the
-        interpreter's per-request intent, each reply a one-slot list."""
-        group = self.run_group([request], record_flow=record_flow)
-        replies = None
-        try:
-            while True:
-                intent = group.send(replies)
-                kind = type(intent)
-                if kind is GroupStateOpIntent:
-                    reply = yield StateOpIntent(
-                        intent.kind, intent.objs[0], intent.args[0])
-                elif kind is GroupNondetIntent:
-                    reply = yield NondetIntent(intent.func, intent.args[0])
-                else:
-                    reply = yield ExternalIntent(
-                        intent.services[0], intent.contents[0])
-                replies = [reply]
-        except StopIteration as stop:
-            output = stop.value
-        return RunOutput(output.bodies[0], output.flow_tag, output.steps)
+        return RunOutput(_render(state), state.steps, state.multi_steps,
+                         flow_tag, state.multi_steps * state.size,
+                         state.multi_classes)
 
 
 def compile_program(
@@ -1715,7 +1686,7 @@ def cache_info() -> dict[str, int]:
 
 class CompInterpreter:
     """The engine for one dialect: compiles on first use (cached), runs
-    a group (:meth:`run_group`) or — a drop-in for
+    a group (:meth:`run_group`) or — like
     :class:`~repro.lang.interp.Interpreter` — one request (:meth:`run`)."""
 
     def __init__(
@@ -1737,8 +1708,12 @@ class CompInterpreter:
                             self.session_cookie)
 
     def run(self, program: Program, request: Request):
-        return self._compiled(program).run(request, self.record_flow)
+        """``request`` as a group of one, collapse always on, whatever
+        :attr:`collapse_enabled` says: so it never makes a multivalue,
+        nor raises :class:`MultivalueFallback` (demotions run this)."""
+        return self._compiled(program).run_group(
+            [request], record_flow=self.record_flow)
 
     def run_group(self, program: Program, requests: list[Request]):
-        return self._compiled(program).run_group(requests,
-                                                 self.collapse_enabled)
+        return self._compiled(program).run_group(
+            requests, self.collapse_enabled, self.record_flow)

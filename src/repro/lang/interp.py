@@ -3,8 +3,7 @@
 Nothing in production runs it — server and auditor both run the compiled
 engine (:mod:`repro.lang.compile`), which must match this module bit for
 bit.  It is the oracle: the ``interp`` backend, ``simple_audit``, the
-differential tests.  The generator contract below is the one the
-engine's per-request entry point honours, so every driver takes either.
+differential tests.
 
 Execution is a *generator*: the interpreter walks the AST and, whenever the
 program performs a shared-object operation or a non-deterministic built-in,
@@ -13,7 +12,9 @@ executor (:mod:`repro.server.executor`) or the audit-time out-of-order
 re-executor (:mod:`repro.core.ooo`) — performs or simulates the operation
 and ``send``\\ s the result back in.  This is how the paper's model of
 "threads that block on atomic object operations" (§3.2) is realized: the
-scheduler interleaves requests exactly at these yield points.
+scheduler interleaves requests exactly at these yield points.  Both
+engines speak the intents and :class:`RunOutput` defined here, with one
+operand, reply and body per slot; a request run alone is a group of one.
 
 When ``record_flow`` is on, the interpreter maintains the incremental
 control-flow digest (§4.3): at every branch it folds in the branch kind and
@@ -77,48 +78,54 @@ from repro.trace.events import Request
 
 @dataclass
 class StateOpIntent:
-    """A shared-object operation the program wants to perform.
+    """A shared-object operation, issued by every slot of a run.
 
     kind is one of: ``register_read``, ``register_write``, ``kv_get``,
     ``kv_set``, ``db_statement``, ``db_begin``, ``db_commit``,
-    ``db_rollback``.  ``obj`` names the target object; ``args`` carries the
-    operands (e.g. the SQL text, or the key/value).
+    ``db_rollback``.  ``objs[i]`` names slot ``i``'s target object and
+    ``args[i]`` carries its operands (e.g. the SQL text, or the
+    key/value): session registers and SQL text can differ per slot.
     """
 
     kind: str
-    obj: str
-    args: tuple
+    objs: list[str]
+    args: list[tuple]
 
 
 @dataclass
 class NondetIntent:
-    """A non-deterministic built-in invocation (§4.6)."""
+    """A non-deterministic built-in invocation (§4.6), per-slot args."""
 
     func: str
-    args: tuple
+    args: list[tuple]
 
 
 @dataclass
 class ExternalIntent:
     """An outbound external-service request (the §5.5 extension).
 
-    ``service`` names the destination ("email"); ``content`` is the frozen
-    message.  The executor forwards it through the collector; at audit
-    time the re-executed message is compared against the trace like a
-    response.
+    ``services[i]`` names slot ``i``'s destination ("email");
+    ``contents[i]`` is its frozen message.  The executor forwards it
+    through the collector; at audit time the re-executed message is
+    compared against the trace like a response.
     """
 
-    service: str
-    content: tuple
+    services: list[str]
+    contents: list[tuple]
 
 
 @dataclass
 class RunOutput:
-    """Result of executing one request."""
+    """Result of one run: a body per slot."""
 
-    body: str
-    flow_tag: str | None
-    steps: int
+    bodies: list[str]
+    steps: int  # "instructions" (AST evaluations) of any one slot
+    multi_steps: int = 0  # instructions that produced a multivalue
+    flow_tag: str | None = None  # the slots' shared control-flow digest
+    #: Over the multivalent steps: the requests they stood for, and the
+    #: classes actually computed (equal when collapse is off).
+    multi_slots: int = 0
+    multi_classes: int = 0
 
 
 class _BreakSignal(Exception):
@@ -208,10 +215,11 @@ class Interpreter:
     def run(
         self, program: Program, request: Request
     ) -> Generator[object, object, RunOutput]:
-        """Execute ``program`` on ``request``.
+        """Execute ``program`` on ``request``, a group of one.
 
-        Yields :class:`StateOpIntent` / :class:`NondetIntent`; the driver
-        sends results back.  Returns :class:`RunOutput`.
+        Yields one-slot :class:`StateOpIntent` / :class:`NondetIntent` /
+        :class:`ExternalIntent`; the driver sends back a one-slot list.
+        Returns :class:`RunOutput`.
         """
         digest = FlowDigest() if self.record_flow else None
         if digest is not None:
@@ -227,7 +235,8 @@ class Interpreter:
         if state.in_tx:
             raise WeblangError("script ended with an open transaction")
         flow_tag = digest.hexdigest() if digest is not None else None
-        return RunOutput("".join(state.output), flow_tag, state.steps)
+        return RunOutput(["".join(state.output)], state.steps,
+                         flow_tag=flow_tag)
 
     # -- statements -----------------------------------------------------------
 
@@ -464,10 +473,10 @@ class Interpreter:
             service = "email" if name == "send_email" else to_str(args[0])
             payload = args if name == "send_email" else args[1:]
             content = tuple(freeze_value(value) for value in payload)
-            yield ExternalIntent(service, content)
+            yield ExternalIntent([service], [content])
             return True
         if name in NONDET_BUILTINS:
-            result = yield NondetIntent(name, tuple(args))
+            (result,) = yield NondetIntent(name, [tuple(args)])
             return result
         func = state.funcs.get(name)
         if func is not None:
@@ -507,27 +516,28 @@ class Interpreter:
         if name in ("db_query", "db_exec"):
             self._check_args(name, args, 1)
             sql = to_str(args[0])
-            result = yield StateOpIntent("db_statement", self.db_name, (sql,))
+            (result,) = yield StateOpIntent("db_statement", [self.db_name],
+                                            [(sql,)])
             return self._convert_db_result(name, result)
         if name == "db_begin":
             self._check_args(name, args, 0)
             if state.in_tx:
                 raise WeblangError("nested transactions are not allowed")
-            yield StateOpIntent("db_begin", self.db_name, ())
+            yield StateOpIntent("db_begin", [self.db_name], [()])
             state.in_tx = True
             return None
         if name == "db_commit":
             self._check_args(name, args, 0)
             if not state.in_tx:
                 raise WeblangError("db_commit() without a transaction")
-            result = yield StateOpIntent("db_commit", self.db_name, ())
+            (result,) = yield StateOpIntent("db_commit", [self.db_name], [()])
             state.in_tx = False
             return bool(result)
         if name == "db_rollback":
             self._check_args(name, args, 0)
             if not state.in_tx:
                 raise WeblangError("db_rollback() without a transaction")
-            yield StateOpIntent("db_rollback", self.db_name, ())
+            yield StateOpIntent("db_rollback", [self.db_name], [()])
             state.in_tx = False
             return None
         if state.in_tx:
@@ -538,35 +548,35 @@ class Interpreter:
         if name == "kv_get":
             self._check_args(name, args, 1)
             key = to_str(args[0])
-            result = yield StateOpIntent("kv_get", self.kv_name, (key,))
+            (result,) = yield StateOpIntent("kv_get", [self.kv_name], [(key,)])
             return thaw_value(result)
         if name == "kv_set":
             self._check_args(name, args, 2)
             key = to_str(args[0])
             value = freeze_value(args[1])
-            yield StateOpIntent("kv_set", self.kv_name, (key, value))
+            yield StateOpIntent("kv_set", [self.kv_name], [(key, value)])
             return None
         if name == "reg_read":
             self._check_args(name, args, 1)
             register = f"reg:g:{to_str(args[0])}"
-            result = yield StateOpIntent("register_read", register, ())
+            (result,) = yield StateOpIntent("register_read", [register], [()])
             return thaw_value(result)
         if name == "reg_write":
             self._check_args(name, args, 2)
             register = f"reg:g:{to_str(args[0])}"
             value = freeze_value(args[1])
-            yield StateOpIntent("register_write", register, (value,))
+            yield StateOpIntent("register_write", [register], [(value,)])
             return None
         if name == "session_get":
             self._check_args(name, args, 0)
             register = self._session_register(state)
-            result = yield StateOpIntent("register_read", register, ())
+            (result,) = yield StateOpIntent("register_read", [register], [()])
             return thaw_value(result)
         if name == "session_put":
             self._check_args(name, args, 1)
             register = self._session_register(state)
             value = freeze_value(args[0])
-            yield StateOpIntent("register_write", register, (value,))
+            yield StateOpIntent("register_write", [register], [(value,)])
             return None
         raise WeblangError(f"unknown state builtin {name}")  # pragma: no cover
 

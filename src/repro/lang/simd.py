@@ -1,13 +1,14 @@
 """The per-class half of the compiled engine (:mod:`repro.lang.compile`).
 
 What a compiled run over a control-flow group needs at run time: its
-mutable state, the intents it yields to the driver, and the helpers its
-closures call once an operand *is* a :class:`~repro.multivalue.MultiValue`
-(§4.3's rules: componentwise operators with scalar expansion and
-collapse, built-in splitting, container expansion, cells that hold
-multivalues, divergence at branches).  Each helper is shared by the
-pure and the generator variant of the node that calls it, so the work
-is written once.
+mutable state and the helpers its closures call once an operand *is* a
+:class:`~repro.multivalue.MultiValue` (§4.3's rules: componentwise
+operators with scalar expansion and collapse, built-in splitting,
+container expansion, cells that hold multivalues, divergence at
+branches).  Each helper is shared by the pure and the generator variant
+of the node that calls it, so the work is written once.  The intents a
+run yields and the output it returns are the oracle's
+(:mod:`repro.lang.interp`): one operand, and one body, per slot.
 
 **Classes, not slots.**  A multivalue holds one value per *class* of
 requests that agree (:mod:`repro.multivalue.multivalue` has the
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import marshal
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import partial
 
 from repro.common.errors import (
@@ -53,51 +53,6 @@ from repro.multivalue.multivalue import (
     regroup,
 )
 from repro.trace.events import Request
-
-
-@dataclass
-class GroupStateOpIntent:
-    """A state operation issued by the whole group.
-
-    ``objs[i]`` / ``args[i]`` are the object name and operands of request
-    ``i``'s operation (they can differ: e.g. session registers are named by
-    each request's cookie; SQL text can embed per-request values).
-    """
-
-    kind: str
-    objs: list[str]
-    args: list[tuple]
-
-
-@dataclass
-class GroupNondetIntent:
-    """A non-deterministic built-in invoked by the whole group."""
-
-    func: str
-    args: list[tuple]
-
-
-@dataclass
-class GroupExternalIntent:
-    """An outbound external request issued by the whole group (§5.5
-    extension); per-slot services and contents."""
-
-    services: list[str]
-    contents: list[tuple]
-
-
-@dataclass
-class GroupRunOutput:
-    """Result of re-executing one control-flow group."""
-
-    bodies: list[str]
-    steps: int  # "instructions" (AST evaluations) of any one member
-    multi_steps: int  # instructions that produced a multivalue
-    flow_tag: str | None = None  # the members' shared control-flow digest
-    #: Over the multivalent steps: the requests they stood for, and the
-    #: classes actually computed (equal when collapse is off).
-    multi_slots: int = 0
-    multi_classes: int = 0
 
 
 class _State:

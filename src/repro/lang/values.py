@@ -116,7 +116,10 @@ class PhpArray:
             # (ASCII digits only: "²".isdigit() is true too).
             body = key[1:] if key.startswith("-") else key
             if body.isdigit() and body.isascii():
-                as_int = int(key)
+                try:
+                    as_int = int(key)
+                except ValueError:  # past CPython's int/str digit limit:
+                    return key  # a string key, like PHP's past PHP_INT_MAX
                 if str(as_int) == key:
                     return as_int
             return key
@@ -290,13 +293,16 @@ def to_str(value: object) -> str:
     if type(value) is str:
         return value
     if type(value) is int:
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past CPython's int/str digit limit
+            raise WeblangError("integer too long to print") from None
     if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else ""
     if isinstance(value, int):
-        return str(value)
+        return to_str(int(value))
     if isinstance(value, float):
         if abs(value) < 1e15 and value == int(value):
             return str(int(value))
@@ -333,7 +339,10 @@ def to_int(value: object) -> int:
                 digits += ch
             else:
                 break
-        return sign * int(digits) if digits else 0
+        try:
+            return sign * int(digits) if digits else 0
+        except ValueError:  # past CPython's int/str digit limit
+            raise WeblangError(f"{len(digits)}-digit integer") from None
     if isinstance(value, PhpArray):
         return 1 if len(value) else 0
     raise WeblangError(f"cannot convert {type(value).__name__} to int")

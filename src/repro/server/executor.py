@@ -13,9 +13,11 @@ cooperative schedule, and vice versa.
 The engine is the compiled one (:mod:`repro.lang.compile`), the runtime
 the auditor re-executes on — as in the paper, where the server runs the
 unmodified build of the runtime whose SIMD build is the verifier's — so
-recording overhead is measured against the speed the audit is.  The
-tree-walking :mod:`repro.lang.interp` is the oracle; the tests serve on
-it by replacing the one name this module imports
+recording overhead is measured against the speed the audit is.  A
+served request is a group of one: ``step`` reads slot 0 of each intent
+and replies with a one-slot list.  The tree-walking
+:mod:`repro.lang.interp` is the oracle; the tests serve on it by
+replacing the one name this module imports
 (``tests/server/test_engine_differential.py``).
 
 Recording (the honest executor's side of the audit protocol):
@@ -244,19 +246,19 @@ class Executor:
         # live object, assign its opnum and (register / KV operations)
         # log it; DB operations are logged by the Database itself.
 
-        def db_statement(task: _Task, intent: StateOpIntent) -> object:
+        def db_statement(task: _Task, obj: str, args: tuple) -> object:
             if not db.in_transaction(task.rid):
                 task.opnum += 1  # a transaction's statements share its opnum
-            return db.execute(task.rid, task.opnum, intent.args[0])
+            return db.execute(task.rid, task.opnum, args[0])
 
-        def db_begin(task: _Task, intent: StateOpIntent) -> None:
+        def db_begin(task: _Task, obj: str, args: tuple) -> None:
             task.opnum += 1
             db.begin(task.rid, task.opnum)
 
-        def db_commit(task: _Task, intent: StateOpIntent) -> bool:
+        def db_commit(task: _Task, obj: str, args: tuple) -> bool:
             return db.commit(task.rid)
 
-        def db_rollback(task: _Task, intent: StateOpIntent) -> None:
+        def db_rollback(task: _Task, obj: str, args: tuple) -> None:
             db.rollback(task.rid)
 
         def log_op(task: _Task, obj: str, optype: OpType,
@@ -267,14 +269,14 @@ class Executor:
                 reports.op_logs.setdefault(obj, []).append(
                     OpRecord(task.rid, task.opnum, optype, contents))
 
-        def kv_get(task: _Task, intent: StateOpIntent) -> object:
-            key = intent.args[0]
-            log_op(task, intent.obj, OpType.KV_GET, (key,))
+        def kv_get(task: _Task, obj: str, args: tuple) -> object:
+            key = args[0]
+            log_op(task, obj, OpType.KV_GET, (key,))
             return kv.get(key)
 
-        def kv_set(task: _Task, intent: StateOpIntent) -> None:
-            key, value = intent.args
-            log_op(task, intent.obj, OpType.KV_SET, (key, value))
+        def kv_set(task: _Task, obj: str, args: tuple) -> None:
+            key, value = args
+            log_op(task, obj, OpType.KV_SET, (key, value))
             kv.set(key, value)
 
         def register(name: str) -> AtomicRegister:
@@ -283,14 +285,14 @@ class Executor:
                 found = registers[name] = AtomicRegister(name)
             return found
 
-        def register_read(task: _Task, intent: StateOpIntent) -> object:
-            log_op(task, intent.obj, OpType.REGISTER_READ, ())
-            return register(intent.obj).read()
+        def register_read(task: _Task, obj: str, args: tuple) -> object:
+            log_op(task, obj, OpType.REGISTER_READ, ())
+            return register(obj).read()
 
-        def register_write(task: _Task, intent: StateOpIntent) -> None:
-            value = intent.args[0]
-            log_op(task, intent.obj, OpType.REGISTER_WRITE, (value,))
-            register(intent.obj).write(value)
+        def register_write(task: _Task, obj: str, args: tuple) -> None:
+            value = args[0]
+            log_op(task, obj, OpType.REGISTER_WRITE, (value,))
+            register(obj).write(value)
 
         perform = {
             "db_statement": db_statement,
@@ -316,23 +318,26 @@ class Executor:
                     if handler is None:
                         raise WeblangError(
                             f"unknown state op kind {intent.kind}")
-                    pending = task.gen.send(handler(task, intent))
+                    pending = task.gen.send([handler(
+                        task, intent.objs[0], intent.args[0])])
                 # Non-deterministic calls and outbound externals are not
                 # scheduling points: resolve them immediately (they touch
-                # no shared state).
+                # no shared state).  The request is a group of one: its
+                # operands are slot 0's, its reply a one-slot list.
                 while type(pending) is not StateOpIntent:
                     if type(pending) is ExternalIntent:
                         collector.observe_external(ExternalRequest(
-                            task.rid, pending.service, pending.content,
+                            task.rid, pending.services[0],
+                            pending.contents[0],
                         ))
-                        pending = task.gen.send(True)
+                        pending = task.gen.send([True])
                     else:
-                        value = self.nondet.call(pending.func, pending.args)
+                        args = pending.args[0]
+                        value = self.nondet.call(pending.func, args)
                         if record:
                             reports.nondet.setdefault(task.rid, []).append(
-                                NondetRecord(pending.func, pending.args,
-                                             value))
-                        pending = task.gen.send(value)
+                                NondetRecord(pending.func, args, value))
+                        pending = task.gen.send([value])
                 task.pending = pending
                 task.on_db = pending.kind.startswith("db_")
             except StopIteration as stop:
@@ -341,7 +346,7 @@ class Executor:
                 if task.rid in self.fail_rids:
                     finish(task, None, abort_info="client reset")
                 else:
-                    finish(task, output.body)
+                    finish(task, output.bodies[0])
             except WeblangError:
                 # Application error: roll back any open transaction and
                 # deliver the fixed error page (deterministically

@@ -13,31 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lang.compile import (
-    CompInterpreter as AccInterpreter,
-    GroupNondetIntent,
-    GroupStateOpIntent,
-)
+from repro.lang.compile import CompInterpreter as AccInterpreter
 from repro.common.errors import DivergenceError
-from repro.lang.interp import Interpreter, NondetIntent
+from repro.lang.interp import Interpreter, StateOpIntent
 from repro.lang.parser import parse_program
 from repro.trace.events import Request
+from tests.lang.driver import Canned, drive
 
 
 def run_plain(src, request, state_results=None, nondet=99):
     program = parse_program(src)
-    gen = Interpreter(record_flow=False).run(program, request)
-    canned = list(state_results or [])
-    try:
-        intent = next(gen)
-        while True:
-            if isinstance(intent, NondetIntent):
-                result = nondet
-            else:
-                result = canned.pop(0) if canned else None
-            intent = gen.send(result)
-    except StopIteration as stop:
-        return stop.value.body
+    output, _, _ = drive(Interpreter(record_flow=False).run(program, request),
+                         [Canned(state_results or (), rest=nondet)], catch=())
+    (body,) = output.bodies
+    return body
 
 
 def run_group(src, requests, state_results=None, nondet=99,
@@ -45,20 +34,11 @@ def run_group(src, requests, state_results=None, nondet=99,
     """state_results: list per op of per-slot results."""
     program = parse_program(src)
     acc = AccInterpreter(collapse_enabled=collapse)
-    gen = acc.run_group(program, requests)
-    canned = list(state_results or [])
-    try:
-        intent = next(gen)
-        while True:
-            if isinstance(intent, GroupNondetIntent):
-                result = [nondet] * len(requests)
-            else:
-                result = (
-                    canned.pop(0) if canned else [None] * len(requests)
-                )
-            intent = gen.send(result)
-    except StopIteration as stop:
-        return stop.value
+    per_slot = zip(*state_results) if state_results else [()] * len(requests)
+    output, _, _ = drive(acc.run_group(program, requests),
+                         [Canned(replies, rest=nondet) for replies in per_slot],
+                         catch=())
+    return output
 
 
 def assert_equiv(src, requests, state_results_plain=None,
@@ -343,7 +323,7 @@ def test_group_state_intents_carry_per_slot_args():
     gen = acc.run_group(program, reqs({"u": "a", "v": 1},
                                       {"u": "b", "v": 2}))
     intent = next(gen)
-    assert isinstance(intent, GroupStateOpIntent)
+    assert isinstance(intent, StateOpIntent)
     assert intent.kind == "kv_set"
     assert intent.args == [("k:a", 1), ("k:b", 2)]
     try:

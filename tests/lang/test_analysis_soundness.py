@@ -38,6 +38,7 @@ from repro.server.nondet import NondetSource
 from repro.trace.events import Request
 from repro.workloads import forum_workload, hotcrp_workload, wiki_workload
 
+from tests.lang.driver import Canned, drive
 from tests.lang.test_fuzz_backends import ProgramGen, canned_results
 
 FUZZ_CASES = 200
@@ -57,15 +58,16 @@ _KIND_EFFECTS = {
 def _check_state_intent(report: EffectReport, intent: StateOpIntent,
                         failures: list, label: str) -> None:
     fp = report.footprint
+    obj, args = intent.objs[0], intent.args[0]
     if intent.kind == "db_statement":
-        sql = intent.args[0]
+        sql = args[0]
         try:
             reads, writes = sql_key_footprint(sql)
         except SqlError:
             # The program built unparseable SQL at run time; the static
             # side must have widened that call site to top already.
             reads = writes = ()
-            keyset = fp.reads.get(intent.obj)
+            keyset = fp.reads.get(obj)
             if keyset is None or not keyset.top:
                 failures.append((label, "unparseable-sql-not-top", sql))
         if reads and "state-read" not in report.effects:
@@ -73,10 +75,10 @@ def _check_state_intent(report: EffectReport, intent: StateOpIntent,
         if writes and "state-write" not in report.effects:
             failures.append((label, "missing state-write effect", sql))
         for table in reads:
-            if not fp.covers_read(intent.obj, table):
+            if not fp.covers_read(obj, table):
                 failures.append((label, "read table escapes", table, sql))
         for table in writes:
-            if not fp.covers_write(intent.obj, table):
+            if not fp.covers_write(obj, table):
                 failures.append((label, "write table escapes", table, sql))
         return
     is_read, is_write = _KIND_EFFECTS[intent.kind]
@@ -85,16 +87,16 @@ def _check_state_intent(report: EffectReport, intent: StateOpIntent,
     if is_write and "state-write" not in report.effects:
         failures.append((label, "missing state-write effect", intent.kind))
     if intent.kind in ("kv_get", "kv_set"):
-        key = intent.args[0]
-        covered = (fp.covers_read(intent.obj, key) if is_read
-                   else fp.covers_write(intent.obj, key))
+        key = args[0]
+        covered = (fp.covers_read(obj, key) if is_read
+                   else fp.covers_write(obj, key))
         if not covered:
             failures.append((label, "kv key escapes", intent.kind, key))
     elif intent.kind in ("register_read", "register_write"):
-        covered = (fp.covers_read(intent.obj, intent.obj) if is_read
-                   else fp.covers_write(intent.obj, intent.obj))
+        covered = (fp.covers_read(obj, obj) if is_read
+                   else fp.covers_write(obj, obj))
         if not covered:
-            failures.append((label, "register escapes", intent.obj))
+            failures.append((label, "register escapes", obj))
 
 
 def _observe_and_check(report: EffectReport, program, request,
@@ -104,32 +106,19 @@ def _observe_and_check(report: EffectReport, program, request,
     results and check every yielded intent against ``report``.  A
     runtime :class:`WeblangError` is fine — the intents yielded up to
     that point are still a real execution prefix."""
-    gen = Interpreter().run(program, request)
-    canned = list(canned)
-    nondets = list(nondets)
-    try:
-        intent = next(gen)
-        while True:
-            if isinstance(intent, NondetIntent):
-                if "nondet" not in report.effects:
-                    failures.append((label, "missing nondet effect",
-                                     intent.func))
-                result = nondets.pop(0) if nondets else 3
-            elif isinstance(intent, ExternalIntent):
-                if "external" not in report.effects:
-                    failures.append((label, "missing external effect",
-                                     intent.service))
-                result = True
-            elif isinstance(intent, StateOpIntent):
-                _check_state_intent(report, intent, failures, label)
-                result = canned.pop(0) if canned else None
-            else:
-                result = None
-            intent = gen.send(result)
-    except StopIteration:
-        pass
-    except WeblangError:
-        pass
+    _, intents, _ = drive(Interpreter().run(program, request),
+                          [Canned(canned, nondets, rest=3)])
+    for intent in intents:
+        if isinstance(intent, NondetIntent):
+            if "nondet" not in report.effects:
+                failures.append((label, "missing nondet effect",
+                                 intent.func))
+        elif isinstance(intent, ExternalIntent):
+            if "external" not in report.effects:
+                failures.append((label, "missing external effect",
+                                 intent.services[0]))
+        elif isinstance(intent, StateOpIntent):
+            _check_state_intent(report, intent, failures, label)
 
 
 # -- the three bundled applications ------------------------------------------

@@ -13,6 +13,7 @@ from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
 from repro.lang.values import PhpArray
 from repro.trace.events import Request
+from tests.lang.driver import finish
 
 
 def call(name, *args):
@@ -90,14 +91,11 @@ def test_number_format():
 
 def _run(engine, source):
     """The body ``source`` echoes on ``engine``, or its error's text."""
-    run = engine.run(parse_program(source), Request("r1", "nf.php"))
-    try:
-        next(run)
-    except StopIteration as stop:
-        return stop.value.body
-    except WeblangError as exc:
-        return f"error: {exc}"
-    raise AssertionError("a pure script yielded an intent")
+    output = finish(engine.run(parse_program(source), Request("r1", "nf.php")))
+    if isinstance(output, WeblangError):
+        return f"error: {output}"
+    (body,) = output.bodies
+    return body
 
 
 @pytest.mark.parametrize("engine", [Interpreter, CompInterpreter])

@@ -13,7 +13,6 @@ import gc
 
 import pytest
 
-from repro.common.errors import WeblangError
 from repro.lang import compile as lc
 from repro.lang.compile import (
     CompInterpreter,
@@ -23,56 +22,30 @@ from repro.lang.compile import (
     compile_program,
     compiled_for,
 )
-from repro.lang.interp import Interpreter, NondetIntent
+from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
 from repro.trace.events import Request
-
-
-def drive(engine, program, request=None, state_results=None,
-          nondet_value=7, record_flow=True):
-    """Run ``program`` on ``engine`` with canned intent results.
-
-    Returns ``(RunOutput | None, intents, error | None)`` — errors are
-    captured, not raised, so error behaviour is comparable too.
-    """
-    gen = engine.run(program, request or Request("r1", "s.php"))
-    canned = list(state_results or [])
-    intents = []
-    try:
-        intent = next(gen)
-        while True:
-            intents.append(intent)
-            if isinstance(intent, NondetIntent):
-                result = nondet_value
-            else:
-                result = canned.pop(0) if canned else None
-            intent = gen.send(result)
-    except StopIteration as stop:
-        return stop.value, intents, None
-    except WeblangError as exc:
-        return None, intents, exc
+from tests.lang.driver import Canned, drive, finish
 
 
 def assert_equivalent(src, request=None, state_results=None,
                       nondet_value=7):
     program = parse_program(src)
+    request = request or Request("r1", "s.php")
     for record_flow in (True, False):
-        interp = Interpreter(record_flow=record_flow)
-        comp = CompInterpreter(record_flow=record_flow)
         ref_out, ref_intents, ref_err = drive(
-            interp, program, request, state_results, nondet_value,
-            record_flow)
+            Interpreter(record_flow=record_flow).run(program, request),
+            [Canned(state_results or (), rest=nondet_value)])
         got_out, got_intents, got_err = drive(
-            comp, program, request, state_results, nondet_value,
-            record_flow)
-        assert [repr(i) for i in got_intents] == \
-            [repr(i) for i in ref_intents], src
+            CompInterpreter(record_flow=record_flow).run(program, request),
+            [Canned(state_results or (), rest=nondet_value)])
+        assert repr(got_intents) == repr(ref_intents), src
         if ref_err is not None:
             assert got_err is not None, (src, ref_err)
             assert str(got_err) == str(ref_err), src
             continue
         assert got_err is None, (src, got_err)
-        assert got_out.body == ref_out.body, src
+        assert got_out.bodies == ref_out.bodies, src
         assert got_out.flow_tag == ref_out.flow_tag, src
         assert got_out.steps == ref_out.steps, src
     return True
@@ -267,10 +240,8 @@ def test_compinterp_reuses_compiled_code_across_runs():
     program = parse_program("echo param('q', 'd');")
     engine = CompInterpreter(record_flow=False)
     for index in range(3):
-        gen = engine.run(program, Request(f"r{index}", "s.php"))
-        with pytest.raises(StopIteration) as stop:
-            next(gen)
-        assert stop.value.value.body == "d"
+        output = finish(engine.run(program, Request(f"r{index}", "s.php")))
+        assert output.bodies == ["d"]
     assert cache_info()["misses"] == 1
 
 

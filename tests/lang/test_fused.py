@@ -26,17 +26,14 @@ from unittest import mock
 
 import pytest
 
-from repro.common.errors import (
-    DivergenceError,
-    MultivalueFallback,
-    WeblangError,
-)
+from repro.common.errors import MultivalueFallback
 from repro.lang import compile as compile_module
 from repro.lang import regions, simd
 from repro.lang.compile import CompInterpreter, compile_program, compiled_for
 from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
 from repro.trace.events import Request
+from tests.lang.driver import GROUP_ERRORS, Canned, alone, drive, finish
 
 #: Three requests that differ: ``q`` (a number), ``l`` (a list for
 #: ``explode``), ``s`` (a key).
@@ -152,30 +149,14 @@ def _source(body: str, scope: str) -> str:
     return f"function f() {{ {declare}{body} }} f();"
 
 
-def _run(engine, program, request):
-    """``(body, steps, flow tag)`` of one request, or its error text."""
-    run = engine.run(program, request)
-    try:
-        next(run)
-    except StopIteration as stop:
-        return stop.value.body, stop.value.steps, stop.value.flow_tag
-    except WeblangError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    raise AssertionError("a pure script yielded an intent")
-
-
 def _group(compiled, requests):
     """A group run's counts and bodies, or the type of what ended it."""
-    run = compiled.run_group(requests, record_flow=True)
-    try:
-        next(run)
-    except StopIteration as stop:
-        out = stop.value
-        return (out.bodies, out.steps, out.multi_steps, out.multi_slots,
-                out.multi_classes, out.flow_tag)
-    except (WeblangError, DivergenceError, MultivalueFallback) as exc:
-        return type(exc)
-    raise AssertionError("a pure script yielded an intent")
+    out = finish(compiled.run_group(requests, record_flow=True),
+                 GROUP_ERRORS)
+    if isinstance(out, GROUP_ERRORS):
+        return type(out)
+    return (out.bodies, out.steps, out.multi_steps, out.multi_slots,
+            out.multi_classes, out.flow_tag)
 
 
 def _tree_call(builtin, operands):
@@ -210,11 +191,11 @@ def test_fused_shapes_agree_with_the_oracle_and_the_closure_tree(name,
     program = parse_program(_source(CASES[name], scope))
     requests = [Request(f"r{slot}", "fused.php", get=dict(get))
                 for slot, get in enumerate(INPUTS)]
-    oracle = [_run(Interpreter(record_flow=True), program, request)
+    oracle = [alone(Interpreter(record_flow=True), program, request)
               for request in requests]
     for request, expected in zip(requests, oracle):
-        assert _run(CompInterpreter(record_flow=True), program,
-                    request) == expected
+        assert alone(CompInterpreter(record_flow=True), program,
+                     request) == expected
     group = _group(compile_program(program), requests)
     assert group == _group(_unfused(program), requests)
     if isinstance(group, tuple):
@@ -235,14 +216,12 @@ def test_a_literal_that_yields_normalises_its_constant_keys():
     outputs = []
     for engine in (Interpreter(record_flow=True),
                    CompInterpreter(record_flow=True)):
-        run = engine.run(program, Request("r", "fused.php"))
-        next(run)  # the rand() intent
-        with pytest.raises(StopIteration) as stop:
-            run.send(4)
-        output = stop.value.value
-        outputs.append((output.body, output.steps, output.flow_tag))
+        output, (intent,), _ = drive(
+            engine.run(program, Request("r", "fused.php")), [Canned(rest=4)])
+        assert intent.func == "rand"
+        outputs.append((output.bodies, output.steps, output.flow_tag))
     assert outputs[0] == outputs[1]
-    assert outputs[0][0] == "1,01,5,6;4,x,y,z"
+    assert outputs[0][0] == ["1,01,5,6;4,x,y,z"]
 
 
 def _built(program) -> list:
@@ -289,8 +268,8 @@ def test_a_constant_literal_is_built_once_and_never_written():
         "echo count($a['x']), $a['y'], count($a), ';'; }")
     (outer,) = [array for array in _built(program) if "x" in array.data]
     request = Request("r", "fused.php")
-    assert _run(CompInterpreter(), program, request)[0] == \
-        "203;213;223;" == _run(Interpreter(), program, request)[0]
+    assert alone(CompInterpreter(), program, request)[0] == \
+        "203;213;223;" == alone(Interpreter(), program, request)[0]
     assert [list(outer.data["x"].data.values()), outer.data["y"],
             len(outer)] == [[1], 2, 2]
 

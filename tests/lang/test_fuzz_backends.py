@@ -32,32 +32,19 @@ import random
 
 import pytest
 
-from repro.common.errors import (
-    DivergenceError,
-    MultivalueFallback,
-    WeblangError,
-)
+from repro.common.errors import MultivalueFallback, WeblangError
 from repro.core import ssco_audit
 from repro.lang import interp as interp_module
 from repro.lang import simd
-from repro.lang.compile import (
-    CompInterpreter,
-    GroupNondetIntent,
-    GroupStateOpIntent,
-    compiled_for,
-)
-from repro.lang.interp import (
-    ExternalIntent,
-    Interpreter,
-    NondetIntent,
-    StateOpIntent,
-)
+from repro.lang.compile import CompInterpreter, compiled_for
+from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
 from repro.lang.values import PhpArray
 from repro.multivalue import MultiValue, Partition
 from repro.server import Application, Executor, RandomScheduler
 from repro.server.nondet import NondetSource
 from repro.trace.events import Request
+from tests.lang.driver import GROUP_ERRORS, Canned, drive, stacked
 
 ENGINE_CASES = 200
 GROUP_CASES = 320
@@ -375,26 +362,11 @@ def canned_results(rng: random.Random):
     return [rng.choice(pool) for _ in range(64)]
 
 
-def drive(engine, program, request, canned, nondets):
-    gen = engine.run(program, request)
-    canned = list(canned)
-    nondets = list(nondets)
-    intents = []
-    try:
-        intent = next(gen)
-        while True:
-            intents.append(repr(intent))
-            if isinstance(intent, NondetIntent):
-                result = nondets.pop(0) if nondets else 3
-            elif isinstance(intent, StateOpIntent):
-                result = canned.pop(0) if canned else None
-            else:
-                result = True
-            intent = gen.send(result)
-    except StopIteration as stop:
-        return stop.value, intents, None
-    except WeblangError as exc:
-        return None, intents, f"{type(exc).__name__}: {exc}"
+def run_alone(engine, program, request, canned, nondets):
+    """``request`` alone on ``engine``, answered from ``canned`` /
+    ``nondets``: ``(RunOutput | None, intents, WeblangError | None)``."""
+    return drive(engine.run(program, request),
+                 [Canned(canned, nondets, rest=3)])
 
 
 def test_engine_lockstep_fuzz():
@@ -415,55 +387,32 @@ def test_engine_lockstep_fuzz():
         )
         canned = canned_results(rng)
         nondets = [rng.randrange(100) for _ in range(32)]
-        ref = drive(Interpreter(record_flow=True), program, request,
-                    canned, nondets)
-        got = drive(CompInterpreter(record_flow=True), program, request,
-                    canned, nondets)
-        if got[1] != ref[1] or got[2] != ref[2]:
+        ref = run_alone(Interpreter(record_flow=True), program, request,
+                        canned, nondets)
+        got = run_alone(CompInterpreter(record_flow=True), program,
+                        request, canned, nondets)
+        if repr(got[1]) != repr(ref[1]) or repr(got[2]) != repr(ref[2]):
             failures.append((seed, src, ref[2], got[2]))
             continue
         if ref[2] is None:
             ref_out, got_out = ref[0], got[0]
-            if (got_out.body, got_out.flow_tag, got_out.steps) != \
-                    (ref_out.body, ref_out.flow_tag, ref_out.steps):
+            if (got_out.bodies, got_out.flow_tag, got_out.steps) != \
+                    (ref_out.bodies, ref_out.flow_tag, ref_out.steps):
                 failures.append((seed, src,
-                                 (ref_out.body, ref_out.steps),
-                                 (got_out.body, got_out.steps)))
+                                 (ref_out.bodies, ref_out.steps),
+                                 (got_out.bodies, got_out.steps)))
     assert not failures, failures[:3]
 
 
 def drive_group(program, requests, canned, nondets, record_flow=False):
     """Run ``requests`` as one group; slot ``i`` is answered from
-    ``canned[i]`` / ``nondets[i]`` exactly as :func:`drive` would answer
-    it.  Returns ``(GroupRunOutput | None, per-slot intent reprs,
-    exception | None)``."""
-    gen = compiled_for(program).run_group(requests, record_flow=record_flow)
-    canned = [list(results) for results in canned]
-    nondets = [list(values) for values in nondets]
-    intents = [[] for _ in requests]
-    try:
-        intent = next(gen)
-        while True:
-            replies = []
-            for slot in range(len(requests)):
-                if isinstance(intent, GroupNondetIntent):
-                    seen = NondetIntent(intent.func, intent.args[slot])
-                    reply = nondets[slot].pop(0) if nondets[slot] else 3
-                elif isinstance(intent, GroupStateOpIntent):
-                    seen = StateOpIntent(intent.kind, intent.objs[slot],
-                                         intent.args[slot])
-                    reply = canned[slot].pop(0) if canned[slot] else None
-                else:
-                    seen = ExternalIntent(intent.services[slot],
-                                          intent.contents[slot])
-                    reply = True
-                intents[slot].append(repr(seen))
-                replies.append(reply)
-            intent = gen.send(replies)
-    except StopIteration as stop:
-        return stop.value, intents, None
-    except (WeblangError, DivergenceError, MultivalueFallback) as exc:
-        return None, intents, exc
+    ``canned[i]`` / ``nondets[i]`` exactly as :func:`run_alone` would
+    answer it.  Returns ``(RunOutput | None, intents, exception |
+    None)``."""
+    return drive(
+        compiled_for(program).run_group(requests, record_flow=record_flow),
+        [Canned(replies, values, rest=3)
+         for replies, values in zip(canned, nondets)], GROUP_ERRORS)
 
 
 #: What an object may answer in the group corpus: the engine corpus's
@@ -523,8 +472,8 @@ def test_group_lockstep_fuzz(monkeypatch):
             canned.append(replies if rng.random() < 0.5
                           else copy.deepcopy(replies))
             nondets.append(values)
-        refs = [drive(Interpreter(record_flow=True), program, request,
-                      canned[slot], nondets[slot])
+        refs = [run_alone(Interpreter(record_flow=True), program, request,
+                          canned[slot], nondets[slot])
                 for slot, request in enumerate(requests)]
         output, intents, error = drive_group(program, requests, canned,
                                              nondets)
@@ -548,9 +497,13 @@ def test_group_lockstep_fuzz(monkeypatch):
         completed += 1
         multivalent += bool(output.multi_steps)
         shared += output.multi_classes < output.multi_slots
-        expected = ([ref[0].body for ref in refs], refs[0][0].steps,
-                    [ref[1] for ref in refs])
-        if (output.bodies, output.steps, intents) != expected:
+        # Each slot's intents, run alone, side by side: what the group
+        # yields (every slot took one path, so the streams align).
+        expected = ([ref[0].bodies[0] for ref in refs], refs[0][0].steps,
+                    [stacked(step)
+                     for step in zip(*(ref[1] for ref in refs), strict=True)])
+        if ((output.bodies, output.steps) != expected[:2]
+                or repr(intents) != repr(expected[2])):
             failures.append((seed, src, expected[:2],
                              (output.bodies, output.steps)))
         if not (output.multi_slots == output.multi_steps * len(requests)
@@ -627,14 +580,14 @@ def test_group_of_one_records_the_oracles_flow_tag(monkeypatch, read):
     for q in range(6):
         request = Request(f"r{q}", "branches.php", get={"q": str(q)})
         canned = [str(q)] * 64  # what every kv_get('q') is answered
-        ref, ref_intents, ref_error = drive(
+        ref, ref_intents, ref_error = run_alone(
             Interpreter(record_flow=True), program, request, canned, [])
-        got, (got_intents,), got_error = drive_group(
+        got, got_intents, got_error = drive_group(
             program, [request], [canned], [[]], record_flow=True)
         assert ref_error is None and got_error is None
-        assert got_intents == ref_intents
+        assert repr(got_intents) == repr(ref_intents)
         assert bool(got_intents) == read.startswith("kv_get")
-        assert (got.bodies[0], got.steps) == (ref.body, ref.steps)
+        assert (got.bodies, got.steps) == (ref.bodies, ref.steps)
         assert got.flow_tag == ref.flow_tag
         tags.add(got.flow_tag)
     assert len(tags) == 6  # six inputs, six paths

@@ -15,6 +15,7 @@ from repro.lang.interp import (
 from repro.lang.parser import parse_program
 from repro.lang.values import PhpArray
 from repro.trace.events import Request
+from tests.lang.driver import Canned, drive, finish
 
 
 def run(src, request=None, state_results=None, nondet_value=7,
@@ -22,24 +23,15 @@ def run(src, request=None, state_results=None, nondet_value=7,
     """Drive a program with canned state-op results (list, in order)."""
     program = parse_program(src)
     interp = Interpreter(record_flow=record_flow)
-    gen = interp.run(program, request or Request("r1", "s.php"))
-    canned = list(state_results or [])
-    intents = []
-    try:
-        intent = next(gen)
-        while True:
-            intents.append(intent)
-            if isinstance(intent, NondetIntent):
-                result = nondet_value
-            else:
-                result = canned.pop(0) if canned else None
-            intent = gen.send(result)
-    except StopIteration as stop:
-        return stop.value, intents
+    output, intents, _ = drive(
+        interp.run(program, request or Request("r1", "s.php")),
+        [Canned(state_results or (), rest=nondet_value)], catch=())
+    return output, intents
 
 
 def out(src, **kwargs):
-    return run(src, **kwargs)[0].body
+    (body,) = run(src, **kwargs)[0].bodies
+    return body
 
 
 # -- language basics ------------------------------------------------------------
@@ -224,8 +216,8 @@ echo reg_read('R');
     output, intents = run(src, state_results=[None, 42, None, 42])
     kinds = [i.kind for i in intents if isinstance(i, StateOpIntent)]
     assert kinds == ["kv_set", "kv_get", "register_write", "register_read"]
-    assert intents[2].obj == "reg:g:R"
-    assert output.body == "42"
+    assert intents[2].objs == ["reg:g:R"]
+    assert output.bodies == ["42"]
 
 
 def test_db_transaction_intents():
@@ -244,7 +236,7 @@ echo $ok ? 'ok' : 'fail';
     output, intents = run(src, state_results=[None, FakeResult(), True])
     kinds = [i.kind for i in intents if isinstance(i, StateOpIntent)]
     assert kinds == ["db_begin", "db_statement", "db_commit"]
-    assert output.body == "ok"
+    assert output.bodies == ["ok"]
 
 
 def test_kv_op_inside_transaction_forbidden():
@@ -261,7 +253,7 @@ def test_open_transaction_at_script_end_raises():
 def test_nondet_intent():
     output, intents = run("echo time();", nondet_value=123)
     assert isinstance(intents[0], NondetIntent)
-    assert output.body == "123"
+    assert output.bodies == ["123"]
 
 
 def test_session_requires_cookie():
@@ -311,11 +303,7 @@ def test_script_name_in_tag():
     interp = Interpreter(record_flow=True)
 
     def tag_of(prog):
-        gen = interp.run(prog, Request("r", prog.name))
-        try:
-            next(gen)
-        except StopIteration as stop:
-            return stop.value.flow_tag
+        return finish(interp.run(prog, Request("r", prog.name))).flow_tag
 
     assert tag_of(a) != tag_of(b)
 

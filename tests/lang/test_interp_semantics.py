@@ -6,23 +6,18 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import WeblangError
-from repro.lang.interp import Interpreter, NondetIntent
+from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
 from repro.trace.events import Request
+from tests.lang.driver import Canned, drive
 
 
 def out(src, request=None):
     program = parse_program(src)
-    gen = Interpreter(record_flow=False).run(
-        program, request or Request("r", "s")
-    )
-    try:
-        intent = next(gen)
-        while True:
-            intent = gen.send(7 if isinstance(intent, NondetIntent)
-                              else None)
-    except StopIteration as stop:
-        return stop.value.body
+    output, _, _ = drive(Interpreter(record_flow=False).run(
+        program, request or Request("r", "s")), catch=())
+    (body,) = output.bodies
+    return body
 
 
 def test_compound_index_assignment():
@@ -158,10 +153,7 @@ echo tick();
 def test_acc_interpreter_matches_on_these_semantics():
     """The same corner-case programs, run as groups of identical
     requests, must match the plain outputs exactly."""
-    from repro.lang.compile import (
-        CompInterpreter as AccInterpreter,
-        GroupNondetIntent,
-    )
+    from repro.lang.compile import CompInterpreter as AccInterpreter
 
     programs = [
         "$a = ['n' => 1]; $a['n'] += 5; echo $a['n'];",
@@ -173,14 +165,6 @@ def test_acc_interpreter_matches_on_these_semantics():
     for src in programs:
         program = parse_program(src)
         requests = [Request(f"r{i}", "s") for i in range(3)]
-        gen = AccInterpreter().run_group(program, requests)
-        try:
-            intent = next(gen)
-            while True:
-                if isinstance(intent, GroupNondetIntent):
-                    intent = gen.send([7, 7, 7])
-                else:
-                    intent = gen.send([None, None, None])
-        except StopIteration as stop:
-            bodies = stop.value.bodies
-        assert bodies == [out(src)] * 3, src
+        output, _, _ = drive(AccInterpreter().run_group(program, requests),
+                             [Canned() for _ in requests], catch=())
+        assert output.bodies == [out(src)] * 3, src

@@ -19,11 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import (
-    DivergenceError,
-    MultivalueFallback,
-    WeblangError,
-)
+from repro.common.errors import MultivalueFallback, WeblangError
 from repro.lang import regions
 from repro.lang.ast import Lit, Node
 from repro.lang.compile import (
@@ -35,6 +31,7 @@ from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
 from repro.lang.simd import _State
 from repro.trace.events import Request
+from tests.lang.driver import GROUP_ERRORS, alone, finish
 
 sys.path.append(str(Path(__file__).resolve().parents[2]
                     / "benchmarks" / "e2e"))
@@ -142,28 +139,10 @@ def _programs(draw) -> str:
     return f"{helper}function f() {{ {declare}{body} }} f();"
 
 
-def _run(engine, program, request):
-    """``(body, steps, flow tag)`` of one request, or its error text."""
-    run = engine.run(program, request)
-    try:
-        next(run)
-    except StopIteration as stop:
-        return stop.value.body, stop.value.steps, stop.value.flow_tag
-    except WeblangError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    raise AssertionError("a pure script yielded an intent")
-
-
 def _group(compiled, requests):
     """A group run's output, or the exception that ended it."""
-    run = compiled.run_group(requests, record_flow=True)
-    try:
-        next(run)
-    except StopIteration as stop:
-        return stop.value
-    except (WeblangError, DivergenceError, MultivalueFallback) as exc:
-        return exc
-    raise AssertionError("a pure script yielded an intent")
+    return finish(compiled.run_group(requests, record_flow=True),
+                  GROUP_ERRORS)
 
 
 def _closures_only(program):
@@ -213,11 +192,11 @@ def test_regions_agree_with_the_oracle(source, qs):
     program = parse_program(source)
     requests = [Request(f"r{slot}", "regions.php", get={"q": str(q)})
                 for slot, q in enumerate(qs)]
-    oracle = [_run(Interpreter(record_flow=True), program, request)
+    oracle = [alone(Interpreter(record_flow=True), program, request)
               for request in requests]
     for request, expected in zip(requests, oracle):
-        assert _run(CompInterpreter(record_flow=True), program,
-                    request) == expected
+        assert alone(CompInterpreter(record_flow=True), program,
+                     request) == expected
     group = _group(compile_program(program), requests)
     closures = _group(_closures_only(program), requests)
     if isinstance(group, Exception):
@@ -265,10 +244,10 @@ def test_a_long_operator_chain_compiles_and_runs_alike():
                             f"$y = {' . '.join(['$y'] * 250)}; "
                             "echo $x, ' ', strlen($y);")
     request = Request("r", "chain.php")
-    expected = _run(Interpreter(record_flow=True), program, request)
+    expected = alone(Interpreter(record_flow=True), program, request)
     assert expected[0] == "300 250"
-    assert _run(CompInterpreter(record_flow=True), program,
-                request) == expected
+    assert alone(CompInterpreter(record_flow=True), program,
+                 request) == expected
 
 
 def _profiled_calls(program, n: int) -> tuple[list[str], str]:
@@ -289,7 +268,7 @@ def _profiled_calls(program, n: int) -> tuple[list[str], str]:
     try:
         next(run)
     except StopIteration as stop:
-        body = stop.value.body
+        (body,) = stop.value.bodies
     finally:
         sys.setprofile(None)
     return files, body
@@ -310,8 +289,8 @@ def test_the_benchmark_loop_is_one_generated_function(monkeypatch):
     compiled_for(program)
     short, _ = _profiled_calls(program, 40)
     long, body = _profiled_calls(program, 80)
-    assert body == _run(Interpreter(), program,
-                        Request("r", "compute.php", get={"n": "80"}))[0]
+    assert body == alone(Interpreter(), program,
+                         Request("r", "compute.php", get={"n": "80"}))[0]
     assert len(long) == len(short)
     assert short.count("<weblang region>") == 2  # the script, the loop
     (loop,) = [source for source in sources if "while True:" in source]
@@ -367,10 +346,10 @@ echo $p0, '|', $p1, '|', $p3, '|', $p4, '|', $p5, '|', $p6;
                         or factory(source))
     compiled = compiled_for(program)
     request = Request("r", "hostile.php")
-    expected = _run(Interpreter(record_flow=True), program, request)
+    expected = alone(Interpreter(record_flow=True), program, request)
     assert isinstance(expected, tuple) and HOSTILE[4] in expected[0]
-    assert _run(CompInterpreter(record_flow=True), program,
-                request) == expected
+    assert alone(CompInterpreter(record_flow=True), program,
+                 request) == expected
     assert _group(compiled, [request]).bodies == [expected[0]]
     assert len(sources) == 2  # the script and its loop
     for source in sources:

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+import repro.server.executor as executor_module
+from repro.common.errors import RejectReason
 from repro.core import AuditConfig, Auditor
+from repro.io import BundleReader, save_audit_bundle_segmented
+from repro.lang.interp import Interpreter
 from repro.objects.base import OpType
 from repro.server import (
     Application,
@@ -340,3 +344,73 @@ def test_number_format_decimals_never_end_the_serve(backend):
         execution.epochs(), execution.initial_state)
     assert result.accepted
     assert result.produced == bodies
+
+
+#: Scripts that turn a request parameter into an int, or an int key.
+LONG_PARAM_SCRIPTS = {
+    "add.php": "echo param('n') + 1;",
+    "key.php": "$a = []; $a[param('n')] = 1; $a[] = 2; "
+               "echo implode(',', array_keys($a));",
+    "intval.php": "echo intval(param('n'));",
+}
+
+#: Past CPython's default int/str digit limit (4300).
+LONG = "9" * 5000
+
+
+def _serve_on(monkeypatch, engine, app, requests):
+    """Serve ``requests`` on ``engine``: the compiled engine, or the
+    oracle through the executor's one engine name."""
+    if engine == "interp":
+        monkeypatch.setattr(executor_module, "CompInterpreter", Interpreter)
+    return Executor(app, record=True).serve(requests)
+
+
+@pytest.mark.parametrize("engine", ["interp", "hybrid"])
+def test_a_long_numeric_parameter_is_its_own_500(monkeypatch, engine):
+    """A parameter of 5000 digits made ``int()`` / ``str()`` raise
+    ``ValueError`` (CPython's int/str digit limit), which ended every
+    request's serve.  Converting it to an int is now the request's own
+    500 page; as an array key it stays a string, as PHP keeps a key past
+    ``PHP_INT_MAX``.  Served and audited alike."""
+    app = Application.from_sources("long", {
+        path: source for path, source in LONG_PARAM_SCRIPTS.items()})
+    requests = [Request(f"{path}{value[:1]}", path, get={"n": value})
+                for path in LONG_PARAM_SCRIPTS for value in (LONG, "3")]
+    execution = _serve_on(monkeypatch, engine, app, requests)
+    bodies = {rid: response.body for rid, response
+              in execution.trace.responses().items()}
+    assert bodies == {"add.php9": ERROR_BODY, "add.php3": "4",
+                      "key.php9": f"{LONG},0", "key.php3": "3,4",
+                      "intval.php9": ERROR_BODY, "intval.php3": "3"}
+    result = Auditor(app, AuditConfig(backend=engine)).audit_epochs(
+        execution.epochs(), execution.initial_state)
+    assert result.accepted, (result.reason, result.detail)
+    assert result.produced == bodies
+
+
+@pytest.mark.parametrize("engine", ["interp", "hybrid"])
+def test_a_bundle_edited_to_a_long_parameter_is_rejected(
+        monkeypatch, tmp_path, engine):
+    """Recorded honestly with ``n = 3``, then the bundle's parameter
+    edited to 5000 digits: the audit re-executes the request into its
+    500 page, which is not the recorded body — a verdict, not a
+    ``ValueError`` out of the auditor."""
+    app = Application.from_sources("long", {
+        "add.php": LONG_PARAM_SCRIPTS["add.php"]})
+    execution = _serve_on(monkeypatch, engine, app, [
+        Request("r0", "add.php", get={"n": "3"})])
+    path = tmp_path / "long.jsonl"
+    save_audit_bundle_segmented(
+        str(path), execution.trace, execution.reports,
+        execution.initial_state, execution.epoch_marks)
+    auditor = Auditor(app, AuditConfig(backend=engine))
+    with BundleReader.open(str(path)) as reader:
+        assert auditor.audit_stream(reader).accepted
+    text = path.read_text()
+    assert text.count('"n": "3"') == 1
+    path.write_text(text.replace('"n": "3"', f'"n": "{LONG}"'))
+    with BundleReader.open(str(path)) as reader:
+        result = auditor.audit_stream(reader)
+    assert not result.accepted
+    assert result.reason is RejectReason.OUTPUT_MISMATCH

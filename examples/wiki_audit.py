@@ -40,9 +40,9 @@ dedup_total = stats["dedup_hits"] + stats["dedup_misses"]
 print("\n=== audit accepted ===")
 print(f"  SSCO audit:            {audit.phases['total'] * 1e3:8.1f} ms")
 print(f"  simple re-execution:   "
-      f"{run.baseline_audit.seconds * 1e3:8.1f} ms")
+      f"{run.baseline_audit.phases['total'] * 1e3:8.1f} ms")
 print(f"  speedup:               "
-      f"{run.baseline_audit.seconds / audit.phases['total']:8.2f} x")
+      f"{run.baseline_audit.phases['total'] / audit.phases['total']:8.2f} x")
 print(f"  legacy serving time:   {run.legacy_seconds * 1e3:8.1f} ms")
 
 print("\n=== sources of acceleration ===")

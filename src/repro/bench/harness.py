@@ -7,9 +7,7 @@ from dataclasses import dataclass, field
 
 from repro.core.auditor import Auditor
 from repro.core.config import AuditConfig
-from repro.core.ooo import OooResult, simple_audit
-from repro.core.reexec import DEFAULT_MAX_GROUP, default_backend
-from repro.core.pipeline import AuditResult
+from repro.core.pipeline import AuditResult, simple_audit
 from repro.server.executor import ExecutionResult, Executor
 from repro.server.nondet import NondetSource
 from repro.server.scheduler import RandomScheduler
@@ -24,7 +22,7 @@ class BenchRun:
     execution: ExecutionResult
     legacy_seconds: float  # serving without recording (the baseline server)
     audit: AuditResult
-    baseline_audit: OooResult | None = None
+    baseline_audit: AuditResult | None = None
     extras: dict[str, object] = field(default_factory=dict)
 
 
@@ -91,43 +89,21 @@ def measure_serve_seconds(
 def run_audit_phase(
     workload: Workload,
     execution: ExecutionResult,
-    dedup: bool = True,
-    collapse: bool = True,
-    strict: bool = True,
     run_baseline: bool = True,
-    strict_registers: bool = False,
-    max_group_size: int = DEFAULT_MAX_GROUP,
-    backend: str | None = None,
     config: AuditConfig | None = None,
     pool=None,
 ) -> BenchRun:
-    """Audit ``execution`` and package the outcome for the benchmarks.
-
-    A validated :class:`AuditConfig` supersedes the individual keyword
-    knobs when given (the CLI path); either way the audit is an epoch
-    session over the epochs the execution was recorded in, on ``pool``
-    when given.
-    """
-    if config is None:
-        config = AuditConfig(
-            strict=strict,
-            dedup=dedup,
-            collapse=collapse,
-            strict_registers=strict_registers,
-            max_group_size=max_group_size,
-            backend=backend if backend is not None else default_backend(),
-        )
+    """Audit ``execution`` under ``config`` (the defaults when ``None``)
+    and package the outcome for the benchmarks: an epoch session over
+    the epochs the execution was recorded in, on ``pool`` when given,
+    then the :func:`simple_audit` baseline unless ``run_baseline`` is
+    off."""
     audit = Auditor(workload.app, config).audit_epochs(
         execution.epochs(), execution.initial_state, pool
     )
-    baseline = None
-    if run_baseline:
-        baseline = simple_audit(
-            workload.app,
-            execution.trace,
-            execution.reports,
-            execution.initial_state,
-        )
+    baseline = simple_audit(
+        workload.app, execution.trace, execution.reports,
+        execution.initial_state) if run_baseline else None
     return BenchRun(
         label=workload.label,
         execution=execution,
@@ -141,8 +117,6 @@ def run_workload_pipeline(
     workload: Workload,
     seed: int = 1,
     concurrency: int = 8,
-    dedup: bool = True,
-    collapse: bool = True,
     run_baseline: bool = True,
     measure_legacy: bool = True,
     epoch_size: int = 0,
@@ -156,9 +130,6 @@ def run_workload_pipeline(
     execution = run_online_phase(workload, seed=seed,
                                  concurrency=concurrency,
                                  epoch_size=epoch_size)
-    run = run_audit_phase(
-        workload, execution,
-        dedup=dedup, collapse=collapse, run_baseline=run_baseline,
-    )
+    run = run_audit_phase(workload, execution, run_baseline=run_baseline)
     run.legacy_seconds = legacy_seconds
     return run

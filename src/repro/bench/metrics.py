@@ -28,7 +28,7 @@ def figure8_row(run: BenchRun) -> dict[str, object]:
 
     audit_seconds = max(1e-9, audit.phases.get("total", 0.0))
     baseline_seconds = (
-        run.baseline_audit.seconds if run.baseline_audit else 0.0
+        run.baseline_audit.phases["total"] if run.baseline_audit else 0.0
     )
     legacy = run.legacy_seconds
     recorded = run.extras.get("recorded_seconds", execution.server_seconds)
@@ -89,7 +89,7 @@ def figure9_decomposition(run: BenchRun) -> dict[str, float]:
         "db_redo": redo,
         "other": other,
         "total": total,
-        "baseline_total": run.baseline_audit.seconds
+        "baseline_total": run.baseline_audit.phases["total"]
         if run.baseline_audit
         else float("nan"),
     }

@@ -81,9 +81,10 @@ class RejectReason(enum.Enum):
 class AuditReject(ReproError):
     """The verifier's REJECT outcome.
 
-    Audit code raises this internally; the top-level entry points catch it
-    and convert it into an :class:`repro.core.verifier.AuditResult`, so users
-    of the public API never see the exception.
+    Audit code raises this internally; :meth:`repro.core.pipeline.
+    AuditPipeline.run` catches it and turns it into a rejected
+    :class:`~repro.core.pipeline.AuditResult`, so users of the public
+    API never see the exception.
     """
 
     def __init__(self, reason: RejectReason, detail: str = ""):

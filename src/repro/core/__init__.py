@@ -2,18 +2,22 @@
 
 Public entry points:
 
-* :func:`repro.core.verifier.ssco_audit` — the full SSCO_AUDIT2 pipeline
-  (balance check, consistent-ordering verification, versioned-store builds,
-  SIMD-on-demand re-execution with simulate-and-check, output comparison).
-* :func:`repro.core.ooo.simple_audit` — the out-of-order, per-request
-  audit (Figure 13's OOOExec), used as the non-accelerated baseline and in
-  the Lemma 8 equivalence tests.
+* :func:`repro.core.pipeline.ssco_audit` — the full SSCO_AUDIT2 pipeline
+  (balance and §4.6 checks, consistent-ordering verification,
+  versioned-store builds, SIMD-on-demand re-execution with
+  simulate-and-check, output comparison).
+* :func:`repro.core.pipeline.simple_audit` — the §5.1 baseline: the same
+  phases, but every request re-executed on its own, in trace arrival
+  order, on the oracle interpreter.
+* :func:`repro.core.pipeline.ooo_audit` — OOOAudit (Figure 13), the
+  reference of the Lemma 8 equivalence tests: the same phases, with
+  re-execution following an op schedule.
 * :func:`repro.core.timeprec.create_time_precedence_graph` — the streaming
   frontier algorithm (Figure 6).
 * :mod:`repro.core.pipeline` — the phased audit engine
   (:class:`~repro.core.pipeline.AuditPipeline` of composable
-  :class:`~repro.core.pipeline.AuditPhase` objects) every entry point
-  above is built on.
+  :class:`~repro.core.pipeline.AuditPhase` objects) the three audits
+  above are phase lists of.
 * :mod:`repro.core.partition` — the recorder-side cut: an execution's
   epoch marks turned into epoch slices (``ExecutionResult.epochs()``).
 * :mod:`repro.core.auditor` — the service API: a long-lived
@@ -34,6 +38,9 @@ from repro.core.pipeline import (
     AuditPhase,
     AuditResult,
     default_pipeline,
+    ooo_audit,
+    simple_audit,
+    ssco_audit,
     state_precompute_pipeline,
 )
 from repro.core.auditor import (
@@ -45,8 +52,6 @@ from repro.core.config import AuditConfig
 from repro.core.partition import partition_audit_inputs
 from repro.core.reexec import default_backend
 from repro.core.profile import group_profile, summarize_triples
-from repro.core.verifier import ssco_audit
-from repro.core.ooo import ooo_audit, simple_audit
 from repro.core.timeprec import create_time_precedence_graph
 
 __all__ = [

@@ -11,26 +11,24 @@ It is the one per-request driver:
 1. per-request fallback, on the compiled engine, when a group diverges
    or hits an unsupported SIMD case (OROCHI's retry, §4.3), and every
    chunk of the ``interp`` / ``compinterp`` backends;
-2. :func:`simple_audit` — the non-accelerated baseline audit that the
-   evaluation compares against (§5.1);
+2. the re-execution phase of
+   :func:`~repro.core.pipeline.simple_audit`, the non-accelerated
+   baseline the evaluation compares against (§5.1);
 3. :func:`repro.core.patch.patch_audit`'s replay against patched code,
    with a lenient operation handler.
 
-:func:`ooo_audit` is the literal OOOAudit of the correctness proofs: it
-follows an explicit op schedule, interleaving requests operation by
-operation; the equivalence tests (Lemma 8) check it agrees with the
-grouped audit.
+:func:`run_schedule` is the re-execution of OOOAudit, the audit of the
+correctness proofs: it follows an explicit op schedule, interleaving
+requests operation by operation.
+:func:`~repro.core.pipeline.ooo_audit` runs it between the same phases
+as the other two audits; the equivalence tests (Lemma 8) check it
+agrees with the grouped audit.
 """
 
 from __future__ import annotations
 
-import time as _time
-from dataclasses import dataclass, field
-
-from repro.common.collector import collector_scope
 from repro.common.errors import AuditReject, RejectReason, WeblangError
 from repro.core.graph import OPNUM_INF
-from repro.core.process_reports import process_op_reports
 from repro.core.simulate import NondetCursor, OpHandler, SimContext
 from repro.lang.interp import (
     ExternalIntent,
@@ -39,12 +37,10 @@ from repro.lang.interp import (
     RunOutput,
     StateOpIntent,
 )
-from repro.trace.events import ExternalRequest
-from repro.server.app import Application, InitialState
+from repro.server.app import Application
 from repro.server.executor import ERROR_BODY
-from repro.server.reports import Reports
-from repro.trace.events import Request
-from repro.trace.trace import Trace, check_balanced
+from repro.trace.events import ExternalRequest, Request
+from repro.trace.trace import Trace
 
 
 def drive(gen, rids: list[str], handlers: list[OpHandler],
@@ -83,6 +79,11 @@ def drive(gen, rids: list[str], handlers: list[OpHandler],
         return stop.value
 
 
+def _oracle(app: Application) -> Interpreter:
+    return Interpreter(db_name=app.db_name, kv_name=app.kv_name,
+                       session_cookie=app.session_cookie, record_flow=False)
+
+
 def execute_one(
     app: Application, request: Request, ctx: SimContext,
     interp=None, handler=OpHandler,
@@ -100,14 +101,7 @@ def execute_one(
     rid = request.rid
     handler = handler(ctx, rid)
     cursor = NondetCursor(rid, ctx.reports.nondet.get(rid, []))
-    if interp is None:
-        interp = Interpreter(
-            db_name=app.db_name,
-            kv_name=app.kv_name,
-            session_cookie=app.session_cookie,
-            record_flow=False,
-        )
-    gen = interp.run(app.script(request.script), request)
+    gen = (interp or _oracle(app)).run(app.script(request.script), request)
     try:
         output = drive(gen, [rid], [handler], [cursor], ctx)
     except WeblangError:
@@ -115,87 +109,6 @@ def execute_one(
         return ERROR_BODY
     handler.finish()
     return output.bodies[0]
-
-
-@dataclass
-class OooResult:
-    accepted: bool
-    reason: RejectReason | None = None
-    detail: str = ""
-    produced: dict[str, str] = field(default_factory=dict)
-    seconds: float = 0.0
-
-
-@collector_scope()
-def simple_audit(
-    app: Application,
-    trace: Trace,
-    reports: Reports,
-    initial_state: InitialState,
-    strict_registers: bool = False,
-) -> OooResult:
-    """The non-accelerated audit: re-execute every request individually,
-    in trace arrival order, then compare outputs.
-
-    This is the "simple re-execution" baseline of §5.1 (given, as the
-    paper's baseline is, the trace and the non-determinism reports).
-    """
-    started = _time.perf_counter()
-    try:
-        check_balanced(trace)
-        _, opmap = process_op_reports(trace, reports)
-        ctx = SimContext(app, reports, opmap, initial_state,
-                         strict_registers)
-        ctx.build_versioned_stores()
-        produced: dict[str, str] = {}
-        requests = trace.requests()
-        for rid in trace.request_ids():
-            produced[rid] = execute_one(app, requests[rid], ctx)
-        _compare_outputs(trace, produced)
-        _compare_externals(trace, ctx)
-    except AuditReject as reject:
-        return OooResult(
-            False, reject.reason, reject.detail,
-            seconds=_time.perf_counter() - started,
-        )
-    return OooResult(
-        True, produced=produced, seconds=_time.perf_counter() - started
-    )
-
-
-def _compare_outputs(trace: Trace, produced: dict[str, str],
-                     rids: list[str] | None = None) -> None:
-    """Figure 12, lines 55-57 (aborted responses carry no body to check),
-    over ``rids`` when given (a forensic re-audit's scope)."""
-    responses = trace.responses()
-    for rid in responses if rids is None else rids:
-        response = responses.get(rid)
-        if response is None or response.abort_info is not None:
-            continue
-        body = produced.get(rid)
-        if body is None or body != response.body:
-            raise AuditReject(
-                RejectReason.OUTPUT_MISMATCH,
-                f"request {rid}: produced output does not match the trace",
-            )
-
-
-def _compare_externals(trace: Trace, ctx: SimContext,
-                       rids: list[str] | None = None) -> None:
-    """§5.5 extension: regenerated outbound externals must match the
-    trace's EXTERNAL events, per request (of ``rids``) and in order."""
-    observed = trace.externals()
-    produced = ctx.produced_externals
-    for rid in set(observed) | set(produced) if rids is None else rids:
-        got = [(e.service, e.content) for e in produced.get(rid, [])]
-        want = [(e.service, e.content) for e in observed.get(rid, [])]
-        if got != want:
-            raise AuditReject(
-                RejectReason.EXTERNAL_MISMATCH,
-                f"request {rid}: regenerated external requests do not "
-                f"match the trace ({len(got)} produced, {len(want)} "
-                "observed)",
-            )
 
 
 # --------------------------------------------------------------------------
@@ -222,57 +135,15 @@ class _OooTask:
         self.emitted = False  # (rid, inf) processed: output written out
 
 
-def ooo_audit(
-    app: Application,
-    trace: Trace,
-    reports: Reports,
-    initial_state: InitialState,
-    schedule: list[ScheduleEntry] | None = None,
-    strict_registers: bool = False,
-) -> OooResult:
-    """OOOAudit (Definition 5): re-execute following an op schedule.
+def run_schedule(app: Application, trace: Trace, ctx: SimContext,
+                 schedule: list[ScheduleEntry]) -> dict[str, str]:
+    """Re-execute ``trace``'s requests following ``schedule`` (Figure
+    13, OOOExec) and return the bodies written out.
 
-    ``schedule`` must be a well-formed op schedule — a permutation of G's
-    nodes respecting program order.  ``None`` means "use a topological sort
-    of G" (the proofs' canonical choice; rejects already detected cycles).
+    ``schedule`` must be a well-formed op schedule — a permutation of
+    G's nodes respecting program order; one that is not rejects.
     """
-    started = _time.perf_counter()
-    try:
-        check_balanced(trace)
-        graph, opmap = process_op_reports(trace, reports)
-        if schedule is None:
-            order = graph.topo_sort()
-            assert order is not None  # no cycle: has_cycle passed
-            schedule = order
-        ctx = SimContext(app, reports, opmap, initial_state,
-                         strict_registers)
-        ctx.build_versioned_stores()
-        produced = _run_schedule(app, trace, reports, ctx, schedule)
-        _compare_outputs(trace, produced)
-        _compare_externals(trace, ctx)
-    except AuditReject as reject:
-        return OooResult(
-            False, reject.reason, reject.detail,
-            seconds=_time.perf_counter() - started,
-        )
-    return OooResult(
-        True, produced=produced, seconds=_time.perf_counter() - started
-    )
-
-
-def _run_schedule(
-    app: Application,
-    trace: Trace,
-    reports: Reports,
-    ctx: SimContext,
-    schedule: list[ScheduleEntry],
-) -> dict[str, str]:
-    interp = Interpreter(
-        db_name=app.db_name,
-        kv_name=app.kv_name,
-        session_cookie=app.session_cookie,
-        record_flow=False,
-    )
+    interp = _oracle(app)
     requests = trace.requests()
     tasks: dict[str, _OooTask] = {}
 
@@ -314,7 +185,7 @@ def _run_schedule(
                 )
             request = requests[rid]
             handler = OpHandler(ctx, rid)
-            cursor = NondetCursor(rid, reports.nondet.get(rid, []))
+            cursor = NondetCursor(rid, ctx.reports.nondet.get(rid, []))
             tasks[rid] = _OooTask(
                 rid, interp.run(app.script(request.script), request),
                 handler, cursor,

@@ -13,6 +13,12 @@ application, :func:`patch_audit` re-executes every request against a
   diverges from the logged one, so its reads cannot be fed from this
   epoch's logs (Poirot handles this with query templates; we report it).
 
+Precondition: the epoch passes :func:`~repro.core.pipeline.simple_audit`'s
+phase list against the original application — the §4.6 plausibility
+checks and the external comparison included — so a tampered epoch is
+reported as ``accepted_original=False`` with the audit's reason, and
+never replayed.
+
 Mechanics: re-execution uses a *lenient* operation handler.  Reads are
 still fed by position from the logs/versioned stores, but mismatching
 write operands do not reject — the patch is allowed to write different
@@ -31,12 +37,12 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import AuditReject, RejectReason
 from repro.core.ooo import execute_one
-from repro.core.process_reports import process_op_reports
+from repro.core.pipeline import AuditContext, baseline_pipeline
 from repro.core.simulate import OpHandler, SimContext
 from repro.objects.base import OpType
 from repro.server.app import Application, InitialState
 from repro.server.reports import Reports
-from repro.trace.trace import Trace, check_balanced
+from repro.trace.trace import Trace
 
 
 class _LenientOpHandler(OpHandler):
@@ -141,34 +147,20 @@ def patch_audit(
     responses change.
 
     The trace+reports must first pass the ordinary audit against
-    ``original`` (a corrupt epoch cannot be patch-audited); we run the
-    per-request audit for that, reusing its context for the replay.
+    ``original`` (a corrupt epoch cannot be patch-audited): the
+    :func:`~repro.core.pipeline.simple_audit` phase list, on a context
+    whose OpMap the replay then reuses.
     """
-    result = PatchAuditResult(accepted_original=False)
-    try:
-        check_balanced(trace)
-        _, opmap = process_op_reports(trace, reports)
-        ctx = SimContext(original, reports, opmap, initial_state)
-        ctx.build_versioned_stores()
-        requests = trace.requests()
-        originals: dict[str, str] = {}
-        for rid in trace.request_ids():
-            originals[rid] = execute_one(original, requests[rid], ctx)
-            observed = trace.responses()[rid]
-            if observed.abort_info is None and \
-                    originals[rid] != observed.body:
-                raise AuditReject(
-                    RejectReason.OUTPUT_MISMATCH,
-                    f"request {rid}: the epoch fails the original audit",
-                )
-        result.accepted_original = True
-    except AuditReject as reject:
-        result.reason = reject.reason
-        result.detail = reject.detail
+    actx = AuditContext(original, trace, reports, initial_state)
+    verdict = baseline_pipeline().run(actx)
+    result = PatchAuditResult(verdict.accepted, reason=verdict.reason,
+                              detail=verdict.detail)
+    if not verdict.accepted:
         return result
-
-    patched_ctx = SimContext(patched, reports, opmap, initial_state)
+    originals = verdict.produced
+    patched_ctx = SimContext(patched, reports, actx.opmap, initial_state)
     patched_ctx.build_versioned_stores()
+    requests = trace.requests()
     for rid in trace.request_ids():
         try:
             body = execute_one(patched, requests[rid], patched_ctx,

@@ -1,9 +1,10 @@
-"""The phased audit engine: SSCO_AUDIT2 as an explicit pipeline.
+"""The phased audit engine: every audit here is a list of phases.
 
-The paper's verifier (Figure 12) is a sequence of independent phases —
-trace checks, ProcessOpReports, versioned-store redo, grouped
-re-execution, output comparison — and this module makes that structure
-explicit instead of hard-coding it in one monolithic function:
+The paper's verifiers share one structure.  SSCO_AUDIT2 (Figure 12),
+OOOAudit (Figure 13) and the simple re-execution baseline (§5.1) all
+check the trace (§3, §4.6), run ProcessOpReports, build the versioned
+stores, re-execute, and compare outputs and externals; they differ only
+in how they re-execute.  This module makes that structure explicit:
 
 * :class:`AuditContext` carries everything the phases share: the four
   inputs (app, trace, reports, initial state), the
@@ -20,6 +21,14 @@ explicit instead of hard-coding it in one monolithic function:
   :class:`AuditReject` into a rejected result, and harvests
   instrumentation in a ``finally`` block so rejected audits still carry
   their stats.
+
+The three audits are three phase lists run by :meth:`AuditPipeline.run`:
+:func:`ssco_audit` is :func:`default_pipeline` (grouped SIMD-on-demand
+re-execution, :class:`ReExecPhase`); :func:`simple_audit` and
+:func:`ooo_audit` are :func:`baseline_pipeline`, which re-executes one
+request at a time on the oracle — in trace arrival order
+(:class:`SerialReExecPhase`) or following an op schedule
+(:class:`ScheduleReExecPhase`).
 
 One more thing lives here because it is built from the same phases:
 the redo-only **state precompute** (:func:`state_precompute_pipeline` —
@@ -44,7 +53,7 @@ from repro.common.collector import collector_scope
 from repro.common.errors import AuditReject, RejectReason
 from repro.core.config import AuditConfig
 from repro.core.nondet import validate_nondet_reports
-from repro.core.ooo import _compare_externals, _compare_outputs
+from repro.core.ooo import ScheduleEntry, execute_one, run_schedule
 from repro.core.process_reports import process_op_reports
 from repro.core.reexec import reexec_groups
 from repro.core.simulate import SimContext
@@ -249,6 +258,37 @@ class ReExecPhase(AuditPhase):
         actx.result.phases["db_query"] = actx.sim.db_query_seconds
 
 
+class SerialReExecPhase(AuditPhase):
+    """The baseline's re-execution (§5.1): each request alone, in trace
+    arrival order, on the oracle."""
+
+    name = "reexec"
+
+    def run(self, actx: AuditContext) -> None:
+        requests = actx.trace.requests()
+        actx.produced = {
+            rid: execute_one(actx.app, requests[rid], actx.sim)
+            for rid in actx.trace.request_ids()
+        }
+
+
+class ScheduleReExecPhase(AuditPhase):
+    """OOOAudit's re-execution (Figure 13): the requests interleaved
+    operation by operation, following an op schedule — ``None`` means a
+    topological sort of G, the proofs' canonical choice."""
+
+    name = "reexec"
+
+    def __init__(self, schedule: list[ScheduleEntry] | None = None):
+        self.schedule = schedule
+
+    def run(self, actx: AuditContext) -> None:
+        schedule = (actx.graph.topo_sort() if self.schedule is None
+                    else self.schedule)  # G is acyclic: ProcOpRep passed
+        actx.produced = run_schedule(actx.app, actx.trace, actx.sim,
+                                     schedule)
+
+
 class OutputComparePhase(AuditPhase):
     """Figure 12 lines 55-57 plus the §5.5 external-request comparison."""
 
@@ -258,6 +298,41 @@ class OutputComparePhase(AuditPhase):
         _compare_outputs(actx.trace, actx.produced)
         _compare_externals(actx.trace, actx.sim)
         actx.result.produced = actx.produced
+
+
+def _compare_outputs(trace: Trace, produced: dict[str, str],
+                     rids: list[str] | None = None) -> None:
+    """Figure 12, lines 55-57 (aborted responses carry no body to check),
+    over ``rids`` when given (a forensic re-audit's scope)."""
+    responses = trace.responses()
+    for rid in responses if rids is None else rids:
+        response = responses.get(rid)
+        if response is None or response.abort_info is not None:
+            continue
+        body = produced.get(rid)
+        if body is None or body != response.body:
+            raise AuditReject(
+                RejectReason.OUTPUT_MISMATCH,
+                f"request {rid}: produced output does not match the trace",
+            )
+
+
+def _compare_externals(trace: Trace, ctx: SimContext,
+                       rids: list[str] | None = None) -> None:
+    """§5.5 extension: regenerated outbound externals must match the
+    trace's EXTERNAL events, per request (of ``rids``) and in order."""
+    observed = trace.externals()
+    produced = ctx.produced_externals
+    for rid in set(observed) | set(produced) if rids is None else rids:
+        got = [(e.service, e.content) for e in produced.get(rid, [])]
+        want = [(e.service, e.content) for e in observed.get(rid, [])]
+        if got != want:
+            raise AuditReject(
+                RejectReason.EXTERNAL_MISMATCH,
+                f"request {rid}: regenerated external requests do not "
+                f"match the trace ({len(got)} produced, {len(want)} "
+                "observed)",
+            )
 
 
 class MigratePhase(AuditPhase):
@@ -345,6 +420,59 @@ def state_precompute_pipeline() -> AuditPipeline:
         BuildStoresPhase(),
         MigratePhase(),
     ])
+
+
+def baseline_pipeline(reexec: AuditPhase | None = None) -> AuditPipeline:
+    """The phase list of the ungrouped audits: the stock phases, no
+    migration, with re-execution one request at a time on the oracle —
+    ``reexec``, by default :class:`SerialReExecPhase` (the §5.1
+    baseline)."""
+    return AuditPipeline([
+        TraceCheckPhase(),
+        ProcessReportsPhase(),
+        BuildStoresPhase(),
+        reexec or SerialReExecPhase(),
+        OutputComparePhase(),
+    ])
+
+
+def ssco_audit(app: Application, trace: Trace, reports: Reports,
+               initial_state: InitialState, **knobs) -> AuditResult:
+    """SSCO_AUDIT2 (Figure 12): one pass of :func:`default_pipeline`
+    over one epoch, whole.  ``app`` and ``trace`` are trusted,
+    ``reports`` are not, ``initial_state`` is the verifier's (§4.1);
+    ``knobs`` are :class:`~repro.core.config.AuditConfig` fields.  For
+    epoch-by-epoch use, hold a :class:`~repro.core.auditor.Auditor`.
+    """
+    return default_pipeline().run(AuditContext(
+        app, trace, reports, initial_state, AuditConfig(**knobs)))
+
+
+def simple_audit(app: Application, trace: Trace, reports: Reports,
+                 initial_state: InitialState,
+                 strict_registers: bool = False) -> AuditResult:
+    """The non-accelerated audit, the "simple re-execution" baseline of
+    §5.1 (given, as the paper's baseline is, the trace and the
+    non-determinism reports): every request re-executed on its own, in
+    trace arrival order, then outputs compared."""
+    return baseline_pipeline().run(AuditContext(
+        app, trace, reports, initial_state,
+        AuditConfig(strict_registers=strict_registers)))
+
+
+def ooo_audit(app: Application, trace: Trace, reports: Reports,
+              initial_state: InitialState,
+              schedule: list[ScheduleEntry] | None = None,
+              strict_registers: bool = False) -> AuditResult:
+    """OOOAudit (Definition 5): re-execute following an op schedule.
+
+    ``schedule`` must be a well-formed op schedule — a permutation of G's
+    nodes respecting program order.  ``None`` means "use a topological
+    sort of G" (the proofs' canonical choice).
+    """
+    return baseline_pipeline(ScheduleReExecPhase(schedule)).run(
+        AuditContext(app, trace, reports, initial_state,
+                     AuditConfig(strict_registers=strict_registers)))
 
 
 def prepass_epoch(

@@ -64,6 +64,9 @@ from repro.net.protocol import (
 
 __all__ = ["FleetCoordinator"]
 
+#: Seconds a joining worker has to send its ``WORKER_HELLO`` frame.
+HANDSHAKE_TIMEOUT = 10.0
+
 
 class _WorkerLost(Exception):
     """The worker can no longer be trusted with work (disconnect,
@@ -112,7 +115,6 @@ class FleetCoordinator:
                  task_timeout: float | None = None,
                  redundancy: int = 1,
                  heartbeat_timeout: float | None = 30.0,
-                 handshake_timeout: float = 10.0,
                  join_timeout: float | None = 60.0,
                  width: int = 2):
         host, port = parse_endpoint(listen)
@@ -121,7 +123,6 @@ class FleetCoordinator:
         self.task_timeout = task_timeout
         self.redundancy = max(1, int(redundancy))
         self.heartbeat_timeout = heartbeat_timeout
-        self.handshake_timeout = handshake_timeout
         self.join_timeout = join_timeout
 
         self._cond = threading.Condition()
@@ -186,7 +187,7 @@ class FleetCoordinator:
     def _handshake(self, conn: socket.socket) -> None:
         fsock = FrameSocket(conn)
         try:
-            deadline = Deadline(self.handshake_timeout)
+            deadline = Deadline(HANDSHAKE_TIMEOUT)
             flags = fsock.recv_preamble(deadline)
             if not flags & FLAG_FLEET:
                 raise ProtocolError("peer does not speak fleet frames")

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import AuditReject
-from repro.core.ooo import _compare_externals, _compare_outputs
+from repro.core.pipeline import _compare_externals, _compare_outputs
 from repro.core.reexec import ReExecStats, run_chunks
 from repro.forensics.lineage import Lineage, request_lineage
 from repro.forensics.timeline import Timeline

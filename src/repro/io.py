@@ -904,7 +904,11 @@ class BundleReader:
                         index.offsets[-1] = offset + len(line)
                 offset += len(line)
                 if kind == "epoch_mark":
-                    index.marks.append(_checked_position(json.loads(line)))
+                    try:
+                        index.marks.append(
+                            _checked_position(json.loads(line)))
+                    except _DECODE_FAULTS as exc:
+                        raise MalformedBundle.of(exc) from exc
                     index.offsets.append(offset)
         # A mark (or the state record alone) directly before end/EOF
         # leaves a trailing offset that starts no epoch; drop it.
@@ -931,8 +935,12 @@ class BundleReader:
                 and index.state_offset is not None):
             with open(self.path, "rb") as raw:
                 raw.seek(index.state_offset)
-                record = json.loads(raw.readline())
-            accumulator.initial_state = state_from_json(record["state"])
+                line = raw.readline()
+            try:
+                state = json.loads(line)["state"]
+            except _DECODE_FAULTS as exc:
+                raise MalformedBundle.of(exc) from exc
+            accumulator.initial_state = state_from_json(state)
         # Reopen at the epoch's byte offset: seeking a TextIOWrapper to
         # an arbitrary byte position is undefined, so wrap a freshly
         # positioned binary handle instead.

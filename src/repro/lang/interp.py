@@ -2,8 +2,9 @@
 
 Nothing in production runs it — server and auditor both run the compiled
 engine (:mod:`repro.lang.compile`), which must match this module bit for
-bit.  It is the oracle: the ``interp`` backend, ``simple_audit``, the
-differential tests.
+bit.  It is the oracle: the ``interp`` backend, the re-execution of
+``simple_audit`` and ``ooo_audit`` (both in :mod:`repro.core.pipeline`),
+the differential tests.
 
 Execution is a *generator*: the interpreter walks the AST and, whenever the
 program performs a shared-object operation or a non-deterministic built-in,

@@ -94,6 +94,11 @@ _DONE = None
 BATCH_RECORDS = 64
 BATCH_BYTES = 256 * 1024
 
+#: Seconds an attaching auditor has to send its ``SUBSCRIBE`` frame.
+HANDSHAKE_TIMEOUT = 10.0
+#: Pending connections the listening socket queues.
+LISTEN_BACKLOG = 16
+
 
 class _Subscriber:
     """One attached auditor: a framed socket, a bounded frame queue,
@@ -156,8 +161,6 @@ class BundlePublisher:
         spool_epochs: int | None = None,
         max_lag: int = 256,
         stall_timeout: float | None = 30.0,
-        handshake_timeout: float = 10.0,
-        backlog: int = 16,
         sndbuf: int | None = None,
         heartbeat_interval: float | None = 5.0,
     ):
@@ -173,7 +176,6 @@ class BundlePublisher:
         self._spool_epochs = spool_epochs
         self.max_lag = max_lag
         self.stall_timeout = stall_timeout
-        self.handshake_timeout = handshake_timeout
         #: Cap on each subscriber socket's SO_SNDBUF: together with
         #: ``max_lag`` this bounds the bytes a lagging consumer can pin
         #: on the publisher (kernel buffer + queued frames).
@@ -210,7 +212,7 @@ class BundlePublisher:
                                      socket.SOCK_STREAM)
         self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._server.bind((host, port))
-        self._server.listen(backlog)
+        self._server.listen(LISTEN_BACKLOG)
         self._server.settimeout(0.2)
         self.host, self.port = self._server.getsockname()[:2]
         self._threads: list[threading.Thread] = []
@@ -467,7 +469,7 @@ class BundlePublisher:
                             self.sndbuf)
         fsock = FrameSocket(conn)
         try:
-            deadline = Deadline(self.handshake_timeout)
+            deadline = Deadline(HANDSHAKE_TIMEOUT)
             fsock.recv_preamble(deadline)
             kind, payload = fsock.recv_frame(deadline)
             if kind != SUBSCRIBE or not isinstance(payload, dict):
@@ -479,7 +481,7 @@ class BundlePublisher:
         sub, hello, snapshot, error = self._attach(from_epoch, fsock)
         # The handshake recv installed its deadline as the socket
         # timeout; the send loop must block as long as the backpressure
-        # policy says, not ~handshake_timeout per sendall.
+        # policy says, not ~HANDSHAKE_TIMEOUT per sendall.
         fsock.settimeout(None)
         try:
             fsock.send_preamble()

@@ -14,7 +14,9 @@ import pytest
 
 from repro.common.errors import AuditReject, RejectReason
 from repro.core import ooo_audit, simple_audit, ssco_audit
+from repro.core.patch import patch_audit
 from repro.server import Application, Executor, RandomScheduler
+from repro.server.faulty import tamper_nondet_value, tamper_response
 from repro.trace.events import Event, ExternalRequest
 from repro.trace.trace import Trace, check_balanced
 
@@ -73,11 +75,43 @@ def test_trace_with_externals_is_balanced(run):
     check_balanced(run.trace)
 
 
-def test_honest_execution_with_externals_accepted(app, run):
+def _honest_mailer(request):
+    run = request.getfixturevalue("run")
+    return (request.getfixturevalue("app"), run.trace, run.reports,
+            run.initial_state, None)
+
+
+def _implausible_roll(request):
+    """A ``rand(1, 6)`` report rewritten to 7, the body edited to match:
+    only the §4.6 plausibility check can see it."""
+    from repro.trace.events import Request
+
+    app = Application.from_sources("dice", {
+        "roll.php": 'echo "lucky=", rand(1, 6);',
+    })
+    run = Executor(app).serve([Request("r1", "roll.php")])
+    return (app, tamper_response(run.trace, "r1", "lucky=7"),
+            tamper_nondet_value(run.reports, "r1", 0, 7),
+            run.initial_state, RejectReason.NONDET_IMPLAUSIBLE)
+
+
+@pytest.mark.parametrize("case", [_honest_mailer, _implausible_roll],
+                         ids=["honest_externals", "implausible_nondet"])
+def test_every_audit_gives_the_same_verdict(request, case):
+    """The three audits share one front half, §4.6 checks included, and
+    so does the patch audit's precondition."""
+    app, trace, reports, initial, reason = case(request)
     for audit_fn in (ssco_audit, simple_audit, ooo_audit):
-        result = audit_fn(app, run.trace, run.reports, run.initial_state)
-        assert result.accepted, (audit_fn.__name__, result.reason,
-                                 result.detail)
+        result = audit_fn(app, trace, reports, initial)
+        assert (result.accepted, result.reason) == (reason is None, reason), (
+            audit_fn.__name__, result.detail)
+    patched = patch_audit(app, app, trace, reports, initial)
+    assert (patched.accepted_original, patched.reason) == (
+        reason is None, reason)
+    if reason is None:
+        assert set(simple_audit(app, trace, reports, initial).phases) == {
+            "trace_check", "proc_op_reports", "db_redo", "reexec",
+            "output_compare", "total"}
 
 
 def test_suppressed_email_detected(app, run):

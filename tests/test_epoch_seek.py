@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.errors import MalformedBundle
 from repro.io import BundleReader, save_audit_bundle_segmented
 from repro.server import Executor
 
@@ -96,3 +97,29 @@ def test_torn_tail_scans_as_incomplete(segmented_bundle, tmp_path):
         first = next(reader.epochs())
         assert first.index == 0
         assert first.trace.request_ids()
+
+
+@pytest.mark.parametrize("kind, forged", [
+    ("state", '{"kind": "state" oops}'),
+    ("state", '{"kind": "state"}'),
+    ("epoch_mark", '{"kind": "epoch_mark" oops}'),
+], ids=["state_not_json", "state_without_state", "mark_not_json"])
+def test_seek_refuses_a_record_that_does_not_decode(
+        segmented_bundle, tmp_path, kind, forged):
+    """A seek decodes the state record and the marks itself; one that
+    does not decode is a MalformedBundle there as on every other road."""
+    path, _ = segmented_bundle
+    with open(path) as fh:
+        lines = fh.readlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.startswith(f'{{"kind": "{kind}"'))
+    lines[at] = forged + "\n"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines))
+    with BundleReader(str(bad)) as reader:
+        with pytest.raises(MalformedBundle):
+            reader.seek_epoch(0)
+    with BundleReader(str(bad)) as reader:
+        with pytest.raises(MalformedBundle):
+            reader.read_initial_state()
+            list(reader.epochs())

@@ -497,7 +497,8 @@ def cmd_synth(args) -> int:
               f"{args.profile}")
     if summary["verified"] is not None:
         print("self-audit:",
-              "ACCEPTED" if summary["verified"] else "REJECTED")
+              "ACCEPTED" if summary["verified"] else "REJECTED",
+              f"work_ratio={summary['work_ratio']:.3f}")
     if args.checkpoint_out:
         print(f"checkpoint: {args.checkpoint_out}")
     return 1 if failed else 0

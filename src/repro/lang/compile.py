@@ -34,46 +34,27 @@ non-deterministic built-ins :class:`NondetIntent`, outbound requests
 :class:`ExternalIntent`; it returns :class:`RunOutput`.  A request
 served or re-run alone is a group of one (:meth:`CompInterpreter.run`).
 
-How the closures are built:
+How it is built:
 
-* **pure subtrees** — expressions and statements that can never perform
-  a shared-object operation, a non-deterministic built-in, or an
-  external call — compile to plain ``fn(env, state)`` closures: no
-  generator frames at all, which is where most of the win comes from.
-  Function-level purity comes from the static analyzer
-  (:func:`repro.lang.analysis.analyze_program`);
-* **impure subtrees** compile to generator closures that ``yield`` the
-  intents; both variants of a node share the helpers that do the
+* **pure statements** — those that can never perform a shared-object
+  operation, a non-deterministic built-in or an external call (which
+  functions are pure comes from the static analyzer,
+  :func:`repro.lang.analysis.analyze_program`) — are generated Python
+  source (:mod:`repro.lang.regions`), which runs expressions in line
+  where it can; **impure statements** are generator closures;
+* **expressions** are ``fn(env, state)`` closures, plain when pure and
+  generators that ``yield`` the intents when not: what generated code
+  falls back on.  Both variants of a node share the helpers that do the
   per-class work (:mod:`repro.lang.simd`, with the run's state);
 * **constant subtrees** fold at compile time, preserving the exact
-  instruction count the folded nodes would have contributed;
-* **leaf operands fuse** into the node above them: an operator or
-  ``$x op= <const>`` whose operand is a constant or a dict-frame
-  variable reads it in line, booking the step (and, for a multivalue,
-  the multivalent step) its own closure would have; two operands of
-  exactly the operator's type take its plain form
-  (:data:`~repro.lang.values.EXACT_OPS`) before the table entry, and a
-  condition that is a bool skips ``_truth``.  So do a pure built-in
-  call of one to three arguments (a generated function,
-  :func:`regions.call`), the copy-read of a dict-frame variable, and
-  ``$v[<int / str constant>]`` on one: each is one closure that books
-  what its closure tree booked and hands a multivalue to that tree's
-  helper;
-* **array literals** with int / str constant keys (or ``[]``) place
-  their values at keys normalised at compile time; one whose values
-  are constants or such literals too is built once, and evaluates to a
-  copy-on-write handle on that array;
-* **pure regions** — a pure block, and a pure ``while`` with its body —
-  are one generated Python function each (:mod:`repro.lang.regions`):
-  a statement is a call to its closure or, in a dict frame, an
-  exact-int / str assignment or loop condition run as a Python
-  expression behind a type guard that falls back to the closure;
-* **branch sites** record control flow (§4.3) without a call: what
-  :meth:`FlowDigest.update(kind, target)
-  <repro.common.digest.FlowDigest.update>` would xor in is a constant
-  per arm (:func:`~repro.common.digest.branch_mix`), bound when the arm
-  is compiled and folded into ``state.flow`` — an int, ``None`` when not
-  recording — in line;
+  instruction count the folded nodes would have contributed; an array
+  literal's int / str constant keys are normalised, and one of
+  constants is built once (each evaluation a copy-on-write handle);
+* **branch sites** fold a constant per arm
+  (:func:`~repro.common.digest.branch_mix`: what
+  :meth:`FlowDigest.update <repro.common.digest.FlowDigest.update>`
+  would xor in) into ``state.flow`` — an int, ``None`` when not
+  recording (§4.3);
 * names resolve at compile time: built-ins are pre-bound, user functions
   bound to their compiled bodies, and scopes that never execute a
   ``global`` declaration use a plain dict frame instead of
@@ -98,16 +79,15 @@ from __future__ import annotations
 import weakref
 from collections.abc import Callable
 from functools import partial
+from itertools import groupby
 
-from repro.common.digest import _FNV_PRIME, _MASK, branch_mix, fnv1a
+from repro.common.digest import branch_mix, fnv1a
 from repro.common.errors import MultivalueFallback, WeblangError
 from repro.lang.ast import (
     ArrayLit,
     Assign,
     BinOp,
-    Break,
     Call,
-    Continue,
     Echo,
     ExprStmt,
     Foreach,
@@ -123,6 +103,7 @@ from repro.lang.ast import (
     UnOp,
     Var,
     While,
+    nodes,
 )
 from repro.lang import regions
 from repro.lang.analysis import analyze_program
@@ -154,13 +135,13 @@ from repro.lang.simd import (
     _copy_value,
     _descend,
     _expand,
+    _fold,
     _foreach_items,
     _frozen,
     _index,
     _literal,
     _merged_read,
     _merged_replies,
-    _multi_binop,
     _multi_text,
     _no_key,
     _release,
@@ -176,7 +157,6 @@ from repro.lang.values import (
     PhpArray,
     binop,
     compound,
-    exact_op,
     thaw_value,
     to_str,
     truthy,
@@ -226,6 +206,12 @@ class _Compiler:
         self.leaves: dict[tuple, tuple] = {}
         #: A constant array literal's closure -> (its array, steps).
         self.literals: dict[Callable, tuple[PhpArray, int]] = {}
+        #: (id(node), copy) -> (node, its compiled form).
+        self.exprs: dict[tuple, tuple] = {}
+        #: Whether the scope being compiled is the top level, whose
+        #: frame is the globals, and the globals a function may write.
+        self.top = False
+        self.shared: set[str] = set()
 
     # -- driver -------------------------------------------------------------
 
@@ -237,16 +223,21 @@ class _Compiler:
                 pure=self.analysis.function_pure(name),
                 use_env=_scope_uses_global(decl.body),
             )
+            if self.funcs[name].use_env:
+                self.shared.update(
+                    var for item in nodes(decl.body)
+                    if type(item) is GlobalDecl for var in item.names)
         for name, decl in program.functions.items():
             func = self.funcs[name]
             self.use_env = func.use_env
-            pure, fn = self._compile_block(decl.body)
+            pure, fn = self._compile_block(decl.body, whole=True)
             # The analyzer's effect fixpoint and the compiled block agree
             # on purity; the compiled block stays authoritative for the
             # run closure.
             func.pure = pure
             func.run = fn
         self.use_env = False  # top level: vars *are* globals
+        self.top = True
         body_pure, body_fn = self._compile_block(program.body)
         return CompiledProgram(program.name, body_pure, body_fn)
 
@@ -263,29 +254,39 @@ class _Compiler:
 
         return (lambda env: env.get(name)), store
 
-    def _frame_var(self, node: Node) -> str | None:
-        """The name ``node`` reads when it is a variable read an operator
-        can take in line (``env.get(name)`` on a dict frame), else
-        ``None``.  The fused closure then books the read as the ``Var``
-        closure would: one step, plus a multivalent step when the value
-        is a multivalue."""
-        if type(node) is Var and not self.use_env:
-            return node.name
-        return None
-
     # -- blocks and statements ------------------------------------------------
 
-    def _compile_block(
-        self, stmts: list[Node],
-        compiled: list[tuple[bool, Callable]] | None = None,
-    ) -> tuple[bool, Callable]:
-        if compiled is None:
-            compiled = [self._compile_stmt(stmt) for stmt in stmts]
-        if all(pure for pure, _ in compiled):
-            return True, regions.block(stmts, [fn for _, fn in compiled],
-                                       not self.use_env)
+    def _pure(self, node: Node) -> bool:
+        """Whether ``node`` never yields an intent: it calls no state,
+        external or non-deterministic built-in and no impure function."""
+        key = (id(node), "pure")
+        if key not in self.exprs:
+            self.exprs[key] = (node, not any(
+                type(item) is Call and item.name not in REQUEST_INPUTS and (
+                    item.name in STATE_BUILTINS
+                    or item.name in EXTERNAL_BUILTINS
+                    or item.name in NONDET_BUILTINS
+                    or (item.name in self.funcs
+                        and not self.funcs[item.name].pure))
+                for item in nodes(node)))
+        return self.exprs[key][1]
 
-        def run_gen(env, state, _items=compiled):
+    def _compile_block(self, stmts: list[Node],
+                       whole: bool = False) -> tuple[bool, Callable]:
+        """A block: each maximal run of pure statements one generated
+        region (:func:`regions.region`), each other statement its
+        generator closure; ``whole`` where it is a function's body."""
+        runs = [(pure, list(run)) for pure, run in groupby(stmts, self._pure)]
+        if all(pure for pure, _ in runs):
+            return True, regions.region(self, stmts, self.top, whole)
+        items = []
+        for pure, run in runs:
+            if pure:
+                items.append((True, regions.region(self, run, self.top)))
+            else:
+                items += [(False, self._compile_stmt(stmt)) for stmt in run]
+
+        def run_gen(env, state, _items=items):
             for pure, fn in _items:
                 if pure:
                     fn(env, state)
@@ -294,168 +295,45 @@ class _Compiler:
 
         return False, run_gen
 
-    def _compile_stmt(self, stmt: Node) -> tuple[bool, Callable]:
+    def _compile_stmt(self, stmt: Node) -> Callable:
+        """The generator closure of a statement: what runs it where it
+        may yield an intent, and a pure one a region does not make in
+        line."""
         kind = type(stmt)
-        if kind is Assign:
-            return self._compile_assign(stmt)
-        if kind is ExprStmt:
-            pure, fn, _ = self._compile_expr(stmt.expr)
-            if pure:
-
-                def run(env, state):
-                    state.steps += 1
-                    fn(env, state)
-
-                return True, run
+        if kind is ExprStmt or kind is Return:
+            fn = (self._compile_expr if kind is ExprStmt
+                  else self._compile_expr_copy)(stmt.expr)[1]
 
             def run_gen(env, state):
                 state.steps += 1
-                yield from fn(env, state)
+                value = yield from fn(env, state)
+                if kind is Return:
+                    raise _ReturnSignal(value)
 
-            return False, run_gen
-        if kind is Echo:
-            return self._compile_echo(stmt)
-        if kind is If:
-            return self._compile_if(stmt)
-        if kind is While:
-            return self._compile_while(stmt)
-        if kind is Foreach:
-            return self._compile_foreach(stmt)
-        if kind is IndexAssign:
-            return self._compile_index_assign(stmt)
-        if kind is Return:
-            return self._compile_return(stmt)
-        if kind is GlobalDecl:
-            names = tuple(stmt.names)
-            if self.use_env:
+            return run_gen
+        return getattr(self, {
+            Assign: "_compile_assign", Echo: "_compile_echo",
+            If: "_compile_if", While: "_compile_while",
+            Foreach: "_compile_foreach",
+            IndexAssign: "_compile_index_assign"}[kind])(stmt)
 
-                def run(env, state):
-                    state.steps += 1
-                    env.global_names.update(names)
-
-                return True, run
-
-            # Dict-mode scopes only reach here at top level, where the
-            # frame *is* the globals dict: the declaration is a no-op
-            # beyond its instruction count.
-            def run(env, state):
-                state.steps += 1
-
-            return True, run
-        if kind is Break:
-
-            def run(env, state):
-                state.steps += 1
-                raise _BreakSignal()
-
-            return True, run
-        if kind is Continue:
-
-            def run(env, state):
-                state.steps += 1
-                raise _ContinueSignal()
-
-            return True, run
-
-        def run(env, state, _name=kind.__name__):
-            state.steps += 1
-            raise WeblangError(f"unknown statement {_name}")
-
-        return True, run
-
-    def _compile_assign(self, stmt: Assign) -> tuple[bool, Callable]:
-        pure, fn, const = self._compile_expr_copy(stmt.expr)
-        name = stmt.name
-        op = stmt.op
-        apply = compound(op)  # unused for a plain ``=``
-        use_env = self.use_env
-        if pure and op and not use_env:
-            # The plain form is the table entry's, so only where the
-            # compound operator *is* the entry (``compound`` makes a
-            # hand-built ``==`` compound raise).
-            plain_op = op if apply is binop(op) else ""
-            if const is not None:
-                # ``$i += 1``: the constant needs no call, and its
-                # instruction count rides on this statement's.
-                value, steps = const[0], const[1] + 1
-                kind, fast = exact_op(plain_op, value)
-
-                def run(env, state):
-                    state.steps += steps
-                    current = env.get(name)
-                    if type(current) is kind:
-                        env[name] = fast(current, value)
-                    elif type(current) is MultiValue:
-                        env[name] = _multi_binop(apply, current, value,
-                                                 state)
-                    else:
-                        env[name] = apply(current, value)
-
-                return True, run
-
-            kind, fast = exact_op(plain_op)
-
-            def run(env, state):
-                state.steps += 1
-                value = fn(env, state)
-                current = env.get(name)
-                if type(current) is kind and type(value) is kind:
-                    env[name] = fast(current, value)
-                elif type(current) is MultiValue \
-                        or type(value) is MultiValue:
-                    env[name] = _multi_binop(apply, current, value, state)
-                else:
-                    env[name] = apply(current, value)
-
-            return True, run
-        if pure:
-            if not op:
-                if use_env:
-
-                    def run(env, state):
-                        state.steps += 1
-                        env.store(name, fn(env, state))
-
-                else:
-
-                    def run(env, state):
-                        state.steps += 1
-                        env[name] = fn(env, state)
-
-                return True, run
-
-            def run(env, state):
-                state.steps += 1
-                value = fn(env, state)
-                env.store(name, _binop(apply, env.lookup(name), value, state))
-
-            return True, run
-        load, store = self._accessors(name)
+    def _compile_assign(self, stmt: Assign) -> Callable:
+        _, fn, _ = self._compile_expr_copy(stmt.expr)
+        apply = compound(stmt.op) if stmt.op else None
+        load, store = self._accessors(stmt.name)
 
         def run_gen(env, state):
             state.steps += 1
             value = yield from fn(env, state)
-            if op:
+            if apply is not None:
                 value = _binop(apply, load(env), value, state)
             store(env, value)
 
-        return False, run_gen
+        return run_gen
 
-    def _compile_echo(self, stmt: Echo) -> tuple[bool, Callable]:
-        compiled = [self._compile_expr(expr) for expr in stmt.exprs]
-        if all(pure for pure, _, _ in compiled):
-            fns = [fn for _, fn, _ in compiled]
-
-            def run(env, state):
-                state.steps += 1
-                append = state.output.append
-                for fn in fns:
-                    value = fn(env, state)
-                    append(to_str(value) if type(value) is not MultiValue
-                           else _multi_text(value, state))
-
-            return True, run
-        items = [(pure, fn) for pure, fn, _ in compiled]
+    def _compile_echo(self, stmt: Echo) -> Callable:
+        items = [(pure, fn) for pure, fn, _ in map(self._operand,
+                                                  stmt.exprs)]
 
         def run_gen(env, state):
             state.steps += 1
@@ -466,95 +344,52 @@ class _Compiler:
                 append(to_str(value) if type(value) is not MultiValue
                        else _multi_text(value, state))
 
-        return False, run_gen
+        return run_gen
 
-    def _compile_if(self, stmt: If) -> tuple[bool, Callable]:
+    def _compile_if(self, stmt: If) -> Callable:
         # The digest target of arm ``index`` is nid * 64 + index + 1,
         # of the else arm (or of taking none) nid * 64.
         nid64 = stmt.nid * 64
-        branches = [
-            (self._compile_expr(cond), self._compile_block(body),
-             branch_mix("if", nid64 + index + 1))
-            for index, (cond, body) in enumerate(stmt.branches)
-        ]
-        else_c = (self._compile_block(stmt.else_body)
-                  if stmt.else_body is not None else None)
-        else_mix = branch_mix("if", nid64)
+        branches = [(self._operand(cond), self._compile_block(body),
+                     branch_mix("if", nid64 + index + 1))
+                    for index, (cond, body) in enumerate(stmt.branches)]
+        otherwise = (None if stmt.else_body is None
+                     else self._compile_block(stmt.else_body),
+                     branch_mix("if", nid64))
         where = f"if#{stmt.nid}"
-        all_pure = all(
-            cond[0] and body[0] for cond, body, _ in branches
-        ) and (else_c is None or else_c[0])
-        if all_pure:
-            plain = [(cond[1], body[1], mix) for cond, body, mix in branches]
-            else_fn = else_c[1] if else_c is not None else None
-
-            def run(env, state):
-                state.steps += 1
-                body_fn = else_fn
-                mix = else_mix
-                for cond_fn, branch_fn, arm_mix in plain:
-                    cond = cond_fn(env, state)
-                    if cond is True or (cond is not False
-                                        and _truth(cond, where)):
-                        body_fn = branch_fn
-                        mix = arm_mix
-                        break
-                flow = state.flow
-                if flow is not None:
-                    state.flow = ((flow ^ mix) * _FNV_PRIME) & _MASK
-                if body_fn is not None:
-                    body_fn(env, state)
-
-            return True, run
 
         def run_gen(env, state):
             state.steps += 1
-            body = else_c
-            mix = else_mix
-            for cond, branch_body, arm_mix in branches:
-                cond_pure, cond_fn, _ = cond
+            body, mix = otherwise
+            for (cond_pure, cond_fn, _), arm, arm_mix in branches:
                 value = (cond_fn(env, state) if cond_pure
                          else (yield from cond_fn(env, state)))
-                if value is True or (value is not False
-                                     and _truth(value, where)):
-                    body = branch_body
-                    mix = arm_mix
+                if _truth(value, where):
+                    body, mix = arm, arm_mix
                     break
-            flow = state.flow
-            if flow is not None:
-                state.flow = ((flow ^ mix) * _FNV_PRIME) & _MASK
-            if body is not None:
-                body_pure, body_fn = body
-                if body_pure:
-                    body_fn(env, state)
-                else:
-                    yield from body_fn(env, state)
+            _fold(state, mix)
+            if body is not None and body[0]:
+                body[1](env, state)
+            elif body is not None:
+                yield from body[1](env, state)
 
-        return False, run_gen
+        return run_gen
 
-    def _compile_while(self, stmt: While) -> tuple[bool, Callable]:
-        cond_pure, cond_fn, _ = self._compile_expr(stmt.cond)
-        compiled = [self._compile_stmt(node) for node in stmt.body]
+    def _compile_while(self, stmt: While) -> Callable:
+        cond_pure, cond_fn, _ = self._operand(stmt.cond)
+        body_pure, body_fn = self._compile_block(stmt.body)
         enter = branch_mix("loop", stmt.nid)
         leave = branch_mix("loopx", stmt.nid)
         where = f"while#{stmt.nid}"
-        if cond_pure and all(pure for pure, _ in compiled):
-            return True, regions.loop(stmt, cond_fn,
-                                      [fn for _, fn in compiled], enter,
-                                      leave, where, not self.use_env)
-        body_pure, body_fn = self._compile_block(stmt.body, compiled)
 
         def run_gen(env, state):
             state.steps += 1
             while True:
                 value = (cond_fn(env, state) if cond_pure
                          else (yield from cond_fn(env, state)))
-                if value is not True and (value is False
-                                          or not _truth(value, where)):
+                if not _truth(value, where):
                     break
-                flow = state.flow
-                if flow is not None:
-                    state.flow = ((flow ^ enter) * _FNV_PRIME) & _MASK
+                _fold(state, enter)
                 try:
                     if body_pure:
                         body_fn(env, state)
@@ -564,63 +399,31 @@ class _Compiler:
                     break
                 except _ContinueSignal:
                     continue
-            flow = state.flow
-            if flow is not None:
-                state.flow = ((flow ^ leave) * _FNV_PRIME) & _MASK
+            _fold(state, leave)
 
-        return False, run_gen
+        return run_gen
 
-    def _compile_foreach(self, stmt: Foreach) -> tuple[bool, Callable]:
-        subj_pure, subj_fn, _ = self._compile_expr(stmt.subject)
+    def _compile_foreach(self, stmt: Foreach) -> Callable:
+        subj_pure, subj_fn, _ = self._operand(stmt.subject)
         body_pure, body_fn = self._compile_block(stmt.body)
         enter = branch_mix("loop", stmt.nid)
         leave = branch_mix("loopx", stmt.nid)
         where = f"foreach#{stmt.nid}"
         key_var = stmt.key_var
-        val_var = stmt.val_var
-        use_env = self.use_env
-
-        def bind(env, state, key, value):
-            flow = state.flow
-            if flow is not None:
-                state.flow = ((flow ^ enter) * _FNV_PRIME) & _MASK
-            kind = type(value)
-            if kind is PhpArray or kind is MultiValue:
-                value = _copy_value(value)
-            if use_env:
-                if key_var is not None:
-                    env.store(key_var, key)
-                env.store(val_var, value)
-            else:
-                if key_var is not None:
-                    env[key_var] = key
-                env[val_var] = value
-
-        if subj_pure and body_pure:
-
-            def run(env, state):
-                state.steps += 1
-                subject = subj_fn(env, state)
-                for key, value in _foreach_items(subject, state, where):
-                    bind(env, state, key, value)
-                    try:
-                        body_fn(env, state)
-                    except _BreakSignal:
-                        break
-                    except _ContinueSignal:
-                        continue
-                flow = state.flow
-                if flow is not None:
-                    state.flow = ((flow ^ leave) * _FNV_PRIME) & _MASK
-
-            return True, run
+        store = self._accessors(stmt.val_var)[1]
+        store_key = self._accessors(key_var)[1] if key_var else None
 
         def run_gen(env, state):
             state.steps += 1
             subject = (subj_fn(env, state) if subj_pure
                        else (yield from subj_fn(env, state)))
             for key, value in _foreach_items(subject, state, where):
-                bind(env, state, key, value)
+                _fold(state, enter)
+                if store_key is not None:
+                    store_key(env, key)
+                kind = type(value)
+                store(env, _copy_value(value) if kind is PhpArray
+                      or kind is MultiValue else value)
                 try:
                     if body_pure:
                         body_fn(env, state)
@@ -630,40 +433,22 @@ class _Compiler:
                     break
                 except _ContinueSignal:
                     continue
-            flow = state.flow
-            if flow is not None:
-                state.flow = ((flow ^ leave) * _FNV_PRIME) & _MASK
+            _fold(state, leave)
 
-        return False, run_gen
+        return run_gen
 
-    def _compile_index_assign(
-        self, stmt: IndexAssign
-    ) -> tuple[bool, Callable]:
-        """§4.3's container rules.  The path is walked the way the
-        interpreter walks it (root, then key by key, then the value,
-        then the last key), in ``container`` — the one shared array
-        until the root variable holds, or a key is, a multivalue; from
-        there on a list of each slot's own array."""
+    def _index_parts(self, stmt: IndexAssign) -> tuple[Callable, ...]:
+        """``root``, ``step`` and ``finish`` of an index assignment: the
+        variable's array (made, or expanded, as it has to be), a
+        container ready for a key, and the store at the end of the
+        path (§4.3's container rules)."""
         name = stmt.name
         apply = compound(stmt.op) if stmt.op else None
-        use_env = self.use_env
         load, store = self._accessors(name)
-        walk = [
-            (self._compile_expr(p) if p is not None else None)
-            for p in stmt.path[:-1]
-        ]
-        last = stmt.path[-1]
-        last_c = self._compile_expr(last) if last is not None else None
-        value_pure, value_fn, _ = self._compile_expr_copy(stmt.expr)
-        all_pure = (
-            value_pure
-            and all(p is None or p[0] for p in walk)
-            and (last_c is None or last_c[0])
-        )
         not_array = f"cannot index non-array variable ${name}"
 
         def root(env, state):
-            container = env.lookup(name) if use_env else env.get(name)
+            container = load(env)
             if container is None:
                 container = PhpArray()
                 store(env, container)
@@ -693,36 +478,20 @@ class _Compiler:
             if type(container) is list:
                 store(env, state.merge(list(load(env).values)))
 
-        if all_pure:
-            walk_fns = [p[1] if p is not None else _no_key for p in walk]
-            last_fn = last_c[1] if last_c is not None else None
+        return root, step, finish
 
-            def run(env, state):
-                state.steps += 1
-                container = None if use_env else env.get(name)
-                if type(container) is not PhpArray:
-                    container = root(env, state)
-                walked, held = [], []
-                for path_fn in walk_fns:
-                    key = path_fn(env, state)
-                    container = _descend(
-                        step(env, state, container, walked, held, key),
-                        key, state, held)
-                    walked.append(key)
-                value = value_fn(env, state)
-                key = _APPEND if last_fn is None else last_fn(env, state)
-                if (apply is not None or type(container) is not PhpArray
-                        or type(key) is MultiValue
-                        or type(value) is MultiValue):
-                    finish(env, state, container, walked, held, key, value)
-                elif last_fn is None:  # all univalent
-                    container.append(value)
-                else:
-                    container.set(key, value)
-                if held:  # not ``$a[k] = e`` / ``$a[] = e``
-                    _release(held)
-
-            return True, run
+    def _compile_index_assign(self, stmt: IndexAssign) -> Callable:
+        """§4.3's container rules.  The path is walked the way the
+        interpreter walks it (root, then key by key, then the value,
+        then the last key), in ``container`` — the one shared array
+        until the root variable holds, or a key is, a multivalue; from
+        there on a list of each slot's own array."""
+        root, step, finish = self._index_parts(stmt)
+        walk = [(self._operand(p) if p is not None else None)
+                for p in stmt.path[:-1]]
+        last = stmt.path[-1]
+        last_c = self._operand(last) if last is not None else None
+        value_pure, value_fn, _ = self._operand(stmt.expr, True)
 
         def run_gen(env, state):
             state.steps += 1
@@ -748,31 +517,7 @@ class _Compiler:
             finish(env, state, container, walked, held, key, value)
             _release(held)
 
-        return False, run_gen
-
-    def _compile_return(self, stmt: Return) -> tuple[bool, Callable]:
-        if stmt.expr is None:
-
-            def run(env, state):
-                state.steps += 1
-                raise _ReturnSignal(None)
-
-            return True, run
-        pure, fn, _ = self._compile_expr_copy(stmt.expr)
-        if pure:
-
-            def run(env, state):
-                state.steps += 1
-                raise _ReturnSignal(fn(env, state))
-
-            return True, run
-
-        def run_gen(env, state):
-            state.steps += 1
-            value = yield from fn(env, state)
-            raise _ReturnSignal(value)
-
-        return False, run_gen
+        return run_gen
 
     # -- expressions ----------------------------------------------------------
 
@@ -789,7 +534,8 @@ class _Compiler:
         return self.leaves[key]
 
     def _compile_expr(self, node: Node) -> tuple[bool, Callable, tuple | None]:
-        """Compile one expression.
+        """Compile one expression, once (a region asks for the closures
+        of the subtrees it runs in line, and falls back on them).
 
         Returns ``(pure, fn, const)``: ``fn(env, state)`` is a plain
         closure when pure, a generator closure otherwise; ``const`` is
@@ -797,6 +543,12 @@ class _Compiler:
         constant (``fn`` then credits the folded nodes' instruction
         count in one add).
         """
+        key = (id(node), False)
+        if key not in self.exprs:  # the node is kept: its id stays its own
+            self.exprs[key] = (node, self._expr(node))
+        return self.exprs[key][1]
+
+    def _expr(self, node: Node) -> tuple[bool, Callable, tuple | None]:
         kind = type(node)
         if kind is Lit:
             return self._const(node.value, 1)
@@ -844,22 +596,33 @@ class _Compiler:
 
         return True, run, None
 
+    def _operand(self, node: Node, copy: bool = False) -> tuple:
+        """``node`` as code that may yield evaluates it: where it is pure
+        (and no constant), one generated function that runs it in line
+        where it can (:func:`regions.expression`), else its closures."""
+        compiled = (self._compile_expr_copy if copy
+                    else self._compile_expr)(node)
+        if not compiled[0] or compiled[2] is not None or self.use_env:
+            return compiled
+        key = (id(node), copy, "run")
+        if key not in self.exprs:
+            made = regions.expression(self, [node], copy)
+            self.exprs[key] = (node, compiled if made is None
+                               else (True, made, None))
+        return self.exprs[key][1]
+
     def _compile_expr_copy(
         self, node: Node
     ) -> tuple[bool, Callable, tuple | None]:
         """:meth:`_compile_expr` under the :meth:`Interpreter._eval_copy`
         rule: a Var/Index read whose value is an array (or a multivalue,
         which may hold one per slot) copies it into the new location."""
-        var = self._frame_var(node)
-        if var is not None:  # one function: read, book, copy
-            if (var, "copy") not in self.leaves:
-                self.leaves[var, "copy"] = (True, regions.copy_read(var),
-                                            None)
-            return self.leaves[var, "copy"]
-        if type(node) is Index:
-            fused = self._const_index(node, copy=True)
-            if fused is not None:
-                return fused
+        key = (id(node), True)
+        if key not in self.exprs:
+            self.exprs[key] = (node, self._expr_copy(node))
+        return self.exprs[key][1]
+
+    def _expr_copy(self, node: Node) -> tuple[bool, Callable, tuple | None]:
         compiled = self._compile_expr(node)
         if type(node) not in (Var, Index):
             return compiled
@@ -900,74 +663,16 @@ class _Compiler:
                 return self._const(
                     folded, 1 + left_const[1] + right_const[1]
                 )
-        # Fused operands: a constant or a frame variable is read in line,
-        # its instruction count riding on this node's, and two operands
-        # of the operator's exact type take its plain form (``kind`` is
-        # ``None`` where there is none, which no ``type()`` is).
-        left_var = self._frame_var(node.left)
-        if left_pure and right_const is not None:
-            right, steps = right_const[0], right_const[1] + 1
-            kind, fast = exact_op(op, right)
-            if left_var is not None:  # ``$i * 3``
-                steps += 1
-
-                def run(env, state):
-                    state.steps += steps
-                    left = env.get(left_var)
-                    if type(left) is kind:
-                        return fast(left, right)
-                    if type(left) is MultiValue:
-                        state.multivalent(len(left.values))
-                        return _multi_binop(combine, left, right, state)
-                    return combine(left, right)
-
-                return True, run, None
-
-            def run(env, state):
-                state.steps += steps
-                left = left_fn(env, state)
-                if type(left) is kind:
-                    return fast(left, right)
-                if type(left) is MultiValue:
-                    return _multi_binop(combine, left, right, state)
-                return combine(left, right)
-
-            return True, run, None
-        kind, fast = exact_op(op)
-        right_var = self._frame_var(node.right)
-        if left_var is not None and right_var is not None:  # ``$i < $n``
-
-            def run(env, state):
-                state.steps += 3
-                left = env.get(left_var)
-                right = env.get(right_var)
-                left_kind, right_kind = type(left), type(right)
-                if left_kind is kind and right_kind is kind:
-                    return fast(left, right)
-                if left_kind is not MultiValue \
-                        and right_kind is not MultiValue:
-                    return combine(left, right)
-                if left_kind is MultiValue:
-                    state.multivalent(len(left.values))
-                if right_kind is MultiValue:
-                    state.multivalent(len(right.values))
-                return _multi_binop(combine, left, right, state)
-
-            return True, run, None
         if left_pure and right_pure:
 
             def run(env, state):
                 state.steps += 1
-                left = left_fn(env, state)
-                right = right_fn(env, state)
-                left_kind, right_kind = type(left), type(right)
-                if left_kind is kind and right_kind is kind:
-                    return fast(left, right)
-                if left_kind is MultiValue or right_kind is MultiValue:
-                    return _multi_binop(combine, left, right, state)
-                return combine(left, right)
+                return _binop(combine, left_fn(env, state),
+                              right_fn(env, state), state)
 
             return True, run, None
+        left_fn, right_fn = self._operand(node.left)[1], \
+            self._operand(node.right)[1]
 
         def run_gen(env, state):
             state.steps += 1
@@ -995,30 +700,22 @@ class _Compiler:
                 state.steps += 1
                 # ``&&`` goes on when the left is true, ``||`` when not.
                 left = left_fn(env, state)
-                take_right = (left is True or (
-                    left is not False and _truth(left, where))) is is_and
-                flow = state.flow
-                if flow is not None:
-                    state.flow = ((flow ^ (right_mix if take_right
-                                           else skip_mix))
-                                  * _FNV_PRIME) & _MASK
+                take_right = _truth(left, where) is is_and
+                _fold(state, right_mix if take_right else skip_mix)
                 if not take_right:
                     return not is_and
                 return _unop(truthy, right_fn(env, state), state)
 
             return True, run, None
+        left_fn, right_fn = self._operand(node.left)[1], \
+            self._operand(node.right)[1]
 
         def run_gen(env, state):
             state.steps += 1
             left = (left_fn(env, state) if left_pure
                     else (yield from left_fn(env, state)))
-            take_right = (left is True or (
-                left is not False and _truth(left, where))) is is_and
-            flow = state.flow
-            if flow is not None:
-                state.flow = ((flow ^ (right_mix if take_right
-                                       else skip_mix))
-                              * _FNV_PRIME) & _MASK
+            take_right = _truth(left, where) is is_and
+            _fold(state, right_mix if take_right else skip_mix)
             if not take_right:
                 return not is_and
             right = (right_fn(env, state) if right_pure
@@ -1064,28 +761,22 @@ class _Compiler:
             def run(env, state):
                 state.steps += 1
                 cond = cond_fn(env, state)
-                taken = cond is True or (cond is not False
-                                         and _truth(cond, where))
-                flow = state.flow
-                if flow is not None:
-                    state.flow = ((flow ^ (then_mix if taken else other_mix))
-                                  * _FNV_PRIME) & _MASK
+                taken = _truth(cond, where)
+                _fold(state, then_mix if taken else other_mix)
                 if taken:
                     return then_fn(env, state)
                 return other_fn(env, state)
 
             return True, run, None
+        cond_fn, then_fn, other_fn = (self._operand(child)[1] for child in (
+            node.cond, node.then, node.other))
 
         def run_gen(env, state):
             state.steps += 1
             cond = (cond_fn(env, state) if cond_pure
                     else (yield from cond_fn(env, state)))
-            taken = cond is True or (cond is not False
-                                     and _truth(cond, where))
-            flow = state.flow
-            if flow is not None:
-                state.flow = ((flow ^ (then_mix if taken else other_mix))
-                              * _FNV_PRIME) & _MASK
+            taken = _truth(cond, where)
+            _fold(state, then_mix if taken else other_mix)
             if taken:
                 if then_pure:
                     return then_fn(env, state)
@@ -1096,41 +787,7 @@ class _Compiler:
 
         return False, run_gen, None
 
-    def _const_index(self, node: Index,
-                     copy: bool) -> tuple[bool, Callable, None] | None:
-        """``$v['k']`` / ``$v[1]`` on a dict frame, one closure: the key
-        normalised once, the steps of the ``Index``, ``Var`` and key
-        closures booked in one add; ``None`` for any other shape.  A base
-        that is not one univalue array goes to ``_index``, as before."""
-        var = self._frame_var(node.base)
-        const = self._compile_expr(node.index)[2] if var is not None else None
-        if const is None or type(const[0]) not in (int, str):
-            return None
-        key, steps = const[0], const[1] + 2
-        norm = PhpArray._norm_key(key)
-
-        def run(env, state):
-            state.steps += steps
-            base = env.get(var)
-            if type(base) is PhpArray:
-                value = base.data.get(norm)
-                if type(value) is MultiValue:
-                    state.multivalent(len(value.values))
-            else:
-                if type(base) is MultiValue:
-                    state.multivalent(len(base.values))
-                value = _index(base, key, state)
-            if copy and (type(value) is PhpArray
-                         or type(value) is MultiValue):
-                return _copy_value(value)
-            return value
-
-        return True, run, None
-
     def _compile_index(self, node: Index) -> tuple[bool, Callable, None]:
-        fused = self._const_index(node, copy=False)
-        if fused is not None:
-            return fused
         base_pure, base_fn, _ = self._compile_expr(node.base)
         index_pure, index_fn, _ = self._compile_expr(node.index)
         indexable = (PhpArray, str, MultiValue)
@@ -1139,19 +796,13 @@ class _Compiler:
             def run(env, state):
                 state.steps += 1
                 base = base_fn(env, state)
-                if type(base) is PhpArray:
-                    index = index_fn(env, state)
-                    if type(index) is not MultiValue:
-                        value = base.get(index)
-                        if type(value) is MultiValue:
-                            state.multivalent(len(value.values))
-                        return value
-                    return _index(base, index, state)
                 if not isinstance(base, indexable):
                     raise WeblangError("indexing a non-array value")
                 return _index(base, index_fn(env, state), state)
 
             return True, run, None
+        base_fn, index_fn = self._operand(node.base)[1], \
+            self._operand(node.index)[1]
 
         def run_gen(env, state):
             state.steps += 1
@@ -1165,6 +816,24 @@ class _Compiler:
 
         return False, run_gen, None
 
+    def _literal_cells(self, node: ArrayLit) -> tuple | None:
+        """Where each value of a literal whose keys are all int / str
+        constants or ``[]`` lands — known now, and no value can make the
+        array a list — as ``(normalised keys, next index, steps of the
+        literal and its keys)``; ``None`` for any other literal."""
+        keys = [_const_key(self._compile_expr(key) if key is not None
+                           else None) for key, _ in node.items]
+        if None in keys:
+            return None
+        norms, top = [], 0
+        for key in keys:
+            norm = top if key is _APPEND else key[0]
+            if type(norm) is int and norm >= top:
+                top = norm + 1
+            norms.append(norm)
+        return norms, top, 1 + sum(key[1] for key in keys
+                                   if key is not _APPEND)
+
     def _compile_arraylit(self, node: ArrayLit) -> tuple[bool, Callable, None]:
         items = [
             (
@@ -1177,16 +846,9 @@ class _Compiler:
             (key is None or key[0]) and value[0] for key, value in items
         )
         keys: list = [_const_key(key) for key, _ in items]
-        if all_pure and None not in keys:
-            # Every key a constant or ``[]``: where each value lands is
-            # known now, and no value can make the array a list.
-            norms, top = [], 0
-            for key in keys:
-                norm = top if key is _APPEND else key[0]
-                if type(norm) is int and norm >= top:
-                    top = norm + 1
-                norms.append(norm)
-            steps = 1 + sum(key[1] for key in keys if key is not _APPEND)
+        cells = self._literal_cells(node) if all_pure else None
+        if cells is not None:
+            norms, top, steps = cells
             held: list = [value[2] or self.literals.get(value[1])
                           for _, value in items]
             if None not in held:  # constant: one array, built now
@@ -1200,43 +862,24 @@ class _Compiler:
 
                 self.literals[run] = (array, steps)
                 return True, run, None
-            cells = list(zip(norms, [value[1] for _, value in items]))
-
-            def run(env, state):
-                state.steps += steps
-                data = {}
-                for norm, value_fn in cells:
-                    value = value_fn(env, state)
-                    if type(value) is MultiValue:
-                        state.multi_cells = True
-                    data[norm] = value
-                return PhpArray.from_data(data, top)
-
-            return True, run, None
         # Any other literal: its constant keys go in normalised.
+        if not all_pure:
+            items = [(self._operand(key) if key is not None else None,
+                      self._operand(value, True))
+                     for key, value in node.items]
         items = [(self._const(*const) if type(const) is tuple else key, value)
                  for (key, value), const in zip(items, keys)]
         if all_pure:
-            pairs = [
-                (key[1] if key is not None else None, value[1])
-                for key, value in items
-            ]
+            pairs = [(None if key is None else key[1], value[1])
+                     for key, value in items]
 
             def run(env, state):
                 state.steps += 1
                 array = PhpArray()
                 for key_fn, value_fn in pairs:
                     value = value_fn(env, state)
-                    key = (_APPEND if key_fn is None
-                           else key_fn(env, state))
-                    if (type(array) is not PhpArray
-                            or type(key) is MultiValue
-                            or type(value) is MultiValue):
-                        array = _add_item(array, key, value, state)
-                    elif key_fn is None:  # all univalent
-                        array.append(value)
-                    else:
-                        array.set(key, value)
+                    array = _add_item(array, _APPEND if key_fn is None
+                                      else key_fn(env, state), value, state)
                 return _literal(array, state)
 
             return True, run, None
@@ -1259,16 +902,23 @@ class _Compiler:
 
     # -- calls ------------------------------------------------------------
 
-    def _compile_args(self, compiled: list[tuple]) -> tuple[bool, Callable]:
-        """Evaluate a call's arguments — ``compiled`` by
-        :meth:`_compile_expr_copy` — to a list."""
+    def _compile_args(self, node: Call) -> tuple[bool, Callable]:
+        """Evaluate a call's arguments, with copy semantics, to a list:
+        for a call that may yield, pure ones in one generated function
+        (:func:`regions.expression`)."""
+        compiled = [self._compile_expr_copy(arg) for arg in node.args]
         if all(pure for pure, _, _ in compiled):
+            made = None if self._pure(node) or self.use_env \
+                else regions.expression(self, node.args, True, many=True)
+            if made is not None:
+                return True, made
             fns = [fn for _, fn, _ in compiled]
 
             def run(env, state):
                 return [fn(env, state) for fn in fns]
 
             return True, run
+        compiled = [self._operand(arg, True) for arg in node.args]
 
         def run_gen(env, state):
             values = []
@@ -1298,10 +948,18 @@ class _Compiler:
 
         return False, run_gen, None
 
+    def _builtin(self, node: Call) -> Callable | None:
+        """The pure built-in ``node`` calls, if it calls one."""
+        name = node.name
+        if name in REQUEST_INPUTS or name in STATE_BUILTINS \
+                or name in EXTERNAL_BUILTINS or name in NONDET_BUILTINS \
+                or name in self.funcs:
+            return None
+        return PURE_BUILTINS.get(name)
+
     def _compile_call(self, node: Call) -> tuple[bool, Callable, None]:
         name = node.name
-        compiled = [self._compile_expr_copy(arg) for arg in node.args]
-        args_pure, args_fn = self._compile_args(compiled)
+        args_pure, args_fn = self._compile_args(node)
         if name in REQUEST_INPUTS:
             return self._compile_request_input(name, args_pure, args_fn)
         if name in STATE_BUILTINS:
@@ -1323,10 +981,6 @@ class _Compiler:
         if func is not None:
             return self._compile_user_call(func, args_pure, args_fn)
         builtin = PURE_BUILTINS.get(name)
-        if builtin is not None and args_pure and 1 <= len(compiled) <= 3:
-            return True, regions.call(builtin, [
-                (fn, self._frame_var(arg), const)
-                for arg, (_, fn, const) in zip(node.args, compiled)]), None
         if builtin is not None:
             return self._after_args(args_pure, args_fn,
                                     partial(_call_builtin, builtin))
@@ -1561,22 +1215,7 @@ def _const_key(key: tuple | None) -> tuple | object | None:
 def _scope_uses_global(stmts: list[Node]) -> bool:
     """True when the scope executes a ``global`` declaration anywhere
     (so its frame needs the :class:`_Env` indirection)."""
-    for stmt in stmts:
-        kind = type(stmt)
-        if kind is GlobalDecl:
-            return True
-        if kind is If:
-            for _, body in stmt.branches:
-                if _scope_uses_global(body):
-                    return True
-            if stmt.else_body is not None and _scope_uses_global(
-                stmt.else_body
-            ):
-                return True
-        elif kind in (While, Foreach):
-            if _scope_uses_global(stmt.body):
-                return True
-    return False
+    return any(type(item) is GlobalDecl for item in nodes(stmts))
 
 
 class CompiledProgram:

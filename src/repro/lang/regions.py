@@ -1,61 +1,95 @@
-"""Generated straight-line regions of the compiled engine.
+"""Generated source for every pure statement of the compiled engine.
 
-A pure block, and a pure ``while`` with its body, compile to **one**
-generated Python function (:func:`block`, :func:`loop`) instead of a
-closure that loops over the statements' closures.  In a dict-frame scope
-a statement of the region may also run as a plain Python expression:
+A maximal run of consecutive pure statements — a pure function body, a
+pure block, the pure stretch of an impure one — is one generated Python
+function (:func:`region`; cut where it grows past :data:`_SIZE`), and a
+pure operand of code that may yield is one too (:func:`expression`).
+An ``if`` is a Python ``if`` that folds its arm's digest constant, a
+loop a Python loop that folds ``loop`` per trip after binding the key
+and a copy-on-write handle of the value, and ``loopx`` after the last;
+``break`` / ``continue`` in it are Python's.  An index assignment with a
+longer path or a compound operator, and a loop or branch nested past
+:data:`_LOOPS` / :data:`_INDENT`, run on their generator closure.
 
-* it is ``$x = e``, ``$x op= e`` or the ``while`` condition, and ``e``
-  is built only from frame variables, int / str constants and operators
-  whose :data:`~repro.lang.values.EXACT_OPS` entry's plain form is in
-  :data:`_INFIX` (``+ - * .``, the comparisons at the root only, ``%``
-  by a non-zero int constant only);
-* a guard tests ``type(v) is int`` (``str`` under ``.``) of every
-  variable the statement reads; when it holds the statement books its
-  fixed step count in one add and evaluates ``e`` in line, otherwise
-  it calls the statement's own closure.
+**Python locals.**  In a dict-frame scope a region keeps the variables it
+touches, ``steps`` and the flow digest in Python locals: written back
+before a call out of the region (what the call may read; at top level
+everything) and at exit, and reloaded after a call (``steps``, ``flow``,
+and at top level the variables a function declares ``global``: no call
+can write a function's own frame).  So a call, and whoever catches what
+it raises, finds the frame, ``steps`` and the digest as the closures
+alone would leave them.  A variable missing from the frame loads as
+``_ABSENT``, which no guard passes and nothing writes back.
 
-On operands of exactly the entry's type the plain operator *is* the
-table entry (value and type), it never raises, and no multivalue passes
-the guard, so ``steps``, ``multi_steps``, the flow digest, bodies and
-errors stay the closures'.  A statement that does not qualify — and
-every statement of a ``use_env`` scope, whose variables live behind
-:class:`~repro.lang.interp._Env` — is a call to its closure.
+**In line.**  An expression built from constants, frame variables, the
+operators whose :data:`~repro.lang.values.EXACT_OPS` entry has a Python
+infix form (:data:`_INFIX`), ``$v[<key>]``, pure built-in calls,
+constant-key array literals and ternaries whose arms need no guard runs
+as Python behind type guards, chained with its calls in evaluation
+order; when they hold, one add books the closures' steps.  When one
+fails, or the expression does not qualify (and always in a ``use_env``
+scope), the statement calls the expression's closure, which does the
+coercions, the per-class work and the errors.  On exact operands the
+plain operator is the table entry, and nothing in line raises where the
+closures would not, so ``steps``, ``multi_steps``, the flow digest,
+bodies and errors stay the closures'.
 
-A ``while`` loads every variable its condition or an in-line statement
-reads or writes, and ``steps`` and ``flow``, into Python locals at
-entry; it writes back what changed before each call (a closure or
-``_truth``) and at exit, and reloads after a call or a ``break`` /
-``continue`` signal, so a call, and whoever catches what it raises,
-finds the frame, ``steps`` and the flow digest as the closures alone
-would leave them.  A block works on the frame directly.
-
-A pure built-in call of one to three arguments, and a copy-read, are
-generated functions too (:func:`call`, :func:`copy_read`): a constant
-argument is bound, a dict-frame variable is read in line as its closure
-reads it, and any other argument is a call to its closure.
-
-No program text reaches the generated source: variable names,
-constants and closures are arguments of a factory whose parameters the
-generator names, so one source (one ``compile``) serves every region of
-the same shape.
+No program text reaches the generated source: names, constants and
+closures are arguments of a factory whose parameters the generator
+names, so one source (one ``compile``) serves every region of a shape.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Callable
-from functools import lru_cache
+from hashlib import blake2b
 
-from repro.common.digest import _FNV_PRIME, _MASK
-from repro.lang.ast import Assign, BinOp, Lit, Node, Var, While
-from repro.lang.interp import _BreakSignal, _ContinueSignal
-from repro.lang.simd import _call_builtin, _copy_value, _truth
-from repro.lang.values import EXACT_OPS, PhpArray, binop, compound
+from repro.common.digest import _FNV_PRIME, _MASK, branch_mix
+from repro.common.errors import WeblangError
+from repro.lang.ast import (
+    ArrayLit,
+    Assign,
+    BinOp,
+    Break,
+    Call,
+    Continue,
+    Echo,
+    ExprStmt,
+    Foreach,
+    GlobalDecl,
+    If,
+    Index,
+    IndexAssign,
+    Lit,
+    Node,
+    Return,
+    Ternary,
+    UnOp,
+    Var,
+    While,
+    nodes,
+)
+from repro.lang.interp import _BreakSignal, _ContinueSignal, _ReturnSignal
+from repro.lang.simd import (
+    _APPEND,
+    _binop,
+    _copy_value,
+    _foreach_items,
+    _multi_text,
+    _truth,
+)
+from repro.lang.values import (
+    EXACT_OPS,
+    PhpArray,
+    binop,
+    compound,
+    to_str,
+    truthy,
+)
 from repro.multivalue.multivalue import MultiValue
 
-#: Plain form -> Python infix operator, for the operators a region
-#: evaluates in line.
+#: Plain form -> Python infix operator, for the operators run in line.
 _INFIX: dict[object, str] = {
     operator.add: "+", operator.sub: "-", operator.mul: "*",
     operator.mod: "%",
@@ -63,352 +97,722 @@ _INFIX: dict[object, str] = {
     operator.eq: "==", operator.ne: "!=",
 }
 
-#: The operators that make a bool, which no operator above takes: they
-#: stand at the root of a statement only.
+#: The operators that make a bool, which no operator above takes.
 _TESTS = frozenset({"<", "<=", ">", ">=", "==", "!="})
 
-#: How deep an operator may stand and still run in line.
+#: How deep an expression may nest and still run in line: Python's
+#: parser refuses 200 nested parentheses.
 _DEPTH = 32
 
-#: A loop's local of a variable not in the frame: never written back.
+#: How long a generated function grows before the next statement goes
+#: into another: compiling a source takes ~100 bytes a character at peak.
+_SIZE = 3000
+
+#: Loops one region nests (Python allows 20 nested blocks; a loop and
+#: its ``try`` take two), and how far it indents a branch (100 levels).
+_LOOPS = 6
+_INDENT = 40
+
+#: The local of a variable not in the frame: never written back.
 _ABSENT = object()
+
+#: The values an in-line operand may hold: not a multivalue, not absent.
+_OK = frozenset({str, int, float, bool, type(None), PhpArray})
+
+#: A line that stands for reloading the shared variables after a call
+#: (which of them have locals is known once the region is made).
+_RELOAD = "\0"
 
 #: The module a generated function runs in: no builtins beyond these.
 _HELPERS: dict[str, object] = {
-    "__builtins__": {}, "type": type, "int": int, "str": str,
-    "_truth": _truth, "_BreakSignal": _BreakSignal,
-    "_ContinueSignal": _ContinueSignal, "_PRIME": _FNV_PRIME,
-    "_MASK": _MASK, "_ABSENT": _ABSENT, "len": len, "PhpArray": PhpArray,
-    "MultiValue": MultiValue, "_copy_value": _copy_value,
-    "_call_builtin": _call_builtin,
+    "__builtins__": {}, "type": type, "int": int, "str": str, "next": next,
+    "PhpArray": PhpArray, "MultiValue": MultiValue, "_OK": _OK,
+    "_ABSENT": _ABSENT, "_PRIME": _FNV_PRIME, "_MASK": _MASK,
+    "_truth": _truth, "truthy": truthy, "to_str": to_str, "_binop": _binop,
+    "_copy_value": _copy_value, "_foreach_items": _foreach_items,
+    "_multi_text": _multi_text,
+    "_BreakSignal": _BreakSignal, "_ContinueSignal": _ContinueSignal,
+    "_ReturnSignal": _ReturnSignal, "WeblangError": WeblangError,
 }
 
-_LOOP = """\
-{load}
-        steps += 1
-        while True:
-{cond}
-            if cond is not True:
-                if cond is False:
-                    break
-{sync}
-                if not _truth(cond, {where}):
-                    break
-            if flow is not None:
-                flow = ((flow ^ {enter}) * _PRIME) & _MASK
-            try:
-{body}
-            except _BreakSignal:
-{reload}
-                break
-            except _ContinueSignal:
-{reload}
-                continue
-        if flow is not None:
-            flow = ((flow ^ {leave}) * _PRIME) & _MASK
-{sync_exit}"""
 
-#: A read's local and the type its guard tests, by variable name.
-_Reads = dict[str, tuple[str, type]]
+#: ``make`` of each generated source, by the source's digest (the
+#: sources themselves are not kept).
+_MADE: dict[bytes, Callable[..., Callable]] = {}
 
 
-def _made(source: str, filename: str) -> Callable[..., Callable]:
-    """``make(b0, b1, ...)`` of one generated source."""
-    namespace = dict(_HELPERS)
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["make"]  # type: ignore[return-value]
-
-
-@lru_cache(maxsize=1024)
 def _factory(source: str) -> Callable[..., Callable]:
-    return _made(source, "<weblang region>")
+    """``make(b0, b1, ...)`` of one generated source, compiled once."""
+    key = blake2b(source.encode(), digest_size=16).digest()
+    if key not in _MADE:
+        if len(_MADE) >= 1024:
+            _MADE.clear()
+        scope: dict[str, object] = {}  # every source shares one module
+        exec(compile(source, "<weblang region>", "exec"), _HELPERS, scope)
+        _MADE[key] = scope["make"]  # type: ignore[assignment]
+    return _MADE[key]
 
 
-@lru_cache(maxsize=1024)
-def _expression_factory(source: str) -> Callable[..., Callable]:
-    return _made(source, "<weblang expression>")
+def _names(node: Node | list[Node], kinds: tuple = (Var, Assign,
+                                                   IndexAssign)) -> set[str]:
+    """The variables ``node`` reads or writes; with ``kinds=(Assign,)``
+    those it assigns (an index assignment writes its variable in place,
+    or through a call that reloads it)."""
+    names = set()
+    for item in nodes(node):
+        if type(item) in kinds:
+            names.add(item.name)
+        elif type(item) is Foreach:
+            names.update(var for var in (item.key_var, item.val_var) if var)
+    return names
+
+
+#: An in-line value: its Python expression, its type (``None``: any
+#: value of :data:`_OK`) and the steps its closures would book.
+_Value = tuple[str, type | None, int]
 
 
 class _Region:
-    """The source of one generated function and the values it binds."""
+    """The source of one region, the values it binds, and what its
+    locals hold at the line being made."""
 
-    def __init__(self, fast: bool):
-        self.fast = fast  # a dict frame: statements may run in line
+    def __init__(self, comp, top: bool):
+        self.comp = comp  # the compiler: expression closures and helpers
+        self.fast = not comp.use_env  # a dict frame: variables in locals
+        self.top = top  # the frame is the globals
+        #: The variables of the frame a call may write: at top level, the
+        #: ones a function declares ``global``.
+        self.shared = comp.shared if top else frozenset()
         self.args: list[object] = []
         self.names: dict[str, str] = {}
-        #: A loop's locals by variable, and what in-line statements wrote.
         self.locals: dict[str, str] = {}
+        #: The locals (and ``steps``, ``flow``) written since the frame
+        #: and ``state`` last saw them.
         self.dirty: set[str] = set()
+        self.temps = 0
+        self.loops = 0  # Python loops around the line being made
+        self.echo = False
+        self.lined = False  # whether an expression runs in line
+        #: The guards, digest folds and step terms of the in-line
+        #: expression being made.
+        self.chain: list[str] = []
+        self.folds: list[tuple[str, int, int]] = []
+        self.extra: list[str] = []
 
     def bind(self, value: object) -> str:
         self.args.append(value)
         return f"b{len(self.args) - 1}"
 
-    def build(self, body: str, factory: Callable | None = None) -> Callable:
-        params = ", ".join(f"b{index}" for index in range(len(self.args)))
-        source = (f"def make({params}):\n    def run(env, state):\n"
-                  f"{body}\n    return run\n")
-        return (factory or _factory)(source)(*self.args)
-
-    def _expr(self, node: Node, want: type | None, reads: _Reads,
-              depth: int = 0) -> tuple[str, int] | None:
-        """``node`` as a Python expression on exactly-typed operands and
-        its step count, or ``None``; ``want`` is the type the operator
-        above takes (``None`` at the root).  An operator more than
-        :data:`_DEPTH` deep is left to the closures: Python's parser
-        refuses 200 nested parentheses."""
-        if isinstance(node, Lit):
-            if type(node.value) not in (int, str) \
-                    or want not in (None, type(node.value)):
-                return None
-            return self.bind(node.value), 1
-        if isinstance(node, Var) and want is not None:
-            # No operator here turns one type into another, so every
-            # operand of an expression that qualifies has the same type.
-            if node.name not in reads:
-                reads[node.name] = (self._local(node.name, len(reads)), want)
-            return reads[node.name][0], 1
-        if not isinstance(node, BinOp) or depth > _DEPTH:
-            return None
-        operands, plain = EXACT_OPS.get(node.op, (None, None))
-        infix = _INFIX.get(plain)
-        if operands is None or infix is None \
-                or want not in (None, bool if infix in _TESTS else operands) \
-                or (node.op == "%" and not _divisor(node.right)):
-            return None
-        left = self._expr(node.left, operands, reads, depth + 1)
-        right = (self._expr(node.right, operands, reads, depth + 1)
-                 if left else None)
-        if left is None or right is None:
-            return None
-        return f"({left[0]} {infix} {right[0]})", 1 + left[1] + right[1]
-
-    def _inline(self, node: Node, reads: _Reads) -> tuple[str, int] | None:
-        """:meth:`_expr` of a statement's root, binding nothing when it
-        does not qualify."""
-        mark, known = len(self.args), dict(self.locals)
-        inline = self._expr(node, None, reads) if self.fast else None
-        if inline is None:
-            del self.args[mark:]
-            self.locals = known
-        return inline
-
-    def _line(self, depth: int, node: Node, slow: str, target: str | None,
-              book: int) -> list[str]:
-        """``node``'s value stored in variable ``target`` (in ``cond``
-        where ``None``) — in line behind the guard on its reads, booking
-        ``book`` steps more than its nodes, where it qualifies — else
-        the call ``slow``."""
-        pad = "    " * depth
-        reads: _Reads = {}
-        inline = self._inline(node, reads)
-        if inline is None:
-            return self._call(pad, slow, arm=False)
-        lines = self._fresh(pad, reads)
-        store = "cond" if target is None else self._store(target)
-        fast = [f"{self._steps} += {inline[1] + book}",
-                f"{store} = {inline[0]}"]
-        slow_lines = self._call(pad + "    ", slow, arm=True) if reads else []
-        self.dirty.update(("steps", store))
-        if not reads:
-            return [*lines, *(pad + line for line in fast)]
-        guard = " and ".join(f"type({local}) is {kind.__name__}"
-                             for local, kind in reads.values())
-        return [*lines, f"{pad}if {guard}:",
-                *(f"{pad}    {line}" for line in fast),
-                f"{pad}else:", *slow_lines]
-
-    # -- a block's statements work on the frame and ``state`` directly
-
-    _steps = "state.steps"
-
-    def _local(self, var: str, index: int) -> str:
-        return f"v{index}"
-
-    def _fresh(self, pad: str, reads: _Reads) -> list[str]:
-        return [f"{pad}{local} = env.get({self._name(var)})"
-                for var, (local, _) in reads.items()]
-
-    def _store(self, target: str) -> str:
-        return f"env[{self._name(target)}]"
-
-    def _call(self, pad: str, call: str, arm: bool) -> list[str]:
-        return [pad + call]
-
-    def _name(self, var: str) -> str:
+    def name(self, var: str) -> str:
         if var not in self.names:
             self.names[var] = self.bind(var)
         return self.names[var]
 
-    def statement(self, depth: int, stmt: Node, fn: Callable) -> list[str]:
-        """One statement of a region: ``$x = e`` / ``$x op= e`` in line
-        where it qualifies, else a call to its closure ``fn``."""
-        call = f"{self.bind(fn)}(env, state)"
-        form = _form(stmt)
-        if form is None:
-            return self._call("    " * depth, call, arm=False)
-        node, target, book = form
-        return self._line(depth, node, call, target, book)
-
-
-class _Loop(_Region):
-    """A ``while``, whose in-line statements work on Python locals (module
-    docstring): a call writes back the locals written since the last
-    sync (``dirty``) before it and reloads them all after."""
-
-    _steps = "steps"
-
-    def __init__(self, fast: bool, forms: list[tuple[Node, str | None]]):
-        super().__init__(fast)
-        self.written = {"steps", "flow"}
-        for node, target in forms:  # a dry run: which locals there are
-            if self._inline(node, {}) is not None and target is not None:
-                self.written.add(self._local(target, 0))
-        self.args.clear()
-        self.dirty = set(self.written)  # what a trip may have left
-
-    def _local(self, var: str, index: int) -> str:
+    def local(self, var: str) -> str:
         return self.locals.setdefault(var, f"x{len(self.locals)}")
 
-    def _fresh(self, pad: str, reads: _Reads) -> list[str]:
-        return []
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
 
-    def _store(self, target: str) -> str:
-        return self._local(target, 0)
+    # -- the frame, ``steps`` and ``flow`` around calls ------------------
 
-    def _call(self, pad: str, call: str, arm: bool) -> list[str]:
-        lines = [*self.sync(pad, self.dirty), pad + call, *self.reload(pad)]
-        if not arm:  # else the in-line arm may leave what was dirty
-            self.dirty = set()
+    def book(self, pad: str, steps: object) -> list[str]:
+        if steps == 0 or steps == "0":
+            return []
+        self.dirty.add("steps")
+        return [f"{pad}steps += {steps}"]
+
+    def fold(self, pad: str, mix: str) -> list[str]:
+        self.dirty.add("flow")
+        return [f"{pad}if flow is not None:",
+                f"{pad}    flow = ((flow ^ {mix}) * _PRIME) & _MASK"]
+
+    def sync(self, pad: str, names: set[str] | None = None,
+             flows: bool = True) -> list[str]:
+        """Lines writing back ``steps``, ``flow`` where ``flows``, and
+        what was written of the variables ``names`` (every one where
+        ``None``)."""
+        slots = {"steps", "flow"} if flows else {"steps"}
+        lines = [f"{pad}state.{slot} = {slot}" for slot in ("steps", "flow")
+                 if slot in self.dirty & slots]
+        self.dirty -= slots
+        for var, local in self.locals.items():
+            if local in self.dirty and (names is None or var in names):
+                lines.append(f"{pad}if {local} is not _ABSENT: "
+                             f"env[{self.name(var)}] = {local}")
+                self.dirty.discard(local)
         return lines
 
-    def reload(self, pad: str) -> list[str]:
-        """Lines loading every local from the frame and ``state``."""
-        return [*(f"{pad}{local} = get({self._name(var)}, _ABSENT)"
-                  for var, local in self.locals.items()),
-                f"{pad}steps = state.steps", f"{pad}flow = state.flow"]
+    def reload(self, pad: str, names: set[str] = frozenset(),
+               flows: bool = True) -> list[str]:
+        """Lines reloading ``steps``, ``flow`` where ``flows``, the
+        variables ``names`` and the shared ones after a call."""
+        lines = [f"{pad}steps = state.steps",
+                 *([f"{pad}flow = state.flow"] if flows else [])]
+        if not self.fast:
+            return lines
+        lines += [f"{pad}{self.local(var)} = get({self.name(var)}, _ABSENT)"
+                  for var in sorted(names)]
+        return lines + [pad + _RELOAD] if self.shared else lines
 
-    def sync(self, pad: str, slots: set[str]) -> list[str]:
-        """Lines writing the locals ``slots`` back."""
-        lines = [f"{pad}state.{slot} = {slot}"
-                 for slot in ("steps", "flow") if slot in slots]
-        return lines + [f"{pad}if {local} is not _ABSENT:\n"
-                        f"{pad}    env[{self._name(var)}] = {local}"
-                        for var, local in self.locals.items()
-                        if local in slots]
+    def call(self, pad: str, line: str, reads: set[str],
+             writes: set[str] = frozenset(), flows: bool = True
+             ) -> list[str]:
+        """``line``, a call out of the region that may read the
+        variables ``reads``, write ``writes`` and, where ``flows``, fold
+        the flow digest or raise a signal."""
+        return [*self.sync(pad, None if self.top else reads, flows),
+                pad + line, *self.reload(pad, writes, flows)]
 
+    def reach(self, node: Node) -> tuple[set[str], bool]:
+        """The variables expression ``node`` reads, and whether it may
+        fold the flow digest or raise a signal: it holds a branch, or
+        calls a user function."""
+        names, flows = set(), False
+        for item in nodes(node):
+            kind = type(item)
+            if kind is Var:
+                names.add(item.name)
+            elif kind is Ternary or kind is BinOp and item.op in (
+                    "&&", "||") or kind is Call and item.name in self.comp.funcs:
+                flows = True
+        return names, flows
 
-def _form(stmt: Node) -> tuple[Node, str, int] | None:
-    """An assignment's expression, target and the steps it books beyond
-    the expression's nodes, where it may run in line."""
-    if not isinstance(stmt, Assign) or (
-            stmt.op and compound(stmt.op) is not binop(stmt.op)):
+    def when(self, pad: str, cond: str, yes: Callable) -> list[str]:
+        """``if cond: yes`` (a function of its pad)."""
+        before = set(self.dirty)
+        lines = [f"{pad}if {cond}:", *yes(pad + "    ")]
+        self.dirty |= before
+        return lines
+
+    def branch(self, pad: str, cond: str, yes: Callable, no: Callable
+               ) -> list[str]:
+        """``if cond: yes else: no`` (each a function of its pad)."""
+        before = set(self.dirty)
+        then = yes(pad + "    ")
+        self.dirty, after = before, self.dirty
+        other = no(pad + "    ")
+        self.dirty |= after
+        return [f"{pad}if {cond}:", *then, f"{pad}else:", *other]
+
+    # -- expressions -------------------------------------------------------
+
+    def operand(self, pad: str, node: Node, use: Callable, copy: bool = False,
+                book: int = 0, inline: tuple | None = None) -> list[str]:
+        """Lines evaluating ``node`` — with copy semantics where ``copy``
+        — and then ``use(pad, src, kind)``: in line where it qualifies
+        (``kind`` the value's type, ``None`` for any value but a
+        multivalue), else, and where a guard fails, by a call to its
+        closure (``kind`` ``object``: any value); ``book`` steps more.
+        ``inline`` is ``(node, use, book)`` to run in line first."""
+        got = None
+        for fast_node, fast_use, fast_book in [*(inline or []),
+                                               (node, use, book)]:
+            self.chain, self.folds, self.extra = [], [], []
+            got = self._value(fast_node, None)
+            if got is not None:
+                break
+        if got is not None and copy:
+            got = (self._copy(fast_node, got[0], got[1]), *got[1:])
+        self.lined = self.lined or got is not None
+        chain, folds, extra = self.chain, self.folds, self.extra
+        fn = (self.comp._compile_expr_copy if copy
+              else self.comp._compile_expr)(node)[1]
+        held = self.temp()
+
+        reads, flows = self.reach(node)
+
+        def slow(pad: str) -> list[str]:
+            return [*self.book(pad, book),
+                    *self.call(pad, f"{held} = {self.bind(fn)}(env, state)",
+                               reads, flows=flows),
+                    *use(pad, held, object)]
+
+        if got is None:
+            return slow(pad)
+        src, kind, steps = got
+
+        def fast(pad: str) -> list[str]:
+            lines = self.book(pad, " + ".join([str(steps + fast_book),
+                                               *extra]))
+            for cond, then_mix, other_mix in folds:
+                lines += self.fold(pad, f"({self.bind(then_mix)} if {cond} "
+                                        f"else {self.bind(other_mix)})")
+            return lines + fast_use(pad, src, kind)
+
+        if not chain:
+            return fast(pad)
+        return self.branch(pad, " and ".join(chain), fast, slow)
+
+    def _test(self, term: str) -> None:
+        if term not in self.chain:
+            self.chain.append(term)
+
+    def _guard(self, src: str, want: type | None) -> str:
+        """``src``, guarded to be of type ``want`` (any of :data:`_OK`
+        where ``None``)."""
+        self._test(f"type({src}) in _OK" if want is None
+                   else f"type({src}) is {want.__name__}")
+        return src
+
+    def _held(self, expr: str, want: type | None) -> str:
+        """A temporary holding ``expr``, guarded as :meth:`_guard` does."""
+        held = self.temp()
+        self._guard(f"({held} := {expr})", want)
+        return held
+
+    def _copy(self, node: Node, src: str, kind: type | None) -> str:
+        """``src`` leaving a variable or cell: an array is copied."""
+        if type(node) not in (Var, Index) or kind not in (None, PhpArray):
+            return src
+        if kind is PhpArray:
+            return f"{src}.copy()"
+        return f"({src}.copy() if type({src}) is PhpArray else {src})"
+
+    @staticmethod
+    def _truth(src: str, kind: type | None) -> str:
+        """The truth of an in-line value (never a multivalue)."""
+        if kind is bool:
+            return src
+        return f"({src} != 0)" if kind is int else f"truthy({src})"
+
+    def _value(self, node: Node, want: type | None,
+               depth: int = 0) -> _Value | None:
+        """``node`` in line — of type ``want`` where it is not ``None`` —
+        its guards and calls on :attr:`chain`; ``None`` where it does not
+        qualify."""
+        kind = type(node)
+        if kind in (Lit, BinOp, UnOp):
+            const = self.comp._compile_expr(node)[2]
+            if const is not None:
+                if want is not None and type(const[0]) is not want:
+                    return None
+                return self.bind(const[0]), type(const[0]), const[1]
+        if not self.fast or depth > _DEPTH:
+            return None
+        if kind is Var:
+            return self._guard(self.local(node.name), want), want, 1
+        if kind is BinOp:
+            return self._binop(node, want, depth)
+        if kind is Index:
+            base = self._value(node.base, PhpArray, depth + 1)
+            const = self.comp._compile_expr(node.index)[2]
+            if base is None:
+                return None
+            if const is not None and type(const[0]) in (int, str):
+                key = self.bind(PhpArray._norm_key(const[0]))
+                return (self._held(f"{base[0]}.data.get({key})", want), want,
+                        1 + base[2] + const[1])
+            index = self._value(node.index, None, depth + 1)
+            if index is None:
+                return None
+            return (self._held(f"{base[0]}.get({index[0]})", want), want,
+                    1 + base[2] + index[2])
+        if kind is Call:
+            return self._call(node, want, depth)
+        if kind is ArrayLit and want in (None, PhpArray):
+            return self._literal(node, depth)
+        if kind is Ternary:
+            return self._ternary(node, want, depth)
         return None
-    if not stmt.op:  # the statement's step, then its expression's
-        return stmt.expr, stmt.name, 1
-    # ``$x op= e`` is ``$x = $x op e`` but for the steps of the operator
-    # and the read of ``$x``: the statement books one.
-    return BinOp(stmt.op, Var(stmt.name), stmt.expr), stmt.name, -1
+
+    def _binop(self, node: BinOp, want: type | None,
+               depth: int) -> _Value | None:
+        operands, plain = EXACT_OPS.get(node.op, (None, None))
+        infix = _INFIX.get(plain)
+        if infix is None or node.op == "%" and not (  # by an int constant
+                type(node.right) is Lit and type(node.right.value) is int
+                and node.right.value != 0):
+            return None
+        result = bool if infix in _TESTS else operands
+        if want not in (None, result) and (want, result) != (str, int):
+            return None
+        left = self._value(node.left, operands, depth + 1)
+        right = self._value(node.right, operands, depth + 1) if left else None
+        if right is None:
+            return None
+        src = f"({left[0]} {infix} {right[0]})"
+        if want is str and result is int:
+            src, result = f"to_str{src}", str
+        return src, result, 1 + left[2] + right[2]
+
+    def _call(self, node: Call, want: type | None,
+              depth: int) -> _Value | None:
+        builtin = self.comp._builtin(node)
+        if builtin is None:
+            return None
+        args, steps = [], 1
+        for arg in node.args:
+            got = self._value(arg, None, depth + 1)
+            if got is None:
+                return None
+            src, kind, arg_steps = got
+            if kind is None:
+                self._test(f"(type({src}) is not PhpArray "
+                           "or not state.multi_cells)")
+            elif kind is PhpArray:
+                self._test("not state.multi_cells")
+            args.append(self._copy(arg, src, kind))
+            steps += arg_steps
+        return (self._held(f"{self.bind(builtin)}({', '.join(args)})", want),
+                want, steps)
+
+    def _literal(self, node: ArrayLit, depth: int) -> _Value | None:
+        cells = self.comp._literal_cells(node)
+        if cells is None:
+            return None
+        built = self.comp.literals.get(self.comp._compile_expr(node)[1])
+        if built is not None:  # a handle on the array built once
+            return f"{self.bind(built[0])}.copy()", PhpArray, built[1]
+        norms, top, steps = cells
+        items = []
+        for norm, (_, value) in zip(norms, node.items):
+            got = self._value(value, None, depth + 1)
+            if got is None:
+                return None
+            items.append(f"{self.bind(norm)}: "
+                         f"{self._copy(value, got[0], got[1])}")
+            steps += got[2]
+        return (f"PhpArray.from_data({{{', '.join(items)}}}, "
+                f"{self.bind(top)})", PhpArray, steps)
+
+    def _ternary(self, node: Ternary, want: type | None,
+                 depth: int) -> _Value | None:
+        cond = self._value(node.cond, None, depth + 1)
+        if cond is None:
+            return None
+        taken = self.temp()
+        self._test(f"(({taken} := {self._truth(cond[0], cond[1])}) "
+                   f"is {taken})")
+        guards = len(self.chain)
+        then = self._value(node.then, want, depth + 1)
+        other = self._value(node.other, want, depth + 1) if then else None
+        if other is None or len(self.chain) > guards:
+            return None  # an arm that needs a guard
+        self.folds.append((taken, branch_mix("tern", node.nid * 2 + 1),
+                           branch_mix("tern", node.nid * 2)))
+        if then[2] != other[2]:
+            self.extra.append(f"({then[2] - other[2]} if {taken} else 0)")
+        return (f"({then[0]} if {taken} else {other[0]})",
+                then[1] if then[1] is other[1] else None,
+                1 + cond[2] + other[2])
+
+    # -- statements --------------------------------------------------------
+
+    def block(self, pad: str, stmts: list[Node]) -> list[str]:
+        return [line for stmt in stmts
+                for line in self.statement(pad, stmt)] or [pad + "pass"]
+
+    def statement(self, pad: str, stmt: Node) -> list[str]:
+        kind = type(stmt)
+        if kind in (If, While, Foreach) and (
+                len(pad) > 4 * _INDENT
+                or kind is not If and self.loops >= _LOOPS):
+            return self.drained(pad, stmt)
+        return getattr(self, _EMIT.get(kind, "_unknown"))(pad, stmt)
+
+    def drained(self, pad: str, stmt: Node) -> list[str]:
+        """``stmt`` on its generator closure (a pure one never yields)."""
+        touched = _names(stmt) if self.fast else set()
+        run = self.bind(self.comp._compile_stmt(stmt))
+        return self.call(pad, f"next({run}(env, state), None)", touched,
+                         touched)
+
+    def _store(self, var: str) -> Callable:
+        """``use`` storing the value in variable ``var``."""
+        if not self.fast:
+            return lambda pad, src, _: [
+                f"{pad}env.store({self.name(var)}, {src})"]
+        local = self.local(var)
+
+        def store(pad: str, src: str, _kind: object) -> list[str]:
+            self.dirty.add(local)
+            return [f"{pad}{local} = {src}"]
+
+        return store
+
+    def _assign(self, pad: str, stmt) -> list[str]:
+        if not stmt.op:
+            return self.operand(pad, stmt.expr, self._store(stmt.name),
+                                copy=True, book=1)
+        apply = self.bind(compound(stmt.op))
+        if not self.fast:
+            var = self.name(stmt.name)
+            return self.operand(pad, stmt.expr, lambda p, src, _: [
+                f"{p}env.store({var}, _binop({apply}, env.lookup({var}), "
+                f"{src}, state))"], copy=True, book=1)
+        local = self.local(stmt.name)
+
+        def combine(pad: str, src: str, _kind: object) -> list[str]:
+            self.dirty.add(local)
+            return [f"{pad}{local} = _binop({apply}, None if {local} is "
+                    f"_ABSENT else {local}, {src}, state)"]
+
+        # ``$x op= e`` in line is ``$x = $x op e`` but for the steps of
+        # the operator and the read of ``$x``: the statement books one.
+        inline = [(BinOp(stmt.op, Var(stmt.name), stmt.expr),
+                   self._store(stmt.name), -1)] \
+            if compound(stmt.op) is binop(stmt.op) else None
+        return self.operand(pad, stmt.expr, combine, copy=True, book=1,
+                            inline=inline)
+
+    def _exprstmt(self, pad: str, stmt) -> list[str]:
+        return self.operand(pad, stmt.expr, lambda *_: [], book=1)
+
+    def _echo(self, pad: str, stmt) -> list[str]:
+        self.echo = True
+
+        def out(pad: str, src: str, kind: object) -> list[str]:
+            if kind is str:
+                return [f"{pad}out({src})"]
+            if kind is object:
+                return [f"{pad}out(to_str({src}) if type({src}) is not "
+                        f"MultiValue else _multi_text({src}, state))"]
+            return [f"{pad}out(to_str({src}))"]
+
+        lines = [] if stmt.exprs else self.book(pad, 1)
+        for index, expr in enumerate(stmt.exprs):
+            lines += self.operand(pad, expr, out, book=int(index == 0))
+        return lines
+
+    def _condition(self, pad: str, node: Node, where: str, held: str,
+                   book: int = 0) -> list[str]:
+        """Lines setting ``held`` to the truth of condition ``node``."""
+        def truth(pad: str, src: str, kind: object) -> list[str]:
+            if kind is object:
+                return [f"{pad}{held} = {src} is True or {src} is not False "
+                        f"and _truth({src}, {where})"]
+            return [f"{pad}{held} = {self._truth(src, kind)}"]
+
+        return self.operand(pad, node, truth, book=book)
+
+    def _if(self, pad: str, stmt, index: int = 0,
+            where: str = "") -> list[str]:
+        """Branch ``index`` of an ``if`` on, each ``elseif`` nested in
+        the ``else`` of the one before.  (A method, not a closure that
+        calls itself: such a closure is a reference cycle, which would
+        keep the compiler alive until the collector runs.)"""
+        where = where or self.bind(f"if#{stmt.nid}")
+        if index == len(stmt.branches):  # the digest target nid * 64
+            return [*self.fold(pad, self.bind(branch_mix("if", stmt.nid * 64))),
+                    *self.block(pad, stmt.else_body or [])]
+        cond, body = stmt.branches[index]
+        mix = self.bind(branch_mix("if", stmt.nid * 64 + index + 1))
+        held = self.temp()
+        return [*self._condition(pad, cond, where, held, int(index == 0)),
+                *self.branch(pad, held,
+                             lambda p: self.fold(p, mix) + self.block(p, body),
+                             lambda p: self._if(p, stmt, index + 1, where))]
+
+    def _loop(self, pad: str, stmt, head: list[str], bind: list[str]
+              ) -> list[str]:
+        """A ``while`` / ``foreach`` trip after trip: ``head`` the loop's
+        first line(s), ``bind`` what a trip starts with after its fold;
+        the digest folds ``loop`` per trip and ``loopx`` after the last,
+        and ``break`` / ``continue`` from a call arrive as signals."""
+        inner = pad + "    "
+        enter = self.bind(branch_mix("loop", stmt.nid))
+        self.loops += 1
+        lines = [*head, *self.fold(inner, enter), *bind, f"{inner}try:",
+                 *self.block(inner + "    ", stmt.body),
+                 f"{inner}except _BreakSignal:", *self.reload(inner + "    "),
+                 f"{inner}    break", f"{inner}except _ContinueSignal:",
+                 *self.reload(inner + "    "), f"{inner}    continue"]
+        self.loops -= 1
+        return lines + self.fold(pad, self.bind(branch_mix("loopx",
+                                                           stmt.nid)))
+
+    def _trips(self, stmt, binds: tuple[str, ...] = ()) -> set[str]:
+        """What may be unwritten at any trip's start: what is now, and
+        what a trip writes (``binds``, the locals a foreach binds)."""
+        self.dirty |= {"steps", "flow", *binds}
+        if self.fast:
+            self.dirty |= {self.local(var)
+                           for var in sorted(_names(stmt.body, (Assign,)))}
+        return set(self.dirty)
+
+    def _while(self, pad: str, stmt) -> list[str]:
+        lines = self.book(pad, 1)
+        dirty = self._trips(stmt)
+        held = self.temp()
+        head = [f"{pad}while True:",
+                *self._condition(pad + "    ", stmt.cond,
+                                 self.bind(f"while#{stmt.nid}"), held),
+                f"{pad}    if not {held}:", f"{pad}        break"]
+        lines += self._loop(pad, stmt, head, [])
+        self.dirty = dirty | self.dirty
+        return lines
+
+    def _foreach(self, pad: str, stmt) -> list[str]:
+        subject = self.temp()
+        lines = self.operand(pad, stmt.subject, lambda p, src, _: [
+            f"{p}{subject} = {src}"], book=1)
+        lines += self.sync(pad, set(), flows=False)  # it fails at its step
+        if self.fast:
+            key = self.local(stmt.key_var) if stmt.key_var else "_"
+            value = self.local(stmt.val_var)
+        else:
+            key, value = self.temp(), self.temp()
+        dirty = self._trips(stmt, (key, value) if self.fast else ())
+        where = self.bind(f"foreach#{stmt.nid}")
+        inner = pad + "    "
+        bind = [f"{inner}if type({value}) is PhpArray:",
+                f"{inner}    {value} = {value}.copy()",
+                f"{inner}elif type({value}) is MultiValue:",
+                f"{inner}    {value} = _copy_value({value})"]
+        if not self.fast:
+            bind += [f"{inner}env.store({self.name(var)}, {local})"
+                     for var, local in ((stmt.key_var, key),
+                                        (stmt.val_var, value)) if var]
+        head = [f"{pad}for {key}, {value} in _foreach_items({subject}, "
+                f"state, {where}):"]
+        lines += self._loop(pad, stmt, head, bind)
+        self.dirty = dirty | self.dirty
+        return lines
+
+    def _indexassign(self, pad: str, stmt) -> list[str]:
+        """``$a[] = e`` / ``$a[k] = e`` on a dict frame: the variable's
+        array (made or expanded by the closures' ``root`` where it is
+        not one), then the value, then the key, into it; a multivalue
+        among them, or an expanded root, goes to the closures' own
+        ending.  Any other index assignment runs on its generator
+        closure."""
+        if not self.fast or len(stmt.path) != 1 or stmt.op:
+            return self.drained(pad, stmt)
+        container, value, key = self.temp(), self.temp(), self.temp()
+        last, name = stmt.path[0], {stmt.name}
+        root, _, finish = map(self.bind, self.comp._index_parts(stmt))
+
+        def held(var: str) -> Callable:
+            return lambda pad, src, _: [f"{pad}{var} = {src}"]
+
+        lines = [f"{pad}{container} = {self.local(stmt.name)}", *self.when(
+            pad, f"type({container}) is not PhpArray",
+            lambda p: self.call(p, f"{container} = {root}(env, state)",
+                                name, name, flows=False)),
+            *self.operand(pad, stmt.expr, held(value), copy=True, book=1)]
+        test = (f"type({container}) is PhpArray "
+                f"and type({value}) is not MultiValue")
+        if last is None:
+            key, store = self.bind(_APPEND), f"{container}.append({value})"
+        else:
+            lines += self.operand(pad, last, held(key))
+            test += f" and type({key}) is not MultiValue"
+            store = f"{container}.set({key}, {value})"
+        return [*lines, *self.branch(
+            pad, test, lambda p: [p + store],
+            lambda p: self.call(p, f"{finish}(env, state, {container}, [], "
+                                   f"[], {key}, {value})",
+                                name, name, flows=False))]
+
+    def _return(self, pad: str, stmt) -> list[str]:
+        def leave(pad: str, src: str, _kind: object) -> list[str]:
+            # The frame is left behind: only ``steps`` and ``flow`` count.
+            return [*self.sync(pad, set()), f"{pad}raise _ReturnSignal({src})"]
+
+        if stmt.expr is None:
+            return [*self.book(pad, 1), *leave(pad, "None", None)]
+        return self.operand(pad, stmt.expr, leave, copy=True, book=1)
+
+    def _signal(self, pad: str, stmt) -> list[str]:
+        """``break`` / ``continue``: in a loop of this region a Python
+        one, else the signal the closures raise."""
+        word = type(stmt).__name__
+        if self.loops:
+            return [*self.book(pad, 1), pad + word.lower()]
+        return [*self.book(pad, 1), *self.sync(pad),
+                f"{pad}raise _{word}Signal()"]
+
+    def _globaldecl(self, pad: str, stmt) -> list[str]:
+        # A dict frame is a scope without ``global`` but for the top
+        # level, where the frame is the globals: a no-op but its step.
+        lines = self.book(pad, 1)
+        if self.fast:
+            return lines
+        return [*lines,
+                f"{pad}env.global_names.update({self.bind(tuple(stmt.names))})"]
+
+    def _unknown(self, pad: str, stmt) -> list[str]:
+        message = self.bind(f"unknown statement {type(stmt).__name__}")
+        return [*self.book(pad, 1), f"{pad}raise WeblangError({message})"]
 
 
-def _divisor(node: Node) -> bool:
-    """``%`` runs in line only by a non-zero int constant."""
-    return isinstance(node, Lit) and type(node.value) is int \
-        and node.value != 0
+#: The method that makes each kind of statement.
+_EMIT = {Assign: "_assign", ExprStmt: "_exprstmt", Echo: "_echo", If: "_if",
+         While: "_while", Foreach: "_foreach", IndexAssign: "_indexassign",
+         Return: "_return", Break: "_signal", Continue: "_signal",
+         GlobalDecl: "_globaldecl"}
 
 
-def block(stmts: list[Node], fns: list[Callable], fast: bool) -> Callable:
-    """One function running the pure statements ``stmts`` in order
-    (``fns`` their closures); ``fast`` where the frame is a dict."""
-    region = _Region(fast)
-    lines = [line for stmt, fn in zip(stmts, fns)
-             for line in region.statement(2, stmt, fn)]
-    if len(lines) == 1 and len(fns) == 1:
-        return fns[0]  # one call: the closure itself
-    return region.build("\n".join(lines) or "        pass")
+def region(comp, stmts: list[Node], top: bool,
+           whole: bool = False) -> Callable:
+    """One function running the pure statements ``stmts`` in order, as
+    their closures would (module docstring); ``comp`` is the compiler of
+    their scope, ``top`` whether the frame is the globals, ``whole``
+    whether they are a function's whole body (whose frame nobody reads
+    after them)."""
+    parts, made, body = [], _Region(comp, top), []
+    for stmt in stmts:  # a function of at most about _SIZE characters
+        if sum(map(len, body)) > _SIZE:
+            parts.append(_assembled(made, body + made.sync(_PAD)))
+            made, body = _Region(comp, top), []
+        body += made.statement(_PAD, stmt)
+    parts.append(_assembled(made, (body or [_PAD + "pass"])
+                            + made.sync(_PAD, set() if whole else None)))
+    if len(parts) == 1:
+        return parts[0]
+
+    def run(env, state):
+        for part in parts:
+            part(env, state)
+
+    return run
 
 
-def loop(stmt: While, cond_fn: Callable, fns: list[Callable], enter: int,
-         leave: int, where: str, fast: bool) -> Callable:
-    """One function running the pure ``while`` ``stmt`` (``cond_fn`` the
-    condition's closure, ``fns`` its body's) as its closure would: the
-    flow digest folds ``enter`` per trip and ``leave`` after the last,
-    ``break`` / ``continue`` arrive as signals, and ``_truth`` decides a
-    condition that is not a bool.
-
-    A call — a closure or ``_truth`` — finds the frame and ``state`` as
-    the closures alone would have left them, and whatever it raises
-    leaves them as the call did: a signal reloads the locals, and an
-    error goes out with nothing written after the call."""
-    forms: list[tuple[Node, str | None]] = [(stmt.cond, None)]
-    forms += [form[:2] for node in stmt.body
-              if (form := _form(node)) is not None]
-    region = _Loop(fast, forms)
-    cond = region._line(3, stmt.cond,
-                        f"cond = {region.bind(cond_fn)}(env, state)", None, 0)
-    sync = region.sync(" " * 16, region.dirty)
-    region.dirty.add("flow")
-    body = [line for node, fn in zip(stmt.body, fns)
-            for line in region.statement(4, node, fn)]
-    load = ["        get = env.get"] if region.locals else []
-    return region.build(_LOOP.format(
-        load="\n".join(load + region.reload(" " * 8)), cond="\n".join(cond),
-        sync="\n".join(sync), body="\n".join(body) or " " * 16 + "pass",
-        reload="\n".join(region.reload(" " * 16)),
-        sync_exit="\n".join(region.sync(" " * 8, region.written)),
-        where=region.bind(where), enter=region.bind(enter),
-        leave=region.bind(leave)))
+def expression(comp, exprs: list[Node], copy: bool,
+               many: bool = False) -> Callable | None:
+    """One function evaluating the pure expressions ``exprs`` in order,
+    with copy semantics where ``copy``, each in line where it qualifies,
+    and returning the value — with ``many``, the list of them: what code
+    that may yield evaluates a pure operand with.  ``None`` where none
+    qualifies: their closures do as well."""
+    made = _Region(comp, comp.top)
+    held = [made.temp() for _ in exprs]
+    body = [line for node, value in zip(exprs, held)
+            for line in made.operand(
+                _PAD, node, lambda pad, src, _, value=value: [
+                    f"{pad}{value} = {src}"], copy=copy)]
+    if not made.lined:
+        return None
+    result = f"[{', '.join(held)}]" if many else held[0]
+    return _assembled(made, [*body, *made.sync(_PAD, set()),
+                             f"{_PAD}return {result}"])
 
 
-def _operand(region: _Region, index: int, operand: tuple
-             ) -> tuple[str, list[str], int]:
-    """What holds ``operand`` — ``(closure, dict-frame variable or None,
-    (value, steps) or None)`` — once ``lines`` ran, the lines, and the
-    steps left to book: a constant is bound, a variable read, booked and
-    copied as its copy-read closure would, else its closure called."""
-    fn, var, const = operand
-    if const is not None:
-        return region.bind(const[0]), [], const[1]
-    arg = f"a{index}"
-    if var is None:
-        return arg, [f"{arg} = {region.bind(fn)}(env, state)"], 0
-    return arg, [f"{arg} = env.get({region.bind(var)})",
-                 f"if type({arg}) is PhpArray:", f"    {arg} = {arg}.copy()",
-                 f"elif type({arg}) is MultiValue:",
-                 f"    state.multivalent(len({arg}.values))",
-                 f"    {arg} = _copy_value({arg})"], 1
+#: The indent of a generated function's body.
+_PAD = " " * 8
 
 
-def _built(region: _Region, steps: int, lines: list[str]) -> Callable:
-    """The generated function: ``steps`` booked, then ``lines``."""
-    lines.insert(0, f"state.steps += {region.bind(steps)}")
-    return region.build("\n".join(" " * 8 + line for line in lines),
-                        _expression_factory)
-
-
-def call(builtin: Callable, operands: list[tuple]) -> Callable:
-    """One function calling the pure built-in ``builtin`` as the closures
-    of the call and of its arguments would, arguments evaluated in order
-    (:func:`_operand`); one that is a multivalue — or an array, once a
-    cell holds one — sends the call to ``_call_builtin``."""
-    region = _Region(True)
-    evaluated = [_operand(region, index, operand)
-                 for index, operand in enumerate(operands)]
-    fn, args = region.bind(builtin), ", ".join(arg for arg, _, _ in evaluated)
-    held = [arg for arg, lines, _ in evaluated if lines]  # not constants
-    body = [line for _, lines, _ in evaluated for line in lines]
-    if held:
-        multi = " or ".join(f"type({arg}) is MultiValue" for arg in held)
-        array = " or ".join(f"type({arg}) is PhpArray" for arg in held)
-        body += [f"if {multi} or state.multi_cells and ({array}):",
-                 f"    return _call_builtin({fn}, [{args}], state)"]
-    body.append(f"return {fn}({args})")
-    return _built(region, 1 + sum(steps for _, _, steps in evaluated), body)
-
-
-def copy_read(var: str) -> Callable:
-    """The copy-read of dict-frame variable ``var``, as :func:`call`
-    reads an argument."""
-    region = _Region(True)
-    arg, lines, steps = _operand(region, 0, (None, var, None))
-    return _built(region, steps, [*lines, f"return {arg}"])
+def _assembled(made: _Region, body: list[str]) -> Callable:
+    """The generated function of ``made`` whose statements are
+    ``body``: its locals loaded first."""
+    head = [f"{_PAD}steps = state.steps", f"{_PAD}flow = state.flow"]
+    if made.echo:
+        head.append(f"{_PAD}out = state.output.append")
+    loads = {var: f"{local} = get({made.name(var)}, _ABSENT)"
+             for var, local in made.locals.items()}
+    if loads:
+        head += [f"{_PAD}get = env.get",
+                 *(_PAD + load for load in loads.values())]
+    lines = []
+    for line in head + body:
+        if line.endswith(_RELOAD):
+            lines += [line[:-1] + load for var, load in loads.items()
+                      if var in made.shared]
+        else:
+            lines.append(line)
+    params = ", ".join(f"b{index}" for index in range(len(made.args)))
+    source = (f"def make({params}):\n    def run(env, state):\n"
+              + "\n".join(lines) + "\n    return run\n")
+    return _factory(source)(*made.args)

@@ -37,6 +37,7 @@ import marshal
 from collections.abc import Callable, Sequence
 from functools import partial
 
+from repro.common.digest import _FNV_PRIME, _MASK
 from repro.common.errors import (
     DivergenceError,
     MultivalueFallback,
@@ -121,6 +122,12 @@ def _truth(value: object, where: str) -> bool:
             raise DivergenceError(f"branch condition diverges at {where}")
         return truths.pop()
     return truthy(value)
+
+
+def _fold(state: _State, mix: int) -> None:
+    """Fold a branch arm's pre-mixed constant into the flow digest."""
+    if state.flow is not None:
+        state.flow = ((state.flow ^ mix) * _FNV_PRIME) & _MASK
 
 
 def _identity(state: _State) -> Partition:

@@ -369,7 +369,11 @@ def to_float(value: object) -> float:
             return float(out) if out not in ("", "+", "-", ".") else 0.0
         except ValueError:  # pragma: no cover - filtered above
             return 0.0
-    return float(to_int(value))
+    number = to_int(value)
+    try:
+        return float(number)
+    except OverflowError:  # past the largest float: INF, as ``$x + 0.5`` is
+        return math.inf if number > 0 else -math.inf
 
 
 def _numeric(value: object) -> int | float | None:

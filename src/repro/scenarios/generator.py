@@ -534,8 +534,10 @@ def synthesize(
         writer.write_end()
 
     profile = None
+    ratio = None
     if session is not None:
         final = session.close()
+        ratio = final.stats["work_ratio"]
         if verified is None:
             verified = bool(final.accepted)
         profile = group_profile(final.stats, meta={
@@ -568,6 +570,7 @@ def synthesize(
         ),
         "resumed": checkpoint is not None,
         "verified": verified,
+        "work_ratio": ratio,
         "profile_groups": profile["groups"] if profile else None,
     }
 

@@ -1,8 +1,7 @@
-"""Fused expression shapes of the compiled engine against the oracle.
+"""In-line expression shapes of the compiled engine against the oracle.
 
-Four expression shapes run as one closure each (:mod:`repro.lang.compile`,
-:func:`repro.lang.regions.call` / :func:`~repro.lang.regions.copy_read`):
-a pure built-in call of one to three arguments, the copy-read of a
+Four expression shapes run in line in a generated region
+(:mod:`repro.lang.regions`): a pure built-in call, the copy-read of a
 dict-frame variable, ``$v[<int / str constant>]`` and an array literal
 (built once when it is constant, its keys normalised once when they
 are).  A single-key index assignment walks and holds no path.  Each
@@ -159,28 +158,12 @@ def _group(compiled, requests):
             out.multi_classes, out.flow_tag)
 
 
-def _tree_call(builtin, operands):
-    """A built-in call as the closure tree ran it: the argument
-    closures into a list, then ``_call_builtin``."""
-    fns = [fn for fn, _, _ in operands]
-
-    def run(env, state):
-        state.steps += 1
-        return simd._call_builtin(builtin, [fn(env, state) for fn in fns],
-                                  state)
-
-    return run
-
-
 def _unfused(program):
-    """``program`` compiled with the fused shapes taken apart: no
-    variable read in line, no literal built ahead, no key normalised
-    ahead, calls as closure trees."""
-    with mock.patch.object(compile_module._Compiler, "_frame_var",
-                           lambda *_: None), \
+    """``program`` compiled with the shapes taken apart: no expression
+    in line, no literal built ahead, no key normalised ahead."""
+    with mock.patch.object(regions._Region, "_value", lambda *_: None), \
             mock.patch.object(compile_module, "_const_key",
-                              lambda *_: None), \
-            mock.patch.object(regions, "call", _tree_call):
+                              lambda *_: None):
         return compile_program(program)
 
 
@@ -241,18 +224,22 @@ def _built(program) -> list:
 
 
 def test_the_cases_take_the_fused_paths():
-    """The table reaches the shapes it is for: calls of one to three
-    arguments go to ``regions.call``, and constant literals are built
+    """The table reaches the shapes it is for: built-in calls and
+    constant indexes run in line, and constant literals are built
     ahead."""
-    seen = {"call": 0, "built": 0}
+    seen = {"_call": 0, "_held": 0, "built": 0}
 
     def counting(kind, real):
         def wrapper(*args):
-            seen[kind] += 1
-            return real(*args)
+            got = real(*args)
+            seen[kind] += got is not None
+            return got
         return wrapper
 
-    with mock.patch.object(regions, "call", counting("call", regions.call)):
+    with mock.patch.object(regions._Region, "_call",
+                           counting("_call", regions._Region._call)), \
+            mock.patch.object(regions._Region, "_held",
+                              counting("_held", regions._Region._held)):
         for body in CASES.values():
             seen["built"] += bool(_built(parse_program(body)))
     assert min(seen.values()) >= 3, seen
@@ -278,8 +265,7 @@ def _frames(program, request) -> list[str]:
     """The engine's own Python frames (compile and simd closures, and
     generated functions) of one run, by file."""
     frames: list[str] = []
-    engine = (compile_module.__file__, simd.__file__, "<weblang expression>",
-              "<weblang region>")
+    engine = (compile_module.__file__, simd.__file__, "<weblang region>")
 
     def profile(frame, event, _arg):
         if event == "call" and frame.f_code.co_filename in engine:
@@ -303,13 +289,14 @@ def _frames(program, request) -> list[str]:
     "['a' => 1, 'b' => [2]]",  # a handle on the built array
 ])
 def test_each_fused_shape_is_one_frame(expr):
-    """A univalent fused shape makes exactly one Python frame of the
-    engine's own: ``$x = <expr>`` makes as many as ``$x = $s + 1``, an
-    operator fused with its operands (the statement's closure calls the
-    expression's in both)."""
+    """A univalent fused shape runs in line in its region and makes no
+    Python frame of the engine's own: ``$x = <expr>`` makes as many as
+    ``$x = 1``, and fewer than ``$x = $s + 1``, whose operator is not in
+    line on a str and calls its closures."""
     source = ("function f() {{ $s = 'hello'; $cfg = ['site' => 'w']; "
               "$x = {}; }} f();")
     request = Request("r", "frames.php")
     shaped = _frames(parse_program(source.format(expr)), request)
-    plain = _frames(parse_program(source.format("$s + 1")), request)
-    assert len(shaped) == len(plain)
+    constant = _frames(parse_program(source.format("1")), request)
+    called = _frames(parse_program(source.format("$s + 1")), request)
+    assert len(shaped) == len(constant) < len(called)

@@ -161,7 +161,10 @@ class ProgramGen:
             args = ", ".join(self.expr(depth + 1) for _ in range(arity))
             return f"{name}({args})"
         if self.typed:
-            return f"${r.choice(self.arrays)}[{self.key(depth)}]"
+            read = f"${r.choice(self.arrays)}[{self.key(depth)}]"
+            if r.random() < 0.3:  # constant keys, nested
+                read = f"${r.choice(self.arrays)}['n'][{r.choice('01')}]"
+            return read
         return f"${r.choice(self.vars)}[{self.expr(depth + 1)}]"
 
     def key(self, depth: int = 2) -> str:
@@ -297,10 +300,19 @@ class ProgramGen:
             ])
         self.loop_id += 1
         k, v = f"k{self.loop_id}", f"v{self.loop_id}"
+        const = r.choice(["0", "1", "'n'"])
         body = r.choice([
             f"echo ${k}, '=', is_array(${v}) ? 'A' : ${v}, ';';",
             f"${r.choice(self.vars)} .= ${k};",
             f"if (${k} === {self.key()}) {{ break; }} echo ${k};",
+            # The value mutated as an array, the subject reassigned, a
+            # constant index and a literal with constant keys in the body.
+            f"${v} = [${v}]; ${v}[] = ${k}; echo count(${v});",
+            f"${arr} = ['r' => ${k}]; ${arr}[] = ${v}; echo ${k};",
+            f"${r.choice(self.vars)} = ${arr}['k'] . ${k} . "
+            f"${r.choice(self.arrays)}[{const}];",
+            f"${r.choice(self.arrays)}[] = ['k' => ${k}, 'v' => "
+            f"{self.expr(2)}];",
         ])
         return f"foreach (${arr} as ${k} => ${v}) {{ {body} }}"
 

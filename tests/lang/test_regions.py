@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import MultivalueFallback, WeblangError
-from repro.lang import regions
+from repro.lang import interp, regions, simd
 from repro.lang.ast import Lit, Node
 from repro.lang.compile import (
     CompInterpreter,
@@ -31,6 +31,7 @@ from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
 from repro.lang.simd import _State
 from repro.trace.events import Request
+from repro.multivalue.multivalue import MultiValue
 from tests.lang.driver import GROUP_ERRORS, alone, finish
 
 sys.path.append(str(Path(__file__).resolve().parents[2]
@@ -146,9 +147,9 @@ def _group(compiled, requests):
 
 
 def _closures_only(program):
-    """``program`` compiled with no statement in line: every statement
-    of a region calls its closure, as before regions ran any."""
-    with mock.patch.object(regions._Region, "_expr", lambda *_: None):
+    """``program`` compiled with no expression in line: every expression
+    of a region calls its closure."""
+    with mock.patch.object(regions._Region, "_value", lambda *_: None):
         return compile_program(program)
 
 
@@ -292,7 +293,7 @@ def test_the_benchmark_loop_is_one_generated_function(monkeypatch):
     assert body == alone(Interpreter(), program,
                          Request("r", "compute.php", get={"n": "80"}))[0]
     assert len(long) == len(short)
-    assert short.count("<weblang region>") == 2  # the script, the loop
+    assert short.count("<weblang region>") == 1  # the script and its loop
     (loop,) = [source for source in sources if "while True:" in source]
     assert "env.get" not in loop[loop.index("while True:"):]
 
@@ -351,7 +352,146 @@ echo $p0, '|', $p1, '|', $p3, '|', $p4, '|', $p5, '|', $p6;
     assert alone(CompInterpreter(record_flow=True), program,
                  request) == expected
     assert _group(compiled, [request]).bodies == [expected[0]]
-    assert len(sources) == 2  # the script and its loop
+    assert sources  # the script and its loop, in one function or two
     for source in sources:
         for text in HOSTILE:
             assert text not in source
+
+
+#: The hazards of a generated ``foreach`` / ``if`` / index assignment:
+#: name -> program body.  ``$m`` is a multivalue of arrays in a group
+#: (one class per request), ``$q`` the request's own number.
+HAZARDS = {
+    "value_array_mutated": "$a = [[1], [2, 3]]; foreach ($a as $v) "
+                           "{ $v[] = 5; echo count($v); } "
+                           "echo '|', count($a[0]), count($a[1]);",
+    "subject_reassigned": "$a = [1, 2, 3]; foreach ($a as $k => $v) "
+                          "{ $a = ['r' => $v]; $a[] = $k; echo $v; } "
+                          "echo '|', implode(',', array_keys($a));",
+    "break_from_a_call": "function stop($v) { if ($v == 2) { break; } "
+                         "return $v; } "
+                         "foreach ([1, 2, 3] as $v) { echo stop($v); } "
+                         "echo '|'; $i = 0; while ($i < 4) { $i += 1; "
+                         "echo stop($i); }",
+    "continue_from_a_call": "function skip($v) { if ($v % 2) { continue; } "
+                            "} foreach ([1, 2, 3, 4] as $k => $v) "
+                            "{ skip($v); echo $k; }",
+    "multivalue_subject": "$m = explode(',', param('l')); "
+                          "foreach ($m as $k => $v) { echo $k, '=', $v, ';'; }"
+                          " echo '|', count($m);",
+    "variables_after_the_loop": "foreach (['a' => 1, 'b' => [2]] as $k => $v)"
+                                " { $last = $k; } echo $k, count($v), $last; "
+                                "foreach ([] as $j => $w) { } "
+                                "echo is_null($j) ? 'N' : $j;",
+    "empty_array": "$n = 0; foreach ([] as $v) { $n += 1; echo 'x'; } "
+                   "echo 'done', $n;",
+    "scalar_subject": "$s = 'abc'; echo 'a'; foreach ($s as $v) { echo $v; }",
+    "null_subject": "echo 'a'; foreach ($nothing as $v) { echo $v; } "
+                    "echo 'b';",
+    "if_arm_raises": "$q = intval(param('q')); if ($q > 2) { echo 'a'; "
+                     "$x = $q % 0; echo 'b'; } elseif ($q > 0) { echo 'c'; "
+                     "} else { echo 'd'; } echo 'e';",
+    "append_to_a_missing_variable": "$b[] = 1; $b[] = 'two'; "
+                                    "$c['k'] = $b; echo count($b), "
+                                    "implode(',', $c['k']);",
+}
+
+#: Three requests that differ in ``q`` and in ``l``, a list of two.
+HAZARD_INPUTS = [{"q": "0", "l": "a,b"}, {"q": "1", "l": "c,d"},
+                 {"q": "3", "l": "e,f"}]
+
+
+def _in_scope(body: str, scope: str) -> str:
+    if scope == "top":
+        return body
+    declare = "global $unused; " if scope == "global" else ""
+    return f"function f() {{ {declare}{body} }} f();"
+
+
+@pytest.mark.parametrize("scope", ["top", "function", "global"])
+@pytest.mark.parametrize("name", sorted(HAZARDS))
+def test_a_hazard_agrees_with_the_oracle(name, scope):
+    """Each hazard, request by request, equals the oracle (body,
+    ``steps``, flow tag, error); as a group of three it is each slot's
+    oracle run, or does not complete where they part or fail, and books
+    the multivalent steps the closures alone would."""
+    source = HAZARDS[name]
+    if scope != "top" and source.startswith("function"):
+        scope = "top"  # a function declared inside a function
+    program = parse_program(_in_scope(source, scope))
+    requests = [Request(f"r{slot}", "hazard.php", get=dict(get))
+                for slot, get in enumerate(HAZARD_INPUTS)]
+    oracle = [alone(Interpreter(record_flow=True), program, request)
+              for request in requests]
+    for request, expected in zip(requests, oracle):
+        assert alone(CompInterpreter(record_flow=True), program,
+                     request) == expected
+    group = _group(compile_program(program), requests)
+    closures = _group(_closures_only(program), requests)
+    if isinstance(group, Exception):
+        assert type(closures) is type(group)
+        assert any(isinstance(ref, str) for ref in oracle) \
+            or len({ref[2] for ref in oracle}) > 1 \
+            or isinstance(group, MultivalueFallback), (name, group)
+        return
+    assert group.bodies == [body for body, _, _ in oracle]
+    assert {(group.steps, group.flow_tag)} == {
+        (steps, tag) for _, steps, tag in oracle}
+    assert (group.multi_steps, group.multi_slots, group.multi_classes) == (
+        closures.multi_steps, closures.multi_slots, closures.multi_classes)
+
+
+def test_the_hazards_reach_the_paths_they_are_for():
+    """The table is not vacuous: the multivalue subject goes through
+    ``_foreach_items`` as one of a group's three classes, the scalar and
+    null subjects fail as the oracle does, and the missing variable is
+    made an array."""
+    outputs = {name: alone(CompInterpreter(record_flow=True),
+                           parse_program(HAZARDS[name]),
+                           Request("r", "hazard.php",
+                                   get=dict(HAZARD_INPUTS[2])))
+               for name in HAZARDS}
+    assert outputs["scalar_subject"] == "WeblangError: foreach over a " \
+                                        "non-array"
+    assert outputs["null_subject"] == outputs["scalar_subject"]
+    assert outputs["append_to_a_missing_variable"][0] == "21,two"
+    assert outputs["value_array_mutated"][0] == "23|12"
+    assert outputs["break_from_a_call"][0] == "1|1"
+    assert outputs["continue_from_a_call"][0] == "13"
+    assert outputs["variables_after_the_loop"][0] == "b1bN"
+    seen = []
+    real = simd._foreach_items
+
+    def spy(subject, state, where):
+        seen.append(type(subject))
+        return real(subject, state, where)
+
+    program = parse_program(HAZARDS["multivalue_subject"])
+    requests = [Request(f"r{slot}", "hazard.php", get=dict(get))
+                for slot, get in enumerate(HAZARD_INPUTS)]
+    with mock.patch.object(regions, "_foreach_items", spy), \
+            mock.patch.dict(regions._HELPERS, {"_foreach_items": spy}):
+        out = _group(compile_program(program), requests)
+    assert seen == [MultiValue]
+    assert out.bodies == ["0=a;1=b;|2", "0=c;1=d;|2", "0=e;1=f;|2"]
+
+
+def test_a_subject_that_is_no_array_fails_at_the_oracles_step():
+    """``foreach`` over a str fails with the oracle's error, and with
+    ``steps`` where the oracle's stood when it raised."""
+    program = parse_program(HAZARDS["scalar_subject"])
+    request = Request("r", "hazard.php")
+    states = []
+    for module, cls in ((interp, interp._RunState), (simd, simd._State)):
+        real = cls.__init__
+
+        def init(self, *args, _real=real, **kwargs):
+            _real(self, *args, **kwargs)
+            states.append(self)
+
+        with mock.patch.object(cls, "__init__", init):
+            engine = Interpreter() if module is interp else CompInterpreter()
+            assert alone(engine, program, request) == \
+                "WeblangError: foreach over a non-array"
+    oracle, compiled = states
+    assert compiled.steps == oracle.steps == 6

@@ -414,3 +414,40 @@ def test_a_bundle_edited_to_a_long_parameter_is_rejected(
         result = auditor.audit_stream(reader)
     assert not result.accepted
     assert result.reason is RejectReason.OUTPUT_MISMATCH
+
+
+#: Scripts that turn an int past the largest float into a float.
+BIG_INT_SCRIPTS = {
+    "floor.php": "echo floor(intval(param('n')));",
+    "ceil.php": "echo ceil(-intval(param('n')));",
+    "round.php": "echo round(intval(param('n')), 2);",
+    "floatval.php": "echo floatval(intval(param('n')));",
+    "format.php": "echo number_format(intval(param('n')));",
+    "compare.php": "echo intval(param('n')) < 1.5 ? 'lt' : 'ge';",
+}
+
+
+@pytest.mark.parametrize("engine", ["interp", "hybrid"])
+def test_an_int_past_the_float_range_is_inf(monkeypatch, engine):
+    """``to_float`` of an int of 400 digits raised ``OverflowError``
+    (``floor``, ``ceil``, ``round``, ``floatval``, ``number_format`` and
+    a comparison with a float all take it), which ended every request's
+    serve.  It is now ``INF``, signed, as ``$x + 0.5`` already was: the
+    request gets its page, the others are served, and the bundle is
+    audited alike."""
+    app = Application.from_sources("big", BIG_INT_SCRIPTS)
+    requests = [Request(f"{path}{value[:1]}", path, get={"n": value})
+                for path in BIG_INT_SCRIPTS for value in ("9" * 400, "3")]
+    execution = _serve_on(monkeypatch, engine, app, requests)
+    bodies = {rid: response.body for rid, response
+              in execution.trace.responses().items()}
+    assert bodies == {"floor.php9": "INF", "floor.php3": "3",
+                      "ceil.php9": "-INF", "ceil.php3": "-3",
+                      "round.php9": "INF", "round.php3": "3",
+                      "floatval.php9": "INF", "floatval.php3": "3",
+                      "format.php9": "inf", "format.php3": "3",
+                      "compare.php9": "ge", "compare.php3": "ge"}
+    result = Auditor(app, AuditConfig(backend=engine)).audit_epochs(
+        execution.epochs(), execution.initial_state)
+    assert result.accepted, (result.reason, result.detail)
+    assert result.produced == bodies

@@ -1011,6 +1011,31 @@ def test_synth_writes_verified_bundle(tmp_path, capsys):
                  "--scale", "0.05"]) == 0
 
 
+def test_synth_prints_the_self_audits_work_ratio(tmp_path, capsys):
+    """The self-audit's work ratio is in the summary, beside its verdict,
+    and it is the one ``repro audit`` reports for the bundle."""
+    import json as _json
+
+    bundle = str(tmp_path / "synth.jsonl")
+    args = ["synth", "--workload", "wiki", "--scale", "0.05", "--seed", "1",
+            "--requests", "120", "--epoch-size", "60", "--users", "1000",
+            "--out", bundle, "--profile", str(tmp_path / "profile.json")]
+    assert main(args) == 0
+    line = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("self-audit:")]
+    assert len(line) == 1 and line[0].startswith("self-audit: ACCEPTED ")
+    assert main(args + ["--json"]) == 0
+    ratio = _json.loads(capsys.readouterr().out)["work_ratio"]
+    assert line[0].endswith(f"work_ratio={ratio:.3f}") and ratio > 1
+    assert main(["audit", bundle, "--workload", "wiki", "--scale", "0.05",
+                 "--json"]) == 0
+    assert _json.loads(capsys.readouterr().out)["stats"]["work_ratio"] \
+        == ratio
+    # Without a self-audit there is no ratio.
+    assert main(args[:-2] + ["--json"]) == 0
+    assert _json.loads(capsys.readouterr().out)["work_ratio"] is None
+
+
 def test_synth_resume_roundtrip(tmp_path, capsys):
     import json as _json
 

@@ -130,6 +130,22 @@ _SEVERITY_ORDER: dict[str, int] = {name: i for i, name in enumerate(SEVERITIES)}
 _TAINT_EFFECTS: frozenset = frozenset({EFFECT_NONDET, EFFECT_EXTERNAL})
 
 
+def call_kind(name: str, functions) -> str:
+    """What a call of ``name`` runs, where ``functions`` holds the user
+    functions: ``input``, ``builtin`` (one that yields an intent),
+    ``user``, ``pure`` or ``unknown`` — in the exact dispatch order of
+    the runtimes (user functions shadow pure built-ins but not
+    intent-yielding ones)."""
+    if name in REQUEST_INPUT_BUILTINS:
+        return "input"
+    if name in STATE_BUILTINS or name in EXTERNAL_BUILTINS \
+            or name in NONDET_BUILTINS:
+        return "builtin"
+    if name in functions:
+        return "user"
+    return "pure" if name in PURE_BUILTINS else "unknown"
+
+
 def iter_children(node: Node) -> tuple:
     """The direct AST children of ``node`` (the analysis walk order)."""
     kind = type(node)
@@ -177,6 +193,15 @@ def iter_children(node: Node) -> tuple:
     if kind is FuncDecl:
         return tuple(node.body)
     return ()
+
+
+def nodes(tree: Node | list) -> list[Node]:
+    """Every node of ``tree`` (a node or a list of them)."""
+    found, stack = [], list(tree) if isinstance(tree, list) else [tree]
+    while stack:
+        found.append(stack.pop())
+        stack.extend(iter_children(found[-1]))
+    return found
 
 
 def sql_key_footprint(sql: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -485,23 +510,13 @@ class _Analyzer:
     # -- call resolution (mirrors Interpreter._eval_call dispatch) --------
 
     def _resolve(self, name: str) -> tuple[str, frozenset]:
-        """``(kind, effects)`` where kind is one of ``input``,
-        ``builtin``, ``user``, ``pure``, ``unknown`` — in the exact
-        dispatch order of the runtimes (user functions shadow pure
-        builtins but not intent-yielding ones)."""
-        if name in REQUEST_INPUT_BUILTINS:
-            return "input", EFFECTS_NONE
-        if (
-            name in STATE_BUILTINS
-            or name in EXTERNAL_BUILTINS
-            or name in NONDET_BUILTINS
-        ):
-            return "builtin", BUILTIN_EFFECTS[name]
-        if name in self.functions:
-            return "user", self.func_effects.get(name, EFFECTS_NONE)
-        if name in PURE_BUILTINS:
-            return "pure", EFFECTS_NONE
-        return "unknown", EFFECTS_NONE
+        """``(kind, effects)``, kind as :func:`call_kind` says."""
+        kind = call_kind(name, self.functions)
+        if kind == "builtin":
+            return kind, BUILTIN_EFFECTS[name]
+        if kind == "user":
+            return kind, self.func_effects.get(name, EFFECTS_NONE)
+        return kind, EFFECTS_NONE
 
     # -- pass 1: function effect fixpoint over the call graph -------------
 

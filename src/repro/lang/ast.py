@@ -7,7 +7,7 @@ stable for a given source text — the parser numbers nodes in parse order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 
 class Node:
@@ -189,26 +189,3 @@ class Program(Node):
     body: list[Node] = field(default_factory=list)
     nid: int = 0
     node_count: int = 0
-
-
-#: A node type's fields that may hold nodes (by their annotations).
-_FIELDS: dict[type, tuple[str, ...]] = {}
-
-
-def nodes(tree: Node | list | tuple) -> list[Node]:
-    """Every node of ``tree`` (a node, or a list or tuple of them)."""
-    found, stack = [], [tree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, Node):
-            found.append(item)
-            kind = type(item)
-            if kind not in _FIELDS:
-                _FIELDS[kind] = tuple(slot.name for slot in fields(kind)
-                                      if "Node" in str(slot.type))
-            # Field by field: ``vars()`` would give each node a dict.
-            for name in _FIELDS[kind]:
-                stack.append(getattr(item, name))
-        elif isinstance(item, (list, tuple)):
-            stack.extend(item)
-    return found

@@ -103,10 +103,9 @@ from repro.lang.ast import (
     UnOp,
     Var,
     While,
-    nodes,
 )
 from repro.lang import regions
-from repro.lang.analysis import analyze_program
+from repro.lang.analysis import analyze_program, call_kind, nodes
 from repro.lang.builtins import (
     EXTERNAL_BUILTINS,
     NONDET_BUILTINS,
@@ -202,7 +201,7 @@ class _Compiler:
         self.analysis = analyze_program(program, db_name, kv_name,
                                         session_cookie)
         #: A variable read or a constant is the same closure wherever
-        #: it occurs: (name, use_env or "copy") / (type, repr, steps).
+        #: it occurs: (name,) / (type, repr, steps).
         self.leaves: dict[tuple, tuple] = {}
         #: A constant array literal's closure -> (its array, steps).
         self.literals: dict[Callable, tuple[PhpArray, int]] = {}
@@ -241,35 +240,13 @@ class _Compiler:
         body_pure, body_fn = self._compile_block(program.body)
         return CompiledProgram(program.name, body_pure, body_fn)
 
-    def _accessors(self, name: str) -> tuple[Callable, Callable]:
-        """``load(env)`` / ``store(env, value)`` of variable ``name`` in
-        the scope being compiled (statements off the hot path use them;
-        hot ones inline the frame access)."""
-        if self.use_env:
-            return (lambda env: env.lookup(name),
-                    lambda env, value: env.store(name, value))
-
-        def store(env, value):
-            env[name] = value
-
-        return (lambda env: env.get(name)), store
-
     # -- blocks and statements ------------------------------------------------
 
     def _pure(self, node: Node) -> bool:
-        """Whether ``node`` never yields an intent: it calls no state,
-        external or non-deterministic built-in and no impure function."""
-        key = (id(node), "pure")
-        if key not in self.exprs:
-            self.exprs[key] = (node, not any(
-                type(item) is Call and item.name not in REQUEST_INPUTS and (
-                    item.name in STATE_BUILTINS
-                    or item.name in EXTERNAL_BUILTINS
-                    or item.name in NONDET_BUILTINS
-                    or (item.name in self.funcs
-                        and not self.funcs[item.name].pure))
-                for item in nodes(node)))
-        return self.exprs[key][1]
+        """Whether ``node`` never yields an intent (the analyzer's
+        effects: it calls no state, external or non-deterministic
+        built-in and no impure function)."""
+        return not self.analysis.effects_of(node)
 
     def _compile_block(self, stmts: list[Node],
                        whole: bool = False) -> tuple[bool, Callable]:
@@ -313,21 +290,21 @@ class _Compiler:
             return run_gen
         return getattr(self, {
             Assign: "_compile_assign", Echo: "_compile_echo",
-            If: "_compile_if", While: "_compile_while",
-            Foreach: "_compile_foreach",
+            If: "_compile_if", While: "_compile_loop",
+            Foreach: "_compile_loop",
             IndexAssign: "_compile_index_assign"}[kind])(stmt)
 
     def _compile_assign(self, stmt: Assign) -> Callable:
         _, fn, _ = self._compile_expr_copy(stmt.expr)
         apply = compound(stmt.op) if stmt.op else None
-        load, store = self._accessors(stmt.name)
+        name = stmt.name
 
         def run_gen(env, state):
             state.steps += 1
             value = yield from fn(env, state)
             if apply is not None:
-                value = _binop(apply, load(env), value, state)
-            store(env, value)
+                value = _binop(apply, env.get(name), value, state)
+            env[name] = value
 
         return run_gen
 
@@ -375,55 +352,40 @@ class _Compiler:
 
         return run_gen
 
-    def _compile_while(self, stmt: While) -> Callable:
-        cond_pure, cond_fn, _ = self._operand(stmt.cond)
+    def _compile_loop(self, stmt: While | Foreach) -> Callable:
+        """A ``while`` / ``foreach``: a trip starts when the condition
+        holds / with the next pair bound, and the digest folds ``loop``
+        per trip and ``loopx`` after the last."""
+        each = type(stmt) is Foreach
+        test_pure, test_fn, _ = self._operand(stmt.subject if each
+                                              else stmt.cond)
         body_pure, body_fn = self._compile_block(stmt.body)
         enter = branch_mix("loop", stmt.nid)
         leave = branch_mix("loopx", stmt.nid)
-        where = f"while#{stmt.nid}"
+        where = f"{'foreach' if each else 'while'}#{stmt.nid}"
+        key_var, val_var = (stmt.key_var, stmt.val_var) if each else (0, 0)
 
         def run_gen(env, state):
             state.steps += 1
+            if each:
+                items = iter(_foreach_items(
+                    test_fn(env, state) if test_pure
+                    else (yield from test_fn(env, state)), state, where))
             while True:
-                value = (cond_fn(env, state) if cond_pure
-                         else (yield from cond_fn(env, state)))
-                if not _truth(value, where):
+                if not each:
+                    if not _truth(test_fn(env, state) if test_pure
+                                  else (yield from test_fn(env, state)),
+                                  where):
+                        break
+                elif (item := next(items, None)) is None:
                     break
+                else:
+                    if key_var:
+                        env[key_var] = item[0]
+                    kind = type(value := item[1])
+                    env[val_var] = (_copy_value(value) if kind is PhpArray
+                                    or kind is MultiValue else value)
                 _fold(state, enter)
-                try:
-                    if body_pure:
-                        body_fn(env, state)
-                    else:
-                        yield from body_fn(env, state)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    continue
-            _fold(state, leave)
-
-        return run_gen
-
-    def _compile_foreach(self, stmt: Foreach) -> Callable:
-        subj_pure, subj_fn, _ = self._operand(stmt.subject)
-        body_pure, body_fn = self._compile_block(stmt.body)
-        enter = branch_mix("loop", stmt.nid)
-        leave = branch_mix("loopx", stmt.nid)
-        where = f"foreach#{stmt.nid}"
-        key_var = stmt.key_var
-        store = self._accessors(stmt.val_var)[1]
-        store_key = self._accessors(key_var)[1] if key_var else None
-
-        def run_gen(env, state):
-            state.steps += 1
-            subject = (subj_fn(env, state) if subj_pure
-                       else (yield from subj_fn(env, state)))
-            for key, value in _foreach_items(subject, state, where):
-                _fold(state, enter)
-                if store_key is not None:
-                    store_key(env, key)
-                kind = type(value)
-                store(env, _copy_value(value) if kind is PhpArray
-                      or kind is MultiValue else value)
                 try:
                     if body_pure:
                         body_fn(env, state)
@@ -444,21 +406,18 @@ class _Compiler:
         path (§4.3's container rules)."""
         name = stmt.name
         apply = compound(stmt.op) if stmt.op else None
-        load, store = self._accessors(name)
         not_array = f"cannot index non-array variable ${name}"
 
         def root(env, state):
-            container = load(env)
+            container = env.get(name)
             if container is None:
-                container = PhpArray()
-                store(env, container)
+                container = env[name] = PhpArray()
             elif type(container) is MultiValue:
                 for class_root in container.values:
                     if not isinstance(class_root, PhpArray):
                         raise WeblangError(not_array)
                 # The stores below are per slot: a class's array splits.
-                expanded, container = _expand(container, (), state)
-                store(env, expanded)
+                env[name], container = _expand(container, (), state)
             elif not isinstance(container, PhpArray):
                 raise WeblangError(not_array)
             return container
@@ -466,8 +425,8 @@ class _Compiler:
         def step(env, state, container, walked, held, key):
             """``container`` ready for ``key``: expanded if it has to be."""
             if type(key) is MultiValue and type(container) is not list:
-                expanded, container = _expand(load(env), walked, state, held)
-                store(env, expanded)
+                env[name], container = _expand(env.get(name), walked, state,
+                                               held)
             return container
 
         def finish(env, state, container, walked, held, key, value):
@@ -476,7 +435,7 @@ class _Compiler:
             container = step(env, state, container, walked, held, key)
             _assign_cell(container, key, value, apply, state)
             if type(container) is list:
-                store(env, state.merge(list(load(env).values)))
+                env[name] = state.merge(list(env.get(name).values))
 
         return root, step, finish
 
@@ -553,48 +512,19 @@ class _Compiler:
         if kind is Lit:
             return self._const(node.value, 1)
         if kind is Var:
-            name = node.name
-            key = (name, self.use_env)
-            if key in self.leaves:
-                return self.leaves[key]
-            if self.use_env:
+            key = (node.name,)
+            if key not in self.leaves:
 
-                def run(env, state):
-                    state.steps += 1
-                    value = env.lookup(name)
-                    if type(value) is MultiValue:
-                        state.multivalent(len(value.values))
-                    return value
-
-            else:
-
-                def run(env, state):
+                def run(env, state, name=node.name):
                     state.steps += 1
                     value = env.get(name)
                     if type(value) is MultiValue:
                         state.multivalent(len(value.values))
                     return value
 
-            self.leaves[key] = (True, run, None)
+                self.leaves[key] = (True, run, None)
             return self.leaves[key]
-        if kind is BinOp:
-            return self._compile_binop(node)
-        if kind is Index:
-            return self._compile_index(node)
-        if kind is Call:
-            return self._compile_call(node)
-        if kind is UnOp:
-            return self._compile_unop(node)
-        if kind is Ternary:
-            return self._compile_ternary(node)
-        if kind is ArrayLit:
-            return self._compile_arraylit(node)
-
-        def run(env, state, _name=kind.__name__):
-            state.steps += 1
-            raise WeblangError(f"unknown expression {_name}")
-
-        return True, run, None
+        return getattr(self, f"_compile_{kind.__name__.lower()}")(node)
 
     def _operand(self, node: Node, copy: bool = False) -> tuple:
         """``node`` as code that may yield evaluates it: where it is pure
@@ -950,12 +880,9 @@ class _Compiler:
 
     def _builtin(self, node: Call) -> Callable | None:
         """The pure built-in ``node`` calls, if it calls one."""
-        name = node.name
-        if name in REQUEST_INPUTS or name in STATE_BUILTINS \
-                or name in EXTERNAL_BUILTINS or name in NONDET_BUILTINS \
-                or name in self.funcs:
+        if call_kind(node.name, self.funcs) != "pure":
             return None
-        return PURE_BUILTINS.get(name)
+        return PURE_BUILTINS[node.name]
 
     def _compile_call(self, node: Call) -> tuple[bool, Callable, None]:
         name = node.name

@@ -163,6 +163,9 @@ class _Env:
         else:
             self.vars[name] = value
 
+    #: It reads and writes as the dict frame of a scope without ``global``.
+    get, __setitem__ = lookup, store
+
 
 class _RunState:
     """Per-request mutable execution state."""

@@ -13,13 +13,16 @@ longer path or a compound operator, and a loop or branch nested past
 
 **Python locals.**  In a dict-frame scope a region keeps the variables it
 touches, ``steps`` and the flow digest in Python locals: written back
-before a call out of the region (what the call may read; at top level
-everything) and at exit, and reloaded after a call (``steps``, ``flow``,
-and at top level the variables a function declares ``global``: no call
-can write a function's own frame).  So a call, and whoever catches what
-it raises, finds the frame, ``steps`` and the digest as the closures
-alone would leave them.  A variable missing from the frame loads as
-``_ABSENT``, which no guard passes and nothing writes back.
+before a call out of the region (what the call may read; everything at
+top level, and before a call whose ``break`` / ``continue`` no loop of
+the region would catch) and at exit, and reloaded after a call
+(``steps``, ``flow``, what a statement on its closure touched — also
+when it raises a signal — and at top level the variables a function
+declares ``global``: no call can write a function's own frame).  So a
+call, and whoever catches what it raises, finds the frame, ``steps``
+and the digest as the closures alone would leave them.  A variable
+missing from the frame loads as ``_ABSENT``, which no guard passes and
+nothing writes back.
 
 **In line.**  An expression built from constants, frame variables, the
 operators whose :data:`~repro.lang.values.EXACT_OPS` entry has a Python
@@ -46,7 +49,7 @@ from collections.abc import Callable
 from hashlib import blake2b
 
 from repro.common.digest import _FNV_PRIME, _MASK, branch_mix
-from repro.common.errors import WeblangError
+from repro.lang.analysis import nodes
 from repro.lang.ast import (
     ArrayLit,
     Assign,
@@ -68,7 +71,6 @@ from repro.lang.ast import (
     UnOp,
     Var,
     While,
-    nodes,
 )
 from repro.lang.interp import _BreakSignal, _ContinueSignal, _ReturnSignal
 from repro.lang.simd import (
@@ -113,6 +115,9 @@ _SIZE = 3000
 _LOOPS = 6
 _INDENT = 40
 
+#: The nodes that fold the flow digest or raise a signal.
+_FLOWS = frozenset({Ternary, If, While, Foreach, Break, Continue})
+
 #: The local of a variable not in the frame: never written back.
 _ABSENT = object()
 
@@ -132,7 +137,7 @@ _HELPERS: dict[str, object] = {
     "_copy_value": _copy_value, "_foreach_items": _foreach_items,
     "_multi_text": _multi_text,
     "_BreakSignal": _BreakSignal, "_ContinueSignal": _ContinueSignal,
-    "_ReturnSignal": _ReturnSignal, "WeblangError": WeblangError,
+    "_ReturnSignal": _ReturnSignal,
 }
 
 
@@ -261,40 +266,39 @@ class _Region:
              ) -> list[str]:
         """``line``, a call out of the region that may read the
         variables ``reads``, write ``writes`` and, where ``flows``, fold
-        the flow digest or raise a signal."""
-        return [*self.sync(pad, None if self.top else reads, flows),
-                pad + line, *self.reload(pad, writes, flows)]
+        the flow digest or raise a signal.  A signal leaves the region
+        where no loop of it encloses the call, so everything is written
+        back first; one to a loop of the region passes the reload."""
+        lines = self.sync(pad, None if self.top or flows and not self.loops
+                          else reads, flows)
+        if flows and self.loops and writes:
+            return [*lines, f"{pad}try:", f"{pad}    {line}", f"{pad}finally:",
+                    *self.reload(pad + "    ", writes, flows)]
+        return [*lines, pad + line, *self.reload(pad, writes, flows)]
 
     def reach(self, node: Node) -> tuple[set[str], bool]:
-        """The variables expression ``node`` reads, and whether it may
-        fold the flow digest or raise a signal: it holds a branch, or
-        calls a user function."""
+        """The variables ``node`` reads, and whether it may fold the flow
+        digest or raise a signal: it holds a branch, a loop, ``break``
+        or ``continue``, or calls a user function."""
         names, flows = set(), False
         for item in nodes(node):
             kind = type(item)
             if kind is Var:
                 names.add(item.name)
-            elif kind is Ternary or kind is BinOp and item.op in (
+            elif kind in _FLOWS or kind is BinOp and item.op in (
                     "&&", "||") or kind is Call and item.name in self.comp.funcs:
                 flows = True
         return names, flows
 
-    def when(self, pad: str, cond: str, yes: Callable) -> list[str]:
-        """``if cond: yes`` (a function of its pad)."""
-        before = set(self.dirty)
-        lines = [f"{pad}if {cond}:", *yes(pad + "    ")]
-        self.dirty |= before
-        return lines
-
-    def branch(self, pad: str, cond: str, yes: Callable, no: Callable
-               ) -> list[str]:
+    def branch(self, pad: str, cond: str, yes: Callable,
+               no: Callable | None = None) -> list[str]:
         """``if cond: yes else: no`` (each a function of its pad)."""
         before = set(self.dirty)
         then = yes(pad + "    ")
         self.dirty, after = before, self.dirty
-        other = no(pad + "    ")
+        other = [f"{pad}else:", *no(pad + "    ")] if no else []
         self.dirty |= after
-        return [f"{pad}if {cond}:", *then, f"{pad}else:", *other]
+        return [f"{pad}if {cond}:", *then, *other]
 
     # -- expressions -------------------------------------------------------
 
@@ -510,14 +514,14 @@ class _Region:
                 len(pad) > 4 * _INDENT
                 or kind is not If and self.loops >= _LOOPS):
             return self.drained(pad, stmt)
-        return getattr(self, _EMIT.get(kind, "_unknown"))(pad, stmt)
+        return getattr(self, _EMIT[kind])(pad, stmt)
 
     def drained(self, pad: str, stmt: Node) -> list[str]:
         """``stmt`` on its generator closure (a pure one never yields)."""
         touched = _names(stmt) if self.fast else set()
         run = self.bind(self.comp._compile_stmt(stmt))
         return self.call(pad, f"next({run}(env, state), None)", touched,
-                         touched)
+                         touched, self.reach(stmt)[1])
 
     def _store(self, var: str) -> Callable:
         """``use`` storing the value in variable ``var``."""
@@ -605,44 +609,38 @@ class _Region:
                              lambda p: self.fold(p, mix) + self.block(p, body),
                              lambda p: self._if(p, stmt, index + 1, where))]
 
-    def _loop(self, pad: str, stmt, head: list[str], bind: list[str]
-              ) -> list[str]:
-        """A ``while`` / ``foreach`` trip after trip: ``head`` the loop's
-        first line(s), ``bind`` what a trip starts with after its fold;
-        the digest folds ``loop`` per trip and ``loopx`` after the last,
-        and ``break`` / ``continue`` from a call arrive as signals."""
-        inner = pad + "    "
-        enter = self.bind(branch_mix("loop", stmt.nid))
-        self.loops += 1
-        lines = [*head, *self.fold(inner, enter), *bind, f"{inner}try:",
-                 *self.block(inner + "    ", stmt.body),
-                 f"{inner}except _BreakSignal:", *self.reload(inner + "    "),
-                 f"{inner}    break", f"{inner}except _ContinueSignal:",
-                 *self.reload(inner + "    "), f"{inner}    continue"]
-        self.loops -= 1
-        return lines + self.fold(pad, self.bind(branch_mix("loopx",
-                                                           stmt.nid)))
-
-    def _trips(self, stmt, binds: tuple[str, ...] = ()) -> set[str]:
-        """What may be unwritten at any trip's start: what is now, and
-        what a trip writes (``binds``, the locals a foreach binds)."""
+    def _loop(self, pad: str, stmt, head: Callable, bind: list[str],
+              binds: tuple[str, ...] = ()) -> list[str]:
+        """A ``while`` / ``foreach`` trip after trip: ``head()`` the
+        loop's first line(s), ``bind`` what a trip starts with after its
+        fold, ``binds`` the locals that binds; the digest folds ``loop``
+        per trip and ``loopx`` after the last, and ``break`` /
+        ``continue`` from a call arrive as signals.  What a trip writes
+        may be unwritten at any trip's start."""
         self.dirty |= {"steps", "flow", *binds}
         if self.fast:
             self.dirty |= {self.local(var)
                            for var in sorted(_names(stmt.body, (Assign,)))}
-        return set(self.dirty)
+        dirty, inner = set(self.dirty), pad + "    "
+        lines = [*head(), *self.fold(inner, self.bind(branch_mix(
+            "loop", stmt.nid))), *bind, f"{inner}try:"]
+        self.loops += 1
+        lines += [*self.block(inner + "    ", stmt.body),
+                  f"{inner}except _BreakSignal:", *self.reload(inner + "    "),
+                  f"{inner}    break", f"{inner}except _ContinueSignal:",
+                  *self.reload(inner + "    "), f"{inner}    continue"]
+        self.loops -= 1
+        self.dirty |= dirty
+        return lines + self.fold(pad, self.bind(branch_mix("loopx",
+                                                           stmt.nid)))
 
     def _while(self, pad: str, stmt) -> list[str]:
-        lines = self.book(pad, 1)
-        dirty = self._trips(stmt)
         held = self.temp()
-        head = [f"{pad}while True:",
-                *self._condition(pad + "    ", stmt.cond,
-                                 self.bind(f"while#{stmt.nid}"), held),
-                f"{pad}    if not {held}:", f"{pad}        break"]
-        lines += self._loop(pad, stmt, head, [])
-        self.dirty = dirty | self.dirty
-        return lines
+        return [*self.book(pad, 1), *self._loop(pad, stmt, lambda: [
+            f"{pad}while True:",
+            *self._condition(pad + "    ", stmt.cond,
+                             self.bind(f"while#{stmt.nid}"), held),
+            f"{pad}    if not {held}:", f"{pad}        break"], [])]
 
     def _foreach(self, pad: str, stmt) -> list[str]:
         subject = self.temp()
@@ -654,7 +652,6 @@ class _Region:
             value = self.local(stmt.val_var)
         else:
             key, value = self.temp(), self.temp()
-        dirty = self._trips(stmt, (key, value) if self.fast else ())
         where = self.bind(f"foreach#{stmt.nid}")
         inner = pad + "    "
         bind = [f"{inner}if type({value}) is PhpArray:",
@@ -665,11 +662,9 @@ class _Region:
             bind += [f"{inner}env.store({self.name(var)}, {local})"
                      for var, local in ((stmt.key_var, key),
                                         (stmt.val_var, value)) if var]
-        head = [f"{pad}for {key}, {value} in _foreach_items({subject}, "
-                f"state, {where}):"]
-        lines += self._loop(pad, stmt, head, bind)
-        self.dirty = dirty | self.dirty
-        return lines
+        return lines + self._loop(pad, stmt, lambda: [
+            f"{pad}for {key}, {value} in _foreach_items({subject}, state, "
+            f"{where}):"], bind, (key, value) if self.fast else ())
 
     def _indexassign(self, pad: str, stmt) -> list[str]:
         """``$a[] = e`` / ``$a[k] = e`` on a dict frame: the variable's
@@ -687,7 +682,7 @@ class _Region:
         def held(var: str) -> Callable:
             return lambda pad, src, _: [f"{pad}{var} = {src}"]
 
-        lines = [f"{pad}{container} = {self.local(stmt.name)}", *self.when(
+        lines = [f"{pad}{container} = {self.local(stmt.name)}", *self.branch(
             pad, f"type({container}) is not PhpArray",
             lambda p: self.call(p, f"{container} = {root}(env, state)",
                                 name, name, flows=False)),
@@ -732,10 +727,6 @@ class _Region:
             return lines
         return [*lines,
                 f"{pad}env.global_names.update({self.bind(tuple(stmt.names))})"]
-
-    def _unknown(self, pad: str, stmt) -> list[str]:
-        message = self.bind(f"unknown statement {type(stmt).__name__}")
-        return [*self.book(pad, 1), f"{pad}raise WeblangError({message})"]
 
 
 #: The method that makes each kind of statement.

@@ -32,7 +32,7 @@ from repro.lang.parser import parse_program
 from repro.lang.simd import _State
 from repro.trace.events import Request
 from repro.multivalue.multivalue import MultiValue
-from tests.lang.driver import GROUP_ERRORS, alone, finish
+from tests.lang.driver import GROUP_ERRORS, Canned, alone, drive, finish
 
 sys.path.append(str(Path(__file__).resolve().parents[2]
                     / "benchmarks" / "e2e"))
@@ -352,11 +352,22 @@ echo $p0, '|', $p1, '|', $p3, '|', $p4, '|', $p5, '|', $p6;
     assert alone(CompInterpreter(record_flow=True), program,
                  request) == expected
     assert _group(compiled, [request]).bodies == [expected[0]]
-    assert sources  # the script and its loop, in one function or two
+    # The script up to its loop is one function; the loop's source runs
+    # past ``_SIZE`` characters, so the rest of the script is another.
+    assert len(sources) == 2 and "while True:" in sources[0]
+    assert len(sources[0]) > regions._SIZE
     for source in sources:
         for text in HOSTILE:
             assert text not in source
 
+
+#: What every hazard program declares at top level: ``stop`` breaks,
+#: and ``skip`` continues, the loop that calls it.
+SIGNALLERS = ("function stop($v) { if ($v == 2) { break; } return $v; } "
+              "function skip($v) { if ($v % 2) { continue; } } ")
+
+#: ``if``s nested deeper than a generated function indents one.
+DEEP = regions._INDENT
 
 #: The hazards of a generated ``foreach`` / ``if`` / index assignment:
 #: name -> program body.  ``$m`` is a multivalue of arrays in a group
@@ -368,14 +379,26 @@ HAZARDS = {
     "subject_reassigned": "$a = [1, 2, 3]; foreach ($a as $k => $v) "
                           "{ $a = ['r' => $v]; $a[] = $k; echo $v; } "
                           "echo '|', implode(',', array_keys($a));",
-    "break_from_a_call": "function stop($v) { if ($v == 2) { break; } "
-                         "return $v; } "
-                         "foreach ([1, 2, 3] as $v) { echo stop($v); } "
+    "break_from_a_call": "foreach ([1, 2, 3] as $v) { echo stop($v); } "
                          "echo '|'; $i = 0; while ($i < 4) { $i += 1; "
                          "echo stop($i); }",
-    "continue_from_a_call": "function skip($v) { if ($v % 2) { continue; } "
-                            "} foreach ([1, 2, 3, 4] as $k => $v) "
+    "continue_from_a_call": "foreach ([1, 2, 3, 4] as $k => $v) "
                             "{ skip($v); echo $k; }",
+    # The loop a call breaks is not generated (it yields, or is drained):
+    # what the region wrote before the call must be in the frame.
+    "break_past_unwritten_locals": "$i = 0; while ($i < 4) { $i += 1; "
+                                   "$last = $i; echo stop($i); "
+                                   "kv_set('k', $i); } echo '|', $last;",
+    # A statement on its closure writes the frame, then breaks the
+    # generated loop around it.
+    "break_from_a_drained_statement": "$i = 0; while ($i < 3) { $i += 1; "
+                                      "$a = null; $a['x']['y'] = stop($i); "
+                                      "echo count($a); } "
+                                      "echo '|', count($a), $i;",
+    "break_from_deep_ifs": "$i = 0; while ($i < 3) { $i += 1; $n = 0; "
+                           + "if ($i > 0) { " * DEEP
+                           + "$n = $i; echo stop($i); " + "} " * DEEP
+                           + "} echo '|', $n, $i;",
     "multivalue_subject": "$m = explode(',', param('l')); "
                           "foreach ($m as $k => $v) { echo $k, '=', $v, ';'; }"
                           " echo '|', count($m);",
@@ -401,11 +424,31 @@ HAZARD_INPUTS = [{"q": "0", "l": "a,b"}, {"q": "1", "l": "c,d"},
                  {"q": "3", "l": "e,f"}]
 
 
-def _in_scope(body: str, scope: str) -> str:
-    if scope == "top":
-        return body
-    declare = "global $unused; " if scope == "global" else ""
-    return f"function f() {{ {declare}{body} }} f();"
+def _program(name: str, scope: str = "top"):
+    """Hazard ``name`` at top level, or as the body of a function (one
+    with a ``global`` declaration where ``scope`` is ``global``)."""
+    body = HAZARDS[name]
+    if scope != "top":
+        declare = "global $unused; " if scope == "global" else ""
+        body = f"function f() {{ {declare}{body} }} f();"
+    return parse_program(SIGNALLERS + body)
+
+
+def _answered(run, size: int = 1):
+    """The output of a run whose every intent is answered
+    (:class:`Canned`), or the exception that ended it."""
+    output, _, error = drive(run, [Canned() for _ in range(size)],
+                             GROUP_ERRORS)
+    return output if error is None else error
+
+
+def _alone(engine, program, request):
+    """:func:`alone`, with every intent answered."""
+    output = _answered(engine.run(program, request))
+    if isinstance(output, WeblangError):
+        return f"{type(output).__name__}: {output}"
+    (body,) = output.bodies
+    return body, output.steps, output.flow_tag
 
 
 @pytest.mark.parametrize("scope", ["top", "function", "global"])
@@ -415,19 +458,17 @@ def test_a_hazard_agrees_with_the_oracle(name, scope):
     ``steps``, flow tag, error); as a group of three it is each slot's
     oracle run, or does not complete where they part or fail, and books
     the multivalent steps the closures alone would."""
-    source = HAZARDS[name]
-    if scope != "top" and source.startswith("function"):
-        scope = "top"  # a function declared inside a function
-    program = parse_program(_in_scope(source, scope))
+    program = _program(name, scope)
     requests = [Request(f"r{slot}", "hazard.php", get=dict(get))
                 for slot, get in enumerate(HAZARD_INPUTS)]
-    oracle = [alone(Interpreter(record_flow=True), program, request)
+    oracle = [_alone(Interpreter(record_flow=True), program, request)
               for request in requests]
     for request, expected in zip(requests, oracle):
-        assert alone(CompInterpreter(record_flow=True), program,
-                     request) == expected
-    group = _group(compile_program(program), requests)
-    closures = _group(_closures_only(program), requests)
+        assert _alone(CompInterpreter(record_flow=True), program,
+                      request) == expected
+    group, closures = (_answered(compiled.run_group(
+        requests, record_flow=True), len(requests)) for compiled in (
+        compile_program(program), _closures_only(program)))
     if isinstance(group, Exception):
         assert type(closures) is type(group)
         assert any(isinstance(ref, str) for ref in oracle) \
@@ -444,12 +485,12 @@ def test_a_hazard_agrees_with_the_oracle(name, scope):
 def test_the_hazards_reach_the_paths_they_are_for():
     """The table is not vacuous: the multivalue subject goes through
     ``_foreach_items`` as one of a group's three classes, the scalar and
-    null subjects fail as the oracle does, and the missing variable is
-    made an array."""
-    outputs = {name: alone(CompInterpreter(record_flow=True),
-                           parse_program(HAZARDS[name]),
-                           Request("r", "hazard.php",
-                                   get=dict(HAZARD_INPUTS[2])))
+    null subjects fail as the oracle does, the missing variable is made
+    an array, and the statements a signal leaves run on their closures."""
+    outputs = {name: _alone(CompInterpreter(record_flow=True),
+                            _program(name), Request(
+                                "r", "hazard.php",
+                                get=dict(HAZARD_INPUTS[2])))
                for name in HAZARDS}
     assert outputs["scalar_subject"] == "WeblangError: foreach over a " \
                                         "non-array"
@@ -458,6 +499,20 @@ def test_the_hazards_reach_the_paths_they_are_for():
     assert outputs["value_array_mutated"][0] == "23|12"
     assert outputs["break_from_a_call"][0] == "1|1"
     assert outputs["continue_from_a_call"][0] == "13"
+    assert outputs["break_past_unwritten_locals"][0] == "1|2"
+    assert outputs["break_from_a_drained_statement"][0] == "1|12"
+    assert outputs["break_from_deep_ifs"][0] == "1|22"
+    drained = []
+    real_drained = regions._Region.drained
+
+    def spy_drained(made, pad, stmt):
+        drained.append(type(stmt).__name__)
+        return real_drained(made, pad, stmt)
+
+    with mock.patch.object(regions._Region, "drained", spy_drained):
+        for name in ("break_from_a_drained_statement", "break_from_deep_ifs"):
+            compile_program(_program(name, "function"))
+    assert drained == ["IndexAssign", "If"]
     assert outputs["variables_after_the_loop"][0] == "b1bN"
     seen = []
     real = simd._foreach_items

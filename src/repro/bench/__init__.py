@@ -1,10 +1,10 @@
-"""Benchmark harness: online phase + audit phase with phase accounting.
+"""Online phase + audit phase with phase accounting.
 
-Used by every ``benchmarks/bench_*.py`` target and by the examples.  The
-harness runs a workload through the honest executor twice (with and
-without recording, to price the server's overhead), runs the SSCO audit
-and the simple-re-execution baseline, and assembles the rows the paper's
-tables and figures report.
+Used by ``repro demo``, the examples and the tests.  The harness runs a
+workload through the honest executor twice (with and without recording,
+to price the server's overhead), runs the SSCO audit and the
+simple-re-execution baseline, and assembles the rows the paper's tables
+and figures report.  The benchmark is ``benchmarks/e2e/``.
 """
 
 from repro.bench.harness import (
@@ -13,7 +13,11 @@ from repro.bench.harness import (
     run_online_phase,
     run_workload_pipeline,
 )
-from repro.bench.metrics import figure8_row, figure9_decomposition
+from repro.bench.metrics import (
+    figure8_row,
+    figure9_decomposition,
+    simulate_open_loop,
+)
 from repro.bench.formatting import render_table
 
 __all__ = [
@@ -24,4 +28,5 @@ __all__ = [
     "run_audit_phase",
     "run_online_phase",
     "run_workload_pipeline",
+    "simulate_open_loop",
 ]

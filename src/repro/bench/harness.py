@@ -1,9 +1,9 @@
-"""Online + audit pipeline used by the benchmark targets."""
+"""Online + audit pipeline behind ``repro demo`` and the examples."""
 
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.auditor import Auditor
 from repro.core.config import AuditConfig
@@ -23,7 +23,6 @@ class BenchRun:
     legacy_seconds: float  # serving without recording (the baseline server)
     audit: AuditResult
     baseline_audit: AuditResult | None = None
-    extras: dict[str, object] = field(default_factory=dict)
 
 
 def run_online_phase(
@@ -48,42 +47,12 @@ def run_online_phase(
 def measure_legacy_seconds(
     workload: Workload, seed: int = 1, concurrency: int = 8
 ) -> float:
-    """CPU seconds to serve the workload *without* recording: the paper's
-    legacy-server baseline (§5.1)."""
+    """Wall-clock seconds to serve the workload *without* recording: the
+    paper's legacy-server baseline (§5.1)."""
     started = _time.perf_counter()
     run_online_phase(workload, seed=seed, concurrency=concurrency,
                      record=False)
     return _time.perf_counter() - started
-
-
-def measure_serve_seconds(
-    workload: Workload,
-    seed: int = 1,
-    concurrency: int = 8,
-    repeats: int = 2,
-) -> tuple[float, float]:
-    """(legacy_seconds, recorded_seconds), measured fairly.
-
-    Serving the same workload back to back warms allocator and parser
-    caches, so a naive "legacy first, recorded second" comparison inverts
-    the overhead.  We warm up once, then interleave the two modes and
-    take each mode's best time.
-    """
-    sample = Workload(workload.app, workload.requests[: max(
-        1, len(workload.requests) // 10)], workload.label)
-    run_online_phase(sample, seed=seed, concurrency=concurrency,
-                     record=False)  # warmup
-    legacy = recorded = float("inf")
-    for _ in range(repeats):
-        started = _time.perf_counter()
-        run_online_phase(workload, seed=seed, concurrency=concurrency,
-                         record=False)
-        legacy = min(legacy, _time.perf_counter() - started)
-        started = _time.perf_counter()
-        run_online_phase(workload, seed=seed, concurrency=concurrency,
-                         record=True)
-        recorded = min(recorded, _time.perf_counter() - started)
-    return legacy, recorded
 
 
 def run_audit_phase(

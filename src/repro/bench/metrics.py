@@ -1,7 +1,10 @@
-"""Metric extraction: the rows of Figure 8 and the bars of Figure 9."""
+"""Metric extraction: the rows of Figure 8 and the bars of Figure 9, and
+the queueing model behind Figure 8's latency-vs-throughput curves."""
 
 from __future__ import annotations
 
+import heapq
+import random
 
 from repro.bench.harness import BenchRun
 
@@ -31,7 +34,7 @@ def figure8_row(run: BenchRun) -> dict[str, object]:
         run.baseline_audit.phases["total"] if run.baseline_audit else 0.0
     )
     legacy = run.legacy_seconds
-    recorded = run.extras.get("recorded_seconds", execution.server_seconds)
+    recorded = execution.server_seconds
 
     versioned_bytes = audit.stats.get("versioned_db_bytes", 0)
     final_db_bytes = 0
@@ -63,6 +66,41 @@ def figure8_row(run: BenchRun) -> dict[str, object]:
         "db_permanent_overhead_x": 1.0,
         "accepted": audit.accepted,
     }
+
+
+def simulate_open_loop(
+    service_s: float,
+    rate_per_s: float,
+    num_requests: int = 4000,
+    workers: int = 4,
+    seed: int = 7,
+) -> dict[str, float]:
+    """Figure 8 (right)'s latency percentiles from a per-request service
+    time: an M/D/c FCFS queue (Poisson arrivals at ``rate_per_s``,
+    deterministic service, ``workers`` servers)."""
+    rng = random.Random(seed)
+    arrivals = []
+    now = 0.0
+    for _ in range(num_requests):
+        now += rng.expovariate(rate_per_s)
+        arrivals.append(now)
+    free_at = [0.0] * workers
+    heapq.heapify(free_at)
+    latencies: list[float] = []
+    for arrival in arrivals:
+        earliest = heapq.heappop(free_at)
+        start = max(arrival, earliest)
+        done = start + service_s
+        heapq.heappush(free_at, done)
+        latencies.append(done - arrival)
+    latencies.sort()
+
+    def pct(p: float) -> float:
+        return latencies[min(len(latencies) - 1,
+                             int(p * len(latencies)))]
+
+    return {"p50_ms": pct(0.50) * 1e3, "p90_ms": pct(0.90) * 1e3,
+            "p99_ms": pct(0.99) * 1e3}
 
 
 def figure9_decomposition(run: BenchRun) -> dict[str, float]:

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench import run_online_phase
 from repro.common.errors import RejectReason
 from repro.core import Auditor
 from repro.forensics import UnknownRequest, reaudit_request
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
+from repro.workloads import wiki_workload
 
 from tests.conftest import counter_requests
 from tests.forensics.conftest import chain_requests, make_timeline, serve
@@ -44,6 +46,26 @@ def test_scoped_bodies_match_full_audit(counter_app, epoch_run):
         # Scoped replay must be strictly cheaper than the full audit.
         assert 0 < scoped.stats["steps"] < audit.stats["steps"]
         assert len(scoped.replayed) < len(timeline.entries)
+
+
+def test_explain_scope_is_pinned():
+    """Explain's scope on a wiki trace, as exact counts: the middle
+    request's lineage closure replays 9 chunks, 200 of the 400 requests
+    and 7,872 of the full audit's 41,804 steps.  A change to the closure,
+    the chunk plan or the engine's step booking moves them."""
+    workload = wiki_workload(scale=0.02, seed=1)
+    execution = run_online_phase(workload, seed=1, epoch_size=30)
+    audit = full_audit(workload.app, execution)
+    assert audit.accepted, audit.detail
+    timeline = make_timeline(workload.app, execution)
+    rids = sorted(timeline.entries)
+    target = rids[len(rids) // 2]
+    scoped = reaudit_request(timeline, target)
+    assert scoped.accepted, scoped.detail
+    assert scoped.body == audit.produced[target]
+    assert (len(workload.requests), timeline.epoch_count) == (400, 11)
+    assert (audit.stats["steps"], scoped.stats["steps"]) == (41804, 7872)
+    assert (len(scoped.replayed), scoped.chunks_replayed) == (200, 9)
 
 
 def test_closure_is_replayed(chain_app):

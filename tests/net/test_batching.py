@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+from repro.bench import run_online_phase
 from repro.common.clock import Deadline
 from repro.core import AuditConfig, Auditor
 from repro.io import (
@@ -40,6 +41,7 @@ from repro.net.protocol import (
 )
 from repro.server import Executor, RandomScheduler
 from repro.server.nondet import NondetSource
+from repro.workloads import wiki_workload
 from tests.conftest import counter_requests
 from tests.net.test_transport import (
     _assert_equivalent,
@@ -268,6 +270,33 @@ def test_preencoded_bundle_replay_audits_identically(
     ends = itertools.accumulate(
         epoch["events"] for epoch in remote.stats["shards"])
     assert list(ends)[:-1] == list(epoch_execution.epoch_marks)
+
+
+def test_wire_bytes_of_a_wiki_bundle_are_pinned(tmp_path):
+    """The wire encoding, as an exact count: a 2,000-request wiki
+    bundle in epochs of 50, its raw lines replayed through
+    ``write_record_payload`` under the default batch bounds, crosses the
+    socket as 3,572,574 bytes for its 4,000 events (893.1 B/event).  A
+    change to the frame format, the batching or the record lines moves
+    it.  The bundle is published before the auditor attaches: an attach
+    mid-stream flushes the pending batch early and its HELLO says
+    ``"ended": false``, so a concurrent replay's count depends on when
+    the auditor connected."""
+    execution = run_online_phase(wiki_workload(scale=0.1), seed=1,
+                                 epoch_size=50)
+    path = _save_bundle(execution, tmp_path)
+    with BundlePublisher() as publisher:
+        with open(path, "rb") as fh:
+            for line in fh:
+                kind = record_kind(line)
+                if kind is not None:  # skip the header line
+                    publisher.write_record_payload(line, kind=kind)
+        with RemoteBundleReader(publisher.endpoint,
+                                idle_timeout=30) as reader:
+            reader.read_initial_state()
+            events = sum(len(epoch.trace) for epoch in reader.epochs())
+            assert (events, reader.wire_bytes_received) == (4000,
+                                                            3_572_574)
 
 
 def test_preencoded_rejects_header_and_mirrors_to_writer(tmp_path):

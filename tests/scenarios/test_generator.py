@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -132,6 +134,44 @@ def test_profile_schema(tmp_path):
     summary_block = profile["summary"]
     assert summary_block["max_n"] >= summary_block["mean_n"] > 0
     assert profile["source"]["workload"] == "cart"
+
+
+def test_synthesis_holds_one_epoch_not_the_trace(tmp_path, monkeypatch):
+    """``synthesize`` streams: quadrupling the requests keeps its
+    ``tracemalloc`` peak under 2x (the state it chains grows; one epoch
+    is served at a time), and at every epoch boundary only that epoch's
+    requests are alive.  The live count is the sharp half: a list of
+    every request costs ~1.5 KB a request, too little for the peak
+    ratio to see at this size."""
+    spec = dict(workload="cart", scale=0.05, seed=0, epoch_size=100)
+    synthesize(ScenarioSpec(**spec, requests=50), str(tmp_path / "warm"))
+    taken: list[weakref.ref] = []
+    take = TrafficStream.take
+
+    def tracked_take(stream, count):
+        batch = take(stream, count)
+        taken.extend(map(weakref.ref, batch))
+        return batch
+
+    monkeypatch.setattr(TrafficStream, "take", tracked_take)
+    alive: list[int] = []
+
+    def progress(_update):
+        alive.append(sum(ref() is not None for ref in taken))
+
+    def peak(requests):
+        tracemalloc.start()
+        try:
+            synthesize(ScenarioSpec(**spec, requests=requests),
+                       str(tmp_path / f"{requests}.jsonl"),
+                       progress=progress)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(100), peak(400)
+    assert large < 2 * small, (small, large)
+    assert max(alive) <= spec["epoch_size"], alive
 
 
 def test_zipf_skew_over_user_population():

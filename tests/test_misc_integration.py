@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench import simulate_open_loop
 from repro.common.errors import RejectReason
 from repro.core import ssco_audit
 from repro.server import Application, Executor
@@ -15,11 +16,6 @@ from repro.trace.events import Request
 
 
 def test_queue_latency_grows_with_load():
-    import sys
-
-    sys.path.insert(0, "benchmarks")
-    from bench_fig8_throughput import simulate_open_loop
-
     service = 0.001
     light = simulate_open_loop(service, 500.0, 2000)
     heavy = simulate_open_loop(service, 3900.0, 2000)  # near 4-worker cap
@@ -28,21 +24,11 @@ def test_queue_latency_grows_with_load():
 
 
 def test_queue_low_load_latency_is_service_time():
-    import sys
-
-    sys.path.insert(0, "benchmarks")
-    from bench_fig8_throughput import simulate_open_loop
-
     stats = simulate_open_loop(0.002, 10.0, 500)
     assert stats["p50_ms"] == pytest.approx(2.0, rel=0.01)
 
 
 def test_queue_simulation_deterministic():
-    import sys
-
-    sys.path.insert(0, "benchmarks")
-    from bench_fig8_throughput import simulate_open_loop
-
     a = simulate_open_loop(0.001, 2000.0, 1000, seed=3)
     b = simulate_open_loop(0.001, 2000.0, 1000, seed=3)
     assert a == b

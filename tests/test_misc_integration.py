@@ -34,6 +34,22 @@ def test_queue_simulation_deterministic():
     assert a == b
 
 
+def test_queue_past_capacity_grows_without_bound():
+    """Four 1 ms workers serve at most 4,000 requests/s: past that the
+    queue only grows, and doubling the workers absorbs the same load."""
+    over = simulate_open_loop(0.001, 4200.0, 4000)
+    assert over["p99_ms"] > 20.0
+    wider = simulate_open_loop(0.001, 4200.0, 4000, workers=8)
+    assert wider["p99_ms"] < 2.0
+
+
+def test_queue_percentiles_are_ordered_and_at_least_service():
+    for rate in (100.0, 2000.0, 3900.0):
+        stats = simulate_open_loop(0.001, rate, 2000)
+        assert 1.0 - 1e-9 <= stats["p50_ms"] <= stats["p90_ms"] \
+            <= stats["p99_ms"]
+
+
 # -- strict-register mode end-to-end --------------------------------------------
 
 

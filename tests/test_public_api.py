@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import pytest
 
 
 def test_top_level_exports():
@@ -95,3 +98,20 @@ def test_figure8_row_keys(counter_app, honest_run):
     decomposition = figure9_decomposition(run)
     assert decomposition["total"] > 0
     assert decomposition["baseline_total"] > 0
+
+
+def test_figure8_row_overhead_is_relative_to_the_legacy_serve(
+        counter_app, honest_run):
+    from repro.bench import figure8_row, run_audit_phase
+    from repro.workloads.wiki import Workload
+
+    run = run_audit_phase(Workload(counter_app, [], "counter"), honest_run,
+                          run_baseline=False)
+    assert math.isnan(figure8_row(run)["server_cpu_overhead_pct"])
+    assert math.isnan(figure8_row(run)["audit_speedup_vs_simple_reexec"])
+    honest_run.server_seconds = 1.5
+    run.legacy_seconds = 1.2
+    row = figure8_row(run)
+    assert row["server_cpu_overhead_pct"] == pytest.approx(25.0)
+    assert row["audit_speedup_vs_legacy_serve"] == pytest.approx(
+        1.2 / run.audit.phases["total"])

@@ -23,10 +23,6 @@ Commands:
 * ``worker`` — join a fleet coordinator (``--join HOST:PORT``) and
   execute dispatched epoch audits until dismissed (see
   :mod:`repro.fleet` and ``docs/fleet.md``);
-* ``lint`` — run the static analyzer over a built-in application's
-  weblang scripts and print the audit-soundness diagnostics (text or
-  ``--json``; ``--fail-on`` gates the exit code — see
-  ``docs/analysis.md``);
 * ``query`` — time-travel forensics: reconstruct any SQL result, KV
   key, or register from a recorded bundle at any epoch boundary or
   request point (``--as-of <epoch|request-id>``), with producing
@@ -64,12 +60,6 @@ import json
 import sys
 import time
 
-from repro.apps import (
-    build_minicart,
-    build_minicrp,
-    build_miniforum,
-    build_miniwiki,
-)
 from repro.bench import figure9_decomposition, render_table
 from repro.bench.harness import run_audit_phase
 from repro.common.errors import MalformedBundle
@@ -85,7 +75,6 @@ from repro.forensics import (
     query_asof,
     reaudit_request,
 )
-from repro.lang.analysis import SEVERITIES, analyze_app
 from repro.io import (
     BundleReader,
     BundleWriter,
@@ -112,16 +101,6 @@ _WORKLOADS = {
     "hotcrp": hotcrp_workload,
     "cart": cart_workload,
 }
-
-_LINT_APPS = {
-    "miniwiki": build_miniwiki,
-    "miniforum": build_miniforum,
-    "minicrp": build_minicrp,
-    "minicart": build_minicart,
-}
-#: Workload-style names accepted as aliases by ``repro lint``.
-_LINT_ALIASES = {"wiki": "miniwiki", "forum": "miniforum",
-                 "hotcrp": "minicrp", "cart": "minicart"}
 
 
 def _build(args):
@@ -581,36 +560,6 @@ def cmd_fuzz(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    """Statically analyze one built-in app; print the diagnostics."""
-    name = _LINT_ALIASES.get(args.app, args.app)
-    app = _LINT_APPS[name]()
-    reports = analyze_app(app)
-    counts = {severity: 0 for severity in SEVERITIES}
-    for report in reports.values():
-        for severity, n in report.severity_counts().items():
-            counts[severity] += n
-    if args.json:
-        payload = {
-            "app": name,
-            "scripts": {script: report.to_json()
-                        for script, report in reports.items()},
-            "summary": {"errors": counts["error"],
-                        "warnings": counts["warning"],
-                        "infos": counts["info"]},
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for script in sorted(reports):
-            for diag in sorted(reports[script].diagnostics,
-                               key=lambda d: (d.nid, d.code)):
-                print(diag.format())
-        print(f"lint[{name}]: errors={counts['error']} "
-              f"warnings={counts['warning']} infos={counts['info']}")
-    threshold = SEVERITIES.index(args.fail_on)
-    return 1 if any(counts[s] for s in SEVERITIES[threshold:]) else 0
-
-
 def _load_timeline(args, workload, config) -> Timeline | None:
     """Build the forensic timeline for ``query``/``explain``; prints
     the error and returns ``None`` when the bundle cannot be primed."""
@@ -968,27 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dispatch each epoch to K workers and "
                             "cross-check their verdicts (default 1)")
     audit.set_defaults(func=cmd_audit)
-
-    lint = sub.add_parser(
-        "lint",
-        help="statically analyze a built-in app's weblang scripts "
-             "(effect inference, state-key footprints, audit-soundness "
-             "lint; see docs/analysis.md)",
-    )
-    lint.add_argument("app",
-                      choices=sorted(_LINT_APPS) + sorted(_LINT_ALIASES),
-                      help="application to lint (workload names are "
-                           "accepted as aliases)")
-    lint.add_argument("--json", action="store_true",
-                      help="emit the full machine-readable report "
-                           "(effects, footprints, diagnostics) instead "
-                           "of text diagnostics")
-    lint.add_argument("--fail-on", dest="fail_on", choices=SEVERITIES,
-                      default="error",
-                      help="exit nonzero when any diagnostic of this "
-                           "severity (or worse) is found (default: "
-                           "error)")
-    lint.set_defaults(func=cmd_lint)
 
     synth = sub.add_parser(
         "synth",

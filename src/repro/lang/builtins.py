@@ -4,9 +4,9 @@ Three built-in classes exist in weblang, mirroring OROCHI's treatment:
 
 * **pure** built-ins (this module): deterministic functions of their
   arguments.  The compiled engine may invoke them on multivalues by
-  *splitting* (§4.3): it calls the function once per component, deep-copying
-  array arguments when the built-in is marked mutating, and merges results
-  back into a multivalue.
+  *splitting* (§4.3): it calls the function once per component, on
+  private copies of array arguments, and merges results back into a
+  multivalue.
 * **non-deterministic** built-ins (``time``, ``rand``, ``uniqid``,
   ``getpid``, ``microtime``): the engine yields a
   :class:`~repro.lang.interp.NondetIntent` (one slot's arguments per
@@ -50,46 +50,10 @@ STATE_BUILTINS = (
 #: trace and verified like responses, not logged as object operations.
 EXTERNAL_BUILTINS = ("send_email", "external_call")
 
-#: Built-ins that mutate an array argument (need deep-copy when split).
-MUTATING_BUILTINS = frozenset({"array_push"})
-
 #: Request-input built-ins: deterministic functions of the recorded
-#: request, hence effect-free for analysis purposes (the interpreter and
-#: compiler resolve them before every other class).
+#: request, hence pure (the interpreter and compiler resolve them before
+#: every other class).
 REQUEST_INPUT_BUILTINS = ("param", "post_param", "cookie")
-
-
-# -- static effect classification --------------------------------------------
-#
-# Effect atoms of the analyzer's lattice (repro.lang.analysis); "pure" is
-# the empty set.  Every builtin is classified exactly once, here, next to
-# the builtin tables themselves, so a builtin added without a
-# classification fails the analyzer's coverage test.
-
-EFFECT_STATE_READ = "state-read"
-EFFECT_STATE_WRITE = "state-write"
-EFFECT_NONDET = "nondet"
-EFFECT_EXTERNAL = "external"
-
-EFFECTS_NONE: frozenset = frozenset()
-
-#: Which state built-ins read vs write shared objects.  ``db_query`` and
-#: ``db_exec`` are classified read+write: the statement *text* decides,
-#: and only the analyzer — when the SQL argument constant-folds — can
-#: refine the footprint to the actual tables.
-_STATE_EFFECTS: dict = {
-    "db_query": frozenset({EFFECT_STATE_READ, EFFECT_STATE_WRITE}),
-    "db_exec": frozenset({EFFECT_STATE_READ, EFFECT_STATE_WRITE}),
-    "db_begin": frozenset({EFFECT_STATE_WRITE}),
-    "db_commit": frozenset({EFFECT_STATE_WRITE}),
-    "db_rollback": frozenset({EFFECT_STATE_WRITE}),
-    "kv_get": frozenset({EFFECT_STATE_READ}),
-    "kv_set": frozenset({EFFECT_STATE_WRITE}),
-    "session_get": frozenset({EFFECT_STATE_READ}),
-    "session_put": frozenset({EFFECT_STATE_WRITE}),
-    "reg_read": frozenset({EFFECT_STATE_READ}),
-    "reg_write": frozenset({EFFECT_STATE_WRITE}),
-}
 
 
 def _stored(value: object) -> object:
@@ -547,19 +511,3 @@ PURE_BUILTINS: dict[str, Callable[..., object]] = {
     "sql_quote": _sql_quote,
 }
 
-
-#: name -> effect set, for every builtin the runtime can dispatch to.
-#: Consumed by :mod:`repro.lang.analysis` and, through it, by the
-#: compiling backend's purity decisions.
-BUILTIN_EFFECTS: dict[str, frozenset] = {}
-for _name in PURE_BUILTINS:
-    BUILTIN_EFFECTS[_name] = EFFECTS_NONE
-for _name in REQUEST_INPUT_BUILTINS:
-    BUILTIN_EFFECTS[_name] = EFFECTS_NONE
-for _name in NONDET_BUILTINS:
-    BUILTIN_EFFECTS[_name] = frozenset({EFFECT_NONDET})
-for _name in STATE_BUILTINS:
-    BUILTIN_EFFECTS[_name] = _STATE_EFFECTS[_name]
-for _name in EXTERNAL_BUILTINS:
-    BUILTIN_EFFECTS[_name] = frozenset({EFFECT_EXTERNAL})
-del _name

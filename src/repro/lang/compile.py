@@ -38,8 +38,8 @@ How it is built:
 
 * **pure statements** — those that can never perform a shared-object
   operation, a non-deterministic built-in or an external call (which
-  functions are pure comes from the static analyzer,
-  :func:`repro.lang.analysis.analyze_program`) — are generated Python
+  functions are pure comes from the purity pass,
+  :class:`repro.lang.analysis.Purity`) — are generated Python
   source (:mod:`repro.lang.regions`), which runs expressions in line
   where it can; **impure statements** are generator closures;
 * **expressions** are ``fn(env, state)`` closures, plain when pure and
@@ -105,7 +105,7 @@ from repro.lang.ast import (
     While,
 )
 from repro.lang import regions
-from repro.lang.analysis import analyze_program, call_kind, nodes
+from repro.lang.analysis import Purity, call_kind, nodes
 from repro.lang.builtins import (
     EXTERNAL_BUILTINS,
     NONDET_BUILTINS,
@@ -194,12 +194,10 @@ class _Compiler:
         #: (it executes a ``global`` declaration somewhere).
         self.use_env = False
         self.funcs: dict[str, _CompiledFunc] = {}
-        #: Function-level effects come from the static analyzer — the
-        #: single source of truth for purity (repro.lang.analysis).  The
-        #: report is as large as the closures it helps build and only
-        #: needed while building them, so it is not the cached one.
-        self.analysis = analyze_program(program, db_name, kv_name,
-                                        session_cookie)
+        #: Which functions and nodes may yield an intent: the one
+        #: purity decision (repro.lang.analysis), needed only while
+        #: building the closures.
+        self.purity = Purity(program)
         #: A variable read or a constant is the same closure wherever
         #: it occurs: (name,) / (type, repr, steps).
         self.leaves: dict[tuple, tuple] = {}
@@ -207,6 +205,8 @@ class _Compiler:
         self.literals: dict[Callable, tuple[PhpArray, int]] = {}
         #: (id(node), copy) -> (node, its compiled form).
         self.exprs: dict[tuple, tuple] = {}
+        #: id(node) -> (node, what regions.py's walk found of it).
+        self.walks: dict[int, tuple] = {}
         #: Whether the scope being compiled is the top level, whose
         #: frame is the globals, and the globals a function may write.
         self.top = False
@@ -219,7 +219,7 @@ class _Compiler:
         for name, decl in program.functions.items():
             self.funcs[name] = _CompiledFunc(
                 name, decl.params,
-                pure=self.analysis.function_pure(name),
+                pure=self.purity.function_pure(name),
                 use_env=_scope_uses_global(decl.body),
             )
             if self.funcs[name].use_env:
@@ -230,10 +230,13 @@ class _Compiler:
             func = self.funcs[name]
             self.use_env = func.use_env
             pure, fn = self._compile_block(decl.body, whole=True)
-            # The analyzer's effect fixpoint and the compiled block agree
-            # on purity; the compiled block stays authoritative for the
-            # run closure.
-            func.pure = pure
+            # Callers compiled before this body bound ``func.pure``: a
+            # body that disagrees would turn their plain call into a
+            # ``yield from``, or the reverse.
+            if pure != func.pure:
+                raise AssertionError(
+                    f"{name}(): purity pass says pure={func.pure}, "
+                    f"compiled body pure={pure}")
             func.run = fn
         self.use_env = False  # top level: vars *are* globals
         self.top = True
@@ -242,18 +245,13 @@ class _Compiler:
 
     # -- blocks and statements ------------------------------------------------
 
-    def _pure(self, node: Node) -> bool:
-        """Whether ``node`` never yields an intent (the analyzer's
-        effects: it calls no state, external or non-deterministic
-        built-in and no impure function)."""
-        return not self.analysis.effects_of(node)
-
     def _compile_block(self, stmts: list[Node],
                        whole: bool = False) -> tuple[bool, Callable]:
         """A block: each maximal run of pure statements one generated
         region (:func:`regions.region`), each other statement its
         generator closure; ``whole`` where it is a function's body."""
-        runs = [(pure, list(run)) for pure, run in groupby(stmts, self._pure)]
+        runs = [(pure, list(run))
+                for pure, run in groupby(stmts, self.purity.pure)]
         if all(pure for pure, _ in runs):
             return True, regions.region(self, stmts, self.top, whole)
         items = []
@@ -838,7 +836,7 @@ class _Compiler:
         (:func:`regions.expression`)."""
         compiled = [self._compile_expr_copy(arg) for arg in node.args]
         if all(pure for pure, _, _ in compiled):
-            made = None if self._pure(node) or self.use_env \
+            made = None if self.purity.pure(node) or self.use_env \
                 else regions.expression(self, node.args, True, many=True)
             if made is not None:
                 return True, made

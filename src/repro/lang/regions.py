@@ -49,7 +49,7 @@ from collections.abc import Callable
 from hashlib import blake2b
 
 from repro.common.digest import _FNV_PRIME, _MASK, branch_mix
-from repro.lang.analysis import nodes
+from repro.lang.analysis import iter_children
 from repro.lang.ast import (
     ArrayLit,
     Assign,
@@ -158,18 +158,46 @@ def _factory(source: str) -> Callable[..., Callable]:
     return _MADE[key]
 
 
-def _names(node: Node | list[Node], kinds: tuple = (Var, Assign,
-                                                   IndexAssign)) -> set[str]:
-    """The variables ``node`` reads or writes; with ``kinds=(Assign,)``
-    those it assigns (an index assignment writes its variable in place,
-    or through a call that reloads it)."""
-    names = set()
-    for item in nodes(node):
-        if type(item) in kinds:
-            names.add(item.name)
-        elif type(item) is Foreach:
-            names.update(var for var in (item.key_var, item.val_var) if var)
-    return names
+#: What :func:`_walk` finds of a subtree that touches no variable and
+#: no flow.
+_NOTHING: tuple = (frozenset(), frozenset(), frozenset(), False)
+
+
+def _walk(comp, node: Node | list[Node]) -> tuple:
+    """``(reads, assigns, indexed, flows)`` of ``node`` (or a list of
+    them): the variables it reads, those it assigns or a foreach binds,
+    those it index-assigns, and whether it may fold the flow digest or
+    raise a signal — it holds a branch, a loop, ``break`` or
+    ``continue``, or calls a user function.  Found bottom-up, once per
+    node and compiler."""
+    key = id(node)
+    if key in comp.walks:
+        return comp.walks[key][1]
+    kind = type(node)
+    reads: set[str] = set()
+    assigns: set[str] = set()
+    indexed: set[str] = set()
+    flows = kind in _FLOWS or kind is BinOp and node.op in ("&&", "||") \
+        or kind is Call and node.name in comp.funcs
+    if kind is Var:
+        reads.add(node.name)
+    elif kind is Assign:
+        assigns.add(node.name)
+    elif kind is IndexAssign:
+        indexed.add(node.name)
+    elif kind is Foreach:
+        assigns.update(var for var in (node.key_var, node.val_var) if var)
+    for child in node if kind is list else iter_children(node):
+        got = _walk(comp, child)
+        if got is not _NOTHING:
+            reads |= got[0]
+            assigns |= got[1]
+            indexed |= got[2]
+            flows = flows or got[3]
+    found = (frozenset(reads), frozenset(assigns), frozenset(indexed),
+             flows) if reads or assigns or indexed or flows else _NOTHING
+    comp.walks[key] = (node, found)  # the node is kept: its id its own
+    return found
 
 
 #: An in-line value: its Python expression, its type (``None``: any
@@ -276,19 +304,11 @@ class _Region:
                     *self.reload(pad + "    ", writes, flows)]
         return [*lines, pad + line, *self.reload(pad, writes, flows)]
 
-    def reach(self, node: Node) -> tuple[set[str], bool]:
+    def reach(self, node: Node) -> tuple[frozenset[str], bool]:
         """The variables ``node`` reads, and whether it may fold the flow
-        digest or raise a signal: it holds a branch, a loop, ``break``
-        or ``continue``, or calls a user function."""
-        names, flows = set(), False
-        for item in nodes(node):
-            kind = type(item)
-            if kind is Var:
-                names.add(item.name)
-            elif kind in _FLOWS or kind is BinOp and item.op in (
-                    "&&", "||") or kind is Call and item.name in self.comp.funcs:
-                flows = True
-        return names, flows
+        digest or raise a signal (:func:`_walk`)."""
+        reads, _, _, flows = _walk(self.comp, node)
+        return reads, flows
 
     def branch(self, pad: str, cond: str, yes: Callable,
                no: Callable | None = None) -> list[str]:
@@ -518,10 +538,11 @@ class _Region:
 
     def drained(self, pad: str, stmt: Node) -> list[str]:
         """``stmt`` on its generator closure (a pure one never yields)."""
-        touched = _names(stmt) if self.fast else set()
+        reads, assigns, indexed, flows = _walk(self.comp, stmt)
+        touched = reads | assigns | indexed if self.fast else set()
         run = self.bind(self.comp._compile_stmt(stmt))
         return self.call(pad, f"next({run}(env, state), None)", touched,
-                         touched, self.reach(stmt)[1])
+                         touched, flows)
 
     def _store(self, var: str) -> Callable:
         """``use`` storing the value in variable ``var``."""
@@ -619,8 +640,10 @@ class _Region:
         may be unwritten at any trip's start."""
         self.dirty |= {"steps", "flow", *binds}
         if self.fast:
+            # What it assigns: an index assignment writes its variable
+            # in place, or through a call that reloads it.
             self.dirty |= {self.local(var)
-                           for var in sorted(_names(stmt.body, (Assign,)))}
+                           for var in sorted(_walk(self.comp, stmt.body)[1])}
         dirty, inner = set(self.dirty), pad + "    "
         lines = [*head(), *self.fold(inner, self.bind(branch_mix(
             "loop", stmt.nid))), *bind, f"{inner}try:"]

@@ -7,7 +7,8 @@ from collections import Counter
 
 import pytest
 
-from repro.bench import run_workload_pipeline
+from repro.bench import harness, run_workload_pipeline
+from repro.lang import compile as compile_module
 from repro.workloads import (
     cart_workload,
     forum_workload,
@@ -99,6 +100,26 @@ def test_workload_audits_accept(factory, scale):
                                 run_baseline=False, measure_legacy=False)
     assert run.audit.accepted, (workload.label, run.audit.reason,
                                 run.audit.detail)
+
+
+def test_the_legacy_serve_compiles_nothing(monkeypatch):
+    """The legacy serve is timed warm, like the recorded serve after it,
+    so the recording overhead is not a compile-cost difference: the
+    serve under its timer makes no compile-cache miss."""
+    workload = forum_workload(scale=0.005, seed=1)
+    compile_module.clear_cache()
+    misses = []
+    serve = harness.run_online_phase
+
+    def timed(*args, **kwargs):
+        before = compile_module.cache_info()["misses"]
+        execution = serve(*args, **kwargs)
+        misses.append(compile_module.cache_info()["misses"] - before)
+        return execution
+
+    monkeypatch.setattr(harness, "run_online_phase", timed)
+    harness.measure_legacy_seconds(workload, seed=1, concurrency=4)
+    assert misses == [0]
 
 
 def test_cart_workload_deterministic():

@@ -2,8 +2,9 @@
 
 The fixpoint over the call graph (propagation, mutual and pure
 recursion), the runtimes' dispatch order (a user function shadows a pure
-built-in, never an intent-yielding one), per-node purity, and the
-compiler's check that a compiled body agrees with the pass.
+built-in, never an intent-yielding one), per-node purity in every
+syntactic position an intent can hide in, and the compiler's check that
+a compiled body agrees with the pass.
 """
 
 from __future__ import annotations
@@ -133,3 +134,55 @@ def test_a_body_disagreeing_with_the_pass_is_an_error(monkeypatch):
     monkeypatch.setattr(Purity, "function_pure", lambda self, name: True)
     with pytest.raises(AssertionError, match="f\\(\\)"):
         compile_module.compile_program(program)
+
+
+#: Every place an expression can sit, ``{e}`` standing for it.  An
+#: intent there must make the program impure; a pure call must not —
+#: so a child that :func:`iter_children` skips shows up as one case.
+POSITIONS = {
+    "assign": "$x = {e};",
+    "compound-assign": "$x = 'a'; $x .= {e};",
+    "expr-stmt": "{e};",
+    "echo-later-argument": "echo 1, {e};",
+    "array-key": "$x = [{e} => 1];",
+    "array-value": "$x = ['k' => 1, {e}];",
+    "index-base": "$x = {e}[0];",
+    "index-subscript": "$a = [1]; $x = $a[{e}];",
+    "index-assign-path": "$a = []; $a['k'][{e}] = 1;",
+    "index-assign-value": "$a = []; $a[] = {e};",
+    "binop-left": "$x = {e} . 'a';",
+    "binop-right": "$x = 'a' . {e};",
+    "short-circuit-right": "$x = false && {e};",
+    "unary": "$x = -{e};",
+    "ternary-condition": "$x = {e} ? 1 : 2;",
+    "ternary-then": "$x = true ? {e} : 2;",
+    "ternary-else": "$x = true ? 1 : {e};",
+    "call-later-argument": "$x = substr('abc', 1, {e});",
+    "if-condition": "if ({e}) { echo 1; }",
+    "if-body": "if (true) { echo {e}; }",
+    "elseif-condition": "if (false) { echo 1; } elseif ({e}) { echo 2; }",
+    "else-body": "if (false) { echo 1; } else { echo {e}; }",
+    "while-condition": "while ({e}) { break; }",
+    "while-body": "while (false) { echo {e}; }",
+    "foreach-subject": "foreach ({e} as $k => $v) { echo $v; }",
+    "foreach-body": "foreach ([1] as $v) { echo {e}; }",
+    "return": "function f() { return {e}; } echo f();",
+    "function-body": "function f() { echo {e}; return 1; } echo f();",
+    "through-two-calls": ("function g() { return {e}; } "
+                          "function f() { return g(); } echo f();"),
+}
+
+
+@pytest.mark.parametrize("position", sorted(POSITIONS))
+def test_an_intent_in_any_position_is_seen(position):
+    template = POSITIONS[position]
+    impure = parse_program(template.replace("{e}", "time()"))
+    pure = parse_program(template.replace("{e}", "strlen('x')"))
+    impure_facts, pure_facts = Purity(impure), Purity(pure)
+    assert not all(map(impure_facts.pure, impure.body))
+    assert all(map(pure_facts.pure, pure.body))
+    assert pure_facts.impure == frozenset()
+    assert impure_facts.impure == impure.functions.keys()
+    # The compiled bodies agree with the pass, or compiling raises.
+    compile_module.compile_program(impure)
+    compile_module.compile_program(pure)

@@ -19,9 +19,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.apps import (
+    build_minicart,
+    build_minicrp,
+    build_miniforum,
+    build_miniwiki,
+)
 from repro.common.errors import MultivalueFallback, WeblangError
+from repro.lang import compile as compile_module
 from repro.lang import interp, regions, simd
-from repro.lang.ast import Lit, Node
+from repro.lang.analysis import nodes
+from repro.lang.ast import (
+    Assign,
+    BinOp,
+    Call,
+    Foreach,
+    IndexAssign,
+    Lit,
+    Node,
+    Var,
+)
 from repro.lang.compile import (
     CompInterpreter,
     compile_program,
@@ -550,3 +567,75 @@ def test_a_subject_that_is_no_array_fails_at_the_oracles_step():
                 "WeblangError: foreach over a non-array"
     oracle, compiled = states
     assert compiled.steps == oracle.steps == 6
+
+
+def _walked_afresh(tree, funcs) -> tuple:
+    """What :func:`regions._walk` finds of ``tree`` (a node or a list of
+    them), found by visiting its whole subtree."""
+    found = nodes(tree)
+    kinds = [type(item) for item in found]
+    return (
+        frozenset(item.name for item in found if type(item) is Var),
+        frozenset(item.name for item in found if type(item) is Assign)
+        | frozenset(var for item in found if type(item) is Foreach
+                    for var in (item.key_var, item.val_var) if var),
+        frozenset(item.name for item in found if type(item) is IndexAssign),
+        any(kind in regions._FLOWS for kind in kinds)
+        or any(type(item) is BinOp and item.op in ("&&", "||")
+               or type(item) is Call and item.name in funcs
+               for item in found),
+    )
+
+
+class _OnceEach(dict):
+    """A compiler's walk memo that fails on a second walk of a node."""
+
+    def __setitem__(self, key, value):
+        assert key not in self, f"{value[0]!r} walked twice"
+        super().__setitem__(key, value)
+
+
+def _walk_all(program, *dialect) -> int:
+    """Compile ``program``, checking every walk; the nodes walked."""
+    comp = compile_module._Compiler(program, *dialect)
+    comp.walks = _OnceEach()
+    comp.compile()
+    for tree, found in comp.walks.values():
+        assert found == _walked_afresh(tree, comp.funcs), tree
+    return len(comp.walks)
+
+
+@pytest.mark.parametrize("build", [build_miniwiki, build_miniforum,
+                                   build_minicrp, build_minicart],
+                         ids=["miniwiki", "miniforum", "minicrp",
+                              "minicart"])
+def test_each_subtree_is_walked_once_and_found_whole(build):
+    """Compiling a bundled app walks each node (or statement list) once,
+    and what the bottom-up walk finds of it is what a walk of its whole
+    subtree finds."""
+    app = build()
+    walked = sum(_walk_all(app.script(name), app.db_name, app.kv_name,
+                           app.session_cookie) for name in app.scripts)
+    assert walked > 100
+
+
+def test_a_pure_loop_nest_is_walked_once_and_found_whole():
+    """The pure loops the bundled apps keep out of walks: a foreach
+    nested past the loops one region holds is drained, so its walk
+    binds its key and value; and a short-circuit, ``break`` /
+    ``continue`` and a call of a user function inside loops."""
+    nest = "".join(f"foreach ($m as $k{depth} => $v{depth}) {{ "
+                   for depth in range(regions._LOOPS + 1))
+    close = "}" * (regions._LOOPS + 1)
+    program = parse_program(f"""
+function twice($n) {{ return $n * 2; }}
+$t = 0; $m = ['a' => 1, 'b' => 2];
+{nest}
+  if ($v0 > 1 && $k0 != 'a') {{ $t += twice($v1); continue; }}
+  $i = 0;
+  while (true) {{ $i += 1; if ($i > 3) {{ break; }} }}
+  $m2[$k1] = $i;
+{close}
+echo $t;
+""")
+    assert _walk_all(program, "db:main", "kv:apc", "sess") > 20

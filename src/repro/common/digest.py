@@ -4,6 +4,10 @@ The server's runtime maintains, per request, an incremental digest updated at
 every branch with the branch kind and the location jumped to.  The digest
 value is the opaque *control-flow tag* reported in the groupings ``C``.
 
+A loop folds ``("loop", nid)`` per trip and ``("loopx", nid)`` where it
+ends; a *fold-free* one (:func:`repro.lang.analysis.fold_free`), whose
+trips differ in number alone, ``("loopx", nid)`` and ``("trips", n)``.
+
 We use 64-bit FNV-1a.  The digest only needs to be a deterministic,
 well-distributed fingerprint of the branch sequence; it is untrusted input to
 the verifier either way (a wrong tag merely mis-groups requests, which the
@@ -43,10 +47,10 @@ class FlowDigest:
 
     The per-update step is a single multiply-xor mix: the server pays it
     on *every branch* of *every request* (Figure 8's "server CPU overhead"
-    column), which is why the engine it runs does the same step in line
-    (:func:`branch_mix`) and this class is the reference the oracle and
-    the tests use.  Collision behaviour only affects grouping quality,
-    never audit correctness: the tag is untrusted input either way (§3.1).
+    column; twice in all for a fold-free loop), which is why the engine it
+    runs does the same step in line (:func:`branch_mix`) and this class is
+    the reference the oracle and the tests use, fed the module docstring's
+    sequence.  Collision behaviour only affects grouping quality (§3.1).
     """
 
     __slots__ = ("_value",)
@@ -59,7 +63,7 @@ class FlowDigest:
 
         ``kind`` identifies the branch construct (e.g. ``"if"``, ``"loop"``,
         ``"tern"``, ``"sc"``) and ``target`` the location jumped to (AST
-        node id plus taken arm).
+        node id plus taken arm; ``"trips"``: a fold-free loop's count).
         """
         self._value = (
             (self._value ^ branch_mix(kind, target)) * _FNV_PRIME

@@ -13,6 +13,8 @@ from here:
 * :meth:`Purity.pure` — per node, memoised: no intent-yielding built-in
   and no call of an impure user function anywhere in the subtree.
 
+The flow digest of every engine reads :func:`fold_free` from here too.
+
 The contract — every intent a run yields comes from code the pass calls
 impure — is held by ``tests/lang/test_analysis_soundness.py`` on the
 bundled apps and on randomized programs.
@@ -52,8 +54,8 @@ from repro.lang.builtins import (
     STATE_BUILTINS,
 )
 
-__all__ = ["Purity", "call_kind", "impure_functions", "iter_children",
-           "nodes"]
+__all__ = ["Purity", "branches", "call_kind", "fold_free",
+           "impure_functions", "iter_children", "nodes"]
 
 
 def call_kind(name: str, functions) -> str:
@@ -128,6 +130,25 @@ def nodes(tree: Node | list) -> list[Node]:
         found.append(stack.pop())
         stack.extend(iter_children(found[-1]))
     return found
+
+
+def branches(node: Node, functions) -> bool:
+    """True when ``node`` itself may fold the flow digest or raise a
+    ``break`` / ``continue``, ``functions`` being the user functions."""
+    kind = type(node)
+    return kind in (Ternary, If, While, Foreach, Break, Continue) \
+        or kind is BinOp and node.op in ("&&", "||") \
+        or kind is Call and node.name in functions
+
+
+def fold_free(loop: While | Foreach, functions) -> bool:
+    """True when nothing in ``loop``'s ``while`` condition or body
+    branches (:func:`branches`) or returns.  A loop left by ``return``
+    folds no ``loopx``: were it to fold nothing at all, ``f(1); f(0)``
+    and ``f(0); f(1)`` would fold alike."""
+    head = [loop.cond] if type(loop) is While else []
+    return not any(type(node) is Return or branches(node, functions)
+                   for node in nodes(head + loop.body))
 
 
 def impure_functions(program: Program) -> frozenset[str]:

@@ -105,7 +105,7 @@ from repro.lang.ast import (
     While,
 )
 from repro.lang import regions
-from repro.lang.analysis import Purity, call_kind, nodes
+from repro.lang.analysis import Purity, call_kind, fold_free, nodes
 from repro.lang.builtins import (
     EXTERNAL_BUILTINS,
     NONDET_BUILTINS,
@@ -353,18 +353,21 @@ class _Compiler:
     def _compile_loop(self, stmt: While | Foreach) -> Callable:
         """A ``while`` / ``foreach``: a trip starts when the condition
         holds / with the next pair bound, and the digest folds ``loop``
-        per trip and ``loopx`` after the last."""
+        per trip and ``loopx`` after the last, a fold-free loop ``loopx``
+        and its trip count only."""
         each = type(stmt) is Foreach
         test_pure, test_fn, _ = self._operand(stmt.subject if each
                                               else stmt.cond)
         body_pure, body_fn = self._compile_block(stmt.body)
-        enter = branch_mix("loop", stmt.nid)
+        free = fold_free(stmt, self.funcs)
+        enter = None if free else branch_mix("loop", stmt.nid)
         leave = branch_mix("loopx", stmt.nid)
         where = f"{'foreach' if each else 'while'}#{stmt.nid}"
         key_var, val_var = (stmt.key_var, stmt.val_var) if each else (0, 0)
 
         def run_gen(env, state):
             state.steps += 1
+            trips = 0
             if each:
                 items = iter(_foreach_items(
                     test_fn(env, state) if test_pure
@@ -383,7 +386,9 @@ class _Compiler:
                     kind = type(value := item[1])
                     env[val_var] = (_copy_value(value) if kind is PhpArray
                                     or kind is MultiValue else value)
-                _fold(state, enter)
+                trips += 1
+                if enter is not None:
+                    _fold(state, enter)
                 try:
                     if body_pure:
                         body_fn(env, state)
@@ -394,6 +399,8 @@ class _Compiler:
                 except _ContinueSignal:
                     continue
             _fold(state, leave)
+            if free:
+                _fold(state, branch_mix("trips", trips))
 
         return run_gen
 

@@ -19,8 +19,8 @@ operand, reply and body per slot; a request run alone is a group of one.
 
 When ``record_flow`` is on, the interpreter maintains the incremental
 control-flow digest (§4.3): at every branch it folds in the branch kind and
-jump target.  The digest becomes the request's control-flow tag in the
-reports.
+jump target (a fold-free loop its trip count, at its end).  The digest
+becomes the request's control-flow tag in the reports.
 
 A second per-run product is the *instruction count* ``steps``, used by the
 benchmarks (Figures 10-11) as the analog of PHP bytecode instruction counts.
@@ -33,6 +33,7 @@ from collections.abc import Generator
 
 from repro.common.errors import WeblangError
 from repro.common.digest import FlowDigest
+from repro.lang.analysis import fold_free
 from repro.lang.ast import (
     ArrayLit,
     Assign,
@@ -292,11 +293,13 @@ class Interpreter:
                 yield from self._exec_block(stmt.else_body, env, state)
             return
         if kind is While:
+            free, trips = self.record_flow and fold_free(stmt, state.funcs), 0
             while True:
                 value = yield from self._eval(stmt.cond, env, state)
                 if not truthy(value):
                     break
-                if state.digest is not None:
+                trips += 1
+                if state.digest is not None and not free:
                     state.digest.update("loop", stmt.nid)
                 try:
                     yield from self._exec_block(stmt.body, env, state)
@@ -306,13 +309,17 @@ class Interpreter:
                     continue
             if state.digest is not None:
                 state.digest.update("loopx", stmt.nid)
+                if free:
+                    state.digest.update("trips", trips)
             return
         if kind is Foreach:
             subject = yield from self._eval(stmt.subject, env, state)
             if not isinstance(subject, PhpArray):
                 raise WeblangError("foreach over a non-array")
+            free, trips = self.record_flow and fold_free(stmt, state.funcs), 0
             for key, value in subject.items():
-                if state.digest is not None:
+                trips += 1
+                if state.digest is not None and not free:
                     state.digest.update("loop", stmt.nid)
                 if stmt.key_var is not None:
                     env.store(stmt.key_var, key)
@@ -328,6 +335,8 @@ class Interpreter:
                     continue
             if state.digest is not None:
                 state.digest.update("loopx", stmt.nid)
+                if free:
+                    state.digest.update("trips", trips)
             return
         if kind is IndexAssign:
             yield from self._exec_index_assign(stmt, env, state)

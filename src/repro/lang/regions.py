@@ -6,7 +6,8 @@ function (:func:`region`; cut where it grows past :data:`_SIZE`), and a
 pure operand of code that may yield is one too (:func:`expression`).
 An ``if`` is a Python ``if`` that folds its arm's digest constant, a
 loop a Python loop that folds ``loop`` per trip after binding the key
-and a copy-on-write handle of the value, and ``loopx`` after the last;
+and a copy-on-write handle of the value, and ``loopx`` after the last
+(a fold-free one ``loopx`` and its trip count only);
 ``break`` / ``continue`` in it are Python's.  An index assignment with a
 longer path or a compound operator, and a loop or branch nested past
 :data:`_LOOPS` / :data:`_INDENT`, run on their generator closure.
@@ -49,7 +50,7 @@ from collections.abc import Callable
 from hashlib import blake2b
 
 from repro.common.digest import _FNV_PRIME, _MASK, branch_mix
-from repro.lang.analysis import iter_children
+from repro.lang.analysis import branches, fold_free, iter_children
 from repro.lang.ast import (
     ArrayLit,
     Assign,
@@ -115,9 +116,6 @@ _SIZE = 3000
 _LOOPS = 6
 _INDENT = 40
 
-#: The nodes that fold the flow digest or raise a signal.
-_FLOWS = frozenset({Ternary, If, While, Foreach, Break, Continue})
-
 #: The local of a variable not in the frame: never written back.
 _ABSENT = object()
 
@@ -131,7 +129,7 @@ _RELOAD = "\0"
 #: The module a generated function runs in: no builtins beyond these.
 _HELPERS: dict[str, object] = {
     "__builtins__": {}, "type": type, "int": int, "str": str, "next": next,
-    "PhpArray": PhpArray, "MultiValue": MultiValue, "_OK": _OK,
+    "len": len, "PhpArray": PhpArray, "MultiValue": MultiValue, "_OK": _OK,
     "_ABSENT": _ABSENT, "_PRIME": _FNV_PRIME, "_MASK": _MASK,
     "_truth": _truth, "truthy": truthy, "to_str": to_str, "_binop": _binop,
     "_copy_value": _copy_value, "_foreach_items": _foreach_items,
@@ -177,8 +175,7 @@ def _walk(comp, node: Node | list[Node]) -> tuple:
     reads: set[str] = set()
     assigns: set[str] = set()
     indexed: set[str] = set()
-    flows = kind in _FLOWS or kind is BinOp and node.op in ("&&", "||") \
-        or kind is Call and node.name in comp.funcs
+    flows = branches(node, comp.funcs)
     if kind is Var:
         reads.add(node.name)
     elif kind is Assign:
@@ -256,10 +253,11 @@ class _Region:
         self.dirty.add("steps")
         return [f"{pad}steps += {steps}"]
 
-    def fold(self, pad: str, mix: str) -> list[str]:
+    def fold(self, pad: str, *mixes: str) -> list[str]:
         self.dirty.add("flow")
         return [f"{pad}if flow is not None:",
-                f"{pad}    flow = ((flow ^ {mix}) * _PRIME) & _MASK"]
+                *(f"{pad}    flow = ((flow ^ {mix}) * _PRIME) & _MASK"
+                  for mix in mixes)]
 
     def sync(self, pad: str, names: set[str] | None = None,
              flows: bool = True) -> list[str]:
@@ -631,13 +629,15 @@ class _Region:
                              lambda p: self._if(p, stmt, index + 1, where))]
 
     def _loop(self, pad: str, stmt, head: Callable, bind: list[str],
-              binds: tuple[str, ...] = ()) -> list[str]:
+              binds: tuple[str, ...] = (), trips: str | None = None
+              ) -> list[str]:
         """A ``while`` / ``foreach`` trip after trip: ``head()`` the
         loop's first line(s), ``bind`` what a trip starts with after its
         fold, ``binds`` the locals that binds; the digest folds ``loop``
         per trip and ``loopx`` after the last, and ``break`` /
-        ``continue`` from a call arrive as signals.  What a trip writes
-        may be unwritten at any trip's start."""
+        ``continue`` from a call arrive as signals; a fold-free loop
+        (``trips`` its count, kept while recording) has neither.  What a
+        trip writes may be unwritten at any trip's start."""
         self.dirty |= {"steps", "flow", *binds}
         if self.fast:
             # What it assigns: an index assignment writes its variable
@@ -645,30 +645,39 @@ class _Region:
             self.dirty |= {self.local(var)
                            for var in sorted(_walk(self.comp, stmt.body)[1])}
         dirty, inner = set(self.dirty), pad + "    "
-        lines = [*head(), *self.fold(inner, self.bind(branch_mix(
-            "loop", stmt.nid))), *bind, f"{inner}try:"]
+        leave = [self.bind(branch_mix("loopx", stmt.nid))]
         self.loops += 1
-        lines += [*self.block(inner + "    ", stmt.body),
-                  f"{inner}except _BreakSignal:", *self.reload(inner + "    "),
-                  f"{inner}    break", f"{inner}except _ContinueSignal:",
-                  *self.reload(inner + "    "), f"{inner}    continue"]
+        if trips is not None:
+            lines = [*head(), *bind, *self.block(inner, stmt.body)]
+            leave.append(f"({self.bind(branch_mix('trips', 0))} + {trips})")
+        else:
+            lines = [*head(), *self.fold(inner, self.bind(branch_mix(
+                "loop", stmt.nid))), *bind, f"{inner}try:",
+                *self.block(inner + "    ", stmt.body),
+                f"{inner}except _BreakSignal:", *self.reload(inner + "    "),
+                f"{inner}    break", f"{inner}except _ContinueSignal:",
+                *self.reload(inner + "    "), f"{inner}    continue"]
         self.loops -= 1
         self.dirty |= dirty
-        return lines + self.fold(pad, self.bind(branch_mix("loopx",
-                                                           stmt.nid)))
+        return lines + self.fold(pad, *leave)
 
     def _while(self, pad: str, stmt) -> list[str]:
         held = self.temp()
-        return [*self.book(pad, 1), *self._loop(pad, stmt, lambda: [
+        count = self.temp() if fold_free(stmt, self.comp.funcs) else None
+        start, tally = ([f"{pad}{count} = 0"],
+                        [f"{pad}    if flow is not None:",
+                         f"{pad}        {count} += 1"]) if count else ([], [])
+        return [*self.book(pad, 1), *start, *self._loop(pad, stmt, lambda: [
             f"{pad}while True:",
             *self._condition(pad + "    ", stmt.cond,
                              self.bind(f"while#{stmt.nid}"), held),
-            f"{pad}    if not {held}:", f"{pad}        break"], [])]
+            f"{pad}    if not {held}:", f"{pad}        break", *tally],
+            [], trips=count)]
 
     def _foreach(self, pad: str, stmt) -> list[str]:
-        subject = self.temp()
+        items = self.temp()
         lines = self.operand(pad, stmt.subject, lambda p, src, _: [
-            f"{p}{subject} = {src}"], book=1)
+            f"{p}{items} = {src}"], book=1)
         lines += self.sync(pad, set(), flows=False)  # it fails at its step
         if self.fast:
             key = self.local(stmt.key_var) if stmt.key_var else "_"
@@ -686,8 +695,10 @@ class _Region:
                      for var, local in ((stmt.key_var, key),
                                         (stmt.val_var, value)) if var]
         return lines + self._loop(pad, stmt, lambda: [
-            f"{pad}for {key}, {value} in _foreach_items({subject}, state, "
-            f"{where}):"], bind, (key, value) if self.fast else ())
+            f"{pad}{items} = _foreach_items({items}, state, {where})",
+            f"{pad}for {key}, {value} in {items}:"], bind,
+            (key, value) if self.fast else (),
+            f"len({items})" if fold_free(stmt, self.comp.funcs) else None)
 
     def _indexassign(self, pad: str, stmt) -> list[str]:
         """``$a[] = e`` / ``$a[k] = e`` on a dict frame: the variable's
@@ -712,8 +723,13 @@ class _Region:
             *self.operand(pad, stmt.expr, held(value), copy=True, book=1)]
         test = (f"type({container}) is PhpArray "
                 f"and type({value}) is not MultiValue")
+        const = None if last is None else self.comp._compile_expr(last)[2]
         if last is None:
             key, store = self.bind(_APPEND), f"{container}.append({value})"
+        elif const is not None and type(const[0]) in (int, str):
+            key = self.bind(PhpArray._norm_key(const[0]))  # normalised once
+            lines += self.book(pad, const[1])
+            store = f"{container}.put({key}, {value})"
         else:
             lines += self.operand(pad, last, held(key))
             test += f" and type({key}) is not MultiValue"

@@ -352,8 +352,8 @@ def _call_builtin(builtin: Callable, args: list[object],
 
 
 def _foreach_items(subject: object, state: _State, where: str):
-    """The (key, value) pairs a foreach binds, trip by trip; the caller
-    copies each value as it binds it."""
+    """The list of (key, value) pairs a foreach binds, trip by trip; the
+    caller copies each value as it binds it."""
     if type(subject) is not MultiValue:
         if not isinstance(subject, PhpArray):
             raise WeblangError("foreach over a non-array")
@@ -364,11 +364,11 @@ def _foreach_items(subject: object, state: _State, where: str):
     if len({len(array) for array in subject.values}) > 1:
         raise DivergenceError(f"foreach trip count diverges at {where}")
     part, regroup = subject.part, state.regroup
-    return (
+    return [
         (regroup(part, [key for key, _ in trip]),
          regroup(part, [value for _, value in trip]))
         for trip in zip(*[array.items() for array in subject.values])
-    )
+    ]
 
 
 def _descend_one(container: PhpArray, key: object) -> PhpArray:

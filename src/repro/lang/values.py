@@ -142,7 +142,10 @@ class PhpArray:
         self._shared = False
 
     def set(self, key: object, value: object) -> None:
-        norm = self._norm_key(key)
+        self.put(self._norm_key(key), value)
+
+    def put(self, norm: Key, value: object) -> None:
+        """:meth:`set` at a key :meth:`_norm_key` returned."""
         if self._shared:
             self._separate()
         self.data[norm] = value
@@ -167,7 +170,7 @@ class PhpArray:
         inner = self.data.get(norm)
         if inner is None:
             inner = PhpArray()
-            self.set(norm, inner)
+            self.put(norm, inner)
         return inner
 
     def release(self) -> None:

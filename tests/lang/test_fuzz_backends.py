@@ -605,7 +605,7 @@ def test_group_of_one_records_the_oracles_flow_tag(monkeypatch, read):
     assert len(tags) == 6  # six inputs, six paths
     assert _SpyDigest.seen == {
         ("if", 0), ("if", 1), ("if", 2), ("loop", 0), ("loopx", 0),
-        ("tern", 0), ("tern", 1), ("sc", 0), ("sc", 1),
+        ("trips", 0), ("tern", 0), ("tern", 1), ("sc", 0), ("sc", 1),
     }
 
 

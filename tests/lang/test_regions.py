@@ -28,11 +28,9 @@ from repro.apps import (
 from repro.common.errors import MultivalueFallback, WeblangError
 from repro.lang import compile as compile_module
 from repro.lang import interp, regions, simd
-from repro.lang.analysis import nodes
+from repro.lang.analysis import branches, nodes
 from repro.lang.ast import (
     Assign,
-    BinOp,
-    Call,
     Foreach,
     IndexAssign,
     Lit,
@@ -573,17 +571,13 @@ def _walked_afresh(tree, funcs) -> tuple:
     """What :func:`regions._walk` finds of ``tree`` (a node or a list of
     them), found by visiting its whole subtree."""
     found = nodes(tree)
-    kinds = [type(item) for item in found]
     return (
         frozenset(item.name for item in found if type(item) is Var),
         frozenset(item.name for item in found if type(item) is Assign)
         | frozenset(var for item in found if type(item) is Foreach
                     for var in (item.key_var, item.val_var) if var),
         frozenset(item.name for item in found if type(item) is IndexAssign),
-        any(kind in regions._FLOWS for kind in kinds)
-        or any(type(item) is BinOp and item.op in ("&&", "||")
-               or type(item) is Call and item.name in funcs
-               for item in found),
+        any(branches(item, funcs) for item in found),
     )
 
 

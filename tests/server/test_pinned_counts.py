@@ -33,26 +33,29 @@ SEED = 1
 
 #: workload -> requests, server groups, audit groups, steps, multi_steps,
 #: multi_slots, multi_classes, produced-bodies SHA-256, bundle SHA-256.
+#: The bundle holds the control-flow tags: the bundle SHA-256 column was
+#: re-recorded when a fold-free loop began folding its trip count once
+#: instead of a fold per trip (every tag changed, no group did).
 PINNED = {
     "wiki_read": (
         200, 19, 19, 17102, 640, 10235, 2604,
         "47eb7dd4e543c898d0f81725e9fc85dfbfa636026aeac0edba57eaac4b91a962",
-        "c968ae14c01842b1f057f6abb239d41071d2798ac5f938fece3036018f566eea",
+        "90b5b7fd85634a8171673e35c35e903377b417f82cf22d555db3c3ab9b216ee2",
     ),
     "hotcrp_query": (
         55, 10, 10, 2623, 155, 1055, 469,
         "dda13eb79cab830860e5c1533b1e05b6360e5147ad7fdb4e678c5602d5b1f54f",
-        "372643e76a94250522a4b3381ad539801d8a425b83821f04ebc2fbcf6bd13716",
+        "64f0eafa3d27a1911a2fe772e9a415d9d158045c5b30193af2ea67e9f6901baf",
     ),
     "cart_write": (
         198, 43, 43, 4224, 1271, 6433, 4206,
         "c2faf846234bf21278a98156a1311fae095eb149ac924e953e8e5fb02ab60129",
-        "3c2ab0749f4a63af0233afb0d5c0529bf5bbfe9f71ea1614bf09d5ea40b65afa",
+        "6b005cca954ca470ce549772b56f81e006dad039efde06f55f4828bfc6147efc",
     ),
     "compute_singleton": (
         60, 56, 56, 225787, 0, 0, 0,
         "74b55549dbdc981bc443b48e23a78af07ea4330296cc199d28d9a9e448ea36f4",
-        "bb99e251834f23cde095a29588098eb02f3ef3500962fa6a28ee08c5e9222a96",
+        "25e6b0129b8365c4f76f34261b317e6986daa7db0d6e3b56072d37bb41812a20",
     ),
 }
 

@@ -12,10 +12,11 @@ Semantics implemented here:
 * **CheckOp** (Figure 12 lines 10-15): the operation's (rid, opnum) must be
   in the OpMap, target the same object, and carry the same optype and
   program-generated opcontents as the log entry.
-* **SimOp for registers**: walk backward from the op's position for the
-  latest RegisterWrite; if none exists, fall back to the trusted initial
-  state (strict mode rejects instead, which is the paper's literal SimOp —
-  SSCO does not model pre-trace state).
+* **SimOp for registers**: the latest RegisterWrite before the op's
+  position (a list of each log's running latest write, made once); if
+  none exists, fall back to the trusted initial state (strict mode
+  rejects instead, which is the paper's literal SimOp — SSCO does not
+  model pre-trace state).
 * **SimOp for KV / DB**: versioned stores built at audit start (§4.5),
   with read-query dedup for SELECTs when a group cache is installed.
 * **DB transactions** (§A.7): a transaction is one operation; its queries
@@ -48,6 +49,21 @@ _INTENT_OPTYPE = {
     "kv_get": OpType.KV_GET,
     "kv_set": OpType.KV_SET,
 }
+
+
+#: What :func:`_latest_writes` holds before a log's first write.
+_UNWRITTEN = object()
+
+
+def _latest_writes(log: list[OpRecord]) -> list:
+    """The value of the latest ``RegisterWrite`` at or before each
+    position of ``log`` (:data:`_UNWRITTEN` before the first)."""
+    latest, value = [], _UNWRITTEN
+    for record in log:
+        if record.optype is OpType.REGISTER_WRITE:
+            value = record.opcontents[0]
+        latest.append(value)
+    return latest
 
 
 class SimContext:
@@ -84,6 +100,9 @@ class SimContext:
         self.db_queries_issued = 0
         self.dedup_hits = 0
         self.dedup_misses = 0
+        #: Register -> the value of its latest write at each position of
+        #: its log (:func:`_latest_writes`), made on its first read.
+        self._latest: dict[str, list] = {}
 
     # -- construction of versioned stores (the "DB redo" phase) -----------
 
@@ -148,13 +167,15 @@ class SimContext:
     # -- SimOp ---------------------------------------------------------------
 
     def sim_register_read(self, obj: str, seq: int) -> object:
-        """Walk backward in OL_obj from ``seq`` for the latest write
-        (Figure 12, lines 19-23)."""
-        log = self.op_logs.get(obj, [])
-        for position in range(seq - 2, -1, -1):
-            record = log[position]
-            if record.optype is OpType.REGISTER_WRITE:
-                return record.opcontents[0]
+        """The latest write in OL_obj before ``seq`` (Figure 12, lines
+        19-23), looked up in the log's running latest write, which the
+        first read of ``obj`` makes."""
+        latest = self._latest.get(obj)
+        if latest is None:
+            latest = self._latest[obj] = _latest_writes(
+                self.op_logs.get(obj, []))
+        if seq >= 2 and latest[seq - 2] is not _UNWRITTEN:
+            return latest[seq - 2]
         # No logged write: the register's value is its epoch-start value.
         if self.strict_registers:
             if obj in self.initial.registers:

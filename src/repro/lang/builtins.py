@@ -262,9 +262,13 @@ def _array_key_exists(*args: object) -> bool:
 def _in_array(*args: object) -> bool:
     _arity("in_array", args, 2)
     needle = args[0]
-    return any(
-        loose_eq(needle, v) for v in _need_array("in_array", args[1]).values()
-    )
+    values = _need_array("in_array", args[1]).data.values()
+    if type(needle) is not str:
+        return any(loose_eq(needle, v) for v in values)
+    for v in values:  # two strings are loosely equal when they are equal
+        if (v == needle if type(v) is str else loose_eq(needle, v)):
+            return True
+    return False
 
 
 def _array_push(*args: object) -> int:
@@ -511,3 +515,24 @@ PURE_BUILTINS: dict[str, Callable[..., object]] = {
     "sql_quote": _sql_quote,
 }
 
+
+#: name -> ``(operands, form, result)``: on operands of exactly the types
+#: ``operands`` (``type(x) is T``; ``object``: any value), the Python
+#: expression ``form``, with ``{0}``, ``{1}``, ... for them, is
+#: ``PURE_BUILTINS[name]`` of them, value and type — the call counterpart
+#: of :data:`~repro.lang.values.EXACT_OPS`, which the compiled engine
+#: runs in line.  Any other call gives ``result`` as well, or raises.
+EXACT_CALLS: dict[str, tuple[tuple[type, ...], str, type]] = {
+    "strtolower": ((str,), "{0}.lower()", str),
+    "strtoupper": ((str,), "{0}.upper()", str),
+    "trim": ((str,), "{0}.strip()", str),
+    "strlen": ((str,), "len({0})", int),
+    "ucfirst": ((str,), "{0}[:1].upper() + {0}[1:]", str),
+    "htmlspecialchars": ((str,), "{0}.replace('&', '&amp;')"
+                         ".replace('<', '&lt;').replace('>', '&gt;')"
+                         ".replace('\"', '&quot;').replace(\"'\", '&#039;')",
+                         str),
+    "str_replace": ((str, str, str), "{2}.replace({0}, {1})", str),
+    "count": ((PhpArray,), "len({0}.data)", int),
+    "is_null": ((object,), "{0} is None", bool),
+}

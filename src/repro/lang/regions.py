@@ -34,9 +34,12 @@ order; when they hold, one add books the closures' steps.  When one
 fails, or the expression does not qualify (and always in a ``use_env``
 scope), the statement calls the expression's closure, which does the
 coercions, the per-class work and the errors.  On exact operands the
-plain operator is the table entry, and nothing in line raises where the
-closures would not, so ``steps``, ``multi_steps``, the flow digest,
-bodies and errors stay the closures'.
+plain operator is the table entry, and a call of a built-in with a
+:data:`~repro.lang.builtins.EXACT_CALLS` entry its Python form (an
+operand of unknown type tested per value, the built-in called where the
+test fails); nothing in line raises where the closures would not, so
+``steps``, ``multi_steps``, the flow digest, bodies and errors stay the
+closures'.
 
 No program text reaches the generated source: names, constants and
 closures are arguments of a factory whose parameters the generator
@@ -73,6 +76,7 @@ from repro.lang.ast import (
     Var,
     While,
 )
+from repro.lang.builtins import EXACT_CALLS
 from repro.lang.interp import _BreakSignal, _ContinueSignal, _ReturnSignal
 from repro.lang.simd import (
     _APPEND,
@@ -379,9 +383,13 @@ class _Region:
         return src
 
     def _held(self, expr: str, want: type | None) -> str:
-        """A temporary holding ``expr``, guarded as :meth:`_guard` does."""
+        """A temporary holding ``expr``, guarded as :meth:`_guard` does
+        (not at all where ``want`` is ``object``)."""
         held = self.temp()
-        self._guard(f"({held} := {expr})", want)
+        if want is object:
+            self._test(f"(({held} := {expr}) is {held})")
+        else:
+            self._guard(f"({held} := {expr})", want)
         return held
 
     def _copy(self, node: Node, src: str, kind: type | None) -> str:
@@ -464,8 +472,13 @@ class _Region:
         builtin = self.comp._builtin(node)
         if builtin is None:
             return None
-        args, steps = [], 1
-        for arg in node.args:
+        operands, form, result = EXACT_CALLS.get(node.name, ((), None, None))
+        if len(operands) != len(node.args):
+            operands, form = (object,) * len(node.args), None
+        elif want not in (None, result):
+            return None
+        args, plain, tests, steps = [], [], [], 1
+        for arg, operand in zip(node.args, operands):
             got = self._value(arg, None, depth + 1)
             if got is None:
                 return None
@@ -475,10 +488,23 @@ class _Region:
                            "or not state.multi_cells)")
             elif kind is PhpArray:
                 self._test("not state.multi_cells")
+            if form is not None and not src.isidentifier():
+                src = self._held(src, object)  # form, test and call read it
+            if kind is None and operand is not object:
+                tests.append(f"type({src}) is {operand.__name__}")
+            elif operand not in (kind, object):
+                form = None  # never of the operand's type
+            plain.append(src)
             args.append(self._copy(arg, src, kind))
             steps += arg_steps
-        return (self._held(f"{self.bind(builtin)}({', '.join(args)})", want),
-                want, steps)
+        call = f"{self.bind(builtin)}({', '.join(args)})"
+        if form is None:
+            return self._held(call, want), want, steps
+        form = f"({form.format(*plain)})"
+        if not tests:  # it cannot raise: no need to hold it in order
+            return form, result, steps
+        return (self._held(f"({form} if {' and '.join(tests)} else {call})",
+                           object), result, steps)
 
     def _literal(self, node: ArrayLit, depth: int) -> _Value | None:
         cells = self.comp._literal_cells(node)

@@ -95,6 +95,31 @@ def test_strict_registers_reject_unseeded_read():
     assert exc.value.reason is RejectReason.NO_PRIOR_WRITE
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_register_read_long_after_its_write(strict):
+    """A read hundreds of records after the write it sees, and reads in
+    every stretch of a log, each as the backward walk finds it; in
+    strict mode the reads before the first write still reject."""
+    kinds = ["r"] * 3 + ["w"] + ["r"] * 400 + ["w", "w"] + ["r"] * 50
+    log = [OpRecord(f"r{i}", 1, OpType.REGISTER_WRITE if kind == "w"
+                    else OpType.REGISTER_READ, (i,) if kind == "w" else ())
+           for i, kind in enumerate(kinds)]
+    ctx = _ctx({"reg:g:A": log}, {f"r{i}": 1 for i in range(len(log))},
+               registers={"reg:g:B": 1}, strict_registers=strict)
+    for position in (0, 2, 4, 5, 403, 406, len(log) - 1):
+        handler = OpHandler(ctx, f"r{position}")
+        walked = next((record.opcontents[0]
+                       for record in reversed(log[:position])
+                       if record.optype is OpType.REGISTER_WRITE), None)
+        if strict and walked is None:
+            with pytest.raises(AuditReject) as exc:
+                handler.handle("register_read", "reg:g:A", ())
+            assert exc.value.reason is RejectReason.NO_PRIOR_WRITE
+        else:
+            assert handler.handle("register_read", "reg:g:A", ()) == walked
+    assert walked == 405  # the last read, 50 records after its write
+
+
 def test_checkop_rejects_wrong_object():
     log = [OpRecord("r1", 1, OpType.REGISTER_WRITE, (1,))]
     ctx = _ctx({"reg:g:A": log}, {"r1": 1})

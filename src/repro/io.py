@@ -62,7 +62,8 @@ FORMAT_VERSION = 1
 #: field that is missing, mistyped, unhashable or out of range.  Caught
 #: here, where records are decoded, and nowhere else — callers see
 #: :class:`~repro.common.errors.MalformedBundle`.
-_DECODE_FAULTS = (ValueError, LookupError, TypeError, AttributeError)
+_DECODE_FAULTS = (ValueError, LookupError, TypeError, AttributeError,
+                  RecursionError)
 
 # Bound once: enum member access goes through the metaclass, and the
 # event decoder would pay it per record.
@@ -307,14 +308,20 @@ _encode_record = json.JSONEncoder(check_circular=False).encode
 def _parse_record(line: str):
     """``json.loads`` of one record line: the scanner alone when a value
     spans the line but for its newline, else (leading whitespace, CRLF,
-    trailing junk, a torn value) the full decoder, failing as it does."""
+    trailing junk, a torn value) the full decoder, failing as it does.
+    A value nested past the decoder's recursion limit is a
+    :class:`ValueError` too."""
     try:
-        record, end = _scan(line, 0)
-        if end == len(line) or (end == len(line) - 1 and line[end] == "\n"):
-            return record
-    except (StopIteration, ValueError):
-        pass
-    return _DECODER.decode(line)
+        try:
+            record, end = _scan(line, 0)
+            if end == len(line) or (end == len(line) - 1
+                                    and line[end] == "\n"):
+                return record
+        except (StopIteration, ValueError):
+            pass
+        return _DECODER.decode(line)
+    except RecursionError:
+        raise ValueError("record nests too deep to decode") from None
 
 
 # -- record builders ------------------------------------------------------------
@@ -389,7 +396,7 @@ def record_kind(line: bytes) -> str | None:
             return line[len(prefix):end].decode("ascii")
     try:
         record = json.loads(line)
-    except (ValueError, UnicodeDecodeError):
+    except (ValueError, UnicodeDecodeError, RecursionError):
         return None
     kind = record.get("kind") if isinstance(record, dict) else None
     return kind if isinstance(kind, str) else None

@@ -4,14 +4,16 @@ The plain interpreter (:mod:`repro.lang.interp`) re-dispatches on node
 type at every step and builds a Python generator frame for every AST
 node it walks.  The same few programs run thousands of times — served
 once per request, re-executed at audit time — so this module compiles a
-:class:`~repro.lang.ast.Program` once into a tree of pre-bound Python
-closures.  The server runs them one request at a time — a group of
-one — with the control-flow digest on; at audit time they run a whole
-control-flow group at a time (§3.1, §4.2-4.3):
+:class:`~repro.lang.ast.Program` once into generated Python functions
+(its statements) over pre-bound Python closures (its expressions).  The
+server runs them one request at a time — a group of one — with the
+control-flow digest on; at audit time they run a whole control-flow
+group at a time (§3.1, §4.2-4.3):
 
 * instructions whose operands are identical across the group execute
-  once (**univalent** execution), at the cost of one closure call;
-* a closure whose operand *is* a :class:`~repro.multivalue.MultiValue`
+  once (**univalent** execution), at the cost of a Python operation or
+  one closure call;
+* an instruction whose operand *is* a :class:`~repro.multivalue.MultiValue`
   executes componentwise (**multivalent**) — once per class of requests
   that agree on the operands, not once per request — with scalar
   expansion of univalue operands and collapse of uniform results
@@ -36,12 +38,13 @@ served or re-run alone is a group of one (:meth:`CompInterpreter.run`).
 
 How it is built:
 
-* **pure statements** — those that can never perform a shared-object
-  operation, a non-deterministic built-in or an external call (which
-  functions are pure comes from the purity pass,
-  :class:`repro.lang.analysis.Purity`) — are generated Python
-  source (:mod:`repro.lang.regions`), which runs expressions in line
-  where it can; **impure statements** are generator closures;
+* **statements** are generated Python source (:mod:`repro.lang.regions`),
+  one function a body (a user function's, the script's), which runs
+  expressions in line where it can; a body that may perform a
+  shared-object operation, a non-deterministic built-in or an external
+  call (which functions may comes from the purity pass,
+  :class:`repro.lang.analysis.Purity`) is a generator function that
+  runs each operand that may yield as ``yield from`` its closure;
 * **expressions** are ``fn(env, state)`` closures, plain when pure and
   generators that ``yield`` the intents when not: what generated code
   falls back on.  Both variants of a node share the helpers that do the
@@ -79,33 +82,25 @@ from __future__ import annotations
 import weakref
 from collections.abc import Callable
 from functools import partial
-from itertools import groupby
 
 from repro.common.digest import branch_mix, fnv1a
 from repro.common.errors import MultivalueFallback, WeblangError
 from repro.lang.ast import (
     ArrayLit,
-    Assign,
     BinOp,
     Call,
-    Echo,
-    ExprStmt,
-    Foreach,
     GlobalDecl,
-    If,
     Index,
     IndexAssign,
     Lit,
     Node,
     Program,
-    Return,
     Ternary,
     UnOp,
     Var,
-    While,
 )
 from repro.lang import regions
-from repro.lang.analysis import Purity, call_kind, fold_free, nodes
+from repro.lang.analysis import Purity, call_kind, nodes
 from repro.lang.builtins import (
     EXTERNAL_BUILTINS,
     NONDET_BUILTINS,
@@ -132,18 +127,13 @@ from repro.lang.simd import (
     _binop,
     _call_builtin,
     _copy_value,
-    _descend,
     _expand,
     _fold,
-    _foreach_items,
     _frozen,
     _index,
     _literal,
     _merged_read,
     _merged_replies,
-    _multi_text,
-    _no_key,
-    _release,
     _render,
     _rows,
     _slots,
@@ -229,7 +219,7 @@ class _Compiler:
         for name, decl in program.functions.items():
             func = self.funcs[name]
             self.use_env = func.use_env
-            pure, fn = self._compile_block(decl.body, whole=True)
+            pure, fn = regions.region(self, decl.body, False, whole=True)
             # Callers compiled before this body bound ``func.pure``: a
             # body that disagrees would turn their plain call into a
             # ``yield from``, or the reverse.
@@ -240,169 +230,10 @@ class _Compiler:
             func.run = fn
         self.use_env = False  # top level: vars *are* globals
         self.top = True
-        body_pure, body_fn = self._compile_block(program.body)
+        body_pure, body_fn = regions.region(self, program.body, True)
         return CompiledProgram(program.name, body_pure, body_fn)
 
-    # -- blocks and statements ------------------------------------------------
-
-    def _compile_block(self, stmts: list[Node],
-                       whole: bool = False) -> tuple[bool, Callable]:
-        """A block: each maximal run of pure statements one generated
-        region (:func:`regions.region`), each other statement its
-        generator closure; ``whole`` where it is a function's body."""
-        runs = [(pure, list(run))
-                for pure, run in groupby(stmts, self.purity.pure)]
-        if all(pure for pure, _ in runs):
-            return True, regions.region(self, stmts, self.top, whole)
-        items = []
-        for pure, run in runs:
-            if pure:
-                items.append((True, regions.region(self, run, self.top)))
-            else:
-                items += [(False, self._compile_stmt(stmt)) for stmt in run]
-
-        def run_gen(env, state, _items=items):
-            for pure, fn in _items:
-                if pure:
-                    fn(env, state)
-                else:
-                    yield from fn(env, state)
-
-        return False, run_gen
-
-    def _compile_stmt(self, stmt: Node) -> Callable:
-        """The generator closure of a statement: what runs it where it
-        may yield an intent, and a pure one a region does not make in
-        line."""
-        kind = type(stmt)
-        if kind is ExprStmt or kind is Return:
-            fn = (self._compile_expr if kind is ExprStmt
-                  else self._compile_expr_copy)(stmt.expr)[1]
-
-            def run_gen(env, state):
-                state.steps += 1
-                value = yield from fn(env, state)
-                if kind is Return:
-                    raise _ReturnSignal(value)
-
-            return run_gen
-        return getattr(self, {
-            Assign: "_compile_assign", Echo: "_compile_echo",
-            If: "_compile_if", While: "_compile_loop",
-            Foreach: "_compile_loop",
-            IndexAssign: "_compile_index_assign"}[kind])(stmt)
-
-    def _compile_assign(self, stmt: Assign) -> Callable:
-        _, fn, _ = self._compile_expr_copy(stmt.expr)
-        apply = compound(stmt.op) if stmt.op else None
-        name = stmt.name
-
-        def run_gen(env, state):
-            state.steps += 1
-            value = yield from fn(env, state)
-            if apply is not None:
-                value = _binop(apply, env.get(name), value, state)
-            env[name] = value
-
-        return run_gen
-
-    def _compile_echo(self, stmt: Echo) -> Callable:
-        items = [(pure, fn) for pure, fn, _ in map(self._operand,
-                                                  stmt.exprs)]
-
-        def run_gen(env, state):
-            state.steps += 1
-            append = state.output.append
-            for pure, fn in items:
-                value = (fn(env, state) if pure
-                         else (yield from fn(env, state)))
-                append(to_str(value) if type(value) is not MultiValue
-                       else _multi_text(value, state))
-
-        return run_gen
-
-    def _compile_if(self, stmt: If) -> Callable:
-        # The digest target of arm ``index`` is nid * 64 + index + 1,
-        # of the else arm (or of taking none) nid * 64.
-        nid64 = stmt.nid * 64
-        branches = [(self._operand(cond), self._compile_block(body),
-                     branch_mix("if", nid64 + index + 1))
-                    for index, (cond, body) in enumerate(stmt.branches)]
-        otherwise = (None if stmt.else_body is None
-                     else self._compile_block(stmt.else_body),
-                     branch_mix("if", nid64))
-        where = f"if#{stmt.nid}"
-
-        def run_gen(env, state):
-            state.steps += 1
-            body, mix = otherwise
-            for (cond_pure, cond_fn, _), arm, arm_mix in branches:
-                value = (cond_fn(env, state) if cond_pure
-                         else (yield from cond_fn(env, state)))
-                if _truth(value, where):
-                    body, mix = arm, arm_mix
-                    break
-            _fold(state, mix)
-            if body is not None and body[0]:
-                body[1](env, state)
-            elif body is not None:
-                yield from body[1](env, state)
-
-        return run_gen
-
-    def _compile_loop(self, stmt: While | Foreach) -> Callable:
-        """A ``while`` / ``foreach``: a trip starts when the condition
-        holds / with the next pair bound, and the digest folds ``loop``
-        per trip and ``loopx`` after the last, a fold-free loop ``loopx``
-        and its trip count only."""
-        each = type(stmt) is Foreach
-        test_pure, test_fn, _ = self._operand(stmt.subject if each
-                                              else stmt.cond)
-        body_pure, body_fn = self._compile_block(stmt.body)
-        free = fold_free(stmt, self.funcs)
-        enter = None if free else branch_mix("loop", stmt.nid)
-        leave = branch_mix("loopx", stmt.nid)
-        where = f"{'foreach' if each else 'while'}#{stmt.nid}"
-        key_var, val_var = (stmt.key_var, stmt.val_var) if each else (0, 0)
-
-        def run_gen(env, state):
-            state.steps += 1
-            trips = 0
-            if each:
-                items = iter(_foreach_items(
-                    test_fn(env, state) if test_pure
-                    else (yield from test_fn(env, state)), state, where))
-            while True:
-                if not each:
-                    if not _truth(test_fn(env, state) if test_pure
-                                  else (yield from test_fn(env, state)),
-                                  where):
-                        break
-                elif (item := next(items, None)) is None:
-                    break
-                else:
-                    if key_var:
-                        env[key_var] = item[0]
-                    kind = type(value := item[1])
-                    env[val_var] = (_copy_value(value) if kind is PhpArray
-                                    or kind is MultiValue else value)
-                trips += 1
-                if enter is not None:
-                    _fold(state, enter)
-                try:
-                    if body_pure:
-                        body_fn(env, state)
-                    else:
-                        yield from body_fn(env, state)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    continue
-            _fold(state, leave)
-            if free:
-                _fold(state, branch_mix("trips", trips))
-
-        return run_gen
+    # -- index assignments -------------------------------------------------
 
     def _index_parts(self, stmt: IndexAssign) -> tuple[Callable, ...]:
         """``root``, ``step`` and ``finish`` of an index assignment: the
@@ -443,45 +274,6 @@ class _Compiler:
                 env[name] = state.merge(list(env.get(name).values))
 
         return root, step, finish
-
-    def _compile_index_assign(self, stmt: IndexAssign) -> Callable:
-        """§4.3's container rules.  The path is walked the way the
-        interpreter walks it (root, then key by key, then the value,
-        then the last key), in ``container`` — the one shared array
-        until the root variable holds, or a key is, a multivalue; from
-        there on a list of each slot's own array."""
-        root, step, finish = self._index_parts(stmt)
-        walk = [(self._operand(p) if p is not None else None)
-                for p in stmt.path[:-1]]
-        last = stmt.path[-1]
-        last_c = self._operand(last) if last is not None else None
-        value_pure, value_fn, _ = self._operand(stmt.expr, True)
-
-        def run_gen(env, state):
-            state.steps += 1
-            container = root(env, state)
-            walked, held = [], []
-            for path_c in walk:
-                if path_c is None:
-                    _no_key()
-                path_pure, path_fn, _ = path_c
-                key = (path_fn(env, state) if path_pure
-                       else (yield from path_fn(env, state)))
-                container = _descend(
-                    step(env, state, container, walked, held, key), key,
-                    state, held)
-                walked.append(key)
-            value = (value_fn(env, state) if value_pure
-                     else (yield from value_fn(env, state)))
-            key = _APPEND
-            if last_c is not None:
-                last_pure, last_fn, _ = last_c
-                key = (last_fn(env, state) if last_pure
-                       else (yield from last_fn(env, state)))
-            finish(env, state, container, walked, held, key, value)
-            _release(held)
-
-        return run_gen
 
     # -- expressions ----------------------------------------------------------
 

@@ -1,27 +1,31 @@
-"""Generated source for every pure statement of the compiled engine.
+"""Generated source for every statement of the compiled engine.
 
-A maximal run of consecutive pure statements — a pure function body, a
-pure block, the pure stretch of an impure one — is one generated Python
-function (:func:`region`; cut where it grows past :data:`_SIZE`), and a
-pure operand of code that may yield is one too (:func:`expression`).
-An ``if`` is a Python ``if`` that folds its arm's digest constant, a
-loop a Python loop that folds ``loop`` per trip after binding the key
-and a copy-on-write handle of the value, and ``loopx`` after the last
-(a fold-free one ``loopx`` and its trip count only);
-``break`` / ``continue`` in it are Python's.  An index assignment with a
-longer path or a compound operator, and a loop or branch nested past
-:data:`_LOOPS` / :data:`_INDENT`, run on their generator closure.
+A block — a function body, the script's body — is one generated Python
+function (:func:`region`; cut where it grows past :data:`_SIZE`, the
+parts run in order), and a pure operand of an expression closure that
+may yield is one too (:func:`expression`).  A block that may yield an
+intent is a generator function: an operand that may yield is
+``held = yield from <its expression closure>(env, state)``, a call out
+of the region like any other.  An ``if`` is a Python ``if`` that folds
+its arm's digest constant, a loop a Python loop that folds ``loop`` per
+trip after binding the key and a copy-on-write handle of the value, and
+``loopx`` after the last (a fold-free one ``loopx`` and its trip count
+only); ``break`` / ``continue`` in it are Python's.  An index assignment
+walks its path with the compiler's ``root`` / ``step`` / ``finish``
+(§4.3's container rules).  A loop or branch nested past :data:`_LOOPS`
+/ :data:`_INDENT` is drained into a generated function of its own.
 
 **Python locals.**  In a dict-frame scope a region keeps the variables it
 touches, ``steps`` and the flow digest in Python locals: written back
-before a call out of the region (what the call may read; everything at
-top level, and before a call whose ``break`` / ``continue`` no loop of
-the region would catch) and at exit, and reloaded after a call
-(``steps``, ``flow``, what a statement on its closure touched — also
-when it raises a signal — and at top level the variables a function
-declares ``global``: no call can write a function's own frame).  So a
-call, and whoever catches what it raises, finds the frame, ``steps``
-and the digest as the closures alone would leave them.  A variable
+before a call out of the region — an expression closure, a drained
+statement, a ``yield from`` — (what the call may read; everything at top
+level, and before a call whose ``break`` / ``continue`` no loop of the
+region would catch) and at exit, and reloaded after a call (``steps``,
+``flow``, what a drained statement touched — also when it raises a
+signal — and at top level the variables a function declares ``global``:
+no call can write a function's own frame).  So a call, an intent's
+driver, and whoever catches what a call raises, find the frame,
+``steps`` and the digest as the oracle would leave them.  A variable
 missing from the frame loads as ``_ABSENT``, which no guard passes and
 nothing writes back.
 
@@ -82,8 +86,11 @@ from repro.lang.simd import (
     _APPEND,
     _binop,
     _copy_value,
+    _descend,
     _foreach_items,
     _multi_text,
+    _no_key,
+    _release,
     _truth,
 )
 from repro.lang.values import (
@@ -132,14 +139,14 @@ _RELOAD = "\0"
 
 #: The module a generated function runs in: no builtins beyond these.
 _HELPERS: dict[str, object] = {
-    "__builtins__": {}, "type": type, "int": int, "str": str, "next": next,
-    "len": len, "PhpArray": PhpArray, "MultiValue": MultiValue, "_OK": _OK,
+    "__builtins__": {}, "type": type, "int": int, "str": str, "len": len,
+    "PhpArray": PhpArray, "MultiValue": MultiValue, "_OK": _OK,
     "_ABSENT": _ABSENT, "_PRIME": _FNV_PRIME, "_MASK": _MASK,
     "_truth": _truth, "truthy": truthy, "to_str": to_str, "_binop": _binop,
     "_copy_value": _copy_value, "_foreach_items": _foreach_items,
-    "_multi_text": _multi_text,
-    "_BreakSignal": _BreakSignal, "_ContinueSignal": _ContinueSignal,
-    "_ReturnSignal": _ReturnSignal,
+    "_multi_text": _multi_text, "_descend": _descend, "_release": _release,
+    "_no_key": _no_key, "_BreakSignal": _BreakSignal,
+    "_ContinueSignal": _ContinueSignal, "_ReturnSignal": _ReturnSignal,
 }
 
 
@@ -227,6 +234,7 @@ class _Region:
         self.loops = 0  # Python loops around the line being made
         self.echo = False
         self.lined = False  # whether an expression runs in line
+        self.yields = False  # whether a call may yield an intent
         #: The guards, digest folds and step terms of the in-line
         #: expression being made.
         self.chain: list[str] = []
@@ -291,6 +299,12 @@ class _Region:
                   for var in sorted(names)]
         return lines + [pad + _RELOAD] if self.shared else lines
 
+    def run(self, pure: bool, fn: Callable) -> str:
+        """The call ``fn(env, state)``: ``yield from`` it where it may
+        yield an intent (the region is then a generator function)."""
+        self.yields = self.yields or not pure
+        return f"{'' if pure else 'yield from '}{self.bind(fn)}(env, state)"
+
     def call(self, pad: str, line: str, reads: set[str],
              writes: set[str] = frozenset(), flows: bool = True
              ) -> list[str]:
@@ -343,16 +357,15 @@ class _Region:
             got = (self._copy(fast_node, got[0], got[1]), *got[1:])
         self.lined = self.lined or got is not None
         chain, folds, extra = self.chain, self.folds, self.extra
-        fn = (self.comp._compile_expr_copy if copy
-              else self.comp._compile_expr)(node)[1]
+        pure, fn, _ = (self.comp._compile_expr_copy if copy
+                       else self.comp._compile_expr)(node)
         held = self.temp()
-
         reads, flows = self.reach(node)
 
         def slow(pad: str) -> list[str]:
             return [*self.book(pad, book),
-                    *self.call(pad, f"{held} = {self.bind(fn)}(env, state)",
-                               reads, flows=flows),
+                    *self.call(pad, f"{held} = {self.run(pure, fn)}", reads,
+                               flows=flows),
                     *use(pad, held, object)]
 
         if got is None:
@@ -561,12 +574,16 @@ class _Region:
         return getattr(self, _EMIT[kind])(pad, stmt)
 
     def drained(self, pad: str, stmt: Node) -> list[str]:
-        """``stmt`` on its generator closure (a pure one never yields)."""
+        """``stmt`` as a generated function of its own."""
         reads, assigns, indexed, flows = _walk(self.comp, stmt)
         touched = reads | assigns | indexed if self.fast else set()
-        run = self.bind(self.comp._compile_stmt(stmt))
-        return self.call(pad, f"next({run}(env, state), None)", touched,
-                         touched, flows)
+        return self.call(pad, self.run(*region(self.comp, [stmt], self.top)),
+                         touched, touched, flows)
+
+    @staticmethod
+    def _into(var: str) -> Callable:
+        """``use`` holding the value in temporary ``var``."""
+        return lambda pad, src, _: [f"{pad}{var} = {src}"]
 
     def _store(self, var: str) -> Callable:
         """``use`` storing the value in variable ``var``."""
@@ -702,8 +719,7 @@ class _Region:
 
     def _foreach(self, pad: str, stmt) -> list[str]:
         items = self.temp()
-        lines = self.operand(pad, stmt.subject, lambda p, src, _: [
-            f"{p}{items} = {src}"], book=1)
+        lines = self.operand(pad, stmt.subject, self._into(items), book=1)
         lines += self.sync(pad, set(), flows=False)  # it fails at its step
         if self.fast:
             key = self.local(stmt.key_var) if stmt.key_var else "_"
@@ -728,25 +744,22 @@ class _Region:
 
     def _indexassign(self, pad: str, stmt) -> list[str]:
         """``$a[] = e`` / ``$a[k] = e`` on a dict frame: the variable's
-        array (made or expanded by the closures' ``root`` where it is
+        array (made or expanded by the compiler's ``root`` where it is
         not one), then the value, then the key, into it; a multivalue
-        among them, or an expanded root, goes to the closures' own
-        ending.  Any other index assignment runs on its generator
-        closure."""
+        among them, or an expanded root, goes to its ``finish``.  Any
+        other index assignment walks its path (:meth:`_index_path`)."""
+        parts = self.comp._index_parts(stmt)
         if not self.fast or len(stmt.path) != 1 or stmt.op:
-            return self.drained(pad, stmt)
+            return self._index_path(pad, stmt, *map(self.bind, parts))
         container, value, key = self.temp(), self.temp(), self.temp()
         last, name = stmt.path[0], {stmt.name}
-        root, _, finish = map(self.bind, self.comp._index_parts(stmt))
-
-        def held(var: str) -> Callable:
-            return lambda pad, src, _: [f"{pad}{var} = {src}"]
-
+        root, finish = self.bind(parts[0]), self.bind(parts[2])
         lines = [f"{pad}{container} = {self.local(stmt.name)}", *self.branch(
             pad, f"type({container}) is not PhpArray",
             lambda p: self.call(p, f"{container} = {root}(env, state)",
                                 name, name, flows=False)),
-            *self.operand(pad, stmt.expr, held(value), copy=True, book=1)]
+            *self.operand(pad, stmt.expr, self._into(value), copy=True,
+                          book=1)]
         test = (f"type({container}) is PhpArray "
                 f"and type({value}) is not MultiValue")
         const = None if last is None else self.comp._compile_expr(last)[2]
@@ -757,7 +770,7 @@ class _Region:
             lines += self.book(pad, const[1])
             store = f"{container}.put({key}, {value})"
         else:
-            lines += self.operand(pad, last, held(key))
+            lines += self.operand(pad, last, self._into(key))
             test += f" and type({key}) is not MultiValue"
             store = f"{container}.set({key}, {value})"
         return [*lines, *self.branch(
@@ -765,6 +778,37 @@ class _Region:
             lambda p: self.call(p, f"{finish}(env, state, {container}, [], "
                                    f"[], {key}, {value})",
                                 name, name, flows=False))]
+
+    def _index_path(self, pad: str, stmt, root: str, step: str,
+                    finish: str) -> list[str]:
+        """An index assignment walked as the oracle walks it: ``root``,
+        then key by key ``step`` and ``_descend`` into ``container`` —
+        the one shared array until the root variable holds, or a key
+        is, a multivalue; from there on a list of each slot's own array
+        — then the value, the last key and ``finish``."""
+        name = {stmt.name}
+        container, walked, held, value = (self.temp() for _ in range(4))
+        lines = [*self.book(pad, 1),
+                 *self.call(pad, f"{container} = {root}(env, state)", name,
+                            name, flows=False),
+                 f"{pad}{walked}, {held} = [], []"]
+        for path in stmt.path[:-1]:
+            if path is None:  # ``[]`` before the last index: an error
+                lines += self.call(pad, "_no_key()", set(), flows=False)
+                continue
+            key = self.temp()
+            lines += [*self.operand(pad, path, self._into(key)), *self.call(
+                pad, f"{container} = _descend({step}(env, state, {container}, "
+                     f"{walked}, {held}, {key}), {key}, state, {held})",
+                name, name, flows=False), f"{pad}{walked}.append({key})"]
+        lines += self.operand(pad, stmt.expr, self._into(value), copy=True)
+        key = self.bind(_APPEND) if stmt.path[-1] is None else self.temp()
+        if stmt.path[-1] is not None:
+            lines += self.operand(pad, stmt.path[-1], self._into(key))
+        return [*lines, *self.call(
+            pad, f"{finish}(env, state, {container}, {walked}, {held}, "
+                 f"{key}, {value})", name, name, flows=False),
+            f"{pad}_release({held})"]
 
     def _return(self, pad: str, stmt) -> list[str]:
         def leave(pad: str, src: str, _kind: object) -> list[str]:
@@ -802,12 +846,13 @@ _EMIT = {Assign: "_assign", ExprStmt: "_exprstmt", Echo: "_echo", If: "_if",
 
 
 def region(comp, stmts: list[Node], top: bool,
-           whole: bool = False) -> Callable:
-    """One function running the pure statements ``stmts`` in order, as
-    their closures would (module docstring); ``comp`` is the compiler of
-    their scope, ``top`` whether the frame is the globals, ``whole``
-    whether they are a function's whole body (whose frame nobody reads
-    after them)."""
+           whole: bool = False) -> tuple[bool, Callable]:
+    """One function running the statements ``stmts`` in order, as the
+    oracle would (module docstring), and whether it is a plain function
+    (else a generator function, which yields the intents); ``comp`` is
+    the compiler of their scope, ``top`` whether the frame is the
+    globals, ``whole`` whether they are a function's whole body (whose
+    frame nobody reads after them)."""
     parts, made, body = [], _Region(comp, top), []
     for stmt in stmts:  # a function of at most about _SIZE characters
         if sum(map(len, body)) > _SIZE:
@@ -818,12 +863,22 @@ def region(comp, stmts: list[Node], top: bool,
                             + made.sync(_PAD, set() if whole else None)))
     if len(parts) == 1:
         return parts[0]
+    if all(pure for pure, _ in parts):
 
-    def run(env, state):
-        for part in parts:
-            part(env, state)
+        def run(env, state):
+            for _, part in parts:
+                part(env, state)
 
-    return run
+        return True, run
+
+    def run_gen(env, state):
+        for pure, part in parts:
+            if pure:
+                part(env, state)
+            else:
+                yield from part(env, state)
+
+    return False, run_gen
 
 
 def expression(comp, exprs: list[Node], copy: bool,
@@ -836,23 +891,21 @@ def expression(comp, exprs: list[Node], copy: bool,
     made = _Region(comp, comp.top)
     held = [made.temp() for _ in exprs]
     body = [line for node, value in zip(exprs, held)
-            for line in made.operand(
-                _PAD, node, lambda pad, src, _, value=value: [
-                    f"{pad}{value} = {src}"], copy=copy)]
+            for line in made.operand(_PAD, node, made._into(value), copy=copy)]
     if not made.lined:
         return None
     result = f"[{', '.join(held)}]" if many else held[0]
     return _assembled(made, [*body, *made.sync(_PAD, set()),
-                             f"{_PAD}return {result}"])
+                             f"{_PAD}return {result}"])[1]
 
 
 #: The indent of a generated function's body.
 _PAD = " " * 8
 
 
-def _assembled(made: _Region, body: list[str]) -> Callable:
-    """The generated function of ``made`` whose statements are
-    ``body``: its locals loaded first."""
+def _assembled(made: _Region, body: list[str]) -> tuple[bool, Callable]:
+    """Whether it is plain, and the generated function of ``made`` whose
+    statements are ``body``: its locals loaded first."""
     head = [f"{_PAD}steps = state.steps", f"{_PAD}flow = state.flow"]
     if made.echo:
         head.append(f"{_PAD}out = state.output.append")
@@ -871,4 +924,4 @@ def _assembled(made: _Region, body: list[str]) -> Callable:
     params = ", ".join(f"b{index}" for index in range(len(made.args)))
     source = (f"def make({params}):\n    def run(env, state):\n"
               + "\n".join(lines) + "\n    return run\n")
-    return _factory(source)(*made.args)
+    return not made.yields, _factory(source)(*made.args)

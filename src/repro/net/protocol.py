@@ -267,7 +267,7 @@ def _verify(kind: int, payload, crc: int) -> object:
         )
     try:
         return json.loads(bytes(payload).decode())
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise ProtocolError(f"frame payload is not JSON: {exc}") from None
 
 

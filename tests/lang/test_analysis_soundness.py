@@ -170,9 +170,10 @@ def test_bundled_apps_recorded_ops_are_contained():
 
 def test_bundled_apps_intent_streams_are_contained():
     """Same apps, canned-intent drive: also covers external intents and
-    error paths the recorded run does not reach.  A SELECT gets rows and
-    a register read a session, so a drive goes on past its first query
-    and past its account check."""
+    error paths the recorded run does not reach.  A SELECT gets rows, a
+    register read a session and an array read its frozen form, as a
+    store gives them, so every drive goes on past its first query and
+    its account check, to the end of its script."""
     failures: list = []
     ended: list = []
     for factory in (wiki_workload, forum_workload, hotcrp_workload):
@@ -189,7 +190,7 @@ def test_bundled_apps_intent_streams_are_contained():
     assert not [error for error in ended
                 if "expects a SELECT" in str(error)
                 or "indexing a non-array value" in str(error)]
-    assert sum(error is None for error in ended) >= 106  # 106 of 120
+    assert sum(error is None for error in ended) == 120  # every drive
 
 
 # -- randomized programs ------------------------------------------------------

@@ -39,7 +39,7 @@ from repro.lang import simd
 from repro.lang.compile import CompInterpreter, compiled_for
 from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
-from repro.lang.values import PhpArray
+from repro.lang.values import PhpArray, freeze_value
 from repro.multivalue import MultiValue, Partition
 from repro.server import Application, Executor, RandomScheduler
 from repro.server.nondet import NondetSource
@@ -367,11 +367,16 @@ class ProgramGen:
         return " ".join(statements)
 
 
+#: What a store answers a read with: arrays in their frozen form.
+_CANNED_POOL = [None, 0, 1, 7, "", "str",
+                freeze_value(PhpArray.from_list([1, 2])),
+                freeze_value(PhpArray.from_dict({"k": 3})), True, 2.5]
+
+
 def canned_results(rng: random.Random):
     """An infinite-ish list of canned state-op results both engines see
-    in the same order."""
-    pool = [None, 0, 1, 7, "", "str", [1, 2], {"k": 3}, True, 2.5]
-    return [rng.choice(pool) for _ in range(64)]
+    in the same order, each as a store gives it."""
+    return [rng.choice(_CANNED_POOL) for _ in range(64)]
 
 
 def run_alone(engine, program, request, canned, nondets):

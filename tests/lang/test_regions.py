@@ -45,9 +45,17 @@ from repro.lang.compile import (
 from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
 from repro.lang.simd import _State
+from repro.sql.engine import StmtResult
 from repro.trace.events import Request
 from repro.multivalue.multivalue import MultiValue
-from tests.lang.driver import GROUP_ERRORS, Canned, alone, drive, finish
+from tests.lang.driver import (
+    GROUP_ERRORS,
+    Canned,
+    alone,
+    drive,
+    finish,
+    stacked,
+)
 
 sys.path.append(str(Path(__file__).resolve().parents[2]
                     / "benchmarks" / "e2e"))
@@ -404,8 +412,9 @@ HAZARDS = {
     "break_past_unwritten_locals": "$i = 0; while ($i < 4) { $i += 1; "
                                    "$last = $i; echo stop($i); "
                                    "kv_set('k', $i); } echo '|', $last;",
-    # A statement on its closure writes the frame, then breaks the
-    # generated loop around it.
+    # An index assignment down a longer path writes the frame (``root``
+    # makes ``$a`` an array), then a call in it breaks the generated
+    # loop around it.
     "break_from_a_drained_statement": "$i = 0; while ($i < 3) { $i += 1; "
                                       "$a = null; $a['x']['y'] = stop($i); "
                                       "echo count($a); } "
@@ -440,9 +449,10 @@ HAZARD_INPUTS = [{"q": "0", "l": "a,b"}, {"q": "1", "l": "c,d"},
 
 
 def _program(name: str, scope: str = "top"):
-    """Hazard ``name`` at top level, or as the body of a function (one
-    with a ``global`` declaration where ``scope`` is ``global``)."""
-    body = HAZARDS[name]
+    """Hazard (or :data:`IMPURE` shape) ``name`` at top level, or as the
+    body of a function (one with a ``global`` declaration where
+    ``scope`` is ``global``)."""
+    body = HAZARDS[name] if name in HAZARDS else IMPURE[name][0]
     if scope != "top":
         declare = "global $unused; " if scope == "global" else ""
         body = f"function f() {{ {declare}{body} }} f();"
@@ -517,17 +527,27 @@ def test_the_hazards_reach_the_paths_they_are_for():
     assert outputs["break_past_unwritten_locals"][0] == "1|2"
     assert outputs["break_from_a_drained_statement"][0] == "1|12"
     assert outputs["break_from_deep_ifs"][0] == "1|22"
-    drained = []
-    real_drained = regions._Region.drained
+    drained, made = [], []
+    real_drained, real_region = regions._Region.drained, regions.region
 
-    def spy_drained(made, pad, stmt):
-        drained.append(type(stmt).__name__)
-        return real_drained(made, pad, stmt)
+    def spy_drained(region, pad, stmt):
+        drained.append(stmt)
+        return real_drained(region, pad, stmt)
 
-    with mock.patch.object(regions._Region, "drained", spy_drained):
+    def spy_region(comp, stmts, *args, **kwargs):
+        made.append(stmts)
+        return real_region(comp, stmts, *args, **kwargs)
+
+    with mock.patch.object(regions._Region, "drained", spy_drained), \
+            mock.patch.object(regions, "region", spy_region):
         for name in ("break_from_a_drained_statement", "break_from_deep_ifs"):
             compile_program(_program(name, "function"))
-    assert drained == ["IndexAssign", "If"]
+    # The index assignment is generated in its loop; the ``if`` nested
+    # past what one function indents is a generated function of its own.
+    assert [type(stmt).__name__ for stmt in drained] == ["If"]
+    assert [len(stmts) == 1 and stmts[0] is drained[0]
+            for stmts in made].count(True) == 1
+    assert not hasattr(compile_module._Compiler, "_compile_stmt")
     assert outputs["variables_after_the_loop"][0] == "b1bN"
     seen = []
     real = simd._foreach_items
@@ -544,6 +564,127 @@ def test_the_hazards_reach_the_paths_they_are_for():
         out = _group(compile_program(program), requests)
     assert seen == [MultiValue]
     assert out.bodies == ["0=a;1=b;|2", "0=c;1=d;|2", "0=e;1=f;|2"]
+
+
+#: A SELECT's reply: two rows.
+_ROWS = StmtResult(rows=[{"id": 4}, {"id": 5}])
+
+#: Impure code in every shape the generator makes of it: name ->
+#: (program body, a slot's state replies in order).  Each yields intents
+#: — state operations, a non-deterministic ``rand`` — from generated
+#: code, past what one generated function nests, down an index path,
+#: and around a ``break`` that leaves a drained statement.
+IMPURE = {
+    "if_past_the_indent": (
+        "$q = intval(param('q')); $v = 'v'; " + "if ($q >= 0) { " * (DEEP + 1)
+        + "$v = kv_get('k' . $q); echo $v, rand(1, 6); " + "} " * (DEEP + 1)
+        + "echo '|', $v, kv_get('z');", ["a", "b"]),
+    "loop_past_the_loops": (
+        "$t = 0; " + "".join(f"foreach ([{depth}] as $k{depth}) {{ "
+                             for depth in range(regions._LOOPS))
+        + "while ($t < 3) { $t += 1; kv_set('k' . $t, $k0); "
+          "echo kv_get('k'), rand(1, 9); } "
+        + "} " * regions._LOOPS + "echo '|', $t;",
+        [None, 1, None, "x", None, 2.5]),
+    "index_path_from_a_read": (
+        "$k = param('q'); $a['n'][$k] = kv_get('a'); "
+        "$a['n'][$k . 'x'] = rand(1, 9); $a['n'][] = kv_get('b'); "
+        "echo count($a['n']), '|', implode(',', $a['n']);", ["r", 7]),
+    "compound_from_a_query": (
+        "$k = param('q'); $a = [$k => 'x']; "
+        "$a[$k] .= count(db_query('SELECT id FROM t')); echo $a[$k]; "
+        "$a[$k] .= db_query('SELECT id FROM t'); echo $a[$k];",
+        [_ROWS, _ROWS]),
+    "break_from_a_drained_call_in_an_impure_loop": (
+        "$i = 0; $n = 0; while ($i < 4) { $i += 1; kv_set('k', $i); "
+        + "if ($i > 0) { " * DEEP + "$n = $i; echo stop($i), rand(1, 3); "
+        + "} " * DEEP + "} echo '|', $n, $i;", []),
+    "break_in_a_drained_statement_in_an_impure_loop": (
+        "$i = 0; foreach ([1, 2, 3] as $v) { $i = kv_get('i') + $v; "
+        + "if ($v > 0) { " * DEEP + "if ($v == 2) { break; } echo $i; "
+        + "} " * DEEP + "echo ';'; } echo '|', $i, $v;", [10, 20, 30]),
+}
+
+
+def _replied(run, replies, size: int = 1):
+    """``(bodies, steps, flow tag)`` — or the error's text — and the
+    intents, of a run whose every slot is answered from ``replies``."""
+    output, intents, error = drive(
+        run, [Canned(replies) for _ in range(size)], GROUP_ERRORS)
+    if error is not None:
+        return f"{type(error).__name__}: {error}", intents
+    return (output.bodies, output.steps, output.flow_tag), intents
+
+
+@pytest.mark.parametrize("scope", ["top", "function", "global"])
+@pytest.mark.parametrize("name", sorted(IMPURE))
+def test_an_impure_shape_agrees_with_the_oracle(name, scope):
+    """Each impure shape, request by request, equals the oracle: body,
+    ``steps``, flow tag, intent sequence and error.  As a group of three
+    it is each slot's oracle run, its intents theirs side by side, or it
+    does not complete where they part or fail."""
+    program, replies = _program(name, scope), IMPURE[name][1]
+    requests = [Request(f"r{slot}", "impure.php", get=dict(get))
+                for slot, get in enumerate(HAZARD_INPUTS)]
+    oracle = [_replied(Interpreter(record_flow=True).run(program, request),
+                       replies) for request in requests]
+    assert all(intents for _, intents in oracle), name
+    for request, (expected, intents) in zip(requests, oracle):
+        got, got_intents = _replied(
+            CompInterpreter(record_flow=True).run(program, request), replies)
+        assert got == expected
+        assert repr(got_intents) == repr(intents)
+    group, intents = _replied(compile_program(program).run_group(
+        requests, record_flow=True), replies, len(requests))
+    if isinstance(group, str):
+        assert any(isinstance(ref, str) for ref, _ in oracle) \
+            or len({ref[2] for ref, _ in oracle}) > 1 \
+            or group.startswith(MultivalueFallback.__name__), (name, group)
+        return
+    assert group[0] == [ref[0][0] for ref, _ in oracle]
+    assert {group[1:]} == {ref[1:] for ref, _ in oracle}
+    assert repr(intents) == repr([stacked(list(members)) for members in zip(
+        *(slot_intents for _, slot_intents in oracle))])
+
+
+def test_the_impure_shapes_reach_the_paths_they_are_for():
+    """The table is not vacuous: a shape nested past what one function
+    holds is drained into a generated function of its own, which is
+    ``yield from``'d where it yields; the index paths are walked in
+    generated code; and the breaks leave where they should."""
+    sources: list[str] = []
+    drained: dict[str, list[bool]] = {}
+    factory, real_drained = regions._factory, regions._Region.drained
+
+    def spy_drained(region, pad, stmt):
+        lines = real_drained(region, pad, stmt)
+        drained[name].append(any("yield from" in line for line in lines))
+        return lines
+
+    with mock.patch.object(regions, "_factory", lambda source: sources.append(
+            source) or factory(source)), \
+            mock.patch.object(regions._Region, "drained", spy_drained):
+        for name in IMPURE:
+            drained[name] = []
+            compile_program(_program(name, "function"))
+    assert drained == {
+        "if_past_the_indent": [True], "loop_past_the_loops": [True],
+        "index_path_from_a_read": [], "compound_from_a_query": [],
+        "break_from_a_drained_call_in_an_impure_loop": [True],
+        "break_in_a_drained_statement_in_an_impure_loop": [False]}
+    assert any("_descend(" in source and "yield from" in source
+               for source in sources)
+    assert not any("next(" in source for source in sources)
+    outputs = {name: _replied(CompInterpreter(record_flow=True).run(
+        _program(name, "top"), Request("r", "impure.php", get={"q": "1"})),
+        IMPURE[name][1])[0] for name in IMPURE}
+    assert outputs["index_path_from_a_read"][0] == ["3|r,7,7"]
+    assert outputs["compound_from_a_query"][0] == ["x2x2Array"]
+    assert outputs["loop_past_the_loops"][0] == ["17x72.57|3"]
+    assert outputs["break_from_a_drained_call_in_an_impure_loop"][0] == \
+        ["17|22"]
+    assert outputs["break_in_a_drained_statement_in_an_impure_loop"][0] == \
+        ["11;|222"]
 
 
 def test_a_subject_that_is_no_array_fails_at_the_oracles_step():

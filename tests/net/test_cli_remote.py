@@ -187,6 +187,28 @@ def test_file_follow_and_connect_are_one_driver(tmp_path, capsys):
     assert "unknown bundle record kind 'junk'" in junk[0]["detail"]
 
 
+def test_audit_connect_a_frame_nested_past_the_decoder(tmp_path, capsys):
+    """A frame whose payload nests 50,000 arrays is a protocol error on
+    the live stream (exit 2, one line on stderr) — not a traceback out
+    of the decoder's recursion."""
+    wiki = ["--workload", "wiki", "--scale", "0.005"]
+    bundle = str(tmp_path / "bundle.jsonl")
+    assert main(["record", *wiki, "--epoch-size", "20",
+                 "--out", bundle]) == 0
+    with open(bundle, "rb") as fh:
+        lines = fh.read().splitlines()
+    capsys.readouterr()
+    with BundlePublisher(heartbeat_interval=None) as publisher:
+        _replay(publisher, lines[:3])
+        publisher.write_record_payload(b"[" * 50_000, kind="event")
+        _replay(publisher, [b""] + lines[3:])
+        code = main(["audit", "--connect", publisher.endpoint, *wiki])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "frame payload is not JSON" in err
+    assert "Traceback" not in err
+
+
 def test_audit_connect_unreachable(capsys):
     code = main(["audit", "--connect", "127.0.0.1:1",
                  "--net-connect-timeout", "0.2",

@@ -517,6 +517,33 @@ def test_audit_rejects_non_integer_report_scalars(tmp_path, capsys,
     assert "not an integer" in verdict
 
 
+#: A line nested far past the JSON decoder's recursion limit.
+DEEP_LINE = "[" * 50_000 + "\n"
+
+
+@pytest.mark.parametrize("road", ["file", "follow"])
+def test_audit_a_record_nested_past_the_decoder(tmp_path, capsys, road):
+    """A record line nesting 50,000 arrays is the executor's malformed
+    word (REJECTED, exit 1), read whole or followed — not a traceback
+    out of the decoder's recursion."""
+    bundle = str(tmp_path / "bundle.jsonl")
+    assert main(["record", *FORUM, "--epoch-size", "20",
+                 "--out", bundle]) == 0
+    with open(bundle) as fh:
+        lines = fh.readlines()
+    with open(bundle, "w") as fh:
+        fh.writelines(lines[:3] + [DEEP_LINE] + lines[3:])
+    capsys.readouterr()
+    follow = ["--follow", "--follow-timeout", "0.2"] if road == "follow" \
+        else []
+    assert main(["audit", bundle, *FORUM, *follow, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["reason"] == "malformed_bundle"
+    assert payload["detail"] == "ValueError: record nests too deep to decode"
+
+
 def _forge_later_epoch_count(bundle: str) -> None:
     """Make an op count of the bundle's *third* epoch a string."""
     with open(bundle) as fh:

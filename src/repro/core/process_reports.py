@@ -4,7 +4,8 @@ Builds the audit graph G with three kinds of edges —
 
 * time-precedence edges from the trace (via the Figure 6 frontier
   algorithm, then SplitNodes);
-* program-order edges (AddProgramEdges);
+* program-order edges (AddProgramEdges), implicit in how SplitNodes
+  numbers a request's events;
 * alleged log-order edges (AddStateEdges);
 
 — validates the logs against the op-count reports while building the OpMap
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 
 from repro.common.errors import AuditReject, RejectReason
-from repro.core.graph import Graph, OPNUM_INF
+from repro.core.graph import Graph
 from repro.core.opmap import OpMap
 from repro.core.timeprec import (
     TimePrecedenceGraph,
@@ -27,47 +28,36 @@ from repro.server.reports import Reports
 from repro.trace.trace import Trace
 
 
-def split_nodes(gtr: TimePrecedenceGraph) -> Graph:
-    """SplitNodes (Figure 5, lines 14-19): each request becomes an arrival
-    node (rid, 0) and a departure node (rid, ∞); GTr's edges become
-    (r1, ∞) -> (r2, 0)."""
-    graph = Graph()
-    adj = graph.adj
-    departures: dict[str, list] = {}  # rid -> out-edges of (rid, ∞)
-    for rid in gtr.nodes:
-        adj[(rid, 0)] = []
-        departures[rid] = adj[(rid, OPNUM_INF)] = []
-    for child, parents in gtr.parents.items():
-        arrival = (child, 0)
-        for parent in parents:
-            departure = departures.get(parent)
-            if departure is None:  # unbalanced trace: response, no request
-                graph.add_edge((parent, OPNUM_INF), arrival)
-            else:
-                departure.append(arrival)
-    return graph
-
-
-def add_program_edges(
-    graph: Graph, trace: Trace, op_counts: dict[str, int]
-) -> None:
-    """AddProgramEdges (Figure 5, lines 21-26): chain each request's
-    alleged operations between its arrival and departure nodes.
+def split_nodes(
+    gtr: TimePrecedenceGraph, op_counts: dict[str, int]
+) -> tuple[Graph, dict[str, int]]:
+    """SplitNodes and AddProgramEdges (Figure 5, lines 14-26): each
+    request becomes a chain from its arrival (rid, 0) through its alleged
+    operations to its departure (rid, ∞) — implicit in the numbering —
+    and GTr's edges become (r1, ∞) -> (r2, 0).  Returns G and each
+    request's arrival node.
 
     Allocates one node per claimed operation: inside the audit it runs
     after :func:`check_logs` has tied the claims to log records that
     exist."""
-    adj = graph.adj
-    for rid in trace.request_ids():
-        out = adj.setdefault((rid, 0), [])
-        for opnum in range(1, op_counts.get(rid, 0) + 1):
-            node = (rid, opnum)
-            out.append(node)
-            out = adj.setdefault(node, [])
-        departure = (rid, OPNUM_INF)
-        out.append(departure)
-        if departure not in adj:
-            adj[departure] = []
+    graph = Graph()
+    base: dict[str, int] = {}
+    ends: dict[str, int] = {}  # rid -> its departure
+    for rid in gtr.nodes:
+        if rid not in base:
+            ops = op_counts.get(rid, 0)
+            base[rid] = graph.add_request(rid, ops)
+            ends[rid] = base[rid] + ops + 1
+    src, dst = graph.src, graph.dst
+    for child, parents in gtr.parents.items():
+        arrival = base[child]
+        for parent in parents:
+            departure = ends.get(parent)
+            if departure is None:  # unbalanced trace: response, no request
+                departure = ends[parent] = graph.add_request(parent, -1)
+            src.append(departure)
+            dst.append(arrival)
+    return graph, base
 
 
 def check_logs(trace: Trace, reports: Reports) -> OpMap:
@@ -131,22 +121,23 @@ def check_logs(trace: Trace, reports: Reports) -> OpMap:
     return opmap
 
 
-def add_state_edges(graph: Graph, reports: Reports) -> None:
+def add_state_edges(
+    graph: Graph, base: dict[str, int], reports: Reports
+) -> None:
     """AddStateEdges (Figure 5, lines 44-54): adjacent log entries from
     different requests are ordered; same-request entries must have
     non-decreasing opnums (program order already covers their edge).
 
     ``graph`` must hold the program chains of the operations the logs
     name, which is what :func:`check_logs` passing guarantees."""
-    adj = graph.adj
+    src, dst = graph.src, graph.dst
     for obj_name in sorted(reports.op_logs):
         records = iter(reports.op_logs[obj_name])
         previous = next(records, None)
         for seq, current in enumerate(records, 2):
             if previous.rid != current.rid:
-                adj[(previous.rid, previous.opnum)].append(
-                    (current.rid, current.opnum)
-                )
+                src.append(base[previous.rid] + previous.opnum)
+                dst.append(base[current.rid] + current.opnum)
             elif previous.opnum > current.opnum:
                 raise AuditReject(
                     RejectReason.LOG_OPNUM_NOT_INCREASING,
@@ -167,9 +158,9 @@ def process_op_reports(
     there, not by counts the executor merely claims.
     """
     opmap = check_logs(trace, reports)
-    graph = split_nodes(create_time_precedence_graph(trace))
-    add_program_edges(graph, trace, reports.op_counts)
-    add_state_edges(graph, reports)
+    graph, base = split_nodes(create_time_precedence_graph(trace),
+                              reports.op_counts)
+    add_state_edges(graph, base, reports)
     if graph.has_cycle():
         raise AuditReject(
             RejectReason.ORDERING_CYCLE,

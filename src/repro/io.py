@@ -31,12 +31,25 @@ Weblang values inside op logs / registers / KV are already *frozen*
 (hashable tuples, see :func:`repro.lang.values.freeze_value`); JSON
 round-tripping preserves them exactly via a small tagged encoding
 (JSON has no tuples or int-keyed maps).
+
+Format version 2 (a reader refuses any other) writes a report record as
+positional rows over tables its own line carries, so every line stands
+alone: ``op_log`` is ``obj``, a ``rids`` table, ``values`` (the line's
+distinct encoded contents) and ``rows`` ``[rid_i, opnum, optype_code,
+value_i, ...]`` (at most 1,000 rows; the code is a position in
+:class:`~repro.objects.base.OpType`); ``nondet`` is one line an epoch,
+``rids``, ``funcs`` and ``rows`` ``[rid_i, func_i, args, value, ...]``;
+``op_counts`` is parallel ``rids`` / ``counts``; ``group`` is a ``tag``
+and its ``rids``.  A rid table holds strings, each once; an index is an
+exact ``int`` inside its table.
 """
 
 from __future__ import annotations
 
 import io as _stdio
 import json
+import marshal
+from itertools import repeat
 from json.scanner import make_scanner
 from dataclasses import dataclass, field
 from collections.abc import Iterator, Sequence
@@ -56,7 +69,7 @@ from repro.trace.events import (
 )
 from repro.trace.trace import Trace
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: What turning an untrusted JSON value into audit inputs can raise: a
 #: field that is missing, mistyped, unhashable or out of range.  Caught
@@ -160,16 +173,16 @@ def _event_from_json(entry: dict) -> Event:
     time = entry.get("time", 0.0)
     if kind == "REQUEST":
         raw = entry["request"]
-        rid = raw["rid"]
+        rid = _str(raw["rid"], "event rid")
         return Event(
             _REQUEST, rid,
-            Request(rid, raw["script"], _dec(raw["get"]),
+            Request(rid, _str(raw["script"], "event script"), _dec(raw["get"]),
                     _dec(raw["post"]), _dec(raw["cookies"])),
             time,
         )
     if kind == "RESPONSE":
         raw = entry["response"]
-        rid = raw["rid"]
+        rid = _str(raw["rid"], "event rid")
         return Event(
             _RESPONSE, rid,
             Response(rid, raw["body"], raw["status"], raw["abort_info"]),
@@ -177,7 +190,7 @@ def _event_from_json(entry: dict) -> Event:
         )
     if kind == "EXTERNAL":
         raw = entry["external"]
-        rid = raw["rid"]
+        rid = _str(raw["rid"], "event rid")
         return Event(
             _EXTERNAL, rid,
             ExternalRequest(rid, raw["service"], _dec(raw["content"])),
@@ -187,47 +200,120 @@ def _event_from_json(entry: dict) -> Event:
 
 
 # -- reports ------------------------------------------------------------------------
+#
+# The decoders below are where report scalars become objects: no
+# consumer of ``Reports`` meets an opnum or a count that is not an
+# integer, a rid that is not a string, or an index outside its table.
+
+#: An op-log row names its optype by its position here; its contents
+#: have the arity Figure 12's table gives that optype, and a KV op's
+#: first item is its key, a string.
+_OPTYPES = tuple(OpType)
+_ARITY = (0, 1, 1, 2, 2)
+_KV_OPS = (OpType.KV_GET, OpType.KV_SET)
+_NAMED = {int: "an integer", str: "a string", tuple: "a tuple"}
 
 
-# The three decoders below are where report scalars become objects; a
-# count or an opnum that is not an integer stops here, so no consumer of
-# ``Reports`` meets one.
+def _list_of(items: object, kind: type, what: str) -> list:
+    """``items``, a list of exact ``kind``s: ``True`` is no index."""
+    if type(items) is not list:
+        raise TypeError(f"{what}s {items!r:.60} are not a list")
+    if items and set(map(type, items)) != {kind}:
+        bad = next(item for item in items if type(item) is not kind)
+        raise ValueError(f"{what} {bad!r:.60}, not {_NAMED[kind]}")
+    return items
 
-#: Wire spelling -> member: a dict probe per record where the enum's
-#: by-value constructor is two calls.
-_OP_TYPES = {optype.value: optype for optype in OpType}
+
+def _str(value: object, what: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{what} {value!r:.60}, not a string")
+    return value
 
 
-def _extend_op_log(log: list[OpRecord], raw: list) -> None:
-    append = log.append
-    for rec in raw:
-        opnum = rec["opnum"]
-        if type(opnum) is not int:
-            raise ValueError(
-                f"op-log record of {rec['rid']!r} has opnum {opnum!r}, "
-                "not an integer"
-            )
+def _rid_table(rids: object) -> list:
+    if len(set(_list_of(rids, str, "rid"))) != len(rids):
+        raise ValueError(f"rid table {rids!r:.60} names a request twice")
+    return rids
+
+
+def _columns(rows: object) -> list[list]:
+    if type(rows) is not list or len(rows) % 4:
+        raise ValueError(f"row array {rows!r:.60} is not rows of 4")
+    return [rows[0::4], rows[1::4], rows[2::4], rows[3::4]]
+
+
+def _lookup(column: list, table: Sequence, what: str) -> list:
+    """``table[i]`` for each ``i``, where a negative ``i`` would alias
+    the table's tail silently."""
+    if column:
+        low, high = min(_list_of(column, int, f"{what} index")), max(column)
+        if low < 0 or high >= len(table):
+            raise ValueError(f"{what} index {low if low < 0 else high} is "
+                             f"outside its table of {len(table)}")
+    return list(map(table.__getitem__, column))
+
+
+def _op_log_record(obj: str, log: Sequence[OpRecord]) -> dict:
+    """Two contents share a value entry only when ``marshal`` writes
+    them alike: type for type, so ``1``, ``1.0`` and ``True`` do not."""
+    rids: dict[str, int] = {}
+    keys: dict[object, int] = {}
+    values, rows = [], []
+    for rec in log:
         try:
-            optype = _OP_TYPES[rec["optype"]]
-        except (KeyError, TypeError):
-            optype = OpType(rec["optype"])  # its ValueError says which
-        append(OpRecord(rec["rid"], opnum, optype, _dec(rec["opcontents"])))
+            key = marshal.dumps(rec.opcontents, 2)
+        except ValueError:  # not a plain value: shares nothing
+            key = object()
+        if keys.setdefault(key, len(keys)) == len(values):
+            values.append(_enc(rec.opcontents))
+        rows += (rids.setdefault(rec.rid, len(rids)), rec.opnum,
+                 _OPTYPES.index(rec.optype), keys[key])
+    return {"kind": "op_log", "obj": obj, "rids": list(rids),
+            "values": values, "rows": rows}
 
 
-def _checked_op_counts(counts: dict) -> dict[str, int]:
-    for rid, count in counts.items():
-        if type(count) is not int:
-            raise ValueError(
-                f"op count of {rid!r} is {count!r}, not an integer"
-            )
-    return counts
+def _op_log_records(record: dict) -> list[OpRecord]:
+    _str(record["obj"], "op-log object")
+    values = _list_of(list(map(_dec, record["values"])), tuple, "op value")
+    rids, opnums, codes, contents = _columns(record["rows"])
+    optypes = _lookup(codes, _OPTYPES, "optype")
+    contents = _lookup(contents, values, "value")
+    if list(map(len, contents)) != list(map(_ARITY.__getitem__, codes)):
+        raise ValueError("an op-log row's contents do not fit its optype")
+    _list_of([value[0] for optype, value in zip(optypes, contents)
+              if optype in _KV_OPS], str, "KV key")
+    return list(map(tuple.__new__, repeat(OpRecord), zip(
+        _lookup(rids, _rid_table(record["rids"]), "rid"),
+        _list_of(opnums, int, "opnum"), optypes, contents)))
 
 
-def _nondet_records(raw: list) -> list[NondetRecord]:
-    return [
-        NondetRecord(rec["func"], _dec(rec["args"]), _dec(rec["value"]))
-        for rec in raw
-    ]
+def _checked_op_counts(record: dict) -> zip:
+    rids = _rid_table(record["rids"])
+    if len(_list_of(record["counts"], int, "op count")) != len(rids):
+        raise ValueError(f"op counts {record['counts']!r:.60} do not "
+                         "match the rids")
+    return zip(rids, record["counts"])
+
+
+def _nondet_record(nondet: dict[str, list[NondetRecord]]) -> dict:
+    funcs: dict[str, int] = {}
+    rows = []
+    for rid_index, records in enumerate(nondet.values()):
+        for rec in records:
+            rows += (rid_index, funcs.setdefault(rec.func, len(funcs)),
+                     _enc(rec.args), _enc(rec.value))
+    return {"kind": "nondet", "rids": list(nondet), "funcs": list(funcs),
+            "rows": rows}
+
+
+def _nondet_records(record: dict, nondet: dict) -> None:
+    rids, funcs, args, values = _columns(record["rows"])
+    calls = [nondet.setdefault(rid, []) for rid in _rid_table(record["rids"])]
+    for into, func, arg, value in zip(
+            _lookup(rids, calls, "rid"),
+            _lookup(funcs, _list_of(record["funcs"], str, "func"), "func"),
+            args, values):
+        into.append(NondetRecord(func, _dec(arg), _dec(value)))
 
 
 # -- initial state ---------------------------------------------------------------
@@ -408,26 +494,12 @@ def iter_report_records(reports: Reports) -> Iterator[dict]:
         yield {"kind": "group", "tag": tag,
                "rids": list(reports.groups[tag])}
     for obj, log in reports.op_logs.items():
-        for start in range(0, len(log), _JSONL_LOG_CHUNK):
-            yield {"kind": "op_log", "obj": obj, "records": [
-                {
-                    "rid": rec.rid,
-                    "opnum": rec.opnum,
-                    "optype": rec.optype.value,
-                    "opcontents": _enc(rec.opcontents),
-                }
-                for rec in log[start:start + _JSONL_LOG_CHUNK]
-            ]}
-    yield {"kind": "op_counts", "counts": dict(reports.op_counts)}
-    for rid, records in reports.nondet.items():
-        yield {"kind": "nondet", "rid": rid, "records": [
-            {
-                "func": rec.func,
-                "args": _enc(rec.args),
-                "value": _enc(rec.value),
-            }
-            for rec in records
-        ]}
+        for start in range(0, len(log) or 1, _JSONL_LOG_CHUNK):
+            yield _op_log_record(obj, log[start:start + _JSONL_LOG_CHUNK])
+    yield {"kind": "op_counts", "rids": list(reports.op_counts),
+           "counts": list(reports.op_counts.values())}
+    if reports.nondet:
+        yield _nondet_record(reports.nondet)
 
 
 class BundleWriter:
@@ -573,22 +645,16 @@ class EpochAccumulator:
             if kind == "event":
                 self.trace.events.append(_event_from_json(record["event"]))
             elif kind == "op_log":
-                _extend_op_log(
-                    self.reports.op_logs.setdefault(record["obj"], []),
-                    record["records"],
-                )
+                log = _op_log_records(record)
+                self.reports.op_logs.setdefault(record["obj"], []).extend(log)
             elif kind == "nondet":
-                self.reports.nondet.setdefault(record["rid"], []).extend(
-                    _nondet_records(record["records"])
-                )
+                _nondet_records(record, self.reports.nondet)
             elif kind == "group":
-                self.reports.groups.setdefault(record["tag"], []).extend(
-                    record["rids"]
-                )
+                rids = _list_of(record["rids"], str, "group rid")
+                self.reports.groups.setdefault(
+                    _str(record["tag"], "group tag"), []).extend(rids)
             elif kind == "op_counts":
-                self.reports.op_counts.update(
-                    _checked_op_counts(record["counts"])
-                )
+                self.reports.op_counts.update(_checked_op_counts(record))
             elif kind == "epoch_mark":
                 _checked_position(record)
                 return self._cut() if self.trace.events else None
@@ -640,7 +706,7 @@ class EpochIndex:
 
 
 def _bundle_header(first: str, path: str) -> dict:
-    """The header of a segmented v1 bundle from its first line — or a
+    """The header of a segmented v2 bundle from its first line — or a
     :class:`ValueError` naming what the file holds instead."""
     header = None
     if first.endswith("\n"):
@@ -679,7 +745,7 @@ class BundleReader:
       the writer's ``end`` record).
 
     The header is parsed eagerly, so constructing a reader on anything
-    but a segmented v1 bundle raises
+    but a segmented v2 bundle raises
     :class:`~repro.common.errors.MalformedBundle` (a ``ValueError``)
     immediately, naming what the file holds instead — as does any later
     read that meets a record it cannot decode.

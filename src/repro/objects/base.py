@@ -28,7 +28,7 @@ Figure 12 line 14), so they are plain tuples of primitives.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class OpType(enum.Enum):
@@ -39,9 +39,9 @@ class OpType(enum.Enum):
     DB_OP = "DBOp"
 
 
-@dataclass(frozen=True)
-class OpRecord:
-    """One entry of an operation log ``OL_i``."""
+class OpRecord(NamedTuple):
+    """One entry of an operation log ``OL_i``: a tuple, so a decoder can
+    make one per row without a Python call."""
 
     rid: str
     opnum: int

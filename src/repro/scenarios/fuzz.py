@@ -4,7 +4,9 @@ Soundness as a soak test: take an honestly recorded bundle, apply
 randomized tamper operators — drop/duplicate/reorder trace records,
 flip response bodies, rewrite the reports (op logs, op counts, nondet
 values, group membership), forge report scalars (an op count or an
-opnum turned huge, negative or non-integer), splice whole epoch runs,
+opnum turned huge, negative or non-integer), point report rows at
+hostile tables and indices (out of range, negative, a ragged row array,
+an entry of the wrong type, a rid named twice), splice whole epoch runs,
 truncate the file mid-record, and corrupt/truncate frames on the wire
 encoding — then audit the mutated file the way ``repro audit`` does
 (:class:`~repro.io.BundleReader` epochs into an audit session) and
@@ -66,6 +68,7 @@ FILE_OPERATORS = (
     "truncate_tail",
     "forge_op_count",
     "forge_opnum",
+    "hostile_index",
 )
 WIRE_OPERATORS = ("wire_corrupt", "wire_truncate")
 ALL_OPERATORS = FILE_OPERATORS + WIRE_OPERATORS
@@ -303,15 +306,16 @@ def _choose_reorder_pair(cat: _Catalog, rng: random.Random):
     ]
 
 
-def _rewrite_op_log_entry(cat: _Catalog, rng: random.Random, rewrite):
-    """One op-log line with ``rewrite(entry)`` applied to one record."""
+def _rewrite_op_log_row(cat: _Catalog, rng: random.Random, rewrite):
+    """One op-log line with ``rewrite(record, row)`` applied to the
+    row that starts at ``record["rows"][row]``."""
     if not cat.op_logs:
         return None
     index = rng.choice(cat.op_logs)
     record = cat.parse(index)
-    if not record["records"]:
+    if not record["rows"]:
         return None
-    rewrite(rng.choice(record["records"]))
+    rewrite(record, 4 * rng.randrange(len(record["rows"]) // 4))
     return [{"op": "replace_line", "line": index,
              "text": _encode(record)}]
 
@@ -326,23 +330,44 @@ def _rewrite_op_count(cat: _Catalog, rng: random.Random, rewrite):
     counts = record["counts"]
     if not counts:
         return None
-    rid = rng.choice(sorted(counts))
-    counts[rid] = rewrite(counts[rid])
+    at = rng.randrange(len(counts))
+    counts[at] = rewrite(counts[at])
     return [{"op": "replace_line", "line": index,
              "text": _encode(record)}]
 
 
-def _choose_flip_op_log(cat: _Catalog, rng: random.Random):
-    def flip(entry):
-        contents = entry.get("opcontents")
-        if isinstance(contents, str):
-            entry["opcontents"] = contents + "~tampered"
-        elif rng.random() < 0.5:
-            entry["opnum"] = entry["opnum"] + 1000
-        else:
-            entry["rid"] = "zz999999"
+def _tampered(value):
+    """An encoded value of the same shape with its last string (else its
+    last integer) changed, or None when it has neither."""
+    if type(value) is str:
+        return value + "~tampered"
+    if type(value) is int:
+        return value + 1
+    items = value.get("t") if type(value) is dict else None
+    for at in reversed(range(len(items or ()))):
+        edited = _tampered(items[at])
+        if edited is not None:
+            return {"t": items[:at] + [edited] + items[at + 1:]}
+    return None
 
-    return _rewrite_op_log_entry(cat, rng, flip)
+
+def _choose_flip_op_log(cat: _Catalog, rng: random.Random):
+    def flip(record, row):
+        rows, values, branch = record["rows"], record["values"], rng.randrange(3)
+        # Contents to edit: the row's, else another row's of the line
+        # (``()`` has nothing to edit), as a new value-table entry.
+        editable = [at for at in [row, *range(0, len(rows), 4)]
+                    if _tampered(values[rows[at + 3]]) is not None]
+        if branch == 0 and editable:
+            values.append(_tampered(values[rows[editable[0] + 3]]))
+            rows[editable[0] + 3] = len(values) - 1
+        elif branch < 2:
+            rows[row + 1] += 1000
+        else:  # its rid: one the trace does not have
+            rows[row] = len(record["rids"])
+            record["rids"].append("zz999999")
+
+    return _rewrite_op_log_row(cat, rng, flip)
 
 
 def _choose_tamper_op_count(cat: _Catalog, rng: random.Random):
@@ -363,10 +388,42 @@ def _choose_forge_op_count(cat: _Catalog, rng: random.Random):
 
 
 def _choose_forge_opnum(cat: _Catalog, rng: random.Random):
-    def forge(entry):
-        entry["opnum"] = _forged_scalar(entry["opnum"], rng)
+    def forge(record, row):
+        record["rows"][row + 1] = _forged_scalar(record["rows"][row + 1], rng)
 
-    return _rewrite_op_log_entry(cat, rng, forge)
+    return _rewrite_op_log_row(cat, rng, forge)
+
+
+#: Hostile tables and indices, by name -> an edit of an op-log or nondet
+#: record, handed the cell ``at`` of its rows that indexes ``table``.
+#: Each must be refused as malformed: never an ``IndexError``, never a
+#: read through the slot a negative index or a repeated rid aliases.
+HOSTILE_INDEX = {
+    "out_of_range": lambda record, at, table, rng: record["rows"].__setitem__(
+        at, len(table) + rng.randrange(3)),
+    "negative": lambda record, at, table, rng: record["rows"].__setitem__(
+        at, -1 - rng.randrange(len(table))),
+    "ragged_rows": lambda record, at, table, rng: record["rows"].pop(),
+    "entry_type": lambda record, at, table, rng: table.__setitem__(
+        rng.randrange(len(table)), rng.choice((7, None, [7]))),
+    "duplicate_rid": lambda record, at, table, rng: record["rids"].append(
+        record["rids"][rng.randrange(len(record["rids"]))]),
+}
+
+
+def _choose_hostile_index(cat: _Catalog, rng: random.Random):
+    if not cat.op_logs + cat.nondets:
+        return None
+    index = rng.choice(cat.op_logs + cat.nondets)
+    record = cat.parse(index)
+    if not record["rows"]:
+        return None
+    table = rng.choice(("rids", "values" if "values" in record else "funcs"))
+    at = 4 * rng.randrange(len(record["rows"]) // 4) + {
+        "rids": 0, "funcs": 1, "values": 3}[table]
+    HOSTILE_INDEX[rng.choice(sorted(HOSTILE_INDEX))](
+        record, at, record[table], rng)
+    return [{"op": "replace_line", "line": index, "text": _encode(record)}]
 
 
 def _choose_flip_nondet(cat: _Catalog, rng: random.Random):
@@ -378,25 +435,23 @@ def _choose_flip_nondet(cat: _Catalog, rng: random.Random):
     candidates = []
     for index in cat.nondets:
         record = cat.parse(index)
-        body = cat.bodies.get(record.get("rid"), "")
-        if not body:
-            continue
-        for pos, entry in enumerate(record["records"]):
-            value = entry.get("value")
+        rows = record["rows"]
+        for at in range(0, len(rows), 4):
+            body = cat.bodies.get(record["rids"][rows[at]], "")
+            value = rows[at + 3]
             if isinstance(value, bool) or not isinstance(value, (int, str)):
                 continue
             text = str(value)
             # Short values match bodies coincidentally; require enough
             # entropy that a hit really is this call's value.
             if len(text) >= 6 and text in body:
-                candidates.append((index, pos))
+                candidates.append((index, at + 3))
     if not candidates:
         return None
-    index, pos = candidates[rng.randrange(len(candidates))]
+    index, at = candidates[rng.randrange(len(candidates))]
     record = cat.parse(index)
-    entry = record["records"][pos]
-    value = entry["value"]
-    entry["value"] = value + 1 if isinstance(value, int) else value + "x"
+    value = record["rows"][at]
+    record["rows"][at] = value + 1 if isinstance(value, int) else value + "x"
     return [{"op": "replace_line", "line": index,
              "text": _encode(record)}]
 
@@ -489,6 +544,7 @@ _FILE_CHOOSERS = {
     "truncate_tail": _choose_truncate_tail,
     "forge_op_count": _choose_forge_op_count,
     "forge_opnum": _choose_forge_opnum,
+    "hostile_index": _choose_hostile_index,
 }
 
 

@@ -192,9 +192,11 @@ class VersionedDB:
                 ) from exc
 
     def _redo_transaction(self, seq: int, record: OpRecord) -> None:
-        queries, succeeded = record.opcontents
-        if not isinstance(queries, tuple) or not queries:
+        contents = record.opcontents
+        if len(contents) != 2 or type(contents[0]) is not tuple or set(
+                map(type, contents[0])) != {str}:
             raise SqlError("malformed DBOp opcontents")
+        queries, succeeded = contents
         if len(queries) > MAXQ - 1:
             raise SqlError("transaction exceeds MAXQ statements")
         marker = queries[-1] if queries[-1] in ("COMMIT", "ROLLBACK") else None

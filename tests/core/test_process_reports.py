@@ -7,7 +7,6 @@ import pytest
 from repro.common.errors import AuditReject, RejectReason
 from repro.core.graph import OPNUM_INF, Graph
 from repro.core.process_reports import (
-    add_program_edges,
     add_state_edges,
     check_logs,
     process_op_reports,
@@ -53,24 +52,44 @@ def test_valid_reports_pass():
     assert opmap.get("r2", 1) == ("reg:g:A", 2)
 
 
+def _adjacency(graph):
+    """``{label: [successor labels]}``, program order included."""
+    labels = graph.nodes
+    adj = {label: [] for label in labels}
+    for node, (rid, opnum) in enumerate(labels):
+        if opnum != OPNUM_INF:
+            adj[(rid, opnum)].append(labels[node + 1])
+    for src, dst in zip(graph.src, graph.dst):
+        adj[labels[src]].append(labels[dst])
+    return adj
+
+
 def test_split_nodes_shape():
     trace = _trace_two_sequential()
-    graph = split_nodes(create_time_precedence_graph(trace))
-    assert ("r1", 0) in graph.adj and ("r1", OPNUM_INF) in graph.adj
+    graph, base = split_nodes(create_time_precedence_graph(trace), {})
+    adj = _adjacency(graph)
+    assert ("r1", 0) in adj and ("r1", OPNUM_INF) in adj
+    assert base == {"r1": 0, "r2": 2}
     # The r1 -> r2 precedence edge connects departure to arrival.
-    assert ("r2", 0) in graph.adj[("r1", OPNUM_INF)]
+    assert ("r2", 0) in adj[("r1", OPNUM_INF)]
 
 
 def test_program_edges_chain():
     trace = _trace_two_sequential()
-    graph = split_nodes(create_time_precedence_graph(trace))
-    add_program_edges(graph, trace, {"r1": 3, "r2": 0})
-    assert ("r1", 1) in graph.adj[("r1", 0)]
-    assert ("r1", 2) in graph.adj[("r1", 1)]
-    assert ("r1", 3) in graph.adj[("r1", 2)]
-    assert ("r1", OPNUM_INF) in graph.adj[("r1", 3)]
+    graph, base = split_nodes(create_time_precedence_graph(trace),
+                              {"r1": 3, "r2": 0})
+    # Each request's events are consecutive numbers: the chain is the
+    # numbering.
+    assert graph.nodes == [("r1", 0), ("r1", 1), ("r1", 2), ("r1", 3),
+                           ("r1", OPNUM_INF), ("r2", 0), ("r2", OPNUM_INF)]
+    adj = _adjacency(graph)
+    assert ("r1", 1) in adj[("r1", 0)]
+    assert ("r1", 2) in adj[("r1", 1)]
+    assert ("r1", 3) in adj[("r1", 2)]
+    assert ("r1", OPNUM_INF) in adj[("r1", 3)]
     # Zero ops: arrival connects straight to departure.
-    assert ("r2", OPNUM_INF) in graph.adj[("r2", 0)]
+    assert ("r2", OPNUM_INF) in adj[("r2", 0)]
+    assert graph.edge_count() == 4 + 1 + 1
 
 
 def test_checklogs_rejects_unknown_rid():
@@ -120,12 +139,12 @@ def test_checklogs_rejects_missing_op():
 def test_state_edges_cross_request_only():
     trace = _trace_two_sequential()
     reports = _reports()
-    graph = split_nodes(create_time_precedence_graph(trace))
-    add_program_edges(graph, trace, reports.op_counts)
+    graph, base = split_nodes(create_time_precedence_graph(trace),
+                              reports.op_counts)
     before = graph.edge_count()
-    add_state_edges(graph, reports)
+    add_state_edges(graph, base, reports)
     assert graph.edge_count() == before + 1
-    assert ("r2", 1) in graph.adj[("r1", 1)]
+    assert ("r2", 1) in _adjacency(graph)[("r1", 1)]
 
 
 def test_state_edges_reject_opnum_regression():
@@ -141,7 +160,7 @@ def test_state_edges_reject_opnum_regression():
         nondet={},
     )
     with pytest.raises(AuditReject) as exc:
-        add_state_edges(Graph(), reports)
+        add_state_edges(Graph(), {}, reports)
     assert exc.value.reason is RejectReason.LOG_OPNUM_NOT_INCREASING
 
 
@@ -201,31 +220,38 @@ def test_empty_reports_with_no_op_requests():
 
 # -- the graph, against Figure 5 written out edge by edge ----------------------
 #
-# ``figure5`` is ProcessOpReports as the paper lists it — every edge
-# through ``Graph.add_edge``, CheckLogs between the two edge passes —
-# kept here as the reference the production passes must agree with:
-# same nodes in the same order, same edges, and for a defective bundle
-# the same reason (the first one Figure 5's order of checks meets).
+# ``figure5`` is ProcessOpReports as the paper lists it — every node and
+# edge spelled out in a dict of labels, CheckLogs between the two edge
+# passes — kept here as the reference the production passes must agree
+# with: same nodes, same edges, and for a defective bundle the same
+# reason (the first one Figure 5's order of checks meets).
 
 
 def figure5(trace, reports):
-    graph = Graph()
+    import networkx as nx
+
+    adj = {}
+
+    def add_edge(src, dst):
+        adj.setdefault(src, []).append(dst)
+        adj.setdefault(dst, [])
+
     gtr = create_time_precedence_graph(trace)
     for rid in gtr.nodes:
-        graph.add_node((rid, 0))
-        graph.add_node((rid, OPNUM_INF))
+        adj.setdefault((rid, 0), [])
+        adj.setdefault((rid, OPNUM_INF), [])
     for child, parents in gtr.parents.items():
         for parent in parents:
-            graph.add_edge((parent, OPNUM_INF), (child, 0))
+            add_edge((parent, OPNUM_INF), (child, 0))
     counts = reports.op_counts
     for rid in trace.request_ids():
         if counts.get(rid, 0) < 0:
             raise AuditReject(RejectReason.LOG_BAD_OPNUM)
         previous = (rid, 0)
         for opnum in range(1, counts.get(rid, 0) + 1):
-            graph.add_edge(previous, (rid, opnum))
+            add_edge(previous, (rid, opnum))
             previous = (rid, opnum)
-        graph.add_edge(previous, (rid, OPNUM_INF))
+        add_edge(previous, (rid, OPNUM_INF))
     rids = set(trace.request_ids())
     seen = set()
     for obj in sorted(reports.op_logs):
@@ -245,13 +271,14 @@ def figure5(trace, reports):
         log = reports.op_logs[obj]
         for previous, current in zip(log, log[1:]):
             if previous.rid != current.rid:
-                graph.add_edge((previous.rid, previous.opnum),
-                               (current.rid, current.opnum))
+                add_edge((previous.rid, previous.opnum),
+                         (current.rid, current.opnum))
             elif previous.opnum > current.opnum:
                 raise AuditReject(RejectReason.LOG_OPNUM_NOT_INCREASING)
-    if graph.topo_sort() is None:
+    if not nx.is_directed_acyclic_graph(nx.DiGraph(
+            [(src, dst) for src, out in adj.items() for dst in out])):
         raise AuditReject(RejectReason.ORDERING_CYCLE)
-    return graph
+    return adj
 
 
 def _verdict(build, trace, reports):
@@ -265,12 +292,18 @@ def test_graph_equals_figure5(honest_run):
     trace, reports = honest_run.trace, honest_run.reports
     graph, opmap = process_op_reports(trace, reports)
     reference = figure5(trace, reports)
-    assert list(graph.adj) == list(reference.adj)
+    assert sorted(graph.nodes) == sorted(reference)
+    assert graph.node_count() == len(reference)
     # A request's parents come out of a set, so the edges of one node
     # are compared as a multiset.
-    assert ({node: sorted(out) for node, out in graph.adj.items()}
-            == {node: sorted(out) for node, out in reference.adj.items()})
-    assert graph.edge_count() == reference.edge_count() > len(opmap) > 0
+    assert ({node: sorted(out) for node, out in _adjacency(graph).items()}
+            == {node: sorted(out) for node, out in reference.items()})
+    assert graph.edge_count() == sum(map(len, reference.values())) > len(
+        opmap) > 0
+    # The schedule OOOAudit is handed orders every edge of Figure 5.
+    position = {node: index for index, node in enumerate(graph.topo_sort())}
+    assert all(position[src] < position[dst]
+               for src, out in reference.items() for dst in out)
     assert {key: (obj, seq) for obj, log in reports.op_logs.items()
             for seq, record in enumerate(log, 1)
             for key in [(record.rid, record.opnum)]} == opmap.entries

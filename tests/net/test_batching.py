@@ -276,9 +276,10 @@ def test_wire_bytes_of_a_wiki_bundle_are_pinned(tmp_path):
     """The wire encoding, as an exact count: a 2,000-request wiki
     bundle in epochs of 50, its raw lines replayed through
     ``write_record_payload`` under the default batch bounds, crosses the
-    socket as 3,572,574 bytes for its 4,000 events (893.1 B/event).  A
-    change to the frame format, the batching or the record lines moves
-    it.  The bundle is published before the auditor attaches: an attach
+    socket as 3,019,413 bytes for its 4,000 events (754.9 B/event;
+    3,572,574 before the report records became format v2's positional
+    rows).  A change to the frame format, the batching or the record
+    lines moves it.  The bundle is published before the auditor attaches: an attach
     mid-stream flushes the pending batch early and its HELLO says
     ``"ended": false``, so a concurrent replay's count depends on when
     the auditor connected."""
@@ -296,7 +297,7 @@ def test_wire_bytes_of_a_wiki_bundle_are_pinned(tmp_path):
             reader.read_initial_state()
             events = sum(len(epoch.trace) for epoch in reader.epochs())
             assert (events, reader.wire_bytes_received) == (4000,
-                                                            3_572_574)
+                                                            3_019_413)
 
 
 def test_preencoded_rejects_header_and_mirrors_to_writer(tmp_path):

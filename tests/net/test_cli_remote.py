@@ -187,6 +187,27 @@ def test_file_follow_and_connect_are_one_driver(tmp_path, capsys):
     assert "unknown bundle record kind 'junk'" in junk[0]["detail"]
 
 
+@pytest.mark.parametrize("kind", ["group", "op_log"])
+def test_audit_connect_rejects_a_rid_that_is_not_a_string(capsys, kind):
+    """A rid that is a JSON array, delivered intact over the wire, is the
+    executor's malformed word as it is in a file (REJECTED:
+    malformed_bundle, exit 1) — not an unhashable-type traceback."""
+    from tests.test_cli import _with_rid
+
+    lines = [line.rstrip("\n").encode() for line in _with_rid(kind, ["x"])]
+    with BundlePublisher(heartbeat_interval=None) as publisher:
+        _replay(publisher, lines)
+        code = main(["audit", "--connect", publisher.endpoint,
+                     "--workload", "cart", "--scale", "0.05", "--json"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["reason"] == "malformed_bundle"
+    what = {"group": "group rid", "op_log": "rid"}[kind]
+    assert payload["detail"] == f"ValueError: {what} ['x'], not a string"
+
+
 def test_audit_connect_a_frame_nested_past_the_decoder(tmp_path, capsys):
     """A frame whose payload nests 50,000 arrays is a protocol error on
     the live stream (exit 2, one line on stderr) — not a traceback out

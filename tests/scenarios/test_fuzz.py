@@ -85,7 +85,7 @@ BASELINE_CHANNELS = {"audit": 394, "load": 45, "wire": 61}
 CPU_BUDGET = 1.0
 
 
-def _timed_campaign(app, operators):
+def _timed_campaign(app, operators, seed=0):
     import time
 
     spent = []
@@ -96,7 +96,7 @@ def _timed_campaign(app, operators):
         spent.append((now - mark[0], outcome.operator, outcome.index))
         mark[0] = now
 
-    report = fuzz_bundle(FIXTURE, app, mutations=500, seed=0,
+    report = fuzz_bundle(FIXTURE, app, mutations=500, seed=seed,
                          operators=operators, shrink=False,
                          progress=progress)
     assert max(spent)[0] < CPU_BUDGET, max(spent)
@@ -111,21 +111,99 @@ def test_acceptance_campaign_baseline_channels_unchanged(cart_app):
 
 def test_acceptance_campaign_with_forged_scalars(cart_app):
     """The deterministic acceptance campaign over every operator: all
-    500 rejected, each inside the CPU budget; what the new family adds
-    lands on ``load`` (not an integer) or ``audit`` (huge, negative)."""
+    500 rejected, each inside the CPU budget; what the forged-scalar
+    family adds lands on ``load`` (not an integer) or ``audit`` (huge,
+    negative), and a hostile table or index alone on ``load``."""
+    _check_full_campaign(cart_app, 0)
+
+
+def test_acceptance_campaign_at_seed_1(cart_app):
+    _check_full_campaign(cart_app, 1)
+
+
+def _check_full_campaign(cart_app, seed):
     assert set(ALL_OPERATORS) - set(BASELINE_OPERATORS) == {
-        "forge_op_count", "forge_opnum"}
-    report = _timed_campaign(cart_app, None)
+        "forge_op_count", "forge_opnum", "hostile_index"}
+    report = _timed_campaign(cart_app, None, seed)
     assert report.rejected == 500, [o.to_json() for o in report.accepted]
     forged = [o for o in report.outcomes if o.operator.startswith("forge_")]
     assert {o.operator for o in forged} == {"forge_op_count", "forge_opnum"}
     assert {o.channel for o in forged} == {"load", "audit"}
     assert any("not an integer" in o.reason for o in forged)
     assert any(o.reason.startswith("log_missing_op") for o in forged)
+    # (An extra edit earlier in the file may be rejected first.)
+    hostile = [o for o in report.outcomes
+               if o.operator == "hostile_index" and len(o.edits) == 1]
+    assert hostile and {o.channel for o in hostile} == {"load"}
     wire = [o for o in report.outcomes if o.operator in WIRE_OPERATORS]
     assert report.to_json()["channels"]["wire"] == len(wire) > 0
     assert all(o.channel != "wire" for o in report.outcomes
                if o.operator in FILE_OPERATORS)
+
+
+#: What the decoder says for each hostile-index mutant.
+HOSTILE_SAYS = {
+    "out_of_range": r"index \d+ is outside its table",
+    "negative": r"index -\d+ is outside its table",
+    "ragged_rows": r"row array .* is not rows of 4",
+    "entry_type": r"(rid|func|op value) .*, not a (string|tuple)",
+    "duplicate_rid": r"names a request twice",
+}
+
+
+def test_hostile_index_family_is_malformed_never_an_alias(cart_app):
+    """Each hostile table or index is refused where the record is
+    decoded — ``malformed_bundle`` on the ``load`` channel, saying what
+    it found — never an ``IndexError``, and never read through the slot
+    a negative index or a repeated rid would alias."""
+    import re
+
+    from repro.scenarios.fuzz import HOSTILE_INDEX
+
+    assert set(HOSTILE_INDEX) == set(HOSTILE_SAYS)
+    report = fuzz_bundle(FIXTURE, cart_app, mutations=60, seed=0,
+                         operators=("hostile_index",), shrink=False,
+                         edits_per_mutation=1)
+    assert report.rejected == 60, [o.to_json() for o in report.accepted]
+    said = set()
+    for outcome in report.outcomes:
+        assert outcome.channel == "load", outcome.to_json()
+        assert "IndexError" not in outcome.reason
+        matched = [name for name, says in HOSTILE_SAYS.items()
+                   if re.search(says, outcome.reason)]
+        assert matched, outcome.reason
+        said.update(matched)
+    assert said == set(HOSTILE_SAYS)
+
+
+def test_flip_op_log_draws_each_branch_and_each_is_rejected(cart_app):
+    """``flip_op_log`` rewrites one row's contents (a new value-table
+    entry), its opnum or its rid; over a range of seeds each branch is
+    drawn, each is REJECTED, and each for the reason its edit earns:
+    the contents at CheckOp or at the versioned redo (or where a group
+    then diverges), the opnum and the rid at CheckLogs."""
+    with open(FIXTURE, "rb") as fh:
+        lines = fh.read().splitlines()
+    reasons = {}
+    for seed in range(24):
+        report = fuzz_bundle(FIXTURE, cart_app, mutations=1, seed=seed,
+                             operators=("flip_op_log",), shrink=False,
+                             edits_per_mutation=1)
+        outcome, = report.outcomes
+        assert outcome.rejected and outcome.channel == "audit", \
+            outcome.to_json()
+        edited = json.loads(outcome.edits[0]["text"])
+        original = json.loads(lines[outcome.edits[0]["line"]])
+        branch = ("rid" if "zz999999" in edited["rids"] else
+                  "contents" if edited["values"] != original["values"]
+                  else "opnum")
+        reasons.setdefault(branch, set()).add(outcome.reason.split(":")[0])
+    assert reasons.keys() == {"contents", "opnum", "rid"}
+    assert reasons["opnum"] == {"log_bad_opnum"}
+    assert reasons["rid"] == {"log_unknown_rid"}
+    assert reasons["contents"] <= {"op_mismatch", "versioned_build_failed",
+                                   "op_count_too_low", "group_diverged"}
+    assert "op_mismatch" in reasons["contents"]
 
 
 def test_campaign_through_the_cli_is_rejected(capsys):

@@ -35,27 +35,29 @@ SEED = 1
 #: multi_slots, multi_classes, produced-bodies SHA-256, bundle SHA-256.
 #: The bundle holds the control-flow tags: the bundle SHA-256 column was
 #: re-recorded when a fold-free loop began folding its trip count once
-#: instead of a fold per trip (every tag changed, no group did).
+#: instead of a fold per trip (every tag changed, no group did), and
+#: again when the report records became format v2's positional rows
+#: (the same reports, other bytes).
 PINNED = {
     "wiki_read": (
         200, 19, 19, 17102, 640, 10235, 2604,
         "47eb7dd4e543c898d0f81725e9fc85dfbfa636026aeac0edba57eaac4b91a962",
-        "90b5b7fd85634a8171673e35c35e903377b417f82cf22d555db3c3ab9b216ee2",
+        "c6acb6b868cc66514f30bc3d09eee4832f1480ae9093bf7cf54a8fd61e7f98e8",
     ),
     "hotcrp_query": (
         55, 10, 10, 2623, 155, 1055, 469,
         "dda13eb79cab830860e5c1533b1e05b6360e5147ad7fdb4e678c5602d5b1f54f",
-        "64f0eafa3d27a1911a2fe772e9a415d9d158045c5b30193af2ea67e9f6901baf",
+        "00f9b2be98c90d9713c0ca60db7b284b79645ba69b5051d31394bc2d52e93259",
     ),
     "cart_write": (
         198, 43, 43, 4224, 1271, 6433, 4206,
         "c2faf846234bf21278a98156a1311fae095eb149ac924e953e8e5fb02ab60129",
-        "6b005cca954ca470ce549772b56f81e006dad039efde06f55f4828bfc6147efc",
+        "b6ef8ff633d3c3271ded19948b0f162c8267c37e1e566d53b510ea51c1003a4b",
     ),
     "compute_singleton": (
         60, 56, 56, 225787, 0, 0, 0,
         "74b55549dbdc981bc443b48e23a78af07ea4330296cc199d28d9a9e448ea36f4",
-        "25e6b0129b8365c4f76f34261b317e6986daa7db0d6e3b56072d37bb41812a20",
+        "81fefd8ff93bdc6f5b7bf77f0f5023c85052350763aecd5dad905dd8e3f2b556",
     ),
 }
 

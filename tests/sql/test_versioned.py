@@ -202,6 +202,14 @@ def test_malformed_log_rejected():
     vdb2.load_initial(_initial())
     with pytest.raises(AuditReject):
         vdb2.build([_dbop("r1", 1, "DROP TABLE t")])
+    # Contents the executor made up: a verdict, not a TypeError out of
+    # the SQL parser or an unpacking ValueError.
+    for contents in [((5,), True), ((None, "COMMIT"), True), ((), True),
+                     (("SELECT 1",), True, "x"), ("SELECT 1", True)]:
+        vdb3 = VersionedDB()
+        vdb3.load_initial(_initial())
+        with pytest.raises(AuditReject, match="malformed DBOp opcontents"):
+            vdb3.build([OpRecord("r1", 1, OpType.DB_OP, contents)])
 
 
 # -- §A.7 equivalence property -------------------------------------------------

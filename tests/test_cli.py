@@ -470,11 +470,10 @@ def _forge_scalar(bundle: str, field: str, value) -> None:
     opnum (``field="opnum"``) in a recorded bundle."""
     def forge(record: dict) -> bool:
         if field == "count" and record.get("counts"):
-            counts = record["counts"]
-            counts[sorted(counts)[0]] = value
+            record["counts"][0] = value
             return True
         if field == "opnum" and record.get("kind") == "op_log":
-            record["records"][0]["opnum"] = value
+            record["rows"][1] = value  # row 0: [rid_i, opnum, ...]
             return True
         return False
 
@@ -517,6 +516,48 @@ def test_audit_rejects_non_integer_report_scalars(tmp_path, capsys,
     assert "not an integer" in verdict
 
 
+def _with_rid(kind: str, rid) -> list[str]:
+    """The cart fixture's lines, the first ``kind`` record naming
+    ``rid`` where it names a request."""
+    with open(FIXTURE) as fh:  # the cart fixture, defined below
+        lines = fh.readlines()
+    for at, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("kind") != kind:
+            continue
+        if kind == "event":
+            payload = [v for v in record["event"].values()
+                       if isinstance(v, dict)][0]
+            payload["rid"] = rid
+        else:
+            record["rids"][0] = rid
+        lines[at] = json.dumps(record) + "\n"
+        return lines
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("rid", [["x"], {"x": 1}, 7])
+@pytest.mark.parametrize("kind", ["event", "group", "op_log", "op_counts",
+                                  "nondet"])
+def test_audit_rejects_a_rid_that_is_not_a_string(tmp_path, capsys, kind,
+                                                  rid):
+    """Every record that names a request names it by a string: a rid
+    that is a JSON array, object or number is the executor's malformed
+    word (REJECTED: malformed_bundle, exit 1) — not an unhashable-type
+    traceback from the checks that key maps by it."""
+    bundle = tmp_path / "bundle.jsonl"
+    bundle.write_text("".join(_with_rid(kind, rid)))
+    capsys.readouterr()
+    assert main(["audit", str(bundle), "--workload", "cart",
+                 "--scale", "0.05", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["reason"] == "malformed_bundle"
+    assert payload["detail"].startswith("ValueError: ")
+    assert payload["detail"].endswith(", not a string")
+
+
 #: A line nested far past the JSON decoder's recursion limit.
 DEEP_LINE = "[" * 50_000 + "\n"
 
@@ -549,7 +590,7 @@ def _forge_later_epoch_count(bundle: str) -> None:
     with open(bundle) as fh:
         records = [json.loads(line) for line in fh]
     third = [r for r in records if r.get("kind") == "op_counts"][2]
-    third["counts"][sorted(third["counts"])[0]] = "3"
+    third["counts"][0] = "3"
     with open(bundle, "w") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in records)
 
@@ -679,13 +720,15 @@ MARK_CASES = {
                       "REJECTED", "trace_unbalanced", AS_THE_AUDIT),
     "first mark -1": (lambda lines, first, second: _moved(lines, first, -1),
                       "REJECTED", "nondet_missing", UNSEEN),
+    # Epoch 0's op counts and its last op log go to epoch 1: its
+    # other logs claim operations no count allows.
     "first mark -3": (lambda lines, first, second: _moved(lines, first, -3),
-                      "REJECTED", "nondet_missing", UNSEEN),
+                      "REJECTED", "log_bad_opnum", AS_THE_AUDIT),
     "first mark +5": (lambda lines, first, second: _moved(lines, first, 5),
                       "REJECTED", "trace_unbalanced", AS_THE_AUDIT),
     # The op-log records pushed into epoch 1 name epoch 0's requests.
-    "first mark -40": (
-        lambda lines, first, second: _moved(lines, first, -40),
+    "first mark -22": (
+        lambda lines, first, second: _moved(lines, first, -22),
         "REJECTED", "nondet_missing", (1, "log_unknown_rid")),
     "first mark +60": (
         lambda lines, first, second: _moved(lines, first, 60),

@@ -142,7 +142,7 @@ def test_bundle_file_is_plain_json(honest_run, tmp_path):
                                 honest_run.initial_state)
     with open(path) as fh:
         header, *records = [json.loads(line) for line in fh]
-    assert header == {"format": "ssco-jsonl", "version": 1,
+    assert header == {"format": "ssco-jsonl", "version": 2,
                       "layout": "segmented"}
     assert [r["kind"] for r in records[:1] + records[-1:]] == [
         "state", "end"]

@@ -156,7 +156,102 @@ def test_records_are_encoded_as_json_dumps_would(seed):
         assert repro_io._encode_record(record) == json.dumps(record)
 
 
+# -- the report records round-trip ---------------------------------------------
+
+#: Contents rows share, across rows and across objects (cut to each
+#: row's optype): among them values a dict key would merge (``1``,
+#: ``1.0``, ``True``; ``0.0``, ``-0.0``), which must come back as they
+#: went.
+SHARED_CONTENTS = [(1, 1.0), (1.0, True), (True, 1), (0.0, -0.0),
+                   (-0.0, 0.0), (("SELECT 1", "SELECT 2"), True),
+                   ("k", ("__phparray__", (("a", 1), ("b", (2, 2.0)))))]
+
+#: Log lengths: none, one row, and either side of the 1,000-row chunk.
+LOG_SIZES = (0, 1, 7, 999, 1000, 1001)
+
+
+@st.composite
+def report_sets(draw):
+    import random as _random
+
+    rids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1,
+                         max_size=6, unique=True))
+    contents = SHARED_CONTENTS + draw(st.lists(
+        st.lists(values, min_size=2, max_size=2), max_size=4))
+    rng = _random.Random(draw(st.integers(0, 2 ** 32)))
+    reports = Reports()
+    for obj in draw(st.lists(st.text(max_size=5), max_size=3, unique=True)):
+        reports.op_logs[obj] = [
+            OpRecord(rng.choice(rids), rng.randrange(1, 9), optype,
+                     shaped(optype, rng.choice(contents)))
+            for optype in (rng.choice(list(OpType)) for _ in range(
+                draw(st.sampled_from(LOG_SIZES))))]
+    for rid in draw(st.lists(st.sampled_from(rids), unique=True)):
+        reports.op_counts[rid] = draw(st.integers(0, 9))
+    for tag in draw(st.lists(st.text(max_size=3), max_size=3, unique=True)):
+        reports.groups[tag] = draw(st.lists(st.sampled_from(rids),
+                                            max_size=4))
+    for rid in draw(st.lists(st.sampled_from(rids), unique=True)):
+        reports.nondet[rid] = [
+            NondetRecord(draw(st.sampled_from(("time", "rand", "uniqid"))),
+                         draw(st.lists(values, max_size=2).map(tuple)),
+                         draw(values))
+            for _ in range(draw(st.integers(0, 3)))]
+    return reports
+
+
+def typed_reports(reports: Reports):
+    return (
+        {obj: [(r.rid, r.opnum, r.optype, typed(r.opcontents)) for r in log]
+         for obj, log in reports.op_logs.items()},
+        {rid: [(r.func, typed(r.args), typed(r.value)) for r in records]
+         for rid, records in reports.nondet.items()},
+        reports.groups, typed(reports.op_counts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(report_sets())
+def test_report_records_round_trip(reports):
+    """Whatever ``Reports`` hold — unicode rids, nested contents shared
+    across rows and objects, logs either side of a chunk, empty logs —
+    their records, through JSON, feed back equal ``Reports``, type for
+    type; and rows of one line that share contents share one decoded
+    tuple."""
+    accumulator = EpochAccumulator()
+    for record in repro_io.iter_report_records(reports):
+        record = json.loads(json.dumps(record))
+        assert accumulator.feed(record) is None
+        if record["kind"] == "op_log":
+            assert len(record["rows"]) <= 4 * 1000
+            assert len(record["values"]) == len(set(map(
+                json.dumps, record["values"])))
+    assert accumulator.reports == reports
+    assert typed_reports(accumulator.reports) == typed_reports(reports)
+    for log in accumulator.reports.op_logs.values():
+        for start in range(0, len(log), 1000):
+            chunk = log[start:start + 1000]
+            shared = {}
+            for record in chunk:
+                key = json.dumps(typed(record.opcontents))
+                assert shared.setdefault(key, record.opcontents) is (
+                    record.opcontents)
+
+
 # -- one accumulator under every reader ----------------------------------------
+
+
+#: Figure 12's op contents, which the decoder holds a row to: an arity
+#: per optype, and a KV op's key is a string.
+ARITY = {OpType.REGISTER_READ: 0, OpType.REGISTER_WRITE: 1,
+         OpType.KV_GET: 1, OpType.KV_SET: 2, OpType.DB_OP: 2}
+
+
+def shaped(optype: OpType, items) -> tuple:
+    """``items`` cut to the contents ``optype`` takes."""
+    contents = tuple(items[:ARITY[optype]])
+    if optype in (OpType.KV_GET, OpType.KV_SET):
+        contents = (str(contents[0]),) + contents[1:]
+    return contents
 
 
 def _random_value(rng: random.Random, depth: int = 3):
@@ -198,11 +293,11 @@ def _random_epochs(seed: int, epochs: int = 3):
                 None if rng.random() < 0.8 else "reset"), serial + 0.5))
             count = rng.randrange(4)
             for opnum in range(1, count + 1):
+                optype = rng.choice(list(OpType))
                 reports.op_logs.setdefault(
                     rng.choice(("kv:apc", "db:main", "reg:t")), []
-                ).append(OpRecord(
-                    rid, opnum, rng.choice(list(OpType)),
-                    tuple(_random_value(rng) for _ in range(2))))
+                ).append(OpRecord(rid, opnum, optype, shaped(optype, [
+                    _random_value(rng) for _ in range(2)])))
             reports.op_counts[rid] = count
             reports.groups.setdefault(rng.choice(TAGS), []).append(rid)
             if rng.random() < 0.6:
@@ -380,6 +475,12 @@ def _with(records, kind, edit):
     return out
 
 
+def _point_row(record, optype_code, value):
+    """Row 0 of an op-log record made ``optype_code`` over a new value."""
+    record["rows"][2:4] = [optype_code, len(record["values"])]
+    record["values"].append(value)
+
+
 #: What is wrong -> (record kind, the edit, what the ValueError says).
 MALFORMED = {
     "event kind": ("event", lambda r: r["event"].update(kind="PUSH"),
@@ -387,19 +488,34 @@ MALFORMED = {
     "event kind unhashable": (
         "event", lambda r: r["event"].update(kind=["REQUEST"]),
         "EventKind"),
-    "optype": ("op_log", lambda r: r["records"][0].update(optype="KvDrop"),
-               "'KvDrop' is not a valid OpType"),
+    "optype": ("op_log", lambda r: r["rows"].__setitem__(2, 5),
+               "optype index 5 is outside its table of 5"),
     "optype unhashable": (
-        "op_log", lambda r: r["records"][0].update(optype=["KvGet"]),
-        "OpType"),
+        "op_log", lambda r: r["rows"].__setitem__(2, ["KvGet"]),
+        r"optype index \['KvGet'\], not an integer"),
     "record kind": ("group", lambda r: r.update(kind="grupo"),
                     "unknown bundle record kind 'grupo'"),
-    "opnum": ("op_log", lambda r: r["records"][0].update(opnum="1"),
+    "opnum": ("op_log", lambda r: r["rows"].__setitem__(1, "1"),
               "opnum '1', not an integer"),
-    "opnum null": ("op_log", lambda r: r["records"][0].update(opnum=None),
+    "opnum null": ("op_log", lambda r: r["rows"].__setitem__(1, None),
                    "opnum None"),
-    "op count": ("op_counts", lambda r: r["counts"].update(
-        {next(iter(r["counts"])): 1.0}), r"op count of '\w+' is 1.0"),
+    "op contents arity": ("op_log", lambda r: _point_row(r, 0, {"t": [1]}),
+                          "an op-log row's contents do not fit its optype"),
+    "KV key": ("op_log", lambda r: _point_row(r, 3, {"t": [[1], 2]}),
+               r"KV key \[1\], not a string"),
+    "negative index": ("op_log", lambda r: r["rows"].__setitem__(0, -1),
+                       "rid index -1 is outside its table"),
+    "ragged rows": ("nondet", lambda r: r["rows"].pop(),
+                    "is not rows of 4"),
+    "rid named twice": ("op_counts", lambda r: (
+        r["rids"].append(r["rids"][0]), r["counts"].append(0)),
+        "names a request twice"),
+    "event script": ("event", lambda r: r["event"]["request"].update(
+        script=["x"]), r"event script \['x'\], not a string"),
+    "rid not a string": ("group", lambda r: r["rids"].append(["x"]),
+                         r"group rid \['x'\], not a string"),
+    "op count": ("op_counts", lambda r: r["counts"].__setitem__(0, 1.0),
+                 "op count 1.0, not an integer"),
     "mark events": ("epoch_mark", lambda r: r.update(events="abc"),
                     "epoch_mark record has events 'abc'"),
     "mark events negative": ("epoch_mark", lambda r: r.update(events=-5),
@@ -420,7 +536,7 @@ MALFORMED = {
         tables={"t": {"columns": 5, "types": {}, "rows": []}}),
         "TypeError: 'int' object is not iterable"),
     "op counts a list": ("op_counts", lambda r: r.update(counts=[1]),
-                         "AttributeError"),
+                         r"op counts \[1\] do not match the rids"),
     "group rids": ("group", lambda r: r.update(rids=7), "TypeError"),
     "no kind": ("nondet", lambda r: r.pop("kind"), "KeyError: 'kind'"),
     # The state record is the verifier's trusted input: there is one.

@@ -87,11 +87,15 @@ def test_jsonl_bundle_audits_identically(tmp_path, counter_app,
     assert loaded.stats["shard_count"] == len(epoch_run.epoch_marks) + 1
 
 
-#: What is not a segmented v1 bundle, and what the reader says it found.
+#: What is not a segmented v2 bundle, and what the reader says it found.
 FOREIGN = {
     "future version": (
         '{"format": "ssco-jsonl", "version": 99, "layout": "segmented"}\n',
         "version 99"),
+    # v1 spelled every report record out; there is no second reader.
+    "version 1": (
+        '{"format": "ssco-jsonl", "version": 1, "layout": "segmented"}\n',
+        r"has format version 1 \(expected 2\)"),
     "foreign": ('{"something": "else"}\n', "starts with"),
     "empty": ("", "is empty"),
     "legacy blob": (
@@ -118,7 +122,7 @@ def test_jsonl_rejects_bad_header(tmp_path):
 def test_jsonl_requires_initial_state(tmp_path):
     path = str(tmp_path / "empty.jsonl")
     with open(path, "w") as fh:
-        fh.write('{"format": "ssco-jsonl", "version": 1, '
+        fh.write('{"format": "ssco-jsonl", "version": 2, '
                  '"layout": "segmented"}\n')
     with pytest.raises(ValueError, match="no initial state"):
         _read_all(path)

@@ -176,8 +176,9 @@ def _event_from_json(entry: dict) -> Event:
         rid = _str(raw["rid"], "event rid")
         return Event(
             _REQUEST, rid,
-            Request(rid, _str(raw["script"], "event script"), _dec(raw["get"]),
-                    _dec(raw["post"]), _dec(raw["cookies"])),
+            Request(rid, _str(raw["script"], "event script"),
+                    _fields(raw["get"], "get"), _fields(raw["post"], "post"),
+                    _fields(raw["cookies"], "cookies")),
             time,
         )
     if kind == "RESPONSE":
@@ -222,6 +223,14 @@ def _list_of(items: object, kind: type, what: str) -> list:
         bad = next(item for item in items if type(item) is not kind)
         raise ValueError(f"{what} {bad!r:.60}, not {_NAMED[kind]}")
     return items
+
+
+def _fields(value: object, what: str) -> dict:
+    """A request's ``get`` / ``post`` / ``cookies``: a JSON object."""
+    fields = _dec(value)
+    if type(fields) is not dict:
+        raise ValueError(f"request {what} {value!r:.60}, not an object")
+    return fields
 
 
 def _str(value: object, what: str) -> str:

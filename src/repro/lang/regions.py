@@ -1,52 +1,55 @@
-"""Generated source for every statement of the compiled engine.
+"""Generated source for the compiled engine: every statement, every
+expression.
 
 A block — a function body, the script's body — is one generated Python
-function (:func:`region`; cut where it grows past :data:`_SIZE`, the
-parts run in order), and a pure operand of an expression closure that
-may yield is one too (:func:`expression`).  A block that may yield an
-intent is a generator function: an operand that may yield is
-``held = yield from <its expression closure>(env, state)``, a call out
-of the region like any other.  An ``if`` is a Python ``if`` that folds
-its arm's digest constant, a loop a Python loop that folds ``loop`` per
-trip after binding the key and a copy-on-write handle of the value, and
-``loopx`` after the last (a fold-free one ``loopx`` and its trip count
-only); ``break`` / ``continue`` in it are Python's.  An index assignment
+function (:func:`region`; the script's is cut past :data:`_SIZE` into
+parts that run in order, one that falls through returning
+:data:`_NEXT`).  A block that may yield an intent is a generator
+function: a state operation, a non-deterministic built-in or an external
+call yields its intent in line, a call of an impure user function
+is ``yield from`` its body, of a pure one a plain call, with the frame
+dict and the depth check in the source; ``return`` is Python's.  An
+``if`` is a Python ``if`` that folds its arm's digest constant, a loop a
+Python loop that folds ``loop`` per trip after binding the key and a
+copy-on-write handle of the value, and ``loopx`` after the last (a
+fold-free one ``loopx`` and its trip count only).  An index assignment
 walks its path with the compiler's ``root`` / ``step`` / ``finish``
-(§4.3's container rules).  A loop or branch nested past :data:`_LOOPS`
-/ :data:`_INDENT` is drained into a generated function of its own.
+(§4.3's container rules).  A loop or branch nested past :data:`_LOOPS` /
+:data:`_INDENT`, or an expression past :data:`_NEST`, is drained into a
+generated function of its own.
 
 **Python locals.**  In a dict-frame scope a region keeps the variables it
 touches, ``steps`` and the flow digest in Python locals: written back
-before a call out of the region — an expression closure, a drained
-statement, a ``yield from`` — (what the call may read; everything at top
+before a call out of the region — a user function, a drained statement,
+a helper that may raise — (what the call may read; everything at top
 level, and before a call whose ``break`` / ``continue`` no loop of the
 region would catch) and at exit, and reloaded after a call (``steps``,
-``flow``, what a drained statement touched — also when it raises a
-signal — and at top level the variables a function declares ``global``:
-no call can write a function's own frame).  So a call, an intent's
-driver, and whoever catches what a call raises, find the frame,
-``steps`` and the digest as the oracle would leave them.  A variable
-missing from the frame loads as ``_ABSENT``, which no guard passes and
-nothing writes back.
+``flow``, what a drained statement touched, and at top level the
+variables a function declares ``global``).  What a loop does not assign
+is written back once, before it.  So whoever a call reaches or an error
+leaves finds the frame, ``steps`` and the digest as the oracle would.  A
+variable missing from the frame loads as ``_ABSENT``, which no guard
+passes and nothing writes back.
 
 **In line.**  An expression built from constants, frame variables, the
 operators whose :data:`~repro.lang.values.EXACT_OPS` entry has a Python
-infix form (:data:`_INFIX`), ``$v[<key>]``, pure built-in calls,
-constant-key array literals and ternaries whose arms need no guard runs
-as Python behind type guards, chained with its calls in evaluation
-order; when they hold, one add books the closures' steps.  When one
-fails, or the expression does not qualify (and always in a ``use_env``
-scope), the statement calls the expression's closure, which does the
-coercions, the per-class work and the errors.  On exact operands the
-plain operator is the table entry, and a call of a built-in with a
-:data:`~repro.lang.builtins.EXACT_CALLS` entry its Python form (an
-operand of unknown type tested per value, the built-in called where the
-test fails); nothing in line raises where the closures would not, so
-``steps``, ``multi_steps``, the flow digest, bodies and errors stay the
-closures'.
+infix form (:data:`_INFIX`), ``!``, ``-``, ``$v[<key>]``, pure built-in
+calls (an :data:`~repro.lang.builtins.EXACT_CALLS` entry as its Python
+form), constant-key array literals, and ``&&`` / ``||`` and ternaries
+whose operands that may not run need only type tests, runs as Python
+behind type guards, chained with its calls in evaluation order; when
+they hold, one add books its steps, and nothing raises.  Where one
+fails, or the expression does not qualify (always in a ``use_env``
+scope), the statement runs its **general form**: three-address code in
+which each operator calls its :mod:`~repro.lang.simd` per-class helper
+(``_binop``, ``_unop``, ``_index``, ``_add_item``, ``_call_builtin``,
+``_truth``) on operands held in temporaries — each in line behind its
+guards where it qualifies — booking ``steps`` node by node and writing
+them back with the digest (at top level the variables too) before
+anything that may raise.
 
 No program text reaches the generated source: names, constants and
-closures are arguments of a factory whose parameters the generator
+helpers are arguments of a factory whose parameters the generator
 names, so one source (one ``compile``) serves every region of a shape.
 """
 
@@ -54,10 +57,19 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable
+from functools import partial
 from hashlib import blake2b
 
 from repro.common.digest import _FNV_PRIME, _MASK, branch_mix
-from repro.lang.analysis import branches, fold_free, iter_children
+from repro.common.errors import WeblangError
+from repro.lang import simd
+from repro.lang.analysis import (
+    branches,
+    call_kind,
+    fold_free,
+    iter_children,
+    nodes,
+)
 from repro.lang.ast import (
     ArrayLit,
     Assign,
@@ -80,26 +92,26 @@ from repro.lang.ast import (
     Var,
     While,
 )
-from repro.lang.builtins import EXACT_CALLS
-from repro.lang.interp import _BreakSignal, _ContinueSignal, _ReturnSignal
-from repro.lang.simd import (
-    _APPEND,
-    _binop,
-    _copy_value,
-    _descend,
-    _foreach_items,
-    _multi_text,
-    _no_key,
-    _release,
-    _truth,
+from repro.lang.builtins import EXACT_CALLS, EXTERNAL_BUILTINS
+from repro.lang.interp import (
+    _MAX_CALL_DEPTH,
+    REQUEST_INPUTS,
+    Interpreter,
+    StateOpIntent,
+    _BreakSignal,
+    _ContinueSignal,
+    _Env,
 )
+from repro.lang.simd import _APPEND, _copy_value
 from repro.lang.values import (
     EXACT_OPS,
     PhpArray,
     binop,
     compound,
+    thaw_value,
     to_str,
     truthy,
+    unop,
 )
 from repro.multivalue.multivalue import MultiValue
 
@@ -123,12 +135,17 @@ _DEPTH = 32
 _SIZE = 3000
 
 #: Loops one region nests (Python allows 20 nested blocks; a loop and
-#: its ``try`` take two), and how far it indents a branch (100 levels).
+#: its ``try`` take two), and how far it indents a branch (100 levels);
+#: an expression's arms indent on to :data:`_NEST` characters.
 _LOOPS = 6
 _INDENT = 40
+_NEST = 4 * 80
 
 #: The local of a variable not in the frame: never written back.
 _ABSENT = object()
+
+#: What a part of a body returns when it falls through to the next.
+_NEXT = object()
 
 #: The values an in-line operand may hold: not a multivalue, not absent.
 _OK = frozenset({str, int, float, bool, type(None), PhpArray})
@@ -137,16 +154,42 @@ _OK = frozenset({str, int, float, bool, type(None), PhpArray})
 #: (which of them have locals is known once the region is made).
 _RELOAD = "\0"
 
+
+def _scope(state, slots: dict[str, object]) -> _Env:
+    """The frame of a function that says ``global``, over ``slots``."""
+    frame = _Env(state.globals)
+    frame.vars = slots
+    return frame
+
+
+def _load(value: object, state, copy: bool = False) -> object:
+    """A variable's value as a general form reads it: a missing one is
+    null, a multivalue books a multivalent step; with ``copy`` an array
+    leaving it is copied."""
+    kind = type(value)
+    if kind is MultiValue:
+        state.multivalent(len(value.values))
+        return _copy_value(value) if copy else value
+    if copy and kind is PhpArray:
+        return value.copy()
+    return None if value is _ABSENT else value
+
+
 #: The module a generated function runs in: no builtins beyond these.
 _HELPERS: dict[str, object] = {
     "__builtins__": {}, "type": type, "int": int, "str": str, "len": len,
-    "PhpArray": PhpArray, "MultiValue": MultiValue, "_OK": _OK,
-    "_ABSENT": _ABSENT, "_PRIME": _FNV_PRIME, "_MASK": _MASK,
-    "_truth": _truth, "truthy": truthy, "to_str": to_str, "_binop": _binop,
-    "_copy_value": _copy_value, "_foreach_items": _foreach_items,
-    "_multi_text": _multi_text, "_descend": _descend, "_release": _release,
-    "_no_key": _no_key, "_BreakSignal": _BreakSignal,
-    "_ContinueSignal": _ContinueSignal, "_ReturnSignal": _ReturnSignal,
+    "list": list, "zip": zip, "map": map, "bool": bool,
+    "isinstance": isinstance, "PhpArray": PhpArray,
+    "MultiValue": MultiValue, "_OK": _OK, "_ABSENT": _ABSENT,
+    "_NEXT": _NEXT, "_INDEXABLE": (PhpArray, str, MultiValue),
+    "_PRIME": _FNV_PRIME, "_MASK": _MASK, "WeblangError": WeblangError,
+    "StateOpIntent": StateOpIntent, "_scope": _scope, "_load": _load,
+    "truthy": truthy, "to_str": to_str,
+    "_BreakSignal": _BreakSignal, "_ContinueSignal": _ContinueSignal,
+    **{name: getattr(simd, name) for name in """
+        _truth _binop _unop _index _add_item _call_builtin
+        _copy_value _foreach_items _text _descend _release _input _strs
+        _frozen _merged_replies _registers _intent""".split()},
 }
 
 
@@ -174,11 +217,10 @@ _NOTHING: tuple = (frozenset(), frozenset(), frozenset(), False)
 
 def _walk(comp, node: Node | list[Node]) -> tuple:
     """``(reads, assigns, indexed, flows)`` of ``node`` (or a list of
-    them): the variables it reads, those it assigns or a foreach binds,
-    those it index-assigns, and whether it may fold the flow digest or
-    raise a signal — it holds a branch, a loop, ``break`` or
-    ``continue``, or calls a user function.  Found bottom-up, once per
-    node and compiler."""
+    them): the variables it reads, assigns (or a foreach binds) and
+    index-assigns, and whether it may fold the flow digest or raise a
+    signal (:func:`~repro.lang.analysis.branches`).  Found bottom-up,
+    once per node and compiler."""
     key = id(node)
     if key in comp.walks:
         return comp.walks[key][1]
@@ -209,8 +251,36 @@ def _walk(comp, node: Node | list[Node]) -> tuple:
 
 
 #: An in-line value: its Python expression, its type (``None``: any
-#: value of :data:`_OK`) and the steps its closures would book.
+#: value of :data:`_OK`) and the steps its nodes book.
 _Value = tuple[str, type | None, int]
+
+#: A general form: the lines evaluating it, and the source of its value.
+_Code = tuple[list[str], str]
+
+#: The state built-ins: name -> (arity, intent kind, the slots' objects
+#: and operands — ``{0}`` / ``{1}`` the arguments, ``{o}`` the dialect's
+#: database, KV store or session cookie — and what converts a reply:
+#: ``None`` for a write).
+_STATE_OPS: dict[str, tuple] = {
+    "kv_get": (1, "kv_get", "[{o}] * state.size",
+               "list(zip(_strs({0}, state)))", thaw_value),
+    "kv_set": (2, "kv_set", "[{o}] * state.size",
+               "list(zip(_strs({0}, state), _frozen({1}, state)))", None),
+    "reg_read": (1, "register_read", "_registers({0}, state)",
+                 "[()] * state.size", thaw_value),
+    "reg_write": (2, "register_write", "_registers({0}, state)",
+                  "list(zip(_frozen({1}, state)))", None),
+    "session_get": (0, "register_read", "_registers(None, state, {o})",
+                    "[()] * state.size", thaw_value),
+    "session_put": (1, "register_write", "_registers(None, state, {o})",
+                    "list(zip(_frozen({0}, state)))", None),
+    **{name: (1, "db_statement", "[{o}] * state.size",
+              "list(zip(_strs({0}, state)))",
+              partial(Interpreter._convert_db_result, name))
+       for name in ("db_query", "db_exec")},
+    **{name: (0, name, "[{o}] * state.size", "[()] * state.size", None)
+       for name in ("db_begin", "db_commit", "db_rollback")},
+}
 
 
 class _Region:
@@ -218,23 +288,27 @@ class _Region:
     locals hold at the line being made."""
 
     def __init__(self, comp, top: bool):
-        self.comp = comp  # the compiler: expression closures and helpers
+        self.comp = comp  # the compiler: purity, constants, functions
         self.fast = not comp.use_env  # a dict frame: variables in locals
         self.top = top  # the frame is the globals
         #: The variables of the frame a call may write: at top level, the
         #: ones a function declares ``global``.
         self.shared = comp.shared if top else frozenset()
         self.args: list[object] = []
+        self.bound: dict[int, str] = {}
         self.names: dict[str, str] = {}
         self.locals: dict[str, str] = {}
         #: The locals (and ``steps``, ``flow``) written since the frame
         #: and ``state`` last saw them.
         self.dirty: set[str] = set()
-        self.temps = 0
-        self.loops = 0  # Python loops around the line being made
-        self.echo = False
-        self.lined = False  # whether an expression runs in line
-        self.yields = False  # whether a call may yield an intent
+        #: Steps the nodes entered so far book, not yet added to
+        #: ``steps``: added before anything that can see them.
+        self.owed = 0
+        self.temps = self.loops = 0  # Python loops around the line made
+        # Whether it echoes, reads through ``get``, yields an intent;
+        # whether the line made is in a general form that stands for one.
+        self.echo = self.gets = self.yields = False
+        self.plain = 0
         #: The guards, digest folds and step terms of the in-line
         #: expression being made.
         self.chain: list[str] = []
@@ -242,8 +316,10 @@ class _Region:
         self.extra: list[str] = []
 
     def bind(self, value: object) -> str:
-        self.args.append(value)
-        return f"b{len(self.args) - 1}"
+        if id(value) not in self.bound:  # ``args`` keeps ``value`` alive
+            self.args.append(value)
+            self.bound[id(value)] = f"b{len(self.args) - 1}"
+        return self.bound[id(value)]
 
     def name(self, var: str) -> str:
         if var not in self.names:
@@ -265,6 +341,10 @@ class _Region:
         self.dirty.add("steps")
         return [f"{pad}steps += {steps}"]
 
+    def flush(self, pad: str) -> list[str]:
+        owed, self.owed = self.owed, 0
+        return self.book(pad, owed)
+
     def fold(self, pad: str, *mixes: str) -> list[str]:
         self.dirty.add("flow")
         return [f"{pad}if flow is not None:",
@@ -273,12 +353,14 @@ class _Region:
 
     def sync(self, pad: str, names: set[str] | None = None,
              flows: bool = True) -> list[str]:
-        """Lines writing back ``steps``, ``flow`` where ``flows``, and
-        what was written of the variables ``names`` (every one where
-        ``None``)."""
+        """Lines writing back ``steps`` (what is owed added), ``flow``
+        where ``flows``, and the variables ``names`` (``None``: all)."""
         slots = {"steps", "flow"} if flows else {"steps"}
-        lines = [f"{pad}state.{slot} = {slot}" for slot in ("steps", "flow")
-                 if slot in self.dirty & slots]
+        owed, self.owed = self.owed, 0
+        self.dirty |= {"steps"} if owed else set()
+        lines = [f"{pad}state.{slot} = {slot}"
+                 + (f" = steps + {owed}" if owed and slot == "steps" else "")
+                 for slot in ("steps", "flow") if slot in self.dirty & slots]
         self.dirty -= slots
         for var, local in self.locals.items():
             if local in self.dirty and (names is None or var in names):
@@ -300,97 +382,353 @@ class _Region:
         return lines + [pad + _RELOAD] if self.shared else lines
 
     def run(self, pure: bool, fn: Callable) -> str:
-        """The call ``fn(env, state)``: ``yield from`` it where it may
-        yield an intent (the region is then a generator function)."""
+        """``fn(env, state)``, ``yield from`` where it may yield."""
         self.yields = self.yields or not pure
         return f"{'' if pure else 'yield from '}{self.bind(fn)}(env, state)"
 
-    def call(self, pad: str, line: str, reads: set[str],
+    def call(self, pad: str, line: str | list[str], reads: set[str],
              writes: set[str] = frozenset(), flows: bool = True
              ) -> list[str]:
-        """``line``, a call out of the region that may read the
-        variables ``reads``, write ``writes`` and, where ``flows``, fold
-        the flow digest or raise a signal.  A signal leaves the region
-        where no loop of it encloses the call, so everything is written
-        back first; one to a loop of the region passes the reload."""
+        """``line`` (or lines made at ``pad``), a call out that may read
+        the variables ``reads``, write ``writes`` and, where ``flows``,
+        fold the digest or raise a signal: one no loop of the region
+        catches leaves it, so everything is written back first."""
+        body = [pad + line] if type(line) is str else line
         lines = self.sync(pad, None if self.top or flows and not self.loops
                           else reads, flows)
         if flows and self.loops and writes:
-            return [*lines, f"{pad}try:", f"{pad}    {line}", f"{pad}finally:",
-                    *self.reload(pad + "    ", writes, flows)]
-        return [*lines, pad + line, *self.reload(pad, writes, flows)]
+            return [*lines, f"{pad}try:", *("    " + item for item in body),
+                    f"{pad}finally:", *self.reload(pad + "    ", writes, flows)]
+        return [*lines, *body, *self.reload(pad, writes, flows)]
 
-    def reach(self, node: Node) -> tuple[frozenset[str], bool]:
-        """The variables ``node`` reads, and whether it may fold the flow
-        digest or raise a signal (:func:`_walk`)."""
-        reads, _, _, flows = _walk(self.comp, node)
-        return reads, flows
+    def risky(self, pad: str, line: str) -> list[str]:
+        """``line``, which may raise: what the oracle would have booked
+        and folded by then — at top level the frame too — written back."""
+        return [*self.sync(pad, None if self.top else set()), pad + line]
 
     def branch(self, pad: str, cond: str, yes: Callable,
                no: Callable | None = None) -> list[str]:
-        """``if cond: yes else: no`` (each a function of its pad)."""
-        before = set(self.dirty)
-        then = yes(pad + "    ")
-        self.dirty, after = before, self.dirty
-        other = [f"{pad}else:", *no(pad + "    ")] if no else []
+        """``if cond: yes else: no`` (each a function of its pad); steps
+        owed are booked in each arm."""
+        lines = [] if no else self.flush(pad)
+        inner, before, owed = pad + "    ", set(self.dirty), self.owed
+        then = [*yes(inner), *self.flush(inner)] or [inner + "pass"]
+        self.dirty, after, self.owed = before, self.dirty, owed
+        other = [f"{pad}else:", *no(inner), *self.flush(inner)] if no else []
         self.dirty |= after
-        return [f"{pad}if {cond}:", *then, *other]
+        return [*lines, f"{pad}if {cond}:", *then, *other]
 
     # -- expressions -------------------------------------------------------
 
     def operand(self, pad: str, node: Node, use: Callable, copy: bool = False,
                 book: int = 0, inline: tuple | None = None) -> list[str]:
-        """Lines evaluating ``node`` — with copy semantics where ``copy``
-        — and then ``use(pad, src, kind)``: in line where it qualifies
-        (``kind`` the value's type, ``None`` for any value but a
-        multivalue), else, and where a guard fails, by a call to its
-        closure (``kind`` ``object``: any value); ``book`` steps more.
+        """Lines evaluating ``node`` (copied where ``copy``), then ``use(pad,
+        src, kind)``: in line where it qualifies (``kind`` its type,
+        ``None`` for any but a multivalue), else, and where a guard fails,
+        in its general form (``kind`` ``object``); ``book`` steps first.
         ``inline`` is ``(node, use, book)`` to run in line first."""
         got = None
         for fast_node, fast_use, fast_book in [*(inline or []),
                                                (node, use, book)]:
-            self.chain, self.folds, self.extra = [], [], []
-            got = self._value(fast_node, None)
+            got = self._inline(fast_node, copy)
             if got is not None:
                 break
-        if got is not None and copy:
-            got = (self._copy(fast_node, got[0], got[1]), *got[1:])
-        self.lined = self.lined or got is not None
-        chain, folds, extra = self.chain, self.folds, self.extra
-        pure, fn, _ = (self.comp._compile_expr_copy if copy
-                       else self.comp._compile_expr)(node)
-        held = self.temp()
-        reads, flows = self.reach(node)
-
-        def slow(pad: str) -> list[str]:
-            return [*self.book(pad, book),
-                    *self.call(pad, f"{held} = {self.run(pure, fn)}", reads,
-                               flows=flows),
-                    *use(pad, held, object)]
-
         if got is None:
-            return slow(pad)
+            return self._general(pad, node, copy, use, book, 0)
+        return self._guarded(pad, got, fast_use, fast_book,
+                             lambda p: self._general(p, node, copy, use, book))
+
+    def _inline(self, node: Node, copy: bool) -> tuple | None:
+        """``node`` in line, its guards, folds and step terms, or ``None``."""
+        self.chain, self.folds, self.extra = [], [], []
+        got = self._value(node, None)
+        if got is None:
+            return None
         src, kind, steps = got
+        if copy:
+            src = self._copy(node, src, kind)
+        return src, kind, steps, self.chain, self.folds, self.extra
+
+    def _guarded(self, pad: str, got: tuple, use: Callable, book: int,
+                 slow: Callable) -> list[str]:
+        """An in-line value used behind its guards, ``slow`` where not."""
+        src, kind, steps, chain, folds, extra = got
 
         def fast(pad: str) -> list[str]:
-            lines = self.book(pad, " + ".join([str(steps + fast_book),
+            lines = self.book(pad, " + ".join([str(steps + book + self.owed),
                                                *extra]))
+            self.owed = 0
             for cond, then_mix, other_mix in folds:
                 lines += self.fold(pad, f"({self.bind(then_mix)} if {cond} "
                                         f"else {self.bind(other_mix)})")
-            return lines + fast_use(pad, src, kind)
+            return lines + use(pad, src, kind)
 
         if not chain:
             return fast(pad)
         return self.branch(pad, " and ".join(chain), fast, slow)
+
+    def _general(self, pad: str, node: Node, copy: bool, use: Callable,
+                 book: int = 0, plain: int = 1) -> list[str]:
+        """The general form of ``node`` and ``use`` of it; where it stands
+        for its in-line form (``plain``), its operands are not tried in
+        line again."""
+        self.owed += book
+        self.plain += plain
+        lines, src = self.expr(pad, node, copy)
+        self.plain -= plain
+        return [*lines, *self.flush(pad), *use(pad, src, object)]
+
+    def child(self, pad: str, node: Node, copy: bool = False) -> _Code:
+        """An operand of a general form: in line where it qualifies."""
+        got = None if self.plain or type(node) is Var \
+            else self._inline(node, copy)
+        if got is None:
+            return self.expr(pad, node, copy)
+        if not got[3] and not got[4] and not got[5]:  # no local read
+            self.owed += got[2]
+            return [], got[0]
+        held = self.temp()
+        into = self._into(held)
+        return self._guarded(pad, got, into, 0, lambda p: self._general(
+            p, node, copy, into)), held
+
+    def expr(self, pad: str, node: Node, copy: bool = False) -> _Code:
+        """The general form of ``node``: lines evaluating it node by node,
+        as the oracle does, and its value (a temporary or a constant)."""
+        const = self.comp.const(node)
+        if const is not None:
+            self.owed += const[1]
+            return [], self.bind(const[0])
+        if len(pad) > _NEST:
+            return self._drained_expr(pad, node, copy)
+        if type(node) is Var:
+            return self._read(pad, node.name, copy)
+        return getattr(self, _GENERAL[type(node)])(pad, node, copy)
+
+    def _drained_expr(self, pad: str, node: Node, copy: bool) -> _Code:
+        made = _Region(self.comp, self.top)  # a function of its own
+        lines, src = made.expr(_PAD, node, copy)
+        pure, fn = _assembled(made, [*lines, *made.sync(_PAD, set()),
+                                     f"{_PAD}return {src}"])
+        held = self.temp()
+        reads, _, _, flows = _walk(self.comp, node)
+        return self.call(pad, f"{held} = {self.run(pure, fn)}", reads,
+                         flows=flows), held
+
+    def _read(self, pad: str, var: str, copy: bool) -> _Code:
+        self.owed += 1
+        held, self.gets = self.temp(), self.gets or not self.fast
+        value = self.local(var) if self.fast else f"get({self.name(var)})"
+        return [f"{pad}{held} = _load({value}, state{', True' if copy else ''})"
+                ], held
+
+    def _operands(self, pad: str, nodes: list, copy: bool = False
+                  ) -> tuple[list[str], list[str]]:
+        """:meth:`child` of each of ``nodes``, in order."""
+        lines, srcs = [], []
+        for node in nodes:
+            node_lines, src = self.child(pad, node, copy)
+            lines += node_lines
+            srcs.append(src)
+        return lines, srcs
+
+    def _apply(self, pad: str, helper: str, apply: Callable,
+               *nodes: Node) -> _Code:
+        """``helper(apply, *operands, state)`` after the operands."""
+        self.owed += 1
+        lines, srcs = self._operands(pad, list(nodes))
+        held = self.temp()
+        return [*lines, *self.risky(pad, f"{held} = {helper}("
+                                         f"{self.bind(apply)}, "
+                                         f"{', '.join(srcs)}, state)")], held
+
+    def _general_binop(self, pad: str, node: BinOp, copy: bool) -> _Code:
+        if node.op in ("&&", "||"):
+            return self._general_ternary(pad, node, copy)
+        return self._apply(pad, "_binop", binop(node.op), node.left,
+                           node.right)
+
+    def _general_unop(self, pad: str, node: UnOp, _copy: bool) -> _Code:
+        return self._apply(pad, "_unop", unop(node.op), node.operand)
+
+    def _general_ternary(self, pad: str, node: Node, _copy: bool) -> _Code:
+        """A ternary, or ``&&`` / ``||``: a ternary whose one arm is the
+        truth of the right operand (a value: ``_unop`` per class where it
+        differs); its condition decides where control goes, and folds
+        the digest target nid * 2 + whether the second operand runs."""
+        self.owed += 1
+        logic = type(node) is BinOp
+        negate = logic and node.op == "||"
+        lines, cond = self.child(pad, node.left if logic else node.cond)
+        taken, held = self.temp(), self.temp()
+        kind = "sc" if logic else "tern"
+        mixes = [self.bind(branch_mix(kind, node.nid * 2 + way))
+                 for way in (1, 0)]
+        lines += [*self._taken(pad, cond, f"{'logic' if logic else 'ternary'}"
+                                          f"#{node.nid}", taken, negate),
+                  *self.fold(pad, f"({mixes[0]} if {taken} else {mixes[1]})")]
+
+        def arm(pad: str, arm_node: Node | None) -> list[str]:
+            if arm_node is None:
+                return [f"{pad}{held} = {negate}"]
+            arm_lines, src = self.child(pad, arm_node)
+            return [*arm_lines, f"{pad}{held} = " + (
+                f"{src} if type({src}) is bool else _unop(truthy, {src}, "
+                "state)" if logic else src)]
+
+        return [*lines, *self.branch(
+            pad, taken, lambda p: arm(p, node.right if logic else node.then),
+            lambda p: arm(p, None if logic else node.other))], held
+
+    def _taken(self, pad: str, cond: str, where: str, held: str,
+               negate: bool = False) -> list[str]:
+        """``held`` set to the truth of ``cond`` (or not): per class."""
+        truth = (f"{cond} is True or {cond} is not False and "
+                 f"_truth({cond}, {self.bind(where)})")
+        return [f"{pad}{held} = {f'not ({truth})' if negate else truth}"]
+
+    def _general_index(self, pad: str, node: Index, copy: bool) -> _Code:
+        self.owed += 1
+        lines, base = self.child(pad, node.base)
+        const, held = self.comp.const(node.index), self.temp()
+        if const is not None:  # the base is checked before its steps
+            lines += self.risky(pad, f"{held} = _index({base}, "
+                                     f"{self.bind(const[0])}, state)")
+            self.owed += const[1]
+        else:
+            lines += self.risky(pad, f"if not isinstance({base}, _INDEXABLE):"
+                                     " raise WeblangError("
+                                     f"{self.bind('indexing a non-array value')})")
+            index_lines, index = self.child(pad, node.index)
+            lines += [*index_lines, *self.risky(
+                pad, f"{held} = _index({base}, {index}, state)")]
+        if copy:
+            lines.append(f"{pad}if type({held}) is PhpArray or type({held}) "
+                         f"is MultiValue: {held} = _copy_value({held})")
+        return lines, held
+
+    def _general_arraylit(self, pad: str, node: ArrayLit, _copy: bool
+                          ) -> _Code:
+        built = self.comp.literal(node)
+        if built is not None:  # a handle on the array built once
+            self.owed += built[1]
+            return [], f"{self.bind(built[0])}.copy()"
+        self.owed += 1
+        array = self.temp()
+        lines = [f"{pad}{array} = PhpArray()"]
+        for key, value in node.items:
+            value_lines, src = self.child(pad, value, True)
+            lines += value_lines
+            const = (_APPEND, 0) if key is None else self.comp.const_key(key)
+            if const is None:
+                key_lines, key_src = self.child(pad, key)
+                lines += key_lines
+            else:  # ``[]``, or a constant normalised once
+                self.owed += const[1]
+                key_src = self.bind(const[0])
+            lines += self.risky(pad, f"{array} = _add_item({array}, {key_src}, "
+                                     f"{src}, state)")
+        return [*lines, f"{pad}if type({array}) is list: "  # one per slot
+                        f"{array} = state.merge({array})"], array
+
+    def _general_call(self, pad: str, node: Call, _copy: bool) -> _Code:
+        self.owed += 1
+        lines, args = self._operands(pad, node.args, True)
+        name, held = node.name, self.temp()
+        kind = call_kind(name, self.comp.funcs)
+        if kind == "user":
+            tail = self._user_call(pad, self.comp.funcs[name], args, held)
+        elif kind == "input" and len(args) in (1, 2):
+            tail = self.risky(pad, f"{held} = _input(state, "
+                                   f"{self.bind(REQUEST_INPUTS[name])}, "
+                                   f"{self.bind(name)}, {args[0]}, "
+                                   f"{args[1] if len(args) == 2 else None})")
+        elif name in _STATE_OPS:
+            tail = self._state_op(pad, name, args, held)
+        elif kind == "builtin":  # a non-deterministic or external call
+            self.yields = True
+            tail = [*self.risky(pad, f"{held} = yield _intent("
+                                     f"{self.bind(name)}, [{', '.join(args)}],"
+                                     " state)"),
+                    f"{pad}{held} = " + ("True" if name in EXTERNAL_BUILTINS
+                                         else f"state.merge(list({held}))")]
+        elif kind == "pure":
+            tail = self.risky(pad, f"{held} = _call_builtin("
+                                   f"{self.bind(self.comp.builtin(node))}, "
+                                   f"[{', '.join(args)}], state)")
+        else:  # the arguments evaluate first, as in the oracle
+            tail = self._fail(pad, f"{name}() expects 1 or 2 arguments"
+                              if kind == "input" else
+                              f"call to undefined function {name}()")
+        return lines + tail, held
+
+    def _state_op(self, pad: str, name: str, args: list[str],
+                  held: str) -> list[str]:
+        """A state built-in: its checks, then one ``StateOpIntent`` of
+        every slot's object and operands, and what it returns."""
+        arity, kind, objs, operands, convert = _STATE_OPS[name]
+        comp, begin, tx = self.comp, name == "db_begin", \
+            kind == name and name.startswith("db_")
+        self.yields = True  # as the purity pass says, even where it raises
+        obj = self.bind(comp.db_name if name.startswith("db_") else
+                        comp.kv_name if name.startswith("kv_")
+                        else comp.session_cookie)
+        lines = [] if name.startswith("db_") else self._fail(
+            pad, f"{name}() inside a DB transaction violates the object "
+                 "model", "if state.in_tx: ")  # §4.4
+        if len(args) != arity:
+            return lines + self._fail(pad, f"{name}() expects {arity} "
+                                           f"arguments, got {len(args)}")
+        if tx:  # a transaction's begin, commit or rollback
+            lines += self._fail(pad, "nested transactions are not allowed"
+                                if begin else f"{name}() without a "
+                                "transaction", f"if {'' if begin else 'not '}"
+                                               "state.in_tx: ")
+        lines += self.risky(pad, f"{held} = yield StateOpIntent("
+                                 f"{self.bind(kind)}, "
+                                 f"{objs.format(*args, o=obj)}, "
+                                 f"{operands.format(*args, o=obj)})")
+        if tx:
+            lines.append(f"{pad}state.in_tx = {begin}")
+        return lines + [f"{pad}{held} = " + (
+            f"state.merge(list(map(bool, {held})))" if name == "db_commit"
+            else "None" if convert is None
+            else f"_merged_replies({self.bind(convert)}, {held}, state)")]
+
+    def _fail(self, pad: str, message: str, when: str = "") -> list[str]:
+        return self.risky(pad, f"{when}raise WeblangError({self.bind(message)})")
+
+    def _user_call(self, pad: str, func, args: list[str],
+                   held: str) -> list[str]:
+        """A call of user function ``func``: a new frame of its
+        parameters, the depth checked, its body run (read at run time:
+        around a cycle of calls it is compiled after the call)."""
+        slots = ", ".join(f"{self.name(param)}: "
+                          f"{args[index] if index < len(args) else 'None'}"
+                          for index, param in enumerate(func.params))
+        frame = f"_scope(state, {{{slots}}})" if func.use_env \
+            else f"{{{slots}}}"
+        self.yields = self.yields or not func.pure
+        return self.call(pad, [
+            f"{pad}if state.depth >= {_MAX_CALL_DEPTH}: raise WeblangError("
+            f"{self.bind('maximum call depth exceeded')})",
+            f"{pad}state.depth += 1", f"{pad}try:",
+            f"{pad}    {held} = {'' if func.pure else 'yield from '}"
+            f"{self.bind(func)}.run({frame}, state)",
+            f"{pad}finally:", f"{pad}    state.depth -= 1"], set())
+
+    # -- in line -----------------------------------------------------------
 
     def _test(self, term: str) -> None:
         if term not in self.chain:
             self.chain.append(term)
 
     def _guard(self, src: str, want: type | None) -> str:
-        """``src``, guarded to be of type ``want`` (any of :data:`_OK`
-        where ``None``)."""
+        """``src``, guarded to be a ``want`` (of :data:`_OK` for ``None``;
+        for a str, an int too, its text)."""
+        if want is str:
+            self._test(f"(type({src}) is str or type({src}) is int)")
+            return f"({src} if type({src}) is str else to_str({src}))"
         self._test(f"type({src}) in _OK" if want is None
                    else f"type({src}) is {want.__name__}")
         return src
@@ -399,10 +737,10 @@ class _Region:
         """A temporary holding ``expr``, guarded as :meth:`_guard` does
         (not at all where ``want`` is ``object``)."""
         held = self.temp()
-        if want is object:
+        if want is object or want is str:
             self._test(f"(({held} := {expr}) is {held})")
-        else:
-            self._guard(f"({held} := {expr})", want)
+            return held if want is object else self._guard(held, str)
+        self._guard(f"({held} := {expr})", want)
         return held
 
     def _copy(self, node: Node, src: str, kind: type | None) -> str:
@@ -427,7 +765,7 @@ class _Region:
         qualify."""
         kind = type(node)
         if kind in (Lit, BinOp, UnOp):
-            const = self.comp._compile_expr(node)[2]
+            const = self.comp.const(node)
             if const is not None:
                 if want is not None and type(const[0]) is not want:
                     return None
@@ -437,10 +775,14 @@ class _Region:
         if kind is Var:
             return self._guard(self.local(node.name), want), want, 1
         if kind is BinOp:
+            if node.op in ("&&", "||"):
+                return self._ternary(node, want, depth)
             return self._binop(node, want, depth)
+        if kind is UnOp:
+            return self._unary(node, want, depth)
         if kind is Index:
             base = self._value(node.base, PhpArray, depth + 1)
-            const = self.comp._compile_expr(node.index)[2]
+            const = self.comp.const(node.index)
             if base is None:
                 return None
             if const is not None and type(const[0]) in (int, str):
@@ -480,9 +822,34 @@ class _Region:
             src, result = f"to_str{src}", str
         return src, result, 1 + left[2] + right[2]
 
+    def _unary(self, node: UnOp, want: type | None,
+               depth: int) -> _Value | None:
+        """``!`` of any value, ``-`` of an int."""
+        if node.op == "!" and want in (None, bool):
+            got = self._value(node.operand, None, depth + 1)
+            return got and (f"(not {self._truth(got[0], got[1])})", bool,
+                            1 + got[2])
+        if node.op == "-" and want in (None, int):
+            got = self._value(node.operand, int, depth + 1)
+            return got and (f"(-{got[0]})", int, 1 + got[2])
+        return None
+
+    def _arm(self, node: Node, want: type | None,
+             depth: int) -> _Value | None:
+        """``node`` in line where it may not run: it may add type tests
+        to the guards, but no call, fold or step term."""
+        chain, folds, extra = len(self.chain), len(self.folds), \
+            len(self.extra)
+        got = self._value(node, want, depth + 1)
+        if got is None or len(self.folds) > folds \
+                or len(self.extra) > extra \
+                or any(":=" in term for term in self.chain[chain:]):
+            return None
+        return got
+
     def _call(self, node: Call, want: type | None,
               depth: int) -> _Value | None:
-        builtin = self.comp._builtin(node)
+        builtin = self.comp.builtin(node)
         if builtin is None:
             return None
         operands, form, result = EXACT_CALLS.get(node.name, ((), None, None))
@@ -520,12 +887,12 @@ class _Region:
                            object), result, steps)
 
     def _literal(self, node: ArrayLit, depth: int) -> _Value | None:
-        cells = self.comp._literal_cells(node)
-        if cells is None:
-            return None
-        built = self.comp.literals.get(self.comp._compile_expr(node)[1])
+        built = self.comp.literal(node)
         if built is not None:  # a handle on the array built once
             return f"{self.bind(built[0])}.copy()", PhpArray, built[1]
+        cells = self.comp.cells(node)
+        if cells is None:
+            return None
         norms, top, steps = cells
         items = []
         for norm, (_, value) in zip(norms, node.items):
@@ -538,21 +905,32 @@ class _Region:
         return (f"PhpArray.from_data({{{', '.join(items)}}}, "
                 f"{self.bind(top)})", PhpArray, steps)
 
-    def _ternary(self, node: Ternary, want: type | None,
+    def _ternary(self, node: Node, want: type | None,
                  depth: int) -> _Value | None:
-        cond = self._value(node.cond, None, depth + 1)
-        if cond is None:
+        """A ternary, or ``&&`` / ``||`` — a ternary whose one arm is the
+        truth of the right operand — in line where what may not run
+        needs no more than type tests."""
+        logic = type(node) is BinOp
+        cond = self._value(node.left if logic else node.cond, None,
+                           depth + 1)
+        if cond is None or logic and want not in (None, bool):
             return None
-        taken = self.temp()
-        self._test(f"(({taken} := {self._truth(cond[0], cond[1])}) "
-                   f"is {taken})")
-        guards = len(self.chain)
-        then = self._value(node.then, want, depth + 1)
-        other = self._value(node.other, want, depth + 1) if then else None
-        if other is None or len(self.chain) > guards:
-            return None  # an arm that needs a guard
-        self.folds.append((taken, branch_mix("tern", node.nid * 2 + 1),
-                           branch_mix("tern", node.nid * 2)))
+        taken, negate = self.temp(), logic and node.op == "||"
+        self._test(f"(({taken} := {'not ' if negate else ''}"
+                   f"{self._truth(cond[0], cond[1])}) is {taken})")
+        arms = [self._arm(arm, None if logic else want, depth)
+                for arm in ([node.right] if logic else [node.then,
+                                                        node.other])]
+        if None in arms:
+            return None
+        kind = "sc" if logic else "tern"  # nid * 2 + which way it goes
+        self.folds.append((taken, branch_mix(kind, node.nid * 2 + 1),
+                           branch_mix(kind, node.nid * 2)))
+        if logic:
+            (right,) = arms
+            arms = [(self._truth(*right[:2]), bool, right[2]),
+                    (str(negate), bool, 0)]
+        then, other = arms
         if then[2] != other[2]:
             self.extra.append(f"({then[2] - other[2]} if {taken} else 0)")
         return (f"({then[0]} if {taken} else {other[0]})",
@@ -574,11 +952,17 @@ class _Region:
         return getattr(self, _EMIT[kind])(pad, stmt)
 
     def drained(self, pad: str, stmt: Node) -> list[str]:
-        """``stmt`` as a generated function of its own."""
+        """``stmt`` as a generated function of its own; where it holds a
+        ``return``, what that returns is returned on."""
         reads, assigns, indexed, flows = _walk(self.comp, stmt)
         touched = reads | assigns | indexed if self.fast else set()
-        return self.call(pad, self.run(*region(self.comp, [stmt], self.top)),
-                         touched, touched, flows)
+        ((pure, fn),) = region(self.comp, [stmt], self.top)
+        held = self.temp()
+        lines = self.call(pad, f"{held} = {self.run(pure, fn)}", touched,
+                          touched, flows)
+        if any(type(item) is Return for item in nodes(stmt)):
+            lines.append(f"{pad}if {held} is not _NEXT: return {held}")
+        return lines
 
     @staticmethod
     def _into(var: str) -> Callable:
@@ -605,15 +989,17 @@ class _Region:
         apply = self.bind(compound(stmt.op))
         if not self.fast:
             var = self.name(stmt.name)
-            return self.operand(pad, stmt.expr, lambda p, src, _: [
-                f"{p}env.store({var}, _binop({apply}, env.lookup({var}), "
-                f"{src}, state))"], copy=True, book=1)
+            return self.operand(pad, stmt.expr, lambda p, src, _: self.risky(
+                p, f"env.store({var}, _binop({apply}, env.lookup({var}), "
+                   f"{src}, state))"), copy=True, book=1)
         local = self.local(stmt.name)
 
         def combine(pad: str, src: str, _kind: object) -> list[str]:
+            lines = self.risky(pad, f"{local} = _binop({apply}, None if "
+                                    f"{local} is _ABSENT else {local}, {src}, "
+                                    "state)")
             self.dirty.add(local)
-            return [f"{pad}{local} = _binop({apply}, None if {local} is "
-                    f"_ABSENT else {local}, {src}, state)"]
+            return lines
 
         # ``$x op= e`` in line is ``$x = $x op e`` but for the steps of
         # the operator and the read of ``$x``: the statement books one.
@@ -633,8 +1019,7 @@ class _Region:
             if kind is str:
                 return [f"{pad}out({src})"]
             if kind is object:
-                return [f"{pad}out(to_str({src}) if type({src}) is not "
-                        f"MultiValue else _multi_text({src}, state))"]
+                return self.risky(pad, f"out(_text({src}, state))")
             return [f"{pad}out(to_str({src}))"]
 
         lines = [] if stmt.exprs else self.book(pad, 1)
@@ -647,54 +1032,53 @@ class _Region:
         """Lines setting ``held`` to the truth of condition ``node``."""
         def truth(pad: str, src: str, kind: object) -> list[str]:
             if kind is object:
-                return [f"{pad}{held} = {src} is True or {src} is not False "
-                        f"and _truth({src}, {where})"]
+                return self._taken(pad, src, where, held)
             return [f"{pad}{held} = {self._truth(src, kind)}"]
 
         return self.operand(pad, node, truth, book=book)
 
-    def _if(self, pad: str, stmt, index: int = 0,
-            where: str = "") -> list[str]:
-        """Branch ``index`` of an ``if`` on, each ``elseif`` nested in
-        the ``else`` of the one before.  (A method, not a closure that
-        calls itself: such a closure is a reference cycle, which would
-        keep the compiler alive until the collector runs.)"""
-        where = where or self.bind(f"if#{stmt.nid}")
+    def _if(self, pad: str, stmt, index: int = 0) -> list[str]:
+        """Branch ``index`` of an ``if`` on, each ``elseif`` in the
+        ``else`` of the one before (a method: a closure that calls itself
+        is a reference cycle, which keeps the compiler alive)."""
         if index == len(stmt.branches):  # the digest target nid * 64
             return [*self.fold(pad, self.bind(branch_mix("if", stmt.nid * 64))),
                     *self.block(pad, stmt.else_body or [])]
         cond, body = stmt.branches[index]
         mix = self.bind(branch_mix("if", stmt.nid * 64 + index + 1))
         held = self.temp()
-        return [*self._condition(pad, cond, where, held, int(index == 0)),
+        return [*self._condition(pad, cond, f"if#{stmt.nid}", held,
+                                 int(index == 0)),
                 *self.branch(pad, held,
                              lambda p: self.fold(p, mix) + self.block(p, body),
-                             lambda p: self._if(p, stmt, index + 1, where))]
+                             lambda p: self._if(p, stmt, index + 1))]
 
     def _loop(self, pad: str, stmt, head: Callable, bind: list[str],
               binds: tuple[str, ...] = (), trips: str | None = None
               ) -> list[str]:
-        """A ``while`` / ``foreach`` trip after trip: ``head()`` the
-        loop's first line(s), ``bind`` what a trip starts with after its
-        fold, ``binds`` the locals that binds; the digest folds ``loop``
-        per trip and ``loopx`` after the last, and ``break`` /
-        ``continue`` from a call arrive as signals; a fold-free loop
-        (``trips`` its count, kept while recording) has neither.  What a
-        trip writes may be unwritten at any trip's start."""
-        self.dirty |= {"steps", "flow", *binds}
+        """A ``while`` / ``foreach``: ``head()`` its first line(s),
+        ``bind`` what a trip starts with after its fold, ``binds`` the
+        locals that binds; ``loop`` folds per trip and ``loopx`` after
+        the last, and ``break`` / ``continue`` from a call are signals;
+        a fold-free loop (``trips`` its count) has neither."""
+        lines = []
         if self.fast:
             # What it assigns: an index assignment writes its variable
             # in place, or through a call that reloads it.
-            self.dirty |= {self.local(var)
-                           for var in sorted(_walk(self.comp, stmt.body)[1])}
+            reads, assigns, indexed, _ = _walk(self.comp, stmt)
+            assigned = _walk(self.comp, stmt.body)[1]
+            lines = self.sync(pad, (set(self.locals) if self.top
+                                    else reads | indexed) - assigned, False)
+            self.dirty |= {self.local(var) for var in sorted(assigned)}
+        self.dirty |= {"steps", "flow", *binds}
         dirty, inner = set(self.dirty), pad + "    "
         leave = [self.bind(branch_mix("loopx", stmt.nid))]
         self.loops += 1
         if trips is not None:
-            lines = [*head(), *bind, *self.block(inner, stmt.body)]
+            lines += [*head(), *bind, *self.block(inner, stmt.body)]
             leave.append(f"({self.bind(branch_mix('trips', 0))} + {trips})")
         else:
-            lines = [*head(), *self.fold(inner, self.bind(branch_mix(
+            lines += [*head(), *self.fold(inner, self.bind(branch_mix(
                 "loop", stmt.nid))), *bind, f"{inner}try:",
                 *self.block(inner + "    ", stmt.body),
                 f"{inner}except _BreakSignal:", *self.reload(inner + "    "),
@@ -712,8 +1096,8 @@ class _Region:
                          f"{pad}        {count} += 1"]) if count else ([], [])
         return [*self.book(pad, 1), *start, *self._loop(pad, stmt, lambda: [
             f"{pad}while True:",
-            *self._condition(pad + "    ", stmt.cond,
-                             self.bind(f"while#{stmt.nid}"), held),
+            *self._condition(pad + "    ", stmt.cond, f"while#{stmt.nid}",
+                             held),
             f"{pad}    if not {held}:", f"{pad}        break", *tally],
             [], trips=count)]
 
@@ -744,10 +1128,9 @@ class _Region:
 
     def _indexassign(self, pad: str, stmt) -> list[str]:
         """``$a[] = e`` / ``$a[k] = e`` on a dict frame: the variable's
-        array (made or expanded by the compiler's ``root`` where it is
-        not one), then the value, then the key, into it; a multivalue
-        among them, or an expanded root, goes to its ``finish``.  Any
-        other index assignment walks its path (:meth:`_index_path`)."""
+        array (the compiler's ``root`` where it is not one), the value,
+        the key, into it; a multivalue among them, or an expanded root,
+        goes to ``finish``.  Any other walks its path (:meth:`_index_path`)."""
         parts = self.comp._index_parts(stmt)
         if not self.fast or len(stmt.path) != 1 or stmt.op:
             return self._index_path(pad, stmt, *map(self.bind, parts))
@@ -762,7 +1145,7 @@ class _Region:
                           book=1)]
         test = (f"type({container}) is PhpArray "
                 f"and type({value}) is not MultiValue")
-        const = None if last is None else self.comp._compile_expr(last)[2]
+        const = None if last is None else self.comp.const(last)
         if last is None:
             key, store = self.bind(_APPEND), f"{container}.append({value})"
         elif const is not None and type(const[0]) in (int, str):
@@ -782,10 +1165,9 @@ class _Region:
     def _index_path(self, pad: str, stmt, root: str, step: str,
                     finish: str) -> list[str]:
         """An index assignment walked as the oracle walks it: ``root``,
-        then key by key ``step`` and ``_descend`` into ``container`` —
-        the one shared array until the root variable holds, or a key
-        is, a multivalue; from there on a list of each slot's own array
-        — then the value, the last key and ``finish``."""
+        key by key ``step`` and ``_descend`` into ``container`` (the one
+        array, or once the root or a key is a multivalue a list of each
+        slot's own), then the value, the last key and ``finish``."""
         name = {stmt.name}
         container, walked, held, value = (self.temp() for _ in range(4))
         lines = [*self.book(pad, 1),
@@ -794,7 +1176,7 @@ class _Region:
                  f"{pad}{walked}, {held} = [], []"]
         for path in stmt.path[:-1]:
             if path is None:  # ``[]`` before the last index: an error
-                lines += self.call(pad, "_no_key()", set(), flows=False)
+                lines += self._fail(pad, "'[]' only allowed as the last index")
                 continue
             key = self.temp()
             lines += [*self.operand(pad, path, self._into(key)), *self.call(
@@ -813,7 +1195,7 @@ class _Region:
     def _return(self, pad: str, stmt) -> list[str]:
         def leave(pad: str, src: str, _kind: object) -> list[str]:
             # The frame is left behind: only ``steps`` and ``flow`` count.
-            return [*self.sync(pad, set()), f"{pad}raise _ReturnSignal({src})"]
+            return [*self.sync(pad, set()), f"{pad}return {src}"]
 
         if stmt.expr is None:
             return [*self.book(pad, 1), *leave(pad, "None", None)]
@@ -821,7 +1203,7 @@ class _Region:
 
     def _signal(self, pad: str, stmt) -> list[str]:
         """``break`` / ``continue``: in a loop of this region a Python
-        one, else the signal the closures raise."""
+        one, else the signal the oracle raises."""
         word = type(stmt).__name__
         if self.loops:
             return [*self.book(pad, 1), pad + word.lower()]
@@ -844,59 +1226,29 @@ _EMIT = {Assign: "_assign", ExprStmt: "_exprstmt", Echo: "_echo", If: "_if",
          Return: "_return", Break: "_signal", Continue: "_signal",
          GlobalDecl: "_globaldecl"}
 
+#: The method that makes the general form of each kind of expression.
+_GENERAL = {BinOp: "_general_binop", UnOp: "_general_unop",
+            Ternary: "_general_ternary", Index: "_general_index",
+            ArrayLit: "_general_arraylit", Call: "_general_call"}
+
 
 def region(comp, stmts: list[Node], top: bool,
-           whole: bool = False) -> tuple[bool, Callable]:
-    """One function running the statements ``stmts`` in order, as the
-    oracle would (module docstring), and whether it is a plain function
-    (else a generator function, which yields the intents); ``comp`` is
-    the compiler of their scope, ``top`` whether the frame is the
-    globals, ``whole`` whether they are a function's whole body (whose
-    frame nobody reads after them)."""
+           whole: bool = False) -> list[tuple[bool, Callable]]:
+    """``stmts`` as generated functions — parts, run in order while each
+    returns :data:`_NEXT` — each with whether it is plain (else it is a
+    generator function); ``comp`` is the compiler of their scope, ``top``
+    whether the frame is the globals, ``whole`` whether they are a
+    function's body: one part, whose frame nobody reads after it."""
     parts, made, body = [], _Region(comp, top), []
-    for stmt in stmts:  # a function of at most about _SIZE characters
-        if sum(map(len, body)) > _SIZE:
-            parts.append(_assembled(made, body + made.sync(_PAD)))
+    for stmt in stmts:  # parts of at most about _SIZE characters
+        if not whole and sum(map(len, body)) > _SIZE:
+            parts.append(_assembled(made, [*body, *made.sync(_PAD),
+                                           f"{_PAD}return _NEXT"]))
             made, body = _Region(comp, top), []
         body += made.statement(_PAD, stmt)
-    parts.append(_assembled(made, (body or [_PAD + "pass"])
-                            + made.sync(_PAD, set() if whole else None)))
-    if len(parts) == 1:
-        return parts[0]
-    if all(pure for pure, _ in parts):
-
-        def run(env, state):
-            for _, part in parts:
-                part(env, state)
-
-        return True, run
-
-    def run_gen(env, state):
-        for pure, part in parts:
-            if pure:
-                part(env, state)
-            else:
-                yield from part(env, state)
-
-    return False, run_gen
-
-
-def expression(comp, exprs: list[Node], copy: bool,
-               many: bool = False) -> Callable | None:
-    """One function evaluating the pure expressions ``exprs`` in order,
-    with copy semantics where ``copy``, each in line where it qualifies,
-    and returning the value — with ``many``, the list of them: what code
-    that may yield evaluates a pure operand with.  ``None`` where none
-    qualifies: their closures do as well."""
-    made = _Region(comp, comp.top)
-    held = [made.temp() for _ in exprs]
-    body = [line for node, value in zip(exprs, held)
-            for line in made.operand(_PAD, node, made._into(value), copy=copy)]
-    if not made.lined:
-        return None
-    result = f"[{', '.join(held)}]" if many else held[0]
-    return _assembled(made, [*body, *made.sync(_PAD, set()),
-                             f"{_PAD}return {result}"])[1]
+    return [*parts, _assembled(made, [
+        *(body or [_PAD + "pass"]), *made.sync(_PAD, set() if whole else None),
+        *([] if whole else [f"{_PAD}return _NEXT"])])]
 
 
 #: The indent of a generated function's body.
@@ -911,7 +1263,7 @@ def _assembled(made: _Region, body: list[str]) -> tuple[bool, Callable]:
         head.append(f"{_PAD}out = state.output.append")
     loads = {var: f"{local} = get({made.name(var)}, _ABSENT)"
              for var, local in made.locals.items()}
-    if loads:
+    if loads or made.gets:
         head += [f"{_PAD}get = env.get",
                  *(_PAD + load for load in loads.values())]
     lines = []

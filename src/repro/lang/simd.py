@@ -1,13 +1,11 @@
 """The per-class half of the compiled engine (:mod:`repro.lang.compile`).
 
 What a compiled run over a control-flow group needs at run time: its
-mutable state and the helpers its closures call once an operand *is* a
-:class:`~repro.multivalue.MultiValue` (§4.3's rules: componentwise
-operators with scalar expansion and collapse, built-in splitting,
-container expansion, cells that hold multivalues, divergence at
-branches).  Each helper is shared by the pure and the generator variant
-of the node that calls it, so the work is written once.  The intents a
-run yields and the output it returns are the oracle's
+mutable state and the helpers its generated code calls where an operand
+may be a :class:`~repro.multivalue.MultiValue` (§4.3's rules:
+componentwise operators with scalar expansion and collapse, built-in
+splitting, container expansion, cells that hold multivalues, divergence
+at branches), and the operands of the intents it yields — the oracle's
 (:mod:`repro.lang.interp`): one operand, and one body, per slot.
 
 **Classes, not slots.**  A multivalue holds one value per *class* of
@@ -37,12 +35,13 @@ import marshal
 from collections.abc import Callable, Sequence
 from functools import partial
 
-from repro.common.digest import _FNV_PRIME, _MASK
 from repro.common.errors import (
     DivergenceError,
     MultivalueFallback,
     WeblangError,
 )
+from repro.lang.builtins import NONDET_BUILTINS
+from repro.lang.interp import ExternalIntent, NondetIntent
 from repro.lang.values import PhpArray, freeze_value, to_int, to_str, truthy
 from repro.multivalue.multivalue import (
     MultiValue,
@@ -72,9 +71,8 @@ class _State:
         self.size = len(requests)
         #: ``merge(per-slot values)`` is what the group read,
         #: ``regroup(partition, per-class values)`` the result of work
-        #: done per class.  Ablation hook: with collapse off both build
-        #: a multivalue on the identity partition even when uniform
-        #: (benchmarks measure the cost).
+        #: done per class; with collapse off (an ablation) both build a
+        #: multivalue on the identity partition even when uniform.
         self.merge = make_multi
         self.regroup = regroup
         #: The partition with a class per slot, made on first use
@@ -86,7 +84,7 @@ class _State:
         self.output: list[object] = []  # str, or MultiValue of str
         #: The running control-flow digest (§4.3), ``None`` when not
         #: recording: the value a :class:`~repro.common.digest.FlowDigest`
-        #: fed the same branches would hold.  Branch closures fold their
+        #: fed the same branches would hold.  Generated code folds each
         #: arm's pre-mixed constant into it in line.
         self.flow = flow
         self.in_tx = False
@@ -105,7 +103,7 @@ class _State:
         self.multi_classes += classes
 
 
-# -- per-class work, shared by the pure and generator variant of each node ---
+# -- per-class work ------------------------------------------------------------
 
 #: Stands for the ``[]`` of ``$a[] = ...`` / ``[..., value]`` among keys.
 _APPEND = object()
@@ -122,12 +120,6 @@ def _truth(value: object, where: str) -> bool:
             raise DivergenceError(f"branch condition diverges at {where}")
         return truths.pop()
     return truthy(value)
-
-
-def _fold(state: _State, mix: int) -> None:
-    """Fold a branch arm's pre-mixed constant into the flow digest."""
-    if state.flow is not None:
-        state.flow = ((state.flow ^ mix) * _FNV_PRIME) & _MASK
 
 
 def _identity(state: _State) -> Partition:
@@ -225,6 +217,46 @@ def _copy_value(value: object) -> object:
     return value.copy()
 
 
+def _input(state: _State, attr: str, name: str, key: object,
+           default: object) -> object:
+    """``param()`` / ``post_param()`` / ``cookie()``: what each slot's
+    request holds under ``key`` (its ``attr`` dict), merged."""
+    if type(key) is MultiValue or type(default) is MultiValue:
+        raise MultivalueFallback(f"{name}() with multivalue arguments")
+    key = to_str(key)
+    if state.size == 1 and state.merge is make_multi:  # a request alone
+        return getattr(state.requests[0], attr).get(key, default)
+    return _merged_read([getattr(request, attr).get(key, default)
+                         for request in state.requests], state)
+
+
+def _intent(name: str, args: list, state: _State) -> object:
+    """The intent of non-deterministic or external built-in ``name`` on
+    ``args``, every slot's operands in it, after the oracle's checks."""
+    if name in NONDET_BUILTINS:
+        return NondetIntent(name, _rows([_slots(arg, state) for arg in args],
+                                        state))
+    if state.in_tx:
+        raise WeblangError(f"{name}() inside a DB transaction violates the "
+                           "object model")
+    email = name == "send_email"
+    return ExternalIntent(
+        ["email"] * state.size if email else _strs(args[0], state),
+        _rows([_frozen(value, state)
+               for value in (args if email else args[1:])], state))
+
+
+def _registers(key: object, state: _State, cookie: str = "") -> list[str]:
+    """Each slot's register: named by ``key``, or — for ``session_get``
+    / ``session_put`` — by the slot's ``cookie``."""
+    if not cookie:
+        return [f"reg:g:{name}" for name in _strs(key, state)]
+    cookies = [request.cookies.get(cookie) for request in state.requests]
+    if None in cookies:
+        raise WeblangError("session_get/session_put without a session cookie")
+    return [f"reg:sess:{value}" for value in cookies]
+
+
 def _merged_read(values: list[object], state: _State) -> object:
     """Merge what the slots read (request inputs, converted replies); a
     result that stays a multivalue counts as a multivalent step."""
@@ -235,15 +267,11 @@ def _merged_read(values: list[object], state: _State) -> object:
 
 
 def _written_out(reply: object) -> object:
-    """What a reply holds, written out type for type.  A reply is plain
-    data — a frozen value, or an object's fields (a query result's) —
-    and ``marshal`` (version 2: no back-references) writes such data
-    with a type code per cell (``1``, ``1.0``, ``True`` and ``"1"`` all
-    differ) and every row's columns in their own order: replies written
-    alike convert to ``_equal`` values, at the speed of C.  (It is finer
-    than ``_equal`` in one place, ``0.0`` / ``-0.0``, and coarser in
-    none a program can see: two NaN cells of the same bits are written
-    alike.)  Anything else stands for itself."""
+    """What a reply holds, written out type for type: ``marshal``
+    (version 2) writes plain data — a frozen value, a query result's
+    fields — with a type code per cell (``1``, ``1.0``, ``True``, ``"1"``
+    differ), so replies written alike convert to ``_equal`` values (finer
+    only at ``0.0`` / ``-0.0``).  Anything else stands for itself."""
     fields = getattr(reply, "__dict__", None)
     try:
         if fields is None:
@@ -414,11 +442,6 @@ def _expand(root: object, walked: Sequence[object], state: _State,
     return MultiValue(_identity(state), roots), containers
 
 
-def _no_key(*_args: object) -> None:
-    """Stands in for the key of a ``[]`` that is not the last index."""
-    raise WeblangError("'[]' only allowed as the last index")
-
-
 def _set_cell(container: PhpArray, key: object, value: object) -> None:
     if key is _APPEND:
         container.append(value)
@@ -451,7 +474,8 @@ def _assign_cell(container: object, key: object, value: object,
 def _add_item(array: object, key: object, value: object,
               state: _State) -> object:
     """One more item of an array literal: into the one array, or — from
-    the first key that differs by slot on — into one array per slot."""
+    the first key that differs by slot on — into one array per slot (a
+    list, which the literal's value merges)."""
     if type(array) is not list:
         if type(key) is not MultiValue:
             if type(value) is MultiValue:
@@ -467,13 +491,10 @@ def _add_item(array: object, key: object, value: object,
     return array
 
 
-def _literal(array: object, state: _State) -> object:
-    """The value of a finished array literal (see :func:`_add_item`)."""
-    return state.merge(array) if type(array) is list else array
-
-
-def _multi_text(value: MultiValue, state: _State) -> MultiValue:
-    """What ``echo`` appends for a multivalue: each class's text."""
+def _text(value: object, state: _State) -> object:
+    """What ``echo`` appends: the text, or a multivalue's per class."""
+    if type(value) is not MultiValue:
+        return to_str(value)
     state.multivalent(len(value.values))
     return MultiValue(value.part, [to_str(held) for held in value.values])
 

@@ -215,7 +215,7 @@ def _built(program) -> list:
 
     def keep(self):
         compiled = real(self)
-        built.extend(array for array, _ in self.literals.values())
+        built.extend(got[0] for _, got in self.literals.values() if got)
         return compiled
 
     with mock.patch.object(compile_module._Compiler, "compile", keep):

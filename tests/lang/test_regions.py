@@ -1,11 +1,12 @@
 """Generated regions (:mod:`repro.lang.regions`) against the oracle.
 
-A pure block or ``while`` of the compiled engine is one generated
-function whose exact-int / str assignments and conditions run as Python
-expressions behind a type guard, falling back to the statement's
-closure.  These tests drive the guard both ways: straight-line blocks
-and counter loops in which a variable turns into a float, a numeric
-string, null, a bool, an array or a multivalue partway through.
+A body of the compiled engine is one generated function whose
+expressions run as Python behind type guards, falling back to their
+general form.  These tests drive the guard both ways: straight-line
+blocks and counter loops in which a variable turns into a float, a
+numeric string, null, a bool, an array or a multivalue partway through;
+every kind of expression with its guard holding and failing; and they
+pin what a serve calls and how much source an app makes.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _group(compiled, requests):
 
 def _closures_only(program):
     """``program`` compiled with no expression in line: every expression
-    of a region calls its closure."""
+    runs its general form (where closures once ran)."""
     with mock.patch.object(regions._Region, "_value", lambda *_: None):
         return compile_program(program)
 
@@ -250,7 +251,8 @@ def test_an_error_leaves_the_frame_steps_and_flow_as_the_closures_do():
         state = _State([Request("r", "error.php")], compiled._flow_seed,
                        True)
         with pytest.raises(WeblangError):
-            compiled._body_fn(state.globals, state)
+            for _, part in compiled._parts:
+                part(state.globals, state)
         return state.globals, state.steps, state.flow
 
     expected = crash(_closures_only(program))
@@ -262,7 +264,8 @@ def test_an_error_leaves_the_frame_steps_and_flow_as_the_closures_do():
 
 def test_a_long_operator_chain_compiles_and_runs_alike():
     """Python's parser refuses 200 nested parentheses: a chain of 300
-    operators must still compile (its deep part runs on closures)."""
+    operators must still compile (its deep part runs in its general
+    form)."""
     chain = " + ".join(["$a"] * 300)
     program = parse_program(f"$a = 1; $x = {chain}; $y = 'y'; "
                             f"$y = {' . '.join(['$y'] * 250)}; "
@@ -559,8 +562,7 @@ def test_the_hazards_reach_the_paths_they_are_for():
     program = parse_program(HAZARDS["multivalue_subject"])
     requests = [Request(f"r{slot}", "hazard.php", get=dict(get))
                 for slot, get in enumerate(HAZARD_INPUTS)]
-    with mock.patch.object(regions, "_foreach_items", spy), \
-            mock.patch.dict(regions._HELPERS, {"_foreach_items": spy}):
+    with mock.patch.dict(regions._HELPERS, {"_foreach_items": spy}):
         out = _group(compile_program(program), requests)
     assert seen == [MultiValue]
     assert out.bodies == ["0=a;1=b;|2", "0=c;1=d;|2", "0=e;1=f;|2"]
@@ -623,12 +625,18 @@ def test_an_impure_shape_agrees_with_the_oracle(name, scope):
     ``steps``, flow tag, intent sequence and error.  As a group of three
     it is each slot's oracle run, its intents theirs side by side, or it
     does not complete where they part or fail."""
-    program, replies = _program(name, scope), IMPURE[name][1]
-    requests = [Request(f"r{slot}", "impure.php", get=dict(get))
+    oracle = _agrees_with_the_oracle(_program(name, scope), IMPURE[name][1],
+                                     "impure.php", name)
+    assert all(intents for _, intents in oracle), name
+
+
+def _agrees_with_the_oracle(program, replies, script, name):
+    """The checks of the test above, on three requests of ``script``
+    answered from ``replies``; the oracle's runs."""
+    requests = [Request(f"r{slot}", script, get=dict(get))
                 for slot, get in enumerate(HAZARD_INPUTS)]
     oracle = [_replied(Interpreter(record_flow=True).run(program, request),
                        replies) for request in requests]
-    assert all(intents for _, intents in oracle), name
     for request, (expected, intents) in zip(requests, oracle):
         got, got_intents = _replied(
             CompInterpreter(record_flow=True).run(program, request), replies)
@@ -640,11 +648,12 @@ def test_an_impure_shape_agrees_with_the_oracle(name, scope):
         assert any(isinstance(ref, str) for ref, _ in oracle) \
             or len({ref[2] for ref, _ in oracle}) > 1 \
             or group.startswith(MultivalueFallback.__name__), (name, group)
-        return
+        return oracle
     assert group[0] == [ref[0][0] for ref, _ in oracle]
     assert {group[1:]} == {ref[1:] for ref, _ in oracle}
     assert repr(intents) == repr([stacked(list(members)) for members in zip(
         *(slot_intents for _, slot_intents in oracle))])
+    return oracle
 
 
 def test_the_impure_shapes_reach_the_paths_they_are_for():
@@ -672,7 +681,7 @@ def test_the_impure_shapes_reach_the_paths_they_are_for():
         "index_path_from_a_read": [], "compound_from_a_query": [],
         "break_from_a_drained_call_in_an_impure_loop": [True],
         "break_in_a_drained_statement_in_an_impure_loop": [False]}
-    assert any("_descend(" in source and "yield from" in source
+    assert any("_descend(" in source and "yield" in source
                for source in sources)
     assert not any("next(" in source for source in sources)
     outputs = {name: _replied(CompInterpreter(record_flow=True).run(
@@ -774,3 +783,156 @@ $t = 0; $m = ['a' => 1, 'b' => 2];
 echo $t;
 """)
     assert _walk_all(program, "db:main", "kv:apc", "sess") > 20
+
+
+#: Every kind of expression the engine once ran as a closure, ``$x``
+#: its operand: name -> program body (after ``$x`` is set).  The helper
+#: functions are declared at top level.
+SHAPE_HELPERS = ("function twice($v) { return $v * 2; } "
+                 "function stored($v) { kv_set('s', $v); "
+                 "return kv_get('s') . $v; } ")
+SHAPES = {
+    "constant": "echo 1 + 2 * 3, -(4), !false, 'a' . 'b', $x;",
+    "variable": "$y = $x; echo $y, $x;",
+    "binop": "echo $x + 1, '|', $x . 'a', '|', $x < 3, '|', $x * $x;",
+    "logic": "echo ($x > 1 && $x < 9) ? 'y' : 'n', ($x || 0) ? 'y' : 'n', "
+             "$x && strlen('ab') == 2, '|', 0 || $x;",
+    "unop": "echo !$x ? 'T' : 'F', -$x, !($x > 2);",
+    "ternary": "echo $x > 2 ? $x * 2 : $x . 'z', $x ? 'a' : 'b';",
+    "index": "$a = [1, 2, 3, 'k' => 'v']; echo $a[$x % 3], $a['k'], "
+             "'abc'[$x % 2];",
+    "array_literal": "$a = [$x, 'k' => $x + 1, [$x]]; echo count($a), "
+                     "$a['k'], count($a[1]);",
+    "builtin_call": "echo strlen(strval($x)), max($x, 2), "
+                    "str_repeat('-', intval($x));",
+    "request_input": "echo param('q', $x), intval(param('z', $x)) + 1, "
+                     "cookie('c', 'none'), post_param('p', $x);",
+    "pure_user_call": "echo twice($x) + 1, twice(twice($x)), "
+                      "strlen(twice($x) . 'x');",
+    "impure_user_call": "echo stored($x) . 'x', strlen(stored($x + 1));",
+    "state_call": "kv_set('k' . $x, $x); echo strlen(kv_get('k' . $x)) "
+                  ". 'x', reg_read('r');",
+    "external_call": "send_email('a@b', 'subject ' . $x, $x); echo 'sent';",
+    "nondet_call": "echo rand(1, 9) + $x, -rand(1, 3), !time();",
+    "wrong_arity": "echo $x, strlen(param('q', 'a', $x)); kv_get($x, 1);",
+}
+
+#: What ``$x`` holds: a type every in-line guard takes, a multivalue in
+#: a group (the request's own number), and a type the int guards refuse.
+SHAPE_CASES = {"holds": "$x = 5;", "multivalue": "$x = intval(param('q'));",
+               "other_type": "$x = 2.5;"}
+
+
+@pytest.mark.parametrize("scope", ["top", "function", "global"])
+@pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_an_expression_shape_agrees_with_the_oracle(name, case, scope):
+    """Each kind of expression, with its in-line guard holding, failing
+    on a multivalue and failing on another type, request by request
+    equals the oracle: body, ``steps``, flow tag, intent sequence and
+    error.  As a group of three it is each slot's oracle run, its
+    intents theirs side by side, or it does not complete where they
+    part or fail."""
+    body = SHAPE_CASES[case] + " " + SHAPES[name]
+    if scope != "top":
+        declare = "global $unused; " if scope == "global" else ""
+        body = f"function f() {{ {declare}{body} }} f();"
+    _agrees_with_the_oracle(parse_program(SHAPE_HELPERS + body),
+                            ["v", 7, None, "w"], "shape.php", name)
+
+
+#: The functions of ``lang/compile.py`` a serve may call: the engine's
+#: entry points and an index assignment's ``root`` / ``step`` / ``finish``.
+RUN_TIME = {"CompInterpreter.__init__", "CompInterpreter.run",
+            "CompInterpreter._compiled", "compiled_for",
+            "CompiledProgram.run_group",
+            *(f"_Compiler._index_parts.<locals>.{name}"
+              for name in ("root", "step", "finish"))}
+
+
+@pytest.mark.parametrize("workload", ["wiki", "forum", "hotcrp", "cart"])
+def test_a_recorded_serve_runs_no_compile_function_per_expression(
+        workload):
+    """A recorded serve of each bundled app, its scripts compiled first,
+    calls into ``lang/compile.py`` only for the run's entry points and
+    index-assignment walkers: every expression is generated source."""
+    from repro.bench.harness import run_online_phase
+    from repro.workloads import (
+        cart_workload,
+        forum_workload,
+        hotcrp_workload,
+        wiki_workload,
+    )
+
+    built = {"wiki": wiki_workload, "forum": forum_workload,
+             "hotcrp": hotcrp_workload, "cart": cart_workload}[workload](
+        scale=0.01)
+    app = built.app
+    for name in app.scripts:
+        compiled_for(app.script(name), app.db_name, app.kv_name,
+                     app.session_cookie)
+    called: dict[str, int] = {}
+
+    def profile(frame, event, _arg):
+        if event == "call" \
+                and frame.f_code.co_filename == compile_module.__file__:
+            name = frame.f_code.co_qualname
+            called[name] = called.get(name, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        run_online_phase(built, seed=1)
+    finally:
+        sys.setprofile(None)
+    assert called["CompiledProgram.run_group"] >= len(built.requests)
+    assert set(called) <= RUN_TIME, sorted(set(called) - RUN_TIME)
+
+
+#: Each bundled app's distinct generated-source characters, as this
+#: engine makes them: what compiling its scripts hands ``compile``.
+SOURCE_CHARS = {"miniwiki": 106_159, "miniforum": 59_949,
+                "minicrp": 79_614, "minicart": 107_129}
+
+
+@pytest.mark.parametrize("build", [build_miniwiki, build_miniforum,
+                                   build_minicrp, build_minicart],
+                         ids=["miniwiki", "miniforum", "minicrp",
+                              "minicart"])
+def test_generated_source_stays_within_its_ceiling(build, monkeypatch):
+    """Compiling an app's scripts makes at most 1.2x the distinct source
+    it makes today: a change that bloats the generated code (and the
+    cold compile with it) fails here, not only in a timed compile."""
+    app = build()
+    sources: set[str] = set()
+    factory = regions._factory
+    monkeypatch.setattr(regions, "_factory",
+                        lambda source: sources.add(source) or factory(source))
+    for name in app.scripts:
+        compile_program(app.script(name), app.db_name, app.kv_name,
+                        app.session_cookie)
+    chars = sum(map(len, sources))
+    assert chars <= 1.2 * SOURCE_CHARS[app.name], chars
+    assert chars >= 0.5 * SOURCE_CHARS[app.name], chars  # it is counted
+
+
+def test_a_deep_ternary_and_logic_chain_compiles_and_runs_alike():
+    """A ternary chain and an ``&&`` / ``||`` chain 120 deep, with calls
+    and an intent in their arms: their general forms indent past what
+    one function holds, so the deep parts are drained into functions of
+    their own — and still run as the oracle does."""
+    depth = 120
+    ternary = "".join(f"$a == {i} ? f({i}) . kv_get('k') : ("
+                      for i in range(depth)) + "'end'" + ")" * depth
+    logic = "".join(f"($b || (f({i}) && " for i in range(depth)) \
+        + "true" + "))" * depth
+    program = parse_program(
+        f"function f($v) {{ return $v * 2; }} $a = intval(param('q')); "
+        f"$b = false; $x = {ternary}; $y = {logic}; "
+        "echo $x, '|', $y ? 'T' : 'F';")
+    for q in ("0", "57", "119", "500"):
+        request = Request("r", "deep.php", get={"q": q})
+        expected = _replied(Interpreter(record_flow=True).run(
+            program, request), ["v"])
+        assert _replied(CompInterpreter(record_flow=True).run(
+            program, request), ["v"]) == expected
+        assert expected[0][0] != ["end|F"] or q == "500"

@@ -558,6 +558,66 @@ def test_audit_rejects_a_rid_that_is_not_a_string(tmp_path, capsys, kind,
     assert payload["detail"].endswith(", not a string")
 
 
+def _with_request_field(field: str, value: object) -> list[str]:
+    """The cart fixture's lines, the first request's ``field`` (``get``,
+    ``post`` or ``cookies``) set to ``value``."""
+    with open(FIXTURE) as fh:
+        lines = fh.readlines()
+    for at, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("kind") == "event" \
+                and record["event"]["kind"] == "REQUEST":
+            record["event"]["request"][field] = value
+            lines[at] = json.dumps(record) + "\n"
+            return lines
+    raise AssertionError(field)
+
+
+def _malformed_request_field(out: str, field: str) -> None:
+    payload = json.loads(out)
+    assert payload["reason"] == "malformed_bundle"
+    assert payload["detail"].startswith(f"ValueError: request {field} ")
+    assert payload["detail"].endswith(", not an object")
+
+
+@pytest.mark.parametrize("field, value", [("get", [1]), ("post", "x"),
+                                          ("cookies", 5)])
+def test_audit_rejects_a_request_field_that_is_not_an_object(
+        tmp_path, capsys, field, value):
+    """A request's ``get`` / ``post`` / ``cookies`` is a JSON object:
+    any other JSON value is the executor's malformed word (REJECTED:
+    malformed_bundle, exit 1), whether or not the script reads it — not
+    an ``AttributeError`` traceback out of the re-execution."""
+    bundle = tmp_path / "bundle.jsonl"
+    bundle.write_text("".join(_with_request_field(field, value)))
+    capsys.readouterr()
+    assert main(["audit", str(bundle), "--workload", "cart",
+                 "--scale", "0.05", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _malformed_request_field(captured.out, field)
+
+
+def test_audit_connect_rejects_a_request_field_that_is_not_an_object(
+        capsys):
+    """The same refusal over ``audit --connect``."""
+    from repro.io import record_kind
+    from repro.net import BundlePublisher
+
+    lines = [line.encode().rstrip(b"\n")
+             for line in _with_request_field("get", [1])]
+    with BundlePublisher(heartbeat_interval=None) as publisher:
+        for line in lines[1:]:  # the publisher sends its own header
+            publisher.write_record_payload(line, kind=record_kind(line))
+        capsys.readouterr()
+        code = main(["audit", "--connect", publisher.endpoint,
+                     "--workload", "cart", "--scale", "0.05", "--json"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _malformed_request_field(captured.out, "get")
+
+
 #: A line nested far past the JSON decoder's recursion limit.
 DEEP_LINE = "[" * 50_000 + "\n"
 

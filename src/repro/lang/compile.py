@@ -90,7 +90,6 @@ class _CompiledFunc:
     name: str
     params: list[str]
     pure: bool
-    use_env: bool
     run: Callable | None = None
 
 
@@ -103,9 +102,6 @@ class _Compiler:
         self.db_name = db_name
         self.kv_name = kv_name
         self.session_cookie = session_cookie
-        #: Whether the scope being compiled needs the _Env indirection
-        #: (it executes a ``global`` declaration somewhere).
-        self.use_env = False
         self.funcs: dict[str, _CompiledFunc] = {}
         self.purity = Purity(program)  # which functions may yield
         #: id(node) -> (node, what :meth:`const` / :meth:`literal` /
@@ -113,25 +109,25 @@ class _Compiler:
         self.consts: dict[int, tuple] = {}
         self.literals: dict[int, tuple] = {}
         self.walks: dict[int, tuple] = {}
-        #: Whether the scope being compiled is the top level, whose
-        #: frame is the globals, and the globals a function may write.
-        self.top = False
-        self.shared: set[str] = set()
+        #: The globals the scope being compiled shares with its calls:
+        #: those a function declares ``global``, at top level those of
+        #: every function.
+        self.shared: frozenset[str] = frozenset()
 
     # -- driver -------------------------------------------------------------
 
     def compile(self) -> CompiledProgram:
         program = self.program
         for name, decl in program.functions.items():
-            declared = [var for item in nodes(decl.body)
-                        if type(item) is GlobalDecl for var in item.names]
             self.funcs[name] = _CompiledFunc(
-                name, decl.params, pure=self.purity.function_pure(name),
-                use_env=bool(declared))
-            self.shared.update(declared)
+                name, decl.params, pure=self.purity.function_pure(name))
+        shared: set[str] = set()
         for name, decl in program.functions.items():
             func = self.funcs[name]
-            self.use_env = func.use_env
+            self.shared = frozenset(var for item in nodes(decl.body)
+                                    if type(item) is GlobalDecl
+                                    for var in item.names)
+            shared |= self.shared
             ((pure, func.run),) = regions.region(self, decl.body, False,
                                                  whole=True)
             # Callers compiled before this body bound ``func.pure``: a
@@ -141,8 +137,7 @@ class _Compiler:
                 raise AssertionError(
                     f"{name}(): purity pass says pure={func.pure}, "
                     f"compiled body pure={pure}")
-        self.use_env = False  # top level: vars *are* globals
-        self.top = True
+        self.shared = frozenset(shared)
         return CompiledProgram(program.name,
                                regions.region(self, program.body, True))
 

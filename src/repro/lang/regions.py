@@ -18,18 +18,22 @@ walks its path with the compiler's ``root`` / ``step`` / ``finish``
 :data:`_INDENT`, or an expression past :data:`_NEST`, is drained into a
 generated function of its own.
 
-**Python locals.**  In a dict-frame scope a region keeps the variables it
-touches, ``steps`` and the flow digest in Python locals: written back
-before a call out of the region — a user function, a drained statement,
-a helper that may raise — (what the call may read; everything at top
-level, and before a call whose ``break`` / ``continue`` no loop of the
-region would catch) and at exit, and reloaded after a call (``steps``,
-``flow``, what a drained statement touched, and at top level the
-variables a function declares ``global``).  What a loop does not assign
-is written back once, before it.  So whoever a call reaches or an error
-leaves finds the frame, ``steps`` and the digest as the oracle would.  A
-variable missing from the frame loads as ``_ABSENT``, which no guard
-passes and nothing writes back.
+**Python locals.**  Every region keeps the variables it touches,
+``steps`` and the flow digest in Python locals, loaded from the frame
+(a missing variable is null) at entry.  They are written back where
+something reads them: before a call out of the region — a user
+function, a drained statement, an index path's ``root`` / ``step`` /
+``finish`` — what the call may read and the **shared** globals (at top
+level those a function declares ``global``, in a function those it
+declares), everything before a call whose ``break`` / ``continue`` no
+loop of the region would catch, and at ``return`` and a part's end
+(the shared ones only, at a function's).  After a call ``steps``,
+``flow``, what a drained statement touched and the shared globals are
+reloaded.  What a loop does not assign is written back once, before it.
+A run that raises keeps nothing: nobody reads its frame.  A function
+that says ``global`` has an ``_Env`` frame, so the write-backs and loads
+resolve a name as the oracle's ``store`` / ``lookup`` do, and ``global
+$x`` reloads ``$x``'s local from the globals.
 
 **In line.**  An expression built from constants, frame variables, the
 operators whose :data:`~repro.lang.values.EXACT_OPS` entry has a Python
@@ -39,14 +43,12 @@ form), constant-key array literals, and ``&&`` / ``||`` and ternaries
 whose operands that may not run need only type tests, runs as Python
 behind type guards, chained with its calls in evaluation order; when
 they hold, one add books its steps, and nothing raises.  Where one
-fails, or the expression does not qualify (always in a ``use_env``
-scope), the statement runs its **general form**: three-address code in
-which each operator calls its :mod:`~repro.lang.simd` per-class helper
-(``_binop``, ``_unop``, ``_index``, ``_add_item``, ``_call_builtin``,
-``_truth``) on operands held in temporaries — each in line behind its
-guards where it qualifies — booking ``steps`` node by node and writing
-them back with the digest (at top level the variables too) before
-anything that may raise.
+fails, or the expression does not qualify, the statement runs its
+**general form**: three-address code in which each operator calls its
+:mod:`~repro.lang.simd` per-class helper (``_binop``, ``_unop``,
+``_index``, ``_add_item``, ``_call_builtin``, ``_truth``) on operands
+held in temporaries — each in line behind its guards where it
+qualifies — booking ``steps`` node by node.
 
 No program text reaches the generated source: names, constants and
 helpers are arguments of a factory whose parameters the generator
@@ -141,13 +143,10 @@ _LOOPS = 6
 _INDENT = 40
 _NEST = 4 * 80
 
-#: The local of a variable not in the frame: never written back.
-_ABSENT = object()
-
 #: What a part of a body returns when it falls through to the next.
 _NEXT = object()
 
-#: The values an in-line operand may hold: not a multivalue, not absent.
+#: The values an in-line operand may hold: not a multivalue.
 _OK = frozenset({str, int, float, bool, type(None), PhpArray})
 
 #: A line that stands for reloading the shared variables after a call
@@ -163,16 +162,15 @@ def _scope(state, slots: dict[str, object]) -> _Env:
 
 
 def _load(value: object, state, copy: bool = False) -> object:
-    """A variable's value as a general form reads it: a missing one is
-    null, a multivalue books a multivalent step; with ``copy`` an array
-    leaving it is copied."""
+    """A variable's value as a general form reads it: a multivalue books
+    a multivalent step; with ``copy`` an array leaving it is copied."""
     kind = type(value)
     if kind is MultiValue:
         state.multivalent(len(value.values))
         return _copy_value(value) if copy else value
     if copy and kind is PhpArray:
         return value.copy()
-    return None if value is _ABSENT else value
+    return value
 
 
 #: The module a generated function runs in: no builtins beyond these.
@@ -180,8 +178,8 @@ _HELPERS: dict[str, object] = {
     "__builtins__": {}, "type": type, "int": int, "str": str, "len": len,
     "list": list, "zip": zip, "map": map, "bool": bool,
     "isinstance": isinstance, "PhpArray": PhpArray,
-    "MultiValue": MultiValue, "_OK": _OK, "_ABSENT": _ABSENT,
-    "_NEXT": _NEXT, "_INDEXABLE": (PhpArray, str, MultiValue),
+    "MultiValue": MultiValue, "_OK": _OK, "_NEXT": _NEXT,
+    "_INDEXABLE": (PhpArray, str, MultiValue),
     "_PRIME": _FNV_PRIME, "_MASK": _MASK, "WeblangError": WeblangError,
     "StateOpIntent": StateOpIntent, "_scope": _scope, "_load": _load,
     "truthy": truthy, "to_str": to_str,
@@ -289,11 +287,11 @@ class _Region:
 
     def __init__(self, comp, top: bool):
         self.comp = comp  # the compiler: purity, constants, functions
-        self.fast = not comp.use_env  # a dict frame: variables in locals
         self.top = top  # the frame is the globals
-        #: The variables of the frame a call may write: at top level, the
-        #: ones a function declares ``global``.
-        self.shared = comp.shared if top else frozenset()
+        #: The globals of the frame a call may read or write: at top
+        #: level the ones a function declares ``global``, in a function
+        #: the ones it declares.
+        self.shared = comp.shared
         self.args: list[object] = []
         self.bound: dict[int, str] = {}
         self.names: dict[str, str] = {}
@@ -305,9 +303,9 @@ class _Region:
         #: ``steps``: added before anything that can see them.
         self.owed = 0
         self.temps = self.loops = 0  # Python loops around the line made
-        # Whether it echoes, reads through ``get``, yields an intent;
-        # whether the line made is in a general form that stands for one.
-        self.echo = self.gets = self.yields = False
+        # Whether it echoes, yields an intent; whether the line made is
+        # in a general form that stands for one.
+        self.echo = self.yields = False
         self.plain = 0
         #: The guards, digest folds and step terms of the in-line
         #: expression being made.
@@ -364,8 +362,7 @@ class _Region:
         self.dirty -= slots
         for var, local in self.locals.items():
             if local in self.dirty and (names is None or var in names):
-                lines.append(f"{pad}if {local} is not _ABSENT: "
-                             f"env[{self.name(var)}] = {local}")
+                lines.append(f"{pad}env[{self.name(var)}] = {local}")
                 self.dirty.discard(local)
         return lines
 
@@ -374,11 +371,9 @@ class _Region:
         """Lines reloading ``steps``, ``flow`` where ``flows``, the
         variables ``names`` and the shared ones after a call."""
         lines = [f"{pad}steps = state.steps",
-                 *([f"{pad}flow = state.flow"] if flows else [])]
-        if not self.fast:
-            return lines
-        lines += [f"{pad}{self.local(var)} = get({self.name(var)}, _ABSENT)"
-                  for var in sorted(names)]
+                 *([f"{pad}flow = state.flow"] if flows else []),
+                 *(f"{pad}{self.local(var)} = get({self.name(var)})"
+                   for var in sorted(names))]
         return lines + [pad + _RELOAD] if self.shared else lines
 
     def run(self, pure: bool, fn: Callable) -> str:
@@ -390,21 +385,17 @@ class _Region:
              writes: set[str] = frozenset(), flows: bool = True
              ) -> list[str]:
         """``line`` (or lines made at ``pad``), a call out that may read
-        the variables ``reads``, write ``writes`` and, where ``flows``,
-        fold the digest or raise a signal: one no loop of the region
-        catches leaves it, so everything is written back first."""
+        the variables ``reads`` and the shared ones, write ``writes`` and,
+        where ``flows``, fold the digest or raise a signal: one no loop
+        of the region catches leaves it, so everything is written back
+        first."""
         body = [pad + line] if type(line) is str else line
-        lines = self.sync(pad, None if self.top or flows and not self.loops
-                          else reads, flows)
+        lines = self.sync(pad, None if flows and not self.loops
+                          else reads | self.shared, flows)
         if flows and self.loops and writes:
             return [*lines, f"{pad}try:", *("    " + item for item in body),
                     f"{pad}finally:", *self.reload(pad + "    ", writes, flows)]
         return [*lines, *body, *self.reload(pad, writes, flows)]
-
-    def risky(self, pad: str, line: str) -> list[str]:
-        """``line``, which may raise: what the oracle would have booked
-        and folded by then — at top level the frame too — written back."""
-        return [*self.sync(pad, None if self.top else set()), pad + line]
 
     def branch(self, pad: str, cond: str, yes: Callable,
                no: Callable | None = None) -> list[str]:
@@ -517,10 +508,9 @@ class _Region:
 
     def _read(self, pad: str, var: str, copy: bool) -> _Code:
         self.owed += 1
-        held, self.gets = self.temp(), self.gets or not self.fast
-        value = self.local(var) if self.fast else f"get({self.name(var)})"
-        return [f"{pad}{held} = _load({value}, state{', True' if copy else ''})"
-                ], held
+        held = self.temp()
+        return [f"{pad}{held} = _load({self.local(var)}, state"
+                f"{', True' if copy else ''})"], held
 
     def _operands(self, pad: str, nodes: list, copy: bool = False
                   ) -> tuple[list[str], list[str]]:
@@ -538,9 +528,8 @@ class _Region:
         self.owed += 1
         lines, srcs = self._operands(pad, list(nodes))
         held = self.temp()
-        return [*lines, *self.risky(pad, f"{held} = {helper}("
-                                         f"{self.bind(apply)}, "
-                                         f"{', '.join(srcs)}, state)")], held
+        return [*lines, f"{pad}{held} = {helper}({self.bind(apply)}, "
+                        f"{', '.join(srcs)}, state)"], held
 
     def _general_binop(self, pad: str, node: BinOp, copy: bool) -> _Code:
         if node.op in ("&&", "||"):
@@ -591,17 +580,16 @@ class _Region:
         self.owed += 1
         lines, base = self.child(pad, node.base)
         const, held = self.comp.const(node.index), self.temp()
-        if const is not None:  # the base is checked before its steps
-            lines += self.risky(pad, f"{held} = _index({base}, "
-                                     f"{self.bind(const[0])}, state)")
+        if const is not None:
             self.owed += const[1]
-        else:
-            lines += self.risky(pad, f"if not isinstance({base}, _INDEXABLE):"
-                                     " raise WeblangError("
-                                     f"{self.bind('indexing a non-array value')})")
+            index = self.bind(const[0])
+        else:  # the base is checked before the index runs
+            lines.append(f"{pad}if not isinstance({base}, _INDEXABLE): raise "
+                         "WeblangError("
+                         f"{self.bind('indexing a non-array value')})")
             index_lines, index = self.child(pad, node.index)
-            lines += [*index_lines, *self.risky(
-                pad, f"{held} = _index({base}, {index}, state)")]
+            lines += index_lines
+        lines.append(f"{pad}{held} = _index({base}, {index}, state)")
         if copy:
             lines.append(f"{pad}if type({held}) is PhpArray or type({held}) "
                          f"is MultiValue: {held} = _copy_value({held})")
@@ -626,8 +614,8 @@ class _Region:
             else:  # ``[]``, or a constant normalised once
                 self.owed += const[1]
                 key_src = self.bind(const[0])
-            lines += self.risky(pad, f"{array} = _add_item({array}, {key_src}, "
-                                     f"{src}, state)")
+            lines.append(f"{pad}{array} = _add_item({array}, {key_src}, "
+                         f"{src}, state)")
         return [*lines, f"{pad}if type({array}) is list: "  # one per slot
                         f"{array} = state.merge({array})"], array
 
@@ -639,23 +627,21 @@ class _Region:
         if kind == "user":
             tail = self._user_call(pad, self.comp.funcs[name], args, held)
         elif kind == "input" and len(args) in (1, 2):
-            tail = self.risky(pad, f"{held} = _input(state, "
-                                   f"{self.bind(REQUEST_INPUTS[name])}, "
-                                   f"{self.bind(name)}, {args[0]}, "
-                                   f"{args[1] if len(args) == 2 else None})")
+            tail = [f"{pad}{held} = _input(state, "
+                    f"{self.bind(REQUEST_INPUTS[name])}, {self.bind(name)}, "
+                    f"{args[0]}, {args[1] if len(args) == 2 else None})"]
         elif name in _STATE_OPS:
             tail = self._state_op(pad, name, args, held)
         elif kind == "builtin":  # a non-deterministic or external call
             self.yields = True
-            tail = [*self.risky(pad, f"{held} = yield _intent("
-                                     f"{self.bind(name)}, [{', '.join(args)}],"
-                                     " state)"),
+            tail = [f"{pad}{held} = yield _intent({self.bind(name)}, "
+                    f"[{', '.join(args)}], state)",
                     f"{pad}{held} = " + ("True" if name in EXTERNAL_BUILTINS
                                          else f"state.merge(list({held}))")]
         elif kind == "pure":
-            tail = self.risky(pad, f"{held} = _call_builtin("
-                                   f"{self.bind(self.comp.builtin(node))}, "
-                                   f"[{', '.join(args)}], state)")
+            tail = [f"{pad}{held} = _call_builtin("
+                    f"{self.bind(self.comp.builtin(node))}, "
+                    f"[{', '.join(args)}], state)"]
         else:  # the arguments evaluate first, as in the oracle
             tail = self._fail(pad, f"{name}() expects 1 or 2 arguments"
                               if kind == "input" else
@@ -684,10 +670,9 @@ class _Region:
                                 if begin else f"{name}() without a "
                                 "transaction", f"if {'' if begin else 'not '}"
                                                "state.in_tx: ")
-        lines += self.risky(pad, f"{held} = yield StateOpIntent("
-                                 f"{self.bind(kind)}, "
-                                 f"{objs.format(*args, o=obj)}, "
-                                 f"{operands.format(*args, o=obj)})")
+        lines.append(f"{pad}{held} = yield StateOpIntent({self.bind(kind)}, "
+                     f"{objs.format(*args, o=obj)}, "
+                     f"{operands.format(*args, o=obj)})")
         if tx:
             lines.append(f"{pad}state.in_tx = {begin}")
         return lines + [f"{pad}{held} = " + (
@@ -696,7 +681,7 @@ class _Region:
             else f"_merged_replies({self.bind(convert)}, {held}, state)")]
 
     def _fail(self, pad: str, message: str, when: str = "") -> list[str]:
-        return self.risky(pad, f"{when}raise WeblangError({self.bind(message)})")
+        return [f"{pad}{when}raise WeblangError({self.bind(message)})"]
 
     def _user_call(self, pad: str, func, args: list[str],
                    held: str) -> list[str]:
@@ -706,15 +691,13 @@ class _Region:
         slots = ", ".join(f"{self.name(param)}: "
                           f"{args[index] if index < len(args) else 'None'}"
                           for index, param in enumerate(func.params))
-        frame = f"_scope(state, {{{slots}}})" if func.use_env \
-            else f"{{{slots}}}"
         self.yields = self.yields or not func.pure
         return self.call(pad, [
             f"{pad}if state.depth >= {_MAX_CALL_DEPTH}: raise WeblangError("
             f"{self.bind('maximum call depth exceeded')})",
             f"{pad}state.depth += 1", f"{pad}try:",
             f"{pad}    {held} = {'' if func.pure else 'yield from '}"
-            f"{self.bind(func)}.run({frame}, state)",
+            f"{self.bind(func)}.run({{{slots}}}, state)",
             f"{pad}finally:", f"{pad}    state.depth -= 1"], set())
 
     # -- in line -----------------------------------------------------------
@@ -770,7 +753,7 @@ class _Region:
                 if want is not None and type(const[0]) is not want:
                     return None
                 return self.bind(const[0]), type(const[0]), const[1]
-        if not self.fast or depth > _DEPTH:
+        if depth > _DEPTH:
             return None
         if kind is Var:
             return self._guard(self.local(node.name), want), want, 1
@@ -955,7 +938,7 @@ class _Region:
         """``stmt`` as a generated function of its own; where it holds a
         ``return``, what that returns is returned on."""
         reads, assigns, indexed, flows = _walk(self.comp, stmt)
-        touched = reads | assigns | indexed if self.fast else set()
+        touched = reads | assigns | indexed
         ((pure, fn),) = region(self.comp, [stmt], self.top)
         held = self.temp()
         lines = self.call(pad, f"{held} = {self.run(pure, fn)}", touched,
@@ -971,9 +954,6 @@ class _Region:
 
     def _store(self, var: str) -> Callable:
         """``use`` storing the value in variable ``var``."""
-        if not self.fast:
-            return lambda pad, src, _: [
-                f"{pad}env.store({self.name(var)}, {src})"]
         local = self.local(var)
 
         def store(pad: str, src: str, _kind: object) -> list[str]:
@@ -983,31 +963,17 @@ class _Region:
         return store
 
     def _assign(self, pad: str, stmt) -> list[str]:
+        store = self._store(stmt.name)
         if not stmt.op:
-            return self.operand(pad, stmt.expr, self._store(stmt.name),
-                                copy=True, book=1)
-        apply = self.bind(compound(stmt.op))
-        if not self.fast:
-            var = self.name(stmt.name)
-            return self.operand(pad, stmt.expr, lambda p, src, _: self.risky(
-                p, f"env.store({var}, _binop({apply}, env.lookup({var}), "
-                   f"{src}, state))"), copy=True, book=1)
-        local = self.local(stmt.name)
-
-        def combine(pad: str, src: str, _kind: object) -> list[str]:
-            lines = self.risky(pad, f"{local} = _binop({apply}, None if "
-                                    f"{local} is _ABSENT else {local}, {src}, "
-                                    "state)")
-            self.dirty.add(local)
-            return lines
-
+            return self.operand(pad, stmt.expr, store, copy=True, book=1)
+        apply, local = self.bind(compound(stmt.op)), self.local(stmt.name)
         # ``$x op= e`` in line is ``$x = $x op e`` but for the steps of
         # the operator and the read of ``$x``: the statement books one.
-        inline = [(BinOp(stmt.op, Var(stmt.name), stmt.expr),
-                   self._store(stmt.name), -1)] \
+        inline = [(BinOp(stmt.op, Var(stmt.name), stmt.expr), store, -1)] \
             if compound(stmt.op) is binop(stmt.op) else None
-        return self.operand(pad, stmt.expr, combine, copy=True, book=1,
-                            inline=inline)
+        return self.operand(pad, stmt.expr, lambda p, src, kind: store(
+            p, f"_binop({apply}, {local}, {src}, state)", kind), copy=True,
+            book=1, inline=inline)
 
     def _exprstmt(self, pad: str, stmt) -> list[str]:
         return self.operand(pad, stmt.expr, lambda *_: [], book=1)
@@ -1019,7 +985,7 @@ class _Region:
             if kind is str:
                 return [f"{pad}out({src})"]
             if kind is object:
-                return self.risky(pad, f"out(_text({src}, state))")
+                return [f"{pad}out(_text({src}, state))"]
             return [f"{pad}out(to_str({src}))"]
 
         lines = [] if stmt.exprs else self.book(pad, 1)
@@ -1061,15 +1027,13 @@ class _Region:
         locals that binds; ``loop`` folds per trip and ``loopx`` after
         the last, and ``break`` / ``continue`` from a call are signals;
         a fold-free loop (``trips`` its count) has neither."""
-        lines = []
-        if self.fast:
-            # What it assigns: an index assignment writes its variable
-            # in place, or through a call that reloads it.
-            reads, assigns, indexed, _ = _walk(self.comp, stmt)
-            assigned = _walk(self.comp, stmt.body)[1]
-            lines = self.sync(pad, (set(self.locals) if self.top
-                                    else reads | indexed) - assigned, False)
-            self.dirty |= {self.local(var) for var in sorted(assigned)}
+        # What it assigns: an index assignment writes its variable in
+        # place, or through a call that reloads it.
+        reads, _, indexed, _ = _walk(self.comp, stmt)
+        assigned = _walk(self.comp, stmt.body)[1]
+        lines = self.sync(pad, (reads | indexed | self.shared) - assigned,
+                          False)
+        self.dirty |= {self.local(var) for var in sorted(assigned)}
         self.dirty |= {"steps", "flow", *binds}
         dirty, inner = set(self.dirty), pad + "    "
         leave = [self.bind(branch_mix("loopx", stmt.nid))]
@@ -1104,35 +1068,26 @@ class _Region:
     def _foreach(self, pad: str, stmt) -> list[str]:
         items = self.temp()
         lines = self.operand(pad, stmt.subject, self._into(items), book=1)
-        lines += self.sync(pad, set(), flows=False)  # it fails at its step
-        if self.fast:
-            key = self.local(stmt.key_var) if stmt.key_var else "_"
-            value = self.local(stmt.val_var)
-        else:
-            key, value = self.temp(), self.temp()
+        key = self.local(stmt.key_var) if stmt.key_var else "_"
+        value = self.local(stmt.val_var)
         where = self.bind(f"foreach#{stmt.nid}")
         inner = pad + "    "
         bind = [f"{inner}if type({value}) is PhpArray:",
                 f"{inner}    {value} = {value}.copy()",
                 f"{inner}elif type({value}) is MultiValue:",
                 f"{inner}    {value} = _copy_value({value})"]
-        if not self.fast:
-            bind += [f"{inner}env.store({self.name(var)}, {local})"
-                     for var, local in ((stmt.key_var, key),
-                                        (stmt.val_var, value)) if var]
         return lines + self._loop(pad, stmt, lambda: [
             f"{pad}{items} = _foreach_items({items}, state, {where})",
-            f"{pad}for {key}, {value} in {items}:"], bind,
-            (key, value) if self.fast else (),
+            f"{pad}for {key}, {value} in {items}:"], bind, (key, value),
             f"len({items})" if fold_free(stmt, self.comp.funcs) else None)
 
     def _indexassign(self, pad: str, stmt) -> list[str]:
-        """``$a[] = e`` / ``$a[k] = e`` on a dict frame: the variable's
+        """``$a[] = e`` / ``$a[k] = e``: the variable's
         array (the compiler's ``root`` where it is not one), the value,
         the key, into it; a multivalue among them, or an expanded root,
         goes to ``finish``.  Any other walks its path (:meth:`_index_path`)."""
         parts = self.comp._index_parts(stmt)
-        if not self.fast or len(stmt.path) != 1 or stmt.op:
+        if len(stmt.path) != 1 or stmt.op:
             return self._index_path(pad, stmt, *map(self.bind, parts))
         container, value, key = self.temp(), self.temp(), self.temp()
         last, name = stmt.path[0], {stmt.name}
@@ -1194,8 +1149,9 @@ class _Region:
 
     def _return(self, pad: str, stmt) -> list[str]:
         def leave(pad: str, src: str, _kind: object) -> list[str]:
-            # The frame is left behind: only ``steps`` and ``flow`` count.
-            return [*self.sync(pad, set()), f"{pad}return {src}"]
+            # The frame is left behind: only ``steps``, ``flow`` and the
+            # shared globals count.
+            return [*self.sync(pad, self.shared), f"{pad}return {src}"]
 
         if stmt.expr is None:
             return [*self.book(pad, 1), *leave(pad, "None", None)]
@@ -1211,13 +1167,18 @@ class _Region:
                 f"{pad}raise _{word}Signal()"]
 
     def _globaldecl(self, pad: str, stmt) -> list[str]:
-        # A dict frame is a scope without ``global`` but for the top
-        # level, where the frame is the globals: a no-op but its step.
+        """At top level, where the frame is the globals, a no-op but its
+        step; in a function the names resolve to the globals from here
+        on (the frame is an ``_Env``), so their locals are reloaded."""
         lines = self.book(pad, 1)
-        if self.fast:
+        if self.top:
             return lines
+        locals_ = [self.local(var) for var in stmt.names]
+        self.dirty -= set(locals_)
         return [*lines,
-                f"{pad}env.global_names.update({self.bind(tuple(stmt.names))})"]
+                f"{pad}env.global_names.update({self.bind(tuple(stmt.names))})",
+                *(f"{pad}{local} = get({self.name(var)})"
+                  for var, local in zip(stmt.names, locals_))]
 
 
 #: The method that makes each kind of statement.
@@ -1238,7 +1199,9 @@ def region(comp, stmts: list[Node], top: bool,
     returns :data:`_NEXT` — each with whether it is plain (else it is a
     generator function); ``comp`` is the compiler of their scope, ``top``
     whether the frame is the globals, ``whole`` whether they are a
-    function's body: one part, whose frame nobody reads after it."""
+    function's body: one part, after which only its shared globals are
+    read (its frame an ``_Env`` over its caller's dict where it says
+    ``global``)."""
     parts, made, body = [], _Region(comp, top), []
     for stmt in stmts:  # parts of at most about _SIZE characters
         if not whole and sum(map(len, body)) > _SIZE:
@@ -1247,23 +1210,29 @@ def region(comp, stmts: list[Node], top: bool,
             made, body = _Region(comp, top), []
         body += made.statement(_PAD, stmt)
     return [*parts, _assembled(made, [
-        *(body or [_PAD + "pass"]), *made.sync(_PAD, set() if whole else None),
-        *([] if whole else [f"{_PAD}return _NEXT"])])]
+        *(body or [_PAD + "pass"]),
+        *made.sync(_PAD, made.shared if whole else None),
+        *([] if whole else [f"{_PAD}return _NEXT"])],
+        whole and bool(made.shared))]
 
 
 #: The indent of a generated function's body.
 _PAD = " " * 8
 
 
-def _assembled(made: _Region, body: list[str]) -> tuple[bool, Callable]:
+def _assembled(made: _Region, body: list[str],
+               scope: bool = False) -> tuple[bool, Callable]:
     """Whether it is plain, and the generated function of ``made`` whose
-    statements are ``body``: its locals loaded first."""
+    statements are ``body``: its frame made an ``_Env`` where ``scope``,
+    its locals loaded first."""
     head = [f"{_PAD}steps = state.steps", f"{_PAD}flow = state.flow"]
+    if scope:
+        head.append(f"{_PAD}env = _scope(state, env)")
     if made.echo:
         head.append(f"{_PAD}out = state.output.append")
-    loads = {var: f"{local} = get({made.name(var)}, _ABSENT)"
+    loads = {var: f"{local} = get({made.name(var)})"
              for var, local in made.locals.items()}
-    if loads or made.gets:
+    if loads:
         head += [f"{_PAD}get = env.get",
                  *(_PAD + load for load in loads.values())]
     lines = []
